@@ -9,9 +9,9 @@ GO ?= go
 # under the race detector as part of tier-1.
 RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/core/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
 
-.PHONY: ci vet build test race allocgate chaos trace-smoke postmortem-smoke chargeguard bench benchgate fuzz clean
+.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard bench bench-smoke benchgate fuzz clean
 
-ci: vet build test race allocgate chaos trace-smoke postmortem-smoke chargeguard benchgate-quick
+ci: vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard benchgate-quick bench-smoke
 
 # Charge-drift guard: the simulator's traffic accounting is folded into the
 # engine's SimEnv (GroupRing/WorldRing/Exchanges), so a strategy that calls
@@ -51,6 +51,14 @@ allocgate:
 	$(GO) test ./internal/transport/ -run TestRecvIntoSteadyStateAllocFree -count 1
 	$(GO) test ./internal/collective/ -run TestAllReduceSteadyStateAllocFree -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
+
+# Flake gate: the quiet-run watchdog test finishes in ~10 ms, well inside its
+# own 5 ms evaluation cadence on a fast host, so it passes only because the
+# service core evaluates once more at exit. 200 runs on one and on eight Ps
+# keep a scheduling-dependent regression from hiding behind a lucky run.
+flakegate:
+	GOMAXPROCS=1 $(GO) test ./internal/live/ -run TestLiveWatchdogQuietRunStaysClean -count 200
+	GOMAXPROCS=8 $(GO) test ./internal/live/ -run TestLiveWatchdogQuietRunStaysClean -count 200
 
 # Seeded chaos soak: worker fail-stop + controller crash (warm and cold) +
 # timed network partition + elastic join/drain staircase composed in one run,
@@ -93,6 +101,18 @@ bench:
 	PREDUCE_POLICYGATE=1 $(GO) test ./internal/policy/ -run TestPolicyDecideGate -count 1 -v
 	@echo "wrote BENCH_dataplane.json"
 
+# bench/ is a module of its own (see BENCHMARK.json), so the root build and
+# test sweep never notice when a change to internal/live or the public API
+# breaks it. Build and test it, then run each gated workload once at smoke
+# size; any failed rep exits non-zero.
+BENCH_WORKLOADS := comm_mem comm_tcp ctrl_tcp hetero
+bench-smoke:
+	cd bench && $(GO) test ./...
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench-smoke: $$w"; \
+		bash bench/run.sh --workload $$w -smoke >/dev/null || exit 1; \
+	done
+
 # Benchmark regression gate: rerun the data-plane sweep and compare against
 # the committed BENCH_dataplane.json baseline. Fails on a throughput
 # regression beyond the tolerance or on ANY allocs/op increase. ci runs the
@@ -105,12 +125,14 @@ benchgate:
 benchgate-quick:
 	BENCH_QUICK=1 sh scripts/benchgate.sh
 
-# Short fuzz pass over the wire codec (longer runs: raise FUZZTIME).
+# Short fuzz pass over the wire codecs — transport frames, policy state, and
+# the live control payloads (longer runs: raise FUZZTIME).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzPolicyStateCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/live/ -run '^$$' -fuzz FuzzControlCodec -fuzztime $(FUZZTIME)
 
 # BENCH_dataplane.json is the committed benchgate baseline, so clean
 # leaves it alone; refresh it with `make bench`.

@@ -148,6 +148,23 @@ type Stats struct {
 	StaleEpochs   int // ready signals rejected for a stale epoch
 }
 
+// Add returns the field-wise sum of s and o: how the live service carries
+// counters across controller incarnations (a cold failover starts the
+// replacement at zero).
+func (s Stats) Add(o Stats) Stats {
+	s.GroupsFormed += o.GroupsFormed
+	s.Interventions += o.Interventions
+	s.FrozenChecks += o.FrozenChecks
+	s.Failures += o.Failures
+	s.Rejoins += o.Rejoins
+	s.GroupsAborted += o.GroupsAborted
+	s.Joins += o.Joins
+	s.Drains += o.Drains
+	s.Decommissions += o.Decommissions
+	s.StaleEpochs += o.StaleEpochs
+	return s
+}
+
 // Controller is the P-Reduce controller. It is not safe for concurrent use;
 // callers (the simulator's event loop or the live runtime's accept loop)
 // serialize access.

@@ -3,6 +3,7 @@ package controller
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -421,3 +422,24 @@ func candidates(free []bool) []int {
 // freeCount reports whether worker w is merely waiting in the queue (not
 // starved — its signal simply has not been grouped yet).
 func freeCount(free []bool, w int) bool { return !free[w] }
+
+// TestStatsAddSumsEveryField walks Stats by reflection so a counter added
+// later cannot be forgotten in Add: every field must be an int and must come
+// back as the sum of the two operands.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int {
+			t.Fatalf("Stats.%s is %s; Add and this test assume int counters", av.Type().Field(i).Name, av.Field(i).Kind())
+		}
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum := reflect.ValueOf(a.Add(b))
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add dropped Stats.%s: got %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
+	}
+}

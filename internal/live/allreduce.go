@@ -2,14 +2,10 @@ package live
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"partialreduce/internal/collective"
-	"partialreduce/internal/data"
 	"partialreduce/internal/engine"
 	"partialreduce/internal/model"
-	"partialreduce/internal/optim"
 	"partialreduce/internal/transport"
 )
 
@@ -37,69 +33,44 @@ func RunAllReduce(cfg Config, world []transport.Transport) (*Report, error) {
 		return nil, fmt.Errorf("live: %d transports for %d workers", len(world), cfg.N)
 	}
 
-	base := cfg.Spec.Build(cfg.Seed)
-	shards := cfg.Train.Shard(cfg.N)
+	// The baseline runs bare — no tracing, no deadlines — on the same worker
+	// assembly as P-Reduce.
+	cfg.Tracer, cfg.Instruments, cfg.CollectiveTimeout = nil, nil, 0
+	rt := newRuntime(cfg, world)
 	group := make([]int, cfg.N)
 	for i := range group {
 		group[i] = i
 	}
 
 	start := time.Now()
-	models := make([]model.Model, cfg.N)
-	iters := make([]int, cfg.N)
-	runErr := make(chan error, cfg.N)
-	var commMu sync.Mutex
-	var comms collective.OpStats
-	var wg sync.WaitGroup
 	for id := 0; id < cfg.N; id++ {
 		id := id
-		wg.Add(1)
+		rt.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			m := base.Clone()
-			models[id] = m
-			var local collective.OpStats
-			defer func() {
-				commMu.Lock()
-				comms.Merge(local)
-				commMu.Unlock()
-			}()
-			env := engine.NewLiveEnv(id, world[id], collective.Options{
-				SegmentElems: cfg.SegmentElems,
-				Stats:        &local,
-			}, nil, nil)
-			w := &engine.LiveWorker{
-				Env:          env,
-				Model:        m,
-				Opt:          optim.NewSGD(cfg.Optimizer, m.NumParams()),
-				Sampler:      data.NewSampler(shards[id], cfg.Seed*31+int64(id)),
-				Iters:        cfg.Iters,
-				BatchSize:    cfg.BatchSize,
-				ComputeDelay: cfg.ComputeDelay,
-				CrashAt:      cfg.Crash[id], // zero when id never crashes
-				OnIter:       func(it int) { iters[id] = it },
-			}
+			defer rt.wg.Done()
+			w := rt.newWorker(id)
+			defer rt.addComms(w.Env.Copts.Stats)
 			if _, err := engine.RunAllReduceWorker(w, world, group); err != nil {
-				runErr <- fmt.Errorf("live: worker %d all-reduce: %w", id, err)
+				rt.runErr <- fmt.Errorf("live: worker %d all-reduce: %w", id, err)
 				for _, t := range world {
 					t.Close()
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	rt.wg.Wait()
 	select {
-	case err := <-runErr:
+	case err := <-rt.runErr:
 		return nil, err
 	default:
 	}
 
 	// All replicas are identical; evaluate worker 0's.
 	return &Report{
-		FinalAccuracy: model.Accuracy(models[0], cfg.Test),
+		FinalAccuracy: model.Accuracy(rt.models[0], cfg.Test),
 		Groups:        cfg.Iters,
 		WallTime:      time.Since(start),
-		WorkerIters:   iters,
-		Comms:         comms,
+		WorkerIters:   rt.iters,
+		Comms:         rt.comms,
 	}, nil
 }

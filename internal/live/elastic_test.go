@@ -113,6 +113,21 @@ func TestMultiProcessElastic(t *testing.T) {
 	if reports[0].FinalAccuracy < 0.5 {
 		t.Fatalf("final accuracy %.3f: training broken by churn", reports[0].FinalAccuracy)
 	}
+	// The host's report carries the same membership counters the in-process
+	// runtime reports for this staircase.
+	host := reports[0]
+	if host.Joins != 2 || host.Drains != 3 || host.Decommissions != 3 {
+		t.Fatalf("host report joins=%d drains=%d decommissions=%d, want 2/3/3",
+			host.Joins, host.Drains, host.Decommissions)
+	}
+	if host.Failures != 0 || host.Aborts != 0 {
+		t.Fatalf("graceful churn: host report failures=%d aborts=%d", host.Failures, host.Aborts)
+	}
+	for r, alive := range host.Alive {
+		if want := r < 3; alive != want {
+			t.Fatalf("host report alive[%d]=%v, want %v", r, alive, want)
+		}
+	}
 }
 
 // TestSimLiveElasticDifferential pushes the same seeded 8→12→6 schedule

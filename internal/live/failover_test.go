@@ -310,3 +310,80 @@ func TestRunWorkerCtrlLinkSevered(t *testing.T) {
 		}
 	}
 }
+
+// runWorkersBounded runs one RunWorker per rank (rank 0 hosting the
+// controller) with a wall-clock bound, failing on any rank's error.
+func runWorkersBounded(t *testing.T, cfg Config, world []transport.Transport) []*Report {
+	t.Helper()
+	var reports []*Report
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		reports = runWorkerWorld(t, cfg, world)
+	}()
+	select {
+	case <-done:
+	case <-time.After(120 * time.Second):
+		t.Fatal("multi-process run hung")
+	}
+	return reports
+}
+
+// The failover harness on the wire: the hosted controller is destroyed
+// mid-run and replaced (warm from its snapshot, cold from nothing); workers
+// whose replies died with it re-send over the control tags and every rank
+// completes with nobody condemned. The host's report carries the controller's
+// counters.
+func TestRunWorkerCtrlFailover(t *testing.T) {
+	for _, cold := range []bool{false, true} {
+		cold := cold
+		t.Run(map[bool]string{false: "warm", true: "cold"}[cold], func(t *testing.T) {
+			cfg := ctrlFailoverConfig(t, 67, cold)
+			reports := runWorkersBounded(t, cfg, memWorld(cfg.N))
+			host := reports[0]
+			if host.CtrlRestarts != 1 {
+				t.Fatalf("controller restarts = %d, want 1", host.CtrlRestarts)
+			}
+			if host.Failures != 0 {
+				t.Fatalf("failover condemned %d workers; a controller crash kills nobody", host.Failures)
+			}
+			for r, rep := range reports {
+				if !rep.Completed[0] || rep.WorkerIters[0] < cfg.Iters {
+					t.Fatalf("rank %d: completed=%v iters=%d/%d", r, rep.Completed[0], rep.WorkerIters[0], cfg.Iters)
+				}
+			}
+			for r, alive := range host.Alive {
+				if !alive {
+					t.Fatalf("rank %d not alive in the host's final view", r)
+				}
+			}
+			if host.FinalAccuracy < 0.85 {
+				t.Fatalf("accuracy %.3f across the failover", host.FinalAccuracy)
+			}
+		})
+	}
+}
+
+// Wire failover with a worker fail-stop in the same run: the host-side death
+// memory survives the controller's reincarnation (and is re-taught to a cold
+// one), and the death is counted once.
+func TestRunWorkerCtrlFailoverWithWorkerCrash(t *testing.T) {
+	for _, cold := range []bool{false, true} {
+		cfg := ctrlFailoverConfig(t, 68, cold)
+		cfg.Crash = map[int]int{3: 10}
+		cfg.FailTimeout = 2 * time.Second
+		reports := runWorkersBounded(t, cfg, memWorld(cfg.N))
+		host := reports[0]
+		if host.CtrlRestarts != 1 || host.Failures != 1 {
+			t.Fatalf("cold=%v: restarts=%d failures=%d, want 1/1", cold, host.CtrlRestarts, host.Failures)
+		}
+		if host.Alive[3] || reports[3].Completed[0] {
+			t.Fatalf("cold=%v: crashed rank alive=%v completed=%v", cold, host.Alive[3], reports[3].Completed[0])
+		}
+		for r := 0; r < 3; r++ {
+			if !reports[r].Completed[0] {
+				t.Fatalf("cold=%v: survivor %d did not complete", cold, r)
+			}
+		}
+	}
+}

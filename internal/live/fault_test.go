@@ -238,6 +238,21 @@ func TestRunWorkerCrash(t *testing.T) {
 	if reports[0].FinalAccuracy < 0.85 {
 		t.Fatalf("multi-process accuracy %.3f after crash", reports[0].FinalAccuracy)
 	}
+	// The host's report carries the controller's view of the run.
+	host := reports[0]
+	if host.Failures != 1 || host.Joins != 0 || host.Drains != 0 || host.Decommissions != 0 {
+		t.Fatalf("host report failures=%d joins=%d drains=%d decommissions=%d, want 1/0/0/0",
+			host.Failures, host.Joins, host.Drains, host.Decommissions)
+	}
+	if host.Aborts > 1 {
+		t.Fatalf("host report aborts=%d: one death tears down at most the one group holding the corpse", host.Aborts)
+	}
+	if len(host.Alive) != cfg.N || host.Alive[2] || !host.Alive[0] || !host.Alive[1] || !host.Alive[3] {
+		t.Fatalf("host report alive=%v, want everyone but rank 2", host.Alive)
+	}
+	if reports[1].Failures != 0 || reports[1].Alive != nil {
+		t.Fatalf("non-host report carries controller state: %+v", reports[1])
+	}
 }
 
 // The host rank must refuse to crash, and multi-process rejoin is rejected.

@@ -1,17 +1,18 @@
 // Package live is the runtime counterpart of the simulator: real goroutine
 // workers training real model replicas, a controller service mediating
-// ready signals over channels, and P-Reduce groups executing genuine ring
-// all-reduce collectives over an in-process or TCP transport. It follows the
-// paper's prototype (§4): the controller carries only worker ids and
-// iteration numbers — a few bytes — while model data moves exclusively
-// through the group collectives.
+// ready signals, and P-Reduce groups executing genuine ring all-reduce
+// collectives over an in-process or TCP transport. It follows the paper's
+// prototype (§4): the controller carries only worker ids and iteration
+// numbers — a few bytes — while model data moves exclusively through the
+// group collectives.
 //
 // The training step itself is not defined here: workers execute
 // engine.RunPReduceWorker — the same step state machine the simulator
-// drives — over a LiveEnv (wall clock, real collectives) and a
-// channel-backed engine.Control. This package owns only the substrate: the
-// controller service goroutine, crash/checkpoint/rejoin choreography, and
-// run assembly.
+// drives — over a LiveEnv (wall clock, real collectives) and an
+// engine.Control. This package owns only the substrate: the controller
+// service core (service.go) with its in-process adapter (this file) and its
+// multi-process one (worker.go, wire.go), crash/checkpoint/rejoin
+// choreography, and run assembly.
 //
 // The runtime is fault tolerant in the sense of §4: a worker crash is
 // detected by its group peers (the collective fails with a typed peer-down
@@ -23,7 +24,6 @@ package live
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -109,8 +109,7 @@ type Config struct {
 	// workers recover by re-sending their ready signals after CtrlTimeout.
 	// Restart is warm (Snapshot/Restore) unless CtrlCold is set, in which
 	// case the replacement controller is rebuilt purely from the re-sent
-	// signals (plus the service-side failure detector re-reporting known
-	// deaths as they go stale again).
+	// signals (plus the service's memory of known deaths, re-taught at once).
 	CtrlCrashAfter int
 	// CtrlCold selects the cold-rebuild failover path.
 	CtrlCold bool
@@ -255,50 +254,11 @@ type Report struct {
 	Comms collective.OpStats
 }
 
-// groupMsg carries the controller's answer to a ready signal: a formed
-// group, or one of the control outcomes — skip ("proceed without
-// averaging": tail release, or a signal the controller rejected), drain
-// (graceful hand-off complete; exit cleanly), refresh (stale world-view
-// epoch; adopt epoch and re-signal), or a bootstrap donor assignment.
-// Every answer carries the controller's current epoch.
-type groupMsg struct {
-	group controller.Group
-	opID  uint32
-	skip  bool
-
-	drain        bool
-	refresh      bool
-	bootstrap    bool
-	bootstrapFor int
-	bootstrapOp  uint32
-	epoch        uint64
-}
-
-// svcKind enumerates messages on the controller service's inbox.
-type svcKind int
-
-const (
-	kindReady     svcKind = iota // worker finished an iteration and wants a group
-	kindDone                     // worker finished all iterations
-	kindFail                     // worker observed a peer die inside a collective
-	kindRejoin                   // crashed worker asks to re-enter from checkpoint
-	kindStuck                    // worker's collective timed out with no peer death
-	kindJoin                     // bootstrapped elastic rank asks to be admitted
-	kindJoinAbort                // bootstrap transfer failed; re-queue the join
-)
-
-// svcMsg is one message to the controller service.
-type svcMsg struct {
-	kind   svcKind
+// svcCall is one message on the service inbox: a core event from worker,
+// applied on the service goroutine at controller-clock time now.
+type svcCall struct {
 	worker int
-	iter   int
-	seq    uint64         // kindReady: per-worker signal sequence number
-	epoch  uint64         // kindReady: sender's world-view epoch (0: unversioned)
-	reply  chan *groupMsg // kindReady: where to deliver the group
-	dead   int            // kindFail: the peer observed down
-	group  controller.Group
-	opID   uint32        // kindFail/kindStuck: the failing collective op
-	admit  chan struct{} // kindRejoin/kindJoin: closed once the worker is admitted
+	event  func(c *svcCore, now float64)
 }
 
 // runtime bundles the state shared by the service, the workers, and the
@@ -310,7 +270,7 @@ type runtime struct {
 	init   tensor.Vector
 	shards []*data.Dataset
 
-	svcCh  chan svcMsg
+	inbox  chan svcCall
 	runErr chan error
 	wg     sync.WaitGroup
 
@@ -325,11 +285,31 @@ type runtime struct {
 	commMu sync.Mutex
 	comms  collective.OpStats
 
-	// Written by the service goroutine before ctrlDone closes; read by Run
-	// afterwards (the channel close is the happens-before edge).
-	finalStats   controller.Stats
-	finalAlive   []bool
-	ctrlRestarts int
+	// Owned by the service goroutine: the core, where each worker's pending
+	// signal wants its answer, and when each worker was last heard from. Run
+	// reads the core after ctrlDone closes (the happens-before edge).
+	core      *svcCore
+	replyTo   []chan engine.Directive
+	lastHeard []time.Time
+}
+
+func newRuntime(cfg Config, world []transport.Transport) *runtime {
+	base := cfg.Spec.Build(cfg.Seed)
+	return &runtime{
+		cfg:    cfg,
+		world:  world,
+		base:   base,
+		init:   base.Params().Clone(),
+		shards: cfg.Train.Shard(cfg.N),
+		inbox:  make(chan svcCall, 4*cfg.N), // room for every worker's signal, report and retransmissions
+		runErr: make(chan error, 2*cfg.N),   // a worker error plus a service error per rank
+		iters:  make([]int, cfg.N),
+		models: make([]model.Model, cfg.N),
+
+		readySeq:  make([]uint64, cfg.N),
+		replyTo:   make([]chan engine.Directive, cfg.N),
+		lastHeard: make([]time.Time, cfg.N),
+	}
 }
 
 // addComms folds a worker's local data-plane stats into the run total.
@@ -339,16 +319,8 @@ func (rt *runtime) addComms(s *collective.OpStats) {
 	rt.commMu.Unlock()
 }
 
-// Run trains with cfg over the given transport world (len(world) == N; entry
-// i is worker i's endpoint). It blocks until every surviving worker completes
-// its iterations and returns the report.
-func Run(cfg Config, world []transport.Transport) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(world) != cfg.N {
-		return nil, fmt.Errorf("live: %d transports for %d workers", len(world), cfg.N)
-	}
+// newController builds the run's controller: config, policy, telemetry.
+func newController(cfg Config) (*controller.Controller, error) {
 	ctrlCfg := controller.Config{
 		N: cfg.N, P: cfg.P, Initial: cfg.Initial,
 		Weighting: cfg.Weighting, Alpha: cfg.Alpha, Approx: cfg.Approx,
@@ -362,9 +334,9 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 			// them.
 			ctrlCfg.Window = controller.MinWindow(cfg.N, spec.PMin)
 		}
-		var perr error
-		if pol, perr = policy.New(cfg.Policy, cfg.N, cfg.P); perr != nil {
-			return nil, perr
+		var err error
+		if pol, err = policy.New(cfg.Policy, cfg.N, cfg.P); err != nil {
+			return nil, err
 		}
 	}
 	ctrl, err := controller.New(ctrlCfg)
@@ -378,26 +350,43 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 			return nil, err
 		}
 	}
+	return ctrl, nil
+}
 
-	base := cfg.Spec.Build(cfg.Seed)
-	rt := &runtime{
-		cfg:    cfg,
-		world:  world,
-		base:   base,
-		init:   base.Params().Clone(),
-		shards: cfg.Train.Shard(cfg.N),
-		svcCh:  make(chan svcMsg, 4*cfg.N),
-		runErr: make(chan error, 2*cfg.N),
-		iters:  make([]int, cfg.N),
-		models: make([]model.Model, cfg.N),
+// fillController copies what the finished controller service c knows into
+// the report and returns the run's controller counters.
+func (r *Report) fillController(c *svcCore) controller.Stats {
+	stats := c.stats()
+	r.Aborts = stats.GroupsAborted
+	r.Failures = stats.Failures
+	r.Rejoins = stats.Rejoins
+	r.Joins = stats.Joins
+	r.Drains = stats.Drains
+	r.Decommissions = stats.Decommissions
+	r.StaleEpochs = stats.StaleEpochs
+	r.CtrlRestarts = c.restarts
+	r.Alive = c.ctrl.Alive()
+	return stats
+}
 
-		readySeq: make([]uint64, cfg.N),
+// Run trains with cfg over the given transport world (len(world) == N; entry
+// i is worker i's endpoint). It blocks until every surviving worker completes
+// its iterations and returns the report.
+func Run(cfg Config, world []transport.Transport) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-
-	completed := make([]bool, cfg.N)
+	if len(world) != cfg.N {
+		return nil, fmt.Errorf("live: %d transports for %d workers", len(world), cfg.N)
+	}
+	ctrl, err := newController(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rt := newRuntime(cfg, world)
 	stop := make(chan struct{})
 	ctrlDone := make(chan struct{})
-	go rt.service(ctrl, completed, stop, ctrlDone)
+	go rt.service(ctrl, stop, ctrlDone)
 
 	start := time.Now()
 	// Ranks [initialOr, N) park: no goroutine until a join event admits them
@@ -407,11 +396,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 		rt.wg.Add(1)
 		go func() {
 			defer rt.wg.Done()
-			m := base.Clone()
-			rt.models[id] = m
-			opt := optim.NewSGD(cfg.Optimizer, m.NumParams())
-			sampler := data.NewSampler(rt.shards[id], cfg.Seed*31+int64(id))
-			rt.worker(id, m, opt, sampler, 0, true)
+			rt.worker(rt.newWorker(id))
 		}()
 	}
 
@@ -426,6 +411,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 
 	// Average the completed replicas for inference (Alg. 2 line 8). Workers
 	// that died and never rejoined hold stale models and are excluded.
+	completed := rt.core.completed
 	avg := tensor.NewVector(len(rt.init))
 	n := 0
 	for id, m := range rt.models {
@@ -438,499 +424,140 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 		return nil, fmt.Errorf("live: no worker completed its iterations")
 	}
 	avg.Scale(1 / float64(n))
-	base.SetParams(avg)
+	rt.base.SetParams(avg)
 
-	stats := rt.finalStats
-	return &Report{
-		FinalAccuracy: model.Accuracy(base, cfg.Test),
-		Groups:        stats.GroupsFormed - stats.GroupsAborted,
-		Aborts:        stats.GroupsAborted,
-		Failures:      stats.Failures,
-		Rejoins:       stats.Rejoins,
-		Joins:         stats.Joins,
-		Drains:        stats.Drains,
-		Decommissions: stats.Decommissions,
-		StaleEpochs:   stats.StaleEpochs,
-		CtrlRestarts:  rt.ctrlRestarts,
+	rep := &Report{
+		FinalAccuracy: model.Accuracy(rt.base, cfg.Test),
 		WallTime:      time.Since(start),
 		WorkerIters:   rt.iters,
-		Alive:         rt.finalAlive,
 		Completed:     completed,
 		Comms:         rt.comms,
-	}, nil
+	}
+	stats := rep.fillController(rt.core)
+	rep.Groups = stats.GroupsFormed - stats.GroupsAborted
+	return rep, nil
 }
 
-// service serializes all controller access. It owns liveness bookkeeping:
-// which workers are waiting for a group, which are inside a dispatched
-// collective, and when each was last heard from. It runs until stop closes
-// (after every worker goroutine has exited), so a sender can never block on
-// a vanished service.
-//
-// The service also hosts the controller-failover harness: with
-// Config.CtrlCrashAfter set, the controller object is destroyed after that
-// many dispatched groups and replaced — warm from a crash-point Snapshot, or
-// cold from scratch, to be repopulated by the ready signals workers re-send
-// when their bounded reply waits expire. Service-side bookkeeping (who is
-// dead, who completed, transport-level abort marks) survives the crash, as a
-// real deployment's failure detector and fabric state would: only the
-// controller's queue/graph/weights state is lost and recovered.
-func (rt *runtime) service(ctrl *controller.Controller, completed []bool, stop, ctrlDone chan struct{}) {
+// healthClock returns the watchdog's cadence and clock: tick fires every
+// WatchdogEvery (<= 0: 1s; nil without a watchdog) and now reads the shared
+// wall clock — the Tracer's when one is attached, so breach times and trace
+// timestamps share an origin. The cadence only paces evaluation; the service
+// core evaluates once more at exit, so a run shorter than it still reports.
+func healthClock(cfg Config) (tick <-chan time.Time, now func() float64, stop func()) {
+	start := time.Now()
+	now = func() float64 { return time.Since(start).Seconds() }
+	if cfg.Tracer != nil {
+		now = cfg.Tracer.Now
+	}
+	if cfg.Watchdog == nil {
+		return nil, now, func() {}
+	}
+	every := cfg.WatchdogEvery
+	if every <= 0 {
+		every = time.Second
+	}
+	ticker := time.NewTicker(every)
+	return ticker.C, now, ticker.Stop
+}
+
+// unixSeconds is the controller clock: what Signal.Now and Join are stamped
+// with (arrival spreads feed the blame ledger).
+func unixSeconds(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
+
+// service is the in-process adapter of the controller service core: workers
+// post core events on the inbox, it applies them one at a time, delivers the
+// core's effects over reply channels and the shared transport world, and
+// runs the staleness sweep that is this deployment's failure detector. It
+// serializes all controller access and runs until stop closes (after every
+// worker goroutine has exited), so a sender can never block on a vanished
+// service. A core error does not end it — workers must still be answered to
+// exit — but fails the run.
+func (rt *runtime) service(ctrl *controller.Controller, stop, ctrlDone chan struct{}) {
 	cfg := rt.cfg
-	carry := controller.Stats{} // stats of pre-crash controller incarnations
+	c := newSvcCore(cfg, ctrl, rt)
+	rt.core = c
+	for i := range rt.lastHeard {
+		rt.lastHeard[i] = time.Now()
+	}
+	wdTick, healthNow, wdStop := healthClock(cfg)
+	defer wdStop()
 	defer func() {
-		st := ctrl.Stats()
-		fin := carry
-		fin.GroupsFormed += st.GroupsFormed
-		fin.Interventions += st.Interventions
-		fin.FrozenChecks += st.FrozenChecks
-		fin.Failures += st.Failures
-		fin.Rejoins += st.Rejoins
-		fin.GroupsAborted += st.GroupsAborted
-		fin.Joins += st.Joins
-		fin.Drains += st.Drains
-		fin.Decommissions += st.Decommissions
-		fin.StaleEpochs += st.StaleEpochs
-		rt.finalStats = fin
-		rt.finalAlive = ctrl.Alive()
+		c.Exit(healthNow())
 		close(ctrlDone)
 	}()
 
-	waiting := make(map[int]chan *groupMsg, cfg.N)
-	waitSeq := make(map[int]uint64, cfg.N) // seq of the signal awaiting reply
-	answered := make([]uint64, cfg.N)      // last seq answered per worker
-	lastOp := make(map[int]controller.Group, cfg.N)
-	lastOpID := make(map[int]uint32, cfg.N)
-	lastHeard := make([]time.Time, cfg.N)
-	now := time.Now()
-	for i := range lastHeard {
-		lastHeard[i] = now
-	}
-	aborted := make(map[uint32]bool)
-	deadSet := make(map[int]bool) // service-side memory of detected deaths
-	active := cfg.initialOr()     // workers believed alive and not yet finished
-	opSeq := uint32(0)
-	ctrlGroups := 0 // groups dispatched, for the crash and elastic triggers
-	crashed := false
-
-	// Elastic membership state. Events trigger on ctrlGroups, the dispatched
-	// group count — the live counterpart of the simulator's applied-update
-	// counter (identical under lockstep, where every group is one cluster
-	// iteration). A join waits in pendingJoins until the next ready signal
-	// from an eligible donor, which is answered with a bootstrap assignment
-	// instead of being queued; a drain waits in drainPending until the
-	// draining worker's own next ready signal, so it always lands between
-	// groups, never inside one.
-	elastic := cfg.Elastic
-	nextElastic := 0
-	pendingJoins := []int(nil)
-	drainPending := make([]bool, cfg.N)
-	drained := make([]bool, cfg.N)
-	// Bootstrap transfers use op ids from a disjoint space so a group-op
-	// abort can never collide with one (group ops count up from 1).
-	bootOp := uint32(0x40000000)
-	checkElastic := func() {
-		for nextElastic < len(elastic) && elastic[nextElastic].AfterUpdates <= ctrlGroups {
-			ev := elastic[nextElastic]
-			nextElastic++
-			switch ev.Kind {
-			case hetero.ElasticJoin:
-				pendingJoins = append(pendingJoins, ev.Worker)
-			case hetero.ElasticDrain:
-				drainPending[ev.Worker] = true
-			}
-		}
-	}
-
-	answer := func(w int, gm *groupMsg) {
-		if ch, ok := waiting[w]; ok {
-			if gm.epoch == 0 {
-				gm.epoch = ctrl.Epoch()
-			}
-			ch <- gm
-			answered[w] = waitSeq[w]
-			delete(waiting, w)
-			delete(waitSeq, w)
-		}
-	}
-	handleGroups := func(groups []controller.Group) {
-		for _, g := range groups {
-			opSeq++
-			ctrlGroups++
-			for _, member := range g.Members {
-				lastOp[member] = g
-				lastOpID[member] = opSeq
-				answer(member, &groupMsg{group: g, opID: opSeq})
-			}
-		}
-		checkElastic()
-	}
-	release := func() {
-		// Every still-active worker is queued and the controller formed no
-		// group for them (fewer than the effective group size remain, or the
-		// filter is deferring for a bridge signal that can no longer
-		// arrive): no progress is possible without releasing them to proceed
-		// solo. Their queued signals are purged so the re-signal after the
-		// solo step is accepted cleanly.
-		if len(waiting) > 0 && len(waiting) == active {
-			for id := range waiting {
-				ctrl.PurgeSignal(id)
-				answer(id, &groupMsg{skip: true})
-			}
-		}
-	}
-	// markDead excludes dead from all future grouping and aborts the
-	// collective it may be blocking. g/opID describe a group op a survivor
-	// observed failing (opID 0: no such observation — the worker went dark
-	// between collectives and we abort its last op as a precaution; aborting
-	// a completed op is harmless because op ids are never reused). After a
-	// cold controller restart, the replacement controller believes everyone
-	// is alive again; deadSet keeps the service-side accounting (active,
-	// reply wakeups) idempotent while the death is re-reported to it.
-	markDead := func(dead int, g controller.Group, opID uint32) {
-		if drained[dead] || !ctrl.IsMember(dead) {
-			// A drained (or never-joined) rank is not a member: it cannot be
-			// condemned. Late death reports against it — a peer observing its
-			// clean exit as a transport hiccup — are dropped.
-			return
-		}
-		first := !deadSet[dead]
-		if !first && !ctrl.IsAlive(dead) {
-			return
-		}
-		if first {
-			deadSet[dead] = true
-			active--
-			answer(dead, &groupMsg{skip: true}) // wakes a falsely-accused worker
-		}
-		var groups []controller.Group
-		if opID != 0 && !aborted[opID] {
-			aborted[opID] = true
-			groups = ctrl.AbortGroup(g, dead)
-			transport.AbortOpEverywhere(rt.world, g.Members, opID, dead)
-		} else {
-			groups = ctrl.Fail(dead)
-			if lg, ok := lastOp[dead]; ok {
-				if id := lastOpID[dead]; !aborted[id] {
-					aborted[id] = true
-					transport.AbortOpEverywhere(rt.world, lg.Members, id, dead)
-				}
-			}
-		}
-		handleGroups(groups)
-		release()
-	}
-	// maybeCrash is the failover harness: destroy and replace the controller
-	// between two message handlings. Replies in flight at the crash point are
-	// lost (waiting is dropped) and recovered by worker retransmission.
-	maybeCrash := func() {
-		if crashed || cfg.CtrlCrashAfter <= 0 || ctrlGroups < cfg.CtrlCrashAfter {
-			return
-		}
-		crashed = true
-		pol := ctrl.Policy()
-		if cfg.CtrlCold {
-			// Cold: only the effective config survives; queue, sync-graph,
-			// liveness, and counters are rebuilt from worker re-signals and
-			// the staleness detector.
-			st := ctrl.Stats()
-			carry.GroupsFormed += st.GroupsFormed
-			carry.Interventions += st.Interventions
-			carry.FrozenChecks += st.FrozenChecks
-			carry.Failures += st.Failures
-			carry.Rejoins += st.Rejoins
-			carry.GroupsAborted += st.GroupsAborted
-			carry.Joins += st.Joins
-			carry.Drains += st.Drains
-			carry.Decommissions += st.Decommissions
-			carry.StaleEpochs += st.StaleEpochs
-			next, _, err := controller.Rebuild(ctrl.Config(), nil)
-			if err != nil {
-				rt.runErr <- fmt.Errorf("live: controller cold rebuild: %w", err)
-				return
-			}
-			ctrl = next
-			cfg.Tracer.Instant(trace.KCtrlRebuild, trace.ControllerTrack, -1, 0, 0)
-		} else {
-			// Warm: restore from the crash-point snapshot.
-			next, err := controller.Restore(ctrl.Snapshot())
-			if err != nil {
-				rt.runErr <- fmt.Errorf("live: controller restore: %w", err)
-				return
-			}
-			ctrl = next
-			cfg.Tracer.Instant(trace.KCtrlRestore, trace.ControllerTrack, -1, 0, 0)
-		}
-		// Telemetry is wiring, not snapshotted state: re-attach it to the
-		// replacement incarnation (as a restarted controller process would
-		// re-open its trace sink).
-		ctrl.SetTracer(cfg.Tracer)
-		ctrl.SetInstruments(cfg.Instruments)
-		if pol != nil {
-			// The policy object is wiring too, but its state is not: a warm
-			// restore carries it in the snapshot blob (SetPolicy applies
-			// it); a cold rebuild loses it along with the queue.
-			if cfg.CtrlCold {
-				pol.Reset()
-			}
-			if err := ctrl.SetPolicy(pol); err != nil {
-				rt.runErr <- fmt.Errorf("live: controller failover policy: %w", err)
-				return
-			}
-		}
-		for w := range waiting {
-			delete(waiting, w)
-			delete(waitSeq, w)
-		}
-		rt.ctrlRestarts++
-	}
-
-	var tick <-chan time.Time
+	var sweep <-chan time.Time
 	if cfg.FailTimeout > 0 {
 		ticker := time.NewTicker(cfg.FailTimeout / 2)
 		defer ticker.Stop()
-		tick = ticker.C
+		sweep = ticker.C
 	}
 
-	// Watchdog cadence. Evaluated here, inside the controller's
-	// serialization domain, so snapshotting never races group formation.
-	// Capture errors are swallowed: the flight recorder is best-effort
-	// and must never abort training.
-	var wdTick <-chan time.Time
-	wdStart := time.Now()
-	if cfg.Watchdog != nil {
-		every := cfg.WatchdogEvery
-		if every <= 0 {
-			every = time.Second
-		}
-		wdTicker := time.NewTicker(every)
-		defer wdTicker.Stop()
-		wdTick = wdTicker.C
-	}
-	evalWatchdog := func() {
-		now := time.Since(wdStart).Seconds()
-		if cfg.Tracer != nil {
-			now = cfg.Tracer.Now()
-		}
-		breaches := cfg.Watchdog.Eval(now, health.Sample{
-			Snap:       cfg.Instruments.Snapshot(),
-			QueueDepth: ctrl.QueueDepth(),
-			Active:     active,
-		})
-		if cfg.Recorder == nil {
-			return
-		}
-		cfg.Recorder.SetControllerSnapshot(ctrl.Snapshot())
-		if len(breaches) == 0 {
-			return
-		}
-		st := cfg.Watchdog.State()
-		for _, br := range breaches {
-			_, _ = cfg.Recorder.Capture(br.Rule.String(), now, []health.Breach{br}, st)
+	apply := func(call svcCall) {
+		now := time.Now()
+		rt.lastHeard[call.worker] = now
+		call.event(c, unixSeconds(now))
+		if c.err != nil {
+			rt.runErr <- c.err
+			c.err = nil
 		}
 	}
-
-	handle := func(msg svcMsg) {
-		w := msg.worker
-		lastHeard[w] = time.Now()
-		switch msg.kind {
-		case kindReady:
-			if msg.seq <= answered[w] {
-				// Stale retransmission: the answer raced the worker's timeout
-				// and already sits in its (buffered) reply channel.
-				return
-			}
-			if deadSet[w] || !ctrl.IsAlive(w) {
-				// Dead-marked sender: release it to proceed solo.
-				msg.reply <- &groupMsg{skip: true}
-				answered[w] = msg.seq
-				return
-			}
-			waiting[w] = msg.reply
-			waitSeq[w] = msg.seq
-			if ctrl.IsQueued(w) {
-				// Retransmission of a signal the controller still holds (the
-				// original reply died with a crashed controller incarnation):
-				// re-attach the reply channel, don't re-queue.
-				handleGroups(ctrl.FlushGroups())
-				release()
-				return
-			}
-			if drainPending[w] {
-				// The drain lands here, at the worker's own ready point:
-				// between groups by construction, so no in-flight collective
-				// is torn down and nobody is condemned. Shrinking the active
-				// set may let the queue fill a group immediately — dispatch
-				// those before the hand-off acknowledgment.
-				drainPending[w] = false
-				groups, err := ctrl.Drain(w)
-				if err != nil {
-					rt.runErr <- fmt.Errorf("live: drain worker %d: %w", w, err)
-					answer(w, &groupMsg{skip: true})
-					return
-				}
-				handleGroups(groups)
-				more, err := ctrl.Decommission(w)
-				if err != nil {
-					rt.runErr <- fmt.Errorf("live: decommission worker %d: %w", w, err)
-					answer(w, &groupMsg{skip: true})
-					return
-				}
-				handleGroups(more)
-				drained[w] = true
-				active--
-				answer(w, &groupMsg{drain: true})
-				release()
-				return
-			}
-			if len(pendingJoins) > 0 && ctrl.IsMember(w) && !ctrl.IsDraining(w) {
-				// A join is waiting for a donor, and w — a live member at its
-				// ready point, model state stable — just volunteered. Answer
-				// with the bootstrap assignment instead of queueing the
-				// signal; w re-signals the same iteration after serving. The
-				// joiner is admitted right now: the epoch bumps here, and
-				// group formation deterministically waits for the joiner's
-				// first signal instead of racing its bootstrap (the same rule
-				// the simulator applies, which keeps the sim↔live
-				// differential's update counts equal).
-				j := pendingJoins[0]
-				pendingJoins = pendingJoins[1:]
-				if err := ctrl.Join(j, float64(time.Now().UnixNano())/1e9); err != nil {
-					rt.runErr <- fmt.Errorf("live: join worker %d: %w", j, err)
-					answer(w, &groupMsg{skip: true})
-					return
-				}
-				drained[j] = false
-				delete(deadSet, j)
-				active++
-				lastHeard[j] = time.Now()
-				bootOp++
-				op := bootOp
-				rt.wg.Add(1)
-				go rt.join(j, w, op)
-				answer(w, &groupMsg{bootstrap: true, bootstrapFor: j, bootstrapOp: op})
-				return
-			}
-			groups, err := ctrl.Ready(controller.Signal{
-				Worker: w, Iter: msg.iter, Epoch: msg.epoch,
-				Now: float64(time.Now().UnixNano()) / 1e9,
-			})
-			if err != nil {
-				if errors.Is(err, controller.ErrStaleEpoch) {
-					// The signal carried an outdated world view: deterministic
-					// rejection, not condemnation. The worker adopts the
-					// epoch from the answer and re-signals the same iteration.
-					answer(w, &groupMsg{refresh: true})
-					return
-				}
-				// Rejected sender (tracking mismatch): release it to proceed
-				// solo; it is not grouped.
-				answer(w, &groupMsg{skip: true})
-				return
-			}
-			handleGroups(groups)
-			release()
-		case kindDone:
-			if !deadSet[w] && !completed[w] {
-				completed[w] = true
-				active--
-			}
-			release()
-		case kindFail:
-			markDead(msg.dead, msg.group, msg.opID)
-		case kindStuck:
-			// A collective timed out with no dead peer in sight (severed
-			// link, partition, delay spike beyond the retry budget). Abort
-			// the op for every member so the stuck ones roll back and
-			// re-signal; nobody is declared dead — if a worker really is
-			// gone, the staleness sweep will say so.
-			if !aborted[msg.opID] {
-				aborted[msg.opID] = true
-				carry.GroupsAborted++
-				transport.AbortOpEverywhere(rt.world, msg.group.Members, msg.opID, -1)
-			}
-			release()
-		case kindRejoin:
-			// The worker may have died undetected (its group never formed
-			// and the staleness timer has not fired): reconcile before
-			// re-admitting, or the controller would see a rejoin of a live
-			// worker.
-			markDead(w, controller.Group{}, 0)
-			transport.RevivePeerEverywhere(rt.world, w)
-			if err := ctrl.Rejoin(w); err != nil {
-				rt.runErr <- fmt.Errorf("live: rejoin worker %d: %w", w, err)
-			} else {
-				delete(deadSet, w)
-				active++
-			}
-			close(msg.admit)
-		case kindJoin:
-			// Bootstrapped elastic rank reporting in: admission already
-			// happened at donor-assignment time; this message just refreshes
-			// the liveness beat before its first (possibly slow) batch.
-			close(msg.admit)
-		case kindJoinAbort:
-			// The bootstrap transfer failed (donor lost mid-send). The rank
-			// was already admitted at assignment time and will never signal:
-			// un-join it cleanly — it never trained, so a graceful drain +
-			// decommission releases its slot without condemning anyone.
-			if ctrl.IsMember(w) && !ctrl.IsDraining(w) && ctrl.IsAlive(w) {
-				if groups, err := ctrl.Drain(w); err == nil {
-					handleGroups(groups)
-				}
-				if more, err := ctrl.Decommission(w); err == nil {
-					handleGroups(more)
-				}
-				drained[w] = true
-				active--
-				release()
-			}
-		}
-	}
-
 	for {
 		select {
 		case <-stop:
 			// stop closes only after every worker goroutine exited, but their
-			// final messages (kindDone, mostly) may still sit in the inbox;
+			// final messages (Finished, mostly) may still sit in the inbox;
 			// drain them so the completed vector is accurate.
 			for {
 				select {
-				case msg := <-rt.svcCh:
-					handle(msg)
+				case call := <-rt.inbox:
+					apply(call)
 				default:
 					return
 				}
 			}
-		case now := <-tick:
+		case now := <-sweep:
 			// The sweep covers workers blocked in collectives too: a stuck
 			// collective normally resolves through the peer-down/abort path
 			// long before the timeout, so a member still silent after
 			// FailTimeout is dead (or the timeout was chosen too tight —
-			// pick it well above an iteration plus a collective). After a
-			// cold controller restart the sweep also re-reports known deaths
-			// to the replacement controller (deadSet workers with a live
-			// ctrl mark fall through markDead's idempotence guard).
+			// pick it well above an iteration plus a collective).
 			for w := 0; w < cfg.N; w++ {
-				if ctrl.IsAlive(w) && !completed[w] &&
-					now.Sub(lastHeard[w]) > cfg.FailTimeout {
-					markDead(w, controller.Group{}, 0)
+				if c.suspect(w) && now.Sub(rt.lastHeard[w]) > cfg.FailTimeout {
+					c.Lost(w)
 				}
 			}
-			maybeCrash()
 		case <-wdTick:
-			evalWatchdog()
-		case msg := <-rt.svcCh:
-			handle(msg)
-			maybeCrash()
+			c.Tick(healthNow())
+		case call := <-rt.inbox:
+			apply(call)
 		}
 	}
 }
 
-// chanControl implements engine.Control over the in-process service channel:
-// ready signals (with idempotent retransmission on controller failover) go
-// through rt.signalReady; failure reports and completion are plain service
-// messages. Sends to svcCh cannot fail, so only Signal can ever error — and
-// here it cannot either (the service outlives every worker goroutine).
+// The core's effects, in-process: a reply is a send on the signal's buffered
+// channel, an abort reaches straight into the member's endpoint, and a join
+// is a goroutine. None of them can fail, so this adapter never reports Lost
+// on an effect's behalf.
+func (rt *runtime) reply(w int, _ uint64, d engine.Directive) { rt.replyTo[w] <- d }
+
+func (rt *runtime) abort(w int, op uint32, _ int) {
+	if oa, ok := rt.world[w].(transport.OpAborter); ok {
+		oa.AbortOp(op)
+	}
+}
+
+func (rt *runtime) startJoin(j, donor int, op uint32) {
+	rt.lastHeard[j] = time.Now()
+	rt.wg.Add(1)
+	go rt.join(j, donor, op)
+}
+
+// chanControl implements engine.Control over the in-process service inbox:
+// ready signals wait for their answer (with idempotent retransmission on
+// controller failover); failure reports and completion are plain posts. Posts
+// cannot fail (the service outlives every worker goroutine), so no method
+// here ever errors.
 type chanControl struct {
 	rt *runtime
 	id int
@@ -940,83 +567,159 @@ type chanControl struct {
 	epoch uint64
 }
 
+// ready builds the worker's ready signal for iter as an inbox call, plus the
+// buffered channel its one answer arrives on.
+func (c *chanControl) ready(iter int) (svcCall, chan engine.Directive) {
+	rt, id, epoch := c.rt, c.id, c.epoch
+	rt.readySeq[id]++
+	seq := rt.readySeq[id]
+	reply := make(chan engine.Directive, 1)
+	return svcCall{id, func(s *svcCore, now float64) {
+		rt.replyTo[id] = reply
+		s.Ready(id, iter, seq, epoch, now)
+	}}, reply
+}
+
 func (c *chanControl) Signal(iter int) (engine.Directive, error) {
-	gm := c.rt.signalReady(c.id, iter, c.epoch)
-	if gm.epoch != 0 {
+	d := c.await(c.ready(iter))
+	if d.Epoch != 0 {
 		// Adopt the controller's world view from every answer, so the next
 		// signal is stamped with a current epoch (refresh answers exist
 		// precisely to deliver this).
-		c.epoch = gm.epoch
+		c.epoch = d.Epoch
 	}
-	return engine.Directive{
-		Group: gm.group, OpID: gm.opID, Skip: gm.skip,
-		Drain: gm.drain, Refresh: gm.refresh, Epoch: gm.epoch,
-		Bootstrap: gm.bootstrap, BootstrapFor: gm.bootstrapFor, BootstrapOp: gm.bootstrapOp,
-	}, nil
+	return d, nil
+}
+
+// await posts call and waits for its answer. With CtrlTimeout set the wait
+// is bounded: on expiry the same signal (same sequence number, same reply
+// channel) is re-posted, so a controller crash that swallowed the in-flight
+// reply cannot strand the worker, while a reply that merely raced the timer
+// is recognized by the core as already answered and consumed from the
+// buffered channel here.
+func (c *chanControl) await(call svcCall, reply chan engine.Directive) engine.Directive {
+	c.rt.inbox <- call
+	timeout := c.rt.cfg.CtrlTimeout
+	if timeout <= 0 {
+		return <-reply
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		select {
+		case d := <-reply:
+			return d
+		case <-timer.C:
+			// The answer may have raced the timer into the buffer.
+			select {
+			case d := <-reply:
+				return d
+			default:
+			}
+			c.rt.inbox <- call // idempotent retransmission
+			timer.Reset(timeout)
+		}
+	}
 }
 
 func (c *chanControl) SignalNoWait(iter int) {
-	rt := c.rt
-	rt.readySeq[c.id]++
-	reply := make(chan *groupMsg, 1) // abandoned: the corpse never reads it
-	rt.svcCh <- svcMsg{kind: kindReady, worker: c.id, iter: iter, seq: rt.readySeq[c.id], reply: reply}
+	call, _ := c.ready(iter) // the reply is abandoned: the corpse never reads it
+	c.rt.inbox <- call
 }
 
-func (c *chanControl) ReportDeath(dead int, g controller.Group, opID uint32) error {
-	c.rt.svcCh <- svcMsg{kind: kindFail, worker: c.id, dead: dead, group: g, opID: opID}
+func (c *chanControl) ReportDeath(dead int, _ controller.Group, opID uint32) error {
+	c.rt.inbox <- svcCall{c.id, func(s *svcCore, _ float64) { s.Death(dead, opID) }}
 	return nil
 }
 
-func (c *chanControl) ReportStuck(g controller.Group, opID uint32) error {
-	c.rt.svcCh <- svcMsg{kind: kindStuck, worker: c.id, group: g, opID: opID}
+func (c *chanControl) ReportStuck(_ controller.Group, opID uint32) error {
+	c.rt.inbox <- svcCall{c.id, func(s *svcCore, _ float64) { s.Stuck(opID) }}
 	return nil
 }
 
 func (c *chanControl) Finished() error {
-	c.rt.svcCh <- svcMsg{kind: kindDone, worker: c.id}
+	c.rt.finished(c.id)
 	return nil
 }
 
-// worker runs one training loop from startIter: it assembles the engine
-// LiveWorker (env, model, optimizer, crash schedule) and hands the step loop
-// to engine.RunPReduceWorker, then owns the runtime-specific epilogue —
-// run-wide teardown on a hard error, checkpoint/rejoin choreography on a
-// crash, silence when declared dead. allowCrash arms the configured crash
-// injection (disarmed for the post-rejoin incarnation).
-func (rt *runtime) worker(id int, m model.Model, opt *optim.SGD, sampler *data.Sampler, startIter int, allowCrash bool) {
-	cfg := rt.cfg
-	var comms collective.OpStats
-	defer rt.addComms(&comms)
+func (rt *runtime) finished(id int) {
+	rt.inbox <- svcCall{id, func(s *svcCore, _ float64) { s.Finished(id) }}
+}
+
+// newLiveWorker assembles rank id's engine worker: live environment
+// (collective options, telemetry sinks, a data-plane stats accumulator at
+// Env.Copts.Stats) plus fresh training state — a replica of base, a new
+// optimizer, the rank's own sampler stream — with the configured crash
+// injection armed.
+func newLiveWorker(cfg Config, id int, tr transport.Transport, base model.Model, shard *data.Dataset, init tensor.Vector) *engine.LiveWorker {
 	pol := cfg.Retry
 	if pol.Seed == 0 {
 		pol.Seed = cfg.Seed
 	}
-	env := engine.NewLiveEnv(id, rt.world[id], collective.Options{
+	env := engine.NewLiveEnv(id, tr, collective.Options{
 		SegmentElems: cfg.SegmentElems,
-		Stats:        &comms,
+		Stats:        new(collective.OpStats),
 		Timeout:      cfg.CollectiveTimeout,
 		Retry:        pol,
 		Tracer:       cfg.Tracer,
 		TraceTrack:   int32(id),
 		TraceIter:    -1,
 	}, cfg.Tracer, cfg.Instruments)
-	crashAt := 0
-	if allowCrash {
-		crashAt = cfg.Crash[id] // zero when id never crashes
-	}
-	w := &engine.LiveWorker{
+	m := base.Clone()
+	return &engine.LiveWorker{
 		Env:          env,
 		Model:        m,
-		Opt:          opt,
-		Sampler:      sampler,
-		Init:         rt.init,
+		Opt:          optim.NewSGD(cfg.Optimizer, m.NumParams()),
+		Sampler:      data.NewSampler(shard, cfg.Seed*31+int64(id)),
+		Init:         init,
 		Iters:        cfg.Iters,
-		StartIter:    startIter,
 		BatchSize:    cfg.BatchSize,
 		ComputeDelay: cfg.ComputeDelay,
-		CrashAt:      crashAt,
-		OnIter:       func(it int) { rt.iters[id] = it },
+		CrashAt:      cfg.Crash[id], // zero when id never crashes
 	}
+}
+
+// restore puts worker w's replica, optimizer and loop counter at a
+// transferred or checkpointed state; the restarted incarnation does not
+// crash again.
+func restore(w *engine.LiveWorker, params, velocity []float64, step, iter int) error {
+	w.Model.SetParams(tensor.Vector(params))
+	w.StartIter, w.CrashAt = iter, 0
+	return w.Opt.Restore(tensor.Vector(velocity), step)
+}
+
+// bootstrapJoiner receives the donor's served model state under bootstrap op
+// id op and installs it in joining worker w, which then starts at the donor's
+// iteration. A transport failure (transport.IsFailure) means the donor died
+// mid-transfer: the caller reports a join abort and the rank stays parked.
+func bootstrapJoiner(cfg Config, w *engine.LiveWorker, donor int, op uint32) error {
+	id := w.Env.Rank
+	st, err := collective.BootstrapRecv(w.Env.Trans, donor, op, w.Env.Copts)
+	if err != nil {
+		return fmt.Errorf("live: worker %d bootstrap from %d: %w", id, donor, err)
+	}
+	if err := restore(w, st.Params, st.Velocity, st.Step, st.Iter); err != nil {
+		return fmt.Errorf("live: worker %d bootstrap restore: %w", id, err)
+	}
+	cfg.Tracer.Instant(trace.KBootstrap, int32(id), int32(st.Iter), int64(donor), int64(len(st.Params)))
+	return nil
+}
+
+// newWorker is newLiveWorker for this run's rank id, publishing its replica
+// and progress to the run.
+func (rt *runtime) newWorker(id int) *engine.LiveWorker {
+	w := newLiveWorker(rt.cfg, id, rt.world[id], rt.base, rt.shards[id], rt.init)
+	w.OnIter = func(it int) { rt.iters[id] = it }
+	rt.models[id] = w.Model
+	return w
+}
+
+// worker hands w's step loop to engine.RunPReduceWorker, then owns the
+// runtime-specific epilogue — run-wide teardown on a hard error,
+// checkpoint/rejoin choreography on a crash, silence when declared dead.
+func (rt *runtime) worker(w *engine.LiveWorker) {
+	id := w.Env.Rank
+	defer rt.addComms(w.Env.Copts.Stats)
 	out, err := engine.RunPReduceWorker(w, &chanControl{rt: rt, id: id})
 	switch {
 	case err != nil:
@@ -1026,94 +729,45 @@ func (rt *runtime) worker(id int, m model.Model, opt *optim.SGD, sampler *data.S
 		for _, t := range rt.world {
 			t.Close()
 		}
-		rt.svcCh <- svcMsg{kind: kindDone, worker: id}
+		rt.finished(id)
 	case out.Crashed:
-		rt.crash(id, m, opt, out.Iter)
-		// No done message: the cluster must detect the death.
+		rt.crash(w, out.Iter)
+		// No Finished: the cluster must detect the death.
 	case out.DeadErr != nil:
 		// We ourselves were declared dead; fall silent.
 	case out.Drained:
-		// Graceful elastic exit: the service already decommissioned us and
-		// adjusted its accounting. No done message — a drained rank did not
+		// Graceful elastic exit: the core already decommissioned us and
+		// adjusted its accounting. No Finished — a drained rank did not
 		// complete its iterations and is excluded from the final average.
 	}
 }
 
 // join bootstraps parked rank id from the donor's served model state (under
-// bootstrap op id op), performs the admission handshake with the service,
-// and runs the worker loop from the donor's iteration. It executes on its
-// own goroutine, spawned by the service at donor-assignment time.
+// bootstrap op id op), reports in to the service, and runs the worker loop
+// from the donor's iteration. It executes on its own goroutine, spawned by
+// the service at donor-assignment time.
 func (rt *runtime) join(id, donor int, op uint32) {
 	defer rt.wg.Done()
-	var comms collective.OpStats
-	st, err := collective.BootstrapRecv(rt.world[id], donor, op, collective.Options{
-		Timeout: rt.cfg.CollectiveTimeout,
-		Stats:   &comms,
-	})
-	rt.addComms(&comms)
-	if err != nil {
+	w := rt.newWorker(id)
+	if err := bootstrapJoiner(rt.cfg, w, donor, op); err != nil {
+		rt.addComms(w.Env.Copts.Stats)
 		if transport.IsFailure(err) {
-			// The donor died mid-transfer: hand the join back to the service
-			// so the next eligible ready signal serves it with a new donor.
-			rt.svcCh <- svcMsg{kind: kindJoinAbort, worker: id}
+			// The donor died mid-transfer: hand the join back to the core,
+			// which un-joins the rank.
+			rt.inbox <- svcCall{id, func(c *svcCore, _ float64) { c.JoinAbort(id) }}
 			return
 		}
-		rt.runErr <- fmt.Errorf("live: worker %d bootstrap from %d: %w", id, donor, err)
-		return
-	}
-	m := rt.base.Clone()
-	m.SetParams(tensor.Vector(st.Params))
-	opt := optim.NewSGD(rt.cfg.Optimizer, m.NumParams())
-	if err := opt.Restore(tensor.Vector(st.Velocity), st.Step); err != nil {
-		rt.runErr <- fmt.Errorf("live: worker %d bootstrap restore: %w", id, err)
+		rt.runErr <- err
 		return
 	}
 
-	// Admission happened at donor-assignment time; this handshake just
-	// refreshes the liveness beat so the staleness sweep never counts the
-	// bootstrap transfer against the first batch.
-	admit := make(chan struct{})
-	rt.svcCh <- svcMsg{kind: kindJoin, worker: id, admit: admit}
-	<-admit
-	rt.cfg.Tracer.Instant(trace.KBootstrap, int32(id), int32(st.Iter), int64(donor), int64(len(st.Params)))
-
-	// The joiner's sampler stream is its own (the rank never sampled before).
-	sampler := data.NewSampler(rt.shards[id], rt.cfg.Seed*31+int64(id))
-	rt.models[id] = m
-	rt.worker(id, m, opt, sampler, st.Iter, false)
-}
-
-// signalReady sends worker id's ready signal for iter and waits for the group
-// reply. With CtrlTimeout set the wait is bounded: on expiry the same signal
-// (same sequence number) is re-sent, so a controller crash that swallowed the
-// in-flight reply cannot strand the worker, while a reply that merely raced
-// the timer is recognized by the service as already answered and consumed from
-// the buffered channel here.
-func (rt *runtime) signalReady(id, iter int, epoch uint64) *groupMsg {
-	rt.readySeq[id]++
-	reply := make(chan *groupMsg, 1)
-	msg := svcMsg{kind: kindReady, worker: id, iter: iter, seq: rt.readySeq[id], epoch: epoch, reply: reply}
-	rt.svcCh <- msg
-	if rt.cfg.CtrlTimeout <= 0 {
-		return <-reply
-	}
-	timer := time.NewTimer(rt.cfg.CtrlTimeout)
-	defer timer.Stop()
-	for {
-		select {
-		case gm := <-reply:
-			return gm
-		case <-timer.C:
-			// The answer may have raced the timer into the buffer.
-			select {
-			case gm := <-reply:
-				return gm
-			default:
-			}
-			rt.svcCh <- msg // idempotent retransmission: same seq, same reply
-			timer.Reset(rt.cfg.CtrlTimeout)
-		}
-	}
+	// Admission happened at donor-assignment time; reporting in only
+	// refreshes the liveness beat, so the staleness sweep never counts the
+	// bootstrap transfer against the first (possibly slow) batch.
+	seen := make(chan struct{})
+	rt.inbox <- svcCall{id, func(*svcCore, float64) { close(seen) }}
+	<-seen
+	rt.worker(w)
 }
 
 // crash completes a fail-stop crash of worker id: the engine loop already
@@ -1122,14 +776,15 @@ func (rt *runtime) signalReady(id, iter int, epoch uint64) *groupMsg {
 // corpse. If a rejoin is configured, the state at the crash point is
 // checkpointed first (standing in for the periodic checkpoint a real
 // deployment would have on disk) and a restart goroutine is scheduled.
-func (rt *runtime) crash(id int, m model.Model, opt *optim.SGD, iter int) {
+func (rt *runtime) crash(w *engine.LiveWorker, iter int) {
+	id := w.Env.Rank
 	delay, willRejoin := rt.cfg.Rejoin[id]
 	var snap []byte
 	if willRejoin {
-		vel, step := opt.State()
+		vel, step := w.Opt.State()
 		var buf bytes.Buffer
 		err := checkpoint.Write(&buf, &checkpoint.State{
-			Params:   m.Params().Clone(),
+			Params:   w.Model.Params().Clone(),
 			Velocity: vel,
 			Iter:     int64(iter),
 			Step:     int64(step),
@@ -1163,21 +818,21 @@ func (rt *runtime) rejoin(id int, snap []byte, delay time.Duration) {
 		rt.runErr <- fmt.Errorf("live: worker %d restore: %w", id, err)
 		return
 	}
-	m := rt.base.Clone()
-	m.SetParams(tensor.Vector(st.Params))
-	opt := optim.NewSGD(rt.cfg.Optimizer, m.NumParams())
-	if err := opt.Restore(tensor.Vector(st.Velocity), int(st.Step)); err != nil {
+	w := rt.newWorker(id)
+	if err := restore(w, st.Params, st.Velocity, int(st.Step), int(st.Iter)); err != nil {
 		rt.runErr <- fmt.Errorf("live: worker %d restore: %w", id, err)
 		return
 	}
-
-	admit := make(chan struct{})
-	rt.svcCh <- svcMsg{kind: kindRejoin, worker: id, admit: admit}
-	<-admit
-
 	// A fresh sampler stream: the pre-crash stream died with the old
 	// incarnation, and reusing its seed would replay the same batches.
-	sampler := data.NewSampler(rt.shards[id], rt.cfg.Seed*31+int64(id)+9973)
-	rt.models[id] = m
-	rt.worker(id, m, opt, sampler, int(st.Iter), false)
+	w.Sampler = data.NewSampler(rt.shards[id], rt.cfg.Seed*31+int64(id)+9973)
+
+	admitted := make(chan struct{})
+	rt.inbox <- svcCall{id, func(c *svcCore, _ float64) {
+		c.Rejoin(id)
+		transport.RevivePeerEverywhere(rt.world, id)
+		close(admitted)
+	}}
+	<-admitted
+	rt.worker(w)
 }

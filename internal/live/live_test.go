@@ -8,7 +8,6 @@ import (
 
 	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
-	"partialreduce/internal/engine"
 	"partialreduce/internal/model"
 	"partialreduce/internal/optim"
 	"partialreduce/internal/transport"
@@ -380,48 +379,5 @@ func TestRunWorkerValidation(t *testing.T) {
 	w2 := memWorld(cfg.N)
 	if _, err := RunWorker(cfg, w2[1], true); err == nil {
 		t.Fatal("controller on rank 1 accepted")
-	}
-}
-
-func TestGroupCodec(t *testing.T) {
-	g := controller.Group{
-		Members:    []int{3, 1, 4},
-		Weights:    []float64{0.5, 0.25, 0.25},
-		InitWeight: 0.1,
-		Iter:       17,
-	}
-	got, err := decodeDirective(encodeDirective(engine.Directive{Group: g, OpID: 9, Epoch: 5}))
-	if err != nil || got.Skip || got.OpID != 9 || got.Epoch != 5 {
-		t.Fatalf("decode: %v %+v", err, got)
-	}
-	if got.Group.Iter != 17 || got.Group.InitWeight != 0.1 || len(got.Group.Members) != 3 || got.Group.Members[0] != 3 {
-		t.Fatalf("round trip: %+v", got.Group)
-	}
-	got, err = decodeDirective(encodeDirective(engine.Directive{Skip: true, Epoch: 2}))
-	if err != nil || !got.Skip || got.Epoch != 2 {
-		t.Fatalf("skip reply: %v %+v", err, got)
-	}
-	got, err = decodeDirective(encodeDirective(engine.Directive{Drain: true, Epoch: 7}))
-	if err != nil || !got.Drain || got.Epoch != 7 {
-		t.Fatalf("drain reply: %v %+v", err, got)
-	}
-	got, err = decodeDirective(encodeDirective(engine.Directive{Refresh: true, Epoch: 3}))
-	if err != nil || !got.Refresh || got.Epoch != 3 {
-		t.Fatalf("refresh reply: %v %+v", err, got)
-	}
-	got, err = decodeDirective(encodeDirective(engine.Directive{
-		Bootstrap: true, BootstrapFor: 11, BootstrapOp: bootOpBase + 4, Epoch: 9,
-	}))
-	if err != nil || !got.Bootstrap || got.BootstrapFor != 11 || got.BootstrapOp != bootOpBase+4 || got.Epoch != 9 {
-		t.Fatalf("bootstrap reply: %v %+v", err, got)
-	}
-	if _, err := decodeDirective([]float64{1}); err == nil {
-		t.Fatal("short payload accepted")
-	}
-	if _, err := decodeDirective([]float64{0, 1, 2, 0, 1, 0, 2, 0}); err == nil {
-		t.Fatal("wrong length accepted")
-	}
-	if _, err := decodeDirective([]float64{9, 0, 0, 0, 0, 0, 0}); err == nil {
-		t.Fatal("unknown mode accepted")
 	}
 }

@@ -3,29 +3,21 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/data"
 	"partialreduce/internal/engine"
-	"partialreduce/internal/health"
-	"partialreduce/internal/hetero"
 	"partialreduce/internal/model"
-	"partialreduce/internal/optim"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/tensor"
-	"partialreduce/internal/trace"
 	"partialreduce/internal/transport"
 )
 
 // Multi-process deployment: each rank runs RunWorker in its own process;
 // rank 0 additionally hosts the controller. Control-plane messages travel
-// over the same transport as the collectives, in the prototype's spirit:
-// a ready signal is one float64 triple, a group reply a couple dozen — a
-// few bytes against megabytes of model traffic.
+// over the same transport as the collectives (wire.go has the format), in
+// the prototype's spirit: a ready signal is two float64s, a group reply a
+// couple dozen — a few bytes against megabytes of model traffic.
 //
 // Fault tolerance works as in the in-process runtime, but over the wire:
 // the host's per-worker receive loops double as failure detectors (a broken
@@ -36,53 +28,18 @@ import (
 // the full world. Checkpoint rejoin is an in-process-runtime feature only: a
 // real rejoining process needs a fresh transport mesh, which the prototype's
 // fixed mesh cannot provide.
-//
-// Tag space: the high bits carried by collective operations never use the
-// ctrl prefix below, so control and data planes cannot collide.
-const (
-	ctrlReadyTag  uint64 = 0xC0_000000_000000
-	ctrlReplyTag  uint64 = 0xC1_000000_000000
-	ctrlAbortTag  uint64 = 0xC2_000000_000000
-	ctrlRosterTag uint64 = 0xC3_000000_000000
-	ctrlJoinTag   uint64 = 0xC4_000000_000000
-	gatherOpID    uint32 = 0xFFFFFF
-	barrierOpID   uint32 = 0xFFFFFE
-)
-
-// bootOpBase is the first bootstrap-transfer op id: a disjoint space from the
-// group ops (which count up from 1), so an op abort can never collide with an
-// in-flight bootstrap.
-const bootOpBase uint32 = 0x40000000
 
 // ctrlResendLimit bounds how many times a worker re-sends a ready signal whose
 // reply timed out (CtrlTimeout) before concluding the controller is
 // unreachable and withdrawing from the cluster.
 const ctrlResendLimit = 8
 
-func readyTag(seq int) uint64 { return ctrlReadyTag | uint64(seq) }
-func replyTag(seq int) uint64 { return ctrlReplyTag | uint64(seq) }
-func abortTag(seq int) uint64 { return ctrlAbortTag | uint64(seq) }
-func joinTag(seq int) uint64  { return ctrlJoinTag | uint64(seq) }
-
-// Ready-stream control markers (payload[0] values that are not iterations).
-const (
-	readyFinished  = -1 // worker completed all iterations
-	readyFailure   = -2 // payload: [-2, deadRank, opID] — peer death report
-	readyJoinAbort = -3 // elastic joiner's bootstrap transfer failed; un-join it
-)
-
-// Join-stream message kinds (payload[0] of a joinTag message, host → rank).
-const (
-	joinAssign  = 0 // payload: [0, donor, bootstrapOp] — bootstrap and train
-	joinDismiss = 1 // payload: [1, 0, 0] — run over; exit without training
-)
-
 // RunWorker runs this process's share of a live P-Reduce world: the worker
 // loop for rank tr.Rank(), plus the controller service when host is true
 // (exactly one rank — conventionally 0 — must host). It returns the final
-// report; non-host ranks get a report without the averaged-model accuracy.
-// A rank configured to crash returns a nil-error report marked Completed[0]
-// == false once it has "died".
+// report; non-host ranks get a report without the averaged-model accuracy
+// and the controller's counters. A rank configured to crash returns a
+// nil-error report marked Completed[0] == false once it has "died".
 func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -98,12 +55,17 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		return nil, fmt.Errorf("live: checkpoint rejoin requires the in-process runtime (a rejoining process needs a fresh mesh)")
 	}
 
+	var svc *svcCore
 	ctrlErr := make(chan error, 1)
 	if host {
 		if tr.Rank() != ctrlRank {
 			return nil, fmt.Errorf("live: controller must run on rank %d", ctrlRank)
 		}
-		go func() { ctrlErr <- runControllerService(cfg, tr) }()
+		go func() {
+			var err error
+			svc, err = runControllerService(cfg, tr)
+			ctrlErr <- err
+		}()
 	}
 
 	rep, err := runWorkerLoop(cfg, tr, ctrlRank, host)
@@ -114,653 +76,180 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		if cerr := <-ctrlErr; cerr != nil {
 			return nil, cerr
 		}
+		rep.fillController(svc)
 	}
 	return rep, nil
 }
 
-// runControllerService hosts the controller: one receive loop per worker
-// feeds a serializing channel, exactly like the in-process service but over
-// the transport. The receive loops double as failure detectors: a worker
-// whose connection breaks fails its pending receive with a peer-down error,
-// which the loop reports as a death event.
-func runControllerService(cfg Config, tr transport.Transport) error {
-	ctrlCfg := controller.Config{
-		N: cfg.N, P: cfg.P, Initial: cfg.Initial,
-		Weighting: cfg.Weighting, Alpha: cfg.Alpha, Approx: cfg.Approx,
+// wireSink delivers the core's effects as control frames from the host's
+// endpoint. A frame that cannot be delivered because the peer is gone puts
+// the rank on lost, which the service feeds back to the core as Lost events;
+// any other send error is fatal to the service.
+type wireSink struct {
+	tr       transport.Transport
+	abortSeq []int // next abort-stream sequence number per worker
+	joinSeq  []int // next join-stream sequence number per rank
+	buf      []float64
+	lost     []int
+	err      error
+}
+
+// fail records the first error that ends the service.
+func (s *wireSink) fail(err error) {
+	if s.err == nil {
+		s.err = err
 	}
-	var pol policy.Policy
-	if cfg.Policy.Enabled() {
-		spec := cfg.Policy.Resolve(cfg.P)
-		if spec.Name == policy.NameAdaptiveP && spec.PMin < cfg.P {
-			ctrlCfg.Window = controller.MinWindow(cfg.N, spec.PMin)
-		}
-		var perr error
-		if pol, perr = policy.New(cfg.Policy, cfg.N, cfg.P); perr != nil {
-			return perr
-		}
+}
+
+func (s *wireSink) send(w int, tag uint64, payload []float64) bool {
+	err := s.tr.Send(w, tag, payload)
+	switch {
+	case err == nil:
+		return true
+	case transport.IsFailure(err):
+		s.lost = append(s.lost, w)
+	default:
+		s.fail(err)
 	}
-	ctrl, err := controller.New(ctrlCfg)
+	return false
+}
+
+func (s *wireSink) reply(w int, seq uint64, d engine.Directive) {
+	var err error
+	if s.buf, err = appendDirective(s.buf[:0], d); err != nil {
+		s.fail(err)
+		return
+	}
+	s.send(w, replyTag(int(seq)), s.buf)
+}
+
+func (s *wireSink) abort(w int, op uint32, dead int) {
+	if s.send(w, abortTag(s.abortSeq[w]), encodeOpRank(op, dead)) {
+		s.abortSeq[w]++
+	}
+}
+
+// startJoin doubles as the dismissal of a parked rank (donor -1, op 0).
+func (s *wireSink) startJoin(j, donor int, op uint32) {
+	s.send(j, joinTag(s.joinSeq[j]), encodeOpRank(op, donor))
+	s.joinSeq[j]++
+}
+
+// runControllerService is the wire adapter of the controller service core:
+// one receive loop per worker decodes its ready stream into a serializing
+// channel, the service loop turns those messages into core events, and
+// wireSink sends the core's effects back as control frames. The receive
+// loops double as this deployment's failure detector: a worker whose
+// connection breaks fails its pending receive with a peer-down error, which
+// the loop reports as Lost.
+func runControllerService(cfg Config, tr transport.Transport) (*svcCore, error) {
+	ctrl, err := newController(cfg)
 	if err != nil {
-		return err
-	}
-	ctrl.SetTracer(cfg.Tracer)
-	ctrl.SetInstruments(cfg.Instruments)
-	if pol != nil {
-		if err := ctrl.SetPolicy(pol); err != nil {
-			return err
-		}
+		return nil, err
 	}
 
 	type event struct {
+		readyMsg
 		worker int
-		iter   int // readyFinished / readyFailure / readyJoinAbort are control markers
 		seq    int
-		epoch  uint64 // the world-view version the signal was sent under
-		dead   int    // readyFailure: the rank reported down
-		opID   uint32 // readyFailure: the collective that broke
-		lost   bool   // the receive loop itself saw the worker go down
+		lost   bool  // the receive loop saw the worker go down
+		err    error // the worker sent a frame that does not decode
 	}
-	events := make(chan event, 2*cfg.N)
+	events := make(chan event, 2*cfg.N) // a ready signal plus a report per worker
 	for w := 0; w < cfg.N; w++ {
 		w := w
 		go func() {
+			var buf [3]float64
 			for seq := 0; ; seq++ {
-				payload, err := tr.Recv(w, readyTag(seq))
-				if err != nil {
-					if transport.IsFailure(err) {
-						events <- event{worker: w, lost: true}
-					}
-					return // otherwise: transport closed, service shutting down
-				}
-				if len(payload) == 0 {
-					continue
-				}
-				switch payload[0] {
-				case readyFinished:
-					events <- event{worker: w, iter: readyFinished, seq: seq}
+				n, err := tr.RecvInto(w, readyTag(seq), buf[:])
+				switch {
+				case err == nil:
+				case transport.IsFailure(err):
+					events <- event{worker: w, lost: true}
 					return
-				case readyFailure:
-					if len(payload) == 3 {
-						events <- event{
-							worker: w, iter: readyFailure, seq: seq,
-							dead: int(payload[1]), opID: uint32(payload[2]),
-						}
-					}
-				case readyJoinAbort:
-					events <- event{worker: w, iter: readyJoinAbort, seq: seq}
+				case errors.Is(err, transport.ErrShortBuffer):
+					events <- event{worker: w, err: err}
+					return
 				default:
-					e := event{worker: w, iter: int(payload[0]), seq: seq}
-					if len(payload) >= 2 {
-						e.epoch = uint64(payload[1])
-					}
-					events <- e
+					return // transport closed, service shutting down
+				}
+				m, err := decodeReady(buf[:n], cfg.N)
+				events <- event{readyMsg: m, worker: w, seq: seq, err: err}
+				if err != nil || m.kind == evFinished {
+					return
 				}
 			}
 		}()
 	}
 
-	waiting := map[int]int{} // worker -> reply seq
-	opGroups := map[uint32]controller.Group{}
-	lastOpID := map[int]uint32{}
-	abortedOps := map[uint32]bool{}
-	deadSet := map[int]bool{} // host-side memory of deaths (survives ctrl crashes)
-	abortSeq := make([]int, cfg.N)
-	completed := make([]bool, cfg.N)
-	active := cfg.initialOr()
-	opSeq := uint32(0)
-	ctrlGroups := 0 // groups dispatched: failover-harness and elastic triggers
-	crashed := false
+	out := &wireSink{tr: tr, abortSeq: make([]int, cfg.N), joinSeq: make([]int, cfg.N)}
+	c := newSvcCore(cfg, ctrl, out)
+	wdTick, healthNow, wdStop := healthClock(cfg)
+	defer wdStop()
 
-	// Elastic membership: schedule events fire on the dispatched-group count.
-	// Joins queue until an eligible ready signal donates its sender as the
-	// bootstrap source; drains land at the target's next ready point, which by
-	// construction is between groups.
-	elastic := cfg.Elastic
-	nextElastic := 0
-	pendingJoins := []int(nil)
-	drainPending := map[int]bool{}
-	drained := make([]bool, cfg.N)
-	bootOp := bootOpBase
-	joinSeq := make([]int, cfg.N)
-	checkElastic := func() {
-		for nextElastic < len(elastic) && elastic[nextElastic].AfterUpdates <= ctrlGroups {
-			ev := elastic[nextElastic]
-			nextElastic++
-			if ev.Kind == hetero.ElasticJoin {
-				pendingJoins = append(pendingJoins, ev.Worker)
-			} else {
-				drainPending[ev.Worker] = true
-			}
-		}
-	}
-
-	// sendAbort tells worker w to abort collective op locally; returns the
-	// rank as a new death suspect if even that message cannot be delivered.
-	sendAbort := func(w int, op uint32, dead int) (suspect int) {
-		if err := tr.Send(w, abortTag(abortSeq[w]), []float64{float64(op), float64(dead)}); err != nil {
-			if transport.IsFailure(err) {
-				return w
-			}
-			return -1
-		}
-		abortSeq[w]++
-		return -1
-	}
-
-	var dispatch func(groups []controller.Group) error
-	var markDead func(dead int, opID uint32) error
-
-	// markDead excludes dead from future groups, aborts the collective it
-	// may be blocking (opID 0: none observed — its last dispatched op is
-	// aborted as a precaution), and dispatches any groups the shrunken
-	// effective group size unblocks. Abort notifications that fail expose
-	// further deaths, handled iteratively.
-	markDead = func(dead int, opID uint32) error {
-		suspects := []event{{worker: dead, opID: opID}}
-		for len(suspects) > 0 {
-			s := suspects[0]
-			suspects = suspects[1:]
-			if drained[s.worker] || !ctrl.IsMember(s.worker) {
-				// Graceful departures and never-admitted parked ranks are not
-				// deaths: nothing to condemn or abort.
-				continue
-			}
-			first := !deadSet[s.worker]
-			if !first && !ctrl.IsAlive(s.worker) {
-				continue
-			}
-			if first {
-				deadSet[s.worker] = true
-				active--
-				delete(waiting, s.worker)
-			}
-			op := s.opID
-			if op == 0 {
-				op = lastOpID[s.worker]
-			}
-			var groups []controller.Group
-			if g, ok := opGroups[op]; ok && op != 0 && !abortedOps[op] {
-				abortedOps[op] = true
-				groups = ctrl.AbortGroup(g, s.worker)
-				for _, mem := range g.Members {
-					if mem == s.worker || !ctrl.IsAlive(mem) {
-						continue
-					}
-					if sus := sendAbort(mem, op, s.worker); sus >= 0 {
-						suspects = append(suspects, event{worker: sus})
-					}
-				}
-			} else {
-				groups = ctrl.Fail(s.worker)
-			}
-			if err := dispatch(groups); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	dispatch = func(groups []controller.Group) error {
-		for _, g := range groups {
-			opSeq++
-			ctrlGroups++
-			checkElastic()
-			op := opSeq
-			opGroups[op] = g
-			var suspects []int
-			for _, m := range g.Members {
-				lastOpID[m] = op
-				seq, ok := waiting[m]
-				if !ok {
-					if cfg.CtrlCrashAfter > 0 {
-						// The member's reply bookkeeping died in a controller
-						// crash and it has not retransmitted yet: it cannot
-						// join this op. The present members' collectives time
-						// out and the stuck-abort path dissolves the group;
-						// everyone re-signals.
-						continue
-					}
-					return fmt.Errorf("live: controller grouped worker %d with no pending signal", m)
-				}
-				if err := tr.Send(m, replyTag(seq), encodeDirective(engine.Directive{Group: g, OpID: op, Epoch: ctrl.Epoch()})); err != nil {
-					if !transport.IsFailure(err) {
-						return err
-					}
-					suspects = append(suspects, m)
-				}
-				delete(waiting, m)
-			}
-			for _, s := range suspects {
-				if err := markDead(s, op); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	// maybeCrash is the controller-failover harness: after CtrlCrashAfter
-	// dispatched groups the controller object is destroyed and replaced —
-	// warm from a crash-point snapshot, or cold from the bare config. The
-	// reply bookkeeping (waiting) dies with the incarnation; workers whose
-	// replies were lost re-send their signals after CtrlTimeout and the
-	// retransmissions re-attach (warm) or re-queue (cold). Host-side failure
-	// memory (deadSet) survives and is re-taught to a cold controller.
-	maybeCrash := func() error {
-		if crashed || cfg.CtrlCrashAfter <= 0 || ctrlGroups < cfg.CtrlCrashAfter {
-			return nil
-		}
-		crashed = true
-		svcPol := ctrl.Policy()
-		if cfg.CtrlCold {
-			next, _, err := controller.Rebuild(ctrl.Config(), nil)
-			if err != nil {
-				return fmt.Errorf("live: controller cold rebuild: %w", err)
-			}
-			ctrl = next
-			for w := range deadSet {
-				ctrl.Fail(w) // the fresh controller believes everyone is alive
-			}
-			cfg.Tracer.Instant(trace.KCtrlRebuild, trace.ControllerTrack, -1, 0, 0)
-		} else {
-			next, err := controller.Restore(ctrl.Snapshot())
-			if err != nil {
-				return fmt.Errorf("live: controller restore: %w", err)
-			}
-			ctrl = next
-			cfg.Tracer.Instant(trace.KCtrlRestore, trace.ControllerTrack, -1, 0, 0)
-		}
-		// Telemetry is wiring, not snapshotted state: re-attach it to the
-		// replacement incarnation.
-		ctrl.SetTracer(cfg.Tracer)
-		ctrl.SetInstruments(cfg.Instruments)
-		if svcPol != nil {
-			// Warm restores carry policy state in the snapshot blob; a cold
-			// rebuild loses it along with the queue.
-			if cfg.CtrlCold {
-				svcPol.Reset()
-			}
-			if err := ctrl.SetPolicy(svcPol); err != nil {
-				return fmt.Errorf("live: controller failover policy: %w", err)
-			}
-		}
-		for w := range waiting {
-			delete(waiting, w)
-		}
-		return nil
-	}
-
-	// retire gracefully removes member w from the world with no hand-off
-	// reply: the revert path when a freshly admitted joiner turns out to be
-	// unreachable (assignment undeliverable, or its bootstrap transfer died).
-	retire := func(w int) error {
-		gs, err := ctrl.Drain(w)
-		if err != nil {
-			return nil // not a member or already draining: nothing to revert
-		}
-		if err := dispatch(gs); err != nil {
-			return err
-		}
-		if gs, err = ctrl.Decommission(w); err == nil {
-			if err := dispatch(gs); err != nil {
-				return err
-			}
-		}
-		drained[w] = true
-		active--
-		return nil
-	}
-
-	// admitJoin admits parked rank j at the donor's ready point: the epoch
-	// bumps now, so under lockstep the next group deterministically waits for
-	// the joiner's first signal. Returns false when the joiner is unreachable
-	// and the admission was reverted (the donor should proceed normally).
-	admitJoin := func(j, donor int) (bool, error) {
-		if err := ctrl.Join(j, float64(time.Now().UnixNano())/1e9); err != nil {
-			return false, err
-		}
-		drained[j] = false
-		delete(deadSet, j)
-		active++
-		bootOp++
-		err := tr.Send(j, joinTag(joinSeq[j]), []float64{joinAssign, float64(donor), float64(bootOp)})
-		joinSeq[j]++
-		if err != nil {
-			if !transport.IsFailure(err) {
-				return false, err
-			}
-			// The joiner's process is gone before it ever trained: revert.
-			if rerr := retire(j); rerr != nil {
-				return false, rerr
-			}
-			return false, nil
-		}
-		return true, nil
-	}
-
-	release := func() error {
-		if len(waiting) > 0 && len(waiting) == active {
-			for w, seq := range waiting {
-				ctrl.PurgeSignal(w)
-				if err := tr.Send(w, replyTag(seq), encodeDirective(engine.Directive{Skip: true, Epoch: ctrl.Epoch()})); err != nil {
-					if !transport.IsFailure(err) {
-						return err
-					}
-					delete(waiting, w)
-					if err := markDead(w, 0); err != nil {
-						return err
-					}
-					continue
-				}
-				delete(waiting, w)
-			}
-		}
-		return nil
-	}
-
-	// Watchdog cadence, same serialization discipline as the in-process
-	// service: evaluated on the event loop so controller reads never race
-	// dispatch. Capture errors are swallowed — the flight recorder is
-	// best-effort and must never abort training.
-	var wdTick <-chan time.Time
-	wdStart := time.Now()
-	if cfg.Watchdog != nil {
-		every := cfg.WatchdogEvery
-		if every <= 0 {
-			every = time.Second
-		}
-		wdTicker := time.NewTicker(every)
-		defer wdTicker.Stop()
-		wdTick = wdTicker.C
-	}
-	evalWatchdog := func() {
-		now := time.Since(wdStart).Seconds()
-		if cfg.Tracer != nil {
-			now = cfg.Tracer.Now()
-		}
-		breaches := cfg.Watchdog.Eval(now, health.Sample{
-			Snap:       cfg.Instruments.Snapshot(),
-			QueueDepth: ctrl.QueueDepth(),
-			Active:     active,
-		})
-		if cfg.Recorder == nil {
-			return
-		}
-		cfg.Recorder.SetControllerSnapshot(ctrl.Snapshot())
-		if len(breaches) == 0 {
-			return
-		}
-		st := cfg.Watchdog.State()
-		for _, br := range breaches {
-			_, _ = cfg.Recorder.Capture(br.Rule.String(), now, []health.Breach{br}, st)
-		}
-	}
-
-	for active > 0 {
-		var ev event
+	for c.active > 0 {
 		select {
-		case ev = <-events:
 		case <-wdTick:
-			evalWatchdog()
-			continue
-		}
-		switch {
-		case ev.lost:
-			if err := markDead(ev.worker, 0); err != nil {
-				return err
-			}
-		case ev.iter == readyFinished:
-			if !deadSet[ev.worker] && !completed[ev.worker] {
-				completed[ev.worker] = true
-				active--
-			}
-		case ev.iter == readyFailure && ev.dead < 0:
-			// Stuck collective (timeout with no peer known dead — severed link,
-			// partition, delay spike beyond the retry budget): abort the op for
-			// every member so the stuck ones roll back and re-signal. Nobody is
-			// condemned; a worker that really is gone breaks its connection and
-			// the receive loops report it.
-			if op := ev.opID; op != 0 && !abortedOps[op] {
-				abortedOps[op] = true
-				if g, ok := opGroups[op]; ok {
-					for _, mem := range g.Members {
-						if deadSet[mem] {
-							continue
-						}
-						if sus := sendAbort(mem, op, -1); sus >= 0 {
-							if err := markDead(sus, 0); err != nil {
-								return err
-							}
-						}
-					}
-				}
-			}
-		case ev.iter == readyFailure:
-			if err := markDead(ev.dead, ev.opID); err != nil {
-				return err
-			}
-		case ev.iter == readyJoinAbort:
-			// The joiner's bootstrap transfer died with its donor: un-join it
-			// so the cohort stops waiting for a first signal that will never
-			// come. The rank goes back to parked and may be re-assigned.
-			if ctrl.IsMember(ev.worker) && !ctrl.IsDraining(ev.worker) && ctrl.IsAlive(ev.worker) {
-				if err := retire(ev.worker); err != nil {
-					return err
-				}
-			}
-		default:
-			waiting[ev.worker] = ev.seq
-			if ctrl.IsQueued(ev.worker) {
-				// Retransmission of a signal the controller still holds (the
-				// reply bookkeeping died with a crashed controller
-				// incarnation): re-attach the reply seq, don't re-queue.
-				if err := dispatch(ctrl.FlushGroups()); err != nil {
-					return err
-				}
-				break
-			}
-			if drainPending[ev.worker] && ctrl.IsMember(ev.worker) && !ctrl.IsDraining(ev.worker) {
-				// Graceful drain lands at the target's ready point — between
-				// groups by construction, so no in-flight collective is cut.
-				delete(drainPending, ev.worker)
-				gs, derr := ctrl.Drain(ev.worker)
-				if derr != nil {
-					return derr
-				}
-				if err := dispatch(gs); err != nil {
-					return err
-				}
-				if gs, derr = ctrl.Decommission(ev.worker); derr != nil {
-					return derr
-				}
-				if err := dispatch(gs); err != nil {
-					return err
-				}
-				drained[ev.worker] = true
-				active--
-				delete(waiting, ev.worker)
-				if err := tr.Send(ev.worker, replyTag(ev.seq), encodeDirective(engine.Directive{Drain: true, Epoch: ctrl.Epoch()})); err != nil && !transport.IsFailure(err) {
-					return err
-				}
-				break
-			}
-			if len(pendingJoins) > 0 && ctrl.IsMember(ev.worker) && !ctrl.IsDraining(ev.worker) && !deadSet[ev.worker] {
-				// Divert this ready into a bootstrap assignment: the sender's
-				// state is stable here, so it donates a snapshot to the joiner
-				// and re-signals the same iteration afterwards.
-				j := pendingJoins[0]
-				pendingJoins = pendingJoins[1:]
-				ok, jerr := admitJoin(j, ev.worker)
-				if jerr != nil {
-					return jerr
-				}
-				if ok {
-					delete(waiting, ev.worker)
-					d := engine.Directive{Bootstrap: true, BootstrapFor: j, BootstrapOp: bootOp, Epoch: ctrl.Epoch()}
-					if err := tr.Send(ev.worker, replyTag(ev.seq), encodeDirective(d)); err != nil {
-						if !transport.IsFailure(err) {
-							return err
-						}
-						// Donor died before serving; its dead connection fails
-						// the joiner's transfer, which then reports join-abort.
-						if err := markDead(ev.worker, 0); err != nil {
-							return err
-						}
-					}
-					break
-				}
-				// Admission reverted (joiner unreachable): the donor's signal
-				// proceeds normally below.
-			}
-			groups, err := ctrl.Ready(controller.Signal{
-				Worker: ev.worker, Iter: ev.iter, Epoch: ev.epoch,
-				Now: float64(time.Now().UnixNano()) / 1e9,
-			})
-			if err != nil {
-				delete(waiting, ev.worker)
-				if errors.Is(err, controller.ErrStaleEpoch) {
-					// The signal predates a membership change: hand the sender
-					// the current epoch and let it re-signal. Nobody is
-					// condemned for having an out-of-date world view.
-					if serr := tr.Send(ev.worker, replyTag(ev.seq), encodeDirective(engine.Directive{Refresh: true, Epoch: ctrl.Epoch()})); serr != nil && !transport.IsFailure(serr) {
-						return serr
-					}
-					break
-				}
-				// Dead-marked or duplicate sender: release it to proceed solo.
-				if serr := tr.Send(ev.worker, replyTag(ev.seq), encodeDirective(engine.Directive{Skip: true, Epoch: ctrl.Epoch()})); serr != nil && !transport.IsFailure(serr) {
-					return serr
-				}
-				continue
-			}
-			if err := dispatch(groups); err != nil {
-				return err
+			c.Tick(healthNow())
+		case ev := <-events:
+			switch {
+			case ev.err != nil:
+				return nil, fmt.Errorf("live: worker %d ready stream: %w", ev.worker, ev.err)
+			case ev.lost:
+				c.Lost(ev.worker)
+			case ev.kind == evReady:
+				c.Ready(ev.worker, ev.iter, uint64(ev.seq), ev.epoch, unixSeconds(time.Now()))
+			case ev.kind == evFinished:
+				c.Finished(ev.worker)
+			case ev.kind == evDeath:
+				c.Death(ev.dead, ev.op)
+			case ev.kind == evStuck:
+				c.Stuck(ev.op)
+			case ev.kind == evJoinAbort:
+				c.JoinAbort(ev.worker)
 			}
 		}
-		if err := release(); err != nil {
-			return err
+		// Undeliverable effects expose further deaths; handling one can
+		// expose more, so drain until quiet.
+		for len(out.lost) > 0 {
+			w := out.lost[0]
+			out.lost = out.lost[1:]
+			c.Lost(w)
 		}
-		if err := maybeCrash(); err != nil {
-			return err
+		if out.err != nil {
+			return nil, out.err
+		}
+		if c.err != nil {
+			return nil, c.err
 		}
 	}
+	c.Exit(healthNow())
 
 	// Shutdown: dismiss parked ranks first (never admitted, or drained back
 	// out — they are waiting on the join stream and exit without training),
 	// then stop each survivor's abort listener and broadcast the roster of
 	// completed workers for the final gather.
+	var roster []int
 	for w := 0; w < cfg.N; w++ {
-		if completed[w] || deadSet[w] || ctrl.IsMember(w) {
-			continue
-		}
-		if err := tr.Send(w, joinTag(joinSeq[w]), []float64{joinDismiss, 0, 0}); err != nil && !transport.IsFailure(err) {
-			return err
-		}
-		joinSeq[w]++
-	}
-	roster := make([]float64, 0, cfg.N)
-	for w := 0; w < cfg.N; w++ {
-		if completed[w] {
-			roster = append(roster, float64(w))
+		switch {
+		case c.completed[w]:
+			roster = append(roster, w)
+		case c.parked(w):
+			out.startJoin(w, -1, 0)
 		}
 	}
-	for w := 0; w < cfg.N; w++ {
-		if !completed[w] {
-			continue
-		}
-		if sus := sendAbort(w, 0, -1); sus >= 0 {
-			return fmt.Errorf("live: worker %d lost at shutdown", w)
-		}
-		if err := tr.Send(w, ctrlRosterTag, roster); err != nil {
-			return fmt.Errorf("live: roster to worker %d: %w", w, err)
-		}
+	out.lost = nil // a parked rank that is already gone needs no dismissal
+	for _, w := range roster {
+		out.abort(w, 0, -1)
+		out.send(w, ctrlRosterTag, encodeRoster(roster))
 	}
-	return nil
-}
-
-// Reply modes (payload[0] of a replyTag message).
-const (
-	modeGroup     = 0 // reduce with the encoded group
-	modeSkip      = 1 // proceed solo this iteration
-	modeDrain     = 2 // graceful hand-off complete; exit cleanly
-	modeRefresh   = 3 // stale epoch; adopt the reply's epoch and re-signal
-	modeBootstrap = 4 // serve model state to rank aux under op opID, re-signal
-)
-
-// encodeDirective flattens a controller directive into a float64 payload:
-// [mode, opID, iter, initWeight, epoch, aux, P, members..., weights...].
-// aux carries the joiner rank for modeBootstrap and is zero otherwise.
-func encodeDirective(d engine.Directive) []float64 {
-	g := d.Group
-	p := len(g.Members)
-	out := make([]float64, 0, 7+2*p)
-	mode, aux, opID := float64(modeGroup), 0.0, d.OpID
-	switch {
-	case d.Skip:
-		mode = modeSkip
-	case d.Drain:
-		mode = modeDrain
-	case d.Refresh:
-		mode = modeRefresh
-	case d.Bootstrap:
-		mode = modeBootstrap
-		aux = float64(d.BootstrapFor)
-		opID = d.BootstrapOp
+	if out.err != nil {
+		return nil, out.err
 	}
-	out = append(out, mode, float64(opID), float64(g.Iter), g.InitWeight,
-		float64(d.Epoch), aux, float64(p))
-	for _, m := range g.Members {
-		out = append(out, float64(m))
+	if len(out.lost) > 0 {
+		return nil, fmt.Errorf("live: workers %v lost at shutdown", out.lost)
 	}
-	out = append(out, g.Weights...)
-	return out
-}
-
-func decodeDirective(payload []float64) (engine.Directive, error) {
-	var d engine.Directive
-	if len(payload) < 7 {
-		return d, fmt.Errorf("live: short group reply")
-	}
-	mode := int(payload[0])
-	d.Epoch = uint64(payload[4])
-	switch mode {
-	case modeGroup:
-	case modeSkip:
-		d.Skip = true
-	case modeDrain:
-		d.Drain = true
-	case modeRefresh:
-		d.Refresh = true
-	case modeBootstrap:
-		d.Bootstrap = true
-		d.BootstrapFor = int(payload[5])
-		d.BootstrapOp = uint32(payload[1])
-	default:
-		return d, fmt.Errorf("live: unknown reply mode %d", mode)
-	}
-	if mode != modeGroup {
-		if len(payload) != 7+2*int(payload[6]) {
-			return d, fmt.Errorf("live: group reply length %d for P=%v", len(payload), payload[6])
-		}
-		return d, nil
-	}
-	d.OpID = uint32(payload[1])
-	d.Group.Iter = int(payload[2])
-	d.Group.InitWeight = payload[3]
-	p := int(payload[6])
-	if len(payload) != 7+2*p {
-		return d, fmt.Errorf("live: group reply length %d for P=%d", len(payload), p)
-	}
-	d.Group.Members = make([]int, p)
-	for i := 0; i < p; i++ {
-		v := payload[7+i]
-		if v != math.Trunc(v) || v < 0 {
-			return d, fmt.Errorf("live: bad member id %v", v)
-		}
-		d.Group.Members[i] = int(v)
-	}
-	d.Group.Weights = append([]float64{}, payload[7+p:]...)
-	return d, nil
+	return c, nil
 }
 
 // wireControl implements engine.Control over the transport's control-tag
@@ -778,12 +267,31 @@ type wireControl struct {
 	// stamped into every outgoing signal (0 until the first answer:
 	// unversioned signals are always accepted).
 	epoch    uint64
+	sendBuf  []float64
 	replyBuf []float64
 }
 
+// send puts m on the ready stream under the current sequence number.
+func (c *wireControl) send(m readyMsg) error {
+	var err error
+	if c.sendBuf, err = appendReady(c.sendBuf[:0], m); err != nil {
+		return err
+	}
+	return c.tr.Send(c.ctrlRank, readyTag(c.seq), c.sendBuf)
+}
+
+// report sends m and advances the stream.
+func (c *wireControl) report(m readyMsg) error {
+	if err := c.send(m); err != nil {
+		return err
+	}
+	c.seq++
+	return nil
+}
+
 func (c *wireControl) Signal(iter int) (engine.Directive, error) {
-	sig := []float64{float64(iter), float64(c.epoch)}
-	if err := c.tr.Send(c.ctrlRank, readyTag(c.seq), sig); err != nil {
+	sig := readyMsg{kind: evReady, iter: iter, epoch: c.epoch}
+	if err := c.send(sig); err != nil {
 		return engine.Directive{}, err
 	}
 	var reply []float64
@@ -805,20 +313,16 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 		// the transport instead of everyone hanging.
 		resends++
 		if resends > ctrlResendLimit {
-			if sf, ok := c.tr.(transport.SelfFailer); ok {
-				sf.FailSelf()
-			} else {
-				c.tr.Close()
-			}
+			failSelf(c.tr)
 			return engine.Directive{}, fmt.Errorf("live: worker %d: controller unreachable after %d signals: %w", c.id, resends, err)
 		}
 		c.seq++
-		if err := c.tr.Send(c.ctrlRank, readyTag(c.seq), sig); err != nil {
+		if err := c.send(sig); err != nil {
 			return engine.Directive{}, err
 		}
 	}
 	c.seq++
-	d, err := decodeDirective(reply)
+	d, err := decodeDirective(reply, c.cfg.N)
 	if err != nil {
 		return engine.Directive{}, err
 	}
@@ -833,37 +337,27 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 func (c *wireControl) SignalNoWait(iter int) {
 	// Crash injection: the signal goes out and the sender dies without
 	// reading the reply, so the send error (if any) is irrelevant.
-	_ = c.tr.Send(c.ctrlRank, readyTag(c.seq), []float64{float64(iter), float64(c.epoch)})
+	_ = c.send(readyMsg{kind: evReady, iter: iter, epoch: c.epoch})
 }
 
-func (c *wireControl) ReportDeath(dead int, g controller.Group, opID uint32) error {
-	if err := c.tr.Send(c.ctrlRank, readyTag(c.seq), []float64{readyFailure, float64(dead), float64(opID)}); err != nil {
-		return err
+func (c *wireControl) ReportDeath(dead int, _ controller.Group, opID uint32) error {
+	return c.report(readyMsg{kind: evDeath, dead: dead, op: opID})
+}
+
+func (c *wireControl) ReportStuck(_ controller.Group, opID uint32) error {
+	return c.report(readyMsg{kind: evStuck, op: opID})
+}
+
+func (c *wireControl) Finished() error { return c.send(readyMsg{kind: evFinished}) }
+
+// failSelf completes a fail-stop: peers and the host observe this endpoint
+// going down through the transport.
+func failSelf(tr transport.Transport) {
+	if sf, ok := tr.(transport.SelfFailer); ok {
+		sf.FailSelf()
+	} else {
+		tr.Close()
 	}
-	c.seq++
-	return nil
-}
-
-func (c *wireControl) ReportStuck(g controller.Group, opID uint32) error {
-	if err := c.tr.Send(c.ctrlRank, readyTag(c.seq), []float64{readyFailure, -1, float64(opID)}); err != nil {
-		return err
-	}
-	c.seq++
-	return nil
-}
-
-func (c *wireControl) Finished() error {
-	return c.tr.Send(c.ctrlRank, readyTag(c.seq), []float64{readyFinished})
-}
-
-// ReportJoinAbort tells the host this rank's bootstrap transfer failed: the
-// host un-joins it (nobody condemned) and the rank goes back to parked.
-func (c *wireControl) ReportJoinAbort() error {
-	if err := c.tr.Send(c.ctrlRank, readyTag(c.seq), []float64{readyJoinAbort}); err != nil {
-		return err
-	}
-	c.seq++
-	return nil
 }
 
 // runWorkerLoop is the per-process worker: it assembles the engine
@@ -877,43 +371,30 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 	id := tr.Rank()
 	base := cfg.Spec.Build(cfg.Seed)
 	init := base.Params().Clone()
-	shards := cfg.Train.Shard(cfg.N)
-
-	m := base.Clone()
-	opt := optim.NewSGD(cfg.Optimizer, m.NumParams())
-	sampler := data.NewSampler(shards[id], cfg.Seed*31+int64(id))
 
 	// Abort listener: the host numbers abort notifications per worker; op 0
 	// is the shutdown sentinel. Errors end the listener (the transport is
 	// closing, or we have been declared dead — either way no more aborts).
 	if oa, ok := tr.(transport.OpAborter); ok {
 		go func() {
+			var buf [2]float64
 			for seq := 0; ; seq++ {
-				payload, err := tr.Recv(ctrlRank, abortTag(seq))
-				if err != nil || len(payload) < 1 || payload[0] <= 0 {
+				n, err := tr.RecvInto(ctrlRank, abortTag(seq), buf[:])
+				if err != nil {
 					return
 				}
-				oa.AbortOp(uint32(payload[0]))
+				op, _, err := decodeOpRank(buf[:n], cfg.N)
+				if err != nil || op == 0 {
+					return
+				}
+				oa.AbortOp(op)
 			}
 		}()
 	}
 
 	start := time.Now()
-	var comms collective.OpStats
-	pol := cfg.Retry
-	if pol.Seed == 0 {
-		pol.Seed = cfg.Seed
-	}
-	env := engine.NewLiveEnv(id, tr, collective.Options{
-		SegmentElems: cfg.SegmentElems,
-		Stats:        &comms,
-		Timeout:      cfg.CollectiveTimeout,
-		Retry:        pol,
-		Tracer:       cfg.Tracer,
-		TraceTrack:   int32(id),
-		TraceIter:    -1,
-	}, cfg.Tracer, cfg.Instruments)
-	ctl := &wireControl{cfg: cfg, tr: tr, ctrlRank: ctrlRank, id: id, replyBuf: make([]float64, 7+2*cfg.N)}
+	w := newLiveWorker(cfg, id, tr, base, cfg.Train.Shard(cfg.N)[id], init)
+	ctl := &wireControl{cfg: cfg, tr: tr, ctrlRank: ctrlRank, id: id, replyBuf: make([]float64, directiveLen(cfg.N))}
 
 	// Elastic lifecycle: ranks beyond the founding set park on the join
 	// stream until the host assigns them a donor (bootstrap, then train from
@@ -921,8 +402,16 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 	// parks again — eligible for re-admission, dismissed when the run ends.
 	parked := id >= cfg.initialOr()
 	joinSeq := 0
-	startIter := 0
-	groupsTotal := 0
+	groups := 0
+	report := func(iter int, completed bool) *Report {
+		return &Report{
+			Groups:      groups,
+			WallTime:    time.Since(start),
+			WorkerIters: []int{iter},
+			Completed:   []bool{completed},
+			Comms:       *w.Env.Copts.Stats,
+		}
+	}
 	var out engine.Outcome
 	for {
 		if parked {
@@ -931,50 +420,27 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 				return nil, err
 			}
 			joinSeq++
-			if len(payload) < 3 || payload[0] == joinDismiss {
-				return &Report{
-					Groups:      groupsTotal,
-					WallTime:    time.Since(start),
-					WorkerIters: []int{startIter},
-					Completed:   []bool{false},
-					Comms:       comms,
-				}, nil
+			op, donor, err := decodeOpRank(payload, cfg.N)
+			if err != nil {
+				return nil, err
 			}
-			donor, op := int(payload[1]), uint32(payload[2])
-			st, berr := collective.BootstrapRecv(tr, donor, op, env.Copts)
-			if berr != nil {
-				if transport.IsFailure(berr) {
-					// Donor died mid-transfer: hand the join back to the host
-					// and wait parked for a new assignment (or dismissal).
-					if rerr := ctl.ReportJoinAbort(); rerr != nil {
-						return nil, rerr
-					}
-					continue
+			if donor < 0 {
+				return report(w.StartIter, false), nil
+			}
+			if err := bootstrapJoiner(cfg, w, donor, op); err != nil {
+				if !transport.IsFailure(err) {
+					return nil, err
 				}
-				return nil, fmt.Errorf("live: worker %d bootstrap from %d: %w", id, donor, berr)
+				// Donor died mid-transfer: hand the join back to the host
+				// and wait parked for a new assignment (or dismissal).
+				if rerr := ctl.report(readyMsg{kind: evJoinAbort}); rerr != nil {
+					return nil, rerr
+				}
+				continue
 			}
-			m.SetParams(tensor.Vector(st.Params))
-			opt = optim.NewSGD(cfg.Optimizer, m.NumParams())
-			if err := opt.Restore(tensor.Vector(st.Velocity), st.Step); err != nil {
-				return nil, fmt.Errorf("live: worker %d bootstrap restore: %w", id, err)
-			}
-			cfg.Tracer.Instant(trace.KBootstrap, int32(id), int32(st.Iter), int64(donor), int64(len(st.Params)))
-			startIter = st.Iter
 			parked = false
 		}
 
-		w := &engine.LiveWorker{
-			Env:          env,
-			Model:        m,
-			Opt:          opt,
-			Sampler:      sampler,
-			Init:         init,
-			Iters:        cfg.Iters,
-			StartIter:    startIter,
-			BatchSize:    cfg.BatchSize,
-			ComputeDelay: cfg.ComputeDelay,
-			CrashAt:      cfg.Crash[id], // zero when this rank never crashes
-		}
 		var err error
 		out, err = engine.RunPReduceWorker(w, ctl)
 		switch {
@@ -985,58 +451,42 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 		case out.Crashed:
 			// The engine already sent the in-flight ready signal; complete the
 			// fail-stop so peers and the host observe the death.
-			if sf, ok := tr.(transport.SelfFailer); ok {
-				sf.FailSelf()
-			} else {
-				tr.Close()
-			}
-			return &Report{
-				WallTime:    time.Since(start),
-				WorkerIters: []int{out.Iter},
-				Completed:   []bool{false},
-			}, nil
+			failSelf(tr)
+			return report(out.Iter, false), nil
 		}
-		groupsTotal += out.Groups
-		if out.Drained {
-			startIter = out.Iter
-			parked = true
-			continue
+		groups += out.Groups
+		if !out.Drained {
+			break
 		}
-		break
+		w.StartIter, parked = out.Iter, true
 	}
-	iter, groups := out.Iter, groupsTotal
 
 	// The host broadcasts the survivor roster; the final average runs over
 	// it (a full-world gather would block on the dead ranks forever).
-	rosterPayload, err := tr.Recv(ctrlRank, ctrlRosterTag)
+	payload, err := tr.Recv(ctrlRank, ctrlRosterTag)
 	if err != nil {
 		return nil, err
 	}
-	roster := make([]int, len(rosterPayload))
-	for i, v := range rosterPayload {
-		roster[i] = int(v)
+	roster, err := decodeRoster(payload, cfg.N)
+	if err != nil {
+		return nil, err
 	}
-	sort.Ints(roster)
 
-	// The tail collectives reuse env.Copts: its TraceIter still carries the
-	// last group op's iteration tag, the behavior the trace goldens pin.
-	all, err := collective.GatherOpts(tr, roster, gatherOpID, ctrlRank, m.Params(), env.Copts)
+	// The tail collectives reuse the worker's collective options: TraceIter
+	// still carries the last group op's iteration tag, the behavior the
+	// trace goldens pin.
+	copts := w.Env.Copts
+	all, err := collective.GatherOpts(tr, roster, gatherOpID, ctrlRank, w.Model.Params(), copts)
 	if err != nil {
 		return nil, err
 	}
 	// Hold every surviving process until the roster is done: a rank that
 	// exits early (iteration fast-forward can finish it first) would tear
 	// down its transport under peers still training.
-	if err := collective.BarrierOpts(tr, roster, barrierOpID, env.Copts); err != nil {
+	if err := collective.BarrierOpts(tr, roster, barrierOpID, copts); err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Groups:      groups,
-		WallTime:    time.Since(start),
-		WorkerIters: []int{iter},
-		Completed:   []bool{true},
-		Comms:       comms,
-	}
+	rep := report(out.Iter, true)
 	if host {
 		avg := tensor.NewVector(len(init))
 		for _, p := range all {
