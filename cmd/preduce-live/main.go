@@ -61,7 +61,7 @@ func main() {
 	failTimeout := flag.Duration("fail-timeout", 30*time.Second,
 		"controller-side staleness backstop used when -crash-after is set")
 	segmentSize := flag.Int("segment-size", 0,
-		"collective pipeline segment size in float64 elements (0: default, negative: unsegmented)")
+		"collective pipeline segment size in float64 elements (0: default)")
 	commStats := flag.Bool("comm-stats", false,
 		"print this rank's data-plane statistics (bytes, segments, per-phase time) on exit")
 	ctrlCrashAfter := flag.Int("ctrl-crash-after", 0,
@@ -130,6 +130,9 @@ func main() {
 	}
 	if *rank < 0 || *rank >= n {
 		fail(fmt.Errorf("need -rank in [0,%d)", n))
+	}
+	if *segmentSize < 0 {
+		fail(fmt.Errorf("need -segment-size >= 0"))
 	}
 	if *policyName != "" {
 		// Fail fast: the controller re-validates the spec, but only after

@@ -86,15 +86,10 @@ func BenchmarkAllReduceSum(b *testing.B) {
 	benchRing(b, 4, 1_000_000, Options{})
 }
 
-// BenchmarkRingSegmented sweeps segment sizes, including the unsegmented
-// path (SegmentElems < 0) as the contrast.
+// BenchmarkRingSegmented sweeps segment sizes.
 func BenchmarkRingSegmented(b *testing.B) {
-	for _, seg := range []int{-1, 4 << 10, 16 << 10, 64 << 10} {
-		name := fmt.Sprintf("seg=%d", seg)
-		if seg < 0 {
-			name = "seg=off"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, seg := range []int{4 << 10, 16 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("seg=%d", seg), func(b *testing.B) {
 			benchRing(b, 4, 1_000_000, Options{SegmentElems: seg})
 		})
 	}

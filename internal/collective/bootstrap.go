@@ -15,8 +15,8 @@ import (
 // Counters and lengths ride as float64s — exact for any value below 2⁵³,
 // far beyond any iteration count or model size the transport accepts.
 
-// phaseBootstrap extends the phase space (1–6 are the ring and tree ops;
-// 7 is the last value that fits the 3-bit phase field).
+// phaseBootstrap extends the phase space (the ring, gather and barrier ops
+// sit below it; 7 is the last value that fits the 3-bit phase field).
 const phaseBootstrap = 7
 
 const (
@@ -77,7 +77,7 @@ func BootstrapSend(t transport.Transport, joiner int, opID uint32, state Bootstr
 func BootstrapRecv(t transport.Transport, donor int, opID uint32, opt Options) (BootstrapState, error) {
 	var st BootstrapState
 	hdr := make([]float64, bootstrapHeaderLen)
-	n, err := transport.RecvIntoDeadline(t, donor, tag(opID, phaseBootstrap, bootstrapStepHeader), hdr, opt.Timeout)
+	n, err := t.RecvIntoTimeout(donor, tag(opID, phaseBootstrap, bootstrapStepHeader), hdr, opt.Timeout)
 	if err != nil {
 		return st, err
 	}
@@ -89,7 +89,7 @@ func BootstrapRecv(t transport.Transport, donor int, opID uint32, opt Options) (
 		return st, fmt.Errorf("collective: bootstrap header sizes %d/%d implausible", nParams, nVel)
 	}
 	body := make([]float64, nParams+nVel)
-	n, err = transport.RecvIntoDeadline(t, donor, tag(opID, phaseBootstrap, bootstrapStepPayload), body, opt.Timeout)
+	n, err = t.RecvIntoTimeout(donor, tag(opID, phaseBootstrap, bootstrapStepPayload), body, opt.Timeout)
 	if err != nil {
 		return st, err
 	}

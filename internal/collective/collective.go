@@ -1,15 +1,15 @@
 // Package collective implements the data-moving collective operations the
 // live runtime uses: ring all-reduce (reduce-scatter followed by all-gather,
 // the bandwidth-optimal algorithm of Patarasuk & Yuan that the paper's
-// prototype uses through Gloo), binomial-tree broadcast, and gather. All
-// collectives operate over an arbitrary subgroup of ranks, which is exactly
-// what P-Reduce needs: each controller-formed group runs its own collective,
-// and disjoint groups run concurrently without interference.
+// prototype uses through Gloo), gather, and barrier. All collectives operate
+// over an arbitrary subgroup of ranks, which is exactly what P-Reduce needs:
+// each controller-formed group runs its own collective, and disjoint groups
+// run concurrently without interference.
 //
-// Data plane (see DESIGN.md): tensors larger than Options.SegmentElems are
-// split into fixed-size segments whose ring steps pipeline — segment k+1 is
+// Data plane (see DESIGN.md): every ring step moves its chunk in segments of
+// Options.SegmentElems elements, and the segments pipeline — segment k+1 is
 // on the wire while segment k is being reduced — in the style of Gloo's
-// segmented rings. Receives land via transport.RecvInto in pooled or in-place
+// segmented rings. Receives land via RecvIntoTimeout in pooled or in-place
 // buffers and the reduce inner loop runs on the tensor.AddScaled kernel, so
 // a steady-state ring step performs zero heap allocations. Per-operation
 // counters (bytes, phase wall time, segments) accumulate into OpStats.
@@ -57,9 +57,7 @@ const MaxEpochs = 32
 const (
 	phaseReduceScatter = 1
 	phaseAllGather     = 2
-	phaseBroadcast     = 3
 	phaseGather        = 4
-	phaseAllGatherFull = 5
 	phaseBarrier       = 6
 )
 
@@ -76,11 +74,10 @@ type OpStats struct {
 	// (8 bytes per float64 element; frame headers excluded).
 	BytesSent int64
 	BytesRecv int64
-	// Segments counts pipeline segments sent (1 per ring step when
-	// segmentation is off).
+	// Segments counts pipeline segments sent.
 	Segments int64
 	// ReduceScatter and AllGather are wall time spent in the two ring
-	// phases. Broadcast/gather/barrier time is not phase-attributed.
+	// phases. Gather/barrier time is not phase-attributed.
 	ReduceScatter time.Duration
 	AllGather     time.Duration
 	// Retries counts retried attempts after a receive deadline expired,
@@ -208,14 +205,14 @@ func (r *jitterRNG) float64() float64 {
 // Options tune a collective call. The zero value selects the defaults.
 type Options struct {
 	// SegmentElems is the pipeline segment size in elements: 0 selects
-	// DefaultSegmentElems, negative disables segmentation (one segment per
-	// ring step — the unsegmented reference path).
+	// DefaultSegmentElems, negative is an error. A size no smaller than the
+	// tensor moves one segment per ring step.
 	SegmentElems int
 	// Stats, when non-nil, accumulates the operation's data-plane counters.
 	Stats *OpStats
-	// Timeout bounds every receive in the operation: when the transport
-	// supports deadlines, a receive that exceeds it fails with
-	// transport.ErrTimeout instead of parking forever. 0 means unbounded.
+	// Timeout bounds every receive in the operation: one that exceeds it
+	// fails with transport.ErrTimeout instead of parking forever. 0 means
+	// unbounded.
 	Timeout time.Duration
 	// Retry governs what a ring collective does after a timeout: purge the
 	// failed attempt's frames, back off, and retry under a fresh tag epoch.
@@ -234,14 +231,15 @@ type Options struct {
 	TraceIter  int32
 }
 
-func (o Options) segElems() int {
+// segElems resolves the segment size of a ring collective.
+func (o Options) segElems() (int, error) {
 	switch {
-	case o.SegmentElems == 0:
-		return DefaultSegmentElems
 	case o.SegmentElems < 0:
-		return 0 // unsegmented
+		return 0, fmt.Errorf("collective: negative SegmentElems %d", o.SegmentElems)
+	case o.SegmentElems == 0:
+		return DefaultSegmentElems, nil
 	default:
-		return o.SegmentElems
+		return o.SegmentElems, nil
 	}
 }
 
@@ -269,14 +267,11 @@ func chunk(n, g, c int) (lo, hi int) {
 	return lo, lo + size
 }
 
-// segCount returns the number of segments covering n elements (>= 1 only
-// when n > 0; an empty chunk has zero segments).
+// segCount returns the number of segments of seg > 0 elements covering n
+// elements (an empty chunk has zero segments).
 func segCount(n, seg int) int {
 	if n <= 0 {
 		return 0
-	}
-	if seg <= 0 || seg >= n {
-		return 1
 	}
 	return (n + seg - 1) / seg
 }
@@ -290,24 +285,20 @@ type ring struct {
 	epoch      int           // retry epoch folded into every tag
 	deadline   time.Duration // per-receive bound (0: unbounded)
 	next, prev int
-	seg        int // segment size in elements; 0 = unsegmented
+	seg        int // segment size in elements, > 0
 	segsPer    int // tag stride: max segments of any ring step
 	buf        []float64
 	stats      *OpStats
 }
 
 // newRing computes the segment geometry every member agrees on (it depends
-// only on n, g, and the segment option, which all members share). The
+// only on n, g, and the segment size seg > 0, which all members share). The
 // segment size grows as needed so the virtual step never overflows its
 // 16 tag bits.
-func newRing(t transport.Transport, group []int, pos int, opID uint32, n int, opt Options, stats *OpStats) ring {
+func newRing(t transport.Transport, group []int, pos int, opID uint32, n, seg int, stats *OpStats) ring {
 	g := len(group)
-	seg := opt.segElems()
 	maxChunk := n/g + 1
 	segsPer := segCount(maxChunk, seg)
-	if segsPer < 1 {
-		segsPer = 1
-	}
 	for g*segsPer >= maxVirtualStep {
 		// Enormous tensor and tiny segments: coarsen deterministically.
 		seg *= 2
@@ -331,11 +322,7 @@ func newRing(t transport.Transport, group []int, pos int, opID uint32, n int, op
 func (r *ring) step(phase, s int, data []float64, sendLo, sendHi, recvLo, recvHi int, reduce bool) error {
 	segLen := func(lo, hi, k int) (int, int) {
 		a := lo + k*r.seg
-		b := hi
-		if r.seg > 0 && a+r.seg < hi {
-			b = a + r.seg
-		}
-		return a, b
+		return a, min(a+r.seg, hi)
 	}
 	sm := segCount(sendHi-sendLo, r.seg)
 	rm := segCount(recvHi-recvLo, r.seg)
@@ -375,7 +362,7 @@ func (r *ring) step(phase, s int, data []float64, sendLo, sendHi, recvLo, recvHi
 		if reduce {
 			dst = r.buf[:want]
 		}
-		n, err := transport.RecvIntoDeadline(r.t, r.prev, tag(r.opID, ph, base+k), dst, r.deadline)
+		n, err := r.t.RecvIntoTimeout(r.prev, tag(r.opID, ph, base+k), dst, r.deadline)
 		if err != nil {
 			return err
 		}
@@ -392,16 +379,12 @@ func (r *ring) step(phase, s int, data []float64, sendLo, sendHi, recvLo, recvHi
 	return nil
 }
 
-// AllReduceSum sums data element-wise across the members of group, leaving
-// the total in every member's data slice. All members must call it with the
-// same group, opID, and data length. Groups of one return immediately.
-func AllReduceSum(t transport.Transport, group []int, opID uint32, data []float64) error {
-	return AllReduceSumOpts(t, group, opID, data, Options{})
-}
-
-// AllReduceSumOpts is AllReduceSum with explicit data-plane options. The
-// segmented path is bit-identical to the unsegmented one: segmentation only
-// changes message boundaries, never the per-element order of operations.
+// AllReduceSumOpts sums data element-wise across the members of group,
+// leaving the total in every member's data slice. All members must call it
+// with the same group, opID, data length, and segment size. Groups of one
+// return immediately. The result is bit-identical for every segment size:
+// segmentation only changes message boundaries, never the per-element order
+// of operations.
 //
 // With Options.Timeout set, every receive is deadline-bounded; with a
 // non-zero Options.Retry, a timed-out attempt is abandoned (its buffered
@@ -412,6 +395,10 @@ func AllReduceSum(t transport.Transport, group []int, opID uint32, data []float6
 // exhausted the op is aborted locally so straggler frames are dropped on
 // arrival, and the last timeout error is returned.
 func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []float64, opt Options) error {
+	seg, err := opt.segElems()
+	if err != nil {
+		return err
+	}
 	g := len(group)
 	if g <= 1 {
 		return nil
@@ -443,7 +430,7 @@ func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []fl
 			// Discard the failed attempt: restore the input, drop its
 			// buffered frames, and pace the retry.
 			copy(data, snapshot)
-			transport.PurgeOpAt(t, opID)
+			t.PurgeOp(opID)
 			if d := opt.Retry.backoff(a-1, rng); d > 0 {
 				pause := opt.Tracer.Now()
 				time.Sleep(d)
@@ -454,16 +441,14 @@ func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []fl
 			}
 			opt.Tracer.Instant(trace.KRetry, opt.TraceTrack, opt.TraceIter, int64(opID), int64(a))
 		}
-		err := allReduceAttempt(t, group, pos, opID, a, data, opt, stats)
+		err := allReduceAttempt(t, group, pos, opID, a, seg, data, opt, stats)
 		if err == nil {
 			if a > 0 {
 				// Stale frames from failed epochs may still trickle in;
 				// marking the op aborted makes the mailbox drop them on
 				// arrival instead of parking them forever. The op is
 				// complete, so no future receive of it can be poisoned.
-				if oa, ok := t.(transport.OpAborter); ok {
-					oa.AbortOp(opID)
-				}
+				t.AbortOp(opID)
 			}
 			if stats != nil {
 				stats.Ops++
@@ -482,9 +467,7 @@ func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []fl
 	}
 	// Retry budget exhausted: abort locally so frames of any epoch are
 	// flushed and future stragglers dropped, then surface the timeout.
-	if oa, ok := t.(transport.OpAborter); ok {
-		oa.AbortOp(opID)
-	}
+	t.AbortOp(opID)
 	if stats != nil {
 		stats.Aborts++
 	}
@@ -494,17 +477,13 @@ func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []fl
 
 // allReduceAttempt runs one reduce-scatter + all-gather pass under the given
 // retry epoch's tags.
-func allReduceAttempt(t transport.Transport, group []int, pos int, opID uint32, epoch int, data []float64, opt Options, stats *OpStats) error {
+func allReduceAttempt(t transport.Transport, group []int, pos int, opID uint32, epoch, seg int, data []float64, opt Options, stats *OpStats) error {
 	g := len(group)
 	n := len(data)
-	r := newRing(t, group, pos, opID, n, opt, stats)
+	r := newRing(t, group, pos, opID, n, seg, stats)
 	r.epoch = epoch
 	r.deadline = opt.Timeout
-	maxSeg := r.seg
-	if maxSeg <= 0 || maxSeg > n/g+1 {
-		maxSeg = n/g + 1
-	}
-	r.buf = bufpool.GetFloat64(maxSeg)
+	r.buf = bufpool.GetFloat64(min(r.seg, n/g+1))
 	defer bufpool.PutFloat64(r.buf)
 
 	// Reduce-scatter: after g−1 steps, chunk (pos+1) mod g is fully reduced
@@ -544,12 +523,7 @@ func allReduceAttempt(t transport.Transport, group []int, pos int, opID uint32, 
 	return nil
 }
 
-// AllReduceMean averages data element-wise across the group.
-func AllReduceMean(t transport.Transport, group []int, opID uint32, data []float64) error {
-	return AllReduceMeanOpts(t, group, opID, data, Options{})
-}
-
-// AllReduceMeanOpts is AllReduceMean with explicit data-plane options.
+// AllReduceMeanOpts averages data element-wise across the group.
 func AllReduceMeanOpts(t transport.Transport, group []int, opID uint32, data []float64, opt Options) error {
 	if err := AllReduceSumOpts(t, group, opID, data, opt); err != nil {
 		return err
@@ -558,97 +532,21 @@ func AllReduceMeanOpts(t transport.Transport, group []int, opID uint32, data []f
 	return nil
 }
 
-// WeightedAverage computes the weighted sum Σ_i weights[i]·data_i across the
-// group, leaving the result in every member's data. weight is the caller's
-// own coefficient — the P-Reduce aggregation (Alg. 2 line 7) with the
-// controller's constant or dynamic weights.
-func WeightedAverage(t transport.Transport, group []int, opID uint32, data []float64, weight float64) error {
-	return WeightedAverageOpts(t, group, opID, data, weight, Options{})
-}
-
-// WeightedAverageOpts is WeightedAverage with explicit data-plane options.
+// WeightedAverageOpts computes the weighted sum Σ_i weights[i]·data_i across
+// the group, leaving the result in every member's data. weight is the
+// caller's own coefficient — the P-Reduce aggregation (Alg. 2 line 7) with
+// the controller's constant or dynamic weights.
 func WeightedAverageOpts(t transport.Transport, group []int, opID uint32, data []float64, weight float64, opt Options) error {
 	tensor.Vector(data).Scale(weight)
 	return AllReduceSumOpts(t, group, opID, data, opt)
 }
 
-// Broadcast distributes root's data to every group member using a binomial
-// tree. Non-root members' data slices are overwritten; lengths must match.
-func Broadcast(t transport.Transport, group []int, opID uint32, root int, data []float64) error {
-	return BroadcastOpts(t, group, opID, root, data, Options{})
-}
-
-// BroadcastOpts is Broadcast with explicit data-plane options.
-func BroadcastOpts(t transport.Transport, group []int, opID uint32, root int, data []float64, opt Options) error {
-	g := len(group)
-	if g <= 1 {
-		return nil
-	}
-	pos, err := position(t, group)
-	if err != nil {
-		return err
-	}
-	rootPos := -1
-	for i, r := range group {
-		if r == root {
-			rootPos = i
-			break
-		}
-	}
-	if rootPos < 0 {
-		return fmt.Errorf("collective: root %d not in group %v", root, group)
-	}
-	stats := opt.Stats
-	// Relative position with root at 0.
-	rel := ((pos-rootPos)%g + g) % g
-
-	received := rel == 0
-	for d := 1; d < g; d <<= 1 {
-		if received && rel < d {
-			dst := rel + d
-			if dst < g {
-				to := group[(dst+rootPos)%g]
-				if err := t.Send(to, tag(opID, phaseBroadcast, d), data); err != nil {
-					return err
-				}
-				if stats != nil {
-					stats.BytesSent += int64(8 * len(data))
-				}
-			}
-			continue
-		}
-		if !received && rel < 2*d {
-			src := rel - d
-			from := group[(src+rootPos)%g]
-			n, err := transport.RecvIntoDeadline(t, from, tag(opID, phaseBroadcast, d), data, opt.Timeout)
-			if err != nil {
-				return err
-			}
-			if n != len(data) {
-				return fmt.Errorf("collective: broadcast size mismatch %d != %d", n, len(data))
-			}
-			if stats != nil {
-				stats.BytesRecv += int64(8 * len(data))
-			}
-			received = true
-		}
-	}
-	if stats != nil {
-		stats.Ops++
-	}
-	return nil
-}
-
-// Gather collects every member's data at root, returned in group order.
+// GatherOpts collects every member's data at root, returned in group order.
 // Non-root members receive nil. All members must pass equal-length data;
 // a member whose payload length disagrees fails the gather at the root.
-func Gather(t transport.Transport, group []int, opID uint32, root int, data []float64) ([][]float64, error) {
-	return GatherOpts(t, group, opID, root, data, Options{})
-}
-
-// GatherOpts is Gather with explicit options; Options.Timeout bounds every
-// root-side receive, so a member behind a severed link fails the gather with
-// transport.ErrTimeout instead of hanging the root.
+// Options.Timeout bounds every root-side receive, so a member behind a
+// severed link fails the gather with transport.ErrTimeout instead of hanging
+// the root.
 func GatherOpts(t transport.Transport, group []int, opID uint32, root int, data []float64, opt Options) ([][]float64, error) {
 	pos, err := position(t, group)
 	if err != nil {
@@ -666,7 +564,7 @@ func GatherOpts(t transport.Transport, group []int, opID uint32, root int, data 
 			continue
 		}
 		in := make([]float64, len(data))
-		n, err := transport.RecvIntoDeadline(t, r, tag(opID, phaseGather, i), in, opt.Timeout)
+		n, err := t.RecvIntoTimeout(r, tag(opID, phaseGather, i), in, opt.Timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -678,54 +576,11 @@ func GatherOpts(t transport.Transport, group []int, opID uint32, root int, data 
 	return out, nil
 }
 
-// AllGather collects every member's fixed-size data at every member,
-// concatenated in group order. All members must pass equal-length data.
-func AllGather(t transport.Transport, group []int, opID uint32, data []float64) ([][]float64, error) {
-	g := len(group)
-	out := make([][]float64, g)
-	pos, err := position(t, group)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]float64, len(data))
-	copy(cp, data)
-	out[pos] = cp
-	if g == 1 {
-		return out, nil
-	}
-	// Ring circulation: g−1 steps, each member forwarding the slice it
-	// received last step.
-	next := group[(pos+1)%g]
-	prev := group[(pos-1+g)%g]
-	cur := data
-	for s := 0; s < g-1; s++ {
-		if err := t.Send(next, tag(opID, phaseAllGatherFull, s), cur); err != nil {
-			return nil, err
-		}
-		in, err := t.Recv(prev, tag(opID, phaseAllGatherFull, s))
-		if err != nil {
-			return nil, err
-		}
-		if len(in) != len(data) {
-			return nil, fmt.Errorf("collective: all-gather size mismatch %d != %d", len(in), len(data))
-		}
-		src := ((pos-s-1)%g + g) % g
-		out[src] = in
-		cur = in
-	}
-	return out, nil
-}
-
-// Barrier blocks until every group member has entered it: a zero-payload
+// BarrierOpts blocks until every group member has entered it: a zero-payload
 // ring pass of g−1 steps means completion requires, transitively, a message
 // chain through every member. Frames carry empty payloads, so the barrier
-// moves no data and allocates nothing.
-func Barrier(t transport.Transport, group []int, opID uint32) error {
-	return BarrierOpts(t, group, opID, Options{})
-}
-
-// BarrierOpts is Barrier with explicit options; Options.Timeout bounds each
-// ring receive so a member lost behind a partition surfaces as ErrTimeout.
+// moves no data and allocates nothing. Options.Timeout bounds each ring
+// receive so a member lost behind a partition surfaces as ErrTimeout.
 func BarrierOpts(t transport.Transport, group []int, opID uint32, opt Options) error {
 	g := len(group)
 	if g <= 1 {
@@ -741,7 +596,7 @@ func BarrierOpts(t transport.Transport, group []int, opID uint32, opt Options) e
 		if err := t.Send(next, tag(opID, phaseBarrier, s), nil); err != nil {
 			return err
 		}
-		if _, err := transport.RecvIntoDeadline(t, prev, tag(opID, phaseBarrier, s), nil, opt.Timeout); err != nil {
+		if _, err := t.RecvIntoTimeout(prev, tag(opID, phaseBarrier, s), nil, opt.Timeout); err != nil {
 			return err
 		}
 	}

@@ -66,7 +66,7 @@ func TestAllReduceSumFullGroup(t *testing.T) {
 		}
 	}
 	runGroup(t, eps, group, func(tr transport.Transport) error {
-		return AllReduceSum(tr, group, 1, datas[tr.Rank()])
+		return AllReduceSumOpts(tr, group, 1, datas[tr.Rank()], Options{})
 	})
 	for r := range datas {
 		for i := range want {
@@ -87,7 +87,7 @@ func TestAllReduceSubgroup(t *testing.T) {
 		4: {100, 200, 300, 400, 500},
 	}
 	runGroup(t, eps, group, func(tr transport.Transport) error {
-		return AllReduceSum(tr, group, 2, datas[tr.Rank()])
+		return AllReduceSumOpts(tr, group, 2, datas[tr.Rank()], Options{})
 	})
 	want := []float64{111, 222, 333, 444, 555}
 	for _, r := range group {
@@ -118,7 +118,7 @@ func TestConcurrentDisjointGroups(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := AllReduceSum(eps[r], spec.group, spec.op, datas[r]); err != nil {
+				if err := AllReduceSumOpts(eps[r], spec.group, spec.op, datas[r], Options{}); err != nil {
 					t.Errorf("rank %d: %v", r, err)
 				}
 			}()
@@ -140,7 +140,7 @@ func TestConcurrentDisjointGroups(t *testing.T) {
 func TestAllReduceGroupOfOne(t *testing.T) {
 	eps := transport.NewMem(1)
 	data := []float64{7}
-	if err := AllReduceSum(eps[0], []int{0}, 1, data); err != nil {
+	if err := AllReduceSumOpts(eps[0], []int{0}, 1, data, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if data[0] != 7 {
@@ -150,7 +150,7 @@ func TestAllReduceGroupOfOne(t *testing.T) {
 
 func TestAllReduceNotInGroup(t *testing.T) {
 	eps := transport.NewMem(3)
-	if err := AllReduceSum(eps[2], []int{0, 1}, 1, []float64{1}); err == nil {
+	if err := AllReduceSumOpts(eps[2], []int{0, 1}, 1, []float64{1}, Options{}); err == nil {
 		t.Fatal("non-member accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestAllReduceMean(t *testing.T) {
 	datas := [][]float64{{2, 4}, {4, 8}}
 	group := []int{0, 1}
 	runGroup(t, eps, group, func(tr transport.Transport) error {
-		return AllReduceMean(tr, group, 3, datas[tr.Rank()])
+		return AllReduceMeanOpts(tr, group, 3, datas[tr.Rank()], Options{})
 	})
 	for r := range datas {
 		if datas[r][0] != 3 || datas[r][1] != 6 {
@@ -175,50 +175,13 @@ func TestWeightedAverage(t *testing.T) {
 	weights := []float64{0.25, 0.75}
 	group := []int{0, 1}
 	runGroup(t, eps, group, func(tr transport.Transport) error {
-		return WeightedAverage(tr, group, 4, datas[tr.Rank()], weights[tr.Rank()])
+		return WeightedAverageOpts(tr, group, 4, datas[tr.Rank()], weights[tr.Rank()], Options{})
 	})
 	want := 0.25*10 + 0.75*20
 	for r := range datas {
 		if math.Abs(datas[r][0]-want) > 1e-12 {
 			t.Fatalf("rank %d: %v want %v", r, datas[r][0], want)
 		}
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8} {
-		eps := transport.NewMem(n)
-		group := make([]int, n)
-		for i := range group {
-			group[i] = i
-		}
-		for root := 0; root < n; root += max(1, n/3) {
-			datas := make([][]float64, n)
-			for r := range datas {
-				datas[r] = make([]float64, 4)
-			}
-			for i := range datas[root] {
-				datas[root][i] = float64(root*10 + i)
-			}
-			root := root
-			runGroup(t, eps, group, func(tr transport.Transport) error {
-				return Broadcast(tr, group, uint32(100+root), root, datas[tr.Rank()])
-			})
-			for r := range datas {
-				for i := range datas[r] {
-					if datas[r][i] != float64(root*10+i) {
-						t.Fatalf("n=%d root=%d rank %d: %v", n, root, r, datas[r])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBroadcastBadRoot(t *testing.T) {
-	eps := transport.NewMem(3)
-	if err := Broadcast(eps[0], []int{0, 1}, 1, 2, []float64{1}); err == nil {
-		t.Fatal("root outside group accepted")
 	}
 }
 
@@ -230,7 +193,7 @@ func TestGather(t *testing.T) {
 	results := make(map[int][][]float64)
 	var mu sync.Mutex
 	runGroup(t, eps, group, func(tr transport.Transport) error {
-		out, err := Gather(tr, group, 7, root, datas[tr.Rank()])
+		out, err := GatherOpts(tr, group, 7, root, datas[tr.Rank()], Options{})
 		mu.Lock()
 		results[tr.Rank()] = out
 		mu.Unlock()
@@ -275,7 +238,7 @@ func TestQuickAllReduceMatchesSequential(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := AllReduceSum(eps[r], group, 1, datas[r]); err != nil {
+				if err := AllReduceSumOpts(eps[r], group, 1, datas[r], Options{}); err != nil {
 					mu.Lock()
 					ok = false
 					mu.Unlock()
@@ -300,40 +263,6 @@ func TestQuickAllReduceMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	eps := transport.NewMem(4)
-	group := []int{0, 1, 2, 3}
-	results := make([][][]float64, 4)
-	runGroup(t, eps, group, func(tr transport.Transport) error {
-		out, err := AllGather(tr, group, 21, []float64{float64(tr.Rank() * 10), float64(tr.Rank()*10 + 1)})
-		results[tr.Rank()] = out
-		return err
-	})
-	for r := 0; r < 4; r++ {
-		for src := 0; src < 4; src++ {
-			want0 := float64(src * 10)
-			if results[r][src][0] != want0 || results[r][src][1] != want0+1 {
-				t.Fatalf("rank %d slot %d: %v", r, src, results[r][src])
-			}
-		}
-	}
-}
-
-func TestAllGatherSingleton(t *testing.T) {
-	eps := transport.NewMem(1)
-	out, err := AllGather(eps[0], []int{0}, 1, []float64{7})
-	if err != nil || len(out) != 1 || out[0][0] != 7 {
-		t.Fatalf("singleton all-gather: %v %v", out, err)
-	}
-	// The returned slot must be a copy, not an alias.
-	in := []float64{1}
-	out, _ = AllGather(eps[0], []int{0}, 2, in)
-	in[0] = 99
-	if out[0][0] != 1 {
-		t.Fatal("all-gather aliased caller data")
-	}
-}
-
 func TestBarrier(t *testing.T) {
 	eps := transport.NewMem(3)
 	group := []int{0, 1, 2}
@@ -345,7 +274,7 @@ func TestBarrier(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			atomic.StoreInt32(&reached[r], 1)
-			if err := Barrier(eps[r], group, 31); err != nil {
+			if err := BarrierOpts(eps[r], group, 31, Options{}); err != nil {
 				t.Errorf("rank %d: %v", r, err)
 				return
 			}

@@ -36,10 +36,10 @@ func runOpts(eps []*transport.Mem, group []int, opID uint32, datas [][]float64, 
 
 // TestQuickSegmentedBitIdentical is the tentpole determinism property:
 // segmentation only changes message boundaries, never the per-element order
-// of operations, so the segmented path must be *bit-identical* to the
-// unsegmented one for random group shapes, vector lengths, and segment
-// sizes — including sizes that leave ragged final segments and sizes larger
-// than any chunk.
+// of operations, so every segment size must be *bit-identical* to the
+// one-segment-per-step reference (a segment as long as the whole tensor)
+// for random group shapes, vector lengths, and segment sizes — including
+// sizes that leave ragged final segments and sizes larger than any chunk.
 func TestQuickSegmentedBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -62,8 +62,8 @@ func TestQuickSegmentedBitIdentical(t *testing.T) {
 				segged[r][i] = v
 			}
 		}
-		if err := runOpts(world, group, 1, plain, Options{SegmentElems: -1}); err != nil {
-			t.Logf("unsegmented: %v", err)
+		if err := runOpts(world, group, 1, plain, Options{SegmentElems: d}); err != nil {
+			t.Logf("one segment per step: %v", err)
 			return false
 		}
 		if err := runOpts(world, group, 2, segged, Options{SegmentElems: seg}); err != nil {
@@ -102,7 +102,7 @@ func TestGatherSizeMismatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			data := make([]float64, lens[r])
-			_, err := Gather(eps[r], group, 11, 0, data)
+			_, err := GatherOpts(eps[r], group, 11, 0, data, Options{})
 			mu.Lock()
 			errs[r] = err
 			mu.Unlock()
@@ -245,7 +245,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[r] = Barrier(world[r], group, 77)
+			errs[r] = BarrierOpts(world[r], group, 77, Options{})
 			if !slowestEntered.Load() {
 				tooEarly.Store(true)
 			}
@@ -254,7 +254,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	// Rank 0 stalls: nobody may complete the barrier yet.
 	time.Sleep(20 * time.Millisecond)
 	slowestEntered.Store(true)
-	errs[0] = Barrier(world[0], group, 77)
+	errs[0] = BarrierOpts(world[0], group, 77, Options{})
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {

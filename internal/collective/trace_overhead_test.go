@@ -11,8 +11,7 @@ import (
 // attached: every op additionally records one collective span, two phase
 // spans, and the clock reads around them. Comparing its ns/op against the
 // untraced benchmark measures the tracing tax on the data plane; `make
-// bench` records both into BENCH_dataplane.json and the gate below bounds
-// the regression.
+// bench` prints both and the gate below bounds the regression.
 func BenchmarkAllReduceSumTraced(b *testing.B) {
 	tr := trace.New(trace.NewWallClock(), 1<<12)
 	benchRing(b, 4, 1_000_000, Options{Tracer: tr, TraceTrack: 0, TraceIter: -1})

@@ -68,8 +68,8 @@ type Config struct {
 	// emulate heterogeneity on real hardware (nil for full speed).
 	ComputeDelay func(worker, iter int) time.Duration
 	// SegmentElems is the collective pipeline segment size in float64
-	// elements: 0 selects collective.DefaultSegmentElems, negative disables
-	// segmentation (one message per ring step).
+	// elements: 0 selects collective.DefaultSegmentElems; negative is
+	// rejected.
 	SegmentElems int
 
 	// Initial is the number of founding members: ranks [Initial, N) park —
@@ -171,6 +171,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: need at least one iteration")
 	case c.FailTimeout < 0:
 		return fmt.Errorf("live: negative fail timeout")
+	case c.SegmentElems < 0:
+		return fmt.Errorf("live: negative SegmentElems %d", c.SegmentElems)
 	}
 	for w, it := range c.Crash {
 		if w < 0 || w >= c.N {
@@ -541,11 +543,7 @@ func (rt *runtime) service(ctrl *controller.Controller, stop, ctrlDone chan stru
 // on an effect's behalf.
 func (rt *runtime) reply(w int, _ uint64, d engine.Directive) { rt.replyTo[w] <- d }
 
-func (rt *runtime) abort(w int, op uint32, _ int) {
-	if oa, ok := rt.world[w].(transport.OpAborter); ok {
-		oa.AbortOp(op)
-	}
-}
+func (rt *runtime) abort(w int, op uint32, _ int) { rt.world[w].AbortOp(op) }
 
 func (rt *runtime) startJoin(j, donor int, op uint32) {
 	rt.lastHeard[j] = time.Now()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
 	"partialreduce/internal/model"
@@ -63,6 +64,23 @@ func TestConfigValidate(t *testing.T) {
 		mutate(&cfg)
 		if cfg.Validate() == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestNegativeSegmentRejected: a negative segment size (once the
+// "unsegmented" sentinel) is an error at both boundaries that take one.
+func TestNegativeSegmentRejected(t *testing.T) {
+	cfg := liveConfig(t, 1)
+	cfg.SegmentElems = -1
+	world := memWorld(2)
+	for boundary, err := range map[string]error{
+		"live.Config.Validate": cfg.Validate(),
+		"collective.AllReduceSumOpts": collective.AllReduceSumOpts(world[0], []int{0, 1}, 1,
+			[]float64{1}, collective.Options{SegmentElems: -1}),
+	} {
+		if err == nil {
+			t.Errorf("%s accepted SegmentElems -1", boundary)
 		}
 	}
 }

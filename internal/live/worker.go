@@ -296,7 +296,7 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 	}
 	var reply []float64
 	for resends := 0; ; {
-		n, err := transport.RecvIntoDeadline(c.tr, c.ctrlRank, replyTag(c.seq), c.replyBuf, c.cfg.CtrlTimeout)
+		n, err := c.tr.RecvIntoTimeout(c.ctrlRank, replyTag(c.seq), c.replyBuf, c.cfg.CtrlTimeout)
 		if err == nil {
 			reply = c.replyBuf[:n]
 			break
@@ -313,7 +313,7 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 		// the transport instead of everyone hanging.
 		resends++
 		if resends > ctrlResendLimit {
-			failSelf(c.tr)
+			c.tr.FailSelf()
 			return engine.Directive{}, fmt.Errorf("live: worker %d: controller unreachable after %d signals: %w", c.id, resends, err)
 		}
 		c.seq++
@@ -350,16 +350,6 @@ func (c *wireControl) ReportStuck(_ controller.Group, opID uint32) error {
 
 func (c *wireControl) Finished() error { return c.send(readyMsg{kind: evFinished}) }
 
-// failSelf completes a fail-stop: peers and the host observe this endpoint
-// going down through the transport.
-func failSelf(tr transport.Transport) {
-	if sf, ok := tr.(transport.SelfFailer); ok {
-		sf.FailSelf()
-	} else {
-		tr.Close()
-	}
-}
-
 // runWorkerLoop is the per-process worker: it assembles the engine
 // LiveWorker and wire-backed Control, hands the training loop to
 // engine.RunPReduceWorker (the same step machine the in-process runtime and
@@ -375,22 +365,20 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 	// Abort listener: the host numbers abort notifications per worker; op 0
 	// is the shutdown sentinel. Errors end the listener (the transport is
 	// closing, or we have been declared dead — either way no more aborts).
-	if oa, ok := tr.(transport.OpAborter); ok {
-		go func() {
-			var buf [2]float64
-			for seq := 0; ; seq++ {
-				n, err := tr.RecvInto(ctrlRank, abortTag(seq), buf[:])
-				if err != nil {
-					return
-				}
-				op, _, err := decodeOpRank(buf[:n], cfg.N)
-				if err != nil || op == 0 {
-					return
-				}
-				oa.AbortOp(op)
+	go func() {
+		var buf [2]float64
+		for seq := 0; ; seq++ {
+			n, err := tr.RecvInto(ctrlRank, abortTag(seq), buf[:])
+			if err != nil {
+				return
 			}
-		}()
-	}
+			op, _, err := decodeOpRank(buf[:n], cfg.N)
+			if err != nil || op == 0 {
+				return
+			}
+			tr.AbortOp(op)
+		}
+	}()
 
 	start := time.Now()
 	w := newLiveWorker(cfg, id, tr, base, cfg.Train.Shard(cfg.N)[id], init)
@@ -415,12 +403,13 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 	var out engine.Outcome
 	for {
 		if parked {
-			payload, err := tr.Recv(ctrlRank, joinTag(joinSeq))
+			var buf [2]float64
+			n, err := tr.RecvInto(ctrlRank, joinTag(joinSeq), buf[:])
 			if err != nil {
 				return nil, err
 			}
 			joinSeq++
-			op, donor, err := decodeOpRank(payload, cfg.N)
+			op, donor, err := decodeOpRank(buf[:n], cfg.N)
 			if err != nil {
 				return nil, err
 			}
@@ -451,7 +440,7 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 		case out.Crashed:
 			// The engine already sent the in-flight ready signal; complete the
 			// fail-stop so peers and the host observe the death.
-			failSelf(tr)
+			tr.FailSelf()
 			return report(out.Iter, false), nil
 		}
 		groups += out.Groups
@@ -463,11 +452,12 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 
 	// The host broadcasts the survivor roster; the final average runs over
 	// it (a full-world gather would block on the dead ranks forever).
-	payload, err := tr.Recv(ctrlRank, ctrlRosterTag)
+	rosterBuf := make([]float64, cfg.N)
+	n, err := tr.RecvInto(ctrlRank, ctrlRosterTag, rosterBuf)
 	if err != nil {
 		return nil, err
 	}
-	roster, err := decodeRoster(payload, cfg.N)
+	roster, err := decodeRoster(rosterBuf[:n], cfg.N)
 	if err != nil {
 		return nil, err
 	}

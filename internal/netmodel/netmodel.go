@@ -66,20 +66,6 @@ func (p Params) PointToPoint(bytes int64) float64 {
 	return p.Latency + float64(bytes)/p.Bandwidth
 }
 
-// Broadcast returns the seconds a binomial-tree broadcast of bytes to group
-// members takes.
-func (p Params) Broadcast(group int, bytes int64) float64 {
-	if group <= 1 {
-		return 0
-	}
-	// ceil(log2(group)) rounds, each a point-to-point transfer.
-	rounds := 0
-	for n := 1; n < group; n <<= 1 {
-		rounds++
-	}
-	return float64(rounds) * p.PointToPoint(bytes)
-}
-
 // PSExchange returns the seconds one worker needs for a push-gradient /
 // pull-model round trip against the sharded parameter server.
 func (p Params) PSExchange(bytes int64) float64 {

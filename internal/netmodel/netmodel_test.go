@@ -61,20 +61,6 @@ func TestRingBandwidthTermApproaches2x(t *testing.T) {
 	}
 }
 
-func TestBroadcastRounds(t *testing.T) {
-	p := Params{Latency: 1, Bandwidth: 1, PSBandwidth: 1} // 1 byte/s: PointToPoint(0)=1s
-	if got := p.Broadcast(1, 0); got != 0 {
-		t.Fatalf("self broadcast: %v", got)
-	}
-	// group=2 -> 1 round; 3..4 -> 2; 5..8 -> 3
-	cases := map[int]float64{2: 1, 3: 2, 4: 2, 5: 3, 8: 3}
-	for g, rounds := range cases {
-		if got := p.Broadcast(g, 0); got != rounds {
-			t.Errorf("Broadcast(%d): %v rounds, want %v", g, got, rounds)
-		}
-	}
-}
-
 func TestPSExchangeVsRing(t *testing.T) {
 	p := Default()
 	d := int64(87_200_000) // ResNet-34 float32 bytes
@@ -109,7 +95,6 @@ func TestQuickCostMonotonicity(t *testing.T) {
 		return p.RingAllReduce(g, a) <= p.RingAllReduce(g, b) &&
 			p.PointToPoint(a) <= p.PointToPoint(b) &&
 			p.PSExchange(a) <= p.PSExchange(b) &&
-			p.Broadcast(g, a) <= p.Broadcast(g, b) &&
 			p.RingAllReduce(g, a) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -2,30 +2,21 @@ package transport
 
 import "testing"
 
-// BenchmarkEncodeFrame measures the pooled, append-style frame encoder on a
-// ring-segment-sized payload. The Into variant with a recycled buffer is the
-// hot path (TCP send); steady state must not allocate.
+// BenchmarkEncodeFrame measures the append-style frame encoder on a
+// ring-segment-sized payload with a recycled buffer, as the TCP send path
+// uses it; steady state must not allocate.
 func BenchmarkEncodeFrame(b *testing.B) {
 	payload := make([]float64, 4096)
 	for i := range payload {
 		payload[i] = float64(i)
 	}
-	b.Run("into", func(b *testing.B) {
-		buf := make([]byte, 0, FrameLen(payload))
-		b.SetBytes(int64(FrameLen(payload)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = EncodeFrameInto(buf[:0], 42, payload)
-		}
-		_ = buf
-	})
-	b.Run("alloc", func(b *testing.B) {
-		b.SetBytes(int64(FrameLen(payload)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = EncodeFrame(42, payload)
-		}
-	})
+	buf := make([]byte, 0, FrameLen(payload))
+	b.SetBytes(int64(FrameLen(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = EncodeFrameInto(buf[:0], 42, payload)
+	}
+	_ = buf
 }
 
 // BenchmarkSendRecvInto measures one pooled Send/RecvInto round trip over

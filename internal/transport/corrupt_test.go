@@ -76,15 +76,15 @@ func TestTCPCorruptFrameFailsOnlySender(t *testing.T) {
 	})
 
 	// A well-formed frame first: the connection itself is good.
-	if _, err := conns[0].Write(EncodeFrame(100, []float64{1})); err != nil {
+	if _, err := conns[0].Write(EncodeFrameInto(nil, 100, []float64{1})); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := eps[0].Recv(2, 100); err != nil || got[0] != 1 {
+	if got, err := recv(eps[0], 2, 100); err != nil || got[0] != 1 {
 		t.Fatalf("pristine frame from fake peer: %v %v", got, err)
 	}
 
 	// Now a frame with one payload bit flipped after encoding.
-	bad := EncodeFrame(101, []float64{2, 3})
+	bad := EncodeFrameInto(nil, 101, []float64{2, 3})
 	bad[frameHeaderSize+3] ^= 0x40
 	if _, err := conns[0].Write(bad); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestTCPCorruptFrameFailsOnlySender(t *testing.T) {
 	if err := eps[0].Send(1, 102, []float64{7}); err != nil {
 		t.Fatalf("survivor send: %v", err)
 	}
-	if got, err := eps[1].Recv(0, 102); err != nil || got[0] != 7 {
+	if got, err := recv(eps[1], 0, 102); err != nil || got[0] != 7 {
 		t.Fatalf("survivor recv: %v %v", got, err)
 	}
 }

@@ -12,39 +12,56 @@ import (
 
 // --- frame codec fuzzing -------------------------------------------------
 
-// FuzzFrameCodec checks the wire codec on arbitrary bytes: decoding never
-// panics, and every successfully decoded frame re-encodes to exactly the
-// input bytes (the codec has one canonical form, so decode∘encode = id).
+// fuzzMaxElems bounds what the fuzzed reader may allocate per input: the
+// reader sizes its buffers from the header's count before the body arrives
+// (as it must on a socket), and fuzz inputs are far smaller than this anyway.
+const fuzzMaxElems = 1 << 12
+
+// decodeOne runs the read loop's decoder over buf and returns the frame and
+// how many bytes it consumed.
+func decodeOne(buf []byte, maxElems int) (tag uint64, payload []float64, used int, err error) {
+	r := bytes.NewReader(buf)
+	tag, payload, err = readFrame(r, make([]byte, frameHeaderSize), maxElems)
+	return tag, payload, len(buf) - r.Len(), err
+}
+
+// FuzzFrameCodec checks the wire codec on arbitrary bytes: the decoder the
+// TCP read loop runs never panics, never consumes more than one frame, and
+// every frame it accepts re-encodes to exactly the bytes it consumed (the
+// codec has one canonical form, so decode∘encode = id).
 func FuzzFrameCodec(f *testing.F) {
-	f.Add(EncodeFrame(0, nil))
-	f.Add(EncodeFrame(42, []float64{1, -2.5, 3e300}))
-	f.Add(EncodeFrame(^uint64(0), []float64{0}))
+	f.Add(EncodeFrameInto(nil, 0, nil))
+	f.Add(EncodeFrameInto(nil, 42, []float64{1, -2.5, 3e300}))
+	f.Add(EncodeFrameInto(nil, ^uint64(0), []float64{0}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
+	// Truncated header.
+	f.Add(EncodeFrameInto(nil, 7, nil)[:frameHeaderSize-1])
 	// Header advertising a giant count with no body.
-	f.Add(EncodeFrame(7, nil)[:frameHeaderSize-1])
 	hostile := make([]byte, frameHeaderSize)
 	putFrameHeader(hostile, 9, ^uint32(0), 0)
 	f.Add(hostile)
 	// Bit-flipped payloads: single-bit corruption in the body and in the
 	// checksum field itself, both of which the payload CRC must reject.
-	flipped := EncodeFrame(3, []float64{1, 2, 3})
+	flipped := EncodeFrameInto(nil, 3, []float64{1, 2, 3})
 	flipped[frameHeaderSize+5] ^= 0x10
 	f.Add(flipped)
-	crcFlipped := EncodeFrame(3, []float64{4, 5})
+	crcFlipped := EncodeFrameInto(nil, 3, []float64{4, 5})
 	crcFlipped[13] ^= 0x01
 	f.Add(crcFlipped)
+	// Bytes after a complete frame belong to the next one.
+	f.Add(append(EncodeFrameInto(nil, 5, []float64{6}), 0xAB, 0xCD))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tag, payload, err := DecodeFrame(data, 0)
+		tag, payload, used, err := decodeOne(data, fuzzMaxElems)
 		if err != nil {
 			return
 		}
-		if len(payload) > DefaultMaxFrameElems {
+		if len(payload) > fuzzMaxElems {
 			t.Fatalf("decoder accepted %d elements past the limit", len(payload))
 		}
-		if got := EncodeFrame(tag, payload); !bytes.Equal(got, data) {
-			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, got)
+		if got := EncodeFrameInto(nil, tag, payload); !bytes.Equal(got, data[:used]) {
+			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:used], got)
 		}
 	})
 }
@@ -63,45 +80,45 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			payload = append(payload, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
 			raw = raw[8:]
 		}
-		gotTag, gotPayload, err := DecodeFrame(EncodeFrame(tag, payload), 0)
+		enc1 := EncodeFrameInto(nil, tag, payload)
+		gotTag, gotPayload, used, err := decodeOne(enc1, len(payload))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if gotTag != tag || len(gotPayload) != len(payload) {
-			t.Fatalf("round trip changed shape: tag %d->%d len %d->%d",
-				tag, gotTag, len(payload), len(gotPayload))
+		if gotTag != tag || len(gotPayload) != len(payload) || used != len(enc1) {
+			t.Fatalf("round trip changed shape: tag %d->%d len %d->%d, %d of %d bytes consumed",
+				tag, gotTag, len(payload), len(gotPayload), used, len(enc1))
 		}
-		enc1 := EncodeFrame(tag, payload)
-		enc2 := EncodeFrame(gotTag, gotPayload)
+		enc2 := EncodeFrameInto(nil, gotTag, gotPayload)
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatal("payload bits changed across round trip")
 		}
 	})
 }
 
-func TestDecodeFrameRejectsOversizedCount(t *testing.T) {
-	buf := EncodeFrame(5, []float64{0})
-	if _, _, err := DecodeFrame(buf, 1); err != nil {
+func TestReadFrameRejectsOversizedCount(t *testing.T) {
+	buf := EncodeFrameInto(nil, 5, []float64{0})
+	if _, _, _, err := decodeOne(buf, 1); err != nil {
 		t.Fatalf("legal frame rejected: %v", err)
 	}
 	putFrameHeader(buf, 5, 2, 0)
-	if _, _, err := DecodeFrame(buf, 1); err == nil {
+	if _, _, _, err := decodeOne(buf, 1); err == nil {
 		t.Fatal("count above limit accepted")
 	}
 	putFrameHeader(buf, 5, ^uint32(0), 0)
-	if _, _, err := DecodeFrame(buf, 0); err == nil {
+	if _, _, _, err := decodeOne(buf, DefaultMaxFrameElems); err == nil {
 		t.Fatal("giant count accepted under default limit")
 	}
 }
 
-// TestDecodeFrameRejectsBitFlips flips every bit of a valid frame beyond
-// the tag field — the element count, the checksum, and the payload — and
+// TestReadFrameRejectsBitFlips flips every bit of a valid frame beyond the
+// tag field — the element count, the checksum, and the payload — and
 // asserts the decoder rejects each corruption. (CRC32 detects all
 // single-bit errors, so this check is exhaustive, not probabilistic. The
 // tag is routing metadata, deliberately outside the payload checksum.)
-func TestDecodeFrameRejectsBitFlips(t *testing.T) {
-	orig := EncodeFrame(42, []float64{1.5, -2.25, 3e9, 0})
-	if _, _, err := DecodeFrame(orig, 0); err != nil {
+func TestReadFrameRejectsBitFlips(t *testing.T) {
+	orig := EncodeFrameInto(nil, 42, []float64{1.5, -2.25, 3e9, 0})
+	if _, _, _, err := decodeOne(orig, fuzzMaxElems); err != nil {
 		t.Fatalf("pristine frame rejected: %v", err)
 	}
 	buf := make([]byte, len(orig))
@@ -109,7 +126,7 @@ func TestDecodeFrameRejectsBitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(buf, orig)
 			buf[byteIdx] ^= 1 << bit
-			if _, _, err := DecodeFrame(buf, 0); err == nil {
+			if _, _, _, err := decodeOne(buf, fuzzMaxElems); err == nil {
 				t.Fatalf("flip of byte %d bit %d went undetected", byteIdx, bit)
 			}
 		}
@@ -138,7 +155,7 @@ func exchange(t *testing.T, eps []Transport) [][]float64 {
 				}
 			}
 			for from := 0; from < n; from++ {
-				got, err := eps[r].Recv(from, uint64(from*n+r))
+				got, err := recv(eps[r], from, uint64(from*n+r))
 				if err != nil {
 					t.Errorf("recv %d->%d: %v", from, r, err)
 					return
@@ -191,10 +208,10 @@ func TestFaultyZeroPlanTransparent(t *testing.T) {
 
 // --- seeded fault determinism --------------------------------------------
 
-// countingTransport records which Send calls reach it; everything else is
-// inert. It stands in for a real endpoint when only the fault layer's
-// decisions are under test.
+// countingTransport records which Send calls reach it. It stands in for a
+// real endpoint when only the fault layer's send decisions are under test.
 type countingTransport struct {
+	Transport  // nil: nothing but Rank, Size and Send may be reached
 	rank, size int
 	mu         sync.Mutex
 	delivered  []uint64 // tags that made it through
@@ -208,13 +225,6 @@ func (c *countingTransport) Send(to int, tag uint64, payload []float64) error {
 	c.delivered = append(c.delivered, tag)
 	return nil
 }
-func (c *countingTransport) Recv(from int, tag uint64) ([]float64, error) {
-	return nil, errors.New("not implemented")
-}
-func (c *countingTransport) RecvInto(from int, tag uint64, dst []float64) (int, error) {
-	return 0, errors.New("not implemented")
-}
-func (c *countingTransport) Close() error { return nil }
 
 func dropPattern(t *testing.T, seed int64, msgs int) []uint64 {
 	t.Helper()
@@ -287,14 +297,14 @@ func TestFaultyKillIsolation(t *testing.T) {
 	if err := eps[2].Send(0, 2, []float64{1}); !errors.As(err, &pd) {
 		t.Fatalf("send from dead rank: %v", err)
 	}
-	if _, err := eps[0].Recv(2, 3); !errors.As(err, &pd) || pd.Peer != 2 {
+	if _, err := recv(eps[0], 2, 3); !errors.As(err, &pd) || pd.Peer != 2 {
 		t.Fatalf("recv from dead rank: %v", err)
 	}
 	// Survivors are unaffected.
 	if err := eps[0].Send(1, 4, []float64{42}); err != nil {
 		t.Fatalf("survivor send: %v", err)
 	}
-	if got, err := eps[1].Recv(0, 4); err != nil || got[0] != 42 {
+	if got, err := recv(eps[1], 0, 4); err != nil || got[0] != 42 {
 		t.Fatalf("survivor recv: %v %v", got, err)
 	}
 
@@ -302,7 +312,7 @@ func TestFaultyKillIsolation(t *testing.T) {
 	if err := eps[0].Send(2, 5, []float64{7}); err != nil {
 		t.Fatalf("send after revive: %v", err)
 	}
-	if got, err := eps[2].Recv(0, 5); err != nil || got[0] != 7 {
+	if got, err := recv(eps[2], 0, 5); err != nil || got[0] != 7 {
 		t.Fatalf("recv after revive: %v %v", got, err)
 	}
 }
@@ -408,7 +418,7 @@ func TestTCPOversizedFrameFailsPeer(t *testing.T) {
 	if err := eps[0].Send(1, 1, make([]float64, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := eps[1].Recv(0, 1); err != nil || len(got) != 8 {
+	if got, err := recv(eps[1], 0, 1); err != nil || len(got) != 8 {
 		t.Fatalf("legal frame: %v %v", len(got), err)
 	}
 	// Beyond the bound: the receiver fails rank 0.
@@ -417,7 +427,7 @@ func TestTCPOversizedFrameFailsPeer(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := eps[1].Recv(0, 2)
+		_, err := recv(eps[1], 0, 2)
 		done <- err
 	}()
 	select {
@@ -446,7 +456,7 @@ func TestTCPHeartbeatKeepsIdlePeersAlive(t *testing.T) {
 	if err := eps[0].Send(1, 11, []float64{3.5}); err != nil {
 		t.Fatalf("send after idle: %v", err)
 	}
-	if got, err := eps[1].Recv(0, 11); err != nil || got[0] != 3.5 {
+	if got, err := recv(eps[1], 0, 11); err != nil || got[0] != 3.5 {
 		t.Fatalf("recv after idle: %v %v", got, err)
 	}
 }
@@ -460,7 +470,7 @@ func TestTCPPeerLossIsolated(t *testing.T) {
 	// Rank 0 eventually sees rank 2 down on recv.
 	done := make(chan error, 1)
 	go func() {
-		_, err := eps[0].Recv(2, 21)
+		_, err := recv(eps[0], 2, 21)
 		done <- err
 	}()
 	select {
@@ -476,7 +486,7 @@ func TestTCPPeerLossIsolated(t *testing.T) {
 	if err := eps[0].Send(1, 22, []float64{1}); err != nil {
 		t.Fatalf("survivor send: %v", err)
 	}
-	if got, err := eps[1].Recv(0, 22); err != nil || got[0] != 1 {
+	if got, err := recv(eps[1], 0, 22); err != nil || got[0] != 1 {
 		t.Fatalf("survivor recv: %v %v", got, err)
 	}
 }

@@ -239,8 +239,7 @@ func (w *faultyWorld) linkDecision(from, to int, now time.Duration) (drop bool, 
 
 // Faulty wraps a Transport endpoint and injects crashes, drops, and delays
 // according to a shared FaultPlan. With a zero plan it is a transparent
-// pass-through (the property the collective tests pin down). Faulty forwards
-// PeerFailer and OpAborter to the inner endpoint.
+// pass-through (the property the collective tests pin down).
 type Faulty struct {
 	inner Transport
 	world *faultyWorld
@@ -462,57 +461,33 @@ func (f *Faulty) Heal() {
 	w.refreshFaulted()
 }
 
-// Recv implements Transport.
-func (f *Faulty) Recv(from int, tag uint64) ([]float64, error) {
-	if f.deadRank(f.rank) {
-		return nil, &PeerDownError{Peer: f.rank}
-	}
-	return f.inner.Recv(from, tag)
-}
-
-// RecvInto implements Transport, forwarding to the inner endpoint (faults
-// are injected on the send side, so the zero-copy receive passes through).
+// RecvInto implements Transport.
 func (f *Faulty) RecvInto(from int, tag uint64, dst []float64) (int, error) {
-	if f.deadRank(f.rank) {
-		return 0, &PeerDownError{Peer: f.rank}
-	}
-	return f.inner.RecvInto(from, tag, dst)
+	return f.RecvIntoTimeout(from, tag, dst, 0)
 }
 
-// RecvIntoTimeout implements DeadlineRecver when the inner endpoint does;
-// otherwise it degrades to an unbounded RecvInto.
+// RecvIntoTimeout implements Transport, forwarding to the inner endpoint
+// (faults are injected on the send side, so the receive passes through).
 func (f *Faulty) RecvIntoTimeout(from int, tag uint64, dst []float64, timeout time.Duration) (int, error) {
 	if f.deadRank(f.rank) {
 		return 0, &PeerDownError{Peer: f.rank}
 	}
-	return RecvIntoDeadline(f.inner, from, tag, dst, timeout)
+	return f.inner.RecvIntoTimeout(from, tag, dst, timeout)
 }
 
-// PurgeOp implements OpPurger, forwarding to the inner endpoint.
-func (f *Faulty) PurgeOp(op uint32) { PurgeOpAt(f.inner, op) }
+// PurgeOp implements Transport.
+func (f *Faulty) PurgeOp(op uint32) { f.inner.PurgeOp(op) }
 
-// FailPeer implements PeerFailer.
-func (f *Faulty) FailPeer(peer int) {
-	if pf, ok := f.inner.(PeerFailer); ok {
-		pf.FailPeer(peer)
-	}
-}
+// FailPeer implements Transport.
+func (f *Faulty) FailPeer(peer int) { f.inner.FailPeer(peer) }
 
-// RevivePeer implements PeerFailer.
-func (f *Faulty) RevivePeer(peer int) {
-	if pf, ok := f.inner.(PeerFailer); ok {
-		pf.RevivePeer(peer)
-	}
-}
+// RevivePeer implements Transport.
+func (f *Faulty) RevivePeer(peer int) { f.inner.RevivePeer(peer) }
 
-// AbortOp implements OpAborter.
-func (f *Faulty) AbortOp(op uint32) {
-	if oa, ok := f.inner.(OpAborter); ok {
-		oa.AbortOp(op)
-	}
-}
+// AbortOp implements Transport.
+func (f *Faulty) AbortOp(op uint32) { f.inner.AbortOp(op) }
 
-// FailSelf implements SelfFailer: the wrapped rank crashes now.
+// FailSelf implements Transport: the wrapped rank crashes now.
 func (f *Faulty) FailSelf() { f.Kill(f.rank) }
 
 // Close implements Transport.

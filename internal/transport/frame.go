@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+
+	"partialreduce/internal/bufpool"
 )
 
 // Wire frame layout (little-endian): 8-byte tag, 4-byte element count,
@@ -20,7 +23,7 @@ const (
 	// with a uint32 op, and control-plane tags use the 0xC0-0xC5 prefixes;
 	// neither can ever equal ^uint64(0).
 	hbTag = ^uint64(0)
-	// DefaultMaxFrameElems bounds the element count a decoder accepts
+	// DefaultMaxFrameElems bounds the element count the reader accepts
 	// (128 MiB of payload). The wire field is attacker/corruption-controlled:
 	// without a bound, a flipped bit in the count field makes the reader
 	// allocate up to 32 GiB.
@@ -68,35 +71,33 @@ func EncodeFrameInto(dst []byte, tag uint64, payload []float64) []byte {
 // FrameLen returns the encoded size of a frame carrying payload.
 func FrameLen(payload []float64) int { return frameHeaderSize + 8*len(payload) }
 
-// EncodeFrame serializes one frame into a fresh buffer. Exported for the
-// codec fuzz tests; the transport's send path uses EncodeFrameInto with a
-// pooled buffer instead.
-func EncodeFrame(tag uint64, payload []float64) []byte {
-	return EncodeFrameInto(make([]byte, 0, FrameLen(payload)), tag, payload)
-}
-
-// DecodeFrame parses one frame produced by EncodeFrame, enforcing maxElems
-// (<=0 selects DefaultMaxFrameElems), exact framing, and the payload
-// checksum. Exported for the codec fuzz tests.
-func DecodeFrame(buf []byte, maxElems int) (tag uint64, payload []float64, err error) {
-	if maxElems <= 0 {
-		maxElems = DefaultMaxFrameElems
+// readFrame reads and verifies one frame from r: the element count is
+// bounded by maxElems before anything is allocated for it, and the payload
+// must match the header's checksum. hdr is frameHeaderSize bytes of
+// caller-owned scratch, so a read loop allocates nothing per frame. Both the
+// wire buffer and the decoded payload come from the pool; the wire buffer is
+// recycled here, the payload is the caller's to hand on or recycle. After an
+// error nothing further from r is usable: frame boundaries are lost.
+func readFrame(r io.Reader, hdr []byte, maxElems int) (tag uint64, payload []float64, err error) {
+	if _, err := io.ReadFull(r, hdr[:frameHeaderSize]); err != nil {
+		return 0, nil, err
 	}
-	if len(buf) < frameHeaderSize {
-		return 0, nil, fmt.Errorf("transport: short frame (%d bytes)", len(buf))
-	}
-	tag, count, crc := parseFrameHeader(buf)
+	tag, count, crc := parseFrameHeader(hdr)
 	if err := checkFrameCount(count, maxElems); err != nil {
 		return 0, nil, err
 	}
-	body := buf[frameHeaderSize:]
-	if len(body) != 8*int(count) {
-		return 0, nil, fmt.Errorf("transport: frame body %d bytes for count %d", len(body), count)
-	}
-	if err := checkFrameCRC(body, crc); err != nil {
+	buf := bufpool.GetBytes(8 * int(count))
+	defer bufpool.PutBytes(buf)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
-	payload = decodePayload(body, int(count))
+	if err := checkFrameCRC(buf, crc); err != nil {
+		return 0, nil, err
+	}
+	payload = bufpool.GetFloat64(int(count))
+	for i := range payload {
+		payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
 	return tag, payload, nil
 }
 
@@ -118,19 +119,4 @@ func checkFrameCRC(body []byte, crc uint32) error {
 		return fmt.Errorf("transport: frame payload checksum mismatch (got %#x, header %#x)", got, crc)
 	}
 	return nil
-}
-
-// decodePayload converts count little-endian float64 words.
-func decodePayload(body []byte, count int) []float64 {
-	payload := make([]float64, count)
-	decodePayloadInto(payload, body)
-	return payload
-}
-
-// decodePayloadInto fills dst (len == word count) from body without
-// allocating; the TCP read loop pairs it with a pooled destination.
-func decodePayloadInto(dst []float64, body []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
 }

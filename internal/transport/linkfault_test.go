@@ -244,7 +244,7 @@ func TestNewFaultyEndpointPartition(t *testing.T) {
 
 // TestRecvIntoTimeoutSemantics: a bounded receive delivers a waiting message
 // immediately, fails with ErrTimeout (carrying the peer and tag) when none
-// arrives, and the helper degrades to an unbounded receive for timeout <= 0.
+// arrives, and timeout <= 0 is an unbounded receive.
 func TestRecvIntoTimeoutSemantics(t *testing.T) {
 	mems := NewMem(2)
 	if err := mems[0].Send(1, 9, []float64{4.5}); err != nil {
@@ -266,11 +266,11 @@ func TestRecvIntoTimeoutSemantics(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("timeout wildly overshot")
 	}
-	// RecvIntoDeadline with timeout <= 0 must still deliver (unbounded path).
+	// timeout <= 0 must still deliver (unbounded path).
 	if err := mems[0].Send(1, 11, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := RecvIntoDeadline(mems[1], 0, 11, buf, 0); err != nil || n != 1 {
-		t.Fatalf("unbounded fallback: n=%d err=%v", n, err)
+	if n, err := mems[1].RecvIntoTimeout(0, 11, buf, 0); err != nil || n != 1 {
+		t.Fatalf("unbounded receive: n=%d err=%v", n, err)
 	}
 }

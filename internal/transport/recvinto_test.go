@@ -4,6 +4,13 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
+)
+
+var (
+	_ Transport = (*Mem)(nil)
+	_ Transport = (*TCP)(nil)
+	_ Transport = (*Faulty)(nil)
 )
 
 // recvIntoWorld builds a 2-endpoint world of the named kind and returns the
@@ -93,6 +100,108 @@ func TestRecvIntoAcrossTransports(t *testing.T) {
 				t.Fatalf("empty: n=%d err=%v", n, err)
 			}
 		})
+	}
+}
+
+// TestOpControlAcrossTransports pins the rest of the Transport contract on
+// every implementation: a timed receive that expires consumes nothing,
+// PurgeOp drops an op's buffered frames without poisoning the op, and
+// AbortOp fails the op's parked and future receives and drops its
+// stragglers.
+func TestOpControlAcrossTransports(t *testing.T) {
+	const purged, aborted, other = uint64(5) << 24, uint64(6) << 24, uint64(7) << 24
+	for _, kind := range []string{"mem", "tcp", "faulty"} {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			a, b := recvIntoWorld(t, kind)
+			dst := make([]float64, 1)
+			// flush returns once everything a sent before it is buffered at
+			// b (frames from one sender arrive in order).
+			flush := func(tag uint64) {
+				t.Helper()
+				if err := a.Send(1, tag, nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.RecvInto(0, tag, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Expiry consumes nothing: the message that arrives afterwards
+			// is still delivered.
+			if _, err := b.RecvIntoTimeout(0, other|1, dst, 20*time.Millisecond); !IsTimeout(err) {
+				t.Fatalf("idle timed receive: err=%v, want timeout", err)
+			}
+			if err := a.Send(1, other|1, []float64{3}); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := b.RecvIntoTimeout(0, other|1, dst, 5*time.Second); err != nil || n != 1 || dst[0] != 3 {
+				t.Fatalf("after expiry: n=%d dst=%v err=%v", n, dst, err)
+			}
+
+			// PurgeOp: the buffered frame is gone, the op still usable.
+			if err := a.Send(1, purged|1, []float64{1}); err != nil {
+				t.Fatal(err)
+			}
+			flush(other | 2)
+			b.PurgeOp(uint32(purged >> 24))
+			if _, err := b.RecvIntoTimeout(0, purged|1, dst, 20*time.Millisecond); !IsTimeout(err) {
+				t.Fatalf("purged frame: err=%v, want timeout", err)
+			}
+			if err := a.Send(1, purged|1, []float64{2}); err != nil {
+				t.Fatalf("resend under a purged tag: %v", err)
+			}
+			if n, err := b.RecvIntoTimeout(0, purged|1, dst, 5*time.Second); err != nil || n != 1 || dst[0] != 2 {
+				t.Fatalf("after purge: n=%d dst=%v err=%v", n, dst, err)
+			}
+
+			// AbortOp: the parked receive wakes with the typed error, later
+			// receives fail at once, and a straggler frame is dropped.
+			parked := make(chan error, 1)
+			go func() {
+				_, err := b.RecvInto(0, aborted|1, make([]float64, 1))
+				parked <- err
+			}()
+			time.Sleep(10 * time.Millisecond) // let it park; either order must fail
+			b.AbortOp(uint32(aborted >> 24))
+			var oa *OpAbortedError
+			if err := <-parked; !errors.As(err, &oa) || oa.Op != uint32(aborted>>24) {
+				t.Fatalf("parked receive after abort: %v", err)
+			}
+			if err := a.Send(1, aborted|2, []float64{9}); err != nil {
+				t.Fatalf("straggler send: %v", err)
+			}
+			flush(other | 3)
+			if _, err := b.RecvIntoTimeout(0, aborted|2, dst, time.Second); !errors.Is(err, ErrOpAborted) {
+				t.Fatalf("receive on aborted op: %v", err)
+			}
+		})
+	}
+}
+
+// TestTCPDuplicateFrameFailsPeer: a second frame under a (from, tag) still
+// undelivered is a protocol violation by that peer. The read loop must
+// condemn the peer — not exit quietly with the socket open, which deafens
+// this endpoint to everything the peer sends afterwards.
+func TestTCPDuplicateFrameFailsPeer(t *testing.T) {
+	eps := startTCPWorld(t, 2)
+	for i := 0; i < 2; i++ {
+		if err := eps[1].Send(0, 7, []float64{1}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	// The connection may already be torn down under this one.
+	if err := eps[1].Send(0, 8, []float64{2}); err != nil && !IsFailure(err) {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err := eps[0].RecvIntoTimeout(1, 8, make([]float64, 1), 5*time.Second)
+	var pd *PeerDownError
+	if !errors.As(err, &pd) || pd.Peer != 1 {
+		t.Fatalf("receive behind a duplicate frame: %v after %v, want peer 1 down", err, time.Since(start))
+	}
+	if down := eps[0].DownPeers(); len(down) != 1 || down[0] != 1 {
+		t.Fatalf("DownPeers() = %v, want [1]", down)
 	}
 }
 

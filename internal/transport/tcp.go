@@ -54,8 +54,8 @@ func (o TCPOptions) withDefaults() TCPOptions {
 //
 // Peer loss is isolated: a broken or heartbeat-stale connection fails only
 // operations involving that peer (with *PeerDownError); the rest of the mesh
-// keeps working. TCP implements PeerFailer (RevivePeer is a no-op: a real
-// rejoin needs a fresh dial, i.e. a new endpoint) and OpAborter.
+// keeps working. (RevivePeer only clears the local mark: a real rejoin needs
+// a fresh dial, i.e. a new endpoint.)
 type TCP struct {
 	rank     int
 	size     int
@@ -236,49 +236,32 @@ func (t *TCP) attach(peer int, c net.Conn) {
 	go t.readLoop(peer, c)
 }
 
-// readLoop decodes frames from peer. Any error — connection loss, a corrupt
-// header, an oversized count — fails that peer only: receives targeting it
-// get *PeerDownError while the rest of the mesh stays live.
+// readLoop delivers frames from peer. Any error fails that peer only:
+// receives targeting it get *PeerDownError while the rest of the mesh stays
+// live. That covers connection loss and everything readFrame rejects (the
+// wire is untrusted: an oversized count would otherwise drive a multi-GiB
+// allocation, and after a checksum mismatch frame boundaries are suspect),
+// and a frame the mailbox refuses, such as a second message under a
+// (from, tag) still undelivered: exiting quietly there would leave the
+// socket open and the peer's later sends falling into the void.
 func (t *TCP) readLoop(peer int, c net.Conn) {
-	var hdr [frameHeaderSize]byte
+	hdr := make([]byte, frameHeaderSize)
 	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		tag, payload, err := readFrame(c, hdr, t.opts.MaxFrameElems)
+		if err != nil {
 			t.peerLost(peer)
 			return
 		}
-		tag, count, crc := parseFrameHeader(hdr[:])
 		t.lastSeen[peer].Store(time.Now().UnixNano())
-		if tag == hbTag && count == 0 {
+		if tag == hbTag && len(payload) == 0 {
+			bufpool.PutFloat64(payload)
 			continue // heartbeat: liveness only, nothing to deliver
 		}
-		if err := checkFrameCount(count, t.opts.MaxFrameElems); err != nil {
-			// The wire is untrusted: a corrupt count would otherwise drive a
-			// multi-GiB allocation. Treat the peer as failed.
-			t.peerLost(peer)
-			return
-		}
-		// Both the wire buffer and the decoded payload come from the pool;
-		// the wire buffer is recycled immediately, the payload when an
-		// into-receive consumes it.
-		buf := bufpool.GetBytes(8 * int(count))
-		if _, err := io.ReadFull(c, buf); err != nil {
-			bufpool.PutBytes(buf)
-			t.peerLost(peer)
-			return
-		}
-		if err := checkFrameCRC(buf, crc); err != nil {
-			// A corrupt payload fails only this peer: once frame boundaries
-			// are suspect, nothing further from this connection is usable,
-			// but the rest of the mesh keeps working.
-			bufpool.PutBytes(buf)
-			t.peerLost(peer)
-			return
-		}
-		payload := bufpool.GetFloat64(int(count))
-		decodePayloadInto(payload, buf)
-		bufpool.PutBytes(buf)
 		if err := t.box.deliver(message{from: peer, tag: tag, payload: payload}); err != nil {
 			bufpool.PutFloat64(payload)
+			if err != ErrClosed {
+				t.peerLost(peer)
+			}
 			return
 		}
 	}
@@ -401,37 +384,23 @@ func (t *TCP) Send(to int, tag uint64, payload []float64) error {
 	return nil
 }
 
-// Recv implements Transport.
-func (t *TCP) Recv(from int, tag uint64) ([]float64, error) {
-	if from < 0 || from >= t.size {
-		return nil, fmt.Errorf("transport: rank %d out of range", from)
-	}
-	return t.box.receive(from, tag)
-}
-
 // RecvInto implements Transport.
 func (t *TCP) RecvInto(from int, tag uint64, dst []float64) (int, error) {
-	if from < 0 || from >= t.size {
-		return 0, fmt.Errorf("transport: rank %d out of range", from)
-	}
-	return t.box.receiveInto(from, tag, dst)
+	return t.RecvIntoTimeout(from, tag, dst, 0)
 }
 
-// RecvIntoTimeout implements DeadlineRecver.
+// RecvIntoTimeout implements Transport.
 func (t *TCP) RecvIntoTimeout(from int, tag uint64, dst []float64, timeout time.Duration) (int, error) {
 	if from < 0 || from >= t.size {
 		return 0, fmt.Errorf("transport: rank %d out of range", from)
 	}
-	if timeout <= 0 {
-		return t.box.receiveInto(from, tag, dst)
-	}
-	return t.box.receiveIntoDeadline(from, tag, dst, timeout)
+	return t.box.receiveInto(from, tag, dst, timeout)
 }
 
-// PurgeOp implements OpPurger.
+// PurgeOp implements Transport.
 func (t *TCP) PurgeOp(op uint32) { t.box.purgeOp(op) }
 
-// FailPeer implements PeerFailer: peer is declared dead and its connection
+// FailPeer implements Transport: peer is declared dead and its connection
 // torn down.
 func (t *TCP) FailPeer(peer int) {
 	if peer < 0 || peer >= t.size || peer == t.rank {
@@ -440,7 +409,7 @@ func (t *TCP) FailPeer(peer int) {
 	t.peerLost(peer)
 }
 
-// RevivePeer implements PeerFailer. Over TCP a failed connection cannot be
+// RevivePeer implements Transport. Over TCP a failed connection cannot be
 // restored in place — a rejoining rank starts a fresh process and dials a new
 // mesh — so RevivePeer only clears the local mark to keep the interface
 // symmetric; data flow does not resume.
@@ -454,10 +423,10 @@ func (t *TCP) RevivePeer(peer int) {
 	t.box.revivePeer(peer)
 }
 
-// AbortOp implements OpAborter.
+// AbortOp implements Transport.
 func (t *TCP) AbortOp(op uint32) { t.box.abortOp(op, -1) }
 
-// FailSelf implements SelfFailer: it severs every connection, so each peer's
+// FailSelf implements Transport: it severs every connection, so each peer's
 // read loop observes this rank as down — the same thing the fabric would see
 // if the process exited — and marks every peer down locally so this
 // endpoint's own pending operations fail fast.

@@ -7,11 +7,11 @@
 //
 // Failure model: a peer can crash (fail-stop). Peer loss is isolated — only
 // operations involving that peer fail, with a typed *PeerDownError; traffic
-// between surviving ranks continues. Endpoints optionally implement
-// PeerFailer (declare a peer dead / revive it) and OpAborter (abort one
-// collective operation), which the live runtime's recovery path uses, and
-// the Faulty wrapper injects deterministic crashes, drops, and delays for
-// tests and experiments.
+// between surviving ranks continues. Every endpoint can declare a peer dead
+// or revive it, abort or purge one collective operation, bound a receive by
+// a deadline, and fail itself — the primitives the live runtime's recovery
+// path is built from — and the Faulty wrapper injects deterministic crashes,
+// drops, and delays for tests and experiments.
 package transport
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 // Transport is a rank's endpoint in a fixed-size communication world.
-// Sends are asynchronous (buffered); Recv blocks until a message with the
+// Sends are asynchronous (buffered); receives block until a message with the
 // requested source and tag arrives. A (from, tag) pair identifies at most
 // one outstanding message at a time, which the collectives guarantee by
 // deriving tags from (operation id, phase, step).
@@ -36,87 +36,47 @@ type Transport interface {
 	// Send delivers payload to rank to with the given tag. The payload is
 	// copied before Send returns; the caller may reuse it.
 	Send(to int, tag uint64, payload []float64) error
-	// Recv blocks until a message from rank from with the given tag arrives
-	// and returns its payload. The returned slice is owned by the caller.
-	Recv(from int, tag uint64) ([]float64, error)
-	// RecvInto blocks like Recv but copies the payload into dst, returning
-	// the element count. It is the zero-allocation receive: the transport's
-	// internal buffer is recycled instead of escaping to the caller. If the
-	// payload is longer than dst, RecvInto fails with an error matching
-	// ErrShortBuffer (the message is consumed — a length mismatch is a
-	// protocol bug, not a retryable condition). n may be smaller than
-	// len(dst); dst[n:] is untouched.
+	// RecvInto blocks until a message from rank from with the given tag
+	// arrives and copies its payload into dst, returning the element count.
+	// The transport's internal buffer is recycled instead of escaping to the
+	// caller, so a steady-state receive allocates nothing. If the payload is
+	// longer than dst, RecvInto fails with an error matching ErrShortBuffer
+	// (the message is consumed — a length mismatch is a protocol bug, not a
+	// retryable condition). n may be smaller than len(dst); dst[n:] is
+	// untouched.
 	RecvInto(from int, tag uint64, dst []float64) (int, error)
-	// Close releases the endpoint. Pending Recvs fail.
-	Close() error
-}
-
-// PeerFailer is implemented by endpoints that support per-peer failure
-// isolation: FailPeer declares a peer dead (pending and future operations
-// involving it fail with *PeerDownError; everything else keeps working), and
-// RevivePeer re-admits it after a checkpoint-based rejoin.
-type PeerFailer interface {
-	FailPeer(peer int)
-	RevivePeer(peer int)
-}
-
-// OpAborter is implemented by endpoints that can abort a single collective
-// operation: pending and future Recvs whose tag belongs to op fail with
-// *OpAbortedError. The live runtime uses it to unblock every member of a
-// group whose collective lost a participant.
-type OpAborter interface {
-	AbortOp(op uint32)
-}
-
-// DeadlineRecver is implemented by endpoints whose receives can be bounded
-// by a deadline: RecvIntoTimeout behaves like RecvInto but fails with a
-// *TimeoutError (matching ErrTimeout) if no message arrives within timeout.
-// A timeout consumes nothing — the message, should it arrive later, stays
-// deliverable. timeout <= 0 means no deadline (identical to RecvInto).
-//
-// Deadlines are what turn a severed link or a partition from an eternal hang
-// into a recoverable error: every blocking wait in the runtime is bounded by
-// one, and the retry/abort machinery above decides what to do next.
-type DeadlineRecver interface {
+	// RecvIntoTimeout is RecvInto bounded by a deadline: it fails with a
+	// *TimeoutError (matching ErrTimeout) if no message arrives within
+	// timeout. A timeout consumes nothing — the message, should it arrive
+	// later, stays deliverable. timeout <= 0 means no deadline.
+	//
+	// Deadlines are what turn a severed link or a partition from an eternal
+	// hang into a recoverable error: every blocking wait in the runtime is
+	// bounded by one, and the retry/abort machinery above decides what to do
+	// next.
 	RecvIntoTimeout(from int, tag uint64, dst []float64, timeout time.Duration) (int, error)
-}
-
-// OpPurger is implemented by endpoints that can discard buffered frames of a
-// collective operation without poisoning future receives (unlike OpAborter).
-// The retry machinery uses it between attempts: frames from a timed-out
-// attempt's stale tag epoch are dropped so they cannot alias a later one.
-type OpPurger interface {
+	// PurgeOp discards buffered frames of collective op without poisoning
+	// future receives. The retry machinery uses it between attempts: frames
+	// from a timed-out attempt's stale tag epoch are dropped so they cannot
+	// alias a later one.
 	PurgeOp(op uint32)
-}
-
-// RecvIntoDeadline is the package-level deadline receive: it uses
-// DeadlineRecver when the endpoint supports it and timeout > 0, and falls
-// back to a plain (unbounded) RecvInto otherwise.
-func RecvIntoDeadline(t Transport, from int, tag uint64, dst []float64, timeout time.Duration) (int, error) {
-	if timeout > 0 {
-		if dr, ok := t.(DeadlineRecver); ok {
-			return dr.RecvIntoTimeout(from, tag, dst, timeout)
-		}
-	}
-	return t.RecvInto(from, tag, dst)
-}
-
-// PurgeOpAt discards op's buffered frames at t when supported (no-op
-// otherwise).
-func PurgeOpAt(t Transport, op uint32) {
-	if op2, ok := t.(OpPurger); ok {
-		op2.PurgeOp(op)
-	}
-}
-
-// SelfFailer lets an endpoint simulate its own fail-stop crash without
-// tearing down the process: after FailSelf, every peer observes this rank as
-// down (exactly as if its process had exited and its connections broken),
-// and the endpoint's own pending and future operations fail with
-// *PeerDownError. Fault-injection harnesses use it to kill one rank of an
-// in-process world.
-type SelfFailer interface {
+	// AbortOp aborts collective op at this endpoint: pending and future
+	// receives whose tag belongs to op fail with *OpAbortedError. The live
+	// runtime uses it to unblock every member of a group whose collective
+	// lost a participant.
+	AbortOp(op uint32)
+	// FailPeer declares peer dead: pending and future operations involving
+	// it fail with *PeerDownError; everything else keeps working.
+	FailPeer(peer int)
+	// RevivePeer re-admits peer after a checkpoint-based rejoin.
+	RevivePeer(peer int)
+	// FailSelf simulates this endpoint's own fail-stop crash without tearing
+	// down the process: every peer observes this rank as down (exactly as if
+	// its process had exited and its connections broken), and the endpoint's
+	// own pending and future operations fail with *PeerDownError.
 	FailSelf()
+	// Close releases the endpoint. Pending receives fail.
+	Close() error
 }
 
 // ErrClosed is returned by operations on a closed transport.
@@ -205,31 +165,36 @@ type key struct {
 	tag  uint64
 }
 
-// recvResult completes a blocked receive: n elements copied (into mode) or
-// the payload handed off (plain mode), or an error.
+// recvResult completes a receive: n elements copied into the receiver's
+// buffer, or an error.
 type recvResult struct {
-	payload []float64
-	n       int
-	err     error
+	n   int
+	err error
 }
 
-// waiter is one blocked receive. In into mode (dst non-nil or into set), the
-// delivering goroutine copies the payload into dst and recycles the internal
-// buffer; in plain mode the buffer is handed off to the receiver. Waiters are
-// pooled: a ring step's receive must not allocate.
+// fill copies payload into dst, the one place a received payload meets its
+// destination buffer.
+func fill(dst, payload []float64) recvResult {
+	if len(payload) > len(dst) {
+		return recvResult{err: fmt.Errorf("%w: payload %d into %d", ErrShortBuffer, len(payload), len(dst))}
+	}
+	return recvResult{n: copy(dst, payload)}
+}
+
+// waiter is one blocked receive: the delivering goroutine copies the payload
+// into dst and publishes the result on ch. Waiters are pooled: a ring step's
+// receive must not allocate.
 type waiter struct {
-	dst  []float64
-	into bool
-	ch   chan recvResult
+	dst []float64
+	ch  chan recvResult
 }
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan recvResult, 1)} }}
 
 // mailbox matches incoming messages to waiting receivers, with per-peer
 // failure isolation and per-operation aborts. Pending payload buffers are
-// pool-owned (bufpool); they are recycled when consumed by an into-receive or
-// dropped by failure paths, and handed off (leaving the pool's custody) when
-// consumed by a plain receive.
+// pool-owned (bufpool); they are recycled when a receive consumes them or a
+// failure path drops them.
 type mailbox struct {
 	mu      sync.Mutex
 	pending map[key][]float64
@@ -250,29 +215,12 @@ func newMailbox() *mailbox {
 	}
 }
 
-// complete resolves waiter w with msg's payload, copying in into mode (and
-// recycling the buffer) or handing the buffer off in plain mode.
-func (w *waiter) complete(payload []float64) {
-	if !w.into {
-		w.ch <- recvResult{payload: payload}
-		return
-	}
-	if len(payload) > len(w.dst) {
-		bufpool.PutFloat64(payload)
-		w.ch <- recvResult{err: fmt.Errorf("%w: payload %d into %d", ErrShortBuffer, len(payload), len(w.dst))}
-		return
-	}
-	n := copy(w.dst, payload)
-	bufpool.PutFloat64(payload)
-	w.ch <- recvResult{n: n}
-}
-
-// deliverDirect attempts to complete a blocked into-mode receive straight
-// from the sender's payload, skipping the intermediate pooled copy — the
-// common case on a pipelined ring, where the receiver is already parked in
-// RecvInto by the time the matching Send runs. It returns handled=true when
-// the message was consumed (or terminally rejected); handled=false means no
-// into-waiter was parked and the caller must fall back to deliver.
+// deliverDirect attempts to complete a blocked receive straight from the
+// sender's payload, skipping the intermediate pooled copy — the common case
+// on a pipelined ring, where the receiver is already parked in RecvInto by
+// the time the matching Send runs. It returns handled=true when the message
+// was consumed (or terminally rejected); handled=false means no receiver was
+// parked and the caller must fall back to deliver.
 //
 // The copy into w.dst happens after m.mu is released: removing w from
 // m.waiters under the lock makes this goroutine the only one that can
@@ -294,19 +242,14 @@ func (m *mailbox) deliverDirect(from int, tag uint64, payload []float64) (bool, 
 	}
 	k := key{from: from, tag: tag}
 	w, ok := m.waiters[k]
-	if !ok || !w.into {
+	if !ok {
 		m.mu.Unlock()
 		return false, nil
 	}
 	delete(m.waiters, k)
 	m.mu.Unlock()
 
-	if len(payload) > len(w.dst) {
-		w.ch <- recvResult{err: fmt.Errorf("%w: payload %d into %d", ErrShortBuffer, len(payload), len(w.dst))}
-		return true, nil
-	}
-	n := copy(w.dst, payload)
-	w.ch <- recvResult{n: n}
+	w.ch <- fill(w.dst, payload)
 	return true, nil
 }
 
@@ -336,7 +279,9 @@ func (m *mailbox) deliver(msg message) error {
 	k := key{from: msg.from, tag: msg.tag}
 	if w, ok := m.waiters[k]; ok {
 		delete(m.waiters, k)
-		w.complete(msg.payload)
+		r := fill(w.dst, msg.payload)
+		bufpool.PutFloat64(msg.payload)
+		w.ch <- r
 		return nil
 	}
 	if _, dup := m.pending[k]; dup {
@@ -344,20 +289,6 @@ func (m *mailbox) deliver(msg message) error {
 	}
 	m.pending[k] = msg.payload
 	return nil
-}
-
-// receiveWait registers a pooled waiter for (from, tag) in into or plain
-// mode, blocks for the result, and recycles the waiter.
-func (m *mailbox) receiveWait(k key, dst []float64, into bool) recvResult {
-	w := waiterPool.Get().(*waiter)
-	w.dst, w.into = dst, into
-	m.waiters[k] = w
-	m.mu.Unlock()
-
-	r := <-w.ch
-	w.dst = nil
-	waiterPool.Put(w)
-	return r
 }
 
 // checkReceivable reports (under m.mu) whether a receive from (from, tag)
@@ -375,23 +306,14 @@ func (m *mailbox) checkReceivable(from int, tag uint64) error {
 	return nil
 }
 
-func (m *mailbox) receive(from int, tag uint64) ([]float64, error) {
-	k := key{from: from, tag: tag}
-	m.mu.Lock()
-	if err := m.checkReceivable(from, tag); err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
-	if p, ok := m.pending[k]; ok {
-		delete(m.pending, k)
-		m.mu.Unlock()
-		return p, nil // buffer ownership passes to the caller
-	}
-	r := m.receiveWait(k, nil, false) // unlocks m.mu
-	return r.payload, r.err
-}
-
-func (m *mailbox) receiveInto(from int, tag uint64, dst []float64) (int, error) {
+// receiveInto is the one blocking receive: it consumes a buffered message or
+// parks a pooled waiter for (from, tag) until a delivery or a failure path
+// completes it. timeout > 0 bounds the wait: on expiry the waiter is
+// withdrawn under the lock, and if a deliverer got to it first the delivery
+// wins and the receive completes normally, so a timeout consumes nothing.
+// The unbounded wait arms no timer (the steady-state ring must not
+// allocate).
+func (m *mailbox) receiveInto(from int, tag uint64, dst []float64, timeout time.Duration) (int, error) {
 	k := key{from: from, tag: tag}
 	m.mu.Lock()
 	if err := m.checkReceivable(from, tag); err != nil {
@@ -401,64 +323,39 @@ func (m *mailbox) receiveInto(from int, tag uint64, dst []float64) (int, error) 
 	if p, ok := m.pending[k]; ok {
 		delete(m.pending, k)
 		m.mu.Unlock()
-		if len(p) > len(dst) {
-			bufpool.PutFloat64(p)
-			return 0, fmt.Errorf("%w: payload %d into %d", ErrShortBuffer, len(p), len(dst))
-		}
-		n := copy(dst, p)
+		r := fill(dst, p)
 		bufpool.PutFloat64(p)
-		return n, nil
+		return r.n, r.err
 	}
-	r := m.receiveWait(k, dst, true) // unlocks m.mu
-	return r.n, r.err
-}
-
-// receiveIntoDeadline is receiveInto bounded by timeout. On expiry the waiter
-// is withdrawn under the lock; if a deliverer got to it first, the delivery
-// wins and the receive completes normally. A timeout consumes nothing.
-func (m *mailbox) receiveIntoDeadline(from int, tag uint64, dst []float64, timeout time.Duration) (int, error) {
-	k := key{from: from, tag: tag}
-	m.mu.Lock()
-	if err := m.checkReceivable(from, tag); err != nil {
-		m.mu.Unlock()
-		return 0, err
-	}
-	if p, ok := m.pending[k]; ok {
-		delete(m.pending, k)
-		m.mu.Unlock()
-		if len(p) > len(dst) {
-			bufpool.PutFloat64(p)
-			return 0, fmt.Errorf("%w: payload %d into %d", ErrShortBuffer, len(p), len(dst))
-		}
-		n := copy(dst, p)
-		bufpool.PutFloat64(p)
-		return n, nil
-	}
-
 	w := waiterPool.Get().(*waiter)
-	w.dst, w.into = dst, true
+	w.dst = dst
 	m.waiters[k] = w
 	m.mu.Unlock()
 
-	timer := time.NewTimer(timeout)
 	var r recvResult
-	select {
-	case r = <-w.ch:
-		timer.Stop()
-	case <-timer.C:
-		m.mu.Lock()
-		if cur, ok := m.waiters[k]; ok && cur == w {
-			// Still parked: withdraw it. We own the waiter again.
-			delete(m.waiters, k)
-			m.mu.Unlock()
-			w.dst = nil
-			waiterPool.Put(w)
-			return 0, &TimeoutError{Peer: from, Tag: tag, Timeout: timeout}
-		}
-		// A deliverer (or failure path) already claimed the waiter; its
-		// result is in flight on w.ch. Accept it — the message was consumed.
-		m.mu.Unlock()
+	if timeout <= 0 {
 		r = <-w.ch
+	} else {
+		timer := time.NewTimer(timeout)
+		select {
+		case r = <-w.ch:
+			timer.Stop()
+		case <-timer.C:
+			m.mu.Lock()
+			parked := m.waiters[k] == w
+			if parked {
+				delete(m.waiters, k)
+			}
+			m.mu.Unlock()
+			if parked {
+				r.err = &TimeoutError{Peer: from, Tag: tag, Timeout: timeout}
+			} else {
+				// A deliverer (or failure path) already claimed the waiter;
+				// its result is in flight on w.ch. Accept it — the message
+				// was consumed.
+				r = <-w.ch
+			}
+		}
 	}
 	w.dst = nil
 	waiterPool.Put(w)
@@ -555,14 +452,11 @@ func (m *mailbox) close() {
 }
 
 // FailPeerEverywhere declares dead crashed at every other endpoint of an
-// in-process world that supports per-peer failure isolation.
+// in-process world.
 func FailPeerEverywhere(world []Transport, dead int) {
 	for i, t := range world {
-		if i == dead || t == nil {
-			continue
-		}
-		if pf, ok := t.(PeerFailer); ok {
-			pf.FailPeer(dead)
+		if i != dead && t != nil {
+			t.FailPeer(dead)
 		}
 	}
 }
@@ -570,11 +464,8 @@ func FailPeerEverywhere(world []Transport, dead int) {
 // RevivePeerEverywhere re-admits peer at every other endpoint (rejoin).
 func RevivePeerEverywhere(world []Transport, peer int) {
 	for i, t := range world {
-		if i == peer || t == nil {
-			continue
-		}
-		if pf, ok := t.(PeerFailer); ok {
-			pf.RevivePeer(peer)
+		if i != peer && t != nil {
+			t.RevivePeer(peer)
 		}
 	}
 }
@@ -583,11 +474,8 @@ func RevivePeerEverywhere(world []Transport, peer int) {
 // the rank whose loss triggered the abort).
 func AbortOpEverywhere(world []Transport, members []int, op uint32, dead int) {
 	for _, m := range members {
-		if m == dead || m < 0 || m >= len(world) || world[m] == nil {
-			continue
-		}
-		if oa, ok := world[m].(OpAborter); ok {
-			oa.AbortOp(op)
+		if m != dead && m >= 0 && m < len(world) && world[m] != nil {
+			world[m].AbortOp(op)
 		}
 	}
 }
@@ -641,56 +529,40 @@ func (m *Mem) Send(to int, tag uint64, payload []float64) error {
 	return nil
 }
 
-// Recv implements Transport. The returned buffer leaves the pool's custody
-// (the caller owns it); prefer RecvInto on hot paths.
-func (m *Mem) Recv(from int, tag uint64) ([]float64, error) {
-	if from < 0 || from >= len(m.world) {
-		return nil, fmt.Errorf("transport: rank %d out of range", from)
-	}
-	return m.world[m.rank].receive(from, tag)
-}
-
-// RecvInto implements Transport: the payload is copied into dst and the
-// internal buffer recycled — the zero-allocation receive.
+// RecvInto implements Transport.
 func (m *Mem) RecvInto(from int, tag uint64, dst []float64) (int, error) {
-	if from < 0 || from >= len(m.world) {
-		return 0, fmt.Errorf("transport: rank %d out of range", from)
-	}
-	return m.world[m.rank].receiveInto(from, tag, dst)
+	return m.RecvIntoTimeout(from, tag, dst, 0)
 }
 
-// RecvIntoTimeout implements DeadlineRecver.
+// RecvIntoTimeout implements Transport.
 func (m *Mem) RecvIntoTimeout(from int, tag uint64, dst []float64, timeout time.Duration) (int, error) {
 	if from < 0 || from >= len(m.world) {
 		return 0, fmt.Errorf("transport: rank %d out of range", from)
 	}
-	if timeout <= 0 {
-		return m.world[m.rank].receiveInto(from, tag, dst)
-	}
-	return m.world[m.rank].receiveIntoDeadline(from, tag, dst, timeout)
+	return m.world[m.rank].receiveInto(from, tag, dst, timeout)
 }
 
-// PurgeOp implements OpPurger.
+// PurgeOp implements Transport.
 func (m *Mem) PurgeOp(op uint32) { m.world[m.rank].purgeOp(op) }
 
-// FailPeer implements PeerFailer: this endpoint treats peer as crashed.
+// FailPeer implements Transport: this endpoint treats peer as crashed.
 func (m *Mem) FailPeer(peer int) {
 	if peer >= 0 && peer < len(m.world) {
 		m.world[m.rank].failPeer(peer)
 	}
 }
 
-// RevivePeer implements PeerFailer.
+// RevivePeer implements Transport.
 func (m *Mem) RevivePeer(peer int) {
 	if peer >= 0 && peer < len(m.world) {
 		m.world[m.rank].revivePeer(peer)
 	}
 }
 
-// AbortOp implements OpAborter.
+// AbortOp implements Transport.
 func (m *Mem) AbortOp(op uint32) { m.world[m.rank].abortOp(op, -1) }
 
-// FailSelf implements SelfFailer: every peer sees this rank as down, and
+// FailSelf implements Transport: every peer sees this rank as down, and
 // this rank sees every peer as down — the in-process equivalent of the
 // process exiting and all its connections breaking.
 func (m *Mem) FailSelf() {

@@ -8,12 +8,20 @@ import (
 	"time"
 )
 
+// recv receives one message of at most 1<<17 elements, returning exactly the
+// delivered payload.
+func recv(t Transport, from int, tag uint64) ([]float64, error) {
+	buf := make([]float64, 1<<17)
+	n, err := t.RecvInto(from, tag, buf)
+	return buf[:n], err
+}
+
 func TestMemSendRecv(t *testing.T) {
 	eps := NewMem(3)
 	if err := eps[0].Send(1, 7, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := eps[1].Recv(0, 7)
+	got, err := recv(eps[1], 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +34,7 @@ func TestMemRecvBlocksUntilSend(t *testing.T) {
 	eps := NewMem(2)
 	done := make(chan []float64, 1)
 	go func() {
-		p, err := eps[1].Recv(0, 1)
+		p, err := recv(eps[1], 0, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -54,7 +62,7 @@ func TestMemPayloadCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload[0] = 99 // mutation after Send must not affect delivery
-	got, err := eps[1].Recv(0, 1)
+	got, err := recv(eps[1], 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +75,11 @@ func TestMemTagMatching(t *testing.T) {
 	eps := NewMem(2)
 	eps[0].Send(1, 2, []float64{2})
 	eps[0].Send(1, 1, []float64{1})
-	got, err := eps[1].Recv(0, 1)
+	got, err := recv(eps[1], 0, 1)
 	if err != nil || got[0] != 1 {
 		t.Fatalf("tag 1: %v %v", got, err)
 	}
-	got, err = eps[1].Recv(0, 2)
+	got, err = recv(eps[1], 0, 2)
 	if err != nil || got[0] != 2 {
 		t.Fatalf("tag 2: %v %v", got, err)
 	}
@@ -82,7 +90,7 @@ func TestMemSelfSend(t *testing.T) {
 	if err := eps[0].Send(0, 5, []float64{3.14}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := eps[0].Recv(0, 5)
+	got, err := recv(eps[0], 0, 5)
 	if err != nil || got[0] != 3.14 {
 		t.Fatalf("self-send: %v %v", got, err)
 	}
@@ -102,7 +110,7 @@ func TestMemCloseFailsPendingRecv(t *testing.T) {
 	eps := NewMem(2)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := eps[1].Recv(0, 1)
+		_, err := recv(eps[1], 0, 1)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -120,7 +128,7 @@ func TestMemRangeChecks(t *testing.T) {
 	if err := eps[0].Send(5, 1, nil); err == nil {
 		t.Fatal("out-of-range send accepted")
 	}
-	if _, err := eps[0].Recv(-1, 1); err == nil {
+	if _, err := recv(eps[0], -1, 1); err == nil {
 		t.Fatal("out-of-range recv accepted")
 	}
 }
@@ -184,7 +192,7 @@ func TestTCPMesh(t *testing.T) {
 	}
 	for from := 0; from < 3; from++ {
 		for to := 0; to < 3; to++ {
-			got, err := eps[to].Recv(from, uint64(from*3+to))
+			got, err := recv(eps[to], from, uint64(from*3+to))
 			if err != nil {
 				t.Fatalf("recv %d->%d: %v", from, to, err)
 			}
@@ -204,7 +212,7 @@ func TestTCPLargePayload(t *testing.T) {
 	if err := eps[0].Send(1, 9, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := eps[1].Recv(0, 9)
+	got, err := recv(eps[1], 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +248,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < msgs; i++ {
-		got, err := eps[1].Recv(0, uint64(i))
+		got, err := recv(eps[1], 0, uint64(i))
 		if err != nil || got[0] != float64(i) {
 			t.Fatalf("msg %d: %v %v", i, got, err)
 		}
@@ -259,7 +267,7 @@ func TestTCPSizeRank(t *testing.T) {
 func ExampleNewMem() {
 	eps := NewMem(2)
 	eps[0].Send(1, 1, []float64{1, 2})
-	got, _ := eps[1].Recv(0, 1)
+	got, _ := recv(eps[1], 0, 1)
 	fmt.Println(got)
 	// Output: [1 2]
 }
