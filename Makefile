@@ -7,9 +7,9 @@ GO ?= go
 
 # Packages whose tests exercise real goroutine concurrency and therefore run
 # under the race detector as part of tier-1.
-RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/core/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
+RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
 
-.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard bench bench-smoke fuzz loc clean
+.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard bench bench-smoke fuzz sweepdiff loc clean
 
 ci: vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard bench-smoke
 
@@ -118,6 +118,13 @@ fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzPolicyStateCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/live/ -run '^$$' -fuzz FuzzControlCodec -fuzztime $(FUZZTIME)
+
+# Simulator byte-identity against another commit: every sweep CSV, the traced
+# run and timing-stripped stdout of preduce-bench must equal BASE's for the
+# same seed. Not in ci (~7 min); run it for any change that claims the
+# sweeps are untouched: make sweepdiff BASE=HEAD~1
+sweepdiff:
+	sh scripts/sweepdiff.sh $(BASE)
 
 # Non-test Go lines per internal package and for the whole module (bench/ is
 # a module of its own and is not counted).

@@ -7,8 +7,7 @@
 //	preduce-bench -exp fig9 -seed 3      # production-cluster comparison
 //	preduce-bench -exp all -quick        # everything, reduced budgets
 //
-// Experiments: table1, fig4, fig7a, fig7b, fig8, fig9, fig10, fig11,
-// ablations, all.
+// The experiment IDs are internal/experiments' registry; -h lists them.
 package main
 
 import (
@@ -25,86 +24,23 @@ import (
 	"partialreduce/internal/trace"
 )
 
-// outDir, when non-empty, receives plot-ready CSV exports per experiment.
-var outDir string
-
-// showComms, when set, prints each run's modeled data-plane traffic.
-var showComms bool
-
-// reportComms prints one modeled-traffic line per result (also exported in
-// the summary CSV columns when -csv is set).
-func reportComms(results ...*metrics.Result) {
-	if !showComms {
-		return
-	}
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		fmt.Printf("comms %-18s ops=%6d sent=%.1fMB recv=%.1fMB retries=%d timeouts=%d aborts=%d\n",
-			r.Strategy, r.Comms.Ops,
-			float64(r.Comms.BytesSent)/1e6, float64(r.Comms.BytesRecv)/1e6,
-			r.Comms.Retries, r.Comms.Timeouts, r.Comms.Aborts)
-	}
-}
-
-// exportCurves writes a curve CSV for a figure when -csv is set.
-func exportCurves(name string, results ...*metrics.Result) {
-	if outDir == "" {
-		return
-	}
-	f, err := os.Create(filepath.Join(outDir, name+".csv"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "csv:", err)
-		return
-	}
-	defer f.Close()
-	if err := metrics.WriteCurvesCSV(f, results...); err != nil {
-		fmt.Fprintln(os.Stderr, "csv:", err)
-	}
-}
-
-// exportSummary writes a summary CSV for a table when -csv is set.
-func exportSummary(name string, results ...*metrics.Result) {
-	if outDir == "" {
-		return
-	}
-	f, err := os.Create(filepath.Join(outDir, name+".csv"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "csv:", err)
-		return
-	}
-	defer f.Close()
-	if err := metrics.WriteSummaryCSV(f, results...); err != nil {
-		fmt.Fprintln(os.Stderr, "csv:", err)
-	}
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment id: table1|fig4|fig7a|fig7b|fig8|fig9|fig10|fig11|geo|seeds|crash|partition|adaptive|elastic|ablations|all")
+	exp := flag.String("exp", "all", "experiment id: "+strings.Join(experiments.IDs(), "|")+"|all")
 	seed := flag.Int64("seed", 1, "master seed for datasets, initialization and timing draws")
 	quickFlag := flag.Bool("quick", false, "reduced update budgets and thresholds")
 	parallel := flag.Int("parallel", 0, "max concurrent cells (0 = GOMAXPROCS)")
 	csvDir := flag.String("csv", "", "directory to write plot-ready CSV files into (curves and summaries)")
-	comms := flag.Bool("comms", false, "print modeled data-plane traffic (ops, bytes) per run")
+	comms := flag.Bool("comms", false, "print modeled data-plane traffic (ops, bytes) per exported run")
 	tracePath := flag.String("trace", "",
 		"instead of -exp, run one traced P-Reduce simulation (ResNet-34/CIFAR-10, production trace, CON P=4) and write its virtual-clock trace here (.json: Chrome trace-event, loadable in Perfetto; .jsonl: streaming event log)")
 	traceBuf := flag.Int("trace-buf", 0,
 		"trace event-ring capacity (0: default 65536; oldest events drop when full)")
 	policyName := flag.String("policy", "",
-		"group-formation policy retrofitted onto every P-Reduce run: static|adaptive-p|straggler-bias (empty: controller default)")
+		"group-formation policy retrofitted onto every P-Reduce run of a named strategy (CON/DYN/... P=<p>, and -trace); runs that pin an explicit controller config — ablations, fig4, geo's zone-affinity run — do not take it: static|adaptive-p|straggler-bias (empty: controller default)")
 	pMin := flag.Int("p-min", 0, "adaptive-p lower group-size bound (0: default 2)")
 	pMax := flag.Int("p-max", 0, "adaptive-p upper group-size bound (0: the strategy's configured P)")
 	policyWindow := flag.Int("policy-window", 0, "formations between adaptive-p decisions (0: default 8)")
 	flag.Parse()
-	showComms = *comms
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	outDir = *csvDir
 
 	opts := experiments.Options{
 		Seed: *seed, Quick: *quickFlag, Parallelism: *parallel,
@@ -119,218 +55,82 @@ func main() {
 		return
 	}
 
-	runners := map[string]func(experiments.Options) error{
-		"table1":    runTable1,
-		"fig4":      runFig4,
-		"fig7a":     runFig7a,
-		"fig7b":     runFig7b,
-		"fig8":      runFig8,
-		"fig9":      runFig9,
-		"fig10":     runFig10,
-		"fig11":     runFig11,
-		"ablations": runAblations,
-		"geo":       runGeo,
-		"seeds":     runSeeds,
-		"crash":     runCrash,
-		"partition": runPartition,
-		"adaptive":  runAdaptive,
-		"elastic":   runElastic,
-	}
-	order := []string{"fig4", "table1", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11", "geo", "seeds", "crash", "partition", "adaptive", "elastic", "ablations"}
-
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else if _, ok := runners[*exp]; ok {
-		ids = []string{*exp}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+	exps, err := experiments.Select(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	for _, id := range ids {
-		start := time.Now()
-		fmt.Printf("=== %s (seed=%d quick=%v) ===\n", id, *seed, *quickFlag)
-		if err := runners[id](opts); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("--- %s done in %s ---\n\n", id, time.Since(start).Round(time.Millisecond))
+	}
+	for _, e := range exps {
+		start := time.Now()
+		fmt.Printf("=== %s (seed=%d quick=%v) ===\n", e.ID, *seed, *quickFlag)
+		rep, err := e.Run(opts)
+		if err == nil {
+			rep.Format(os.Stdout)
+			err = export(e.ID, rep, *csvDir, *comms)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			os.Exit(1)
+		}
+		fmt.Printf("--- %s done in %s ---\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 }
 
-func runTable1(opts experiments.Options) error {
-	res, err := experiments.Table1(opts)
-	if err != nil {
-		return err
+// export handles a report's CSV exports, if it has any: each is written
+// into dir (when set) as "<id>.csv", or "<id>-<i>.csv" when there are
+// several, and with comms its runs' modeled traffic is printed — the same
+// numbers the summary CSV carries in its comms columns.
+func export(id string, rep experiments.Report, dir string, comms bool) error {
+	ex, ok := rep.(experiments.Exporter)
+	if !ok {
+		return nil
 	}
-	res.Format(os.Stdout)
-	// Walk the table in its printed order (block, HL, strategy) so the
-	// summary CSV and comms lines are byte-identical across runs — ranging
-	// over the Cells maps would randomize the rows.
-	var all []*metrics.Result
-	for _, blk := range res.Blocks {
-		for _, hl := range blk.HLs {
-			for _, s := range experiments.Table1Strategies {
-				if r := blk.Cells[hl][s]; r != nil {
-					all = append(all, r)
-				}
+	exports := ex.Exports()
+	for i, e := range exports {
+		name := id
+		if len(exports) > 1 {
+			name = fmt.Sprintf("%s-%d", id, i)
+		}
+		if dir != "" {
+			if err := writeCSV(filepath.Join(dir, name+".csv"), e); err != nil {
+				return fmt.Errorf("csv: %w", err)
+			}
+		}
+		for _, r := range e.Results {
+			if comms && r != nil {
+				fmt.Printf("comms %-18s ops=%6d sent=%.1fMB recv=%.1fMB retries=%d timeouts=%d aborts=%d\n",
+					r.Strategy, r.Comms.Ops,
+					float64(r.Comms.BytesSent)/1e6, float64(r.Comms.BytesRecv)/1e6,
+					r.Comms.Retries, r.Comms.Timeouts, r.Comms.Aborts)
 			}
 		}
 	}
-	exportSummary("table1", all...)
-	reportComms(all...)
-	for _, m := range []string{"resnet34", "vgg19", "densenet121"} {
-		for _, hl := range []int{1, 2, 3} {
-			if name, best := res.Best(m, hl); best != nil {
-				fmt.Printf("best run time %s HL=%d: %s (%.0fs)\n", m, hl, name, best.RunTime)
-			}
-		}
-	}
 	return nil
 }
 
-func runFig4(opts experiments.Options) error {
-	res, err := experiments.Fig4(opts)
+// writeCSV writes one export to path. A failed create, write or close is an
+// error: a sweep whose file was not written must not exit 0.
+func writeCSV(path string, e experiments.Export) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	res.Format(os.Stdout)
-	return nil
-}
-
-func runFig7a(opts experiments.Options) error {
-	cs, err := experiments.Fig7a(opts)
-	if err != nil {
+	write := metrics.WriteSummaryCSV
+	if e.Curves {
+		write = metrics.WriteCurvesCSV
+	}
+	if err := write(f, e.Results...); err != nil {
+		f.Close()
 		return err
 	}
-	cs.Format(os.Stdout)
-	exportCurveSet("fig7a", cs)
-	return nil
-}
-
-// exportCurveSet dumps every series of a figure.
-func exportCurveSet(name string, cs *experiments.CurveSet) {
-	var rs []*metrics.Result
-	for _, s := range cs.Order {
-		if r := cs.Final[s]; r != nil {
-			rs = append(rs, r)
-		}
-	}
-	exportCurves(name, rs...)
-	reportComms(rs...)
-}
-
-func runFig7b(opts experiments.Options) error {
-	cs, err := experiments.Fig7b(opts)
-	if err != nil {
-		return err
-	}
-	cs.Format(os.Stdout)
-	exportCurveSet("fig7b", cs)
-	return nil
-}
-
-func runFig8(opts experiments.Options) error {
-	res, err := experiments.Fig8(opts)
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	return nil
-}
-
-func runFig9(opts experiments.Options) error {
-	res, err := experiments.Fig9(opts)
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	return nil
-}
-
-func runFig10(opts experiments.Options) error {
-	sets, err := experiments.Fig10(opts)
-	if err != nil {
-		return err
-	}
-	for i, cs := range sets {
-		cs.Format(os.Stdout)
-		exportCurveSet(fmt.Sprintf("fig10-%d", i), cs)
-	}
-	return nil
-}
-
-func runFig11(opts experiments.Options) error {
-	results, err := experiments.Fig11(opts)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		res.Format(os.Stdout)
-	}
-	return nil
-}
-
-func runGeo(opts experiments.Options) error {
-	res, err := experiments.GeoStudy(opts)
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	return nil
-}
-
-func runSeeds(opts experiments.Options) error {
-	res, err := experiments.Robustness(opts, 5)
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	return nil
-}
-
-func runCrash(opts experiments.Options) error {
-	res, err := experiments.RobustnessCrash(opts, []float64{0, 0.15, 0.3, 0.45})
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	return nil
-}
-
-func runAdaptive(opts experiments.Options) error {
-	res, err := experiments.RobustnessAdaptive(opts, 6)
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	exportSummary("adaptive", res.Results...)
-	reportComms(res.Results...)
-	return nil
-}
-
-func runElastic(opts experiments.Options) error {
-	res, err := experiments.RobustnessElastic(opts)
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	exportSummary("elastic", res.Results()...)
-	reportComms(res.Results()...)
-	return nil
-}
-
-func runPartition(opts experiments.Options) error {
-	res, err := experiments.RobustnessPartition(opts, []float64{0, 4, 12})
-	if err != nil {
-		return err
-	}
-	res.Format(os.Stdout)
-	exportSummary("partition", res.Results...)
-	reportComms(res.Results...)
-	return nil
+	return f.Close()
 }
 
 // runTraced executes one traced P-Reduce simulation and exports its
@@ -362,22 +162,5 @@ func runTraced(path string, buf int, opts experiments.Options) error {
 		snap.Staleness.Quantile(0.5), snap.Staleness.Quantile(0.95), snap.Staleness.Max(),
 		time.Since(start).Round(time.Millisecond))
 	fmt.Printf("trace written to %s\n", path)
-	return nil
-}
-
-func runAblations(opts experiments.Options) error {
-	w, err := experiments.AblationWeights(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation: aggregation weighting (ResNet-34/CIFAR-10, production)")
-	w.Format(os.Stdout)
-
-	f, err := experiments.AblationGroupFilter(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation: group-frozen avoidance (adversarial 2+2 cluster, P=2)")
-	f.Format(os.Stdout)
 	return nil
 }

@@ -59,7 +59,7 @@ func (c *diffControl) ReportStuck(g controller.Group, op uint32) error          
 func (c *diffControl) Finished() error                                           { return nil }
 
 // TestSimLiveDifferential runs the same tiny seeded workload through both
-// Environment backends — RunPReduceSim on the virtual clock and
+// Environment backends — the PReduce strategy on the virtual clock and
 // RunPReduceWorker over in-memory transports — and asserts they compute the
 // same training run: identical group-update counts, identical fast-forwarded
 // iteration counters, and matching final weights.
@@ -99,11 +99,7 @@ func TestSimLiveDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCtrl, err := controller.New(controller.Config{N: n, P: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := engine.RunPReduceSim(engine.NewSimEnv(c), simCtrl, nil, 0)
+	res, err := engine.NewPReduce(engine.PReduceConfig{P: n}).Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}

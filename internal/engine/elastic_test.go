@@ -1,9 +1,10 @@
-package core
+package engine_test
 
 import (
 	"testing"
 
 	"partialreduce/internal/cluster"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/testutil"
 )
@@ -24,7 +25,7 @@ func TestElasticPReduceScalesThroughSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := NewPReduce(PReduceConfig{P: 3}).RunDetailed(c)
+	info, err := engine.NewPReduce(engine.PReduceConfig{P: 3}).RunDetailed(c)
 	if err != nil {
 		t.Fatal(err)
 	}

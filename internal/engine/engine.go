@@ -15,9 +15,10 @@
 //     no strategy ever touches ChargeRing/ChargeExchange directly) and
 //     LiveEnv (wraps a transport endpoint — wall clock, real bytes through
 //     the collective package);
-//   - the drivers: RunPReduceSim/RunOverlappedSim on the event engine, and
-//     RunPReduceWorker/RunAllReduceWorker as the blocking per-rank loops the
-//     live runtimes (in-process and multi-process) both execute.
+//   - the drivers: the PReduce strategy (PReduceConfig → controller wiring →
+//     the blocking or overlapped sim driver) and RunAllReduceSim on the event
+//     engine, and RunPReduceWorker/RunAllReduceWorker as the blocking per-rank
+//     loops the live runtimes (in-process and multi-process) both execute.
 //
 // Strategies and runtimes configure an Environment and invoke a driver; they
 // never re-implement the step. Adding a strategy or a backend is a

@@ -1,4 +1,4 @@
-package core
+package engine_test
 
 import (
 	"testing"
@@ -6,15 +6,16 @@ import (
 	"partialreduce/internal/baselines"
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/testutil"
 )
 
 // runDetailed builds a cluster for cfg and runs P-Reduce, returning the
 // cluster and the controller-side observables.
-func runDetailed(t *testing.T, cfg cluster.Config, pcfg PReduceConfig) (*cluster.Cluster, *RunInfo) {
+func runDetailed(t *testing.T, cfg cluster.Config, pcfg engine.PReduceConfig) (*cluster.Cluster, *engine.RunInfo) {
 	t.Helper()
-	p := NewPReduce(pcfg)
+	p := engine.NewPReduce(pcfg)
 	c, err := cluster.New(cfg, p.Name())
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +24,7 @@ func runDetailed(t *testing.T, cfg cluster.Config, pcfg PReduceConfig) (*cluster
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, info
+	return c, &info
 }
 
 // Two of eight workers fail-stop mid-run. P-Reduce excludes the corpses (§4)
@@ -35,7 +36,7 @@ func TestPReduceSurvivesCrashes(t *testing.T) {
 		{Worker: 3, At: 0.5},
 		{Worker: 6, At: 0.9},
 	}
-	c, info := runDetailed(t, cfg, PReduceConfig{P: 3})
+	c, info := runDetailed(t, cfg, engine.PReduceConfig{P: 3})
 	if !info.Result.Converged {
 		t.Fatalf("P-Reduce with crashes did not converge: %+v", info.Result)
 	}
@@ -71,7 +72,7 @@ func TestPReduceAbortsInflightGroup(t *testing.T) {
 		cfg := testutil.Config(t, 12)
 		cfg.Net.Bandwidth = 1e8 // ring all-reduce ~70 ms per group
 		cfg.Crashes = hetero.CrashSchedule{{Worker: 2, At: at}}
-		_, info := runDetailed(t, cfg, PReduceConfig{P: 3})
+		_, info := runDetailed(t, cfg, engine.PReduceConfig{P: 3})
 		if !info.Result.Converged {
 			t.Fatalf("crash at %v: did not converge", at)
 		}
@@ -87,7 +88,7 @@ func TestPReduceAbortsInflightGroup(t *testing.T) {
 func TestPReduceCrashRejoin(t *testing.T) {
 	cfg := testutil.Config(t, 13)
 	cfg.Crashes = hetero.CrashSchedule{{Worker: 4, At: 0.5, RejoinAt: 1.0}}
-	c, info := runDetailed(t, cfg, PReduceConfig{P: 3})
+	c, info := runDetailed(t, cfg, engine.PReduceConfig{P: 3})
 	if !info.Result.Converged {
 		t.Fatalf("run with rejoin did not converge: %+v", info.Result)
 	}
@@ -132,7 +133,7 @@ func TestOverlapRejectsCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPReduce(PReduceConfig{P: 3, Overlap: true}).Run(c); err == nil {
+	if _, err := engine.NewPReduce(engine.PReduceConfig{P: 3, Overlap: true}).Run(c); err == nil {
 		t.Fatal("overlap accepted a crash schedule")
 	}
 }
@@ -145,7 +146,7 @@ func TestSeedReplayDeterminismWithCrashes(t *testing.T) {
 		{Worker: 2, At: 0.5},
 		{Worker: 5, At: 0.8, RejoinAt: 1.2},
 	}
-	for _, pcfg := range []PReduceConfig{
+	for _, pcfg := range []engine.PReduceConfig{
 		{P: 3},
 		{P: 3, Weighting: controller.Dynamic, Approx: controller.ClosestIteration},
 	} {
@@ -160,13 +161,13 @@ func TestSeedReplayDeterminismWithCrashes(t *testing.T) {
 		t2, a2, u2, s2 := run()
 		if t1 != t2 || a1 != a2 || u1 != u2 {
 			t.Fatalf("%s: non-deterministic metrics: (%v,%v,%d) vs (%v,%v,%d)",
-				NewPReduce(pcfg).Name(), t1, a1, u1, t2, a2, u2)
+				engine.NewPReduce(pcfg).Name(), t1, a1, u1, t2, a2, u2)
 		}
 		if s1 != s2 {
-			t.Fatalf("%s: non-deterministic stats: %+v vs %+v", NewPReduce(pcfg).Name(), s1, s2)
+			t.Fatalf("%s: non-deterministic stats: %+v vs %+v", engine.NewPReduce(pcfg).Name(), s1, s2)
 		}
 		if s1.Failures != 2 || s1.Rejoins != 1 {
-			t.Fatalf("%s: schedule not applied: %+v", NewPReduce(pcfg).Name(), s1)
+			t.Fatalf("%s: schedule not applied: %+v", engine.NewPReduce(pcfg).Name(), s1)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package engine
 import "testing"
 
 // TestMachineCanonicalPath walks one worker through the full P-Reduce step
-// cycle — the exact sequence RunPReduceSim and RunPReduceWorker drive — and
+// cycle — the exact sequence runPReduceSim and RunPReduceWorker drive — and
 // through the solo-release and barrier-strategy shortcuts.
 func TestMachineCanonicalPath(t *testing.T) {
 	m := NewMachine(1)
@@ -88,7 +88,7 @@ func TestMachineIllegalTransitionPanics(t *testing.T) {
 }
 
 // TestMachineTracksWorkersIndependently guards the multi-worker bookkeeping
-// RunPReduceSim relies on.
+// runPReduceSim relies on.
 func TestMachineTracksWorkersIndependently(t *testing.T) {
 	m := NewMachine(3)
 	m.To(0, StateCompute)

@@ -15,7 +15,7 @@ type overlapState struct {
 	stashBuf     tensor.Vector // storage backing stashed
 }
 
-// RunOverlappedSim drives Algorithm 2 with communication/computation
+// runOverlappedSim drives Algorithm 2 with communication/computation
 // overlapping (the DDP-style pipelining §4 leaves as future work): each
 // worker launches its next batch the moment it signals ready, so the group's
 // collective and the batch run concurrently. The next local update applies a
@@ -26,7 +26,7 @@ type overlapState struct {
 // the one execution mode whose whole point is violating the sequential step
 // order (a worker is in compute and reduce at once), so the invariant
 // checker would only encode false positives here.
-func RunOverlappedSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, error) {
+func runOverlappedSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, error) {
 	c := env.C
 	agg := tensor.NewVector(len(c.Init))
 	paramsBuf := make([]tensor.Vector, 0, c.Cfg.N)
@@ -83,7 +83,6 @@ func RunOverlappedSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result
 		// group collective.
 		startCompute(w)
 		for _, g := range groups {
-			g := g
 			ring := env.GroupRing(g.Members)
 			c.Eng.After(c.Cfg.Net.CtrlRTT+ring, func() { onGroupDone(g) })
 		}
@@ -107,7 +106,6 @@ func RunOverlappedSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result
 	}
 
 	for _, w := range c.Workers {
-		w := w
 		c.Eng.At(0, func() { startCompute(w) })
 	}
 	c.Eng.Run()

@@ -1,22 +1,23 @@
-package core
+package engine_test
 
 import (
 	"testing"
 
+	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/model"
 	"partialreduce/internal/testutil"
 )
 
 func TestOverlapName(t *testing.T) {
-	if got := NewPReduce(PReduceConfig{P: 3, Overlap: true}).Name(); got != "CON+OV P=3" {
+	if got := engine.NewPReduce(engine.PReduceConfig{P: 3, Overlap: true}).Name(); got != "CON+OV P=3" {
 		t.Fatalf("name %q", got)
 	}
 }
 
 func TestOverlapConverges(t *testing.T) {
 	cfg := testutil.Config(t, 21)
-	c := runPReduce(t, cfg, PReduceConfig{P: 3, Overlap: true})
+	c := runPReduce(t, cfg, engine.PReduceConfig{P: 3, Overlap: true})
 	res := c.Track.Result()
 	if !res.Converged {
 		t.Fatalf("overlapped P-Reduce did not converge: %+v", res)
@@ -33,7 +34,7 @@ func TestOverlapHidesCommunication(t *testing.T) {
 		cfg.Hetero = hetero.NewHomogeneous(cfg.N, commHeavy.BatchCompute, 0.15, 22)
 		cfg.Threshold = 0.999 // run to the cap: compare pace, not convergence
 		cfg.MaxUpdates = 600
-		c := runPReduce(t, cfg, PReduceConfig{P: 3, Overlap: overlap})
+		c := runPReduce(t, cfg, engine.PReduceConfig{P: 3, Overlap: overlap})
 		return c.Track.Result().PerUpdate()
 	}
 	blocking := run(false)
@@ -47,7 +48,7 @@ func TestOverlapHidesCommunication(t *testing.T) {
 func TestOverlapReplicasHealthy(t *testing.T) {
 	cfg := testutil.Config(t, 23)
 	cfg.Hetero = hetero.NewGPUSharing(cfg.N, 3, testutil.Profile.BatchCompute, 0.15, 23)
-	c := runPReduce(t, cfg, PReduceConfig{P: 3, Overlap: true})
+	c := runPReduce(t, cfg, engine.PReduceConfig{P: 3, Overlap: true})
 	if !c.Track.Result().Converged {
 		t.Fatalf("did not converge: %+v", c.Track.Result())
 	}
@@ -61,7 +62,7 @@ func TestOverlapReplicasHealthy(t *testing.T) {
 func TestOverlapDeterminism(t *testing.T) {
 	run := func() (float64, int) {
 		cfg := testutil.Config(t, 24)
-		c := runPReduce(t, cfg, PReduceConfig{P: 3, Overlap: true})
+		c := runPReduce(t, cfg, engine.PReduceConfig{P: 3, Overlap: true})
 		r := c.Track.Result()
 		return r.RunTime, r.Updates
 	}

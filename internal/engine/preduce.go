@@ -1,19 +1,10 @@
-// Package core implements the paper's contribution: the P-Reduce training
-// strategy (Algorithm 2). Each worker computes a mini-batch gradient,
-// applies it locally, and sends a ready signal to the controller; once P
-// signals queue up, the controller forms a temporary group whose members
-// average their models with constant (1/P) or dynamic (staleness-aware EMA)
-// weights and immediately continue. Groups overlap in time, so no worker
-// ever waits at a global barrier — the property that buys heterogeneity
-// tolerance.
-package core
+package engine
 
 import (
 	"fmt"
 
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/engine"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/policy"
 	"partialreduce/internal/tensor"
@@ -54,7 +45,14 @@ type PReduceConfig struct {
 	CtrlRestartEvery int
 }
 
-// PReduce is the partial-reduce training strategy.
+// PReduce is the paper's contribution, the partial-reduce training strategy
+// (Algorithm 2), on the simulated cluster. Each worker computes a mini-batch
+// gradient, applies it locally, and sends a ready signal to the controller;
+// once P signals queue up, the controller forms a temporary group whose
+// members average their models with constant (1/P) or dynamic
+// (staleness-aware EMA) weights and immediately continue. Groups overlap in
+// time, so no worker ever waits at a global barrier — the property that buys
+// heterogeneity tolerance.
 type PReduce struct {
 	cfg PReduceConfig
 }
@@ -123,79 +121,67 @@ func (p *PReduce) controllerConfig(c *cluster.Cluster) controller.Config {
 
 // Run implements cluster.Strategy.
 func (p *PReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
-	res, _, err := p.RunWithStats(c)
-	return res, err
+	info, err := p.RunDetailed(c)
+	return info.Result, err
 }
 
 // RunInfo carries a run's result plus the controller-side observables the
 // analysis experiments need.
 type RunInfo struct {
 	Result *metrics.Result
-	Stats  controller.Stats
+	// Stats are the controller's activity counters (groups formed,
+	// frozen-avoidance interventions, membership changes).
+	Stats controller.Stats
 	// MeanW is the empirical average synchronization matrix E[W_k] over the
 	// run's groups (§3.2's Assumption 2 object); nil if no group formed.
 	MeanW *tensor.Matrix
 }
 
-// RunWithStats runs training and also returns the controller's activity
-// counters (groups formed, frozen-avoidance interventions), which the
-// ablation experiments report.
-func (p *PReduce) RunWithStats(c *cluster.Cluster) (*metrics.Result, controller.Stats, error) {
-	info, err := p.RunDetailed(c)
-	if err != nil {
-		return nil, controller.Stats{}, err
-	}
-	return info.Result, info.Stats, nil
-}
-
-// RunDetailed runs training and returns the result together with controller
-// statistics and the empirical E[W_k].
-func (p *PReduce) RunDetailed(c *cluster.Cluster) (*RunInfo, error) {
+// RunDetailed runs training on the shared step engine — runOverlappedSim
+// for the pipelined variant, otherwise runPReduceSim: the same training-step
+// state machine the live runtime executes, driven here by the virtual clock —
+// and returns the result together with the controller's statistics and the
+// empirical E[W_k].
+func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 	ctrl, err := controller.New(p.controllerConfig(c))
 	if err != nil {
-		return nil, err
+		return RunInfo{}, err
 	}
-	// runWith returns the final controller: CtrlRestartEvery replaces the
-	// incarnation mid-run, and the stats must come from the survivor.
-	res, final, err := p.runWith(c, ctrl)
-	if err != nil {
-		return nil, err
-	}
-	return &RunInfo{Result: res, Stats: final.Stats(), MeanW: final.MeanW()}, nil
-}
-
-// runWith wires the controller (tracer, instruments, policy), builds the
-// simulated Environment, and hands the run to the shared step engine
-// (internal/engine): RunOverlappedSim for the pipelined variant, otherwise
-// RunPReduceSim — the same training-step state machine the live runtime
-// executes, driven here by the virtual clock.
-func (p *PReduce) runWith(c *cluster.Cluster, ctrl *controller.Controller) (*metrics.Result, *controller.Controller, error) {
-	// The controller shares the cluster's virtual-clock tracer (nil when
-	// tracing is off), so its ready/group-formed/staleness decisions land on
-	// the same timeline as the worker spans.
-	ctrl.SetTracer(c.Tracer)
-	ctrl.SetInstruments(c.Ins)
 	var pol policy.Policy
 	if p.cfg.Policy.Enabled() {
-		var err error
-		pol, err = policy.New(p.cfg.Policy, c.Cfg.N, p.cfg.P)
-		if err != nil {
-			return nil, ctrl, err
-		}
-		if err := ctrl.SetPolicy(pol); err != nil {
-			return nil, ctrl, err
+		if pol, err = policy.New(p.cfg.Policy, c.Cfg.N, p.cfg.P); err != nil {
+			return RunInfo{}, err
 		}
 	}
-	env := engine.NewSimEnv(c)
-	if p.cfg.Overlap {
-		if len(c.Cfg.Crashes) > 0 {
-			return nil, ctrl, fmt.Errorf("core: overlapped P-Reduce does not support crash schedules")
-		}
-		if p.cfg.CtrlRestartEvery > 0 {
-			return nil, ctrl, fmt.Errorf("core: overlapped P-Reduce does not support controller restarts")
-		}
-		res, err := engine.RunOverlappedSim(env, ctrl)
-		return res, ctrl, err
+	// wire attaches what a controller incarnation does not carry in its
+	// snapshot: the cluster's virtual-clock tracer and instruments (nil when
+	// tracing is off), so ready/group-formed/staleness decisions land on the
+	// same timeline as the worker spans, and the policy object (nil
+	// detaches), whose state does ride the snapshot and is restored into it.
+	wire := func(ctrl *controller.Controller) error {
+		ctrl.SetTracer(c.Tracer)
+		ctrl.SetInstruments(c.Ins)
+		return ctrl.SetPolicy(pol)
 	}
-	return engine.RunPReduceSim(env, ctrl, pol, p.cfg.CtrlRestartEvery)
+	if err := wire(ctrl); err != nil {
+		return RunInfo{}, err
+	}
+	env := NewSimEnv(c)
+	var res *metrics.Result
+	switch {
+	case !p.cfg.Overlap:
+		// A restart replaces the incarnation mid-run; the stats below must
+		// come from the survivor.
+		res, ctrl, err = runPReduceSim(env, ctrl, wire, p.cfg.CtrlRestartEvery)
+	case len(c.Cfg.Crashes) > 0:
+		err = fmt.Errorf("engine: overlapped P-Reduce does not support crash schedules")
+	case p.cfg.CtrlRestartEvery > 0:
+		err = fmt.Errorf("engine: overlapped P-Reduce does not support controller restarts")
+	default:
+		res, err = runOverlappedSim(env, ctrl)
+	}
+	if err != nil {
+		return RunInfo{}, err
+	}
+	return RunInfo{Result: res, Stats: ctrl.Stats(), MeanW: ctrl.MeanW()}, nil
 }

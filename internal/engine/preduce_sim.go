@@ -1,22 +1,23 @@
 package engine
 
 import (
+	"slices"
+
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/health"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/metrics"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/tensor"
 	"partialreduce/internal/trace"
 )
 
-// RunPReduceSim drives Algorithm 2 on the simulated Environment's event
-// engine. The controller arrives fully wired (tracer, instruments, policy —
-// the strategy layer owns that setup); pol is the attached policy object, or
-// nil, needed again when restartEvery > 0 warm-restarts the controller
-// (Snapshot → Restore → re-attach wiring) every that many dispatched groups
-// — the simulator's deterministic stand-in for live controller failover.
+// runPReduceSim drives Algorithm 2 on the simulated Environment's event
+// engine. ctrl arrives wired; wire re-attaches the same wiring (tracer,
+// instruments, policy) to the replacement when restartEvery > 0
+// warm-restarts the controller (Snapshot → Restore → wire) every that many
+// dispatched groups — the simulator's deterministic stand-in for live
+// controller failover.
 //
 // When the cell carries a fail-stop schedule (§4), crashes are handled the
 // way the paper says the controller makes cheap: a dead worker's queued
@@ -26,12 +27,20 @@ import (
 //
 // It returns the final controller: a restart replaces the incarnation
 // mid-run, and post-run statistics must come from the survivor.
-func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, restartEvery int) (*metrics.Result, *controller.Controller, error) {
+func runPReduceSim(env *SimEnv, ctrl *controller.Controller, wire func(*controller.Controller) error, restartEvery int) (*metrics.Result, *controller.Controller, error) {
 	c := env.C
 	agg := tensor.NewVector(len(c.Init))
 	paramsBuf := make([]tensor.Vector, 0, c.Cfg.N)
 	machine := NewMachine(c.Cfg.N)
+	// failed records the error that ends the run and stops the event loop.
 	var readyErr error
+	failed := func(err error) bool {
+		if err != nil {
+			readyErr = err
+			c.Eng.Stop()
+		}
+		return err != nil
+	}
 
 	// inflight tracks dispatched groups until they complete, so a crash can
 	// abort exactly the group the corpse was syncing with. aborted seqs make
@@ -90,6 +99,34 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 
 	var signalReady func(w *cluster.Worker)
 
+	// abortGroup dissolves in-flight group id (dead = -1: nobody is
+	// condemned): the survivors roll back (in the simulator the average
+	// simply never lands) and re-signal for the same iteration after one
+	// controller round trip.
+	abortGroup := func(id uint64, g controller.Group, dead int) {
+		delete(inflight, id)
+		dispatch(ctrl.AbortGroup(g, dead))
+		for _, m := range g.Members {
+			if m == dead || c.Dead[m] {
+				continue
+			}
+			w := c.Workers[m]
+			c.Eng.After(c.Cfg.Net.CtrlRTT, func() {
+				if !c.Dead[w.ID] {
+					signalReady(w)
+				}
+			})
+		}
+	}
+
+	// count records a robustness event in the run's comm stats and mirrors
+	// it into the live instruments (when attached), so the watchdog's
+	// retry-storm rule sees the same counters in sim and live.
+	count := func(cs metrics.CommStats) {
+		c.Track.AddComms(cs)
+		c.Ins.AddComms(cs)
+	}
+
 	// attempt models collective attempt k of group id starting now. An
 	// attempt whose members straddle an active partition blocks until the
 	// collective timeout fires, then retries after a deterministic backoff —
@@ -129,70 +166,45 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 		}
 		rm := c.Cfg.Retry
 		timeout := rm.TimeoutOr(c.Cfg.Profile.BatchCompute + ring)
-		// Robustness events mirror into the live instruments (when attached)
-		// so the watchdog's retry-storm rule sees the same counters in sim
-		// and live.
-		c.Track.AddComms(metrics.CommStats{Timeouts: 1})
-		c.Ins.AddComms(metrics.CommStats{Timeouts: 1})
+		count(metrics.CommStats{Timeouts: 1})
 		c.Tracer.InstantAt(trace.KTimeout, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout, int64(id), int64(k))
 		if k < rm.Attempts() {
-			c.Track.AddComms(metrics.CommStats{Retries: 1})
-			c.Ins.AddComms(metrics.CommStats{Retries: 1})
+			count(metrics.CommStats{Retries: 1})
 			c.Tracer.InstantAt(trace.KRetry, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout+rm.Backoff(k), int64(id), int64(k+1))
 			c.Eng.After(timeout+rm.Backoff(k), func() { attempt(id, g, k+1) })
 			return
 		}
 		// Budget exhausted: the members sit through the final timeout, then
-		// the group is aborted (dead = -1: nobody is condemned) and the
-		// survivors re-signal for the same iteration.
-		c.Track.AddComms(metrics.CommStats{Aborts: 1})
-		c.Ins.AddComms(metrics.CommStats{Aborts: 1})
+		// the group is aborted with nobody condemned.
+		count(metrics.CommStats{Aborts: 1})
 		c.Tracer.InstantAt(trace.KAbort, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout, int64(id), 0)
 		c.Eng.After(timeout, func() {
 			if aborted[id] {
 				delete(aborted, id)
 				return
 			}
-			delete(inflight, id)
-			dispatch(ctrl.AbortGroup(g, -1))
-			for _, m := range g.Members {
-				if c.Dead[m] {
-					continue
-				}
-				w := c.Workers[m]
-				c.Eng.After(c.Cfg.Net.CtrlRTT, func() {
-					if !c.Dead[w.ID] {
-						signalReady(w)
-					}
-				})
-			}
+			abortGroup(id, g, -1)
 		})
 	}
 
 	// restart is the simulated warm-failover drill: serialize the
 	// controller, destroy it, restore a replacement from the snapshot, and
-	// re-attach the wiring (tracer, instruments, policy — whose state
-	// rides the snapshot and is restored into the same policy object).
+	// re-attach the wiring.
 	dispatched := 0
 	restart := func() {
 		next, err := controller.Restore(ctrl.Snapshot())
 		if err == nil {
-			err = next.SetPolicy(pol) // no-op when pol is nil
+			err = wire(next)
 		}
-		if err != nil {
-			readyErr = err
-			c.Eng.Stop()
+		if failed(err) {
 			return
 		}
-		next.SetTracer(c.Tracer)
-		next.SetInstruments(c.Ins)
 		ctrl = next
 		c.Tracer.Instant(trace.KCtrlRestore, trace.ControllerTrack, -1, 0, 0)
 	}
 
 	dispatch = func(groups []controller.Group) {
 		for _, g := range groups {
-			g := g
 			seq++
 			id := seq
 			inflight[id] = g
@@ -226,18 +238,14 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 		vel, step := donor.Opt.State()
 		iter := donor.Iter
 		c.Tracer.Instant(trace.KBootstrap, int32(j), int32(iter), int64(donor.ID), int64(len(params)))
-		if err := ctrl.Join(j, c.Eng.Now()); err != nil {
-			readyErr = err
-			c.Eng.Stop()
+		if failed(ctrl.Join(j, c.Eng.Now())) {
 			return
 		}
 		dt := env.BootstrapTransfer(donor.ID, j)
 		c.Eng.After(dt, func() {
 			w := c.Workers[j]
 			w.Params().CopyFrom(params)
-			if err := w.Opt.Restore(vel, step); err != nil {
-				readyErr = err
-				c.Eng.Stop()
+			if failed(w.Opt.Restore(vel, step)) {
 				return
 			}
 			w.Iter = iter
@@ -256,16 +264,12 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 			drainPending[w.ID] = false
 			machine.To(w.ID, StateDraining)
 			groups, err := ctrl.Drain(w.ID)
-			if err != nil {
-				readyErr = err
-				c.Eng.Stop()
+			if failed(err) {
 				return
 			}
 			dispatch(groups)
 			more, err := ctrl.Decommission(w.ID)
-			if err != nil {
-				readyErr = err
-				c.Eng.Stop()
+			if failed(err) {
 				return
 			}
 			machine.To(w.ID, StateDone)
@@ -288,9 +292,7 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 		}
 		readyAt[w.ID] = c.Eng.Now()
 		groups, err := ctrl.Ready(controller.Signal{Worker: w.ID, Iter: w.Iter, Now: c.Eng.Now(), Epoch: ctrl.Epoch()})
-		if err != nil {
-			readyErr = err
-			c.Eng.Stop()
+		if failed(err) {
 			return
 		}
 		dispatch(groups)
@@ -331,35 +333,14 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 
 	onCrash := func(dead int) {
 		machine.Kill(dead)
-		// If the corpse was mid-collective, abort that group: the survivors
-		// roll back (in the simulator the average simply never lands) and
-		// re-signal ready after one controller round trip.
+		// If the corpse was mid-collective, abort that group; the aborted
+		// mark makes its already-scheduled completion a no-op.
 		for id, g := range inflight {
-			hit := false
-			for _, m := range g.Members {
-				if m == dead {
-					hit = true
-					break
-				}
+			if slices.Contains(g.Members, dead) {
+				aborted[id] = true
+				abortGroup(id, g, dead)
+				return
 			}
-			if !hit {
-				continue
-			}
-			delete(inflight, id)
-			aborted[id] = true
-			dispatch(ctrl.AbortGroup(g, dead))
-			for _, m := range g.Members {
-				if m == dead || c.Dead[m] {
-					continue
-				}
-				w := c.Workers[m]
-				c.Eng.After(c.Cfg.Net.CtrlRTT, func() {
-					if !c.Dead[w.ID] {
-						signalReady(w)
-					}
-				})
-			}
-			return
 		}
 		// Otherwise the worker was computing (its batch is discarded at
 		// onComputeDone) or queued (Fail purges the signal). Shrinking the
@@ -370,9 +351,7 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 	onRejoin := func(w int) {
 		// Checkpoint restart: the replica resumes from its crash-time
 		// parameters and iteration count (the state the checkpoint froze).
-		if err := ctrl.Rejoin(w); err != nil {
-			readyErr = err
-			c.Eng.Stop()
+		if failed(ctrl.Rejoin(w)) {
 			return
 		}
 		startCompute(c.Workers[w])
@@ -403,9 +382,7 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 				c.Recorder.SetControllerSnapshot(ctrl.Snapshot())
 				st := c.Health.State()
 				for _, br := range breaches {
-					if _, err := c.Recorder.Capture(br.Rule.String(), now, []health.Breach{br}, st); err != nil {
-						readyErr = err
-						c.Eng.Stop()
+					if _, err := c.Recorder.Capture(br.Rule.String(), now, []health.Breach{br}, st); failed(err) {
 						return
 					}
 				}
@@ -418,7 +395,6 @@ func RunPReduceSim(env *SimEnv, ctrl *controller.Controller, pol policy.Policy, 
 	}
 
 	for _, w := range c.Workers {
-		w := w
 		c.Eng.At(0, func() { startCompute(w) })
 	}
 	c.Eng.Run()

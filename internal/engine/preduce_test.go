@@ -1,32 +1,33 @@
-package core
+package engine_test
 
 import (
 	"testing"
 
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/model"
 	"partialreduce/internal/testutil"
 )
 
-func runPReduce(t *testing.T, cfg cluster.Config, pcfg PReduceConfig) *cluster.Cluster {
+func runPReduce(t *testing.T, cfg cluster.Config, pcfg engine.PReduceConfig) *cluster.Cluster {
 	t.Helper()
-	return testutil.Run(t, cfg, NewPReduce(pcfg))
+	return testutil.Run(t, cfg, engine.NewPReduce(pcfg))
 }
 
 func TestNames(t *testing.T) {
-	if got := NewPReduce(PReduceConfig{P: 3}).Name(); got != "CON P=3" {
+	if got := engine.NewPReduce(engine.PReduceConfig{P: 3}).Name(); got != "CON P=3" {
 		t.Fatalf("name %q", got)
 	}
-	if got := NewPReduce(PReduceConfig{P: 5, Weighting: controller.Dynamic}).Name(); got != "DYN P=5" {
+	if got := engine.NewPReduce(engine.PReduceConfig{P: 5, Weighting: controller.Dynamic}).Name(); got != "DYN P=5" {
 		t.Fatalf("name %q", got)
 	}
 }
 
 func TestConstantPReduceConverges(t *testing.T) {
 	cfg := testutil.Config(t, 1)
-	c := runPReduce(t, cfg, PReduceConfig{P: 3})
+	c := runPReduce(t, cfg, engine.PReduceConfig{P: 3})
 	res := c.Track.Result()
 	if !res.Converged {
 		t.Fatalf("constant P-Reduce did not converge: %+v", res)
@@ -39,7 +40,7 @@ func TestConstantPReduceConverges(t *testing.T) {
 func TestDynamicPReduceConverges(t *testing.T) {
 	cfg := testutil.Config(t, 2)
 	cfg.Hetero = hetero.NewGPUSharing(cfg.N, 3, testutil.Profile.BatchCompute, 0.05, 2)
-	c := runPReduce(t, cfg, PReduceConfig{P: 3, Weighting: controller.Dynamic})
+	c := runPReduce(t, cfg, engine.PReduceConfig{P: 3, Weighting: controller.Dynamic})
 	if !c.Track.Result().Converged {
 		t.Fatalf("dynamic P-Reduce did not converge: %+v", c.Track.Result())
 	}
@@ -51,10 +52,10 @@ func TestInvalidPRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPReduce(PReduceConfig{P: 1}).Run(c); err == nil {
+	if _, err := engine.NewPReduce(engine.PReduceConfig{P: 1}).Run(c); err == nil {
 		t.Fatal("P=1 accepted")
 	}
-	if _, err := NewPReduce(PReduceConfig{P: 99}).Run(c); err == nil {
+	if _, err := engine.NewPReduce(engine.PReduceConfig{P: 99}).Run(c); err == nil {
 		t.Fatal("P>N accepted")
 	}
 }
@@ -68,7 +69,7 @@ func TestPerUpdateGrowsWithP(t *testing.T) {
 		cfg := testutil.Config(t, 4)
 		cfg.Threshold = 0.999 // run to the update cap for stable timing
 		cfg.MaxUpdates = 800
-		c := runPReduce(t, cfg, PReduceConfig{P: p})
+		c := runPReduce(t, cfg, engine.PReduceConfig{P: p})
 		pu := c.Track.Result().PerUpdate()
 		if pu <= prev {
 			t.Fatalf("per-update did not grow: P=%d gives %v (prev %v)", p, pu, prev)
@@ -86,7 +87,7 @@ func TestHeterogeneityTolerance(t *testing.T) {
 	runtimeAt := func(hl int) float64 {
 		cfg := testutil.Config(t, 5)
 		cfg.Hetero = hetero.NewGPUSharing(cfg.N, hl, testutil.Profile.BatchCompute, 0.05, 5)
-		c := runPReduce(t, cfg, PReduceConfig{P: 3})
+		c := runPReduce(t, cfg, engine.PReduceConfig{P: 3})
 		res := c.Track.Result()
 		if !res.Converged {
 			t.Fatalf("HL=%d did not converge", hl)
@@ -100,16 +101,17 @@ func TestHeterogeneityTolerance(t *testing.T) {
 	}
 }
 
-func TestRunWithStatsReportsGroups(t *testing.T) {
+func TestRunDetailedReportsGroups(t *testing.T) {
 	cfg := testutil.Config(t, 6)
 	c, err := cluster.New(cfg, "CON P=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := NewPReduce(PReduceConfig{P: 4}).RunWithStats(c)
+	info, err := engine.NewPReduce(engine.PReduceConfig{P: 4}).RunDetailed(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, stats := info.Result, info.Stats
 	if stats.GroupsFormed != res.Updates {
 		t.Fatalf("groups formed %d != updates %d", stats.GroupsFormed, res.Updates)
 	}
@@ -119,7 +121,7 @@ func TestRunWithStatsReportsGroups(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (float64, int) {
 		cfg := testutil.Config(t, 7)
-		c := runPReduce(t, cfg, PReduceConfig{P: 3})
+		c := runPReduce(t, cfg, engine.PReduceConfig{P: 3})
 		r := c.Track.Result()
 		return r.RunTime, r.Updates
 	}
@@ -134,7 +136,7 @@ func TestDeterministicRuns(t *testing.T) {
 // groups can explain: the partial reduces propagate every worker's updates.
 func TestModelsCollaborativelyConverge(t *testing.T) {
 	cfg := testutil.Config(t, 8)
-	c := runPReduce(t, cfg, PReduceConfig{P: 2})
+	c := runPReduce(t, cfg, engine.PReduceConfig{P: 2})
 	// Every worker individually classifies well — no isolated stale replica.
 	for _, w := range c.Workers {
 		if acc := c.EvalParams(w.Params()); acc < 0.8 {
@@ -155,7 +157,7 @@ func TestPReduceWithConvModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewPReduce(PReduceConfig{P: 3}).Run(c)
+	res, err := engine.NewPReduce(engine.PReduceConfig{P: 3}).Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"partialreduce/internal/cluster"
-	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
 	"partialreduce/internal/engine"
 	"partialreduce/internal/health"
@@ -62,13 +61,7 @@ func watchdogSimRun(t *testing.T, seed int64, dir string) *health.Recorder {
 	c.Recorder = health.NewRecorder(dir, c.Tracer, c.Ins, []byte(`{"test":"watchdog-sim"}`))
 	c.HealthEvery = 0.5
 
-	ctrl, err := controller.New(controller.Config{N: n, P: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.SetTracer(c.Tracer)
-	ctrl.SetInstruments(c.Ins)
-	if _, _, err := engine.RunPReduceSim(engine.NewSimEnv(c), ctrl, nil, 0); err != nil {
+	if _, err := engine.NewPReduce(engine.PReduceConfig{P: 2}).Run(c); err != nil {
 		t.Fatal(err)
 	}
 	return c.Recorder

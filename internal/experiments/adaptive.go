@@ -75,17 +75,15 @@ func RobustnessAdaptive(opts Options, seeds int) (*AdaptiveSweepResult, error) {
 	results := make([][]pair, len(rows))
 	var jobs []job
 	for ri, row := range rows {
-		ri := ri
 		results[ri] = make([]pair, seeds)
 		r := AdaptiveRow{Label: row.label}
 		for i := 0; i < seeds; i++ {
-			i := i
 			seed := opts.Seed + int64(i)
 			r.Seeds = append(r.Seeds, seed)
 			cell := Cell{Workload: w, N: 8, Env: row.env, HL: row.hl, Seed: seed}
 			jobs = append(jobs,
-				job{cell: cell, strategy: "DYN P=4", store: func(res *metrics.Result) { results[ri][i].static = res }},
-				job{cell: cell, strategy: "ADP P=4", store: func(res *metrics.Result) { results[ri][i].adaptive = res }},
+				job{cell: cell, strategy: "DYN P=4", store: func(res cellRun) { results[ri][i].static = res.Result }},
+				job{cell: cell, strategy: "ADP P=4", store: func(res cellRun) { results[ri][i].adaptive = res.Result }},
 			)
 		}
 		out.Rows = append(out.Rows, r)
@@ -95,35 +93,28 @@ func RobustnessAdaptive(opts Options, seeds int) (*AdaptiveSweepResult, error) {
 	}
 	for ri := range rows {
 		r := &out.Rows[ri]
-		r.StaticTime = make([]float64, seeds)
-		r.AdaptiveTime = make([]float64, seeds)
 		for i, p := range results[ri] {
-			for _, side := range []struct {
-				res  *metrics.Result
-				time *float64
-				fail *int
-			}{
-				{p.static, &r.StaticTime[i], &r.StaticFail},
-				{p.adaptive, &r.AdaptiveTime[i], &r.AdaptiveFail},
-			} {
-				if side.res == nil {
-					*side.fail++
-					continue
-				}
+			for _, res := range []*metrics.Result{p.static, p.adaptive} {
 				// Uniquify the CSV key: one summary row per (strategy,
 				// row, seed).
-				side.res.Workload = fmt.Sprintf("%s/%s/seed%d", side.res.Workload, r.Label, r.Seeds[i])
-				out.Results = append(out.Results, side.res)
-				if side.res.Converged {
-					*side.time = side.res.RunTime
-				} else {
-					*side.fail++
-				}
+				res.Workload = fmt.Sprintf("%s/%s/seed%d", res.Workload, r.Label, r.Seeds[i])
+				out.Results = append(out.Results, res)
+			}
+			r.StaticTime = append(r.StaticTime, timeToThreshold(p.static))
+			r.AdaptiveTime = append(r.AdaptiveTime, timeToThreshold(p.adaptive))
+			if !p.static.Converged {
+				r.StaticFail++
+			}
+			if !p.adaptive.Converged {
+				r.AdaptiveFail++
 			}
 		}
 	}
 	return out, nil
 }
+
+// Exports offers one summary row per (strategy, row, seed) run.
+func (r *AdaptiveSweepResult) Exports() []Export { return []Export{{Results: r.Results}} }
 
 // Format renders the sweep as a per-row table with the mean speedup band.
 func (r *AdaptiveSweepResult) Format(w io.Writer) {

@@ -7,7 +7,7 @@ import (
 
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/core"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 	"partialreduce/internal/policy"
@@ -24,25 +24,19 @@ func runAdaptiveTraced(t *testing.T, seed int64, restartEvery int) (*metrics.Res
 		Workload: opts.workload(CIFAR10Workload(model.ResNet34)),
 		N:        8, Env: EnvHL, HL: 2, Seed: seed,
 	}
-	cfg, err := cell.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.TraceCap = 1 << 15
-	c, err := cluster.New(cfg, "ADP P=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat := core.NewPReduce(core.PReduceConfig{
-		P: 4, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
-		Policy:           policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: 4},
-		CtrlRestartEvery: restartEvery,
+	run, err := runCell(opts, job{
+		cell: cell, strategy: "ADP P=4",
+		preduce: &engine.PReduceConfig{
+			P: 4, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
+			Policy:           policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: 4},
+			CtrlRestartEvery: restartEvery,
+		},
+		tweak: func(cfg *cluster.Config) { cfg.TraceCap = 1 << 15 },
 	})
-	res, err := strat.Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, c
+	return run.Result, run.Cluster
 }
 
 // TestAdaptiveSeedReplayDeterministic is the satellite-2 replay pin: two
@@ -134,21 +128,54 @@ func TestAdaptiveDecisionsDeviate(t *testing.T) {
 // TestStaticPolicyMatchesBaselineResult is the end-to-end half of the
 // metamorphic golden test: retrofitting the static policy via
 // Options.Policy (the -policy flag path) onto a DYN run reproduces the
-// policy-free result exactly.
+// policy-free result exactly. It then pins both sides of the retrofit rule
+// on whole experiments: Fig8 names its strategies, so static leaves it
+// unchanged while adaptive-p does not; AblationWeights pins explicit
+// controller configs, so even adaptive-p leaves it unchanged.
 func TestStaticPolicyMatchesBaselineResult(t *testing.T) {
 	cell := Cell{
 		Workload: Options{Quick: true}.workload(CIFAR10Workload(model.ResNet34)),
 		N:        8, Env: EnvHL, HL: 2, Seed: 2,
 	}
-	base, err := runCell(Options{Seed: 2, Quick: true}, cell, "DYN P=4")
+	static := Options{Seed: 2, Quick: true, Policy: policy.Spec{Name: policy.NameStatic}}
+	adaptive := Options{Seed: 2, Quick: true, Policy: policy.Spec{Name: policy.NameAdaptiveP, PMin: 2}}
+	base, err := runCell(Options{Seed: 2, Quick: true}, job{cell: cell, strategy: "DYN P=4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := runCell(Options{Seed: 2, Quick: true, Policy: policy.Spec{Name: policy.NameStatic}}, cell, "DYN P=4")
+	with, err := runCell(static, job{cell: cell, strategy: "DYN P=4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(base, with) {
-		t.Fatalf("static policy changed the run result:\n  baseline: %+v\n  static:   %+v", base, with)
+	if !reflect.DeepEqual(base.Result, with.Result) {
+		t.Fatalf("static policy changed the run result:\n  baseline: %+v\n  static:   %+v", base.Result, with.Result)
+	}
+
+	fig8 := func(o Options) *Fig8Result {
+		t.Helper()
+		res, err := Fig8(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	named := fig8(Options{Seed: 2, Quick: true})
+	if got := fig8(static); !reflect.DeepEqual(named, got) {
+		t.Fatalf("static policy changed a named-strategy experiment:\n  baseline: %+v\n  static:   %+v", named, got)
+	}
+	if got := fig8(adaptive); reflect.DeepEqual(named, got) {
+		t.Fatal("adaptive-p left a named-strategy experiment unchanged: the retrofit did not reach it")
+	}
+
+	weights := func(o Options) *AblationWeightsResult {
+		t.Helper()
+		res, err := AblationWeights(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if pinned, got := weights(Options{Seed: 2, Quick: true}), weights(adaptive); !reflect.DeepEqual(pinned, got) {
+		t.Fatalf("-policy leaked into an explicit ablation config:\n  baseline: %+v\n  adaptive: %+v", pinned, got)
 	}
 }

@@ -3,12 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
-	"partialreduce/internal/baselines"
-	"partialreduce/internal/cluster"
-	"partialreduce/internal/controller"
-	"partialreduce/internal/core"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
@@ -36,15 +31,13 @@ type ElasticSweepResult struct {
 	Rows []ElasticRow
 }
 
-// Results returns the rows' metric results in printed order (for CSV export).
-func (r *ElasticSweepResult) Results() []*metrics.Result {
-	var out []*metrics.Result
-	for _, row := range r.Rows {
-		if row.Result != nil {
-			out = append(out, row.Result)
-		}
+// Exports offers one summary row per strategy, in printed order.
+func (r *ElasticSweepResult) Exports() []Export {
+	rs := make([]*metrics.Result, len(r.Rows))
+	for i, row := range r.Rows {
+		rs[i] = row.Result
 	}
-	return out
+	return []Export{{Results: rs}}
 }
 
 // RobustnessElastic runs the elastic-membership sweep on the headline
@@ -73,92 +66,30 @@ func RobustnessElastic(opts Options) (*ElasticSweepResult, error) {
 	step := w.MaxUpdates / 40
 	schedule := hetero.ScaleSchedule(8, 12, 6, after, step)
 
-	type spec struct {
-		strategy string
-		schedule string
-		cell     Cell
-		preduce  bool
-	}
-	specs := []spec{
-		{
-			strategy: "DYN P=4", schedule: "8→12→6", preduce: true,
-			cell: Cell{Workload: w, N: 12, Env: EnvHL, HL: 3, Seed: opts.Seed,
-				Initial: 8, Elastic: schedule},
-		},
-		{
-			strategy: "DYN P=4", schedule: "static 8", preduce: true,
-			cell: Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: opts.Seed},
-		},
-		{
-			strategy: "AR", schedule: "static 8",
-			cell: Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: opts.Seed},
-		},
-	}
+	static := Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: opts.Seed}
+	staircase := static
+	staircase.N, staircase.Initial, staircase.Elastic = 12, 8, schedule
 
-	out := &ElasticSweepResult{Rows: make([]ElasticRow, len(specs))}
-	sem := make(chan struct{}, opts.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, sp := range specs {
-		i, sp := i, sp
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			row, err := runElasticCell(opts, sp.cell, sp.strategy, sp.preduce)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s (%s): %w", sp.strategy, sp.schedule, err)
-				}
-				return
-			}
-			row.Schedule = sp.schedule
-			out.Rows[i] = row
-		}()
+	out := &ElasticSweepResult{Rows: []ElasticRow{
+		{Strategy: "DYN P=4", Schedule: "8→12→6"},
+		{Strategy: "DYN P=4", Schedule: "static 8"},
+		{Strategy: "AR", Schedule: "static 8"},
+	}}
+	var jobs []job
+	for i, cell := range []Cell{staircase, static, static} {
+		row := &out.Rows[i]
+		jobs = append(jobs, job{cell: cell, strategy: row.Strategy, store: func(r cellRun) {
+			// The membership counters are the controller's; All-Reduce has
+			// no controller and reports zeros.
+			row.Result = r.Result
+			row.Joins, row.Drains, row.Decommissions = r.Stats.Joins, r.Stats.Drains, r.Stats.Decommissions
+			row.StaleEpochs, row.Failures = r.Stats.StaleEpochs, r.Stats.Failures
+		}})
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := runAll(opts, jobs); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// runElasticCell runs one cell, surfacing the controller's membership
-// counters for P-Reduce strategies (baselines have no controller).
-func runElasticCell(opts Options, cell Cell, strategy string, preduce bool) (ElasticRow, error) {
-	row := ElasticRow{Strategy: strategy}
-	cfg, err := cell.Build()
-	if err != nil {
-		return row, err
-	}
-	c, err := cluster.New(cfg, strategy)
-	if err != nil {
-		return row, err
-	}
-	if !preduce {
-		row.Result, err = baselines.NewAllReduce().Run(c)
-		return row, err
-	}
-	s, err := StrategyFor(strategy)
-	if err != nil {
-		return row, err
-	}
-	pr := s.(*core.PReduce)
-	if opts.Policy.Enabled() {
-		pr = pr.WithPolicy(opts.Policy)
-	}
-	var st controller.Stats
-	row.Result, st, err = pr.RunWithStats(c)
-	if err != nil {
-		return row, err
-	}
-	row.Joins, row.Drains, row.Decommissions = st.Joins, st.Drains, st.Decommissions
-	row.StaleEpochs, row.Failures = st.StaleEpochs, st.Failures
-	return row, nil
 }
 
 // Format renders the elastic sweep as a table.

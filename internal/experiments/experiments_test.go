@@ -136,7 +136,7 @@ func TestFig7a(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range cs.Order {
-		pts := cs.Series[name]
+		pts := cs.Final[name].Curve
 		if len(pts) == 0 {
 			t.Fatalf("%s: empty curve", name)
 		}

@@ -6,11 +6,12 @@ import (
 
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/core"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 	"partialreduce/internal/spectral"
+	"partialreduce/internal/tensor"
 )
 
 // --- Figure 4: spectral gap under homogeneous vs heterogeneous timing ----
@@ -30,36 +31,26 @@ type Fig4Result struct {
 
 // Fig4 reproduces the paper's spectral-gap illustration: analytically,
 // homogeneous timing gives ρ = 0.5 and a 2×-slower worker gives ρ = 0.625;
-// empirically, a simulated P-Reduce run's group history must produce an
-// E[W_k] whose ρ approaches the analytic value.
+// empirically, a simulated constant P-Reduce run (N=3, P=2) under the same
+// fixed worker speeds must produce a group history whose E[W_k] has a ρ
+// approaching the analytic value. The group filter is disabled so the
+// measured distribution is the natural one.
 func Fig4(opts Options) (*Fig4Result, error) {
-	out := &Fig4Result{}
+	groups := [][]int{{0, 1}, {1, 2}, {0, 2}}
 	scenarios := []struct {
 		name  string
-		dist  spectral.GroupDist
+		probs []float64
 		speed []float64
 	}{
-		{
-			name: "homogeneous",
-			dist: spectral.GroupDist{
-				N:      3,
-				Groups: [][]int{{0, 1}, {1, 2}, {0, 2}},
-				Probs:  []float64{1.0 / 3, 1.0 / 3, 1.0 / 3},
-			},
-			speed: []float64{1, 1, 1},
-		},
-		{
-			name: "one 2x slower",
-			dist: spectral.GroupDist{
-				N:      3,
-				Groups: [][]int{{0, 1}, {1, 2}, {0, 2}},
-				Probs:  []float64{0.5, 0.25, 0.25},
-			},
-			speed: []float64{1, 1, 2},
-		},
+		{"homogeneous", []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}, []float64{1, 1, 1}},
+		{"one 2x slower", []float64{0.5, 0.25, 0.25}, []float64{1, 1, 2}},
 	}
-	for _, sc := range scenarios {
-		m, err := spectral.MeanW(sc.dist)
+	w := opts.workload(CIFAR10Workload(model.ResNet34))
+	out := &Fig4Result{Rows: make([]Fig4Row, len(scenarios))}
+	meanW := make([]*tensor.Matrix, len(scenarios))
+	var jobs []job
+	for i, sc := range scenarios {
+		m, err := spectral.MeanW(spectral.GroupDist{N: 3, Groups: groups, Probs: sc.probs})
 		if err != nil {
 			return nil, err
 		}
@@ -67,52 +58,39 @@ func Fig4(opts Options) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		empirical, err := fig4Empirical(opts, sc.speed)
+		out.Rows[i] = Fig4Row{Scenario: sc.name, AnalyticRho: analytic, RhoBar: spectral.RhoBar(analytic)}
+		jobs = append(jobs, job{
+			cell:     Cell{Workload: w, N: 3, Env: EnvHL, HL: 1, Seed: opts.Seed},
+			strategy: "fig4",
+			preduce:  &engine.PReduceConfig{P: 2, DisableGroupFilter: true},
+			tweak: func(cfg *cluster.Config) {
+				// Small jitter breaks ties so the group distribution matches
+				// the paper's timing diagram rather than a deterministic
+				// phase-locked cycle.
+				cfg.Hetero = &jitteredFixed{
+					fixed:  hetero.Fixed{Base: w.Profile.BatchCompute, Multipliers: sc.speed},
+					jitter: hetero.NewHomogeneous(3, 1, 0.08, opts.Seed+3),
+				}
+				cfg.Threshold = 0.999 // run to the update budget; we want group counts
+				cfg.MaxUpdates = 4000
+			},
+			store: func(r cellRun) { meanW[i] = r.MeanW },
+		})
+	}
+	if err := runAll(opts, jobs); err != nil {
+		return nil, err
+	}
+	for i, m := range meanW {
+		if m == nil {
+			return nil, fmt.Errorf("experiments: no groups formed in fig4 run")
+		}
+		rho, err := spectral.Rho(m)
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, Fig4Row{
-			Scenario:     sc.name,
-			AnalyticRho:  analytic,
-			EmpiricalRho: empirical,
-			RhoBar:       spectral.RhoBar(analytic),
-		})
+		out.Rows[i].EmpiricalRho = rho
 	}
 	return out, nil
-}
-
-// fig4Empirical runs constant P-Reduce (N=3, P=2) under fixed worker speeds
-// with small jitter and extracts ρ from the controller's group history. The
-// group filter is disabled so the measured distribution is the natural one.
-func fig4Empirical(opts Options, speed []float64) (float64, error) {
-	w := opts.workload(CIFAR10Workload(model.ResNet34))
-	cell := Cell{Workload: w, N: 3, Env: EnvHL, HL: 1, Seed: opts.Seed}
-	cfg, err := cell.Build()
-	if err != nil {
-		return 0, err
-	}
-	cfg.N = 3
-	// Small jitter breaks ties so the group distribution matches the paper's
-	// timing diagram rather than a deterministic phase-locked cycle.
-	cfg.Hetero = &jitteredFixed{
-		fixed:  hetero.Fixed{Base: w.Profile.BatchCompute, Multipliers: speed},
-		jitter: hetero.NewHomogeneous(3, 1, 0.08, opts.Seed+3),
-	}
-	cfg.Threshold = 0.999 // run to the update budget; we want group counts
-	cfg.MaxUpdates = 4000
-	c, err := cluster.New(cfg, "fig4")
-	if err != nil {
-		return 0, err
-	}
-	strat := core.NewPReduce(core.PReduceConfig{P: 2, DisableGroupFilter: true})
-	info, err := strat.RunDetailed(c)
-	if err != nil {
-		return 0, err
-	}
-	if info.MeanW == nil {
-		return 0, fmt.Errorf("experiments: no groups formed in fig4 run")
-	}
-	return spectral.Rho(info.MeanW)
 }
 
 // jitteredFixed multiplies fixed per-worker speeds with small lognormal
@@ -140,10 +118,9 @@ func (f *Fig4Result) Format(w io.Writer) {
 
 // CurveSet holds accuracy-vs-time series per strategy.
 type CurveSet struct {
-	Title  string
-	Series map[string][]metrics.Point
-	Final  map[string]*metrics.Result
-	Order  []string
+	Title string
+	Final map[string]*metrics.Result // per strategy; its Curve is the series
+	Order []string
 }
 
 // Format renders each series as (time, accuracy) pairs, downsampled to at
@@ -151,7 +128,7 @@ type CurveSet struct {
 func (cs *CurveSet) Format(w io.Writer) {
 	fmt.Fprintf(w, "== %s ==\n", cs.Title)
 	for _, name := range cs.Order {
-		pts := downsample(cs.Series[name], 12)
+		pts := downsample(cs.Final[name].Curve, 12)
 		fmt.Fprintf(w, "%-10s", name)
 		for _, p := range pts {
 			fmt.Fprintf(w, " (%.0fs,%.3f)", p.Time, p.Accuracy)
@@ -163,6 +140,15 @@ func (cs *CurveSet) Format(w io.Writer) {
 			fmt.Fprintf(w, "  %s\n", r)
 		}
 	}
+}
+
+// Exports offers the figure's curves, one series per strategy in legend order.
+func (cs *CurveSet) Exports() []Export {
+	rs := make([]*metrics.Result, len(cs.Order))
+	for i, name := range cs.Order {
+		rs[i] = cs.Final[name]
+	}
+	return []Export{{Curves: true, Results: rs}}
 }
 
 func downsample(pts []metrics.Point, max int) []metrics.Point {
@@ -177,19 +163,10 @@ func downsample(pts []metrics.Point, max int) []metrics.Point {
 }
 
 func curves(opts Options, title string, cell Cell, strategies []string) (*CurveSet, error) {
-	cs := &CurveSet{
-		Title:  title,
-		Series: map[string][]metrics.Point{},
-		Final:  map[string]*metrics.Result{},
-		Order:  strategies,
-	}
+	cs := &CurveSet{Title: title, Final: map[string]*metrics.Result{}, Order: strategies}
 	var jobs []job
 	for _, s := range strategies {
-		s := s
-		jobs = append(jobs, job{cell: cell, strategy: s, store: func(r *metrics.Result) {
-			cs.Series[s] = r.Curve
-			cs.Final[s] = r
-		}})
+		jobs = append(jobs, job{cell: cell, strategy: s, store: func(r cellRun) { cs.Final[s] = r.Result }})
 	}
 	if err := runAll(opts, jobs); err != nil {
 		return nil, err
@@ -216,8 +193,8 @@ func Fig7b(opts Options) (*CurveSet, error) {
 
 // Fig10 reproduces the ImageNet convergence curves (N=32, production):
 // ResNet-18 and VGG-16, All-Reduce vs dynamic partial reduce.
-func Fig10(opts Options) ([]*CurveSet, error) {
-	var out []*CurveSet
+func Fig10(opts Options) (Panels[*CurveSet], error) {
+	var out Panels[*CurveSet]
 	for _, prof := range []model.Profile{model.ResNet18, model.VGG16} {
 		w := opts.workload(ImageNetWorkload(prof))
 		cell := Cell{Workload: w, N: 32, Env: EnvProduction, Seed: opts.Seed}
@@ -252,17 +229,15 @@ type Fig8Result struct {
 // #updates shrinks, and total time has interior minima.
 func Fig8(opts Options) (*Fig8Result, error) {
 	w := opts.workload(CIFAR10Workload(model.VGG19))
-	out := &Fig8Result{Rows: make([]Fig8Row, 0, 7)}
+	out := &Fig8Result{Rows: make([]Fig8Row, 7)}
 	var jobs []job
 	for p := 2; p <= 8; p++ {
-		p := p
-		out.Rows = append(out.Rows, Fig8Row{P: p})
-		idx := len(out.Rows) - 1
 		jobs = append(jobs, job{
 			cell:     Cell{Workload: w, N: 8, Env: EnvHL, HL: 1, Seed: opts.Seed},
 			strategy: fmt.Sprintf("CON P=%d", p),
-			store: func(r *metrics.Result) {
-				out.Rows[idx] = Fig8Row{
+			store: func(run cellRun) {
+				r := run.Result
+				out.Rows[p-2] = Fig8Row{
 					P: p, PerUpdate: r.PerUpdate(), Updates: r.Updates,
 					RunTime: r.RunTime, Converged: r.Converged,
 				}
@@ -302,9 +277,9 @@ func Fig9(opts Options) (*Fig9Result, error) {
 	cell := Cell{Workload: w, N: 16, Env: EnvProduction, Seed: opts.Seed}
 	out := &Fig9Result{}
 	jobs := []job{
-		{cell: cell, strategy: "AR", store: func(r *metrics.Result) { out.AR = r }},
-		{cell: cell, strategy: "CON P=4", store: func(r *metrics.Result) { out.CON = r }},
-		{cell: cell, strategy: "DYN P=4", store: func(r *metrics.Result) { out.DYN = r }},
+		{cell: cell, strategy: "AR", store: func(r cellRun) { out.AR = r.Result }},
+		{cell: cell, strategy: "CON P=4", store: func(r cellRun) { out.CON = r.Result }},
+		{cell: cell, strategy: "DYN P=4", store: func(r cellRun) { out.DYN = r.Result }},
 	}
 	if err := runAll(opts, jobs); err != nil {
 		return nil, err
@@ -346,24 +321,22 @@ var Fig11Strategies = []string{"AR", "BK(N/4)", "CON P=4"}
 // Fig11 reproduces the scalability study (§5.3.2): run-time speedup over a
 // single worker at N ∈ {1,4,8,16,32} on the ImageNet substitute in the
 // shared (production) environment, for ResNet-18 and VGG-16.
-func Fig11(opts Options) ([]*Fig11Result, error) {
+func Fig11(opts Options) (Panels[*Fig11Result], error) {
 	ns := []int{1, 4, 8, 16, 32}
-	var out []*Fig11Result
+	var out Panels[*Fig11Result]
 	for _, prof := range []model.Profile{model.ResNet18, model.VGG16} {
 		w := opts.workload(ImageNetWorkload(prof))
 		res := &Fig11Result{Model: prof.Name}
 		results := map[int]map[string]*metrics.Result{}
 		var jobs []job
 		for _, n := range ns {
-			n := n
 			results[n] = map[string]*metrics.Result{}
 			for _, label := range Fig11Strategies {
-				label := label
 				strat := fig11Strategy(label, n)
 				jobs = append(jobs, job{
 					cell:     Cell{Workload: w, N: n, Env: EnvProduction, Seed: opts.Seed},
 					strategy: strat,
-					store:    func(r *metrics.Result) { results[n][label] = r },
+					store:    func(r cellRun) { results[n][label] = r.Result },
 				})
 			}
 		}
@@ -438,30 +411,17 @@ func AblationWeights(opts Options) (*AblationWeightsResult, error) {
 	w := opts.workload(CIFAR10Workload(model.ResNet34))
 	cell := Cell{Workload: w, N: 8, Env: EnvProduction, Seed: opts.Seed}
 	out := &AblationWeightsResult{}
-
-	run := func(pcfg core.PReduceConfig, name string) (*metrics.Result, error) {
-		cfg, err := cell.Build()
-		if err != nil {
-			return nil, err
-		}
-		c, err := cluster.New(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewPReduce(pcfg).Run(c)
+	jobs := []job{
+		{cell: cell, strategy: "CON", preduce: &engine.PReduceConfig{P: 3},
+			store: func(r cellRun) { out.Constant = r.Result }},
+		{cell: cell, strategy: "DYN/closest", preduce: &engine.PReduceConfig{
+			P: 3, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
+		}, store: func(r cellRun) { out.DynamicClosest = r.Result }},
+		{cell: cell, strategy: "DYN/initial", preduce: &engine.PReduceConfig{
+			P: 3, Weighting: controller.Dynamic, Approx: controller.InitialModel,
+		}, store: func(r cellRun) { out.DynamicInitial = r.Result }},
 	}
-	var err error
-	if out.Constant, err = run(core.PReduceConfig{P: 3}, "CON"); err != nil {
-		return nil, err
-	}
-	if out.DynamicClosest, err = run(core.PReduceConfig{
-		P: 3, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
-	}, "DYN/closest"); err != nil {
-		return nil, err
-	}
-	if out.DynamicInitial, err = run(core.PReduceConfig{
-		P: 3, Weighting: controller.Dynamic, Approx: controller.InitialModel,
-	}, "DYN/initial"); err != nil {
+	if err := runAll(opts, jobs); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -469,6 +429,7 @@ func AblationWeights(opts Options) (*AblationWeightsResult, error) {
 
 // Format renders the three rules side by side.
 func (a *AblationWeightsResult) Format(w io.Writer) {
+	fmt.Fprintln(w, "Ablation: aggregation weighting (ResNet-34/CIFAR-10, production)")
 	fmt.Fprintf(w, "  constant:     %s\n", a.Constant)
 	fmt.Fprintf(w, "  dyn/closest:  %s\n", a.DynamicClosest)
 	fmt.Fprintf(w, "  dyn/initial:  %s\n", a.DynamicInitial)
@@ -492,66 +453,74 @@ type AblationGroupFilterResult struct {
 // replica stays measurably worse.
 func AblationGroupFilter(opts Options) (*AblationGroupFilterResult, error) {
 	w := opts.workload(CIFAR10Workload(model.ResNet34))
-	out := &AblationGroupFilterResult{}
 
-	run := func(disable bool) (float64, int, int, error) {
-		cell := Cell{Workload: w, N: 4, Env: EnvHL, HL: 1, Seed: opts.Seed}
-		cfg, err := cell.Build()
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		cfg.N = 4
-		cfg.Hetero = &hetero.Fixed{
-			Base:        w.Profile.BatchCompute,
-			Multipliers: []float64{1, 1, 2.5, 2.5},
-		}
-		cfg.Threshold = 0.999
-		cfg.MaxUpdates = 2000
-		c, err := cluster.New(cfg, "ablation-filter")
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		strat := core.NewPReduce(core.PReduceConfig{P: 2, DisableGroupFilter: disable})
-		info, err := strat.RunDetailed(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		worst := 1.0
-		for _, wk := range c.Workers {
-			if acc := c.EvalParams(wk.Params()); acc < worst {
-				worst = acc
-			}
-		}
-		// Bridging groups join {0,1} with {2,3}: read them off E[W].
-		bridging := 0
-		if m := info.MeanW; m != nil {
-			for i := 0; i < 2; i++ {
-				for j := 2; j < 4; j++ {
-					if m.At(i, j) > 0 {
-						bridging++
+	type arm struct {
+		worst                   float64
+		interventions, bridging int
+	}
+	measure := func(disable bool, a *arm) job {
+		return job{
+			cell:     Cell{Workload: w, N: 4, Env: EnvHL, HL: 1, Seed: opts.Seed},
+			strategy: "ablation-filter",
+			preduce:  &engine.PReduceConfig{P: 2, DisableGroupFilter: disable},
+			tweak: func(cfg *cluster.Config) {
+				cfg.Hetero = &hetero.Fixed{
+					Base:        w.Profile.BatchCompute,
+					Multipliers: []float64{1, 1, 2.5, 2.5},
+				}
+				cfg.Threshold = 0.999
+				cfg.MaxUpdates = 2000
+			},
+			store: func(r cellRun) {
+				a.worst = 1.0
+				for _, wk := range r.Cluster.Workers {
+					if acc := r.Cluster.EvalParams(wk.Params()); acc < a.worst {
+						a.worst = acc
 					}
 				}
-			}
+				a.interventions = r.Stats.Interventions
+				// Bridging groups join {0,1} with {2,3}: read them off E[W].
+				if m := r.MeanW; m != nil {
+					for i := 0; i < 2; i++ {
+						for j := 2; j < 4; j++ {
+							if m.At(i, j) > 0 {
+								a.bridging++
+							}
+						}
+					}
+				}
+			},
 		}
-		return worst, info.Stats.Interventions, bridging, nil
 	}
-
-	var err error
-	var iv int
-	if out.WithFilter, iv, out.BridgingWith, err = run(false); err != nil {
+	var with, without arm
+	if err := runAll(opts, []job{measure(false, &with), measure(true, &without)}); err != nil {
 		return nil, err
 	}
-	out.Interventions = iv
-	if out.WithoutFilter, _, out.BridgingWithout, err = run(true); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return &AblationGroupFilterResult{
+		WithFilter: with.worst, Interventions: with.interventions, BridgingWith: with.bridging,
+		WithoutFilter: without.worst, BridgingWithout: without.bridging,
+	}, nil
 }
 
 // Format renders the filter ablation.
 func (a *AblationGroupFilterResult) Format(w io.Writer) {
+	fmt.Fprintln(w, "Ablation: group-frozen avoidance (adversarial 2+2 cluster, P=2)")
 	fmt.Fprintf(w, "  with filter:    worst replica accuracy %.3f (interventions=%d, bridging pairs=%d)\n",
 		a.WithFilter, a.Interventions, a.BridgingWith)
 	fmt.Fprintf(w, "  without filter: worst replica accuracy %.3f (bridging pairs=%d)\n",
 		a.WithoutFilter, a.BridgingWithout)
+}
+
+// Ablations runs the two design ablations DESIGN.md calls out: aggregation
+// weighting and group-frozen avoidance.
+func Ablations(opts Options) (Panels[Report], error) {
+	w, err := AblationWeights(opts)
+	if err != nil {
+		return nil, err
+	}
+	f, err := AblationGroupFilter(opts)
+	if err != nil {
+		return nil, err
+	}
+	return Panels[Report]{w, f}, nil
 }

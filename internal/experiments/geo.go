@@ -5,8 +5,7 @@ import (
 	"io"
 
 	"partialreduce/internal/cluster"
-	"partialreduce/internal/controller"
-	"partialreduce/internal/core"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 	"partialreduce/internal/netmodel"
@@ -28,58 +27,25 @@ type GeoResult struct {
 // zones versus the intra-zone fabric.
 func GeoStudy(opts Options) (*GeoResult, error) {
 	w := opts.workload(CIFAR10Workload(model.VGG19))
+	cell := Cell{Workload: w, N: 16, Env: EnvHL, HL: 1, Seed: opts.Seed}
 	topo := netmodel.GeoDistributed(16, 20e-3, 1.25e9)
-
-	build := func(name string) (*cluster.Cluster, error) {
-		cell := Cell{Workload: w, N: 16, Env: EnvHL, HL: 1, Seed: opts.Seed}
-		cfg, err := cell.Build()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = topo
-		return cluster.New(cfg, name)
-	}
+	twoZones := func(cfg *cluster.Config) { cfg.Topology = topo }
 
 	out := &GeoResult{}
-
-	c, err := build("AR")
-	if err != nil {
+	jobs := []job{
+		{cell: cell, strategy: "AR", tweak: twoZones, store: func(r cellRun) { out.AR = r.Result }},
+		{cell: cell, strategy: "CON P=4", tweak: twoZones, store: func(r cellRun) { out.CON = r.Result }},
+		{cell: cell, strategy: "CON P=4 +zone", tweak: twoZones,
+			preduce: &engine.PReduceConfig{P: 4, ZoneAffinity: true},
+			store: func(r cellRun) {
+				out.Affinity = r.Result
+				out.Interventions = r.Stats.Interventions
+			}},
+	}
+	if err := runAll(opts, jobs); err != nil {
 		return nil, err
 	}
-	if out.AR, err = StrategyMust("AR").Run(c); err != nil {
-		return nil, err
-	}
-
-	if c, err = build("CON P=4"); err != nil {
-		return nil, err
-	}
-	if out.CON, err = StrategyMust("CON P=4").Run(c); err != nil {
-		return nil, err
-	}
-
-	if c, err = build("CON P=4 +zone"); err != nil {
-		return nil, err
-	}
-	affinity := core.NewPReduce(core.PReduceConfig{P: 4, ZoneAffinity: true,
-		Weighting: controller.Constant})
-	res, stats, err := affinity.RunWithStats(c)
-	if err != nil {
-		return nil, err
-	}
-	res.Strategy = "CON P=4 +zone"
-	out.Affinity = res
-	out.Interventions = stats.Interventions
 	return out, nil
-}
-
-// StrategyMust resolves a known strategy name, panicking on typos — for
-// experiment code whose names are compile-time constants.
-func StrategyMust(name string) cluster.Strategy {
-	s, err := StrategyFor(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Format renders the geo comparison.
@@ -102,29 +68,16 @@ func (g *GeoResult) Format(w io.Writer) {
 // how much group-communication time the pipelining hides.
 func AblationOverlap(opts Options) (blocking, overlapped *metrics.Result, err error) {
 	w := opts.workload(CIFAR10Workload(model.VGG19))
-	run := func(overlap bool, name string) (*metrics.Result, error) {
-		cell := Cell{Workload: w, N: 8, Env: EnvHL, HL: 1, Seed: opts.Seed}
-		cfg, err := cell.Build()
-		if err != nil {
-			return nil, err
-		}
+	cell := Cell{Workload: w, N: 8, Env: EnvHL, HL: 1, Seed: opts.Seed}
+	budget := func(cfg *cluster.Config) {
 		cfg.Threshold = 0.999 // run to the budget: compare pace
 		cfg.MaxUpdates = 1200
-		c, err := cluster.New(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.NewPReduce(core.PReduceConfig{P: 3, Overlap: overlap}).Run(c)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
-	if blocking, err = run(false, "CON P=3"); err != nil {
-		return nil, nil, err
-	}
-	if overlapped, err = run(true, "CON+OV P=3"); err != nil {
-		return nil, nil, err
-	}
-	return blocking, overlapped, nil
+	err = runAll(opts, []job{
+		{cell: cell, strategy: "CON P=3", tweak: budget,
+			preduce: &engine.PReduceConfig{P: 3}, store: func(r cellRun) { blocking = r.Result }},
+		{cell: cell, strategy: "CON+OV P=3", tweak: budget,
+			preduce: &engine.PReduceConfig{P: 3, Overlap: true}, store: func(r cellRun) { overlapped = r.Result }},
+	})
+	return blocking, overlapped, err
 }

@@ -43,7 +43,6 @@ func RobustnessPartition(opts Options, durations []float64) (*PartitionSweepResu
 	out := &PartitionSweepResult{Results: make([]*metrics.Result, len(durations))}
 	var jobs []job
 	for i, dur := range durations {
-		i := i
 		out.Durations = append(out.Durations, dur)
 		cell := Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: opts.Seed}
 		if dur > 0 {
@@ -63,31 +62,24 @@ func RobustnessPartition(opts Options, durations []float64) (*PartitionSweepResu
 			}
 		}
 		jobs = append(jobs, job{cell: cell, strategy: "DYN P=3",
-			store: func(r *metrics.Result) { out.Results[i] = r }})
+			store: func(r cellRun) { out.Results[i] = r.Result }})
 	}
 	if err := runAll(opts, jobs); err != nil {
 		return nil, err
 	}
 	for _, r := range out.Results {
-		ok := r != nil && r.Converged
-		out.Converged = append(out.Converged, ok)
-		acc, t := 0.0, 0.0
-		var re, to, ab int64
-		if r != nil {
-			acc = r.FinalAccuracy
-			re, to, ab = r.Comms.Retries, r.Comms.Timeouts, r.Comms.Aborts
-			if ok {
-				t = r.RunTime
-			}
-		}
-		out.Accuracy = append(out.Accuracy, acc)
-		out.Time = append(out.Time, t)
-		out.Retries = append(out.Retries, re)
-		out.Timeouts = append(out.Timeouts, to)
-		out.Aborts = append(out.Aborts, ab)
+		out.Converged = append(out.Converged, r.Converged)
+		out.Accuracy = append(out.Accuracy, r.FinalAccuracy)
+		out.Time = append(out.Time, timeToThreshold(r))
+		out.Retries = append(out.Retries, r.Comms.Retries)
+		out.Timeouts = append(out.Timeouts, r.Comms.Timeouts)
+		out.Aborts = append(out.Aborts, r.Comms.Aborts)
 	}
 	return out, nil
 }
+
+// Exports offers one summary row per partition length.
+func (r *PartitionSweepResult) Exports() []Export { return []Export{{Results: r.Results}} }
 
 // Format renders the partition sweep as a table.
 func (r *PartitionSweepResult) Format(w io.Writer) {

@@ -30,35 +30,53 @@ func Robustness(opts Options, seeds int) (*RobustnessResult, error) {
 	w := opts.workload(CIFAR10Workload(model.ResNet34))
 	out := &RobustnessResult{}
 
-	type pair struct{ ar, dyn *metrics.Result }
-	results := make([]pair, seeds)
-	var jobs []job
-	for i := 0; i < seeds; i++ {
-		i := i
+	cells := make([]Cell, seeds)
+	for i := range cells {
 		seed := opts.Seed + int64(i)
 		out.Seeds = append(out.Seeds, seed)
-		cell := Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: seed}
-		jobs = append(jobs,
-			job{cell: cell, strategy: "AR", store: func(r *metrics.Result) { results[i].ar = r }},
-			job{cell: cell, strategy: "DYN P=3", store: func(r *metrics.Result) { results[i].dyn = r }},
-		)
+		cells[i] = Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: seed}
 	}
-	if err := runAll(opts, jobs); err != nil {
+	results, err := arVersusDyn(opts, cells)
+	if err != nil {
 		return nil, err
 	}
 	out.Speedups = make([]float64, seeds)
 	for i, p := range results {
-		if p.ar == nil || !p.ar.Converged {
+		switch {
+		case !p.ar.Converged:
 			out.ARFail++
-			continue
-		}
-		if p.dyn == nil || !p.dyn.Converged {
+		case !p.dyn.Converged:
 			out.DYNFail++
-			continue
+		default:
+			out.Speedups[i] = p.ar.RunTime / p.dyn.RunTime
 		}
-		out.Speedups[i] = p.ar.RunTime / p.dyn.RunTime
 	}
 	return out, nil
+}
+
+// arVsDyn is the headline pair on one cell.
+type arVsDyn struct{ ar, dyn *metrics.Result }
+
+// arVersusDyn runs All-Reduce and DYN P=3 on every cell.
+func arVersusDyn(opts Options, cells []Cell) ([]arVsDyn, error) {
+	results := make([]arVsDyn, len(cells))
+	var jobs []job
+	for i, cell := range cells {
+		jobs = append(jobs,
+			job{cell: cell, strategy: "AR", store: func(r cellRun) { results[i].ar = r.Result }},
+			job{cell: cell, strategy: "DYN P=3", store: func(r cellRun) { results[i].dyn = r.Result }},
+		)
+	}
+	return results, runAll(opts, jobs)
+}
+
+// timeToThreshold is a run's virtual seconds to the accuracy threshold, 0
+// when it missed.
+func timeToThreshold(r *metrics.Result) float64 {
+	if r.Converged {
+		return r.RunTime
+	}
+	return 0
 }
 
 // CrashSweepResult compares DYN P=3 against AR under deterministic
@@ -91,36 +109,22 @@ func RobustnessCrash(opts Options, rates []float64) (*CrashSweepResult, error) {
 	horizon := w.Profile.BatchCompute * 40
 
 	out := &CrashSweepResult{}
-	type pair struct{ ar, dyn *metrics.Result }
-	results := make([]pair, len(rates))
-	var jobs []job
+	cells := make([]Cell, len(rates))
 	for i, rate := range rates {
-		i := i
 		sched := hetero.RandomCrashes(8, rate, horizon, opts.Seed+int64(i)*101)
 		out.Rates = append(out.Rates, rate)
 		out.Crashes = append(out.Crashes, len(sched))
-		cell := Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: opts.Seed, Crashes: sched}
-		jobs = append(jobs,
-			job{cell: cell, strategy: "AR", store: func(r *metrics.Result) { results[i].ar = r }},
-			job{cell: cell, strategy: "DYN P=3", store: func(r *metrics.Result) { results[i].dyn = r }},
-		)
+		cells[i] = Cell{Workload: w, N: 8, Env: EnvHL, HL: 3, Seed: opts.Seed, Crashes: sched}
 	}
-	if err := runAll(opts, jobs); err != nil {
+	results, err := arVersusDyn(opts, cells)
+	if err != nil {
 		return nil, err
 	}
 	for _, p := range results {
-		out.ARConverged = append(out.ARConverged, p.ar != nil && p.ar.Converged)
-		dynOK := p.dyn != nil && p.dyn.Converged
-		out.DYNConverged = append(out.DYNConverged, dynOK)
-		acc, t := 0.0, 0.0
-		if p.dyn != nil {
-			acc = p.dyn.FinalAccuracy
-			if dynOK {
-				t = p.dyn.RunTime
-			}
-		}
-		out.DYNAccuracy = append(out.DYNAccuracy, acc)
-		out.DYNTime = append(out.DYNTime, t)
+		out.ARConverged = append(out.ARConverged, p.ar.Converged)
+		out.DYNConverged = append(out.DYNConverged, p.dyn.Converged)
+		out.DYNAccuracy = append(out.DYNAccuracy, p.dyn.FinalAccuracy)
+		out.DYNTime = append(out.DYNTime, timeToThreshold(p.dyn))
 	}
 	return out, nil
 }

@@ -8,8 +8,7 @@ import (
 	"partialreduce/internal/baselines"
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/core"
-	"partialreduce/internal/metrics"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/policy"
 )
 
@@ -22,10 +21,13 @@ type Options struct {
 	// Parallelism bounds concurrent cells; zero selects GOMAXPROCS.
 	Parallelism int
 	// Policy optionally retrofits a group-formation policy (see
-	// internal/policy) onto every P-Reduce strategy an experiment runs;
-	// non-P-Reduce baselines are unaffected. The zero Spec is a no-op, and
-	// Spec{Name: policy.NameStatic} reproduces the policy-free controller
-	// byte for byte (the metamorphic baseline).
+	// internal/policy) onto every P-Reduce run whose job names its strategy
+	// ("CON P=4", "DYN P=3", ...). Runs with an explicit engine.PReduceConfig
+	// (the ablations, fig4's unfiltered run, geo's zone-affinity run) pin
+	// their controller on purpose and do not take it; non-P-Reduce baselines
+	// are unaffected. The zero Spec is a no-op, and Spec{Name:
+	// policy.NameStatic} reproduces the policy-free controller byte for byte
+	// (the metamorphic baseline).
 	Policy policy.Spec
 }
 
@@ -66,33 +68,31 @@ func StrategyFor(name string) (cluster.Strategy, error) {
 	case matchInt(name, "PS BK-%d", &b):
 		return baselines.NewPSBK(b), nil
 	case matchInt(name, "CON P=%d", &p):
-		return core.NewPReduce(core.PReduceConfig{P: p}), nil
+		return engine.NewPReduce(engine.PReduceConfig{P: p}), nil
 	case matchInt(name, "DYN P=%d", &p):
-		// Dynamic weighting uses the closest-iteration approximation for
-		// missing EMA slots (§3.3.3's alternative): the literal
-		// initial-model rule shifts weight mass onto x₁ when staleness is
-		// large, which measurably degrades convergence in our reproduction
-		// (see the ablation in experiments tests and DESIGN.md).
-		return core.NewPReduce(core.PReduceConfig{
-			P: p, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
-		}), nil
+		return dynamic(p, policy.Spec{}), nil
 	case matchInt(name, "ADP P=%d", &p):
-		// Dynamic P-Reduce with the adaptive-p formation policy: the
-		// configured P is the upper bound, groups shrink toward PMin=2 when
-		// the signal-cadence dispersion says the cell is heterogeneous.
-		return core.NewPReduce(core.PReduceConfig{
-			P: p, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
-			Policy: policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: p},
-		}), nil
+		// The adaptive-p formation policy: the configured P is the upper
+		// bound, groups shrink toward PMin=2 when the signal-cadence
+		// dispersion says the cell is heterogeneous.
+		return dynamic(p, policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: p}), nil
 	case matchInt(name, "SBIAS P=%d", &p):
-		// Dynamic P-Reduce with the straggler-bias formation policy: the
-		// highest-staleness queued workers are preferred into each group.
-		return core.NewPReduce(core.PReduceConfig{
-			P: p, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
-			Policy: policy.Spec{Name: policy.NameStragglerBias},
-		}), nil
+		// The straggler-bias formation policy: the highest-staleness queued
+		// workers are preferred into each group.
+		return dynamic(p, policy.Spec{Name: policy.NameStragglerBias}), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown strategy %q", name)
+}
+
+// dynamic is dynamic-weight P-Reduce under a formation policy. It uses the
+// closest-iteration approximation for missing EMA slots (§3.3.3's
+// alternative): the literal initial-model rule shifts weight mass onto x₁
+// when staleness is large, which measurably degrades convergence in our
+// reproduction (see the ablation in experiments tests and DESIGN.md).
+func dynamic(p int, pol policy.Spec) cluster.Strategy {
+	return engine.NewPReduce(engine.PReduceConfig{
+		P: p, Weighting: controller.Dynamic, Approx: controller.ClosestIteration, Policy: pol,
+	})
 }
 
 func matchInt(s, format string, out *int) bool {
@@ -102,14 +102,29 @@ func matchInt(s, format string, out *int) bool {
 
 // job is one (cell, strategy) run.
 type job struct {
-	cell     Cell
+	cell Cell
+	// strategy names the run: it labels the result and, unless preduce is
+	// set, selects the strategy (StrategyFor).
 	strategy string
-	// store receives the result.
-	store func(*metrics.Result)
+	// preduce, when set, runs P-Reduce with exactly this configuration.
+	preduce *engine.PReduceConfig
+	// tweak optionally adjusts the built cluster config: topology, fixed
+	// heterogeneity, update budget, trace capacity.
+	tweak func(*cluster.Config)
+	// store receives the finished run.
+	store func(cellRun)
+}
+
+// cellRun is what a finished job hands its store: the result, the
+// controller-side observables (zero for strategies without a controller),
+// and the cluster the run executed on (final replicas, tracer, instruments).
+type cellRun struct {
+	engine.RunInfo
+	Cluster *cluster.Cluster
 }
 
 // runAll executes jobs with bounded parallelism; the first error aborts the
-// batch (in-flight cells complete).
+// batch (in-flight cells complete). Stores run one at a time.
 func runAll(opts Options, jobs []job) error {
 	sem := make(chan struct{}, opts.workers())
 	var wg sync.WaitGroup
@@ -117,48 +132,60 @@ func runAll(opts Options, jobs []job) error {
 	var firstErr error
 
 	for _, j := range jobs {
-		j := j
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := runCell(opts, j.cell, j.strategy)
+			run, err := runCell(opts, j)
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("%s on %s (%s): %w",
 						j.strategy, j.cell.Workload.Name, j.cell.envString(), err)
 				}
-				mu.Unlock()
 				return
 			}
-			mu.Lock()
-			j.store(res)
-			mu.Unlock()
+			j.store(run)
 		}()
 	}
 	wg.Wait()
 	return firstErr
 }
 
-// runCell executes one simulation, applying opts.Policy to P-Reduce
-// strategies.
-func runCell(opts Options, cell Cell, strategy string) (*metrics.Result, error) {
-	s, err := StrategyFor(strategy)
+// runCell executes one simulation: the only place a cell becomes a cluster
+// and a strategy runs on it. opts.Policy is retrofitted here and nowhere
+// else, under the rule Options.Policy states.
+func runCell(opts Options, j job) (cellRun, error) {
+	var s cluster.Strategy
+	if j.preduce != nil {
+		s = engine.NewPReduce(*j.preduce)
+	} else {
+		var err error
+		if s, err = StrategyFor(j.strategy); err != nil {
+			return cellRun{}, err
+		}
+		if pr, ok := s.(*engine.PReduce); ok && opts.Policy.Enabled() {
+			s = pr.WithPolicy(opts.Policy)
+		}
+	}
+	cfg, err := j.cell.Build()
 	if err != nil {
-		return nil, err
+		return cellRun{}, err
 	}
-	if pr, ok := s.(*core.PReduce); ok && opts.Policy.Enabled() {
-		s = pr.WithPolicy(opts.Policy)
+	if j.tweak != nil {
+		j.tweak(&cfg)
 	}
-	cfg, err := cell.Build()
+	c, err := cluster.New(cfg, j.strategy)
 	if err != nil {
-		return nil, err
+		return cellRun{}, err
 	}
-	c, err := cluster.New(cfg, strategy)
-	if err != nil {
-		return nil, err
+	run := cellRun{Cluster: c}
+	if pr, ok := s.(*engine.PReduce); ok {
+		run.RunInfo, err = pr.RunDetailed(c)
+	} else {
+		run.Result, err = s.Run(c)
 	}
-	return s.Run(c)
+	return run, err
 }

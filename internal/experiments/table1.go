@@ -51,17 +51,15 @@ func Table1(opts Options) (*Table1Result, error) {
 	var jobs []job
 	for _, spec := range specs {
 		w := opts.workload(CIFAR10Workload(spec.profile))
-		block := Table1Block{Model: spec.profile.Name, HLs: spec.hls, Cells: map[int]map[string]*metrics.Result{}}
-		out.Blocks = append(out.Blocks, block)
-		bi := len(out.Blocks) - 1
+		cells := map[int]map[string]*metrics.Result{}
+		out.Blocks = append(out.Blocks, Table1Block{Model: spec.profile.Name, HLs: spec.hls, Cells: cells})
 		for _, hl := range spec.hls {
-			out.Blocks[bi].Cells[hl] = map[string]*metrics.Result{}
+			cells[hl] = map[string]*metrics.Result{}
 			for _, strat := range Table1Strategies {
-				hl, strat := hl, strat
 				jobs = append(jobs, job{
 					cell:     Cell{Workload: w, N: 8, Env: EnvHL, HL: hl, Seed: opts.Seed},
 					strategy: strat,
-					store:    func(r *metrics.Result) { out.Blocks[bi].Cells[hl][strat] = r },
+					store:    func(r cellRun) { cells[hl][strat] = r.Result },
 				})
 			}
 		}
@@ -73,8 +71,8 @@ func Table1(opts Options) (*Table1Result, error) {
 }
 
 // Format renders the table in the paper's row layout (run time, #updates,
-// per-update time per model × HL). Unconverged cells print N/A, matching
-// the paper's treatment of ER.
+// per-update time per model × HL), then the fastest converged strategy per
+// row. Unconverged cells print N/A, matching the paper's treatment of ER.
 func (t *Table1Result) Format(w io.Writer) {
 	head := fmt.Sprintf("%-12s %-14s %3s", "Model", "Metric", "HL")
 	for _, s := range Table1Strategies {
@@ -95,6 +93,28 @@ func (t *Table1Result) Format(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
+	for _, b := range t.Blocks {
+		for _, hl := range b.HLs {
+			if name, best := t.Best(b.Model, hl); best != nil {
+				fmt.Fprintf(w, "best run time %s HL=%d: %s (%.0fs)\n", b.Model, hl, name, best.RunTime)
+			}
+		}
+	}
+}
+
+// Exports offers one summary row per cell. The walk follows the printed
+// order (block, HL, strategy) so the CSV is byte-identical across runs —
+// ranging over the Cells maps would randomize the rows.
+func (t *Table1Result) Exports() []Export {
+	var all []*metrics.Result
+	for _, b := range t.Blocks {
+		for _, hl := range b.HLs {
+			for _, s := range Table1Strategies {
+				all = append(all, b.Cells[hl][s])
+			}
+		}
+	}
+	return []Export{{Results: all}}
 }
 
 func table1Cell(r *metrics.Result, metric string) string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"partialreduce/internal/cluster"
-	"partialreduce/internal/core"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 )
@@ -22,32 +21,17 @@ func TracedRun(opts Options, traceCap int) (*metrics.Result, *cluster.Cluster, e
 	if traceCap == 0 {
 		traceCap = -1
 	}
-	cell := Cell{
-		Workload: opts.workload(CIFAR10Workload(model.ResNet34)),
-		N:        8,
-		Env:      EnvProduction,
-		Seed:     opts.Seed,
-	}
-	strategy := "CON P=4"
-	s, err := StrategyFor(strategy)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pr, ok := s.(*core.PReduce); ok && opts.Policy.Enabled() {
-		s = pr.WithPolicy(opts.Policy)
-	}
-	cfg, err := cell.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.TraceCap = traceCap
-	c, err := cluster.New(cfg, strategy)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.Run(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, c, nil
+	var run cellRun
+	err := runAll(opts, []job{{
+		cell: Cell{
+			Workload: opts.workload(CIFAR10Workload(model.ResNet34)),
+			N:        8,
+			Env:      EnvProduction,
+			Seed:     opts.Seed,
+		},
+		strategy: "CON P=4",
+		tweak:    func(cfg *cluster.Config) { cfg.TraceCap = traceCap },
+		store:    func(r cellRun) { run = r },
+	}})
+	return run.Result, run.Cluster, err
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 
@@ -130,40 +129,14 @@ type Bundle struct {
 }
 
 // renderScoreboard renders the straggler scoreboard CSV: one row per
-// worker sorted by recent blame descending (cumulative blame, then rank,
-// break ties), with fixed 6-decimal floats for byte determinism.
+// worker in metrics.InstrumentsSnapshot.Scoreboard order, with fixed
+// 6-decimal floats for byte determinism.
 func renderScoreboard(snap *metrics.InstrumentsSnapshot) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("rank,recent_s,blame_s,waited_s,critical,groups\n")
-	n := len(snap.Blame)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if snap.BlameEWMA[i] != snap.BlameEWMA[j] {
-			return snap.BlameEWMA[i] > snap.BlameEWMA[j]
-		}
-		if snap.Blame[i] != snap.Blame[j] {
-			return snap.Blame[i] > snap.Blame[j]
-		}
-		return i < j
-	})
 	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
-	for _, i := range order {
-		var wait float64
-		var crit, groups int64
-		if i < len(snap.GroupWait) {
-			wait = snap.GroupWait[i]
-		}
-		if i < len(snap.CriticalN) {
-			crit = snap.CriticalN[i]
-		}
-		if i < len(snap.GroupCount) {
-			groups = snap.GroupCount[i]
-		}
-		fmt.Fprintf(&buf, "%d,%s,%s,%s,%d,%d\n", i, f(snap.BlameEWMA[i]), f(snap.Blame[i]), f(wait), crit, groups)
+	for _, r := range snap.Scoreboard() {
+		fmt.Fprintf(&buf, "%d,%s,%s,%s,%d,%d\n", r.Rank, f(r.Recent), f(r.Blame), f(r.Waited), r.Critical, r.Groups)
 	}
 	return buf.Bytes()
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"partialreduce/internal/cluster"
-	"partialreduce/internal/core"
 	"partialreduce/internal/data"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/model"
 	"partialreduce/internal/netmodel"
@@ -189,7 +189,7 @@ func TestSimLiveElasticDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := core.NewPReduce(core.PReduceConfig{P: capacity}).RunDetailed(c)
+	info, err := engine.NewPReduce(engine.PReduceConfig{P: capacity}).RunDetailed(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -428,6 +429,46 @@ type InstrumentsSnapshot struct {
 	Comms            CommStats
 	QueueDepthNow    float64
 	QueueDepthSample float64
+}
+
+// ScoreRow is one worker's line of the straggler scoreboard.
+type ScoreRow struct {
+	Rank             int
+	Recent           float64 // blame EWMA: who is slow now
+	Blame, Waited    float64 // cumulative seconds induced / spent waiting
+	Critical, Groups int64
+}
+
+// Scoreboard returns one row per worker sorted by recent blame descending,
+// ties broken by cumulative blame then rank, so the current straggler tops
+// the board. Deterministic for a fixed snapshot; every renderer (the live
+// text board, the postmortem bundle's CSV) shows this order.
+func (s *InstrumentsSnapshot) Scoreboard() []ScoreRow {
+	rows := make([]ScoreRow, len(s.Blame))
+	for i := range rows {
+		rows[i] = ScoreRow{Rank: i, Recent: s.BlameEWMA[i], Blame: s.Blame[i]}
+		// The per-worker slices are sized together; a hand-built snapshot
+		// may carry only the blame columns.
+		if i < len(s.GroupWait) {
+			rows[i].Waited = s.GroupWait[i]
+		}
+		if i < len(s.CriticalN) {
+			rows[i].Critical = s.CriticalN[i]
+		}
+		if i < len(s.GroupCount) {
+			rows[i].Groups = s.GroupCount[i]
+		}
+	}
+	sort.SliceStable(rows, func(a, b int) bool {
+		if rows[a].Recent != rows[b].Recent {
+			return rows[a].Recent > rows[b].Recent
+		}
+		if rows[a].Blame != rows[b].Blame {
+			return rows[a].Blame > rows[b].Blame
+		}
+		return rows[a].Rank < rows[b].Rank
+	})
+	return rows
 }
 
 // Snapshot returns a deep copy of the current instrument state. Nil-safe

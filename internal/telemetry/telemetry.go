@@ -18,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 
 	"partialreduce/internal/health"
@@ -228,48 +227,21 @@ func WriteWatchdog(w io.Writer, st health.State) error {
 }
 
 // WriteScoreboard renders the live straggler scoreboard: one line per
-// worker, sorted by recent blame (the EWMA) descending with ties broken
-// by cumulative blame then rank, so the current straggler tops the
-// board. Deterministic for a fixed snapshot.
+// worker in metrics.InstrumentsSnapshot.Scoreboard order.
 func WriteScoreboard(w io.Writer, snap *metrics.InstrumentsSnapshot) error {
 	ew := &errw{w: w}
-	n := len(snap.Blame)
 	ew.str("straggler scoreboard (groups formed: ")
 	ew.i64(snap.GroupsFormed)
 	ew.str(")\n")
-	if n == 0 {
+	rows := snap.Scoreboard()
+	if len(rows) == 0 {
 		ew.str("  (no per-worker blame data)\n")
 		return ew.err
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if snap.BlameEWMA[i] != snap.BlameEWMA[j] {
-			return snap.BlameEWMA[i] > snap.BlameEWMA[j]
-		}
-		if snap.Blame[i] != snap.Blame[j] {
-			return snap.Blame[i] > snap.Blame[j]
-		}
-		return i < j
-	})
 	ew.str("  rank  recent_s  blame_s  waited_s  critical  groups\n")
-	for _, i := range order {
-		var crit, groups int64
-		if i < len(snap.CriticalN) {
-			crit = snap.CriticalN[i]
-		}
-		if i < len(snap.GroupCount) {
-			groups = snap.GroupCount[i]
-		}
-		var wait float64
-		if i < len(snap.GroupWait) {
-			wait = snap.GroupWait[i]
-		}
+	for _, r := range rows {
 		ew.str(fmt.Sprintf("  %4d  %8.3f  %7.3f  %8.3f  %8d  %6d\n",
-			i, snap.BlameEWMA[i], snap.Blame[i], wait, crit, groups))
+			r.Rank, r.Recent, r.Blame, r.Waited, r.Critical, r.Groups))
 	}
 	return ew.err
 }

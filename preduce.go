@@ -31,8 +31,8 @@ import (
 	"partialreduce/internal/baselines"
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/core"
 	"partialreduce/internal/data"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/live"
 	"partialreduce/internal/metrics"
@@ -56,7 +56,7 @@ type (
 	Point = metrics.Point
 
 	// PReduceConfig configures the P-Reduce strategy.
-	PReduceConfig = core.PReduceConfig
+	PReduceConfig = engine.PReduceConfig
 	// Weighting selects constant or dynamic (staleness-aware) aggregation.
 	Weighting = controller.Weighting
 	// ApproxRule selects how dynamic weighting fills missing EMA slots.
@@ -121,7 +121,7 @@ const (
 // Strategy constructors.
 
 // NewPReduce returns the partial-reduce strategy (the paper's contribution).
-func NewPReduce(cfg PReduceConfig) Strategy { return core.NewPReduce(cfg) }
+func NewPReduce(cfg PReduceConfig) Strategy { return engine.NewPReduce(cfg) }
 
 // NewAllReduce returns the bulk-synchronous ring all-reduce baseline.
 func NewAllReduce() Strategy { return baselines.NewAllReduce() }
