@@ -42,15 +42,17 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Zero-allocation gate: the steady-state data plane (pool Get/Put, Mem
-# Send/RecvInto round trip, full segmented AllReduceSum, kernel dispatch)
+# Zero-allocation gate: the steady-state training step (pool Get/Put, Mem
+# Send/RecvInto round trip, full segmented ring in place and out of place,
+# kernel dispatch, the gradient with its views bound)
 # must not touch the heap. The assertions skip themselves under -race (whose
 # instrumentation allocates), so ci runs them in a dedicated non-race pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
 	$(GO) test ./internal/transport/ -run TestRecvIntoSteadyStateAllocFree -count 1
-	$(GO) test ./internal/collective/ -run TestAllReduceSteadyStateAllocFree -count 1
+	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
+	$(GO) test ./internal/model/ -run TestGradientSteadyStateAllocFree -count 1
 
 # Flake gate: the quiet-run watchdog test finishes in ~10 ms, well inside its
 # own 5 ms evaluation cadence on a fast host, so it passes only because the
@@ -84,15 +86,17 @@ trace-smoke:
 postmortem-smoke:
 	sh scripts/postmortem_smoke.sh
 
-# Data-plane microbenchmarks, printed for a human: nothing is written and no
-# absolute number is compared (an ns/op recorded on one machine says nothing
-# on another). The two gates here are relative, measured inside one process
-# (traced vs untraced all-reduce <3%, policy decision vs static controller).
+# Training-step microbenchmarks, printed for a human: nothing is written and
+# no absolute number is compared (an ns/op recorded on one machine says
+# nothing on another). The two gates here are relative, measured inside one
+# process (traced vs untraced all-reduce <3%, policy decision vs static
+# controller). BenchmarkLiveStep is bench/'s comm_mem workload as a Go
+# benchmark: add -cpuprofile to it for the product's per-step profile.
 # Per-layer numbers from a real run: bash bench/run.sh --workload W --trace 1.
 BENCHTIME ?= 1s
 bench:
-	$(GO) test -p 1 ./internal/collective/ ./internal/transport/ ./internal/tensor/ \
-		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkSendRecvInto|BenchmarkAddScaled' \
+	$(GO) test -p 1 ./internal/collective/ ./internal/transport/ ./internal/tensor/ ./internal/model/ ./internal/optim/ ./internal/live/ \
+		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkSendRecvInto|BenchmarkAddScaled|BenchmarkMLPGradient$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
 		-benchmem -benchtime $(BENCHTIME)
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
 	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)

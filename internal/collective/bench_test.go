@@ -8,19 +8,30 @@ import (
 	"partialreduce/internal/transport"
 )
 
-// benchWorld spins up a g-rank Mem world whose non-zero ranks loop the given
-// collective forever; the benchmark goroutine drives rank 0. start releases
-// one round on every rank, done reports rank-0 completion.
+// benchRing times the in-place unit-weight all-reduce.
 func benchRing(b *testing.B, ranks, elems int, opts Options) {
+	benchReduce(b, ranks, elems, false, 1, opts)
+}
+
+// benchReduce spins up a g-rank Mem world whose non-zero ranks loop
+// ReduceInto forever — in place, or from data into a second buffer — while
+// the benchmark goroutine drives rank 0. start releases one round on every
+// rank.
+func benchReduce(b *testing.B, ranks, elems int, outOfPlace bool, weight float64, opts Options) {
 	b.Helper()
 	world := transport.NewMem(ranks)
 	group := make([]int, ranks)
 	data := make([][]float64, ranks)
+	dst := make([][]float64, ranks)
 	for i := range group {
 		group[i] = i
 		data[i] = make([]float64, elems)
 		for j := range data[i] {
 			data[i][j] = float64(i*elems + j)
+		}
+		dst[i] = data[i]
+		if outOfPlace {
+			dst[i] = make([]float64, elems)
 		}
 	}
 
@@ -39,7 +50,7 @@ func benchRing(b *testing.B, ranks, elems int, opts Options) {
 					return
 				case <-start[r]:
 				}
-				if err := AllReduceSumOpts(world[r], group, op, data[r], opts); err != nil {
+				if err := ReduceInto(world[r], group, op, dst[r], data[r], weight, 1, opts); err != nil {
 					b.Error(err)
 					return
 				}
@@ -53,7 +64,7 @@ func benchRing(b *testing.B, ranks, elems int, opts Options) {
 		for r := 1; r < ranks; r++ {
 			start[r] <- struct{}{}
 		}
-		if err := AllReduceSumOpts(world[0], group, uint32(w+1), data[0], opts); err != nil {
+		if err := ReduceInto(world[0], group, uint32(w+1), dst[0], data[0], weight, 1, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +77,7 @@ func benchRing(b *testing.B, ranks, elems int, opts Options) {
 			start[r] <- struct{}{}
 		}
 		op := uint32(warm + i + 1)
-		if err := AllReduceSumOpts(world[0], group, op, data[0], opts); err != nil {
+		if err := ReduceInto(world[0], group, op, dst[0], data[0], weight, 1, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,6 +95,13 @@ func benchRing(b *testing.B, ranks, elems int, opts Options) {
 // steady state.
 func BenchmarkAllReduceSum(b *testing.B) {
 	benchRing(b, 4, 1_000_000, Options{})
+}
+
+// BenchmarkReduceInto is the live P-Reduce group collective: 3 ranks average
+// the repository benchmark's 266,244-parameter model out of place with
+// weight 1/3 — the shape bench/'s collective.group_reduce_ms times.
+func BenchmarkReduceInto(b *testing.B) {
+	benchReduce(b, 3, 266244, true, 1.0/3, Options{})
 }
 
 // BenchmarkRingSegmented sweeps segment sizes.

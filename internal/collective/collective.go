@@ -6,12 +6,14 @@
 // each controller-formed group runs its own collective, and disjoint groups
 // run concurrently without interference.
 //
-// Data plane (see DESIGN.md): every ring step moves its chunk in segments of
-// Options.SegmentElems elements, and the segments pipeline — segment k+1 is
-// on the wire while segment k is being reduced — in the style of Gloo's
-// segmented rings. Receives land via RecvIntoTimeout in pooled or in-place
-// buffers and the reduce inner loop runs on the tensor.AddScaled kernel, so
-// a steady-state ring step performs zero heap allocations. Per-operation
+// Data plane (see DESIGN.md): there is one ring, ReduceInto, and the sum, mean
+// and weighted-average entry points are its in-place wrappers. Every ring step
+// moves its chunk in segments of Options.SegmentElems elements, and the
+// segments pipeline — segment k+1 is on the wire while segment k is being
+// reduced — in the style of Gloo's segmented rings. Receives land via
+// RecvIntoTimeout in pooled or in-place buffers and the weighting, the sum
+// and the post-scale are one pass on the tensor.ScaleAddInto kernel, so a
+// steady-state ring step performs zero heap allocations. Per-operation
 // counters (bytes, phase wall time, segments) accumulate into OpStats.
 package collective
 
@@ -277,8 +279,8 @@ func segCount(n, seg int) int {
 }
 
 // ring is the per-call state of one segmented ring collective: neighbors,
-// the agreed segment geometry, the pooled receive buffer for the reduce
-// phase, and the stats sink.
+// the agreed segment geometry, the operands of the fused reduce, the pooled
+// segment buffers of the reduce phase, and the stats sink.
 type ring struct {
 	t          transport.Transport
 	opID       uint32
@@ -287,7 +289,10 @@ type ring struct {
 	next, prev int
 	seg        int // segment size in elements, > 0
 	segsPer    int // tag stride: max segments of any ring step
-	buf        []float64
+	dst, src   []float64
+	weight     float64   // the caller's coefficient on src
+	in         []float64 // pooled: the segment a reduce step receives
+	out        []float64 // pooled: the weight-scaled segment leaving at step 0 (nil when weight == 1)
 	stats      *OpStats
 }
 
@@ -317,9 +322,14 @@ func newRing(t transport.Transport, group []int, pos int, opID uint32, n, seg in
 // step runs one pipelined ring step of the given phase: the send chunk
 // [sendLo, sendHi) streams to next in segments while the recv chunk
 // [recvLo, recvHi) streams in from prev, one segment ahead on the wire.
-// With reduce set, received segments are accumulated into data via the
-// AddScaled kernel; otherwise they are received in place (all-gather).
-func (r *ring) step(phase, s int, data []float64, sendLo, sendHi, recvLo, recvHi int, reduce bool) error {
+//
+// Reduce-scatter forms the weighted sum in one pass per element: the chunk
+// leaving at step 0 is weight·src, scaled on its way out, and every received
+// segment lands as dst = (weight·src + received)·post — post is 1 except on
+// the last reduce-scatter step. A rank receives each chunk exactly once in
+// this phase, so src is read, never written. Later steps and all-gather send
+// from dst, and all-gather receives into dst in place.
+func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float64) error {
 	segLen := func(lo, hi, k int) (int, int) {
 		a := lo + k*r.seg
 		return a, min(a+r.seg, hi)
@@ -327,12 +337,21 @@ func (r *ring) step(phase, s int, data []float64, sendLo, sendHi, recvLo, recvHi
 	sm := segCount(sendHi-sendLo, r.seg)
 	rm := segCount(recvHi-recvLo, r.seg)
 	base := s * r.segsPer
+	reduce := phase == phaseReduceScatter
 
 	ph := epochPhase(r.epoch, phase)
 	sent := 0
 	send := func() error {
 		lo, hi := segLen(sendLo, sendHi, sent)
-		if err := r.t.Send(r.next, tag(r.opID, ph, base+sent), data[lo:hi]); err != nil {
+		payload := r.dst[lo:hi]
+		if reduce && s == 0 {
+			payload = r.src[lo:hi]
+			if r.weight != 1 {
+				payload = r.out[:hi-lo]
+				tensor.ScaleInto(payload, r.src[lo:hi], r.weight)
+			}
+		}
+		if err := r.t.Send(r.next, tag(r.opID, ph, base+sent), payload); err != nil {
 			return err
 		}
 		if r.stats != nil {
@@ -358,11 +377,11 @@ func (r *ring) step(phase, s int, data []float64, sendLo, sendHi, recvLo, recvHi
 		}
 		lo, hi := segLen(recvLo, recvHi, k) // …while segment k lands here
 		want := hi - lo
-		dst := data[lo:hi]
+		into := r.dst[lo:hi]
 		if reduce {
-			dst = r.buf[:want]
+			into = r.in[:want]
 		}
-		n, err := r.t.RecvIntoTimeout(r.prev, tag(r.opID, ph, base+k), dst, r.deadline)
+		n, err := r.t.RecvIntoTimeout(r.prev, tag(r.opID, ph, base+k), into, r.deadline)
 		if err != nil {
 			return err
 		}
@@ -373,34 +392,49 @@ func (r *ring) step(phase, s int, data []float64, sendLo, sendHi, recvLo, recvHi
 			r.stats.BytesRecv += int64(8 * want)
 		}
 		if reduce {
-			tensor.AddScaled(data[lo:hi], r.buf[:want], 1)
+			tensor.ScaleAddInto(r.dst[lo:hi], r.src[lo:hi], into, r.weight, post)
 		}
 	}
 	return nil
 }
 
-// AllReduceSumOpts sums data element-wise across the members of group,
-// leaving the total in every member's data slice. All members must call it
-// with the same group, opID, data length, and segment size. Groups of one
-// return immediately. The result is bit-identical for every segment size:
-// segmentation only changes message boundaries, never the per-element order
-// of operations.
+// ReduceInto is the ring all-reduce: it leaves post · Σ_i weight_i·src_i —
+// each member's own weight times its own src, summed over group — in every
+// member's dst. All members must call it with the same group, opID, vector
+// length, post, and segment size. A group of one computes post·(weight·src)
+// locally. The folded weighting and post-scale (see ring.step) round exactly
+// as separate Scale passes would, and the result is bit-identical for every
+// segment size: segmentation only changes message boundaries, never the
+// per-element order of operations.
+//
+// dst is either src itself (in place) or a buffer that does not overlap it.
+// Out of place, src is never written: an operation that fails — peer down,
+// aborted, timed out — leaves its input exactly as it was.
 //
 // With Options.Timeout set, every receive is deadline-bounded; with a
 // non-zero Options.Retry, a timed-out attempt is abandoned (its buffered
-// frames purged), the input restored from a snapshot, and the operation
-// retried under a fresh tag epoch after a seeded-jitter exponential backoff.
-// Non-timeout failures (peer down, op aborted) are never retried — they have
-// their own recovery path in the runtime. When the attempt budget is
-// exhausted the op is aborted locally so straggler frames are dropped on
-// arrival, and the last timeout error is returned.
-func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []float64, opt Options) error {
+// frames purged) and the operation retried from src under a fresh tag epoch
+// after a seeded-jitter exponential backoff; only an in-place caller, whose
+// failed attempt overwrote part of its input, pays for a pooled snapshot to
+// restore it from. Non-timeout failures (peer down, op aborted) are never
+// retried — they have their own recovery path in the runtime. When the
+// attempt budget is exhausted the op is aborted locally so straggler frames
+// are dropped on arrival, and the last timeout error is returned.
+func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []float64, weight, post float64, opt Options) error {
 	seg, err := opt.segElems()
 	if err != nil {
 		return err
 	}
+	n := len(src)
+	if len(dst) != n {
+		return fmt.Errorf("collective: ReduceInto dst length %d != src length %d", len(dst), n)
+	}
 	g := len(group)
 	if g <= 1 {
+		tensor.ScaleInto(dst, src, weight)
+		if post != 1 {
+			tensor.Vector(dst).Scale(post)
+		}
 		return nil
 	}
 	pos, err := position(t, group)
@@ -408,28 +442,39 @@ func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []fl
 		return err
 	}
 	stats := opt.Stats
-	n := len(data)
 	attempts := opt.Retry.attempts()
 	if opt.Timeout <= 0 {
 		attempts = 1 // without deadlines there is nothing to retry from
 	}
 
-	var snapshot []float64
+	r := newRing(t, group, pos, opID, n, seg, stats)
+	r.deadline = opt.Timeout
+	r.dst, r.src, r.weight = dst, src, weight
+	r.in = bufpool.GetFloat64(min(r.seg, n/g+1))
+	defer bufpool.PutFloat64(r.in)
+	if weight != 1 {
+		r.out = bufpool.GetFloat64(len(r.in))
+		defer bufpool.PutFloat64(r.out)
+	}
+
+	var snapshot []float64 // of an in-place input, for retries to restore
 	var rng *jitterRNG
 	if attempts > 1 {
-		snapshot = bufpool.GetFloat64(n)
-		copy(snapshot, data)
-		defer bufpool.PutFloat64(snapshot)
 		rng = newJitterRNG(opt.Retry.Seed, opID)
+		if n > 0 && &dst[0] == &src[0] {
+			snapshot = bufpool.GetFloat64(n)
+			copy(snapshot, src)
+			defer bufpool.PutFloat64(snapshot)
+		}
 	}
 
 	opStart := opt.Tracer.Now()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			// Discard the failed attempt: restore the input, drop its
-			// buffered frames, and pace the retry.
-			copy(data, snapshot)
+			// Discard the failed attempt: restore an in-place input, drop
+			// the attempt's buffered frames, and pace the retry.
+			copy(src, snapshot)
 			t.PurgeOp(opID)
 			if d := opt.Retry.backoff(a-1, rng); d > 0 {
 				pause := opt.Tracer.Now()
@@ -441,7 +486,8 @@ func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []fl
 			}
 			opt.Tracer.Instant(trace.KRetry, opt.TraceTrack, opt.TraceIter, int64(opID), int64(a))
 		}
-		err := allReduceAttempt(t, group, pos, opID, a, seg, data, opt, stats)
+		r.epoch = a
+		err := r.attempt(g, pos, post, opt)
 		if err == nil {
 			if a > 0 {
 				// Stale frames from failed epochs may still trickle in;
@@ -475,19 +521,13 @@ func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []fl
 	return lastErr
 }
 
-// allReduceAttempt runs one reduce-scatter + all-gather pass under the given
-// retry epoch's tags.
-func allReduceAttempt(t transport.Transport, group []int, pos int, opID uint32, epoch, seg int, data []float64, opt Options, stats *OpStats) error {
-	g := len(group)
-	n := len(data)
-	r := newRing(t, group, pos, opID, n, seg, stats)
-	r.epoch = epoch
-	r.deadline = opt.Timeout
-	r.buf = bufpool.GetFloat64(min(r.seg, n/g+1))
-	defer bufpool.PutFloat64(r.buf)
+// attempt runs one reduce-scatter + all-gather pass under the ring's current
+// retry epoch.
+func (r *ring) attempt(g, pos int, post float64, opt Options) error {
+	n := len(r.src)
 
 	// Reduce-scatter: after g−1 steps, chunk (pos+1) mod g is fully reduced
-	// here.
+	// (and post-scaled) here.
 	start := time.Now()
 	trStart := opt.Tracer.Now()
 	for s := 0; s < g-1; s++ {
@@ -495,15 +535,19 @@ func allReduceAttempt(t transport.Transport, group []int, pos int, opID uint32, 
 		recvChunk := ((pos-s-1)%g + g) % g
 		sendLo, sendHi := chunk(n, g, sendChunk)
 		recvLo, recvHi := chunk(n, g, recvChunk)
-		if err := r.step(phaseReduceScatter, s, data, sendLo, sendHi, recvLo, recvHi, true); err != nil {
+		stepPost := 1.0
+		if s == g-2 {
+			stepPost = post
+		}
+		if err := r.step(phaseReduceScatter, s, sendLo, sendHi, recvLo, recvHi, stepPost); err != nil {
 			return err
 		}
 	}
 	mid := time.Now()
-	if stats != nil {
-		stats.ReduceScatter += mid.Sub(start)
+	if r.stats != nil {
+		r.stats.ReduceScatter += mid.Sub(start)
 	}
-	opt.Tracer.Span(trace.KReduceScatter, opt.TraceTrack, opt.TraceIter, trStart, int64(opID), 0)
+	opt.Tracer.Span(trace.KReduceScatter, opt.TraceTrack, opt.TraceIter, trStart, int64(r.opID), 0)
 
 	// All-gather: circulate the reduced chunks.
 	trMid := opt.Tracer.Now()
@@ -512,24 +556,27 @@ func allReduceAttempt(t transport.Transport, group []int, pos int, opID uint32, 
 		recvChunk := ((pos-s)%g + g) % g
 		sendLo, sendHi := chunk(n, g, sendChunk)
 		recvLo, recvHi := chunk(n, g, recvChunk)
-		if err := r.step(phaseAllGather, s, data, sendLo, sendHi, recvLo, recvHi, false); err != nil {
+		if err := r.step(phaseAllGather, s, sendLo, sendHi, recvLo, recvHi, 1); err != nil {
 			return err
 		}
 	}
-	if stats != nil {
-		stats.AllGather += time.Since(mid)
+	if r.stats != nil {
+		r.stats.AllGather += time.Since(mid)
 	}
-	opt.Tracer.Span(trace.KAllGather, opt.TraceTrack, opt.TraceIter, trMid, int64(opID), 0)
+	opt.Tracer.Span(trace.KAllGather, opt.TraceTrack, opt.TraceIter, trMid, int64(r.opID), 0)
 	return nil
 }
 
-// AllReduceMeanOpts averages data element-wise across the group.
+// AllReduceSumOpts sums data element-wise across the members of group,
+// leaving the total in every member's data slice: ReduceInto in place with
+// unit weight.
+func AllReduceSumOpts(t transport.Transport, group []int, opID uint32, data []float64, opt Options) error {
+	return ReduceInto(t, group, opID, data, data, 1, 1, opt)
+}
+
+// AllReduceMeanOpts averages data element-wise across the group, in place.
 func AllReduceMeanOpts(t transport.Transport, group []int, opID uint32, data []float64, opt Options) error {
-	if err := AllReduceSumOpts(t, group, opID, data, opt); err != nil {
-		return err
-	}
-	tensor.Vector(data).Scale(1 / float64(len(group)))
-	return nil
+	return ReduceInto(t, group, opID, data, data, 1, 1/float64(len(group)), opt)
 }
 
 // WeightedAverageOpts computes the weighted sum Σ_i weights[i]·data_i across
@@ -537,8 +584,7 @@ func AllReduceMeanOpts(t transport.Transport, group []int, opID uint32, data []f
 // caller's own coefficient — the P-Reduce aggregation (Alg. 2 line 7) with
 // the controller's constant or dynamic weights.
 func WeightedAverageOpts(t transport.Transport, group []int, opID uint32, data []float64, weight float64, opt Options) error {
-	tensor.Vector(data).Scale(weight)
-	return AllReduceSumOpts(t, group, opID, data, opt)
+	return ReduceInto(t, group, opID, data, data, weight, 1, opt)
 }
 
 // GatherOpts collects every member's data at root, returned in group order.

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -12,9 +13,9 @@ import (
 	"partialreduce/internal/transport"
 )
 
-// runOpts runs AllReduceSumOpts concurrently on every member and returns the
-// first error.
-func runOpts(eps []*transport.Mem, group []int, opID uint32, datas [][]float64, opt Options) error {
+// runReduce runs ReduceInto concurrently on every member — member i reduces
+// srcs[i] into dsts[i] with weights[i] — and returns the first error.
+func runReduce(eps []*transport.Mem, group []int, opID uint32, dsts, srcs [][]float64, weights []float64, post float64, opt Options) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(group))
 	for i, r := range group {
@@ -22,7 +23,7 @@ func runOpts(eps []*transport.Mem, group []int, opID uint32, datas [][]float64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = AllReduceSumOpts(eps[r], group, opID, datas[i], opt)
+			errs[i] = ReduceInto(eps[r], group, opID, dsts[i], srcs[i], weights[i], post, opt)
 		}()
 	}
 	wg.Wait()
@@ -34,54 +35,124 @@ func runOpts(eps []*transport.Mem, group []int, opID uint32, datas [][]float64, 
 	return nil
 }
 
-// TestQuickSegmentedBitIdentical is the tentpole determinism property:
-// segmentation only changes message boundaries, never the per-element order
-// of operations, so every segment size must be *bit-identical* to the
-// one-segment-per-step reference (a segment as long as the whole tensor)
-// for random group shapes, vector lengths, and segment sizes — including
-// sizes that leave ragged final segments and sizes larger than any chunk.
+// serialReduce is the ring's arithmetic without the ring: element i of chunk
+// c is weight_c·x_c, then each next member's weight_r·x_r added in ring order
+// r = c+1, c+2, … (mod g), then post-scaled — every step rounded on its own.
+func serialReduce(xs [][]float64, weights []float64, post float64) []float64 {
+	g, n := len(xs), len(xs[0])
+	out := make([]float64, n)
+	for c := 0; c < g; c++ {
+		lo, hi := chunk(n, g, c)
+		for i := lo; i < hi; i++ {
+			acc := float64(weights[c] * xs[c][i])
+			for k := 1; k < g; k++ {
+				r := (c + k) % g
+				acc = float64(weights[r]*xs[r][i]) + acc
+			}
+			out[i] = float64(acc * post)
+		}
+	}
+	return out
+}
+
+func cloneAll(xs [][]float64) [][]float64 {
+	out := make([][]float64, len(xs))
+	for i, x := range xs {
+		out[i] = append([]float64(nil), x...)
+	}
+	return out
+}
+
+// diffBits reports the first element at which got and want differ as bit
+// patterns (so +0 ≠ −0), or -1.
+func diffBits(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestQuickSegmentedBitIdentical is the tentpole determinism property. The
+// fused ring changes where the weighting, the sum and the post-scale happen,
+// never what is computed: for random group sizes (1 included), vector
+// lengths (shorter than the group included), per-member weights (unit, zero
+// and negative included), data with signed zeros, post ∈ {1, 1/g} and
+// segment sizes — including ones that leave ragged final segments and ones
+// larger than any chunk — the in-place one-segment-per-step ring, the
+// in-place segmented ring and the out-of-place segmented ring all equal the
+// serial reference *bit for bit*, and the out-of-place source is unmodified.
 func TestQuickSegmentedBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := 2 + rng.Intn(6)
+		g := 1 + rng.Intn(8)
 		d := 1 + rng.Intn(5000)
+		if rng.Intn(4) == 0 {
+			d = rng.Intn(g + 1) // some (or all) chunks are empty
+		}
 		seg := 1 + rng.Intn(700) // deliberately tiny: many ragged segments
+		post := 1.0
+		if rng.Intn(2) == 0 {
+			post = 1 / float64(g)
+		}
 		world := transport.NewMem(g)
 		group := make([]int, g)
-		for i := range group {
-			group[i] = i
-		}
-		plain := make([][]float64, g)
-		segged := make([][]float64, g)
-		for r := range plain {
-			plain[r] = make([]float64, d)
-			segged[r] = make([]float64, d)
-			for i := range plain[r] {
-				v := rng.NormFloat64()
-				plain[r][i] = v
-				segged[r][i] = v
+		weights := make([]float64, g)
+		xs := make([][]float64, g)
+		for r := range group {
+			group[r] = r
+			weights[r] = []float64{1, 1 / float64(g), 0, -0.5, rng.NormFloat64()}[rng.Intn(5)]
+			xs[r] = make([]float64, d)
+			for i := range xs[r] {
+				switch rng.Intn(8) {
+				case 0:
+					xs[r][i] = 0
+				case 1:
+					xs[r][i] = math.Copysign(0, -1)
+				default:
+					xs[r][i] = rng.NormFloat64()
+				}
 			}
 		}
-		if err := runOpts(world, group, 1, plain, Options{SegmentElems: d}); err != nil {
+		want := serialReduce(xs, weights, post)
+
+		plain, segged, src := cloneAll(xs), cloneAll(xs), cloneAll(xs)
+		out := make([][]float64, g)
+		for r := range out {
+			out[r] = make([]float64, d)
+			for i := range out[r] {
+				out[r][i] = math.NaN() // every element must be overwritten
+			}
+		}
+		if err := runReduce(world, group, 1, plain, plain, weights, post, Options{SegmentElems: max(d, 1)}); err != nil {
 			t.Logf("one segment per step: %v", err)
 			return false
 		}
-		if err := runOpts(world, group, 2, segged, Options{SegmentElems: seg}); err != nil {
-			t.Logf("segmented (seg=%d): %v", seg, err)
+		if err := runReduce(world, group, 2, segged, segged, weights, post, Options{SegmentElems: seg}); err != nil {
+			t.Logf("segmented in place (seg=%d): %v", seg, err)
 			return false
 		}
-		for r := range plain {
-			for i := range plain[r] {
-				if plain[r][i] != segged[r][i] {
-					t.Logf("g=%d d=%d seg=%d rank=%d elem=%d: %g != %g",
-						g, d, seg, r, i, plain[r][i], segged[r][i])
+		if err := runReduce(world, group, 3, out, src, weights, post, Options{SegmentElems: seg}); err != nil {
+			t.Logf("segmented out of place (seg=%d): %v", seg, err)
+			return false
+		}
+		for r := range group {
+			for name, got := range map[string][]float64{"one-segment": plain[r], "in-place": segged[r], "out-of-place": out[r]} {
+				if i := diffBits(got, want); i >= 0 {
+					t.Logf("g=%d d=%d seg=%d post=%g rank=%d %s elem=%d: %x != %x",
+						g, d, seg, post, r, name, i, got[i], want[i])
 					return false
 				}
+			}
+			if i := diffBits(src[r], xs[r]); i >= 0 {
+				t.Logf("g=%d d=%d seg=%d rank=%d: out-of-place reduce wrote src[%d]", g, d, seg, r, i)
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,14 +249,15 @@ func TestAllReduceOpStats(t *testing.T) {
 	}
 }
 
-// TestAllReduceSteadyStateAllocFree is the CI allocation gate the issue asks
-// for: after warmup, a full segmented AllReduceSum over the Mem transport
-// performs zero heap allocations on the measured rank.
-func TestAllReduceSteadyStateAllocFree(t *testing.T) {
+// assertRingAllocFree is the CI allocation gate: after warmup, op — one full
+// segmented ring collective over a 4-rank Mem world, called concurrently on
+// every rank — performs zero heap allocations on the measured rank.
+func assertRingAllocFree(t *testing.T, op func(tr transport.Transport, group []int, rank int) error) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	const g, n = 4, 1 << 16
+	const g = 4
 	world := transport.NewMem(g)
 	group := []int{0, 1, 2, 3}
 
@@ -196,10 +268,9 @@ func TestAllReduceSteadyStateAllocFree(t *testing.T) {
 		start[r] = make(chan struct{})
 		done[r] = make(chan struct{})
 		r := r
-		data := make([]float64, n)
 		go func() {
 			for range start[r] {
-				_ = AllReduceSumOpts(world[r], group, 9, data, Options{})
+				_ = op(world[r], group, r)
 				done[r] <- struct{}{}
 			}
 		}()
@@ -210,12 +281,11 @@ func TestAllReduceSteadyStateAllocFree(t *testing.T) {
 		}
 	}()
 
-	data := make([]float64, n)
 	round := func() {
 		for r := 1; r < g; r++ {
 			start[r] <- struct{}{}
 		}
-		if err := AllReduceSumOpts(world[0], group, 9, data, Options{}); err != nil {
+		if err := op(world[0], group, 0); err != nil {
 			t.Fatal(err)
 		}
 		for r := 1; r < g; r++ {
@@ -226,8 +296,34 @@ func TestAllReduceSteadyStateAllocFree(t *testing.T) {
 		round() // warm every pool (buffers, waiters, kernel workers)
 	}
 	if allocs := testing.AllocsPerRun(20, round); allocs > 0 {
-		t.Fatalf("steady-state AllReduceSum allocates %.1f times per op", allocs)
+		t.Fatalf("steady-state ring collective allocates %.1f times per op", allocs)
 	}
+}
+
+// TestAllReduceSteadyStateAllocFree gates the in-place unit-weight ring.
+func TestAllReduceSteadyStateAllocFree(t *testing.T) {
+	const n = 1 << 16
+	datas := [4][]float64{}
+	for r := range datas {
+		datas[r] = make([]float64, n)
+	}
+	assertRingAllocFree(t, func(tr transport.Transport, group []int, r int) error {
+		return AllReduceSumOpts(tr, group, 9, datas[r], Options{})
+	})
+}
+
+// TestReduceIntoSteadyStateAllocFree gates the ring the live P-Reduce step
+// runs: out of place with a non-unit weight, which adds the pooled scratch
+// the step-0 chunk is scaled into.
+func TestReduceIntoSteadyStateAllocFree(t *testing.T) {
+	const n = 1 << 16
+	dsts, srcs := [4][]float64{}, [4][]float64{}
+	for r := range dsts {
+		dsts[r], srcs[r] = make([]float64, n), make([]float64, n)
+	}
+	assertRingAllocFree(t, func(tr transport.Transport, group []int, r int) error {
+		return ReduceInto(tr, group, 9, dsts[r], srcs[r], 0.25, 1, Options{})
+	})
 }
 
 // TestBarrierSynchronizes checks the zero-payload Barrier rewrite: no member

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +157,154 @@ func TestAllReduceRetriesThroughPartition(t *testing.T) {
 	if retries == 0 || timeouts == 0 {
 		t.Fatalf("partition produced no retry evidence: retries=%d timeouts=%d", retries, timeouts)
 	}
+}
+
+// nanVectors returns g length-n vectors of NaNs: a destination whose every
+// written element is recognisable.
+func nanVectors(g, n int) [][]float64 {
+	out := make([][]float64, g)
+	for r := range out {
+		out[r] = make([]float64, n)
+		for i := range out[r] {
+			out[r][i] = math.NaN()
+		}
+	}
+	return out
+}
+
+// TestReduceIntoAbortLeavesSourceIntact: out of place, the input of a
+// collective that dies mid reduce-scatter is never destroyed. Rank 2 crashes
+// a few segments into the second ring step; rank 0 sees it go down and
+// aborts the op for the group (what the live runtime does), which unblocks
+// rank 1. Both survivors fail, rank 0 has already reduced received segments
+// into dst — and every src still holds its input bit for bit.
+func TestReduceIntoAbortLeavesSourceIntact(t *testing.T) {
+	const g, n, seg, op = 3, 3000, 100, 7
+	// 10 segments per ring step: send 16 dies in the middle of step 1.
+	eps := faultyGroup(t, g, transport.FaultPlan{Seed: 21, CrashAfterSends: map[int]int{2: 15}})
+	world := make([]transport.Transport, g)
+	for r, ep := range eps {
+		world[r] = ep
+	}
+	group := []int{0, 1, 2}
+	weights := []float64{0.5, 0.25, 0.25}
+	xs := make([][]float64, g)
+	for r := range xs {
+		xs[r] = make([]float64, n)
+		for i := range xs[r] {
+			xs[r][i] = float64(r*n+i) - 1000.5
+		}
+	}
+	src, dst := cloneAll(xs), nanVectors(g, n)
+	errs := make([]error, g)
+	var wg sync.WaitGroup
+	for r := range group {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = ReduceInto(eps[r], group, op, dst[r], src[r], weights[r], 1, Options{SegmentElems: seg})
+			if r == 0 {
+				transport.AbortOpEverywhere(world, group, op, 2)
+			}
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if !transport.IsFailure(err) {
+			t.Fatalf("rank %d: want a peer-down/aborted failure, got %v", r, err)
+		}
+	}
+	for r := 0; r < 2; r++ { // the survivors
+		if i := diffBits(src[r], xs[r]); i >= 0 {
+			t.Fatalf("rank %d: failed reduce wrote src[%d] = %x, was %x", r, i, src[r][i], xs[r][i])
+		}
+	}
+	written := 0
+	for _, v := range dst[0] {
+		if !math.IsNaN(v) {
+			written++
+		}
+	}
+	if written == 0 || written == n {
+		t.Fatalf("rank 0 wrote %d of %d dst elements: the op did not die mid reduce-scatter", written, n)
+	}
+}
+
+// TestReduceIntoRetryTakesNoSnapshot: the first frame 0 → 1 is lost, both
+// members time out, and the second tag epoch succeeds. In place, each member
+// restores its half-overwritten input from an input-sized pooled snapshot;
+// out of place there is nothing to restore — the retry re-reads src — so the
+// whole operation allocates less than one input's worth of bytes (pool misses
+// are heap allocations, and only segment-sized ones remain). Both reach the
+// same bits as the serial reference.
+func TestReduceIntoRetryTakesNoSnapshot(t *testing.T) {
+	const g, n, seg = 2, 70_000, 512
+	group := []int{0, 1}
+	weights := []float64{0.75, 0.25}
+	xs := make([][]float64, g)
+	for r := range xs {
+		xs[r] = make([]float64, n)
+		for i := range xs[r] {
+			xs[r][i] = float64(i%97) - 48 + float64(r)/3
+		}
+	}
+	want := serialReduce(xs, weights, 0.5)
+
+	// retry runs the scenario and returns the bytes it allocated.
+	retry := func(dsts, srcs [][]float64) uint64 {
+		t.Helper()
+		eps := faultyGroup(t, g, transport.FaultPlan{
+			Seed:       22,
+			LinkFaults: map[[2]int]transport.LinkFault{{0, 1}: {DropFirst: 1}},
+		})
+		stats := make([]OpStats, g)
+		errs := make([]error, g)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var wg sync.WaitGroup
+		for r := range group {
+			r := r
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[r] = ReduceInto(eps[r], group, 1, dsts[r], srcs[r], weights[r], 0.5, Options{
+					SegmentElems: seg,
+					Timeout:      100 * time.Millisecond,
+					Retry:        RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, Seed: 22},
+					Stats:        &stats[r],
+				})
+			}()
+		}
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		for r := range group {
+			if errs[r] != nil {
+				t.Fatalf("rank %d: %v", r, errs[r])
+			}
+			if stats[r].Retries == 0 {
+				t.Fatalf("rank %d never retried: the lost frame did not force a second epoch", r)
+			}
+			if i := diffBits(dsts[r], want); i >= 0 {
+				t.Fatalf("rank %d elem %d: %x != %x (a retried attempt leaked partial state)", r, i, dsts[r][i], want[i])
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	// Out of place first: nothing input-sized is pooled yet, so a snapshot
+	// could only come from the heap.
+	src := cloneAll(xs)
+	if grown := retry(nanVectors(g, n), src); grown >= 8*n {
+		t.Fatalf("out-of-place retry allocated %d bytes, an input is %d: it took a snapshot", grown, 8*n)
+	}
+	for r := range src {
+		if i := diffBits(src[r], xs[r]); i >= 0 {
+			t.Fatalf("rank %d: out-of-place retry wrote src[%d]", r, i)
+		}
+	}
+	inPlace := cloneAll(xs)
+	retry(inPlace, inPlace)
 }
 
 // TestAllReduceAbortsAfterBudget: a permanently severed link exhausts the

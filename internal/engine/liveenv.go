@@ -50,12 +50,13 @@ func (e *LiveEnv) Now() float64 { return time.Since(e.epoch).Seconds() }
 // World implements Environment.
 func (e *LiveEnv) World() int { return e.Trans.Size() }
 
-// GroupReduce executes one P-Reduce group collective: the weighted in-place
-// model average over the group's members, tagged with the worker's current
-// iteration.
-func (e *LiveEnv) GroupReduce(members []int, opID uint32, params tensor.Vector, weight float64, iter int) error {
+// GroupReduce executes one P-Reduce group collective: the weighted model
+// average over the group's members, reduced from params into dst and tagged
+// with the worker's current iteration. params is only read, so a failed
+// collective leaves the model as it was.
+func (e *LiveEnv) GroupReduce(members []int, opID uint32, dst, params tensor.Vector, weight float64, iter int) error {
 	e.Copts.TraceIter = int32(iter)
-	return collective.WeightedAverageOpts(e.Trans, members, opID, params, weight, e.Copts)
+	return collective.ReduceInto(e.Trans, members, opID, dst, params, weight, 1, e.Copts)
 }
 
 // WorldReduceMean executes one full-group mean all-reduce (the AR baseline's
@@ -170,15 +171,18 @@ type Outcome struct {
 // RunPReduceWorker is the live training-step loop (Algorithm 2), shared by
 // the in-process and multi-process runtimes: compute a batch, update
 // locally, signal ready, and either proceed solo or reduce with the
-// dispatched group — rolling back and re-signaling when the collective is
-// aborted under it (§4). A non-nil error is fatal and raw: the calling
-// runtime owns wrapping and cleanup (the two runtimes differ in both).
+// dispatched group — re-signaling when the collective is aborted under it
+// (§4). The group average lands in a spare buffer that trades places with
+// the model's parameters on success, so §4's rollback is free: an aborted or
+// timed-out group never wrote the model. A non-nil error is fatal and raw:
+// the calling runtime owns wrapping and cleanup (the two runtimes differ in
+// both).
 func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 	env := w.Env
 	id := env.Rank
 	m := w.Model
 	grad := tensor.NewVector(m.NumParams())
-	pre := tensor.NewVector(m.NumParams())
+	spare := tensor.NewVector(m.NumParams()) // the next group average lands here
 	var batch *data.Batch
 	tracer := env.Tracer
 	ins := env.Instruments
@@ -216,7 +220,7 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 			return Outcome{Iter: iter, Groups: groups, Crashed: true}, nil
 		}
 
-		for { // signal ready; on a group abort, roll back and re-signal
+		for { // signal ready; on a group abort, re-signal
 			if machine.State(0) != StateReady {
 				// Refresh and bootstrap directives loop back here with the
 				// worker already in StateReady (the re-signal is the same
@@ -287,8 +291,7 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 				}
 			}
 			machine.To(0, StateReduce)
-			pre.CopyFrom(m.Params())
-			err = env.GroupReduce(g.Members, d.OpID, m.Params(), weight, iter)
+			err = env.GroupReduce(g.Members, d.OpID, spare, m.Params(), weight, iter)
 			if ins != nil {
 				// Fold this collective's data-plane delta into the live
 				// instruments so /metrics is fresh mid-run (the run total
@@ -299,6 +302,7 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 			}
 			if err == nil {
 				machine.To(0, StateApply)
+				spare = m.SwapParams(spare)
 				if g.InitWeight > 0 {
 					m.Params().Axpy(g.InitWeight, w.Init)
 				}
@@ -315,10 +319,10 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 				// Hard transport error (e.g. endpoint closed): fatal.
 				return Outcome{Iter: iter, Groups: groups}, err
 			}
-			// A peer died mid-collective (§4): roll back to the pre-group
-			// model, report the death, and re-signal ready for this same
-			// iteration. The controller will regroup us with survivors.
-			m.Params().CopyFrom(pre)
+			// A peer died mid-collective (§4): the model still holds its
+			// pre-group parameters (only spare was written), so report the
+			// death and re-signal ready for this same iteration. The
+			// controller will regroup us with survivors.
 			dead := deadPeer(err)
 			if dead == id {
 				machine.Kill(0)
@@ -332,7 +336,7 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 				// The collective timed out (after exhausting any retry
 				// budget) with no peer known dead: a severed link or
 				// partition. Ask the controller to abort the op for the
-				// whole group so every stuck member rolls back and
+				// whole group so every stuck member abandons it and
 				// re-signals; nobody is condemned.
 				if rerr := ctl.ReportStuck(g, d.OpID); rerr != nil {
 					return Outcome{Iter: iter, Groups: groups}, rerr

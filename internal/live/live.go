@@ -16,8 +16,9 @@
 //
 // The runtime is fault tolerant in the sense of §4: a worker crash is
 // detected by its group peers (the collective fails with a typed peer-down
-// error), the survivors roll back to their pre-group models and re-signal
-// ready, and the controller excludes the dead worker from all future groups.
+// error), the survivors — whose models the out-of-place collective never
+// wrote — re-signal ready, and the controller excludes the dead worker from
+// all future groups.
 // Because no model data flows through the controller, exclusion is a pure
 // metadata operation. Crashed workers can rejoin from a checkpoint.
 package live

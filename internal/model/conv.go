@@ -72,14 +72,20 @@ func NewConvNet(spec ConvSpec, seed int64) *ConvNet {
 	return m
 }
 
+// bindViews points the layer views at flat; after the first call the two
+// matrices are re-pointed in place, which allocates nothing.
 func (m *ConvNet) bindViews() {
 	c, k, cls := m.spec.Channels, m.spec.Kernel, m.spec.Classes
+	if m.convW == nil {
+		m.convW = &tensor.Matrix{Rows: c, Cols: k}
+		m.denseW = &tensor.Matrix{Rows: cls, Cols: c}
+	}
 	off := 0
-	m.convW = tensor.MatrixFrom(c, k, m.flat[off:off+c*k])
+	m.convW.Data = m.flat[off : off+c*k]
 	off += c * k
 	m.convB = m.flat[off : off+c]
 	off += c
-	m.denseW = tensor.MatrixFrom(cls, c, m.flat[off:off+cls*c])
+	m.denseW.Data = m.flat[off : off+cls*c]
 	off += cls * c
 	m.denseB = m.flat[off : off+cls]
 }
@@ -100,6 +106,17 @@ func (m *ConvNet) Params() tensor.Vector { return m.flat }
 
 // SetParams implements Model.
 func (m *ConvNet) SetParams(p tensor.Vector) { m.flat.CopyFrom(p) }
+
+// SwapParams implements Model.
+func (m *ConvNet) SwapParams(p tensor.Vector) tensor.Vector {
+	if len(p) != len(m.flat) {
+		panic(fmt.Sprintf("model: SwapParams buffer %d, want %d", len(p), len(m.flat)))
+	}
+	old := m.flat
+	m.flat = p
+	m.bindViews()
+	return old
+}
 
 // NumParams implements Model.
 func (m *ConvNet) NumParams() int { return len(m.flat) }

@@ -5,7 +5,8 @@
 // collectives (all-reduce, partial reduce, PS push/pull) operate on one
 // contiguous buffer, exactly as gradient buckets do in a real DDP stack.
 // Layer weight matrices are views into that flat vector: reading Params()
-// and writing through SetParams copy nothing structural.
+// and writing through SetParams copy nothing structural, and SwapParams
+// re-points the views at another buffer without copying at all.
 //
 // The statistical side of every experiment runs real stochastic gradient
 // descent on these models; the hardware side (per-batch seconds, bytes on
@@ -28,6 +29,12 @@ type Model interface {
 	Params() tensor.Vector
 	// SetParams copies p into the model's parameters.
 	SetParams(p tensor.Vector)
+	// SwapParams makes p (len NumParams) the live parameter storage without
+	// copying or allocating and returns the previous storage, which the
+	// model no longer references: a model average reduced out of place from
+	// Params() into a spare buffer is installed by trading the two. It
+	// panics on a length mismatch.
+	SwapParams(p tensor.Vector) tensor.Vector
 	// NumParams returns the trainable parameter count.
 	NumParams() int
 	// Gradient computes the average gradient of the cross-entropy loss over
@@ -85,6 +92,12 @@ type MLP struct {
 	ws    []*tensor.Matrix
 	bs    []tensor.Vector
 	sizes []int // layer widths including input and output
+	// gws/gbs mirror ws/bs over the last Gradient destination (identified
+	// by its first element): a training loop passes the same buffer every
+	// step, so the views are bound once, not per call.
+	gws   []*tensor.Matrix
+	gbs   []tensor.Vector
+	gbase *float64
 	// scratch buffers reused across Gradient calls
 	acts   []tensor.Vector // activations per layer (post-nonlinearity)
 	deltas []tensor.Vector // backprop deltas per layer
@@ -104,7 +117,7 @@ func NewMLP(spec Spec, seed int64) *MLP {
 		total += sizes[l+1]*sizes[l] + sizes[l+1]
 	}
 	m := &MLP{spec: spec, flat: tensor.NewVector(total), sizes: sizes}
-	m.bindViews()
+	m.ws, m.bs = m.bindViews(nil, nil, m.flat)
 
 	rng := rand.New(rand.NewSource(seed))
 	for l, w := range m.ws {
@@ -114,18 +127,25 @@ func NewMLP(spec Spec, seed int64) *MLP {
 	return m
 }
 
-// bindViews points ws/bs at slices of flat.
-func (m *MLP) bindViews() {
-	m.ws = m.ws[:0]
-	m.bs = m.bs[:0]
-	off := 0
-	for l := 0; l+1 < len(m.sizes); l++ {
-		in, out := m.sizes[l], m.sizes[l+1]
-		m.ws = append(m.ws, tensor.MatrixFrom(out, in, m.flat[off:off+out*in]))
-		off += out * in
-		m.bs = append(m.bs, m.flat[off:off+out])
-		off += out
+// bindViews points per-layer weight and bias views at flat, which is laid out
+// [W₀ b₀ W₁ b₁ …] for parameters and gradients alike. Nil views are
+// allocated; existing ones are re-pointed in place, which allocates nothing.
+func (m *MLP) bindViews(ws []*tensor.Matrix, bs []tensor.Vector, flat tensor.Vector) ([]*tensor.Matrix, []tensor.Vector) {
+	if ws == nil {
+		ws = make([]*tensor.Matrix, len(m.sizes)-1)
+		bs = make([]tensor.Vector, len(m.sizes)-1)
+		for l := range ws {
+			ws[l] = &tensor.Matrix{Rows: m.sizes[l+1], Cols: m.sizes[l]}
+		}
 	}
+	off := 0
+	for l, w := range ws {
+		w.Data = flat[off : off+w.Rows*w.Cols]
+		off += w.Rows * w.Cols
+		bs[l] = flat[off : off+w.Rows]
+		off += w.Rows
+	}
+	return ws, bs
 }
 
 func (m *MLP) initScratch() {
@@ -144,13 +164,24 @@ func (m *MLP) Params() tensor.Vector { return m.flat }
 // SetParams implements Model.
 func (m *MLP) SetParams(p tensor.Vector) { m.flat.CopyFrom(p) }
 
+// SwapParams implements Model.
+func (m *MLP) SwapParams(p tensor.Vector) tensor.Vector {
+	if len(p) != len(m.flat) {
+		panic(fmt.Sprintf("model: SwapParams buffer %d, want %d", len(p), len(m.flat)))
+	}
+	old := m.flat
+	m.flat = p
+	m.bindViews(m.ws, m.bs, p)
+	return old
+}
+
 // NumParams implements Model.
 func (m *MLP) NumParams() int { return len(m.flat) }
 
 // Clone implements Model.
 func (m *MLP) Clone() Model {
 	c := &MLP{spec: m.spec, flat: m.flat.Clone(), sizes: m.sizes}
-	c.bindViews()
+	c.ws, c.bs = c.bindViews(nil, nil, c.flat)
 	c.initScratch()
 	return c
 }
@@ -194,26 +225,20 @@ func (m *MLP) Loss(b *data.Batch) float64 {
 }
 
 // Gradient implements Model. dst receives the average gradient; the average
-// loss is returned.
+// loss is returned. dst is never pre-zeroed: the first example's gradient is
+// written (0 + v, so zero signs match a zeroed accumulator), later ones
+// accumulate, and the 1/B scaling is skipped for B = 1, where x·1.0 is exact.
 func (m *MLP) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 	if len(dst) != len(m.flat) {
 		panic(fmt.Sprintf("model: gradient buffer %d, want %d", len(dst), len(m.flat)))
 	}
-	dst.Zero()
 	if len(b.X) == 0 {
+		dst.Zero()
 		return 0
 	}
-
-	// Gradient views into dst mirroring the parameter layout.
-	gws := make([]*tensor.Matrix, len(m.ws))
-	gbs := make([]tensor.Vector, len(m.bs))
-	off := 0
-	for l := range m.ws {
-		in, out := m.sizes[l], m.sizes[l+1]
-		gws[l] = tensor.MatrixFrom(out, in, dst[off:off+out*in])
-		off += out * in
-		gbs[l] = dst[off : off+out]
-		off += out
+	if m.gbase != &dst[0] {
+		m.gws, m.gbs = m.bindViews(m.gws, m.gbs, dst)
+		m.gbase = &dst[0]
 	}
 
 	last := len(m.sizes) - 1
@@ -230,8 +255,15 @@ func (m *MLP) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 
 		// Backpropagate through layers.
 		for l := last - 1; l >= 0; l-- {
-			gws[l].AddOuter(1, m.deltas[l+1], m.acts[l])
-			gbs[l].Add(m.deltas[l+1])
+			if i == 0 {
+				m.gws[l].SetOuter(1, m.deltas[l+1], m.acts[l])
+				for j, v := range m.deltas[l+1] {
+					m.gbs[l][j] = 0 + v
+				}
+			} else {
+				m.gws[l].AddOuter(1, m.deltas[l+1], m.acts[l])
+				m.gbs[l].Add(m.deltas[l+1])
+			}
 			if l > 0 {
 				m.ws[l].MulVecT(m.deltas[l], m.deltas[l+1])
 				// ReLU derivative on the hidden activation.
@@ -243,6 +275,8 @@ func (m *MLP) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 			}
 		}
 	}
-	dst.Scale(1 / float64(len(b.X)))
+	if len(b.X) > 1 {
+		dst.Scale(1 / float64(len(b.X)))
+	}
 	return totalLoss / float64(len(b.X))
 }

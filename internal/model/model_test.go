@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"partialreduce/internal/data"
+	"partialreduce/internal/optim"
 	"partialreduce/internal/tensor"
 )
 
@@ -228,5 +229,182 @@ func TestDeterministicInit(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different seeds produced identical init")
+	}
+}
+
+// referenceGradient is the three-pass gradient Gradient replaced — zero the
+// destination, accumulate every example through AddOuter, scale by 1/B —
+// kept as the arithmetic the one-pass version must reproduce bit for bit.
+func referenceGradient(m *MLP, dst tensor.Vector, b *data.Batch) float64 {
+	dst.Zero()
+	gws, gbs := m.bindViews(nil, nil, dst)
+	last := len(m.sizes) - 1
+	var totalLoss float64
+	for i, x := range b.X {
+		logits := m.forward(x)
+		totalLoss += tensor.LogSumExp(logits) - logits[b.Y[i]]
+		tensor.Softmax(m.probs, logits)
+		d := m.deltas[last]
+		d.CopyFrom(m.probs)
+		d[b.Y[i]] -= 1
+		for l := last - 1; l >= 0; l-- {
+			gws[l].AddOuter(1, m.deltas[l+1], m.acts[l])
+			gbs[l].Add(m.deltas[l+1])
+			if l > 0 {
+				m.ws[l].MulVecT(m.deltas[l], m.deltas[l+1])
+				for j, a := range m.acts[l] {
+					if a <= 0 {
+						m.deltas[l][j] = 0
+					}
+				}
+			}
+		}
+	}
+	dst.Scale(1 / float64(len(b.X)))
+	return totalLoss / float64(len(b.X))
+}
+
+// diffBits reports the first index at which a and b differ as bit patterns
+// (so +0 ≠ −0), or -1.
+func diffBits(a, b tensor.Vector) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestGradientMatchesThreePassReference trains two replicas for 50 momentum
+// SGD steps, one on Gradient and one on the three-pass reference, and demands
+// identical bits from every gradient, loss and parameter vector — zero signs
+// included: inputs carry exact zeros and ReLU produces more, so −0 products
+// reach the gradient on every step.
+func TestGradientMatchesThreePassReference(t *testing.T) {
+	cfg := optim.Config{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4}
+	for _, hidden := range [][]int{nil, {64}, {16, 8}} {
+		for _, batch := range []int{1, 4} {
+			spec := Spec{Inputs: 12, Hidden: hidden, Classes: 4}
+			got, want := NewMLP(spec, 7), NewMLP(spec, 7)
+			optGot, optWant := optim.NewSGD(cfg, got.NumParams()), optim.NewSGD(cfg, want.NumParams())
+			gGot, gWant := tensor.NewVector(got.NumParams()), tensor.NewVector(want.NumParams())
+			gGot.Fill(math.NaN()) // Gradient must overwrite, never accumulate into, dst
+			rng := rand.New(rand.NewSource(int64(len(hidden)*10 + batch)))
+			for step := 0; step < 50; step++ {
+				b := smallBatch(rng, spec.Inputs, spec.Classes, batch)
+				for _, x := range b.X {
+					x[rng.Intn(len(x))] = 0
+				}
+				lGot, lWant := got.Gradient(gGot, b), referenceGradient(want, gWant, b)
+				if math.Float64bits(lGot) != math.Float64bits(lWant) {
+					t.Fatalf("hidden=%v B=%d step %d: loss %x != %x", hidden, batch, step, lGot, lWant)
+				}
+				if i := diffBits(gGot, gWant); i >= 0 {
+					t.Fatalf("hidden=%v B=%d step %d: grad[%d] = %x, want %x", hidden, batch, step, i, gGot[i], gWant[i])
+				}
+				optGot.Update(got.Params(), gGot, 1)
+				optWant.Update(want.Params(), gWant, 1)
+				if i := diffBits(got.Params(), want.Params()); i >= 0 {
+					t.Fatalf("hidden=%v B=%d step %d: param[%d] diverged", hidden, batch, step, i)
+				}
+			}
+		}
+	}
+}
+
+// checkSwapParams is the SwapParams contract, shared by both model types:
+// the views follow the new storage, the old storage is returned and
+// released, Clone/SetParams/Predict agree with a model that copied the same
+// parameters, a wrong length panics, and the swap allocates nothing.
+func checkSwapParams(t *testing.T, m Model, x tensor.Vector, b *data.Batch) {
+	t.Helper()
+	ref := m.Clone()
+	old := m.Params()
+	next := old.Clone()
+	for i := range next {
+		next[i] = -0.5 * next[i]
+	}
+	ref.SetParams(next)
+
+	back := m.SwapParams(next)
+	if &back[0] != &old[0] || &m.Params()[0] != &next[0] {
+		t.Fatal("SwapParams did not trade the storage")
+	}
+	if m.Predict(x) != ref.Predict(x) || m.Loss(b) != ref.Loss(b) || m.Clone().Loss(b) != ref.Loss(b) {
+		t.Fatal("views did not follow the swapped-in storage")
+	}
+	g, gRef := tensor.NewVector(m.NumParams()), tensor.NewVector(m.NumParams())
+	m.Gradient(g, b)
+	ref.Gradient(gRef, b)
+	if i := diffBits(g, gRef); i >= 0 {
+		t.Fatalf("gradient after swap differs at %d", i)
+	}
+	back.Fill(math.NaN()) // the model must no longer read the old storage
+	if l := m.Loss(b); math.IsNaN(l) || l != ref.Loss(b) {
+		t.Fatalf("model still reads its swapped-out storage: loss %v", l)
+	}
+
+	m.SetParams(gRef) // SetParams writes the swapped-in storage
+	if diffBits(next, gRef) >= 0 {
+		t.Fatal("SetParams after swap did not write the live storage")
+	}
+
+	spare := tensor.NewVector(m.NumParams())
+	if allocs := testing.AllocsPerRun(10, func() { spare = m.SwapParams(spare) }); allocs > 0 {
+		t.Fatalf("SwapParams allocates %.1f times per call", allocs)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SwapParams accepted a buffer of the wrong length")
+		}
+	}()
+	m.SwapParams(tensor.NewVector(m.NumParams() + 1))
+}
+
+func TestSwapParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	b := smallBatch(rng, 10, 3, 5)
+	checkSwapParams(t, NewMLP(Spec{Inputs: 10, Hidden: []int{6, 5}, Classes: 3}, 2), b.X[0], b)
+	checkSwapParams(t, NewConvNet(ConvSpec{Inputs: 10, Channels: 4, Kernel: 3, Classes: 3}, 2), b.X[0], b)
+}
+
+// TestGradientSteadyStateAllocFree is the allocgate entry for the training
+// step's compute half: with the same destination buffer every call, as in a
+// training loop, Gradient binds its views once and then never touches the
+// heap — also across a SwapParams.
+func TestGradientSteadyStateAllocFree(t *testing.T) {
+	m := NewMLP(Spec{Inputs: 12, Hidden: []int{16, 8}, Classes: 4}, 3)
+	b := smallBatch(rand.New(rand.NewSource(5)), 12, 4, 2)
+	g, spare := tensor.NewVector(m.NumParams()), tensor.NewVector(m.NumParams())
+	m.Gradient(g, b) // binds the gradient views
+	step := func() {
+		m.Gradient(g, b)
+		spare = m.SwapParams(spare)
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs > 0 {
+		t.Fatalf("steady-state Gradient allocates %.1f times per call", allocs)
+	}
+}
+
+// BenchmarkMLPGradient times one batch-size-1 gradient of the repository
+// benchmark's 266,244-parameter model. Eight replicas take turns, as the
+// eight ranks of a live run do, so parameters and gradient stream from
+// beyond L2 instead of sitting in it.
+func BenchmarkMLPGradient(b *testing.B) {
+	const replicas = 8
+	spec := Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
+	batch := smallBatch(rand.New(rand.NewSource(1)), spec.Inputs, spec.Classes, 1)
+	ms := make([]*MLP, replicas)
+	gs := make([]tensor.Vector, replicas)
+	for r := range ms {
+		ms[r] = NewMLP(spec, int64(r))
+		gs[r] = tensor.NewVector(ms[r].NumParams())
+	}
+	b.SetBytes(int64(2 * 8 * ms[0].NumParams())) // read the parameters, write the gradient
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms[i%replicas].Gradient(gs[i%replicas], batch)
 	}
 }

@@ -104,10 +104,16 @@ func (o *SGD) Update(params, grad tensor.Vector, scale float64) {
 	}
 	lr := o.LR() * scale
 	mu, wd := o.cfg.Momentum, o.cfg.WeightDecay
-	for i := range params {
-		g := grad[i] + wd*params[i]
-		o.velocity[i] = mu*o.velocity[i] + g
-		params[i] -= lr * o.velocity[i]
+	// Local slices of one proven length: the loop runs without a bounds
+	// check or a reload of o.velocity per access.
+	vel := o.velocity
+	params, grad = params[:len(vel)], grad[:len(vel)]
+	for i, v := range vel {
+		p := params[i]
+		g := grad[i] + wd*p
+		v = mu*v + g
+		vel[i] = v
+		params[i] = p - lr*v
 	}
 	o.step++
 }

@@ -73,6 +73,56 @@ func addScaledSerial(dst, src []float64, a float64) {
 	}
 }
 
+// Fused kernels of the weighted ring (collective.ReduceInto) and the one-pass
+// gradient (Matrix.SetOuter). Each folds separate full-vector passes into one
+// and must round exactly where they rounded: every intermediate goes through
+// an explicit float64(...) conversion, which the Go spec rounds on its own, so
+// a compiler that contracts x*y + z into a fused multiply-add (GOAMD64=v3,
+// arm64) cannot change a bit. Like addScaledSerial, the a == 1 and post == 1
+// cases skip the multiply.
+
+// ScaleInto computes dst = a*src element-wise. dst and src must be the same
+// slice or not overlap. It panics if lengths differ.
+func ScaleInto(dst, src []float64, a float64) {
+	checkLen(len(dst), len(src))
+	if a == 1 {
+		copy(dst, src)
+		return
+	}
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = a * v
+	}
+}
+
+// ScaleAddInto computes dst = (a*x + y) * post element-wise, bit-for-bit what
+// Scale(a) on x, Add(y) and Scale(post) produce in three passes. dst may be x
+// itself (the in-place ring) but must not otherwise overlap x or y. It panics
+// if lengths differ.
+func ScaleAddInto(dst, x, y []float64, a, post float64) {
+	checkLen(len(dst), len(x))
+	checkLen(len(y), len(x))
+	dst, y = dst[:len(x)], y[:len(x)]
+	switch {
+	case a == 1 && post == 1:
+		for i, v := range x {
+			dst[i] = v + y[i]
+		}
+	case a == 1:
+		for i, v := range x {
+			dst[i] = float64(v+y[i]) * post
+		}
+	case post == 1:
+		for i, v := range x {
+			dst[i] = float64(a*v) + y[i]
+		}
+	default:
+		for i, v := range x {
+			dst[i] = float64(float64(a*v)+y[i]) * post
+		}
+	}
+}
+
 // AddScaled computes dst += a*src element-wise. It panics if lengths differ.
 // Above ParallelThreshold the work is split across the package worker pool;
 // because every element is computed independently, the parallel result is

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -127,5 +128,87 @@ func sizeName(n int) string {
 		return "64K"
 	default:
 		return "4K"
+	}
+}
+
+// diffBits reports the first index at which a and b differ as bit patterns
+// (so +0 ≠ −0), or -1.
+func diffBits(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFusedKernelsMatchSeparatePasses pins the fold: ScaleInto, ScaleAddInto
+// and SetOuter leave bit-for-bit what the full-vector passes they replace
+// leave (Scale, Add, Scale; Zero, AddOuter), signed zeros included, in place
+// and out of place, on the unit fast paths and off them.
+func TestFusedKernelsMatchSeparatePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 257
+	draw := func() Vector {
+		v := NewVector(n)
+		for i := range v {
+			switch rng.Intn(6) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = math.Copysign(0, -1)
+			default:
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	negZero := math.Copysign(0, -1)
+	for _, a := range []float64{1, 0.3, -0.5, 0, negZero, 1.0 / 3} {
+		for _, post := range []float64{1, 1.0 / 3, -2} {
+			x, y := draw(), draw()
+			want := x.Clone()
+			want.Scale(a)
+			want.Add(y)
+			want.Scale(post)
+
+			out := NewVector(n)
+			ScaleAddInto(out, x, y, a, post)
+			if i := diffBits(out, want); i >= 0 {
+				t.Fatalf("a=%v post=%v out of place: [%d] = %x, want %x", a, post, i, out[i], want[i])
+			}
+			in := x.Clone()
+			ScaleAddInto(in, in, y, a, post)
+			if i := diffBits(in, want); i >= 0 {
+				t.Fatalf("a=%v post=%v in place: [%d] = %x, want %x", a, post, i, in[i], want[i])
+			}
+		}
+
+		x := draw()
+		want := x.Clone()
+		want.Scale(a)
+		out := NewVector(n)
+		ScaleInto(out, x, a)
+		if i := diffBits(out, want); i >= 0 {
+			t.Fatalf("ScaleInto a=%v: [%d] = %x, want %x", a, i, out[i], want[i])
+		}
+
+		u, v := draw()[:9], draw()[:13]
+		ref, got := NewMatrix(9, 13), NewMatrix(9, 13)
+		got.Data.Fill(math.NaN()) // SetOuter must overwrite, not accumulate
+		ref.Zero()
+		ref.AddOuter(a, u, v)
+		got.SetOuter(a, u, v)
+		if i := diffBits(got.Data, ref.Data); i >= 0 {
+			t.Fatalf("SetOuter a=%v: [%d] = %x, want %x", a, i, got.Data[i], ref.Data[i])
+		}
+	}
+}
+
+func TestZeroClears(t *testing.T) {
+	v := Vector{1, math.Copysign(0, -1), math.NaN(), -3}
+	v.Zero()
+	if i := diffBits(v, make(Vector, len(v))); i >= 0 {
+		t.Fatalf("Zero left v[%d] = %x", i, v[i])
 	}
 }

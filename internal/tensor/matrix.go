@@ -82,6 +82,21 @@ func (m *Matrix) AddOuter(a float64, x, y Vector) {
 	}
 }
 
+// SetOuter overwrites m with the rank-1 product a · x·yᵀ, bit-for-bit what
+// Zero followed by AddOuter leaves: each element is 0 + (a·x[i])·y[j], the
+// product rounded before the add (see kernels.go), so a −0 product becomes +0
+// as it does when accumulated into a zeroed matrix.
+func (m *Matrix) SetOuter(a float64, x, y Vector) {
+	checkLen(len(x), m.Rows)
+	checkLen(len(y), m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		row, c := m.Row(i)[:len(y)], a*x[i]
+		for j, v := range y {
+			row[j] = 0 + float64(c*v)
+		}
+	}
+}
+
 // Mul writes a·b into dst (dst = a×b). Shapes must agree and dst must not
 // alias a or b.
 func Mul(dst, a, b *Matrix) {

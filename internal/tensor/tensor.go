@@ -31,7 +31,7 @@ func (v Vector) Fill(c float64) {
 }
 
 // Zero sets every element of v to 0.
-func (v Vector) Zero() { v.Fill(0) }
+func (v Vector) Zero() { clear(v) }
 
 // CopyFrom copies src into v. It panics if lengths differ.
 func (v Vector) CopyFrom(src Vector) {
