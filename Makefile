@@ -42,14 +42,14 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Zero-allocation gate: the steady-state training step (pool Get/Put, Mem
-# Send/RecvInto round trip, full segmented ring in place and out of place,
-# kernel dispatch, the gradient with its views bound)
+# Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
+# loopback-TCP Send/RecvInto round trips, full segmented ring in place and out
+# of place, kernel dispatch, the gradient with its views bound)
 # must not touch the heap. The assertions skip themselves under -race (whose
 # instrumentation allocates), so ci runs them in a dedicated non-race pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
-	$(GO) test ./internal/transport/ -run TestRecvIntoSteadyStateAllocFree -count 1
+	$(GO) test ./internal/transport/ -run 'TestRecvIntoSteadyStateAllocFree|TestTCPSendRecvSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
 	$(GO) test ./internal/model/ -run TestGradientSteadyStateAllocFree -count 1
@@ -90,13 +90,14 @@ postmortem-smoke:
 # no absolute number is compared (an ns/op recorded on one machine says
 # nothing on another). The two gates here are relative, measured inside one
 # process (traced vs untraced all-reduce <3%, policy decision vs static
-# controller). BenchmarkLiveStep is bench/'s comm_mem workload as a Go
-# benchmark: add -cpuprofile to it for the product's per-step profile.
+# controller). BenchmarkLiveStep is bench/'s comm_mem and comm_tcp workloads
+# as a Go benchmark (/mem, /tcp, each at seg=4Ki|16Ki|64Ki): select one cell
+# and add -cpuprofile for the product's per-step profile.
 # Per-layer numbers from a real run: bash bench/run.sh --workload W --trace 1.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -p 1 ./internal/collective/ ./internal/transport/ ./internal/tensor/ ./internal/model/ ./internal/optim/ ./internal/live/ \
-		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkSendRecvInto|BenchmarkAddScaled|BenchmarkMLPGradient$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
+		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkAddScaled|BenchmarkMLPGradient$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
 		-benchmem -benchtime $(BENCHTIME)
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
 	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)

@@ -1,22 +1,23 @@
-// Package bufpool provides size-classed buffer pools for the data plane's
-// two hot buffer types: []float64 payload vectors and []byte wire frames.
+// Package bufpool provides the size-classed pool for the data plane's one
+// hot buffer type, the []float64 payload vector (the TCP codec moves wire
+// bytes through byte views of these, so there are no []byte frames to pool).
 // Buffers are recycled through sync.Pool under power-of-two size classes, so
 // a steady-state communication loop — the ring collectives stepping over the
 // in-process or TCP transport — performs zero heap allocations once the pools
 // are warm. (Slice headers are recycled alongside the backing arrays: boxing
-// a *[]T into sync.Pool's interface is pointer-shaped and allocation-free,
-// whereas Put(&local) would heap-allocate a header per call.)
+// a *[]float64 into sync.Pool's interface is pointer-shaped and
+// allocation-free, whereas Put(&local) would heap-allocate a header per call.)
 //
 // Ownership rules (see DESIGN.md "Data plane"):
 //
-//   - A buffer obtained from Get* is owned by the caller until it either
-//     passes ownership on (e.g. the transport hands a pooled payload to a
-//     plain Recv caller, after which the buffer simply becomes garbage) or
-//     returns it with Put*.
-//   - Put* must only be called with buffers no other goroutine can still
-//     reference. Double-Put is a caller bug and corrupts the pool.
-//   - Put* accepts buffers of any origin (pool or not); capacities that are
-//     not an exact size class are quietly dropped rather than poisoning one.
+//   - A buffer from GetFloat64 is owned by the caller until it passes
+//     ownership on (the read loop hands a verified payload to the mailbox,
+//     which recycles it once copied out) or returns it with PutFloat64.
+//   - PutFloat64 must only be called with buffers nothing else can still
+//     reference, a byte view of the same memory included. Double-Put is a
+//     caller bug and corrupts the pool.
+//   - PutFloat64 accepts buffers of any origin; capacities that are not an
+//     exact size class are quietly dropped rather than poisoning one.
 package bufpool
 
 import (
@@ -55,20 +56,13 @@ func capClass(c int) int {
 	return k
 }
 
-// Miss counters: the tests and the allocs-per-step CI gate use these to pin
-// down steady-state reuse (a warm loop must stop missing).
-var (
-	f64Misses  atomic.Int64
-	byteMisses atomic.Int64
-)
+// f64Misses lets the tests and the benchmark's per-step counter pin down
+// steady-state reuse (a warm loop must stop missing).
+var f64Misses atomic.Int64
 
 // Float64Misses reports how many GetFloat64 calls fell through to a fresh
 // allocation (pool miss or out-of-range size) since process start.
 func Float64Misses() int64 { return f64Misses.Load() }
-
-// BytesMisses reports how many GetBytes calls fell through to a fresh
-// allocation since process start.
-func BytesMisses() int64 { return byteMisses.Load() }
 
 var (
 	f64Pools   [maxClass + 1]sync.Pool
@@ -105,39 +99,4 @@ func PutFloat64(buf []float64) {
 	h := f64Headers.Get().(*[]float64)
 	*h = buf[:cap(buf)]
 	f64Pools[c].Put(h)
-}
-
-var (
-	bytePools   [maxClass + 1]sync.Pool
-	byteHeaders = sync.Pool{New: func() any { return new([]byte) }}
-)
-
-// GetBytes returns a []byte of length n (capacity a power of two >= n) from
-// the pool, allocating only on a miss. Contents are unspecified.
-func GetBytes(n int) []byte {
-	c := classFor(n)
-	if c < 0 {
-		byteMisses.Add(1)
-		return make([]byte, n)
-	}
-	if v := bytePools[c].Get(); v != nil {
-		h := v.(*[]byte)
-		buf := (*h)[:n]
-		*h = nil
-		byteHeaders.Put(h)
-		return buf
-	}
-	byteMisses.Add(1)
-	return make([]byte, n, 1<<c)
-}
-
-// PutBytes recycles buf; non-class capacities are dropped, nil is a no-op.
-func PutBytes(buf []byte) {
-	c := capClass(cap(buf))
-	if c < 0 {
-		return
-	}
-	h := byteHeaders.Get().(*[]byte)
-	*h = buf[:cap(buf)]
-	bytePools[c].Put(h)
 }

@@ -49,30 +49,10 @@ func TestRoundTripReuse(t *testing.T) {
 	}
 }
 
-func TestBytesRoundTrip(t *testing.T) {
-	buf := GetBytes(4096)
-	if len(buf) != 4096 || cap(buf) != 4096 {
-		t.Fatalf("len/cap = %d/%d", len(buf), cap(buf))
-	}
-	PutBytes(buf)
-	ok := false
-	for attempt := 0; attempt < 5 && !ok; attempt++ {
-		before := BytesMisses()
-		b := GetBytes(2049) // class 4096
-		ok = BytesMisses() == before
-		PutBytes(b)
-	}
-	if !ok {
-		t.Error("GetBytes after PutBytes of the same class kept missing the pool")
-	}
-}
-
 func TestPutRejectsForeignCapacities(t *testing.T) {
 	// A non-power-of-two capacity must not enter the pool.
 	PutFloat64(make([]float64, 3000)) // cap 3000: dropped
-	PutBytes(make([]byte, 12))        // cap 12: dropped
 	PutFloat64(nil)
-	PutBytes(nil)
 	// Oversized buffers are also dropped.
 	PutFloat64(make([]float64, 0, 1<<maxClass*2))
 }
@@ -84,13 +64,9 @@ func TestSteadyStateGetPutAllocFree(t *testing.T) {
 	// Warm one class, then measure: Get+Put of a warm class must not allocate.
 	warm := GetFloat64(1 << 12)
 	PutFloat64(warm)
-	wb := GetBytes(1 << 12)
-	PutBytes(wb)
 	avg := testing.AllocsPerRun(100, func() {
 		b := GetFloat64(1 << 12)
 		PutFloat64(b)
-		y := GetBytes(1 << 12)
-		PutBytes(y)
 	})
 	if avg > 0.5 {
 		t.Errorf("steady-state Get/Put allocates %.1f times per run, want 0", avg)

@@ -1,7 +1,9 @@
 package live
 
 import (
+	"fmt"
 	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,20 +11,22 @@ import (
 	"partialreduce/internal/data"
 	"partialreduce/internal/model"
 	"partialreduce/internal/optim"
+	"partialreduce/internal/transport"
 )
 
-// BenchmarkLiveStep is the repository benchmark's comm_mem workload as a Go
-// benchmark, so the product's per-step CPU profile can be regenerated
-// without bench/:
+// BenchmarkLiveStep is the repository benchmark's comm_mem and comm_tcp
+// workloads as a Go benchmark, so the product's per-step CPU profile can be
+// regenerated, and the ring's segment size swept, without bench/:
 //
-//	go test ./internal/live -run '^$' -bench LiveStep -cpuprofile cpu.out
+//	go test ./internal/live -run '^$' -bench 'LiveStep/tcp/seg=4Ki' -cpuprofile cpu.out
 //
 // One op is a whole run: 8 ranks, P = 3, a 266,244-parameter MLP (2.1 MB),
-// batch size 1, 50 iterations per rank over a fresh in-process world, on 2
-// threads. The figure to read is steps/s — mini-batches computed per wall
-// second across all ranks.
+// batch size 1, on 2 threads, over a fresh world built outside the timer —
+// 50 iterations per rank in process (mem), 30 over a loopback TCP mesh (tcp).
+// The figure to read is steps/s — mini-batches computed per wall second
+// across all ranks. seg=4Ki is collective.DefaultSegmentElems, what every
+// shipped run uses; the other cells are there for the segment-geometry sweep.
 func BenchmarkLiveStep(b *testing.B) {
-	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
 	spec := model.Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
 	ds, err := data.GaussianMixture(data.MixtureConfig{
 		Classes: spec.Classes, Dim: spec.Inputs, Examples: 2048 + 64, Separation: 4, Noise: 1, Seed: 1,
@@ -31,27 +35,105 @@ func BenchmarkLiveStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	train, test := ds.Split(2048.0 / (2048 + 64))
-	var steps atomic.Int64
 	cfg := Config{
 		N: 8, P: 3,
 		Spec: spec, Seed: 1,
 		Train: train, Test: test,
 		BatchSize: 1,
 		Optimizer: optim.Config{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4},
-		Iters:     50,
-		// The engine calls this once per computed mini-batch.
-		ComputeDelay: func(int, int) time.Duration { steps.Add(1); return 0 },
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		world := memWorld(cfg.N)
-		if _, err := Run(cfg, world); err != nil {
-			b.Fatal(err)
-		}
-		for _, t := range world {
-			t.Close()
+	for _, w := range []struct {
+		name  string
+		iters int
+		world func(n int) ([]transport.Transport, error)
+	}{
+		{"mem", 50, func(n int) ([]transport.Transport, error) { return memWorld(n), nil }},
+		{"tcp", 30, tcpLoopbackWorld},
+	} {
+		for _, segKi := range []int{4, 16, 64} {
+			b.Run(fmt.Sprintf("%s/seg=%dKi", w.name, segKi), func(b *testing.B) {
+				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
+				var steps atomic.Int64
+				cfg := cfg
+				cfg.Iters = w.iters
+				cfg.SegmentElems = segKi << 10
+				// The engine calls this once per computed mini-batch.
+				cfg.ComputeDelay = func(int, int) time.Duration { steps.Add(1); return 0 }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					world, err := w.world(cfg.N)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					_, err = Run(cfg, world)
+					b.StopTimer()
+					for _, t := range world {
+						t.Close()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(steps.Load())/b.Elapsed().Seconds(), "steps/s")
+			})
 		}
 	}
-	b.ReportMetric(float64(steps.Load())/b.Elapsed().Seconds(), "steps/s")
+}
+
+// tcpLoopbackWorld builds an n-rank TCP mesh on loopback ports the kernel
+// reported free. Another socket can take a port between its release and the
+// endpoint's bind, so a failed mesh is rebuilt on fresh ports a few times.
+func tcpLoopbackWorld(n int) ([]transport.Transport, error) {
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		var world []transport.Transport
+		if world, err = tcpLoopbackWorldOnce(n); err == nil {
+			return world, nil
+		}
+	}
+	return nil, fmt.Errorf("tcp mesh: %w", err)
+}
+
+func tcpLoopbackWorldOnce(n int) ([]transport.Transport, error) {
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := listenFree()
+		if err != nil {
+			return nil, err
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+
+	world := make([]transport.Transport, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range world {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t, err := transport.NewTCPOpts(r, addrs, transport.TCPOptions{MeshTimeout: 3 * time.Second})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			world[r] = t
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for _, t := range world {
+				if t != nil {
+					t.Close()
+				}
+			}
+			return nil, err
+		}
+	}
+	return world, nil
 }

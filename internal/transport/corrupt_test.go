@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +65,35 @@ func startPartialTCPWorld(t *testing.T, n, real int, opts TCPOptions, fake func(
 		}
 	})
 	return eps
+}
+
+// TestTCPDuplicateHelloFailsFormation: the mesh is formed when every peer is
+// attached, not when enough connections were accepted. A rank that says hello
+// twice (a crash-looping peer redialing) must not stand in for the rank that
+// never dialed: formation fails naming the duplicate, instead of succeeding
+// with a hole that later surfaces as ErrClosed on Send.
+func TestTCPDuplicateHelloFailsFormation(t *testing.T) {
+	addrs := freeAddrs(t, 3)
+	done := make(chan error, 1)
+	go func() {
+		ep, err := NewTCPOpts(0, addrs, TCPOptions{MeshTimeout: 10 * time.Second})
+		if err == nil {
+			ep.Close()
+		}
+		done <- err
+	}()
+	for i := 0; i < 2; i++ {
+		fakePeer(t, 1, map[int]string{0: addrs[0]})
+	}
+	err := <-done
+	if err == nil {
+		t.Fatal("mesh of 3 formed from two hellos of rank 1 and none of rank 2")
+	}
+	for _, want := range []string{"duplicate hello from rank 1", "missing peers [2]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("formation error %q does not say %q", err, want)
+		}
+	}
 }
 
 // TestTCPCorruptFrameFailsOnlySender: a frame whose payload fails the CRC

@@ -68,7 +68,8 @@ func FuzzFrameCodec(f *testing.F) {
 
 // FuzzFrameRoundTrip drives the codec from the value side: any (tag,
 // payload) survives an encode/decode round trip bit-exactly, including NaN
-// payloads (the codec must not canonicalize floats).
+// payloads (the codec must not canonicalize floats), and the view codec
+// agrees with the per-element reference on it.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(0), []byte{})
 	f.Add(uint64(1)<<24|uint64(2)<<16|3, []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -93,6 +94,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatal("payload bits changed across round trip")
 		}
+		checkAgainstReference(t, tag, payload)
 	})
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"unsafe"
 
 	"partialreduce/internal/bufpool"
 )
@@ -17,6 +17,11 @@ import (
 // would otherwise aggregate a corrupt gradient into every member of a
 // group. A frame whose tag is hbTag and whose count is zero is a heartbeat;
 // it refreshes peer liveness and is never delivered.
+//
+// On a little-endian host a []float64's memory already is that payload, so
+// the codec never converts it: both sides checksum and move a byte view
+// (f64Bytes) of the float slice. NewTCPOpts refuses big-endian hosts rather
+// than keep a per-element path no test host would execute.
 const (
 	frameHeaderSize = 16
 	// hbTag marks heartbeat frames. Collective tags are op<<24|phase<<16|step
@@ -34,6 +39,15 @@ const (
 // amd64/arm64, and detects all single- and double-bit payload errors.
 var frameCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
+// f64Bytes returns p's memory as bytes. The view aliases p and must not
+// outlive the caller's ownership of p; a nil or empty p gives an empty view.
+func f64Bytes(p []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), 8*len(p))
+}
+
+// payloadCRC is the checksum a frame header carries for body.
+func payloadCRC(body []byte) uint32 { return crc32.Checksum(body, frameCRCTable) }
+
 // putFrameHeader writes tag, count, and payload checksum into hdr
 // (len >= frameHeaderSize).
 func putFrameHeader(hdr []byte, tag uint64, count, crc uint32) {
@@ -49,35 +63,27 @@ func parseFrameHeader(hdr []byte) (tag uint64, count, crc uint32) {
 		binary.LittleEndian.Uint32(hdr[12:16])
 }
 
-// EncodeFrameInto appends one encoded frame to dst and returns the extended
-// slice (append semantics: the result may share dst's backing array). The
-// payload CRC is computed over the appended payload bytes and patched into
-// the header afterwards, so the hot path makes no extra pass buffer.
-// Callers on the hot path pass a pooled buffer with sufficient capacity —
-// bufpool.GetBytes(FrameLen(payload))[:0] — so no allocation occurs.
+// EncodeFrameInto appends one frame to dst and returns the extended slice
+// (append semantics: nothing is allocated when dst has FrameLen(payload)
+// spare capacity). It is the contiguous form of what TCP.Send writes as
+// header + payload view: same header, same checksum, same bytes.
 func EncodeFrameInto(dst []byte, tag uint64, payload []float64) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, tag)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC placeholder
-	for _, v := range payload {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	crc := crc32.Checksum(dst[start+frameHeaderSize:], frameCRCTable)
-	binary.LittleEndian.PutUint32(dst[start+12:start+16], crc)
-	return dst
+	body := f64Bytes(payload)
+	var hdr [frameHeaderSize]byte
+	putFrameHeader(hdr[:], tag, uint32(len(payload)), payloadCRC(body))
+	return append(append(dst, hdr[:]...), body...)
 }
 
 // FrameLen returns the encoded size of a frame carrying payload.
 func FrameLen(payload []float64) int { return frameHeaderSize + 8*len(payload) }
 
 // readFrame reads and verifies one frame from r: the element count is
-// bounded by maxElems before anything is allocated for it, and the payload
-// must match the header's checksum. hdr is frameHeaderSize bytes of
-// caller-owned scratch, so a read loop allocates nothing per frame. Both the
-// wire buffer and the decoded payload come from the pool; the wire buffer is
-// recycled here, the payload is the caller's to hand on or recycle. After an
-// error nothing further from r is usable: frame boundaries are lost.
+// bounded by maxElems before a buffer is sized from it, the body is read
+// straight into a pooled payload's bytes, and nothing is returned before it
+// matches the header's checksum. hdr is frameHeaderSize bytes of caller-owned
+// scratch, so a read loop allocates nothing per frame. The payload is the
+// caller's to hand on or recycle; on an error it is already back in the pool
+// and nothing further from r is usable: frame boundaries are lost.
 func readFrame(r io.Reader, hdr []byte, maxElems int) (tag uint64, payload []float64, err error) {
 	if _, err := io.ReadFull(r, hdr[:frameHeaderSize]); err != nil {
 		return 0, nil, err
@@ -86,17 +92,14 @@ func readFrame(r io.Reader, hdr []byte, maxElems int) (tag uint64, payload []flo
 	if err := checkFrameCount(count, maxElems); err != nil {
 		return 0, nil, err
 	}
-	buf := bufpool.GetBytes(8 * int(count))
-	defer bufpool.PutBytes(buf)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	if err := checkFrameCRC(buf, crc); err != nil {
-		return 0, nil, err
-	}
 	payload = bufpool.GetFloat64(int(count))
-	for i := range payload {
-		payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	body := f64Bytes(payload)
+	if _, err = io.ReadFull(r, body); err == nil {
+		err = checkFrameCRC(body, crc)
+	}
+	if err != nil {
+		bufpool.PutFloat64(payload)
+		return 0, nil, err
 	}
 	return tag, payload, nil
 }
@@ -115,7 +118,7 @@ func checkFrameCount(count uint32, maxElems int) error {
 // checkFrameCRC verifies the payload checksum carried in the header against
 // the received payload bytes.
 func checkFrameCRC(body []byte, crc uint32) error {
-	if got := crc32.Checksum(body, frameCRCTable); got != crc {
+	if got := payloadCRC(body); got != crc {
 		return fmt.Errorf("transport: frame payload checksum mismatch (got %#x, header %#x)", got, crc)
 	}
 	return nil

@@ -226,30 +226,45 @@ func TestRecvIntoShortBufferBlocked(t *testing.T) {
 	}
 }
 
-// TestRecvIntoSteadyStateAllocFree is the data-plane allocation gate at the
-// transport layer: after warmup, a Send/RecvInto round trip over Mem touches
-// only pooled memory.
-func TestRecvIntoSteadyStateAllocFree(t *testing.T) {
+// assertSendRecvAllocFree is the data-plane allocation gate at the transport
+// layer: after warm-up, a Send on a / RecvInto on b round trip of a
+// ring-segment-sized payload touches only pooled memory. AllocsPerRun counts
+// the whole process, so a TCP read loop's allocations are included.
+func assertSendRecvAllocFree(t *testing.T, a, b Transport) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	eps := NewMem(2)
 	payload := make([]float64, 4096)
 	dst := make([]float64, 4096)
 	step := func() {
-		if err := eps[0].Send(1, 7, payload); err != nil {
+		if err := a.Send(b.Rank(), 7, payload); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eps[1].RecvInto(0, 7, dst); err != nil {
+		if _, err := b.RecvInto(a.Rank(), 7, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 16; i++ {
-		step() // warm the pools
+	for i := 0; i < 64; i++ {
+		step() // warm the pool (and, over TCP, the socket's iovec cache and the poller)
 	}
-	if allocs := testing.AllocsPerRun(100, step); allocs > 0 {
-		t.Fatalf("steady-state Send/RecvInto allocates %.1f times per round trip", allocs)
+	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
+		t.Fatalf("steady-state Send/RecvInto allocates %.2f times per round trip", allocs)
 	}
+}
+
+// TestRecvIntoSteadyStateAllocFree gates the Mem round trip.
+func TestRecvIntoSteadyStateAllocFree(t *testing.T) {
+	a, b := recvIntoWorld(t, "mem")
+	assertSendRecvAllocFree(t, a, b)
+}
+
+// TestTCPSendRecvSteadyStateAllocFree gates the loopback TCP round trip: the
+// vectored send from the caller's slice, the read loop's receive into a
+// pooled payload and the mailbox hand-off.
+func TestTCPSendRecvSteadyStateAllocFree(t *testing.T) {
+	a, b := recvIntoWorld(t, "tcp")
+	assertSendRecvAllocFree(t, a, b)
 }
 
 // TestRecvIntoConcurrent exercises the direct-delivery fast path under -race:

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -49,8 +50,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 
 // TCP is a Transport over stdlib TCP sockets with a full-mesh topology:
 // rank i listens on addrs[i], dials every lower rank, and accepts
-// connections from every higher rank. Frames are length-prefixed binary:
-// 8-byte tag, 4-byte element count, then count float64s, little-endian.
+// connections from every higher rank. Frames are length-prefixed binary,
+// little-endian: 8-byte tag, 4-byte element count, 4-byte CRC-32C of the
+// payload, then count float64s (frame.go has the layout and the codec).
 //
 // Peer loss is isolated: a broken or heartbeat-stale connection fails only
 // operations involving that peer (with *PeerDownError); the rest of the mesh
@@ -74,6 +76,11 @@ type TCP struct {
 type tcpConn struct {
 	mu sync.Mutex
 	c  net.Conn
+	// Send's scratch, guarded by mu: the header and the (header, payload view)
+	// pair of one vectored write. WriteTo consumes bufs; iov re-arms it.
+	hdr  [frameHeaderSize]byte
+	iov  [2][]byte
+	bufs net.Buffers
 }
 
 // NewTCP creates rank's endpoint in a world defined by addrs (one listen
@@ -89,6 +96,9 @@ func NewTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCP, error) {
 	n := len(addrs)
 	if n < 1 || rank < 0 || rank >= n {
 		return nil, fmt.Errorf("transport: rank %d invalid for world of %d", rank, n)
+	}
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return nil, errors.New("transport: TCP frames carry float64 memory as is, little-endian; big-endian hosts are not supported")
 	}
 	opts = opts.withDefaults()
 	t := &TCP{
@@ -136,7 +146,11 @@ func NewTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCP, error) {
 				errs <- fmt.Errorf("bad hello from rank %d", peer)
 				return
 			}
-			t.attach(peer, c)
+			if !t.attach(peer, c) {
+				c.Close()
+				errs <- fmt.Errorf("duplicate hello from rank %d", peer)
+				return
+			}
 		}
 	}()
 
@@ -163,9 +177,9 @@ func NewTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCP, error) {
 	}
 
 	wg.Wait()
+	missing := t.missingPeers()
 	select {
 	case err := <-errs:
-		missing := t.missingPeers()
 		t.Close()
 		if len(missing) > 0 {
 			return nil, fmt.Errorf("transport: rank %d mesh formation failed (missing peers %v after %v): %w",
@@ -173,6 +187,10 @@ func NewTCPOpts(rank int, addrs []string, opts TCPOptions) (*TCP, error) {
 		}
 		return nil, fmt.Errorf("transport: rank %d mesh formation failed: %w", rank, err)
 	default:
+	}
+	if len(missing) > 0 { // enough connections, yet not one per peer
+		t.Close()
+		return nil, fmt.Errorf("transport: rank %d mesh formation failed: peers %v never attached", rank, missing)
 	}
 	// Mesh complete: clear the formation deadline so Accept (unused from here
 	// on) and established conns are unencumbered.
@@ -229,11 +247,18 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 	}
 }
 
-func (t *TCP) attach(peer int, c net.Conn) {
+// attach makes c the connection to peer and starts its read loop, unless
+// peer is attached already: a second hello from one rank must not stand in
+// for a rank that never dialed.
+func (t *TCP) attach(peer int, c net.Conn) bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.conns[peer] != nil {
+		return false
+	}
 	t.conns[peer] = &tcpConn{c: c}
-	t.mu.Unlock()
 	go t.readLoop(peer, c)
+	return true
 }
 
 // readLoop delivers frames from peer. Any error fails that peer only:
@@ -369,14 +394,24 @@ func (t *TCP) Send(to int, tag uint64, payload []float64) error {
 		return &PeerDownError{Peer: to}
 	}
 
-	// Encode into a pooled frame buffer sized up front, so the append
-	// variant never grows it and the whole send path stays allocation-free.
-	fb := bufpool.GetBytes(FrameLen(payload))
-	buf := EncodeFrameInto(fb[:0], tag, payload)
+	// Header + a byte view of the caller's slice, one vectored write: no
+	// staging buffer, no encode pass, no allocation. The kernel has copied
+	// the payload when the write returns and the view is dropped under the
+	// lock, so nothing retains the caller's slice.
+	body := f64Bytes(payload)
+	crc := payloadCRC(body)
 	tc.mu.Lock()
-	_, err := tc.c.Write(buf)
+	putFrameHeader(tc.hdr[:], tag, uint32(len(payload)), crc)
+	var err error
+	if len(body) == 0 {
+		_, err = tc.c.Write(tc.hdr[:])
+	} else {
+		tc.iov = [2][]byte{tc.hdr[:], body}
+		tc.bufs = tc.iov[:]
+		_, err = tc.bufs.WriteTo(tc.c)
+		tc.iov[1], tc.bufs = nil, nil
+	}
 	tc.mu.Unlock()
-	bufpool.PutBytes(fb)
 	if err != nil {
 		t.peerLost(to)
 		return &PeerDownError{Peer: to}
