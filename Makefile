@@ -9,9 +9,9 @@ GO ?= go
 # under the race detector as part of tier-1.
 RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
 
-.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard bench bench-smoke fuzz sweepdiff loc clean
+.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard callerless bench bench-smoke fuzz sweepdiff loc clean
 
-ci: vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard bench-smoke
+ci: vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard callerless bench-smoke
 
 # Charge-drift guard: the simulator's traffic accounting is folded into the
 # engine's SimEnv (GroupRing/WorldRing/Exchanges), so a strategy that calls
@@ -26,6 +26,13 @@ chargeguard:
 		echo "direct traffic charging outside internal/engine + internal/cluster:"; \
 		echo "$$bad"; exit 1; \
 	fi; echo "chargeguard: ok"
+
+# No product caller, no code: an exported func or method under internal/ that
+# only tests reach is deleted with those tests or justified, one line each, in
+# scripts/callerless.allow (the script's header states the rule and its
+# limits).
+callerless:
+	@sh scripts/callerless.sh && echo "callerless: ok"
 
 # staticcheck is optional tooling: run it when the binary is on PATH, skip
 # quietly otherwise so ci stays green on minimal containers.

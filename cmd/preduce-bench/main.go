@@ -149,7 +149,7 @@ func runTraced(path string, buf int, opts experiments.Options) error {
 	defer f.Close()
 	events := c.Tracer.Events()
 	if strings.HasSuffix(path, ".jsonl") {
-		err = trace.WriteJSONL(f, events)
+		err = trace.WriteJSONL(f, events, c.Tracer.Dropped())
 	} else {
 		err = trace.WriteChrome(f, events)
 	}

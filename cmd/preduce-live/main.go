@@ -58,8 +58,6 @@ func main() {
 		"declare a peer dead after this long without traffic (default 10x -heartbeat)")
 	crashAfter := flag.Int("crash-after", 0,
 		"fault-injection demo: this rank fail-stops after the given local iteration (survivors keep training; rank 0 cannot crash)")
-	failTimeout := flag.Duration("fail-timeout", 30*time.Second,
-		"controller-side staleness backstop used when -crash-after is set")
 	segmentSize := flag.Int("segment-size", 0,
 		"collective pipeline segment size in float64 elements (0: default)")
 	commStats := flag.Bool("comm-stats", false,
@@ -302,7 +300,6 @@ func main() {
 		// the wire (broken connections / heartbeat loss) exactly as they
 		// would a real failure.
 		cfg.Crash = map[int]int{*rank: *crashAfter}
-		cfg.FailTimeout = *failTimeout
 	}
 
 	if *telemetryAddr != "" {
@@ -438,7 +435,7 @@ func writeTrace(path string, tr *trace.Tracer) error {
 	}
 	defer f.Close()
 	if strings.HasSuffix(path, ".jsonl") {
-		return trace.WriteJSONL(f, tr.Events())
+		return trace.WriteJSONL(f, tr.Events(), tr.Dropped())
 	}
 	return trace.WriteChrome(f, tr.Events())
 }

@@ -10,8 +10,10 @@
 // timeline — estimating per-rank clock offsets when they come from
 // different ranks — and the merged output is structurally validated
 // (see analyze.ValidateMerged): monotone timestamps after offset
-// correction, no orphan span ends, no orphan group membership, and
-// matched ready instants inside their signal-wait spans.
+// correction, no orphan span ends, no orphan group membership inside the
+// window each rank's ring retained (references behind a wrapped ring's
+// horizon are reported as truncated), and matched ready instants inside
+// their signal-wait spans.
 //
 // It prints per-file event counts on success and exits non-zero on any
 // violation — `make trace-smoke` runs it over the simulator trace, each
@@ -74,6 +76,9 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "merged timeline: INVALID: %v\n", err)
 			os.Exit(1)
+		}
+		if refs, _ := analyze.Truncation(m); refs > 0 {
+			fmt.Printf("merged: %d membership records reference groups behind a ring horizon (truncated, not invalid)\n", refs)
 		}
 		if len(jsonl) > 1 {
 			offs := make([]string, 0, len(m.Offsets))

@@ -135,6 +135,9 @@ type Report struct {
 	Groups []GroupStat // sorted by seq
 	Ranks  []RankStat  // sorted by rank
 	Crit   CriticalPath
+	// Truncated counts membership records left out of Groups because their
+	// group formed behind a wrapped ring's horizon (see Truncation).
+	Truncated int
 }
 
 // partition sweeps spans into an exclusive phase decomposition of
@@ -197,6 +200,7 @@ func Analyze(m *Merged) (*Report, error) {
 		return nil, fmt.Errorf("analyze: empty timeline")
 	}
 	r := &Report{Merged: m}
+	r.Truncated, _ = Truncation(m)
 
 	// --- per-(rank, iter) buckets and per-rank span lists ---
 	type bucketKey struct {

@@ -110,7 +110,7 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 		{TS: 3.000000001, Dur: 0, Kind: trace.KGroupFormed, Track: trace.ControllerTrack, Iter: 9, Origin: trace.NoOrigin, A: 17, B: 4},
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, events); err != nil {
+	if err := trace.WriteJSONL(&buf, events, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ParseJSONL(&buf)

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"partialreduce/internal/trace"
 )
 
 // fsec formats seconds with fixed nanosecond precision.
@@ -93,6 +95,14 @@ func WriteReport(w io.Writer, r *Report, topGroups int) error {
 	p("host rank:   %d\n", r.Merged.HostRank)
 	p("groups:      %d\n", len(r.Groups))
 	p("iterations:  %d worker-iteration buckets\n", len(r.Iters))
+	for _, ev := range r.Merged.Events {
+		if ev.Kind == trace.KTruncated {
+			p("truncated:   rank %d's ring dropped %d events before t=%s\n", ev.Origin, ev.A, fsec(ev.TS))
+		}
+	}
+	if r.Truncated > 0 {
+		p("truncated:   %d membership records reference groups behind a ring horizon\n", r.Truncated)
+	}
 	if len(r.Merged.Ranks) > 1 {
 		p("\nClock offsets (host clock − rank clock)\n")
 		t := &table{}

@@ -34,7 +34,7 @@ func simReport(t *testing.T) (string, *Report) {
 		t.Fatal(err)
 	}
 	var jsonl bytes.Buffer
-	if err := trace.WriteJSONL(&jsonl, c.Tracer.Events()); err != nil {
+	if err := trace.WriteJSONL(&jsonl, c.Tracer.Events(), c.Tracer.Dropped()); err != nil {
 		t.Fatal(err)
 	}
 	events, err := ParseJSONL(&jsonl)

@@ -21,7 +21,9 @@ import (
 //     than slack (a lane is sequential by construction; gross overlap
 //     means a wrong clock offset or corrupt file);
 //   - every staleness membership record references a formed group
-//     (no orphan membership);
+//     (no orphan membership) — unless the group formed behind its recording
+//     rank's ring horizon (see Truncation), which is a stated condition of
+//     an always-on ring, not corruption;
 //   - after offset correction, every matched controller ready instant
 //     falls inside its worker's signal-wait span ± slack.
 //
@@ -42,7 +44,6 @@ func ValidateMerged(m *Merged, slack float64) (int, error) {
 	}
 	laneEnd := map[lane]float64{}
 	worstOverlap := 0.0
-	seqs := map[int64]bool{}
 	for i, ev := range m.Events {
 		if math.IsNaN(ev.TS) || math.IsInf(ev.TS, 0) || math.IsNaN(ev.Dur) || math.IsInf(ev.Dur, 0) {
 			return 0, fmt.Errorf("analyze: event %d: non-finite timestamp", i)
@@ -54,9 +55,6 @@ func ValidateMerged(m *Merged, slack float64) (int, error) {
 			return 0, fmt.Errorf("analyze: event %d: timestamps not monotone after offset correction (%.9f < %.9f)", i, ev.TS, prev)
 		}
 		prev = ev.TS
-		if ev.Kind == trace.KGroupFormed {
-			seqs[ev.A] = true
-		}
 		if ev.Dur > 0 {
 			l := lane{ev.Origin, ev.Track, ev.Kind}
 			if end, ok := laneEnd[l]; ok && end-ev.TS > worstOverlap {
@@ -70,10 +68,8 @@ func ValidateMerged(m *Merged, slack float64) (int, error) {
 	if worstOverlap > slack {
 		return 0, fmt.Errorf("analyze: same-kind spans overlap by %.6fs on one lane (> %.6fs slack): clock offsets look wrong", worstOverlap, slack)
 	}
-	for i, ev := range m.Events {
-		if ev.Kind == trace.KStaleness && !seqs[ev.B] {
-			return 0, fmt.Errorf("analyze: event %d: staleness record references unknown group seq %d", i, ev.B)
-		}
+	if _, i := Truncation(m); i >= 0 {
+		return 0, fmt.Errorf("analyze: event %d: staleness record references unknown group seq %d", i, m.Events[i].B)
 	}
 	// Causal check: matched ready instants inside signal-wait spans.
 	if len(m.Ranks) > 1 {
@@ -117,6 +113,39 @@ func ValidateMerged(m *Merged, slack float64) (int, error) {
 		}
 	}
 	return len(m.Events), nil
+}
+
+// Truncation sorts the membership records whose group-formed instant is not
+// in the timeline. A rank whose ring wrapped says so with a KTruncated header
+// (trace.WriteJSONL), and a tracer records a group's formation before its
+// membership records, so a record that precedes every retained formation of
+// its own rank refers behind that rank's horizon: truncated counts those.
+// orphan is the index of the first dangling record inside a retained window
+// — on a rank that dropped nothing, or after a formation its rank still
+// holds — which no ring wrap explains; -1 when there is none.
+func Truncation(m *Merged) (truncated, orphan int) {
+	seqs := map[int64]bool{}
+	wrapped := map[int32]bool{}
+	for _, ev := range m.Events {
+		switch ev.Kind {
+		case trace.KGroupFormed:
+			seqs[ev.A] = true
+		case trace.KTruncated:
+			wrapped[ev.Origin] = ev.A > 0
+		}
+	}
+	for i, ev := range m.Events {
+		switch {
+		case ev.Kind == trace.KGroupFormed:
+			wrapped[ev.Origin] = false // the retained window starts here at the latest
+		case ev.Kind == trace.KStaleness && !seqs[ev.B]:
+			if !wrapped[ev.Origin] {
+				return truncated, i
+			}
+			truncated++
+		}
+	}
+	return truncated, -1
 }
 
 // hostEvents extracts the host rank's events from a merged timeline.

@@ -29,7 +29,7 @@ func (*AllReduce) Name() string { return "AR" }
 
 // Run implements cluster.Strategy by delegating to the shared step engine:
 // RunAllReduceSim executes the same compute → reduce → apply step as the
-// live RunAllReduceWorker, on the simulated Environment.
+// live RunAllReduceWorker, on the simulated substrate.
 func (*AllReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
 	return engine.RunAllReduceSim(engine.NewSimEnv(c))
 }

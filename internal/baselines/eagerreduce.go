@@ -42,8 +42,8 @@ func (*EagerReduce) Name() string { return "ER" }
 // from the worker loops (a worker deposits and keeps going, so no worker is
 // ever "in" the collective), and its aggregate is a sum-then-scale over all
 // N cached slots — including stale replays — not a convex combination of
-// fresh contributions. Only the traffic accounting goes through the engine
-// Environment.
+// fresh contributions. Only the traffic accounting goes through the engine's
+// SimEnv.
 func (e *EagerReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
 	env := engine.NewSimEnv(c)
 	quorum := e.Quorum

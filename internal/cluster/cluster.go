@@ -328,11 +328,6 @@ func New(cfg Config, strategyName string) (*Cluster, error) {
 
 func mix(seed, id int64) int64 { return seed*1_000_003 + id*7919 + 1 }
 
-// SamplerSeed returns the sampler-stream seed New assigns worker id under
-// master seed. Exported so the sim↔live differential test can feed a live
-// worker the exact batch sequence its simulated twin draws.
-func SamplerSeed(seed, id int64) int64 { return mix(seed, id) }
-
 // ComputeTime samples the duration of the batch worker w starts now. Hetero
 // models are constructed with the profile's BatchCompute as their base, so
 // no rescaling happens here.

@@ -47,7 +47,7 @@ func tag(opID uint32, phase, step int) uint64 {
 }
 
 // epochPhase folds a retry epoch into the 8-bit phase byte: epoch<<3 | phase.
-// Phases fit 3 bits (1–6), leaving 5 bits ≡ MaxEpochs retry epochs. A retry
+// Phases fit 3 bits (1–4), leaving 5 bits ≡ MaxEpochs retry epochs. A retry
 // attempt uses fresh tags everywhere, so stale frames from the failed attempt
 // can never alias the new one.
 func epochPhase(epoch, phase int) int { return epoch<<3 | phase }
@@ -60,7 +60,6 @@ const (
 	phaseReduceScatter = 1
 	phaseAllGather     = 2
 	phaseGather        = 4
-	phaseBarrier       = 6
 )
 
 // maxVirtualStep bounds the step field of a tag.
@@ -620,31 +619,4 @@ func GatherOpts(t transport.Transport, group []int, opID uint32, root int, data 
 		out[i] = in
 	}
 	return out, nil
-}
-
-// BarrierOpts blocks until every group member has entered it: a zero-payload
-// ring pass of g−1 steps means completion requires, transitively, a message
-// chain through every member. Frames carry empty payloads, so the barrier
-// moves no data and allocates nothing. Options.Timeout bounds each ring
-// receive so a member lost behind a partition surfaces as ErrTimeout.
-func BarrierOpts(t transport.Transport, group []int, opID uint32, opt Options) error {
-	g := len(group)
-	if g <= 1 {
-		return nil
-	}
-	pos, err := position(t, group)
-	if err != nil {
-		return err
-	}
-	next := group[(pos+1)%g]
-	prev := group[(pos-1+g)%g]
-	for s := 0; s < g-1; s++ {
-		if err := t.Send(next, tag(opID, phaseBarrier, s), nil); err != nil {
-			return err
-		}
-		if _, err := t.RecvIntoTimeout(prev, tag(opID, phaseBarrier, s), nil, opt.Timeout); err != nil {
-			return err
-		}
-	}
-	return nil
 }

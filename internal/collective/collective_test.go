@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -261,30 +260,4 @@ func TestQuickAllReduceMatchesSequential(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestBarrier(t *testing.T) {
-	eps := transport.NewMem(3)
-	group := []int{0, 1, 2}
-	var reached [3]int32
-	var wg sync.WaitGroup
-	for _, r := range group {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			atomic.StoreInt32(&reached[r], 1)
-			if err := BarrierOpts(eps[r], group, 31, Options{}); err != nil {
-				t.Errorf("rank %d: %v", r, err)
-				return
-			}
-			// After the barrier, every rank must have entered it.
-			for i := range reached {
-				if atomic.LoadInt32(&reached[i]) == 0 {
-					t.Errorf("rank %d passed barrier before rank %d entered", r, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"partialreduce/internal/transport"
 )
@@ -324,40 +322,4 @@ func TestReduceIntoSteadyStateAllocFree(t *testing.T) {
 	assertRingAllocFree(t, func(tr transport.Transport, group []int, r int) error {
 		return ReduceInto(tr, group, 9, dsts[r], srcs[r], 0.25, 1, Options{})
 	})
-}
-
-// TestBarrierSynchronizes checks the zero-payload Barrier rewrite: no member
-// may leave the barrier before the slowest member has entered it.
-func TestBarrierSynchronizes(t *testing.T) {
-	const g = 5
-	world := transport.NewMem(g)
-	group := []int{0, 1, 2, 3, 4}
-	var slowestEntered atomic.Bool
-	var tooEarly atomic.Bool
-	var wg sync.WaitGroup
-	errs := make([]error, g)
-	for r := 1; r < g; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = BarrierOpts(world[r], group, 77, Options{})
-			if !slowestEntered.Load() {
-				tooEarly.Store(true)
-			}
-		}()
-	}
-	// Rank 0 stalls: nobody may complete the barrier yet.
-	time.Sleep(20 * time.Millisecond)
-	slowestEntered.Store(true)
-	errs[0] = BarrierOpts(world[0], group, 77, Options{})
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if tooEarly.Load() {
-		t.Fatal("a member left the barrier before the slowest entered")
-	}
 }

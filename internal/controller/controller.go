@@ -39,8 +39,6 @@ type Config struct {
 	Approx ApproxRule
 	// DisableGroupFilter turns group-frozen avoidance off (ablation only).
 	DisableGroupFilter bool
-	// RecordGroups keeps the full group log for offline analysis.
-	RecordGroups bool
 	// Zones optionally assigns each worker to a zone (geo-distributed data
 	// centers). With ZoneAffinity set, the group filter prefers forming
 	// groups within one zone — cheap intra-DC collectives — while the
@@ -152,17 +150,18 @@ type Stats struct {
 // counters across controller incarnations (a cold failover starts the
 // replacement at zero).
 func (s Stats) Add(o Stats) Stats {
-	s.GroupsFormed += o.GroupsFormed
-	s.Interventions += o.Interventions
-	s.FrozenChecks += o.FrozenChecks
-	s.Failures += o.Failures
-	s.Rejoins += o.Rejoins
-	s.GroupsAborted += o.GroupsAborted
-	s.Joins += o.Joins
-	s.Drains += o.Drains
-	s.Decommissions += o.Decommissions
-	s.StaleEpochs += o.StaleEpochs
+	of := o.fields()
+	for i, f := range s.fields() {
+		*f += *of[i]
+	}
 	return s
+}
+
+// fields lists every counter in declaration order — the snapshot's layout,
+// and the one place Add, Snapshot and Restore learn of a new counter.
+func (s *Stats) fields() []*int {
+	return []*int{&s.GroupsFormed, &s.Interventions, &s.FrozenChecks, &s.Failures, &s.Rejoins,
+		&s.GroupsAborted, &s.Joins, &s.Drains, &s.Decommissions, &s.StaleEpochs}
 }
 
 // Controller is the P-Reduce controller. It is not safe for concurrent use;
@@ -175,12 +174,11 @@ type Controller struct {
 	graph  *SyncGraph
 	stats  Stats
 
-	// Liveness: alive[w] reports worker w is believed up; beat[w] is the
-	// timestamp of its last sign of life (ready signal or heartbeat), in the
-	// caller's clock (wall seconds live, virtual seconds simulated).
+	// Liveness: alive[w] reports worker w is believed up. The controller
+	// is told (ReportFailure, Rejoin); detecting silence is the job of the
+	// runtime that owns the clock and the connections.
 	alive  []bool
 	aliveN int
-	beat   []float64
 
 	// Elastic membership: member[w] reports rank w belongs to the current
 	// world view (ranks >= cfg.Initial start outside it and Join later);
@@ -195,16 +193,15 @@ type Controller struct {
 	activeMask []bool
 
 	// Group history database: co-occurrence counts sufficient to rebuild
-	// the empirical E[W_k] exactly, plus the optional full log.
+	// the empirical E[W_k] exactly.
 	together [][]int // together[i][j] = groups containing both i and j, i≠j
 	inGroup  []int   // inGroup[i] = groups containing i
-	log      [][]int // full group log when RecordGroups
 
 	// Iteration tracking (snapshotted since v2 — formation policies read
 	// it, so warm failover must carry it). lastIter[w] is worker w's
 	// latest known iteration (ready signals and group fast-forwards),
-	// maxIter the maximum across alive workers: StalenessOf is their
-	// difference. lastTog[i][j] is the group sequence number at which i
+	// maxIter the maximum across alive workers: a worker's staleness is
+	// their difference. lastTog[i][j] is the group sequence number at which i
 	// and j last synced together (-1: never), the
 	// iterations-since-last-contact matrix group-frozen avoidance bounds.
 	// lastNow is the latest Signal.Now accepted.
@@ -251,7 +248,6 @@ func New(cfg Config) (*Controller, error) {
 		inGroup:    make([]int, cfg.N),
 		alive:      make([]bool, cfg.N),
 		aliveN:     cfg.Initial,
-		beat:       make([]float64, cfg.N),
 		member:     make([]bool, cfg.N),
 		draining:   make([]bool, cfg.N),
 		epoch:      1,
@@ -328,14 +324,8 @@ func (c *Controller) Policy() policy.Policy { return c.pol }
 // Config returns the effective configuration (defaults resolved).
 func (c *Controller) Config() Config { return c.cfg }
 
-// QueueLen returns the number of waiting ready signals.
-func (c *Controller) QueueLen() int { return len(c.queue) }
-
 // Stats returns activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// Groups returns the recorded group log (nil unless RecordGroups).
-func (c *Controller) Groups() [][]int { return c.log }
 
 // Ready accepts a worker's ready signal and returns the groups formed as a
 // result (zero or one under normal operation). It rejects out-of-range
@@ -365,7 +355,6 @@ func (c *Controller) Ready(s Signal) ([]Group, error) {
 	if c.queued[s.Worker] {
 		return nil, fmt.Errorf("controller: worker %d already has a queued signal", s.Worker)
 	}
-	c.beat[s.Worker] = s.Now
 	if s.Now > c.lastNow {
 		c.lastNow = s.Now
 	}
@@ -656,11 +645,6 @@ func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 	}
 	if maxIter > c.maxIter {
 		c.maxIter = maxIter
-	}
-	if c.cfg.RecordGroups {
-		logged := make([]int, p)
-		copy(logged, members)
-		c.log = append(c.log, logged)
 	}
 
 	g := Group{Members: members, Iters: iters, Iter: maxIter, Bridged: bridged, Epoch: c.epoch}

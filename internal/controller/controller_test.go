@@ -73,8 +73,8 @@ func TestFIFOGrouping(t *testing.T) {
 	if len(g.Weights) != 2 || g.Weights[0] != 0.5 || g.Weights[1] != 0.5 {
 		t.Fatalf("constant weights: %v", g.Weights)
 	}
-	if c.QueueLen() != 0 {
-		t.Fatalf("queue not drained: %d", c.QueueLen())
+	if c.QueueDepth() != 0 {
+		t.Fatalf("queue not drained: %d", c.QueueDepth())
 	}
 }
 
@@ -112,8 +112,8 @@ func TestDefaultsResolved(t *testing.T) {
 	}
 }
 
-func TestStatsAndGroupLog(t *testing.T) {
-	c := mustNew(t, Config{N: 4, P: 2, RecordGroups: true})
+func TestStats(t *testing.T) {
+	c := mustNew(t, Config{N: 4, P: 2})
 	for round := 0; round < 3; round++ {
 		for w := 0; w < 4; w++ {
 			ready(t, c, w, round)
@@ -122,15 +122,12 @@ func TestStatsAndGroupLog(t *testing.T) {
 	if got := c.Stats().GroupsFormed; got != 6 {
 		t.Fatalf("groups formed: %d", got)
 	}
-	if got := len(c.Groups()); got != 6 {
-		t.Fatalf("log length: %d", got)
-	}
 }
 
 // Without the group filter, a pathological arrival order freezes two
 // two-worker cliques forever; with the filter, the controller bridges them.
 func TestGroupFrozenAvoidance(t *testing.T) {
-	c := mustNew(t, Config{N: 4, P: 2, RecordGroups: true})
+	c := mustNew(t, Config{N: 4, P: 2})
 	// Arrival pattern 0,1,2,3 repeated would always pair (0,1) and (2,3).
 	pairCount := map[[2]int]int{}
 	for round := 0; round < 20; round++ {
@@ -195,8 +192,8 @@ func TestFrozenDeferral(t *testing.T) {
 	if gs := ready(t, c, 1, 2); len(gs) != 0 {
 		t.Fatalf("deferral failed: formed %v", gs)
 	}
-	if c.QueueLen() != 2 {
-		t.Fatalf("queue length %d, want 2 held signals", c.QueueLen())
+	if c.QueueDepth() != 2 {
+		t.Fatalf("queue length %d, want 2 held signals", c.QueueDepth())
 	}
 	// ...and released as a bridging group when worker 2 shows up.
 	gs := ready(t, c, 2, 1)

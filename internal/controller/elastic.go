@@ -84,11 +84,10 @@ func (c *Controller) refreshActiveMask() int {
 }
 
 // Join admits rank w into the membership at time now (same clock as
-// Signal.Now; it seeds the heartbeat so the staleness detector does not
-// condemn the newcomer before its first signal). The caller is expected to
-// have bootstrapped the rank's model from a live peer already — a joined
-// rank is immediately eligible for grouping once it signals ready. Joining
-// a current member is an error; a decommissioned rank may Join again.
+// Signal.Now). The caller is expected to have bootstrapped the rank's model
+// from a live peer already — a joined rank is immediately eligible for
+// grouping once it signals ready. Joining a current member is an error; a
+// decommissioned rank may Join again.
 func (c *Controller) Join(w int, now float64) error {
 	if w < 0 || w >= c.cfg.N {
 		return fmt.Errorf("controller: join: rank %d out of range [0,%d)", w, c.cfg.N)
@@ -100,7 +99,6 @@ func (c *Controller) Join(w int, now float64) error {
 	c.alive[w] = true
 	c.aliveN++
 	c.draining[w] = false
-	c.beat[w] = now
 	if now > c.lastNow {
 		c.lastNow = now
 	}

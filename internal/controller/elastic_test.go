@@ -119,8 +119,8 @@ func TestStaleEpochRejectedWithoutCondemning(t *testing.T) {
 	if _, err := c.Ready(Signal{Worker: 1, Iter: 1, Epoch: c.Epoch()}); err != nil {
 		t.Fatalf("refreshed signal rejected: %v", err)
 	}
-	if c.QueueLen() != 1 {
-		t.Fatalf("queue %d after refreshed signal, want 1", c.QueueLen())
+	if c.QueueDepth() != 1 {
+		t.Fatalf("queue %d after refreshed signal, want 1", c.QueueDepth())
 	}
 }
 

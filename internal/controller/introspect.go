@@ -3,34 +3,13 @@ package controller
 // Read-only introspection accessors. The tracer and the telemetry
 // endpoint (and tests) read controller state through these instead of
 // reaching into fields; none of them mutate the controller, and all are
-// O(1) except the contact-age scans, which are O(N²) and intended for
+// O(1) except the contact-age scan, which is O(N²) and intended for
 // sampling, not hot paths.
 
 // QueueDepth returns the number of waiting ready signals — the quantity
 // the controller's KReady trace events and queue-depth time series
-// report. It is an alias of QueueLen under the telemetry-facing name.
+// report.
 func (c *Controller) QueueDepth() int { return len(c.queue) }
-
-// StalenessOf returns worker rank's current staleness: the cluster
-// maximum iteration minus the worker's latest known iteration (ready
-// signals and group fast-forwards both advance it). Out-of-range ranks
-// and dead workers return the -1 sentinel — a condemned worker's last
-// reported iteration is frozen at its crash point, so reading it as a
-// live staleness would feed policies and dashboards a stale value that
-// only grows. Staleness is 0 when the worker is (tied for) the most
-// advanced.
-func (c *Controller) StalenessOf(rank int) int {
-	if rank < 0 || rank >= c.cfg.N || !c.alive[rank] {
-		return -1
-	}
-	return c.maxIter - c.lastIter[rank]
-}
-
-// MaxIter returns the maximum iteration the controller has observed
-// across alive workers (0 before any signal). When the frontrunner dies,
-// the maximum recedes to the best surviving worker, so survivors'
-// staleness is measured against a peer that can still form groups.
-func (c *Controller) MaxIter() int { return c.maxIter }
 
 // refreshMaxIter recomputes maxIter over the alive workers — called on
 // liveness transitions so a dead frontrunner stops inflating everyone
@@ -42,37 +21,6 @@ func (c *Controller) refreshMaxIter() {
 			c.maxIter = c.lastIter[w]
 		}
 	}
-}
-
-// ContactAge returns the iterations-since-last-contact matrix in group
-// sequence numbers: age[i][j] is the number of groups formed since i
-// and j last synchronized together, -1 if they never have — or if either
-// endpoint is dead, since a condemned worker can never sync again and
-// its frozen last-contact entry would otherwise read as an ordinary,
-// ever-growing age. Diagonal entries are 0. The matrix is freshly
-// allocated; callers may keep it.
-func (c *Controller) ContactAge() [][]int {
-	n := c.cfg.N
-	seq := c.stats.GroupsFormed
-	age := make([][]int, n)
-	for i := range age {
-		age[i] = make([]int, n)
-		for j := range age[i] {
-			if i == j {
-				continue
-			}
-			if !c.alive[i] || !c.alive[j] {
-				age[i][j] = -1
-				continue
-			}
-			if last := c.lastTog[i][j]; last < 0 {
-				age[i][j] = -1
-			} else {
-				age[i][j] = seq - last
-			}
-		}
-	}
-	return age
 }
 
 // MaxContactAge returns the contact age of the most estranged alive

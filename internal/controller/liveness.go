@@ -11,7 +11,9 @@ import (
 // data never flows through it, excluding a failed worker is a pure metadata
 // operation — purge its queued signal, stop grouping it, and keep the
 // sync-graph connectivity judgement to the survivors. These methods implement
-// that, plus heartbeat-staleness detection and checkpoint-rejoin re-admission.
+// that, plus checkpoint-rejoin re-admission. Deciding that a silent worker is
+// dead is not done here: each runtime owns that detector (DESIGN.md, "Fault
+// tolerance", lists the three) and reports its verdict through ReportFailure.
 
 // ReportFailure declares worker dead: its queued signal (if any) is purged
 // and it is excluded from all future groups. Idempotent; reports about an
@@ -100,29 +102,6 @@ func (c *Controller) Rejoin(worker int) error {
 	return nil
 }
 
-// Heartbeat records a sign of life from worker at time now (same clock as
-// Signal.Now). Ready signals count as heartbeats automatically.
-func (c *Controller) Heartbeat(worker int, now float64) {
-	if worker >= 0 && worker < c.cfg.N && now > c.beat[worker] {
-		c.beat[worker] = now
-	}
-}
-
-// StaleWorkers returns the alive workers whose last sign of life is older
-// than timeout at time now — the controller-side failure detector. The
-// caller decides whether to ReportFailure them (a long mini-batch is
-// indistinguishable from a hang; choose timeout ≫ the slowest legitimate
-// iteration).
-func (c *Controller) StaleWorkers(now, timeout float64) []int {
-	var stale []int
-	for w := 0; w < c.cfg.N; w++ {
-		if c.alive[w] && now-c.beat[w] > timeout {
-			stale = append(stale, w)
-		}
-	}
-	return stale
-}
-
 // IsAlive reports whether worker is currently believed up.
 func (c *Controller) IsAlive(worker int) bool {
 	return worker >= 0 && worker < c.cfg.N && c.alive[worker]
@@ -137,7 +116,3 @@ func (c *Controller) Alive() []bool {
 	copy(out, c.alive)
 	return out
 }
-
-// EffectiveP exposes the current effective group size (P shrunk to the
-// surviving worker count).
-func (c *Controller) EffectiveP() int { return c.groupSize() }

@@ -9,17 +9,15 @@ package controller
 // workers re-sending their pending ready signals (cold failover): the queue
 // order may differ from the lost original, but every invariant the algorithm
 // relies on (one signal per worker, FIFO service, sync-graph warm-up) holds
-// again, and liveness re-converges through the staleness detector.
+// again, and liveness re-converges through the runtime's failure detector.
 //
-// The encoding is versioned, deterministic (no map iteration), little-endian,
-// and integrity-checked with CRC-64/ECMA, following internal/checkpoint.
+// The encoding is internal/binfmt's: versioned, deterministic (no map
+// iteration), little-endian, integrity-checked with CRC-64/ECMA.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc64"
-	"math"
 
+	"partialreduce/internal/binfmt"
 	"partialreduce/internal/trace"
 )
 
@@ -32,213 +30,68 @@ const snapshotMagic uint32 = 0x50524353
 // failover must carry them for the replacement to decide identically.
 // Version 3 added elastic membership: cfg.Initial, the per-signal epoch,
 // the membership/draining vectors, the world-view epoch, and the
-// join/drain/decommission/stale-epoch counters.
-const snapshotVersion uint32 = 3
-
-var snapshotTable = crc64.MakeTable(crc64.ECMA)
-
-type snapEncoder struct{ buf []byte }
-
-func (e *snapEncoder) u32(v uint32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
-func (e *snapEncoder) u64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
-func (e *snapEncoder) i64(v int)     { e.u64(uint64(int64(v))) }
-func (e *snapEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *snapEncoder) boolean(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-func (e *snapEncoder) ints(v []int) {
-	e.i64(len(v))
-	for _, x := range v {
-		e.i64(x)
-	}
-}
-func (e *snapEncoder) bools(v []bool) {
-	e.i64(len(v))
-	for _, x := range v {
-		e.boolean(x)
-	}
-}
-func (e *snapEncoder) floats(v []float64) {
-	e.i64(len(v))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-
-type snapDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *snapDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("controller: snapshot: "+format, args...)
-	}
-}
-func (d *snapDecoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+4 > len(d.buf) {
-		d.fail("truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-func (d *snapDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail("truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-func (d *snapDecoder) i64() int     { return int(int64(d.u64())) }
-func (d *snapDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *snapDecoder) boolean() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off+1 > len(d.buf) {
-		d.fail("truncated")
-		return false
-	}
-	v := d.buf[d.off] != 0
-	d.off++
-	return v
-}
-func (d *snapDecoder) count(max int) int {
-	n := d.i64()
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n > max {
-		d.fail("implausible length %d", n)
-		return 0
-	}
-	return n
-}
-func (d *snapDecoder) ints(max int) []int {
-	n := d.count(max)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.i64()
-	}
-	return out
-}
-func (d *snapDecoder) bools(max int) []bool {
-	n := d.count(max)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.boolean()
-	}
-	return out
-}
-func (d *snapDecoder) floats(max int) []float64 {
-	n := d.count(max)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
+// join/drain/decommission/stale-epoch counters. Version 4 dropped what
+// no runtime read: the per-worker heartbeat clocks of a controller-side
+// staleness detector, and the RecordGroups flag with its group log.
+const snapshotVersion uint32 = 4
 
 // maxSnapshotLen bounds decoded slice lengths against corrupt headers.
 const maxSnapshotLen = 1 << 24
 
 // Snapshot serializes the controller's complete state: effective config,
 // signal queue (in FIFO order), sync-graph window (ring storage, cursor,
-// fill state), activity counters, liveness vector and heartbeat clocks,
+// fill state), activity counters, liveness and membership vectors,
 // the group-history database, iteration tracking, and the attached
 // formation policy's state. Two controllers with equal state produce
 // byte-identical snapshots, so Snapshot→Restore→Snapshot is the round-trip
 // equality check.
 func (c *Controller) Snapshot() []byte {
-	e := &snapEncoder{buf: make([]byte, 0, 256)}
-	e.u32(snapshotMagic)
-	e.u32(snapshotVersion)
+	e := binfmt.NewWriter(snapshotMagic, snapshotVersion, 256)
 
 	// Effective config.
-	e.i64(c.cfg.N)
-	e.i64(c.cfg.P)
-	e.i64(c.cfg.Window)
-	e.i64(int(c.cfg.Weighting))
-	e.f64(c.cfg.Alpha)
-	e.i64(int(c.cfg.Approx))
-	e.boolean(c.cfg.DisableGroupFilter)
-	e.boolean(c.cfg.RecordGroups)
-	e.boolean(c.cfg.ZoneAffinity)
-	e.ints(c.cfg.Zones)
-	e.i64(c.cfg.Initial)
+	e.I64(c.cfg.N)
+	e.I64(c.cfg.P)
+	e.I64(c.cfg.Window)
+	e.I64(int(c.cfg.Weighting))
+	e.F64(c.cfg.Alpha)
+	e.I64(int(c.cfg.Approx))
+	e.Bool(c.cfg.DisableGroupFilter)
+	e.Bool(c.cfg.ZoneAffinity)
+	e.Ints(c.cfg.Zones)
+	e.I64(c.cfg.Initial)
 
 	// Signal queue (FIFO order).
-	e.i64(len(c.queue))
+	e.I64(len(c.queue))
 	for _, s := range c.queue {
-		e.i64(s.Worker)
-		e.i64(s.Iter)
-		e.f64(s.Now)
-		e.u64(s.Epoch)
+		e.I64(s.Worker)
+		e.I64(s.Iter)
+		e.F64(s.Now)
+		e.U64(s.Epoch)
 	}
 
 	// Sync-graph window: ring storage order plus cursor and fill state.
-	e.i64(c.graph.next)
-	e.boolean(c.graph.filled)
-	e.i64(len(c.graph.groups))
+	e.I64(c.graph.next)
+	e.Bool(c.graph.filled)
+	e.I64(len(c.graph.groups))
 	for _, g := range c.graph.groups {
-		e.ints(g)
+		e.Ints(g)
 	}
 
 	// Activity counters.
-	e.i64(c.stats.GroupsFormed)
-	e.i64(c.stats.Interventions)
-	e.i64(c.stats.FrozenChecks)
-	e.i64(c.stats.Failures)
-	e.i64(c.stats.Rejoins)
-	e.i64(c.stats.GroupsAborted)
-	e.i64(c.stats.Joins)
-	e.i64(c.stats.Drains)
-	e.i64(c.stats.Decommissions)
-	e.i64(c.stats.StaleEpochs)
+	for _, f := range c.stats.fields() {
+		e.I64(*f)
+	}
 
 	// Liveness and elastic membership.
-	e.bools(c.alive)
-	e.floats(c.beat)
-	e.bools(c.member)
-	e.bools(c.draining)
-	e.u64(c.epoch)
+	e.Bools(c.alive)
+	e.Bools(c.member)
+	e.Bools(c.draining)
+	e.U64(c.epoch)
 
 	// Group-history database.
-	e.ints(c.inGroup)
+	e.Ints(c.inGroup)
 	for _, row := range c.together {
-		e.ints(row)
-	}
-	e.i64(len(c.log))
-	for _, g := range c.log {
-		e.ints(g)
+		e.Ints(row)
 	}
 
 	// Iteration tracking and formation-policy state (v2). An attached
@@ -246,22 +99,21 @@ func (c *Controller) Snapshot() []byte {
 	// yet given a policy passes the parked blob through unchanged, so
 	// Snapshot→Restore→Snapshot is byte-identical with or without the
 	// policy re-attached.
-	e.ints(c.lastIter)
-	e.i64(c.maxIter)
-	e.f64(c.lastNow)
+	e.Ints(c.lastIter)
+	e.I64(c.maxIter)
+	e.F64(c.lastNow)
 	for _, row := range c.lastTog {
-		e.ints(row)
+		e.Ints(row)
 	}
 	blob := c.polBlob
 	if c.pol != nil {
 		blob = c.pol.Snapshot()
 	}
-	e.i64(len(blob))
-	e.buf = append(e.buf, blob...)
+	e.Bytes(blob)
 
-	e.u64(crc64.Checksum(e.buf, snapshotTable))
-	c.tracer.Instant(trace.KCtrlSnapshot, trace.ControllerTrack, -1, int64(len(e.buf)), 0)
-	return e.buf
+	snap := e.Seal()
+	c.tracer.Instant(trace.KCtrlSnapshot, trace.ControllerTrack, -1, int64(len(snap)), 0)
+	return snap
 }
 
 // Restore reconstructs a controller from a Snapshot. The restored controller
@@ -269,96 +121,76 @@ func (c *Controller) Snapshot() []byte {
 // liveness, counters, and history, so the next Ready/Fail/Drain sequence
 // produces the same groups the lost controller would have produced.
 func Restore(data []byte) (*Controller, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("controller: snapshot too short (%d bytes)", len(data))
-	}
-	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	if crc64.Checksum(body, snapshotTable) != sum {
-		return nil, fmt.Errorf("controller: snapshot checksum mismatch")
-	}
-	d := &snapDecoder{buf: body}
-	if m := d.u32(); m != snapshotMagic {
-		return nil, fmt.Errorf("controller: bad snapshot magic %#x", m)
-	}
-	if v := d.u32(); v != snapshotVersion {
-		return nil, fmt.Errorf("controller: unsupported snapshot version %d", v)
+	d, err := binfmt.Open("controller: snapshot", data, snapshotMagic, snapshotVersion)
+	if err != nil {
+		return nil, err
 	}
 
 	var cfg Config
-	cfg.N = d.i64()
-	cfg.P = d.i64()
-	cfg.Window = d.i64()
-	cfg.Weighting = Weighting(d.i64())
-	cfg.Alpha = d.f64()
-	cfg.Approx = ApproxRule(d.i64())
-	cfg.DisableGroupFilter = d.boolean()
-	cfg.RecordGroups = d.boolean()
-	cfg.ZoneAffinity = d.boolean()
-	cfg.Zones = d.ints(maxSnapshotLen)
-	cfg.Initial = d.i64()
-	if d.err != nil {
-		return nil, d.err
+	cfg.N = d.I64()
+	cfg.P = d.I64()
+	cfg.Window = d.I64()
+	cfg.Weighting = Weighting(d.I64())
+	cfg.Alpha = d.F64()
+	cfg.Approx = ApproxRule(d.I64())
+	cfg.DisableGroupFilter = d.Bool()
+	cfg.ZoneAffinity = d.Bool()
+	cfg.Zones = d.Ints(maxSnapshotLen)
+	cfg.Initial = d.I64()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	c, err := New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("controller: snapshot config: %w", err)
 	}
 
-	qn := d.count(maxSnapshotLen)
-	for i := 0; i < qn && d.err == nil; i++ {
-		s := Signal{Worker: d.i64(), Iter: d.i64(), Now: d.f64(), Epoch: d.u64()}
+	qn := d.Count(maxSnapshotLen)
+	for i := 0; i < qn && d.Err() == nil; i++ {
+		s := Signal{Worker: d.I64(), Iter: d.I64(), Now: d.F64(), Epoch: d.U64()}
 		if s.Worker < 0 || s.Worker >= cfg.N {
-			d.fail("queued worker %d out of range", s.Worker)
+			d.Fail("queued worker %d out of range", s.Worker)
 			break
 		}
 		if c.queued[s.Worker] {
-			d.fail("worker %d queued twice", s.Worker)
+			d.Fail("worker %d queued twice", s.Worker)
 			break
 		}
 		c.queue = append(c.queue, s)
 		c.queued[s.Worker] = true
 	}
 
-	c.graph.next = d.i64()
-	c.graph.filled = d.boolean()
-	gn := d.count(maxSnapshotLen)
+	c.graph.next = d.I64()
+	c.graph.filled = d.Bool()
+	gn := d.Count(maxSnapshotLen)
 	c.graph.groups = c.graph.groups[:0]
-	for i := 0; i < gn && d.err == nil; i++ {
-		c.graph.groups = append(c.graph.groups, d.ints(maxSnapshotLen))
+	for i := 0; i < gn && d.Err() == nil; i++ {
+		c.graph.groups = append(c.graph.groups, d.Ints(maxSnapshotLen))
 	}
-	if d.err == nil {
+	if d.Err() == nil {
 		if gn > c.graph.window || c.graph.next < 0 || (gn > 0 && c.graph.next >= c.graph.window) {
-			d.fail("sync-graph window state out of range")
+			d.Fail("sync-graph window state out of range")
 		}
 	}
 
-	c.stats.GroupsFormed = d.i64()
-	c.stats.Interventions = d.i64()
-	c.stats.FrozenChecks = d.i64()
-	c.stats.Failures = d.i64()
-	c.stats.Rejoins = d.i64()
-	c.stats.GroupsAborted = d.i64()
-	c.stats.Joins = d.i64()
-	c.stats.Drains = d.i64()
-	c.stats.Decommissions = d.i64()
-	c.stats.StaleEpochs = d.i64()
+	for _, f := range c.stats.fields() {
+		*f = d.I64()
+	}
 
-	alive := d.bools(maxSnapshotLen)
-	beat := d.floats(maxSnapshotLen)
-	member := d.bools(maxSnapshotLen)
-	draining := d.bools(maxSnapshotLen)
-	epoch := d.u64()
-	inGroup := d.ints(maxSnapshotLen)
-	if d.err == nil && (len(alive) != cfg.N || len(beat) != cfg.N || len(inGroup) != cfg.N ||
+	alive := d.Bools(maxSnapshotLen)
+	member := d.Bools(maxSnapshotLen)
+	draining := d.Bools(maxSnapshotLen)
+	epoch := d.U64()
+	inGroup := d.Ints(maxSnapshotLen)
+	if d.Err() == nil && (len(alive) != cfg.N || len(inGroup) != cfg.N ||
 		len(member) != cfg.N || len(draining) != cfg.N) {
-		d.fail("liveness/history length mismatch")
+		d.Fail("liveness/history length mismatch")
 	}
-	if d.err == nil && epoch == 0 {
-		d.fail("world-view epoch 0")
+	if d.Err() == nil && epoch == 0 {
+		d.Fail("world-view epoch 0")
 	}
-	if d.err == nil {
+	if d.Err() == nil {
 		copy(c.alive, alive)
-		copy(c.beat, beat)
 		copy(c.member, member)
 		copy(c.draining, draining)
 		copy(c.inGroup, inGroup)
@@ -366,7 +198,7 @@ func Restore(data []byte) (*Controller, error) {
 		c.aliveN = 0
 		for i, a := range c.alive {
 			if a && !c.member[i] {
-				d.fail("rank %d alive but not a member", i)
+				d.Fail("rank %d alive but not a member", i)
 				break
 			}
 			if a {
@@ -374,52 +206,39 @@ func Restore(data []byte) (*Controller, error) {
 			}
 		}
 	}
-	for i := 0; i < cfg.N && d.err == nil; i++ {
-		row := d.ints(maxSnapshotLen)
-		if len(row) != cfg.N {
-			d.fail("together row %d length %d", i, len(row))
-			break
-		}
-		copy(c.together[i], row)
-	}
-	ln := d.count(maxSnapshotLen)
-	for i := 0; i < ln && d.err == nil; i++ {
-		c.log = append(c.log, d.ints(maxSnapshotLen))
-	}
+	readMatrix(d, c.together, "together")
 
 	// Iteration tracking and formation-policy state (v2).
-	lastIter := d.ints(maxSnapshotLen)
-	if d.err == nil && len(lastIter) != cfg.N {
-		d.fail("iteration-tracking length mismatch")
+	lastIter := d.Ints(maxSnapshotLen)
+	if d.Err() == nil && len(lastIter) != cfg.N {
+		d.Fail("iteration-tracking length mismatch")
 	}
-	if d.err == nil {
+	if d.Err() == nil {
 		copy(c.lastIter, lastIter)
 	}
-	c.maxIter = d.i64()
-	c.lastNow = d.f64()
-	for i := 0; i < cfg.N && d.err == nil; i++ {
-		row := d.ints(maxSnapshotLen)
-		if len(row) != cfg.N {
-			d.fail("last-together row %d length %d", i, len(row))
-			break
-		}
-		copy(c.lastTog[i], row)
+	c.maxIter = d.I64()
+	c.lastNow = d.F64()
+	readMatrix(d, c.lastTog, "last-together")
+	if blob := d.Bytes(maxSnapshotLen); len(blob) > 0 {
+		c.polBlob = append([]byte(nil), blob...)
 	}
-	bn := d.count(maxSnapshotLen)
-	if d.err == nil && d.off+bn > len(body) {
-		d.fail("truncated policy state")
-	}
-	if d.err == nil && bn > 0 {
-		c.polBlob = append([]byte(nil), body[d.off:d.off+bn]...)
-		d.off += bn
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("controller: snapshot has %d trailing bytes", len(body)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// readMatrix fills the N×N matrix m row by row, failing d on a row of the
+// wrong length.
+func readMatrix(d *binfmt.Reader, m [][]int, what string) {
+	for i := 0; i < len(m) && d.Err() == nil; i++ {
+		row := d.Ints(maxSnapshotLen)
+		if len(row) != len(m) {
+			d.Fail("%s row %d length %d", what, i, len(row))
+			return
+		}
+		copy(m[i], row)
+	}
 }
 
 // FlushGroups forms as many groups as the current queue supports — the
@@ -443,7 +262,7 @@ func (c *Controller) IsQueued(worker int) bool {
 // expected. The rebuilt controller has a fresh sync-graph and empty history:
 // frozen-avoidance warms up again, which is safe (the window must fill
 // before the filter activates). Dead workers the lost controller knew about
-// are re-detected by the staleness detector — a worker that never re-signals
+// are re-detected by the runtime's failure detector — a worker that never re-signals
 // never lands in a group.
 //
 // Elasticity: a re-sent signal from a rank outside cfg's initial

@@ -10,7 +10,7 @@ import (
 
 // snapCfg is the reference configuration the snapshot tests drive.
 func snapCfg() Config {
-	return Config{N: 6, P: 3, Weighting: Dynamic, Alpha: 0.5, RecordGroups: true}
+	return Config{N: 6, P: 3, Weighting: Dynamic, Alpha: 0.5}
 }
 
 // drive replays a canned op sequence against c and returns every group it
@@ -48,14 +48,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Mid-flight state: one full group formed, a partial queue, one
-		// death, heartbeats at distinct times.
+		// death.
 		drive(t, c, []func(*Controller) ([]Group, error){
 			readyOp(0, 1, 1.0), readyOp(1, 2, 1.1), readyOp(2, 1, 1.2), // group
 			readyOp(3, 3, 1.3), // queued
 			failOp(5),
 			readyOp(4, 2, 1.4), // queued
 		})
-		c.Heartbeat(0, 2.5)
 		return c
 	}
 
@@ -71,7 +70,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.Stats() != orig.Stats() {
 		t.Fatalf("stats diverged: %+v vs %+v", restored.Stats(), orig.Stats())
 	}
-	if restored.QueueLen() != orig.QueueLen() || restored.AliveCount() != orig.AliveCount() {
+	if restored.QueueDepth() != orig.QueueDepth() || restored.AliveCount() != orig.AliveCount() {
 		t.Fatal("queue or liveness diverged across restore")
 	}
 
@@ -184,13 +183,13 @@ func TestRebuildFromSignals(t *testing.T) {
 	if c.IsQueued(2) || c.IsQueued(0) {
 		t.Fatal("grouped members still queued after rebuild")
 	}
-	if c.QueueLen() != 1 || !c.IsQueued(1) {
-		t.Fatalf("want worker 1 queued after rebuild, queue len %d", c.QueueLen())
+	if c.QueueDepth() != 1 || !c.IsQueued(1) {
+		t.Fatalf("want worker 1 queued after rebuild, queue len %d", c.QueueDepth())
 	}
 	// An empty signal set cold-starts an empty controller.
 	c2, groups2, err := Rebuild(cfg, nil)
-	if err != nil || len(groups2) != 0 || c2.QueueLen() != 0 {
-		t.Fatalf("empty rebuild: %v %d %d", err, len(groups2), c2.QueueLen())
+	if err != nil || len(groups2) != 0 || c2.QueueDepth() != 0 {
+		t.Fatalf("empty rebuild: %v %d %d", err, len(groups2), c2.QueueDepth())
 	}
 }
 
@@ -243,7 +242,7 @@ func TestPurgeSignalMidGroup(t *testing.T) {
 	if !c.PurgeSignal(0) {
 		t.Fatal("purge of a queued signal reported nothing removed")
 	}
-	if c.IsQueued(0) || c.QueueLen() != 0 {
+	if c.IsQueued(0) || c.QueueDepth() != 0 {
 		t.Fatal("purge left the signal behind")
 	}
 	if c.PurgeSignal(0) {
@@ -265,34 +264,6 @@ func TestPurgeSignalMidGroup(t *testing.T) {
 	// Out-of-range purge is a no-op, not a panic.
 	if c.PurgeSignal(-1) || c.PurgeSignal(99) {
 		t.Fatal("out-of-range purge reported success")
-	}
-}
-
-// TestStaleWorkersTies: staleness is strict — a worker whose silence equals
-// the timeout exactly is not yet stale, and identical heartbeat timestamps
-// go stale together one tick later. Dead workers never re-report.
-func TestStaleWorkersTies(t *testing.T) {
-	c, err := New(Config{N: 3, P: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 3; w++ {
-		c.Heartbeat(w, 10)
-	}
-	if got := c.StaleWorkers(20, 10); len(got) != 0 {
-		t.Fatalf("now-beat == timeout flagged stale: %v", got)
-	}
-	if got := c.StaleWorkers(20.001, 10); len(got) != 3 {
-		t.Fatalf("identical timestamps should go stale together, got %v", got)
-	}
-	// A stale heartbeat (earlier than the recorded one) must not rewind.
-	c.Heartbeat(1, 5)
-	if got := c.StaleWorkers(20.001, 10); len(got) != 3 {
-		t.Fatalf("rewound heartbeat changed staleness: %v", got)
-	}
-	c.Fail(0)
-	if got := c.StaleWorkers(100, 10); len(got) != 2 {
-		t.Fatalf("dead worker still reported stale: %v", got)
 	}
 }
 

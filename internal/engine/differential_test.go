@@ -59,7 +59,7 @@ func (c *diffControl) ReportStuck(g controller.Group, op uint32) error          
 func (c *diffControl) Finished() error                                           { return nil }
 
 // TestSimLiveDifferential runs the same tiny seeded workload through both
-// Environment backends — the PReduce strategy on the virtual clock and
+// substrates — the PReduce strategy on the virtual clock and
 // RunPReduceWorker over in-memory transports — and asserts they compute the
 // same training run: identical group-update counts, identical fast-forwarded
 // iteration counters, and matching final weights.
@@ -107,10 +107,15 @@ func TestSimLiveDifferential(t *testing.T) {
 		t.Fatalf("sim recorded %d updates, want %d", res.Updates, iters)
 	}
 
-	// Live run: same initialization, same shards, same sampler streams.
+	// Live run: same initialization, and each live worker draws from the
+	// sampler a fresh, un-run twin of the simulated cluster built for its
+	// rank — the exact batch sequence its simulated twin drew.
+	twin, err := cluster.New(simCfg, "diff-twin")
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := spec.Build(seed)
 	init := base.Params().Clone()
-	shards := train.Shard(n)
 	world := transport.NewMem(n)
 	liveCtrl, err := controller.New(controller.Config{N: n, P: n})
 	if err != nil {
@@ -131,7 +136,7 @@ func TestSimLiveDifferential(t *testing.T) {
 				Env:       engine.NewLiveEnv(id, world[id], collective.Options{}, nil, nil),
 				Model:     m,
 				Opt:       optim.NewSGD(optCfg, m.NumParams()),
-				Sampler:   data.NewSampler(shards[id], cluster.SamplerSeed(seed, int64(id))),
+				Sampler:   twin.Workers[id].Sampler,
 				Init:      init,
 				Iters:     iters,
 				BatchSize: batch,

@@ -10,41 +10,23 @@
 //   - the aggregation rules (GroupAverage and the uniform/neighbor/pair
 //     weight vectors the baselines use), all reducing to
 //     tensor.WeightedAverage with a pinned accumulation order;
-//   - the Environment backends: SimEnv (wraps cluster.Cluster — virtual
-//     clock, analytic α–β costs, traffic charging folded inside the env so
-//     no strategy ever touches ChargeRing/ChargeExchange directly) and
-//     LiveEnv (wraps a transport endpoint — wall clock, real bytes through
-//     the collective package);
+//   - the two substrates: SimEnv (wraps cluster.Cluster — virtual clock,
+//     analytic α–β costs, traffic charging folded inside the env so no
+//     strategy ever touches ChargeRing/ChargeExchange directly) and LiveEnv
+//     (wraps a transport endpoint — wall clock, real bytes through the
+//     collective package). They share no interface: a driver is written
+//     against the one it schedules on (event-driven or blocking);
 //   - the drivers: the PReduce strategy (PReduceConfig → controller wiring →
 //     the blocking or overlapped sim driver) and RunAllReduceSim on the event
 //     engine, and RunPReduceWorker/RunAllReduceWorker as the blocking per-rank
 //     loops the live runtimes (in-process and multi-process) both execute.
 //
-// Strategies and runtimes configure an Environment and invoke a driver; they
-// never re-implement the step. Adding a strategy or a backend is a
+// Strategies and runtimes configure a SimEnv or a LiveEnv and invoke a
+// driver; they never re-implement the step. Adding a strategy is a
 // single-file change against this package.
 package engine
 
 import "fmt"
-
-// Environment abstracts the substrate a training step executes on. The two
-// backends differ in every operational detail and agree on the semantics:
-//
-//	backend   clock         communication      cost accounting
-//	-------   -----         -------------      ---------------
-//	SimEnv    virtual       modeled (α–β)      charged analytically per op
-//	LiveEnv   wall          real collectives   measured bytes/durations
-//
-// The interface itself is deliberately small — drivers are written against
-// the concrete backend they schedule on (event-driven vs blocking), and this
-// interface pins the shared surface both must provide.
-type Environment interface {
-	// Now returns the substrate clock in seconds: virtual time for SimEnv,
-	// wall time since the run epoch for LiveEnv.
-	Now() float64
-	// World returns the number of workers sharing the substrate.
-	World() int
-}
 
 // StepState is one phase of the canonical training step. Every worker,
 // simulated or live, advances through these states; Machine enforces that

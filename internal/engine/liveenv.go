@@ -15,7 +15,7 @@ import (
 	"partialreduce/internal/transport"
 )
 
-// LiveEnv is one worker's live Environment: a real transport endpoint, real
+// LiveEnv is one worker's live substrate: a real transport endpoint, real
 // collective operations, wall-clock time, measured bytes. Where SimEnv
 // prices a collective analytically and charges modeled traffic, LiveEnv
 // executes it and lets the collective layer count what actually moved (into
@@ -27,28 +27,20 @@ type LiveEnv struct {
 	Trans transport.Transport
 	// Copts configures every collective this worker runs. Its TraceIter
 	// field is updated in place per group op — deliberately persistent, so
-	// trailing collectives (the multi-process tail gather/barrier) inherit
+	// trailing collectives (the multi-process tail gather) inherit
 	// the last iteration's tag.
 	Copts collective.Options
 	// Tracer and Instruments are the worker-side telemetry sinks (both
 	// nil-safe / optional).
 	Tracer      *trace.Tracer
 	Instruments *metrics.Instruments
-
-	epoch time.Time
 }
 
-// NewLiveEnv returns a live Environment for one rank. copts.Stats should
+// NewLiveEnv returns the live substrate for one rank. copts.Stats should
 // point at the caller's per-worker OpStats accumulator.
 func NewLiveEnv(rank int, tr transport.Transport, copts collective.Options, tracer *trace.Tracer, ins *metrics.Instruments) *LiveEnv {
-	return &LiveEnv{Rank: rank, Trans: tr, Copts: copts, Tracer: tracer, Instruments: ins, epoch: time.Now()}
+	return &LiveEnv{Rank: rank, Trans: tr, Copts: copts, Tracer: tracer, Instruments: ins}
 }
-
-// Now implements Environment: wall seconds since the env was created.
-func (e *LiveEnv) Now() float64 { return time.Since(e.epoch).Seconds() }
-
-// World implements Environment.
-func (e *LiveEnv) World() int { return e.Trans.Size() }
 
 // GroupReduce executes one P-Reduce group collective: the weighted model
 // average over the group's members, reduced from params into dst and tagged

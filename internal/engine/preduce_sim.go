@@ -12,7 +12,7 @@ import (
 	"partialreduce/internal/trace"
 )
 
-// runPReduceSim drives Algorithm 2 on the simulated Environment's event
+// runPReduceSim drives Algorithm 2 on the simulated substrate's event
 // engine. ctrl arrives wired; wire re-attaches the same wiring (tracer,
 // instruments, policy) to the replacement when restartEvery > 0
 // warm-restarts the controller (Snapshot → Restore → wire) every that many

@@ -4,7 +4,7 @@ import (
 	"partialreduce/internal/cluster"
 )
 
-// SimEnv is the simulated Environment: virtual clock, analytic α–β
+// SimEnv is the simulated substrate: virtual clock, analytic α–β
 // communication costs, and — crucially — the modeled traffic accounting
 // folded inside. Strategies used to mirror every cost query with a matching
 // ChargeRing/ChargeExchange call, a drift hazard (forget one and the comm
@@ -19,14 +19,8 @@ type SimEnv struct {
 	C *cluster.Cluster
 }
 
-// NewSimEnv wraps a cluster as an engine Environment.
+// NewSimEnv wraps a cluster as the engine's simulated substrate.
 func NewSimEnv(c *cluster.Cluster) *SimEnv { return &SimEnv{C: c} }
-
-// Now implements Environment with the event engine's virtual clock.
-func (e *SimEnv) Now() float64 { return e.C.Eng.Now() }
-
-// World implements Environment.
-func (e *SimEnv) World() int { return e.C.Cfg.N }
 
 // GroupRing prices one executed ring all-reduce among members and charges
 // its traffic (2(g−1)·WireBytes each way plus g·ring/2 modeled seconds per

@@ -55,7 +55,7 @@ func TestAdaptiveSeedReplayDeterministic(t *testing.T) {
 		if err := metrics.WriteSummaryCSV(&csv, res); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteJSONL(&jsonl, events); err != nil {
+		if err := trace.WriteJSONL(&jsonl, events, 0); err != nil {
 			t.Fatal(err)
 		}
 		return csv.Bytes(), jsonl.Bytes()

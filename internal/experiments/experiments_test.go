@@ -34,9 +34,9 @@ func TestStrategyFor(t *testing.T) {
 
 func TestWorkloadPresets(t *testing.T) {
 	for _, w := range []Workload{
-		CIFAR10Workload(mustProfile(t, "resnet34")),
-		CIFAR100Workload(mustProfile(t, "resnet34")),
-		ImageNetWorkload(mustProfile(t, "resnet18")),
+		CIFAR10Workload(model.ResNet34),
+		CIFAR100Workload(model.ResNet34),
+		ImageNetWorkload(model.ResNet18),
 	} {
 		cell := Cell{Workload: w, N: 8, Env: EnvHL, HL: 1, Seed: 1}
 		cfg, err := cell.Build()
@@ -47,14 +47,14 @@ func TestWorkloadPresets(t *testing.T) {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 	}
-	q := CIFAR10Workload(mustProfile(t, "vgg19")).Quick()
+	q := CIFAR10Workload(model.VGG19).Quick()
 	if q.Threshold >= 0.90 || q.MaxUpdates >= 60_000 {
 		t.Fatalf("Quick did not shrink: %+v", q)
 	}
 }
 
 func TestCellEnvironments(t *testing.T) {
-	w := CIFAR10Workload(mustProfile(t, "resnet34"))
+	w := CIFAR10Workload(model.ResNet34)
 	prod := Cell{Workload: w, N: 4, Env: EnvProduction, Seed: 1}
 	cfg, err := prod.Build()
 	if err != nil {
@@ -264,15 +264,6 @@ func TestAblationGroupFilter(t *testing.T) {
 	if !strings.Contains(buf.String(), "worst replica") {
 		t.Fatal("Format produced no output")
 	}
-}
-
-func mustProfile(t *testing.T, name string) model.Profile {
-	t.Helper()
-	prof, err := model.ProfileByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prof
 }
 
 // Geo study: zone-affinity P-Reduce beats both plain P-Reduce and AR when

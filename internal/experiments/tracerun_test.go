@@ -26,7 +26,7 @@ func TestTracedRunDeterministic(t *testing.T) {
 		if err := trace.WriteChrome(&chrome, events); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteJSONL(&jsonl, events); err != nil {
+		if err := trace.WriteJSONL(&jsonl, events, 0); err != nil {
 			t.Fatal(err)
 		}
 		return chrome.Bytes(), jsonl.Bytes()

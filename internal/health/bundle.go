@@ -124,6 +124,7 @@ type Bundle struct {
 	State      State
 	Snap       *metrics.InstrumentsSnapshot
 	Events     []trace.Event
+	Dropped    uint64 // events the ring overwrote before Events[0]
 	Config     []byte // run config JSON, verbatim; nil renders as "{}"
 	Controller []byte // controller snapshot blob; may be nil
 }
@@ -195,7 +196,7 @@ func (b *Bundle) parts() (names []string, blobs [][]byte, err error) {
 		return nil, nil, err
 	}
 	var tb bytes.Buffer
-	if err := trace.WriteJSONL(&tb, b.Events); err != nil {
+	if err := trace.WriteJSONL(&tb, b.Events, b.Dropped); err != nil {
 		return nil, nil, err
 	}
 	cfg := b.Config

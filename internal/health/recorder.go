@@ -107,6 +107,7 @@ func (r *Recorder) Capture(reason string, at float64, breaches []Breach, st Stat
 		State:      st,
 		Snap:       r.ins.Snapshot(),
 		Events:     r.tracer.Events(),
+		Dropped:    r.tracer.Dropped(), // after Events: never understates
 		Config:     r.config,
 		Controller: r.ctrl,
 	}

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,7 +160,6 @@ func TestFaultConfigValidate(t *testing.T) {
 		func(c *Config) { c.Crash = map[int]int{9: 5} },                                          // out of range
 		func(c *Config) { c.Crash = map[int]int{1: 0} },                                          // iter < 1
 		func(c *Config) { c.Crash = map[int]int{1: c.Iters + 1} },                                // iter > Iters
-		func(c *Config) { c.Crash = map[int]int{1: 5} },                                          // no FailTimeout
 		func(c *Config) { c.Rejoin = map[int]time.Duration{1: time.Millisecond} },                // rejoin w/o crash
 		func(c *Config) { c.FailTimeout = -time.Second },                                         // negative timeout
 		func(c *Config) { c.Crash = map[int]int{0: 1, 1: 1, 2: 1}; c.FailTimeout = time.Second }, // too many
@@ -183,6 +183,17 @@ func TestFaultConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid fault config rejected: %v", err)
 	}
+
+	// Crashes without FailTimeout: the sweep is Run's, so Run refuses and
+	// the configuration itself — all RunWorker checks — is valid.
+	bare := liveConfig(t, 55)
+	bare.Crash = map[int]int{1: 5}
+	if _, err := Run(bare, memWorld(bare.N)); err == nil || !strings.Contains(err.Error(), "FailTimeout") {
+		t.Fatalf("Run with crashes and no FailTimeout: %v", err)
+	}
+	if err := bare.Validate(); err != nil {
+		t.Fatalf("crash config without FailTimeout rejected for RunWorker: %v", err)
+	}
 }
 
 // The multi-process protocol under a crash: a non-host rank fails stop with
@@ -191,8 +202,7 @@ func TestFaultConfigValidate(t *testing.T) {
 // survivor roster.
 func TestRunWorkerCrash(t *testing.T) {
 	cfg := liveConfig(t, 57)
-	cfg.Crash = map[int]int{2: 10}
-	cfg.FailTimeout = 2 * time.Second
+	cfg.Crash = map[int]int{2: 10} // no FailTimeout: RunWorker's detector is its receive loops
 
 	world := memWorld(cfg.N)
 	reports := make([]*Report, cfg.N)

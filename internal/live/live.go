@@ -97,12 +97,12 @@ type Config struct {
 	// restarts from its last checkpoint and re-enters the cluster. Only
 	// workers present in Crash may appear here.
 	Rejoin map[int]time.Duration
-	// FailTimeout enables the controller-side staleness detector: a worker
-	// with no sign of life for this long is declared dead. It is the
-	// backstop for crashes that peers cannot observe through a collective
-	// (e.g. a worker whose queued signal can no longer fill a group).
-	// Required when Crash is non-empty; choose it well above the slowest
-	// legitimate iteration. Zero disables the detector.
+	// FailTimeout enables Run's staleness sweep: a worker with no sign of
+	// life for this long is declared dead. It is the backstop for crashes
+	// that peers cannot observe through a collective (e.g. a worker whose
+	// queued signal can no longer fill a group). Run requires it when Crash
+	// is non-empty; choose it well above the slowest legitimate iteration.
+	// Zero disables it. RunWorker's detector is its receive loops instead.
 	FailTimeout time.Duration
 
 	// CtrlCrashAfter crashes the controller after that many groups have been
@@ -182,9 +182,6 @@ func (c Config) Validate() error {
 		if it < 1 || it > c.Iters {
 			return fmt.Errorf("live: crash iteration %d for worker %d outside [1,%d]", it, w, c.Iters)
 		}
-	}
-	if len(c.Crash) > 0 && c.FailTimeout == 0 {
-		return fmt.Errorf("live: crashes configured but FailTimeout unset (the staleness backstop is required)")
 	}
 	if len(c.Crash) >= c.N-1 {
 		return fmt.Errorf("live: %d crashes leave fewer than 2 of %d workers", len(c.Crash), c.N)
@@ -378,6 +375,9 @@ func (r *Report) fillController(c *svcCore) controller.Stats {
 func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if len(cfg.Crash) > 0 && cfg.FailTimeout == 0 {
+		return nil, fmt.Errorf("live: crashes configured but FailTimeout unset (the staleness backstop is required)")
 	}
 	if len(world) != cfg.N {
 		return nil, fmt.Errorf("live: %d transports for %d workers", len(world), cfg.N)

@@ -339,6 +339,67 @@ func TestRunWorkerProtocol(t *testing.T) {
 	}
 }
 
+// slowGatherRoot is the root's endpoint with a stalled final gather: each
+// receive of a gather frame waits first, and the moment the frame has been
+// consumed is recorded per sender.
+type slowGatherRoot struct {
+	transport.Transport
+	mu       sync.Mutex
+	consumed map[int]time.Time
+}
+
+func (s *slowGatherRoot) RecvIntoTimeout(from int, tag uint64, dst []float64, d time.Duration) (int, error) {
+	if uint32(tag>>24) != gatherOpID {
+		return s.Transport.RecvIntoTimeout(from, tag, dst, d)
+	}
+	time.Sleep(20 * time.Millisecond)
+	n, err := s.Transport.RecvIntoTimeout(from, tag, dst, d)
+	s.mu.Lock()
+	s.consumed[from] = time.Now()
+	s.mu.Unlock()
+	return n, err
+}
+
+// TestRunWorkerHeldUntilGathered: a non-host rank's process closes its
+// endpoint when RunWorker returns, and a transport drops the frames still
+// queued from a closed peer — so no non-host rank may return before the root
+// has consumed its gather frame, however long the root takes.
+func TestRunWorkerHeldUntilGathered(t *testing.T) {
+	cfg := liveConfig(t, 43)
+	cfg.Iters = 20
+	world := memWorld(cfg.N)
+	root := &slowGatherRoot{Transport: world[0], consumed: map[int]time.Time{}}
+	world[0] = root
+
+	returned := make([]time.Time, cfg.N)
+	errs := make([]error, cfg.N)
+	var wg sync.WaitGroup
+	for r := 0; r < cfg.N; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[r] = RunWorker(cfg, world[r], r == 0)
+			returned[r] = time.Now()
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r := 1; r < cfg.N; r++ {
+		at, ok := root.consumed[r]
+		if !ok {
+			t.Fatalf("root never consumed rank %d's gather frame", r)
+		}
+		if returned[r].Before(at) {
+			t.Errorf("rank %d returned %v before the root consumed its gather frame", r, at.Sub(returned[r]))
+		}
+	}
+}
+
 func TestRunWorkerDynamicOverTCP(t *testing.T) {
 	cfg := liveConfig(t, 41)
 	cfg.N, cfg.P = 3, 2

@@ -24,7 +24,6 @@ const (
 	ctrlRosterTag uint64 = 0xC3_000000_000000 // host → worker: survivor roster
 	ctrlJoinTag   uint64 = 0xC4_000000_000000 // host → parked rank: joinMsg
 	gatherOpID    uint32 = 0xFFFFFF
-	barrierOpID   uint32 = 0xFFFFFE
 )
 
 func readyTag(seq int) uint64 { return ctrlReadyTag | uint64(seq) }

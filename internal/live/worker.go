@@ -57,18 +57,20 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 
 	var svc *svcCore
 	ctrlErr := make(chan error, 1)
+	gathered := make(chan struct{}) // closed when the root's final gather is over
 	if host {
 		if tr.Rank() != ctrlRank {
 			return nil, fmt.Errorf("live: controller must run on rank %d", ctrlRank)
 		}
 		go func() {
 			var err error
-			svc, err = runControllerService(cfg, tr)
+			svc, err = runControllerService(cfg, tr, gathered)
 			ctrlErr <- err
 		}()
 	}
 
 	rep, err := runWorkerLoop(cfg, tr, ctrlRank, host)
+	close(gathered)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +144,7 @@ func (s *wireSink) startJoin(j, donor int, op uint32) {
 // loops double as this deployment's failure detector: a worker whose
 // connection breaks fails its pending receive with a peer-down error, which
 // the loop reports as Lost.
-func runControllerService(cfg Config, tr transport.Transport) (*svcCore, error) {
+func runControllerService(cfg Config, tr transport.Transport, gathered <-chan struct{}) (*svcCore, error) {
 	ctrl, err := newController(cfg)
 	if err != nil {
 		return nil, err
@@ -227,8 +229,10 @@ func runControllerService(cfg Config, tr transport.Transport) (*svcCore, error) 
 
 	// Shutdown: dismiss parked ranks first (never admitted, or drained back
 	// out — they are waiting on the join stream and exit without training),
-	// then stop each survivor's abort listener and broadcast the roster of
-	// completed workers for the final gather.
+	// broadcast the roster of completed workers for the final gather, and
+	// once the root has gathered release each member with the abort stream's
+	// op-0 sentinel. Until then a member must stay up: a transport drops the
+	// frames still queued from a peer that closed, gather frame included.
 	var roster []int
 	for w := 0; w < cfg.N; w++ {
 		switch {
@@ -240,8 +244,11 @@ func runControllerService(cfg Config, tr transport.Transport) (*svcCore, error) 
 	}
 	out.lost = nil // a parked rank that is already gone needs no dismissal
 	for _, w := range roster {
-		out.abort(w, 0, -1)
 		out.send(w, ctrlRosterTag, encodeRoster(roster))
+	}
+	<-gathered
+	for _, w := range roster {
+		out.abort(w, 0, -1)
 	}
 	if out.err != nil {
 		return nil, out.err
@@ -356,16 +363,20 @@ func (c *wireControl) Finished() error { return c.send(readyMsg{kind: evFinished
 // the simulator drive), then runs the roster-wide gather that lets the host
 // evaluate the averaged model. An abort-listener goroutine applies the
 // host's abort notifications to the local transport, waking this worker if
-// it is blocked in a collective behind a dead peer.
+// it is blocked in a collective behind a dead peer; its exit is also what
+// releases a non-host rank at the end of the run.
 func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) (*Report, error) {
 	id := tr.Rank()
 	base := cfg.Spec.Build(cfg.Seed)
 	init := base.Params().Clone()
 
 	// Abort listener: the host numbers abort notifications per worker; op 0
-	// is the shutdown sentinel. Errors end the listener (the transport is
-	// closing, or we have been declared dead — either way no more aborts).
+	// is the shutdown sentinel. Errors end the listener (the host is gone,
+	// the transport is closing, or we have been declared dead — either way
+	// no more aborts).
+	released := make(chan struct{})
 	go func() {
+		defer close(released)
 		var buf [2]float64
 		for seq := 0; ; seq++ {
 			n, err := tr.RecvInto(ctrlRank, abortTag(seq), buf[:])
@@ -462,19 +473,17 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 		return nil, err
 	}
 
-	// The tail collectives reuse the worker's collective options: TraceIter
+	// The tail gather reuses the worker's collective options: TraceIter
 	// still carries the last group op's iteration tag, the behavior the
 	// trace goldens pin.
-	copts := w.Env.Copts
-	all, err := collective.GatherOpts(tr, roster, gatherOpID, ctrlRank, w.Model.Params(), copts)
+	all, err := collective.GatherOpts(tr, roster, gatherOpID, ctrlRank, w.Model.Params(), w.Env.Copts)
 	if err != nil {
 		return nil, err
 	}
-	// Hold every surviving process until the roster is done: a rank that
-	// exits early (iteration fast-forward can finish it first) would tear
-	// down its transport under peers still training.
-	if err := collective.BarrierOpts(tr, roster, barrierOpID, copts); err != nil {
-		return nil, err
+	if !host {
+		// Stay up until the root is done with this rank's gather frame: the
+		// listener ends on the host's sentinel, or when the host is gone.
+		<-released
 	}
 	rep := report(out.Iter, true)
 	if host {

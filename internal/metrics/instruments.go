@@ -108,12 +108,11 @@ func (h *Histogram) clone() *Histogram {
 }
 
 // Series is a capped time series: it retains the most recent cap points
-// in a ring, counting how many older points were evicted.
+// in a ring.
 type Series struct {
 	t, v    []float64
 	next    int
 	wrapped bool
-	evicted int64
 }
 
 // DefaultSeriesCap bounds a series created with cap <= 0.
@@ -129,9 +128,6 @@ func NewSeries(cap int) *Series {
 
 // Append records point (t, v), evicting the oldest when full.
 func (s *Series) Append(t, v float64) {
-	if s.wrapped {
-		s.evicted++
-	}
 	s.t[s.next] = t
 	s.v[s.next] = v
 	s.next++
@@ -148,9 +144,6 @@ func (s *Series) Len() int {
 	}
 	return s.next
 }
-
-// Evicted returns the number of points dropped after the ring filled.
-func (s *Series) Evicted() int64 { return s.evicted }
 
 // Last returns the most recent point, or ok=false on an empty series.
 func (s *Series) Last() (t, v float64, ok bool) {

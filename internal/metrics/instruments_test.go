@@ -70,8 +70,8 @@ func TestSeriesRing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Append(float64(i), float64(10*i))
 	}
-	if s.Len() != 4 || s.Evicted() != 6 {
-		t.Fatalf("len=%d evicted=%d", s.Len(), s.Evicted())
+	if s.Len() != 4 {
+		t.Fatalf("len=%d", s.Len())
 	}
 	ts, vs := s.Points()
 	for i := range ts {

@@ -192,13 +192,6 @@ func TestProfiles(t *testing.T) {
 		if p.WireBytes() != int64(p.WireParams)*4 {
 			t.Errorf("%s: WireBytes mismatch", p.Name)
 		}
-		got, err := ProfileByName(p.Name)
-		if err != nil || got.WireParams != p.WireParams {
-			t.Errorf("ProfileByName(%s) failed: %v", p.Name, err)
-		}
-	}
-	if _, err := ProfileByName("alexnet"); err == nil {
-		t.Error("expected error for unknown profile")
 	}
 	bad := Profile{Name: "x"}
 	if bad.Validate() == nil {

@@ -53,13 +53,3 @@ var (
 	ResNet18    = Profile{Name: "resnet18", WireParams: 11_700_000, BatchCompute: 0.210, BytesPerParam: 4}
 	VGG16       = Profile{Name: "vgg16", WireParams: 138_400_000, BatchCompute: 0.140, BytesPerParam: 4}
 )
-
-// ProfileByName returns the named built-in profile.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range []Profile{ResNet34, VGG19, DenseNet121, ResNet18, VGG16} {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("model: unknown profile %q", name)
-}

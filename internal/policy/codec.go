@@ -1,19 +1,17 @@
 package policy
 
 // Policy-state codec: the serialized form a policy's state takes inside
-// the controller snapshot. Same design rules as the controller snapshot
-// itself (internal/controller/snapshot.go): versioned, deterministic
-// little-endian layout with no map iteration, CRC-64/ECMA integrity
-// trailer, canonical (decode ∘ encode is the identity on valid blobs —
-// FuzzPolicyStateCodec pins this). State is a policy-neutral bag: every
-// shipped policy round-trips through it, and a restored controller can
-// hold the blob until a Policy is attached without knowing its shape.
+// the controller snapshot, in the same envelope and primitives as the
+// snapshot itself (internal/binfmt) and canonical (decode ∘ encode is the
+// identity on valid blobs — FuzzPolicyStateCodec pins this). State is a
+// policy-neutral bag: every shipped policy round-trips through it, and a
+// restored controller can hold the blob until a Policy is attached without
+// knowing its shape.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc64"
-	"math"
+
+	"partialreduce/internal/binfmt"
 )
 
 // stateMagic identifies a policy-state blob ("PRPS").
@@ -24,8 +22,6 @@ const stateVersion uint32 = 1
 
 // maxStateLen bounds decoded lengths against corrupt headers.
 const maxStateLen = 1 << 20
-
-var stateTable = crc64.MakeTable(crc64.ECMA)
 
 // State is the policy-neutral serialized state. Static and
 // straggler-bias are stateless (Kind only); adaptive-p carries its
@@ -56,116 +52,31 @@ func (st State) validateFor(kind string, n int) error {
 
 // EncodeState serializes st. Equal states produce byte-identical blobs.
 func EncodeState(st State) []byte {
-	buf := make([]byte, 0, 64+16*len(st.LastSeen))
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	i64 := func(v int) { u64(uint64(int64(v))) }
-	f64s := func(v []float64) {
-		i64(len(v))
-		for _, x := range v {
-			u64(math.Float64bits(x))
-		}
-	}
-	u32(stateMagic)
-	u32(stateVersion)
-	i64(len(st.Kind))
-	buf = append(buf, st.Kind...)
-	i64(st.Cur)
-	i64(st.LastAdapt)
-	f64s(st.LastSeen)
-	f64s(st.Gap)
-	u64(crc64.Checksum(buf, stateTable))
-	return buf
+	w := binfmt.NewWriter(stateMagic, stateVersion, 64+16*len(st.LastSeen))
+	w.Bytes([]byte(st.Kind))
+	w.I64(st.Cur)
+	w.I64(st.LastAdapt)
+	w.Floats(st.LastSeen)
+	w.Floats(st.Gap)
+	return w.Seal()
 }
 
 // DecodeState parses a blob produced by EncodeState, verifying the CRC,
 // magic, version, and length sanity. It never panics on corrupt input.
 func DecodeState(blob []byte) (State, error) {
-	var st State
-	if len(blob) < 16 {
-		return st, fmt.Errorf("policy: state blob too short (%d bytes)", len(blob))
+	r, err := binfmt.Open("policy: state blob", blob, stateMagic, stateVersion)
+	if err != nil {
+		return State{}, err
 	}
-	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
-	if crc64.Checksum(body, stateTable) != sum {
-		return st, fmt.Errorf("policy: state blob checksum mismatch")
+	st := State{
+		Kind:      string(r.Bytes(maxStateLen)),
+		Cur:       r.I64(),
+		LastAdapt: r.I64(),
+		LastSeen:  r.Floats(maxStateLen),
+		Gap:       r.Floats(maxStateLen),
 	}
-	off := 0
-	var derr error
-	fail := func(format string, args ...any) {
-		if derr == nil {
-			derr = fmt.Errorf("policy: state blob: "+format, args...)
-		}
-	}
-	u32 := func() uint32 {
-		if derr != nil {
-			return 0
-		}
-		if off+4 > len(body) {
-			fail("truncated")
-			return 0
-		}
-		v := binary.LittleEndian.Uint32(body[off:])
-		off += 4
-		return v
-	}
-	u64 := func() uint64 {
-		if derr != nil {
-			return 0
-		}
-		if off+8 > len(body) {
-			fail("truncated")
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		return v
-	}
-	count := func() int {
-		n := int(int64(u64()))
-		if derr != nil {
-			return 0
-		}
-		if n < 0 || n > maxStateLen {
-			fail("implausible length %d", n)
-			return 0
-		}
-		return n
-	}
-	f64s := func() []float64 {
-		n := count()
-		if derr != nil || n == 0 {
-			return nil
-		}
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(u64())
-		}
-		return out
-	}
-
-	if m := u32(); derr == nil && m != stateMagic {
-		return st, fmt.Errorf("policy: bad state blob magic %#x", m)
-	}
-	if v := u32(); derr == nil && v != stateVersion {
-		return st, fmt.Errorf("policy: unsupported state blob version %d", v)
-	}
-	kn := count()
-	if derr == nil && off+kn > len(body) {
-		fail("truncated")
-	}
-	if derr == nil {
-		st.Kind = string(body[off : off+kn])
-		off += kn
-	}
-	st.Cur = int(int64(u64()))
-	st.LastAdapt = int(int64(u64()))
-	st.LastSeen = f64s()
-	st.Gap = f64s()
-	if derr != nil {
-		return State{}, derr
-	}
-	if off != len(body) {
-		return State{}, fmt.Errorf("policy: state blob has %d trailing bytes", len(body)-off)
+	if err := r.Done(); err != nil {
+		return State{}, err
 	}
 	return st, nil
 }

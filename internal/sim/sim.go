@@ -21,7 +21,6 @@ type Engine struct {
 	events  eventHeap
 	seq     uint64
 	stopped bool
-	steps   uint64
 }
 
 type event struct {
@@ -48,9 +47,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled events not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// Steps returns the number of events processed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past panics:
 // it always indicates a broken strategy state machine.
@@ -82,25 +78,6 @@ func (e *Engine) Run() int {
 		e.now = ev.at
 		ev.fn()
 		n++
-		e.steps++
-	}
-	return n
-}
-
-// RunUntil fires events with time <= t (or until Stop), then advances the
-// clock to t if it is ahead. It returns the number of events processed.
-func (e *Engine) RunUntil(t Time) int {
-	e.stopped = false
-	n := 0
-	for len(e.events) > 0 && !e.stopped && e.events[0].at <= t {
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.at
-		ev.fn()
-		n++
-		e.steps++
-	}
-	if !e.stopped && e.now < t {
-		e.now = t
 	}
 	return n
 }
@@ -118,38 +95,3 @@ func Stream(base int64, id int64) *rand.Rand {
 	z ^= z >> 31
 	return rand.New(rand.NewSource(int64(z)))
 }
-
-// Resource is a single FIFO server with deterministic service order: requests
-// are processed back to back in submission order. It models serialized
-// shared links such as a parameter server's NIC, where concurrent pushes
-// queue behind each other (the incast bottleneck of §2.2).
-type Resource struct {
-	eng  *Engine
-	free Time // when the server finishes its current backlog
-	busy float64
-}
-
-// NewResource returns a resource bound to eng.
-func NewResource(eng *Engine) *Resource { return &Resource{eng: eng} }
-
-// Schedule enqueues a request needing service seconds of server time and
-// calls done when it completes. It returns the completion time.
-func (r *Resource) Schedule(service float64, done func()) Time {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: negative service time %v", service))
-	}
-	start := r.eng.Now()
-	if r.free > start {
-		start = r.free
-	}
-	r.free = start + service
-	r.busy += service
-	end := r.free
-	if done != nil {
-		r.eng.At(end, done)
-	}
-	return end
-}
-
-// Busy returns the total service time scheduled so far (utilization numerator).
-func (r *Resource) Busy() float64 { return r.busy }

@@ -89,41 +89,6 @@ func TestStopResume(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	var got []Time
-	for _, at := range []Time{1, 2, 3, 4} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
-	}
-	if n := e.RunUntil(2.5); n != 2 {
-		t.Fatalf("RunUntil processed %d", n)
-	}
-	if e.Now() != 2.5 {
-		t.Fatalf("clock %v, want 2.5", e.Now())
-	}
-	e.Run()
-	if len(got) != 4 {
-		t.Fatalf("got %v", got)
-	}
-	// RunUntil past the last event advances the clock.
-	e.RunUntil(10)
-	if e.Now() != 10 {
-		t.Fatalf("clock %v, want 10", e.Now())
-	}
-}
-
-func TestStepsCounter(t *testing.T) {
-	var e Engine
-	for i := 0; i < 7; i++ {
-		e.At(Time(i), func() {})
-	}
-	e.Run()
-	if e.Steps() != 7 {
-		t.Fatalf("steps=%d", e.Steps())
-	}
-}
-
 func TestStreamDeterminismAndIndependence(t *testing.T) {
 	a := Stream(1, 2)
 	b := Stream(1, 2)
@@ -150,57 +115,6 @@ func TestStreamDeterminismAndIndependence(t *testing.T) {
 	}
 }
 
-func TestResourceFIFO(t *testing.T) {
-	var e Engine
-	r := NewResource(&e)
-	var done []Time
-	// Three requests submitted at t=0 with 1s service each serialize.
-	e.At(0, func() {
-		for i := 0; i < 3; i++ {
-			r.Schedule(1, func() { done = append(done, e.Now()) })
-		}
-	})
-	e.Run()
-	want := []Time{1, 2, 3}
-	if len(done) != 3 {
-		t.Fatalf("done=%v", done)
-	}
-	for i, w := range want {
-		if done[i] != w {
-			t.Fatalf("done=%v want %v", done, want)
-		}
-	}
-	if r.Busy() != 3 {
-		t.Fatalf("busy=%v", r.Busy())
-	}
-}
-
-func TestResourceIdleGap(t *testing.T) {
-	var e Engine
-	r := NewResource(&e)
-	var finish Time
-	e.At(0, func() { r.Schedule(1, nil) })
-	e.At(5, func() { r.Schedule(1, func() { finish = e.Now() }) })
-	e.Run()
-	if finish != 6 {
-		t.Fatalf("second request finished at %v, want 6 (idle gap preserved)", finish)
-	}
-}
-
-func TestResourceNegativeServicePanics(t *testing.T) {
-	var e Engine
-	r := NewResource(&e)
-	e.At(0, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		r.Schedule(-1, nil)
-	})
-	e.Run()
-}
-
 // Property: any multiset of event times fires sorted.
 func TestQuickOrdering(t *testing.T) {
 	f := func(times []uint16) bool {
@@ -212,36 +126,6 @@ func TestQuickOrdering(t *testing.T) {
 		}
 		e.Run()
 		return sort.Float64sAreSorted(got) && len(got) == len(times)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a FIFO resource completes requests in submission order and never
-// overlaps service intervals.
-func TestQuickResourceSerialization(t *testing.T) {
-	f := func(services []uint8) bool {
-		var e Engine
-		r := NewResource(&e)
-		var ends []Time
-		e.At(0, func() {
-			for _, s := range services {
-				r.Schedule(float64(s)/10, func() { ends = append(ends, e.Now()) })
-			}
-		})
-		e.Run()
-		if len(ends) != len(services) {
-			return false
-		}
-		var sum Time
-		for i, s := range services {
-			sum += Time(s) / 10
-			if ends[i] != sum {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

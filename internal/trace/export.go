@@ -141,28 +141,42 @@ func isSpanKind(k Kind) bool {
 // without relying on the per-rank file name. The format is fixed-order
 // and deterministic, suitable for jq/awk streaming analysis and for the
 // analyzer's ParseJSONL.
-func WriteJSONL(w io.Writer, events []Event) error {
+//
+// dropped is the recording tracer's Dropped() (read after Events(), so it
+// never understates what the events are missing). A wrapped ring is the
+// flight recorder's normal state, not damage: when dropped > 0 the first
+// line is a KTruncated header carrying the count and the oldest retained
+// event's timestamp. An unwrapped trace is written exactly as before.
+func WriteJSONL(w io.Writer, events []Event, dropped uint64) error {
 	bw := &errWriter{w: w}
+	if dropped > 0 && len(events) > 0 {
+		bw.jsonl(Event{TS: events[0].TS, Kind: KTruncated, Track: ControllerTrack, Iter: -1,
+			Origin: events[0].Origin, A: int64(dropped)})
+	}
 	for _, ev := range events {
-		bw.str(`{"ts":`)
-		bw.str(strconv.FormatFloat(ev.TS, 'f', 9, 64))
-		bw.str(`,"dur":`)
-		bw.str(strconv.FormatFloat(ev.Dur, 'f', 9, 64))
-		bw.str(`,"kind":"`)
-		bw.str(ev.Kind.String())
-		bw.str(`","track":`)
-		bw.str(strconv.FormatInt(int64(ev.Track), 10))
-		bw.str(`,"iter":`)
-		bw.str(strconv.FormatInt(int64(ev.Iter), 10))
-		bw.str(`,"rank":`)
-		bw.str(strconv.FormatInt(int64(ev.Origin), 10))
-		bw.str(`,"a":`)
-		bw.str(strconv.FormatInt(ev.A, 10))
-		bw.str(`,"b":`)
-		bw.str(strconv.FormatInt(ev.B, 10))
-		bw.str("}\n")
+		bw.jsonl(ev)
 	}
 	return bw.err
+}
+
+func (bw *errWriter) jsonl(ev Event) {
+	bw.str(`{"ts":`)
+	bw.str(strconv.FormatFloat(ev.TS, 'f', 9, 64))
+	bw.str(`,"dur":`)
+	bw.str(strconv.FormatFloat(ev.Dur, 'f', 9, 64))
+	bw.str(`,"kind":"`)
+	bw.str(ev.Kind.String())
+	bw.str(`","track":`)
+	bw.str(strconv.FormatInt(int64(ev.Track), 10))
+	bw.str(`,"iter":`)
+	bw.str(strconv.FormatInt(int64(ev.Iter), 10))
+	bw.str(`,"rank":`)
+	bw.str(strconv.FormatInt(int64(ev.Origin), 10))
+	bw.str(`,"a":`)
+	bw.str(strconv.FormatInt(ev.A, 10))
+	bw.str(`,"b":`)
+	bw.str(strconv.FormatInt(ev.B, 10))
+	bw.str("}\n")
 }
 
 // errWriter sticks on the first write error.

@@ -149,6 +149,11 @@ const (
 	// KBootstrap marks a joining rank fetching the model from a live
 	// donor (Track=joiner, A=donor rank, B=param count).
 	KBootstrap
+	// KTruncated is never recorded: WriteJSONL writes it as the header
+	// record of a trace whose ring overwrote events (TS=the oldest retained
+	// event's, A=events dropped), so a reader can tell a reference into the
+	// overwritten past from a corrupt one.
+	KTruncated
 
 	kindCount // internal: table size
 )
@@ -190,6 +195,7 @@ var kindNames = [kindCount]string{
 	KWorkerDecommission: "worker-decommission",
 	KEpochStale:         "epoch-stale",
 	KBootstrap:          "bootstrap",
+	KTruncated:          "trace-truncated",
 }
 
 // String returns the exporter name of k ("kind-N" for unknown values).

@@ -164,7 +164,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	tr := New(FuncClock(func() float64 { return 0 }), 16)
 	recordSample(tr)
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr.Events()); err != nil {
+	if err := WriteJSONL(&buf, tr.Events(), 0); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
@@ -211,10 +211,10 @@ func TestExportDeterministic(t *testing.T) {
 	if !bytes.Equal(c1.Bytes(), c2.Bytes()) {
 		t.Fatal("Chrome export differs across identical event streams")
 	}
-	if err := WriteJSONL(&j1, build()); err != nil {
+	if err := WriteJSONL(&j1, build(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSONL(&j2, build()); err != nil {
+	if err := WriteJSONL(&j2, build(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {

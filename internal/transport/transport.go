@@ -470,16 +470,6 @@ func RevivePeerEverywhere(world []Transport, peer int) {
 	}
 }
 
-// AbortOpEverywhere aborts collective op at the endpoints of members (dead is
-// the rank whose loss triggered the abort).
-func AbortOpEverywhere(world []Transport, members []int, op uint32, dead int) {
-	for _, m := range members {
-		if m != dead && m >= 0 && m < len(world) && world[m] != nil {
-			world[m].AbortOp(op)
-		}
-	}
-}
-
 // Mem is an in-process transport world: NewMem returns one endpoint per
 // rank, all sharing one delivery fabric. Endpoints are safe for concurrent
 // use by multiple goroutines.
