@@ -51,15 +51,16 @@ race:
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
 # loopback-TCP Send/RecvInto round trips, full segmented ring in place and out
-# of place, kernel dispatch, the gradient with its views bound)
-# must not touch the heap. The assertions skip themselves under -race (whose
-# instrumentation allocates), so ci runs them in a dedicated non-race pass.
+# of place, kernel dispatch, the gradient with its views bound, the factored
+# B = 1 local step) must not touch the heap. The assertions skip themselves
+# under -race (whose instrumentation allocates), so ci runs them in a
+# dedicated non-race pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
 	$(GO) test ./internal/transport/ -run 'TestRecvIntoSteadyStateAllocFree|TestTCPSendRecvSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
-	$(GO) test ./internal/model/ -run TestGradientSteadyStateAllocFree -count 1
+	$(GO) test ./internal/model/ -run 'TestGradientSteadyStateAllocFree|TestFactoredStepSteadyStateAllocFree' -count 1
 
 # Flake gate: the quiet-run watchdog test finishes in ~10 ms, well inside its
 # own 5 ms evaluation cadence on a fast host, so it passes only because the
@@ -104,7 +105,7 @@ postmortem-smoke:
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -p 1 ./internal/collective/ ./internal/transport/ ./internal/tensor/ ./internal/model/ ./internal/optim/ ./internal/live/ \
-		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkAddScaled|BenchmarkMLPGradient$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
+		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkAddScaled|BenchmarkMulVec$$|BenchmarkMLPGradient$$|BenchmarkFactoredStep$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
 		-benchmem -benchtime $(BENCHTIME)
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
 	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)

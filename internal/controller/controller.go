@@ -425,7 +425,6 @@ func (c *Controller) consultPolicy(def int) (int, float64) {
 	d := c.pol.Decide(policy.Inputs{
 		Now:          c.lastNow,
 		ConfigP:      c.cfg.P,
-		ConfigAlpha:  c.cfg.Alpha,
 		Alive:        active,
 		AliveMask:    c.activeMask,
 		GroupsFormed: c.stats.GroupsFormed,

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -68,12 +69,19 @@ func (c *diffControl) Finished() error                                          
 // workers, formed when the second signals, with weights ½/½), so the two
 // substrates' different clocks cannot reorder the math; what remains is
 // exactly what the engine layer claims to share — the step sequence and the
-// aggregation rule.
+// aggregation rule. At batch size 1 the live worker takes the factored local
+// step while the simulator materializes the gradient, so that row also pins
+// the two forms of the step against each other across substrates.
 func TestSimLiveDifferential(t *testing.T) {
+	for _, batch := range []int{1, 16} {
+		t.Run(fmt.Sprintf("B=%d", batch), func(t *testing.T) { simLiveDifferential(t, batch) })
+	}
+}
+
+func simLiveDifferential(t *testing.T, batch int) {
 	const (
 		n     = 2
 		iters = 12
-		batch = 16
 		seed  = int64(7)
 	)
 	ds, err := data.GaussianMixture(data.MixtureConfig{

@@ -173,7 +173,7 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 	env := w.Env
 	id := env.Rank
 	m := w.Model
-	grad := tensor.NewVector(m.NumParams())
+	var grad tensor.Vector                   // allocated by the first step that materializes a gradient, if any
 	spare := tensor.NewVector(m.NumParams()) // the next group average lands here
 	var batch *data.Batch
 	tracer := env.Tracer
@@ -194,8 +194,7 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 			}
 		}
 		batch = w.Sampler.Sample(batch, w.BatchSize)
-		m.Gradient(grad, batch)
-		w.Opt.Update(m.Params(), grad, 1)
+		localStep(m, w.Opt, &grad, batch)
 		iter++
 		if w.OnIter != nil {
 			w.OnIter(iter)
@@ -346,6 +345,29 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 		return Outcome{Iter: iter, Groups: groups}, err
 	}
 	return Outcome{Iter: iter, Groups: groups}, nil
+}
+
+// factoredGradient is the form of Gradient a model may offer when its
+// one-example gradient is a few outer products (the MLP; not the ConvNet).
+type factoredGradient interface {
+	GradientFactors(b *data.Batch) []tensor.Outer
+}
+
+// localStep is Algorithm 2 l.3–4 on the live replica: the gradient of batch
+// at the current parameters, then one optimizer update of them. A one-example
+// gradient that comes factored is consumed element by element where it is
+// produced, nothing D-sized written; anything else is Gradient + Update
+// through *grad, allocated on first need. Both leave the same bits.
+func localStep(m model.Model, opt *optim.SGD, grad *tensor.Vector, batch *data.Batch) {
+	if f, ok := m.(factoredGradient); ok && len(batch.X) == 1 {
+		opt.UpdateFactored(m.Params(), f.GradientFactors(batch), 1)
+		return
+	}
+	if *grad == nil {
+		*grad = tensor.NewVector(m.NumParams())
+	}
+	m.Gradient(*grad, batch)
+	opt.Update(m.Params(), *grad, 1)
 }
 
 // RunAllReduceWorker is the live All-Reduce baseline's per-rank loop: every

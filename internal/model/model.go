@@ -99,9 +99,10 @@ type MLP struct {
 	gbs   []tensor.Vector
 	gbase *float64
 	// scratch buffers reused across Gradient calls
-	acts   []tensor.Vector // activations per layer (post-nonlinearity)
-	deltas []tensor.Vector // backprop deltas per layer
-	probs  tensor.Vector
+	acts    []tensor.Vector // activations per layer (post-nonlinearity)
+	deltas  []tensor.Vector // backprop deltas per layer
+	factors []tensor.Outer  // the one-example gradient as outer products, see GradientFactors
+	probs   tensor.Vector
 }
 
 // NewMLP builds an MLP per spec with Glorot-uniform weights seeded by seed.
@@ -154,6 +155,11 @@ func (m *MLP) initScratch() {
 	for l, sz := range m.sizes {
 		m.acts[l] = tensor.NewVector(sz)
 		m.deltas[l] = tensor.NewVector(sz)
+	}
+	one := tensor.Vector{1}
+	for l := range m.ws { // W's gradient is δ·aᵀ; b's is δ, as the 1 × len(δ) product 1·δᵀ
+		d := m.deltas[l+1]
+		m.factors = append(m.factors, tensor.Outer{X: d, Y: m.acts[l]}, tensor.Outer{X: one, Y: d})
 	}
 	m.probs = tensor.NewVector(m.spec.Classes)
 }
@@ -241,37 +247,19 @@ func (m *MLP) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 		m.gbase = &dst[0]
 	}
 
-	last := len(m.sizes) - 1
 	var totalLoss float64
 	for i, x := range b.X {
-		logits := m.forward(x)
-		totalLoss += tensor.LogSumExp(logits) - logits[b.Y[i]]
-
-		// Output delta: softmax(logits) - onehot(y).
-		tensor.Softmax(m.probs, logits)
-		d := m.deltas[last]
-		d.CopyFrom(m.probs)
-		d[b.Y[i]] -= 1
-
-		// Backpropagate through layers.
-		for l := last - 1; l >= 0; l-- {
+		totalLoss += m.backprop(x, b.Y[i])
+		for l, gw := range m.gws {
+			d, a := m.deltas[l+1], m.acts[l]
 			if i == 0 {
-				m.gws[l].SetOuter(1, m.deltas[l+1], m.acts[l])
-				for j, v := range m.deltas[l+1] {
+				gw.SetOuter(1, d, a)
+				for j, v := range d {
 					m.gbs[l][j] = 0 + v
 				}
 			} else {
-				m.gws[l].AddOuter(1, m.deltas[l+1], m.acts[l])
-				m.gbs[l].Add(m.deltas[l+1])
-			}
-			if l > 0 {
-				m.ws[l].MulVecT(m.deltas[l], m.deltas[l+1])
-				// ReLU derivative on the hidden activation.
-				for j, a := range m.acts[l] {
-					if a <= 0 {
-						m.deltas[l][j] = 0
-					}
-				}
+				gw.AddOuter(1, d, a)
+				m.gbs[l].Add(d)
 			}
 		}
 	}
@@ -279,4 +267,43 @@ func (m *MLP) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 		dst.Scale(1 / float64(len(b.X)))
 	}
 	return totalLoss / float64(len(b.X))
+}
+
+// GradientFactors is Gradient for a one-example batch with nothing
+// materialized: the flat gradient [W₀ b₀ W₁ b₁ …] is the concatenation of the
+// returned row-major outer products, two per layer. The factors are the
+// model's own scratch, valid until its next forward or backward pass.
+func (m *MLP) GradientFactors(b *data.Batch) []tensor.Outer {
+	if len(b.X) != 1 {
+		panic(fmt.Sprintf("model: GradientFactors on a batch of %d, want 1", len(b.X)))
+	}
+	m.backprop(b.X[0], b.Y[0])
+	return m.factors
+}
+
+// backprop runs x forward and the cross-entropy delta of label y back through
+// every layer — all from the current weights, none of which it writes — and
+// returns the example's loss. It leaves layer l's output delta in
+// m.deltas[l+1] and its input in m.acts[l], the two factors of its gradient.
+func (m *MLP) backprop(x tensor.Vector, y int) float64 {
+	last := len(m.sizes) - 1
+	logits := m.forward(x)
+	loss := tensor.LogSumExp(logits) - logits[y]
+
+	// Output delta: softmax(logits) - onehot(y).
+	tensor.Softmax(m.probs, logits)
+	d := m.deltas[last]
+	d.CopyFrom(m.probs)
+	d[y] -= 1
+
+	for l := last - 1; l > 0; l-- {
+		m.ws[l].MulVecT(m.deltas[l], m.deltas[l+1])
+		// ReLU derivative on the hidden activation.
+		for j, a := range m.acts[l] {
+			if a <= 0 {
+				m.deltas[l][j] = 0
+			}
+		}
+	}
+	return loss
 }

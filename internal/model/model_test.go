@@ -380,6 +380,79 @@ func TestGradientSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestFactoredStepMatchesGradientUpdate is the oracle for the B = 1 local
+// step that materializes nothing: 200 steps of GradientFactors +
+// UpdateFactored leave, step for step, the bits of Gradient + Update in
+// parameters and velocity alike. The replicas start with a dead ReLU unit
+// (zero gradient row; weight decay and momentum still apply), ±0 parameters
+// and ±0 inputs, so −0 products reach both forms; every step has scale ≠ 1,
+// and the configurations cover a decaying rate and no weight decay.
+func TestFactoredStepMatchesGradientUpdate(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, cfg := range []optim.Config{
+		{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, Schedule: optim.StepDecay{Every: 60, Factor: 0.1}},
+		{LR: 0.05, Momentum: 0.9},
+	} {
+		for _, hidden := range [][]int{nil, {16}, {16, 8}} {
+			spec := Spec{Inputs: 12, Hidden: hidden, Classes: 4}
+			got, want := NewMLP(spec, 7), NewMLP(spec, 7)
+			for _, m := range []*MLP{got, want} {
+				p := m.Params()
+				p[0], p[1], p[len(p)-1] = 0, negZero, negZero
+				if len(hidden) > 0 { // unit 3 of the first hidden layer never fires
+					m.ws[0].Row(3).Fill(negZero)
+					m.bs[0][3] = -1
+				}
+			}
+			optGot, optWant := optim.NewSGD(cfg, got.NumParams()), optim.NewSGD(cfg, want.NumParams())
+			grad := tensor.NewVector(want.NumParams())
+			rng := rand.New(rand.NewSource(int64(len(hidden))))
+			for step := 0; step < 200; step++ {
+				b := smallBatch(rng, spec.Inputs, spec.Classes, 1)
+				b.X[0][rng.Intn(spec.Inputs)] = 0
+				b.X[0][rng.Intn(spec.Inputs)] = negZero
+				scale := 1 / float64(1+step%3)
+
+				optGot.UpdateFactored(got.Params(), got.GradientFactors(b), scale)
+				want.Gradient(grad, b)
+				optWant.Update(want.Params(), grad, scale)
+
+				if i := diffBits(got.Params(), want.Params()); i >= 0 {
+					t.Fatalf("wd=%v hidden=%v step %d: param[%d] = %x, want %x",
+						cfg.WeightDecay, hidden, step, i, got.Params()[i], want.Params()[i])
+				}
+				vGot, _ := optGot.State()
+				vWant, _ := optWant.State()
+				if i := diffBits(vGot, vWant); i >= 0 {
+					t.Fatalf("wd=%v hidden=%v step %d: velocity[%d] = %x, want %x",
+						cfg.WeightDecay, hidden, step, i, vGot[i], vWant[i])
+				}
+			}
+			if optGot.Step() != optWant.Step() {
+				t.Fatalf("factored updates counted %d steps, want %d", optGot.Step(), optWant.Step())
+			}
+		}
+	}
+}
+
+// TestFactoredStepSteadyStateAllocFree is the allocgate entry for the B = 1
+// local step: the factors are the model's scratch, bound once, so gradient,
+// update and the SwapParams a live worker does after every group never touch
+// the heap.
+func TestFactoredStepSteadyStateAllocFree(t *testing.T) {
+	m := NewMLP(Spec{Inputs: 12, Hidden: []int{16, 8}, Classes: 4}, 3)
+	b := smallBatch(rand.New(rand.NewSource(5)), 12, 4, 1)
+	opt := optim.NewSGD(optim.Paper(), m.NumParams())
+	spare := tensor.NewVector(m.NumParams())
+	step := func() {
+		opt.UpdateFactored(m.Params(), m.GradientFactors(b), 1)
+		spare = m.SwapParams(spare)
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs > 0 {
+		t.Fatalf("steady-state factored step allocates %.1f times per call", allocs)
+	}
+}
+
 // BenchmarkMLPGradient times one batch-size-1 gradient of the repository
 // benchmark's 266,244-parameter model. Eight replicas take turns, as the
 // eight ranks of a live run do, so parameters and gradient stream from
@@ -399,5 +472,29 @@ func BenchmarkMLPGradient(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms[i%replicas].Gradient(gs[i%replicas], batch)
+	}
+}
+
+// BenchmarkFactoredStep times the whole B = 1 local step of that model —
+// forward, deltas, and the update that consumes the factored gradient — over
+// eight rotating replicas (parameters and velocity: 34 MB). Compare with
+// BenchmarkMLPGradient plus optim's BenchmarkSGDUpdate, the materialized pair.
+func BenchmarkFactoredStep(b *testing.B) {
+	const replicas = 8
+	spec := Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
+	batch := smallBatch(rand.New(rand.NewSource(1)), spec.Inputs, spec.Classes, 1)
+	cfg := optim.Config{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4}
+	ms := make([]*MLP, replicas)
+	opts := make([]*optim.SGD, replicas)
+	for r := range ms {
+		ms[r] = NewMLP(spec, int64(r))
+		opts[r] = optim.NewSGD(cfg, ms[r].NumParams())
+	}
+	b.SetBytes(int64(5 * 8 * ms[0].NumParams())) // read the parameters twice and the velocity; write both
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := i % replicas
+		opts[r].UpdateFactored(ms[r].Params(), ms[r].GradientFactors(batch), 1)
 	}
 }

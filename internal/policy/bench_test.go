@@ -23,7 +23,7 @@ func benchInputs(pol Policy, n int) Inputs {
 		queue[w] = QueuedSignal{Worker: w, Iter: 8, Staleness: w % 3, Wait: float64(w) * 0.01}
 	}
 	return Inputs{
-		Now: now, ConfigP: 4, ConfigAlpha: 0.5,
+		Now: now, ConfigP: 4,
 		Alive: n, AliveMask: alive, Queue: queue,
 	}
 }

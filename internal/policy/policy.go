@@ -124,10 +124,8 @@ type Inputs struct {
 	// Now is the controller's latest clock reading (virtual seconds in
 	// the simulator, wall seconds live; 0 if the caller sends no clocks).
 	Now float64
-	// ConfigP and ConfigAlpha are the controller's configured group size
-	// and dynamic-weight decay (defaults resolved).
-	ConfigP     int
-	ConfigAlpha float64
+	// ConfigP is the controller's configured group size (default resolved).
+	ConfigP int
 	// Alive is the number of workers currently believed up; AliveMask the
 	// per-worker liveness vector (read-only).
 	Alive     int

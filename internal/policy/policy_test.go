@@ -97,7 +97,7 @@ func TestDecideBoundsProperty(t *testing.T) {
 					queue[i] = QueuedSignal{Worker: i, Iter: step, Staleness: rng.Intn(3)}
 				}
 				d := pol.Decide(Inputs{
-					Now: now, ConfigP: configP, ConfigAlpha: 0.5,
+					Now: now, ConfigP: configP,
 					Alive: aliveN, AliveMask: alive,
 					GroupsFormed: formed, Queue: queue,
 				})

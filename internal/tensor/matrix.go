@@ -47,14 +47,28 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Zero() { m.Data.Zero() }
 
 // MulVec writes m·x into dst. dst must have length m.Rows and x length
-// m.Cols; dst must not alias x.
+// m.Cols; dst must not alias x. Four rows go per pass so that four
+// independent add chains are in flight instead of one; each row is still
+// summed j = 0…Cols−1 into its own accumulator, so the bits are those of the
+// one-row-at-a-time loop that finishes the tail.
 func (m *Matrix) MulVec(dst, x Vector) {
 	checkLen(len(dst), m.Rows)
 	checkLen(len(x), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+	i, n := 0, len(x)
+	for ; i+4 <= m.Rows; i += 4 {
+		r0, r1, r2, r3 := m.Row(i)[:n], m.Row(i + 1)[:n], m.Row(i + 2)[:n], m.Row(i + 3)[:n]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		var s float64
-		for j, w := range row {
+		for j, w := range m.Row(i) {
 			s += w * x[j]
 		}
 		dst[i] = s
@@ -83,19 +97,26 @@ func (m *Matrix) AddOuter(a float64, x, y Vector) {
 }
 
 // SetOuter overwrites m with the rank-1 product a · x·yᵀ, bit-for-bit what
-// Zero followed by AddOuter leaves: each element is 0 + (a·x[i])·y[j], the
-// product rounded before the add (see kernels.go), so a −0 product becomes +0
-// as it does when accumulated into a zeroed matrix.
+// Zero followed by AddOuter leaves: each element is OuterElem(a·x[i], y[j]).
 func (m *Matrix) SetOuter(a float64, x, y Vector) {
 	checkLen(len(x), m.Rows)
 	checkLen(len(y), m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row, c := m.Row(i)[:len(y)], a*x[i]
 		for j, v := range y {
-			row[j] = 0 + float64(c*v)
+			row[j] = OuterElem(c, v)
 		}
 	}
 }
+
+// Outer is a rank-1 matrix kept as its two factors: element (i, j) is
+// OuterElem(X[i], Y[j]), what SetOuter(1, X, Y) would store there.
+type Outer struct{ X, Y Vector }
+
+// OuterElem is one element of an outer product accumulated into a zeroed
+// matrix: 0 + x·y with the product rounded before the add (see kernels.go), so
+// a −0 product becomes +0.
+func OuterElem(x, y float64) float64 { return 0 + float64(x*y) }
 
 // Mul writes a·b into dst (dst = a×b). Shapes must agree and dst must not
 // alias a or b.
