@@ -28,9 +28,9 @@ chargeguard:
 	fi; echo "chargeguard: ok"
 
 # No product caller, no code: an exported func or method under internal/ that
-# only tests reach is deleted with those tests or justified, one line each, in
-# scripts/callerless.allow (the script's header states the rule and its
-# limits).
+# only tests reach, or a config field that only tests set, is deleted with
+# those tests or justified, one line each, in scripts/callerless.allow (the
+# script's header states the rule and its limits).
 callerless:
 	@sh scripts/callerless.sh && echo "callerless: ok"
 

@@ -75,7 +75,7 @@ func main() {
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond,
 		"base backoff before a collective retry; doubles per attempt with seeded jitter")
 	partition := flag.String("partition", "",
-		"timed data-plane partition, e.g. '1,2@3s:8s': cut ranks {1,2} off from the rest between 3s and 8s after start (omit ':8s' to never heal)")
+		"timed network partition, e.g. '1,2@3s:8s': every frame between ranks {1,2} and the rest, control frames included, is lost between 3s and 8s after start (omit ':8s' to never heal); needs -ctrl-timeout and -collective-timeout")
 	tracePath := flag.String("trace", "",
 		"write this rank's wall-clock trace here on exit; '.r<rank>' is inserted before the extension so every rank can share the flag (.json: Chrome trace-event for Perfetto; .jsonl: streaming event log)")
 	traceBuf := flag.Int("trace-buf", 0,
@@ -131,6 +131,9 @@ func main() {
 	}
 	if *segmentSize < 0 {
 		fail(fmt.Errorf("need -segment-size >= 0"))
+	}
+	if err := checkPartitionFlags(*partition, *ctrlTimeout, *collTimeout); err != nil {
+		fail(err)
 	}
 	if *policyName != "" {
 		// Fail fast: the controller re-validates the spec, but only after
@@ -462,6 +465,20 @@ func parseStraggle(s string, n int) (int, time.Duration, error) {
 		return 0, 0, fmt.Errorf("straggle duration must be positive")
 	}
 	return r, d, nil
+}
+
+// checkPartitionFlags refuses a partition whose lost frames nothing would
+// re-send. -partition wraps the process's one TCP endpoint, which carries the
+// control frames as well as the collectives, and a frame dropped in the window
+// is dropped silently: with an unbounded wait (the default for both timeouts)
+// a rank whose ready signal or group reply falls inside the window parks for
+// good, healed partition or not. Checked before the mesh forms, so the
+// mistake costs no mesh timeout.
+func checkPartitionFlags(partition string, ctrlTimeout, collTimeout time.Duration) error {
+	if partition != "" && (ctrlTimeout <= 0 || collTimeout <= 0) {
+		return fmt.Errorf("-partition drops control frames too: it needs -ctrl-timeout and -collective-timeout (unbounded waits never notice a lost frame)")
+	}
+	return nil
 }
 
 // parsePartition parses "r1,r2,...@from[:until]" into a timed transport

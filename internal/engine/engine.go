@@ -19,7 +19,7 @@
 //   - the drivers: the PReduce strategy (PReduceConfig → controller wiring →
 //     the blocking or overlapped sim driver) and RunAllReduceSim on the event
 //     engine, and RunPReduceWorker/RunAllReduceWorker as the blocking per-rank
-//     loops the live runtimes (in-process and multi-process) both execute.
+//     loops the live runtime executes.
 //
 // Strategies and runtimes configure a SimEnv or a LiveEnv and invoke a
 // driver; they never re-implement the step. Adding a strategy is a

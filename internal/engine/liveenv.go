@@ -85,11 +85,10 @@ type Directive struct {
 	BootstrapOp  uint32
 }
 
-// Control is the worker's view of the control plane. The in-process runtime
-// implements it over channels to the controller service goroutine; the
-// multi-process runtime implements it over the transport's control-tag
-// message space. Model data never moves through a Control — it carries only
-// ids, iteration numbers, and op tags (§4).
+// Control is the worker's view of the control plane. The live runtime
+// implements it over a transport's control-tag message space; tests script
+// it. Model data never moves through a Control — it carries only ids,
+// iteration numbers, and op tags (§4).
 type Control interface {
 	// Signal sends the worker's ready signal for iter and blocks until the
 	// controller answers. Retransmission of lost signals (bounded reply
@@ -123,7 +122,7 @@ type LiveWorker struct {
 	// with the leftover EMA mass).
 	Init tensor.Vector
 	// Iters is the local-iteration budget; StartIter is where the loop
-	// counter begins (non-zero after a checkpoint rejoin).
+	// counter begins (non-zero after an elastic join: the donor's iteration).
 	Iters     int
 	StartIter int
 	BatchSize int
@@ -134,9 +133,6 @@ type LiveWorker struct {
 	// reaches that iteration (P-Reduce: just after the ready signal goes
 	// out; All-Reduce: just before the barrier).
 	CrashAt int
-	// OnIter, when non-nil, observes every loop-counter advance (the
-	// in-process runtime mirrors it into its per-worker progress vector).
-	OnIter func(iter int)
 }
 
 // Outcome reports how a live worker loop ended.
@@ -147,8 +143,7 @@ type Outcome struct {
 	// rounds completed (AR).
 	Groups int
 	// Crashed reports that the injected fail-stop fired; the runtime owns
-	// what "dying" means (checkpoint + transport down-marks in-process,
-	// FailSelf multi-process).
+	// what "dying" means (FailSelf on the rank's endpoints).
 	Crashed bool
 	// DeadErr is the collective error that declared this worker dead
 	// (somebody else reported us and our own op was aborted against us);
@@ -160,15 +155,14 @@ type Outcome struct {
 	Drained bool
 }
 
-// RunPReduceWorker is the live training-step loop (Algorithm 2), shared by
-// the in-process and multi-process runtimes: compute a batch, update
+// RunPReduceWorker is the live training-step loop (Algorithm 2), the same
+// for every rank of every deployment: compute a batch, update
 // locally, signal ready, and either proceed solo or reduce with the
 // dispatched group — re-signaling when the collective is aborted under it
 // (§4). The group average lands in a spare buffer that trades places with
 // the model's parameters on success, so §4's rollback is free: an aborted or
 // timed-out group never wrote the model. A non-nil error is fatal and raw:
-// the calling runtime owns wrapping and cleanup (the two runtimes differ in
-// both).
+// the calling runtime owns wrapping and cleanup.
 func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 	env := w.Env
 	id := env.Rank
@@ -196,9 +190,6 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 		batch = w.Sampler.Sample(batch, w.BatchSize)
 		localStep(m, w.Opt, &grad, batch)
 		iter++
-		if w.OnIter != nil {
-			w.OnIter(iter)
-		}
 		tracer.Span(trace.KCompute, int32(id), int32(iter), computeStart, 0, 0)
 
 		if w.CrashAt > 0 && iter >= w.CrashAt {
@@ -299,9 +290,6 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 				}
 				if g.Iter > iter {
 					iter = g.Iter
-					if w.OnIter != nil {
-						w.OnIter(iter)
-					}
 				}
 				groups++
 				break
@@ -336,9 +324,9 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 		}
 	}
 	if machine.State(0) != StateIdle {
-		// A rejoin checkpointed at the final iteration re-enters with the
-		// budget already spent; everyone else arrives here from a solo
-		// release (ready) or a completed group (apply).
+		// A joiner bootstrapped at its donor's final iteration enters with
+		// the budget already spent (still idle); everyone else arrives here
+		// from a solo release (ready) or a completed group (apply).
 		machine.To(0, StateDone)
 	}
 	if err := ctl.Finished(); err != nil {
@@ -406,9 +394,6 @@ func RunAllReduceWorker(w *LiveWorker, world []transport.Transport, group []int)
 		}
 		machine.To(0, StateApply)
 		w.Opt.Update(m.Params(), grad, 1)
-		if w.OnIter != nil {
-			w.OnIter(iter + 1)
-		}
 	}
 	machine.To(0, StateDone)
 	return Outcome{Iter: w.Iters, Groups: w.Iters}, nil

@@ -36,41 +36,37 @@ func RunAllReduce(cfg Config, world []transport.Transport) (*Report, error) {
 	// The baseline runs bare — no tracing, no deadlines — on the same worker
 	// assembly as P-Reduce.
 	cfg.Tracer, cfg.Instruments, cfg.CollectiveTimeout = nil, nil, 0
-	rt := newRuntime(cfg, world)
+	base := cfg.Spec.Build(cfg.Seed)
+	init := base.Params().Clone()
+	shards := cfg.Train.Shard(cfg.N)
 	group := make([]int, cfg.N)
 	for i := range group {
 		group[i] = i
 	}
 
 	start := time.Now()
-	for id := 0; id < cfg.N; id++ {
-		id := id
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			w := rt.newWorker(id)
-			defer rt.addComms(w.Env.Copts.Stats)
-			if _, err := engine.RunAllReduceWorker(w, world, group); err != nil {
-				rt.runErr <- fmt.Errorf("live: worker %d all-reduce: %w", id, err)
-				for _, t := range world {
-					t.Close()
-				}
-			}
-		}()
-	}
-	rt.wg.Wait()
-	select {
-	case err := <-rt.runErr:
+	workers := make([]*engine.LiveWorker, cfg.N)
+	iters := make([]int, cfg.N)
+	err := eachRank(world, func(id int) error {
+		w := newLiveWorker(cfg, id, world[id], base, shards[id], init)
+		workers[id] = w
+		out, err := engine.RunAllReduceWorker(w, world, group)
+		iters[id] = out.Iter
+		return err
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 
 	// All replicas are identical; evaluate worker 0's.
-	return &Report{
-		FinalAccuracy: model.Accuracy(rt.models[0], cfg.Test),
+	rep := &Report{
+		FinalAccuracy: model.Accuracy(workers[0].Model, cfg.Test),
 		Groups:        cfg.Iters,
 		WallTime:      time.Since(start),
-		WorkerIters:   rt.iters,
-		Comms:         rt.comms,
-	}, nil
+		WorkerIters:   iters,
+	}
+	for _, w := range workers {
+		rep.Comms.Merge(*w.Env.Copts.Stats)
+	}
+	return rep, nil
 }

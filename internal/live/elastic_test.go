@@ -1,9 +1,7 @@
 package live
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/data"
@@ -14,121 +12,49 @@ import (
 	"partialreduce/internal/optim"
 )
 
-// TestLiveElasticScaleOutAndDrain runs the in-process runtime through a
-// 4→6→3 staircase with small groups (P=2, the non-lockstep regime): two
-// parked ranks bootstrap in mid-run, then three members drain back out.
-// Every membership change must complete and none may be condemned.
-func TestLiveElasticScaleOutAndDrain(t *testing.T) {
-	cfg := liveConfig(t, 21)
+// staircase runs a 4→6→3 staircase with small groups (P=2, the non-lockstep
+// regime): ranks 4 and 5 start parked on the join stream, bootstrap from a
+// donor mid-run and train, then three members drain back out and the parked
+// ranks are dismissed at shutdown. Every membership change must complete and
+// none may be condemned.
+func staircase(t *testing.T, run entry, seed int64) {
+	t.Helper()
+	cfg := liveConfig(t, seed)
 	cfg.N = 6
 	cfg.P = 2
 	cfg.Initial = 4
 	cfg.Elastic = hetero.ScaleSchedule(4, 6, 3, 10, 5)
 	cfg.Iters = 60
 
-	rep, err := Run(cfg, memWorld(cfg.N))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := run(t, cfg, memWorld(cfg.N))
 	if rep.Joins != 2 || rep.Drains != 3 || rep.Decommissions != 3 {
 		t.Fatalf("membership changes incomplete: joins=%d drains=%d decommissions=%d",
 			rep.Joins, rep.Drains, rep.Decommissions)
 	}
-	if rep.Failures != 0 {
-		t.Fatalf("graceful churn condemned %d workers", rep.Failures)
+	if rep.Failures != 0 || rep.Aborts != 0 {
+		t.Fatalf("graceful churn: failures=%d aborts=%d", rep.Failures, rep.Aborts)
 	}
-	// Drains retire ranks 5, 4, 3: the three lowest founders finish.
-	for id, done := range rep.Completed {
-		if want := id < 3; done != want {
-			t.Fatalf("worker %d completed=%v, want %v", id, done, want)
+	// Drains retire ranks 5, 4, 3: the three lowest founders finish and are
+	// the membership at the end.
+	for id := 0; id < cfg.N; id++ {
+		if want := id < 3; rep.Completed[id] != want || rep.Alive[id] != want {
+			t.Fatalf("worker %d completed=%v alive=%v, want both %v", id, rep.Completed[id], rep.Alive[id], want)
 		}
 	}
-	alive := 0
-	for _, a := range rep.Alive {
-		if a {
-			alive++
+	// A joiner starts at its donor's iteration and must have moved past it by
+	// the time its drain lands at its own ready point.
+	for _, id := range []int{4, 5} {
+		if rep.WorkerIters[id] == 0 {
+			t.Fatalf("joiner %d never trained", id)
 		}
-	}
-	if alive != 3 {
-		t.Fatalf("want 3 members alive at the end, got %d", alive)
 	}
 	if rep.FinalAccuracy < 0.5 {
 		t.Fatalf("final accuracy %.3f: training broken by churn", rep.FinalAccuracy)
 	}
 }
 
-// TestMultiProcessElastic runs the same 4→6→3 staircase through the
-// wire-protocol deployment: one RunWorker per rank, controller hosted on
-// rank 0, control plane on transport tags. Ranks 4 and 5 start parked on the
-// join stream, bootstrap from a donor mid-run, train, drain back out with
-// rank 3, and are dismissed at shutdown. Nobody may error or hang.
-func TestMultiProcessElastic(t *testing.T) {
-	cfg := liveConfig(t, 23)
-	cfg.N = 6
-	cfg.P = 2
-	cfg.Initial = 4
-	cfg.Elastic = hetero.ScaleSchedule(4, 6, 3, 10, 5)
-	cfg.Iters = 60
-
-	world := memWorld(cfg.N)
-	reports := make([]*Report, cfg.N)
-	errs := make([]error, cfg.N)
-	done := make(chan struct{})
-	go func() {
-		var wg sync.WaitGroup
-		for r := 0; r < cfg.N; r++ {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				reports[r], errs[r] = RunWorker(cfg, world[r], r == 0)
-			}()
-		}
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("multi-process elastic run hung")
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	// Drains retire ranks 5, 4, 3; the three lowest founders finish.
-	for r := 0; r < cfg.N; r++ {
-		if want := r < 3; reports[r].Completed[0] != want {
-			t.Fatalf("rank %d completed=%v, want %v", r, reports[r].Completed[0], want)
-		}
-	}
-	// The joiners must actually have trained between admission and drain.
-	for _, r := range []int{4, 5} {
-		if reports[r].Groups == 0 || reports[r].WorkerIters[0] == 0 {
-			t.Fatalf("joiner %d never trained: groups=%d iter=%d",
-				r, reports[r].Groups, reports[r].WorkerIters[0])
-		}
-	}
-	if reports[0].FinalAccuracy < 0.5 {
-		t.Fatalf("final accuracy %.3f: training broken by churn", reports[0].FinalAccuracy)
-	}
-	// The host's report carries the same membership counters the in-process
-	// runtime reports for this staircase.
-	host := reports[0]
-	if host.Joins != 2 || host.Drains != 3 || host.Decommissions != 3 {
-		t.Fatalf("host report joins=%d drains=%d decommissions=%d, want 2/3/3",
-			host.Joins, host.Drains, host.Decommissions)
-	}
-	if host.Failures != 0 || host.Aborts != 0 {
-		t.Fatalf("graceful churn: host report failures=%d aborts=%d", host.Failures, host.Aborts)
-	}
-	for r, alive := range host.Alive {
-		if want := r < 3; alive != want {
-			t.Fatalf("host report alive[%d]=%v, want %v", r, alive, want)
-		}
-	}
-}
+func TestLiveElasticScaleOutAndDrain(t *testing.T) { staircase(t, runBounded, 21) }
+func TestMultiProcessElastic(t *testing.T)         { staircase(t, runWorkersFolded, 23) }
 
 // TestSimLiveElasticDifferential pushes the same seeded 8→12→6 schedule
 // through both backends — the event-driven simulator and the in-process

@@ -10,6 +10,11 @@ import (
 	"partialreduce/internal/transport"
 )
 
+// entry is one way into the runtime. A scenario that must hold through both
+// is written once against an entry and run through runBounded (Run drives
+// every rank) and runWorkersFolded (one RunWorker per rank, rank 0 hosting).
+type entry func(*testing.T, Config, []transport.Transport) *Report
+
 // runBounded runs Run with a wall-clock bound so a broken recovery path
 // fails the test instead of hanging it.
 func runBounded(t *testing.T, cfg Config, world []transport.Transport) *Report {
@@ -58,28 +63,28 @@ func ctrlFailoverConfig(t *testing.T, seed int64, cold bool) Config {
 	return cfg
 }
 
-// The tentpole property, warm path: the controller object is destroyed
-// mid-run (in-flight replies lost with it) and replaced from its snapshot.
-// Workers notice only as a bounded wait plus a retransmission; training
-// completes at full quality.
-func TestLiveCtrlFailoverWarm(t *testing.T) {
-	base := runBounded(t, liveConfig(t, 60), memWorld(4))
-
-	cfg := ctrlFailoverConfig(t, 60, false)
-	rep := runBounded(t, cfg, memWorld(cfg.N))
+// ctrlFailover is the failover property: the controller object is destroyed
+// mid-run (in-flight replies lost with it) and replaced — warm from its
+// snapshot, or cold from nothing but the config, repopulated by the ready
+// signals workers re-send. Workers notice only as a bounded wait plus a
+// retransmission; nobody is condemned and training completes inside the
+// accuracy band of the same run without the crash.
+func ctrlFailover(t *testing.T, run entry, seed int64, cold bool) {
+	t.Helper()
+	base := run(t, liveConfig(t, seed), memWorld(4))
+	cfg := ctrlFailoverConfig(t, seed, cold)
+	rep := run(t, cfg, memWorld(cfg.N))
 	if rep.CtrlRestarts != 1 {
 		t.Fatalf("controller restarts = %d, want 1", rep.CtrlRestarts)
 	}
-	for id := 0; id < cfg.N; id++ {
-		if !rep.Completed[id] {
-			t.Fatalf("worker %d did not complete across the failover", id)
-		}
-		if rep.WorkerIters[id] < cfg.Iters {
-			t.Fatalf("worker %d stopped at %d/%d", id, rep.WorkerIters[id], cfg.Iters)
-		}
-	}
 	if rep.Failures != 0 {
 		t.Fatalf("failover condemned %d workers; a controller crash kills nobody", rep.Failures)
+	}
+	for id := 0; id < cfg.N; id++ {
+		if !rep.Completed[id] || rep.WorkerIters[id] < cfg.Iters || !rep.Alive[id] {
+			t.Fatalf("worker %d across the failover: completed=%v iters=%d/%d alive=%v",
+				id, rep.Completed[id], rep.WorkerIters[id], cfg.Iters, rep.Alive[id])
+		}
 	}
 	if rep.FinalAccuracy < base.FinalAccuracy-0.05 {
 		t.Fatalf("failover accuracy %.3f fell out of the no-fault band (%.3f)",
@@ -87,53 +92,44 @@ func TestLiveCtrlFailoverWarm(t *testing.T) {
 	}
 }
 
-// Cold path: the replacement controller starts from nothing but the config
-// and is repopulated by the ready signals workers re-send.
-func TestLiveCtrlFailoverCold(t *testing.T) {
-	base := runBounded(t, liveConfig(t, 61), memWorld(4))
+func TestLiveCtrlFailoverWarm(t *testing.T) { ctrlFailover(t, runBounded, 60, false) }
+func TestLiveCtrlFailoverCold(t *testing.T) { ctrlFailover(t, runBounded, 61, true) }
 
-	cfg := ctrlFailoverConfig(t, 61, true)
-	rep := runBounded(t, cfg, memWorld(cfg.N))
-	if rep.CtrlRestarts != 1 {
-		t.Fatalf("controller restarts = %d, want 1", rep.CtrlRestarts)
-	}
-	for id := 0; id < cfg.N; id++ {
-		if !rep.Completed[id] {
-			t.Fatalf("worker %d did not complete across the cold failover", id)
+func TestRunWorkerCtrlFailover(t *testing.T) {
+	t.Run("warm", func(t *testing.T) { ctrlFailover(t, runWorkersFolded, 67, false) })
+	t.Run("cold", func(t *testing.T) { ctrlFailover(t, runWorkersFolded, 67, true) })
+}
+
+// failoverWithWorkerCrash: a controller crash while worker 3 also fail-stops.
+// The service-side death memory must survive the controller's reincarnation
+// (and be re-taught to a cold one), the death is counted once, and the
+// survivors still finish.
+func failoverWithWorkerCrash(t *testing.T, run entry, seed int64) {
+	t.Helper()
+	for _, cold := range []bool{false, true} {
+		cfg := ctrlFailoverConfig(t, seed, cold)
+		cfg.Crash = map[int]int{3: 10}
+		rep := run(t, cfg, memWorld(cfg.N))
+		if rep.CtrlRestarts != 1 || rep.Failures != 1 {
+			t.Fatalf("cold=%v: restarts=%d failures=%d, want 1/1", cold, rep.CtrlRestarts, rep.Failures)
 		}
-	}
-	if rep.Failures != 0 {
-		t.Fatalf("cold failover condemned %d workers", rep.Failures)
-	}
-	if rep.FinalAccuracy < base.FinalAccuracy-0.05 {
-		t.Fatalf("cold failover accuracy %.3f fell out of the no-fault band (%.3f)",
-			rep.FinalAccuracy, base.FinalAccuracy)
+		if rep.Alive[3] || rep.Completed[3] {
+			t.Fatalf("cold=%v: crashed rank alive=%v completed=%v", cold, rep.Alive[3], rep.Completed[3])
+		}
+		for id := 0; id < 3; id++ {
+			if !rep.Completed[id] {
+				t.Fatalf("cold=%v: survivor %d did not complete", cold, id)
+			}
+		}
+		if rep.FinalAccuracy < 0.85 {
+			t.Fatalf("cold=%v: accuracy %.3f after crash + failover", cold, rep.FinalAccuracy)
+		}
 	}
 }
 
-// A controller crash while a worker also fail-stops: the service-side death
-// memory must survive the controller's (warm) reincarnation, and the
-// survivors still finish.
-func TestLiveCtrlFailoverWithWorkerCrash(t *testing.T) {
-	cfg := ctrlFailoverConfig(t, 62, false)
-	cfg.Crash = map[int]int{3: 10}
-	cfg.FailTimeout = 2 * time.Second
-
-	rep := runBounded(t, cfg, memWorld(cfg.N))
-	if rep.CtrlRestarts != 1 {
-		t.Fatalf("controller restarts = %d, want 1", rep.CtrlRestarts)
-	}
-	if rep.Failures != 1 {
-		t.Fatalf("failures = %d, want exactly the injected crash", rep.Failures)
-	}
-	for id := 0; id < 3; id++ {
-		if !rep.Completed[id] {
-			t.Fatalf("survivor %d did not complete", id)
-		}
-	}
-	if rep.FinalAccuracy < 0.85 {
-		t.Fatalf("accuracy %.3f after crash + failover", rep.FinalAccuracy)
-	}
+func TestLiveCtrlFailoverWithWorkerCrash(t *testing.T) { failoverWithWorkerCrash(t, runBounded, 62) }
+func TestRunWorkerCtrlFailoverWithWorkerCrash(t *testing.T) {
+	failoverWithWorkerCrash(t, runWorkersFolded, 68)
 }
 
 // The failover knobs are validated: a crashing controller without bounded
@@ -208,6 +204,36 @@ func TestLivePartitionRecovery(t *testing.T) {
 	}
 	if rep.FinalAccuracy < 0.85 {
 		t.Fatalf("accuracy %.3f after partition recovery", rep.FinalAccuracy)
+	}
+}
+
+// TestRunControlOutOfBand: Run's control frames travel on a world of their
+// own, so a fault plan on the caller's world cannot touch them. Rank 3 is cut
+// off from everyone — rank 0 included — from before its first ready signal,
+// and no control wait is bounded (CtrlTimeout = 0): were a single signal or
+// reply to cross the partitioned world, its rank would park for good and the
+// run would hang. The data plane does feel the cut (collectives with rank 3
+// time out and are retried or dissolved) and nobody is condemned for it.
+func TestRunControlOutOfBand(t *testing.T) {
+	cfg := liveConfig(t, 69)
+	cfg.CollectiveTimeout = 50 * time.Millisecond
+	cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
+		Seed:       69,
+		Partitions: []transport.Partition{{Ranks: []int{3}, From: 0, Until: 150 * time.Millisecond}},
+	})
+
+	rep := runBounded(t, cfg, world)
+	for id := 0; id < cfg.N; id++ {
+		if !rep.Completed[id] || rep.WorkerIters[id] < cfg.Iters {
+			t.Fatalf("worker %d: completed=%v iters=%d/%d", id, rep.Completed[id], rep.WorkerIters[id], cfg.Iters)
+		}
+	}
+	if rep.Failures != 0 {
+		t.Fatalf("partition condemned %d workers; links were cut, nobody died", rep.Failures)
+	}
+	if rep.Comms.Timeouts == 0 {
+		t.Fatal("no collective timeouts recorded: the partition never bit the data plane")
 	}
 }
 
@@ -329,61 +355,21 @@ func runWorkersBounded(t *testing.T, cfg Config, world []transport.Transport) []
 	return reports
 }
 
-// The failover harness on the wire: the hosted controller is destroyed
-// mid-run and replaced (warm from its snapshot, cold from nothing); workers
-// whose replies died with it re-send over the control tags and every rank
-// completes with nobody condemned. The host's report carries the controller's
-// counters.
-func TestRunWorkerCtrlFailover(t *testing.T) {
-	for _, cold := range []bool{false, true} {
-		cold := cold
-		t.Run(map[bool]string{false: "warm", true: "cold"}[cold], func(t *testing.T) {
-			cfg := ctrlFailoverConfig(t, 67, cold)
-			reports := runWorkersBounded(t, cfg, memWorld(cfg.N))
-			host := reports[0]
-			if host.CtrlRestarts != 1 {
-				t.Fatalf("controller restarts = %d, want 1", host.CtrlRestarts)
-			}
-			if host.Failures != 0 {
-				t.Fatalf("failover condemned %d workers; a controller crash kills nobody", host.Failures)
-			}
-			for r, rep := range reports {
-				if !rep.Completed[0] || rep.WorkerIters[0] < cfg.Iters {
-					t.Fatalf("rank %d: completed=%v iters=%d/%d", r, rep.Completed[0], rep.WorkerIters[0], cfg.Iters)
-				}
-			}
-			for r, alive := range host.Alive {
-				if !alive {
-					t.Fatalf("rank %d not alive in the host's final view", r)
-				}
-			}
-			if host.FinalAccuracy < 0.85 {
-				t.Fatalf("accuracy %.3f across the failover", host.FinalAccuracy)
-			}
-		})
+// runWorkersFolded is runWorkersBounded with the one-rank reports put into
+// the shape of Run's: accuracy and controller counters from the host (rank
+// 0), per-rank progress and completion from each rank, data-plane stats
+// summed. Groups is the ranks' total of group memberships, not Run's count of
+// groups.
+func runWorkersFolded(t *testing.T, cfg Config, world []transport.Transport) *Report {
+	t.Helper()
+	reports := runWorkersBounded(t, cfg, world)
+	rep := *reports[0]
+	rep.Groups, rep.WorkerIters, rep.Completed, rep.Comms = 0, nil, nil, collective.OpStats{}
+	for _, r := range reports {
+		rep.Groups += r.Groups
+		rep.WorkerIters = append(rep.WorkerIters, r.WorkerIters[0])
+		rep.Completed = append(rep.Completed, r.Completed[0])
+		rep.Comms.Merge(r.Comms)
 	}
-}
-
-// Wire failover with a worker fail-stop in the same run: the host-side death
-// memory survives the controller's reincarnation (and is re-taught to a cold
-// one), and the death is counted once.
-func TestRunWorkerCtrlFailoverWithWorkerCrash(t *testing.T) {
-	for _, cold := range []bool{false, true} {
-		cfg := ctrlFailoverConfig(t, 68, cold)
-		cfg.Crash = map[int]int{3: 10}
-		cfg.FailTimeout = 2 * time.Second
-		reports := runWorkersBounded(t, cfg, memWorld(cfg.N))
-		host := reports[0]
-		if host.CtrlRestarts != 1 || host.Failures != 1 {
-			t.Fatalf("cold=%v: restarts=%d failures=%d, want 1/1", cold, host.CtrlRestarts, host.Failures)
-		}
-		if host.Alive[3] || reports[3].Completed[0] {
-			t.Fatalf("cold=%v: crashed rank alive=%v completed=%v", cold, host.Alive[3], reports[3].Completed[0])
-		}
-		for r := 0; r < 3; r++ {
-			if !reports[r].Completed[0] {
-				t.Fatalf("cold=%v: survivor %d did not complete", cold, r)
-			}
-		}
-	}
+	return &rep
 }

@@ -1,8 +1,6 @@
 package live
 
 import (
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,56 +9,63 @@ import (
 )
 
 // The headline fault-tolerance property (§4): a worker crashing mid-training
-// — with its ready signal in flight, so the controller forms a group
+// — with its ready signal in flight, so the controller may form a group
 // containing the corpse — must not stop the run. The survivors detect the
-// death inside the collective, roll back, re-signal, and finish training to
-// full quality.
-func TestLiveCrashSurvivors(t *testing.T) {
-	cfg := liveConfig(t, 50)
-	cfg.Crash = map[int]int{3: 10}
-	cfg.FailTimeout = 2 * time.Second
-
-	rep, err := Run(cfg, memWorld(cfg.N))
-	if err != nil {
-		t.Fatal(err)
-	}
+// death inside the collective or the host's receive loop reports it, they
+// re-signal with their untouched models, and finish training to full quality.
+// Whether a group did form with the corpse depends on whether its last signal
+// outran its death; the exact schedule, and the abort it must count, is
+// TestCoreLostWhileGroupedCountsTheAbort's.
+func crashSurvivors(t *testing.T, run entry, seed int64, crashed int) {
+	t.Helper()
+	cfg := liveConfig(t, seed)
+	cfg.Crash = map[int]int{crashed: 10}
+	rep := run(t, cfg, memWorld(cfg.N))
 	if rep.FinalAccuracy < 0.9 {
 		t.Fatalf("accuracy %.3f after crash, want >= 0.9", rep.FinalAccuracy)
 	}
-	if rep.Failures != 1 {
-		t.Fatalf("failures = %d, want 1", rep.Failures)
+	if rep.Failures != 1 || rep.Joins != 0 || rep.Drains != 0 || rep.Decommissions != 0 {
+		t.Fatalf("failures=%d joins=%d drains=%d decommissions=%d, want 1/0/0/0",
+			rep.Failures, rep.Joins, rep.Drains, rep.Decommissions)
 	}
-	if rep.Alive[3] {
-		t.Fatal("crashed worker still marked alive")
+	if rep.Aborts > 1 {
+		t.Fatalf("aborts=%d: one death tears down at most the one group holding the corpse", rep.Aborts)
 	}
-	if rep.Completed[3] {
-		t.Fatal("crashed worker marked completed")
+	if len(rep.Alive) != cfg.N {
+		t.Fatalf("alive=%v, want %d entries", rep.Alive, cfg.N)
 	}
-	if rep.WorkerIters[3] >= cfg.Iters {
-		t.Fatalf("crashed worker ran %d iters, want < %d", rep.WorkerIters[3], cfg.Iters)
-	}
-	for id := 0; id < 3; id++ {
-		if !rep.Completed[id] {
-			t.Fatalf("survivor %d did not complete", id)
+	for id := 0; id < cfg.N; id++ {
+		if id == crashed {
+			if rep.Alive[id] || rep.Completed[id] || rep.WorkerIters[id] >= cfg.Iters {
+				t.Fatalf("crashed worker %d: alive=%v completed=%v iters=%d/%d",
+					id, rep.Alive[id], rep.Completed[id], rep.WorkerIters[id], cfg.Iters)
+			}
+			continue
 		}
-		if rep.WorkerIters[id] < cfg.Iters {
-			t.Fatalf("survivor %d stopped at %d/%d", id, rep.WorkerIters[id], cfg.Iters)
+		if !rep.Alive[id] || !rep.Completed[id] || rep.WorkerIters[id] < cfg.Iters {
+			t.Fatalf("survivor %d: alive=%v completed=%v iters=%d/%d",
+				id, rep.Alive[id], rep.Completed[id], rep.WorkerIters[id], cfg.Iters)
 		}
-	}
-	if rep.Aborts < 1 {
-		t.Fatalf("aborts = %d, want >= 1 (a group formed with the corpse must be torn down)", rep.Aborts)
-	}
-	if rep.Rejoins != 0 {
-		t.Fatalf("rejoins = %d, want 0", rep.Rejoins)
 	}
 }
+
+func TestLiveCrashSurvivors(t *testing.T) { crashSurvivors(t, runBounded, 50, 3) }
+
+// With one RunWorker per rank the control frames share the data world, the
+// controller sits on rank 0 and the final average is a gather over the
+// survivor roster.
+func TestRunWorkerCrash(t *testing.T) { crashSurvivors(t, runWorkersFolded, 57, 2) }
+
+// TestRunRankZeroCrash: Run's controller lives on a rank of its own, so rank
+// 0 may fail-stop like any other — and nothing but the service's receive loop
+// (no timeout of any kind is configured) is there to notice.
+func TestRunRankZeroCrash(t *testing.T) { crashSurvivors(t, runBounded, 59, 0) }
 
 // Two concurrent crashes with P=2 over N=4: the two survivors keep grouping
 // with each other and finish.
 func TestLiveTwoCrashes(t *testing.T) {
 	cfg := liveConfig(t, 51)
 	cfg.Crash = map[int]int{1: 8, 3: 14}
-	cfg.FailTimeout = 2 * time.Second
 
 	rep, err := Run(cfg, memWorld(cfg.N))
 	if err != nil {
@@ -83,7 +88,6 @@ func TestLiveCrashShrinksGroupSize(t *testing.T) {
 	cfg := liveConfig(t, 52)
 	cfg.N, cfg.P = 4, 3
 	cfg.Crash = map[int]int{0: 12}
-	cfg.FailTimeout = 2 * time.Second
 
 	rep, err := Run(cfg, memWorld(cfg.N))
 	if err != nil {
@@ -102,44 +106,12 @@ func TestLiveCrashShrinksGroupSize(t *testing.T) {
 	}
 }
 
-// Checkpoint-based rejoin: the crashed worker restarts from its snapshot,
-// re-enters the cluster, and finishes its iterations like everyone else.
-func TestLiveCrashRejoin(t *testing.T) {
-	cfg := liveConfig(t, 53)
-	cfg.Crash = map[int]int{2: 10}
-	cfg.Rejoin = map[int]time.Duration{2: 30 * time.Millisecond}
-	cfg.FailTimeout = 2 * time.Second
-
-	rep, err := Run(cfg, memWorld(cfg.N))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failures != 1 || rep.Rejoins != 1 {
-		t.Fatalf("failures=%d rejoins=%d, want 1/1", rep.Failures, rep.Rejoins)
-	}
-	if !rep.Alive[2] {
-		t.Fatal("rejoined worker not alive at the end")
-	}
-	for id := 0; id < cfg.N; id++ {
-		if !rep.Completed[id] {
-			t.Fatalf("worker %d did not complete (rejoin should restore full strength)", id)
-		}
-		if rep.WorkerIters[id] < cfg.Iters {
-			t.Fatalf("worker %d stopped at %d/%d", id, rep.WorkerIters[id], cfg.Iters)
-		}
-	}
-	if rep.FinalAccuracy < 0.9 {
-		t.Fatalf("accuracy %.3f after rejoin", rep.FinalAccuracy)
-	}
-}
-
 // Crash under dynamic weighting: the staleness-aware weight generator must
 // keep working as the survivor set shrinks.
 func TestLiveCrashDynamicWeighting(t *testing.T) {
 	cfg := liveConfig(t, 54)
 	cfg.Weighting = controller.Dynamic
 	cfg.Crash = map[int]int{1: 15}
-	cfg.FailTimeout = 2 * time.Second
 	cfg.Iters = 80
 
 	rep, err := Run(cfg, memWorld(cfg.N))
@@ -157,17 +129,10 @@ func TestLiveCrashDynamicWeighting(t *testing.T) {
 // Config validation of the fault-injection knobs.
 func TestFaultConfigValidate(t *testing.T) {
 	mutations := []func(*Config){
-		func(c *Config) { c.Crash = map[int]int{9: 5} },                                          // out of range
-		func(c *Config) { c.Crash = map[int]int{1: 0} },                                          // iter < 1
-		func(c *Config) { c.Crash = map[int]int{1: c.Iters + 1} },                                // iter > Iters
-		func(c *Config) { c.Rejoin = map[int]time.Duration{1: time.Millisecond} },                // rejoin w/o crash
-		func(c *Config) { c.FailTimeout = -time.Second },                                         // negative timeout
-		func(c *Config) { c.Crash = map[int]int{0: 1, 1: 1, 2: 1}; c.FailTimeout = time.Second }, // too many
-		func(c *Config) { // negative rejoin delay
-			c.Crash = map[int]int{1: 5}
-			c.FailTimeout = time.Second
-			c.Rejoin = map[int]time.Duration{1: -time.Millisecond}
-		},
+		func(c *Config) { c.Crash = map[int]int{9: 5} },             // out of range
+		func(c *Config) { c.Crash = map[int]int{1: 0} },             // iter < 1
+		func(c *Config) { c.Crash = map[int]int{1: c.Iters + 1} },   // iter > Iters
+		func(c *Config) { c.Crash = map[int]int{0: 1, 1: 1, 2: 1} }, // too many
 	}
 	for i, mutate := range mutations {
 		cfg := liveConfig(t, 55)
@@ -178,108 +143,19 @@ func TestFaultConfigValidate(t *testing.T) {
 	}
 	good := liveConfig(t, 55)
 	good.Crash = map[int]int{1: 5}
-	good.Rejoin = map[int]time.Duration{1: time.Millisecond}
-	good.FailTimeout = time.Second
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid fault config rejected: %v", err)
 	}
-
-	// Crashes without FailTimeout: the sweep is Run's, so Run refuses and
-	// the configuration itself — all RunWorker checks — is valid.
-	bare := liveConfig(t, 55)
-	bare.Crash = map[int]int{1: 5}
-	if _, err := Run(bare, memWorld(bare.N)); err == nil || !strings.Contains(err.Error(), "FailTimeout") {
-		t.Fatalf("Run with crashes and no FailTimeout: %v", err)
-	}
-	if err := bare.Validate(); err != nil {
-		t.Fatalf("crash config without FailTimeout rejected for RunWorker: %v", err)
-	}
 }
 
-// The multi-process protocol under a crash: a non-host rank fails stop with
-// its ready signal in flight; the host's receive loops and the survivors'
-// failure reports converge on excluding it; the final gather runs over the
-// survivor roster.
-func TestRunWorkerCrash(t *testing.T) {
-	cfg := liveConfig(t, 57)
-	cfg.Crash = map[int]int{2: 10} // no FailTimeout: RunWorker's detector is its receive loops
-
-	world := memWorld(cfg.N)
-	reports := make([]*Report, cfg.N)
-	errs := make([]error, cfg.N)
-	done := make(chan struct{})
-	go func() {
-		var wg sync.WaitGroup
-		for r := 0; r < cfg.N; r++ {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				reports[r], errs[r] = RunWorker(cfg, world[r], r == 0)
-			}()
-		}
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("multi-process run hung after crash")
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if reports[2].Completed[0] {
-		t.Fatal("crashed rank reported completion")
-	}
-	if reports[2].WorkerIters[0] >= cfg.Iters {
-		t.Fatalf("crashed rank ran %d iters", reports[2].WorkerIters[0])
-	}
-	for _, r := range []int{0, 1, 3} {
-		if !reports[r].Completed[0] {
-			t.Fatalf("survivor %d did not complete", r)
-		}
-		if reports[r].WorkerIters[0] < cfg.Iters {
-			t.Fatalf("survivor %d stopped at %d/%d", r, reports[r].WorkerIters[0], cfg.Iters)
-		}
-	}
-	if reports[0].FinalAccuracy < 0.85 {
-		t.Fatalf("multi-process accuracy %.3f after crash", reports[0].FinalAccuracy)
-	}
-	// The host's report carries the controller's view of the run.
-	host := reports[0]
-	if host.Failures != 1 || host.Joins != 0 || host.Drains != 0 || host.Decommissions != 0 {
-		t.Fatalf("host report failures=%d joins=%d drains=%d decommissions=%d, want 1/0/0/0",
-			host.Failures, host.Joins, host.Drains, host.Decommissions)
-	}
-	if host.Aborts > 1 {
-		t.Fatalf("host report aborts=%d: one death tears down at most the one group holding the corpse", host.Aborts)
-	}
-	if len(host.Alive) != cfg.N || host.Alive[2] || !host.Alive[0] || !host.Alive[1] || !host.Alive[3] {
-		t.Fatalf("host report alive=%v, want everyone but rank 2", host.Alive)
-	}
-	if reports[1].Failures != 0 || reports[1].Alive != nil {
-		t.Fatalf("non-host report carries controller state: %+v", reports[1])
-	}
-}
-
-// The host rank must refuse to crash, and multi-process rejoin is rejected.
+// The host rank must refuse to crash: in a multi-process world the
+// controller shares rank 0's process.
 func TestRunWorkerFaultValidation(t *testing.T) {
 	cfg := liveConfig(t, 58)
 	cfg.Crash = map[int]int{0: 5}
-	cfg.FailTimeout = time.Second
 	world := memWorld(cfg.N)
 	if _, err := RunWorker(cfg, world[0], true); err == nil {
 		t.Fatal("controller-host crash accepted")
-	}
-	cfg = liveConfig(t, 58)
-	cfg.Crash = map[int]int{1: 5}
-	cfg.Rejoin = map[int]time.Duration{1: time.Millisecond}
-	cfg.FailTimeout = time.Second
-	if _, err := RunWorker(cfg, world[1], false); err == nil {
-		t.Fatal("multi-process rejoin accepted")
 	}
 }
 
@@ -290,7 +166,6 @@ func TestRunWorkerFaultValidation(t *testing.T) {
 func TestLiveAllReduceCrashFails(t *testing.T) {
 	cfg := liveConfig(t, 50) // same seed and schedule as the P-Reduce test
 	cfg.Crash = map[int]int{3: 10}
-	cfg.FailTimeout = 2 * time.Second
 
 	done := make(chan struct{})
 	var rep *Report
@@ -314,11 +189,11 @@ func TestLiveAllReduceCrashFails(t *testing.T) {
 
 // A crash over the fault-injecting transport wrapper: the FaultyTransport's
 // CrashAfterSends schedule kills a rank from below (mid-collective, not at
-// the polite post-signal point), and the runtime still recovers via the
-// peer-down/abort path plus the staleness backstop.
+// the polite post-signal point), and the runtime still recovers: peers report
+// the corpse from inside the collective, and the rank itself — its own
+// endpoint failing under it — leaves through the control plane.
 func TestLiveCrashViaFaultyTransport(t *testing.T) {
 	cfg := liveConfig(t, 56)
-	cfg.FailTimeout = 1500 * time.Millisecond
 
 	inner := memWorld(cfg.N)
 	eps, err := transport.NewFaultyWorld(inner, transport.FaultPlan{

@@ -10,9 +10,10 @@
 // engine.RunPReduceWorker — the same step state machine the simulator
 // drives — over a LiveEnv (wall clock, real collectives) and an
 // engine.Control. This package owns only the substrate: the controller
-// service core (service.go) with its in-process adapter (this file) and its
-// multi-process one (worker.go, wire.go), crash/checkpoint/rejoin
-// choreography, and run assembly.
+// service core (service.go), its one adapter — control frames under tags the
+// collectives never use (worker.go, wire.go) — the rank lifecycle (park,
+// bootstrap-join, train, drain, crash), and run assembly: Run drives every
+// rank of an in-process world, RunWorker one rank of a multi-process one.
 //
 // The runtime is fault tolerant in the sense of §4: a worker crash is
 // detected by its group peers (the collective fails with a typed peer-down
@@ -20,16 +21,14 @@
 // wrote — re-signal ready, and the controller excludes the dead worker from
 // all future groups.
 // Because no model data flows through the controller, exclusion is a pure
-// metadata operation. Crashed workers can rejoin from a checkpoint.
+// metadata operation.
 package live
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
 
-	"partialreduce/internal/checkpoint"
 	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
@@ -93,17 +92,6 @@ type Config struct {
 	// corpse and the surviving members must detect the failure inside the
 	// collective and recover — exactly the hazard §4 describes.
 	Crash map[int]int
-	// Rejoin maps a crashed worker id -> delay after its crash at which it
-	// restarts from its last checkpoint and re-enters the cluster. Only
-	// workers present in Crash may appear here.
-	Rejoin map[int]time.Duration
-	// FailTimeout enables Run's staleness sweep: a worker with no sign of
-	// life for this long is declared dead. It is the backstop for crashes
-	// that peers cannot observe through a collective (e.g. a worker whose
-	// queued signal can no longer fill a group). Run requires it when Crash
-	// is non-empty; choose it well above the slowest legitimate iteration.
-	// Zero disables it. RunWorker's detector is its receive loops instead.
-	FailTimeout time.Duration
 
 	// CtrlCrashAfter crashes the controller after that many groups have been
 	// dispatched (0: never). The in-flight group replies are lost with it;
@@ -116,8 +104,11 @@ type Config struct {
 	CtrlCold bool
 	// CtrlTimeout bounds a worker's wait for a group reply: on expiry the
 	// worker re-sends its ready signal (idempotent — the service recognizes
-	// retransmissions). Required when CtrlCrashAfter > 0; zero means wait
-	// forever (safe only when the controller cannot crash).
+	// retransmissions), and after ctrlResendLimit unanswered re-sends it
+	// takes the controller for unreachable and withdraws — so choose it well
+	// above a ninth of the longest wait a healthy run can see. Required when
+	// CtrlCrashAfter > 0; zero means wait forever (safe only when the
+	// controller cannot crash and no control frame can be lost).
 	CtrlTimeout time.Duration
 
 	// Tracer, when non-nil, records the run's timeline: worker iteration
@@ -170,8 +161,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: batch size must be positive")
 	case c.Iters < 1:
 		return fmt.Errorf("live: need at least one iteration")
-	case c.FailTimeout < 0:
-		return fmt.Errorf("live: negative fail timeout")
 	case c.SegmentElems < 0:
 		return fmt.Errorf("live: negative SegmentElems %d", c.SegmentElems)
 	}
@@ -200,14 +189,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err
-	}
-	for w, d := range c.Rejoin {
-		if _, ok := c.Crash[w]; !ok {
-			return fmt.Errorf("live: rejoin for worker %d which never crashes", w)
-		}
-		if d < 0 {
-			return fmt.Errorf("live: negative rejoin delay for worker %d", w)
-		}
 	}
 	if c.Policy.Enabled() {
 		if err := c.Policy.Resolve(c.P).Validate(c.N, c.P); err != nil {
@@ -239,7 +220,6 @@ type Report struct {
 	Groups        int     // P-Reduce groups executed to completion
 	Aborts        int     // groups torn down because a member died mid-collective
 	Failures      int     // workers declared dead
-	Rejoins       int     // workers re-admitted from a checkpoint
 	Joins         int     // elastic scale-out admissions
 	Drains        int     // graceful drain hand-offs started
 	Decommissions int     // drains completed (member retired)
@@ -252,71 +232,6 @@ type Report struct {
 	// Comms aggregates data-plane statistics over every collective the run
 	// executed (all workers, including aborted attempts' partial traffic).
 	Comms collective.OpStats
-}
-
-// svcCall is one message on the service inbox: a core event from worker,
-// applied on the service goroutine at controller-clock time now.
-type svcCall struct {
-	worker int
-	event  func(c *svcCore, now float64)
-}
-
-// runtime bundles the state shared by the service, the workers, and the
-// rejoin goroutines of one Run.
-type runtime struct {
-	cfg    Config
-	world  []transport.Transport
-	base   model.Model
-	init   tensor.Vector
-	shards []*data.Dataset
-
-	inbox  chan svcCall
-	runErr chan error
-	wg     sync.WaitGroup
-
-	iters  []int
-	models []model.Model
-
-	// readySeq[i] is worker i's last issued ready-signal sequence number.
-	// Each index is touched only by the worker's current incarnation (crash →
-	// rejoin hand-off is ordered by goroutine creation), so no lock is needed.
-	readySeq []uint64
-
-	commMu sync.Mutex
-	comms  collective.OpStats
-
-	// Owned by the service goroutine: the core, where each worker's pending
-	// signal wants its answer, and when each worker was last heard from. Run
-	// reads the core after ctrlDone closes (the happens-before edge).
-	core      *svcCore
-	replyTo   []chan engine.Directive
-	lastHeard []time.Time
-}
-
-func newRuntime(cfg Config, world []transport.Transport) *runtime {
-	base := cfg.Spec.Build(cfg.Seed)
-	return &runtime{
-		cfg:    cfg,
-		world:  world,
-		base:   base,
-		init:   base.Params().Clone(),
-		shards: cfg.Train.Shard(cfg.N),
-		inbox:  make(chan svcCall, 4*cfg.N), // room for every worker's signal, report and retransmissions
-		runErr: make(chan error, 2*cfg.N),   // a worker error plus a service error per rank
-		iters:  make([]int, cfg.N),
-		models: make([]model.Model, cfg.N),
-
-		readySeq:  make([]uint64, cfg.N),
-		replyTo:   make([]chan engine.Directive, cfg.N),
-		lastHeard: make([]time.Time, cfg.N),
-	}
-}
-
-// addComms folds a worker's local data-plane stats into the run total.
-func (rt *runtime) addComms(s *collective.OpStats) {
-	rt.commMu.Lock()
-	rt.comms.Merge(*s)
-	rt.commMu.Unlock()
 }
 
 // newController builds the run's controller: config, policy, telemetry.
@@ -359,7 +274,6 @@ func (r *Report) fillController(c *svcCore) controller.Stats {
 	stats := c.stats()
 	r.Aborts = stats.GroupsAborted
 	r.Failures = stats.Failures
-	r.Rejoins = stats.Rejoins
 	r.Joins = stats.Joins
 	r.Drains = stats.Drains
 	r.Decommissions = stats.Decommissions
@@ -372,12 +286,17 @@ func (r *Report) fillController(c *svcCore) controller.Stats {
 // Run trains with cfg over the given transport world (len(world) == N; entry
 // i is worker i's endpoint). It blocks until every surviving worker completes
 // its iterations and returns the report.
+//
+// Run is N rank loops plus the controller service, speaking the same control
+// frames as a multi-process world — but over a control world of its own, with
+// the controller on a rank no worker has. That keeps the control plane out of
+// band: a fault plan on world never drops a control frame, and rank 0 can
+// crash like any other. A rank that leaves abnormally fails its control
+// endpoint, so the service's receive loop reports it Lost: Run needs no
+// timeout to notice a death.
 func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if len(cfg.Crash) > 0 && cfg.FailTimeout == 0 {
-		return nil, fmt.Errorf("live: crashes configured but FailTimeout unset (the staleness backstop is required)")
 	}
 	if len(world) != cfg.N {
 		return nil, fmt.Errorf("live: %d transports for %d workers", len(world), cfg.N)
@@ -386,40 +305,54 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := newRuntime(cfg, world)
-	stop := make(chan struct{})
-	ctrlDone := make(chan struct{})
-	go rt.service(ctrl, stop, ctrlDone)
+	// Model, initial parameters and shards are built once and shared: every
+	// rank only reads them.
+	base := cfg.Spec.Build(cfg.Seed)
+	init := base.Params().Clone()
+	shards := cfg.Train.Shard(cfg.N)
+
+	ctl := transport.NewMem(cfg.N + 1)
+	closeAll := func() {
+		for _, e := range ctl {
+			e.Close()
+		}
+	}
+	defer closeAll() // ends the abort listeners of ranks that left without a sentinel
+	var svc *svcCore
+	var svcErr error
+	svcDone := make(chan struct{})
+	go func() {
+		defer close(svcDone)
+		if svc, svcErr = runControllerService(cfg, ctrl, newWireSink(ctl[cfg.N], cfg.N)); svcErr != nil {
+			closeAll() // nobody will answer: fail every pending control receive
+		}
+	}()
 
 	start := time.Now()
-	// Ranks [initialOr, N) park: no goroutine until a join event admits them
-	// (rt.join spawns the worker after the bootstrap transfer lands).
-	for id := 0; id < cfg.initialOr(); id++ {
-		id := id
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			rt.worker(rt.newWorker(id))
-		}()
+	ends := make([]rankEnd, cfg.N)
+	err = eachRank(world, func(id int) (err error) {
+		ends[id], err = runRank(cfg, world[id], ctl[id], cfg.N, base, init, shards[id])
+		return err
+	})
+	<-svcDone
+	if svcErr != nil {
+		return nil, svcErr
 	}
-
-	rt.wg.Wait()
-	close(stop)
-	<-ctrlDone
-	select {
-	case err := <-rt.runErr:
+	if err != nil {
 		return nil, err
-	default:
 	}
 
 	// Average the completed replicas for inference (Alg. 2 line 8). Workers
-	// that died and never rejoined hold stale models and are excluded.
-	completed := rt.core.completed
-	avg := tensor.NewVector(len(rt.init))
+	// that died, drained or never joined hold stale models and are excluded.
+	// Every rank is in this process, so the average needs no gather.
+	rep := &Report{Completed: svc.completed, WorkerIters: make([]int, cfg.N)}
+	avg := tensor.NewVector(len(init))
 	n := 0
-	for id, m := range rt.models {
-		if completed[id] {
-			avg.Add(m.Params())
+	for id, end := range ends {
+		rep.WorkerIters[id] = end.iter
+		rep.Comms.Merge(*end.w.Env.Copts.Stats)
+		if rep.Completed[id] {
+			avg.Add(end.w.Model.Params())
 			n++
 		}
 	}
@@ -427,18 +360,40 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 		return nil, fmt.Errorf("live: no worker completed its iterations")
 	}
 	avg.Scale(1 / float64(n))
-	rt.base.SetParams(avg)
-
-	rep := &Report{
-		FinalAccuracy: model.Accuracy(rt.base, cfg.Test),
-		WallTime:      time.Since(start),
-		WorkerIters:   rt.iters,
-		Completed:     completed,
-		Comms:         rt.comms,
-	}
-	stats := rep.fillController(rt.core)
+	base.SetParams(avg)
+	rep.FinalAccuracy = model.Accuracy(base, cfg.Test)
+	rep.WallTime = time.Since(start)
+	stats := rep.fillController(svc)
 	rep.Groups = stats.GroupsFormed - stats.GroupsAborted
 	return rep, nil
+}
+
+// eachRank runs f once per rank of world, concurrently, and waits for all of
+// them. A rank's error is a hard one (e.g. endpoint closed): the run is over,
+// so the whole world is closed to unblock its peers, and the first error sent
+// — the cause; the later ones are its echo — is returned.
+func eachRank(world []transport.Transport, f func(id int) error) error {
+	errc := make(chan error, len(world)) // one send per rank at most
+	var wg sync.WaitGroup
+	for id := range world {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := f(id); err != nil {
+				errc <- fmt.Errorf("live: worker %d: %w", id, err)
+				for _, t := range world {
+					t.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errc:
+		return err
+	default:
+		return nil
+	}
 }
 
 // healthClock returns the watchdog's cadence and clock: tick fires every
@@ -466,184 +421,6 @@ func healthClock(cfg Config) (tick <-chan time.Time, now func() float64, stop fu
 // unixSeconds is the controller clock: what Signal.Now and Join are stamped
 // with (arrival spreads feed the blame ledger).
 func unixSeconds(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
-
-// service is the in-process adapter of the controller service core: workers
-// post core events on the inbox, it applies them one at a time, delivers the
-// core's effects over reply channels and the shared transport world, and
-// runs the staleness sweep that is this deployment's failure detector. It
-// serializes all controller access and runs until stop closes (after every
-// worker goroutine has exited), so a sender can never block on a vanished
-// service. A core error does not end it — workers must still be answered to
-// exit — but fails the run.
-func (rt *runtime) service(ctrl *controller.Controller, stop, ctrlDone chan struct{}) {
-	cfg := rt.cfg
-	c := newSvcCore(cfg, ctrl, rt)
-	rt.core = c
-	for i := range rt.lastHeard {
-		rt.lastHeard[i] = time.Now()
-	}
-	wdTick, healthNow, wdStop := healthClock(cfg)
-	defer wdStop()
-	defer func() {
-		c.Exit(healthNow())
-		close(ctrlDone)
-	}()
-
-	var sweep <-chan time.Time
-	if cfg.FailTimeout > 0 {
-		ticker := time.NewTicker(cfg.FailTimeout / 2)
-		defer ticker.Stop()
-		sweep = ticker.C
-	}
-
-	apply := func(call svcCall) {
-		now := time.Now()
-		rt.lastHeard[call.worker] = now
-		call.event(c, unixSeconds(now))
-		if c.err != nil {
-			rt.runErr <- c.err
-			c.err = nil
-		}
-	}
-	for {
-		select {
-		case <-stop:
-			// stop closes only after every worker goroutine exited, but their
-			// final messages (Finished, mostly) may still sit in the inbox;
-			// drain them so the completed vector is accurate.
-			for {
-				select {
-				case call := <-rt.inbox:
-					apply(call)
-				default:
-					return
-				}
-			}
-		case now := <-sweep:
-			// The sweep covers workers blocked in collectives too: a stuck
-			// collective normally resolves through the peer-down/abort path
-			// long before the timeout, so a member still silent after
-			// FailTimeout is dead (or the timeout was chosen too tight —
-			// pick it well above an iteration plus a collective).
-			for w := 0; w < cfg.N; w++ {
-				if c.suspect(w) && now.Sub(rt.lastHeard[w]) > cfg.FailTimeout {
-					c.Lost(w)
-				}
-			}
-		case <-wdTick:
-			c.Tick(healthNow())
-		case call := <-rt.inbox:
-			apply(call)
-		}
-	}
-}
-
-// The core's effects, in-process: a reply is a send on the signal's buffered
-// channel, an abort reaches straight into the member's endpoint, and a join
-// is a goroutine. None of them can fail, so this adapter never reports Lost
-// on an effect's behalf.
-func (rt *runtime) reply(w int, _ uint64, d engine.Directive) { rt.replyTo[w] <- d }
-
-func (rt *runtime) abort(w int, op uint32, _ int) { rt.world[w].AbortOp(op) }
-
-func (rt *runtime) startJoin(j, donor int, op uint32) {
-	rt.lastHeard[j] = time.Now()
-	rt.wg.Add(1)
-	go rt.join(j, donor, op)
-}
-
-// chanControl implements engine.Control over the in-process service inbox:
-// ready signals wait for their answer (with idempotent retransmission on
-// controller failover); failure reports and completion are plain posts. Posts
-// cannot fail (the service outlives every worker goroutine), so no method
-// here ever errors.
-type chanControl struct {
-	rt *runtime
-	id int
-	// epoch is the last world-view version the controller answered with;
-	// stamped into every outgoing signal (0 until the first answer:
-	// unversioned signals are always accepted).
-	epoch uint64
-}
-
-// ready builds the worker's ready signal for iter as an inbox call, plus the
-// buffered channel its one answer arrives on.
-func (c *chanControl) ready(iter int) (svcCall, chan engine.Directive) {
-	rt, id, epoch := c.rt, c.id, c.epoch
-	rt.readySeq[id]++
-	seq := rt.readySeq[id]
-	reply := make(chan engine.Directive, 1)
-	return svcCall{id, func(s *svcCore, now float64) {
-		rt.replyTo[id] = reply
-		s.Ready(id, iter, seq, epoch, now)
-	}}, reply
-}
-
-func (c *chanControl) Signal(iter int) (engine.Directive, error) {
-	d := c.await(c.ready(iter))
-	if d.Epoch != 0 {
-		// Adopt the controller's world view from every answer, so the next
-		// signal is stamped with a current epoch (refresh answers exist
-		// precisely to deliver this).
-		c.epoch = d.Epoch
-	}
-	return d, nil
-}
-
-// await posts call and waits for its answer. With CtrlTimeout set the wait
-// is bounded: on expiry the same signal (same sequence number, same reply
-// channel) is re-posted, so a controller crash that swallowed the in-flight
-// reply cannot strand the worker, while a reply that merely raced the timer
-// is recognized by the core as already answered and consumed from the
-// buffered channel here.
-func (c *chanControl) await(call svcCall, reply chan engine.Directive) engine.Directive {
-	c.rt.inbox <- call
-	timeout := c.rt.cfg.CtrlTimeout
-	if timeout <= 0 {
-		return <-reply
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		select {
-		case d := <-reply:
-			return d
-		case <-timer.C:
-			// The answer may have raced the timer into the buffer.
-			select {
-			case d := <-reply:
-				return d
-			default:
-			}
-			c.rt.inbox <- call // idempotent retransmission
-			timer.Reset(timeout)
-		}
-	}
-}
-
-func (c *chanControl) SignalNoWait(iter int) {
-	call, _ := c.ready(iter) // the reply is abandoned: the corpse never reads it
-	c.rt.inbox <- call
-}
-
-func (c *chanControl) ReportDeath(dead int, _ controller.Group, opID uint32) error {
-	c.rt.inbox <- svcCall{c.id, func(s *svcCore, _ float64) { s.Death(dead, opID) }}
-	return nil
-}
-
-func (c *chanControl) ReportStuck(_ controller.Group, opID uint32) error {
-	c.rt.inbox <- svcCall{c.id, func(s *svcCore, _ float64) { s.Stuck(opID) }}
-	return nil
-}
-
-func (c *chanControl) Finished() error {
-	c.rt.finished(c.id)
-	return nil
-}
-
-func (rt *runtime) finished(id int) {
-	rt.inbox <- svcCall{id, func(s *svcCore, _ float64) { s.Finished(id) }}
-}
 
 // newLiveWorker assembles rank id's engine worker: live environment
 // (collective options, telemetry sinks, a data-plane stats accumulator at
@@ -678,160 +455,22 @@ func newLiveWorker(cfg Config, id int, tr transport.Transport, base model.Model,
 	}
 }
 
-// restore puts worker w's replica, optimizer and loop counter at a
-// transferred or checkpointed state; the restarted incarnation does not
-// crash again.
-func restore(w *engine.LiveWorker, params, velocity []float64, step, iter int) error {
-	w.Model.SetParams(tensor.Vector(params))
-	w.StartIter, w.CrashAt = iter, 0
-	return w.Opt.Restore(tensor.Vector(velocity), step)
-}
-
 // bootstrapJoiner receives the donor's served model state under bootstrap op
 // id op and installs it in joining worker w, which then starts at the donor's
-// iteration. A transport failure (transport.IsFailure) means the donor died
-// mid-transfer: the caller reports a join abort and the rank stays parked.
+// iteration and does not crash (the injection is for founders). A transport
+// failure (transport.IsFailure) means the donor died mid-transfer: the caller
+// reports a join abort and the rank stays parked.
 func bootstrapJoiner(cfg Config, w *engine.LiveWorker, donor int, op uint32) error {
 	id := w.Env.Rank
 	st, err := collective.BootstrapRecv(w.Env.Trans, donor, op, w.Env.Copts)
 	if err != nil {
 		return fmt.Errorf("live: worker %d bootstrap from %d: %w", id, donor, err)
 	}
-	if err := restore(w, st.Params, st.Velocity, st.Step, st.Iter); err != nil {
+	w.Model.SetParams(tensor.Vector(st.Params))
+	w.StartIter, w.CrashAt = st.Iter, 0
+	if err := w.Opt.Restore(tensor.Vector(st.Velocity), st.Step); err != nil {
 		return fmt.Errorf("live: worker %d bootstrap restore: %w", id, err)
 	}
 	cfg.Tracer.Instant(trace.KBootstrap, int32(id), int32(st.Iter), int64(donor), int64(len(st.Params)))
 	return nil
-}
-
-// newWorker is newLiveWorker for this run's rank id, publishing its replica
-// and progress to the run.
-func (rt *runtime) newWorker(id int) *engine.LiveWorker {
-	w := newLiveWorker(rt.cfg, id, rt.world[id], rt.base, rt.shards[id], rt.init)
-	w.OnIter = func(it int) { rt.iters[id] = it }
-	rt.models[id] = w.Model
-	return w
-}
-
-// worker hands w's step loop to engine.RunPReduceWorker, then owns the
-// runtime-specific epilogue — run-wide teardown on a hard error,
-// checkpoint/rejoin choreography on a crash, silence when declared dead.
-func (rt *runtime) worker(w *engine.LiveWorker) {
-	id := w.Env.Rank
-	defer rt.addComms(w.Env.Copts.Stats)
-	out, err := engine.RunPReduceWorker(w, &chanControl{rt: rt, id: id})
-	switch {
-	case err != nil:
-		// Hard transport error (e.g. endpoint closed): abort the whole run,
-		// unblocking peers first.
-		rt.runErr <- fmt.Errorf("live: worker %d collective: %w", id, err)
-		for _, t := range rt.world {
-			t.Close()
-		}
-		rt.finished(id)
-	case out.Crashed:
-		rt.crash(w, out.Iter)
-		// No Finished: the cluster must detect the death.
-	case out.DeadErr != nil:
-		// We ourselves were declared dead; fall silent.
-	case out.Drained:
-		// Graceful elastic exit: the core already decommissioned us and
-		// adjusted its accounting. No Finished — a drained rank did not
-		// complete its iterations and is excluded from the final average.
-	}
-}
-
-// join bootstraps parked rank id from the donor's served model state (under
-// bootstrap op id op), reports in to the service, and runs the worker loop
-// from the donor's iteration. It executes on its own goroutine, spawned by
-// the service at donor-assignment time.
-func (rt *runtime) join(id, donor int, op uint32) {
-	defer rt.wg.Done()
-	w := rt.newWorker(id)
-	if err := bootstrapJoiner(rt.cfg, w, donor, op); err != nil {
-		rt.addComms(w.Env.Copts.Stats)
-		if transport.IsFailure(err) {
-			// The donor died mid-transfer: hand the join back to the core,
-			// which un-joins the rank.
-			rt.inbox <- svcCall{id, func(c *svcCore, _ float64) { c.JoinAbort(id) }}
-			return
-		}
-		rt.runErr <- err
-		return
-	}
-
-	// Admission happened at donor-assignment time; reporting in only
-	// refreshes the liveness beat, so the staleness sweep never counts the
-	// bootstrap transfer against the first (possibly slow) batch.
-	seen := make(chan struct{})
-	rt.inbox <- svcCall{id, func(*svcCore, float64) { close(seen) }}
-	<-seen
-	rt.worker(w)
-}
-
-// crash completes a fail-stop crash of worker id: the engine loop already
-// emitted the crash trace instant and left the ready signal for iter in
-// flight (SignalNoWait), so the controller may form a group containing the
-// corpse. If a rejoin is configured, the state at the crash point is
-// checkpointed first (standing in for the periodic checkpoint a real
-// deployment would have on disk) and a restart goroutine is scheduled.
-func (rt *runtime) crash(w *engine.LiveWorker, iter int) {
-	id := w.Env.Rank
-	delay, willRejoin := rt.cfg.Rejoin[id]
-	var snap []byte
-	if willRejoin {
-		vel, step := w.Opt.State()
-		var buf bytes.Buffer
-		err := checkpoint.Write(&buf, &checkpoint.State{
-			Params:   w.Model.Params().Clone(),
-			Velocity: vel,
-			Iter:     int64(iter),
-			Step:     int64(step),
-		})
-		if err != nil {
-			rt.runErr <- fmt.Errorf("live: worker %d checkpoint: %w", id, err)
-			willRejoin = false
-		}
-		snap = buf.Bytes()
-	}
-
-	transport.FailPeerEverywhere(rt.world, id)
-
-	if willRejoin {
-		rt.wg.Add(1)
-		go rt.rejoin(id, snap, delay)
-	}
-}
-
-// rejoin restarts a crashed worker from its checkpoint after delay: it
-// rebuilds the model and optimizer from the snapshot, performs the
-// re-admission handshake with the controller service (which reconciles the
-// death if still undetected and lifts the transport down-marks), and resumes
-// training from the checkpointed iteration.
-func (rt *runtime) rejoin(id int, snap []byte, delay time.Duration) {
-	defer rt.wg.Done()
-	time.Sleep(delay)
-
-	st, err := checkpoint.Read(bytes.NewReader(snap))
-	if err != nil {
-		rt.runErr <- fmt.Errorf("live: worker %d restore: %w", id, err)
-		return
-	}
-	w := rt.newWorker(id)
-	if err := restore(w, st.Params, st.Velocity, int(st.Step), int(st.Iter)); err != nil {
-		rt.runErr <- fmt.Errorf("live: worker %d restore: %w", id, err)
-		return
-	}
-	// A fresh sampler stream: the pre-crash stream died with the old
-	// incarnation, and reusing its seed would replay the same batches.
-	w.Sampler = data.NewSampler(rt.shards[id], rt.cfg.Seed*31+int64(id)+9973)
-
-	admitted := make(chan struct{})
-	rt.inbox <- svcCall{id, func(c *svcCore, _ float64) {
-		c.Rejoin(id)
-		transport.RevivePeerEverywhere(rt.world, id)
-		close(admitted)
-	}}
-	<-admitted
-	rt.worker(w)
 }

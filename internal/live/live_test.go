@@ -2,7 +2,9 @@ package live
 
 import (
 	"net"
+	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,6 +110,48 @@ func TestLiveTrainingConverges(t *testing.T) {
 		if it < cfg.Iters {
 			t.Fatalf("worker %d stopped at %d/%d iterations", id, it, cfg.Iters)
 		}
+	}
+}
+
+// countingBuilder counts the models built from it.
+type countingBuilder struct {
+	model.Builder
+	builds *atomic.Int32
+}
+
+func (b countingBuilder) Build(seed int64) model.Model {
+	b.builds.Add(1)
+	return b.Builder.Build(seed)
+}
+
+// TestRunSharesInit: Run owns every rank, so the model, the initial
+// parameters and the shards are built once and shared read-only — not once
+// per rank, as N independent RunWorker calls would. With D the model's size
+// in bytes a run allocates the base, its initial-parameter copy and the final
+// average once (3 D) and a replica, a spare and the optimizer's velocity per
+// rank (3 D each); building and copying per rank would add 2 D per rank. The
+// bound sits halfway.
+func TestRunSharesInit(t *testing.T) {
+	cfg := liveConfig(t, 7)
+	var builds atomic.Int32
+	spec := model.Spec{Inputs: 12, Hidden: []int{8192}, Classes: 4}
+	cfg.Spec = countingBuilder{spec, &builds}
+	cfg.BatchSize, cfg.Iters = 1, 1
+	d := uint64(8 * spec.Build(1).NumParams())
+
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	if _, err := Run(cfg, memWorld(cfg.N)); err != nil {
+		t.Fatal(err)
+	}
+	goruntime.ReadMemStats(&after)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("model built %d times for %d ranks, want once", n, cfg.N)
+	}
+	n := uint64(cfg.N)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, (3+4*n)*d; got > bound {
+		t.Fatalf("Run allocated %d bytes = %.1f model sizes for %d ranks, want at most %d (shared set-up is %d)",
+			got, float64(got)/float64(d), n, 3+4*n, 3+3*n)
 	}
 }
 
@@ -336,6 +380,10 @@ func TestRunWorkerProtocol(t *testing.T) {
 	}
 	if total%cfg.P != 0 {
 		t.Fatalf("total member-group participations %d not divisible by P=%d", total, cfg.P)
+	}
+	// Only the host's report carries the controller's view of the run.
+	if len(reports[0].Alive) != cfg.N || reports[1].Alive != nil {
+		t.Fatalf("alive vectors: host %v, non-host %v", reports[0].Alive, reports[1].Alive)
 	}
 }
 

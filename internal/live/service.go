@@ -15,17 +15,16 @@ import (
 // serving the controller, once. It is a single-owner state machine in the
 // style of engine.Machine and health.Watchdog.Eval — no locks, no
 // goroutines, no clock (timestamps arrive as event arguments), no
-// transport. A deployment mode is an adapter that turns its messages into
-// the event methods below and implements the three effects of sink; the
-// in-process runtime does so over channels (live.go), the multi-process one
-// over wire tags (worker.go).
+// transport. Its adapter (worker.go) turns control frames into the event
+// methods below and implements the three effects of sink as frames back; the
+// tests drive the core directly, with a sink that records.
 //
 // The core owns the liveness bookkeeping (who waits for a reply, who is
 // inside a dispatched collective, who is dead, drained or finished), the
 // elastic schedule cursor, the controller-failover harness, the stats
-// carried across controller incarnations, and the watchdog evaluation. An
-// adapter owns only its failure detector (staleness sweep in-process,
-// receive loops on the wire), which reports through Lost.
+// carried across controller incarnations, and the watchdog evaluation. The
+// adapter owns only the failure detector (its receive loops), which reports
+// through Lost.
 
 // bootOpBase is the first bootstrap-transfer op id: a disjoint space from the
 // group ops (which count up from 1), so an op abort can never collide with an
@@ -212,20 +211,6 @@ func (c *svcCore) JoinAbort(w int) {
 	c.settle()
 }
 
-// Rejoin re-admits crashed worker w from its checkpoint. The worker may have
-// died undetected (its group never formed and no detector has fired):
-// reconcile first, or the controller would see a rejoin of a live worker.
-func (c *svcCore) Rejoin(w int) {
-	c.markDead(w, 0)
-	if err := c.ctrl.Rejoin(w); err != nil {
-		c.fail(fmt.Errorf("live: rejoin worker %d: %w", w, err))
-	} else {
-		c.deadSet[w] = false
-		c.active++
-	}
-	c.settle()
-}
-
 // Tick evaluates the watchdog at health-clock time now.
 func (c *svcCore) Tick(now float64) {
 	c.evalWatchdog(now)
@@ -242,10 +227,6 @@ func (c *svcCore) stats() controller.Stats { return c.carry.Add(c.ctrl.Stats()) 
 // eligible reports whether w can drain or donate a bootstrap: a member not
 // already leaving (the caller has ruled out the dead).
 func (c *svcCore) eligible(w int) bool { return c.ctrl.IsMember(w) && !c.ctrl.IsDraining(w) }
-
-// suspect reports whether silence from w means anything: it is believed
-// alive and still owes iterations.
-func (c *svcCore) suspect(w int) bool { return c.ctrl.IsAlive(w) && !c.completed[w] }
 
 // parked reports whether w sits outside the world with nothing more to do:
 // never admitted, or drained back out (not finished, not dead).

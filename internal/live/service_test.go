@@ -234,10 +234,15 @@ func TestCoreDeathInsideOpAbortsSurvivorsAndRegroups(t *testing.T) {
 	}
 }
 
+// The injected-crash schedule, exact: the corpse's last ready signal reached
+// the controller, a group formed with it, and the detector fires before any
+// survivor's report. The group must be torn down and counted — the assertion
+// a live run cannot make, because there the signal may lose the race with the
+// death and no group ever holds the corpse.
 func TestCoreLostWhileGroupedCountsTheAbort(t *testing.T) {
 	h := newCoreHarness(t, coreConfig(4, 2))
 	h.ready(0, 1)
-	h.ready(1, 1)
+	h.ready(1, 1) // rank 1 signals and dies
 	h.take()
 	h.lost(1) // went dark inside op 1: that group is gone
 	if st := h.c.stats(); st.Failures != 1 || st.GroupsAborted != 1 {

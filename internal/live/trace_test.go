@@ -8,29 +8,24 @@ import (
 	"partialreduce/internal/trace"
 )
 
-// TestRunTraced is the in-process trace smoke test: a short live run with
-// tracing and instruments enabled must produce a schema-valid Chrome
-// trace carrying worker spans and controller decisions, and populated
-// instruments (staleness histogram, barrier-wait totals, comm counters).
-func TestRunTraced(t *testing.T) {
-	cfg := liveConfig(t, 11)
+// traced is the trace smoke test: a short live run with tracing and
+// instruments enabled must produce a schema-valid Chrome trace carrying
+// worker spans and controller decisions, and populated instruments
+// (staleness histogram, barrier-wait totals, comm counters).
+func traced(t *testing.T, run entry, seed int64) {
+	t.Helper()
+	cfg := liveConfig(t, seed)
+	cfg.Iters = 60
 	tr := trace.New(trace.NewWallClock(), 1<<14)
 	ins := metrics.NewInstruments(cfg.N)
 	cfg.Tracer = tr
 	cfg.Instruments = ins
 
-	rep, err := Run(cfg, memWorld(cfg.N))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Groups == 0 {
+	if rep := run(t, cfg, memWorld(cfg.N)); rep.Groups == 0 {
 		t.Fatal("no groups executed")
 	}
 
 	events := tr.Events()
-	if len(events) == 0 {
-		t.Fatal("traced live run recorded no events")
-	}
 	kinds := map[trace.Kind]int{}
 	ctrlEvents := 0
 	for _, ev := range events {
@@ -81,52 +76,7 @@ func TestRunTraced(t *testing.T) {
 	}
 }
 
-// TestRunTracedMultiProcessPath drives the RunWorker (wire control-plane)
-// path with tracing enabled, covering the per-process worker loop and the
-// hosted controller service.
-func TestRunTracedMultiProcessPath(t *testing.T) {
-	cfg := liveConfig(t, 13)
-	cfg.Iters = 60
-	tr := trace.New(trace.NewWallClock(), 1<<14)
-	ins := metrics.NewInstruments(cfg.N)
-	cfg.Tracer = tr
-	cfg.Instruments = ins
+func TestRunTraced(t *testing.T) { traced(t, runBounded, 11) }
 
-	world := memWorld(cfg.N)
-	type out struct {
-		rep *Report
-		err error
-	}
-	outs := make(chan out, cfg.N)
-	for r := 0; r < cfg.N; r++ {
-		r := r
-		go func() {
-			rep, err := RunWorker(cfg, world[r], r == 0)
-			outs <- out{rep, err}
-		}()
-	}
-	for i := 0; i < cfg.N; i++ {
-		o := <-outs
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-	}
-
-	kinds := map[trace.Kind]int{}
-	for _, ev := range tr.Events() {
-		kinds[ev.Kind]++
-	}
-	for _, k := range []trace.Kind{
-		trace.KCompute, trace.KSignalWait, trace.KCollective,
-		trace.KReady, trace.KGroupFormed,
-	} {
-		if kinds[k] == 0 {
-			t.Errorf("no %v events on the RunWorker path", k)
-		}
-	}
-	snap := ins.Snapshot()
-	if snap.GroupsFormed == 0 || snap.Comms.Ops == 0 {
-		t.Fatalf("RunWorker instruments empty: groups=%d comms=%+v",
-			snap.GroupsFormed, snap.Comms)
-	}
-}
+// The RunWorker path adds the tail gather to the trace.
+func TestRunTracedMultiProcessPath(t *testing.T) { traced(t, runWorkersFolded, 13) }

@@ -7,27 +7,28 @@ import (
 
 	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
+	"partialreduce/internal/data"
 	"partialreduce/internal/engine"
 	"partialreduce/internal/model"
 	"partialreduce/internal/tensor"
 	"partialreduce/internal/transport"
 )
 
-// Multi-process deployment: each rank runs RunWorker in its own process;
-// rank 0 additionally hosts the controller. Control-plane messages travel
-// over the same transport as the collectives (wire.go has the format), in
-// the prototype's spirit: a ready signal is two float64s, a group reply a
-// couple dozen — a few bytes against megabytes of model traffic.
+// The control plane, for every deployment: a rank reaches the controller
+// service through control frames (wire.go has the format) in the prototype's
+// spirit — a ready signal is two float64s, a group reply a couple dozen, a
+// few bytes against megabytes of model traffic. In a multi-process world each
+// rank runs RunWorker in its own process, rank 0 additionally hosts the
+// service, and the frames share the transport with the collectives; Run gives
+// them a control world of their own.
 //
-// Fault tolerance works as in the in-process runtime, but over the wire:
-// the host's per-worker receive loops double as failure detectors (a broken
-// connection fails the pending receive with a peer-down error), survivors
-// report peer deaths through their ready stream, and the host pushes abort
-// notifications so group members blocked behind a corpse wake up. The final
-// model average runs over a host-broadcast roster of survivors instead of
-// the full world. Checkpoint rejoin is an in-process-runtime feature only: a
-// real rejoining process needs a fresh transport mesh, which the prototype's
-// fixed mesh cannot provide.
+// Fault tolerance is the wire's: the host's per-worker receive loops double
+// as failure detectors (a broken connection, or a rank failing its endpoint
+// on the way out, fails the pending receive with a peer-down error),
+// survivors report peer deaths through their ready stream, and the host
+// pushes abort notifications so group members blocked behind a corpse wake
+// up. A dead rank stays dead: re-admitting one needs a fresh transport mesh,
+// which the prototype's fixed mesh cannot provide.
 
 // ctrlResendLimit bounds how many times a worker re-sends a ready signal whose
 // reply timed out (CtrlTimeout) before concluding the controller is
@@ -51,9 +52,6 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 	if _, ok := cfg.Crash[ctrlRank]; ok {
 		return nil, fmt.Errorf("live: rank %d hosts the controller and cannot crash (run the controller on a reliable node, or replicate it)", ctrlRank)
 	}
-	if len(cfg.Rejoin) > 0 {
-		return nil, fmt.Errorf("live: checkpoint rejoin requires the in-process runtime (a rejoining process needs a fresh mesh)")
-	}
 
 	var svc *svcCore
 	ctrlErr := make(chan error, 1)
@@ -62,14 +60,21 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		if tr.Rank() != ctrlRank {
 			return nil, fmt.Errorf("live: controller must run on rank %d", ctrlRank)
 		}
+		ctrl, err := newController(cfg)
+		if err != nil {
+			return nil, err
+		}
+		out := newWireSink(tr, cfg.N)
 		go func() {
 			var err error
-			svc, err = runControllerService(cfg, tr, gathered)
+			if svc, err = runControllerService(cfg, ctrl, out); err == nil {
+				err = out.releaseRoster(svc.completed, gathered)
+			}
 			ctrlErr <- err
 		}()
 	}
 
-	rep, err := runWorkerLoop(cfg, tr, ctrlRank, host)
+	rep, err := runWorkerRank(cfg, tr, ctrlRank, host)
 	close(gathered)
 	if err != nil {
 		return nil, err
@@ -94,6 +99,11 @@ type wireSink struct {
 	buf      []float64
 	lost     []int
 	err      error
+}
+
+// newWireSink sends from the host's endpoint tr to ranks [0, n).
+func newWireSink(tr transport.Transport, n int) *wireSink {
+	return &wireSink{tr: tr, abortSeq: make([]int, n), joinSeq: make([]int, n)}
 }
 
 // fail records the first error that ends the service.
@@ -137,19 +147,16 @@ func (s *wireSink) startJoin(j, donor int, op uint32) {
 	s.joinSeq[j]++
 }
 
-// runControllerService is the wire adapter of the controller service core:
-// one receive loop per worker decodes its ready stream into a serializing
-// channel, the service loop turns those messages into core events, and
-// wireSink sends the core's effects back as control frames. The receive
-// loops double as this deployment's failure detector: a worker whose
-// connection breaks fails its pending receive with a peer-down error, which
-// the loop reports as Lost.
-func runControllerService(cfg Config, tr transport.Transport, gathered <-chan struct{}) (*svcCore, error) {
-	ctrl, err := newController(cfg)
-	if err != nil {
-		return nil, err
-	}
-
+// runControllerService is the adapter of the controller service core: one
+// receive loop per worker decodes its ready stream (from out's endpoint)
+// into a serializing channel, the service loop turns those messages into core
+// events, and out sends the core's effects back as control frames. The
+// receive loops double as the failure detector: a worker whose connection
+// breaks, or that failed its endpoint on the way out, fails its pending
+// receive with a peer-down error, which the loop reports as Lost. It serves
+// until no worker is active, dismisses the parked ranks and returns the core.
+func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink) (*svcCore, error) {
+	tr := out.tr
 	type event struct {
 		readyMsg
 		worker int
@@ -184,7 +191,6 @@ func runControllerService(cfg Config, tr transport.Transport, gathered <-chan st
 		}()
 	}
 
-	out := &wireSink{tr: tr, abortSeq: make([]int, cfg.N), joinSeq: make([]int, cfg.N)}
 	c := newSvcCore(cfg, ctrl, out)
 	wdTick, healthNow, wdStop := healthClock(cfg)
 	defer wdStop()
@@ -227,43 +233,52 @@ func runControllerService(cfg Config, tr transport.Transport, gathered <-chan st
 	}
 	c.Exit(healthNow())
 
-	// Shutdown: dismiss parked ranks first (never admitted, or drained back
-	// out — they are waiting on the join stream and exit without training),
-	// broadcast the roster of completed workers for the final gather, and
-	// once the root has gathered release each member with the abort stream's
-	// op-0 sentinel. Until then a member must stay up: a transport drops the
-	// frames still queued from a peer that closed, gather frame included.
-	var roster []int
+	// Dismiss the parked ranks (never admitted, or drained back out): they
+	// are waiting on the join stream and exit without training.
 	for w := 0; w < cfg.N; w++ {
-		switch {
-		case c.completed[w]:
-			roster = append(roster, w)
-		case c.parked(w):
+		if c.parked(w) {
 			out.startJoin(w, -1, 0)
 		}
 	}
 	out.lost = nil // a parked rank that is already gone needs no dismissal
+	return c, out.err
+}
+
+// releaseRoster is the host's half of RunWorker's end-of-run exchange:
+// broadcast the roster of completed workers for the final gather and, once
+// the root has gathered, release each member with the abort stream's op-0
+// sentinel. Until then a member must stay up: a transport drops the frames
+// still queued from a peer that closed, gather frame included.
+func (s *wireSink) releaseRoster(completed []bool, gathered <-chan struct{}) error {
+	var roster []int
+	for w, done := range completed {
+		if done {
+			roster = append(roster, w)
+		}
+	}
+	frame := encodeRoster(roster)
 	for _, w := range roster {
-		out.send(w, ctrlRosterTag, encodeRoster(roster))
+		s.send(w, ctrlRosterTag, frame)
 	}
 	<-gathered
 	for _, w := range roster {
-		out.abort(w, 0, -1)
+		s.abort(w, 0, -1)
 	}
-	if out.err != nil {
-		return nil, out.err
+	if s.err != nil {
+		return s.err
 	}
-	if len(out.lost) > 0 {
-		return nil, fmt.Errorf("live: workers %v lost at shutdown", out.lost)
+	if len(s.lost) > 0 {
+		return fmt.Errorf("live: workers %v lost at shutdown", s.lost)
 	}
-	return c, nil
+	return nil
 }
 
-// wireControl implements engine.Control over the transport's control-tag
-// message space: ready signals and failure reports ride readyTag(seq)
-// messages to the controller rank, group replies come back on replyTag(seq).
-// The host's per-worker receive loop matches consecutive sequence numbers,
-// so every send below advances seq exactly as the host expects.
+// wireControl implements engine.Control over the control-tag message space
+// of the rank's control endpoint tr: ready signals and failure reports ride
+// readyTag(seq) messages to the controller rank, group replies come back on
+// replyTag(seq). The host's per-worker receive loop matches consecutive
+// sequence numbers, so every send below advances seq exactly as the host
+// expects.
 type wireControl struct {
 	cfg      Config
 	tr       transport.Transport
@@ -315,12 +330,11 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 		// is merely late): re-send the signal on the next sequence
 		// number — the host recognizes retransmissions — and wait
 		// there. After ctrlResendLimit misses the controller is
-		// unreachable (severed link, dead host): withdraw from the
-		// cluster so peers and the host detect the departure through
-		// the transport instead of everyone hanging.
+		// unreachable (severed link, dead host): withdraw with an error —
+		// the rank loop fails its endpoint on the way out, so peers and
+		// the host detect the departure instead of everyone hanging.
 		resends++
 		if resends > ctrlResendLimit {
-			c.tr.FailSelf()
 			return engine.Directive{}, fmt.Errorf("live: worker %d: controller unreachable after %d signals: %w", c.id, resends, err)
 		}
 		c.seq++
@@ -357,29 +371,48 @@ func (c *wireControl) ReportStuck(_ controller.Group, opID uint32) error {
 
 func (c *wireControl) Finished() error { return c.send(readyMsg{kind: evFinished}) }
 
-// runWorkerLoop is the per-process worker: it assembles the engine
-// LiveWorker and wire-backed Control, hands the training loop to
-// engine.RunPReduceWorker (the same step machine the in-process runtime and
-// the simulator drive), then runs the roster-wide gather that lets the host
-// evaluate the averaged model. An abort-listener goroutine applies the
-// host's abort notifications to the local transport, waking this worker if
-// it is blocked in a collective behind a dead peer; its exit is also what
-// releases a non-host rank at the end of the run.
-func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) (*Report, error) {
-	id := tr.Rank()
-	base := cfg.Spec.Build(cfg.Seed)
-	init := base.Params().Clone()
+// rankEnd is how one rank's lifecycle ended.
+type rankEnd struct {
+	w        *engine.LiveWorker // the replica and its data-plane stats
+	iter     int                // final loop counter
+	groups   int                // group collectives completed
+	finished bool               // spent its iteration budget and said so
+	deadErr  error              // its own endpoint failed under it: declared dead
+	// released closes when the rank's abort listener ends: on the host's
+	// shutdown sentinel, or when the host or the endpoint is gone.
+	released <-chan struct{}
+}
 
-	// Abort listener: the host numbers abort notifications per worker; op 0
-	// is the shutdown sentinel. Errors end the listener (the host is gone,
-	// the transport is closing, or we have been declared dead — either way
-	// no more aborts).
+// runRank is one rank's whole lifecycle, the same in every deployment: park
+// until admitted (ranks beyond the founding set), bootstrap from the assigned
+// donor, hand the training loop to engine.RunPReduceWorker (the step machine
+// the simulator drives too) behind a wireControl, park again when drained,
+// until the budget is spent, the rank dies, or the host dismisses it. tr
+// carries the collectives and ctl the control frames to and from ctrlRank
+// (RunWorker passes one endpoint as both). base, init and shard are only
+// read. An abort-listener goroutine applies the host's abort notifications to
+// tr, waking this rank if it is blocked in a collective behind a dead peer.
+//
+// A rank that leaves abnormally — injected crash, declared dead, hard error —
+// fails its control endpoint, which is what the host's receive loop detects;
+// an injected crash fails the data endpoint too, so peers see the corpse.
+func runRank(cfg Config, tr, ctl transport.Transport, ctrlRank int, base model.Model, init tensor.Vector, shard *data.Dataset) (end rankEnd, err error) {
+	id := tr.Rank()
+	defer func() {
+		if err != nil || end.deadErr != nil {
+			ctl.FailSelf()
+		}
+	}()
+
+	// The host numbers abort notifications per worker; op 0 is the shutdown
+	// sentinel. Errors end the listener (the host is gone, the endpoint is
+	// closing, or we failed it ourselves — either way no more aborts).
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
 		var buf [2]float64
 		for seq := 0; ; seq++ {
-			n, err := tr.RecvInto(ctrlRank, abortTag(seq), buf[:])
+			n, err := ctl.RecvInto(ctrlRank, abortTag(seq), buf[:])
 			if err != nil {
 				return
 			}
@@ -391,74 +424,89 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 		}
 	}()
 
-	start := time.Now()
-	w := newLiveWorker(cfg, id, tr, base, cfg.Train.Shard(cfg.N)[id], init)
-	ctl := &wireControl{cfg: cfg, tr: tr, ctrlRank: ctrlRank, id: id, replyBuf: make([]float64, directiveLen(cfg.N))}
+	w := newLiveWorker(cfg, id, tr, base, shard, init)
+	c := &wireControl{cfg: cfg, tr: ctl, ctrlRank: ctrlRank, id: id, replyBuf: make([]float64, directiveLen(cfg.N))}
+	end = rankEnd{w: w, released: released}
 
-	// Elastic lifecycle: ranks beyond the founding set park on the join
-	// stream until the host assigns them a donor (bootstrap, then train from
-	// the donor's iteration) or dismisses them at shutdown. A drained rank
-	// parks again — eligible for re-admission, dismissed when the run ends.
+	// A drained rank parks again — eligible for re-admission, dismissed when
+	// the run ends.
 	parked := id >= cfg.initialOr()
 	joinSeq := 0
-	groups := 0
-	report := func(iter int, completed bool) *Report {
-		return &Report{
-			Groups:      groups,
-			WallTime:    time.Since(start),
-			WorkerIters: []int{iter},
-			Completed:   []bool{completed},
-			Comms:       *w.Env.Copts.Stats,
-		}
-	}
-	var out engine.Outcome
 	for {
 		if parked {
 			var buf [2]float64
-			n, err := tr.RecvInto(ctrlRank, joinTag(joinSeq), buf[:])
+			n, err := ctl.RecvInto(ctrlRank, joinTag(joinSeq), buf[:])
 			if err != nil {
-				return nil, err
+				return end, err
 			}
 			joinSeq++
 			op, donor, err := decodeOpRank(buf[:n], cfg.N)
 			if err != nil {
-				return nil, err
+				return end, err
 			}
 			if donor < 0 {
-				return report(w.StartIter, false), nil
+				end.iter = w.StartIter
+				return end, nil
 			}
 			if err := bootstrapJoiner(cfg, w, donor, op); err != nil {
 				if !transport.IsFailure(err) {
-					return nil, err
+					return end, err
 				}
 				// Donor died mid-transfer: hand the join back to the host
 				// and wait parked for a new assignment (or dismissal).
-				if rerr := ctl.report(readyMsg{kind: evJoinAbort}); rerr != nil {
-					return nil, rerr
+				if rerr := c.report(readyMsg{kind: evJoinAbort}); rerr != nil {
+					return end, rerr
 				}
 				continue
 			}
 			parked = false
 		}
 
-		var err error
-		out, err = engine.RunPReduceWorker(w, ctl)
+		out, err := engine.RunPReduceWorker(w, c)
+		end.iter, end.deadErr = out.Iter, out.DeadErr
+		end.groups += out.Groups
 		switch {
-		case err != nil:
-			return nil, err
-		case out.DeadErr != nil:
-			return nil, fmt.Errorf("live: worker %d declared dead: %w", id, out.DeadErr)
+		case err != nil || out.DeadErr != nil:
+			return end, err
 		case out.Crashed:
 			// The engine already sent the in-flight ready signal; complete the
 			// fail-stop so peers and the host observe the death.
 			tr.FailSelf()
-			return report(out.Iter, false), nil
-		}
-		groups += out.Groups
-		if !out.Drained {
-			break
+			ctl.FailSelf()
+			return end, nil
+		case !out.Drained:
+			end.finished = true
+			return end, nil
 		}
 		w.StartIter, parked = out.Iter, true
+	}
+}
+
+// runWorkerRank is RunWorker's rank: the shared lifecycle, then the one thing
+// a single-rank process needs and a caller that owns every rank does not —
+// the roster-wide gather that lets the host evaluate the averaged model.
+func runWorkerRank(cfg Config, tr transport.Transport, ctrlRank int, host bool) (*Report, error) {
+	start := time.Now()
+	base := cfg.Spec.Build(cfg.Seed)
+	end, err := runRank(cfg, tr, tr, ctrlRank, base, base.Params().Clone(), cfg.Train.Shard(cfg.N)[tr.Rank()])
+	switch {
+	case err != nil:
+		return nil, err
+	case end.deadErr != nil:
+		return nil, fmt.Errorf("live: worker %d declared dead: %w", tr.Rank(), end.deadErr)
+	}
+	w := end.w
+	report := func() *Report {
+		return &Report{
+			Groups:      end.groups,
+			WallTime:    time.Since(start),
+			WorkerIters: []int{end.iter},
+			Completed:   []bool{end.finished},
+			Comms:       *w.Env.Copts.Stats,
+		}
+	}
+	if !end.finished {
+		return report(), nil // crashed, or dismissed while parked
 	}
 
 	// The host broadcasts the survivor roster; the final average runs over
@@ -483,11 +531,11 @@ func runWorkerLoop(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 	if !host {
 		// Stay up until the root is done with this rank's gather frame: the
 		// listener ends on the host's sentinel, or when the host is gone.
-		<-released
+		<-end.released
 	}
-	rep := report(out.Iter, true)
+	rep := report()
 	if host {
-		avg := tensor.NewVector(len(init))
+		avg := tensor.NewVector(base.NumParams())
 		for _, p := range all {
 			avg.Add(p)
 		}

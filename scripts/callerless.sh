@@ -9,10 +9,18 @@
 # why tests alone justify it. Exits 1 on any unlisted name and on any allow
 # entry that no longer matches a callerless name.
 #
+# A second pass does the same for configuration: every exported field of an
+# exported *Config, *Options, Spec or SLO struct under internal/ (listed as
+# Type.Field) that no non-test file outside the declaring package names as a
+# field — a selector that is not a call (x.Field) or a literal key (Field:).
+# Such a field has no product setter: whatever reads it only ever sees the
+# zero value or what a test put there. (Package, not file: code next to the
+# declaration that reads a field, or refuses it, does not make it settable.)
+#
 # The scan is grep, not a type checker: a name counts as referenced when the
-# bare identifier occurs as a word on any non-comment line, so two types that
-# share a method name hide each other. That errs towards keeping code; what
-# it does print is certainly unreached.
+# bare identifier occurs as a word on any non-comment line (a field: in field
+# position), so two types that share a method or field name hide each other.
+# That errs towards keeping code; what it does print is certainly unreached.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -42,13 +50,35 @@ while read -r decl; do
     fi
 done < "$TMP/decls"
 
+# Fields: "dir Type.Field" for each exported field (one per name of a
+# multi-name line; embedded types are skipped), then the same corpus rule
+# restricted to the files outside dir.
+find internal -name '*.go' ! -name '*_test.go' -print | while read -r f; do
+    awk -v dir="$(dirname "$f")" '
+        /^type ([A-Z][A-Za-z0-9_]*)?(Config|Options) struct \{/ || /^type (Spec|SLO) struct \{/ { t = $2; next }
+        t != "" && /^}/ { t = "" }
+        t != "" && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)* /) {
+            n = split(substr($0, 2, RLENGTH - 2), names, /, /)
+            for (i = 1; i <= n; i++) print dir, t "." names[i]
+        }' "$f"
+done | sort -u > "$TMP/fields"
+while read -r dir decl; do
+    field=${decl##*.}
+    if ! find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path "./$dir/*" -print |
+        xargs grep -hv '^[[:space:]]*//' |
+        grep -cE "\\.$field([^A-Za-z0-9_(]|\$)|(^|[^A-Za-z0-9_.])$field:" > /dev/null; then
+        echo "$decl" >> "$TMP/callerless"
+    fi
+done < "$TMP/fields"
+sort -u -o "$TMP/callerless" "$TMP/callerless"
+
 sed -n 's/ — .*//p' "$ALLOW" | sort -u > "$TMP/allowed"
 unlisted=$(comm -23 "$TMP/callerless" "$TMP/allowed")
 stale=$(comm -13 "$TMP/callerless" "$TMP/allowed")
 
 status=0
 if [ -n "$unlisted" ]; then
-    echo "callerless: exported under internal/, referenced by no product code (delete, or list in $ALLOW):"
+    echo "callerless: exported under internal/, referenced (a config field: set) by no product code (delete, or list in $ALLOW):"
     echo "$unlisted" | sed 's/^/  /'
     status=1
 fi
