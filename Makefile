@@ -51,14 +51,15 @@ race:
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
 # loopback-TCP Send/RecvInto round trips, full segmented ring in place and out
-# of place, kernel dispatch, the gradient with its views bound, the factored
-# B = 1 local step) must not touch the heap. The assertions skip themselves
-# under -race (whose instrumentation allocates), so ci runs them in a
-# dedicated non-race pass.
+# of place, the out-of-place ring over loopback TCP at its 32 Ki frame size,
+# kernel dispatch, the gradient with its views bound, the factored B = 1 local
+# step) must not touch the heap. The assertions skip themselves under -race
+# (whose instrumentation allocates), so ci runs them in a dedicated non-race
+# pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
 	$(GO) test ./internal/transport/ -run 'TestRecvIntoSteadyStateAllocFree|TestTCPSendRecvSteadyStateAllocFree' -count 1
-	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree' -count 1
+	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree|TestReduceIntoTCPSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
 	$(GO) test ./internal/model/ -run 'TestGradientSteadyStateAllocFree|TestFactoredStepSteadyStateAllocFree' -count 1
 
@@ -99,8 +100,9 @@ postmortem-smoke:
 # nothing on another). The two gates here are relative, measured inside one
 # process (traced vs untraced all-reduce <3%, policy decision vs static
 # controller). BenchmarkLiveStep is bench/'s comm_mem and comm_tcp workloads
-# as a Go benchmark (/mem, /tcp, each at seg=4Ki|16Ki|64Ki): select one cell
-# and add -cpuprofile for the product's per-step profile.
+# as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
+# frame size, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides):
+# select one cell and add -cpuprofile for the product's per-step profile.
 # Per-layer numbers from a real run: bash bench/run.sh --workload W --trace 1.
 BENCHTIME ?= 1s
 bench:

@@ -59,7 +59,7 @@ func main() {
 	crashAfter := flag.Int("crash-after", 0,
 		"fault-injection demo: this rank fail-stops after the given local iteration (survivors keep training; rank 0 cannot crash)")
 	segmentSize := flag.Int("segment-size", 0,
-		"collective pipeline segment size in float64 elements (0: default)")
+		"collective pipeline segment size in float64 elements (0: the transport's frame size, 32Ki over TCP)")
 	commStats := flag.Bool("comm-stats", false,
 		"print this rank's data-plane statistics (bytes, segments, per-phase time) on exit")
 	ctrlCrashAfter := flag.Int("ctrl-crash-after", 0,

@@ -8,13 +8,14 @@
 //
 // Data plane (see DESIGN.md): there is one ring, ReduceInto, and the sum, mean
 // and weighted-average entry points are its in-place wrappers. Every ring step
-// moves its chunk in segments of Options.SegmentElems elements, and the
-// segments pipeline — segment k+1 is on the wire while segment k is being
-// reduced — in the style of Gloo's segmented rings. Receives land via
-// RecvIntoTimeout in pooled or in-place buffers and the weighting, the sum
-// and the post-scale are one pass on the tensor.ScaleAddInto kernel, so a
-// steady-state ring step performs zero heap allocations. Per-operation
-// counters (bytes, phase wall time, segments) accumulate into OpStats.
+// moves its chunk in segments of the transport's FrameElems (or an explicit
+// Options.SegmentElems) elements, and the segments pipeline — segment k+1 is
+// on the wire while segment k is being reduced — in the style of Gloo's
+// segmented rings. Receives land via RecvIntoTimeout in pooled or in-place
+// buffers and the weighting, the sum and the post-scale are one pass on the
+// tensor.ScaleAddInto kernel, so a steady-state ring step performs zero heap
+// allocations. Per-operation counters (bytes, phase wall time, segments)
+// accumulate into OpStats.
 package collective
 
 import (
@@ -27,12 +28,12 @@ import (
 	"partialreduce/internal/transport"
 )
 
-// DefaultSegmentElems is the default pipeline segment size in float64
-// elements (32 KiB on the wire): small enough that the segment being reduced
-// and the one in flight both sit in L1/L2 while the wire stays busy, large
-// enough that the per-segment tag/header overhead is noise. Chosen by
-// sweeping {1,2,4,8,16,64}Ki on a 4-rank in-process ring over 1M elements
-// (see BenchmarkRingSegmented): 4Ki elements was fastest by a wide margin.
+// DefaultSegmentElems is the in-process transport's frame size, the segment
+// a ring over transport.Mem uses by default, in float64 elements (32 KiB):
+// small enough that the segment being reduced and the one in flight both sit
+// in L1/L2. Chosen by sweeping {1,2,4,8,16,64}Ki on a 4-rank in-process ring
+// over 1M elements (see BenchmarkRingSegmented). Other transports set their
+// own size (transport.Transport.FrameElems).
 const DefaultSegmentElems = 4 * 1024
 
 // Tag layout: callers supply an operation id unique per collective instance
@@ -205,9 +206,9 @@ func (r *jitterRNG) float64() float64 {
 
 // Options tune a collective call. The zero value selects the defaults.
 type Options struct {
-	// SegmentElems is the pipeline segment size in elements: 0 selects
-	// DefaultSegmentElems, negative is an error. A size no smaller than the
-	// tensor moves one segment per ring step.
+	// SegmentElems is the pipeline segment size in elements: 0 selects the
+	// transport's FrameElems, negative is an error. A size no smaller than
+	// the tensor moves one segment per ring step.
 	SegmentElems int
 	// Stats, when non-nil, accumulates the operation's data-plane counters.
 	Stats *OpStats
@@ -232,13 +233,14 @@ type Options struct {
 	TraceIter  int32
 }
 
-// segElems resolves the segment size of a ring collective.
-func (o Options) segElems() (int, error) {
+// segElems resolves the segment size of a ring collective over t: an
+// explicit SegmentElems wins, otherwise the transport's frame size.
+func (o Options) segElems(t transport.Transport) (int, error) {
 	switch {
 	case o.SegmentElems < 0:
 		return 0, fmt.Errorf("collective: negative SegmentElems %d", o.SegmentElems)
 	case o.SegmentElems == 0:
-		return DefaultSegmentElems, nil
+		return t.FrameElems(), nil
 	default:
 		return o.SegmentElems, nil
 	}
@@ -400,9 +402,11 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 // ReduceInto is the ring all-reduce: it leaves post · Σ_i weight_i·src_i —
 // each member's own weight times its own src, summed over group — in every
 // member's dst. All members must call it with the same group, opID, vector
-// length, post, and segment size. A group of one computes post·(weight·src)
-// locally. The folded weighting and post-scale (see ring.step) round exactly
-// as separate Scale passes would, and the result is bit-identical for every
+// length, post, and segment size (the default, the transport's FrameElems,
+// is the same at every endpoint of a world built with one set of options).
+// A group of one computes post·(weight·src) locally. The folded weighting
+// and post-scale (see ring.step) round exactly as separate Scale passes
+// would, and the result is bit-identical for every
 // segment size: segmentation only changes message boundaries, never the
 // per-element order of operations.
 //
@@ -420,7 +424,7 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 // attempt budget is exhausted the op is aborted locally so straggler frames
 // are dropped on arrival, and the last timeout error is returned.
 func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []float64, weight, post float64, opt Options) error {
-	seg, err := opt.segElems()
+	seg, err := opt.segElems(t)
 	if err != nil {
 		return err
 	}

@@ -248,16 +248,19 @@ func TestAllReduceOpStats(t *testing.T) {
 }
 
 // assertRingAllocFree is the CI allocation gate: after warmup, op — one full
-// segmented ring collective over a 4-rank Mem world, called concurrently on
-// every rank — performs zero heap allocations on the measured rank.
-func assertRingAllocFree(t *testing.T, op func(tr transport.Transport, group []int, rank int) error) {
+// segmented ring collective over world, called concurrently on every rank —
+// performs zero heap allocations. AllocsPerRun counts the whole process, so
+// the peers and any TCP read loops are included.
+func assertRingAllocFree(t *testing.T, world []transport.Transport, op func(tr transport.Transport, group []int, rank int) error) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	const g = 4
-	world := transport.NewMem(g)
-	group := []int{0, 1, 2, 3}
+	g := len(world)
+	group := make([]int, g)
+	for r := range group {
+		group[r] = r
+	}
 
 	// Peer ranks loop in the background, released once per round.
 	start := make([]chan struct{}, g)
@@ -305,7 +308,7 @@ func TestAllReduceSteadyStateAllocFree(t *testing.T) {
 	for r := range datas {
 		datas[r] = make([]float64, n)
 	}
-	assertRingAllocFree(t, func(tr transport.Transport, group []int, r int) error {
+	assertRingAllocFree(t, asWorld(transport.NewMem(4)), func(tr transport.Transport, group []int, r int) error {
 		return AllReduceSumOpts(tr, group, 9, datas[r], Options{})
 	})
 }
@@ -319,7 +322,24 @@ func TestReduceIntoSteadyStateAllocFree(t *testing.T) {
 	for r := range dsts {
 		dsts[r], srcs[r] = make([]float64, n), make([]float64, n)
 	}
-	assertRingAllocFree(t, func(tr transport.Transport, group []int, r int) error {
+	assertRingAllocFree(t, asWorld(transport.NewMem(4)), func(tr transport.Transport, group []int, r int) error {
+		return ReduceInto(tr, group, 9, dsts[r], srcs[r], 0.25, 1, Options{})
+	})
+}
+
+// TestReduceIntoTCPSteadyStateAllocFree is the same ring over a 4-rank
+// loopback TCP mesh at the transport's own frame size: two 32 Ki-element
+// segments per ring step, so the 256 KiB pooled segment buffers — the
+// reduce-phase scratch and every payload the read loops receive into — must
+// recycle.
+func TestReduceIntoTCPSteadyStateAllocFree(t *testing.T) {
+	world := tcpWorld(t, 4, transport.TCPOptions{})
+	n := 4 * 2 * world[0].FrameElems()
+	dsts, srcs := [4][]float64{}, [4][]float64{}
+	for r := range dsts {
+		dsts[r], srcs[r] = make([]float64, n), make([]float64, n)
+	}
+	assertRingAllocFree(t, world, func(tr transport.Transport, group []int, r int) error {
 		return ReduceInto(tr, group, 9, dsts[r], srcs[r], 0.25, 1, Options{})
 	})
 }

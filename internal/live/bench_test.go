@@ -18,14 +18,16 @@ import (
 // workloads as a Go benchmark, so the product's per-step CPU profile can be
 // regenerated, and the ring's segment size swept, without bench/:
 //
-//	go test ./internal/live -run '^$' -bench 'LiveStep/tcp/seg=4Ki' -cpuprofile cpu.out
+//	go test ./internal/live -run '^$' -bench 'LiveStep/tcp/seg=transport' -cpuprofile cpu.out
 //
 // One op is a whole run: 8 ranks, P = 3, a 266,244-parameter MLP (2.1 MB),
 // batch size 1, on 2 threads, over a fresh world built outside the timer —
 // 50 iterations per rank in process (mem), 30 over a loopback TCP mesh (tcp).
 // The figure to read is steps/s — mini-batches computed per wall second
-// across all ranks. seg=4Ki is collective.DefaultSegmentElems, what every
-// shipped run uses; the other cells are there for the segment-geometry sweep.
+// across all ranks. seg=transport leaves Config.SegmentElems zero, so the
+// ring uses the transport's FrameElems (4 Ki on mem, 32 Ki on tcp): what
+// every shipped run uses. The 4Ki…64Ki cells override it for the
+// segment-geometry sweep.
 func BenchmarkLiveStep(b *testing.B) {
 	spec := model.Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
 	ds, err := data.GaussianMixture(data.MixtureConfig{
@@ -50,8 +52,12 @@ func BenchmarkLiveStep(b *testing.B) {
 		{"mem", 50, func(n int) ([]transport.Transport, error) { return memWorld(n), nil }},
 		{"tcp", 30, tcpLoopbackWorld},
 	} {
-		for _, segKi := range []int{4, 16, 64} {
-			b.Run(fmt.Sprintf("%s/seg=%dKi", w.name, segKi), func(b *testing.B) {
+		for _, segKi := range []int{0, 4, 16, 32, 64} {
+			seg := "transport"
+			if segKi > 0 {
+				seg = fmt.Sprintf("%dKi", segKi)
+			}
+			b.Run(fmt.Sprintf("%s/seg=%s", w.name, seg), func(b *testing.B) {
 				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
 				var steps atomic.Int64
 				cfg := cfg

@@ -67,9 +67,10 @@ type Config struct {
 	// ComputeDelay optionally injects artificial per-batch latency to
 	// emulate heterogeneity on real hardware (nil for full speed).
 	ComputeDelay func(worker, iter int) time.Duration
-	// SegmentElems is the collective pipeline segment size in float64
-	// elements: 0 selects collective.DefaultSegmentElems; negative is
-	// rejected.
+	// SegmentElems overrides the collective pipeline segment size in
+	// float64 elements: 0 selects the transport's own frame size
+	// (transport.Transport.FrameElems: 4 Ki in process, 32 Ki over TCP);
+	// negative is rejected.
 	SegmentElems int
 
 	// Initial is the number of founding members: ranks [Initial, N) park —

@@ -347,19 +347,6 @@ func (f *Faulty) Kill(rank int) {
 	FailPeerEverywhere(w.inner, rank)
 }
 
-// Revive re-admits rank after a checkpoint-based rejoin.
-func (f *Faulty) Revive(rank int) {
-	w := f.world
-	w.mu.Lock()
-	if rank < 0 || rank >= len(w.dead) || !w.dead[rank] {
-		w.mu.Unlock()
-		return
-	}
-	w.dead[rank] = false
-	w.mu.Unlock()
-	RevivePeerEverywhere(w.inner, rank)
-}
-
 func (f *Faulty) deadRank(rank int) bool {
 	f.world.mu.Lock()
 	defer f.world.mu.Unlock()
@@ -481,8 +468,8 @@ func (f *Faulty) PurgeOp(op uint32) { f.inner.PurgeOp(op) }
 // FailPeer implements Transport.
 func (f *Faulty) FailPeer(peer int) { f.inner.FailPeer(peer) }
 
-// RevivePeer implements Transport.
-func (f *Faulty) RevivePeer(peer int) { f.inner.RevivePeer(peer) }
+// FrameElems implements Transport: faults change no frame's size.
+func (f *Faulty) FrameElems() int { return f.inner.FrameElems() }
 
 // AbortOp implements Transport.
 func (f *Faulty) AbortOp(op uint32) { f.inner.AbortOp(op) }

@@ -56,8 +56,8 @@ func (o TCPOptions) withDefaults() TCPOptions {
 //
 // Peer loss is isolated: a broken or heartbeat-stale connection fails only
 // operations involving that peer (with *PeerDownError); the rest of the mesh
-// keeps working. (RevivePeer only clears the local mark: a real rejoin needs
-// a fresh dial, i.e. a new endpoint.)
+// keeps working. A failed connection is never restored in place: a rank that
+// comes back dials a new mesh.
 type TCP struct {
 	rank     int
 	size     int
@@ -444,20 +444,6 @@ func (t *TCP) FailPeer(peer int) {
 	t.peerLost(peer)
 }
 
-// RevivePeer implements Transport. Over TCP a failed connection cannot be
-// restored in place — a rejoining rank starts a fresh process and dials a new
-// mesh — so RevivePeer only clears the local mark to keep the interface
-// symmetric; data flow does not resume.
-func (t *TCP) RevivePeer(peer int) {
-	if peer < 0 || peer >= t.size {
-		return
-	}
-	t.mu.Lock()
-	t.down[peer] = false
-	t.mu.Unlock()
-	t.box.revivePeer(peer)
-}
-
 // AbortOp implements Transport.
 func (t *TCP) AbortOp(op uint32) { t.box.abortOp(op, -1) }
 
@@ -472,6 +458,18 @@ func (t *TCP) FailSelf() {
 		}
 	}
 }
+
+// tcpFrameElems is TCP's preferred frame size: 32 Ki elements (256 KiB).
+// Every frame pays a writev, a read in the read loop, a CRC set-up and a
+// mailbox hand-off; at 32 Ki those are noise, and a P = 3 group's ring step
+// still pipelines over a few segments (the sweep is in DESIGN.md).
+const tcpFrameElems = 32 << 10
+
+// FrameElems implements Transport: the preferred size, capped at the
+// receivers' MaxFrameElems so the ring never sends a frame a peer would
+// reject as corruption (every endpoint of a mesh is built with the same
+// options).
+func (t *TCP) FrameElems() int { return min(tcpFrameElems, t.opts.MaxFrameElems) }
 
 // DownPeers returns the ranks this endpoint currently considers dead.
 func (t *TCP) DownPeers() []int {

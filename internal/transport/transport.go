@@ -7,11 +7,11 @@
 //
 // Failure model: a peer can crash (fail-stop). Peer loss is isolated — only
 // operations involving that peer fail, with a typed *PeerDownError; traffic
-// between surviving ranks continues. Every endpoint can declare a peer dead
-// or revive it, abort or purge one collective operation, bound a receive by
-// a deadline, and fail itself — the primitives the live runtime's recovery
-// path is built from — and the Faulty wrapper injects deterministic crashes,
-// drops, and delays for tests and experiments.
+// between surviving ranks continues. Every endpoint can declare a peer dead,
+// abort or purge one collective operation, bound a receive by a deadline,
+// and fail itself — the primitives the live runtime's recovery path is built
+// from — and the Faulty wrapper injects deterministic crashes, drops, and
+// delays for tests and experiments.
 package transport
 
 import (
@@ -68,13 +68,16 @@ type Transport interface {
 	// FailPeer declares peer dead: pending and future operations involving
 	// it fail with *PeerDownError; everything else keeps working.
 	FailPeer(peer int)
-	// RevivePeer re-admits peer after a checkpoint-based rejoin.
-	RevivePeer(peer int)
 	// FailSelf simulates this endpoint's own fail-stop crash without tearing
 	// down the process: every peer observes this rank as down (exactly as if
 	// its process had exited and its connections broken), and the endpoint's
 	// own pending and future operations fail with *PeerDownError.
 	FailSelf()
+	// FrameElems is the payload length, in float64 elements, at which this
+	// transport's fixed cost per frame stops mattering: the segment size a
+	// ring collective uses unless its caller sets one. It is positive and
+	// never more than the endpoint's receivers accept.
+	FrameElems() int
 	// Close releases the endpoint. Pending receives fail.
 	Close() error
 }
@@ -267,7 +270,7 @@ func (m *mailbox) deliver(msg message) error {
 	}
 	if m.down[msg.from] {
 		// The receiver considers the sender dead; drop the message and tell
-		// the sender (a rejoining worker must be revived first).
+		// the sender.
 		return &PeerDownError{Peer: msg.from}
 	}
 	if _, gone := m.aborted[opOf(msg.tag)]; gone {
@@ -385,13 +388,6 @@ func (m *mailbox) failPeer(peer int) {
 	}
 }
 
-// revivePeer clears peer's down mark after a rejoin.
-func (m *mailbox) revivePeer(peer int) {
-	m.mu.Lock()
-	delete(m.down, peer)
-	m.mu.Unlock()
-}
-
 // abortOp fails pending and future receives belonging to collective op.
 func (m *mailbox) abortOp(op uint32, dead int) {
 	m.mu.Lock()
@@ -457,15 +453,6 @@ func FailPeerEverywhere(world []Transport, dead int) {
 	for i, t := range world {
 		if i != dead && t != nil {
 			t.FailPeer(dead)
-		}
-	}
-}
-
-// RevivePeerEverywhere re-admits peer at every other endpoint (rejoin).
-func RevivePeerEverywhere(world []Transport, peer int) {
-	for i, t := range world {
-		if i != peer && t != nil {
-			t.RevivePeer(peer)
 		}
 	}
 }
@@ -542,13 +529,6 @@ func (m *Mem) FailPeer(peer int) {
 	}
 }
 
-// RevivePeer implements Transport.
-func (m *Mem) RevivePeer(peer int) {
-	if peer >= 0 && peer < len(m.world) {
-		m.world[m.rank].revivePeer(peer)
-	}
-}
-
 // AbortOp implements Transport.
 func (m *Mem) AbortOp(op uint32) { m.world[m.rank].abortOp(op, -1) }
 
@@ -570,6 +550,14 @@ func (m *Mem) FailSelf() {
 		own.failPeer(r)
 	}
 }
+
+// memFrameElems is Mem's frame size: 4 Ki elements (32 KiB). A Mem frame
+// costs a lock and a copy, so nothing per frame needs amortizing; the size
+// keeps the segment being reduced and the one in flight in L1/L2.
+const memFrameElems = 4 << 10
+
+// FrameElems implements Transport.
+func (m *Mem) FrameElems() int { return memFrameElems }
 
 // Close implements Transport. It closes only this endpoint's mailbox.
 func (m *Mem) Close() error {
