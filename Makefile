@@ -73,9 +73,11 @@ flakegate:
 
 # Seeded chaos soak: worker fail-stop + controller crash (warm and cold) +
 # timed network partition + elastic join/drain staircase composed in one run,
-# swept across seeds under the race detector. ci runs the default sweep;
-# raise CHAOS_SEEDS for a longer soak. Any failure reproduces from the
-# logged seed.
+# swept across seeds under the race detector. Every fault comes from outside
+# the product: the fail-stop from the Faulty transport's crash-after-sends
+# plan, the controller crash from the service core's Failover event, fired by
+# the test at a fixed iteration. ci runs the default sweep; raise CHAOS_SEEDS
+# for a longer soak. Any failure reproduces from the logged seed.
 CHAOS_SEEDS ?= 4
 chaos:
 	PREDUCE_CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race ./internal/live/ -run TestChaosSoak -count 1

@@ -56,16 +56,10 @@ func main() {
 		"heartbeat interval for peer liveness probing (0 disables; crashes are still caught via broken connections)")
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 0,
 		"declare a peer dead after this long without traffic (default 10x -heartbeat)")
-	crashAfter := flag.Int("crash-after", 0,
-		"fault-injection demo: this rank fail-stops after the given local iteration (survivors keep training; rank 0 cannot crash)")
 	segmentSize := flag.Int("segment-size", 0,
 		"collective pipeline segment size in float64 elements (0: the transport's frame size, 32Ki over TCP)")
 	commStats := flag.Bool("comm-stats", false,
 		"print this rank's data-plane statistics (bytes, segments, per-phase time) on exit")
-	ctrlCrashAfter := flag.Int("ctrl-crash-after", 0,
-		"failover demo: destroy the controller object after this many dispatched groups (needs -ctrl-timeout and -collective-timeout; warm snapshot restart unless -ctrl-cold)")
-	ctrlCold := flag.Bool("ctrl-cold", false,
-		"with -ctrl-crash-after: rebuild the controller cold from re-sent ready signals instead of restoring its snapshot")
 	ctrlTimeout := flag.Duration("ctrl-timeout", 0,
 		"bound a worker's wait for a group reply; on expiry the ready signal is re-sent (0: wait forever)")
 	collTimeout := flag.Duration("collective-timeout", 0,
@@ -246,8 +240,6 @@ func main() {
 		Iters:        *iters,
 		SegmentElems: *segmentSize,
 
-		CtrlCrashAfter:    *ctrlCrashAfter,
-		CtrlCold:          *ctrlCold,
 		CtrlTimeout:       *ctrlTimeout,
 		CollectiveTimeout: *collTimeout,
 
@@ -297,12 +289,6 @@ func main() {
 			}
 			return 0
 		}
-	}
-	if *crashAfter > 0 {
-		// Only this process knows it will crash; peers detect the death at
-		// the wire (broken connections / heartbeat loss) exactly as they
-		// would a real failure.
-		cfg.Crash = map[int]int{*rank: *crashAfter}
 	}
 
 	if *telemetryAddr != "" {

@@ -33,7 +33,6 @@ func (c *abortControl) Signal(int) (engine.Directive, error) {
 	}
 	return engine.Directive{Skip: true}, nil
 }
-func (c *abortControl) SignalNoWait(int) {}
 func (c *abortControl) ReportDeath(dead int, _ controller.Group, _ uint32) error {
 	c.dead = append(c.dead, dead)
 	return nil

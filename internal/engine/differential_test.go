@@ -54,7 +54,6 @@ func (c *diffControl) Signal(iter int) (engine.Directive, error) {
 	return <-ch, nil
 }
 
-func (c *diffControl) SignalNoWait(iter int)                                     {}
 func (c *diffControl) ReportDeath(dead int, g controller.Group, op uint32) error { return nil }
 func (c *diffControl) ReportStuck(g controller.Group, op uint32) error           { return nil }
 func (c *diffControl) Finished() error                                           { return nil }

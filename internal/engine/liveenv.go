@@ -96,10 +96,6 @@ type Control interface {
 	// error means the control plane is unusable and the run is over for
 	// this worker.
 	Signal(iter int) (Directive, error)
-	// SignalNoWait sends the ready signal without waiting for the answer —
-	// the crash-injection path: the signal must be in flight when the
-	// worker dies, so the controller can form a group containing the corpse.
-	SignalNoWait(iter int)
 	// ReportDeath reports a peer observed dead inside collective op opID of
 	// group g.
 	ReportDeath(dead int, g controller.Group, opID uint32) error
@@ -129,10 +125,6 @@ type LiveWorker struct {
 	// ComputeDelay optionally injects artificial per-batch latency to
 	// emulate heterogeneity on real hardware (nil for full speed).
 	ComputeDelay func(worker, iter int) time.Duration
-	// CrashAt, when positive, fail-stops the worker once its loop counter
-	// reaches that iteration (P-Reduce: just after the ready signal goes
-	// out; All-Reduce: just before the barrier).
-	CrashAt int
 }
 
 // Outcome reports how a live worker loop ended.
@@ -142,9 +134,6 @@ type Outcome struct {
 	// Groups counts group collectives completed (P-Reduce) or all-reduce
 	// rounds completed (AR).
 	Groups int
-	// Crashed reports that the injected fail-stop fired; the runtime owns
-	// what "dying" means (FailSelf on the rank's endpoints).
-	Crashed bool
 	// DeadErr is the collective error that declared this worker dead
 	// (somebody else reported us and our own op was aborted against us);
 	// the worker must fall silent. Nil otherwise.
@@ -191,16 +180,6 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 		localStep(m, w.Opt, &grad, batch)
 		iter++
 		tracer.Span(trace.KCompute, int32(id), int32(iter), computeStart, 0, 0)
-
-		if w.CrashAt > 0 && iter >= w.CrashAt {
-			// Fail-stop with the ready signal in flight: the controller may
-			// form a group containing this corpse, and the survivors must
-			// detect and recover (§4).
-			tracer.Instant(trace.KCrash, int32(id), int32(iter), 0, 0)
-			ctl.SignalNoWait(iter)
-			machine.Kill(0)
-			return Outcome{Iter: iter, Groups: groups, Crashed: true}, nil
-		}
 
 		for { // signal ready; on a group abort, re-signal
 			if machine.State(0) != StateReady {
@@ -362,9 +341,8 @@ func localStep(m model.Model, opt *optim.SGD, grad *tensor.Vector, batch *data.B
 // iteration all workers compute a gradient and average it with one
 // full-world mean all-reduce — the synchronous barrier P-Reduce removes.
 // There is no ready/controller phase, so the step machine moves compute →
-// reduce directly. world is the full transport mesh (for the crash
-// injection's down-marks); group must list every rank.
-func RunAllReduceWorker(w *LiveWorker, world []transport.Transport, group []int) (Outcome, error) {
+// reduce directly. group must list every rank.
+func RunAllReduceWorker(w *LiveWorker, group []int) (Outcome, error) {
 	env := w.Env
 	id := env.Rank
 	m := w.Model
@@ -373,13 +351,6 @@ func RunAllReduceWorker(w *LiveWorker, world []transport.Transport, group []int)
 	machine := NewMachine(1)
 
 	for iter := 0; iter < w.Iters; iter++ {
-		if w.CrashAt > 0 && iter+1 >= w.CrashAt {
-			// Fail-stop: drop out right before this iteration's barrier;
-			// every peer will see us down inside it.
-			machine.Kill(0)
-			transport.FailPeerEverywhere(world, id)
-			return Outcome{Iter: iter, Crashed: true}, nil
-		}
 		machine.To(0, StateCompute)
 		if w.ComputeDelay != nil {
 			if d := w.ComputeDelay(id, iter); d > 0 {

@@ -16,14 +16,8 @@ import (
 // drives on virtual time. Comparing its wall time against Run on the same
 // world (with the same injected ComputeDelay stragglers) demonstrates the
 // heterogeneity tolerance live, not just in simulation. Config.P is ignored.
-//
-// Config.Crash is honored the hard way: the crashed worker simply stops
-// participating, and because every iteration requires all N workers, the
-// survivors' collectives fail and the whole run errors out. That asymmetry —
-// P-Reduce's Run recovers from the same crash schedule, RunAllReduce cannot —
-// is the fault-tolerance claim of §4 made executable.
 func RunAllReduce(cfg Config, world []transport.Transport) (*Report, error) {
-	if cfg.N < 2 || cfg.Train == nil || cfg.Test == nil || cfg.BatchSize < 1 || cfg.Iters < 1 {
+	if cfg.N < 2 || cfg.Spec == nil || cfg.Train == nil || cfg.Test == nil || cfg.BatchSize < 1 || cfg.Iters < 1 || cfg.SegmentElems < 0 {
 		return nil, fmt.Errorf("live: invalid all-reduce config")
 	}
 	if err := cfg.Optimizer.Validate(); err != nil {
@@ -50,7 +44,7 @@ func RunAllReduce(cfg Config, world []transport.Transport) (*Report, error) {
 	err := eachRank(world, func(id int) error {
 		w := newLiveWorker(cfg, id, world[id], base, shards[id], init)
 		workers[id] = w
-		out, err := engine.RunAllReduceWorker(w, world, group)
+		out, err := engine.RunAllReduceWorker(w, group)
 		iters[id] = out.Iter
 		return err
 	})

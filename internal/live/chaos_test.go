@@ -51,26 +51,27 @@ func TestChaosSoak(t *testing.T) {
 			cfg.N = 6
 			cfg.Initial = 4
 			// Joins at 8 and 14 dispatched groups, drains at 20 and 26: the
-			// whole staircase lands after the controller crash (at 4 groups)
-			// and interleaves with the partition window and the rank-1 crash.
+			// whole staircase lands after the controller crash (when rank 0
+			// starts its third iteration, a handful of groups in) and
+			// interleaves with the partition window and the rank-1 crash.
 			cfg.Elastic = hetero.ScaleSchedule(4, 6, 4, 8, 6)
-			cfg.CtrlCrashAfter = 4
-			cfg.CtrlCold = cold
 			cfg.CtrlTimeout = 100 * time.Millisecond
 			cfg.CollectiveTimeout = 150 * time.Millisecond
 			cfg.Retry = collective.RetryPolicy{
 				MaxAttempts: 4, BaseDelay: 20 * time.Millisecond,
 				MaxDelay: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.2, Seed: seed,
 			}
-			// Rank 1 fail-stops mid-run; it is outside the partitioned pair so
+			cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
+			failover := failoverAt(&cfg, 0, 2, cold)
+
+			// Rank 1 fail-stops mid-run (its endpoint dies on a seeded send,
+			// about its 20th–32nd group); it is outside the partitioned pair so
 			// its peers can see the death while the links are cut. No detector
 			// runs on a clock, so a cut-off worker is never mistaken for a dead
 			// one.
-			cfg.Crash = map[int]int{1: 20 + 3*int(seed%5)}
-			cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
-
 			world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
-				Seed: seed,
+				Seed:            seed,
+				CrashAfterSends: map[int]int{1: 2 * (20 + 3*int(seed%5))},
 				Partitions: []transport.Partition{{
 					Ranks: []int{2, 3},
 					From:  40 * time.Millisecond,
@@ -78,7 +79,7 @@ func TestChaosSoak(t *testing.T) {
 				}},
 			})
 
-			rep := runBounded(t, cfg, world)
+			rep := runBounded(t, cfg, world, failover)
 			if rep.CtrlRestarts != 1 {
 				t.Fatalf("controller restarts = %d, want 1", rep.CtrlRestarts)
 			}

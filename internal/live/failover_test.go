@@ -13,17 +13,19 @@ import (
 // entry is one way into the runtime. A scenario that must hold through both
 // is written once against an entry and run through runBounded (Run drives
 // every rank) and runWorkersFolded (one RunWorker per rank, rank 0 hosting).
-type entry func(*testing.T, Config, []transport.Transport) *Report
+// failover feeds the controller service's failover input (nil: none; see
+// failoverAt).
+type entry func(t *testing.T, cfg Config, world []transport.Transport, failover <-chan bool) *Report
 
 // runBounded runs Run with a wall-clock bound so a broken recovery path
 // fails the test instead of hanging it.
-func runBounded(t *testing.T, cfg Config, world []transport.Transport) *Report {
+func runBounded(t *testing.T, cfg Config, world []transport.Transport, failover <-chan bool) *Report {
 	t.Helper()
 	var rep *Report
 	var err error
 	done := make(chan struct{})
 	go func() {
-		rep, err = Run(cfg, world)
+		rep, err = run(cfg, world, failover)
 		close(done)
 	}()
 	select {
@@ -51,16 +53,40 @@ func faultyWorld(t *testing.T, n int, plan transport.FaultPlan) ([]transport.Tra
 	return world, eps
 }
 
-// ctrlFailoverConfig arms the controller-crash harness on the standard test
-// cluster.
-func ctrlFailoverConfig(t *testing.T, seed int64, cold bool) Config {
+// ctrlFailoverConfig is the standard test cluster with the bounded waits a
+// controller failover needs: a worker whose reply died with the old
+// incarnation re-sends after CtrlTimeout, and a group formed around a signal
+// whose reply died dissolves after CollectiveTimeout. Workers the sync-graph
+// filter holds back for that group's members wait that long, so it stays
+// well under the ctrlResendLimit+1 CtrlTimeouts after which they withdraw.
+func ctrlFailoverConfig(t *testing.T, seed int64) Config {
 	t.Helper()
 	cfg := liveConfig(t, seed)
-	cfg.CtrlCrashAfter = 3
-	cfg.CtrlCold = cold
 	cfg.CtrlTimeout = 100 * time.Millisecond
-	cfg.CollectiveTimeout = 2 * time.Second
+	cfg.CollectiveTimeout = 300 * time.Millisecond
 	return cfg
+}
+
+// failoverAt stages one controller failover (cold or warm) for the moment
+// rank starts computing iteration iter or, fast-forwarded past it, the next
+// one: cfg's ComputeDelay hook hands the request to the service and returns
+// once the service has taken it, so the crash lands at a fixed point of the
+// run's own progress, not of wall time. Arm it after setting ComputeDelay,
+// which it wraps, and pass the channel to the entry.
+func failoverAt(cfg *Config, rank, iter int, cold bool) <-chan bool {
+	failover := make(chan bool)
+	delay, fired := cfg.ComputeDelay, false // fired: only rank's goroutine reads it
+	cfg.ComputeDelay = func(w, it int) time.Duration {
+		if w == rank && it >= iter && !fired {
+			fired = true
+			failover <- cold
+		}
+		if delay == nil {
+			return 0
+		}
+		return delay(w, it)
+	}
+	return failover
 }
 
 // ctrlFailover is the failover property: the controller object is destroyed
@@ -71,9 +97,10 @@ func ctrlFailoverConfig(t *testing.T, seed int64, cold bool) Config {
 // accuracy band of the same run without the crash.
 func ctrlFailover(t *testing.T, run entry, seed int64, cold bool) {
 	t.Helper()
-	base := run(t, liveConfig(t, seed), memWorld(4))
-	cfg := ctrlFailoverConfig(t, seed, cold)
-	rep := run(t, cfg, memWorld(cfg.N))
+	base := run(t, liveConfig(t, seed), memWorld(4), nil)
+	cfg := ctrlFailoverConfig(t, seed)
+	failover := failoverAt(&cfg, 0, 2, cold)
+	rep := run(t, cfg, memWorld(cfg.N), failover)
 	if rep.CtrlRestarts != 1 {
 		t.Fatalf("controller restarts = %d, want 1", rep.CtrlRestarts)
 	}
@@ -107,9 +134,10 @@ func TestRunWorkerCtrlFailover(t *testing.T) {
 func failoverWithWorkerCrash(t *testing.T, run entry, seed int64) {
 	t.Helper()
 	for _, cold := range []bool{false, true} {
-		cfg := ctrlFailoverConfig(t, seed, cold)
-		cfg.Crash = map[int]int{3: 10}
-		rep := run(t, cfg, memWorld(cfg.N))
+		cfg := ctrlFailoverConfig(t, seed)
+		failover := failoverAt(&cfg, 0, 2, cold)
+		world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: seed, CrashAfterSends: map[int]int{3: 20}})
+		rep := run(t, cfg, world, failover)
 		if rep.CtrlRestarts != 1 || rep.Failures != 1 {
 			t.Fatalf("cold=%v: restarts=%d failures=%d, want 1/1", cold, rep.CtrlRestarts, rep.Failures)
 		}
@@ -132,30 +160,18 @@ func TestRunWorkerCtrlFailoverWithWorkerCrash(t *testing.T) {
 	failoverWithWorkerCrash(t, runWorkersFolded, 68)
 }
 
-// The failover knobs are validated: a crashing controller without bounded
-// worker waits (or bounded collectives) would be unrecoverable.
+// The failover knobs are validated: a negative worker wait or collective
+// bound, or an invalid retry policy, is refused.
 func TestCtrlFailoverConfigValidate(t *testing.T) {
 	cfg := liveConfig(t, 63)
-	cfg.CtrlCrashAfter = 1
-	if cfg.Validate() == nil {
-		t.Fatal("CtrlCrashAfter without CtrlTimeout accepted")
-	}
-	cfg.CtrlTimeout = time.Millisecond
-	if cfg.Validate() == nil {
-		t.Fatal("CtrlCrashAfter without CollectiveTimeout accepted")
-	}
-	cfg.CollectiveTimeout = time.Millisecond
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.CtrlCrashAfter = -1
-	if cfg.Validate() == nil {
-		t.Fatal("negative CtrlCrashAfter accepted")
-	}
-	cfg = liveConfig(t, 63)
 	cfg.CtrlTimeout = -time.Second
 	if cfg.Validate() == nil {
 		t.Fatal("negative CtrlTimeout accepted")
+	}
+	cfg = liveConfig(t, 63)
+	cfg.CollectiveTimeout = -time.Second
+	if cfg.Validate() == nil {
+		t.Fatal("negative CollectiveTimeout accepted")
 	}
 	cfg = liveConfig(t, 63)
 	cfg.Retry.Jitter = 2
@@ -187,7 +203,7 @@ func TestLivePartitionRecovery(t *testing.T) {
 		}},
 	})
 
-	rep := runBounded(t, cfg, world)
+	rep := runBounded(t, cfg, world, nil)
 	for id := 0; id < cfg.N; id++ {
 		if !rep.Completed[id] {
 			t.Fatalf("worker %d did not complete through the partition", id)
@@ -223,7 +239,7 @@ func TestRunControlOutOfBand(t *testing.T) {
 		Partitions: []transport.Partition{{Ranks: []int{3}, From: 0, Until: 150 * time.Millisecond}},
 	})
 
-	rep := runBounded(t, cfg, world)
+	rep := runBounded(t, cfg, world, nil)
 	for id := 0; id < cfg.N; id++ {
 		if !rep.Completed[id] || rep.WorkerIters[id] < cfg.Iters {
 			t.Fatalf("worker %d: completed=%v iters=%d/%d", id, rep.Completed[id], rep.WorkerIters[id], cfg.Iters)
@@ -242,13 +258,14 @@ func TestRunControlOutOfBand(t *testing.T) {
 // for a window, and the run still completes with no one condemned.
 func TestLiveFailoverPlusPartition(t *testing.T) {
 	for _, cold := range []bool{false, true} {
-		cfg := ctrlFailoverConfig(t, 65, cold)
+		cfg := ctrlFailoverConfig(t, 65)
 		cfg.CollectiveTimeout = 100 * time.Millisecond
 		cfg.Retry = collective.RetryPolicy{
 			MaxAttempts: 3, BaseDelay: 20 * time.Millisecond,
 			MaxDelay: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.2,
 		}
 		cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
+		failover := failoverAt(&cfg, 0, 2, cold)
 		world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
 			Seed: 65,
 			Partitions: []transport.Partition{{
@@ -257,7 +274,7 @@ func TestLiveFailoverPlusPartition(t *testing.T) {
 				Until: 280 * time.Millisecond,
 			}},
 		})
-		rep := runBounded(t, cfg, world)
+		rep := runBounded(t, cfg, world, failover)
 		if rep.CtrlRestarts != 1 {
 			t.Fatalf("cold=%v: controller restarts = %d, want 1", cold, rep.CtrlRestarts)
 		}
@@ -338,14 +355,15 @@ func TestRunWorkerCtrlLinkSevered(t *testing.T) {
 }
 
 // runWorkersBounded runs one RunWorker per rank (rank 0 hosting the
-// controller) with a wall-clock bound, failing on any rank's error.
-func runWorkersBounded(t *testing.T, cfg Config, world []transport.Transport) []*Report {
+// controller) with a wall-clock bound, failing on an error from any rank the
+// fault plan did not kill (runWorkerWorld).
+func runWorkersBounded(t *testing.T, cfg Config, world []transport.Transport, failover <-chan bool) []*Report {
 	t.Helper()
 	var reports []*Report
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		reports = runWorkerWorld(t, cfg, world)
+		reports = runWorkerWorld(t, cfg, world, failover)
 	}()
 	select {
 	case <-done:
@@ -359,13 +377,17 @@ func runWorkersBounded(t *testing.T, cfg Config, world []transport.Transport) []
 // the shape of Run's: accuracy and controller counters from the host (rank
 // 0), per-rank progress and completion from each rank, data-plane stats
 // summed. Groups is the ranks' total of group memberships, not Run's count of
-// groups.
-func runWorkersFolded(t *testing.T, cfg Config, world []transport.Transport) *Report {
+// groups. A killed rank has no report: it folds as not completed, at
+// iteration 0.
+func runWorkersFolded(t *testing.T, cfg Config, world []transport.Transport, failover <-chan bool) *Report {
 	t.Helper()
-	reports := runWorkersBounded(t, cfg, world)
+	reports := runWorkersBounded(t, cfg, world, failover)
 	rep := *reports[0]
 	rep.Groups, rep.WorkerIters, rep.Completed, rep.Comms = 0, nil, nil, collective.OpStats{}
 	for _, r := range reports {
+		if r == nil {
+			r = &Report{WorkerIters: []int{0}, Completed: []bool{false}}
+		}
 		rep.Groups += r.Groups
 		rep.WorkerIters = append(rep.WorkerIters, r.WorkerIters[0])
 		rep.Completed = append(rep.Completed, r.Completed[0])

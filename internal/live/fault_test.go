@@ -9,18 +9,20 @@ import (
 )
 
 // The headline fault-tolerance property (§4): a worker crashing mid-training
-// — with its ready signal in flight, so the controller may form a group
-// containing the corpse — must not stop the run. The survivors detect the
-// death inside the collective or the host's receive loop reports it, they
-// re-signal with their untouched models, and finish training to full quality.
-// Whether a group did form with the corpse depends on whether its last signal
-// outran its death; the exact schedule, and the abort it must count, is
+// must not stop the run. The crash is done to the rank from below: the fault
+// plan kills its endpoint on its 41st send — mid-collective, or (where control
+// frames share the world) a ready signal that never arrives. The corpse's own
+// send fails naming itself, so it leaves as declared dead; peers report it
+// from inside the collective and the host's receive loop reports it Lost. The
+// survivors re-signal with their untouched models and finish training to full
+// quality. Whether a group formed with the corpse depends on where the crash
+// lands; the exact schedule, and the abort it must count, is
 // TestCoreLostWhileGroupedCountsTheAbort's.
 func crashSurvivors(t *testing.T, run entry, seed int64, crashed int) {
 	t.Helper()
 	cfg := liveConfig(t, seed)
-	cfg.Crash = map[int]int{crashed: 10}
-	rep := run(t, cfg, memWorld(cfg.N))
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: seed, CrashAfterSends: map[int]int{crashed: 40}})
+	rep := run(t, cfg, world, nil)
 	if rep.FinalAccuracy < 0.9 {
 		t.Fatalf("accuracy %.3f after crash, want >= 0.9", rep.FinalAccuracy)
 	}
@@ -49,7 +51,8 @@ func crashSurvivors(t *testing.T, run entry, seed int64, crashed int) {
 	}
 }
 
-func TestLiveCrashSurvivors(t *testing.T) { crashSurvivors(t, runBounded, 50, 3) }
+func TestLiveCrashSurvivors(t *testing.T)          { crashSurvivors(t, runBounded, 50, 3) }
+func TestLiveCrashViaFaultyTransport(t *testing.T) { crashSurvivors(t, runBounded, 56, 3) }
 
 // With one RunWorker per rank the control frames share the data world, the
 // controller sits on rank 0 and the final average is a gather over the
@@ -65,9 +68,9 @@ func TestRunRankZeroCrash(t *testing.T) { crashSurvivors(t, runBounded, 59, 0) }
 // with each other and finish.
 func TestLiveTwoCrashes(t *testing.T) {
 	cfg := liveConfig(t, 51)
-	cfg.Crash = map[int]int{1: 8, 3: 14}
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 51, CrashAfterSends: map[int]int{1: 16, 3: 28}})
 
-	rep, err := Run(cfg, memWorld(cfg.N))
+	rep, err := Run(cfg, world)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +90,9 @@ func TestLiveTwoCrashes(t *testing.T) {
 func TestLiveCrashShrinksGroupSize(t *testing.T) {
 	cfg := liveConfig(t, 52)
 	cfg.N, cfg.P = 4, 3
-	cfg.Crash = map[int]int{0: 12}
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 52, CrashAfterSends: map[int]int{0: 48}})
 
-	rep, err := Run(cfg, memWorld(cfg.N))
+	rep, err := Run(cfg, world)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +114,10 @@ func TestLiveCrashShrinksGroupSize(t *testing.T) {
 func TestLiveCrashDynamicWeighting(t *testing.T) {
 	cfg := liveConfig(t, 54)
 	cfg.Weighting = controller.Dynamic
-	cfg.Crash = map[int]int{1: 15}
 	cfg.Iters = 80
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 54, CrashAfterSends: map[int]int{1: 30}})
 
-	rep, err := Run(cfg, memWorld(cfg.N))
+	rep, err := Run(cfg, world)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,52 +129,20 @@ func TestLiveCrashDynamicWeighting(t *testing.T) {
 	}
 }
 
-// Config validation of the fault-injection knobs.
-func TestFaultConfigValidate(t *testing.T) {
-	mutations := []func(*Config){
-		func(c *Config) { c.Crash = map[int]int{9: 5} },             // out of range
-		func(c *Config) { c.Crash = map[int]int{1: 0} },             // iter < 1
-		func(c *Config) { c.Crash = map[int]int{1: c.Iters + 1} },   // iter > Iters
-		func(c *Config) { c.Crash = map[int]int{0: 1, 1: 1, 2: 1} }, // too many
-	}
-	for i, mutate := range mutations {
-		cfg := liveConfig(t, 55)
-		mutate(&cfg)
-		if cfg.Validate() == nil {
-			t.Errorf("fault mutation %d accepted", i)
-		}
-	}
-	good := liveConfig(t, 55)
-	good.Crash = map[int]int{1: 5}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid fault config rejected: %v", err)
-	}
-}
-
-// The host rank must refuse to crash: in a multi-process world the
-// controller shares rank 0's process.
-func TestRunWorkerFaultValidation(t *testing.T) {
-	cfg := liveConfig(t, 58)
-	cfg.Crash = map[int]int{0: 5}
-	world := memWorld(cfg.N)
-	if _, err := RunWorker(cfg, world[0], true); err == nil {
-		t.Fatal("controller-host crash accepted")
-	}
-}
-
-// The §4 asymmetry, executable: the same crash schedule that P-Reduce
-// recovers from (TestLiveCrashSurvivors) kills the live All-Reduce baseline,
-// because every All-Reduce iteration needs all N workers at the barrier. The
-// run must fail with a peer-down error — and fail promptly, not hang.
+// The §4 asymmetry, executable: a crash like the one P-Reduce recovers from
+// (TestLiveCrashSurvivors: rank 3, seed 50) kills the live All-Reduce
+// baseline, because every All-Reduce iteration needs all N workers at the
+// barrier. The run must fail with a peer-down error — and fail promptly, not
+// hang.
 func TestLiveAllReduceCrashFails(t *testing.T) {
-	cfg := liveConfig(t, 50) // same seed and schedule as the P-Reduce test
-	cfg.Crash = map[int]int{3: 10}
+	cfg := liveConfig(t, 50)
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 50, CrashAfterSends: map[int]int{3: 60}})
 
 	done := make(chan struct{})
 	var rep *Report
 	var err error
 	go func() {
-		rep, err = RunAllReduce(cfg, memWorld(cfg.N))
+		rep, err = RunAllReduce(cfg, world)
 		close(done)
 	}()
 	select {
@@ -184,52 +155,5 @@ func TestLiveAllReduceCrashFails(t *testing.T) {
 	}
 	if !transport.IsFailure(err) {
 		t.Fatalf("all-reduce failed with %v, want a peer-down failure", err)
-	}
-}
-
-// A crash over the fault-injecting transport wrapper: the FaultyTransport's
-// CrashAfterSends schedule kills a rank from below (mid-collective, not at
-// the polite post-signal point), and the runtime still recovers: peers report
-// the corpse from inside the collective, and the rank itself — its own
-// endpoint failing under it — leaves through the control plane.
-func TestLiveCrashViaFaultyTransport(t *testing.T) {
-	cfg := liveConfig(t, 56)
-
-	inner := memWorld(cfg.N)
-	eps, err := transport.NewFaultyWorld(inner, transport.FaultPlan{
-		Seed:            56,
-		CrashAfterSends: map[int]int{3: 40},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	world := make([]transport.Transport, cfg.N)
-	for i, e := range eps {
-		world[i] = e
-	}
-
-	done := make(chan struct{})
-	var rep *Report
-	var runErr error
-	go func() {
-		rep, runErr = Run(cfg, world)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("run hung after transport-level crash")
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if rep.Failures < 1 {
-		t.Fatalf("failures = %d, want >= 1", rep.Failures)
-	}
-	if rep.Completed[3] {
-		t.Fatal("crashed rank marked completed")
-	}
-	if rep.FinalAccuracy < 0.85 {
-		t.Fatalf("accuracy %.3f", rep.FinalAccuracy)
 	}
 }

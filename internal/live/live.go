@@ -86,30 +86,13 @@ type Config struct {
 	// simulator's applied-update count.
 	Elastic hetero.ElasticSchedule
 
-	// Crash maps worker id -> local iteration at which the worker crashes.
-	// The crash lands at the worst possible moment for the protocol: the
-	// worker dies immediately after sending that iteration's ready signal,
-	// so the controller (not yet knowing) can form a group containing the
-	// corpse and the surviving members must detect the failure inside the
-	// collective and recover — exactly the hazard §4 describes.
-	Crash map[int]int
-
-	// CtrlCrashAfter crashes the controller after that many groups have been
-	// dispatched (0: never). The in-flight group replies are lost with it;
-	// workers recover by re-sending their ready signals after CtrlTimeout.
-	// Restart is warm (Snapshot/Restore) unless CtrlCold is set, in which
-	// case the replacement controller is rebuilt purely from the re-sent
-	// signals (plus the service's memory of known deaths, re-taught at once).
-	CtrlCrashAfter int
-	// CtrlCold selects the cold-rebuild failover path.
-	CtrlCold bool
 	// CtrlTimeout bounds a worker's wait for a group reply: on expiry the
 	// worker re-sends its ready signal (idempotent — the service recognizes
 	// retransmissions), and after ctrlResendLimit unanswered re-sends it
 	// takes the controller for unreachable and withdraws — so choose it well
-	// above a ninth of the longest wait a healthy run can see. Required when
-	// CtrlCrashAfter > 0; zero means wait forever (safe only when the
-	// controller cannot crash and no control frame can be lost).
+	// above a ninth of the longest wait a healthy run can see. Zero means
+	// wait forever: safe only while no reply can be lost (no controller
+	// failover, no lossy control link).
 	CtrlTimeout time.Duration
 
 	// Tracer, when non-nil, records the run's timeline: worker iteration
@@ -164,29 +147,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: need at least one iteration")
 	case c.SegmentElems < 0:
 		return fmt.Errorf("live: negative SegmentElems %d", c.SegmentElems)
-	}
-	for w, it := range c.Crash {
-		if w < 0 || w >= c.N {
-			return fmt.Errorf("live: crash worker %d out of range [0,%d)", w, c.N)
-		}
-		if it < 1 || it > c.Iters {
-			return fmt.Errorf("live: crash iteration %d for worker %d outside [1,%d]", it, w, c.Iters)
-		}
-	}
-	if len(c.Crash) >= c.N-1 {
-		return fmt.Errorf("live: %d crashes leave fewer than 2 of %d workers", len(c.Crash), c.N)
-	}
-	if c.CtrlCrashAfter < 0 {
-		return fmt.Errorf("live: negative CtrlCrashAfter")
-	}
-	if c.CtrlTimeout < 0 || c.CollectiveTimeout < 0 {
+	case c.CtrlTimeout < 0 || c.CollectiveTimeout < 0:
 		return fmt.Errorf("live: negative timeout")
-	}
-	if c.CtrlCrashAfter > 0 && c.CtrlTimeout == 0 {
-		return fmt.Errorf("live: CtrlCrashAfter needs CtrlTimeout (workers must re-send lost signals)")
-	}
-	if c.CtrlCrashAfter > 0 && c.CollectiveTimeout == 0 {
-		return fmt.Errorf("live: CtrlCrashAfter needs CollectiveTimeout (a crash can strand a dispatched group; bounded collectives are the recovery path)")
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err
@@ -295,7 +257,11 @@ func (r *Report) fillController(c *svcCore) controller.Stats {
 // crash like any other. A rank that leaves abnormally fails its control
 // endpoint, so the service's receive loop reports it Lost: Run needs no
 // timeout to notice a death.
-func Run(cfg Config, world []transport.Transport) (*Report, error) {
+func Run(cfg Config, world []transport.Transport) (*Report, error) { return run(cfg, world, nil) }
+
+// run is Run with the controller service's failover input (see
+// runControllerService); Run passes nil, which never fires.
+func run(cfg Config, world []transport.Transport, failover <-chan bool) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -324,7 +290,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	svcDone := make(chan struct{})
 	go func() {
 		defer close(svcDone)
-		if svc, svcErr = runControllerService(cfg, ctrl, newWireSink(ctl[cfg.N], cfg.N)); svcErr != nil {
+		if svc, svcErr = runControllerService(cfg, ctrl, newWireSink(ctl[cfg.N], cfg.N), failover); svcErr != nil {
 			closeAll() // nobody will answer: fail every pending control receive
 		}
 	}()
@@ -426,8 +392,7 @@ func unixSeconds(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
 // newLiveWorker assembles rank id's engine worker: live environment
 // (collective options, telemetry sinks, a data-plane stats accumulator at
 // Env.Copts.Stats) plus fresh training state — a replica of base, a new
-// optimizer, the rank's own sampler stream — with the configured crash
-// injection armed.
+// optimizer, the rank's own sampler stream.
 func newLiveWorker(cfg Config, id int, tr transport.Transport, base model.Model, shard *data.Dataset, init tensor.Vector) *engine.LiveWorker {
 	pol := cfg.Retry
 	if pol.Seed == 0 {
@@ -452,15 +417,13 @@ func newLiveWorker(cfg Config, id int, tr transport.Transport, base model.Model,
 		Iters:        cfg.Iters,
 		BatchSize:    cfg.BatchSize,
 		ComputeDelay: cfg.ComputeDelay,
-		CrashAt:      cfg.Crash[id], // zero when id never crashes
 	}
 }
 
 // bootstrapJoiner receives the donor's served model state under bootstrap op
 // id op and installs it in joining worker w, which then starts at the donor's
-// iteration and does not crash (the injection is for founders). A transport
-// failure (transport.IsFailure) means the donor died mid-transfer: the caller
-// reports a join abort and the rank stays parked.
+// iteration. A transport failure (transport.IsFailure) means the donor died
+// mid-transfer: the caller reports a join abort and the rank stays parked.
 func bootstrapJoiner(cfg Config, w *engine.LiveWorker, donor int, op uint32) error {
 	id := w.Env.Rank
 	st, err := collective.BootstrapRecv(w.Env.Trans, donor, op, w.Env.Copts)
@@ -468,7 +431,7 @@ func bootstrapJoiner(cfg Config, w *engine.LiveWorker, donor int, op uint32) err
 		return fmt.Errorf("live: worker %d bootstrap from %d: %w", id, donor, err)
 	}
 	w.Model.SetParams(tensor.Vector(st.Params))
-	w.StartIter, w.CrashAt = st.Iter, 0
+	w.StartIter = st.Iter
 	if err := w.Opt.Restore(tensor.Vector(st.Velocity), st.Step); err != nil {
 		return fmt.Errorf("live: worker %d bootstrap restore: %w", id, err)
 	}

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"net"
 	goruntime "runtime"
 	"sync"
@@ -269,15 +270,23 @@ func TestLiveAllReduceConverges(t *testing.T) {
 	}
 }
 
+// RunAllReduce checks its own config (it does not run Validate, which asks
+// for P-Reduce's knobs): every bad field is an error, never a panic.
 func TestLiveAllReduceValidation(t *testing.T) {
 	cfg := liveConfig(t, 31)
 	if _, err := RunAllReduce(cfg, memWorld(2)); err == nil {
 		t.Fatal("world mismatch accepted")
 	}
-	bad := cfg
-	bad.Iters = 0
-	if _, err := RunAllReduce(bad, memWorld(cfg.N)); err == nil {
-		t.Fatal("zero iters accepted")
+	for name, mutate := range map[string]func(*Config){
+		"zero iters":       func(c *Config) { c.Iters = 0 },
+		"nil spec":         func(c *Config) { c.Spec = nil },
+		"negative segment": func(c *Config) { c.SegmentElems = -1 },
+	} {
+		bad := cfg
+		mutate(&bad)
+		if _, err := RunAllReduce(bad, memWorld(cfg.N)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -340,7 +349,11 @@ func TestLiveTransportFailureDoesNotHang(t *testing.T) {
 	}
 }
 
-func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport) []*Report {
+// runWorkerWorld runs one RunWorker per rank, rank 0 hosting the controller
+// (and taking failover, nil for none). A rank the fault plan killed fails
+// with its own endpoint down: that error is the expected end and leaves its
+// report nil; any other error fails the test.
+func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport, failover <-chan bool) []*Report {
 	t.Helper()
 	reports := make([]*Report, cfg.N)
 	errs := make([]error, cfg.N)
@@ -350,12 +363,13 @@ func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport) []*Re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[r], errs[r] = RunWorker(cfg, world[r], r == 0)
+			reports[r], errs[r] = runWorker(cfg, world[r], r == 0, failover)
 		}()
 	}
 	wg.Wait()
 	for r, err := range errs {
-		if err != nil {
+		var down *transport.PeerDownError
+		if err != nil && !(errors.As(err, &down) && down.Peer == r) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
@@ -367,7 +381,7 @@ func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport) []*Re
 func TestRunWorkerProtocol(t *testing.T) {
 	cfg := liveConfig(t, 40)
 	cfg.Iters = 100
-	reports := runWorkerWorld(t, cfg, memWorld(cfg.N))
+	reports := runWorkerWorld(t, cfg, memWorld(cfg.N), nil)
 	if reports[0].FinalAccuracy < 0.9 {
 		t.Fatalf("multi-process accuracy %.3f", reports[0].FinalAccuracy)
 	}
@@ -490,7 +504,7 @@ func TestRunWorkerDynamicOverTCP(t *testing.T) {
 			w.Close()
 		}
 	}()
-	reports := runWorkerWorld(t, cfg, world)
+	reports := runWorkerWorld(t, cfg, world, nil)
 	if reports[0].FinalAccuracy < 0.85 {
 		t.Fatalf("TCP multi-process accuracy %.3f", reports[0].FinalAccuracy)
 	}

@@ -21,10 +21,9 @@ import (
 //
 // The core owns the liveness bookkeeping (who waits for a reply, who is
 // inside a dispatched collective, who is dead, drained or finished), the
-// elastic schedule cursor, the controller-failover harness, the stats
-// carried across controller incarnations, and the watchdog evaluation. The
-// adapter owns only the failure detector (its receive loops), which reports
-// through Lost.
+// elastic schedule cursor, controller failover, the stats carried across
+// controller incarnations, and the watchdog evaluation. The adapter owns only
+// the failure detector (its receive loops), which reports through Lost.
 
 // bootOpBase is the first bootstrap-transfer op id: a disjoint space from the
 // group ops (which count up from 1), so an op abort can never collide with an
@@ -76,7 +75,7 @@ type svcCore struct {
 	active    int // workers believed alive and not yet finished
 
 	opSeq  uint32
-	groups int // groups dispatched: the failover and elastic trigger
+	groups int // groups dispatched: the elastic trigger
 
 	// Elastic membership. Events trigger on the dispatched-group count, the
 	// live counterpart of the simulator's applied-update counter (identical
@@ -90,7 +89,6 @@ type svcCore struct {
 	drained      []bool
 	bootOp       uint32
 
-	crashed  bool
 	restarts int
 	carry    controller.Stats // counters of lost controller incarnations
 }
@@ -164,7 +162,7 @@ func (c *svcCore) Ready(w, iter int, seq, epoch uint64, now float64) {
 			c.answer(w, engine.Directive{Skip: true})
 		}
 	}
-	c.settle()
+	c.release()
 }
 
 // Finished is worker w announcing it completed all its iterations.
@@ -174,13 +172,13 @@ func (c *svcCore) Finished(w int) {
 		c.inOp[w] = false
 		c.active--
 	}
-	c.settle()
+	c.release()
 }
 
 // Death is a survivor's report that dead went down inside collective op.
 func (c *svcCore) Death(dead int, op uint32) {
 	c.markDead(dead, op)
-	c.settle()
+	c.release()
 }
 
 // Lost is the adapter's failure detector (or an undeliverable effect)
@@ -197,7 +195,7 @@ func (c *svcCore) Stuck(op uint32) {
 		c.carry.GroupsAborted++
 		c.abortOp(g, op, -1)
 	}
-	c.settle()
+	c.release()
 }
 
 // JoinAbort is joiner w reporting its bootstrap transfer failed (donor lost
@@ -208,13 +206,13 @@ func (c *svcCore) JoinAbort(w int) {
 	if c.ctrl.IsMember(w) && !c.ctrl.IsDraining(w) && c.ctrl.IsAlive(w) {
 		c.retire(w)
 	}
-	c.settle()
+	c.release()
 }
 
 // Tick evaluates the watchdog at health-clock time now.
 func (c *svcCore) Tick(now float64) {
 	c.evalWatchdog(now)
-	c.settle()
+	c.release()
 }
 
 // Exit is the end of service: one last watchdog evaluation, so a run shorter
@@ -240,13 +238,6 @@ func (c *svcCore) fail(err error) {
 	}
 }
 
-// settle runs after every event: release the tail if it is stranded, then
-// give the failover harness its chance between two events.
-func (c *svcCore) settle() {
-	c.release()
-	c.maybeCrash()
-}
-
 // answer delivers d as the one reply to w's pending signal.
 func (c *svcCore) answer(w int, d engine.Directive) {
 	if !c.waiting[w] {
@@ -265,7 +256,7 @@ func (c *svcCore) dispatch(groups []controller.Group) {
 		c.groups++
 		for _, m := range g.Members {
 			c.lastOp[m], c.lastOpID[m], c.inOp[m] = g, c.opSeq, true
-			if !c.waiting[m] && !c.crashed {
+			if !c.waiting[m] && c.restarts == 0 {
 				c.fail(fmt.Errorf("live: controller grouped worker %d with no pending signal", m))
 			}
 			// After a failover a member's reply bookkeeping may have died
@@ -292,12 +283,12 @@ func (c *svcCore) checkElastic() {
 	}
 }
 
-// release handles the stranded tail: every still-active worker is queued and
-// the controller formed no group for them (fewer than the effective group
-// size remain, or the filter is deferring for a bridge signal that can no
-// longer arrive). No progress is possible without releasing them to proceed
-// solo. Their queued signals are purged so the re-signal after the solo step
-// is accepted cleanly.
+// release ends every event by handling the stranded tail: every still-active
+// worker is queued and the controller formed no group for them (fewer than
+// the effective group size remain, or the filter is deferring for a bridge
+// signal that can no longer arrive). No progress is possible without
+// releasing them to proceed solo. Their queued signals are purged so the
+// re-signal after the solo step is accepted cleanly.
 func (c *svcCore) release() {
 	if c.nWaiting == 0 || c.nWaiting != c.active {
 		return
@@ -414,25 +405,20 @@ func (c *svcCore) admit(donor int, now float64) {
 	c.answer(donor, engine.Directive{Bootstrap: true, BootstrapFor: j, BootstrapOp: c.bootOp})
 }
 
-// maybeCrash is the controller-failover harness: after Config.CtrlCrashAfter
-// dispatched groups the controller object is destroyed between two events
-// and replaced — warm from a crash-point Snapshot, or cold from the bare
+// Failover is the controller crashing and being replaced between two events —
+// warm from a Snapshot taken at the crash point, or (cold) from the bare
 // config. The reply bookkeeping dies with the incarnation; workers whose
-// replies were lost re-send their signals when their bounded waits expire,
-// and the retransmissions re-attach (warm) or re-queue (cold). Everything
-// else in the core survives, as a real deployment's failure detector and
-// fabric state would.
-func (c *svcCore) maybeCrash() {
+// replies were lost re-send their signals when their bounded waits expire
+// (Config.CtrlTimeout), and the retransmissions re-attach (warm) or re-queue
+// (cold). Everything else in the core survives, as a real deployment's
+// failure detector and fabric state would.
+func (c *svcCore) Failover(cold bool) {
 	cfg := c.cfg
-	if c.crashed || cfg.CtrlCrashAfter <= 0 || c.groups < cfg.CtrlCrashAfter {
-		return
-	}
-	c.crashed = true
 	pol := c.ctrl.Policy()
 	kind := trace.KCtrlRestore
 	var next *controller.Controller
 	var err error
-	if cfg.CtrlCold {
+	if cold {
 		// Only the effective config survives; queue, sync-graph and counters
 		// are rebuilt from worker re-signals. Known deaths are re-taught at
 		// once (the fresh controller believes everyone is alive) and, being
@@ -462,7 +448,7 @@ func (c *svcCore) maybeCrash() {
 	next.SetTracer(cfg.Tracer)
 	next.SetInstruments(cfg.Instruments)
 	if pol != nil {
-		if cfg.CtrlCold {
+		if cold {
 			pol.Reset()
 		}
 		if err := next.SetPolicy(pol); err != nil {

@@ -121,9 +121,10 @@ func (h *coreHarness) death(dead int, op uint32) {
 	h.c.Death(dead, op)
 	h.after()
 }
-func (h *coreHarness) lost(w int)      { h.inGroup[w] = 0; h.c.Lost(w); h.after() }
-func (h *coreHarness) stuck(op uint32) { h.c.Stuck(op); h.after() }
-func (h *coreHarness) joinAbort(w int) { h.c.JoinAbort(w); h.after() }
+func (h *coreHarness) lost(w int)         { h.inGroup[w] = 0; h.c.Lost(w); h.after() }
+func (h *coreHarness) stuck(op uint32)    { h.c.Stuck(op); h.after() }
+func (h *coreHarness) joinAbort(w int)    { h.c.JoinAbort(w); h.after() }
+func (h *coreHarness) failover(cold bool) { h.c.Failover(cold); h.after() }
 
 // groupReplies extracts the group directives among effects, keyed by worker.
 func groupReplies(t *testing.T, effects []effect) map[int]engine.Directive {
@@ -349,15 +350,14 @@ func TestCoreJoinViaDonorAndJoinAbort(t *testing.T) {
 func TestCoreFailoverKeepsDeadSetAndStats(t *testing.T) {
 	for _, cold := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cold=%t", cold), func(t *testing.T) {
-			cfg := coreConfig(4, 2)
-			cfg.CtrlCrashAfter, cfg.CtrlCold = 2, cold
-			h := newCoreHarness(t, cfg)
+			h := newCoreHarness(t, coreConfig(4, 2))
 			h.ready(0, 1)
 			h.ready(1, 1) // op 1
 			h.death(1, 1)
 			h.take()
-			h.ready(2, 1) // waits; its reply bookkeeping will die in the crash
-			h.ready(0, 1) // op 2 = {2, 0} → the harness fires after this event
+			h.ready(2, 1)    // waits; its reply bookkeeping will die in the crash
+			h.ready(0, 1)    // op 2 = {2, 0} …
+			h.failover(cold) // … and then the controller crashes
 			if got := groupReplies(t, h.take()); len(got) != 2 {
 				t.Fatalf("want op 2 dispatched before the crash, got %+v", got)
 			}
@@ -390,12 +390,9 @@ func TestCoreFailoverKeepsDeadSetAndStats(t *testing.T) {
 // retransmission must re-attach to the queued signal — not queue a second
 // one — and the eventual group answers it once.
 func TestCoreRetransmitAfterWarmFailoverReattaches(t *testing.T) {
-	cfg := coreConfig(4, 2)
-	cfg.CtrlCrashAfter = 1
-	h := newCoreHarness(t, cfg)
-	h.ready(3, 1)  // queued and waiting …
-	h.c.groups = 1 // … when the harness fires (white-box: pretend a group went out)
-	h.c.Tick(0)    // any event gives the harness its chance
+	h := newCoreHarness(t, coreConfig(4, 2))
+	h.ready(3, 1)     // queued and waiting …
+	h.failover(false) // … when the controller crashes
 	if h.c.restarts != 1 || h.c.nWaiting != 0 || !h.c.ctrl.IsQueued(3) {
 		t.Fatalf("want a warm restart holding 3's signal with no reply bookkeeping: restarts=%d nWaiting=%d queued=%t",
 			h.c.restarts, h.c.nWaiting, h.c.ctrl.IsQueued(3))

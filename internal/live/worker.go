@@ -39,9 +39,14 @@ const ctrlResendLimit = 8
 // loop for rank tr.Rank(), plus the controller service when host is true
 // (exactly one rank — conventionally 0 — must host). It returns the final
 // report; non-host ranks get a report without the averaged-model accuracy
-// and the controller's counters. A rank configured to crash returns a
-// nil-error report marked Completed[0] == false once it has "died".
+// and the controller's counters.
 func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
+	return runWorker(cfg, tr, host, nil)
+}
+
+// runWorker is RunWorker with the host's failover input (see
+// runControllerService); RunWorker passes nil, which never fires.
+func runWorker(cfg Config, tr transport.Transport, host bool, failover <-chan bool) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -49,10 +54,6 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		return nil, fmt.Errorf("live: transport world %d != N %d", tr.Size(), cfg.N)
 	}
 	ctrlRank := 0
-	if _, ok := cfg.Crash[ctrlRank]; ok {
-		return nil, fmt.Errorf("live: rank %d hosts the controller and cannot crash (run the controller on a reliable node, or replicate it)", ctrlRank)
-	}
-
 	var svc *svcCore
 	ctrlErr := make(chan error, 1)
 	gathered := make(chan struct{}) // closed when the root's final gather is over
@@ -67,7 +68,7 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		out := newWireSink(tr, cfg.N)
 		go func() {
 			var err error
-			if svc, err = runControllerService(cfg, ctrl, out); err == nil {
+			if svc, err = runControllerService(cfg, ctrl, out, failover); err == nil {
 				err = out.releaseRoster(svc.completed, gathered)
 			}
 			ctrlErr <- err
@@ -153,9 +154,12 @@ func (s *wireSink) startJoin(j, donor int, op uint32) {
 // events, and out sends the core's effects back as control frames. The
 // receive loops double as the failure detector: a worker whose connection
 // breaks, or that failed its endpoint on the way out, fails its pending
-// receive with a peer-down error, which the loop reports as Lost. It serves
-// until no worker is active, dismisses the parked ranks and returns the core.
-func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink) (*svcCore, error) {
+// receive with a peer-down error, which the loop reports as Lost. Each value
+// received on failover is a controller crash the core recovers from
+// (svcCore.Failover; true: cold): the way a test stages one at a chosen point
+// of the run. It serves until no worker is active, dismisses the parked ranks
+// and returns the core.
+func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink, failover <-chan bool) (*svcCore, error) {
 	tr := out.tr
 	type event struct {
 		readyMsg
@@ -199,6 +203,8 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 		select {
 		case <-wdTick:
 			c.Tick(healthNow())
+		case cold := <-failover:
+			c.Failover(cold)
 		case ev := <-events:
 			switch {
 			case ev.err != nil:
@@ -355,12 +361,6 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 	return d, nil
 }
 
-func (c *wireControl) SignalNoWait(iter int) {
-	// Crash injection: the signal goes out and the sender dies without
-	// reading the reply, so the send error (if any) is irrelevant.
-	_ = c.send(readyMsg{kind: evReady, iter: iter, epoch: c.epoch})
-}
-
 func (c *wireControl) ReportDeath(dead int, _ controller.Group, opID uint32) error {
 	return c.report(readyMsg{kind: evDeath, dead: dead, op: opID})
 }
@@ -393,9 +393,9 @@ type rankEnd struct {
 // read. An abort-listener goroutine applies the host's abort notifications to
 // tr, waking this rank if it is blocked in a collective behind a dead peer.
 //
-// A rank that leaves abnormally — injected crash, declared dead, hard error —
-// fails its control endpoint, which is what the host's receive loop detects;
-// an injected crash fails the data endpoint too, so peers see the corpse.
+// A rank that leaves abnormally — declared dead (a crash of its own endpoint
+// shows as one), hard error — fails its control endpoint, which is what the
+// host's receive loop detects.
 func runRank(cfg Config, tr, ctl transport.Transport, ctrlRank int, base model.Model, init tensor.Vector, shard *data.Dataset) (end rankEnd, err error) {
 	id := tr.Rank()
 	defer func() {
@@ -468,12 +468,6 @@ func runRank(cfg Config, tr, ctl transport.Transport, ctrlRank int, base model.M
 		switch {
 		case err != nil || out.DeadErr != nil:
 			return end, err
-		case out.Crashed:
-			// The engine already sent the in-flight ready signal; complete the
-			// fail-stop so peers and the host observe the death.
-			tr.FailSelf()
-			ctl.FailSelf()
-			return end, nil
 		case !out.Drained:
 			end.finished = true
 			return end, nil
@@ -506,7 +500,7 @@ func runWorkerRank(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 		}
 	}
 	if !end.finished {
-		return report(), nil // crashed, or dismissed while parked
+		return report(), nil // dismissed while parked
 	}
 
 	// The host broadcasts the survivor roster; the final average runs over
