@@ -9,9 +9,9 @@ GO ?= go
 # under the race detector as part of tier-1.
 RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
 
-.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard callerless bench bench-smoke fuzz sweepdiff loc clean
+.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke chargeguard callerless bench bench-smoke fuzz sweepdiff loc clean
 
-ci: vet build test race allocgate flakegate chaos trace-smoke postmortem-smoke chargeguard callerless bench-smoke
+ci: vet build test race allocgate flakegate chaos trace-smoke chargeguard callerless bench-smoke
 
 # Charge-drift guard: the simulator's traffic accounting is folded into the
 # engine's SimEnv (GroupRing/WorldRing/Exchanges), so a strategy that calls
@@ -83,19 +83,15 @@ chaos:
 	PREDUCE_CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race ./internal/live/ -run TestChaosSoak -count 1
 	$(GO) test -race ./internal/policy/ -count 1
 
-# End-to-end observability smoke: a seeded simulator trace export, a seeded
-# three-rank live run serving /metrics+pprof (scraped mid-run), and a Chrome
-# trace-event schema check over every exported trace.
+# End-to-end observability smoke: a seeded simulator trace export and one
+# seeded three-rank straggler run that serves /metrics+pprof (scraped
+# mid-run), dumps the scoreboard, and arms the watchdog and flight recorder
+# (/healthz must flip to 503 naming blame-spike; exactly one postmortem
+# bundle must land). preduce-analyze -validate then reads every artifact:
+# the Chrome traces, the merged live traces, and the bundle with the blame
+# report of its trace ring.
 trace-smoke:
 	sh scripts/trace_smoke.sh
-
-# End-to-end health-plane smoke: a seeded three-rank live run with an
-# injected straggler and the watchdog armed; /healthz must flip to 503 with
-# blame-spike firing, exactly one postmortem bundle must land in the
-# recorder directory, and preduce-postmortem must validate and render it
-# (including the blame report recomputed from the bundled trace ring).
-postmortem-smoke:
-	sh scripts/postmortem_smoke.sh
 
 # Training-step microbenchmarks, printed for a human: nothing is written and
 # no absolute number is compared (an ns/op recorded on one machine says

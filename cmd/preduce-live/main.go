@@ -112,7 +112,7 @@ func main() {
 	watchdogEvery := flag.Duration("watchdog-every", time.Second,
 		"watchdog evaluation cadence on the controller host (rank 0)")
 	postmortemDir := flag.String("postmortem-dir", "",
-		"rank 0: write a postmortem bundle (trace ring, controller snapshot, metrics, scoreboard, firing rules, run config) here whenever a watchdog rule fires, and on SIGINT/SIGTERM; inspect with preduce-postmortem")
+		"rank 0: write a postmortem bundle (trace ring, controller snapshot, metrics, scoreboard, firing rules, run config) here whenever a watchdog rule fires, and on SIGINT/SIGTERM; read them with preduce-analyze DIR")
 	flag.Parse()
 
 	list := strings.Split(*addrs, ",")
@@ -179,7 +179,7 @@ func main() {
 	var wd *health.Watchdog
 	var rec *health.Recorder
 	if *rank == 0 && (slo != (health.SLO{}) || *postmortemDir != "") {
-		wd = health.New(health.Config{SLO: slo})
+		wd = health.New(slo)
 		if *postmortemDir != "" {
 			runCfg, err := json.MarshalIndent(struct {
 				N             int        `json:"n"`
@@ -368,7 +368,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "rank %d: done in %s\n", *rank, time.Since(start).Round(time.Millisecond))
 	flushTrace()
 	if rec != nil && len(rec.Written()) > 0 {
-		fmt.Fprintf(os.Stderr, "rank %d: %d postmortem bundle(s) in %s (inspect with preduce-postmortem)\n",
+		fmt.Fprintf(os.Stderr, "rank %d: %d postmortem bundle(s) in %s (read them with preduce-analyze %[3]s)\n",
 			*rank, len(rec.Written()), *postmortemDir)
 	}
 	if *commStats {

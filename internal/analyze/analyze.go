@@ -16,12 +16,11 @@ package analyze
 //  2. Group reconstruction + blame — each controller group-formed
 //     instant plus its staleness membership records give the group's
 //     members; each member's arrival is its last accepted ready instant
-//     at or before formation. The critical member is the last to
-//     arrive (tie → the later-queued member). Blame charges the
-//     critical member with the sum of everyone else's arrival-to-
-//     critical-arrival gaps — the seconds of other workers' time it
-//     consumed; the formation-to-critical-arrival gap is controller
-//     "defer" time, charged to nobody.
+//     at or before formation. metrics.Attribute, the rule the online
+//     scoreboard also applies, names the critical (last-arriving)
+//     member and charges it the others' arrival gaps; the
+//     formation-to-critical-arrival gap is controller "defer" time,
+//     charged to nobody.
 //
 //  3. Critical path — the run is cut at group formations; the segment
 //     ending at each formation is attributed to that group's critical
@@ -34,6 +33,7 @@ import (
 	"math"
 	"sort"
 
+	"partialreduce/internal/metrics"
 	"partialreduce/internal/trace"
 )
 
@@ -317,23 +317,10 @@ func Analyze(m *Merged) (*Report, error) {
 				g.Waits = append(g.Waits, f.ts-a)
 			}
 		}
-		// Critical member: latest arrival; ties go to the later-queued
-		// member (higher index — FIFO pop order is queue order).
-		critIdx, critAt := -1, math.Inf(-1)
-		for i, a := range g.Arrivals {
-			if !math.IsNaN(a) && a >= critAt {
-				critAt, critIdx = a, i
-			}
-		}
-		if critIdx >= 0 {
+		if critIdx, induced := metrics.Attribute(g.Arrivals); critIdx >= 0 {
 			g.Critical = g.Members[critIdx]
-			g.Defer = g.Formed - critAt
-			for i, a := range g.Arrivals {
-				if i == critIdx || math.IsNaN(a) {
-					continue
-				}
-				g.Induced += critAt - a
-			}
+			g.Induced = induced
+			g.Defer = g.Formed - g.Arrivals[critIdx]
 		}
 		r.Groups = append(r.Groups, g)
 		for i, w := range g.Members {

@@ -2,10 +2,12 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"partialreduce/internal/metrics"
 	"partialreduce/internal/trace"
 )
 
@@ -270,5 +272,77 @@ func TestValidateMergedCatchesOrphanMembership(t *testing.T) {
 	}
 	if _, err := ValidateMerged(m, 0); err == nil {
 		t.Fatal("orphan staleness membership accepted")
+	}
+}
+
+// TestAttributionOnlineEqualsOffline: the offline ledger (Analyze over a
+// trace) and the online feed (Instruments.AddGroupRelease at each group's
+// release) apply one blame rule, so the same arrivals give the same
+// per-rank numbers bit for bit. Group 1's arrivals are chosen so that the
+// wait-difference form Σ (wait_i − wait_c) rounds differently from the
+// arrival-difference form Σ (a_c − a_i); group 2 ties (the later-queued
+// member is critical); group 3 has a member with no ready instant.
+func TestAttributionOnlineEqualsOffline(t *testing.T) {
+	nan := math.NaN()
+	groups := []struct {
+		formed   float64
+		members  []int
+		iters    []int
+		arrivals []float64 // NaN: the member's ready instant is missing
+	}{
+		{0.5, []int{0, 1, 2}, []int{1, 1, 1}, []float64{0.1, 0.35, 0.45}},
+		{1.0, []int{1, 2}, []int{2, 2}, []float64{0.75, 0.75}},
+		{1.4, []int{0, 2}, []int{2, 3}, []float64{1.3, nan}},
+		{2.05, []int{2, 0, 1}, []int{4, 3, 3}, []float64{1.9, 1.6, 2.0}},
+	}
+	var jsonl strings.Builder
+	line := func(ts float64, kind string, track, iter int, a, b int64) {
+		fmt.Fprintf(&jsonl, `{"ts":%v,"dur":0,"kind":%q,"track":%d,"iter":%d,"a":%d,"b":%d}`+"\n", ts, kind, track, iter, a, b)
+	}
+	online := metrics.NewInstruments(3)
+	for g, grp := range groups {
+		seq, maxIter := int64(g+1), 0
+		for i, w := range grp.members {
+			maxIter = max(maxIter, grp.iters[i])
+			if !math.IsNaN(grp.arrivals[i]) {
+				line(grp.arrivals[i], "ready", w, grp.iters[i], 0, 0)
+			}
+		}
+		line(grp.formed, "group-formed", int(trace.ControllerTrack), maxIter, seq, int64(len(grp.members)))
+		for i, w := range grp.members {
+			line(grp.formed, "staleness", w, grp.iters[i], int64(maxIter-grp.iters[i]), seq)
+		}
+		online.AddGroupRelease(grp.members, grp.arrivals, grp.formed)
+	}
+
+	events, err := ParseJSONL(strings.NewReader(jsonl.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Merge([]RankTrace{{Rank: -1, Events: events}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Analyze(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := online.Snapshot()
+	if len(rep.Ranks) != 3 {
+		t.Fatalf("offline ledger has %d ranks, want 3", len(rep.Ranks))
+	}
+	for _, rs := range rep.Ranks {
+		r := rs.Rank
+		if math.Float64bits(rs.Blame) != math.Float64bits(snap.Blame[r]) ||
+			math.Float64bits(rs.Wait) != math.Float64bits(snap.GroupWait[r]) ||
+			int64(rs.Critical) != snap.CriticalN[r] || int64(rs.Groups) != snap.GroupCount[r] {
+			t.Errorf("rank %d: offline blame %v wait %v critical %d groups %d; online blame %v wait %v critical %d groups %d",
+				r, rs.Blame, rs.Wait, rs.Critical, rs.Groups,
+				snap.Blame[r], snap.GroupWait[r], snap.CriticalN[r], snap.GroupCount[r])
+		}
+	}
+	if rep.Groups[1].Critical != 2 || rep.Groups[2].Critical != 0 {
+		t.Fatalf("critical members %d, %d; want 2 (tie → later-queued) and 0 (the only known arrival)",
+			rep.Groups[1].Critical, rep.Groups[2].Critical)
 	}
 }

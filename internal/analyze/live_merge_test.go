@@ -2,9 +2,9 @@ package analyze
 
 // End-to-end live differential: a real 3-rank multi-process run (Mem
 // transport, one tracer and instrument set per rank, an injected
-// straggler) must merge cleanly, convict the straggler in both the
-// offline blame ledger and the online /metrics gauges, and reconcile
-// the two estimates.
+// straggler) must merge cleanly, convict the straggler in the offline
+// blame ledger, the online /metrics gauges and a postmortem bundle read
+// back through the bundle path, and reconcile the estimates.
 
 import (
 	"math"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"partialreduce/internal/data"
+	"partialreduce/internal/health"
 	"partialreduce/internal/live"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
@@ -25,7 +26,7 @@ import (
 
 const straggler = 2
 
-func runStragglerWorld(t *testing.T) ([]RankTrace, *metrics.Instruments) {
+func runStragglerWorld(t *testing.T) ([]RankTrace, *trace.Tracer, *metrics.Instruments) {
 	t.Helper()
 	const n, iters = 3, 50
 	ds, err := data.GaussianMixture(data.MixtureConfig{
@@ -81,14 +82,14 @@ func runStragglerWorld(t *testing.T) ([]RankTrace, *metrics.Instruments) {
 	for r := 0; r < n; r++ {
 		tracks[r] = RankTrace{Rank: r, Events: tracers[r].Events()}
 	}
-	return tracks, instruments[0] // the controller ran in rank 0's process
+	return tracks, tracers[0], instruments[0] // the controller ran in rank 0's process
 }
 
 func TestLiveThreeRankMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live multi-rank run in -short mode")
 	}
-	tracks, hostIns := runStragglerWorld(t)
+	tracks, hostTracer, hostIns := runStragglerWorld(t)
 
 	m, err := Merge(tracks)
 	if err != nil {
@@ -207,5 +208,41 @@ func TestLiveThreeRankMerge(t *testing.T) {
 	first := strings.Fields(lines[2])
 	if len(first) == 0 || first[0] != "2" {
 		t.Fatalf("scoreboard top rank = %q, want straggler 2:\n%s", first, sb.String())
+	}
+
+	// Third read-out: an operator-requested bundle captured after the run,
+	// read back through the bundle path (validate, rank rule, Merge,
+	// Analyze), convicts the same rank from the host's trace ring alone.
+	rec := health.NewRecorder(t.TempDir(), hostTracer, hostIns, nil)
+	path, err := rec.Capture("operator-requested", hostTracer.Now(), nil, health.State{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parts, ring, err := ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ring.Rank != 0 {
+		t.Fatalf("bundle ring rank %d, want host rank 0", ring.Rank)
+	}
+	bm, err := Merge([]RankTrace{ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	brep, err := Analyze(bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := brep.Ranks[0]
+	for _, rs := range brep.Ranks {
+		if rs.Blame > top.Blame {
+			top = rs
+		}
+	}
+	if top.Rank != straggler {
+		t.Fatalf("bundle ledger convicts rank %d (blame %.6f), want straggler %d", top.Rank, top.Blame, straggler)
+	}
+	if !strings.HasPrefix(string(parts[health.PartScoreboard]), "rank,recent_s,blame_s,waited_s,critical,groups\n2,") {
+		t.Fatalf("bundle scoreboard does not rank the straggler first:\n%s", parts[health.PartScoreboard])
 	}
 }

@@ -271,19 +271,6 @@ func Merge(tracks []RankTrace) (*Merged, error) {
 	return m, nil
 }
 
-// MergeFiles reads and merges the given JSONL trace files.
-func MergeFiles(paths []string) (*Merged, error) {
-	tracks := make([]RankTrace, 0, len(paths))
-	for _, p := range paths {
-		t, err := ReadTraceFile(p)
-		if err != nil {
-			return nil, err
-		}
-		tracks = append(tracks, t)
-	}
-	return Merge(tracks)
-}
-
 // hasController reports whether the event stream carries controller
 // ready instants — the signature of the process hosting the controller.
 func hasController(events []trace.Event) bool {

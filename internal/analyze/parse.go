@@ -1,12 +1,13 @@
 // Package analyze is the deterministic trace-analysis engine behind
 // cmd/preduce-analyze: it parses the JSONL event logs the trace package
-// exports, merges per-rank traces from multi-process live runs onto one
-// aligned timeline (estimating each rank's clock offset from matched
-// signal/ready and group-formed event pairs), partitions every worker
-// iteration into phases (compute, communication, retry backoff, group
-// wait, signal wait), reconstructs each P-Reduce group's arrival order,
-// and attributes blocked time to the rank that caused it — the offline
-// counterpart of the live blame instruments in internal/metrics.
+// exports (as files, or as the trace ring of a postmortem bundle), merges
+// per-rank traces from multi-process live runs onto one aligned timeline
+// (estimating each rank's clock offset from matched signal/ready and
+// group-formed event pairs), partitions every worker iteration into
+// phases (compute, communication, retry backoff, group wait, signal
+// wait), reconstructs each P-Reduce group's arrival order, and attributes
+// blocked time to the rank that caused it by metrics.Attribute — the rule
+// the live blame instruments apply too.
 //
 // Everything is deterministic: the same input bytes produce the same
 // Report, and the report writers use fixed ordering and fixed float
@@ -16,6 +17,7 @@ package analyze
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"partialreduce/internal/health"
 	"partialreduce/internal/trace"
 )
 
@@ -110,11 +113,7 @@ func RankFromPath(path string) int {
 	return r
 }
 
-// ReadTraceFile parses one JSONL trace file into a RankTrace. The
-// recording rank is taken from the events' rank stamps when present
-// (satellite of the rank-stamping fix: the file name is only the
-// fallback carrier), else from a ".r<rank>" infix in the file name,
-// else -1 (single-trace mode).
+// ReadTraceFile parses one JSONL trace file into a RankTrace.
 func ReadTraceFile(path string) (RankTrace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -125,15 +124,44 @@ func ReadTraceFile(path string) (RankTrace, error) {
 	if err != nil {
 		return RankTrace{}, fmt.Errorf("analyze: %s: %w", path, err)
 	}
-	rank := -1
+	return rankTrace(path, events), nil
+}
+
+// ReadBundle reads one postmortem bundle file: its manifest, its raw parts,
+// and its trace ring as a RankTrace. The bundle is validated first (CRCs
+// and canonical form, health.Validate) — a structural read alone would
+// render a flipped byte as if it were genuine — so a corrupted bundle
+// fails naming the bad part.
+func ReadBundle(path string) (*health.Manifest, map[string][]byte, RankTrace, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %w", err)
+	}
+	if _, err := health.Validate(data); err != nil {
+		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %w", path, err)
+	}
+	man, parts, err := health.ReadBundle(bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %w", path, err)
+	}
+	events, err := ParseJSONL(bytes.NewReader(parts[health.PartTrace]))
+	if err != nil {
+		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %s: %w", path, health.PartTrace, err)
+	}
+	return man, parts, rankTrace(path, events), nil
+}
+
+// rankTrace names the process that recorded events read from path: the
+// events' rank stamps when present (the file name is only the fallback
+// carrier), else a ".r<rank>" infix in the file name, else -1
+// (single-trace mode).
+func rankTrace(path string, events []trace.Event) RankTrace {
+	rank := RankFromPath(path)
 	for _, ev := range events {
 		if ev.Origin >= 0 {
 			rank = int(ev.Origin)
 			break
 		}
 	}
-	if rank < 0 {
-		rank = RankFromPath(path)
-	}
-	return RankTrace{Rank: rank, Path: path, Events: events}, nil
+	return RankTrace{Rank: rank, Path: path, Events: events}
 }

@@ -1,7 +1,7 @@
 package analyze
 
-// ValidateMerged is the structural check preduce-tracecheck runs over a
-// merged multi-rank timeline (and trace_smoke.sh over every live run):
+// ValidateMerged is the structural check preduce-analyze -validate runs
+// over a merged multi-rank timeline (and trace_smoke.sh over every live run):
 // offset correction must have produced a globally ordered stream whose
 // cross-rank causal pairs still make sense.
 

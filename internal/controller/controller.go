@@ -10,7 +10,7 @@ package controller
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/policy"
@@ -608,32 +608,13 @@ func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 		if c.ins != nil {
 			c.ins.SetSyncGauges(c.MaxContactAge(), c.graph.NumComponents())
 		}
-		// Online blame: each member queued at its signal's Now and is
+		// Online blame: each member arrived at its signal's Now and is
 		// released now (c.lastNow, the clock of the signal that
 		// triggered formation — the group maximum by monotonicity).
-		// The last-arriving member is the group's critical rank and
-		// gets charged the other members' arrival gaps. Signals
-		// without a clock (Now == 0, staleness tracking unused) can't
-		// be placed in time, so such groups are skipped.
-		if c.ins != nil {
-			feed := true
-			critical, critNow := -1, math.Inf(-1)
-			waits := make([]float64, p)
-			for i, now := range nows {
-				if now <= 0 {
-					feed = false
-					break
-				}
-				if w := c.lastNow - now; w > 0 {
-					waits[i] = w
-				}
-				if now >= critNow {
-					critNow, critical = now, members[i]
-				}
-			}
-			if feed {
-				c.ins.AddGroupRelease(members, waits, critical)
-			}
+		// Signals without a clock (Now == 0, staleness tracking unused)
+		// can't be placed in time, so such groups are skipped.
+		if c.ins != nil && !slices.ContainsFunc(nows, func(now float64) bool { return now <= 0 }) {
+			c.ins.AddGroupRelease(members, nows, c.lastNow)
 		}
 	}
 	for _, w := range members {

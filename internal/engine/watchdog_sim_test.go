@@ -54,10 +54,10 @@ func watchdogSimRun(t *testing.T, seed int64, dir string) *health.Recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Health = health.New(health.Config{SLO: health.SLO{
+	c.Health = health.New(health.SLO{
 		BlameRecent: 0.05, // straggler rule: rank 3 settles near 0.3s recent blame
 		RetryStorm:  2,    // >= 2 timeouts+retries per 0.5s evaluation window
-	}})
+	})
 	c.Recorder = health.NewRecorder(dir, c.Tracer, c.Ins, []byte(`{"test":"watchdog-sim"}`))
 	c.HealthEvery = 0.5
 
@@ -101,9 +101,6 @@ func TestWatchdogSimFiresOncePerAnomaly(t *testing.T) {
 		if byRule[rule] != 1 {
 			t.Fatalf("rule %s captured %d bundles, want 1 (all: %v)", rule, byRule[rule], byRule)
 		}
-	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("recorder dropped %d bundles", rec.Dropped())
 	}
 }
 

@@ -65,17 +65,17 @@ type Manifest struct {
 	Parts   []PartInfo `json:"parts"`
 }
 
-// watchdogPart is the watchdog.json schema: the breaches that triggered
+// WatchdogPart is the watchdog.json schema: the breaches that triggered
 // this capture plus the full rule state at capture time.
-type watchdogPart struct {
+type WatchdogPart struct {
 	Reason   string        `json:"reason"`
 	At       float64       `json:"at"`
-	Breaches []breachEntry `json:"breaches"`
+	Breaches []BreachEntry `json:"breaches"`
 	State    State         `json:"state"`
 }
 
-// breachEntry is a Breach with its rule rendered as the stable slug.
-type breachEntry struct {
+// BreachEntry is a Breach with its rule rendered as the stable slug.
+type BreachEntry struct {
 	Rule      string  `json:"rule"`
 	Value     float64 `json:"value"`
 	Threshold float64 `json:"threshold"`
@@ -181,13 +181,13 @@ func (b *Bundle) parts() (names []string, blobs [][]byte, err error) {
 	if snap == nil {
 		snap = (*metrics.Instruments)(nil).Snapshot()
 	}
-	entries := make([]breachEntry, 0, len(b.Breaches))
+	entries := make([]BreachEntry, 0, len(b.Breaches))
 	for _, br := range b.Breaches {
-		entries = append(entries, breachEntry{
+		entries = append(entries, BreachEntry{
 			Rule: br.Rule.String(), Value: br.Value, Threshold: br.Threshold, At: br.At, Seq: br.Seq,
 		})
 	}
-	wd, err := json.Marshal(watchdogPart{Reason: b.Reason, At: b.At, Breaches: entries, State: b.State})
+	wd, err := json.Marshal(WatchdogPart{Reason: b.Reason, At: b.At, Breaches: entries, State: b.State})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,7 +18,7 @@ func snapWithBlame(ewma float64) *metrics.InstrumentsSnapshot {
 	// One release where worker 1 arrived last charges it (1-decay)·induced
 	// into the EWMA; release repeatedly until the EWMA crosses ewma.
 	for i := 0; i < 200; i++ {
-		ins.AddGroupRelease([]int{0, 1, 2}, []float64{10 * ewma, 0, 10 * ewma}, 1)
+		ins.AddGroupRelease([]int{0, 1, 2}, []float64{0, 10 * ewma, 0}, 10*ewma)
 		if s := ins.Snapshot(); s.BlameEWMA[1] >= ewma {
 			break
 		}
@@ -27,23 +27,27 @@ func snapWithBlame(ewma float64) *metrics.InstrumentsSnapshot {
 }
 
 func TestWatchdogHysteresisFireAndClear(t *testing.T) {
-	wd := New(Config{SLO: SLO{BlameRecent: 0.5}, FireCount: 2, ClearCount: 3})
+	wd := New(SLO{BlameRecent: 0.5})
 	hot := Sample{Snap: snapWithBlame(1.0)}
 	cold := Sample{Snap: snapWithBlame(0.0)}
+	now := 0.0
+	eval := func(s Sample) []Breach { now++; return wd.Eval(now, s) }
 
-	if br := wd.Eval(1, hot); len(br) != 0 {
-		t.Fatalf("fired after 1 breaching eval (FireCount=2): %+v", br)
+	for i := 1; i < fireCount; i++ {
+		if br := eval(hot); len(br) != 0 {
+			t.Fatalf("fired after %d breaching evals (fireCount=%d): %+v", i, fireCount, br)
+		}
 	}
-	br := wd.Eval(2, hot)
+	br := eval(hot)
 	if len(br) != 1 || br[0].Rule != RBlameSpike {
-		t.Fatalf("want blame-spike breach at eval 2, got %+v", br)
+		t.Fatalf("want blame-spike breach at eval %d, got %+v", fireCount, br)
 	}
-	if br[0].At != 2 || br[0].Threshold != 0.5 || br[0].Value < 0.5 {
+	if br[0].At != fireCount || br[0].Threshold != 0.5 || br[0].Value < 0.5 {
 		t.Fatalf("breach fields wrong: %+v", br[0])
 	}
 	// Still breaching: no re-fire while the rule holds.
 	for i := 0; i < 5; i++ {
-		if br := wd.Eval(float64(3+i), hot); len(br) != 0 {
+		if br := eval(hot); len(br) != 0 {
 			t.Fatalf("re-fired while already firing: %+v", br)
 		}
 	}
@@ -55,28 +59,32 @@ func TestWatchdogHysteresisFireAndClear(t *testing.T) {
 		t.Fatalf("firing list wrong: %v", st.Firing)
 	}
 
-	// Two clean evals (< ClearCount=3) do not re-arm...
-	wd.Eval(10, cold)
-	wd.Eval(11, cold)
+	// clearCount−1 clean evals do not re-arm...
+	for i := 1; i < clearCount; i++ {
+		eval(cold)
+	}
 	if wd.State().Healthy() {
-		t.Fatal("cleared before ClearCount consecutive clean evals")
+		t.Fatal("cleared before clearCount consecutive clean evals")
 	}
 	// ...a breaching eval resets the clear streak...
-	wd.Eval(12, hot)
-	wd.Eval(13, cold)
-	wd.Eval(14, cold)
+	eval(hot)
+	for i := 1; i < clearCount; i++ {
+		eval(cold)
+	}
 	if wd.State().Healthy() {
 		t.Fatal("clear streak should have reset on the breaching eval")
 	}
-	// ...and three consecutive clean evals finally re-arm.
-	wd.Eval(15, cold)
+	// ...and clearCount consecutive clean evals finally re-arm.
+	eval(cold)
 	if !wd.State().Healthy() {
-		t.Fatal("rule did not clear after ClearCount clean evals")
+		t.Fatal("rule did not clear after clearCount clean evals")
 	}
 	// Re-armed: a fresh anomaly fires again (a second bundle for a
 	// genuinely new episode).
-	wd.Eval(20, hot)
-	br = wd.Eval(21, hot)
+	for i := 1; i < fireCount; i++ {
+		eval(hot)
+	}
+	br = eval(hot)
 	if len(br) != 1 {
 		t.Fatalf("re-armed rule did not fire on a new episode: %+v", br)
 	}
@@ -86,7 +94,7 @@ func TestWatchdogHysteresisFireAndClear(t *testing.T) {
 }
 
 func TestWatchdogDeltaRulesPrimeOnFirstEval(t *testing.T) {
-	wd := New(Config{SLO: SLO{RetryStorm: 5, EpochChurn: 2}, FireCount: 1, ClearCount: 1})
+	wd := New(SLO{RetryStorm: 5, EpochChurn: 2})
 	ins := metrics.NewInstruments(2)
 	ins.AddComms(metrics.CommStats{Retries: 100, Timeouts: 100})
 	ins.SetEpoch(50)
@@ -98,10 +106,13 @@ func TestWatchdogDeltaRulesPrimeOnFirstEval(t *testing.T) {
 	if br := wd.Eval(2, Sample{Snap: ins.Snapshot()}); len(br) != 0 {
 		t.Fatalf("delta rules fired with zero delta: %+v", br)
 	}
-	// A storm between evals fires both.
-	ins.AddComms(metrics.CommStats{Retries: 4, Timeouts: 3})
-	ins.SetEpoch(53)
-	br := wd.Eval(3, Sample{Snap: ins.Snapshot()})
+	// A storm between evals, held for fireCount evals, fires both.
+	var br []Breach
+	for i := 0; i < fireCount; i++ {
+		ins.AddComms(metrics.CommStats{Retries: 4, Timeouts: 3})
+		ins.SetEpoch(uint64(53 + 3*i))
+		br = wd.Eval(float64(3+i), Sample{Snap: ins.Snapshot()})
+	}
 	if len(br) != 2 || br[0].Rule != RRetryStorm || br[1].Rule != REpochChurn {
 		t.Fatalf("want retry-storm + epoch-churn, got %+v", br)
 	}
@@ -111,7 +122,7 @@ func TestWatchdogDeltaRulesPrimeOnFirstEval(t *testing.T) {
 }
 
 func TestWatchdogSilenceGatedOnActive(t *testing.T) {
-	wd := New(Config{SLO: SLO{Silence: 5}, FireCount: 1, ClearCount: 1})
+	wd := New(SLO{Silence: 5})
 	ins := metrics.NewInstruments(2)
 	snap := func() Sample { return Sample{Snap: ins.Snapshot(), Active: 2} }
 	wd.Eval(0, snap()) // primes progressAt=0
@@ -120,20 +131,26 @@ func TestWatchdogSilenceGatedOnActive(t *testing.T) {
 	if br := wd.Eval(6, snap()); len(br) != 0 {
 		t.Fatalf("silence fired despite fresh progress: %+v", br)
 	}
-	// 6 quiet seconds with 2 active workers: fires.
-	if br := wd.Eval(12, snap()); len(br) != 1 || br[0].Rule != RHeartbeatSilence {
+	// 6+ quiet seconds with 2 active workers, held for fireCount evals: fires.
+	var br []Breach
+	for i := 0; i < fireCount; i++ {
+		br = wd.Eval(float64(12+i), snap())
+	}
+	if len(br) != 1 || br[0].Rule != RHeartbeatSilence {
 		t.Fatalf("want heartbeat-silence, got %+v", br)
 	}
 	// Same silence with the run winding down (Active < 2): gated.
-	wd2 := New(Config{SLO: SLO{Silence: 5}, FireCount: 1, ClearCount: 1})
+	wd2 := New(SLO{Silence: 5})
 	wd2.Eval(0, Sample{Snap: ins.Snapshot(), Active: 1})
-	if br := wd2.Eval(12, Sample{Snap: ins.Snapshot(), Active: 1}); len(br) != 0 {
-		t.Fatalf("silence fired during wind-down: %+v", br)
+	for i := 0; i < fireCount; i++ {
+		if br := wd2.Eval(float64(12+i), Sample{Snap: ins.Snapshot(), Active: 1}); len(br) != 0 {
+			t.Fatalf("silence fired during wind-down: %+v", br)
+		}
 	}
 }
 
 func TestWatchdogQueueAndPartitionRules(t *testing.T) {
-	wd := New(Config{SLO: SLO{QueueDepth: 4, SyncComponents: 2, StalenessP95: 3}, FireCount: 1, ClearCount: 1})
+	wd := New(SLO{QueueDepth: 4, SyncComponents: 2, StalenessP95: 3})
 	ins := metrics.NewInstruments(4)
 	ins.SetSyncGauges(1, 3)
 	for i := 0; i < 18; i++ {
@@ -141,7 +158,10 @@ func TestWatchdogQueueAndPartitionRules(t *testing.T) {
 	}
 	ins.ObserveStaleness(8) // two 8s out of 20: the p95 rank (19) lands on 8
 	ins.ObserveStaleness(8)
-	br := wd.Eval(1, Sample{Snap: ins.Snapshot(), QueueDepth: 5})
+	var br []Breach
+	for i := 0; i < fireCount; i++ {
+		br = wd.Eval(float64(1+i), Sample{Snap: ins.Snapshot(), QueueDepth: 5})
+	}
 	rules := make([]string, len(br))
 	for i, b := range br {
 		rules[i] = b.Rule.String()
@@ -165,7 +185,7 @@ func TestNilWatchdogAndRecorder(t *testing.T) {
 		t.Fatal("nil recorder captured")
 	}
 	rec.SetControllerSnapshot(nil)
-	if rec.Written() != nil || rec.Dropped() != 0 {
+	if rec.Written() != nil {
 		t.Fatal("nil recorder has state")
 	}
 }
@@ -176,7 +196,7 @@ func buildBundle() *Bundle {
 	ins.ObserveStaleness(1)
 	ins.ObserveStaleness(2)
 	ins.RecordQueueDepth(0.5, 2)
-	ins.AddGroupRelease([]int{0, 1, 2}, []float64{0.4, 0, 0.2}, 1)
+	ins.AddGroupRelease([]int{0, 1, 2}, []float64{0, 0.4, 0.2}, 0.4)
 	ins.AddComms(metrics.CommStats{Ops: 3, Retries: 1, Timeouts: 2})
 	ins.SetEpoch(4)
 	now := 0.0
@@ -185,8 +205,11 @@ func buildBundle() *Bundle {
 	now = 1.5
 	tr.Instant(trace.KReady, 1, 7, 3, 0)
 	tr.SpanAt(trace.KCompute, 0, 7, 1.0, 0.25, 0, 0)
-	wd := New(Config{SLO: SLO{BlameRecent: 0.01}, FireCount: 1, ClearCount: 1})
-	br := wd.Eval(2.0, Sample{Snap: ins.Snapshot(), QueueDepth: 1, Active: 3})
+	wd := New(SLO{BlameRecent: 0.01})
+	var br []Breach
+	for i := 0; i < fireCount; i++ {
+		br = wd.Eval(2.0, Sample{Snap: ins.Snapshot(), QueueDepth: 1, Active: 3})
+	}
 	return &Bundle{
 		Reason:     "blame-spike",
 		At:         2.0,
@@ -265,7 +288,6 @@ func TestRecorderCaptureAndCap(t *testing.T) {
 	now := 3.0
 	tr := trace.New(trace.FuncClock(func() float64 { return now }), 8)
 	rec := NewRecorder(filepath.Join(dir, "pm"), tr, ins, []byte(`{"seed":1}`))
-	rec.MaxBundles = 2
 	rec.SetControllerSnapshot([]byte("ctrl"))
 
 	p1, err := rec.Capture("blame-spike", 3.0, []Breach{{Rule: RBlameSpike, Value: 1, Threshold: 0.5, At: 3, Seq: 4}}, State{})
@@ -285,17 +307,19 @@ func TestRecorderCaptureAndCap(t *testing.T) {
 	if _, err := rec.Capture("Operator Requested!", 4.0, nil, State{}); err != nil {
 		t.Fatal(err)
 	}
+	for i := 2; i < maxBundles; i++ {
+		if p, err := rec.Capture("retry-storm", 4.5, nil, State{}); err != nil || p == "" {
+			t.Fatalf("capture %d under the cap: %q %v", i, p, err)
+		}
+	}
 	// Cap reached: silently dropped.
 	p3, err := rec.Capture("retry-storm", 5.0, nil, State{})
 	if err != nil || p3 != "" {
 		t.Fatalf("capture past cap: %q %v", p3, err)
 	}
 	w := rec.Written()
-	if len(w) != 2 || filepath.Base(w[1]) != "postmortem-001-operator-requested-.tar" {
+	if len(w) != maxBundles || filepath.Base(w[1]) != "postmortem-001-operator-requested-.tar" {
 		t.Fatalf("written: %v", w)
-	}
-	if rec.Dropped() != 1 {
-		t.Fatalf("dropped = %d", rec.Dropped())
 	}
 	// No temp litter.
 	entries, _ := os.ReadDir(filepath.Join(dir, "pm"))

@@ -17,10 +17,9 @@ import (
 	"partialreduce/internal/trace"
 )
 
-// DefaultMaxBundles bounds a recorder's lifetime captures: once reached,
-// further captures are dropped (counted, not written) so a firing storm
-// cannot fill the disk.
-const DefaultMaxBundles = 32
+// maxBundles bounds a recorder's lifetime captures: once reached, further
+// captures are dropped so a firing storm cannot fill the disk.
+const maxBundles = 32
 
 // Recorder captures postmortem bundles into a directory.
 type Recorder struct {
@@ -31,13 +30,8 @@ type Recorder struct {
 	config []byte
 	ctrl   []byte
 
-	// MaxBundles caps lifetime captures (set before first Capture;
-	// <= 0 selects DefaultMaxBundles).
-	MaxBundles int
-
 	seq     int
 	written []string
-	dropped int
 }
 
 // NewRecorder returns a recorder writing bundles into dir, snapshotting
@@ -84,7 +78,7 @@ func slugify(reason string) string {
 // carrying breaches and st, and returns its path. The bundle snapshots
 // the recorder's trace ring, instruments, cached controller blob, and
 // config at this moment. Writes are atomic (temp file + rename). Once
-// MaxBundles captures have been written, further captures are dropped
+// maxBundles captures have been written, further captures are dropped
 // and return ("", nil). Nil-safe: a nil recorder returns ("", nil).
 func (r *Recorder) Capture(reason string, at float64, breaches []Breach, st State) (string, error) {
 	if r == nil {
@@ -92,12 +86,7 @@ func (r *Recorder) Capture(reason string, at float64, breaches []Breach, st Stat
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	max := r.MaxBundles
-	if max <= 0 {
-		max = DefaultMaxBundles
-	}
-	if r.seq >= max {
-		r.dropped++
+	if r.seq >= maxBundles {
 		return "", nil
 	}
 	b := &Bundle{
@@ -148,15 +137,4 @@ func (r *Recorder) Written() []string {
 	out := make([]string, len(r.written))
 	copy(out, r.written)
 	return out
-}
-
-// Dropped returns the number of captures dropped after MaxBundles.
-// Nil-safe.
-func (r *Recorder) Dropped() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }

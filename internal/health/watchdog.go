@@ -101,22 +101,13 @@ type SLO struct {
 	Silence        float64 // seconds: no group formed for this long with >= 2 active workers
 }
 
-// Config configures a Watchdog. FireCount consecutive breaching
-// evaluations arm a rule into firing (default 2); ClearCount consecutive
-// clean evaluations re-arm it (default 4). The asymmetry is the
-// hysteresis: a flapping signal neither fires on one bad sample nor
+// The hysteresis: fireCount consecutive breaching evaluations arm a rule
+// into firing, clearCount consecutive clean evaluations re-arm it. The
+// asymmetry means a flapping signal neither fires on one bad sample nor
 // re-fires the instant it dips under the threshold.
-type Config struct {
-	SLO        SLO
-	FireCount  int
-	ClearCount int
-}
-
-// DefaultFireCount and DefaultClearCount are the hysteresis defaults
-// used when Config leaves them <= 0.
 const (
-	DefaultFireCount  = 2
-	DefaultClearCount = 4
+	fireCount  = 2
+	clearCount = 4
 )
 
 // Sample is one evaluation's input: the instruments snapshot plus the
@@ -176,7 +167,7 @@ func (s State) Ready() bool { return s.Evals > 0 }
 // event loop guarantees.
 type Watchdog struct {
 	mu  sync.Mutex
-	cfg Config
+	slo SLO
 
 	evals      uint64
 	lastEvalAt float64
@@ -199,41 +190,33 @@ type Watchdog struct {
 	progressAt   float64
 }
 
-// New returns a watchdog for cfg, with hysteresis defaults applied.
-func New(cfg Config) *Watchdog {
-	if cfg.FireCount <= 0 {
-		cfg.FireCount = DefaultFireCount
-	}
-	if cfg.ClearCount <= 0 {
-		cfg.ClearCount = DefaultClearCount
-	}
-	return &Watchdog{cfg: cfg}
-}
+// New returns a watchdog evaluating slo.
+func New(slo SLO) *Watchdog { return &Watchdog{slo: slo} }
 
 // threshold returns r's configured threshold (<= 0 disables).
 func (w *Watchdog) threshold(r Rule) float64 {
 	switch r {
 	case RStalenessP95:
-		return float64(w.cfg.SLO.StalenessP95)
+		return float64(w.slo.StalenessP95)
 	case RBlameSpike:
-		return w.cfg.SLO.BlameRecent
+		return w.slo.BlameRecent
 	case RRetryStorm:
-		return float64(w.cfg.SLO.RetryStorm)
+		return float64(w.slo.RetryStorm)
 	case RSyncPartition:
-		return float64(w.cfg.SLO.SyncComponents)
+		return float64(w.slo.SyncComponents)
 	case RQueueStall:
-		return float64(w.cfg.SLO.QueueDepth)
+		return float64(w.slo.QueueDepth)
 	case REpochChurn:
-		return float64(w.cfg.SLO.EpochChurn)
+		return float64(w.slo.EpochChurn)
 	case RHeartbeatSilence:
-		return w.cfg.SLO.Silence
+		return w.slo.Silence
 	}
 	return 0
 }
 
 // Eval runs one evaluation at clock time now over s and returns the
 // rules that newly transitioned into firing (one Breach each). A rule
-// already firing does not re-breach until ClearCount consecutive clean
+// already firing does not re-breach until clearCount consecutive clean
 // evaluations re-arm it — the exactly-one-bundle-per-anomaly property.
 // Nil-safe: a nil watchdog (monitoring off) returns nil.
 func (w *Watchdog) Eval(now float64, s Sample) []Breach {
@@ -297,7 +280,7 @@ func (w *Watchdog) Eval(now float64, s Sample) []Breach {
 		if breaching {
 			w.breachStreak[r]++
 			w.clearStreak[r] = 0
-			if !w.firing[r] && w.breachStreak[r] >= w.cfg.FireCount {
+			if !w.firing[r] && w.breachStreak[r] >= fireCount {
 				w.firing[r] = true
 				w.fires[r]++
 				w.lastFired[r] = now
@@ -308,7 +291,7 @@ func (w *Watchdog) Eval(now float64, s Sample) []Breach {
 		} else {
 			w.breachStreak[r] = 0
 			w.clearStreak[r]++
-			if w.firing[r] && w.clearStreak[r] >= w.cfg.ClearCount {
+			if w.firing[r] && w.clearStreak[r] >= clearCount {
 				w.firing[r] = false
 			}
 		}

@@ -27,7 +27,7 @@ func TestLiveWatchdogCapturesStragglerBundle(t *testing.T) {
 	}
 	cfg.Tracer = trace.New(trace.NewWallClock(), 2048)
 	cfg.Instruments = metrics.NewInstruments(cfg.N)
-	wd := health.New(health.Config{SLO: health.SLO{BlameRecent: 0.0005}})
+	wd := health.New(health.SLO{BlameRecent: 0.0005})
 	dir := t.TempDir()
 	rec := health.NewRecorder(dir, cfg.Tracer, cfg.Instruments, []byte(`{"test":"live-watchdog"}`))
 	cfg.Watchdog = wd
@@ -83,9 +83,9 @@ func TestLiveWatchdogQuietRunStaysClean(t *testing.T) {
 	cfg.Iters = 60
 	cfg.Tracer = trace.New(trace.NewWallClock(), 2048)
 	cfg.Instruments = metrics.NewInstruments(cfg.N)
-	wd := health.New(health.Config{SLO: health.SLO{
+	wd := health.New(health.SLO{
 		BlameRecent: 1e6, QueueDepth: 1e6, RetryStorm: 1e6,
-	}})
+	})
 	rec := health.NewRecorder(t.TempDir(), cfg.Tracer, cfg.Instruments, nil)
 	cfg.Watchdog = wd
 	cfg.WatchdogEvery = 5 * time.Millisecond

@@ -464,7 +464,7 @@ func TestCoreGroupedWithoutPendingSignalIsAnError(t *testing.T) {
 // than the cadence must still report ready).
 func TestCoreExitEvaluatesWatchdog(t *testing.T) {
 	cfg := coreConfig(4, 2)
-	cfg.Watchdog = health.New(health.Config{})
+	cfg.Watchdog = health.New(health.SLO{})
 	h := newCoreHarness(t, cfg)
 	if cfg.Watchdog.State().Ready() {
 		t.Fatal("watchdog ready before any evaluation")

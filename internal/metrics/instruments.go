@@ -322,52 +322,56 @@ func (in *Instruments) RecordPolicyDecision(p int, alpha float64, deviated bool)
 	in.mu.Unlock()
 }
 
+// Attribute is the blame rule: the one definition of who made whom wait,
+// shared by the online feed (AddGroupRelease) and the offline analyzer
+// (analyze.Analyze). arrivals are one group's per-member arrival times,
+// NaN where unknown. critical is the index of the latest known arrival —
+// ties go to the higher index, the later-queued member, since FIFO pop
+// order is queue order — or -1 when no arrival is known. induced is the
+// seconds of other members' time the critical member's lateness consumed:
+// Σ (arrivals[critical] − arrivals[i]) over the other known members,
+// summed in index order.
+func Attribute(arrivals []float64) (critical int, induced float64) {
+	critical = -1
+	for i, a := range arrivals {
+		if !math.IsNaN(a) && (critical < 0 || a >= arrivals[critical]) {
+			critical = i
+		}
+	}
+	for i, a := range arrivals {
+		if critical >= 0 && i != critical && !math.IsNaN(a) {
+			induced += arrivals[critical] - a
+		}
+	}
+	return critical, induced
+}
+
 // AddGroupRelease folds one group release into the online blame
-// estimator. members are the released workers, waits their
-// arrival-to-release waiting seconds (same order, clamped at 0), and
-// critical the member that arrived last (-1 when unknown — e.g. a
-// single-member solo release). The critical member is charged the sum
-// of the other members' arrival gaps relative to its own arrival:
-// blame_c += Σ_{i≠c} max(0, wait_i − wait_c) — the seconds of other
-// workers' time its lateness consumed. Every member's blame EWMA decays
-// toward its per-group charge, so the scoreboard's "recent" column
-// tracks the current straggler rather than run-cumulative history.
-// Nil-safe; out-of-range workers are ignored.
-func (in *Instruments) AddGroupRelease(members []int, waits []float64, critical int) {
-	if in == nil || len(members) == 0 || len(members) != len(waits) {
+// estimator. members are the released workers, arrivals their arrival
+// times (same order, NaN where unknown) and release the clock time the
+// group was released at. Each member waited release − arrival (clamped
+// at 0); the member Attribute names critical is charged the seconds of
+// the others' time it consumed. Every member's blame EWMA decays toward
+// its per-group charge, so the scoreboard's "recent" column tracks the
+// current straggler rather than run-cumulative history. Nil-safe;
+// out-of-range workers are ignored.
+func (in *Instruments) AddGroupRelease(members []int, arrivals []float64, release float64) {
+	if in == nil || len(members) == 0 || len(members) != len(arrivals) {
 		return
 	}
+	critical, induced := Attribute(arrivals)
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	critWait := 0.0
-	if critical >= 0 {
-		for i, w := range members {
-			if w == critical {
-				critWait = waits[i]
-			}
-		}
-	}
-	induced := 0.0
-	if critical >= 0 {
-		for i, w := range members {
-			if w == critical {
-				continue
-			}
-			if d := waits[i] - critWait; d > 0 {
-				induced += d
-			}
-		}
-	}
 	for i, w := range members {
 		if w < 0 || w >= len(in.groupWait) {
 			continue
 		}
 		in.groupCount[w]++
-		if waits[i] > 0 {
-			in.groupWait[w] += waits[i]
+		if wait := release - arrivals[i]; wait > 0 {
+			in.groupWait[w] += wait
 		}
 		charge := 0.0
-		if w == critical {
+		if i == critical {
 			charge = induced
 			in.criticalN[w]++
 			in.blame[w] += induced

@@ -93,7 +93,7 @@ func TestInstrumentsNilSafe(t *testing.T) {
 	in.CountGroup(true)
 	in.CountDeferral()
 	in.AddComms(CommStats{Ops: 1})
-	in.AddGroupRelease([]int{0, 1}, []float64{0.5, 0}, 1)
+	in.AddGroupRelease([]int{0, 1}, []float64{0, 0.5}, 0.5)
 	snap := in.Snapshot()
 	if snap == nil || snap.Staleness == nil || snap.Staleness.Count() != 0 {
 		t.Fatal("nil instruments snapshot not empty")
@@ -149,7 +149,7 @@ func TestAddGroupRelease(t *testing.T) {
 	in := NewInstruments(4)
 	// Worker 2 arrives last: members 0 and 1 each waited 0.4s and 0.2s
 	// longer than it did, so 2 is charged 0.6s of their time.
-	in.AddGroupRelease([]int{0, 1, 2}, []float64{0.4, 0.2, 0}, 2)
+	in.AddGroupRelease([]int{0, 1, 2}, []float64{0, 0.2, 0.4}, 0.4)
 	snap := in.Snapshot()
 	if math.Abs(snap.Blame[2]-0.6) > 1e-12 {
 		t.Fatalf("critical blame %v, want 0.6", snap.Blame[2])
@@ -173,7 +173,7 @@ func TestAddGroupRelease(t *testing.T) {
 	// A second group with a different critical member moves the EWMA:
 	// worker 2's recent blame decays, worker 0's rises.
 	prev := snap.BlameEWMA[2]
-	in.AddGroupRelease([]int{0, 2}, []float64{0, 0.3}, 0)
+	in.AddGroupRelease([]int{0, 2}, []float64{0.3, 0}, 0.3)
 	snap = in.Snapshot()
 	if snap.Blame[0] != 0.3 {
 		t.Fatalf("blame[0] = %v, want 0.3", snap.Blame[0])
@@ -187,9 +187,9 @@ func TestAddGroupRelease(t *testing.T) {
 
 	// Degenerate inputs are ignored or tolerated.
 	in.AddGroupRelease(nil, nil, 0)
-	in.AddGroupRelease([]int{0}, []float64{1, 2}, 0)       // length mismatch
-	in.AddGroupRelease([]int{9}, []float64{1}, 9)          // out of range
-	in.AddGroupRelease([]int{1, 3}, []float64{0.1, 0}, -1) // unknown critical
+	in.AddGroupRelease([]int{0}, []float64{1, 2}, 2)               // length mismatch
+	in.AddGroupRelease([]int{9}, []float64{0}, 1)                  // out of range
+	in.AddGroupRelease([]int{1, 3}, []float64{0, math.NaN()}, 0.1) // member 3's arrival unknown
 	snap2 := in.Snapshot()
 	if snap2.Blame[0] != snap.Blame[0] {
 		t.Fatal("degenerate release changed blame")
@@ -221,5 +221,27 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := in.Snapshot().Staleness.Count(); got != 8*500 {
 		t.Fatalf("staleness count %d, want %d", got, 8*500)
+	}
+}
+
+func TestAttribute(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		arrivals []float64
+		critical int
+		induced  float64
+	}{
+		{nil, -1, 0},
+		{[]float64{nan, nan}, -1, 0},
+		{[]float64{2}, 0, 0},
+		{[]float64{1, 3, 2}, 1, 3},
+		{[]float64{3, 1, 3}, 2, 2},   // tie: the later-queued member
+		{[]float64{1, nan, 4}, 2, 3}, // unknown arrivals neither lead nor pay
+		{[]float64{nan, 0.5, nan}, 1, 0},
+	} {
+		crit, induced := Attribute(c.arrivals)
+		if crit != c.critical || induced != c.induced {
+			t.Errorf("Attribute(%v) = (%d, %v), want (%d, %v)", c.arrivals, crit, induced, c.critical, c.induced)
+		}
 	}
 }

@@ -19,10 +19,7 @@ import (
 // JSON body when a rule fires; /metrics carries the watchdog series.
 func TestHealthEndpoints(t *testing.T) {
 	ins := sampleInstruments()
-	wd := health.New(health.Config{
-		SLO:       health.SLO{QueueDepth: 3},
-		FireCount: 1, ClearCount: 2,
-	})
+	wd := health.New(health.SLO{QueueDepth: 3})
 	ep, err := Serve("127.0.0.1:0", ins, wd)
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +61,10 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("/readyz after clean eval = %d, want 200", code)
 	}
 
-	// A breaching evaluation (FireCount=1) flips /healthz to 503 and
-	// names the rule.
+	// A breach held for two evaluations (the watchdog's fire count) flips
+	// /healthz to 503 and names the rule.
 	wd.Eval(2.0, health.Sample{Snap: ins.Snapshot(), QueueDepth: 5, Active: 3})
+	wd.Eval(3.0, health.Sample{Snap: ins.Snapshot(), QueueDepth: 5, Active: 3})
 	code, body = get("/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz while firing = %d, want 503", code)
@@ -84,7 +82,7 @@ func TestHealthEndpoints(t *testing.T) {
 	// The watchdog series ride along on /metrics.
 	_, body = get("/metrics")
 	for _, want := range []string{
-		"preduce_watchdog_evals_total 2",
+		"preduce_watchdog_evals_total 3",
 		`preduce_watchdog_firing{rule="queue-stall"} 1`,
 		`preduce_watchdog_firing{rule="staleness-p95"} 0`,
 		`preduce_watchdog_value{rule="queue-stall"} 5`,
@@ -217,10 +215,7 @@ func lintPromText(t *testing.T, out string) []promSample {
 // across two successive snapshots with activity in between.
 func TestPromTextLint(t *testing.T) {
 	ins := sampleInstruments()
-	wd := health.New(health.Config{
-		SLO:       health.SLO{QueueDepth: 3, StalenessP95: 100},
-		FireCount: 1,
-	})
+	wd := health.New(health.SLO{QueueDepth: 3, StalenessP95: 100})
 	wd.Eval(1.0, health.Sample{Snap: ins.Snapshot(), QueueDepth: 5, Active: 3})
 
 	render := func() string {
@@ -251,7 +246,7 @@ func TestPromTextLint(t *testing.T) {
 	ins.ObserveStaleness(2)
 	ins.CountGroup(true)
 	ins.AddComms(metrics.CommStats{Ops: 3, BytesSent: 64, Retries: 2, Timeouts: 1})
-	ins.AddGroupRelease([]int{0, 1}, []float64{0.25, 0}, 1)
+	ins.AddGroupRelease([]int{0, 1}, []float64{0, 0.25}, 0.25)
 	wd.Eval(2.0, health.Sample{Snap: ins.Snapshot(), QueueDepth: 5, Active: 3})
 
 	second := lintPromText(t, render())

@@ -25,7 +25,7 @@ func sampleInstruments() *metrics.Instruments {
 	in.CountGroup(false)
 	in.CountGroup(true)
 	in.CountDeferral()
-	in.AddGroupRelease([]int{0, 2}, []float64{0.75, 0}, 2)
+	in.AddGroupRelease([]int{0, 2}, []float64{0, 0.75}, 0.75)
 	in.AddComms(metrics.CommStats{
 		Ops: 7, BytesSent: 1000, BytesRecv: 900, Segments: 14,
 		Retries: 1, Timeouts: 2, Aborts: 0,
