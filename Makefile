@@ -9,9 +9,9 @@ GO ?= go
 # under the race detector as part of tier-1.
 RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
 
-.PHONY: ci vet build test race allocgate flakegate chaos trace-smoke chargeguard callerless bench bench-smoke fuzz sweepdiff loc clean
+.PHONY: ci vet build test race fmaguard allocgate flakegate chaos trace-smoke chargeguard callerless bench bench-smoke pairs fuzz sweepdiff loc clean
 
-ci: vet build test race allocgate flakegate chaos trace-smoke chargeguard callerless bench-smoke
+ci: vet build test race fmaguard allocgate flakegate chaos trace-smoke chargeguard callerless bench-smoke
 
 # Charge-drift guard: the simulator's traffic accounting is folded into the
 # engine's SimEnv (GroupRing/WorldRing/Exchanges), so a strategy that calls
@@ -48,6 +48,21 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# FMA guard: every float expression rounds where the Go spec says, on every
+# arch. A compiler may fuse x*y + z into one multiply-add unless the product
+# is converted (float64(x*y)); arm64, loong64, ppc64le, riscv64 and s390x do,
+# so an unconverted site trains and simulates different bits there than on
+# amd64 (and than the AVX2 kernels, which never fuse). Each is cross-compiled
+# with -S, as is amd64 at GOAMD64=v3 (which has FMA; Go does not contract
+# there today), and any fused instruction fails the gate naming its line.
+fmaguard:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	for a in arm64 loong64 ppc64le riscv64 s390x amd64; do \
+		GOARCH=$$a GOAMD64=v3 $(GO) build -gcflags=-S ./... >"$$tmp" 2>&1 || { grep -v '^	' "$$tmp" | tail; exit 1; }; \
+		bad=$$(grep -E '\sV?FN?M(ADD|SUB)[0-9]*[SDP]*\s' "$$tmp" | grep -oE '[^ (]+\.go:[0-9]+' | sort -u); \
+		if [ -n "$$bad" ]; then echo "fmaguard: GOARCH=$$a fuses a multiply-add at:"; echo "$$bad"; exit 1; fi; \
+	done; echo "fmaguard: ok"
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
 # loopback-TCP Send/RecvInto round trips, full segmented ring in place and out
@@ -122,6 +137,15 @@ bench-smoke:
 		echo "bench-smoke: $$w"; \
 		bash bench/run.sh --workload $$w -smoke >/dev/null || exit 1; \
 	done
+
+# Paired comparison of the repository benchmark against another commit:
+# PAIRS alternating pairs per workload plus held-out seed 2002, both binaries
+# run from one directory (scripts/pairs.sh). Not in ci (~12 min per workload
+# at 10 pairs). BASE=HEAD on a clean tree is the A/A noise floor.
+PAIRS ?= 10
+WORKLOADS ?= $(BENCH_WORKLOADS)
+pairs:
+	sh scripts/pairs.sh $(BASE) "$(WORKLOADS)" $(PAIRS)
 
 # Short fuzz pass over the wire codecs — transport frames, policy state, and
 # the live control payloads (longer runs: raise FUZZTIME).

@@ -167,7 +167,7 @@ func partition(spans []phaseSpan, start, end float64) [NumPhase]float64 {
 		if b <= a {
 			continue
 		}
-		mid := a + (b-a)/2
+		mid := a + float64((b-a)/2)
 		best := PhaseOther
 		for _, sp := range spans {
 			if sp.s <= mid && mid < sp.e && sp.phase < best {

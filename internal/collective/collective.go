@@ -183,7 +183,7 @@ func (p RetryPolicy) backoff(k int, rng *jitterRNG) time.Duration {
 		d = float64(p.MaxDelay)
 	}
 	if p.Jitter > 0 {
-		d *= 1 - p.Jitter + 2*p.Jitter*rng.float64()
+		d *= 1 - p.Jitter + float64(2*p.Jitter*rng.float64())
 	}
 	return time.Duration(d)
 }

@@ -101,7 +101,7 @@ func GaussianMixture(cfg MixtureConfig) (*Dataset, error) {
 		c := i % cfg.Classes
 		row := d.X.Row(i)
 		for j := range row {
-			row[j] = means[c][j] + cfg.Noise*rng.NormFloat64()
+			row[j] = means[c][j] + float64(cfg.Noise*rng.NormFloat64())
 		}
 		d.Y[i] = c
 	}

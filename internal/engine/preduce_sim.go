@@ -158,7 +158,7 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, wire func(*controll
 				for _, m := range g.Members {
 					c.Tracer.SpanAt(trace.KGroupWait, int32(m), int32(g.Iter), now, rtt+ring, int64(id), gs)
 					c.Tracer.SpanAt(trace.KReduceScatter, int32(m), int32(g.Iter), now+rtt, ring/2, int64(id), 0)
-					c.Tracer.SpanAt(trace.KAllGather, int32(m), int32(g.Iter), now+rtt+ring/2, ring/2, int64(id), 0)
+					c.Tracer.SpanAt(trace.KAllGather, int32(m), int32(g.Iter), now+rtt+float64(ring/2), ring/2, int64(id), 0)
 				}
 			}
 			c.Eng.After(c.Cfg.Net.CtrlRTT+ring, func() { onGroupDone(id, g) })

@@ -30,7 +30,7 @@ func lognormal(rng *rand.Rand, sigma float64) float64 {
 	if sigma <= 0 {
 		return 1
 	}
-	return math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
+	return math.Exp(float64(sigma*rng.NormFloat64()) - float64(sigma*sigma/2))
 }
 
 // Homogeneous gives every worker the same base time with small independent
@@ -95,7 +95,7 @@ func (g *GPUSharing) ComputeTime(worker int, _ sim.Time) float64 {
 	t := g.Base * lognormal(g.rngs[worker], g.Jitter)
 	if worker < g.HL && g.HL > 1 {
 		if g.rngs[worker].Float64() >= g.IdleChance {
-			slowdown := 1 + 0.45*float64(g.HL-1)
+			slowdown := 1 + float64(0.45*float64(g.HL-1))
 			t *= slowdown * lognormal(g.rngs[worker], g.Contention)
 		}
 	}
@@ -154,7 +154,7 @@ func (t *Trace) advance(worker int, now sim.Time) {
 			break
 		}
 	}
-	t.until[worker] = now + rng.ExpFloat64()*t.MeanDwell
+	t.until[worker] = now + float64(rng.ExpFloat64()*t.MeanDwell)
 }
 
 // ComputeTime implements Model.

@@ -376,7 +376,7 @@ func (in *Instruments) AddGroupRelease(members []int, arrivals []float64, releas
 			in.criticalN[w]++
 			in.blame[w] += induced
 		}
-		in.blameEWMA[w] = blameEWMADecay*in.blameEWMA[w] + (1-blameEWMADecay)*charge
+		in.blameEWMA[w] = float64(blameEWMADecay*in.blameEWMA[w]) + float64((1-blameEWMADecay)*charge)
 	}
 }
 

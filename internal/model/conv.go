@@ -142,7 +142,7 @@ func (m *ConvNet) forward(x tensor.Vector) tensor.Vector {
 		for i := 0; i < t; i++ {
 			s := b
 			for k, wk := range w {
-				s += wk * x[i+k]
+				s += float64(wk * x[i+k])
 			}
 			row[i] = s
 			if s > 0 { // ReLU folded into pooling
@@ -208,7 +208,7 @@ func (m *ConvNet) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 
 		// Through pooling and ReLU into the convolution.
 		for ch := 0; ch < c; ch++ {
-			d := m.dPool[ch] * invT
+			d := float64(m.dPool[ch] * invT)
 			if d == 0 {
 				continue
 			}
@@ -221,7 +221,7 @@ func (m *ConvNet) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 				}
 				db += d
 				for kk := 0; kk < k; kk++ {
-					gw[kk] += d * x[i+kk]
+					gw[kk] += float64(d * x[i+kk])
 				}
 			}
 			gConvB[ch] += db

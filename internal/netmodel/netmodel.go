@@ -58,7 +58,7 @@ func (p Params) RingAllReduce(group int, bytes int64) float64 {
 	}
 	g := float64(group)
 	steps := 2 * (g - 1)
-	return steps*p.Latency + (steps/g)*float64(bytes)/p.Bandwidth
+	return float64(steps*p.Latency) + (steps/g)*float64(bytes)/p.Bandwidth
 }
 
 // PointToPoint returns the seconds one direct transfer of bytes takes.

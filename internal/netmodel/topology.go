@@ -104,7 +104,7 @@ func (t *Topology) RingAllReduce(p Params, members []int, bytes int64) float64 {
 	}
 	gf := float64(g)
 	steps := 2 * (gf - 1)
-	return steps*lat + (steps/gf)*float64(bytes)/bw
+	return float64(steps*lat) + (steps/gf)*float64(bytes)/bw
 }
 
 // PSExchange returns worker w's push/pull round trip against the sharded

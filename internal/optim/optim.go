@@ -93,14 +93,6 @@ func (o *SGD) LR() float64 {
 	return lr
 }
 
-// updateElem is the update of one element — v ← μv + (g + λw); w ← w − lr·v —
-// shared by Update and UpdateFactored so that the two cannot drift.
-func updateElem(w, v, g, mu, wd, lr float64) (float64, float64) {
-	g += wd * w
-	v = mu*v + g
-	return w - lr*v, v
-}
-
 // Update applies one SGD step: v ← μv + (g + λw); w ← w − lr·v.
 // Scale multiplies the effective learning rate for this single update; the
 // PS HETE baseline passes its staleness penalty here, all other strategies
@@ -110,21 +102,15 @@ func (o *SGD) Update(params, grad tensor.Vector, scale float64) {
 		panic(fmt.Sprintf("optim: size mismatch params=%d grad=%d velocity=%d",
 			len(params), len(grad), len(o.velocity)))
 	}
-	mu, wd, lr := o.cfg.Momentum, o.cfg.WeightDecay, o.LR()*scale
-	// Local slices of one proven length: the loop runs without a bounds
-	// check or a reload of o.velocity per access.
-	vel := o.velocity
-	params, grad = params[:len(vel)], grad[:len(vel)]
-	for i, v := range vel {
-		params[i], vel[i] = updateElem(params[i], v, grad[i], mu, wd, lr)
-	}
+	tensor.MomentumStep(params, o.velocity, grad, o.cfg.Momentum, o.cfg.WeightDecay, o.LR()*scale)
 	o.step++
 }
 
 // UpdateFactored is Update for a gradient that was never materialized: the
 // concatenation of the row-major outer products blocks, each element produced
 // where Update would have read it, so the step streams parameters and velocity
-// only. The bits are those of Update on the Matrix.SetOuter(1, X, Y) blocks.
+// only, one row at a time. The bits are those of Update on the
+// Matrix.SetOuter(1, X, Y) blocks: both run tensor's one element update.
 func (o *SGD) UpdateFactored(params tensor.Vector, blocks []tensor.Outer, scale float64) {
 	n := 0
 	for _, f := range blocks {
@@ -135,17 +121,12 @@ func (o *SGD) UpdateFactored(params tensor.Vector, blocks []tensor.Outer, scale 
 			len(params), n, len(o.velocity)))
 	}
 	mu, wd, lr := o.cfg.Momentum, o.cfg.WeightDecay, o.LR()*scale
-	// One running offset rather than two slices re-cut per row: with fewer
-	// live values the inner loop's index stays in a register.
-	vel, off := o.velocity, 0
+	off := 0
 	for _, f := range blocks {
-		ys := f.Y
 		for _, x := range f.X {
-			w, v := params[off:][:len(ys)], vel[off:][:len(ys)]
-			for j, y := range ys {
-				w[j], v[j] = updateElem(w[j], v[j], tensor.OuterElem(x, y), mu, wd, lr)
-			}
-			off += len(ys)
+			end := off + len(f.Y)
+			tensor.MomentumStepOuter(params[off:end], o.velocity[off:end], x, f.Y, mu, wd, lr)
+			off = end
 		}
 	}
 	o.step++

@@ -100,7 +100,7 @@ func (a *adaptive) OnSignal(worker, _ int, now float64) {
 		if a.gap[worker] == 0 {
 			a.gap[worker] = g
 		} else {
-			a.gap[worker] = gapKeep*a.gap[worker] + (1-gapKeep)*g
+			a.gap[worker] = float64(gapKeep*a.gap[worker]) + float64((1-gapKeep)*g)
 		}
 	}
 	a.lastSeen[worker] = now

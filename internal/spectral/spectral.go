@@ -73,7 +73,7 @@ func MeanW(d GroupDist) (*tensor.Matrix, error) {
 		}
 		for _, a := range g {
 			for _, b := range g {
-				m.Set(a, b, m.At(a, b)+prob*inv)
+				m.Set(a, b, m.At(a, b)+float64(prob*inv))
 			}
 		}
 		for w := 0; w < d.N; w++ {
@@ -130,7 +130,7 @@ func Eigenvalues(m *tensor.Matrix) ([]float64, error) {
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
+				off += float64(a.At(i, j) * a.At(i, j))
 			}
 		}
 		if off < tol {
@@ -144,19 +144,19 @@ func Eigenvalues(m *tensor.Matrix) ([]float64, error) {
 				}
 				app, aqq := a.At(p, p), a.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				// Apply the rotation J(p,q,θ)ᵀ A J(p,q,θ).
 				for k := 0; k < n; k++ {
 					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
+					a.Set(k, p, float64(c*akp)-float64(s*akq))
+					a.Set(k, q, float64(s*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
+					a.Set(p, k, float64(c*apk)-float64(s*aqk))
+					a.Set(q, k, float64(s*apk)+float64(c*aqk))
 				}
 			}
 		}
@@ -203,7 +203,7 @@ func RhoBar(rho float64) float64 {
 // ηL + 2N³η²ρ̄/P² ≤ 1 with η = (P/N)·γ.
 func LearningRateFeasible(gamma, lipschitz float64, n, p int, rho float64) bool {
 	eta := float64(p) / float64(n) * gamma
-	lhs := eta*lipschitz + 2*math.Pow(float64(n), 3)*eta*eta*RhoBar(rho)/float64(p*p)
+	lhs := float64(eta*lipschitz) + 2*math.Pow(float64(n), 3)*eta*eta*RhoBar(rho)/float64(p*p)
 	return lhs <= 1
 }
 
@@ -212,7 +212,7 @@ func LearningRateFeasible(gamma, lipschitz float64, n, p int, rho float64) bool 
 // 2η²L²σ²N³ρ̄/P². Experiments use it to show how ρ (heterogeneity) inflates
 // the network-error term.
 func ConvergenceBound(f1MinusFinf, gamma, lipschitz, sigma2 float64, n, p, k int, rho float64) float64 {
-	eta := float64(p) / float64(n) * gamma
+	eta := float64(float64(p) / float64(n) * gamma)
 	sgdErr := 2*f1MinusFinf/(eta*float64(k)) + eta*lipschitz*sigma2/float64(p)
 	netErr := 2 * eta * eta * lipschitz * lipschitz * sigma2 * math.Pow(float64(n), 3) * RhoBar(rho) / float64(p*p)
 	return sgdErr + netErr

@@ -5,6 +5,23 @@ import (
 	"sync"
 )
 
+// Element-wise kernels: the AddScaled family, the fused kernels of the
+// weighted ring (collective.ReduceInto) and the optimizer's momentum step.
+// Each must round exactly where the separate passes it replaced rounded:
+// every intermediate goes through an explicit float64(...) conversion, which
+// the Go spec rounds on its own, so a compiler that contracts x*y + z into a
+// fused multiply-add (arm64 and four other arches; `make fmaguard` checks)
+// cannot change a bit. The a == 1 and post == 1 cases skip the multiply.
+//
+// On amd64 hosts with AVX2 the first len &^ 3 elements go through the
+// assembly in kernels_amd64.s, four lanes at a time, and the Go loop of each
+// kernel finishes the tail; every other host, and every race build (the
+// detector cannot see assembly's accesses), runs the Go loops alone. Each
+// lane performs the Go loop's IEEE-754 operations in its order — VMULPD,
+// VADDPD, VSUBPD, never an FMA — so the two paths agree bit for bit. The one
+// liberty: the assembly multiplies by a or post even when it is 1, which is
+// exact for every non-NaN operand (Go never sets flush-to-zero).
+
 // ParallelThreshold is the element count above which the AddScaled-family
 // kernels split their work across the package worker pool. Below it the
 // fixed cost of waking workers exceeds the arithmetic; the collectives'
@@ -59,9 +76,15 @@ func startPool() {
 	}
 }
 
-// addScaledSerial is the scalar inner loop: dst += a*src (dst = dst + src
-// when a == 1, the reduce-scatter case, taking the multiply off the path).
+// addScaledSerial is the inner loop of AddScaled: dst += a*src (dst = dst +
+// src when a == 1, the reduce-scatter case, taking the multiply off the path).
 func addScaledSerial(dst, src []float64, a float64) {
+	i := 0
+	if useAVX2 && len(src) >= 4 {
+		i = len(src) &^ 3
+		scaleAddAVX2(dst[:i], src[:i], dst[:i], a, 1)
+	}
+	dst, src = dst[i:len(src)], src[i:]
 	if a == 1 {
 		for i, v := range src {
 			dst[i] += v
@@ -69,17 +92,9 @@ func addScaledSerial(dst, src []float64, a float64) {
 		return
 	}
 	for i, v := range src {
-		dst[i] += a * v
+		dst[i] += float64(a * v)
 	}
 }
-
-// Fused kernels of the weighted ring (collective.ReduceInto) and the one-pass
-// gradient (Matrix.SetOuter). Each folds separate full-vector passes into one
-// and must round exactly where they rounded: every intermediate goes through
-// an explicit float64(...) conversion, which the Go spec rounds on its own, so
-// a compiler that contracts x*y + z into a fused multiply-add (GOAMD64=v3,
-// arm64) cannot change a bit. Like addScaledSerial, the a == 1 and post == 1
-// cases skip the multiply.
 
 // ScaleInto computes dst = a*src element-wise. dst and src must be the same
 // slice or not overlap. It panics if lengths differ.
@@ -89,7 +104,12 @@ func ScaleInto(dst, src []float64, a float64) {
 		copy(dst, src)
 		return
 	}
-	dst = dst[:len(src)]
+	i := 0
+	if useAVX2 && len(src) >= 4 {
+		i = len(src) &^ 3
+		scaleAVX2(dst[:i], src[:i], a)
+	}
+	dst, src = dst[i:len(src)], src[i:]
 	for i, v := range src {
 		dst[i] = a * v
 	}
@@ -102,7 +122,12 @@ func ScaleInto(dst, src []float64, a float64) {
 func ScaleAddInto(dst, x, y []float64, a, post float64) {
 	checkLen(len(dst), len(x))
 	checkLen(len(y), len(x))
-	dst, y = dst[:len(x)], y[:len(x)]
+	i := 0
+	if useAVX2 && len(x) >= 4 {
+		i = len(x) &^ 3
+		scaleAddAVX2(dst[:i], x[:i], y[:i], a, post)
+	}
+	dst, x, y = dst[i:len(x)], x[i:], y[i:len(x)]
 	switch {
 	case a == 1 && post == 1:
 		for i, v := range x {
@@ -159,4 +184,45 @@ func AddScaled(dst, src []float64, a float64) {
 	pool.wg.Wait()
 	pool.dst, pool.src = nil, nil
 	pool.mu.Unlock()
+}
+
+// MomentumStep applies momentum SGD to every element: v ← μv + (g + λw);
+// w ← w − lr·v. w, v and g must have one length.
+func MomentumStep(w, v, g []float64, mu, wd, lr float64) {
+	checkLen(len(w), len(v))
+	checkLen(len(g), len(v))
+	i := 0
+	if useAVX2 && len(v) >= 4 {
+		i = len(v) &^ 3
+		momentumAVX2(w[:i], v[:i], g[:i], mu, wd, lr)
+	}
+	w, v, g = w[i:len(v)], v[i:], g[i:len(v)]
+	for i, vi := range v {
+		w[i], v[i] = momentumElem(w[i], vi, g[i], mu, wd, lr)
+	}
+}
+
+// MomentumStepOuter is MomentumStep on one row of an outer product that was
+// never materialized: g[j] = OuterElem(x, y[j]). w, v and y must have one
+// length.
+func MomentumStepOuter(w, v []float64, x float64, y []float64, mu, wd, lr float64) {
+	checkLen(len(w), len(v))
+	checkLen(len(y), len(v))
+	i := 0
+	if useAVX2 && len(v) >= 4 {
+		i = len(v) &^ 3
+		momentumOuterAVX2(w[:i], v[:i], y[:i], x, mu, wd, lr)
+	}
+	w, v, y = w[i:len(v)], v[i:], y[i:len(v)]
+	for i, vi := range v {
+		w[i], v[i] = momentumElem(w[i], vi, OuterElem(x, y[i]), mu, wd, lr)
+	}
+}
+
+// momentumElem is the update of one element, shared by both forms of the
+// step so that they cannot drift.
+func momentumElem(w, v, g, mu, wd, lr float64) (float64, float64) {
+	g += float64(wd * w)
+	v = float64(mu*v) + g
+	return w - float64(lr*v), v
 }

@@ -59,17 +59,17 @@ func (m *Matrix) MulVec(dst, x Vector) {
 		r0, r1, r2, r3 := m.Row(i)[:n], m.Row(i + 1)[:n], m.Row(i + 2)[:n], m.Row(i + 3)[:n]
 		var s0, s1, s2, s3 float64
 		for j, v := range x {
-			s0 += r0[j] * v
-			s1 += r1[j] * v
-			s2 += r2[j] * v
-			s3 += r3[j] * v
+			s0 += float64(r0[j] * v)
+			s1 += float64(r1[j] * v)
+			s2 += float64(r2[j] * v)
+			s3 += float64(r3[j] * v)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
 	for ; i < m.Rows; i++ {
 		var s float64
 		for j, w := range m.Row(i) {
-			s += w * x[j]
+			s += float64(w * x[j])
 		}
 		dst[i] = s
 	}
@@ -169,7 +169,7 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 func (m *Matrix) FillGlorot(rng *rand.Rand, fanIn, fanOut int) {
 	l := math.Sqrt(6 / float64(fanIn+fanOut))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * l
+		m.Data[i] = (float64(rng.Float64())*2 - 1) * l
 	}
 }
 

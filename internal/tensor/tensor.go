@@ -69,7 +69,7 @@ func (v Vector) Dot(w Vector) float64 {
 	checkLen(len(v), len(w))
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s
 }

@@ -1,0 +1,138 @@
+#!/bin/sh
+# pairs: a paired benchmark comparison in one command, outside ci:
+#
+#   make pairs BASE=<git ref> WORKLOADS="comm_mem comm_tcp" PAIRS=10
+#   sh scripts/pairs.sh <git ref> "<workload ...>" <pairs>
+#
+# BASE is extracted with `git archive` (nothing is registered in .git, as in
+# sweepdiff.sh) and its bench binary is built next to the working tree's with
+# the same flags: -trimpath and -buildvcs=false, so neither binary carries its
+# checkout path or commit and identical sources give identical binaries. Both
+# are copied into one run directory and every run starts there, so the two
+# sides differ in their code only (a binary run from its own checkout can
+# read a few percent apart on identical code). Per workload, pair i runs seed
+# i on both sides at BENCHMARK.json's run_seconds, base first on odd i and
+# the working tree first on even i; one more pair on held-out seed 2002 is
+# reported apart. BASE=HEAD on a clean tree is the A/A mode: the host's noise
+# floor, which a claim's gap should clear.
+#
+# Output, besides the run log (.bench_build/pairs-*/log: one
+# "<set> <workload> <result JSON>" line per run, A = base, B = working tree,
+# HA/HB = held-out): bench -summarize's table over sets A and B, then per
+# workload and end-to-end metric one perf-log row — base and working-tree
+# median [q1, q3], Δ of the medians, wins (pairs where the working tree is
+# better in the metric's own direction), one arrow per pair (↑ better,
+# ↓ worse, = equal) and the held-out pair's Δ.
+set -eu
+
+GO=${GO:-go}
+BASE=${1:?usage: pairs.sh <git ref> "<workload ...>" [pairs]}
+WORKLOADS=${2:?usage: pairs.sh <git ref> "<workload ...>" [pairs]}
+PAIRS=${3:-10}
+HELDOUT=2002
+
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+run=$(pwd)/.bench_build/pairs-$(date +%Y%m%d-%H%M%S)
+mkdir -p "$run/src"
+git archive "$BASE" | tar -x -C "$run/src"
+
+# The build environment of bench/run.sh, plus the path- and VCS-free flags.
+out=$(pwd)/.bench_build
+export GOCACHE="$out/go-cache" GOPATH="$out/go-path" GOMODCACHE="$out/go-mod"
+export GOPROXY=off GOTOOLCHAIN=local GOWORK=off GOFLAGS="-trimpath -buildvcs=false"
+echo "pairs: building bench at $BASE and in the working tree" >&2
+(cd "$run/src/bench" && $GO build -o "$run/bench-base" .)
+(cd bench && $GO build -o "$run/bench-tree" .)
+rm -rf "$run/src"
+if cmp -s "$run/bench-base" "$run/bench-tree"; then
+	echo "pairs: the two binaries are identical (A/A)" >&2
+fi
+
+one() { # one <set> <binary> <workload> <seed>
+	echo "pairs: $3 seed $4 $2" >&2
+	line=$(cd "$run" && "./$2" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)
+	echo "$1 $3 $line" >>"$run/log"
+}
+: >"$run/log"
+for w in $WORKLOADS; do
+	i=1
+	while [ "$i" -le "$PAIRS" ]; do
+		if [ $((i % 2)) -eq 1 ]; then
+			one A bench-base "$w" "$i"
+			one B bench-tree "$w" "$i"
+		else
+			one B bench-tree "$w" "$i"
+			one A bench-base "$w" "$i"
+		fi
+		i=$((i + 1))
+	done
+	one HA bench-base "$w" "$HELDOUT"
+	one HB bench-tree "$w" "$HELDOUT"
+done
+
+echo "log: $run/log"
+"$run/bench-tree" -summarize "$run/log" -bounds BENCHMARK.json || true
+
+# Metric directions, in BENCHMARK.json's end_to_end order.
+better=$(awk '/"end_to_end"/{f=1} /"per_layer"/{f=0}
+	f && /"name"/{gsub(/[",]/, ""); n=$2} f && /"better"/{gsub(/[",]/, ""); printf "%s:%s ", n, $2}' BENCHMARK.json)
+
+awk -v better="$better" -v heldout="$HELDOUT" '
+function value(json, m,    s) {
+	if (!match(json, "\"" m "\":\\{\"value\":[-+0-9.eE]+")) return ""
+	s = substr(json, RSTART, RLENGTH); sub(/.*:/, "", s); return s + 0
+}
+function sort(a, n,    i, j, t) {
+	for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+}
+# quantile: bench/stats.go quartiles (Python statistics.quantiles, exclusive).
+function quantile(a, n, q,    j, d) {
+	if (n == 1) return a[1]
+	j = int(q * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
+	d = q * (n + 1) - j * 4
+	return (a[j] * (4 - d) + a[j+1] * d) / 4
+}
+function median(a, n) { return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2 }
+function stat(set, w, m,    a, i, n) {
+	n = cnt[set, w]
+	for (i = 1; i <= n; i++) a[i] = v[set, w, m, i]
+	sort(a, n)
+	med = median(a, n); q1 = quantile(a, n, 1); q3 = quantile(a, n, 3)
+	return sprintf("%.6g [%.6g, %.6g]", med, q1, q3)
+}
+function gain(a, b, m) { return dir[m] == "lower" ? a - b : b - a }
+BEGIN {
+	nm = split(better, pairs, " ")
+	for (k = 1; k <= nm; k++) { split(pairs[k], f, ":"); metric[k] = f[1]; dir[f[1]] = f[2] }
+}
+{
+	set = $1; w = $2; json = $0; sub(/^[^ ]+ [^ ]+ /, "", json)
+	if (!((set, w) in cnt)) cnt[set, w] = 0
+	c = ++cnt[set, w]
+	if (!(w in seen)) { seen[w] = 1; order[++nw] = w }
+	for (k = 1; k <= nm; k++) v[set, w, metric[k], c] = value(json, metric[k])
+}
+END {
+	print ""
+	print "| workload | metric | base median [q1, q3] | working tree median [q1, q3] | Δ | wins | pairs (seed 1…) | seed " heldout " Δ |"
+	print "|---|---|---|---|---|---|---|---|"
+	for (x = 1; x <= nw; x++) {
+		w = order[x]
+		for (k = 1; k <= nm; k++) {
+			m = metric[k]
+			a = stat("A", w, m); am = med
+			b = stat("B", w, m); bm = med
+			n = cnt["A", w] < cnt["B", w] ? cnt["A", w] : cnt["B", w]
+			wins = 0; arrows = ""
+			for (i = 1; i <= n; i++) {
+				g = gain(v["A", w, m, i], v["B", w, m, i], m)
+				arrows = arrows (g > 0 ? "↑" : g < 0 ? "↓" : "=")
+				if (g > 0) wins++
+			}
+			h = "–"
+			if (cnt["HA", w] && cnt["HB", w] && v["HA", w, m, 1] != 0)
+				h = sprintf("%+.1f %%", 100 * (v["HB", w, m, 1] - v["HA", w, m, 1]) / v["HA", w, m, 1])
+			printf "| %s | `%s` | %s | %s | %+.1f %% | %d/%d | %s | %s |\n", w, m, a, b, 100 * (bm - am) / am, wins, n, arrows, h
+		}
+	}
+}' "$run/log"
