@@ -86,13 +86,12 @@ flakegate:
 	GOMAXPROCS=1 $(GO) test ./internal/live/ -run TestLiveWatchdogQuietRunStaysClean -count 200
 	GOMAXPROCS=8 $(GO) test ./internal/live/ -run TestLiveWatchdogQuietRunStaysClean -count 200
 
-# Seeded chaos soak: worker fail-stop + controller crash (warm and cold) +
-# timed network partition + elastic join/drain staircase composed in one run,
-# swept across seeds under the race detector. Every fault comes from outside
-# the product: the fail-stop from the Faulty transport's crash-after-sends
-# plan, the controller crash from the service core's Failover event, fired by
-# the test at a fixed iteration. ci runs the default sweep; raise CHAOS_SEEDS
-# for a longer soak. Any failure reproduces from the logged seed.
+# Seeded chaos soak: worker fail-stop + timed network partition + elastic
+# join/drain staircase composed in one run, swept across seeds under the race
+# detector. Every fault comes from outside the product: the fail-stop from the
+# Faulty transport's crash-after-sends plan, the partition from its timed
+# window. ci runs the default sweep; raise CHAOS_SEEDS for a longer soak. Any
+# failure reproduces from the logged seed.
 CHAOS_SEEDS ?= 4
 chaos:
 	PREDUCE_CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race ./internal/live/ -run TestChaosSoak -count 1
@@ -147,13 +146,12 @@ WORKLOADS ?= $(BENCH_WORKLOADS)
 pairs:
 	sh scripts/pairs.sh $(BASE) "$(WORKLOADS)" $(PAIRS)
 
-# Short fuzz pass over the wire codecs — transport frames, policy state, and
-# the live control payloads (longer runs: raise FUZZTIME).
+# Short fuzz pass over the wire codecs — transport frames and the live
+# control payloads (longer runs: raise FUZZTIME).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzPolicyStateCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/live/ -run '^$$' -fuzz FuzzControlCodec -fuzztime $(FUZZTIME)
 
 # Simulator byte-identity against another commit: every sweep CSV, the traced

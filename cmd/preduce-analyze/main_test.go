@@ -1,7 +1,10 @@
 package main
 
 import (
+	"archive/tar"
 	"bytes"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,6 +65,54 @@ func TestRunRejectsCorruptBundle(t *testing.T) {
 	err = run([]string{path}, &out)
 	if err == nil || !strings.Contains(err.Error(), health.PartScoreboard) {
 		t.Fatalf("corrupted bundle: err = %v, want one naming %s; output:\n%s", err, health.PartScoreboard, out.String())
+	}
+}
+
+// TestRunRefusesVersion1Bundle: a bundle in the version-1 format (its parts
+// plus a controller.bin snapshot, all CRCs intact) is refused by version,
+// with an error naming both versions.
+func TestRunRefusesVersion1Bundle(t *testing.T) {
+	_, path := fixture(t, t.TempDir())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, parts, err := health.ReadBundle(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := []byte{0xde, 0xad, 0xbe, 0xef}
+	parts["controller.bin"] = ctl
+	man.Version = 1
+	man.Parts = append(man.Parts, health.PartInfo{Name: "controller.bin", Size: int64(len(ctl)), CRC32: crc32.ChecksumIEEE(ctl)})
+	manJSON, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	tw := tar.NewWriter(&v1)
+	put := func(name string, b []byte) {
+		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: int64(len(b)), Format: tar.FormatUSTAR}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(health.PartManifest, manJSON)
+	for _, p := range man.Parts {
+		put(p.Name, parts[p.Name])
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("version-1 bundle: err = %v, want the version refusal; output:\n%s", err, out.String())
 	}
 }
 

@@ -83,7 +83,7 @@ func main() {
 	drainAfter := flag.Int("drain-after", 0,
 		"elastic scale-in: gracefully drain the highest rank once this many groups have dispatched, then one more per -scale-step, down to -scale-to")
 	scaleTo := flag.Int("scale-to", 0,
-		"elastic scale-in target membership (with -drain-after; 0: no drains)")
+		"elastic scale-in target membership, in [2, len(addrs)); required by -drain-after")
 	scaleStep := flag.Int("scale-step", 5,
 		"groups between consecutive elastic joins (after -join-after) and drains (after -drain-after)")
 	policyName := flag.String("policy", "",
@@ -127,6 +127,9 @@ func main() {
 		fail(fmt.Errorf("need -segment-size >= 0"))
 	}
 	if err := checkPartitionFlags(*partition, *ctrlTimeout, *collTimeout); err != nil {
+		fail(err)
+	}
+	if err := checkElasticFlags(n, *initial, *joinAfter, *drainAfter, *scaleTo, *scaleStep); err != nil {
 		fail(err)
 	}
 	if *policyName != "" {
@@ -385,9 +388,6 @@ func main() {
 // drainAfter. The canonical 8→12→6 sweep over 12 addresses is
 // `-initial 8 -join-after 20 -drain-after 60 -scale-to 6 -scale-step 10`.
 func elasticSchedule(n, initial, joinAfter, drainAfter, scaleTo, step int) hetero.ElasticSchedule {
-	if step <= 0 {
-		return nil
-	}
 	var s hetero.ElasticSchedule
 	if joinAfter > 0 {
 		at := joinAfter
@@ -396,7 +396,7 @@ func elasticSchedule(n, initial, joinAfter, drainAfter, scaleTo, step int) heter
 			at += step
 		}
 	}
-	if drainAfter > 0 && scaleTo > 0 {
+	if drainAfter > 0 {
 		at := drainAfter
 		for w := n - 1; w >= scaleTo; w-- {
 			s = append(s, hetero.ElasticEvent{Worker: w, AfterUpdates: at, Kind: hetero.ElasticDrain})
@@ -463,6 +463,23 @@ func parseStraggle(s string, n int) (int, time.Duration, error) {
 func checkPartitionFlags(partition string, ctrlTimeout, collTimeout time.Duration) error {
 	if partition != "" && (ctrlTimeout <= 0 || collTimeout <= 0) {
 		return fmt.Errorf("-partition drops control frames too: it needs -ctrl-timeout and -collective-timeout (unbounded waits never notice a lost frame)")
+	}
+	return nil
+}
+
+// checkElasticFlags refuses elastic flags that would schedule nothing: a
+// join with no parked rank to admit, joins or drains with no positive step
+// between them, a drain with no membership to stop at. Each of these ran
+// without error and changed nothing; checked before the mesh forms, so the
+// mistake costs no mesh timeout. n is the number of addresses.
+func checkElasticFlags(n, initial, joinAfter, drainAfter, scaleTo, scaleStep int) error {
+	switch {
+	case joinAfter > 0 && (initial == 0 || initial >= n):
+		return fmt.Errorf("-join-after admits parked ranks: it needs -initial below the %d addresses", n)
+	case (joinAfter > 0 || drainAfter > 0) && scaleStep <= 0:
+		return fmt.Errorf("-join-after/-drain-after need a positive -scale-step, got %d", scaleStep)
+	case drainAfter > 0 && (scaleTo < 2 || scaleTo >= n):
+		return fmt.Errorf("-drain-after needs -scale-to in [2,%d), got %d", n, scaleTo)
 	}
 	return nil
 }

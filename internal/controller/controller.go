@@ -146,24 +146,6 @@ type Stats struct {
 	StaleEpochs   int // ready signals rejected for a stale epoch
 }
 
-// Add returns the field-wise sum of s and o: how the live service carries
-// counters across controller incarnations (a cold failover starts the
-// replacement at zero).
-func (s Stats) Add(o Stats) Stats {
-	of := o.fields()
-	for i, f := range s.fields() {
-		*f += *of[i]
-	}
-	return s
-}
-
-// fields lists every counter in declaration order — the snapshot's layout,
-// and the one place Add, Snapshot and Restore learn of a new counter.
-func (s *Stats) fields() []*int {
-	return []*int{&s.GroupsFormed, &s.Interventions, &s.FrozenChecks, &s.Failures, &s.Rejoins,
-		&s.GroupsAborted, &s.Joins, &s.Drains, &s.Decommissions, &s.StaleEpochs}
-}
-
 // Controller is the P-Reduce controller. It is not safe for concurrent use;
 // callers (the simulator's event loop or the live runtime's accept loop)
 // serialize access.
@@ -197,9 +179,8 @@ type Controller struct {
 	together [][]int // together[i][j] = groups containing both i and j, i≠j
 	inGroup  []int   // inGroup[i] = groups containing i
 
-	// Iteration tracking (snapshotted since v2 — formation policies read
-	// it, so warm failover must carry it). lastIter[w] is worker w's
-	// latest known iteration (ready signals and group fast-forwards),
+	// Iteration tracking, which formation policies read. lastIter[w] is
+	// worker w's latest known iteration (ready signals and group fast-forwards),
 	// maxIter the maximum across alive workers: a worker's staleness is
 	// their difference. lastTog[i][j] is the group sequence number at which i
 	// and j last synced together (-1: never), the
@@ -210,19 +191,15 @@ type Controller struct {
 	lastTog  [][]int
 	lastNow  float64
 
-	// Formation policy (optional). pol is wiring like the tracer — it is
-	// re-attached after failover via SetPolicy — but its *state* rides
-	// the snapshot: Snapshot embeds pol.Snapshot(), Restore parks the
-	// blob in polBlob, and SetPolicy feeds it to the new incarnation's
-	// policy. The pol* slices are Decide-call scratch, reused so the
-	// policy path stays allocation-free.
+	// Formation policy (optional), attached by SetPolicy. The pol* slices
+	// are Decide-call scratch, reused so the policy path stays
+	// allocation-free.
 	pol      policy.Policy
-	polBlob  []byte
 	polQueue []policy.QueuedSignal
 	polSeen  []bool
 	polSig   []Signal
 
-	// Tracer and instruments are pure wiring, never snapshotted.
+	// Tracer and instruments are pure wiring.
 	tracer *trace.Tracer
 	ins    *metrics.Instruments
 }
@@ -275,13 +252,11 @@ func New(cfg Config) (*Controller, error) {
 // SetTracer attaches a trace recorder for controller decision events
 // (ready signals with queue depth, group formation with per-member
 // staleness, frozen-avoidance triggers, liveness transitions). A nil
-// tracer disables recording. The tracer is runtime wiring, not state:
-// it does not survive Snapshot/Restore — re-attach after failover.
+// tracer disables recording.
 func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer = t }
 
 // SetInstruments attaches live instruments (staleness histogram,
-// queue-depth series, sync-graph gauges). Like the tracer, instruments
-// are wiring, not snapshotted state. Attaching instruments enables the
+// queue-depth series, sync-graph gauges). Attaching instruments enables the
 // per-group connectivity gauge computation (O(N²)), so leave them nil
 // in tight parameter sweeps.
 func (c *Controller) SetInstruments(in *metrics.Instruments) {
@@ -291,41 +266,27 @@ func (c *Controller) SetInstruments(in *metrics.Instruments) {
 
 // SetPolicy attaches a group-formation policy (internal/policy),
 // consulted once per formation attempt for the next group's size,
-// membership bias, and dynamic-weight decay. Like the tracer, the policy
-// object is wiring and must be re-attached after failover — but its
-// state is snapshotted: if this controller was built by Restore from a
-// snapshot that carried policy state, SetPolicy restores that state into
-// p before attaching it, so the new incarnation decides exactly as the
-// old one would have. A nil p detaches (built-in behavior). Safe to call
-// on a live controller between formation events.
-func (c *Controller) SetPolicy(p policy.Policy) error {
-	if p == nil {
-		c.pol = nil
-		return nil
-	}
-	if len(c.polBlob) > 0 {
-		if err := p.Restore(c.polBlob); err != nil {
-			return fmt.Errorf("controller: restoring policy state: %w", err)
-		}
-		c.polBlob = nil
-	}
-	if c.polQueue == nil {
+// membership bias, and dynamic-weight decay. A nil p detaches (built-in
+// behavior). Safe to call on a live controller between formation events.
+func (c *Controller) SetPolicy(p policy.Policy) {
+	if p != nil && c.polQueue == nil {
 		c.polQueue = make([]policy.QueuedSignal, 0, c.cfg.N)
 		c.polSeen = make([]bool, c.cfg.N)
 		c.polSig = make([]Signal, 0, c.cfg.N)
 	}
 	c.pol = p
-	return nil
 }
-
-// Policy returns the attached formation policy (nil when detached).
-func (c *Controller) Policy() policy.Policy { return c.pol }
-
-// Config returns the effective configuration (defaults resolved).
-func (c *Controller) Config() Config { return c.cfg }
 
 // Stats returns activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
+
+// IsQueued reports whether worker currently has a ready signal in the queue.
+// The live service uses it to recognize a retransmitted ready signal (the
+// worker re-sent because its reply had not come yet) as distinct from a
+// duplicate.
+func (c *Controller) IsQueued(worker int) bool {
+	return worker >= 0 && worker < c.cfg.N && c.queued[worker]
+}
 
 // Ready accepts a worker's ready signal and returns the groups formed as a
 // result (zero or one under normal operation). It rejects out-of-range

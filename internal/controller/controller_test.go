@@ -104,11 +104,11 @@ func TestGroupIterFastForward(t *testing.T) {
 
 func TestDefaultsResolved(t *testing.T) {
 	c := mustNew(t, Config{N: 8, P: 3})
-	if c.Config().Window != MinWindow(8, 3) {
-		t.Fatalf("window default: %d", c.Config().Window)
+	if c.cfg.Window != MinWindow(8, 3) {
+		t.Fatalf("window default: %d", c.cfg.Window)
 	}
-	if c.Config().Alpha != 0.6 {
-		t.Fatalf("alpha default: %v", c.Config().Alpha)
+	if c.cfg.Alpha != 0.6 {
+		t.Fatalf("alpha default: %v", c.cfg.Alpha)
 	}
 }
 
@@ -420,23 +420,95 @@ func candidates(free []bool) []int {
 // starved — its signal simply has not been grouped yet).
 func freeCount(free []bool, w int) bool { return !free[w] }
 
-// TestStatsAddSumsEveryField walks Stats by reflection so a counter added
-// later cannot be forgotten in Add: every field must be an int and must come
-// back as the sum of the two operands.
-func TestStatsAddSumsEveryField(t *testing.T) {
-	var a, b Stats
-	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	for i := 0; i < av.NumField(); i++ {
-		if av.Field(i).Kind() != reflect.Int {
-			t.Fatalf("Stats.%s is %s; Add and this test assume int counters", av.Type().Field(i).Name, av.Field(i).Kind())
-		}
-		av.Field(i).SetInt(int64(i + 1))
-		bv.Field(i).SetInt(int64(100 * (i + 1)))
+// TestRejoinEdgeCases: re-admitting a worker that never failed is an error
+// (a tracking bug in the caller), as is an out-of-range id; a real rejoin
+// works and is visible in liveness.
+func TestRejoinEdgeCases(t *testing.T) {
+	c := mustNew(t, Config{N: 3, P: 2})
+	if err := c.Rejoin(1); err == nil {
+		t.Fatal("rejoin of an alive worker accepted")
 	}
-	sum := reflect.ValueOf(a.Add(b))
-	for i := 0; i < sum.NumField(); i++ {
-		if got, want := sum.Field(i).Int(), int64(101*(i+1)); got != want {
-			t.Errorf("Add dropped Stats.%s: got %d, want %d", sum.Type().Field(i).Name, got, want)
-		}
+	if err := c.Rejoin(-1); err == nil {
+		t.Fatal("rejoin of rank -1 accepted")
+	}
+	if err := c.Rejoin(3); err == nil {
+		t.Fatal("rejoin beyond N accepted")
+	}
+	c.Fail(1)
+	if c.IsAlive(1) || c.AliveCount() != 2 {
+		t.Fatal("fail not recorded")
+	}
+	if err := c.Rejoin(1); err != nil {
+		t.Fatal(err)
+	}
+	if !c.IsAlive(1) || c.AliveCount() != 3 {
+		t.Fatal("rejoin not recorded")
+	}
+	if err := c.Rejoin(1); err == nil {
+		t.Fatal("double rejoin accepted")
+	}
+}
+
+// TestPurgeSignalMidGroup: purging removes exactly the queued signal — a
+// worker whose signal was already consumed by group formation has nothing to
+// purge, and purging must not break subsequent grouping.
+func TestPurgeSignalMidGroup(t *testing.T) {
+	c := mustNew(t, Config{N: 4, P: 2})
+	ready(t, c, 0, 1)
+	if !c.IsQueued(0) {
+		t.Fatal("signal not queued")
+	}
+	if !c.PurgeSignal(0) {
+		t.Fatal("purge of a queued signal reported nothing removed")
+	}
+	if c.IsQueued(0) || c.QueueDepth() != 0 {
+		t.Fatal("purge left the signal behind")
+	}
+	if c.PurgeSignal(0) {
+		t.Fatal("second purge removed a phantom signal")
+	}
+	// A purged worker may signal again without tripping the duplicate check.
+	if gs := ready(t, c, 0, 2); len(gs) != 0 {
+		t.Fatalf("re-signal after purge formed %v", gs)
+	}
+	// Members of a formed group are no longer queued: nothing to purge.
+	if gs := ready(t, c, 1, 1); len(gs) != 1 {
+		t.Fatalf("group formation: %v", gs)
+	}
+	if c.PurgeSignal(0) || c.PurgeSignal(1) {
+		t.Fatal("purged a signal already consumed by group formation")
+	}
+	// Out-of-range purge is a no-op, not a panic.
+	if c.PurgeSignal(-1) || c.PurgeSignal(99) {
+		t.Fatal("out-of-range purge reported success")
+	}
+}
+
+// TestIsQueuedDrain: IsQueued distinguishes a retransmitted signal (still in
+// the queue) from a consumed one, and a shrinking alive set drains whatever
+// groups the current queue supports.
+func TestIsQueuedDrain(t *testing.T) {
+	c := mustNew(t, Config{N: 4, P: 3})
+	if c.IsQueued(0) || c.IsQueued(-1) || c.IsQueued(7) {
+		t.Fatal("phantom queued signals")
+	}
+	ready(t, c, 0, 1)
+	if gs := ready(t, c, 1, 1); len(gs) != 0 {
+		t.Fatalf("formed %+v from 2 < P signals", gs)
+	}
+	if !c.IsQueued(0) || !c.IsQueued(1) {
+		t.Fatal("queued signals not visible")
+	}
+	// Shrinking the alive set (P clamps to survivors) makes the queue
+	// formable; Fail's internal drain flushes it.
+	if gs := c.Fail(3); len(gs) != 0 {
+		t.Fatalf("first failure formed %+v with 2 signals < effective P", gs)
+	}
+	gs := c.Fail(2)
+	if len(gs) != 1 || !reflect.DeepEqual(gs[0].Members, []int{0, 1}) {
+		t.Fatalf("drain after shrink: %+v", gs)
+	}
+	if c.IsQueued(0) || c.IsQueued(1) {
+		t.Fatal("drained members still queued")
 	}
 }

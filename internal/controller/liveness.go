@@ -68,7 +68,8 @@ func (c *Controller) PurgeSignal(worker int) bool {
 
 // AbortGroup records that a formed group g lost member dead mid-collective:
 // the dead worker is excluded (as ReportFailure) and the abort is counted.
-// The surviving members are expected to roll back to their pre-group state
+// dead = -1 is a stuck op torn down with nobody condemned. The surviving
+// members are expected to roll back to their pre-group state
 // and re-signal ready; their signals will be accepted because group
 // formation already cleared their queued flags. It returns the groups formed
 // immediately as a consequence (the purge can unblock a deferred bridge

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -106,9 +105,7 @@ func TestStaticPolicyBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		withPol, polTr := newTraced()
-		if err := withPol.SetPolicy(pol); err != nil {
-			t.Fatal(err)
-		}
+		withPol.SetPolicy(pol)
 		polGroups := runScript(withPol, ops)
 
 		if !reflect.DeepEqual(baseGroups, polGroups) {
@@ -137,9 +134,7 @@ func TestAdaptivePolicyRespectsFloors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SetPolicy(pol); err != nil {
-			t.Fatal(err)
-		}
+		c.SetPolicy(pol)
 		for _, g := range runScript(c, replayScript(seed, cfg.N, 600)) {
 			if len(g.Members) < pmin || len(g.Members) > pmax {
 				t.Fatalf("seed %d: group size %d outside [%d,%d]", seed, len(g.Members), pmin, pmax)
@@ -156,9 +151,7 @@ func TestPolicyGroupWeightsSumToOne(t *testing.T) {
 		cfg := Config{N: 8, P: 4, Weighting: Dynamic, Alpha: 0.5, Approx: approx}
 		c := mustNew(t, cfg)
 		// alphaOverride deviates from the configured decay on every group.
-		if err := c.SetPolicy(alphaOverridePolicy{alpha: 0.3}); err != nil {
-			t.Fatal(err)
-		}
+		c.SetPolicy(alphaOverridePolicy{alpha: 0.3})
 		groups := runScript(c, replayScript(3, cfg.N, 500))
 		if len(groups) == 0 {
 			t.Fatal("script formed no groups")
@@ -188,66 +181,6 @@ func (p alphaOverridePolicy) Decide(in policy.Inputs) policy.Decision {
 	}
 	return policy.Decision{P: n, Alpha: p.alpha}
 }
-func (alphaOverridePolicy) Snapshot() []byte {
-	return policy.EncodeState(policy.State{Kind: "test-alpha"})
-}
-func (alphaOverridePolicy) Restore([]byte) error { return nil }
-func (alphaOverridePolicy) Reset()               {}
-
-// TestSnapshotCarriesPolicyState pins the v2 snapshot contract: policy
-// state rides the controller snapshot, Snapshot∘Restore is the identity
-// on bytes with or without a policy re-attached, and a fresh policy
-// attached to a restored controller picks up exactly the old state.
-func TestSnapshotCarriesPolicyState(t *testing.T) {
-	cfg := Config{N: 6, P: 3, Weighting: Dynamic, Alpha: 0.5, Window: MinWindow(6, 2)}
-	spec := policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: 3, Window: 2}
-	c := mustNew(t, cfg)
-	pol, err := policy.New(spec, cfg.N, cfg.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetPolicy(pol); err != nil {
-		t.Fatal(err)
-	}
-	ops := replayScript(7, cfg.N, 300)
-	runScript(c, ops)
-
-	snap := c.Snapshot()
-
-	// Restore without re-attaching a policy: the blob is parked and passed
-	// through, so the re-snapshot is byte-identical.
-	parked, err := Restore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := parked.Snapshot(); !bytes.Equal(snap, again) {
-		t.Fatal("Snapshot∘Restore without policy re-attach is not the identity")
-	}
-
-	// Restore and attach a fresh policy instance: SetPolicy applies the
-	// parked blob, so the twin continues exactly like the original.
-	restored, err := Restore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := policy.New(spec, cfg.N, cfg.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.SetPolicy(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if again := restored.Snapshot(); !bytes.Equal(snap, again) {
-		t.Fatal("snapshot changed after policy re-attach (state was not applied exactly)")
-	}
-
-	cont := replayScript(11, cfg.N, 200)
-	a := runScript(c, cont)
-	b := runScript(restored, cont)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("continuations diverged after policy failover: %d vs %d groups", len(a), len(b))
-	}
-}
 
 // stalenessProbe is a test double: static sizing, recording the staleness
 // the controller reported for each queued worker at the latest Decide.
@@ -271,9 +204,7 @@ func (p *stalenessProbe) Decide(in policy.Inputs) policy.Decision {
 func TestIntrospectionDeadSentinels(t *testing.T) {
 	c := mustNew(t, Config{N: 4, P: 3})
 	probe := &stalenessProbe{}
-	if err := c.SetPolicy(probe); err != nil {
-		t.Fatal(err)
-	}
+	c.SetPolicy(probe)
 	ready(t, c, 0, 10) // frontrunner pulls the maximum to 10, then queues
 	ready(t, c, 1, 2)
 	if got := probe.seen[1]; got != 10-2 {
@@ -295,7 +226,7 @@ func TestIntrospectionDeadSentinels(t *testing.T) {
 	if err := c.Rejoin(0); err != nil {
 		t.Fatal(err)
 	}
-	c.FlushGroups()
+	ready(t, c, 2, 3) // the next formation attempt consults the policy
 	if got := probe.seen[1]; got != 8 {
 		t.Fatalf("staleness after rejoin = %d, want 8 (0 is the frontrunner again)", got)
 	}
@@ -313,9 +244,7 @@ func TestStragglerBiasReordersQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetPolicy(pol); err != nil {
-		t.Fatal(err)
-	}
+	c.SetPolicy(pol)
 	ready(t, c, 0, 9)       // maxIter 9, queue [0]
 	ready(t, c, 1, 9)       // queue [0,1], both staleness 0
 	gs := ready(t, c, 2, 2) // staleness 7: bias order [2,0,1] completes the group

@@ -92,7 +92,7 @@ type Directive struct {
 type Control interface {
 	// Signal sends the worker's ready signal for iter and blocks until the
 	// controller answers. Retransmission of lost signals (bounded reply
-	// waits, controller failover) happens inside the implementation; an
+	// waits, the resend limit) happens inside the implementation; an
 	// error means the control plane is unusable and the run is over for
 	// this worker.
 	Signal(iter int) (Directive, error)

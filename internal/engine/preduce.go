@@ -37,12 +37,6 @@ type PReduceConfig struct {
 	// the sync-graph window is sized for the smallest reachable group size
 	// so frozen avoidance stays sound at every P the policy may choose.
 	Policy policy.Spec
-	// CtrlRestartEvery, when positive, warm-restarts the controller
-	// (Snapshot → Restore → re-attach tracer/instruments/policy) every
-	// that many dispatched groups: the simulator's deterministic stand-in
-	// for live controller failover. Replay tests use it to pin that
-	// policy state survives a restore exactly.
-	CtrlRestartEvery int
 }
 
 // PReduce is the paper's contribution, the partial-reduce training strategy
@@ -153,30 +147,19 @@ func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 			return RunInfo{}, err
 		}
 	}
-	// wire attaches what a controller incarnation does not carry in its
-	// snapshot: the cluster's virtual-clock tracer and instruments (nil when
-	// tracing is off), so ready/group-formed/staleness decisions land on the
-	// same timeline as the worker spans, and the policy object (nil
-	// detaches), whose state does ride the snapshot and is restored into it.
-	wire := func(ctrl *controller.Controller) error {
-		ctrl.SetTracer(c.Tracer)
-		ctrl.SetInstruments(c.Ins)
-		return ctrl.SetPolicy(pol)
-	}
-	if err := wire(ctrl); err != nil {
-		return RunInfo{}, err
-	}
+	// The cluster's virtual-clock tracer and instruments (nil when tracing is
+	// off) put ready/group-formed/staleness decisions on the same timeline as
+	// the worker spans.
+	ctrl.SetTracer(c.Tracer)
+	ctrl.SetInstruments(c.Ins)
+	ctrl.SetPolicy(pol)
 	env := NewSimEnv(c)
 	var res *metrics.Result
 	switch {
 	case !p.cfg.Overlap:
-		// A restart replaces the incarnation mid-run; the stats below must
-		// come from the survivor.
-		res, ctrl, err = runPReduceSim(env, ctrl, wire, p.cfg.CtrlRestartEvery)
+		res, err = runPReduceSim(env, ctrl)
 	case len(c.Cfg.Crashes) > 0:
 		err = fmt.Errorf("engine: overlapped P-Reduce does not support crash schedules")
-	case p.cfg.CtrlRestartEvery > 0:
-		err = fmt.Errorf("engine: overlapped P-Reduce does not support controller restarts")
 	default:
 		res, err = runOverlappedSim(env, ctrl)
 	}

@@ -13,21 +13,14 @@ import (
 )
 
 // runPReduceSim drives Algorithm 2 on the simulated substrate's event
-// engine. ctrl arrives wired; wire re-attaches the same wiring (tracer,
-// instruments, policy) to the replacement when restartEvery > 0
-// warm-restarts the controller (Snapshot → Restore → wire) every that many
-// dispatched groups — the simulator's deterministic stand-in for live
-// controller failover.
+// engine, with ctrl already wired (tracer, instruments, policy).
 //
 // When the cell carries a fail-stop schedule (§4), crashes are handled the
 // way the paper says the controller makes cheap: a dead worker's queued
 // signal is purged, a group caught mid-collective is aborted and its
 // survivors re-signal after one controller round trip, and checkpoint
 // rejoins re-admit the worker with its crash-time model.
-//
-// It returns the final controller: a restart replaces the incarnation
-// mid-run, and post-run statistics must come from the survivor.
-func runPReduceSim(env *SimEnv, ctrl *controller.Controller, wire func(*controller.Controller) error, restartEvery int) (*metrics.Result, *controller.Controller, error) {
+func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, error) {
 	c := env.C
 	agg := tensor.NewVector(len(c.Init))
 	paramsBuf := make([]tensor.Vector, 0, c.Cfg.N)
@@ -187,22 +180,6 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, wire func(*controll
 		})
 	}
 
-	// restart is the simulated warm-failover drill: serialize the
-	// controller, destroy it, restore a replacement from the snapshot, and
-	// re-attach the wiring.
-	dispatched := 0
-	restart := func() {
-		next, err := controller.Restore(ctrl.Snapshot())
-		if err == nil {
-			err = wire(next)
-		}
-		if failed(err) {
-			return
-		}
-		ctrl = next
-		c.Tracer.Instant(trace.KCtrlRestore, trace.ControllerTrack, -1, 0, 0)
-	}
-
 	dispatch = func(groups []controller.Group) {
 		for _, g := range groups {
 			seq++
@@ -220,10 +197,6 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, wire func(*controll
 				}
 			}
 			attempt(id, g, 1)
-			dispatched++
-			if restartEvery > 0 && dispatched%restartEvery == 0 {
-				restart()
-			}
 		}
 	}
 
@@ -379,7 +352,6 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, wire func(*controll
 				Active:     c.AliveCount(),
 			})
 			if len(breaches) > 0 && c.Recorder != nil {
-				c.Recorder.SetControllerSnapshot(ctrl.Snapshot())
 				st := c.Health.State()
 				for _, br := range breaches {
 					if _, err := c.Recorder.Capture(br.Rule.String(), now, []health.Breach{br}, st); failed(err) {
@@ -399,7 +371,7 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, wire func(*controll
 	}
 	c.Eng.Run()
 	if readyErr != nil {
-		return nil, ctrl, readyErr
+		return nil, readyErr
 	}
-	return c.Finish(), ctrl, nil
+	return c.Finish(), nil
 }

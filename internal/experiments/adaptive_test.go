@@ -15,9 +15,7 @@ import (
 )
 
 // runAdaptiveTraced runs one quick adaptive-p cell with tracing enabled.
-// restartEvery > 0 warm-restarts the controller (Snapshot→Restore, policy
-// state riding the blob) every that-many dispatched groups.
-func runAdaptiveTraced(t *testing.T, seed int64, restartEvery int) (*metrics.Result, *cluster.Cluster) {
+func runAdaptiveTraced(t *testing.T, seed int64) (*metrics.Result, *cluster.Cluster) {
 	t.Helper()
 	opts := Options{Seed: seed, Quick: true}
 	cell := Cell{
@@ -28,8 +26,7 @@ func runAdaptiveTraced(t *testing.T, seed int64, restartEvery int) (*metrics.Res
 		cell: cell, strategy: "ADP P=4",
 		preduce: &engine.PReduceConfig{
 			P: 4, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
-			Policy:           policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: 4},
-			CtrlRestartEvery: restartEvery,
+			Policy: policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: 4},
 		},
 		tweak: func(cfg *cluster.Config) { cfg.TraceCap = 1 << 15 },
 	})
@@ -39,14 +36,13 @@ func runAdaptiveTraced(t *testing.T, seed int64, restartEvery int) (*metrics.Res
 	return run.Result, run.Cluster
 }
 
-// TestAdaptiveSeedReplayDeterministic is the satellite-2 replay pin: two
-// same-seed adaptive-p runs — each warm-restarting the controller mid-run
-// — export byte-identical summary CSV and trace JSONL. Any
-// non-determinism in the policy (map iteration, wall clocks, lossy
-// snapshot state) would diverge the group stream and break this.
+// TestAdaptiveSeedReplayDeterministic is the replay pin: two same-seed
+// adaptive-p runs export byte-identical summary CSV and trace JSONL. Any
+// non-determinism in the policy (map iteration, wall clocks) would diverge
+// the group stream and break this.
 func TestAdaptiveSeedReplayDeterministic(t *testing.T) {
 	run := func() ([]byte, []byte) {
-		res, c := runAdaptiveTraced(t, 3, 5)
+		res, c := runAdaptiveTraced(t, 3)
 		events := c.Tracer.Events()
 		if len(events) == 0 {
 			t.Fatal("no trace events")
@@ -70,38 +66,13 @@ func TestAdaptiveSeedReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSurvivesWarmRestore pins that a mid-run controller warm
-// restore is invisible to training: the run with periodic
-// Snapshot→Restore cycles produces exactly the result of the run without
-// them. If any adaptive-policy state (group-size controller, cadence
-// EMAs) were lost or approximated across the restore, the group stream —
-// and with it the result — would diverge.
-func TestAdaptiveSurvivesWarmRestore(t *testing.T) {
-	plain, _ := runAdaptiveTraced(t, 4, 0)
-	restarted, c := runAdaptiveTraced(t, 4, 5)
-
-	restores := 0
-	for _, ev := range c.Tracer.Events() {
-		if ev.Kind == trace.KCtrlRestore {
-			restores++
-		}
-	}
-	if restores == 0 {
-		t.Fatal("restart harness never fired (CtrlRestartEvery ignored)")
-	}
-	if !reflect.DeepEqual(plain, restarted) {
-		t.Fatalf("warm restores changed the training result:\n  plain:     %+v\n  restarted: %+v",
-			plain, restarted)
-	}
-}
-
 // TestAdaptiveDecisionsDeviate sanity-checks that the adaptive policy
 // actually does something on a heterogeneous cell: at HL=2 the cadence
 // dispersion crosses the shrink threshold, so at least one formed group
 // must be smaller than the configured P, and the deviation counter must
 // be nonzero.
 func TestAdaptiveDecisionsDeviate(t *testing.T) {
-	_, c := runAdaptiveTraced(t, 1, 0)
+	_, c := runAdaptiveTraced(t, 1)
 	deviations := 0
 	smaller := false
 	for _, ev := range c.Tracer.Events() {

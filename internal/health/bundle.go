@@ -15,7 +15,9 @@ package health
 //	scoreboard.csv  the straggler scoreboard, recent-blame descending
 //	trace.jsonl     the flight-recorder ring, trace.WriteJSONL format
 //	config.json     host-supplied run config (verbatim; "{}" when absent)
-//	controller.bin  the controller snapshot blob (may be empty)
+//
+// Version 2 dropped version 1's controller.bin, a controller snapshot no
+// reader decoded; Validate refuses a version-1 bundle by its version.
 
 import (
 	"archive/tar"
@@ -32,7 +34,7 @@ import (
 )
 
 // BundleVersion is the manifest schema version this package writes.
-const BundleVersion = 1
+const BundleVersion = 2
 
 // Part names, in canonical archive order (manifest first).
 const (
@@ -42,11 +44,10 @@ const (
 	PartScoreboard = "scoreboard.csv"
 	PartTrace      = "trace.jsonl"
 	PartConfig     = "config.json"
-	PartController = "controller.bin"
 )
 
 // partOrder is the canonical order of the non-manifest parts.
-var partOrder = []string{PartWatchdog, PartMetrics, PartScoreboard, PartTrace, PartConfig, PartController}
+var partOrder = []string{PartWatchdog, PartMetrics, PartScoreboard, PartTrace, PartConfig}
 
 // PartInfo is one part's manifest entry.
 type PartInfo struct {
@@ -118,15 +119,14 @@ type metricsPart struct {
 // Bundle is the in-memory form of one postmortem capture, ready to be
 // serialized by WriteBundle.
 type Bundle struct {
-	Reason     string
-	At         float64
-	Breaches   []Breach
-	State      State
-	Snap       *metrics.InstrumentsSnapshot
-	Events     []trace.Event
-	Dropped    uint64 // events the ring overwrote before Events[0]
-	Config     []byte // run config JSON, verbatim; nil renders as "{}"
-	Controller []byte // controller snapshot blob; may be nil
+	Reason   string
+	At       float64
+	Breaches []Breach
+	State    State
+	Snap     *metrics.InstrumentsSnapshot
+	Events   []trace.Event
+	Dropped  uint64 // events the ring overwrote before Events[0]
+	Config   []byte // run config JSON, verbatim; nil renders as "{}"
 }
 
 // renderScoreboard renders the straggler scoreboard CSV: one row per
@@ -203,11 +203,7 @@ func (b *Bundle) parts() (names []string, blobs [][]byte, err error) {
 	if len(cfg) == 0 {
 		cfg = []byte("{}")
 	}
-	ctl := b.Controller
-	if ctl == nil {
-		ctl = []byte{}
-	}
-	return partOrder, [][]byte{wd, mp, renderScoreboard(snap), tb.Bytes(), cfg, ctl}, nil
+	return partOrder, [][]byte{wd, mp, renderScoreboard(snap), tb.Bytes(), cfg}, nil
 }
 
 // writeTar writes the canonical tar: manifest first, then parts in the

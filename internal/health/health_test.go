@@ -2,6 +2,8 @@ package health
 
 import (
 	"bytes"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,7 +186,6 @@ func TestNilWatchdogAndRecorder(t *testing.T) {
 	if p, err := rec.Capture("x", 0, nil, State{}); p != "" || err != nil {
 		t.Fatal("nil recorder captured")
 	}
-	rec.SetControllerSnapshot(nil)
 	if rec.Written() != nil {
 		t.Fatal("nil recorder has state")
 	}
@@ -211,14 +212,13 @@ func buildBundle() *Bundle {
 		br = wd.Eval(2.0, Sample{Snap: ins.Snapshot(), QueueDepth: 1, Active: 3})
 	}
 	return &Bundle{
-		Reason:     "blame-spike",
-		At:         2.0,
-		Breaches:   br,
-		State:      wd.State(),
-		Snap:       ins.Snapshot(),
-		Events:     tr.Events(),
-		Config:     []byte(`{"n":3,"p":2}`),
-		Controller: []byte{0xde, 0xad, 0xbe, 0xef},
+		Reason:   "blame-spike",
+		At:       2.0,
+		Breaches: br,
+		State:    wd.State(),
+		Snap:     ins.Snapshot(),
+		Events:   tr.Events(),
+		Config:   []byte(`{"n":3,"p":2}`),
 	}
 }
 
@@ -244,7 +244,7 @@ func TestBundleWriteValidateDeterministic(t *testing.T) {
 	if len(man.Rules) != 1 || man.Rules[0] != "blame-spike" {
 		t.Fatalf("manifest rules: %v", man.Rules)
 	}
-	if len(man.Parts) != 6 {
+	if len(man.Parts) != 5 {
 		t.Fatalf("manifest parts: %+v", man.Parts)
 	}
 
@@ -253,8 +253,8 @@ func TestBundleWriteValidateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(parts[PartController], []byte{0xde, 0xad, 0xbe, 0xef}) {
-		t.Fatal("controller blob mangled")
+	if string(parts[PartConfig]) != `{"n":3,"p":2}` {
+		t.Fatalf("config part mangled: %q", parts[PartConfig])
 	}
 	if !strings.HasPrefix(string(parts[PartScoreboard]), "rank,recent_s,blame_s,waited_s,critical,groups\n1,") {
 		t.Fatalf("scoreboard should rank worker 1 first:\n%s", parts[PartScoreboard])
@@ -271,14 +271,47 @@ func TestBundleWriteValidateDeterministic(t *testing.T) {
 
 	// A flipped byte in any part fails validation.
 	bad := append([]byte(nil), one.Bytes()...)
-	// Locate the controller payload and flip it.
-	i := bytes.Index(bad, []byte{0xde, 0xad, 0xbe, 0xef})
+	// Locate the config payload and flip it.
+	i := bytes.Index(bad, []byte(`{"n":3,"p":2}`))
 	if i < 0 {
-		t.Fatal("controller payload not found in archive")
+		t.Fatal("config payload not found in archive")
 	}
-	bad[i] ^= 0xff
+	bad[i+2] ^= 0xff
 	if _, err := Validate(bad); err == nil {
 		t.Fatal("validate accepted a corrupted bundle")
+	}
+}
+
+// writeV1Bundle writes b the way bundle format version 1 did: the current
+// parts plus a trailing controller.bin, under a version-1 manifest.
+func writeV1Bundle(w io.Writer, b *Bundle) error {
+	names, blobs, err := b.parts()
+	if err != nil {
+		return err
+	}
+	names = append(names[:len(names):len(names)], "controller.bin")
+	blobs = append(blobs, []byte{0xde, 0xad, 0xbe, 0xef})
+	man := &Manifest{Version: 1, Reason: b.Reason, At: b.At}
+	for i, name := range names {
+		man.Parts = append(man.Parts, PartInfo{Name: name, Size: int64(len(blobs[i])), CRC32: crc32.ChecksumIEEE(blobs[i])})
+	}
+	return writeTar(w, man, names, blobs)
+}
+
+// TestValidateRefusesVersion1: an intact version-1 bundle (six parts, the
+// last a controller snapshot) is refused by its version, not by its part
+// count, and the error names both versions.
+func TestValidateRefusesVersion1(t *testing.T) {
+	var v1 bytes.Buffer
+	if err := writeV1Bundle(&v1, buildBundle()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadBundle(bytes.NewReader(v1.Bytes())); err != nil {
+		t.Fatalf("the version-1 fixture is not a well-formed archive: %v", err)
+	}
+	_, err := Validate(v1.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("version-1 bundle: err = %v, want the version refusal", err)
 	}
 }
 
@@ -288,7 +321,6 @@ func TestRecorderCaptureAndCap(t *testing.T) {
 	now := 3.0
 	tr := trace.New(trace.FuncClock(func() float64 { return now }), 8)
 	rec := NewRecorder(filepath.Join(dir, "pm"), tr, ins, []byte(`{"seed":1}`))
-	rec.SetControllerSnapshot([]byte("ctrl"))
 
 	p1, err := rec.Capture("blame-spike", 3.0, []Breach{{Rule: RBlameSpike, Value: 1, Threshold: 0.5, At: 3, Seq: 4}}, State{})
 	if err != nil {

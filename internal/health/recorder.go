@@ -1,10 +1,8 @@
 package health
 
 // Recorder is the flight-recorder half of the health plane: it owns the
-// capture sources (the always-on trace ring, the live instruments, the
-// run config, and a cached controller snapshot refreshed at each
-// watchdog evaluation) and writes postmortem bundles atomically into
-// its directory. A nil *Recorder is the disabled form — Capture is a
+// capture sources (the always-on trace ring, the live instruments and the
+// run config) and writes postmortem bundles atomically into its directory. A nil *Recorder is the disabled form — Capture is a
 // nil-safe no-op — so hosts wire it unconditionally and gate on flags.
 
 import (
@@ -28,7 +26,6 @@ type Recorder struct {
 	tracer *trace.Tracer
 	ins    *metrics.Instruments
 	config []byte
-	ctrl   []byte
 
 	seq     int
 	written []string
@@ -39,19 +36,6 @@ type Recorder struct {
 // JSON) verbatim in every bundle. dir is created on first capture.
 func NewRecorder(dir string, tr *trace.Tracer, ins *metrics.Instruments, config []byte) *Recorder {
 	return &Recorder{dir: dir, tracer: tr, ins: ins, config: config}
-}
-
-// SetControllerSnapshot caches the latest controller snapshot blob. The
-// watchdog host refreshes it inside the controller's serialization
-// domain at each evaluation, so an out-of-band capture (the SIGINT
-// flush) has a recent blob without touching the controller. Nil-safe.
-func (r *Recorder) SetControllerSnapshot(b []byte) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ctrl = b
-	r.mu.Unlock()
 }
 
 // slugify maps a capture reason onto a file-name-safe slug.
@@ -76,8 +60,7 @@ func slugify(reason string) string {
 
 // Capture writes one postmortem bundle for reason at clock time at,
 // carrying breaches and st, and returns its path. The bundle snapshots
-// the recorder's trace ring, instruments, cached controller blob, and
-// config at this moment. Writes are atomic (temp file + rename). Once
+// the recorder's trace ring, instruments and config at this moment. Writes are atomic (temp file + rename). Once
 // maxBundles captures have been written, further captures are dropped
 // and return ("", nil). Nil-safe: a nil recorder returns ("", nil).
 func (r *Recorder) Capture(reason string, at float64, breaches []Breach, st State) (string, error) {
@@ -90,15 +73,14 @@ func (r *Recorder) Capture(reason string, at float64, breaches []Breach, st Stat
 		return "", nil
 	}
 	b := &Bundle{
-		Reason:     reason,
-		At:         at,
-		Breaches:   breaches,
-		State:      st,
-		Snap:       r.ins.Snapshot(),
-		Events:     r.tracer.Events(),
-		Dropped:    r.tracer.Dropped(), // after Events: never understates
-		Config:     r.config,
-		Controller: r.ctrl,
+		Reason:   reason,
+		At:       at,
+		Breaches: breaches,
+		State:    st,
+		Snap:     r.ins.Snapshot(),
+		Events:   r.tracer.Events(),
+		Dropped:  r.tracer.Dropped(), // after Events: never understates
+		Config:   r.config,
 	}
 	name := fmt.Sprintf("postmortem-%03d-%s.tar", r.seq, slugify(reason))
 	if err := os.MkdirAll(r.dir, 0755); err != nil {

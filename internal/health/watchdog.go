@@ -181,8 +181,8 @@ type Watchdog struct {
 
 	// Baselines for the delta rules (retry-storm, epoch-churn) and the
 	// progress clock for heartbeat-silence. primed is false until the
-	// first Eval seeds them, so a run that starts with history (a
-	// restored controller) does not fire on its backlog.
+	// first Eval seeds them, so instruments that already carry history
+	// when the watchdog is armed do not fire on their backlog.
 	primed       bool
 	lastRetryish int64
 	lastEpoch    int64

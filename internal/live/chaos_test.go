@@ -26,12 +26,11 @@ func chaosSeeds(t *testing.T) int {
 }
 
 // TestChaosSoak throws every fault in the repertoire at the same run:
-// a fail-stop worker, a controller crash (warm on even seeds, cold on odd),
-// a timed two-rank network partition, and a seeded elastic 4→6→4 staircase
-// (two ranks bootstrap-join mid-run, then both drain back out), all on one
-// seeded Faulty world. The invariants are the ones each fault guarantees
-// alone — exactly the injected death is condemned, the controller restarts
-// exactly once, every membership change completes without condemning anyone,
+// a fail-stop worker, a timed two-rank network partition, and a seeded
+// elastic 4→6→4 staircase (two ranks bootstrap-join mid-run, then both drain
+// back out), all on one seeded Faulty world. The invariants are the ones each
+// fault guarantees alone — exactly the injected death is condemned, every
+// membership change completes without condemning anyone,
 // the surviving founders complete every iteration, and nothing hangs — and
 // the soak asserts they still compose. A bootstrap transfer that straddles
 // the partition times out and aborts cleanly (the joiner is un-joined via
@@ -45,15 +44,13 @@ func TestChaosSoak(t *testing.T) {
 	seeds := chaosSeeds(t)
 	for s := 0; s < seeds; s++ {
 		seed := int64(70 + s)
-		cold := s%2 == 1
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			cfg := liveConfig(t, seed)
 			cfg.N = 6
 			cfg.Initial = 4
 			// Joins at 8 and 14 dispatched groups, drains at 20 and 26: the
-			// whole staircase lands after the controller crash (when rank 0
-			// starts its third iteration, a handful of groups in) and
-			// interleaves with the partition window and the rank-1 crash.
+			// staircase interleaves with the partition window and the rank-1
+			// crash.
 			cfg.Elastic = hetero.ScaleSchedule(4, 6, 4, 8, 6)
 			cfg.CtrlTimeout = 100 * time.Millisecond
 			cfg.CollectiveTimeout = 150 * time.Millisecond
@@ -62,7 +59,6 @@ func TestChaosSoak(t *testing.T) {
 				MaxDelay: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.2, Seed: seed,
 			}
 			cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
-			failover := failoverAt(&cfg, 0, 2, cold)
 
 			// Rank 1 fail-stops mid-run (its endpoint dies on a seeded send,
 			// about its 20th–32nd group); it is outside the partitioned pair so
@@ -79,10 +75,7 @@ func TestChaosSoak(t *testing.T) {
 				}},
 			})
 
-			rep := runBounded(t, cfg, world, failover)
-			if rep.CtrlRestarts != 1 {
-				t.Fatalf("controller restarts = %d, want 1", rep.CtrlRestarts)
-			}
+			rep := runBounded(t, cfg, world)
 			if rep.Failures != 1 {
 				t.Fatalf("failures = %d, want exactly the injected fail-stop", rep.Failures)
 			}
@@ -115,7 +108,7 @@ func TestChaosSoak(t *testing.T) {
 				}
 			}
 			if rep.FinalAccuracy < 0.80 {
-				t.Fatalf("accuracy %.3f after crash + failover + partition", rep.FinalAccuracy)
+				t.Fatalf("accuracy %.3f after crash + partition + churn", rep.FinalAccuracy)
 			}
 		})
 	}

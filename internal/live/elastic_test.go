@@ -26,7 +26,7 @@ func staircase(t *testing.T, run entry, seed int64) {
 	cfg.Elastic = hetero.ScaleSchedule(4, 6, 3, 10, 5)
 	cfg.Iters = 60
 
-	rep := run(t, cfg, memWorld(cfg.N), nil)
+	rep := run(t, cfg, memWorld(cfg.N))
 	if rep.Joins != 2 || rep.Drains != 3 || rep.Decommissions != 3 {
 		t.Fatalf("membership changes incomplete: joins=%d drains=%d decommissions=%d",
 			rep.Joins, rep.Drains, rep.Decommissions)

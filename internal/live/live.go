@@ -91,14 +91,13 @@ type Config struct {
 	// retransmissions), and after ctrlResendLimit unanswered re-sends it
 	// takes the controller for unreachable and withdraws — so choose it well
 	// above a ninth of the longest wait a healthy run can see. Zero means
-	// wait forever: safe only while no reply can be lost (no controller
-	// failover, no lossy control link).
+	// wait forever: safe only while no reply can be lost (no lossy control
+	// link).
 	CtrlTimeout time.Duration
 
 	// Tracer, when non-nil, records the run's timeline: worker iteration
-	// spans (compute, signal-wait, collectives with their ring phases),
-	// controller decisions, and failover events, all on one shared wall
-	// clock (trace.NewWallClock). Nil disables tracing at zero cost.
+	// spans (compute, signal-wait, collectives with their ring phases) and
+	// controller decisions, all on one shared wall clock (trace.NewWallClock). Nil disables tracing at zero cost.
 	Tracer *trace.Tracer
 	// Instruments, when non-nil, maintains the live queryable instruments
 	// (staleness histogram, queue-depth series, per-worker barrier-wait
@@ -187,7 +186,6 @@ type Report struct {
 	Drains        int     // graceful drain hand-offs started
 	Decommissions int     // drains completed (member retired)
 	StaleEpochs   int     // ready signals rejected for a stale world view
-	CtrlRestarts  int     // controller crash/restart cycles survived
 	WallTime      time.Duration
 	WorkerIters   []int  // local iterations completed per worker
 	Alive         []bool // final controller liveness vector
@@ -223,25 +221,20 @@ func newController(cfg Config) (*controller.Controller, error) {
 	}
 	ctrl.SetTracer(cfg.Tracer)
 	ctrl.SetInstruments(cfg.Instruments)
-	if pol != nil {
-		if err := ctrl.SetPolicy(pol); err != nil {
-			return nil, err
-		}
-	}
+	ctrl.SetPolicy(pol)
 	return ctrl, nil
 }
 
 // fillController copies what the finished controller service c knows into
 // the report and returns the run's controller counters.
 func (r *Report) fillController(c *svcCore) controller.Stats {
-	stats := c.stats()
+	stats := c.ctrl.Stats()
 	r.Aborts = stats.GroupsAborted
 	r.Failures = stats.Failures
 	r.Joins = stats.Joins
 	r.Drains = stats.Drains
 	r.Decommissions = stats.Decommissions
 	r.StaleEpochs = stats.StaleEpochs
-	r.CtrlRestarts = c.restarts
 	r.Alive = c.ctrl.Alive()
 	return stats
 }
@@ -257,11 +250,7 @@ func (r *Report) fillController(c *svcCore) controller.Stats {
 // crash like any other. A rank that leaves abnormally fails its control
 // endpoint, so the service's receive loop reports it Lost: Run needs no
 // timeout to notice a death.
-func Run(cfg Config, world []transport.Transport) (*Report, error) { return run(cfg, world, nil) }
-
-// run is Run with the controller service's failover input (see
-// runControllerService); Run passes nil, which never fires.
-func run(cfg Config, world []transport.Transport, failover <-chan bool) (*Report, error) {
+func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -290,7 +279,7 @@ func run(cfg Config, world []transport.Transport, failover <-chan bool) (*Report
 	svcDone := make(chan struct{})
 	go func() {
 		defer close(svcDone)
-		if svc, svcErr = runControllerService(cfg, ctrl, newWireSink(ctl[cfg.N], cfg.N), failover); svcErr != nil {
+		if svc, svcErr = runControllerService(cfg, ctrl, newWireSink(ctl[cfg.N], cfg.N)); svcErr != nil {
 			closeAll() // nobody will answer: fail every pending control receive
 		}
 	}()

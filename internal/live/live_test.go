@@ -349,11 +349,11 @@ func TestLiveTransportFailureDoesNotHang(t *testing.T) {
 	}
 }
 
-// runWorkerWorld runs one RunWorker per rank, rank 0 hosting the controller
-// (and taking failover, nil for none). A rank the fault plan killed fails
+// runWorkerWorld runs one RunWorker per rank, rank 0 hosting the controller.
+// A rank the fault plan killed fails
 // with its own endpoint down: that error is the expected end and leaves its
 // report nil; any other error fails the test.
-func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport, failover <-chan bool) []*Report {
+func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport) []*Report {
 	t.Helper()
 	reports := make([]*Report, cfg.N)
 	errs := make([]error, cfg.N)
@@ -363,7 +363,7 @@ func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport, failo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[r], errs[r] = runWorker(cfg, world[r], r == 0, failover)
+			reports[r], errs[r] = RunWorker(cfg, world[r], r == 0)
 		}()
 	}
 	wg.Wait()
@@ -381,7 +381,7 @@ func runWorkerWorld(t *testing.T, cfg Config, world []transport.Transport, failo
 func TestRunWorkerProtocol(t *testing.T) {
 	cfg := liveConfig(t, 40)
 	cfg.Iters = 100
-	reports := runWorkerWorld(t, cfg, memWorld(cfg.N), nil)
+	reports := runWorkerWorld(t, cfg, memWorld(cfg.N))
 	if reports[0].FinalAccuracy < 0.9 {
 		t.Fatalf("multi-process accuracy %.3f", reports[0].FinalAccuracy)
 	}
@@ -504,7 +504,7 @@ func TestRunWorkerDynamicOverTCP(t *testing.T) {
 			w.Close()
 		}
 	}()
-	reports := runWorkerWorld(t, cfg, world, nil)
+	reports := runWorkerWorld(t, cfg, world)
 	if reports[0].FinalAccuracy < 0.85 {
 		t.Fatalf("TCP multi-process accuracy %.3f", reports[0].FinalAccuracy)
 	}

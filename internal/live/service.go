@@ -8,7 +8,6 @@ import (
 	"partialreduce/internal/engine"
 	"partialreduce/internal/health"
 	"partialreduce/internal/hetero"
-	"partialreduce/internal/trace"
 )
 
 // The controller service core: everything the live runtime knows about
@@ -21,9 +20,10 @@ import (
 //
 // The core owns the liveness bookkeeping (who waits for a reply, who is
 // inside a dispatched collective, who is dead, drained or finished), the
-// elastic schedule cursor, controller failover, the stats carried across
-// controller incarnations, and the watchdog evaluation. The adapter owns only
-// the failure detector (its receive loops), which reports through Lost.
+// elastic schedule cursor, and the watchdog evaluation. The adapter owns only
+// the failure detector (its receive loops), which reports through Lost. The
+// controller lives and dies with the process that hosts it: there is one
+// incarnation per run.
 
 // bootOpBase is the first bootstrap-transfer op id: a disjoint space from the
 // group ops (which count up from 1), so an op abort can never collide with an
@@ -68,8 +68,7 @@ type svcCore struct {
 	inOp     []bool
 	aborted  map[uint32]bool
 
-	// deadSet is the service-side memory of detected deaths. It survives
-	// controller failover, as a real deployment's failure detector would.
+	// deadSet is the service-side memory of detected deaths.
 	deadSet   []bool
 	completed []bool
 	active    int // workers believed alive and not yet finished
@@ -88,9 +87,6 @@ type svcCore struct {
 	drainPending []bool
 	drained      []bool
 	bootOp       uint32
-
-	restarts int
-	carry    controller.Stats // counters of lost controller incarnations
 }
 
 func newSvcCore(cfg Config, ctrl *controller.Controller, out sink) *svcCore {
@@ -131,10 +127,10 @@ func (c *svcCore) Ready(w, iter int, seq, epoch uint64, now float64) {
 		// Dead-marked sender: release it to proceed solo.
 		c.answer(w, engine.Directive{Skip: true})
 	case c.ctrl.IsQueued(w):
-		// Retransmission of a signal the controller still holds (the reply
-		// bookkeeping died with a crashed incarnation): the reply is
-		// re-attached above, nothing is re-queued.
-		c.dispatch(c.ctrl.FlushGroups())
+		// Retransmission of a signal the controller still holds (the
+		// worker's bounded wait expired before its group formed): the reply
+		// is re-attached above, nothing is re-queued. The queue is as the
+		// last event left it, so no group can form here.
 	case c.drainPending[w] && c.eligible(w):
 		// The drain lands here, at the worker's own ready point: between
 		// groups by construction, so no in-flight collective is torn down and
@@ -192,8 +188,9 @@ func (c *svcCore) Lost(w int) { c.Death(w, 0) }
 func (c *svcCore) Stuck(op uint32) {
 	if g, ok := c.opGroup(op); ok && !c.aborted[op] {
 		c.aborted[op] = true
-		c.carry.GroupsAborted++
+		groups := c.ctrl.AbortGroup(g, -1)
 		c.abortOp(g, op, -1)
+		c.dispatch(groups)
 	}
 	c.release()
 }
@@ -218,9 +215,6 @@ func (c *svcCore) Tick(now float64) {
 // Exit is the end of service: one last watchdog evaluation, so a run shorter
 // than the adapter's tick cadence still reports ready.
 func (c *svcCore) Exit(now float64) { c.evalWatchdog(now) }
-
-// stats sums the controller counters over every incarnation of the run.
-func (c *svcCore) stats() controller.Stats { return c.carry.Add(c.ctrl.Stats()) }
 
 // eligible reports whether w can drain or donate a bootstrap: a member not
 // already leaving (the caller has ruled out the dead).
@@ -256,13 +250,9 @@ func (c *svcCore) dispatch(groups []controller.Group) {
 		c.groups++
 		for _, m := range g.Members {
 			c.lastOp[m], c.lastOpID[m], c.inOp[m] = g, c.opSeq, true
-			if !c.waiting[m] && c.restarts == 0 {
+			if !c.waiting[m] {
 				c.fail(fmt.Errorf("live: controller grouped worker %d with no pending signal", m))
 			}
-			// After a failover a member's reply bookkeeping may have died
-			// with the old incarnation before it retransmitted: it cannot
-			// join this op, the present members' collectives time out, and
-			// the stuck-abort path dissolves the group.
 			c.answer(m, engine.Directive{Group: g, OpID: c.opSeq})
 		}
 	}
@@ -405,69 +395,9 @@ func (c *svcCore) admit(donor int, now float64) {
 	c.answer(donor, engine.Directive{Bootstrap: true, BootstrapFor: j, BootstrapOp: c.bootOp})
 }
 
-// Failover is the controller crashing and being replaced between two events —
-// warm from a Snapshot taken at the crash point, or (cold) from the bare
-// config. The reply bookkeeping dies with the incarnation; workers whose
-// replies were lost re-send their signals when their bounded waits expire
-// (Config.CtrlTimeout), and the retransmissions re-attach (warm) or re-queue
-// (cold). Everything else in the core survives, as a real deployment's
-// failure detector and fabric state would.
-func (c *svcCore) Failover(cold bool) {
-	cfg := c.cfg
-	pol := c.ctrl.Policy()
-	kind := trace.KCtrlRestore
-	var next *controller.Controller
-	var err error
-	if cold {
-		// Only the effective config survives; queue, sync-graph and counters
-		// are rebuilt from worker re-signals. Known deaths are re-taught at
-		// once (the fresh controller believes everyone is alive) and, being
-		// in the carried counters already, not counted a second time.
-		kind = trace.KCtrlRebuild
-		if next, _, err = controller.Rebuild(c.ctrl.Config(), nil); err == nil {
-			c.carry = c.carry.Add(c.ctrl.Stats())
-			for w, dead := range c.deadSet {
-				if dead {
-					next.Fail(w)
-				}
-			}
-			c.carry.Failures -= next.Stats().Failures
-		}
-	} else {
-		next, err = controller.Restore(c.ctrl.Snapshot())
-	}
-	if err != nil {
-		c.fail(fmt.Errorf("live: controller failover: %w", err))
-		return
-	}
-	// Telemetry is wiring, not snapshotted state: re-attach it to the
-	// replacement incarnation, as a restarted controller process would
-	// re-open its trace sink. The policy object is wiring too, but its state
-	// is not: a warm restore carries it in the snapshot blob (SetPolicy
-	// applies it); a cold rebuild loses it along with the queue.
-	next.SetTracer(cfg.Tracer)
-	next.SetInstruments(cfg.Instruments)
-	if pol != nil {
-		if cold {
-			pol.Reset()
-		}
-		if err := next.SetPolicy(pol); err != nil {
-			c.fail(fmt.Errorf("live: controller failover policy: %w", err))
-			return
-		}
-	}
-	c.ctrl = next
-	cfg.Tracer.Instant(kind, trace.ControllerTrack, -1, 0, 0)
-	for w := range c.waiting {
-		c.waiting[w] = false
-	}
-	c.nWaiting = 0
-	c.restarts++
-}
-
-// evalWatchdog runs inside the controller's serialization domain, so
-// snapshotting never races group formation. Capture errors are swallowed:
-// the flight recorder is best-effort and must never abort training.
+// evalWatchdog runs inside the controller's serialization domain, so its
+// sample never races group formation. Capture errors are swallowed: the
+// flight recorder is best-effort and must never abort training.
 func (c *svcCore) evalWatchdog(now float64) {
 	cfg := c.cfg
 	if cfg.Watchdog == nil {
@@ -478,10 +408,6 @@ func (c *svcCore) evalWatchdog(now float64) {
 		QueueDepth: c.ctrl.QueueDepth(),
 		Active:     c.active,
 	})
-	if cfg.Recorder == nil {
-		return
-	}
-	cfg.Recorder.SetControllerSnapshot(c.ctrl.Snapshot())
 	if len(breaches) == 0 {
 		return
 	}

@@ -115,16 +115,25 @@ func (h *coreHarness) resend(w, iter int) {
 	h.after()
 }
 
+// retransmit is w's re-send under the next seq after its bounded wait
+// expired: w never saw an answer, but the core may already have dispatched
+// it, so its group membership is left as it is.
+func (h *coreHarness) retransmit(w, iter int) {
+	h.t.Helper()
+	h.seq[w]++
+	h.c.Ready(w, iter, h.seq[w], 0, h.now)
+	h.after()
+}
+
 func (h *coreHarness) finished(w int) { h.inGroup[w] = 0; h.c.Finished(w); h.after() }
 func (h *coreHarness) death(dead int, op uint32) {
 	h.inGroup[dead] = 0
 	h.c.Death(dead, op)
 	h.after()
 }
-func (h *coreHarness) lost(w int)         { h.inGroup[w] = 0; h.c.Lost(w); h.after() }
-func (h *coreHarness) stuck(op uint32)    { h.c.Stuck(op); h.after() }
-func (h *coreHarness) joinAbort(w int)    { h.c.JoinAbort(w); h.after() }
-func (h *coreHarness) failover(cold bool) { h.c.Failover(cold); h.after() }
+func (h *coreHarness) lost(w int)      { h.inGroup[w] = 0; h.c.Lost(w); h.after() }
+func (h *coreHarness) stuck(op uint32) { h.c.Stuck(op); h.after() }
+func (h *coreHarness) joinAbort(w int) { h.c.JoinAbort(w); h.after() }
 
 // groupReplies extracts the group directives among effects, keyed by worker.
 func groupReplies(t *testing.T, effects []effect) map[int]engine.Directive {
@@ -183,7 +192,7 @@ func TestCoreReadyGroupsAndAnswersOnce(t *testing.T) {
 	if got := groupReplies(t, h.take()); len(got) != 2 || got[2].OpID != 2 || got[3].OpID != 2 {
 		t.Fatalf("want workers 2 and 3 in op 2, got %+v", got)
 	}
-	if st := h.c.stats(); st.GroupsFormed != 2 || st.GroupsAborted != 0 {
+	if st := h.c.ctrl.Stats(); st.GroupsFormed != 2 || st.GroupsAborted != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -211,7 +220,7 @@ func TestCoreDeathInsideOpAbortsSurvivorsAndRegroups(t *testing.T) {
 	if e := h.take(); len(e) != 0 {
 		t.Fatalf("duplicate death report produced effects:%s", describe(e))
 	}
-	if st := h.c.stats(); st.Failures != 1 || st.GroupsAborted != 1 {
+	if st := h.c.ctrl.Stats(); st.Failures != 1 || st.GroupsAborted != 1 {
 		t.Fatalf("stats after death %+v, want 1 failure and 1 abort", st)
 	}
 	// Survivors roll back and re-signal; with three ranks left alive the
@@ -246,7 +255,7 @@ func TestCoreLostWhileGroupedCountsTheAbort(t *testing.T) {
 	h.ready(1, 1) // rank 1 signals and dies
 	h.take()
 	h.lost(1) // went dark inside op 1: that group is gone
-	if st := h.c.stats(); st.Failures != 1 || st.GroupsAborted != 1 {
+	if st := h.c.ctrl.Stats(); st.Failures != 1 || st.GroupsAborted != 1 {
 		t.Fatalf("lost inside an op: stats %+v, want 1 failure 1 abort", st)
 	}
 	if e := h.take(); len(e) != 1 || e[0].kind != "abort" || e[0].w != 0 {
@@ -257,7 +266,7 @@ func TestCoreLostWhileGroupedCountsTheAbort(t *testing.T) {
 	h.take()
 	h.ready(2, 2) // rank 2 is past op 2 …
 	h.lost(2)     // … so losing it now only aborts op 2 as a precaution
-	if st := h.c.stats(); st.Failures != 2 || st.GroupsAborted != 1 {
+	if st := h.c.ctrl.Stats(); st.Failures != 2 || st.GroupsAborted != 1 {
 		t.Fatalf("lost between ops: stats %+v, want 2 failures and still 1 abort", st)
 	}
 }
@@ -276,7 +285,7 @@ func TestCoreStuckOpCondemnsNobody(t *testing.T) {
 	if e := h.take(); len(e) != 0 {
 		t.Fatalf("second stuck report produced effects:%s", describe(e))
 	}
-	if st := h.c.stats(); st.Failures != 0 || st.GroupsAborted != 1 {
+	if st := h.c.ctrl.Stats(); st.Failures != 0 || st.GroupsAborted != 1 {
 		t.Fatalf("stuck op: stats %+v, want 0 failures and 1 abort", st)
 	}
 	h.ready(0, 1)
@@ -301,14 +310,14 @@ func TestCoreDrainLandsAtTheReadyPoint(t *testing.T) {
 	if len(e) != 1 || !e[0].d.Drain || e[0].w != 3 {
 		t.Fatalf("want a drain acknowledgment to 3, got%s", describe(e))
 	}
-	if st := h.c.stats(); st.Drains != 1 || st.Decommissions != 1 || st.Failures != 0 {
+	if st := h.c.ctrl.Stats(); st.Drains != 1 || st.Decommissions != 1 || st.Failures != 0 {
 		t.Fatalf("drain stats %+v", st)
 	}
 	if h.c.active != 3 || h.c.ctrl.IsMember(3) {
 		t.Fatalf("drained rank still counted: active=%d member=%t", h.c.active, h.c.ctrl.IsMember(3))
 	}
 	h.death(3, 1) // a peer mistaking the clean exit for a crash
-	if st := h.c.stats(); st.Failures != 0 {
+	if st := h.c.ctrl.Stats(); st.Failures != 0 {
 		t.Fatal("a drained rank was condemned")
 	}
 }
@@ -335,76 +344,55 @@ func TestCoreJoinViaDonorAndJoinAbort(t *testing.T) {
 	}
 	h.ready(2, 1) // the donor re-signals the same iteration after serving
 	h.joinAbort(3)
-	if st := h.c.stats(); st.Joins != 1 || st.Drains != 1 || st.Decommissions != 1 || st.Failures != 0 {
+	if st := h.c.ctrl.Stats(); st.Joins != 1 || st.Drains != 1 || st.Decommissions != 1 || st.Failures != 0 {
 		t.Fatalf("join-abort stats %+v", st)
 	}
 	if h.c.ctrl.IsMember(3) || h.c.active != 3 {
 		t.Fatalf("join-abort did not un-join: member=%t active=%d", h.c.ctrl.IsMember(3), h.c.active)
 	}
 	h.joinAbort(3) // idempotent
-	if st := h.c.stats(); st.Drains != 1 {
+	if st := h.c.ctrl.Stats(); st.Drains != 1 {
 		t.Fatalf("second join-abort drained again: %+v", st)
 	}
 }
 
-func TestCoreFailoverKeepsDeadSetAndStats(t *testing.T) {
-	for _, cold := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cold=%t", cold), func(t *testing.T) {
-			h := newCoreHarness(t, coreConfig(4, 2))
-			h.ready(0, 1)
-			h.ready(1, 1) // op 1
-			h.death(1, 1)
-			h.take()
-			h.ready(2, 1)    // waits; its reply bookkeeping will die in the crash
-			h.ready(0, 1)    // op 2 = {2, 0} …
-			h.failover(cold) // … and then the controller crashes
-			if got := groupReplies(t, h.take()); len(got) != 2 {
-				t.Fatalf("want op 2 dispatched before the crash, got %+v", got)
-			}
-			if h.c.restarts != 1 {
-				t.Fatalf("restarts = %d, want 1", h.c.restarts)
-			}
-			if !h.c.deadSet[1] || h.c.ctrl.IsAlive(1) {
-				t.Fatalf("death forgotten across failover: deadSet=%t ctrlAlive=%t", h.c.deadSet[1], h.c.ctrl.IsAlive(1))
-			}
-			if st := h.c.stats(); st.Failures != 1 || st.GroupsFormed != 2 || st.GroupsAborted != 1 {
-				t.Fatalf("stats across failover %+v, want 1 failure, 2 formed, 1 aborted", st)
-			}
-			// Life goes on under the replacement: a signal lost with the old
-			// incarnation is retransmitted and answered exactly once.
-			h.ready(3, 1)
-			h.resend(3, 1)
-			h.ready(2, 2)
-			if got := groupReplies(t, h.take()); len(got) != 2 || got[3].OpID != 3 {
-				t.Fatalf("want {3,2} in op 3 after failover, got %+v", got)
-			}
-			if st := h.c.stats(); st.Failures != 1 || st.GroupsFormed != 3 {
-				t.Fatalf("stats after failover %+v", st)
-			}
-		})
-	}
-}
-
-// A signal the controller still holds when its incarnation dies (warm: the
-// queue is in the snapshot) loses only its reply bookkeeping. The worker's
-// retransmission must re-attach to the queued signal — not queue a second
-// one — and the eventual group answers it once.
-func TestCoreRetransmitAfterWarmFailoverReattaches(t *testing.T) {
+// The retransmission race: worker 0 is answered under seq 1 into op 1, but
+// its bounded wait had already expired and its re-send under seq 2 arrives
+// after the answer. Worker 0 now waits on seq 2, so its partner in op 1 times
+// out and reports the op stuck. The op is dissolved once, nobody is
+// condemned, every (worker, seq) is answered exactly once (the harness
+// checks), and worker 0's queued re-send is grouped on the partner's next
+// signal.
+func TestCoreStuckAfterRetransmitRace(t *testing.T) {
 	h := newCoreHarness(t, coreConfig(4, 2))
-	h.ready(3, 1)     // queued and waiting …
-	h.failover(false) // … when the controller crashes
-	if h.c.restarts != 1 || h.c.nWaiting != 0 || !h.c.ctrl.IsQueued(3) {
-		t.Fatalf("want a warm restart holding 3's signal with no reply bookkeeping: restarts=%d nWaiting=%d queued=%t",
-			h.c.restarts, h.c.nWaiting, h.c.ctrl.IsQueued(3))
+	h.ready(0, 1)
+	h.ready(1, 1)
+	if got := groupReplies(t, h.take()); len(got) != 2 || got[0].OpID != 1 || got[1].OpID != 1 {
+		t.Fatalf("want workers 0 and 1 in op 1, got %+v", got)
 	}
-	h.resend(3, 1) // 3's bounded wait expires: same seq, re-attached
-	if e := h.take(); len(e) != 0 || h.c.ctrl.QueueDepth() != 1 || h.c.nWaiting != 1 {
-		t.Fatalf("retransmission must re-attach, not re-queue or answer: depth=%d nWaiting=%d%s",
-			h.c.ctrl.QueueDepth(), h.c.nWaiting, describe(e))
+	h.retransmit(0, 1)
+	if e := h.take(); len(e) != 0 || !h.c.ctrl.IsQueued(0) {
+		t.Fatalf("a re-send under a fresh seq must queue unanswered (queued=%t):%s", h.c.ctrl.IsQueued(0), describe(e))
 	}
-	h.ready(2, 1)
-	if got := groupReplies(t, h.take()); len(got) != 2 || got[3].OpID != 1 {
-		t.Fatalf("want {3,2} in op 1, each answered once, got %+v", got)
+	h.stuck(1)
+	e := h.take()
+	if len(e) != 2 || e[0].kind != "abort" || e[1].kind != "abort" || e[0].op != 1 || e[1].op != 1 || e[0].other != -1 || e[1].other != -1 {
+		t.Fatalf("stuck op 1 must abort both members naming nobody, got%s", describe(e))
+	}
+	h.stuck(1) // a second report of the same op
+	if e := h.take(); len(e) != 0 {
+		t.Fatalf("second stuck report produced effects:%s", describe(e))
+	}
+	if st := h.c.ctrl.Stats(); st.Failures != 0 || st.GroupsAborted != 1 || h.c.deadSet[0] || h.c.deadSet[1] {
+		t.Fatalf("stuck op after a retransmission: stats %+v deadSet %v, want no failure and one abort", st, h.c.deadSet)
+	}
+	h.ready(1, 1) // the partner rolls back and re-signals
+	got := groupReplies(t, h.take())
+	if len(got) != 2 || got[0].OpID != 2 || got[1].OpID != 2 {
+		t.Fatalf("want workers 0 and 1 regrouped in op 2, got %+v", got)
+	}
+	if !h.replied[[2]uint64{0, 1}] || !h.replied[[2]uint64{0, 2}] {
+		t.Fatalf("worker 0 must be answered under both seqs: %v", h.replied)
 	}
 }
 
@@ -510,8 +498,8 @@ func TestCoreAddsNoAllocationPerSignal(t *testing.T) {
 	}
 	c := newSvcCore(cfg, servedCtrl, nopSink{})
 	served := testing.AllocsPerRun(500, rounds(func(w, iter int) { c.Ready(w, iter, uint64(iter), 0, 0) }))
-	if c.err != nil || c.stats().GroupsFormed < 500 {
-		t.Fatalf("core did not serve the rounds: err=%v stats=%+v", c.err, c.stats())
+	if c.err != nil || c.ctrl.Stats().GroupsFormed < 500 {
+		t.Fatalf("core did not serve the rounds: err=%v stats=%+v", c.err, c.ctrl.Stats())
 	}
 	if served > bare {
 		t.Fatalf("core allocates on the ready path: %.1f allocs/round served vs %.1f for the bare controller", served, bare)

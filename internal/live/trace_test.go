@@ -21,7 +21,7 @@ func traced(t *testing.T, run entry, seed int64) {
 	cfg.Tracer = tr
 	cfg.Instruments = ins
 
-	if rep := run(t, cfg, memWorld(cfg.N), nil); rep.Groups == 0 {
+	if rep := run(t, cfg, memWorld(cfg.N)); rep.Groups == 0 {
 		t.Fatal("no groups executed")
 	}
 

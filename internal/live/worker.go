@@ -41,12 +41,6 @@ const ctrlResendLimit = 8
 // report; non-host ranks get a report without the averaged-model accuracy
 // and the controller's counters.
 func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
-	return runWorker(cfg, tr, host, nil)
-}
-
-// runWorker is RunWorker with the host's failover input (see
-// runControllerService); RunWorker passes nil, which never fires.
-func runWorker(cfg Config, tr transport.Transport, host bool, failover <-chan bool) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -68,7 +62,7 @@ func runWorker(cfg Config, tr transport.Transport, host bool, failover <-chan bo
 		out := newWireSink(tr, cfg.N)
 		go func() {
 			var err error
-			if svc, err = runControllerService(cfg, ctrl, out, failover); err == nil {
+			if svc, err = runControllerService(cfg, ctrl, out); err == nil {
 				err = out.releaseRoster(svc.completed, gathered)
 			}
 			ctrlErr <- err
@@ -154,12 +148,9 @@ func (s *wireSink) startJoin(j, donor int, op uint32) {
 // events, and out sends the core's effects back as control frames. The
 // receive loops double as the failure detector: a worker whose connection
 // breaks, or that failed its endpoint on the way out, fails its pending
-// receive with a peer-down error, which the loop reports as Lost. Each value
-// received on failover is a controller crash the core recovers from
-// (svcCore.Failover; true: cold): the way a test stages one at a chosen point
-// of the run. It serves until no worker is active, dismisses the parked ranks
-// and returns the core.
-func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink, failover <-chan bool) (*svcCore, error) {
+// receive with a peer-down error, which the loop reports as Lost. It serves
+// until no worker is active, dismisses the parked ranks and returns the core.
+func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink) (*svcCore, error) {
 	tr := out.tr
 	type event struct {
 		readyMsg
@@ -203,8 +194,6 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 		select {
 		case <-wdTick:
 			c.Tick(healthNow())
-		case cold := <-failover:
-			c.Failover(cold)
 		case ev := <-events:
 			switch {
 			case ev.err != nil:
@@ -332,9 +321,8 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 		if !transport.IsTimeout(err) {
 			return engine.Directive{}, err
 		}
-		// The reply was lost with a crashed controller incarnation (or
-		// is merely late): re-send the signal on the next sequence
-		// number — the host recognizes retransmissions — and wait
+		// The reply is late (a partition, a congested host) or was
+		// lost: re-send the signal on the next sequence number — the host recognizes retransmissions — and wait
 		// there. After ctrlResendLimit misses the controller is
 		// unreachable (severed link, dead host): withdraw with an error —
 		// the rank loop fails its endpoint on the way out, so peers and

@@ -132,12 +132,6 @@ func (o *SGD) UpdateFactored(params tensor.Vector, blocks []tensor.Outer, scale 
 	o.step++
 }
 
-// Reset zeroes the velocity and step counter.
-func (o *SGD) Reset() {
-	o.velocity.Zero()
-	o.step = 0
-}
-
 // Clone returns an independent copy (velocity included), used when a worker
 // replica is forked in tests.
 func (o *SGD) Clone() *SGD {

@@ -107,7 +107,9 @@ func TestResetAndClone(t *testing.T) {
 	if c.Step() != 1 {
 		t.Fatal("clone lost step count")
 	}
-	o.Reset()
+	if err := o.Restore(tensor.Vector{0, 0}, 0); err != nil {
+		t.Fatal(err)
+	}
 	if o.Step() != 0 || o.velocity.NormInf() != 0 {
 		t.Fatal("reset incomplete")
 	}

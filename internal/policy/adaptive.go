@@ -21,8 +21,7 @@ package policy
 // dispersion (beyond adaptCap) instead walks P back toward the
 // configured size — see adaptCap below. P starts at the configured
 // size, so a homogeneous run never deviates from static behavior at
-// all. All state is a handful of ints and two float vectors, snapshot
-// exactly by codec.go.
+// all. All state is a handful of ints and two float vectors.
 
 // Hysteresis thresholds on cadence dispersion (max gap / median gap).
 // Homogeneous jitter stays below adaptLo; one straggler sharing an
@@ -58,7 +57,7 @@ type adaptive struct {
 	pmin   int
 	pmax   int
 	window int
-	start  int // configured P: the initial and Reset group size
+	start  int // configured P: the initial group size, which the tail guard walks back to
 
 	cur       int       // current group size, always in [pmin, pmax]
 	lastAdapt int       // GroupsFormed at the last re-decision
@@ -151,42 +150,5 @@ func (a *adaptive) adapt(alive []bool) {
 		a.cur--
 	case dispersion <= adaptLo && a.cur < a.pmax:
 		a.cur++
-	}
-}
-
-func (a *adaptive) Snapshot() []byte {
-	return EncodeState(State{
-		Kind:      NameAdaptiveP,
-		Cur:       a.cur,
-		LastAdapt: a.lastAdapt,
-		LastSeen:  a.lastSeen,
-		Gap:       a.gap,
-	})
-}
-
-func (a *adaptive) Restore(blob []byte) error {
-	st, err := DecodeState(blob)
-	if err != nil {
-		return err
-	}
-	if err := st.validateFor(NameAdaptiveP, a.n); err != nil {
-		return err
-	}
-	if st.Cur < a.pmin || st.Cur > a.pmax {
-		st.Cur = min(max(st.Cur, a.pmin), a.pmax)
-	}
-	a.cur = st.Cur
-	a.lastAdapt = st.LastAdapt
-	copy(a.lastSeen, st.LastSeen)
-	copy(a.gap, st.Gap)
-	return nil
-}
-
-func (a *adaptive) Reset() {
-	a.cur = a.start
-	a.lastAdapt = 0
-	for i := range a.lastSeen {
-		a.lastSeen[i] = -1
-		a.gap[i] = 0
 	}
 }

@@ -5,9 +5,7 @@
 // introspection data (queue contents with per-signal staleness and wait,
 // liveness, formation count, clock). Policies are deterministic pure
 // state machines — the same signal sequence always yields the same
-// decision sequence — so simulated runs stay byte-reproducible and a
-// policy's state can ride the controller's snapshot through warm
-// failover (Snapshot/Restore round-trips are exact; see codec.go).
+// decision sequence — so simulated runs stay byte-reproducible.
 //
 // The package deliberately does not import internal/controller (the
 // controller imports it); the Inputs struct carries everything a policy
@@ -154,18 +152,12 @@ type Decision struct {
 
 // Policy is a deterministic group-formation state machine. Decide is
 // consulted once per formation attempt; OnSignal observes every accepted
-// ready signal (the cadence feed); Snapshot/Restore serialize the exact
-// internal state for controller failover; Reset returns to the
-// just-constructed state (cold failover, where no snapshot survived).
-// Implementations are not safe for concurrent use — the controller
-// serializes access, like its own methods.
+// ready signal (the cadence feed). Implementations are not safe for
+// concurrent use — the controller serializes access, like its own methods.
 type Policy interface {
 	Name() string
 	OnSignal(worker, iter int, now float64)
 	Decide(in Inputs) Decision
-	Snapshot() []byte
-	Restore(blob []byte) error
-	Reset()
 }
 
 // New constructs the policy named by spec for an n-worker run with
@@ -192,7 +184,7 @@ func New(spec Spec, n, configP int) (Policy, error) {
 // static policy attached is bit-identical to a run with no policy.
 type static struct{}
 
-func (*static) Name() string                { return NameStatic }
+func (*static) Name() string                 { return NameStatic }
 func (*static) OnSignal(_, _ int, _ float64) {}
 
 func (*static) Decide(in Inputs) Decision {
@@ -202,21 +194,6 @@ func (*static) Decide(in Inputs) Decision {
 	}
 	return Decision{P: p}
 }
-
-func (*static) Snapshot() []byte { return EncodeState(State{Kind: NameStatic}) }
-
-func (*static) Restore(blob []byte) error {
-	st, err := DecodeState(blob)
-	if err != nil {
-		return err
-	}
-	if st.Kind != NameStatic {
-		return fmt.Errorf("policy: static: state blob is for %q", st.Kind)
-	}
-	return nil
-}
-
-func (*static) Reset() {}
 
 // stragglerBias keeps the static group size but stably reorders the
 // queue by staleness, highest first, so chronically late workers are
@@ -232,7 +209,7 @@ func newStragglerBias(n int) *stragglerBias {
 	return &stragglerBias{bias: make([]int, 0, n)}
 }
 
-func (*stragglerBias) Name() string                { return NameStragglerBias }
+func (*stragglerBias) Name() string                 { return NameStragglerBias }
 func (*stragglerBias) OnSignal(_, _ int, _ float64) {}
 
 func (s *stragglerBias) Decide(in Inputs) Decision {
@@ -255,18 +232,3 @@ func (s *stragglerBias) Decide(in Inputs) Decision {
 	s.bias = b
 	return Decision{P: p, Bias: b}
 }
-
-func (s *stragglerBias) Snapshot() []byte { return EncodeState(State{Kind: NameStragglerBias}) }
-
-func (s *stragglerBias) Restore(blob []byte) error {
-	st, err := DecodeState(blob)
-	if err != nil {
-		return err
-	}
-	if st.Kind != NameStragglerBias {
-		return fmt.Errorf("policy: straggler-bias: state blob is for %q", st.Kind)
-	}
-	return nil
-}
-
-func (s *stragglerBias) Reset() {}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestSpecResolveValidate(t *testing.T) {
@@ -260,138 +259,6 @@ func TestAdaptiveHoldsWithoutEvidence(t *testing.T) {
 		}
 		if d := pol.Decide(Inputs{ConfigP: 3, Alive: 4, GroupsFormed: r}); d.P != 3 {
 			t.Fatalf("clock-less round %d: P=%d, want configured 3", r, d.P)
-		}
-	}
-}
-
-// TestStateRoundTripQuick pins Restore(Snapshot(s)) = s at the codec
-// level: decode ∘ encode is the identity on arbitrary states.
-func TestStateRoundTripQuick(t *testing.T) {
-	f := func(kind string, cur, lastAdapt int16, lastSeen, gap []float64) bool {
-		st := State{
-			Kind: kind, Cur: int(cur), LastAdapt: int(lastAdapt),
-			LastSeen: lastSeen, Gap: gap,
-		}
-		blob := EncodeState(st)
-		got, err := DecodeState(blob)
-		if err != nil {
-			return false
-		}
-		if len(got.LastSeen) == 0 {
-			got.LastSeen = nil // canonical nil for empty
-		}
-		if len(got.Gap) == 0 {
-			got.Gap = nil
-		}
-		if len(st.LastSeen) == 0 {
-			st.LastSeen = nil
-		}
-		if len(st.Gap) == 0 {
-			st.Gap = nil
-		}
-		return reflect.DeepEqual(st, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAdaptiveSnapshotRestoreExact drives an adaptive policy through a
-// random history, snapshots it, restores into a fresh instance, and pins
-// both the internal state and the future decision stream as identical.
-func TestAdaptiveSnapshotRestoreExact(t *testing.T) {
-	const n, configP = 6, 4
-	spec := Spec{Name: NameAdaptiveP, PMin: 2, PMax: 4, Window: 3}
-	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		orig, err := New(spec, n, configP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now := 0.0
-		for step := 0; step < 200; step++ {
-			w := rng.Intn(n)
-			now += rng.Float64()
-			orig.OnSignal(w, step, now)
-			if step%4 == 0 {
-				orig.Decide(Inputs{ConfigP: configP, Alive: n, GroupsFormed: step / 4})
-			}
-		}
-
-		restored, err := New(spec, n, configP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Restore(orig.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		a, b := orig.(*adaptive), restored.(*adaptive)
-		if a.cur != b.cur || a.lastAdapt != b.lastAdapt ||
-			!reflect.DeepEqual(a.lastSeen, b.lastSeen) || !reflect.DeepEqual(a.gap, b.gap) {
-			t.Fatalf("seed %d: restored state differs:\n  %+v\n  %+v", seed, a, b)
-		}
-
-		// Identical continuations on both instances.
-		for step := 0; step < 50; step++ {
-			w := rng.Intn(n)
-			now += rng.Float64()
-			orig.OnSignal(w, step, now)
-			restored.OnSignal(w, step, now)
-			in := Inputs{ConfigP: configP, Alive: n, GroupsFormed: 50 + step}
-			if da, db := orig.Decide(in), restored.Decide(in); !reflect.DeepEqual(da, db) {
-				t.Fatalf("seed %d step %d: decisions diverged: %+v vs %+v", seed, step, da, db)
-			}
-		}
-
-		// Snapshot of the restored twin is byte-identical to re-snapshot
-		// of the original (codec canonicality at the policy level).
-		sa, sb := orig.Snapshot(), restored.Snapshot()
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("seed %d: post-continuation snapshots differ", seed)
-		}
-	}
-}
-
-func TestRestoreRejectsWrongKind(t *testing.T) {
-	adp, _ := New(Spec{Name: NameAdaptiveP}, 4, 3)
-	st, _ := New(Spec{Name: NameStatic}, 4, 3)
-	if err := adp.Restore(st.Snapshot()); err == nil {
-		t.Fatal("adaptive accepted a static blob")
-	}
-	if err := st.Restore(adp.Snapshot()); err == nil {
-		t.Fatal("static accepted an adaptive blob")
-	}
-	if err := adp.Restore([]byte("garbage")); err == nil {
-		t.Fatal("adaptive accepted garbage")
-	}
-	// Wrong worker count: the cadence vectors no longer fit.
-	other, _ := New(Spec{Name: NameAdaptiveP}, 6, 3)
-	other.OnSignal(0, 1, 1)
-	if err := adp.Restore(other.Snapshot()); err == nil {
-		t.Fatal("adaptive accepted a 6-worker blob on a 4-worker run")
-	}
-}
-
-func TestResetReturnsToStart(t *testing.T) {
-	pol, _ := New(Spec{Name: NameAdaptiveP, PMin: 2, PMax: 4, Window: 1}, 8, 4)
-	feedCadence(t, pol, 8, 10, func(w int) float64 {
-		if w == 0 {
-			return 2.0
-		}
-		return 1.0
-	})
-	pol.Decide(Inputs{ConfigP: 4, Alive: 8, GroupsFormed: 5})
-	a := pol.(*adaptive)
-	if a.cur == 4 {
-		t.Fatal("setup failed: policy never adapted")
-	}
-	pol.Reset()
-	if a.cur != 4 || a.lastAdapt != 0 {
-		t.Fatalf("Reset left cur=%d lastAdapt=%d", a.cur, a.lastAdapt)
-	}
-	for w := range a.lastSeen {
-		if a.lastSeen[w] != -1 || a.gap[w] != 0 {
-			t.Fatalf("Reset left cadence state for worker %d", w)
 		}
 	}
 }

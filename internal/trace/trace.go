@@ -105,11 +105,6 @@ const (
 	// (Track=worker).
 	KWorkerDead
 	KWorkerRejoin
-	// KCtrlSnapshot / KCtrlRestore / KCtrlRebuild mark control-plane
-	// failover (A=snapshot bytes for KCtrlSnapshot).
-	KCtrlSnapshot
-	KCtrlRestore
-	KCtrlRebuild
 	// KRetry marks a collective attempt re-run after a timeout (A=opID,
 	// B=attempt number).
 	KRetry
@@ -161,32 +156,29 @@ const (
 // kindNames maps kinds to the stable names exporters emit. Keep in sync
 // with the Kind constants; tests cross-check the table.
 var kindNames = [kindCount]string{
-	KCompute:       "compute",
-	KSignalWait:    "signal-wait",
-	KGroupWait:     "group-wait",
-	KCollective:    "collective",
-	KReduceScatter: "reduce-scatter",
-	KAllGather:     "all-gather",
-	KRetryBackoff:  "retry-backoff",
-	KReady:         "ready",
-	KGroupFormed:   "group-formed",
-	KStaleness:     "staleness",
-	KBridged:       "group-bridged",
-	KDeferred:      "group-deferred",
-	KGroupAborted:  "group-aborted",
-	KRelease:       "solo-release",
-	KWorkerDead:    "worker-dead",
-	KWorkerRejoin:  "worker-rejoin",
-	KCtrlSnapshot:  "ctrl-snapshot",
-	KCtrlRestore:   "ctrl-restore",
-	KCtrlRebuild:   "ctrl-rebuild",
-	KRetry:         "retry",
-	KTimeout:       "timeout",
-	KAbort:         "abort",
-	KCrash:         "crash",
-	KLinkSever:     "link-sever",
-	KLinkHeal:      "link-heal",
-	KLinkDrop:      "link-drop",
+	KCompute:            "compute",
+	KSignalWait:         "signal-wait",
+	KGroupWait:          "group-wait",
+	KCollective:         "collective",
+	KReduceScatter:      "reduce-scatter",
+	KAllGather:          "all-gather",
+	KRetryBackoff:       "retry-backoff",
+	KReady:              "ready",
+	KGroupFormed:        "group-formed",
+	KStaleness:          "staleness",
+	KBridged:            "group-bridged",
+	KDeferred:           "group-deferred",
+	KGroupAborted:       "group-aborted",
+	KRelease:            "solo-release",
+	KWorkerDead:         "worker-dead",
+	KWorkerRejoin:       "worker-rejoin",
+	KRetry:              "retry",
+	KTimeout:            "timeout",
+	KAbort:              "abort",
+	KCrash:              "crash",
+	KLinkSever:          "link-sever",
+	KLinkHeal:           "link-heal",
+	KLinkDrop:           "link-drop",
 	KPartition:          "partition",
 	KPartitionHeal:      "partition-heal",
 	KPolicyDecision:     "policy-decision",
