@@ -109,7 +109,7 @@ func (o *SGD) Update(params, grad tensor.Vector, scale float64) {
 // UpdateFactored is Update for a gradient that was never materialized: the
 // concatenation of the row-major outer products blocks, each element produced
 // where Update would have read it, so the step streams parameters and velocity
-// only, one row at a time. The bits are those of Update on the
+// only, one call per block. The bits are those of Update on the
 // Matrix.SetOuter(1, X, Y) blocks: both run tensor's one element update.
 func (o *SGD) UpdateFactored(params tensor.Vector, blocks []tensor.Outer, scale float64) {
 	n := 0
@@ -123,11 +123,9 @@ func (o *SGD) UpdateFactored(params tensor.Vector, blocks []tensor.Outer, scale 
 	mu, wd, lr := o.cfg.Momentum, o.cfg.WeightDecay, o.LR()*scale
 	off := 0
 	for _, f := range blocks {
-		for _, x := range f.X {
-			end := off + len(f.Y)
-			tensor.MomentumStepOuter(params[off:end], o.velocity[off:end], x, f.Y, mu, wd, lr)
-			off = end
-		}
+		end := off + len(f.X)*len(f.Y)
+		tensor.MomentumStepOuter(params[off:end], o.velocity[off:end], f.X, f.Y, mu, wd, lr)
+		off = end
 	}
 	o.step++
 }

@@ -202,20 +202,27 @@ func MomentumStep(w, v, g []float64, mu, wd, lr float64) {
 	}
 }
 
-// MomentumStepOuter is MomentumStep on one row of an outer product that was
-// never materialized: g[j] = OuterElem(x, y[j]). w, v and y must have one
-// length.
-func MomentumStepOuter(w, v []float64, x float64, y []float64, mu, wd, lr float64) {
+// MomentumStepOuter is MomentumStep on an outer product that was never
+// materialized, row-major: g[r·len(y)+j] = OuterElem(xs[r], y[j]). w and v
+// must have length len(xs)·len(y). The assembly runs the first len(y) &^ 3
+// elements of every row, the row loop included; the Go loop finishes each
+// row's tail.
+func MomentumStepOuter(w, v, xs, y []float64, mu, wd, lr float64) {
 	checkLen(len(w), len(v))
-	checkLen(len(y), len(v))
-	i := 0
-	if useAVX2 && len(v) >= 4 {
-		i = len(v) &^ 3
-		momentumOuterAVX2(w[:i], v[:i], y[:i], x, mu, wd, lr)
+	checkLen(len(v), len(xs)*len(y))
+	n, c := len(y), 0
+	if useAVX2 && n >= 4 {
+		c = n &^ 3
+		momentumOuterAVX2(w, v, xs, y, mu, wd, lr)
 	}
-	w, v, y = w[i:len(v)], v[i:], y[i:len(v)]
-	for i, vi := range v {
-		w[i], v[i] = momentumElem(w[i], vi, OuterElem(x, y[i]), mu, wd, lr)
+	if c == n {
+		return
+	}
+	for r, x := range xs {
+		w, v := w[r*n+c:(r+1)*n], v[r*n+c:(r+1)*n]
+		for j, yj := range y[c:] {
+			w[j], v[j] = momentumElem(w[j], v[j], OuterElem(x, yj), mu, wd, lr)
+		}
 	}
 }
 

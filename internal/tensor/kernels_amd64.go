@@ -20,4 +20,10 @@ func scaleAddAVX2(dst, x, y []float64, a, post float64)
 func momentumAVX2(w, v, g []float64, mu, wd, lr float64)
 
 //go:noescape
-func momentumOuterAVX2(w, v, y []float64, x, mu, wd, lr float64)
+func momentumOuterAVX2(w, v, xs, y []float64, mu, wd, lr float64)
+
+// mulVec16AVX2 sums len(dst) rows (a multiple of 16) of a, stride elements
+// apart, against x (a positive multiple of 4 long); see Matrix.MulVec.
+//
+//go:noescape
+func mulVec16AVX2(dst, a, x []float64, stride int)

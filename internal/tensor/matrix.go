@@ -47,14 +47,30 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Zero() { m.Data.Zero() }
 
 // MulVec writes m·x into dst. dst must have length m.Rows and x length
-// m.Cols; dst must not alias x. Four rows go per pass so that four
-// independent add chains are in flight instead of one; each row is still
-// summed j = 0…Cols−1 into its own accumulator, so the bits are those of the
-// one-row-at-a-time loop that finishes the tail.
+// m.Cols; dst must not alias x. Every row is summed j = 0…Cols−1 from 0 into
+// its own accumulator, however many rows share a pass, so the bits are those
+// of the one-row-at-a-time loop that finishes the tail. On AVX2 hosts
+// (kernels.go) sixteen rows share a pass, one per lane, over the first
+// Cols &^ 3 columns, and Go adds each row's last columns on; the rest go
+// four rows per pass, four independent add chains in flight instead of one.
 func (m *Matrix) MulVec(dst, x Vector) {
 	checkLen(len(dst), m.Rows)
 	checkLen(len(x), m.Cols)
 	i, n := 0, len(x)
+	if useAVX2 && m.Rows >= 16 && n >= 4 {
+		i = m.Rows &^ 15
+		c := n &^ 3
+		mulVec16AVX2(dst[:i], m.Data[:i*n], x[:c], n)
+		if c < n {
+			for r := range dst[:i] {
+				row, s := m.Data[r*n+c:(r+1)*n], dst[r]
+				for j, v := range x[c:] {
+					s += float64(row[j] * v)
+				}
+				dst[r] = s
+			}
+		}
+	}
 	for ; i+4 <= m.Rows; i += 4 {
 		r0, r1, r2, r3 := m.Row(i)[:n], m.Row(i + 1)[:n], m.Row(i + 2)[:n], m.Row(i + 3)[:n]
 		var s0, s1, s2, s3 float64

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,8 +43,10 @@ func simdDraw(rng *rand.Rand, n int, signs bool) []float64 {
 // the same operands, and requires the same bits: lengths 0–67 (the assembly
 // part, the tail and both together), slices starting at odd offsets, in
 // place and out of place, every a/post case of ScaleAddInto, and the
-// special values above as operands and as scalars. A NaN must come out as a
-// NaN; its payload is not compared. Without AVX2, and in every race build,
+// special values above as operands and as scalars. Then the block
+// MomentumStepOuter (0–5 rows of 0–67 elements) and MulVec (0–40 rows × 0–13,
+// 60 and 61 columns: whole 16-row blocks, their last columns, the rows after
+// them). A NaN must come out as a NaN; its payload is not compared. Without AVX2, and in every race build,
 // both runs take the Go loops.
 func TestSIMDMatchesScalar(t *testing.T) {
 	if raceEnabled && useAVX2 {
@@ -63,7 +66,6 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		{"ScaleAddInto/in-place", 2, func(b [][]float64, s []float64) { ScaleAddInto(b[0], b[0], b[1], s[0], s[1]) }},
 		{"addScaledSerial", 2, func(b [][]float64, s []float64) { addScaledSerial(b[0], b[1], s[0]) }},
 		{"MomentumStep", 3, func(b [][]float64, s []float64) { MomentumStep(b[0], b[1], b[2], s[0], s[1], s[2]) }},
-		{"MomentumStepOuter", 3, func(b [][]float64, s []float64) { MomentumStepOuter(b[0], b[1], s[3], b[2], s[0], s[1], s[2]) }},
 	}
 	simd := useAVX2
 	defer func() { useAVX2 = simd }()
@@ -76,33 +78,61 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		k(out, s)
 		return out
 	}
+	// check runs k on in both ways and requires the same bits.
+	check := func(name string, k func([][]float64, []float64), in [][]float64, s []float64) {
+		t.Helper()
+		got, want := run(k, in, s, true), run(k, in, s, false)
+		for b := range got {
+			for i := range got[b] {
+				g, w := got[b][i], want[b][i]
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%s scalars=%v: buffer %d [%d] = %v (%#x), scalar loop %v (%#x)",
+						name, s, b, i, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+	// draw returns one operand per length and the scalars of case c: bit 0
+	// clear sets a (s[0]) to 1, bit 1 clear sets post (s[1]) to 1; bit 2 set
+	// draws from simdSigns.
 	rng := rand.New(rand.NewSource(28))
+	draw := func(c int, lens ...int) ([][]float64, []float64) {
+		s := simdDraw(rng, 4, c&4 != 0)
+		if c&1 == 0 {
+			s[0] = 1
+		}
+		if c&2 == 0 {
+			s[1] = 1
+		}
+		in := make([][]float64, len(lens))
+		for i, n := range lens {
+			in[i] = simdDraw(rng, n, c&4 != 0)
+		}
+		return in, s
+	}
 	for _, k := range kernels {
 		for n := 0; n <= 67; n++ {
-			// Bit 0 of c clear sets a (s[0]) to 1, bit 1 clear sets post
-			// (s[1]) to 1; bit 2 set draws from simdSigns.
 			for c := 0; c < 8; c++ {
-				s := simdDraw(rng, 4, c&4 != 0)
-				if c&1 == 0 {
-					s[0] = 1
-				}
-				if c&2 == 0 {
-					s[1] = 1
-				}
-				in := make([][]float64, k.bufs)
-				for i := range in {
-					in[i] = simdDraw(rng, n, c&4 != 0)
-				}
-				got, want := run(k.run, in, s, true), run(k.run, in, s, false)
-				for b := range got {
-					for i := range got[b] {
-						g, w := got[b][i], want[b][i]
-						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-							t.Fatalf("%s n=%d scalars=%v: buffer %d [%d] = %v (%#x), scalar loop %v (%#x)",
-								k.name, n, s, b, i, g, math.Float64bits(g), w, math.Float64bits(w))
-						}
-					}
-				}
+				in, s := draw(c, n, n, n)
+				check(fmt.Sprintf("%s n=%d", k.name, n), k.run, in[:k.bufs], s)
+			}
+		}
+	}
+	outer := func(b [][]float64, s []float64) { MomentumStepOuter(b[0], b[1], b[2], b[3], s[0], s[1], s[2]) }
+	for rows := 0; rows <= 5; rows++ {
+		for n := 0; n <= 67; n++ {
+			for c := 0; c < 8; c++ {
+				in, s := draw(c, rows*n, rows*n, rows, n)
+				check(fmt.Sprintf("MomentumStepOuter %dx%d", rows, n), outer, in, s)
+			}
+		}
+	}
+	for rows := 0; rows <= 40; rows++ {
+		for _, cols := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 60, 61} {
+			mulVec := func(b [][]float64, _ []float64) { MatrixFrom(rows, cols, b[1]).MulVec(b[0], b[2]) }
+			for c := 0; c < 8; c++ {
+				in, s := draw(c, rows, rows*cols, cols)
+				check(fmt.Sprintf("MulVec %dx%d", rows, cols), mulVec, in, s)
 			}
 		}
 	}

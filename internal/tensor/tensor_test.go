@@ -359,7 +359,8 @@ func TestQuickMulTranspose(t *testing.T) {
 
 // Property: MulVec agrees with Mul against a 1-column matrix, and — row
 // blocking changes which rows share a pass, never the order a row is summed
-// in — leaves the bits of the one-row-at-a-time loop for every tail length.
+// in — leaves the bits of the one-row-at-a-time loop for every tail length:
+// up to 40 rows reach two 16-row AVX2 blocks and the four-row loop after them.
 func TestQuickMulVecConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
@@ -384,8 +385,8 @@ func TestQuickMulVecConsistency(t *testing.T) {
 		}
 	}
 
-	for rows := 0; rows <= 9; rows++ {
-		for _, cols := range []int{0, 1, 60} {
+	for rows := 0; rows <= 40; rows++ {
+		for _, cols := range []int{0, 1, 5, 60, 61} {
 			a, x := NewMatrix(rows, cols), NewVector(cols)
 			for i := range a.Data {
 				a.Data[i] = rng.NormFloat64() * float64(rng.Intn(4)) // exact zeros included
@@ -399,7 +400,7 @@ func TestQuickMulVecConsistency(t *testing.T) {
 			for i := range want {
 				var s float64
 				for j, w := range a.Row(i) {
-					s += w * x[j]
+					s += float64(w * x[j])
 				}
 				want[i] = s
 			}
@@ -410,25 +411,33 @@ func TestQuickMulVecConsistency(t *testing.T) {
 	}
 }
 
-// BenchmarkMulVec times the forward pass of the repository benchmark's
-// 4096 × 60 hidden layer. 24 matrices (47 MB) take turns so the weights stream
-// from beyond L2, as they do when eight ranks share two cores.
+// BenchmarkMulVec times the forward pass of a 60-input layer. /cold is the
+// repository benchmark's 4096 × 60 hidden layer with 24 matrices (47 MB)
+// taking turns, so the weights stream from beyond L2 as they do when eight
+// ranks share two cores; /warm is one 256 × 60 matrix (120 KB) that stays in
+// L2. Their MB/s tell a bandwidth-bound kernel from a shuffle-bound one.
 func BenchmarkMulVec(b *testing.B) {
-	const rows, cols, rotate = 4096, 60, 24
-	rng := rand.New(rand.NewSource(1))
-	ms := make([]*Matrix, rotate)
-	for r := range ms {
-		ms[r] = NewMatrix(rows, cols)
-		ms[r].FillGlorot(rng, cols, rows)
-	}
-	x, dst := NewVector(cols), NewVector(rows)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.SetBytes(8 * rows * cols)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms[i%rotate].MulVec(dst, x)
+	for _, c := range []struct {
+		name               string
+		rows, cols, rotate int
+	}{{"cold", 4096, 60, 24}, {"warm", 256, 60, 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			ms := make([]*Matrix, c.rotate)
+			for r := range ms {
+				ms[r] = NewMatrix(c.rows, c.cols)
+				ms[r].FillGlorot(rng, c.cols, c.rows)
+			}
+			x, dst := NewVector(c.cols), NewVector(c.rows)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			b.SetBytes(int64(8 * c.rows * c.cols))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms[i%c.rotate].MulVec(dst, x)
+			}
+		})
 	}
 }
