@@ -9,9 +9,9 @@ GO ?= go
 # under the race detector as part of tier-1.
 RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
 
-.PHONY: ci vet build test race fmaguard allocgate flakegate chaos trace-smoke chargeguard callerless bench bench-smoke pairs fuzz sweepdiff loc clean
+.PHONY: ci vet build test race fmaguard allocgate flakegate chaos trace-smoke chargeguard ctrlguard callerless bench bench-smoke pairs fuzz sweepdiff loc clean
 
-ci: vet build test race fmaguard allocgate flakegate chaos trace-smoke chargeguard callerless bench-smoke
+ci: vet build test race fmaguard allocgate flakegate chaos trace-smoke chargeguard ctrlguard callerless bench-smoke
 
 # Charge-drift guard: the simulator's traffic accounting is folded into the
 # engine's SimEnv (GroupRing/WorldRing/Exchanges), so a strategy that calls
@@ -26,6 +26,21 @@ chargeguard:
 		echo "direct traffic charging outside internal/engine + internal/cluster:"; \
 		echo "$$bad"; exit 1; \
 	fi; echo "chargeguard: ok"
+
+# One service core: the controller's signal and membership transitions are
+# driven only by internal/engine/service.go, which the simulator and the live
+# runtime both feed; a second call site is a second service loop, free to
+# drift from the first. The one exception is the overlapped simulator's Ready
+# (overlap_sim.go): it is pipelined, has no membership events and carries no
+# step machine by design.
+ctrlguard:
+	@bad=$$(grep -rnE '\bctrl\.(Ready|Drain|Decommission|AbortGroup|Fail|Join|Rejoin|PurgeSignal)\(' internal cmd examples \
+		| grep -v '_test\.go:' | grep -v '^internal/engine/service\.go:' \
+		| grep -vE '^internal/engine/overlap_sim\.go:[0-9]+:.*\bctrl\.Ready\(' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "controller transitions called outside the service core:"; \
+		echo "$$bad"; exit 1; \
+	fi; echo "ctrlguard: ok"
 
 # No product caller, no code: an exported func or method under internal/ that
 # only tests reach, or a config field that only tests set, is deleted with

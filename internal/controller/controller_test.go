@@ -435,13 +435,13 @@ func TestRejoinEdgeCases(t *testing.T) {
 		t.Fatal("rejoin beyond N accepted")
 	}
 	c.Fail(1)
-	if c.IsAlive(1) || c.AliveCount() != 2 {
+	if c.IsAlive(1) || c.ActiveCount() != 2 {
 		t.Fatal("fail not recorded")
 	}
 	if err := c.Rejoin(1); err != nil {
 		t.Fatal(err)
 	}
-	if !c.IsAlive(1) || c.AliveCount() != 3 {
+	if !c.IsAlive(1) || c.ActiveCount() != 3 {
 		t.Fatal("rejoin not recorded")
 	}
 	if err := c.Rejoin(1); err == nil {

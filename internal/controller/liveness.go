@@ -108,9 +108,6 @@ func (c *Controller) IsAlive(worker int) bool {
 	return worker >= 0 && worker < c.cfg.N && c.alive[worker]
 }
 
-// AliveCount returns the number of workers believed up.
-func (c *Controller) AliveCount() int { return c.aliveN }
-
 // Alive returns a copy of the per-worker liveness vector.
 func (c *Controller) Alive() []bool {
 	out := make([]bool, len(c.alive))

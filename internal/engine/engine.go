@@ -18,8 +18,8 @@
 //     against the one it schedules on (event-driven or blocking);
 //   - the drivers: the PReduce strategy (PReduceConfig → controller wiring →
 //     the blocking or overlapped sim driver) and RunAllReduceSim on the event
-//     engine, and RunPReduceWorker/RunAllReduceWorker as the blocking per-rank
-//     loops the live runtime executes.
+//     engine, RunPReduceWorker/RunAllReduceWorker as the live per-rank loops,
+//     and ServiceCore, which serves the controller to both substrates.
 //
 // Strategies and runtimes configure a SimEnv or a LiveEnv and invoke a
 // driver; they never re-implement the step. Adding a strategy is a

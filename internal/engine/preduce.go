@@ -157,9 +157,10 @@ func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 	var res *metrics.Result
 	switch {
 	case !p.cfg.Overlap:
-		res, err = runPReduceSim(env, ctrl)
-	case len(c.Cfg.Crashes) > 0:
-		err = fmt.Errorf("engine: overlapped P-Reduce does not support crash schedules")
+		res, err = runPReduceSim(env, ctrl, nil)
+	case len(c.Cfg.Crashes) > 0 || len(c.Cfg.Partitions) > 0 || len(c.Cfg.Elastic) > 0 ||
+		c.Cfg.InitialOr() < c.Cfg.N || c.Health != nil:
+		err = fmt.Errorf("engine: overlapped P-Reduce models no crashes, partitions, elastic membership or watchdog")
 	default:
 		res, err = runOverlappedSim(env, ctrl)
 	}

@@ -5,22 +5,32 @@ import (
 
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/health"
-	"partialreduce/internal/hetero"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/tensor"
 	"partialreduce/internal/trace"
 )
 
+// simSink hands the core's effects to the simulator's closures.
+type simSink struct {
+	reply     func(w int, d Directive)
+	abort     func(w int, op uint32)
+	startJoin func(j, donor int)
+}
+
+func (s simSink) Reply(w int, _ uint64, d Directive) { s.reply(w, d) }
+func (s simSink) Abort(w int, op uint32, _ int)      { s.abort(w, op) }
+func (s simSink) StartJoin(j, donor int, _ uint32)   { s.startJoin(j, donor) }
+
 // runPReduceSim drives Algorithm 2 on the simulated substrate's event
-// engine, with ctrl already wired (tracer, instruments, policy).
-//
-// When the cell carries a fail-stop schedule (§4), crashes are handled the
-// way the paper says the controller makes cheap: a dead worker's queued
-// signal is purged, a group caught mid-collective is aborted and its
-// survivors re-signal after one controller round trip, and checkpoint
-// rejoins re-admit the worker with its crash-time model.
-func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, error) {
+// engine, with ctrl already wired (tracer, instruments, policy). The
+// controller is served by the same core as the live runtime's
+// (ServiceCore): ready signals, crashes (§4), checkpoint rejoins, elastic
+// joins and drains, stuck ops and watchdog ticks are its events, and this
+// driver models only the data plane — compute, the group collective with
+// its partition retries, the average, and the bootstrap transfer. observe,
+// when set, wraps the sim sink and is called after every core event: how the
+// invariant tests watch the service a seeded run drives.
+func runPReduceSim(env *SimEnv, ctrl *controller.Controller, observe func(*ServiceCore, Sink) (Sink, func())) (*metrics.Result, error) {
 	c := env.C
 	agg := tensor.NewVector(len(c.Init))
 	paramsBuf := make([]tensor.Vector, 0, c.Cfg.N)
@@ -35,42 +45,52 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 		return err != nil
 	}
 
-	// inflight tracks dispatched groups until they complete, so a crash can
-	// abort exactly the group the corpse was syncing with. aborted seqs make
-	// the already-scheduled completion event a no-op.
-	inflight := make(map[uint64]controller.Group)
-	aborted := make(map[uint64]bool)
-	var seq uint64
-
-	// readyAt[w] is the virtual time of w's outstanding ready signal, the
-	// start of its KSignalWait span (closed when its group dispatches).
+	// opOf[w] is the op w reduces in (0: none): an abort of an op w already
+	// left is ignored, and an op is in flight while a member is still in it.
+	opOf := make([]uint32, c.Cfg.N)
+	// seq numbers each worker's ready signals for the core; readyAt[w] is
+	// the virtual time of w's outstanding one, the start of its
+	// KSignalWait span (closed when its group dispatches).
+	seq := make([]uint64, c.Cfg.N)
 	readyAt := make([]float64, c.Cfg.N)
 
-	var startCompute func(w *cluster.Worker)
-	var dispatch func(groups []controller.Group)
-
-	// Elastic membership: events fire in schedule order once the cluster-wide
-	// applied update count reaches their trigger. A join waits in
-	// pendingJoins until the next ready signal from an eligible donor, which
-	// serves the bootstrap from its own stable ready-point state and then
-	// signals as usual; the joiner is admitted at assignment time, so group
-	// formation deterministically waits for its first signal. Drains mark
-	// the rank so its next ready point becomes a Drain → Decommission
-	// hand-off instead of a signal. Both rules are exactly the live
-	// runtime's, which is what keeps the sim↔live differential's update
-	// counts equal.
-	elastic := c.Cfg.Elastic
-	nextElastic := 0
-	pendingJoins := []int(nil)
-	drainPending := make([]bool, c.Cfg.N)
-	var checkElastic func()
-
-	onGroupDone := func(id uint64, g controller.Group) {
-		if aborted[id] {
-			delete(aborted, id)
+	after := func() {}
+	var (
+		core         *ServiceCore
+		startCompute func(w *cluster.Worker)
+		signal       func(w *cluster.Worker)
+		attempt      func(op uint32, g controller.Group, k int)
+	)
+	// Effects that act once the core event has returned: aborted survivors
+	// re-signal after one controller round trip (in the simulator the
+	// average simply never lands), a donor re-signals at once.
+	var rollback []int
+	resend := -1
+	serve := func(event func()) {
+		event()
+		after()
+		if failed(core.Err()) {
 			return
 		}
-		delete(inflight, id)
+		for _, w := range rollback {
+			c.Eng.After(c.Cfg.Net.CtrlRTT, func() {
+				if !c.Dead[w] {
+					machine.To(w, StateReady)
+					signal(c.Workers[w])
+				}
+			})
+		}
+		rollback = rollback[:0]
+		if w := resend; w >= 0 {
+			resend = -1
+			signal(c.Workers[w])
+		}
+	}
+
+	onGroupDone := func(op uint32, g controller.Group) {
+		if !slices.Contains(opOf, op) {
+			return // aborted while the collective ran
+		}
 		// Weighted model average (Alg. 2 line 7; §3.3 for dynamic weights).
 		paramsBuf = paramsBuf[:0]
 		for _, wid := range g.Members {
@@ -82,33 +102,12 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 			machine.To(wid, StateApply)
 			w.Params().CopyFrom(agg)
 			w.Iter = g.Iter // fast-forward (§3.3.3)
+			opOf[wid] = 0
 		}
 		c.RecordUpdate()
-		checkElastic()
+		serve(func() { core.done(op, c.Updates()) })
 		for _, wid := range g.Members {
 			startCompute(c.Workers[wid])
-		}
-	}
-
-	var signalReady func(w *cluster.Worker)
-
-	// abortGroup dissolves in-flight group id (dead = -1: nobody is
-	// condemned): the survivors roll back (in the simulator the average
-	// simply never lands) and re-signal for the same iteration after one
-	// controller round trip.
-	abortGroup := func(id uint64, g controller.Group, dead int) {
-		delete(inflight, id)
-		dispatch(ctrl.AbortGroup(g, dead))
-		for _, m := range g.Members {
-			if m == dead || c.Dead[m] {
-				continue
-			}
-			w := c.Workers[m]
-			c.Eng.After(c.Cfg.Net.CtrlRTT, func() {
-				if !c.Dead[w.ID] {
-					signalReady(w)
-				}
-			})
 		}
 	}
 
@@ -120,19 +119,15 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 		c.Ins.AddComms(cs)
 	}
 
-	// attempt models collective attempt k of group id starting now. An
+	// attempt models collective attempt k of group op starting now. An
 	// attempt whose members straddle an active partition blocks until the
 	// collective timeout fires, then retries after a deterministic backoff —
 	// the live runtime's RetryPolicy in virtual time. When the budget is
-	// exhausted the controller aborts the op with nobody condemned and every
-	// member re-signals after a controller round trip: the same stuck-op
-	// path the live service takes for severed links.
-	var attempt func(id uint64, g controller.Group, k int)
-	attempt = func(id uint64, g controller.Group, k int) {
-		if aborted[id] {
+	// exhausted the members report the op stuck, as live members do.
+	attempt = func(op uint32, g controller.Group, k int) {
+		if !slices.Contains(opOf, op) {
 			// A crash abort dissolved the group while this attempt was
 			// pending; the members have already re-signaled.
-			delete(aborted, id)
 			return
 		}
 		ring := env.GroupRing(g.Members)
@@ -149,72 +144,47 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 				rtt := c.Cfg.Net.CtrlRTT
 				gs := int64(len(g.Members))
 				for _, m := range g.Members {
-					c.Tracer.SpanAt(trace.KGroupWait, int32(m), int32(g.Iter), now, rtt+ring, int64(id), gs)
-					c.Tracer.SpanAt(trace.KReduceScatter, int32(m), int32(g.Iter), now+rtt, ring/2, int64(id), 0)
-					c.Tracer.SpanAt(trace.KAllGather, int32(m), int32(g.Iter), now+rtt+float64(ring/2), ring/2, int64(id), 0)
+					c.Tracer.SpanAt(trace.KGroupWait, int32(m), int32(g.Iter), now, rtt+ring, int64(op), gs)
+					c.Tracer.SpanAt(trace.KReduceScatter, int32(m), int32(g.Iter), now+rtt, ring/2, int64(op), 0)
+					c.Tracer.SpanAt(trace.KAllGather, int32(m), int32(g.Iter), now+rtt+float64(ring/2), ring/2, int64(op), 0)
 				}
 			}
-			c.Eng.After(c.Cfg.Net.CtrlRTT+ring, func() { onGroupDone(id, g) })
+			c.Eng.After(c.Cfg.Net.CtrlRTT+ring, func() { onGroupDone(op, g) })
 			return
 		}
 		rm := c.Cfg.Retry
 		timeout := rm.TimeoutOr(c.Cfg.Profile.BatchCompute + ring)
 		count(metrics.CommStats{Timeouts: 1})
-		c.Tracer.InstantAt(trace.KTimeout, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout, int64(id), int64(k))
+		c.Tracer.InstantAt(trace.KTimeout, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout, int64(op), int64(k))
 		if k < rm.Attempts() {
 			count(metrics.CommStats{Retries: 1})
-			c.Tracer.InstantAt(trace.KRetry, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout+rm.Backoff(k), int64(id), int64(k+1))
-			c.Eng.After(timeout+rm.Backoff(k), func() { attempt(id, g, k+1) })
+			c.Tracer.InstantAt(trace.KRetry, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout+rm.Backoff(k), int64(op), int64(k+1))
+			c.Eng.After(timeout+rm.Backoff(k), func() { attempt(op, g, k+1) })
 			return
 		}
 		// Budget exhausted: the members sit through the final timeout, then
-		// the group is aborted with nobody condemned.
+		// report the op stuck; the core aborts it with nobody condemned.
 		count(metrics.CommStats{Aborts: 1})
-		c.Tracer.InstantAt(trace.KAbort, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout, int64(id), 0)
+		c.Tracer.InstantAt(trace.KAbort, trace.ControllerTrack, int32(g.Iter), c.Eng.Now()+timeout, int64(op), 0)
 		c.Eng.After(timeout, func() {
-			if aborted[id] {
-				delete(aborted, id)
-				return
+			if slices.Contains(opOf, op) {
+				serve(func() { core.Stuck(op) })
 			}
-			abortGroup(id, g, -1)
 		})
-	}
-
-	dispatch = func(groups []controller.Group) {
-		for _, g := range groups {
-			seq++
-			id := seq
-			inflight[id] = g
-			for _, m := range g.Members {
-				machine.To(m, StateReduce)
-			}
-			if c.Tracer != nil {
-				// Close each member's signal-wait span: it waited from its
-				// ready signal until this dispatch.
-				now := c.Eng.Now()
-				for i, m := range g.Members {
-					c.Tracer.SpanAt(trace.KSignalWait, int32(m), int32(g.Iters[i]), readyAt[m], now-readyAt[m], 0, 0)
-				}
-			}
-			attempt(id, g, 1)
-		}
 	}
 
 	// serveBootstrap is the donor side of a join, run at the donor's ready
 	// point where its model state is stable: capture params/optimizer/iter
-	// (BootstrapSend semantics), admit the joiner immediately — the epoch
-	// bumps now, and formation waits for its first signal — and schedule the
-	// install after the priced transfer. The donor then signals as usual.
-	serveBootstrap := func(donor *cluster.Worker, j int) {
+	// (BootstrapSend semantics) and schedule the install after the priced
+	// transfer. The core has admitted the joiner already.
+	serveBootstrap := func(j, donor int) {
 		machine.To(j, StateJoining)
-		params := donor.Params().Clone()
-		vel, step := donor.Opt.State()
-		iter := donor.Iter
-		c.Tracer.Instant(trace.KBootstrap, int32(j), int32(iter), int64(donor.ID), int64(len(params)))
-		if failed(ctrl.Join(j, c.Eng.Now())) {
-			return
-		}
-		dt := env.BootstrapTransfer(donor.ID, j)
+		d := c.Workers[donor]
+		params := d.Params().Clone()
+		vel, step := d.Opt.State()
+		iter := d.Iter
+		c.Tracer.Instant(trace.KBootstrap, int32(j), int32(iter), int64(donor), int64(len(params)))
+		dt := env.BootstrapTransfer(donor, j)
 		c.Eng.After(dt, func() {
 			w := c.Workers[j]
 			w.Params().CopyFrom(params)
@@ -227,48 +197,63 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 		})
 	}
 
-	signalReady = func(w *cluster.Worker) {
-		machine.To(w.ID, StateReady)
-		if drainPending[w.ID] {
-			// The drain lands at the rank's next ready point: it hands off
-			// instead of signaling, finishes nothing new, and leaves without
-			// being counted as a failure. Shrinking the active set can let
-			// the queue fill a group, so both steps may dispatch.
-			drainPending[w.ID] = false
-			machine.To(w.ID, StateDraining)
-			groups, err := ctrl.Drain(w.ID)
-			if failed(err) {
-				return
-			}
-			dispatch(groups)
-			more, err := ctrl.Decommission(w.ID)
-			if failed(err) {
-				return
-			}
-			machine.To(w.ID, StateDone)
-			// Eval-exclude the departed replica (it left with its model; the
-			// cluster's inference average is over current members only).
-			c.Kill(w.ID)
-			dispatch(more)
+	// reply acts on the core's answer to w's signal. The core answers a
+	// group's members in order, so the last one starts the modelled attempt.
+	reply := func(w int, d Directive) {
+		if c.Dead[w] {
 			return
 		}
-		if len(pendingJoins) > 0 && ctrl.IsMember(w.ID) && !ctrl.IsDraining(w.ID) {
-			// A join is waiting for a donor and this member just reached its
-			// ready point: serve the bootstrap, then fall through — the donor
-			// signals the same iteration as usual.
-			j := pendingJoins[0]
-			pendingJoins = pendingJoins[1:]
-			serveBootstrap(w, j)
-			if readyErr != nil {
+		switch g := d.Group; {
+		case len(g.Members) > 0:
+			if w != g.Members[len(g.Members)-1] {
 				return
 			}
+			for _, m := range g.Members {
+				machine.To(m, StateReduce)
+				opOf[m] = d.OpID
+			}
+			if c.Tracer != nil {
+				// Close each member's signal-wait span: it waited from its
+				// ready signal until this dispatch.
+				now := c.Eng.Now()
+				for i, m := range g.Members {
+					c.Tracer.SpanAt(trace.KSignalWait, int32(m), int32(g.Iters[i]), readyAt[m], now-readyAt[m], 0, 0)
+				}
+			}
+			attempt(d.OpID, g, 1)
+		case d.Drain:
+			// The hand-off is complete: the rank leaves with its model, and
+			// the cluster's inference average is over current members only.
+			machine.To(w, StateDraining)
+			machine.To(w, StateDone)
+			c.Kill(w)
+		case d.Bootstrap:
+			resend = w // re-signal the same iteration once the event returns
+		case d.Skip:
+			startCompute(c.Workers[w]) // proceed unaveraged
 		}
+	}
+	abort := func(w int, op uint32) {
+		if opOf[w] == op {
+			opOf[w] = 0
+			rollback = append(rollback, w)
+		}
+	}
+	var out Sink = simSink{reply: reply, abort: abort, startJoin: serveBootstrap}
+	core = NewServiceCore(ServiceConfig{
+		N: c.Cfg.N, Elastic: c.Cfg.Elastic,
+		Watchdog: c.Health, Recorder: c.Recorder, Instruments: c.Ins,
+	}, ctrl, nil)
+	core.byUpdates = true
+	if observe != nil {
+		out, after = observe(core, out)
+	}
+	core.out = out
+
+	signal = func(w *cluster.Worker) {
 		readyAt[w.ID] = c.Eng.Now()
-		groups, err := ctrl.Ready(controller.Signal{Worker: w.ID, Iter: w.Iter, Now: c.Eng.Now(), Epoch: ctrl.Epoch()})
-		if failed(err) {
-			return
-		}
-		dispatch(groups)
+		seq[w.ID]++
+		serve(func() { core.Ready(w.ID, w.Iter, seq[w.ID], ctrl.Epoch(), c.Eng.Now()) })
 	}
 
 	onComputeDone := func(w *cluster.Worker) {
@@ -278,7 +263,8 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 		grad, _ := c.Gradient(w)
 		w.Opt.Update(w.Params(), grad, 1) // local update (Alg. 2 line 4)
 		w.Iter++
-		signalReady(w)
+		machine.To(w.ID, StateReady)
+		signal(w)
 	}
 
 	startCompute = func(w *cluster.Worker) {
@@ -292,52 +278,22 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 		c.Eng.After(dt, func() { onComputeDone(w) })
 	}
 
-	checkElastic = func() {
-		for nextElastic < len(elastic) && elastic[nextElastic].AfterUpdates <= c.Updates() {
-			e := elastic[nextElastic]
-			nextElastic++
-			if e.Kind == hetero.ElasticJoin {
-				pendingJoins = append(pendingJoins, e.Worker)
-			} else {
-				drainPending[e.Worker] = true
-			}
-		}
-	}
-
-	onCrash := func(dead int) {
+	c.ScheduleCrashes(func(dead int) {
 		machine.Kill(dead)
-		// If the corpse was mid-collective, abort that group; the aborted
-		// mark makes its already-scheduled completion a no-op.
-		for id, g := range inflight {
-			if slices.Contains(g.Members, dead) {
-				aborted[id] = true
-				abortGroup(id, g, dead)
-				return
-			}
-		}
-		// Otherwise the worker was computing (its batch is discarded at
-		// onComputeDone) or queued (Fail purges the signal). Shrinking the
-		// surviving count can let the existing queue fill a group.
-		dispatch(ctrl.Fail(dead))
-	}
-
-	onRejoin := func(w int) {
+		opOf[dead] = 0
+		serve(func() { core.Lost(dead) })
+	}, func(w int) {
 		// Checkpoint restart: the replica resumes from its crash-time
 		// parameters and iteration count (the state the checkpoint froze).
-		if failed(ctrl.Rejoin(w)) {
-			return
-		}
+		serve(func() { core.rejoin(w) })
 		startCompute(c.Workers[w])
-	}
+	})
 
-	c.ScheduleCrashes(onCrash, onRejoin)
-
-	// The watchdog ticks on the virtual clock, evaluated inside the event
-	// loop (the controller's serialization domain), so a same-seed replay
-	// fires the same rules at the same virtual times and captures
-	// byte-identical bundles. The tick reschedules itself only while other
-	// events remain pending — a recurring event must not keep the queue
-	// alive after the run drains.
+	// The watchdog ticks on the virtual clock, evaluated by the core inside
+	// the event loop, so a same-seed replay fires the same rules at the same
+	// virtual times and captures byte-identical bundles. The tick
+	// reschedules itself only while other events remain pending — a
+	// recurring event must not keep the queue alive after the run drains.
 	if c.Health != nil {
 		every := c.HealthEvery
 		if every <= 0 {
@@ -345,20 +301,7 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller) (*metrics.Result, e
 		}
 		var tick func()
 		tick = func() {
-			now := c.Eng.Now()
-			breaches := c.Health.Eval(now, health.Sample{
-				Snap:       c.Ins.Snapshot(),
-				QueueDepth: ctrl.QueueDepth(),
-				Active:     c.AliveCount(),
-			})
-			if len(breaches) > 0 && c.Recorder != nil {
-				st := c.Health.State()
-				for _, br := range breaches {
-					if _, err := c.Recorder.Capture(br.Rule.String(), now, []health.Breach{br}, st); failed(err) {
-						return
-					}
-				}
-			}
+			serve(func() { core.Tick(c.Eng.Now()) })
 			if c.Eng.Pending() > 0 {
 				c.Eng.After(every, tick)
 			}

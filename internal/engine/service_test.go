@@ -1,32 +1,35 @@
-package live
+package engine
 
 import (
 	"fmt"
 	"testing"
 
+	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
-	"partialreduce/internal/engine"
 	"partialreduce/internal/health"
 	"partialreduce/internal/hetero"
+	"partialreduce/internal/testutil"
 )
 
-// The service core is driven here the way a simulator would drive it: no
-// goroutines, no transport, no clock. coreHarness plays both adapter and
-// cluster — it numbers signals, records effects, and after every event
-// re-checks the two safety invariants: no accepted signal is answered twice,
-// and no rank is a member of two undissolved groups.
+// The service core is driven here step by step: no goroutines, no
+// transport, no clock. coreHarness plays both adapter and cluster — it
+// numbers signals, records effects, and after every event re-checks the two
+// safety invariants: no accepted signal is answered twice, and no rank is a
+// member of two undissolved groups. Wrapped around the simulator's sink
+// (next), it checks the same on the events a seeded run drives.
 
 type effect struct {
 	kind  string // "reply", "abort", "join"
 	w     int
-	d     engine.Directive // reply
-	op    uint32           // abort, join
-	other int              // abort: dead; join: donor
+	d     Directive // reply
+	op    uint32    // abort, join
+	other int       // abort: dead; join: donor
 }
 
 type coreHarness struct {
 	t       *testing.T
-	c       *svcCore
+	c       *ServiceCore
+	next    Sink // the wrapped sink, nil when the harness is the cluster
 	seq     []uint64
 	now     float64
 	effects []effect
@@ -36,18 +39,18 @@ type coreHarness struct {
 	inGroup []uint32
 }
 
-func newCoreHarness(t *testing.T, cfg Config) *coreHarness {
+func newCoreHarness(t *testing.T, cfg coreTestConfig) *coreHarness {
 	t.Helper()
 	ctrl, err := newController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := &coreHarness{t: t, seq: make([]uint64, cfg.N), replied: map[[2]uint64]bool{}, inGroup: make([]uint32, cfg.N)}
-	h.c = newSvcCore(cfg, ctrl, h)
+	h.c = NewServiceCore(cfg.ServiceConfig, ctrl, h)
 	return h
 }
 
-func (h *coreHarness) reply(w int, seq uint64, d engine.Directive) {
+func (h *coreHarness) Reply(w int, seq uint64, d Directive) {
 	key := [2]uint64{uint64(w), seq}
 	if h.replied[key] {
 		h.t.Errorf("signal (worker %d, seq %d) answered twice", w, seq)
@@ -60,17 +63,26 @@ func (h *coreHarness) reply(w int, seq uint64, d engine.Directive) {
 		h.inGroup[w] = d.OpID
 	}
 	h.effects = append(h.effects, effect{kind: "reply", w: w, d: d})
+	if h.next != nil {
+		h.next.Reply(w, seq, d)
+	}
 }
 
-func (h *coreHarness) abort(w int, op uint32, dead int) {
+func (h *coreHarness) Abort(w int, op uint32, dead int) {
 	if h.inGroup[w] == op {
 		h.inGroup[w] = 0
 	}
 	h.effects = append(h.effects, effect{kind: "abort", w: w, op: op, other: dead})
+	if h.next != nil {
+		h.next.Abort(w, op, dead)
+	}
 }
 
-func (h *coreHarness) startJoin(j, donor int, op uint32) {
+func (h *coreHarness) StartJoin(j, donor int, op uint32) {
 	h.effects = append(h.effects, effect{kind: "join", w: j, op: op, other: donor})
+	if h.next != nil {
+		h.next.StartJoin(j, donor, op)
+	}
 }
 
 // after is the per-event check: core-level sanity on top of what the sink
@@ -136,9 +148,9 @@ func (h *coreHarness) stuck(op uint32) { h.c.Stuck(op); h.after() }
 func (h *coreHarness) joinAbort(w int) { h.c.JoinAbort(w); h.after() }
 
 // groupReplies extracts the group directives among effects, keyed by worker.
-func groupReplies(t *testing.T, effects []effect) map[int]engine.Directive {
+func groupReplies(t *testing.T, effects []effect) map[int]Directive {
 	t.Helper()
-	out := map[int]engine.Directive{}
+	out := map[int]Directive{}
 	for _, e := range effects {
 		if e.kind == "reply" && len(e.d.Group.Members) > 0 {
 			if _, dup := out[e.w]; dup {
@@ -163,8 +175,18 @@ func describe(effects []effect) string {
 	return s
 }
 
-func coreConfig(n, p int) Config {
-	return Config{N: n, P: p, Weighting: controller.Constant}
+// coreTestConfig is a core's config plus what its controller is built with.
+type coreTestConfig struct {
+	ServiceConfig
+	P, Initial int
+}
+
+func coreConfig(n, p int) coreTestConfig {
+	return coreTestConfig{ServiceConfig: ServiceConfig{N: n}, P: p}
+}
+
+func newController(cfg coreTestConfig) (*controller.Controller, error) {
+	return controller.New(controller.Config{N: cfg.N, P: cfg.P, Initial: cfg.Initial, Weighting: controller.Constant})
 }
 
 func TestCoreReadyGroupsAndAnswersOnce(t *testing.T) {
@@ -465,9 +487,9 @@ func TestCoreExitEvaluatesWatchdog(t *testing.T) {
 
 type nopSink struct{}
 
-func (nopSink) reply(int, uint64, engine.Directive) {}
-func (nopSink) abort(int, uint32, int)              {}
-func (nopSink) startJoin(int, int, uint32)          {}
+func (nopSink) Reply(int, uint64, Directive) {}
+func (nopSink) Abort(int, uint32, int)       {}
+func (nopSink) StartJoin(int, int, uint32)   {}
 
 // The hot path: serving a ready signal through the core allocates nothing
 // beyond what the controller itself allocates to form the group (the
@@ -496,12 +518,79 @@ func TestCoreAddsNoAllocationPerSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newSvcCore(cfg, servedCtrl, nopSink{})
+	c := NewServiceCore(cfg.ServiceConfig, servedCtrl, nopSink{})
 	served := testing.AllocsPerRun(500, rounds(func(w, iter int) { c.Ready(w, iter, uint64(iter), 0, 0) }))
 	if c.err != nil || c.ctrl.Stats().GroupsFormed < 500 {
 		t.Fatalf("core did not serve the rounds: err=%v stats=%+v", c.err, c.ctrl.Stats())
 	}
 	if served > bare {
 		t.Fatalf("core allocates on the ready path: %.1f allocs/round served vs %.1f for the bare controller", served, bare)
+	}
+}
+
+// settle is after for a core the simulator drives, where a member leaves its
+// group when the average lands (done) or when it is condemned — both in the
+// core's own bookkeeping, read here once the event has returned.
+func (h *coreHarness) settle() {
+	h.t.Helper()
+	for w, op := range h.inGroup {
+		if op != 0 && (!h.c.inOp[w] || h.c.deadSet[w]) {
+			h.inGroup[w] = 0
+		}
+	}
+	h.take()
+	h.after()
+}
+
+// The simulator drives the same core: three seeded fault cells run with the
+// harness wrapped around the sim sink, checked after every core event.
+func TestSimServiceInvariants(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		seed  int64
+		set   func(*cluster.Config)
+		check func(controller.Stats) bool
+	}{
+		{"random-crashes", 31, func(cfg *cluster.Config) {
+			cfg.Crashes = hetero.RandomCrashes(cfg.N, 0.5, 6, 31)
+			for i := range cfg.Crashes {
+				if i%2 == 1 {
+					cfg.Crashes[i].RejoinAt = cfg.Crashes[i].At + 0.5 // checkpoint restart
+				}
+			}
+			cfg.Threshold, cfg.MaxUpdates = 0.999, 300
+		}, func(st controller.Stats) bool { return st.Failures >= 2 && st.Rejoins >= 1 }},
+		{"scale-staircase", 32, func(cfg *cluster.Config) {
+			cfg.Initial = 5
+			cfg.Elastic = hetero.ScaleSchedule(5, 8, 4, 30, 15)
+			cfg.Threshold, cfg.MaxUpdates = 0.999, 400
+		}, func(st controller.Stats) bool { return st.Joins == 3 && st.Decommissions == 4 && st.Failures == 0 }},
+		{"partition-one-attempt", 33, func(cfg *cluster.Config) {
+			cfg.Partitions = hetero.PartitionSchedule{{Ranks: []int{6, 7}, From: 0.3, Until: 1.5}}
+			cfg.Retry = cluster.RetryModel{MaxAttempts: 1, Timeout: 0.2}
+			cfg.Threshold, cfg.MaxUpdates = 0.999, 300
+		}, func(st controller.Stats) bool { return st.GroupsAborted > 0 && st.Failures == 0 }},
+	} {
+		cfg := testutil.Config(t, tc.seed)
+		tc.set(&cfg)
+		c, err := cluster.New(cfg, tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := controller.New(NewPReduce(PReduceConfig{P: 3}).controllerConfig(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := 0
+		_, err = runPReduceSim(NewSimEnv(c), ctrl, func(core *ServiceCore, out Sink) (Sink, func()) {
+			h := &coreHarness{t: t, c: core, next: out, replied: map[[2]uint64]bool{}, inGroup: make([]uint32, cfg.N)}
+			return h, func() { events++; h.settle() }
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := ctrl.Stats(); !tc.check(st) || events < 100 {
+			t.Fatalf("%s: the cell did not exercise the service (%d events): %+v", tc.name, events, st)
+		}
 	}
 }

@@ -225,17 +225,17 @@ func newController(cfg Config) (*controller.Controller, error) {
 	return ctrl, nil
 }
 
-// fillController copies what the finished controller service c knows into
-// the report and returns the run's controller counters.
-func (r *Report) fillController(c *svcCore) controller.Stats {
-	stats := c.ctrl.Stats()
+// fillController copies what the finished run's controller knows into the
+// report and returns its counters.
+func (r *Report) fillController(ctrl *controller.Controller) controller.Stats {
+	stats := ctrl.Stats()
 	r.Aborts = stats.GroupsAborted
 	r.Failures = stats.Failures
 	r.Joins = stats.Joins
 	r.Drains = stats.Drains
 	r.Decommissions = stats.Decommissions
 	r.StaleEpochs = stats.StaleEpochs
-	r.Alive = c.ctrl.Alive()
+	r.Alive = ctrl.Alive()
 	return stats
 }
 
@@ -274,7 +274,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 		}
 	}
 	defer closeAll() // ends the abort listeners of ranks that left without a sentinel
-	var svc *svcCore
+	var svc *engine.ServiceCore
 	var svcErr error
 	svcDone := make(chan struct{})
 	go func() {
@@ -301,7 +301,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	// Average the completed replicas for inference (Alg. 2 line 8). Workers
 	// that died, drained or never joined hold stale models and are excluded.
 	// Every rank is in this process, so the average needs no gather.
-	rep := &Report{Completed: svc.completed, WorkerIters: make([]int, cfg.N)}
+	rep := &Report{Completed: svc.Completed(), WorkerIters: make([]int, cfg.N)}
 	avg := tensor.NewVector(len(init))
 	n := 0
 	for id, end := range ends {
@@ -319,7 +319,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	base.SetParams(avg)
 	rep.FinalAccuracy = model.Accuracy(base, cfg.Test)
 	rep.WallTime = time.Since(start)
-	stats := rep.fillController(svc)
+	stats := rep.fillController(ctrl)
 	rep.Groups = stats.GroupsFormed - stats.GroupsAborted
 	return rep, nil
 }

@@ -11,6 +11,10 @@ import (
 	"partialreduce/internal/engine"
 )
 
+// bootOpBase is the service core's first bootstrap op id, so the frames
+// below carry op ids of the size a join puts on the wire.
+const bootOpBase uint32 = 0x40000000
+
 // roundTrip encodes d as a reply frame and decodes it in an n-rank world.
 func roundTrip(t *testing.T, d engine.Directive, n int) (engine.Directive, error) {
 	t.Helper()

@@ -48,22 +48,22 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		return nil, fmt.Errorf("live: transport world %d != N %d", tr.Size(), cfg.N)
 	}
 	ctrlRank := 0
-	var svc *svcCore
+	var ctrl *controller.Controller
 	ctrlErr := make(chan error, 1)
 	gathered := make(chan struct{}) // closed when the root's final gather is over
 	if host {
 		if tr.Rank() != ctrlRank {
 			return nil, fmt.Errorf("live: controller must run on rank %d", ctrlRank)
 		}
-		ctrl, err := newController(cfg)
-		if err != nil {
+		var err error
+		if ctrl, err = newController(cfg); err != nil {
 			return nil, err
 		}
 		out := newWireSink(tr, cfg.N)
 		go func() {
-			var err error
-			if svc, err = runControllerService(cfg, ctrl, out); err == nil {
-				err = out.releaseRoster(svc.completed, gathered)
+			svc, err := runControllerService(cfg, ctrl, out)
+			if err == nil {
+				err = out.releaseRoster(svc.Completed(), gathered)
 			}
 			ctrlErr <- err
 		}()
@@ -78,7 +78,7 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		if cerr := <-ctrlErr; cerr != nil {
 			return nil, cerr
 		}
-		rep.fillController(svc)
+		rep.fillController(ctrl)
 	}
 	return rep, nil
 }
@@ -121,7 +121,7 @@ func (s *wireSink) send(w int, tag uint64, payload []float64) bool {
 	return false
 }
 
-func (s *wireSink) reply(w int, seq uint64, d engine.Directive) {
+func (s *wireSink) Reply(w int, seq uint64, d engine.Directive) {
 	var err error
 	if s.buf, err = appendDirective(s.buf[:0], d); err != nil {
 		s.fail(err)
@@ -130,14 +130,14 @@ func (s *wireSink) reply(w int, seq uint64, d engine.Directive) {
 	s.send(w, replyTag(int(seq)), s.buf)
 }
 
-func (s *wireSink) abort(w int, op uint32, dead int) {
+func (s *wireSink) Abort(w int, op uint32, dead int) {
 	if s.send(w, abortTag(s.abortSeq[w]), encodeOpRank(op, dead)) {
 		s.abortSeq[w]++
 	}
 }
 
-// startJoin doubles as the dismissal of a parked rank (donor -1, op 0).
-func (s *wireSink) startJoin(j, donor int, op uint32) {
+// StartJoin doubles as the dismissal of a parked rank (donor -1, op 0).
+func (s *wireSink) StartJoin(j, donor int, op uint32) {
 	s.send(j, joinTag(s.joinSeq[j]), encodeOpRank(op, donor))
 	s.joinSeq[j]++
 }
@@ -150,7 +150,7 @@ func (s *wireSink) startJoin(j, donor int, op uint32) {
 // breaks, or that failed its endpoint on the way out, fails its pending
 // receive with a peer-down error, which the loop reports as Lost. It serves
 // until no worker is active, dismisses the parked ranks and returns the core.
-func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink) (*svcCore, error) {
+func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink) (*engine.ServiceCore, error) {
 	tr := out.tr
 	type event struct {
 		readyMsg
@@ -186,11 +186,14 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 		}()
 	}
 
-	c := newSvcCore(cfg, ctrl, out)
+	c := engine.NewServiceCore(engine.ServiceConfig{
+		N: cfg.N, Elastic: cfg.Elastic,
+		Watchdog: cfg.Watchdog, Recorder: cfg.Recorder, Instruments: cfg.Instruments,
+	}, ctrl, out)
 	wdTick, healthNow, wdStop := healthClock(cfg)
 	defer wdStop()
 
-	for c.active > 0 {
+	for c.Active() > 0 {
 		select {
 		case <-wdTick:
 			c.Tick(healthNow())
@@ -222,8 +225,8 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 		if out.err != nil {
 			return nil, out.err
 		}
-		if c.err != nil {
-			return nil, c.err
+		if err := c.Err(); err != nil {
+			return nil, err
 		}
 	}
 	c.Exit(healthNow())
@@ -231,8 +234,8 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 	// Dismiss the parked ranks (never admitted, or drained back out): they
 	// are waiting on the join stream and exit without training.
 	for w := 0; w < cfg.N; w++ {
-		if c.parked(w) {
-			out.startJoin(w, -1, 0)
+		if c.Parked(w) {
+			out.StartJoin(w, -1, 0)
 		}
 	}
 	out.lost = nil // a parked rank that is already gone needs no dismissal
@@ -257,7 +260,7 @@ func (s *wireSink) releaseRoster(completed []bool, gathered <-chan struct{}) err
 	}
 	<-gathered
 	for _, w := range roster {
-		s.abort(w, 0, -1)
+		s.Abort(w, 0, -1)
 	}
 	if s.err != nil {
 		return s.err
