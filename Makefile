@@ -177,10 +177,12 @@ sweepdiff:
 	sh scripts/sweepdiff.sh $(BASE)
 
 # Non-test Go lines per internal package and for the whole module (bench/ is
-# a module of its own and is not counted).
+# a module of its own and is not counted), then the assembly lines, which
+# are reported on their own row and not in the total.
 loc:
 	@for d in internal/*/; do printf '%6d %s\n' $$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l) $$d; done
 	@printf '%6d total\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+	@printf '%6d assembly (.s)\n' $$(find . -name '*.s' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -142,23 +142,12 @@ func runTraced(path string, buf int, opts experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	events := c.Tracer.Events()
-	if strings.HasSuffix(path, ".jsonl") {
-		err = trace.WriteJSONL(f, events, c.Tracer.Dropped())
-	} else {
-		err = trace.WriteChrome(f, events)
-	}
-	if err != nil {
+	if err := trace.WriteFile(path, c.Tracer); err != nil {
 		return err
 	}
 	snap := c.Ins.Snapshot()
 	fmt.Printf("traced run: %s acc=%.3f events=%d dropped=%d staleness p50=%d p95=%d max=%d (%s)\n",
-		res.Strategy, res.FinalAccuracy, len(events), c.Tracer.Dropped(),
+		res.Strategy, res.FinalAccuracy, c.Tracer.Len(), c.Tracer.Dropped(),
 		snap.Staleness.Quantile(0.5), snap.Staleness.Quantile(0.95), snap.Staleness.Max(),
 		time.Since(start).Round(time.Millisecond))
 	fmt.Printf("trace written to %s\n", path)

@@ -20,10 +20,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -68,24 +68,14 @@ func main() {
 		"collective attempts after a receive timeout before aborting the group (0 or 1: no retry)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond,
 		"base backoff before a collective retry; doubles per attempt with seeded jitter")
-	partition := flag.String("partition", "",
-		"timed network partition, e.g. '1,2@3s:8s': every frame between ranks {1,2} and the rest, control frames included, is lost between 3s and 8s after start (omit ':8s' to never heal); needs -ctrl-timeout and -collective-timeout")
 	tracePath := flag.String("trace", "",
 		"write this rank's wall-clock trace here on exit; '.r<rank>' is inserted before the extension so every rank can share the flag (.json: Chrome trace-event for Perfetto; .jsonl: streaming event log)")
 	traceBuf := flag.Int("trace-buf", 0,
 		"trace event-ring capacity (0: default 65536; oldest events drop when full)")
 	telemetryAddr := flag.String("telemetry-addr", "",
 		"serve Prometheus-text /metrics (staleness histogram, queue depth, barrier-wait, comm counters) and /debug/pprof/ on this address for the run's duration (e.g. 127.0.0.1:9090, or :0 for an ephemeral port)")
-	initial := flag.Int("initial", 0,
-		"elastic start: only ranks [0,initial) train from the beginning; the rest park until a scheduled join (0: everyone; -addrs still lists every rank)")
-	joinAfter := flag.Int("join-after", 0,
-		"elastic scale-out: admit the first parked rank once this many groups have dispatched, then one more per -scale-step (requires -initial < len(addrs))")
-	drainAfter := flag.Int("drain-after", 0,
-		"elastic scale-in: gracefully drain the highest rank once this many groups have dispatched, then one more per -scale-step, down to -scale-to")
-	scaleTo := flag.Int("scale-to", 0,
-		"elastic scale-in target membership, in [2, len(addrs)); required by -drain-after")
-	scaleStep := flag.Int("scale-step", 5,
-		"groups between consecutive elastic joins (after -join-after) and drains (after -drain-after)")
+	schedulePath := flag.String("schedule", "",
+		"JSON file, the same on every rank, of {Initial, Elastic, Partitions}: founding ranks (0: all), joins and drains triggered on dispatched groups, and partition windows in seconds after the mesh forms that drop every crossing frame, control frames included (so they need -ctrl-timeout and -collective-timeout); see README")
 	policyName := flag.String("policy", "",
 		"group-formation policy: static|adaptive-p|straggler-bias (empty: controller default)")
 	pMin := flag.Int("p-min", 0, "adaptive-p lower group-size bound (0: default 2)")
@@ -126,10 +116,10 @@ func main() {
 	if *segmentSize < 0 {
 		fail(fmt.Errorf("need -segment-size >= 0"))
 	}
-	if err := checkPartitionFlags(*partition, *ctrlTimeout, *collTimeout); err != nil {
-		fail(err)
-	}
-	if err := checkElasticFlags(n, *initial, *joinAfter, *drainAfter, *scaleTo, *scaleStep); err != nil {
+	// Fail fast: every rank must agree on the schedule, and a bad one should
+	// not cost a mesh timeout before being rejected.
+	sched, err := loadSchedule(*schedulePath, n, *ctrlTimeout, *collTimeout)
+	if err != nil {
 		fail(err)
 	}
 	if *policyName != "" {
@@ -192,10 +182,10 @@ func main() {
 				Dynamic       bool       `json:"dynamic"`
 				Policy        string     `json:"policy,omitempty"`
 				Straggle      string     `json:"straggle,omitempty"`
-				Partition     string     `json:"partition,omitempty"`
+				Schedule      schedule   `json:"schedule"`
 				SLO           health.SLO `json:"slo"`
 				WatchdogEvery string     `json:"watchdog_every"`
-			}{n, *p, *iters, *seed, *dynamic, *policyName, *straggle, *partition,
+			}{n, *p, *iters, *seed, *dynamic, *policyName, *straggle, sched,
 				slo, watchdogEvery.String()}, "", "  ")
 			if err != nil {
 				fail(err)
@@ -216,14 +206,10 @@ func main() {
 	defer tcp.Close()
 
 	var tr transport.Transport = tcp
-	if *partition != "" {
-		part, err := parsePartition(*partition, n)
-		if err != nil {
-			fail(err)
-		}
+	if len(sched.Partitions) > 0 {
 		ftr, err := transport.NewFaultyEndpoint(tcp, transport.FaultPlan{
 			Seed:       *seed,
-			Partitions: []transport.Partition{part},
+			Partitions: sched.Partitions,
 		})
 		if err != nil {
 			fail(err)
@@ -242,6 +228,8 @@ func main() {
 		Optimizer:    optim.Config{LR: 0.03, Momentum: 0.9, WeightDecay: 1e-4},
 		Iters:        *iters,
 		SegmentElems: *segmentSize,
+		Initial:      sched.Initial,
+		Elastic:      sched.Elastic,
 
 		CtrlTimeout:       *ctrlTimeout,
 		CollectiveTimeout: *collTimeout,
@@ -267,19 +255,6 @@ func main() {
 	}
 	if *policyName != "" {
 		cfg.Policy = policy.Spec{Name: *policyName, PMin: *pMin, PMax: *pMax, Window: *policyWindow}
-	}
-	if *initial > 0 || *joinAfter > 0 || *drainAfter > 0 {
-		founders := *initial
-		if founders == 0 {
-			founders = n
-		}
-		cfg.Initial = *initial
-		cfg.Elastic = elasticSchedule(n, founders, *joinAfter, *drainAfter, *scaleTo, *scaleStep)
-		// Fail fast: every rank must agree on the schedule, and a bad one
-		// should not cost a mesh timeout before being rejected.
-		if err := cfg.Elastic.Validate(n, founders); err != nil {
-			fail(err)
-		}
 	}
 	if *straggle != "" {
 		sRank, sDelay, err := parseStraggle(*straggle, n)
@@ -327,7 +302,7 @@ func main() {
 			return
 		}
 		path := rankPath(*tracePath, *rank)
-		if err := writeTrace(path, tr2); err != nil {
+		if err := trace.WriteFile(path, tr2); err != nil {
 			fmt.Fprintf(os.Stderr, "rank %d: trace write failed: %v\n", *rank, err)
 			return
 		}
@@ -382,51 +357,12 @@ func main() {
 	}
 }
 
-// elasticSchedule builds the flag-driven membership schedule: parked ranks
-// [initial, n) join one per step groups starting at joinAfter, and members
-// drain highest-first down to scaleTo, one per step groups starting at
-// drainAfter. The canonical 8→12→6 sweep over 12 addresses is
-// `-initial 8 -join-after 20 -drain-after 60 -scale-to 6 -scale-step 10`.
-func elasticSchedule(n, initial, joinAfter, drainAfter, scaleTo, step int) hetero.ElasticSchedule {
-	var s hetero.ElasticSchedule
-	if joinAfter > 0 {
-		at := joinAfter
-		for w := initial; w < n; w++ {
-			s = append(s, hetero.ElasticEvent{Worker: w, AfterUpdates: at, Kind: hetero.ElasticJoin})
-			at += step
-		}
-	}
-	if drainAfter > 0 {
-		at := drainAfter
-		for w := n - 1; w >= scaleTo; w-- {
-			s = append(s, hetero.ElasticEvent{Worker: w, AfterUpdates: at, Kind: hetero.ElasticDrain})
-			at += step
-		}
-	}
-	sort.SliceStable(s, func(i, j int) bool { return s[i].AfterUpdates < s[j].AfterUpdates })
-	return s
-}
-
 // rankPath inserts ".r<rank>" before the path's extension ("out.json" →
 // "out.r0.json"), so all ranks can share one -trace value without
 // clobbering each other's file.
 func rankPath(path string, rank int) string {
 	ext := filepath.Ext(path)
 	return fmt.Sprintf("%s.r%d%s", strings.TrimSuffix(path, ext), rank, ext)
-}
-
-// writeTrace exports the tracer: Chrome trace-event JSON by default,
-// streaming JSONL when the path ends in ".jsonl".
-func writeTrace(path string, tr *trace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return trace.WriteJSONL(f, tr.Events(), tr.Dropped())
-	}
-	return trace.WriteChrome(f, tr.Events())
 }
 
 // parseStraggle parses "rank:dur" (e.g. "1:30ms") into a straggler
@@ -453,71 +389,66 @@ func parseStraggle(s string, n int) (int, time.Duration, error) {
 	return r, d, nil
 }
 
-// checkPartitionFlags refuses a partition whose lost frames nothing would
-// re-send. -partition wraps the process's one TCP endpoint, which carries the
-// control frames as well as the collectives, and a frame dropped in the window
-// is dropped silently: with an unbounded wait (the default for both timeouts)
-// a rank whose ready signal or group reply falls inside the window parks for
-// good, healed partition or not. Checked before the mesh forms, so the
-// mistake costs no mesh timeout.
-func checkPartitionFlags(partition string, ctrlTimeout, collTimeout time.Duration) error {
-	if partition != "" && (ctrlTimeout <= 0 || collTimeout <= 0) {
-		return fmt.Errorf("-partition drops control frames too: it needs -ctrl-timeout and -collective-timeout (unbounded waits never notice a lost frame)")
-	}
-	return nil
+// schedule is the -schedule file: the founding membership, the elastic
+// joins and drains, and the timed partitions, in the simulator's own types
+// (hetero.ElasticSchedule, hetero.PartitionSchedule), so one scenario reads
+// the same in both backends. Live joins and drains trigger on dispatched
+// groups; partition windows are seconds since the fault transport was built.
+type schedule struct {
+	Initial    int                      `json:",omitempty"`
+	Elastic    hetero.ElasticSchedule   `json:",omitempty"`
+	Partitions hetero.PartitionSchedule `json:",omitempty"`
 }
 
-// checkElasticFlags refuses elastic flags that would schedule nothing: a
-// join with no parked rank to admit, joins or drains with no positive step
-// between them, a drain with no membership to stop at. Each of these ran
-// without error and changed nothing; checked before the mesh forms, so the
-// mistake costs no mesh timeout. n is the number of addresses.
-func checkElasticFlags(n, initial, joinAfter, drainAfter, scaleTo, scaleStep int) error {
-	switch {
-	case joinAfter > 0 && (initial == 0 || initial >= n):
-		return fmt.Errorf("-join-after admits parked ranks: it needs -initial below the %d addresses", n)
-	case (joinAfter > 0 || drainAfter > 0) && scaleStep <= 0:
-		return fmt.Errorf("-join-after/-drain-after need a positive -scale-step, got %d", scaleStep)
-	case drainAfter > 0 && (scaleTo < 2 || scaleTo >= n):
-		return fmt.Errorf("-drain-after needs -scale-to in [2,%d), got %d", n, scaleTo)
+// loadSchedule reads a -schedule file and checks it for a world of n ranks;
+// no file is the empty schedule.
+func loadSchedule(path string, n int, ctrlTimeout, collTimeout time.Duration) (schedule, error) {
+	if path == "" {
+		return schedule{}, nil
 	}
-	return nil
-}
-
-// parsePartition parses "r1,r2,...@from[:until]" into a timed transport
-// partition: the listed ranks are cut off from the rest of the world between
-// the two offsets (relative to transport creation); omitting ":until" means
-// the partition never heals.
-func parsePartition(s string, n int) (transport.Partition, error) {
-	var p transport.Partition
-	ranksSpec, window, ok := strings.Cut(s, "@")
-	if !ok {
-		return p, fmt.Errorf("partition %q: want ranks@from[:until]", s)
-	}
-	for _, f := range strings.Split(ranksSpec, ",") {
-		var r int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &r); err != nil {
-			return p, fmt.Errorf("partition rank %q: %v", f, err)
-		}
-		if r < 0 || r >= n {
-			return p, fmt.Errorf("partition rank %d outside [0,%d)", r, n)
-		}
-		p.Ranks = append(p.Ranks, r)
-	}
-	fromSpec, untilSpec, hasUntil := strings.Cut(window, ":")
-	from, err := time.ParseDuration(fromSpec)
+	f, err := os.Open(path)
 	if err != nil {
-		return p, fmt.Errorf("partition start %q: %v", fromSpec, err)
+		return schedule{}, err
 	}
-	p.From = from
-	if hasUntil {
-		until, err := time.ParseDuration(untilSpec)
-		if err != nil {
-			return p, fmt.Errorf("partition end %q: %v", untilSpec, err)
-		}
-		p.Until = until
+	defer f.Close()
+	s, err := decodeSchedule(f, n, ctrlTimeout, collTimeout)
+	if err != nil {
+		return s, fmt.Errorf("-schedule %s: %w", path, err)
 	}
-	return p, nil
+	return s, nil
+}
+
+// decodeSchedule parses strict JSON (no unknown field, nothing after the
+// object) and refuses a schedule the run could not follow. A partition is
+// refused without both timeouts: it wraps the process's one TCP endpoint,
+// which carries the control frames as well as the collectives, and a frame
+// dropped in the window is dropped silently. With an unbounded wait (the
+// default for both) a rank whose ready signal or group reply falls inside
+// the window parks for good, healed partition or not.
+func decodeSchedule(r io.Reader, n int, ctrlTimeout, collTimeout time.Duration) (schedule, error) {
+	var s schedule
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return s, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, fmt.Errorf("trailing data after the schedule object")
+	}
+	founders := s.Initial
+	if founders == 0 {
+		founders = n
+	}
+	if err := s.Elastic.Validate(n, founders); err != nil {
+		return s, err
+	}
+	if err := s.Partitions.Validate(n); err != nil {
+		return s, err
+	}
+	if len(s.Partitions) > 0 && (ctrlTimeout <= 0 || collTimeout <= 0) {
+		return s, fmt.Errorf("partitions drop control frames too: they need -ctrl-timeout and -collective-timeout (unbounded waits never notice a lost frame)")
+	}
+	return s, nil
 }
 
 func fail(err error) {

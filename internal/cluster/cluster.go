@@ -30,7 +30,7 @@ type Config struct {
 	// parked and only enter training when an Elastic join admits them. Zero
 	// selects N (every rank is a founder — the non-elastic default).
 	Initial   int
-	Spec      model.Builder // proxy model architecture (model.Spec or model.ConvSpec)
+	Spec      model.Builder // proxy model architecture (a model.Spec)
 	Seed      int64         // master seed (model init, samplers, strategy RNG)
 	Train     *data.Dataset
 	Test      *data.Dataset

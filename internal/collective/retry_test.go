@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"partialreduce/internal/hetero"
 	"partialreduce/internal/transport"
 )
 
@@ -107,7 +108,7 @@ func TestAllReduceRetriesThroughPartition(t *testing.T) {
 	const n, d = 2, 64
 	eps := faultyGroup(t, n, transport.FaultPlan{
 		Seed:       11,
-		Partitions: []transport.Partition{{Ranks: []int{1}, From: 0, Until: 400 * time.Millisecond}},
+		Partitions: hetero.PartitionSchedule{{Ranks: []int{1}, From: 0, Until: 0.400}},
 	})
 	group := []int{0, 1}
 	datas := make([][]float64, n)

@@ -315,7 +315,7 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 }
 
 // factoredGradient is the form of Gradient a model may offer when its
-// one-example gradient is a few outer products (the MLP; not the ConvNet).
+// one-example gradient is a few outer products (the MLP).
 type factoredGradient interface {
 	GradientFactors(b *data.Batch) []tensor.Outer
 }

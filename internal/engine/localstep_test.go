@@ -13,8 +13,8 @@ import (
 
 // TestLocalStepSelection pins the one place the factored step is chosen: an
 // MLP on a one-example batch never needs the gradient buffer (it stays nil),
-// while B = 2 and the ConvNet fall through to Gradient + Update and allocate
-// it on that first step — and every path leaves, step for step, the bits of
+// while B = 2 falls through to Gradient + Update and allocates it on that
+// first step — and every path leaves, step for step, the bits of
 // Gradient + Update in parameters and velocity.
 func TestLocalStepSelection(t *testing.T) {
 	cfg := optim.Config{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4}
@@ -26,7 +26,6 @@ func TestLocalStepSelection(t *testing.T) {
 	}{
 		{"mlp/B=1", model.Spec{Inputs: 10, Hidden: []int{6, 5}, Classes: 3}, 1, true},
 		{"mlp/B=2", model.Spec{Inputs: 10, Hidden: []int{6, 5}, Classes: 3}, 2, false},
-		{"conv/B=1", model.ConvSpec{Inputs: 10, Channels: 4, Kernel: 3, Classes: 3}, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, want := tc.build.Build(3), tc.build.Build(3)

@@ -7,7 +7,6 @@ import (
 	"partialreduce/internal/controller"
 	"partialreduce/internal/engine"
 	"partialreduce/internal/hetero"
-	"partialreduce/internal/model"
 	"partialreduce/internal/testutil"
 )
 
@@ -142,26 +141,5 @@ func TestModelsCollaborativelyConverge(t *testing.T) {
 		if acc := c.EvalParams(w.Params()); acc < 0.8 {
 			t.Fatalf("worker %d stuck at accuracy %.3f", w.ID, acc)
 		}
-	}
-}
-
-// P-Reduce over the convolutional proxy: the strategy is model-agnostic as
-// long as parameters are flat.
-func TestPReduceWithConvModel(t *testing.T) {
-	cfg := testutil.Config(t, 25)
-	cfg.Spec = model.ConvSpec{Inputs: 16, Channels: 12, Kernel: 5, Classes: 4}
-	// The GAP bottleneck caps the conv proxy's accuracy on this mixture
-	// around 0.76; the test checks trainability, not capacity.
-	cfg.Threshold = 0.70
-	c, err := cluster.New(cfg, "CON P=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.NewPReduce(engine.PReduceConfig{P: 3}).Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("conv-model P-Reduce did not converge: %+v", res)
 	}
 }

@@ -4,11 +4,11 @@ import "fmt"
 
 // Elastic membership schedules. Like CrashSchedule, an ElasticSchedule is
 // pure data: the same schedule value replayed against any backend produces
-// the same joins and drains. Events trigger on the cluster-wide applied
-// update count (AfterUpdates) rather than on a clock — an update count is
-// observable identically in the simulator's virtual time and the live
-// runtime's wall time, which is what lets one seeded 8→12→6 schedule run
-// through both backends and land on the same update totals.
+// the same joins and drains. Events trigger on a cluster-wide count
+// (AfterUpdates) rather than on a clock: the simulator counts applied
+// updates, the live runtime dispatched groups (its host never sees an
+// average land). The two agree under lockstep, which is what lets one seeded
+// 8→12→6 schedule run through both backends and land on the same totals.
 
 // ElasticKind distinguishes scale-out joins from graceful departures.
 type ElasticKind uint8
@@ -30,8 +30,24 @@ func (k ElasticKind) String() string {
 	return "drain"
 }
 
+// MarshalText names the kind, so a schedule file reads "join" and "drain".
+func (k ElasticKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses "join" or "drain" and refuses anything else.
+func (k *ElasticKind) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "join":
+		*k = ElasticJoin
+	case "drain":
+		*k = ElasticDrain
+	default:
+		return fmt.Errorf("hetero: unknown elastic kind %q", b)
+	}
+	return nil
+}
+
 // ElasticEvent is one membership change: Kind fires for Worker once the
-// cluster-wide applied update count reaches AfterUpdates.
+// cluster-wide count reaches AfterUpdates.
 type ElasticEvent struct {
 	Worker       int
 	AfterUpdates int

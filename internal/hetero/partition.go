@@ -2,38 +2,36 @@ package hetero
 
 import (
 	"fmt"
+	"slices"
 
 	"partialreduce/internal/sim"
 )
 
-// PartitionEvent is one timed network partition in a simulated run: from
-// virtual time From until Until, the workers in Ranks cannot exchange model
-// data with the workers outside it. A P-Reduce group whose members straddle
-// the boundary cannot complete its collective while the partition is active —
-// the simulated counterpart of the live transport's timed Partition fault.
-// The control plane is assumed reachable (the paper's controller carries a
-// few bytes and can be replicated); only the bulky data plane is cut.
+// PartitionEvent is one timed network partition: from time From until Until
+// (seconds; virtual time in the simulator, seconds since the fault world was
+// built in the live transport), the workers in Ranks cannot exchange frames
+// with the workers outside it. In the simulator a P-Reduce group whose
+// members straddle the boundary cannot complete its collective, and the
+// control plane stays reachable; the live Faulty transport drops every frame
+// that crosses the boundary on the endpoints it wraps.
 type PartitionEvent struct {
 	Ranks []int
 	From  sim.Time
 	Until sim.Time // 0 means the partition never heals
 }
 
-// Active reports whether the partition is in force at virtual time t.
+// Active reports whether the partition is in force at time t.
 func (e PartitionEvent) Active(t sim.Time) bool {
 	return t >= e.From && (e.Until == 0 || t < e.Until)
 }
 
 // Splits reports whether members straddle the partition boundary: at least
-// one member inside Ranks and at least one outside.
+// one member inside Ranks and at least one outside. It runs per simulated
+// group attempt and per live frame, so it scans instead of building a set.
 func (e PartitionEvent) Splits(members []int) bool {
-	in := make(map[int]bool, len(e.Ranks))
-	for _, r := range e.Ranks {
-		in[r] = true
-	}
 	var inside, outside bool
 	for _, m := range members {
-		if in[m] {
+		if slices.Contains(e.Ranks, m) {
 			inside = true
 		} else {
 			outside = true

@@ -68,10 +68,10 @@ func TestChaosSoak(t *testing.T) {
 			world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
 				Seed:            seed,
 				CrashAfterSends: map[int]int{1: 2 * (20 + 3*int(seed%5))},
-				Partitions: []transport.Partition{{
+				Partitions: hetero.PartitionSchedule{{
 					Ranks: []int{2, 3},
-					From:  40 * time.Millisecond,
-					Until: 300 * time.Millisecond,
+					From:  0.040,
+					Until: 0.300,
 				}},
 			})
 

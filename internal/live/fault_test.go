@@ -8,6 +8,7 @@ import (
 
 	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
+	"partialreduce/internal/hetero"
 	"partialreduce/internal/transport"
 )
 
@@ -238,10 +239,10 @@ func TestLivePartitionRecovery(t *testing.T) {
 	cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
 	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
 		Seed: 64,
-		Partitions: []transport.Partition{{
+		Partitions: hetero.PartitionSchedule{{
 			Ranks: []int{2, 3},
-			From:  30 * time.Millisecond,
-			Until: 330 * time.Millisecond,
+			From:  0.030,
+			Until: 0.330,
 		}},
 	})
 
@@ -278,7 +279,7 @@ func TestRunControlOutOfBand(t *testing.T) {
 	cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
 	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
 		Seed:       69,
-		Partitions: []transport.Partition{{Ranks: []int{3}, From: 0, Until: 150 * time.Millisecond}},
+		Partitions: hetero.PartitionSchedule{{Ranks: []int{3}, From: 0, Until: 0.150}},
 	})
 
 	rep := runBounded(t, cfg, world)

@@ -63,9 +63,8 @@ func Accuracy(m Model, ds *data.Dataset) float64 {
 	return float64(correct) / float64(ds.Len())
 }
 
-// Builder constructs a model from an initialization seed. Spec (MLP) and
-// ConvSpec (convolutional) both implement it; cluster and live configs
-// accept any Builder.
+// Builder constructs a model from an initialization seed. Spec (the MLP)
+// implements it; cluster and live configs accept any Builder.
 type Builder interface {
 	Build(seed int64) Model
 }

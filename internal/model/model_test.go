@@ -359,7 +359,6 @@ func TestSwapParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := smallBatch(rng, 10, 3, 5)
 	checkSwapParams(t, NewMLP(Spec{Inputs: 10, Hidden: []int{6, 5}, Classes: 3}, 2), b.X[0], b)
-	checkSwapParams(t, NewConvNet(ConvSpec{Inputs: 10, Channels: 4, Kernel: 3, Classes: 3}, 2), b.X[0], b)
 }
 
 // TestGradientSteadyStateAllocFree is the allocgate entry for the training

@@ -9,9 +9,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 )
+
+// WriteFile exports the tracer's retained events to path: streaming JSONL
+// when the path ends in ".jsonl", Chrome trace-event JSON otherwise.
+func WriteFile(path string, t *Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".jsonl") {
+		err = WriteJSONL(f, t.Events(), t.Dropped())
+	} else {
+		err = WriteChrome(f, t.Events())
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // usec converts clock seconds to the microsecond unit of the Chrome
 // trace-event format, formatted with fixed nanosecond precision.

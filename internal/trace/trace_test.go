@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -219,6 +221,33 @@ func TestExportDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
 		t.Fatal("JSONL export differs across identical event streams")
+	}
+}
+
+// TestWriteFilePicksFormatByExtension: ".jsonl" writes WriteJSONL's bytes
+// (truncation header included), anything else WriteChrome's.
+func TestWriteFilePicksFormatByExtension(t *testing.T) {
+	tr := New(FuncClock(func() float64 { return 0 }), 4)
+	recordSample(tr)
+	dir := t.TempDir()
+	var chrome, jsonl bytes.Buffer
+	if err := WriteChrome(&chrome, tr.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&jsonl, tr.Events(), tr.Dropped()); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{"t.json": chrome.Bytes(), "t.jsonl": jsonl.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := WriteFile(path, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %v, bytes differ from the direct export", name, err)
+		}
+	}
+	if err := WriteFile(filepath.Join(dir, "missing", "t.json"), tr); err == nil {
+		t.Fatal("write into a missing directory succeeded")
 	}
 }
 

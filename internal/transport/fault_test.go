@@ -347,11 +347,11 @@ func TestFaultPlanValidate(t *testing.T) {
 		{CrashAfterSends: map[int]int{1: -1}},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.Validate(2); err == nil {
 			t.Fatalf("bad plan %d accepted: %+v", i, p)
 		}
 	}
-	if err := (FaultPlan{DropRate: 0.5, DelayRate: 0.5, Delay: time.Millisecond}).Validate(); err != nil {
+	if err := (FaultPlan{DropRate: 0.5, DelayRate: 0.5, Delay: time.Millisecond}).Validate(2); err != nil {
 		t.Fatalf("good plan rejected: %v", err)
 	}
 	if _, err := NewFaultyWorld(nil, FaultPlan{}); err == nil {

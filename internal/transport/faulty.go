@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"partialreduce/internal/hetero"
 	"partialreduce/internal/trace"
 )
 
@@ -27,35 +28,6 @@ type LinkFault struct {
 	// Sever silently loses every message on this link until healed — the
 	// one-directional cable cut. Receivers need deadlines, not luck.
 	Sever bool
-}
-
-// Partition cuts a set of ranks off from the rest of the world for a wall
-// clock window measured from world creation: messages crossing the partition
-// boundary (exactly one endpoint in Ranks) are silently dropped while the
-// window is active. Until == 0 means "until Heal".
-type Partition struct {
-	Ranks []int
-	From  time.Duration
-	Until time.Duration
-}
-
-// active reports whether the partition is in force at elapsed time now.
-func (p Partition) active(now time.Duration) bool {
-	return now >= p.From && (p.Until == 0 || now < p.Until)
-}
-
-// splits reports whether a message from -> to crosses the partition boundary.
-func (p Partition) splits(from, to int) bool {
-	inFrom, inTo := false, false
-	for _, r := range p.Ranks {
-		if r == from {
-			inFrom = true
-		}
-		if r == to {
-			inTo = true
-		}
-	}
-	return inFrom != inTo
 }
 
 // FaultPlan is a seeded, deterministic fault schedule for a Faulty world.
@@ -82,27 +54,23 @@ type FaultPlan struct {
 	// LinkFaults maps a directed (from, to) pair to a link-level fault spec,
 	// layered on top of the global rates. Healable via Heal/HealLink.
 	LinkFaults map[[2]int]LinkFault
-	// Partitions are timed network partitions (windows relative to world
-	// creation). Healable via Heal.
-	Partitions []Partition
+	// Partitions are timed network partitions, in seconds since world
+	// creation: a frame with exactly one endpoint inside an active
+	// partition's Ranks is silently dropped. Healable via Heal.
+	Partitions hetero.PartitionSchedule
 }
 
-// Validate reports whether the plan is usable.
-func (p FaultPlan) Validate() error {
+// Validate reports whether the plan is usable in a world of n endpoints.
+func (p FaultPlan) Validate(n int) error {
 	if p.DropRate < 0 || p.DropRate > 1 || p.DelayRate < 0 || p.DelayRate > 1 {
 		return fmt.Errorf("transport: fault rates must be in [0,1]")
 	}
 	if p.Delay < 0 {
 		return fmt.Errorf("transport: negative fault delay")
 	}
-	for r, n := range p.CrashAfterSends {
-		if n < 0 {
-			return fmt.Errorf("transport: negative crash count for rank %d", r)
-		}
-	}
 	for link, lf := range p.LinkFaults {
-		if link[0] < 0 || link[1] < 0 {
-			return fmt.Errorf("transport: link fault (%d,%d) has negative rank", link[0], link[1])
+		if link[0] < 0 || link[1] < 0 || link[0] >= n || link[1] >= n {
+			return fmt.Errorf("transport: link fault (%d,%d) outside world of %d", link[0], link[1], n)
 		}
 		if link[0] == link[1] {
 			return fmt.Errorf("transport: link fault (%d,%d) is a self-link", link[0], link[1])
@@ -114,52 +82,15 @@ func (p FaultPlan) Validate() error {
 			return fmt.Errorf("transport: link (%d,%d) has negative delay or drop count", link[0], link[1])
 		}
 	}
-	for i, part := range p.Partitions {
-		if len(part.Ranks) == 0 {
-			return fmt.Errorf("transport: partition %d has no ranks", i)
-		}
-		seen := make(map[int]bool, len(part.Ranks))
-		for _, r := range part.Ranks {
-			if r < 0 {
-				return fmt.Errorf("transport: partition %d has negative rank %d", i, r)
-			}
-			if seen[r] {
-				return fmt.Errorf("transport: partition %d lists rank %d twice", i, r)
-			}
-			seen[r] = true
-		}
-		if part.From < 0 {
-			return fmt.Errorf("transport: partition %d starts before time zero", i)
-		}
-		if part.Until != 0 && part.Until <= part.From {
-			return fmt.Errorf("transport: partition %d window [%s,%s) is empty", i, part.From, part.Until)
-		}
-	}
-	return nil
-}
-
-// checkRanks verifies every rank the plan names fits a world of n endpoints.
-// Validate cannot do this (a plan is built before the world exists), so the
-// constructors call it once the size is known.
-func (p FaultPlan) checkRanks(n int) error {
-	for r := range p.CrashAfterSends {
+	for r, c := range p.CrashAfterSends {
 		if r < 0 || r >= n {
 			return fmt.Errorf("transport: crash rank %d outside world of %d", r, n)
 		}
-	}
-	for link := range p.LinkFaults {
-		if link[0] >= n || link[1] >= n {
-			return fmt.Errorf("transport: link fault (%d,%d) outside world of %d", link[0], link[1], n)
+		if c < 0 {
+			return fmt.Errorf("transport: negative crash count for rank %d", r)
 		}
 	}
-	for i, part := range p.Partitions {
-		for _, r := range part.Ranks {
-			if r >= n {
-				return fmt.Errorf("transport: partition %d rank %d outside world of %d", i, r, n)
-			}
-		}
-	}
-	return nil
+	return p.Partitions.Validate(n)
 }
 
 // linkState is the mutable per-directed-link fault state: the spec, the sent
@@ -178,7 +109,7 @@ type faultyWorld struct {
 	dead  []bool
 	start time.Time
 	links map[[2]int]*linkState
-	parts []Partition
+	parts hetero.PartitionSchedule
 	// partFired tracks which timed partitions have had their open (1) and
 	// close (2) trace instants emitted; the windows are evaluated lazily,
 	// so the events fire on the first message decision that observes the
@@ -202,21 +133,22 @@ func (w *faultyWorld) refreshFaulted() {
 func (w *faultyWorld) linkDecision(from, to int, now time.Duration) (drop bool, delay time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	t := now.Seconds()
 	for i := range w.parts {
 		part := w.parts[i]
-		active := part.active(now)
+		active := part.Active(t)
 		if i < len(w.partFired) {
 			// Lazily emit the window transitions the first time a message
 			// decision observes them.
 			if active && w.partFired[i] == 0 {
 				w.partFired[i] = 1
 				w.tracer.Instant(trace.KPartition, trace.ControllerTrack, -1, int64(part.Ranks[0]), int64(len(part.Ranks)))
-			} else if !active && w.partFired[i] == 1 && now >= part.From {
+			} else if !active && w.partFired[i] == 1 && t >= part.From {
 				w.partFired[i] = 2
 				w.tracer.Instant(trace.KPartitionHeal, trace.ControllerTrack, -1, int64(part.Ranks[0]), int64(len(part.Ranks)))
 			}
 		}
-		if active && part.splits(from, to) {
+		if active && part.Splits([]int{from, to}) {
 			w.tracer.Instant(trace.KLinkDrop, int32(from), -1, int64(from), int64(to))
 			return true, 0
 		}
@@ -276,14 +208,11 @@ func newFaultyWorld(inner []Transport, plan FaultPlan, n int) *faultyWorld {
 // injection driven by plan. len(inner) must be the world size and entry i
 // must be rank i's endpoint. Invalid plans are rejected at construction.
 func NewFaultyWorld(inner []Transport, plan FaultPlan) ([]*Faulty, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
 	n := len(inner)
 	if n < 1 {
 		return nil, fmt.Errorf("transport: empty world")
 	}
-	if err := plan.checkRanks(n); err != nil {
+	if err := plan.Validate(n); err != nil {
 		return nil, err
 	}
 	w := newFaultyWorld(inner, plan, n)
@@ -305,11 +234,8 @@ func NewFaultyWorld(inner []Transport, plan FaultPlan) ([]*Faulty, error) {
 // the plan refer to world ranks; only faults whose source is this endpoint's
 // rank ever apply.
 func NewFaultyEndpoint(inner Transport, plan FaultPlan) (*Faulty, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
 	n := inner.Size()
-	if err := plan.checkRanks(n); err != nil {
+	if err := plan.Validate(n); err != nil {
 		return nil, err
 	}
 	world := make([]Transport, n)

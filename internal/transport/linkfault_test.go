@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"partialreduce/internal/hetero"
 )
 
 // faultyMemWorld builds a Mem world wrapped by a Faulty layer under plan.
@@ -40,21 +42,21 @@ func recvTimes(t *testing.T, ep *Faulty, from int, tag uint64, d time.Duration) 
 // endpoint exists.
 func TestFaultPlanValidateLinkFaults(t *testing.T) {
 	bad := []FaultPlan{
-		{LinkFaults: map[[2]int]LinkFault{{0, 0}: {Sever: true}}},                           // self-link
-		{LinkFaults: map[[2]int]LinkFault{{-1, 1}: {Sever: true}}},                          // negative rank
-		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {Drop: 1.5}}},                             // rate > 1
-		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {Drop: -0.1}}},                            // rate < 0
-		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {DropFirst: -1}}},                         // negative count
-		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {Delay: -time.Second}}},                   // negative delay
-		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {DelayRate: 2}}},                          // rate > 1
-		{Partitions: []Partition{{Ranks: nil, From: 0}}},                                    // empty rank set
-		{Partitions: []Partition{{Ranks: []int{1, 1}, From: 0}}},                            // duplicate rank
-		{Partitions: []Partition{{Ranks: []int{-3}, From: 0}}},                              // negative rank
-		{Partitions: []Partition{{Ranks: []int{1}, From: -time.Second}}},                    // negative start
-		{Partitions: []Partition{{Ranks: []int{1}, From: time.Second, Until: time.Second}}}, // empty window
+		{LinkFaults: map[[2]int]LinkFault{{0, 0}: {Sever: true}}},                    // self-link
+		{LinkFaults: map[[2]int]LinkFault{{-1, 1}: {Sever: true}}},                   // negative rank
+		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {Drop: 1.5}}},                      // rate > 1
+		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {Drop: -0.1}}},                     // rate < 0
+		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {DropFirst: -1}}},                  // negative count
+		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {Delay: -time.Second}}},            // negative delay
+		{LinkFaults: map[[2]int]LinkFault{{0, 1}: {DelayRate: 2}}},                   // rate > 1
+		{Partitions: hetero.PartitionSchedule{{Ranks: nil, From: 0}}},                // empty rank set
+		{Partitions: hetero.PartitionSchedule{{Ranks: []int{1, 1}, From: 0}}},        // duplicate rank
+		{Partitions: hetero.PartitionSchedule{{Ranks: []int{-3}, From: 0}}},          // negative rank
+		{Partitions: hetero.PartitionSchedule{{Ranks: []int{1}, From: -1}}},          // negative start
+		{Partitions: hetero.PartitionSchedule{{Ranks: []int{1}, From: 1, Until: 1}}}, // empty window
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.Validate(4); err == nil {
 			t.Errorf("bad plan %d accepted: %+v", i, p)
 		}
 	}
@@ -63,19 +65,19 @@ func TestFaultPlanValidateLinkFaults(t *testing.T) {
 			{0, 1}: {Drop: 0.5, DropFirst: 3, Delay: time.Millisecond, DelayRate: 1},
 			{2, 0}: {Sever: true},
 		},
-		Partitions: []Partition{
-			{Ranks: []int{1, 2}, From: time.Second, Until: 2 * time.Second},
+		Partitions: hetero.PartitionSchedule{
+			{Ranks: []int{1, 2}, From: 1, Until: 2},
 			{Ranks: []int{0}, From: 0}, // Until 0: never heals
 		},
 	}
-	if err := good.Validate(); err != nil {
+	if err := good.Validate(4); err != nil {
 		t.Fatalf("good plan rejected: %v", err)
 	}
 	// World construction enforces in-range partition/link ranks for its size.
 	mems := NewMem(2)
 	inner := []Transport{mems[0], mems[1]}
 	if _, err := NewFaultyWorld(inner, FaultPlan{
-		Partitions: []Partition{{Ranks: []int{5}, From: 0}},
+		Partitions: hetero.PartitionSchedule{{Ranks: []int{5}, From: 0}},
 	}); err == nil {
 		t.Fatal("partition rank beyond world size accepted")
 	}
@@ -148,7 +150,7 @@ func TestFaultyTimedPartition(t *testing.T) {
 	const window = 400 * time.Millisecond
 	eps := faultyMemWorld(t, 3, FaultPlan{
 		Seed:       5,
-		Partitions: []Partition{{Ranks: []int{2}, From: 0, Until: window}},
+		Partitions: hetero.PartitionSchedule{{Ranks: []int{2}, From: 0, Until: window.Seconds()}},
 	})
 
 	// Crossing the cut, both directions: lost.
@@ -188,7 +190,7 @@ func TestFaultyHealClearsEverything(t *testing.T) {
 	eps := faultyMemWorld(t, 2, FaultPlan{
 		Seed:       6,
 		LinkFaults: map[[2]int]LinkFault{{0, 1}: {Sever: true}},
-		Partitions: []Partition{{Ranks: []int{1}, From: 0}}, // never heals on its own
+		Partitions: hetero.PartitionSchedule{{Ranks: []int{1}, From: 0}}, // never heals on its own
 	})
 	if err := eps[0].Send(1, 1, nil); err != nil {
 		t.Fatal(err)
@@ -213,7 +215,7 @@ func TestNewFaultyEndpointPartition(t *testing.T) {
 	mems := NewMem(2)
 	ep, err := NewFaultyEndpoint(mems[1], FaultPlan{
 		Seed:       7,
-		Partitions: []Partition{{Ranks: []int{1}, From: 0, Until: 300 * time.Millisecond}},
+		Partitions: hetero.PartitionSchedule{{Ranks: []int{1}, From: 0, Until: 0.3}},
 	})
 	if err != nil {
 		t.Fatal(err)

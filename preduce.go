@@ -28,6 +28,8 @@
 package preduce
 
 import (
+	"io"
+
 	"partialreduce/internal/baselines"
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
@@ -74,11 +76,7 @@ type (
 	Model = model.Model
 	// Spec describes a proxy model architecture.
 	Spec = model.Spec
-	// ConvSpec describes the convolutional proxy model (1-D conv + ReLU +
-	// global average pooling + softmax head).
-	ConvSpec = model.ConvSpec
-	// ModelBuilder constructs a model from a seed (Spec and ConvSpec both
-	// qualify).
+	// ModelBuilder constructs a model from a seed (Spec qualifies).
 	ModelBuilder = model.Builder
 	// Profile carries a paper CNN's parameter count and per-batch compute.
 	Profile = model.Profile
@@ -252,3 +250,19 @@ func Accuracy(m Model, ds *Dataset) float64 { return model.Accuracy(m, ds) }
 
 // NewDPSGD returns the synchronous decentralized (ring gossip) baseline.
 func NewDPSGD() Strategy { return baselines.NewDPSGD() }
+
+// WriteCurvesCSV exports run curves as CSV (strategy,time_s,updates,accuracy).
+func WriteCurvesCSV(w io.Writer, results ...*Result) error {
+	return metrics.WriteCurvesCSV(w, results...)
+}
+
+// WriteSummaryCSV exports one CSV row per run with the Table 1 metrics.
+func WriteSummaryCSV(w io.Writer, results ...*Result) error {
+	return metrics.WriteSummaryCSV(w, results...)
+}
+
+// ReplayTrace builds a heterogeneity model replaying recorded per-batch
+// durations (CSV columns: worker,seconds).
+func ReplayTrace(r io.Reader) (HeteroModel, error) {
+	return hetero.ReadReplayCSV(r)
+}

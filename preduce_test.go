@@ -134,45 +134,6 @@ func TestPublicProfiles(t *testing.T) {
 	}
 }
 
-func TestPublicCheckpoint(t *testing.T) {
-	m := Spec{Inputs: 4, Hidden: []int{5}, Classes: 3}.Build(1)
-	opt := NewSGD(OptimizerConfig{LR: 0.1, Momentum: 0.9}, m.NumParams())
-	// Take one step so there is real optimizer state.
-	g := make([]float64, m.NumParams())
-	for i := range g {
-		g[i] = 0.01 * float64(i%7)
-	}
-	opt.Update(m.Params(), g, 1)
-
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m, opt, 42); err != nil {
-		t.Fatal(err)
-	}
-	m2 := Spec{Inputs: 4, Hidden: []int{5}, Classes: 3}.Build(2)
-	opt2 := NewSGD(OptimizerConfig{LR: 0.1, Momentum: 0.9}, m2.NumParams())
-	ck, err := LoadCheckpoint(&buf, m2, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Iter != 42 {
-		t.Fatalf("iter: %d", ck.Iter)
-	}
-	for i, v := range m.Params() {
-		if m2.Params()[i] != v {
-			t.Fatal("params not restored")
-		}
-	}
-	// Both optimizers continue identically.
-	p1, p2 := m.Params().Clone(), m2.Params().Clone()
-	opt.Update(p1, g, 1)
-	opt2.Update(p2, g, 1)
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("restored optimizer diverged")
-		}
-	}
-}
-
 func TestPublicCSVAndReplay(t *testing.T) {
 	var buf bytes.Buffer
 	r := &Result{Strategy: "AR", Curve: []Point{{Time: 1, Updates: 5, Accuracy: 0.4}}}
