@@ -30,13 +30,10 @@ chargeguard:
 # One service core: the controller's signal and membership transitions are
 # driven only by internal/engine/service.go, which the simulator and the live
 # runtime both feed; a second call site is a second service loop, free to
-# drift from the first. The one exception is the overlapped simulator's Ready
-# (overlap_sim.go): it is pipelined, has no membership events and carries no
-# step machine by design.
+# drift from the first.
 ctrlguard:
 	@bad=$$(grep -rnE '\bctrl\.(Ready|Drain|Decommission|AbortGroup|Fail|Join|Rejoin|PurgeSignal)\(' internal cmd examples \
-		| grep -v '_test\.go:' | grep -v '^internal/engine/service\.go:' \
-		| grep -vE '^internal/engine/overlap_sim\.go:[0-9]+:.*\bctrl\.Ready\(' || true); \
+		| grep -v '_test\.go:' | grep -v '^internal/engine/service\.go:' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "controller transitions called outside the service core:"; \
 		echo "$$bad"; exit 1; \

@@ -16,8 +16,8 @@
 //     (wraps a transport endpoint — wall clock, real bytes through the
 //     collective package). They share no interface: a driver is written
 //     against the one it schedules on (event-driven or blocking);
-//   - the drivers: the PReduce strategy (PReduceConfig → controller wiring →
-//     the blocking or overlapped sim driver) and RunAllReduceSim on the event
+//   - the drivers: the PReduce strategy (PReduceConfig → NewController → the
+//     one sim driver, blocking or pipelined) and RunAllReduceSim on the event
 //     engine, RunPReduceWorker/RunAllReduceWorker as the live per-rank loops,
 //     and ServiceCore, which serves the controller to both substrates.
 //
@@ -138,8 +138,13 @@ func NewMachine(n int) *Machine { return &Machine{states: make([]StepState, n)} 
 // State returns worker w's current step state.
 func (m *Machine) State(w int) StepState { return m.states[w] }
 
-// To moves worker w to state s, panicking on an illegal transition.
+// To moves worker w to state s, panicking on an illegal transition. A nil
+// machine checks nothing: the pipelined driver, whose worker computes and
+// reduces at once, runs without one.
 func (m *Machine) To(w int, s StepState) {
+	if m == nil {
+		return
+	}
 	from := m.states[w]
 	for _, ok := range legalSteps[from] {
 		if s == ok {
@@ -151,5 +156,9 @@ func (m *Machine) To(w int, s StepState) {
 }
 
 // Kill force-moves worker w to StateDead from any state (a fail-stop is an
-// external event, not a step transition).
-func (m *Machine) Kill(w int) { m.states[w] = StateDead }
+// external event, not a step transition). A nil machine ignores it.
+func (m *Machine) Kill(w int) {
+	if m != nil {
+		m.states[w] = StateDead
+	}
+}

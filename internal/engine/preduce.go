@@ -8,15 +8,14 @@ import (
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/policy"
 	"partialreduce/internal/tensor"
+	"partialreduce/internal/trace"
 )
 
 // PReduceConfig configures the strategy.
 type PReduceConfig struct {
 	P         int                  // group size
 	Weighting controller.Weighting // Constant or Dynamic
-	Alpha     float64              // EMA decay for Dynamic (0 -> controller default)
 	Approx    controller.ApproxRule
-	Window    int // sync-graph window (0 -> controller minimum)
 	// DisableGroupFilter turns group-frozen avoidance off (ablation only).
 	DisableGroupFilter bool
 	// Overlap hides group communication behind the next batch's computation
@@ -33,8 +32,8 @@ type PReduceConfig struct {
 	// value keeps the controller's built-in behavior, "adaptive-p" adapts
 	// the group size between the spec's bounds from observed worker
 	// cadence, "straggler-bias" pulls high-staleness workers into groups
-	// first. When adaptive bounds allow shrinking below P and Window is 0,
-	// the sync-graph window is sized for the smallest reachable group size
+	// first. When adaptive bounds allow shrinking below P, the sync-graph
+	// window is sized for the smallest reachable group size (NewController)
 	// so frozen avoidance stays sound at every P the policy may choose.
 	Policy policy.Spec
 }
@@ -87,9 +86,7 @@ func (p *PReduce) controllerConfig(c *cluster.Cluster) controller.Config {
 		N:                  c.Cfg.N,
 		Initial:            c.Cfg.Initial,
 		P:                  p.cfg.P,
-		Window:             p.cfg.Window,
 		Weighting:          p.cfg.Weighting,
-		Alpha:              p.cfg.Alpha,
 		Approx:             p.cfg.Approx,
 		DisableGroupFilter: p.cfg.DisableGroupFilter,
 	}
@@ -101,16 +98,34 @@ func (p *PReduce) controllerConfig(c *cluster.Cluster) controller.Config {
 		}
 		cfg.Zones = zones
 	}
-	if cfg.Window == 0 && p.cfg.Policy.Enabled() {
-		// An adaptive policy may form groups as small as PMin; the
-		// sync-graph window must be able to witness connectivity at that
-		// size, so size it for the smallest reachable P, not the
-		// configured one.
-		if r := p.cfg.Policy.Resolve(p.cfg.P); r.Name == policy.NameAdaptiveP && r.PMin < p.cfg.P {
-			cfg.Window = controller.MinWindow(c.Cfg.N, r.PMin)
+	return cfg
+}
+
+// NewController builds a P-Reduce controller from cfg with formation policy
+// pol, wired to the tracer and instruments (either may be nil): the one
+// constructor the simulator and the live runtime share. An adaptive policy
+// may form groups as small as PMin, so a zero cfg.Window is sized for the
+// smallest reachable group, not the configured P: the sync-graph window must
+// witness connectivity at every size the policy may choose.
+func NewController(cfg controller.Config, pol policy.Spec, tr *trace.Tracer, ins *metrics.Instruments) (*controller.Controller, error) {
+	var p policy.Policy
+	if pol.Enabled() {
+		var err error
+		if p, err = policy.New(pol, cfg.N, cfg.P); err != nil {
+			return nil, err
+		}
+		if r := pol.Resolve(cfg.P); cfg.Window == 0 && r.Name == policy.NameAdaptiveP && r.PMin < cfg.P {
+			cfg.Window = controller.MinWindow(cfg.N, r.PMin)
 		}
 	}
-	return cfg
+	ctrl, err := controller.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ctrl.SetTracer(tr)
+	ctrl.SetInstruments(ins)
+	ctrl.SetPolicy(p)
+	return ctrl, nil
 }
 
 // Run implements cluster.Strategy.
@@ -131,39 +146,23 @@ type RunInfo struct {
 	MeanW *tensor.Matrix
 }
 
-// RunDetailed runs training on the shared step engine — runOverlappedSim
-// for the pipelined variant, otherwise runPReduceSim: the same training-step
-// state machine the live runtime executes, driven here by the virtual clock —
-// and returns the result together with the controller's statistics and the
-// empirical E[W_k].
+// RunDetailed runs training on the shared step engine — runPReduceSim,
+// blocking or pipelined, with the controller served by the same core as the
+// live runtime's, driven here by the virtual clock — and returns the result
+// together with the controller's statistics and the empirical E[W_k].
 func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
-	ctrl, err := controller.New(p.controllerConfig(c))
-	if err != nil {
-		return RunInfo{}, err
-	}
-	var pol policy.Policy
-	if p.cfg.Policy.Enabled() {
-		if pol, err = policy.New(p.cfg.Policy, c.Cfg.N, p.cfg.P); err != nil {
-			return RunInfo{}, err
-		}
+	if p.cfg.Overlap && (len(c.Cfg.Crashes) > 0 || len(c.Cfg.Partitions) > 0 || len(c.Cfg.Elastic) > 0 ||
+		c.Cfg.InitialOr() < c.Cfg.N || c.Health != nil) {
+		return RunInfo{}, fmt.Errorf("engine: overlapped P-Reduce models no crashes, partitions, elastic membership or watchdog")
 	}
 	// The cluster's virtual-clock tracer and instruments (nil when tracing is
 	// off) put ready/group-formed/staleness decisions on the same timeline as
 	// the worker spans.
-	ctrl.SetTracer(c.Tracer)
-	ctrl.SetInstruments(c.Ins)
-	ctrl.SetPolicy(pol)
-	env := NewSimEnv(c)
-	var res *metrics.Result
-	switch {
-	case !p.cfg.Overlap:
-		res, err = runPReduceSim(env, ctrl, nil)
-	case len(c.Cfg.Crashes) > 0 || len(c.Cfg.Partitions) > 0 || len(c.Cfg.Elastic) > 0 ||
-		c.Cfg.InitialOr() < c.Cfg.N || c.Health != nil:
-		err = fmt.Errorf("engine: overlapped P-Reduce models no crashes, partitions, elastic membership or watchdog")
-	default:
-		res, err = runOverlappedSim(env, ctrl)
+	ctrl, err := NewController(p.controllerConfig(c), p.cfg.Policy, c.Tracer, c.Ins)
+	if err != nil {
+		return RunInfo{}, err
 	}
+	res, err := runPReduceSim(NewSimEnv(c), ctrl, p.cfg.Overlap, nil)
 	if err != nil {
 		return RunInfo{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 )
 
@@ -236,6 +237,30 @@ func TestAblationWeights(t *testing.T) {
 	res.Format(&buf)
 	if !strings.Contains(buf.String(), "dyn/closest") {
 		t.Fatal("Format produced no output")
+	}
+}
+
+// AblationOverlap is no Registry entry, so no sweep CSV pins it: its two
+// results are pinned here to the bit.
+func TestAblationOverlapGolden(t *testing.T) {
+	blocking, overlapped, err := AblationOverlap(Options{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		res          *metrics.Result
+		runTime, acc uint64
+		updates      int
+	}{
+		{"blocking", blocking, 0x4061e3f303b64c8b, 0x3feda740da740da7, 1200},
+		{"overlapped", overlapped, 0x405254bc18223c4f, 0x3fed851eb851eb85, 1200},
+	} {
+		r := tc.res
+		if math.Float64bits(r.RunTime) != tc.runTime || r.Updates != tc.updates || math.Float64bits(r.FinalAccuracy) != tc.acc {
+			t.Errorf("%s: RunTime %#x Updates %d FinalAccuracy %#x, want %#x %d %#x", tc.name,
+				math.Float64bits(r.RunTime), r.Updates, math.Float64bits(r.FinalAccuracy), tc.runTime, tc.updates, tc.acc)
+		}
 	}
 }
 

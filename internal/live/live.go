@@ -55,7 +55,6 @@ type Config struct {
 	BatchSize int
 	Optimizer optim.Config
 	Weighting controller.Weighting
-	Alpha     float64
 	Approx    controller.ApproxRule
 	// Policy selects a group-formation policy (see internal/policy). The
 	// zero Spec leaves the controller's static behavior untouched. The
@@ -197,32 +196,10 @@ type Report struct {
 
 // newController builds the run's controller: config, policy, telemetry.
 func newController(cfg Config) (*controller.Controller, error) {
-	ctrlCfg := controller.Config{
+	return engine.NewController(controller.Config{
 		N: cfg.N, P: cfg.P, Initial: cfg.Initial,
-		Weighting: cfg.Weighting, Alpha: cfg.Alpha, Approx: cfg.Approx,
-	}
-	var pol policy.Policy
-	if cfg.Policy.Enabled() {
-		spec := cfg.Policy.Resolve(cfg.P)
-		if spec.Name == policy.NameAdaptiveP && spec.PMin < cfg.P {
-			// Adaptive groups can shrink to PMin; the sync window must be
-			// sized for the smallest group or frozen avoidance would reject
-			// them.
-			ctrlCfg.Window = controller.MinWindow(cfg.N, spec.PMin)
-		}
-		var err error
-		if pol, err = policy.New(cfg.Policy, cfg.N, cfg.P); err != nil {
-			return nil, err
-		}
-	}
-	ctrl, err := controller.New(ctrlCfg)
-	if err != nil {
-		return nil, err
-	}
-	ctrl.SetTracer(cfg.Tracer)
-	ctrl.SetInstruments(cfg.Instruments)
-	ctrl.SetPolicy(pol)
-	return ctrl, nil
+		Weighting: cfg.Weighting, Approx: cfg.Approx,
+	}, cfg.Policy, cfg.Tracer, cfg.Instruments)
 }
 
 // fillController copies what the finished run's controller knows into the
