@@ -6,10 +6,12 @@
 //	         critical-path / blame analysis is printed as a report
 //	*.json   a Chrome trace export: schema-checked (trace.ValidateChrome),
 //	         printing "ok (N events)"
-//	*.tar    a postmortem bundle: CRC- and canonical-form-checked, then
+//	DIR      a postmortem bundle when DIR holds a manifest.json: every
+//	         part checked against the manifest's sizes and CRCs, then
 //	         rendered (manifest, breaches, watchdog rules, scoreboard, run
-//	         config), and its trace ring analysed like a .jsonl file
-//	DIR      every postmortem-*.tar inside, in name (capture) order
+//	         config), and its trace ring analysed like a .jsonl file;
+//	         any other directory: every postmortem-* bundle inside, in name
+//	         (capture) order
 //
 //	preduce-analyze [flags] file|dir ...
 //
@@ -23,8 +25,8 @@
 //	              violation
 //	-slack SEC    clock-error slack for -validate (default 0.005)
 //
-// Any unreadable argument fails the run: a bad .json, a bundle whose CRCs
-// or canonical form do not check out. Output is deterministic: identical
+// Any unreadable argument fails the run: a bad .json, a bundle whose parts
+// do not check out against its manifest. Output is deterministic: identical
 // input bytes produce identical output bytes.
 package main
 
@@ -61,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: preduce-analyze [flags] trace.jsonl|chrome.json|bundle.tar|dir ...")
+		return fmt.Errorf("usage: preduce-analyze [flags] trace.jsonl|chrome.json|bundle-dir|dir ...")
 	}
 
 	var tracks []analyze.RankTrace
@@ -72,12 +74,16 @@ func run(args []string, stdout io.Writer) error {
 		case err != nil:
 			return err
 		case info.IsDir():
-			matches, err := filepath.Glob(filepath.Join(path, "postmortem-*.tar"))
+			if _, err := os.Stat(filepath.Join(path, health.PartManifest)); err == nil {
+				bundles = append(bundles, path)
+				continue
+			}
+			matches, err := filepath.Glob(filepath.Join(path, "postmortem-*"))
 			if err != nil {
 				return err
 			}
 			if len(matches) == 0 {
-				return fmt.Errorf("%s: no postmortem-*.tar bundles", path)
+				return fmt.Errorf("%s: no postmortem-* bundles", path)
 			}
 			slices.Sort(matches) // the recorder numbers bundles: name order is capture order
 			bundles = append(bundles, matches...)
@@ -97,10 +103,8 @@ func run(args []string, stdout io.Writer) error {
 				return fmt.Errorf("%s: %w", path, err)
 			}
 			fmt.Fprintf(stdout, "%s: ok (%d events)\n", path, n)
-		case strings.HasSuffix(path, ".tar"):
-			bundles = append(bundles, path)
 		default:
-			return fmt.Errorf("%s: not a .jsonl trace, .json Chrome trace, .tar bundle or bundle directory", path)
+			return fmt.Errorf("%s: not a .jsonl trace, .json Chrome trace or bundle directory", path)
 		}
 	}
 

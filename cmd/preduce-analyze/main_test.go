@@ -1,7 +1,6 @@
 package main
 
 import (
-	"archive/tar"
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
@@ -41,27 +40,23 @@ func fixture(t *testing.T, dir string) (*trace.Tracer, string) {
 	return tr, path
 }
 
-// TestRunRejectsCorruptBundle: a flipped byte in one part fails the read
-// and names the part. A structure-only read (health.ReadBundle, what a
-// render without validation trusts) accepts the same bytes.
+// TestRunRejectsCorruptBundle: a flipped byte in one part of a bundle
+// directory fails the read and names the part.
 func TestRunRejectsCorruptBundle(t *testing.T) {
 	_, path := fixture(t, t.TempDir())
-	data, err := os.ReadFile(path)
+	part := filepath.Join(path, health.PartScoreboard)
+	data, err := os.ReadFile(part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.Index(data, []byte("rank,recent_s"))
-	if i < 0 {
-		t.Fatal("scoreboard part not found in the archive")
+	var out bytes.Buffer
+	if err := run([]string{path}, &out); err != nil {
+		t.Fatalf("intact bundle: %v", err)
 	}
-	data[i] = 'R'
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	data[0] = 'R'
+	if err := os.WriteFile(part, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := health.ReadBundle(bytes.NewReader(data)); err != nil {
-		t.Fatalf("structure-only read refused the corrupted bundle: %v", err)
-	}
-	var out bytes.Buffer
 	err = run([]string{path}, &out)
 	if err == nil || !strings.Contains(err.Error(), health.PartScoreboard) {
 		t.Fatalf("corrupted bundle: err = %v, want one naming %s; output:\n%s", err, health.PartScoreboard, out.String())
@@ -73,40 +68,21 @@ func TestRunRejectsCorruptBundle(t *testing.T) {
 // with an error naming both versions.
 func TestRunRefusesVersion1Bundle(t *testing.T) {
 	_, path := fixture(t, t.TempDir())
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, parts, err := health.ReadBundle(bytes.NewReader(data))
+	man, _, err := health.ReadBundle(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := []byte{0xde, 0xad, 0xbe, 0xef}
-	parts["controller.bin"] = ctl
 	man.Version = 1
 	man.Parts = append(man.Parts, health.PartInfo{Name: "controller.bin", Size: int64(len(ctl)), CRC32: crc32.ChecksumIEEE(ctl)})
 	manJSON, err := json.Marshal(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	tw := tar.NewWriter(&v1)
-	put := func(name string, b []byte) {
-		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: int64(len(b)), Format: tar.FormatUSTAR}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tw.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(health.PartManifest, manJSON)
-	for _, p := range man.Parts {
-		put(p.Name, parts[p.Name])
-	}
-	if err := tw.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(path, "controller.bin"), ctl, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(path, health.PartManifest), manJSON, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -138,7 +114,7 @@ func TestRunReadsEveryArtifact(t *testing.T) {
 	text := out.String()
 	for _, want := range []string{
 		chrome + ": ok (",
-		"postmortem bundle " + filepath.Join(dir, "pm", "postmortem-000-operator-requested.tar"),
+		"postmortem bundle " + filepath.Join(dir, "pm", "postmortem-000-operator-requested"),
 		"watchdog state", "straggler scoreboard", "run config",
 	} {
 		if !strings.Contains(text, want) {

@@ -102,7 +102,7 @@ func main() {
 	watchdogEvery := flag.Duration("watchdog-every", time.Second,
 		"watchdog evaluation cadence on the controller host (rank 0)")
 	postmortemDir := flag.String("postmortem-dir", "",
-		"rank 0: write a postmortem bundle (trace ring, controller snapshot, metrics, scoreboard, firing rules, run config) here whenever a watchdog rule fires, and on SIGINT/SIGTERM; read them with preduce-analyze DIR")
+		"rank 0: write a postmortem bundle, a directory (manifest, firing rules, metrics, scoreboard, trace ring, run config), here whenever a watchdog rule fires, and on SIGINT/SIGTERM; read them with preduce-analyze DIR")
 	flag.Parse()
 
 	list := strings.Split(*addrs, ",")

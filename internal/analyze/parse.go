@@ -127,28 +127,21 @@ func ReadTraceFile(path string) (RankTrace, error) {
 	return rankTrace(path, events), nil
 }
 
-// ReadBundle reads one postmortem bundle file: its manifest, its raw parts,
-// and its trace ring as a RankTrace. The bundle is validated first (CRCs
-// and canonical form, health.Validate) — a structural read alone would
-// render a flipped byte as if it were genuine — so a corrupted bundle
-// fails naming the bad part.
-func ReadBundle(path string) (*health.Manifest, map[string][]byte, RankTrace, error) {
-	data, err := os.ReadFile(path)
+// ReadBundle reads one postmortem bundle directory: its manifest, its raw
+// parts, and its trace ring as a RankTrace. health.ReadBundle checks every
+// part against the manifest first — rendering a flipped byte as if it were
+// genuine is worse than no render — so a corrupted bundle fails naming the
+// bad part.
+func ReadBundle(dir string) (*health.Manifest, map[string][]byte, RankTrace, error) {
+	man, parts, err := health.ReadBundle(dir)
 	if err != nil {
-		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %w", err)
-	}
-	if _, err := health.Validate(data); err != nil {
-		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %w", path, err)
-	}
-	man, parts, err := health.ReadBundle(bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %w", path, err)
+		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %w", dir, err)
 	}
 	events, err := ParseJSONL(bytes.NewReader(parts[health.PartTrace]))
 	if err != nil {
-		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %s: %w", path, health.PartTrace, err)
+		return nil, nil, RankTrace{}, fmt.Errorf("analyze: %s: %s: %w", dir, health.PartTrace, err)
 	}
-	return man, parts, rankTrace(path, events), nil
+	return man, parts, rankTrace(dir, events), nil
 }
 
 // rankTrace names the process that recorded events read from path: the

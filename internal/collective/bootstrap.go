@@ -15,8 +15,8 @@ import (
 // Counters and lengths ride as float64s — exact for any value below 2⁵³,
 // far beyond any iteration count or model size the transport accepts.
 
-// phaseBootstrap extends the phase space (the ring, gather and barrier ops
-// sit below it; 7 is the last value that fits the 3-bit phase field).
+// phaseBootstrap extends the phase space (the ring's phases sit below it;
+// 7 is the last value that fits the 3-bit phase field).
 const phaseBootstrap = 7
 
 const (

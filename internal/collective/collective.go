@@ -1,10 +1,10 @@
 // Package collective implements the data-moving collective operations the
 // live runtime uses: ring all-reduce (reduce-scatter followed by all-gather,
 // the bandwidth-optimal algorithm of Patarasuk & Yuan that the paper's
-// prototype uses through Gloo), gather, and barrier. All collectives operate
-// over an arbitrary subgroup of ranks, which is exactly what P-Reduce needs:
-// each controller-formed group runs its own collective, and disjoint groups
-// run concurrently without interference.
+// prototype uses through Gloo), and the joiner's bootstrap transfer. All
+// collectives operate over an arbitrary subgroup of ranks, which is exactly
+// what P-Reduce needs: each controller-formed group runs its own collective,
+// and disjoint groups run concurrently without interference.
 //
 // Data plane (see DESIGN.md): there is one ring, ReduceInto, and the sum, mean
 // and weighted-average entry points are its in-place wrappers. Every ring step
@@ -60,7 +60,6 @@ const MaxEpochs = 32
 const (
 	phaseReduceScatter = 1
 	phaseAllGather     = 2
-	phaseGather        = 4
 )
 
 // maxVirtualStep bounds the step field of a tag.
@@ -79,7 +78,7 @@ type OpStats struct {
 	// Segments counts pipeline segments sent.
 	Segments int64
 	// ReduceScatter and AllGather are wall time spent in the two ring
-	// phases. Gather/barrier time is not phase-attributed.
+	// phases.
 	ReduceScatter time.Duration
 	AllGather     time.Duration
 	// Retries counts retried attempts after a receive deadline expired,
@@ -588,39 +587,4 @@ func AllReduceMeanOpts(t transport.Transport, group []int, opID uint32, data []f
 // the controller's constant or dynamic weights.
 func WeightedAverageOpts(t transport.Transport, group []int, opID uint32, data []float64, weight float64, opt Options) error {
 	return ReduceInto(t, group, opID, data, data, weight, 1, opt)
-}
-
-// GatherOpts collects every member's data at root, returned in group order.
-// Non-root members receive nil. All members must pass equal-length data;
-// a member whose payload length disagrees fails the gather at the root.
-// Options.Timeout bounds every root-side receive, so a member behind a
-// severed link fails the gather with transport.ErrTimeout instead of hanging
-// the root.
-func GatherOpts(t transport.Transport, group []int, opID uint32, root int, data []float64, opt Options) ([][]float64, error) {
-	pos, err := position(t, group)
-	if err != nil {
-		return nil, err
-	}
-	if t.Rank() != root {
-		return nil, t.Send(root, tag(opID, phaseGather, pos), data)
-	}
-	out := make([][]float64, len(group))
-	for i, r := range group {
-		if r == root {
-			cp := make([]float64, len(data))
-			copy(cp, data)
-			out[i] = cp
-			continue
-		}
-		in := make([]float64, len(data))
-		n, err := t.RecvIntoTimeout(r, tag(opID, phaseGather, i), in, opt.Timeout)
-		if err != nil {
-			return nil, err
-		}
-		if n != len(data) {
-			return nil, fmt.Errorf("collective: gather size mismatch from rank %d: %d != %d", r, n, len(data))
-		}
-		out[i] = in
-	}
-	return out, nil
 }

@@ -184,29 +184,6 @@ func TestWeightedAverage(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	eps := transport.NewMem(4)
-	group := []int{0, 2, 3}
-	root := 2
-	datas := map[int][]float64{0: {1}, 2: {2}, 3: {3}}
-	results := make(map[int][][]float64)
-	var mu sync.Mutex
-	runGroup(t, eps, group, func(tr transport.Transport) error {
-		out, err := GatherOpts(tr, group, 7, root, datas[tr.Rank()], Options{})
-		mu.Lock()
-		results[tr.Rank()] = out
-		mu.Unlock()
-		return err
-	})
-	if results[0] != nil || results[3] != nil {
-		t.Fatal("non-root received gather output")
-	}
-	got := results[2]
-	if len(got) != 3 || got[0][0] != 1 || got[1][0] != 2 || got[2][0] != 3 {
-		t.Fatalf("gather at root: %v", got)
-	}
-}
-
 // Property: for random group sizes, vector lengths (including lengths
 // smaller than the group), and values, ring all-reduce matches the
 // sequential sum on every member.

@@ -390,28 +390,3 @@ func TestTimeoutWithoutRetryFailsFast(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 timeout and 1 abort", stats)
 	}
 }
-
-// TestGatherTimeout: the non-ring collective honors deadlines too — a member
-// lost behind a severed link surfaces as ErrTimeout at the root instead of
-// parking it forever.
-func TestGatherTimeout(t *testing.T) {
-	eps := faultyGroup(t, 2, transport.FaultPlan{
-		Seed:       14,
-		LinkFaults: map[[2]int]transport.LinkFault{{1, 0}: {Sever: true}},
-	})
-	opt := Options{Timeout: 100 * time.Millisecond}
-
-	gatherErr := make(chan error, 1)
-	go func() {
-		_, err := GatherOpts(eps[0], []int{0, 1}, 5, 0, []float64{1}, opt)
-		gatherErr <- err
-	}()
-	select {
-	case err := <-gatherErr:
-		if !transport.IsTimeout(err) {
-			t.Fatalf("gather: want timeout, got %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("gather root hung on a lost member")
-	}
-}

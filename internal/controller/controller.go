@@ -32,8 +32,6 @@ type Config struct {
 	Window int
 	// Weighting selects constant (1/P) or dynamic (EMA staleness) weights.
 	Weighting Weighting
-	// Alpha is the EMA decay for dynamic weighting; zero selects 0.6.
-	Alpha float64
 	// Approx selects how dynamic weighting fills missing relative-iteration
 	// slots; the default InitialModel is the paper's conservative rule.
 	Approx ApproxRule
@@ -47,6 +45,10 @@ type Config struct {
 	Zones        []int
 	ZoneAffinity bool
 }
+
+// emaDecay is the EMA decay of dynamic weighting; a policy decision may
+// override it for one group.
+const emaDecay = 0.6
 
 // MinWindow returns ⌈(n−1)/(p−1)⌉, the smallest history window that can
 // witness a connected sync-graph.
@@ -70,8 +72,6 @@ func (c Config) Validate() error {
 	case c.Window > 0 && c.Window < MinWindow(c.N, c.P):
 		return fmt.Errorf("controller: window %d below minimum %d for N=%d P=%d",
 			c.Window, MinWindow(c.N, c.P), c.N, c.P)
-	case c.Alpha < 0 || c.Alpha >= 1:
-		return fmt.Errorf("controller: alpha must be in [0,1), got %v", c.Alpha)
 	case c.ZoneAffinity && len(c.Zones) != c.N:
 		return fmt.Errorf("controller: zone affinity needs %d zone assignments, got %d", c.N, len(c.Zones))
 	case !c.ZoneAffinity && len(c.Zones) != 0 && len(c.Zones) != c.N:
@@ -204,16 +204,13 @@ type Controller struct {
 	ins    *metrics.Instruments
 }
 
-// New returns a controller for cfg. Zero Window and Alpha select defaults.
+// New returns a controller for cfg. A zero Window selects the default.
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Window == 0 {
 		cfg.Window = MinWindow(cfg.N, cfg.P)
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.6
 	}
 	if cfg.Initial == 0 {
 		cfg.Initial = cfg.N
@@ -364,10 +361,10 @@ func (c *Controller) drainGroups() []Group {
 
 // consultPolicy asks the attached policy for the next formation decision
 // and applies it: the group size (clamped to the live worker count), an
-// optional dynamic-weight decay override (0 keeps the configured decay),
+// optional dynamic-weight decay override (0 keeps the default decay),
 // and an optional queue reorder (membership bias). A decision that
 // deviates from the default — what the controller would do with no
-// policy attached: def workers, FIFO order, configured decay — is
+// policy attached: def workers, FIFO order, default decay — is
 // recorded as a KPolicyDecision trace instant; the static policy never
 // deviates, which keeps its runs bit-identical to the policy-free
 // controller.
@@ -396,8 +393,8 @@ func (c *Controller) consultPolicy(def int) (int, float64) {
 		p = active
 	}
 	alpha := d.Alpha
-	if alpha <= 0 || alpha >= 1 || alpha == c.cfg.Alpha {
-		alpha = 0 // out-of-range or no-op override: keep the configured decay
+	if alpha <= 0 || alpha >= 1 || alpha == emaDecay {
+		alpha = 0 // out-of-range or no-op override: keep the default decay
 	}
 	biased := c.applyBias(d.Bias, p)
 	deviated := p != def || alpha != 0 || biased
@@ -406,7 +403,7 @@ func (c *Controller) consultPolicy(def int) (int, float64) {
 	}
 	effAlpha := alpha
 	if effAlpha == 0 {
-		effAlpha = c.cfg.Alpha
+		effAlpha = emaDecay
 	}
 	c.ins.RecordPolicyDecision(p, effAlpha, deviated)
 	return p, alpha
@@ -469,8 +466,8 @@ func (c *Controller) groupSize() int {
 
 // formGroup pops p signals (FIFO), applies group-frozen avoidance, records
 // the group, and generates its weights. alpha, when in (0,1), overrides
-// the configured dynamic-weight decay for this one group (a policy
-// decision); 0 keeps the configured decay. It returns ok=false when the
+// the default dynamic-weight decay for this one group (a policy
+// decision); 0 keeps the default decay. It returns ok=false when the
 // filter defers formation to wait for a bridging signal.
 func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 	bridged := false
@@ -591,7 +588,7 @@ func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 	g := Group{Members: members, Iters: iters, Iter: maxIter, Bridged: bridged, Epoch: c.epoch}
 	switch c.cfg.Weighting {
 	case Dynamic:
-		a := c.cfg.Alpha
+		a := emaDecay
 		if alpha > 0 {
 			a = alpha
 		}

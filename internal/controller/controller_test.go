@@ -33,8 +33,6 @@ func TestConfigValidate(t *testing.T) {
 		{N: 4, P: 5},
 		{N: 4, P: 2, Window: -1},
 		{N: 8, P: 2, Window: 2}, // below MinWindow(8,2)=7
-		{N: 4, P: 2, Alpha: 1},
-		{N: 4, P: 2, Alpha: -0.5},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -106,9 +104,6 @@ func TestDefaultsResolved(t *testing.T) {
 	c := mustNew(t, Config{N: 8, P: 3})
 	if c.cfg.Window != MinWindow(8, 3) {
 		t.Fatalf("window default: %d", c.cfg.Window)
-	}
-	if c.cfg.Alpha != 0.6 {
-		t.Fatalf("alpha default: %v", c.cfg.Alpha)
 	}
 }
 

@@ -86,7 +86,7 @@ func runScript(c *Controller, ops []replayOp) []Group {
 // plumbing — as a no-op for the static policy.
 func TestStaticPolicyBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		cfg := Config{N: 6, P: 3, Weighting: Dynamic, Alpha: 0.5}
+		cfg := Config{N: 6, P: 3, Weighting: Dynamic}
 		ops := replayScript(seed, cfg.N, 400)
 
 		clock := 0.0
@@ -128,7 +128,7 @@ func TestStaticPolicyBitIdentical(t *testing.T) {
 func TestAdaptivePolicyRespectsFloors(t *testing.T) {
 	const pmin, pmax = 2, 4
 	for seed := int64(1); seed <= 5; seed++ {
-		cfg := Config{N: 8, P: 4, Weighting: Dynamic, Alpha: 0.5, Window: MinWindow(8, pmin)}
+		cfg := Config{N: 8, P: 4, Weighting: Dynamic, Window: MinWindow(8, pmin)}
 		c := mustNew(t, cfg)
 		pol, err := policy.New(policy.Spec{Name: policy.NameAdaptiveP, PMin: pmin, PMax: pmax, Window: 2}, cfg.N, cfg.P)
 		if err != nil {
@@ -148,9 +148,9 @@ func TestAdaptivePolicyRespectsFloors(t *testing.T) {
 // the initial-model mass when the conservative approximation is in use).
 func TestPolicyGroupWeightsSumToOne(t *testing.T) {
 	for _, approx := range []ApproxRule{InitialModel, ClosestIteration} {
-		cfg := Config{N: 8, P: 4, Weighting: Dynamic, Alpha: 0.5, Approx: approx}
+		cfg := Config{N: 8, P: 4, Weighting: Dynamic, Approx: approx}
 		c := mustNew(t, cfg)
-		// alphaOverride deviates from the configured decay on every group.
+		// alphaOverride deviates from the default decay on every group.
 		c.SetPolicy(alphaOverridePolicy{alpha: 0.3})
 		groups := runScript(c, replayScript(3, cfg.N, 500))
 		if len(groups) == 0 {

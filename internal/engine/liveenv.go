@@ -26,9 +26,7 @@ type LiveEnv struct {
 	// Trans is the worker's transport endpoint.
 	Trans transport.Transport
 	// Copts configures every collective this worker runs. Its TraceIter
-	// field is updated in place per group op — deliberately persistent, so
-	// trailing collectives (the multi-process tail gather) inherit
-	// the last iteration's tag.
+	// field is updated in place per group op.
 	Copts collective.Options
 	// Tracer and Instruments are the worker-side telemetry sinks (both
 	// nil-safe / optional).

@@ -21,11 +21,12 @@ import (
 // the core directly, with a sink that records.
 //
 // The core owns the liveness bookkeeping (who waits for a reply, who is
-// inside a dispatched collective, who is dead, drained or finished), the
-// elastic schedule cursor, and the watchdog evaluation. The adapter owns only
-// the failure detector (the live receive loops, the simulator's crash
-// schedule), which reports through Lost. The controller lives and dies with
-// the process that hosts it: there is one incarnation per run.
+// inside a dispatched collective, who finished), the elastic schedule
+// cursor, and the watchdog evaluation; who is a member and who is dead it
+// reads from the controller. The adapter owns only the failure detector (the
+// live receive loops, the simulator's crash schedule), which reports through
+// Lost. The controller lives and dies with the process that hosts it: there
+// is one incarnation per run.
 
 // bootOpBase is the first bootstrap-transfer op id: a disjoint space from the
 // group ops (which count up from 1), so an op abort can never collide with an
@@ -81,8 +82,6 @@ type ServiceCore struct {
 	inOp     []bool
 	aborted  map[uint32]bool
 
-	// deadSet is the service-side memory of detected deaths.
-	deadSet   []bool
 	completed []bool
 	active    int // workers believed alive and not yet finished
 
@@ -100,7 +99,6 @@ type ServiceCore struct {
 	nextElastic  int
 	pendingJoins []int
 	drainPending []bool
-	drained      []bool
 	bootOp       uint32
 }
 
@@ -116,11 +114,9 @@ func NewServiceCore(cfg ServiceConfig, ctrl *controller.Controller, out Sink) *S
 		lastOpID:     make([]uint32, cfg.N),
 		inOp:         make([]bool, cfg.N),
 		aborted:      make(map[uint32]bool),
-		deadSet:      make([]bool, cfg.N),
 		completed:    make([]bool, cfg.N),
 		active:       ctrl.ActiveCount(),
 		drainPending: make([]bool, cfg.N),
-		drained:      make([]bool, cfg.N),
 		bootOp:       bootOpBase,
 	}
 }
@@ -140,7 +136,7 @@ func (c *ServiceCore) Ready(w, iter int, seq, epoch uint64, now float64) {
 	c.waitSeq[w] = seq
 	c.inOp[w] = false
 	switch {
-	case c.deadSet[w] || !c.ctrl.IsAlive(w):
+	case !c.ctrl.IsAlive(w):
 		// Dead-marked sender: release it to proceed solo.
 		c.answer(w, Directive{Skip: true})
 	case c.ctrl.IsQueued(w):
@@ -180,7 +176,7 @@ func (c *ServiceCore) Ready(w, iter int, seq, epoch uint64, now float64) {
 
 // Finished is worker w announcing it completed all its iterations.
 func (c *ServiceCore) Finished(w int) {
-	if !c.deadSet[w] && !c.completed[w] {
+	if !c.dead(w) && !c.completed[w] {
 		c.completed[w] = true
 		c.inOp[w] = false
 		c.active--
@@ -253,7 +249,6 @@ func (c *ServiceCore) rejoin(w int) {
 	if err := c.ctrl.Rejoin(w); err != nil {
 		c.fail(fmt.Errorf("engine: rejoin worker %d: %w", w, err))
 	} else {
-		c.deadSet[w] = false
 		c.active++
 	}
 	c.release()
@@ -276,8 +271,12 @@ func (c *ServiceCore) eligible(w int) bool { return c.ctrl.IsMember(w) && !c.ctr
 // Parked reports whether w sits outside the world with nothing more to do:
 // never admitted, or drained back out (not finished, not dead).
 func (c *ServiceCore) Parked(w int) bool {
-	return !c.completed[w] && !c.deadSet[w] && !c.ctrl.IsMember(w)
+	return !c.completed[w] && !c.ctrl.IsMember(w)
 }
+
+// dead reports whether member w was condemned: only the core reports
+// failures to the controller, and a decommissioned rank is not a member.
+func (c *ServiceCore) dead(w int) bool { return c.ctrl.IsMember(w) && !c.ctrl.IsAlive(w) }
 
 func (c *ServiceCore) fail(err error) {
 	if c.err == nil {
@@ -361,7 +360,7 @@ func (c *ServiceCore) opGroup(op uint32) (controller.Group, bool) {
 
 func (c *ServiceCore) abortOp(g controller.Group, op uint32, dead int) {
 	for _, m := range g.Members {
-		if m != dead && !c.deadSet[m] {
+		if m != dead && !c.dead(m) {
 			c.out.Abort(m, op, dead)
 		}
 	}
@@ -373,23 +372,17 @@ func (c *ServiceCore) abortOp(g controller.Group, op uint32, dead int) {
 // precaution (aborting a completed op is harmless because op ids are never
 // reused) but counted as a group abort only if dead was still inside it.
 func (c *ServiceCore) markDead(dead int, op uint32) {
-	if !c.ctrl.IsMember(dead) || c.drained[dead] {
+	if !c.ctrl.IsMember(dead) || !c.ctrl.IsAlive(dead) {
 		// A drained (or never-joined, or out-of-range) rank is not a member:
 		// it cannot be condemned. Late death reports against it — a peer
-		// observing its clean exit as a transport hiccup — are dropped.
+		// observing its clean exit as a transport hiccup — are dropped, as
+		// are repeated reports against a member already condemned.
 		return
 	}
-	first := !c.deadSet[dead]
-	if !first && !c.ctrl.IsAlive(dead) {
-		return
+	if !c.completed[dead] {
+		c.active--
 	}
-	if first {
-		c.deadSet[dead] = true
-		if !c.completed[dead] {
-			c.active--
-		}
-		c.answer(dead, Directive{Skip: true}) // wakes a falsely-accused worker
-	}
+	c.answer(dead, Directive{Skip: true}) // wakes a falsely-accused worker
 	observed := op != 0 || c.inOp[dead]
 	if op == 0 {
 		op = c.lastOpID[dead]
@@ -423,7 +416,6 @@ func (c *ServiceCore) retire(w int) bool {
 		return false
 	}
 	c.dispatch(groups)
-	c.drained[w] = true
 	c.active--
 	return true
 }
@@ -442,7 +434,6 @@ func (c *ServiceCore) admit(donor int, now float64) {
 		c.answer(donor, Directive{Skip: true})
 		return
 	}
-	c.drained[j], c.deadSet[j] = false, false
 	c.active++
 	c.bootOp++
 	c.out.StartJoin(j, donor, c.bootOp)

@@ -324,7 +324,7 @@ func TestCoreDrainLandsAtTheReadyPoint(t *testing.T) {
 	h.ready(3, 1)
 	h.ready(0, 1) // op 1 = {3, 0}: the schedule now wants 3 drained …
 	h.take()
-	if h.c.drained[3] || h.c.ctrl.IsDraining(3) {
+	if !h.c.ctrl.IsMember(3) || h.c.ctrl.IsDraining(3) {
 		t.Fatal("drain landed inside a group")
 	}
 	h.ready(3, 2) // … and it lands at 3's own next ready point
@@ -405,8 +405,8 @@ func TestCoreStuckAfterRetransmitRace(t *testing.T) {
 	if e := h.take(); len(e) != 0 {
 		t.Fatalf("second stuck report produced effects:%s", describe(e))
 	}
-	if st := h.c.ctrl.Stats(); st.Failures != 0 || st.GroupsAborted != 1 || h.c.deadSet[0] || h.c.deadSet[1] {
-		t.Fatalf("stuck op after a retransmission: stats %+v deadSet %v, want no failure and one abort", st, h.c.deadSet)
+	if st := h.c.ctrl.Stats(); st.Failures != 0 || st.GroupsAborted != 1 || h.c.dead(0) || h.c.dead(1) {
+		t.Fatalf("stuck op after a retransmission: stats %+v dead %v %v, want no failure and one abort", st, h.c.dead(0), h.c.dead(1))
 	}
 	h.ready(1, 1) // the partner rolls back and re-signals
 	got := groupReplies(t, h.take())
@@ -534,7 +534,7 @@ func TestCoreAddsNoAllocationPerSignal(t *testing.T) {
 func (h *coreHarness) settle() {
 	h.t.Helper()
 	for w, op := range h.inGroup {
-		if op != 0 && (!h.c.inOp[w] || h.c.deadSet[w]) {
+		if op != 0 && (!h.c.inOp[w] || h.c.dead(w)) {
 			h.inGroup[w] = 0
 		}
 	}

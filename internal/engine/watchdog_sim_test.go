@@ -81,11 +81,7 @@ func TestWatchdogSimFiresOncePerAnomaly(t *testing.T) {
 	}
 	byRule := map[string]int{}
 	for _, path := range written {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		man, err := health.Validate(data)
+		man, _, err := health.ReadBundle(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -114,7 +110,7 @@ func TestWatchdogSimDeterministic(t *testing.T) {
 	watchdogSimRun(t, 11, dirB)
 
 	names := func(dir string) []string {
-		matches, err := filepath.Glob(filepath.Join(dir, "postmortem-*.tar"))
+		matches, err := filepath.Glob(filepath.Join(dir, "postmortem-*"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,16 +130,16 @@ func TestWatchdogSimDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("bundle name diverged: %s vs %s", a[i], b[i])
 		}
-		ba, err := os.ReadFile(filepath.Join(dirA, a[i]))
+		files, err := os.ReadDir(filepath.Join(dirA, a[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := os.ReadFile(filepath.Join(dirB, b[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ba, bb) {
-			t.Fatalf("bundle %s differs between same-seed replays", a[i])
+		for _, f := range files {
+			fa, errA := os.ReadFile(filepath.Join(dirA, a[i], f.Name()))
+			fb, errB := os.ReadFile(filepath.Join(dirB, b[i], f.Name()))
+			if errA != nil || errB != nil || !bytes.Equal(fa, fb) {
+				t.Fatalf("bundle %s file %s differs between same-seed replays (%v, %v)", a[i], f.Name(), errA, errB)
+			}
 		}
 	}
 }

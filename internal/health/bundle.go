@@ -1,13 +1,11 @@
 package health
 
-// Postmortem bundle format: one tar archive of deterministic parts,
-// CRC-guarded by a manifest. The writer is canonical — fixed part
-// order, zeroed tar header metadata (ModTime Unix(0,0), mode 0644,
-// USTAR) and hand-ordered JSON — so a deterministic input (a same-seed
-// simulator replay) produces a byte-identical bundle, and Validate can
-// prove integrity by re-encoding the parsed parts and comparing bytes.
+// Postmortem bundle format: one directory of deterministic parts, indexed
+// by a manifest that carries each part's size and CRC32. Parts are
+// rendered in a fixed order with hand-ordered JSON, so a deterministic input
+// (a same-seed simulator replay) produces byte-identical part files.
 //
-// Parts, in archive order:
+// Files, manifest first:
 //
 //	manifest.json   version, reason, firing rules, part index with CRC32s
 //	watchdog.json   the breaches that triggered capture + full rule state
@@ -17,17 +15,16 @@ package health
 //	config.json     host-supplied run config (verbatim; "{}" when absent)
 //
 // Version 2 dropped version 1's controller.bin, a controller snapshot no
-// reader decoded; Validate refuses a version-1 bundle by its version.
+// reader decoded; ReadBundle refuses a version-1 bundle by its version.
 
 import (
-	"archive/tar"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"os"
+	"path/filepath"
 	"strconv"
-	"time"
 
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/trace"
@@ -36,7 +33,7 @@ import (
 // BundleVersion is the manifest schema version this package writes.
 const BundleVersion = 2
 
-// Part names, in canonical archive order (manifest first).
+// Part names, in manifest order (the manifest itself first).
 const (
 	PartManifest   = "manifest.json"
 	PartWatchdog   = "watchdog.json"
@@ -46,7 +43,7 @@ const (
 	PartConfig     = "config.json"
 )
 
-// partOrder is the canonical order of the non-manifest parts.
+// partOrder is the order of the non-manifest parts.
 var partOrder = []string{PartWatchdog, PartMetrics, PartScoreboard, PartTrace, PartConfig}
 
 // PartInfo is one part's manifest entry.
@@ -117,7 +114,7 @@ type metricsPart struct {
 }
 
 // Bundle is the in-memory form of one postmortem capture, ready to be
-// serialized by WriteBundle.
+// written by WriteBundle.
 type Bundle struct {
 	Reason   string
 	At       float64
@@ -175,7 +172,7 @@ func renderMetrics(snap *metrics.InstrumentsSnapshot) ([]byte, error) {
 	return json.Marshal(mp)
 }
 
-// parts renders every non-manifest part in canonical order.
+// parts renders every non-manifest part in partOrder.
 func (b *Bundle) parts() (names []string, blobs [][]byte, err error) {
 	snap := b.Snap
 	if snap == nil {
@@ -206,41 +203,9 @@ func (b *Bundle) parts() (names []string, blobs [][]byte, err error) {
 	return partOrder, [][]byte{wd, mp, renderScoreboard(snap), tb.Bytes(), cfg}, nil
 }
 
-// writeTar writes the canonical tar: manifest first, then parts in the
-// manifest's order, every header zeroed to the epoch.
-func writeTar(w io.Writer, man *Manifest, names []string, blobs [][]byte) error {
-	manJSON, err := json.Marshal(man)
-	if err != nil {
-		return err
-	}
-	tw := tar.NewWriter(w)
-	put := func(name string, data []byte) error {
-		hdr := &tar.Header{
-			Name:    name,
-			Mode:    0644,
-			Size:    int64(len(data)),
-			ModTime: time.Unix(0, 0),
-			Format:  tar.FormatUSTAR,
-		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			return err
-		}
-		_, err := tw.Write(data)
-		return err
-	}
-	if err := put(PartManifest, manJSON); err != nil {
-		return err
-	}
-	for i, name := range names {
-		if err := put(name, blobs[i]); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
-}
-
-// WriteBundle serializes b as a canonical postmortem tar.
-func WriteBundle(w io.Writer, b *Bundle) error {
+// WriteBundle writes b into the existing directory dir: the manifest and
+// one file per part.
+func WriteBundle(dir string, b *Bundle) error {
 	names, blobs, err := b.parts()
 	if err != nil {
 		return fmt.Errorf("health: render bundle: %w", err)
@@ -254,97 +219,64 @@ func WriteBundle(w io.Writer, b *Bundle) error {
 			Name: name, Size: int64(len(blobs[i])), CRC32: crc32.ChecksumIEEE(blobs[i]),
 		})
 	}
-	if err := writeTar(w, man, names, blobs); err != nil {
-		return fmt.Errorf("health: write bundle: %w", err)
+	manJSON, err := json.Marshal(man)
+	if err != nil {
+		return fmt.Errorf("health: render manifest: %w", err)
+	}
+	names, blobs = append([]string{PartManifest}, names...), append([][]byte{manJSON}, blobs...)
+	for i, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), blobs[i], 0o644); err != nil {
+			return fmt.Errorf("health: write bundle: %w", err)
+		}
 	}
 	return nil
 }
 
-// ReadBundle parses a bundle tar: the manifest plus every part's raw
-// bytes. It verifies structure only (manifest present and first);
-// Validate performs the CRC and canonical-form checks.
-func ReadBundle(r io.Reader) (*Manifest, map[string][]byte, error) {
-	tr := tar.NewReader(r)
-	parts := map[string][]byte{}
-	var man *Manifest
-	first := true
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("health: read bundle: %w", err)
-		}
-		data, err := io.ReadAll(tr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("health: read bundle part %s: %w", hdr.Name, err)
-		}
-		if first {
-			if hdr.Name != PartManifest {
-				return nil, nil, fmt.Errorf("health: bundle does not start with %s (got %s)", PartManifest, hdr.Name)
-			}
-			man = &Manifest{}
-			if err := json.Unmarshal(data, man); err != nil {
-				return nil, nil, fmt.Errorf("health: parse manifest: %w", err)
-			}
-			first = false
-		}
-		if _, dup := parts[hdr.Name]; dup {
-			return nil, nil, fmt.Errorf("health: duplicate bundle part %s", hdr.Name)
-		}
-		parts[hdr.Name] = data
-	}
-	if man == nil {
-		return nil, nil, fmt.Errorf("health: empty bundle")
-	}
-	return man, parts, nil
-}
-
-// Validate fully checks a bundle: schema version, the exact canonical
-// part set, per-part size and CRC32 against the manifest, a parseable
-// trace part, and — the round-trip check — that re-encoding the parsed
-// parts through the canonical writer reproduces data byte for byte.
-func Validate(data []byte) (*Manifest, error) {
-	man, parts, err := ReadBundle(bytes.NewReader(data))
+// ReadBundle reads the bundle in directory dir and checks it in full: the
+// schema version, the exact part list, every part's size and CRC32 against
+// the manifest, and no file the manifest does not list. It returns the
+// manifest and every part's bytes.
+func ReadBundle(dir string) (*Manifest, map[string][]byte, error) {
+	manJSON, err := os.ReadFile(filepath.Join(dir, PartManifest))
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("health: read bundle: %w", err)
+	}
+	man := &Manifest{}
+	if err := json.Unmarshal(manJSON, man); err != nil {
+		return nil, nil, fmt.Errorf("health: parse manifest: %w", err)
 	}
 	if man.Version != BundleVersion {
-		return nil, fmt.Errorf("health: bundle version %d, want %d", man.Version, BundleVersion)
+		return nil, nil, fmt.Errorf("health: bundle version %d, want %d", man.Version, BundleVersion)
 	}
 	if len(man.Parts) != len(partOrder) {
-		return nil, fmt.Errorf("health: manifest lists %d parts, want %d", len(man.Parts), len(partOrder))
+		return nil, nil, fmt.Errorf("health: manifest lists %d parts, want %d", len(man.Parts), len(partOrder))
 	}
+	parts := make(map[string][]byte, len(partOrder))
 	for i, want := range partOrder {
 		pi := man.Parts[i]
 		if pi.Name != want {
-			return nil, fmt.Errorf("health: manifest part %d is %s, want %s", i, pi.Name, want)
+			return nil, nil, fmt.Errorf("health: manifest part %d is %s, want %s", i, pi.Name, want)
 		}
-		blob, ok := parts[pi.Name]
-		if !ok {
-			return nil, fmt.Errorf("health: bundle missing part %s", pi.Name)
+		blob, err := os.ReadFile(filepath.Join(dir, pi.Name))
+		if err != nil {
+			return nil, nil, fmt.Errorf("health: bundle part %s: %w", pi.Name, err)
 		}
 		if int64(len(blob)) != pi.Size {
-			return nil, fmt.Errorf("health: part %s is %d bytes, manifest says %d", pi.Name, len(blob), pi.Size)
+			return nil, nil, fmt.Errorf("health: part %s is %d bytes, manifest says %d", pi.Name, len(blob), pi.Size)
 		}
 		if crc := crc32.ChecksumIEEE(blob); crc != pi.CRC32 {
-			return nil, fmt.Errorf("health: part %s CRC32 %08x, manifest says %08x", pi.Name, crc, pi.CRC32)
+			return nil, nil, fmt.Errorf("health: part %s CRC32 %08x, manifest says %08x", pi.Name, crc, pi.CRC32)
+		}
+		parts[pi.Name] = blob
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("health: read bundle: %w", err)
+	}
+	for _, f := range files {
+		if _, listed := parts[f.Name()]; !listed && f.Name() != PartManifest {
+			return nil, nil, fmt.Errorf("health: bundle holds %s, which the manifest does not list", f.Name())
 		}
 	}
-	if len(parts) != len(partOrder)+1 {
-		return nil, fmt.Errorf("health: bundle holds %d parts, want %d", len(parts), len(partOrder)+1)
-	}
-	blobs := make([][]byte, len(partOrder))
-	for i, name := range partOrder {
-		blobs[i] = parts[name]
-	}
-	var re bytes.Buffer
-	if err := writeTar(&re, man, partOrder, blobs); err != nil {
-		return nil, fmt.Errorf("health: re-encode bundle: %w", err)
-	}
-	if !bytes.Equal(re.Bytes(), data) {
-		return nil, fmt.Errorf("health: bundle is not in canonical form (re-encode differs)")
-	}
-	return man, nil
+	return man, parts, nil
 }

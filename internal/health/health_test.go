@@ -2,8 +2,8 @@ package health
 
 import (
 	"bytes"
+	"encoding/json"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,19 +224,23 @@ func buildBundle() *Bundle {
 
 func TestBundleWriteValidateDeterministic(t *testing.T) {
 	b := buildBundle()
-	var one, two bytes.Buffer
-	if err := WriteBundle(&one, b); err != nil {
+	one, two := t.TempDir(), t.TempDir()
+	if err := WriteBundle(one, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBundle(&two, b); err != nil {
+	if err := WriteBundle(two, b); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(one.Bytes(), two.Bytes()) {
-		t.Fatal("bundle serialization is not deterministic")
+	for _, name := range append([]string{PartManifest}, partOrder...) {
+		a, errA := os.ReadFile(filepath.Join(one, name))
+		c, errC := os.ReadFile(filepath.Join(two, name))
+		if errA != nil || errC != nil || !bytes.Equal(a, c) {
+			t.Fatalf("part %s is not deterministic (%v, %v)", name, errA, errC)
+		}
 	}
-	man, err := Validate(one.Bytes())
+	man, parts, err := ReadBundle(one)
 	if err != nil {
-		t.Fatalf("validate: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if man.Version != BundleVersion || man.Reason != "blame-spike" || man.At != 2.0 {
 		t.Fatalf("manifest: %+v", man)
@@ -249,10 +253,6 @@ func TestBundleWriteValidateDeterministic(t *testing.T) {
 	}
 
 	// Parts carry the expected payloads.
-	_, parts, err := ReadBundle(bytes.NewReader(one.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if string(parts[PartConfig]) != `{"n":3,"p":2}` {
 		t.Fatalf("config part mangled: %q", parts[PartConfig])
 	}
@@ -269,22 +269,29 @@ func TestBundleWriteValidateDeterministic(t *testing.T) {
 		t.Fatal("watchdog part missing breach")
 	}
 
-	// A flipped byte in any part fails validation.
-	bad := append([]byte(nil), one.Bytes()...)
-	// Locate the config payload and flip it.
-	i := bytes.Index(bad, []byte(`{"n":3,"p":2}`))
-	if i < 0 {
-		t.Fatal("config payload not found in archive")
+	// A file the manifest does not list fails the read.
+	stray := filepath.Join(two, "notes.txt")
+	if err := os.WriteFile(stray, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	bad[i+2] ^= 0xff
-	if _, err := Validate(bad); err == nil {
-		t.Fatal("validate accepted a corrupted bundle")
+	if _, _, err := ReadBundle(two); err == nil || !strings.Contains(err.Error(), "notes.txt") {
+		t.Fatalf("stray file: err = %v, want one naming it", err)
+	}
+
+	// A flipped byte in any part fails the read.
+	bad := []byte(`{"n":3,"p":2}`)
+	bad[2] ^= 0xff
+	if err := os.WriteFile(filepath.Join(one, PartConfig), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadBundle(one); err == nil || !strings.Contains(err.Error(), PartConfig) {
+		t.Fatalf("corrupted part: err = %v, want one naming %s", err, PartConfig)
 	}
 }
 
-// writeV1Bundle writes b the way bundle format version 1 did: the current
-// parts plus a trailing controller.bin, under a version-1 manifest.
-func writeV1Bundle(w io.Writer, b *Bundle) error {
+// writeV1Bundle writes b into dir the way bundle format version 1 did: the
+// current parts plus a trailing controller.bin, under a version-1 manifest.
+func writeV1Bundle(dir string, b *Bundle) error {
 	names, blobs, err := b.parts()
 	if err != nil {
 		return err
@@ -295,21 +302,28 @@ func writeV1Bundle(w io.Writer, b *Bundle) error {
 	for i, name := range names {
 		man.Parts = append(man.Parts, PartInfo{Name: name, Size: int64(len(blobs[i])), CRC32: crc32.ChecksumIEEE(blobs[i])})
 	}
-	return writeTar(w, man, names, blobs)
+	manJSON, err := json.Marshal(man)
+	if err != nil {
+		return err
+	}
+	names, blobs = append(names, PartManifest), append(blobs, manJSON)
+	for i, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), blobs[i], 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestValidateRefusesVersion1: an intact version-1 bundle (six parts, the
 // last a controller snapshot) is refused by its version, not by its part
-// count, and the error names both versions.
+// count or its extra file, and the error names both versions.
 func TestValidateRefusesVersion1(t *testing.T) {
-	var v1 bytes.Buffer
-	if err := writeV1Bundle(&v1, buildBundle()); err != nil {
+	dir := t.TempDir()
+	if err := writeV1Bundle(dir, buildBundle()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadBundle(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatalf("the version-1 fixture is not a well-formed archive: %v", err)
-	}
-	_, err := Validate(v1.Bytes())
+	_, _, err := ReadBundle(dir)
 	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
 		t.Fatalf("version-1 bundle: err = %v, want the version refusal", err)
 	}
@@ -326,14 +340,10 @@ func TestRecorderCaptureAndCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(p1) != "postmortem-000-blame-spike.tar" {
+	if filepath.Base(p1) != "postmortem-000-blame-spike" {
 		t.Fatalf("bundle name: %s", p1)
 	}
-	data, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Validate(data); err != nil {
+	if _, _, err := ReadBundle(p1); err != nil {
 		t.Fatalf("captured bundle invalid: %v", err)
 	}
 	if _, err := rec.Capture("Operator Requested!", 4.0, nil, State{}); err != nil {
@@ -350,14 +360,14 @@ func TestRecorderCaptureAndCap(t *testing.T) {
 		t.Fatalf("capture past cap: %q %v", p3, err)
 	}
 	w := rec.Written()
-	if len(w) != maxBundles || filepath.Base(w[1]) != "postmortem-001-operator-requested-.tar" {
+	if len(w) != maxBundles || filepath.Base(w[1]) != "postmortem-001-operator-requested-" {
 		t.Fatalf("written: %v", w)
 	}
 	// No temp litter.
 	entries, _ := os.ReadDir(filepath.Join(dir, "pm"))
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Fatalf("temp file left behind: %s", e.Name())
+			t.Fatalf("temp directory left behind: %s", e.Name())
 		}
 	}
 }

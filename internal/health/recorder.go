@@ -2,8 +2,9 @@ package health
 
 // Recorder is the flight-recorder half of the health plane: it owns the
 // capture sources (the always-on trace ring, the live instruments and the
-// run config) and writes postmortem bundles atomically into its directory. A nil *Recorder is the disabled form — Capture is a
-// nil-safe no-op — so hosts wire it unconditionally and gate on flags.
+// run config) and writes postmortem bundles atomically into its directory.
+// A nil *Recorder is the disabled form — Capture is a nil-safe no-op — so
+// hosts wire it unconditionally and gate on flags.
 
 import (
 	"fmt"
@@ -58,11 +59,12 @@ func slugify(reason string) string {
 	return string(out)
 }
 
-// Capture writes one postmortem bundle for reason at clock time at,
-// carrying breaches and st, and returns its path. The bundle snapshots
-// the recorder's trace ring, instruments and config at this moment. Writes are atomic (temp file + rename). Once
-// maxBundles captures have been written, further captures are dropped
-// and return ("", nil). Nil-safe: a nil recorder returns ("", nil).
+// Capture writes one postmortem bundle directory for reason at clock time
+// at, carrying breaches and st, and returns its path. The bundle snapshots
+// the recorder's trace ring, instruments and config at this moment. Writes
+// are atomic: the parts go into a temporary directory, which is then
+// renamed. Once maxBundles captures have been written, further captures are
+// dropped and return ("", nil). Nil-safe: a nil recorder returns ("", nil).
 func (r *Recorder) Capture(reason string, at float64, breaches []Breach, st State) (string, error) {
 	if r == nil {
 		return "", nil
@@ -82,25 +84,21 @@ func (r *Recorder) Capture(reason string, at float64, breaches []Breach, st Stat
 		Dropped:  r.tracer.Dropped(), // after Events: never understates
 		Config:   r.config,
 	}
-	name := fmt.Sprintf("postmortem-%03d-%s.tar", r.seq, slugify(reason))
+	name := fmt.Sprintf("postmortem-%03d-%s", r.seq, slugify(reason))
 	if err := os.MkdirAll(r.dir, 0755); err != nil {
 		return "", fmt.Errorf("health: recorder dir: %w", err)
 	}
 	path := filepath.Join(r.dir, name)
-	tmp, err := os.CreateTemp(r.dir, ".tmp-postmortem-*")
+	tmp, err := os.MkdirTemp(r.dir, ".tmp-postmortem-*")
 	if err != nil {
 		return "", fmt.Errorf("health: recorder temp: %w", err)
 	}
 	werr := WriteBundle(tmp, b)
-	cerr := tmp.Close()
 	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
+		werr = os.Rename(tmp, path)
 	}
 	if werr != nil {
-		os.Remove(tmp.Name())
+		os.RemoveAll(tmp)
 		return "", fmt.Errorf("health: capture %s: %w", name, werr)
 	}
 	r.seq++

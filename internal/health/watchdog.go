@@ -1,10 +1,10 @@
 // Package health is the run's self-monitoring plane: a deterministic
 // SLO rule engine (Watchdog) evaluated on a fixed cadence over
 // metrics.Instruments snapshots plus controller introspection, and a
-// flight recorder (Recorder) that captures a postmortem bundle — the
-// always-on trace ring, a controller snapshot, the full metrics
-// snapshot, the straggler scoreboard, the firing rule with its
-// evaluated values, and the run config — the moment a rule fires.
+// flight recorder (Recorder) that captures a postmortem bundle — a
+// directory holding a manifest, the firing rule with its evaluated
+// values, the full metrics snapshot, the straggler scoreboard, the
+// always-on trace ring and the run config — the moment a rule fires.
 //
 // The paper's anomalies (straggler episodes, retry storms, sync-graph
 // partitions) are transient: by the time an operator reacts to a

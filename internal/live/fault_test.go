@@ -100,8 +100,8 @@ func TestLiveCrashSurvivors(t *testing.T)          { crashSurvivors(t, runBounde
 func TestLiveCrashViaFaultyTransport(t *testing.T) { crashSurvivors(t, runBounded, 56, 3) }
 
 // With one RunWorker per rank the control frames share the data world, the
-// controller sits on rank 0 and the final average is a gather over the
-// survivor roster.
+// controller sits on rank 0 and the final average runs there, over the
+// ranks that completed.
 func TestRunWorkerCrash(t *testing.T) { crashSurvivors(t, runWorkersFolded, 57, 2) }
 
 // TestRunRankZeroCrash: Run's controller lives on a rank of its own, so rank

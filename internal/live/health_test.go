@@ -1,8 +1,6 @@
 package live
 
 import (
-	"bytes"
-	"os"
 	"testing"
 	"time"
 
@@ -46,20 +44,12 @@ func TestLiveWatchdogCapturesStragglerBundle(t *testing.T) {
 	if len(written) != 1 {
 		t.Fatalf("recorder wrote %d bundles %v, want exactly 1 (hysteresis must hold the firing rule)", len(written), written)
 	}
-	data, err := os.ReadFile(written[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := health.Validate(data)
+	man, parts, err := health.ReadBundle(written[0])
 	if err != nil {
 		t.Fatalf("bundle failed validation: %v", err)
 	}
 	if len(man.Rules) != 1 || man.Rules[0] != "blame-spike" {
 		t.Fatalf("bundle rules %v, want [blame-spike]", man.Rules)
-	}
-	_, parts, err := health.ReadBundle(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(parts[health.PartTrace]) == 0 {
 		t.Fatal("bundle trace ring is empty")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -401,9 +402,9 @@ func TestRunWorkerProtocol(t *testing.T) {
 	}
 }
 
-// slowGatherRoot is the root's endpoint with a stalled final gather: each
-// receive of a gather frame waits first, and the moment the frame has been
-// consumed is recorded per sender.
+// slowGatherRoot is the root's endpoint with a stalled final average: each
+// receive of a final-model frame waits first, and the moment the frame has
+// been consumed is recorded per sender.
 type slowGatherRoot struct {
 	transport.Transport
 	mu       sync.Mutex
@@ -411,7 +412,7 @@ type slowGatherRoot struct {
 }
 
 func (s *slowGatherRoot) RecvIntoTimeout(from int, tag uint64, dst []float64, d time.Duration) (int, error) {
-	if uint32(tag>>24) != gatherOpID {
+	if tag != ctrlModelTag {
 		return s.Transport.RecvIntoTimeout(from, tag, dst, d)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -425,7 +426,7 @@ func (s *slowGatherRoot) RecvIntoTimeout(from int, tag uint64, dst []float64, d 
 // TestRunWorkerHeldUntilGathered: a non-host rank's process closes its
 // endpoint when RunWorker returns, and a transport drops the frames still
 // queued from a closed peer — so no non-host rank may return before the root
-// has consumed its gather frame, however long the root takes.
+// has consumed its final-model frame, however long the root takes.
 func TestRunWorkerHeldUntilGathered(t *testing.T) {
 	cfg := liveConfig(t, 43)
 	cfg.Iters = 20
@@ -454,11 +455,77 @@ func TestRunWorkerHeldUntilGathered(t *testing.T) {
 	for r := 1; r < cfg.N; r++ {
 		at, ok := root.consumed[r]
 		if !ok {
-			t.Fatalf("root never consumed rank %d's gather frame", r)
+			t.Fatalf("root never consumed rank %d's final-model frame", r)
 		}
 		if returned[r].Before(at) {
-			t.Errorf("rank %d returned %v before the root consumed its gather frame", r, at.Sub(returned[r]))
+			t.Errorf("rank %d returned %v before the root consumed its final-model frame", r, at.Sub(returned[r]))
 		}
+	}
+}
+
+// lossyModelSender is a rank's endpoint that drops its final-model frame, or
+// sends it one parameter short.
+type lossyModelSender struct {
+	transport.Transport
+	truncate bool
+}
+
+func (s lossyModelSender) Send(to int, tag uint64, p []float64) error {
+	switch {
+	case tag != ctrlModelTag:
+		return s.Transport.Send(to, tag, p)
+	case s.truncate:
+		return s.Transport.Send(to, tag, p[:len(p)-1])
+	}
+	return nil
+}
+
+// TestRunWorkerRefusesBadFinalModel: a final-model frame that never arrives
+// fails the host's RunWorker with a timeout under CollectiveTimeout, and one
+// of the wrong length with an error naming the sender; neither hangs the
+// host, and every other rank is still released.
+func TestRunWorkerRefusesBadFinalModel(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		truncate bool
+		want     func(error) bool
+	}{
+		{"dropped", false, transport.IsTimeout},
+		{"truncated", true, func(err error) bool { return strings.Contains(err.Error(), "parameters, want") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := liveConfig(t, 43)
+			cfg.Iters = 20
+			cfg.CollectiveTimeout = 500 * time.Millisecond
+			world := memWorld(cfg.N)
+			world[1] = lossyModelSender{Transport: world[1], truncate: tc.truncate}
+
+			errs := make([]error, cfg.N)
+			var wg sync.WaitGroup
+			for r := 0; r < cfg.N; r++ {
+				r := r
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[r] = RunWorker(cfg, world[r], r == 0)
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("RunWorker hung on a bad final-model frame")
+			}
+			if err := errs[0]; err == nil || !tc.want(err) || !strings.Contains(err.Error(), "rank 1") {
+				t.Fatalf("host: err = %v, want a %s-frame error naming rank 1", err, tc.name)
+			}
+			for r := 1; r < cfg.N; r++ {
+				if errs[r] != nil {
+					t.Errorf("rank %d: %v", r, errs[r])
+				}
+			}
+		})
 	}
 }
 

@@ -78,5 +78,5 @@ func traced(t *testing.T, run entry, seed int64) {
 
 func TestRunTraced(t *testing.T) { traced(t, runBounded, 11) }
 
-// The RunWorker path adds the tail gather to the trace.
+// The RunWorker path: control frames share the data world.
 func TestRunTracedMultiProcessPath(t *testing.T) { traced(t, runWorkersFolded, 13) }

@@ -18,12 +18,11 @@ import (
 // not a panic or a poisoned model. Encoders refuse values a float64 slot
 // cannot carry exactly instead of rounding them.
 const (
-	ctrlReadyTag  uint64 = 0xC0_000000_000000 // worker → host: readyMsg
-	ctrlReplyTag  uint64 = 0xC1_000000_000000 // host → worker: directive
-	ctrlAbortTag  uint64 = 0xC2_000000_000000 // host → worker: abort op
-	ctrlRosterTag uint64 = 0xC3_000000_000000 // host → worker: survivor roster
-	ctrlJoinTag   uint64 = 0xC4_000000_000000 // host → parked rank: joinMsg
-	gatherOpID    uint32 = 0xFFFFFF
+	ctrlReadyTag uint64 = 0xC0_000000_000000 // worker → host: readyMsg
+	ctrlReplyTag uint64 = 0xC1_000000_000000 // host → worker: directive
+	ctrlAbortTag uint64 = 0xC2_000000_000000 // host → worker: abort op
+	ctrlModelTag uint64 = 0xC3_000000_000000 // completed worker → host: final parameters
+	ctrlJoinTag  uint64 = 0xC4_000000_000000 // host → parked rank: joinMsg
 )
 
 func readyTag(seq int) uint64 { return ctrlReadyTag | uint64(seq) }
@@ -244,26 +243,4 @@ func decodeOpRank(p []float64, n int) (op uint32, rank int, err error) {
 	f := fields{p: p}
 	op, rank = uint32(f.int(0, 0, math.MaxUint32, "op id")), f.int(1, -1, float64(n-1), "rank")
 	return op, rank, f.err
-}
-
-// The roster frame lists the ranks that completed, ascending: the final
-// average runs over it (a full-world gather would block on the dead forever).
-func encodeRoster(ranks []int) []float64 {
-	p := make([]float64, len(ranks))
-	for i, r := range ranks {
-		p[i] = float64(r)
-	}
-	return p
-}
-
-func decodeRoster(p []float64, n int) ([]int, error) {
-	f := fields{p: p}
-	ranks := make([]int, len(p))
-	for i := range p {
-		ranks[i] = f.int(i, 0, float64(n-1), "roster rank")
-		if i > 0 && ranks[i] <= ranks[i-1] && f.err == nil {
-			f.err = fmt.Errorf("live: roster %v is not strictly ascending", p)
-		}
-	}
-	return ranks, f.err
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
 	"partialreduce/internal/engine"
@@ -49,8 +48,9 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 	}
 	ctrlRank := 0
 	var ctrl *controller.Controller
+	var completed chan []bool // host only: the core's completed set, nil if the service failed
 	ctrlErr := make(chan error, 1)
-	gathered := make(chan struct{}) // closed when the root's final gather is over
+	averaged := make(chan struct{}) // closed when the host's final average is over
 	if host {
 		if tr.Rank() != ctrlRank {
 			return nil, fmt.Errorf("live: controller must run on rank %d", ctrlRank)
@@ -59,18 +59,22 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 		if ctrl, err = newController(cfg); err != nil {
 			return nil, err
 		}
+		completed = make(chan []bool, 1)
 		out := newWireSink(tr, cfg.N)
 		go func() {
 			svc, err := runControllerService(cfg, ctrl, out)
-			if err == nil {
-				err = out.releaseRoster(svc.Completed(), gathered)
+			if err != nil {
+				completed <- nil
+				ctrlErr <- err
+				return
 			}
-			ctrlErr <- err
+			completed <- svc.Completed()
+			ctrlErr <- out.release(svc.Completed(), averaged)
 		}()
 	}
 
-	rep, err := runWorkerRank(cfg, tr, ctrlRank, host)
-	close(gathered)
+	rep, err := runWorkerRank(cfg, tr, ctrlRank, completed)
+	close(averaged)
 	if err != nil {
 		return nil, err
 	}
@@ -242,25 +246,16 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 	return c, out.err
 }
 
-// releaseRoster is the host's half of RunWorker's end-of-run exchange:
-// broadcast the roster of completed workers for the final gather and, once
-// the root has gathered, release each member with the abort stream's op-0
-// sentinel. Until then a member must stay up: a transport drops the frames
-// still queued from a peer that closed, gather frame included.
-func (s *wireSink) releaseRoster(completed []bool, gathered <-chan struct{}) error {
-	var roster []int
+// release is the host's half of RunWorker's end of run: once the host's
+// final average is over, release each completed worker with the abort
+// stream's op-0 sentinel. Until then a worker must stay up: a transport drops
+// the frames still queued from a peer that closed, its final model included.
+func (s *wireSink) release(completed []bool, averaged <-chan struct{}) error {
+	<-averaged
 	for w, done := range completed {
 		if done {
-			roster = append(roster, w)
+			s.Abort(w, 0, -1)
 		}
-	}
-	frame := encodeRoster(roster)
-	for _, w := range roster {
-		s.send(w, ctrlRosterTag, frame)
-	}
-	<-gathered
-	for _, w := range roster {
-		s.Abort(w, 0, -1)
 	}
 	if s.err != nil {
 		return s.err
@@ -469,8 +464,10 @@ func runRank(cfg Config, tr, ctl transport.Transport, ctrlRank int, base model.M
 
 // runWorkerRank is RunWorker's rank: the shared lifecycle, then the one thing
 // a single-rank process needs and a caller that owns every rank does not —
-// the roster-wide gather that lets the host evaluate the averaged model.
-func runWorkerRank(cfg Config, tr transport.Transport, ctrlRank int, host bool) (*Report, error) {
+// the final average over the completed ranks (Alg. 2 line 8), at the host.
+// completed is nil on every rank but the host, where it delivers the service
+// core's completed set once the service is over.
+func runWorkerRank(cfg Config, tr transport.Transport, ctrlRank int, completed <-chan []bool) (*Report, error) {
 	start := time.Now()
 	base := cfg.Spec.Build(cfg.Seed)
 	end, err := runRank(cfg, tr, tr, ctrlRank, base, base.Params().Clone(), cfg.Train.Shard(cfg.N)[tr.Rank()])
@@ -493,40 +490,48 @@ func runWorkerRank(cfg Config, tr transport.Transport, ctrlRank int, host bool) 
 	if !end.finished {
 		return report(), nil // dismissed while parked
 	}
-
-	// The host broadcasts the survivor roster; the final average runs over
-	// it (a full-world gather would block on the dead ranks forever).
-	rosterBuf := make([]float64, cfg.N)
-	n, err := tr.RecvInto(ctrlRank, ctrlRosterTag, rosterBuf)
-	if err != nil {
-		return nil, err
-	}
-	roster, err := decodeRoster(rosterBuf[:n], cfg.N)
-	if err != nil {
-		return nil, err
-	}
-
-	// The tail gather reuses the worker's collective options: TraceIter
-	// still carries the last group op's iteration tag, the behavior the
-	// trace goldens pin.
-	all, err := collective.GatherOpts(tr, roster, gatherOpID, ctrlRank, w.Model.Params(), w.Env.Copts)
-	if err != nil {
-		return nil, err
-	}
-	if !host {
-		// Stay up until the root is done with this rank's gather frame: the
-		// listener ends on the host's sentinel, or when the host is gone.
+	params := w.Model.Params()
+	if completed == nil {
+		// Hand the final model to the host, then stay up until the host is
+		// done with it: the listener ends on the host's sentinel, or when
+		// the host is gone.
+		if err := tr.Send(ctrlRank, ctrlModelTag, params); err != nil {
+			return nil, err
+		}
 		<-end.released
+		return report(), nil
+	}
+
+	// The average runs over the ranks that completed, in rank order (a
+	// full-world average would block on the dead forever).
+	done := <-completed
+	if done == nil {
+		return report(), nil // the service failed; RunWorker reports why
+	}
+	avg := tensor.NewVector(base.NumParams())
+	in := make([]float64, len(params))
+	n := 0
+	for r, finished := range done {
+		if !finished {
+			continue
+		}
+		p := params
+		if r != ctrlRank {
+			got, err := tr.RecvIntoTimeout(r, ctrlModelTag, in, w.Env.Copts.Timeout)
+			if err != nil {
+				return nil, fmt.Errorf("live: final model of rank %d: %w", r, err)
+			}
+			if got != len(in) {
+				return nil, fmt.Errorf("live: final model of rank %d holds %d parameters, want %d", r, got, len(in))
+			}
+			p = in
+		}
+		avg.Add(p)
+		n++
 	}
 	rep := report()
-	if host {
-		avg := tensor.NewVector(base.NumParams())
-		for _, p := range all {
-			avg.Add(p)
-		}
-		avg.Scale(1 / float64(len(all)))
-		base.SetParams(avg)
-		rep.FinalAccuracy = model.Accuracy(base, cfg.Test)
-	}
+	avg.Scale(1 / float64(n))
+	base.SetParams(avg)
+	rep.FinalAccuracy = model.Accuracy(base, cfg.Test)
 	return rep, nil
 }

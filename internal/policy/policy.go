@@ -17,7 +17,7 @@
 // Three policies ship:
 //
 //   - static: today's behavior — P = min(configured P, alive workers),
-//     FIFO membership, configured decay. Attached to a controller it is
+//     FIFO membership, default decay. Attached to a controller it is
 //     bit-identical to running with no policy at all; it exists so the
 //     policy plumbing itself is covered by the metamorphic tests.
 //   - adaptive-p: shrinks or grows P between configured bounds from the
@@ -141,7 +141,7 @@ type Decision struct {
 	// or more workers arrive.
 	P int
 	// Alpha overrides the dynamic-weight decay for this group when in
-	// (0,1); 0 keeps the configured decay.
+	// (0,1); 0 keeps the default decay.
 	Alpha float64
 	// Bias, when non-nil, is a permutation of the queue indices giving
 	// the preferred service order; the controller reorders the queue to

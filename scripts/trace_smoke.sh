@@ -7,11 +7,13 @@
 #    scoreboard, and arms the watchdog (blame-spike SLO) with the flight
 #    recorder: /metrics and pprof are scraped mid-run, and /healthz is
 #    polled until it flips to 503 naming blame-spike.
-# 3. Exactly one postmortem bundle must land in the recorder directory.
+# 3. Exactly one postmortem bundle directory must land in the recorder
+#    directory, with no temporary directory left behind.
 # 4. preduce-analyze -validate reads every artifact in one run: the
 #    simulator's Chrome trace, the live traces as one merged timeline
-#    (clock offsets, monotonicity, span integrity), and the bundle (CRCs,
-#    canonical form, rendered with the blame report of its trace ring);
+#    (clock offsets, monotonicity, span integrity), and the bundle (every
+#    part against the manifest's sizes and CRCs, rendered with the blame
+#    report of its trace ring);
 #    the merged Chrome trace it exports is schema-checked too.
 #
 # Everything is stdlib + curl; the run takes a few seconds.
@@ -97,8 +99,10 @@ grep -q "straggler scoreboard" "$DIR/r0.log" \
     || { echo "trace-smoke: FAILED: no scoreboard dump on rank 0 stderr"; exit 1; }
 
 echo "trace-smoke: checking bundle count"
-count=$(ls "$DIR/postmortems"/postmortem-*.tar | wc -l)
-[ "$count" -eq 1 ] || { echo "trace-smoke: FAILED: $count bundles, want exactly 1"; ls "$DIR/postmortems"; exit 1; }
+count=$(find "$DIR/postmortems" -mindepth 1 -maxdepth 1 -type d -name 'postmortem-*' | wc -l)
+[ "$count" -eq 1 ] || { echo "trace-smoke: FAILED: $count bundles, want exactly 1"; ls -a "$DIR/postmortems"; exit 1; }
+litter=$(find "$DIR/postmortems" -mindepth 1 -maxdepth 1 -name '.tmp-postmortem-*' | wc -l)
+[ "$litter" -eq 0 ] || { echo "trace-smoke: FAILED: $litter temporary bundle directories left behind"; ls -a "$DIR/postmortems"; exit 1; }
 
 echo "trace-smoke: reading every artifact (sim Chrome, merged live JSONL, bundle)"
 "$DIR/preduce-analyze" -validate -top 3 -chrome "$DIR/merged.json" "$DIR/sim.json" \
