@@ -127,11 +127,14 @@ trace-smoke:
 # as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
 # frame size, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides):
 # select one cell and add -cpuprofile for the product's per-step profile.
+# BenchmarkTCPRoundTrip is a loopback ping-pong at 3, 36 and 32 Ki elements
+# (a signal, a ctrl_tcp ring segment, a comm_tcp frame): the per-frame cost
+# of the read loop, profiled the same way.
 # Per-layer numbers from a real run: bash bench/run.sh --workload W --trace 1.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -p 1 ./internal/collective/ ./internal/transport/ ./internal/tensor/ ./internal/model/ ./internal/optim/ ./internal/live/ \
-		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkAddScaled|BenchmarkMulVec$$|BenchmarkMLPGradient$$|BenchmarkFactoredStep$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
+		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkTCPRoundTrip|BenchmarkAddScaled|BenchmarkMulVec$$|BenchmarkMLPGradient$$|BenchmarkFactoredStep$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
 		-benchmem -benchtime $(BENCHTIME)
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
 	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)
@@ -158,11 +161,13 @@ WORKLOADS ?= $(BENCH_WORKLOADS)
 pairs:
 	sh scripts/pairs.sh $(BASE) "$(WORKLOADS)" $(PAIRS)
 
-# Short fuzz pass over the wire codecs — transport frames and the live
-# control payloads (longer runs: raise FUZZTIME).
+# Short fuzz pass over the wire codecs — transport frames (one at a time, as a
+# stream through the read loop's buffered reader, and from the value side) and
+# the live control payloads (longer runs: raise FUZZTIME).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameStream -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/live/ -run '^$$' -fuzz FuzzControlCodec -fuzztime $(FUZZTIME)
 

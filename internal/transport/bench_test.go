@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"partialreduce/internal/bufpool"
@@ -62,5 +63,50 @@ func BenchmarkSendRecvInto(b *testing.B) {
 		if _, err := eps[1].RecvInto(0, 7, dst); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTCPRoundTrip measures one ping-pong over a 2-rank loopback mesh:
+// rank 0 sends, rank 1 echoes, rank 0 receives. 3 elements is a control
+// signal, 36 a ctrl_tcp P = 3 ring segment (both one read in the read loop),
+// 32 Ki a comm_tcp frame (the transport's FrameElems). Add -cpuprofile to see
+// the read loop's syscalls per frame.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	for _, n := range []int{3, 36, tcpFrameElems} {
+		b.Run(fmt.Sprintf("elems=%d", n), func(b *testing.B) {
+			eps := startTCPWorld(b, 2)
+			payload := make([]float64, n)
+			dst := make([]float64, n)
+			echo := make([]float64, n)
+			errc := make(chan error, 1)
+			go func() {
+				for i := 0; i < b.N; i++ {
+					if _, err := eps[1].RecvInto(0, 7, echo); err != nil {
+						errc <- err
+						return
+					}
+					if err := eps[1].Send(0, 7, echo); err != nil {
+						errc <- err
+						return
+					}
+				}
+				errc <- nil
+			}()
+			b.SetBytes(int64(2 * 8 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eps[0].Send(1, 7, payload); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eps[0].RecvInto(1, 7, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := <-errc; err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -142,6 +143,85 @@ func TestTCPCorruptFrameFailsOnlySender(t *testing.T) {
 	}
 	if got, err := recv(eps[1], 0, 102); err != nil || got[0] != 7 {
 		t.Fatalf("survivor recv: %v %v", got, err)
+	}
+}
+
+// TestTCPFrameBurstAcrossReadBuffer: the read loop reads through a
+// tcpReadBufBytes buffer, so frames share reads and straddle its edge. One
+// write carries frames on both sides of the 510-element boundary (header plus
+// body fill the buffer), an empty non-heartbeat frame, a 32 Ki-element frame
+// (whose body is read past the buffer) and a heartbeat; a second write splits
+// one header across two writes. Every frame arrives bit-exact under its own
+// tag, the heartbeat is never delivered, and a bad checksum after all that
+// still fails only the sender, and only at the rank it was sent to.
+func TestTCPFrameBurstAcrossReadBuffer(t *testing.T) {
+	edge := (tcpReadBufBytes - frameHeaderSize) / 8 // 510: the largest one-read frame
+	var conns map[int]net.Conn
+	eps := startPartialTCPWorld(t, 3, 2, TCPOptions{}, func(addrs []string) {
+		conns = fakePeer(t, 2, map[int]string{0: addrs[0], 1: addrs[1]})
+	})
+
+	want := map[uint64][]float64{}
+	var burst []byte
+	for i, n := range []int{0, 1, edge - 1, edge, edge + 1, 32 << 10} {
+		tag := uint64(200 + i)
+		want[tag] = awkwardPayload(n)
+		burst = EncodeFrameInto(burst, tag, want[tag])
+		if n == edge-1 {
+			burst = EncodeFrameInto(burst, hbTag, nil)
+		}
+	}
+	if _, err := conns[0].Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	const splitTag = 210
+	want[splitTag] = awkwardPayload(3)
+	split := EncodeFrameInto(nil, splitTag, want[splitTag])
+	for _, part := range [][]byte{split[:7], split[7:]} {
+		if _, err := conns[0].Write(part); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	dst := make([]float64, 32<<10)
+	for tag, payload := range want {
+		n, err := eps[0].RecvIntoTimeout(2, tag, dst, 10*time.Second)
+		if err != nil {
+			t.Fatalf("tag %d: %v", tag, err)
+		}
+		if err := sameBits(dst[:n], payload); err != nil {
+			t.Fatalf("tag %d: %v", tag, err)
+		}
+	}
+	// The heartbeat preceded the split frame on the stream, so had it been
+	// delivered it would be in the mailbox by now.
+	if _, err := eps[0].RecvIntoTimeout(2, hbTag, dst, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("heartbeat receive: err=%v, want a timeout", err)
+	}
+
+	bad := EncodeFrameInto(nil, 211, []float64{2, 3})
+	bad[frameHeaderSize+9] ^= 0x02
+	if _, err := conns[0].Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if down := eps[0].DownPeers(); len(down) == 1 && down[0] == 2 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("bad frame after a burst not isolated to its sender: down=%v", down)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := conns[1].Write(EncodeFrameInto(nil, 212, []float64{9})); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := recv(eps[1], 2, 212); err != nil || got[0] != 9 {
+		t.Fatalf("rank 1 lost peer 2 over rank 0's bad frame: %v %v", got, err)
+	}
+	if down := eps[1].DownPeers(); len(down) != 0 {
+		t.Fatalf("uninvolved rank condemned peers: %v", down)
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"partialreduce/internal/bufpool"
 )
 
 // --- frame codec fuzzing -------------------------------------------------
@@ -62,6 +65,50 @@ func FuzzFrameCodec(f *testing.F) {
 		}
 		if got := EncodeFrameInto(nil, tag, payload); !bytes.Equal(got, data[:used]) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:used], got)
+		}
+	})
+}
+
+// FuzzFrameStream checks the decoder on the stream the TCP read loop reads:
+// frames one after another through one tcpReadBufBytes buffered reader, so
+// frames share reads and straddle the buffer's edge. Decoding stops at the
+// first error; every frame accepted before it re-encodes to exactly the bytes
+// it consumed, and those frames, concatenated, are the consumed prefix.
+func FuzzFrameStream(f *testing.F) {
+	// A header that straddles the buffer's edge, then a body that does.
+	edge := (tcpReadBufBytes - frameHeaderSize) / 8
+	f.Add(EncodeFrameInto(EncodeFrameInto(EncodeFrameInto(nil, 0, nil), 1, make([]float64, edge-3)), 2, []float64{1}))
+	f.Add(EncodeFrameInto(EncodeFrameInto(nil, 3, []float64{2}), 4, make([]float64, edge)))
+	f.Add(append(EncodeFrameInto(EncodeFrameInto(nil, hbTag, nil), 5, []float64{6}), 0xAB))
+	corrupt := EncodeFrameInto(EncodeFrameInto(nil, 1, []float64{1, 2}), 2, []float64{3})
+	corrupt[len(corrupt)-1] ^= 0x01
+	f.Add(corrupt)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		br := bufio.NewReaderSize(src, tcpReadBufBytes)
+		hdr := make([]byte, frameHeaderSize)
+		var accepted []byte
+		used := 0
+		for {
+			tag, payload, err := readFrame(br, hdr, fuzzMaxElems)
+			if err != nil {
+				break
+			}
+			if len(payload) > fuzzMaxElems {
+				t.Fatalf("decoder accepted %d elements past the limit", len(payload))
+			}
+			end := len(data) - src.Len() - br.Buffered()
+			if got := EncodeFrameInto(nil, tag, payload); !bytes.Equal(got, data[used:end]) {
+				t.Fatalf("frame at byte %d not canonical:\n in  %x\n out %x", used, data[used:end], got)
+			}
+			accepted = EncodeFrameInto(accepted, tag, payload)
+			bufpool.PutFloat64(payload)
+			used = end
+		}
+		if !bytes.Equal(accepted, data[:used]) {
+			t.Fatalf("accepted frames (%d bytes) differ from the %d-byte consumed prefix", len(accepted), used)
 		}
 	})
 }

@@ -78,12 +78,14 @@ func EncodeFrameInto(dst []byte, tag uint64, payload []float64) []byte {
 func FrameLen(payload []float64) int { return frameHeaderSize + 8*len(payload) }
 
 // readFrame reads and verifies one frame from r: the element count is
-// bounded by maxElems before a buffer is sized from it, the body is read
-// straight into a pooled payload's bytes, and nothing is returned before it
-// matches the header's checksum. hdr is frameHeaderSize bytes of caller-owned
-// scratch, so a read loop allocates nothing per frame. The payload is the
-// caller's to hand on or recycle; on an error it is already back in the pool
-// and nothing further from r is usable: frame boundaries are lost.
+// bounded by maxElems before a buffer is sized from it, the body is read into
+// a pooled payload's bytes (over TCP, r is the read loop's page-sized
+// buffered reader: what it holds is copied out, the rest of a large body is
+// read directly), and nothing is returned before it matches the header's
+// checksum. hdr is frameHeaderSize bytes of caller-owned scratch, so a read
+// loop allocates nothing per frame. The payload is the caller's to hand on or
+// recycle; on an error it is already back in the pool and nothing further
+// from r is usable: frame boundaries are lost.
 func readFrame(r io.Reader, hdr []byte, maxElems int) (tag uint64, payload []float64, err error) {
 	if _, err := io.ReadFull(r, hdr[:frameHeaderSize]); err != nil {
 		return 0, nil, err

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -227,29 +228,34 @@ func TestRecvIntoShortBufferBlocked(t *testing.T) {
 }
 
 // assertSendRecvAllocFree is the data-plane allocation gate at the transport
-// layer: after warm-up, a Send on a / RecvInto on b round trip of a
-// ring-segment-sized payload touches only pooled memory. AllocsPerRun counts
-// the whole process, so a TCP read loop's allocations are included.
+// layer: after warm-up, a Send on a / RecvInto on b round trip touches only
+// pooled memory, both for a control-sized payload (3 elements: a signal, a
+// frame the TCP read loop takes in one read) and for a ring segment (4096,
+// which over TCP reads past the read loop's buffer). AllocsPerRun counts the
+// whole process, so a TCP read loop's allocations are included.
 func assertSendRecvAllocFree(t *testing.T, a, b Transport) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
-	payload := make([]float64, 4096)
-	dst := make([]float64, 4096)
-	step := func() {
-		if err := a.Send(b.Rank(), 7, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.RecvInto(a.Rank(), 7, dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		step() // warm the pool (and, over TCP, the socket's iovec cache and the poller)
-	}
-	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
-		t.Fatalf("steady-state Send/RecvInto allocates %.2f times per round trip", allocs)
+	for _, n := range []int{3, 4096} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			if raceEnabled {
+				t.Skip("race-detector instrumentation allocates")
+			}
+			payload := make([]float64, n)
+			dst := make([]float64, n)
+			step := func() {
+				if err := a.Send(b.Rank(), 7, payload); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.RecvInto(a.Rank(), 7, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				step() // warm the pool (and, over TCP, the socket's iovec cache and the poller)
+			}
+			if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
+				t.Fatalf("steady-state Send/RecvInto of %d elements allocates %.2f times per round trip", n, allocs)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -271,8 +272,9 @@ func (t *TCP) attach(peer int, c net.Conn) bool {
 // socket open and the peer's later sends falling into the void.
 func (t *TCP) readLoop(peer int, c net.Conn) {
 	hdr := make([]byte, frameHeaderSize)
+	br := bufio.NewReaderSize(c, tcpReadBufBytes)
 	for {
-		tag, payload, err := readFrame(c, hdr, t.opts.MaxFrameElems)
+		tag, payload, err := readFrame(br, hdr, t.opts.MaxFrameElems)
 		if err != nil {
 			t.peerLost(peer)
 			return
@@ -460,10 +462,18 @@ func (t *TCP) FailSelf() {
 }
 
 // tcpFrameElems is TCP's preferred frame size: 32 Ki elements (256 KiB).
-// Every frame pays a writev, a read in the read loop, a CRC set-up and a
-// mailbox hand-off; at 32 Ki those are noise, and a P = 3 group's ring step
-// still pipelines over a few segments (the sweep is in DESIGN.md).
+// Every frame pays a writev, a read or two in the read loop, a CRC set-up
+// and a mailbox hand-off; at 32 Ki those are noise, and a P = 3 group's ring
+// step still pipelines over a few segments (the sweep is in DESIGN.md).
 const tcpFrameElems = 32 << 10
+
+// tcpReadBufBytes sizes each read loop's buffer: one page. A frame of up to
+// 510 elements (header and body) arrives in one read syscall instead of two,
+// and frames that arrive back to back share one: a signal, a reply and a
+// small model's ring segment all fit. A larger body drains the buffer, then
+// reads straight into its pooled payload, so the extra copy is bounded by the
+// buffer, not the frame.
+const tcpReadBufBytes = 4 << 10
 
 // FrameElems implements Transport: the preferred size, capped at the
 // receivers' MaxFrameElems so the ring never sends a frame a peer would

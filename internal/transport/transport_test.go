@@ -133,7 +133,7 @@ func TestMemRangeChecks(t *testing.T) {
 	}
 }
 
-func freeAddrs(t *testing.T, n int) []string {
+func freeAddrs(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -151,7 +151,7 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-func startTCPWorld(t *testing.T, n int) []*TCP {
+func startTCPWorld(t testing.TB, n int) []*TCP {
 	t.Helper()
 	addrs := freeAddrs(t, n)
 	eps := make([]*TCP, n)
