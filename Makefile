@@ -79,14 +79,15 @@ fmaguard:
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
 # loopback-TCP Send/RecvInto round trips, full segmented ring in place and out
 # of place, the out-of-place ring over loopback TCP at its 32 Ki frame size,
-# kernel dispatch, the gradient with its views bound, the factored B = 1 local
-# step) must not touch the heap. The assertions skip themselves under -race
+# the one-frame exchange over Mem and TCP at 108 elements, kernel dispatch,
+# the gradient with its views bound, the factored B = 1 local step) must not
+# touch the heap. The assertions skip themselves under -race
 # (whose instrumentation allocates), so ci runs them in a dedicated non-race
 # pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
 	$(GO) test ./internal/transport/ -run 'TestRecvIntoSteadyStateAllocFree|TestTCPSendRecvSteadyStateAllocFree' -count 1
-	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree|TestReduceIntoTCPSteadyStateAllocFree' -count 1
+	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree|TestReduceIntoTCPSteadyStateAllocFree|TestExchangeSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
 	$(GO) test ./internal/model/ -run 'TestGradientSteadyStateAllocFree|TestFactoredStepSteadyStateAllocFree' -count 1
 
@@ -127,6 +128,8 @@ trace-smoke:
 # as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
 # frame size, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides):
 # select one cell and add -cpuprofile for the product's per-step profile.
+# BenchmarkReduceIntoSmall is ctrl_tcp's 108-element average over loopback
+# TCP at g = 3 and 8, one-frame exchange against the ring it replaces.
 # BenchmarkTCPRoundTrip is a loopback ping-pong at 3, 36 and 32 Ki elements
 # (a signal, a ctrl_tcp ring segment, a comm_tcp frame): the per-frame cost
 # of the read loop, profiled the same way.
@@ -134,7 +137,7 @@ trace-smoke:
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -p 1 ./internal/collective/ ./internal/transport/ ./internal/tensor/ ./internal/model/ ./internal/optim/ ./internal/live/ \
-		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkTCPRoundTrip|BenchmarkAddScaled|BenchmarkMulVec$$|BenchmarkMLPGradient$$|BenchmarkFactoredStep$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
+		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkReduceIntoSmall|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkTCPRoundTrip|BenchmarkAddScaled|BenchmarkMulVec$$|BenchmarkMLPGradient$$|BenchmarkFactoredStep$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
 		-benchmem -benchtime $(BENCHTIME)
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
 	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)

@@ -63,9 +63,9 @@ func main() {
 	ctrlTimeout := flag.Duration("ctrl-timeout", 0,
 		"bound a worker's wait for a group reply; on expiry the ready signal is re-sent (0: wait forever)")
 	collTimeout := flag.Duration("collective-timeout", 0,
-		"bound every receive inside group collectives so severed links surface as timeouts (0: wait forever)")
+		"bound every receive inside group collectives so severed links surface as timeouts (0: wait forever; same on every rank)")
 	retryMax := flag.Int("retry-max", 0,
-		"collective attempts after a receive timeout before aborting the group (0 or 1: no retry)")
+		"collective attempts after a receive timeout before aborting the group (0 or 1: no retry; same on every rank)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond,
 		"base backoff before a collective retry; doubles per attempt with seeded jitter")
 	tracePath := flag.String("trace", "",

@@ -6,16 +6,16 @@
 // what P-Reduce needs: each controller-formed group runs its own collective,
 // and disjoint groups run concurrently without interference.
 //
-// Data plane (see DESIGN.md): there is one ring, ReduceInto, and the sum, mean
-// and weighted-average entry points are its in-place wrappers. Every ring step
-// moves its chunk in segments of the transport's FrameElems (or an explicit
-// Options.SegmentElems) elements, and the segments pipeline — segment k+1 is
-// on the wire while segment k is being reduced — in the style of Gloo's
-// segmented rings. Receives land via RecvIntoTimeout in pooled or in-place
-// buffers and the weighting, the sum and the post-scale are one pass on the
-// tensor.ScaleAddInto kernel, so a steady-state ring step performs zero heap
-// allocations. Per-operation counters (bytes, phase wall time, segments)
-// accumulate into OpStats.
+// Data plane (see DESIGN.md): there is one reduction, ReduceInto, and the sum,
+// mean and weighted-average entry points are its in-place wrappers. It is a
+// ring whose steps move their chunk in segments of the transport's FrameElems
+// (or an explicit Options.SegmentElems) elements, pipelined Gloo-style, or —
+// when 4(g−1)·n fits one segment and there is no retry budget — a one-frame
+// exchange with the same sums in the same order. Receives land via
+// RecvIntoTimeout in pooled or in-place buffers and the weighting, the sum
+// and the post-scale are one pass on the tensor.ScaleAddInto kernel, so a
+// steady-state operation performs zero heap allocations. Per-operation
+// counters (bytes, phase wall time, segments) accumulate into OpStats.
 package collective
 
 import (
@@ -48,9 +48,9 @@ func tag(opID uint32, phase, step int) uint64 {
 }
 
 // epochPhase folds a retry epoch into the 8-bit phase byte: epoch<<3 | phase.
-// Phases fit 3 bits (1–4), leaving 5 bits ≡ MaxEpochs retry epochs. A retry
-// attempt uses fresh tags everywhere, so stale frames from the failed attempt
-// can never alias the new one.
+// Phases fit 3 bits (1–3; bootstrap 7), leaving 5 bits ≡ MaxEpochs retry
+// epochs. A retry attempt uses fresh tags everywhere, so stale frames from the
+// failed attempt can never alias the new one.
 func epochPhase(epoch, phase int) int { return epoch<<3 | phase }
 
 // MaxEpochs is the number of distinguishable retry epochs per operation; a
@@ -60,6 +60,7 @@ const MaxEpochs = 32
 const (
 	phaseReduceScatter = 1
 	phaseAllGather     = 2
+	phaseExchange      = 3
 )
 
 // maxVirtualStep bounds the step field of a tag.
@@ -75,10 +76,10 @@ type OpStats struct {
 	// (8 bytes per float64 element; frame headers excluded).
 	BytesSent int64
 	BytesRecv int64
-	// Segments counts pipeline segments sent.
+	// Segments counts pipeline segments sent (an exchange: one per peer).
 	Segments int64
 	// ReduceScatter and AllGather are wall time spent in the two ring
-	// phases.
+	// phases (an exchange: its local sum and its input exchange).
 	ReduceScatter time.Duration
 	AllGather     time.Duration
 	// Retries counts retried attempts after a receive deadline expired,
@@ -217,7 +218,8 @@ type Options struct {
 	Timeout time.Duration
 	// Retry governs what a ring collective does after a timeout: purge the
 	// failed attempt's frames, back off, and retry under a fresh tag epoch.
-	// The zero value disables retry (a timeout fails the op immediately).
+	// The zero value disables retry (a timeout fails the op immediately); a
+	// budget above one attempt keeps small inputs off the one-frame exchange.
 	Retry RetryPolicy
 	// Tracer, when non-nil, records the collective's timeline: the whole
 	// operation as a KCollective span, the two ring phases as
@@ -278,9 +280,9 @@ func segCount(n, seg int) int {
 	return (n + seg - 1) / seg
 }
 
-// ring is the per-call state of one segmented ring collective: neighbors,
+// ring is the per-call state of one ReduceInto, ring or exchange: neighbors,
 // the agreed segment geometry, the operands of the fused reduce, the pooled
-// segment buffers of the reduce phase, and the stats sink.
+// buffers of the reduce phase, and the stats sink.
 type ring struct {
 	t          transport.Transport
 	opID       uint32
@@ -291,7 +293,7 @@ type ring struct {
 	segsPer    int // tag stride: max segments of any ring step
 	dst, src   []float64
 	weight     float64   // the caller's coefficient on src
-	in         []float64 // pooled: the segment a reduce step receives
+	in         []float64 // pooled: the segment a reduce step receives (exchange: all g inputs)
 	out        []float64 // pooled: the weight-scaled segment leaving at step 0 (nil when weight == 1)
 	stats      *OpStats
 }
@@ -398,16 +400,17 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 	return nil
 }
 
-// ReduceInto is the ring all-reduce: it leaves post · Σ_i weight_i·src_i —
+// ReduceInto is the all-reduce: it leaves post · Σ_i weight_i·src_i —
 // each member's own weight times its own src, summed over group — in every
 // member's dst. All members must call it with the same group, opID, vector
-// length, post, and segment size (the default, the transport's FrameElems,
-// is the same at every endpoint of a world built with one set of options).
-// A group of one computes post·(weight·src) locally. The folded weighting
-// and post-scale (see ring.step) round exactly as separate Scale passes
-// would, and the result is bit-identical for every
-// segment size: segmentation only changes message boundaries, never the
-// per-element order of operations.
+// length, post, segment size (the default, the transport's FrameElems, is
+// the same at every endpoint of a world built with one set of options) and
+// attempt budget. A group of one computes post·(weight·src) locally. The
+// folded weighting and post-scale (see ring.step) round exactly as separate
+// Scale passes would, and the result is bit-identical for every
+// segment size: segmentation, and the one-frame exchange selected for
+// small inputs when there is no retry budget (see exchange), only change
+// message boundaries, never the per-element order of operations.
 //
 // dst is either src itself (in place) or a buffer that does not overlap it.
 // Out of place, src is never written: an operation that fails — peer down,
@@ -449,15 +452,26 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 		attempts = 1 // without deadlines there is nothing to retry from
 	}
 
+	// One hop when everything a member sends — its whole input to each peer —
+	// fits a quarter segment; above that the ring's pipelined 1/g chunks win
+	// (docs/perf-log.md, "one-frame exchange": the crossover sits near half a
+	// segment over loopback TCP, near a quarter in memory). Only without a
+	// retry budget: a member whose peers all completed on the first attempt
+	// would retry alone, with nobody left to resend to it.
+	exchange := attempts == 1 && 4*(g-1)*n <= seg
 	r := newRing(t, group, pos, opID, n, seg, stats)
 	r.deadline = opt.Timeout
 	r.dst, r.src, r.weight = dst, src, weight
-	r.in = bufpool.GetFloat64(min(r.seg, n/g+1))
-	defer bufpool.PutFloat64(r.in)
-	if weight != 1 {
-		r.out = bufpool.GetFloat64(len(r.in))
-		defer bufpool.PutFloat64(r.out)
+	if exchange {
+		r.in = bufpool.GetFloat64(g * n)
+	} else {
+		r.in = bufpool.GetFloat64(min(r.seg, n/g+1))
+		if weight != 1 {
+			r.out = bufpool.GetFloat64(len(r.in))
+			defer bufpool.PutFloat64(r.out)
+		}
 	}
+	defer bufpool.PutFloat64(r.in)
 
 	var snapshot []float64 // of an in-place input, for retries to restore
 	var rng *jitterRNG
@@ -489,7 +503,12 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 			opt.Tracer.Instant(trace.KRetry, opt.TraceTrack, opt.TraceIter, int64(opID), int64(a))
 		}
 		r.epoch = a
-		err := r.attempt(g, pos, post, opt)
+		var err error
+		if exchange {
+			err = r.exchange(group, pos, post, opt)
+		} else {
+			err = r.attempt(g, pos, post, opt)
+		}
 		if err == nil {
 			if a > 0 {
 				// Stale frames from failed epochs may still trickle in;
@@ -566,6 +585,67 @@ func (r *ring) attempt(g, pos int, post float64, opt Options) error {
 		r.stats.AllGather += time.Since(mid)
 	}
 	opt.Tracer.Span(trace.KAllGather, opt.TraceTrack, opt.TraceIter, trMid, int64(r.opID), 0)
+	return nil
+}
+
+// exchange is the one-hop alternative to attempt for inputs so small that
+// each ring step would move a fraction of a frame: every member sends
+// weight·src whole to the other g−1 and receives theirs into r.in, one slot
+// per group position, then forms chunk c as the ring does — position c, plus
+// c+1, …, c+g−1 in turn, post on the last add — so the bits are the ring's.
+// dst is written only after every receive has succeeded.
+func (r *ring) exchange(group []int, pos int, post float64, opt Options) error {
+	g, n := len(group), len(r.src)
+	start := time.Now()
+	trStart := opt.Tracer.Now()
+	tg := tag(r.opID, phaseExchange, 0) // epoch 0: the exchange never retries
+	slot := func(q int) []float64 { return r.in[q*n : (q+1)*n] }
+	tensor.ScaleInto(slot(pos), r.src, r.weight)
+	for k := 1; k < g; k++ {
+		if err := r.t.Send(group[(pos+k)%g], tg, slot(pos)); err != nil {
+			return err
+		}
+		if r.stats != nil {
+			r.stats.BytesSent += int64(8 * n)
+			r.stats.Segments++
+		}
+	}
+	for k := 1; k < g; k++ {
+		q := (pos - k + g) % g
+		got, err := r.t.RecvIntoTimeout(group[q], tg, slot(q), r.deadline)
+		if err != nil {
+			return err
+		}
+		if got != n {
+			return fmt.Errorf("collective: exchange size mismatch %d != %d", n, got)
+		}
+		if r.stats != nil {
+			r.stats.BytesRecv += int64(8 * n)
+		}
+	}
+	mid := time.Now()
+	if r.stats != nil {
+		r.stats.AllGather += mid.Sub(start)
+	}
+	opt.Tracer.Span(trace.KAllGather, opt.TraceTrack, opt.TraceIter, trStart, int64(r.opID), 0)
+
+	trMid := opt.Tracer.Now()
+	for c := 0; c < g; c++ {
+		lo, hi := chunk(n, g, c)
+		acc := slot(c)[lo:hi]
+		for k := 1; k < g; k++ {
+			p := 1.0
+			if k == g-1 {
+				p = post
+			}
+			tensor.ScaleAddInto(r.dst[lo:hi], slot((c + k) % g)[lo:hi], acc, 1, p)
+			acc = r.dst[lo:hi]
+		}
+	}
+	if r.stats != nil {
+		r.stats.ReduceScatter += time.Since(mid)
+	}
+	opt.Tracer.Span(trace.KReduceScatter, opt.TraceTrack, opt.TraceIter, trMid, int64(r.opID), 0)
 	return nil
 }
 

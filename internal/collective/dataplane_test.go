@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,26 +11,28 @@ import (
 	"partialreduce/internal/transport"
 )
 
-// runReduce runs ReduceInto concurrently on every member — member i reduces
-// srcs[i] into dsts[i] with weights[i] — and returns the first error.
-func runReduce(eps []*transport.Mem, group []int, opID uint32, dsts, srcs [][]float64, weights []float64, post float64, opt Options) error {
+// reduceWorld runs ReduceInto concurrently on every rank of world (the group
+// is the whole world) and returns each rank's counters and error.
+func reduceWorld(world []transport.Transport, opID uint32, dsts, srcs [][]float64, weights []float64, post float64, opt Options) ([]OpStats, []error) {
+	g := len(world)
+	group := make([]int, g)
+	for r := range group {
+		group[r] = r
+	}
+	stats := make([]OpStats, g)
+	errs := make([]error, g)
 	var wg sync.WaitGroup
-	errs := make([]error, len(group))
-	for i, r := range group {
-		i, r := i, r
+	for r := range world {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = ReduceInto(eps[r], group, opID, dsts[i], srcs[i], weights[i], post, opt)
+			o := opt
+			o.Stats = &stats[r]
+			errs[r] = ReduceInto(world[r], group, opID, dsts[r], srcs[r], weights[r], post, o)
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return stats, errs
 }
 
 // serialReduce is the ring's arithmetic without the ring: element i of chunk
@@ -93,7 +96,7 @@ func TestQuickSegmentedBitIdentical(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			post = 1 / float64(g)
 		}
-		world := transport.NewMem(g)
+		world := asWorld(transport.NewMem(g))
 		group := make([]int, g)
 		weights := make([]float64, g)
 		xs := make([][]float64, g)
@@ -122,15 +125,19 @@ func TestQuickSegmentedBitIdentical(t *testing.T) {
 				out[r][i] = math.NaN() // every element must be overwritten
 			}
 		}
-		if err := runReduce(world, group, 1, plain, plain, weights, post, Options{SegmentElems: max(d, 1)}); err != nil {
+		run := func(opID uint32, dsts, srcs [][]float64, seg int) error {
+			_, errs := reduceWorld(world, opID, dsts, srcs, weights, post, Options{SegmentElems: seg})
+			return errors.Join(errs...)
+		}
+		if err := run(1, plain, plain, max(d, 1)); err != nil {
 			t.Logf("one segment per step: %v", err)
 			return false
 		}
-		if err := runReduce(world, group, 2, segged, segged, weights, post, Options{SegmentElems: seg}); err != nil {
+		if err := run(2, segged, segged, seg); err != nil {
 			t.Logf("segmented in place (seg=%d): %v", seg, err)
 			return false
 		}
-		if err := runReduce(world, group, 3, out, src, weights, post, Options{SegmentElems: seg}); err != nil {
+		if err := run(3, out, src, seg); err != nil {
 			t.Logf("segmented out of place (seg=%d): %v", seg, err)
 			return false
 		}

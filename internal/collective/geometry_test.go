@@ -1,9 +1,11 @@
 package collective
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"partialreduce/internal/transport"
 )
@@ -17,14 +19,37 @@ func asWorld[T transport.Transport](eps []T) []transport.Transport {
 	return out
 }
 
-// tcpWorld builds an n-rank loopback TCP mesh, closed at cleanup.
-func tcpWorld(t *testing.T, n int, opts transport.TCPOptions) []transport.Transport {
+// tcpWorld builds an n-rank loopback TCP mesh, closed at cleanup. A port the
+// kernel reported free can be taken before its endpoint binds it, so a mesh
+// that fails to form is torn down and rebuilt on fresh ports; only five
+// failures in a row fail the test.
+func tcpWorld(t testing.TB, n int, opts transport.TCPOptions) []transport.Transport {
 	t.Helper()
+	if opts.MeshTimeout == 0 {
+		opts.MeshTimeout = 3 * time.Second
+	}
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		var eps []*transport.TCP
+		if eps, err = tcpWorldOnce(n, opts); err == nil {
+			t.Cleanup(func() {
+				for _, ep := range eps {
+					ep.Close()
+				}
+			})
+			return asWorld(eps)
+		}
+	}
+	t.Fatal(err)
+	return nil
+}
+
+func tcpWorldOnce(n int, opts transport.TCPOptions) ([]*transport.TCP, error) {
 	addrs := make([]string, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		addrs[i] = ln.Addr().String()
 		ln.Close()
@@ -40,19 +65,17 @@ func tcpWorld(t *testing.T, n int, opts transport.TCPOptions) []transport.Transp
 		}()
 	}
 	wg.Wait()
-	t.Cleanup(func() {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
-		}
-	})
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+			for _, ep := range eps {
+				if ep != nil {
+					ep.Close()
+				}
+			}
+			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
-	return asWorld(eps)
+	return eps, nil
 }
 
 // reduceEverywhere runs a default-Options ReduceInto of xs[r] on every rank
@@ -61,22 +84,12 @@ func tcpWorld(t *testing.T, n int, opts transport.TCPOptions) []transport.Transp
 func reduceEverywhere(t *testing.T, world []transport.Transport, xs [][]float64) ([][]float64, []OpStats) {
 	t.Helper()
 	g := len(world)
-	group := make([]int, g)
-	for r := range group {
-		group[r] = r
+	weights := make([]float64, g)
+	for r := range weights {
+		weights[r] = 1 / float64(g)
 	}
 	dst := nanVectors(g, len(xs[0]))
-	stats := make([]OpStats, g)
-	errs := make([]error, g)
-	var wg sync.WaitGroup
-	for r := range world {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = ReduceInto(world[r], group, 1, dst[r], xs[r], 1/float64(g), 1, Options{Stats: &stats[r]})
-		}()
-	}
-	wg.Wait()
+	stats, errs := reduceWorld(world, 1, dst, xs, weights, 1, Options{})
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)

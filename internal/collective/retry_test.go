@@ -307,7 +307,8 @@ func TestReduceIntoRetryTakesNoSnapshot(t *testing.T) {
 
 // TestAllReduceAbortsAfterBudget: a permanently severed link exhausts the
 // attempt budget; both members surface transport.ErrTimeout (not a hang) and
-// count exactly one abort.
+// count exactly one abort. The retry budget keeps these 32 elements on the
+// ring; TestExchangeAbortsAfterBudget is the same sever without one.
 func TestAllReduceAbortsAfterBudget(t *testing.T) {
 	const n, d = 2, 32
 	eps := faultyGroup(t, n, transport.FaultPlan{
@@ -355,38 +356,47 @@ func TestAllReduceAbortsAfterBudget(t *testing.T) {
 }
 
 // TestTimeoutWithoutRetryFailsFast: a zero RetryPolicy means one attempt —
-// the first deadline expiry is final.
+// the first deadline expiry is final — on the one-frame exchange these 16
+// elements take by default and on the ring a 1-element segment forces.
 func TestTimeoutWithoutRetryFailsFast(t *testing.T) {
-	eps := faultyGroup(t, 2, transport.FaultPlan{
-		Seed:       13,
-		LinkFaults: map[[2]int]transport.LinkFault{{1, 0}: {Sever: true}},
-	})
-	var stats OpStats
-	errCh := make(chan error, 1)
-	go func() {
-		data := make([]float64, 16)
-		errCh <- AllReduceSumOpts(eps[0], []int{0, 1}, 3, data, Options{
-			Timeout: 100 * time.Millisecond,
-			Stats:   &stats,
+	for _, geo := range []struct {
+		name string
+		seg  int
+	}{{"exchange", 0}, {"ring", 1}} {
+		t.Run(geo.name, func(t *testing.T) {
+			eps := faultyGroup(t, 2, transport.FaultPlan{
+				Seed:       13,
+				LinkFaults: map[[2]int]transport.LinkFault{{1, 0}: {Sever: true}},
+			})
+			var stats OpStats
+			errCh := make(chan error, 1)
+			go func() {
+				data := make([]float64, 16)
+				errCh <- AllReduceSumOpts(eps[0], []int{0, 1}, 3, data, Options{
+					SegmentElems: geo.seg,
+					Timeout:      100 * time.Millisecond,
+					Stats:        &stats,
+				})
+			}()
+			// The peer side also runs (it may fail too); we only assert rank 0.
+			go func() {
+				data := make([]float64, 16)
+				AllReduceSumOpts(eps[1], []int{0, 1}, 3, data, Options{SegmentElems: geo.seg, Timeout: 100 * time.Millisecond})
+			}()
+			select {
+			case err := <-errCh:
+				if !transport.IsTimeout(err) {
+					t.Fatalf("want timeout, got %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("single-attempt timeout did not fire")
+			}
+			if stats.Retries != 0 {
+				t.Fatalf("zero policy retried %d times", stats.Retries)
+			}
+			if stats.Aborts != 1 || stats.Timeouts != 1 {
+				t.Fatalf("stats = %+v, want 1 timeout and 1 abort", stats)
+			}
 		})
-	}()
-	// The peer side also runs (it will fail too); we only assert rank 0.
-	go func() {
-		data := make([]float64, 16)
-		AllReduceSumOpts(eps[1], []int{0, 1}, 3, data, Options{Timeout: 100 * time.Millisecond})
-	}()
-	select {
-	case err := <-errCh:
-		if !transport.IsTimeout(err) {
-			t.Fatalf("want timeout, got %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("single-attempt timeout did not fire")
-	}
-	if stats.Retries != 0 {
-		t.Fatalf("zero policy retried %d times", stats.Retries)
-	}
-	if stats.Aborts != 1 || stats.Timeouts != 1 {
-		t.Fatalf("stats = %+v, want 1 timeout and 1 abort", stats)
 	}
 }

@@ -63,10 +63,9 @@ func faultyWorld(t *testing.T, n int, plan transport.FaultPlan) ([]transport.Tra
 // quality. Whether a group formed with the corpse depends on where the crash
 // lands; the exact schedule, and the abort it must count, is
 // TestCoreLostWhileGroupedCountsTheAbort's.
-func crashSurvivors(t *testing.T, run entry, seed int64, crashed int) {
+func crashSurvivors(t *testing.T, run entry, cfg Config, crashed int) {
 	t.Helper()
-	cfg := liveConfig(t, seed)
-	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: seed, CrashAfterSends: map[int]int{crashed: 40}})
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: cfg.Seed, CrashAfterSends: map[int]int{crashed: 40}})
 	rep := run(t, cfg, world)
 	if rep.FinalAccuracy < 0.9 {
 		t.Fatalf("accuracy %.3f after crash, want >= 0.9", rep.FinalAccuracy)
@@ -96,18 +95,29 @@ func crashSurvivors(t *testing.T, run entry, seed int64, crashed int) {
 	}
 }
 
-func TestLiveCrashSurvivors(t *testing.T)          { crashSurvivors(t, runBounded, 50, 3) }
-func TestLiveCrashViaFaultyTransport(t *testing.T) { crashSurvivors(t, runBounded, 56, 3) }
+func TestLiveCrashSurvivors(t *testing.T) { crashSurvivors(t, runBounded, liveConfig(t, 50), 3) }
+func TestLiveCrashViaFaultyTransport(t *testing.T) {
+	crashSurvivors(t, runBounded, liveConfig(t, 56), 3)
+}
+
+// TestLiveCrashSurvivorsOnRing: the same crash at 1-element segments, so the
+// collective the corpse dies in is a ring rather than the one-frame exchange
+// the 276-parameter model takes by default.
+func TestLiveCrashSurvivorsOnRing(t *testing.T) {
+	cfg := liveConfig(t, 50)
+	cfg.SegmentElems = 1
+	crashSurvivors(t, runBounded, cfg, 3)
+}
 
 // With one RunWorker per rank the control frames share the data world, the
 // controller sits on rank 0 and the final average runs there, over the
 // ranks that completed.
-func TestRunWorkerCrash(t *testing.T) { crashSurvivors(t, runWorkersFolded, 57, 2) }
+func TestRunWorkerCrash(t *testing.T) { crashSurvivors(t, runWorkersFolded, liveConfig(t, 57), 2) }
 
 // TestRunRankZeroCrash: Run's controller lives on a rank of its own, so rank
 // 0 may fail-stop like any other — and nothing but the service's receive loop
 // (no timeout of any kind is configured) is there to notice.
-func TestRunRankZeroCrash(t *testing.T) { crashSurvivors(t, runBounded, 59, 0) }
+func TestRunRankZeroCrash(t *testing.T) { crashSurvivors(t, runBounded, liveConfig(t, 59), 0) }
 
 // Two concurrent crashes with P=2 over N=4: the two survivors keep grouping
 // with each other and finish.
@@ -272,27 +282,37 @@ func TestLivePartitionRecovery(t *testing.T) {
 // and no control wait is bounded (CtrlTimeout = 0): were a single signal or
 // reply to cross the partitioned world, its rank would park for good and the
 // run would hang. The data plane does feel the cut (collectives with rank 3
-// time out and are retried or dissolved) and nobody is condemned for it.
+// time out and are dissolved) and nobody is condemned for it — on the
+// one-frame exchange the model takes by default and on the ring 1-element
+// segments force.
 func TestRunControlOutOfBand(t *testing.T) {
-	cfg := liveConfig(t, 69)
-	cfg.CollectiveTimeout = 50 * time.Millisecond
-	cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
-	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
-		Seed:       69,
-		Partitions: hetero.PartitionSchedule{{Ranks: []int{3}, From: 0, Until: 0.150}},
-	})
+	for _, geo := range []struct {
+		name string
+		seg  int
+	}{{"exchange", 0}, {"ring", 1}} {
+		t.Run(geo.name, func(t *testing.T) {
+			cfg := liveConfig(t, 69)
+			cfg.SegmentElems = geo.seg
+			cfg.CollectiveTimeout = 50 * time.Millisecond
+			cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
+			world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
+				Seed:       69,
+				Partitions: hetero.PartitionSchedule{{Ranks: []int{3}, From: 0, Until: 0.150}},
+			})
 
-	rep := runBounded(t, cfg, world)
-	for id := 0; id < cfg.N; id++ {
-		if !rep.Completed[id] || rep.WorkerIters[id] < cfg.Iters {
-			t.Fatalf("worker %d: completed=%v iters=%d/%d", id, rep.Completed[id], rep.WorkerIters[id], cfg.Iters)
-		}
-	}
-	if rep.Failures != 0 {
-		t.Fatalf("partition condemned %d workers; links were cut, nobody died", rep.Failures)
-	}
-	if rep.Comms.Timeouts == 0 {
-		t.Fatal("no collective timeouts recorded: the partition never bit the data plane")
+			rep := runBounded(t, cfg, world)
+			for id := 0; id < cfg.N; id++ {
+				if !rep.Completed[id] || rep.WorkerIters[id] < cfg.Iters {
+					t.Fatalf("worker %d: completed=%v iters=%d/%d", id, rep.Completed[id], rep.WorkerIters[id], cfg.Iters)
+				}
+			}
+			if rep.Failures != 0 {
+				t.Fatalf("partition condemned %d workers; links were cut, nobody died", rep.Failures)
+			}
+			if rep.Comms.Timeouts == 0 {
+				t.Fatal("no collective timeouts recorded: the partition never bit the data plane")
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"math"
 	"net"
 	goruntime "runtime"
 	"strings"
@@ -268,6 +269,70 @@ func TestLiveAllReduceConverges(t *testing.T) {
 	}
 	if rep.Groups != cfg.Iters {
 		t.Fatalf("rounds: %d want %d", rep.Groups, cfg.Iters)
+	}
+}
+
+// cloneRecorder records every replica cloned from the model it wraps.
+type cloneRecorder struct {
+	model.Model
+	mu     *sync.Mutex
+	clones *[]model.Model
+}
+
+func (m cloneRecorder) Clone() model.Model {
+	c := m.Model.Clone()
+	m.mu.Lock()
+	*m.clones = append(*m.clones, c)
+	m.mu.Unlock()
+	return c
+}
+
+// recordingBuilder builds cloneRecorders.
+type recordingBuilder struct {
+	model.Builder
+	mu     sync.Mutex
+	clones []model.Model
+}
+
+func (b *recordingBuilder) Build(seed int64) model.Model {
+	return cloneRecorder{b.Builder.Build(seed), &b.mu, &b.clones}
+}
+
+// TestLiveAllReduceExchangeMatchesRing: the 276-parameter model's gradient
+// all-reduce takes the one-frame exchange at the default geometry and the
+// ring at 1-element segments; the two trainings end on the same accuracy and
+// the same parameters, bit for bit, on every replica.
+func TestLiveAllReduceExchangeMatchesRing(t *testing.T) {
+	final := func(seg int) (float64, []model.Model, int64) {
+		cfg := liveConfig(t, 36)
+		cfg.Iters = 60
+		cfg.SegmentElems = seg
+		rb := &recordingBuilder{Builder: cfg.Spec}
+		cfg.Spec = rb
+		rep, err := RunAllReduce(cfg, memWorld(cfg.N))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rb.clones) != cfg.N {
+			t.Fatalf("seg=%d: %d replicas recorded, want %d", seg, len(rb.clones), cfg.N)
+		}
+		return rep.FinalAccuracy, rb.clones, rep.Comms.Segments
+	}
+	exAcc, exModels, exSegs := final(0)
+	ringAcc, ringModels, ringSegs := final(1)
+	if exSegs >= ringSegs {
+		t.Fatalf("default geometry sent %d frames, 1-element ring %d: the exchange was not taken", exSegs, ringSegs)
+	}
+	if math.Float64bits(exAcc) != math.Float64bits(ringAcc) {
+		t.Fatalf("final accuracy: exchange %v, ring %v", exAcc, ringAcc)
+	}
+	want := ringModels[0].Params()
+	for i, m := range append(exModels, ringModels...) {
+		for j, v := range m.Params() {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("replica %d param %d: %x, ring rank 0 %x", i, j, v, want[j])
+			}
+		}
 	}
 }
 

@@ -117,8 +117,8 @@ func ScaleInto(dst, src []float64, a float64) {
 
 // ScaleAddInto computes dst = (a*x + y) * post element-wise, bit-for-bit what
 // Scale(a) on x, Add(y) and Scale(post) produce in three passes. dst may be x
-// itself (the in-place ring) but must not otherwise overlap x or y. It panics
-// if lengths differ.
+// itself (the in-place ring) or y itself (the exchange's running sum) but must
+// not otherwise overlap x or y. It panics if lengths differ.
 func ScaleAddInto(dst, x, y []float64, a, post float64) {
 	checkLen(len(dst), len(x))
 	checkLen(len(y), len(x))

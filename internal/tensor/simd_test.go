@@ -64,6 +64,7 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		{"ScaleInto/in-place", 1, func(b [][]float64, s []float64) { ScaleInto(b[0], b[0], s[0]) }},
 		{"ScaleAddInto", 3, func(b [][]float64, s []float64) { ScaleAddInto(b[0], b[1], b[2], s[0], s[1]) }},
 		{"ScaleAddInto/in-place", 2, func(b [][]float64, s []float64) { ScaleAddInto(b[0], b[0], b[1], s[0], s[1]) }},
+		{"ScaleAddInto/into-y", 2, func(b [][]float64, s []float64) { ScaleAddInto(b[1], b[0], b[1], s[0], s[1]) }},
 		{"addScaledSerial", 2, func(b [][]float64, s []float64) { addScaledSerial(b[0], b[1], s[0]) }},
 		{"MomentumStep", 3, func(b [][]float64, s []float64) { MomentumStep(b[0], b[1], b[2], s[0], s[1], s[2]) }},
 	}
