@@ -20,7 +20,7 @@ ci: vet build test race fmaguard allocgate flakegate chaos trace-smoke chargegua
 # internal/engine (the fold) and internal/cluster (the definitions and their
 # tests) may mention the charge calls.
 chargeguard:
-	@bad=$$(grep -rnE '\.Charge(Ring|Exchange)\(' internal cmd examples \
+	@bad=$$(grep -rnE '\.Charge(Ring|Exchange)\(' internal cmd \
 		| grep -v '^internal/engine/' | grep -v '^internal/cluster/' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "direct traffic charging outside internal/engine + internal/cluster:"; \
@@ -32,7 +32,7 @@ chargeguard:
 # runtime both feed; a second call site is a second service loop, free to
 # drift from the first.
 ctrlguard:
-	@bad=$$(grep -rnE '\bctrl\.(Ready|Drain|Decommission|AbortGroup|Fail|Join|Rejoin|PurgeSignal)\(' internal cmd examples \
+	@bad=$$(grep -rnE '\bctrl\.(Ready|Drain|Decommission|AbortGroup|Fail|Join|Rejoin|PurgeSignal)\(' internal cmd \
 		| grep -v '_test\.go:' | grep -v '^internal/engine/service\.go:' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "controller transitions called outside the service core:"; \

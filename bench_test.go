@@ -202,16 +202,3 @@ func BenchmarkGeoDistributed(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationOverlap measures communication/computation overlapping
-// (the paper's future-work pipelining) on a communication-bound profile.
-func BenchmarkAblationOverlap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		blocking, overlapped, err := experiments.AblationOverlap(benchOpts(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(blocking.PerUpdate(), "blocking-per-update-s")
-		b.ReportMetric(overlapped.PerUpdate(), "overlap-per-update-s")
-	}
-}

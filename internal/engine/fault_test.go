@@ -1,14 +1,12 @@
 package engine_test
 
 import (
-	"strings"
 	"testing"
 
 	"partialreduce/internal/baselines"
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/engine"
-	"partialreduce/internal/health"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/testutil"
 )
@@ -124,40 +122,6 @@ func TestAllReduceHaltsOnCrashSim(t *testing.T) {
 	}
 	if res.RunTime > 2 {
 		t.Fatalf("All-Reduce kept running past the crash: RunTime=%v", res.RunTime)
-	}
-}
-
-// Overlapped P-Reduce models no faults, membership changes or watchdog, and
-// must refuse each instead of silently ignoring it.
-func TestOverlapRejectsCrashes(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		set      func(*cluster.Config)
-		watchdog bool
-	}{
-		{name: "crashes", set: func(cfg *cluster.Config) { cfg.Crashes = hetero.CrashSchedule{{Worker: 1, At: 1.0}} }},
-		{name: "partitions", set: func(cfg *cluster.Config) {
-			cfg.Partitions = hetero.PartitionSchedule{{Ranks: []int{0, 1, 2, 3}, From: 0, Until: 1e6}}
-		}},
-		{name: "elastic", set: func(cfg *cluster.Config) {
-			cfg.Elastic = hetero.ElasticSchedule{{Worker: 7, AfterUpdates: 5, Kind: hetero.ElasticDrain}}
-		}},
-		{name: "initial", set: func(cfg *cluster.Config) { cfg.Initial = 6 }},
-		{name: "watchdog", set: func(*cluster.Config) {}, watchdog: true},
-	} {
-		cfg := testutil.Config(t, 14)
-		tc.set(&cfg)
-		c, err := cluster.New(cfg, "CON+OV P=3")
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if tc.watchdog {
-			c.Health = health.New(health.SLO{})
-		}
-		_, err = engine.NewPReduce(engine.PReduceConfig{P: 3, Overlap: true}).Run(c)
-		if err == nil || !strings.Contains(err.Error(), "overlapped") {
-			t.Fatalf("overlap with %s: err %v, want a refusal", tc.name, err)
-		}
 	}
 }
 

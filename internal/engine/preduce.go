@@ -18,12 +18,6 @@ type PReduceConfig struct {
 	Approx    controller.ApproxRule
 	// DisableGroupFilter turns group-frozen avoidance off (ablation only).
 	DisableGroupFilter bool
-	// Overlap hides group communication behind the next batch's computation
-	// (the DDP-style pipelining §4 leaves as future work): a worker starts
-	// its next batch immediately after signaling ready; the group's model
-	// average lands mid-batch, and the in-flight gradient — computed on the
-	// pre-aggregation snapshot — is applied on top of the aggregated model.
-	Overlap bool
 	// ZoneAffinity makes the controller prefer same-zone groups when the
 	// cluster has a geo-distributed topology (cheap intra-DC collectives);
 	// group-frozen avoidance still bridges zones periodically.
@@ -53,8 +47,8 @@ type PReduce struct {
 // NewPReduce returns the strategy for cfg.
 func NewPReduce(cfg PReduceConfig) *PReduce { return &PReduce{cfg: cfg} }
 
-// Name implements cluster.Strategy: "CON P=3", "DYN P=3", "CON+OV P=3",
-// "ADP P=4" (adaptive-p policy), "SBIAS P=4" (straggler-bias policy)...
+// Name implements cluster.Strategy: "CON P=3", "DYN P=3", "ADP P=4"
+// (adaptive-p policy), "SBIAS P=4" (straggler-bias policy)...
 func (p *PReduce) Name() string {
 	tag := "CON"
 	if p.cfg.Weighting == controller.Dynamic {
@@ -65,9 +59,6 @@ func (p *PReduce) Name() string {
 		tag = "ADP"
 	case policy.NameStragglerBias:
 		tag = "SBIAS"
-	}
-	if p.cfg.Overlap {
-		tag += "+OV"
 	}
 	return fmt.Sprintf("%s P=%d", tag, p.cfg.P)
 }
@@ -146,15 +137,11 @@ type RunInfo struct {
 	MeanW *tensor.Matrix
 }
 
-// RunDetailed runs training on the shared step engine — runPReduceSim,
-// blocking or pipelined, with the controller served by the same core as the
-// live runtime's, driven here by the virtual clock — and returns the result
-// together with the controller's statistics and the empirical E[W_k].
+// RunDetailed runs training on the shared step engine — runPReduceSim, with
+// the controller served by the same core as the live runtime's, driven here
+// by the virtual clock — and returns the result together with the
+// controller's statistics and the empirical E[W_k].
 func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
-	if p.cfg.Overlap && (len(c.Cfg.Crashes) > 0 || len(c.Cfg.Partitions) > 0 || len(c.Cfg.Elastic) > 0 ||
-		c.Cfg.InitialOr() < c.Cfg.N || c.Health != nil) {
-		return RunInfo{}, fmt.Errorf("engine: overlapped P-Reduce models no crashes, partitions, elastic membership or watchdog")
-	}
 	// The cluster's virtual-clock tracer and instruments (nil when tracing is
 	// off) put ready/group-formed/staleness decisions on the same timeline as
 	// the worker spans.
@@ -162,7 +149,7 @@ func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 	if err != nil {
 		return RunInfo{}, err
 	}
-	res, err := runPReduceSim(NewSimEnv(c), ctrl, p.cfg.Overlap, nil)
+	res, err := runPReduceSim(NewSimEnv(c), ctrl, nil)
 	if err != nil {
 		return RunInfo{}, err
 	}

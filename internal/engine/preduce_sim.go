@@ -30,35 +30,11 @@ func (s simSink) StartJoin(j, donor int, _ uint32)   { s.startJoin(j, donor) }
 // its partition retries, the average, and the bootstrap transfer. observe,
 // when set, wraps the sim sink and is called after every core event: how the
 // invariant tests watch the service a seeded run drives.
-//
-// With overlap the driver pipelines communication behind computation (the
-// DDP-style overlap §4 leaves as future work): a worker starts its next batch
-// the moment it signals ready, so the group's collective and the batch run
-// concurrently. A batch that finishes while its worker's group is still in
-// flight is parked, and applied on top of the average when the group lands —
-// a gradient taken at the pre-aggregation snapshot, the bounded inconsistency
-// DDP-style pipelining accepts for hidden communication time. A pipelined
-// worker computes and reduces at once, so that mode runs without the step
-// Machine; RunDetailed keeps faults, membership changes and the watchdog out
-// of it.
-func runPReduceSim(env *SimEnv, ctrl *controller.Controller, overlap bool, observe func(*ServiceCore, Sink) (Sink, func())) (*metrics.Result, error) {
+func runPReduceSim(env *SimEnv, ctrl *controller.Controller, observe func(*ServiceCore, Sink) (Sink, func())) (*metrics.Result, error) {
 	c := env.C
 	agg := tensor.NewVector(len(c.Init))
 	paramsBuf := make([]tensor.Vector, 0, c.Cfg.N)
-	var machine *Machine
-	// Pipelining state: waiting[w] while w's signal awaits its group landing,
-	// parked[w] while a finished gradient (in parkBuf[w]) waits behind it.
-	var waiting, parked []bool
-	var parkBuf []tensor.Vector
-	if overlap {
-		waiting, parked = make([]bool, c.Cfg.N), make([]bool, c.Cfg.N)
-		parkBuf = make([]tensor.Vector, c.Cfg.N)
-		for w := range parkBuf {
-			parkBuf[w] = tensor.NewVector(len(c.Init))
-		}
-	} else {
-		machine = NewMachine(c.Cfg.N)
-	}
+	machine := NewMachine(c.Cfg.N)
 	// failed records the error that ends the run and stops the event loop.
 	var readyErr error
 	failed := func(err error) bool {
@@ -82,7 +58,6 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, overlap bool, obser
 	var (
 		core         *ServiceCore
 		startCompute func(w *cluster.Worker)
-		step         func(w *cluster.Worker, grad tensor.Vector)
 		signal       func(w *cluster.Worker)
 		attempt      func(op uint32, g controller.Group, k int)
 	)
@@ -112,16 +87,6 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, overlap bool, obser
 		}
 	}
 
-	// release ends pipelined w's wait for its group: a batch that finished
-	// meanwhile is applied now, on top of the average.
-	release := func(w int) {
-		waiting[w] = false
-		if parked[w] && !c.Eng.Stopped() {
-			parked[w] = false
-			step(c.Workers[w], parkBuf[w])
-		}
-	}
-
 	onGroupDone := func(op uint32, g controller.Group) {
 		if !slices.Contains(opOf, op) {
 			return // aborted while the collective ran
@@ -142,11 +107,7 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, overlap bool, obser
 		c.RecordUpdate()
 		serve(func() { core.done(op, c.Updates()) })
 		for _, wid := range g.Members {
-			if overlap {
-				release(wid)
-			} else {
-				startCompute(c.Workers[wid])
-			}
+			startCompute(c.Workers[wid])
 		}
 	}
 
@@ -268,8 +229,6 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, overlap bool, obser
 			c.Kill(w)
 		case d.Bootstrap:
 			resend = w // re-signal the same iteration once the event returns
-		case d.Skip && overlap:
-			release(w) // proceed unaveraged; the next batch already runs
 		case d.Skip:
 			startCompute(c.Workers[w]) // proceed unaveraged
 		}
@@ -297,31 +256,15 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, overlap bool, obser
 		serve(func() { core.Ready(w.ID, w.Iter, seq[w.ID], ctrl.Epoch(), c.Eng.Now()) })
 	}
 
-	step = func(w *cluster.Worker, grad tensor.Vector) {
-		w.Opt.Update(w.Params(), grad, 1) // local update (Alg. 2 line 4)
-		w.Iter++
-		machine.To(w.ID, StateReady)
-		if overlap {
-			// The next batch starts before the signal, concurrent with the
-			// group collective the signal may dispatch.
-			waiting[w.ID] = true
-			startCompute(w)
-		}
-		signal(w)
-	}
-
 	onComputeDone := func(w *cluster.Worker) {
 		if c.Dead[w.ID] {
 			return // the corpse's in-flight batch is lost with it
 		}
 		grad, _ := c.Gradient(w)
-		if overlap && waiting[w.ID] {
-			// The group is still in flight: park the gradient until it lands.
-			parkBuf[w.ID].CopyFrom(grad)
-			parked[w.ID] = true
-			return
-		}
-		step(w, grad)
+		w.Opt.Update(w.Params(), grad, 1) // local update (Alg. 2 line 4)
+		w.Iter++
+		machine.To(w.ID, StateReady)
+		signal(w)
 	}
 
 	startCompute = func(w *cluster.Worker) {

@@ -542,17 +542,17 @@ func (h *coreHarness) settle() {
 	h.after()
 }
 
-// The simulator drives the same core: three seeded fault cells run with the
-// harness wrapped around the sim sink, checked after every core event.
+// The simulator drives the same core: three seeded fault cells and a
+// fault-free one run with the harness wrapped around the sim sink, checked
+// after every core event.
 func TestSimServiceInvariants(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		seed    int64
-		overlap bool
-		set     func(*cluster.Config)
-		check   func(controller.Stats) bool
+		name  string
+		seed  int64
+		set   func(*cluster.Config)
+		check func(controller.Stats) bool
 	}{
-		{"random-crashes", 31, false, func(cfg *cluster.Config) {
+		{"random-crashes", 31, func(cfg *cluster.Config) {
 			cfg.Crashes = hetero.RandomCrashes(cfg.N, 0.5, 6, 31)
 			for i := range cfg.Crashes {
 				if i%2 == 1 {
@@ -561,17 +561,17 @@ func TestSimServiceInvariants(t *testing.T) {
 			}
 			cfg.Threshold, cfg.MaxUpdates = 0.999, 300
 		}, func(st controller.Stats) bool { return st.Failures >= 2 && st.Rejoins >= 1 }},
-		{"scale-staircase", 32, false, func(cfg *cluster.Config) {
+		{"scale-staircase", 32, func(cfg *cluster.Config) {
 			cfg.Initial = 5
 			cfg.Elastic = hetero.ScaleSchedule(5, 8, 4, 30, 15)
 			cfg.Threshold, cfg.MaxUpdates = 0.999, 400
 		}, func(st controller.Stats) bool { return st.Joins == 3 && st.Decommissions == 4 && st.Failures == 0 }},
-		{"partition-one-attempt", 33, false, func(cfg *cluster.Config) {
+		{"partition-one-attempt", 33, func(cfg *cluster.Config) {
 			cfg.Partitions = hetero.PartitionSchedule{{Ranks: []int{6, 7}, From: 0.3, Until: 1.5}}
 			cfg.Retry = cluster.RetryModel{MaxAttempts: 1, Timeout: 0.2}
 			cfg.Threshold, cfg.MaxUpdates = 0.999, 300
 		}, func(st controller.Stats) bool { return st.GroupsAborted > 0 && st.Failures == 0 }},
-		{"overlapped", 34, true, func(cfg *cluster.Config) {
+		{"no-faults", 34, func(cfg *cluster.Config) {
 			cfg.Threshold, cfg.MaxUpdates = 0.999, 300
 		}, func(st controller.Stats) bool { return st.GroupsFormed >= 300 }},
 	} {
@@ -586,7 +586,7 @@ func TestSimServiceInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		events := 0
-		_, err = runPReduceSim(NewSimEnv(c), ctrl, tc.overlap, func(core *ServiceCore, out Sink) (Sink, func()) {
+		_, err = runPReduceSim(NewSimEnv(c), ctrl, func(core *ServiceCore, out Sink) (Sink, func()) {
 			h := &coreHarness{t: t, c: core, next: out, replied: map[[2]uint64]bool{}, inGroup: make([]uint32, cfg.N)}
 			return h, func() { events++; h.settle() }
 		})

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"partialreduce/internal/cluster"
+	"partialreduce/internal/engine"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 )
@@ -240,27 +242,28 @@ func TestAblationWeights(t *testing.T) {
 	}
 }
 
-// AblationOverlap is no Registry entry, so no sweep CSV pins it: its two
-// results are pinned here to the bit.
-func TestAblationOverlapGolden(t *testing.T) {
-	blocking, overlapped, err := AblationOverlap(Options{Seed: 1, Quick: true})
+// No sweep CSV pins the blocking VGG-19 CON P=3 cell run to a 1,200-update
+// budget at HL = 1, so its result is pinned here to the bit.
+func TestBlockingVGG19Golden(t *testing.T) {
+	opts := Options{Seed: 1, Quick: true}
+	var res *metrics.Result
+	err := runAll(opts, []job{{
+		cell:     Cell{Workload: opts.workload(CIFAR10Workload(model.VGG19)), N: 8, Env: EnvHL, HL: 1, Seed: opts.Seed},
+		strategy: "CON P=3",
+		tweak: func(cfg *cluster.Config) {
+			cfg.Threshold = 0.999 // run to the budget
+			cfg.MaxUpdates = 1200
+		},
+		preduce: &engine.PReduceConfig{P: 3},
+		store:   func(r cellRun) { res = r.Result },
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name         string
-		res          *metrics.Result
-		runTime, acc uint64
-		updates      int
-	}{
-		{"blocking", blocking, 0x4061e3f303b64c8b, 0x3feda740da740da7, 1200},
-		{"overlapped", overlapped, 0x405254bc18223c4f, 0x3fed851eb851eb85, 1200},
-	} {
-		r := tc.res
-		if math.Float64bits(r.RunTime) != tc.runTime || r.Updates != tc.updates || math.Float64bits(r.FinalAccuracy) != tc.acc {
-			t.Errorf("%s: RunTime %#x Updates %d FinalAccuracy %#x, want %#x %d %#x", tc.name,
-				math.Float64bits(r.RunTime), r.Updates, math.Float64bits(r.FinalAccuracy), tc.runTime, tc.updates, tc.acc)
-		}
+	const runTime, acc, updates = 0x4061e3f303b64c8b, 0x3feda740da740da7, 1200
+	if math.Float64bits(res.RunTime) != runTime || res.Updates != updates || math.Float64bits(res.FinalAccuracy) != acc {
+		t.Errorf("RunTime %#x Updates %d FinalAccuracy %#x, want %#x %d %#x",
+			math.Float64bits(res.RunTime), res.Updates, math.Float64bits(res.FinalAccuracy), runTime, updates, acc)
 	}
 }
 

@@ -62,22 +62,3 @@ func (g *GeoResult) Format(w io.Writer) {
 		fmt.Fprintf(w, "zone affinity vs All-Reduce:    %.2fx faster\n", g.AR.RunTime/g.Affinity.RunTime)
 	}
 }
-
-// AblationOverlap compares blocking and overlapped (pipelined) P-Reduce on
-// the communication-bound VGG-19 profile at a fixed update budget, isolating
-// how much group-communication time the pipelining hides.
-func AblationOverlap(opts Options) (blocking, overlapped *metrics.Result, err error) {
-	w := opts.workload(CIFAR10Workload(model.VGG19))
-	cell := Cell{Workload: w, N: 8, Env: EnvHL, HL: 1, Seed: opts.Seed}
-	budget := func(cfg *cluster.Config) {
-		cfg.Threshold = 0.999 // run to the budget: compare pace
-		cfg.MaxUpdates = 1200
-	}
-	err = runAll(opts, []job{
-		{cell: cell, strategy: "CON P=3", tweak: budget,
-			preduce: &engine.PReduceConfig{P: 3}, store: func(r cellRun) { blocking = r.Result }},
-		{cell: cell, strategy: "CON+OV P=3", tweak: budget,
-			preduce: &engine.PReduceConfig{P: 3, Overlap: true}, store: func(r cellRun) { overlapped = r.Result }},
-	})
-	return blocking, overlapped, err
-}

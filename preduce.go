@@ -23,8 +23,10 @@
 //   - Analysis tools: the expected synchronization matrix E[W], its spectral
 //     bound ρ, and Theorem 1's learning-rate condition.
 //
-// See examples/ for runnable programs and cmd/preduce-bench for the full
-// paper-evaluation harness.
+// ExampleSimulate and ExampleRunLive are runnable programs (go test -run
+// Example -v .); cmd/preduce-bench is the full paper-evaluation harness
+// (-exp geo|fig9|table1 for the geo-distributed, production-trace and
+// heterogeneity scenarios).
 package preduce
 
 import (

@@ -3,6 +3,7 @@ package preduce
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -152,5 +153,27 @@ func TestPublicCSVAndReplay(t *testing.T) {
 	}
 	if h.ComputeTime(1, 0) != 0.7 {
 		t.Fatal("replay trace wrong")
+	}
+}
+
+// README's Quickstart is ExampleSimulate's body, so the snippet it shows is
+// the one go test compiles and runs.
+func TestReadmeQuickstartIsExampleSimulate(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	example, err := os.ReadFile("example_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snippet, _ := strings.Cut(string(readme), "## Quickstart\n\n```go\n")
+	snippet, _, _ = strings.Cut(snippet, "```")
+	_, snippet, _ = strings.Cut(snippet, ")\n\n") // past the import block
+	_, body, _ := strings.Cut(string(example), "func ExampleSimulate() {\n")
+	body, _, _ = strings.Cut(body, "\t// Output:")
+	body = strings.ReplaceAll("\n"+body, "\n\t", "\n")[1:]
+	if snippet == "" || snippet != body {
+		t.Fatalf("README Quickstart differs from ExampleSimulate's body:\n%s\n---\n%s", snippet, body)
 	}
 }
