@@ -7,7 +7,7 @@ GO ?= go
 
 # Packages whose tests exercise real goroutine concurrency and therefore run
 # under the race detector as part of tier-1.
-RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ .
+RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ ./internal/trace/ ./internal/metrics/ .
 
 .PHONY: ci vet build test race fmaguard allocgate flakegate chaos trace-smoke chargeguard ctrlguard callerless bench bench-smoke pairs fuzz sweepdiff loc clean
 

@@ -15,15 +15,16 @@ import (
 )
 
 // fixture records one two-member group on the host's ring (rank 1 arrives
-// last) and captures it as a postmortem bundle in dir/pm. It returns the
-// tracer, so callers can export the same events as trace files, and the
-// bundle's path.
+// last), which the instruments fold as it is recorded, and captures it as a
+// postmortem bundle in dir/pm. It returns the tracer, so callers can export
+// the same events as trace files, and the bundle's path.
 func fixture(t *testing.T, dir string) (*trace.Tracer, string) {
 	t.Helper()
 	now := 0.0
 	tr := trace.New(trace.FuncClock(func() float64 { return now }), 64)
 	tr.SetOrigin(0)
 	ins := metrics.NewInstruments(2)
+	tr.SetSink(ins.Observe)
 	now = 1.0
 	tr.Instant(trace.KReady, 0, 1, 0, 0)
 	now = 1.5
@@ -31,7 +32,6 @@ func fixture(t *testing.T, dir string) (*trace.Tracer, string) {
 	tr.Instant(trace.KGroupFormed, trace.ControllerTrack, 1, 1, 2)
 	tr.Instant(trace.KStaleness, 0, 1, 0, 1)
 	tr.Instant(trace.KStaleness, 1, 1, 0, 1)
-	ins.AddGroupRelease([]int{0, 1}, []float64{1.0, 1.5}, 1.5)
 	rec := health.NewRecorder(filepath.Join(dir, "pm"), tr, ins, []byte(`{"n":2}`))
 	path, err := rec.Capture("operator-requested", 2.0, nil, health.New(health.SLO{}).State())
 	if err != nil {

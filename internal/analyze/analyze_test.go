@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -276,8 +275,8 @@ func TestValidateMergedCatchesOrphanMembership(t *testing.T) {
 }
 
 // TestAttributionOnlineEqualsOffline: the offline ledger (Analyze over a
-// trace) and the online feed (Instruments.AddGroupRelease at each group's
-// release) apply one blame rule, so the same arrivals give the same
+// trace) and the online fold (Instruments.Observe as the tracer's sink)
+// read one event stream and apply one blame rule, so they give the same
 // per-rank numbers bit for bit. Group 1's arrivals are chosen so that the
 // wait-difference form Σ (wait_i − wait_c) rounds differently from the
 // arrival-difference form Σ (a_c − a_i); group 2 ties (the later-queued
@@ -295,24 +294,25 @@ func TestAttributionOnlineEqualsOffline(t *testing.T) {
 		{1.4, []int{0, 2}, []int{2, 3}, []float64{1.3, nan}},
 		{2.05, []int{2, 0, 1}, []int{4, 3, 3}, []float64{1.9, 1.6, 2.0}},
 	}
-	var jsonl strings.Builder
-	line := func(ts float64, kind string, track, iter int, a, b int64) {
-		fmt.Fprintf(&jsonl, `{"ts":%v,"dur":0,"kind":%q,"track":%d,"iter":%d,"a":%d,"b":%d}`+"\n", ts, kind, track, iter, a, b)
-	}
 	online := metrics.NewInstruments(3)
+	tr := trace.New(trace.FuncClock(func() float64 { return 0 }), 64)
+	tr.SetSink(online.Observe)
 	for g, grp := range groups {
 		seq, maxIter := int64(g+1), 0
 		for i, w := range grp.members {
 			maxIter = max(maxIter, grp.iters[i])
 			if !math.IsNaN(grp.arrivals[i]) {
-				line(grp.arrivals[i], "ready", w, grp.iters[i], 0, 0)
+				tr.InstantAt(trace.KReady, int32(w), int32(grp.iters[i]), grp.arrivals[i], 0, 0)
 			}
 		}
-		line(grp.formed, "group-formed", int(trace.ControllerTrack), maxIter, seq, int64(len(grp.members)))
+		tr.InstantAt(trace.KGroupFormed, trace.ControllerTrack, int32(maxIter), grp.formed, seq, int64(len(grp.members)))
 		for i, w := range grp.members {
-			line(grp.formed, "staleness", w, grp.iters[i], int64(maxIter-grp.iters[i]), seq)
+			tr.InstantAt(trace.KStaleness, int32(w), int32(grp.iters[i]), grp.formed, int64(maxIter-grp.iters[i]), seq)
 		}
-		online.AddGroupRelease(grp.members, grp.arrivals, grp.formed)
+	}
+	var jsonl strings.Builder
+	if err := trace.WriteJSONL(&jsonl, tr.Events(), tr.Dropped()); err != nil {
+		t.Fatal(err)
 	}
 
 	events, err := ParseJSONL(strings.NewReader(jsonl.String()))

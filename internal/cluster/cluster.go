@@ -248,8 +248,9 @@ type Cluster struct {
 	// it; nil otherwise (every recording site is nil-safe).
 	Tracer *trace.Tracer
 	// Ins aggregates the run's observability instruments (staleness
-	// histogram, queue depth, sync-graph gauges) when tracing is enabled;
-	// nil otherwise. Strategies that use the controller attach it there.
+	// histogram, queue depth, sync-graph gauges) when tracing is enabled,
+	// folded from Tracer's events; nil otherwise. Strategies that use the
+	// controller attach it there.
 	Ins *metrics.Instruments
 
 	// Health, when set alongside Recorder, arms the watchdog: strategies
@@ -297,6 +298,7 @@ func New(cfg Config, strategyName string) (*Cluster, error) {
 		// recorded trace is byte-identical across replays.
 		c.Tracer = trace.New(trace.FuncClock(c.Eng.Now), cfg.TraceCap)
 		c.Ins = metrics.NewInstruments(cfg.N)
+		c.Tracer.SetSink(c.Ins.Observe)
 	}
 	base := cfg.Spec.Build(cfg.Seed)
 	c.Init = base.Params().Clone()

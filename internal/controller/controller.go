@@ -10,7 +10,6 @@ package controller
 
 import (
 	"fmt"
-	"slices"
 
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/policy"
@@ -252,14 +251,12 @@ func New(cfg Config) (*Controller, error) {
 // tracer disables recording.
 func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer = t }
 
-// SetInstruments attaches live instruments (staleness histogram,
-// queue-depth series, sync-graph gauges). Attaching instruments enables the
-// per-group connectivity gauge computation (O(N²)), so leave them nil
-// in tight parameter sweeps.
-func (c *Controller) SetInstruments(in *metrics.Instruments) {
-	c.ins = in
-	in.SetEpoch(c.epoch)
-}
+// SetInstruments attaches live instruments for the two facts no trace
+// event carries: the sync-graph gauges and the latest policy decision.
+// Everything else reaches them through the tracer's sink. Attaching
+// instruments enables the per-group connectivity gauge computation
+// (O(N²)), so leave them nil in tight parameter sweeps.
+func (c *Controller) SetInstruments(in *metrics.Instruments) { c.ins = in }
 
 // SetPolicy attaches a group-formation policy (internal/policy),
 // consulted once per formation attempt for the next group's size,
@@ -328,13 +325,6 @@ func (c *Controller) Ready(s Signal) ([]Group, error) {
 		}
 	}
 	c.tracer.Instant(trace.KReady, int32(s.Worker), int32(s.Iter), int64(len(c.queue)), 0)
-	if c.ins != nil {
-		now := s.Now
-		if c.tracer != nil {
-			now = c.tracer.Now()
-		}
-		c.ins.RecordQueueDepth(now, len(c.queue))
-	}
 	return c.drainGroups(), nil
 }
 
@@ -405,6 +395,7 @@ func (c *Controller) consultPolicy(def int) (int, float64) {
 	if effAlpha == 0 {
 		effAlpha = emaDecay
 	}
+	// A side call, not an event: the latest p and α, deviating or not.
 	c.ins.RecordPolicyDecision(p, effAlpha, deviated)
 	return p, alpha
 }
@@ -496,7 +487,6 @@ func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 			}
 			if bridgeAt < 0 {
 				c.tracer.Instant(trace.KDeferred, trace.ControllerTrack, -1, int64(len(c.queue)), 0)
-				c.ins.CountDeferral()
 				return Group{}, false // defer until a bridging signal arrives
 			}
 			c.queue[p-1], c.queue[bridgeAt] = c.queue[bridgeAt], c.queue[p-1]
@@ -518,13 +508,11 @@ func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 
 	members := make([]int, p)
 	iters := make([]int, p)
-	nows := make([]float64, p)
 	maxIter := 0
 	for i := 0; i < p; i++ {
 		s := c.queue[i]
 		members[i] = s.Worker
 		iters[i] = s.Iter
-		nows[i] = s.Now
 		if s.Iter > maxIter {
 			maxIter = s.Iter
 		}
@@ -550,30 +538,20 @@ func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 
 	// Telemetry: per-member staleness at formation (the group maximum
 	// minus the member's reported iteration — the quantity the dynamic
-	// weights discount), fast-forwarded iteration tracking, and the
-	// connectivity gauges frozen avoidance bounds.
-	if c.tracer != nil || c.ins != nil {
+	// weights discount), from which the instruments fold the group's
+	// release, and the connectivity gauges frozen avoidance bounds.
+	if c.tracer != nil {
 		c.tracer.Instant(trace.KGroupFormed, trace.ControllerTrack, int32(maxIter), int64(groupSeq), int64(p))
 		for i := 0; i < p; i++ {
-			st := maxIter - iters[i]
-			c.tracer.Instant(trace.KStaleness, int32(members[i]), int32(iters[i]), int64(st), int64(groupSeq))
-			c.ins.ObserveStaleness(int64(st))
+			c.tracer.Instant(trace.KStaleness, int32(members[i]), int32(iters[i]), int64(maxIter-iters[i]), int64(groupSeq))
 		}
 		if bridged {
 			c.tracer.Instant(trace.KBridged, trace.ControllerTrack, int32(maxIter), int64(groupSeq), 0)
 		}
-		c.ins.CountGroup(bridged)
-		if c.ins != nil {
-			c.ins.SetSyncGauges(c.MaxContactAge(), c.graph.NumComponents())
-		}
-		// Online blame: each member arrived at its signal's Now and is
-		// released now (c.lastNow, the clock of the signal that
-		// triggered formation — the group maximum by monotonicity).
-		// Signals without a clock (Now == 0, staleness tracking unused)
-		// can't be placed in time, so such groups are skipped.
-		if c.ins != nil && !slices.ContainsFunc(nows, func(now float64) bool { return now <= 0 }) {
-			c.ins.AddGroupRelease(members, nows, c.lastNow)
-		}
+	}
+	if c.ins != nil {
+		// A side call, not an event: an O(N²) read of the contact matrix.
+		c.ins.SetSyncGauges(c.MaxContactAge(), c.graph.NumComponents())
 	}
 	for _, w := range members {
 		// §3.3.3: members fast-forward to the group maximum.

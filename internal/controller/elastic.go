@@ -38,14 +38,6 @@ var (
 // on every membership change (Join, Drain, Decommission, Fail, Rejoin).
 func (c *Controller) Epoch() uint64 { return c.epoch }
 
-// bumpEpoch advances the world-view version and mirrors it into the
-// attached instruments so the epoch-churn watchdog rule and the
-// preduce_epoch gauge see membership changes without controller access.
-func (c *Controller) bumpEpoch() {
-	c.epoch++
-	c.ins.SetEpoch(c.epoch)
-}
-
 // IsMember reports whether rank w belongs to the current world view.
 func (c *Controller) IsMember(w int) bool {
 	return w >= 0 && w < c.cfg.N && c.member[w]
@@ -106,7 +98,7 @@ func (c *Controller) Join(w int, now float64) error {
 	// until its first signal reports one, treat it as current so it does
 	// not read as infinitely stale.
 	c.lastIter[w] = c.maxIter
-	c.bumpEpoch()
+	c.epoch++
 	c.stats.Joins++
 	c.tracer.Instant(trace.KWorkerJoin, int32(w), -1, int64(c.epoch), 0)
 	return nil
@@ -132,7 +124,7 @@ func (c *Controller) Drain(w int) ([]Group, error) {
 		return nil, fmt.Errorf("controller: drain: rank %d is already draining", w)
 	}
 	c.draining[w] = true
-	c.bumpEpoch()
+	c.epoch++
 	c.stats.Drains++
 	c.tracer.Instant(trace.KWorkerDrain, int32(w), -1, int64(c.epoch), 0)
 	return c.drainGroups(), nil
@@ -160,7 +152,7 @@ func (c *Controller) Decommission(w int) ([]Group, error) {
 	}
 	c.PurgeSignal(w)
 	c.refreshMaxIter()
-	c.bumpEpoch()
+	c.epoch++
 	c.stats.Decommissions++
 	c.tracer.Instant(trace.KWorkerDecommission, int32(w), -1, int64(c.epoch), 0)
 	return c.drainGroups(), nil

@@ -52,7 +52,3 @@ func (c *Controller) MaxContactAge() int {
 	}
 	return maxAge
 }
-
-// SyncComponents returns the number of connected components of the
-// windowed sync-graph (1 when healthy).
-func (c *Controller) SyncComponents() int { return c.graph.NumComponents() }

@@ -61,19 +61,6 @@ func TestMaxContactAge(t *testing.T) {
 	}
 }
 
-func TestSyncComponentsAccessor(t *testing.T) {
-	c := mustNew(t, Config{N: 4, P: 2, Window: 3})
-	// Before any group the windowed graph has no edges: 4 components.
-	if got := c.SyncComponents(); got != 4 {
-		t.Fatalf("cold SyncComponents = %d, want 4", got)
-	}
-	ready(t, c, 0, 1)
-	ready(t, c, 1, 1)
-	if got := c.SyncComponents(); got != 3 {
-		t.Fatalf("after {0,1}: SyncComponents = %d, want 3", got)
-	}
-}
-
 // TestAccessorsDoNotMutate pins the read-only contract: interleaving
 // accessor calls with signals must not change grouping decisions.
 func TestAccessorsDoNotMutate(t *testing.T) {
@@ -85,7 +72,6 @@ func TestAccessorsDoNotMutate(t *testing.T) {
 				if introspect {
 					_ = c.QueueDepth()
 					_ = c.MaxContactAge()
-					_ = c.SyncComponents()
 				}
 				gs, err := c.Ready(Signal{Worker: w, Iter: i})
 				if err != nil {

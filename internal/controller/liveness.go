@@ -30,8 +30,8 @@ func (c *Controller) ReportFailure(worker int) bool {
 	c.stats.Failures++
 	c.PurgeSignal(worker)
 	c.refreshMaxIter()
-	c.bumpEpoch()
-	c.tracer.Instant(trace.KWorkerDead, int32(worker), -1, 0, 0)
+	c.epoch++
+	c.tracer.Instant(trace.KWorkerDead, int32(worker), -1, int64(c.epoch), 0)
 	return true
 }
 
@@ -98,8 +98,8 @@ func (c *Controller) Rejoin(worker int) error {
 	c.aliveN++
 	c.stats.Rejoins++
 	c.refreshMaxIter()
-	c.bumpEpoch()
-	c.tracer.Instant(trace.KWorkerRejoin, int32(worker), -1, 0, 0)
+	c.epoch++
+	c.tracer.Instant(trace.KWorkerRejoin, int32(worker), -1, int64(c.epoch), 0)
 	return nil
 }
 

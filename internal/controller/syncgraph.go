@@ -13,6 +13,7 @@ type SyncGraph struct {
 	groups [][]int // ring buffer of the most recent groups
 	next   int     // ring cursor
 	filled bool
+	parent []int // union-find scratch (roots)
 }
 
 // NewSyncGraph returns a graph over n workers remembering window groups.
@@ -20,7 +21,7 @@ func NewSyncGraph(n, window int) *SyncGraph {
 	if n < 1 || window < 1 {
 		panic("controller: SyncGraph needs n >= 1 and window >= 1")
 	}
-	return &SyncGraph{n: n, window: window, groups: make([][]int, 0, window)}
+	return &SyncGraph{n: n, window: window, groups: make([][]int, 0, window), parent: make([]int, n)}
 }
 
 // Add records a formed group, evicting the oldest once the window is full.
@@ -45,58 +46,65 @@ func (g *SyncGraph) Full() bool { return g.filled }
 // Len returns the number of groups currently in the window.
 func (g *SyncGraph) Len() int { return len(g.groups) }
 
-// Components labels each worker with a component id in [0, #components) via
-// union-find over the windowed groups.
-func (g *SyncGraph) Components() []int {
-	parent := make([]int, g.n)
+// roots runs union-find over the windowed groups in the graph's scratch
+// buffer and returns it resolved: parent[i] is i's root, and parent[i] == i
+// exactly at the roots. The buffer is reused by the next query.
+func (g *SyncGraph) roots() []int {
+	parent := g.parent
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
 	for _, grp := range g.groups {
 		for i := 1; i < len(grp); i++ {
-			union(grp[0], grp[i])
+			if ra, rb := root(parent, grp[0]), root(parent, grp[i]); ra != rb {
+				parent[ra] = rb
+			}
 		}
 	}
+	for i := range parent {
+		parent[i] = root(parent, i)
+	}
+	return parent
+}
+
+// root finds x's root, halving the path on the way.
+func root(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// Components labels each worker with a component id in [0, #components),
+// numbered in order of each component's lowest worker.
+func (g *SyncGraph) Components() []int {
+	parent := g.roots()
 	ids := make([]int, g.n)
+	for i := range ids {
+		ids[i] = -1
+	}
 	next := 0
-	seen := make(map[int]int, g.n)
-	for i := 0; i < g.n; i++ {
-		r := find(i)
-		id, ok := seen[r]
-		if !ok {
-			id = next
+	for i, r := range parent {
+		if ids[r] < 0 {
+			ids[r] = next
 			next++
-			seen[r] = id
 		}
-		ids[i] = id
+		ids[i] = ids[r]
 	}
 	return ids
 }
 
-// NumComponents returns the number of connected components.
+// NumComponents returns the number of connected components without
+// allocating: the per-group connectivity gauge reads it.
 func (g *SyncGraph) NumComponents() int {
-	ids := g.Components()
-	maxID := 0
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
+	n := 0
+	for i, r := range g.roots() {
+		if i == r {
+			n++
 		}
 	}
-	return maxID + 1
+	return n
 }
 
 // Connected reports whether all workers are in one component.

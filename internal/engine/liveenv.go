@@ -28,8 +28,9 @@ type LiveEnv struct {
 	// Copts configures every collective this worker runs. Its TraceIter
 	// field is updated in place per group op.
 	Copts collective.Options
-	// Tracer and Instruments are the worker-side telemetry sinks (both
-	// nil-safe / optional).
+	// Tracer records the worker's spans (its barrier wait reaches the
+	// instruments through the tracer's sink); Instruments takes the
+	// collectives' byte counts. Both nil-safe / optional.
 	Tracer      *trace.Tracer
 	Instruments *metrics.Instruments
 }
@@ -187,16 +188,9 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 				machine.To(0, StateReady)
 			}
 			waitStart := tracer.Now()
-			var waitWall time.Time
-			if ins != nil {
-				waitWall = time.Now()
-			}
 			d, err := ctl.Signal(iter)
 			if err != nil {
 				return Outcome{Iter: iter, Groups: groups}, err
-			}
-			if ins != nil {
-				ins.AddBarrierWait(id, time.Since(waitWall).Seconds())
 			}
 			solo := int64(0)
 			if d.Skip {
@@ -254,7 +248,8 @@ func RunPReduceWorker(w *LiveWorker, ctl Control) (Outcome, error) {
 			if ins != nil {
 				// Fold this collective's data-plane delta into the live
 				// instruments so /metrics is fresh mid-run (the run total
-				// still merges once at worker exit).
+				// still merges once at worker exit). A side call, not an
+				// event: no event carries the OpStats byte counts.
 				cur := *env.Copts.Stats
 				ins.AddComms(commsDelta(cur, prevComms))
 				prevComms = cur

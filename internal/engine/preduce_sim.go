@@ -113,7 +113,8 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, observe func(*Servi
 
 	// count records a robustness event in the run's comm stats and mirrors
 	// it into the live instruments (when attached), so the watchdog's
-	// retry-storm rule sees the same counters in sim and live.
+	// retry-storm rule sees the same counters in sim and live: the side
+	// call the live runtime makes with its OpStats deltas.
 	count := func(cs metrics.CommStats) {
 		c.Track.AddComms(cs)
 		c.Ins.AddComms(cs)

@@ -8,7 +8,9 @@ import (
 	"partialreduce/internal/controller"
 	"partialreduce/internal/health"
 	"partialreduce/internal/hetero"
+	"partialreduce/internal/metrics"
 	"partialreduce/internal/testutil"
+	"partialreduce/internal/trace"
 )
 
 // The service core is driven here step by step: no goroutines, no
@@ -525,6 +527,26 @@ func TestCoreAddsNoAllocationPerSignal(t *testing.T) {
 	}
 	if served > bare {
 		t.Fatalf("core allocates on the ready path: %.1f allocs/round served vs %.1f for the bare controller", served, bare)
+	}
+
+	// Traced and instrumented, the instruments wired as the tracer's sink
+	// as a run wires them: recording and folding allocate nothing either.
+	tr := trace.New(trace.FuncClock(func() float64 { return 1 }), 1024)
+	ins := metrics.NewInstruments(cfg.N)
+	tr.SetSink(ins.Observe)
+	tracedCtrl, err := newController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracedCtrl.SetTracer(tr)
+	tracedCtrl.SetInstruments(ins)
+	tc := NewServiceCore(ServiceConfig{N: cfg.N, Instruments: ins}, tracedCtrl, nopSink{})
+	traced := testing.AllocsPerRun(500, rounds(func(w, iter int) { tc.Ready(w, iter, uint64(iter), 0, float64(iter)) }))
+	if snap := ins.Snapshot(); tc.err != nil || snap.GroupsFormed < 500 || snap.GroupCount[0] < 500 {
+		t.Fatalf("traced core did not serve and fold the rounds: err=%v groups=%d", tc.err, snap.GroupsFormed)
+	}
+	if traced > bare {
+		t.Fatalf("traced core allocates on the ready path: %.1f allocs/round vs %.1f for the bare controller", traced, bare)
 	}
 }
 

@@ -13,14 +13,28 @@ import (
 	"partialreduce/internal/trace"
 )
 
+// observeRelease feeds ins the events the controller records for group
+// seq: each member's ready stamp at its arrival, the formation at release,
+// and each member's staleness (stale, in member order).
+func observeRelease(ins *metrics.Instruments, seq int64, release float64, members []int32, arrivals []float64, stale []int64) {
+	for i, w := range members {
+		ins.Observe(trace.Event{Kind: trace.KReady, Track: w, Iter: int32(seq), TS: arrivals[i], A: int64(i + 1)})
+	}
+	ins.Observe(trace.Event{Kind: trace.KGroupFormed, Track: trace.ControllerTrack, Iter: int32(seq), TS: release, A: seq, B: int64(len(members))})
+	for i, w := range members {
+		ins.Observe(trace.Event{Kind: trace.KStaleness, Track: w, Iter: int32(seq), A: stale[i], B: seq})
+	}
+}
+
 // snapWithBlame returns a snapshot whose worker 1 carries a recent-blame
 // EWMA of about ewma seconds.
 func snapWithBlame(ewma float64) *metrics.InstrumentsSnapshot {
 	ins := metrics.NewInstruments(4)
 	// One release where worker 1 arrived last charges it (1-decay)·induced
 	// into the EWMA; release repeatedly until the EWMA crosses ewma.
-	for i := 0; i < 200; i++ {
-		ins.AddGroupRelease([]int{0, 1, 2}, []float64{0, 10 * ewma, 0}, 10*ewma)
+	for i := int64(1); i <= 200; i++ {
+		at := float64(i)
+		observeRelease(ins, i, at+10*ewma, []int32{0, 1, 2}, []float64{at, at + 10*ewma, at}, []int64{0, 0, 0})
 		if s := ins.Snapshot(); s.BlameEWMA[1] >= ewma {
 			break
 		}
@@ -99,7 +113,7 @@ func TestWatchdogDeltaRulesPrimeOnFirstEval(t *testing.T) {
 	wd := New(SLO{RetryStorm: 5, EpochChurn: 2})
 	ins := metrics.NewInstruments(2)
 	ins.AddComms(metrics.CommStats{Retries: 100, Timeouts: 100})
-	ins.SetEpoch(50)
+	ins.Observe(trace.Event{Kind: trace.KWorkerJoin, Track: 1, A: 50})
 	// First eval seeds baselines: the pre-existing backlog must not fire.
 	if br := wd.Eval(1, Sample{Snap: ins.Snapshot()}); len(br) != 0 {
 		t.Fatalf("delta rules fired on priming eval: %+v", br)
@@ -112,7 +126,7 @@ func TestWatchdogDeltaRulesPrimeOnFirstEval(t *testing.T) {
 	var br []Breach
 	for i := 0; i < fireCount; i++ {
 		ins.AddComms(metrics.CommStats{Retries: 4, Timeouts: 3})
-		ins.SetEpoch(uint64(53 + 3*i))
+		ins.Observe(trace.Event{Kind: trace.KWorkerDead, Track: 1, A: int64(53 + 3*i)})
 		br = wd.Eval(float64(3+i), Sample{Snap: ins.Snapshot()})
 	}
 	if len(br) != 2 || br[0].Rule != RRetryStorm || br[1].Rule != REpochChurn {
@@ -129,7 +143,7 @@ func TestWatchdogSilenceGatedOnActive(t *testing.T) {
 	snap := func() Sample { return Sample{Snap: ins.Snapshot(), Active: 2} }
 	wd.Eval(0, snap()) // primes progressAt=0
 	// Progress resets the silence clock.
-	ins.CountGroup(false)
+	ins.Observe(trace.Event{Kind: trace.KGroupFormed, Track: trace.ControllerTrack, A: 1, B: 2})
 	if br := wd.Eval(6, snap()); len(br) != 0 {
 		t.Fatalf("silence fired despite fresh progress: %+v", br)
 	}
@@ -155,11 +169,12 @@ func TestWatchdogQueueAndPartitionRules(t *testing.T) {
 	wd := New(SLO{QueueDepth: 4, SyncComponents: 2, StalenessP95: 3})
 	ins := metrics.NewInstruments(4)
 	ins.SetSyncGauges(1, 3)
+	stale := func(v int64) { ins.Observe(trace.Event{Kind: trace.KStaleness, Track: 0, A: v}) }
 	for i := 0; i < 18; i++ {
-		ins.ObserveStaleness(0)
+		stale(0)
 	}
-	ins.ObserveStaleness(8) // two 8s out of 20: the p95 rank (19) lands on 8
-	ins.ObserveStaleness(8)
+	stale(8) // two 8s out of 20: the p95 rank (19) lands on 8
+	stale(8)
 	var br []Breach
 	for i := 0; i < fireCount; i++ {
 		br = wd.Eval(float64(1+i), Sample{Snap: ins.Snapshot(), QueueDepth: 5})
@@ -194,12 +209,9 @@ func TestNilWatchdogAndRecorder(t *testing.T) {
 // buildBundle assembles a representative in-memory bundle.
 func buildBundle() *Bundle {
 	ins := metrics.NewInstruments(3)
-	ins.ObserveStaleness(1)
-	ins.ObserveStaleness(2)
-	ins.RecordQueueDepth(0.5, 2)
-	ins.AddGroupRelease([]int{0, 1, 2}, []float64{0, 0.4, 0.2}, 0.4)
+	observeRelease(ins, 1, 0.4, []int32{0, 1, 2}, []float64{0, 0.4, 0.2}, []int64{1, 0, 2})
 	ins.AddComms(metrics.CommStats{Ops: 3, Retries: 1, Timeouts: 2})
-	ins.SetEpoch(4)
+	ins.Observe(trace.Event{Kind: trace.KWorkerDrain, Track: 2, A: 4})
 	now := 0.0
 	tr := trace.New(trace.FuncClock(func() float64 { return now }), 16)
 	tr.SetOrigin(0)

@@ -101,7 +101,8 @@ type Config struct {
 	// Instruments, when non-nil, maintains the live queryable instruments
 	// (staleness histogram, queue-depth series, per-worker barrier-wait
 	// totals, sync-graph gauges, running CommStats) the telemetry endpoint
-	// serves. Nil disables them at zero cost.
+	// serves: a fold over Tracer's events, which the run wires as the
+	// tracer's sink, so it needs a Tracer. Nil disables them at zero cost.
 	Instruments *metrics.Instruments
 
 	// Watchdog, when non-nil, arms the health plane: the controller
@@ -147,6 +148,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: negative SegmentElems %d", c.SegmentElems)
 	case c.CtrlTimeout < 0 || c.CollectiveTimeout < 0:
 		return fmt.Errorf("live: negative timeout")
+	case c.Instruments != nil && c.Tracer == nil:
+		return fmt.Errorf("live: Instruments need a Tracer: they fold its events")
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err
@@ -165,6 +168,16 @@ func (c Config) Validate() error {
 		}
 	}
 	return c.Optimizer.Validate()
+}
+
+// start validates the configuration and wires Instruments to the Tracer as
+// its sink: the entry Run and RunWorker share, once per run.
+func (c Config) start() error {
+	err := c.Validate()
+	if err == nil && c.Instruments != nil {
+		c.Tracer.SetSink(c.Instruments.Observe)
+	}
+	return err
 }
 
 // initialOr resolves the founding-member count: Initial, or N when zero.
@@ -228,7 +241,7 @@ func (r *Report) fillController(ctrl *controller.Controller) controller.Stats {
 // endpoint, so the service's receive loop reports it Lost: Run needs no
 // timeout to notice a death.
 func Run(cfg Config, world []transport.Transport) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.start(); err != nil {
 		return nil, err
 	}
 	if len(world) != cfg.N {
@@ -352,7 +365,7 @@ func healthClock(cfg Config) (tick <-chan time.Time, now func() float64, stop fu
 }
 
 // unixSeconds is the controller clock: what Signal.Now and Join are stamped
-// with (arrival spreads feed the blame ledger).
+// with (formation policies read queue waits from it).
 func unixSeconds(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
 
 // newLiveWorker assembles rank id's engine worker: live environment

@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"partialreduce/internal/metrics"
@@ -67,12 +69,45 @@ func traced(t *testing.T, run entry, seed int64) {
 	if snap.Comms.Ops == 0 || snap.Comms.BytesSent == 0 {
 		t.Fatalf("live comm instruments empty: %+v", snap.Comms)
 	}
+	// The instruments are a fold over these events: the group count is the
+	// number of group-formed instants, and each worker's barrier wait is
+	// the sum of its signal-wait spans in recording order, bit for bit.
+	if snap.GroupsFormed != int64(kinds[trace.KGroupFormed]) {
+		t.Fatalf("instruments count %d groups, the trace %d", snap.GroupsFormed, kinds[trace.KGroupFormed])
+	}
+	waits := make([]float64, cfg.N)
+	for _, ev := range events {
+		if ev.Kind == trace.KSignalWait {
+			waits[ev.Track] += ev.Dur
+		}
+	}
 	var waited float64
-	for _, s := range snap.BarrierWait {
+	for w, s := range snap.BarrierWait {
 		waited += s
+		if math.Float64bits(s) != math.Float64bits(waits[w]) {
+			t.Errorf("worker %d: barrier wait %v, signal-wait spans sum to %v", w, s, waits[w])
+		}
 	}
 	if waited <= 0 {
 		t.Fatal("no barrier-wait time recorded")
+	}
+}
+
+// TestInstrumentsNeedTracer: instruments fold the tracer's events, so a
+// configuration with instruments and no tracer is refused before any rank
+// starts.
+func TestInstrumentsNeedTracer(t *testing.T) {
+	cfg := liveConfig(t, 1)
+	cfg.Instruments = metrics.NewInstruments(cfg.N)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Tracer") {
+		t.Fatalf("Instruments without Tracer: err = %v, want a refusal naming Tracer", err)
+	}
+	if _, err := Run(cfg, memWorld(cfg.N)); err == nil {
+		t.Fatal("Run accepted Instruments without a Tracer")
+	}
+	cfg.Tracer = trace.New(trace.NewWallClock(), 0)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -40,7 +40,7 @@ const ctrlResendLimit = 8
 // report; non-host ranks get a report without the averaged-model accuracy
 // and the controller's counters.
 func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.start(); err != nil {
 		return nil, err
 	}
 	if tr.Size() != cfg.N {

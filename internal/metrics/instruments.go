@@ -1,10 +1,10 @@
 package metrics
 
-// Live instruments: the first-class, queryable counterparts of the trace
-// events. Where Result/CommStats summarize a finished run, Instruments
-// are sampled while the run is in flight — the telemetry endpoint
-// renders them as Prometheus text, and the controller/runtime update
-// them as decisions happen. All methods on Instruments are safe for
+// Live instruments: a fold over the trace events. Where Result/CommStats
+// summarize a finished run, Instruments are sampled while the run is in
+// flight — the telemetry endpoint renders them as Prometheus text — and
+// are fed by the run's tracer (Observe is its sink), plus three side
+// calls for facts no event carries. All methods on Instruments are safe for
 // concurrent use; Histogram and Series on their own are not (wrap them
 // or confine them to one goroutine).
 
@@ -12,6 +12,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"partialreduce/internal/trace"
 )
 
 // Histogram counts small non-negative integer observations exactly:
@@ -197,18 +199,30 @@ type Instruments struct {
 	policyAlpha      float64 // dynamic-weight decay in effect at that decision
 	policyDeviations int64   // decisions that deviated from the static default
 
-	// Online blame estimator, fed by the controller at every group
-	// release (see AddGroupRelease): per-worker cumulative
-	// arrived-but-waiting seconds, cumulative blame (seconds of other
-	// members' time the worker consumed by arriving last), counts of
-	// groups where the worker was the last arrival, and an EWMA of the
-	// worker's per-group blame — the "recent straggler" signal the
-	// scoreboard ranks by.
+	// Online blame estimator, fed by each group's release (see Observe):
+	// per-worker cumulative arrived-but-waiting seconds, cumulative blame
+	// (seconds of other members' time the worker consumed by arriving
+	// last), counts of groups where the worker was the last arrival, and an
+	// EWMA of the worker's per-group blame — the "recent straggler" signal
+	// the scoreboard ranks by.
 	groupWait  []float64
 	blame      []float64
 	criticalN  []int64
 	blameEWMA  []float64
 	groupCount []int64 // groups each worker was a member of
+
+	// The fold's state: each worker's latest KReady stamp and the
+	// iteration it reported plus one (0: none yet), and the group being
+	// collected from its KGroupFormed and KStaleness events (members and
+	// arrivals in event order, sized once for the largest group).
+	readyTS   []float64
+	readyIter []int32
+	pending   struct {
+		seq, size int64
+		release   float64
+		members   []int
+		arrivals  []float64
+	}
 
 	comms CommStats
 }
@@ -218,59 +232,85 @@ type Instruments struct {
 // roughly the last twenty groups in view.
 const blameEWMADecay = 0.9
 
-// NewInstruments returns instruments for an n-worker run.
+// NewInstruments returns instruments for an n-worker run, at epoch 1 (the
+// controller's first world view).
 func NewInstruments(n int) *Instruments {
-	return &Instruments{
+	in := &Instruments{
 		staleness:   NewHistogram(64),
 		queueDepth:  NewSeries(0),
 		barrierWait: make([]float64, n),
+		epoch:       1,
 		groupWait:   make([]float64, n),
 		blame:       make([]float64, n),
 		criticalN:   make([]int64, n),
 		blameEWMA:   make([]float64, n),
 		groupCount:  make([]int64, n),
+		readyTS:     make([]float64, n),
+		readyIter:   make([]int32, n),
 	}
+	in.pending.members = make([]int, 0, n)
+	in.pending.arrivals = make([]float64, 0, n)
+	return in
 }
 
-// ObserveStaleness records one member's staleness at group formation.
-// Nil-safe.
-func (in *Instruments) ObserveStaleness(v int64) {
-	if in == nil {
-		return
-	}
+// Observe folds one trace event into the instruments — a tracer's sink
+// (trace.Tracer.SetSink), so /metrics, the watchdog and the scoreboard read
+// the trace's stamps. KReady adds a queue-depth sample, KDeferred a
+// deferral, KGroupFormed a group, KBridged an intervention, KSignalWait its
+// worker's barrier wait; membership kinds set the epoch (A). KStaleness
+// feeds the histogram and collects its group (B = seq): once complete, the
+// release at the KGroupFormed stamp is attributed over each member's latest
+// KReady stamp at its iteration (NaN without one). Out-of-range workers
+// are ignored.
+func (in *Instruments) Observe(ev trace.Event) {
 	in.mu.Lock()
-	in.staleness.Observe(v)
-	in.mu.Unlock()
-}
-
-// RecordQueueDepth appends a ready-queue-depth sample at clock time now.
-// Nil-safe.
-func (in *Instruments) RecordQueueDepth(now float64, depth int) {
-	if in == nil {
-		return
+	defer in.mu.Unlock()
+	w := int(ev.Track)
+	known := w >= 0 && w < len(in.barrierWait)
+	switch ev.Kind {
+	case trace.KReady:
+		in.queueDepth.Append(ev.TS, float64(ev.A))
+		if known {
+			in.readyTS[w], in.readyIter[w] = ev.TS, ev.Iter+1
+		}
+	case trace.KDeferred:
+		in.deferrals++
+	case trace.KGroupFormed:
+		in.groupsFormed++
+		p := &in.pending
+		p.seq, p.size, p.release = ev.A, ev.B, ev.TS
+		p.members, p.arrivals = p.members[:0], p.arrivals[:0]
+	case trace.KBridged:
+		in.interventions++
+	case trace.KStaleness:
+		in.staleness.Observe(ev.A)
+		p := &in.pending
+		if ev.B != p.seq || !known || int64(len(p.members)) >= p.size {
+			return
+		}
+		arrival := math.NaN()
+		if in.readyIter[w] == ev.Iter+1 {
+			arrival = in.readyTS[w]
+		}
+		p.members = append(p.members, w)
+		p.arrivals = append(p.arrivals, arrival)
+		if int64(len(p.members)) == p.size {
+			in.release(p.members, p.arrivals, p.release)
+		}
+	case trace.KSignalWait:
+		if known && ev.Dur > 0 {
+			in.barrierWait[w] += ev.Dur
+		}
+	case trace.KWorkerJoin, trace.KWorkerDrain, trace.KWorkerDecommission, trace.KWorkerDead, trace.KWorkerRejoin:
+		in.epoch = ev.A
 	}
-	in.mu.Lock()
-	in.queueDepth.Append(now, float64(depth))
-	in.mu.Unlock()
-}
-
-// AddBarrierWait adds sec seconds to worker w's barrier-wait total.
-// Nil-safe; out-of-range workers are ignored.
-func (in *Instruments) AddBarrierWait(w int, sec float64) {
-	if in == nil || sec <= 0 {
-		return
-	}
-	in.mu.Lock()
-	if w >= 0 && w < len(in.barrierWait) {
-		in.barrierWait[w] += sec
-	}
-	in.mu.Unlock()
 }
 
 // SetSyncGauges updates the sync-graph connectivity gauges: maxAge is
 // the groups-since-last-contact of the most estranged alive pair (-1
 // when some pair has never met), components the number of connected
-// components of the windowed graph. Nil-safe.
+// components of the windowed graph. A side call, not an event: the
+// controller reads its O(N²) contact matrix for it. Nil-safe.
 func (in *Instruments) SetSyncGauges(maxAge, components int) {
 	if in == nil {
 		return
@@ -281,34 +321,11 @@ func (in *Instruments) SetSyncGauges(maxAge, components int) {
 	in.mu.Unlock()
 }
 
-// CountGroup counts one formed group, with its intervention flag.
-// Nil-safe.
-func (in *Instruments) CountGroup(bridged bool) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.groupsFormed++
-	if bridged {
-		in.interventions++
-	}
-	in.mu.Unlock()
-}
-
-// CountDeferral counts one frozen-avoidance deferral. Nil-safe.
-func (in *Instruments) CountDeferral() {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.deferrals++
-	in.mu.Unlock()
-}
-
 // RecordPolicyDecision records one formation-policy decision: p the
 // chosen group size, alpha the dynamic-weight decay in effect, deviated
 // whether the decision differs from the static default (what the
-// controller would do with no policy attached). Nil-safe.
+// controller would do with no policy attached). A side call, not an event:
+// KPolicyDecision marks deviations only and carries no α. Nil-safe.
 func (in *Instruments) RecordPolicyDecision(p int, alpha float64, deviated bool) {
 	if in == nil {
 		return
@@ -323,7 +340,7 @@ func (in *Instruments) RecordPolicyDecision(p int, alpha float64, deviated bool)
 }
 
 // Attribute is the blame rule: the one definition of who made whom wait,
-// shared by the online feed (AddGroupRelease) and the offline analyzer
+// shared by the online fold (Observe) and the offline analyzer
 // (analyze.Analyze). arrivals are one group's per-member arrival times,
 // NaN where unknown. critical is the index of the latest known arrival —
 // ties go to the higher index, the later-queued member, since FIFO pop
@@ -346,26 +363,17 @@ func Attribute(arrivals []float64) (critical int, induced float64) {
 	return critical, induced
 }
 
-// AddGroupRelease folds one group release into the online blame
-// estimator. members are the released workers, arrivals their arrival
-// times (same order, NaN where unknown) and release the clock time the
-// group was released at. Each member waited release − arrival (clamped
-// at 0); the member Attribute names critical is charged the seconds of
-// the others' time it consumed. Every member's blame EWMA decays toward
-// its per-group charge, so the scoreboard's "recent" column tracks the
-// current straggler rather than run-cumulative history. Nil-safe;
-// out-of-range workers are ignored.
-func (in *Instruments) AddGroupRelease(members []int, arrivals []float64, release float64) {
-	if in == nil || len(members) == 0 || len(members) != len(arrivals) {
-		return
-	}
+// release folds one group release into the online blame estimator.
+// members are the released workers, arrivals their arrival times (same
+// order, NaN where unknown) and release the clock time the group was
+// released at. Each member waited release − arrival (clamped at 0); the
+// member Attribute names critical is charged the seconds of the others'
+// time it consumed. Every member's blame EWMA decays toward its per-group
+// charge, so the scoreboard's "recent" column tracks the current straggler
+// rather than run-cumulative history. The caller holds in.mu.
+func (in *Instruments) release(members []int, arrivals []float64, release float64) {
 	critical, induced := Attribute(arrivals)
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for i, w := range members {
-		if w < 0 || w >= len(in.groupWait) {
-			continue
-		}
 		in.groupCount[w]++
 		if wait := release - arrivals[i]; wait > 0 {
 			in.groupWait[w] += wait
@@ -380,19 +388,9 @@ func (in *Instruments) AddGroupRelease(members []int, arrivals []float64, releas
 	}
 }
 
-// SetEpoch records the controller's membership epoch so snapshots (and
-// the watchdog's epoch-churn rule) can see elastic reconfiguration
-// without reaching into the controller. Nil-safe.
-func (in *Instruments) SetEpoch(epoch uint64) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.epoch = int64(epoch)
-	in.mu.Unlock()
-}
-
-// AddComms folds a data-plane delta into the running total. Nil-safe.
+// AddComms folds a data-plane delta into the running total. A side call,
+// not an event: the bytes and segments are the collective's OpStats, which
+// no event carries. Nil-safe.
 func (in *Instruments) AddComms(s CommStats) {
 	if in == nil {
 		return
@@ -477,8 +475,6 @@ func (in *Instruments) Snapshot() *InstrumentsSnapshot {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	ts, vs := in.queueDepth.Points()
-	bw := make([]float64, len(in.barrierWait))
-	copy(bw, in.barrierWait)
 	copyF := func(src []float64) []float64 {
 		out := make([]float64, len(src))
 		copy(out, src)
@@ -493,7 +489,7 @@ func (in *Instruments) Snapshot() *InstrumentsSnapshot {
 		Staleness:      in.staleness.clone(),
 		QueueDepthTS:   ts,
 		QueueDepthV:    vs,
-		BarrierWait:    bw,
+		BarrierWait:    copyF(in.barrierWait),
 		GroupWait:      copyF(in.groupWait),
 		Blame:          copyF(in.blame),
 		BlameEWMA:      copyF(in.blameEWMA),

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"partialreduce/internal/trace"
 )
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -86,33 +88,49 @@ func TestSeriesRing(t *testing.T) {
 
 func TestInstrumentsNilSafe(t *testing.T) {
 	var in *Instruments
-	in.ObserveStaleness(1)
-	in.RecordQueueDepth(0, 3)
-	in.AddBarrierWait(0, 1)
 	in.SetSyncGauges(2, 1)
-	in.CountGroup(true)
-	in.CountDeferral()
+	in.RecordPolicyDecision(3, 0.5, true)
 	in.AddComms(CommStats{Ops: 1})
-	in.AddGroupRelease([]int{0, 1}, []float64{0, 0.5}, 0.5)
 	snap := in.Snapshot()
 	if snap == nil || snap.Staleness == nil || snap.Staleness.Count() != 0 {
 		t.Fatal("nil instruments snapshot not empty")
 	}
 }
 
+// observeGroup feeds in the events of one formed group, as the controller
+// records them: each member's KReady at iteration seq (skipped where its
+// arrival is NaN), the KGroupFormed at release, one KStaleness per member.
+func observeGroup(in *Instruments, seq int64, release float64, members []int, arrivals []float64) {
+	for i, w := range members {
+		if !math.IsNaN(arrivals[i]) {
+			in.Observe(trace.Event{Kind: trace.KReady, Track: int32(w), Iter: int32(seq), TS: arrivals[i], A: int64(i + 1)})
+		}
+	}
+	in.Observe(trace.Event{Kind: trace.KGroupFormed, Track: trace.ControllerTrack, Iter: int32(seq), TS: release, A: seq, B: int64(len(members))})
+	for _, w := range members {
+		in.Observe(trace.Event{Kind: trace.KStaleness, Track: int32(w), Iter: int32(seq), B: seq})
+	}
+}
+
 func TestInstrumentsSnapshot(t *testing.T) {
 	in := NewInstruments(3)
-	in.ObserveStaleness(0)
-	in.ObserveStaleness(2)
-	in.RecordQueueDepth(1.5, 4)
-	in.AddBarrierWait(1, 0.25)
-	in.AddBarrierWait(1, 0.25)
-	in.AddBarrierWait(7, 1)  // out of range: ignored
-	in.AddBarrierWait(0, -1) // non-positive: ignored
+	for _, ev := range []trace.Event{
+		{Kind: trace.KStaleness, Track: 0, A: 0},
+		{Kind: trace.KStaleness, Track: 1, A: 2},
+		{Kind: trace.KReady, Track: 2, Iter: 1, TS: 1.5, A: 4},
+		{Kind: trace.KSignalWait, Track: 1, Dur: 0.25},
+		{Kind: trace.KSignalWait, Track: 1, Dur: 0.25},
+		{Kind: trace.KSignalWait, Track: 7, Dur: 1},             // out of range: ignored
+		{Kind: trace.KSignalWait, Track: trace.ControllerTrack}, // not a worker: ignored
+		{Kind: trace.KGroupFormed, Track: trace.ControllerTrack, A: 1, B: 2},
+		{Kind: trace.KGroupFormed, Track: trace.ControllerTrack, A: 2, B: 2},
+		{Kind: trace.KBridged, Track: trace.ControllerTrack, A: 2},
+		{Kind: trace.KDeferred, Track: trace.ControllerTrack},
+		{Kind: trace.KCompute, Track: 0, Dur: 9}, // feeds nothing
+	} {
+		in.Observe(ev)
+	}
 	in.SetSyncGauges(3, 1)
-	in.CountGroup(false)
-	in.CountGroup(true)
-	in.CountDeferral()
 	in.AddComms(CommStats{Ops: 2, BytesSent: 100, ReduceScatterS: 0.5})
 	in.AddComms(CommStats{Ops: 1, AllGatherS: 0.25})
 
@@ -139,17 +157,32 @@ func TestInstrumentsSnapshot(t *testing.T) {
 
 	// The snapshot is a deep copy: mutating the live instruments afterwards
 	// must not change it.
-	in.ObserveStaleness(5)
+	in.Observe(trace.Event{Kind: trace.KStaleness, A: 5})
 	if snap.Staleness.Count() != 2 {
 		t.Fatal("snapshot histogram aliases the live one")
 	}
 }
 
-func TestAddGroupRelease(t *testing.T) {
+// TestObserveEpoch: the epoch starts at the controller's first world view
+// and follows A of every membership event.
+func TestObserveEpoch(t *testing.T) {
+	in := NewInstruments(2)
+	if got := in.Snapshot().Epoch; got != 1 {
+		t.Fatalf("fresh epoch %d, want 1", got)
+	}
+	for i, k := range []trace.Kind{trace.KWorkerJoin, trace.KWorkerDrain, trace.KWorkerDecommission, trace.KWorkerDead, trace.KWorkerRejoin} {
+		in.Observe(trace.Event{Kind: k, Track: 1, A: int64(i + 2)})
+		if got := in.Snapshot().Epoch; got != int64(i+2) {
+			t.Fatalf("after %v: epoch %d, want %d", k, got, i+2)
+		}
+	}
+}
+
+func TestObserveGroupRelease(t *testing.T) {
 	in := NewInstruments(4)
 	// Worker 2 arrives last: members 0 and 1 each waited 0.4s and 0.2s
 	// longer than it did, so 2 is charged 0.6s of their time.
-	in.AddGroupRelease([]int{0, 1, 2}, []float64{0, 0.2, 0.4}, 0.4)
+	observeGroup(in, 1, 0.4, []int{0, 1, 2}, []float64{0, 0.2, 0.4})
 	snap := in.Snapshot()
 	if math.Abs(snap.Blame[2]-0.6) > 1e-12 {
 		t.Fatalf("critical blame %v, want 0.6", snap.Blame[2])
@@ -173,7 +206,7 @@ func TestAddGroupRelease(t *testing.T) {
 	// A second group with a different critical member moves the EWMA:
 	// worker 2's recent blame decays, worker 0's rises.
 	prev := snap.BlameEWMA[2]
-	in.AddGroupRelease([]int{0, 2}, []float64{0.3, 0}, 0.3)
+	observeGroup(in, 2, 0.3, []int{0, 2}, []float64{0.3, 0})
 	snap = in.Snapshot()
 	if snap.Blame[0] != 0.3 {
 		t.Fatalf("blame[0] = %v, want 0.3", snap.Blame[0])
@@ -185,42 +218,78 @@ func TestAddGroupRelease(t *testing.T) {
 		t.Fatalf("new straggler EWMA %v, want > 0", snap.BlameEWMA[0])
 	}
 
-	// Degenerate inputs are ignored or tolerated.
-	in.AddGroupRelease(nil, nil, 0)
-	in.AddGroupRelease([]int{0}, []float64{1, 2}, 2)               // length mismatch
-	in.AddGroupRelease([]int{9}, []float64{0}, 1)                  // out of range
-	in.AddGroupRelease([]int{1, 3}, []float64{0, math.NaN()}, 0.1) // member 3's arrival unknown
+	// Degenerate inputs are ignored or tolerated: a member outside the
+	// world never completes its group, a staleness record of another group
+	// or a ready stamp at another iteration joins nothing, and a member
+	// with no ready stamp is an unknown arrival: the one known arrival leads.
+	observeGroup(in, 3, 2, []int{9}, []float64{0})
+	in.Observe(trace.Event{Kind: trace.KStaleness, Track: 0, Iter: 3, B: 7})
+	observeGroup(in, 4, 0.1, []int{1, 3}, []float64{0, math.NaN()})
+	in.Observe(trace.Event{Kind: trace.KReady, Track: 0, Iter: 4, TS: 5})
+	in.Observe(trace.Event{Kind: trace.KGroupFormed, A: 5, B: 1, TS: 6})
+	in.Observe(trace.Event{Kind: trace.KStaleness, Track: 0, Iter: 5, B: 5})
 	snap2 := in.Snapshot()
-	if snap2.Blame[0] != snap.Blame[0] {
-		t.Fatal("degenerate release changed blame")
+	if snap2.Blame[0] != snap.Blame[0] || snap2.GroupWait[0] != snap.GroupWait[0] {
+		t.Fatal("degenerate release changed worker 0's blame or wait")
 	}
 	if math.Abs(snap2.GroupWait[1]-(0.2+0.1)) > 1e-12 {
 		t.Fatalf("unknown-critical release must still record waits: %v", snap2.GroupWait)
 	}
-	if snap2.CriticalN[1] != 0 && snap2.CriticalN[3] != 0 {
-		t.Fatal("unknown-critical release charged someone")
+	if snap2.CriticalN[1] != 1 || snap2.Blame[1] != 0 || snap2.CriticalN[3] != 0 {
+		t.Fatal("the one known arrival must be critical, at no charge")
+	}
+	if snap2.GroupCount[3] != 1 || snap2.GroupCount[0] != 3 {
+		t.Fatalf("group counts %v", snap2.GroupCount)
 	}
 }
 
+// TestInstrumentsConcurrent: the fold runs on whichever goroutine records,
+// under the tracer's lock, while another goroutine snapshots.
 func TestInstrumentsConcurrent(t *testing.T) {
-	in := NewInstruments(4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				in.ObserveStaleness(int64(i % 5))
-				in.RecordQueueDepth(float64(i), 2)
-				in.AddBarrierWait(g%4, 0.001)
-				in.CountGroup(i%7 == 0)
+	const workers, rounds = 4, 500
+	in := NewInstruments(workers)
+	tr := trace.New(trace.FuncClock(func() float64 { return 1 }), 64)
+	tr.SetSink(in.Observe)
+	stop := make(chan struct{})
+	snapped := make(chan struct{})
+	go func() {
+		defer close(snapped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 				_ = in.Snapshot()
 			}
-		}(g)
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				tr.Instant(trace.KReady, int32(w), int32(i), 2, 0)
+				tr.Instant(trace.KStaleness, int32(w), int32(i), int64(i%5), 0)
+				tr.SpanAt(trace.KSignalWait, int32(w), int32(i), 0, 0.001, 0, 0)
+				tr.Instant(trace.KGroupFormed, trace.ControllerTrack, int32(i), int64(w*rounds+i+1), 2)
+			}
+		}()
 	}
 	wg.Wait()
-	if got := in.Snapshot().Staleness.Count(); got != 8*500 {
-		t.Fatalf("staleness count %d, want %d", got, 8*500)
+	close(stop)
+	<-snapped
+	snap := in.Snapshot()
+	if snap.Staleness.Count() != workers*rounds || snap.GroupsFormed != workers*rounds {
+		t.Fatalf("staleness count %d, groups %d, want %d each", snap.Staleness.Count(), snap.GroupsFormed, workers*rounds)
+	}
+	if len(snap.QueueDepthV) != workers*rounds {
+		t.Fatalf("%d queue-depth samples, want %d", len(snap.QueueDepthV), workers*rounds)
+	}
+	for w, s := range snap.BarrierWait {
+		if math.Abs(s-0.001*rounds) > 1e-9 {
+			t.Fatalf("worker %d barrier wait %v, want %v", w, s, 0.001*rounds)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"partialreduce/internal/health"
 	"partialreduce/internal/metrics"
+	"partialreduce/internal/trace"
 )
 
 // TestHealthEndpoints: /readyz is 503 until the watchdog's first
@@ -88,7 +89,7 @@ func TestHealthEndpoints(t *testing.T) {
 		`preduce_watchdog_value{rule="queue-stall"} 5`,
 		`preduce_watchdog_threshold{rule="queue-stall"} 3`,
 		`preduce_watchdog_fires_total{rule="queue-stall"} 1`,
-		"preduce_epoch 0",
+		"preduce_epoch 1", // NewInstruments starts at the controller's first world view
 	} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Errorf("missing %q in /metrics:\n%s", want, body)
@@ -243,10 +244,11 @@ func TestPromTextLint(t *testing.T) {
 	}
 
 	// More activity: every counter should only grow (or hold).
-	ins.ObserveStaleness(2)
-	ins.CountGroup(true)
+	ready(ins, 0, 3, 2, 1)
+	ready(ins, 1, 3, 2.25, 2)
+	observeGroup(ins, 3, 2.25, []int32{0, 1}, []int64{2, 0})
+	ins.Observe(trace.Event{Kind: trace.KBridged, Track: trace.ControllerTrack, A: 3})
 	ins.AddComms(metrics.CommStats{Ops: 3, BytesSent: 64, Retries: 2, Timeouts: 1})
-	ins.AddGroupRelease([]int{0, 1}, []float64{0, 0.25}, 0.25)
 	wd.Eval(2.0, health.Sample{Snap: ins.Snapshot(), QueueDepth: 5, Active: 3})
 
 	second := lintPromText(t, render())

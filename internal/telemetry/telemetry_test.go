@@ -9,23 +9,38 @@ import (
 	"testing"
 
 	"partialreduce/internal/metrics"
+	"partialreduce/internal/trace"
 )
+
+// ready feeds in worker w's ready stamp for iteration iter at ts, with the
+// queue depth after it.
+func ready(in *metrics.Instruments, w int32, iter int32, ts float64, depth int64) {
+	in.Observe(trace.Event{Kind: trace.KReady, Track: w, Iter: iter, TS: ts, A: depth})
+}
+
+// observeGroup feeds in the events the controller records when it forms
+// group seq at release: the formation, then each member's staleness at
+// iteration seq. A member arrived at its ready stamp for that iteration.
+func observeGroup(in *metrics.Instruments, seq int64, release float64, members []int32, stale []int64) {
+	in.Observe(trace.Event{Kind: trace.KGroupFormed, Track: trace.ControllerTrack, Iter: int32(seq), TS: release, A: seq, B: int64(len(members))})
+	for i, w := range members {
+		in.Observe(trace.Event{Kind: trace.KStaleness, Track: w, Iter: int32(seq), A: stale[i], B: seq})
+	}
+}
 
 func sampleInstruments() *metrics.Instruments {
 	in := metrics.NewInstruments(3)
-	in.ObserveStaleness(0)
-	in.ObserveStaleness(0)
-	in.ObserveStaleness(1)
-	in.ObserveStaleness(3)
-	in.RecordQueueDepth(1.0, 2)
-	in.RecordQueueDepth(2.0, 5)
-	in.AddBarrierWait(0, 0.5)
-	in.AddBarrierWait(2, 1.25)
+	// Group 1: worker 2 arrives 0.75s after worker 0.
+	ready(in, 0, 1, 0, 2)
+	ready(in, 2, 1, 0.75, 5)
+	observeGroup(in, 1, 0.75, []int32{0, 2}, []int64{0, 0})
+	// Group 2, bridged: no member has a ready stamp at its iteration.
+	observeGroup(in, 2, 1, []int32{0, 1}, []int64{1, 3})
+	in.Observe(trace.Event{Kind: trace.KBridged, Track: trace.ControllerTrack, A: 2})
+	in.Observe(trace.Event{Kind: trace.KDeferred, Track: trace.ControllerTrack})
+	in.Observe(trace.Event{Kind: trace.KSignalWait, Track: 0, Dur: 0.5})
+	in.Observe(trace.Event{Kind: trace.KSignalWait, Track: 2, Dur: 1.25})
 	in.SetSyncGauges(4, 1)
-	in.CountGroup(false)
-	in.CountGroup(true)
-	in.CountDeferral()
-	in.AddGroupRelease([]int{0, 2}, []float64{0, 0.75}, 0.75)
 	in.AddComms(metrics.CommStats{
 		Ops: 7, BytesSent: 1000, BytesRecv: 900, Segments: 14,
 		Retries: 1, Timeouts: 2, Aborts: 0,

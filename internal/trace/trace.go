@@ -102,7 +102,7 @@ const (
 	// proceed solo (Track=worker).
 	KRelease
 	// KWorkerDead / KWorkerRejoin mark liveness transitions
-	// (Track=worker).
+	// (Track=worker, A=new epoch).
 	KWorkerDead
 	KWorkerRejoin
 	// KRetry marks a collective attempt re-run after a timeout (A=opID,
@@ -257,6 +257,7 @@ type Tracer struct {
 	wrapped bool
 	dropped uint64
 	origin  int32
+	sink    func(Event)
 }
 
 // New returns a tracer reading timestamps from clock and retaining the
@@ -281,6 +282,18 @@ func (t *Tracer) SetOrigin(rank int32) {
 	t.mu.Unlock()
 }
 
+// SetSink makes sink see every event as it is recorded, under the tracer's
+// lock and before the ring can overwrite it: how live instruments fold the
+// same events the exporters write. A nil sink detaches. Nil-safe.
+func (t *Tracer) SetSink(sink func(Event)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.sink = sink
+	t.mu.Unlock()
+}
+
 // Now returns the tracer's clock reading, or 0 on a nil tracer. Span
 // call sites capture start := tr.Now() and pass it back to Span.
 func (t *Tracer) Now() float64 {
@@ -290,13 +303,17 @@ func (t *Tracer) Now() float64 {
 	return t.clock.Now()
 }
 
-// record appends ev, overwriting the oldest event when full.
+// record appends ev, overwriting the oldest event when full, and hands it
+// to the sink.
 func (t *Tracer) record(ev Event) {
 	t.mu.Lock()
 	if t.wrapped {
 		t.dropped++
 	}
 	ev.Origin = t.origin
+	if t.sink != nil {
+		t.sink(ev)
+	}
 	t.buf[t.next] = ev
 	t.next++
 	if t.next == len(t.buf) {

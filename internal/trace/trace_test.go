@@ -23,6 +23,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.SpanAt(KCompute, 0, 0, 0, 1, 0, 0)
 	tr.Instant(KReady, 0, 0, 0, 0)
 	tr.InstantAt(KReady, 0, 0, 0, 0, 0)
+	tr.SetSink(func(Event) { t.Fatal("nil tracer called its sink") })
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatalf("nil tracer retained state: len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
@@ -81,6 +82,36 @@ func TestRingWrapKeepsMostRecent(t *testing.T) {
 		if evs[i].TS < evs[i-1].TS {
 			t.Fatalf("events out of chronological order at %d", i)
 		}
+	}
+}
+
+// TestSinkSeesEveryEvent: the sink sees each event as recorded, origin
+// stamped and duration clamped, including those the ring later overwrites;
+// a nil sink detaches.
+func TestSinkSeesEveryEvent(t *testing.T) {
+	tr := New(&stepClock{}, 2)
+	tr.SetOrigin(3)
+	var seen []Event
+	tr.SetSink(func(ev Event) { seen = append(seen, ev) })
+	for i := 0; i < 5; i++ {
+		tr.Instant(KReady, int32(i), -1, int64(i), 0)
+	}
+	tr.SpanAt(KSignalWait, 1, 2, 0, -1, 0, 0)
+	if len(seen) != 6 || tr.Len() != 2 {
+		t.Fatalf("sink saw %d events, ring holds %d; want 6 and 2", len(seen), tr.Len())
+	}
+	for i, ev := range seen[:5] {
+		if ev.A != int64(i) || ev.Origin != 3 {
+			t.Fatalf("sink event %d = %+v", i, ev)
+		}
+	}
+	if ev := seen[5]; ev.Kind != KSignalWait || ev.Dur != 0 {
+		t.Fatalf("sink span = %+v, want a clamped signal-wait", ev)
+	}
+	tr.SetSink(nil)
+	tr.Instant(KReady, 0, -1, 0, 0)
+	if len(seen) != 6 {
+		t.Fatal("detached sink still called")
 	}
 }
 
