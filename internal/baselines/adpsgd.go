@@ -29,7 +29,6 @@ func (*ADPSGD) Name() string { return "AD" }
 
 // Run implements cluster.Strategy.
 func (*ADPSGD) Run(c *cluster.Cluster) (*metrics.Result, error) {
-	env := engine.NewSimEnv(c)
 	rng := sim.Stream(c.Cfg.Seed, 0xAD)
 	avg := tensor.NewVector(len(c.Init))
 	weights := engine.UniformWeights(2)
@@ -44,7 +43,7 @@ func (*ADPSGD) Run(c *cluster.Cluster) (*metrics.Result, error) {
 			grad, _ := c.Gradient(w) // at the snapshot, possibly stale by now
 			j := pickNeighbor(rng, c.Cfg.N, w.ID)
 			machine.To(w.ID, engine.StateReduce)
-			env.Exchanges(1)
+			c.ChargeExchange(1)
 			c.Eng.After(c.PairTime(w.ID, j), func() {
 				neighbor := c.Workers[j]
 				// Atomic pairwise average; the neighbor is not interrupted.

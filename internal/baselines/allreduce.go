@@ -4,9 +4,9 @@
 // (staleness-aware learning rates) and BK (backup workers). Each runs real
 // SGD on the shared cluster substrate; only the synchronization structure
 // and the communication cost model differ. The synchronization step itself
-// — and all traffic accounting — lives in internal/engine: every baseline
-// builds a SimEnv and either delegates to a shared driver (All-Reduce) or
-// drives the step machine and aggregation rules directly.
+// lives in internal/engine: a baseline either delegates to a shared driver
+// (All-Reduce) or drives the step machine and aggregation rules directly,
+// pricing and charging its traffic on the cluster.
 package baselines
 
 import (
@@ -29,7 +29,7 @@ func (*AllReduce) Name() string { return "AR" }
 
 // Run implements cluster.Strategy by delegating to the shared step engine:
 // RunAllReduceSim executes the same compute → reduce → apply step as the
-// live RunAllReduceWorker, on the simulated substrate.
+// live RunAllReduceWorker, on the simulated cluster.
 func (*AllReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
-	return engine.RunAllReduceSim(engine.NewSimEnv(c))
+	return engine.RunAllReduceSim(c)
 }

@@ -25,7 +25,6 @@ func (*DPSGD) Name() string { return "D-PSGD" }
 
 // Run implements cluster.Strategy.
 func (*DPSGD) Run(c *cluster.Cluster) (*metrics.Result, error) {
-	env := engine.NewSimEnv(c)
 	n := c.Cfg.N
 	next := make([]tensor.Vector, n) // post-gossip models, built per round
 	for i := range next {
@@ -54,7 +53,7 @@ func (*DPSGD) Run(c *cluster.Cluster) (*metrics.Result, error) {
 				worst = t
 			}
 		}
-		env.Exchanges(n) // one bidirectional model exchange per ring link
+		c.ChargeExchange(n) // one bidirectional model exchange per ring link
 		c.Eng.After(maxDt+worst, func() {
 			// Gossip averaging with ring weights 1/3–1/3–1/3, then the local
 			// gradient (computed at the pre-gossip model, as in D-PSGD).

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"partialreduce/internal/cluster"
-	"partialreduce/internal/engine"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/tensor"
 )
@@ -25,13 +24,10 @@ import (
 // Stale replays bias the aggregate and replica drift degrades the averaged
 // model, which is why ER fails to reach the paper's accuracy thresholds
 // under heterogeneity (Fig. 7a; "N/A" in Table 1).
-type EagerReduce struct {
-	// Quorum is the number of fresh contributions that closes a round; zero
-	// selects the majority ⌊N/2⌋+1.
-	Quorum int
-}
+type EagerReduce struct{}
 
-// NewEagerReduce returns the ER baseline with the majority quorum.
+// NewEagerReduce returns the ER baseline. A round closes on a majority
+// quorum: ⌊N/2⌋+1 fresh contributions.
 func NewEagerReduce() *EagerReduce { return &EagerReduce{} }
 
 // Name implements cluster.Strategy.
@@ -42,14 +38,9 @@ func (*EagerReduce) Name() string { return "ER" }
 // from the worker loops (a worker deposits and keeps going, so no worker is
 // ever "in" the collective), and its aggregate is a sum-then-scale over all
 // N cached slots — including stale replays — not a convex combination of
-// fresh contributions. Only the traffic accounting goes through the engine's
-// SimEnv.
-func (e *EagerReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
-	env := engine.NewSimEnv(c)
-	quorum := e.Quorum
-	if quorum == 0 {
-		quorum = c.Cfg.N/2 + 1
-	}
+// fresh contributions.
+func (*EagerReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
+	quorum := c.Cfg.N/2 + 1
 	n := float64(c.Cfg.N)
 
 	// cached[i] is worker i's most recent gradient (zero until it first
@@ -89,8 +80,7 @@ func (e *EagerReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
 			return
 		}
 		inFlight = true
-		ring := env.WorldRing()
-		c.Eng.After(ring, finishRound)
+		c.Eng.After(c.RingAll(), finishRound)
 	}
 
 	start = func(w *cluster.Worker) {

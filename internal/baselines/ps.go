@@ -40,7 +40,6 @@ func (*PSBSP) Name() string { return "PS BSP" }
 
 // Run implements cluster.Strategy.
 func (*PSBSP) Run(c *cluster.Cluster) (*metrics.Result, error) {
-	env := engine.NewSimEnv(c)
 	srv := newPSServer(c)
 	c.EvalOverride = func() float64 { return c.EvalParams(srv.params) }
 	avg := tensor.NewVector(len(c.Init))
@@ -58,7 +57,7 @@ func (*PSBSP) Run(c *cluster.Cluster) (*metrics.Result, error) {
 			}
 		}
 		dur := maxDt + c.PSTimeMax()
-		env.Exchanges(c.Cfg.N) // every worker pushes and pulls
+		c.ChargeExchange(c.Cfg.N) // every worker pushes and pulls
 		c.Eng.After(dur, func() {
 			for i, w := range c.Workers {
 				machine.To(w.ID, engine.StateReduce)
@@ -110,7 +109,6 @@ func (p *PSAsync) Name() string {
 
 // Run implements cluster.Strategy.
 func (p *PSAsync) Run(c *cluster.Cluster) (*metrics.Result, error) {
-	env := engine.NewSimEnv(c)
 	srv := newPSServer(c)
 	c.EvalOverride = func() float64 { return c.EvalParams(srv.params) }
 	pulled := make([]int, c.Cfg.N) // server version each worker last pulled
@@ -123,7 +121,7 @@ func (p *PSAsync) Run(c *cluster.Cluster) (*metrics.Result, error) {
 		c.Eng.After(c.ComputeTime(w), func() {
 			grad, _ := c.Gradient(w) // at the pulled snapshot
 			machine.To(w.ID, engine.StateReduce)
-			env.Exchanges(1)
+			c.ChargeExchange(1)
 			c.Eng.After(c.PSTime(w.ID), func() {
 				scale := 1.0
 				if p.Hete {
@@ -172,7 +170,6 @@ func (p *PSBK) Run(c *cluster.Cluster) (*metrics.Result, error) {
 	if p.Backup < 0 || p.Backup >= c.Cfg.N {
 		return nil, fmt.Errorf("baselines: %d backup workers need 0 <= b < N=%d", p.Backup, c.Cfg.N)
 	}
-	env := engine.NewSimEnv(c)
 	srv := newPSServer(c)
 	c.EvalOverride = func() float64 { return c.EvalParams(srv.params) }
 	k := c.Cfg.N - p.Backup
@@ -195,7 +192,7 @@ func (p *PSBK) Run(c *cluster.Cluster) (*metrics.Result, error) {
 		}
 		sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].dt < arrivals[j].dt })
 		dur := arrivals[k-1].dt + c.PSTimeMax()
-		env.Exchanges(c.Cfg.N) // k gradients land, everyone pulls
+		c.ChargeExchange(c.Cfg.N) // k gradients land, everyone pulls
 		c.Eng.After(dur, func() {
 			for _, w := range c.Workers {
 				machine.To(w.ID, engine.StateReduce)

@@ -370,24 +370,29 @@ func (c *Cluster) WireBytes() int64 { return c.Cfg.Profile.WireBytes() }
 // these, so a Topology (per-worker links, geo zones) transparently affects
 // all of them.
 
-// RingTime returns the duration of a ring all-reduce among members.
-func (c *Cluster) RingTime(members []int) float64 {
+// Ring prices one executed ring all-reduce among members and charges its
+// traffic: the price and the charge are one call, so a ring a strategy waits
+// for is a ring the run's comm columns count. It returns the modeled
+// duration for the caller to charge the event engine. Call it once per
+// attempt: an attempt that later times out still moved (some of) its bytes,
+// exactly as the live runtime counts aborted attempts' partial traffic.
+func (c *Cluster) Ring(members []int) float64 {
 	if c.Cfg.Topology != nil {
-		return c.Cfg.Topology.RingAllReduce(c.Cfg.Net, members, c.WireBytes())
+		return c.chargeRing(len(members), c.Cfg.Topology.RingAllReduce(c.Cfg.Net, members, c.WireBytes()))
 	}
-	return c.Cfg.Net.RingAllReduce(len(members), c.WireBytes())
+	return c.chargeRing(len(members), c.Cfg.Net.RingAllReduce(len(members), c.WireBytes()))
 }
 
-// RingTimeAll returns the duration of a full-cluster ring all-reduce.
-func (c *Cluster) RingTimeAll() float64 {
+// RingAll prices and charges one executed full-cluster ring all-reduce.
+func (c *Cluster) RingAll() float64 {
 	if c.Cfg.Topology == nil {
-		return c.Cfg.Net.RingAllReduce(c.Cfg.N, c.WireBytes())
+		return c.chargeRing(c.Cfg.N, c.Cfg.Net.RingAllReduce(c.Cfg.N, c.WireBytes()))
 	}
 	members := make([]int, c.Cfg.N)
 	for i := range members {
 		members[i] = i
 	}
-	return c.Cfg.Topology.RingAllReduce(c.Cfg.Net, members, c.WireBytes())
+	return c.Ring(members)
 }
 
 // PSTime returns worker w's parameter-server push/pull round trip.
@@ -418,23 +423,24 @@ func (c *Cluster) PairTime(a, b int) float64 {
 	return c.Cfg.Net.PairAverage(c.WireBytes())
 }
 
-// Modeled traffic accounting: strategies call these once per *executed*
-// synchronization so the simulator's summary carries the same comm columns
-// the live runtime measures. (The *Time helpers above stay pure cost
-// queries — PSTimeMax, for instance, probes every worker to find the
-// slowest, which must not count as N transfers.)
+// Modeled traffic accounting: the simulator's summary carries the same
+// comm columns the live runtime measures. A ring is charged inside Ring and
+// RingAll; a point-to-point exchange is priced (PSTime, PairTime) and charged
+// (ChargeExchange) apart, because the price alone is also a query —
+// PSTimeMax probes every worker to find the slowest, which must not count as
+// N transfers.
 
-// ChargeRing records the traffic of one executed ring all-reduce among g
-// members: every member ships 2(g−1)/g of the tensor in each direction, so
-// the group total is 2(g−1)·WireBytes both sent and received. ring is the
-// modeled duration of the collective (the same value the caller charges the
-// event engine); each of the g members spends it split evenly between the
-// two symmetric ring phases, so the run's ReduceScatterS/AllGatherS columns
-// accumulate g·ring/2 cumulative seconds per phase — the modeled counterpart
-// of the live runtime's measured phase wall time.
-func (c *Cluster) ChargeRing(g int, ring float64) {
+// chargeRing records the traffic of one executed ring all-reduce among g
+// members and returns ring: every member ships 2(g−1)/g of the tensor in
+// each direction, so the group total is 2(g−1)·WireBytes both sent and
+// received. ring is the modeled duration of the collective; each of the g
+// members spends it split evenly between the two symmetric ring phases, so
+// the run's ReduceScatterS/AllGatherS columns accumulate g·ring/2 cumulative
+// seconds per phase — the modeled counterpart of the live runtime's measured
+// phase wall time.
+func (c *Cluster) chargeRing(g int, ring float64) float64 {
 	if g < 2 {
-		return
+		return ring
 	}
 	b := 2 * int64(g-1) * c.WireBytes()
 	half := float64(g) * ring / 2
@@ -442,6 +448,7 @@ func (c *Cluster) ChargeRing(g int, ring float64) {
 		Ops: 1, BytesSent: b, BytesRecv: b,
 		ReduceScatterS: half, AllGatherS: half,
 	})
+	return ring
 }
 
 // ChargeExchange records n executed point-to-point model exchanges (a PS

@@ -75,7 +75,8 @@ func TestAbortedGroupLeavesModelUntouched(t *testing.T) {
 	optCfg := optim.Config{LR: 0.05, Momentum: 0.9}
 	ctl := &abortControl{m: m, group: group, op: op}
 	out, err := engine.RunPReduceWorker(&engine.LiveWorker{
-		Env:       engine.NewLiveEnv(0, eps[0], collective.Options{SegmentElems: seg, Stats: &stats}, nil, nil),
+		Trans:     eps[0],
+		Copts:     collective.Options{SegmentElems: seg, Stats: &stats},
 		Model:     m,
 		Opt:       optim.NewSGD(optCfg, m.NumParams()),
 		Sampler:   data.NewSampler(ds, 3),

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"partialreduce/internal/cluster"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/tensor"
 )
@@ -11,14 +12,13 @@ import (
 // slowest worker — the straggler sensitivity the paper targets. It is the
 // same training step RunAllReduceWorker executes live: compute → reduce →
 // apply on the step machine, with the gradient mean computed by the shared
-// aggregation rule; only the substrate differs (modeled ring time and
-// charged traffic here, a real collective there).
+// aggregation rule; only the ring differs (priced and charged by the
+// cluster here, a real collective there).
 //
 // All-Reduce honors a crash schedule the only way a global collective can
 // (§4): the first fail-stop halts training — every subsequent round would
 // block forever on the dead rank — and the run is recorded as not converged.
-func RunAllReduceSim(env *SimEnv) (*metrics.Result, error) {
-	c := env.C
+func RunAllReduceSim(c *cluster.Cluster) (*metrics.Result, error) {
 	n := c.Cfg.N
 	avg := tensor.NewVector(len(c.Init))
 	weights := UniformWeights(n)
@@ -37,7 +37,7 @@ func RunAllReduceSim(env *SimEnv) (*metrics.Result, error) {
 				maxDt = dt
 			}
 		}
-		ring := env.WorldRing()
+		ring := c.RingAll()
 		c.Eng.After(maxDt+ring, func() {
 			for i, w := range c.Workers {
 				machine.To(w.ID, StateReduce)

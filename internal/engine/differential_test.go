@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"partialreduce/internal/cluster"
-	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
 	"partialreduce/internal/engine"
@@ -140,7 +139,8 @@ func simLiveDifferential(t *testing.T, batch int) {
 		go func(id int, m model.Model) {
 			defer wg.Done()
 			w := &engine.LiveWorker{
-				Env:       engine.NewLiveEnv(id, world[id], collective.Options{}, nil, nil),
+				Rank:      id,
+				Trans:     world[id],
 				Model:     m,
 				Opt:       optim.NewSGD(optCfg, m.NumParams()),
 				Sampler:   twin.Workers[id].Sampler,

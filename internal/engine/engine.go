@@ -10,20 +10,16 @@
 //   - the aggregation rules (GroupAverage and the uniform/neighbor/pair
 //     weight vectors the baselines use), all reducing to
 //     tensor.WeightedAverage with a pinned accumulation order;
-//   - the two substrates: SimEnv (wraps cluster.Cluster — virtual clock,
-//     analytic α–β costs, traffic charging folded inside the env so no
-//     strategy ever touches ChargeRing/ChargeExchange directly) and LiveEnv
-//     (wraps a transport endpoint — wall clock, real bytes through the
-//     collective package). They share no interface: a driver is written
-//     against the one it schedules on (event-driven or blocking);
 //   - the drivers: the PReduce strategy (PReduceConfig → NewController → the
-//     one sim driver) and RunAllReduceSim on the event engine,
-//     RunPReduceWorker/RunAllReduceWorker as the live per-rank loops, and
-//     ServiceCore, which serves the controller to both substrates.
+//     one sim driver) and RunAllReduceSim, written against cluster.Cluster
+//     (virtual clock, rings priced and charged in one call);
+//     RunPReduceWorker/RunAllReduceWorker, the live per-rank loops, written
+//     against a LiveWorker's transport endpoint and the collective package
+//     (wall clock, measured bytes); and ServiceCore, which serves the
+//     controller to both.
 //
-// Strategies and runtimes configure a SimEnv or a LiveEnv and invoke a
-// driver; they never re-implement the step. Adding a strategy is a
-// single-file change against this package.
+// Strategies and runtimes invoke a driver; they never re-implement the step.
+// Adding a strategy is a single-file change against this package.
 package engine
 
 import "fmt"
@@ -31,7 +27,7 @@ import "fmt"
 // StepState is one phase of the canonical training step. Every worker,
 // simulated or live, advances through these states; Machine enforces that
 // only the documented transitions occur, so a refactor that drifts one
-// substrate's step order away from the other fails loudly instead of
+// runtime's step order away from the other fails loudly instead of
 // silently diverging.
 type StepState uint8
 

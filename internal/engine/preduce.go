@@ -149,7 +149,7 @@ func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 	if err != nil {
 		return RunInfo{}, err
 	}
-	res, err := runPReduceSim(NewSimEnv(c), ctrl, nil)
+	res, err := runPReduceSim(c, ctrl, nil)
 	if err != nil {
 		return RunInfo{}, err
 	}

@@ -21,8 +21,8 @@ func (s simSink) Reply(w int, _ uint64, d Directive) { s.reply(w, d) }
 func (s simSink) Abort(w int, op uint32, _ int)      { s.abort(w, op) }
 func (s simSink) StartJoin(j, donor int, _ uint32)   { s.startJoin(j, donor) }
 
-// runPReduceSim drives Algorithm 2 on the simulated substrate's event
-// engine, with ctrl already wired (tracer, instruments, policy). The
+// runPReduceSim drives Algorithm 2 on the cluster's event engine,
+// with ctrl already wired (tracer, instruments, policy). The
 // controller is served by the same core as the live runtime's
 // (ServiceCore): ready signals, crashes (§4), checkpoint rejoins, elastic
 // joins and drains, stuck ops and watchdog ticks are its events, and this
@@ -30,8 +30,7 @@ func (s simSink) StartJoin(j, donor int, _ uint32)   { s.startJoin(j, donor) }
 // its partition retries, the average, and the bootstrap transfer. observe,
 // when set, wraps the sim sink and is called after every core event: how the
 // invariant tests watch the service a seeded run drives.
-func runPReduceSim(env *SimEnv, ctrl *controller.Controller, observe func(*ServiceCore, Sink) (Sink, func())) (*metrics.Result, error) {
-	c := env.C
+func runPReduceSim(c *cluster.Cluster, ctrl *controller.Controller, observe func(*ServiceCore, Sink) (Sink, func())) (*metrics.Result, error) {
 	agg := tensor.NewVector(len(c.Init))
 	paramsBuf := make([]tensor.Vector, 0, c.Cfg.N)
 	machine := NewMachine(c.Cfg.N)
@@ -131,7 +130,7 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, observe func(*Servi
 			// pending; the members have already re-signaled.
 			return
 		}
-		ring := env.GroupRing(g.Members)
+		ring := c.Ring(g.Members)
 		if !c.PartitionSplits(g.Members, c.Eng.Now()) {
 			// One controller round trip plus a ring all-reduce sized to the
 			// group: P-Reduce preserves collective bandwidth utilization
@@ -185,7 +184,8 @@ func runPReduceSim(env *SimEnv, ctrl *controller.Controller, observe func(*Servi
 		vel, step := d.Opt.State()
 		iter := d.Iter
 		c.Tracer.Instant(trace.KBootstrap, int32(j), int32(iter), int64(donor), int64(len(params)))
-		dt := env.BootstrapTransfer(donor, j)
+		dt := c.PairTime(donor, j)
+		c.ChargeExchange(1)
 		c.Eng.After(dt, func() {
 			w := c.Workers[j]
 			w.Params().CopyFrom(params)

@@ -608,7 +608,7 @@ func TestSimServiceInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		events := 0
-		_, err = runPReduceSim(NewSimEnv(c), ctrl, func(core *ServiceCore, out Sink) (Sink, func()) {
+		_, err = runPReduceSim(c, ctrl, func(core *ServiceCore, out Sink) (Sink, func()) {
 			h := &coreHarness{t: t, c: core, next: out, replied: map[[2]uint64]bool{}, inGroup: make([]uint32, cfg.N)}
 			return h, func() { events++; h.settle() }
 		})

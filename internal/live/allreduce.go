@@ -60,7 +60,7 @@ func RunAllReduce(cfg Config, world []transport.Transport) (*Report, error) {
 		WorkerIters:   iters,
 	}
 	for _, w := range workers {
-		rep.Comms.Merge(*w.Env.Copts.Stats)
+		rep.Comms.Merge(*w.Copts.Stats)
 	}
 	return rep, nil
 }

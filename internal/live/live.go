@@ -8,7 +8,7 @@
 //
 // The training step itself is not defined here: workers execute
 // engine.RunPReduceWorker — the same step state machine the simulator
-// drives — over a LiveEnv (wall clock, real collectives) and an
+// drives — over a transport endpoint (wall clock, real collectives) and an
 // engine.Control. This package owns only the substrate: the controller
 // service core (service.go), its one adapter — control frames under tags the
 // collectives never use (worker.go, wire.go) — the rank lifecycle (park,
@@ -296,7 +296,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	n := 0
 	for id, end := range ends {
 		rep.WorkerIters[id] = end.iter
-		rep.Comms.Merge(*end.w.Env.Copts.Stats)
+		rep.Comms.Merge(*end.w.Copts.Stats)
 		if rep.Completed[id] {
 			avg.Add(end.w.Model.Params())
 			n++
@@ -368,27 +368,30 @@ func healthClock(cfg Config) (tick <-chan time.Time, now func() float64, stop fu
 // with (formation policies read queue waits from it).
 func unixSeconds(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
 
-// newLiveWorker assembles rank id's engine worker: live environment
-// (collective options, telemetry sinks, a data-plane stats accumulator at
-// Env.Copts.Stats) plus fresh training state — a replica of base, a new
+// newLiveWorker assembles rank id's engine worker: its endpoint, collective
+// options (with a data-plane stats accumulator at Copts.Stats) and telemetry
+// sinks, plus fresh training state — a replica of base, a new
 // optimizer, the rank's own sampler stream.
 func newLiveWorker(cfg Config, id int, tr transport.Transport, base model.Model, shard *data.Dataset, init tensor.Vector) *engine.LiveWorker {
 	pol := cfg.Retry
 	if pol.Seed == 0 {
 		pol.Seed = cfg.Seed
 	}
-	env := engine.NewLiveEnv(id, tr, collective.Options{
-		SegmentElems: cfg.SegmentElems,
-		Stats:        new(collective.OpStats),
-		Timeout:      cfg.CollectiveTimeout,
-		Retry:        pol,
-		Tracer:       cfg.Tracer,
-		TraceTrack:   int32(id),
-		TraceIter:    -1,
-	}, cfg.Tracer, cfg.Instruments)
 	m := base.Clone()
 	return &engine.LiveWorker{
-		Env:          env,
+		Rank:  id,
+		Trans: tr,
+		Copts: collective.Options{
+			SegmentElems: cfg.SegmentElems,
+			Stats:        new(collective.OpStats),
+			Timeout:      cfg.CollectiveTimeout,
+			Retry:        pol,
+			Tracer:       cfg.Tracer,
+			TraceTrack:   int32(id),
+			TraceIter:    -1,
+		},
+		Tracer:       cfg.Tracer,
+		Instruments:  cfg.Instruments,
 		Model:        m,
 		Opt:          optim.NewSGD(cfg.Optimizer, m.NumParams()),
 		Sampler:      data.NewSampler(shard, cfg.Seed*31+int64(id)),
@@ -404,8 +407,8 @@ func newLiveWorker(cfg Config, id int, tr transport.Transport, base model.Model,
 // iteration. A transport failure (transport.IsFailure) means the donor died
 // mid-transfer: the caller reports a join abort and the rank stays parked.
 func bootstrapJoiner(cfg Config, w *engine.LiveWorker, donor int, op uint32) error {
-	id := w.Env.Rank
-	st, err := collective.BootstrapRecv(w.Env.Trans, donor, op, w.Env.Copts)
+	id := w.Rank
+	st, err := collective.BootstrapRecv(w.Trans, donor, op, w.Copts)
 	if err != nil {
 		return fmt.Errorf("live: worker %d bootstrap from %d: %w", id, donor, err)
 	}

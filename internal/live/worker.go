@@ -484,7 +484,7 @@ func runWorkerRank(cfg Config, tr transport.Transport, ctrlRank int, completed <
 			WallTime:    time.Since(start),
 			WorkerIters: []int{end.iter},
 			Completed:   []bool{end.finished},
-			Comms:       *w.Env.Copts.Stats,
+			Comms:       *w.Copts.Stats,
 		}
 	}
 	if !end.finished {
@@ -517,7 +517,7 @@ func runWorkerRank(cfg Config, tr transport.Transport, ctrlRank int, completed <
 		}
 		p := params
 		if r != ctrlRank {
-			got, err := tr.RecvIntoTimeout(r, ctrlModelTag, in, w.Env.Copts.Timeout)
+			got, err := tr.RecvIntoTimeout(r, ctrlModelTag, in, w.Copts.Timeout)
 			if err != nil {
 				return nil, fmt.Errorf("live: final model of rank %d: %w", r, err)
 			}

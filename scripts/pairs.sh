@@ -12,8 +12,9 @@
 # sides differ in their code only (a binary run from its own checkout can
 # read a few percent apart on identical code). Per workload, pair i runs seed
 # i on both sides at BENCHMARK.json's run_seconds, base first on odd i and
-# the working tree first on even i; one more pair on held-out seed 2002 is
-# reported apart. BASE=HEAD on a clean tree is the A/A mode: the host's noise
+# the working tree first on even i. Held-out seed 2002 runs twice, reported
+# apart: base first, then the working tree first, so a Δ that follows the
+# order rather than the code shows as two readings that disagree. BASE=HEAD on a clean tree is the A/A mode: the host's noise
 # floor, which a claim's gap should clear.
 #
 # Output, besides the run log (.bench_build/pairs-*/log: one
@@ -22,7 +23,7 @@
 # workload and end-to-end metric one perf-log row — base and working-tree
 # median [q1, q3], Δ of the medians, wins (pairs where the working tree is
 # better in the metric's own direction), one arrow per pair (↑ better,
-# ↓ worse, = equal) and the held-out pair's Δ.
+# ↓ worse, = equal) and the held-out Δ, base-first / tree-first.
 set -eu
 
 GO=${GO:-go}
@@ -68,6 +69,8 @@ for w in $WORKLOADS; do
 	done
 	one HA bench-base "$w" "$HELDOUT"
 	one HB bench-tree "$w" "$HELDOUT"
+	one HB bench-tree "$w" "$HELDOUT"
+	one HA bench-base "$w" "$HELDOUT"
 done
 
 echo "log: $run/log"
@@ -101,6 +104,11 @@ function stat(set, w, m,    a, i, n) {
 	return sprintf("%.6g [%.6g, %.6g]", med, q1, q3)
 }
 function gain(a, b, m) { return dir[m] == "lower" ? a - b : b - a }
+# hdelta: the Δ of held-out run i (1: base first, 2: tree first), or –.
+function hdelta(w, m, i) {
+	if (cnt["HA", w] < i || cnt["HB", w] < i || v["HA", w, m, i] == 0) return "–"
+	return sprintf("%+.1f %%", 100 * (v["HB", w, m, i] - v["HA", w, m, i]) / v["HA", w, m, i])
+}
 BEGIN {
 	nm = split(better, pairs, " ")
 	for (k = 1; k <= nm; k++) { split(pairs[k], f, ":"); metric[k] = f[1]; dir[f[1]] = f[2] }
@@ -114,7 +122,7 @@ BEGIN {
 }
 END {
 	print ""
-	print "| workload | metric | base median [q1, q3] | working tree median [q1, q3] | Δ | wins | pairs (seed 1…) | seed " heldout " Δ |"
+	print "| workload | metric | base median [q1, q3] | working tree median [q1, q3] | Δ | wins | pairs (seed 1…) | seed " heldout " Δ (base first / tree first) |"
 	print "|---|---|---|---|---|---|---|---|"
 	for (x = 1; x <= nw; x++) {
 		w = order[x]
@@ -129,10 +137,7 @@ END {
 				arrows = arrows (g > 0 ? "↑" : g < 0 ? "↓" : "=")
 				if (g > 0) wins++
 			}
-			h = "–"
-			if (cnt["HA", w] && cnt["HB", w] && v["HA", w, m, 1] != 0)
-				h = sprintf("%+.1f %%", 100 * (v["HB", w, m, 1] - v["HA", w, m, 1]) / v["HA", w, m, 1])
-			printf "| %s | `%s` | %s | %s | %+.1f %% | %d/%d | %s | %s |\n", w, m, a, b, 100 * (bm - am) / am, wins, n, arrows, h
+			printf "| %s | `%s` | %s | %s | %+.1f %% | %d/%d | %s | %s / %s |\n", w, m, a, b, 100 * (bm - am) / am, wins, n, arrows, hdelta(w, m, 1), hdelta(w, m, 2)
 		}
 	}
 }' "$run/log"
