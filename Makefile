@@ -80,10 +80,14 @@ allocgate:
 # Flake gate: the quiet-run watchdog test finishes in ~10 ms, well inside its
 # own 5 ms evaluation cadence on a fast host, so it passes only because the
 # service core evaluates once more at exit. 200 runs on one and on eight Ps
-# keep a scheduling-dependent regression from hiding behind a lucky run.
+# keep a scheduling-dependent regression from hiding behind a lucky run. The
+# control-frame loss table (a lost ready frame, reply, abort stream, ready
+# stream) races 40 ms re-send deadlines against the run: 20 runs on each.
 flakegate:
 	GOMAXPROCS=1 $(GO) test ./internal/live/ -run TestLiveWatchdogQuietRunStaysClean -count 200
 	GOMAXPROCS=8 $(GO) test ./internal/live/ -run TestLiveWatchdogQuietRunStaysClean -count 200
+	GOMAXPROCS=1 $(GO) test ./internal/live/ -run TestRunWorkerControlFrameLoss -count 20
+	GOMAXPROCS=8 $(GO) test ./internal/live/ -run TestRunWorkerControlFrameLoss -count 20
 
 # Seeded chaos soak: worker fail-stop + timed network partition + elastic
 # join/drain staircase composed in one run, swept across seeds under the race

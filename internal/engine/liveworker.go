@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"partialreduce/internal/collective"
@@ -44,15 +45,15 @@ type Directive struct {
 }
 
 // Control is the worker's view of the control plane. The live runtime
-// implements it over a transport's control-tag message space; tests script
-// it. Model data never moves through a Control — it carries only ids,
-// iteration numbers, and op tags (§4).
+// implements it over a transport's control streams, numbering its signals
+// with a Signaler; tests script it. Model data never moves through a
+// Control — it carries only ids, iteration numbers, and op tags (§4).
 type Control interface {
 	// Signal sends the worker's ready signal for iter and blocks until the
-	// controller answers. Retransmission of lost signals (bounded reply
-	// waits, the resend limit) happens inside the implementation; an
-	// error means the control plane is unusable and the run is over for
-	// this worker.
+	// controller answers it. Re-sends after an overdue reply and the
+	// withdrawal after ctrlResendLimit of them are the Signaler's; an error
+	// means the control plane is unusable and the run is over for this
+	// worker.
 	Signal(iter int) (Directive, error)
 	// ReportDeath reports a peer observed dead inside collective op opID of
 	// group g.
@@ -63,6 +64,68 @@ type Control interface {
 	ReportStuck(g controller.Group, opID uint32) error
 	// Finished announces that the worker completed all its iterations.
 	Finished() error
+}
+
+// ctrlResendLimit bounds how many times a worker re-sends a ready signal
+// whose reply is overdue before it takes the controller for unreachable.
+const ctrlResendLimit = 8
+
+// Signaler is the worker's side of the control protocol, with no transport
+// and no clock (times are arguments, in seconds). Every transmission of a
+// ready signal, the first and each re-send, gets the next seq; ServiceCore
+// answers an accepted (worker, seq) once and drops a seq below its cursor,
+// so a re-send after a lost reply is a fresh signal and a duplicate frame
+// costs nothing. A reply to any of the current signal's transmissions
+// answers it; any other is stale.
+type Signaler struct {
+	Timeout float64 // reply wait per transmission (0: forever)
+	seq     uint64  // the next transmission's number
+	first   uint64  // the current signal's first transmission
+	epoch   uint64  // the world view adopted from the last answer (0: none)
+	resends int
+	frame   ReadyFrame
+}
+
+// ReadyFrame is one transmission of a ready signal.
+type ReadyFrame struct {
+	Iter       int
+	Seq, Epoch uint64
+}
+
+// Start begins the ready signal for iter at time now >= 0: its first
+// transmission and the time its reply is due (0: never).
+func (s *Signaler) Start(iter int, now float64) (ReadyFrame, float64) {
+	s.first, s.resends, s.frame = s.seq, 0, ReadyFrame{Iter: iter, Epoch: s.epoch}
+	return s.send(now)
+}
+
+// Expire is the due time passing at now: the re-send and its due time, or
+// an error once ctrlResendLimit re-sends went unanswered.
+func (s *Signaler) Expire(now float64) (ReadyFrame, float64, error) {
+	if s.resends++; s.resends > ctrlResendLimit {
+		return ReadyFrame{}, 0, fmt.Errorf("controller unreachable after %d signals", s.resends)
+	}
+	f, due := s.send(now)
+	return f, due, nil
+}
+
+func (s *Signaler) send(now float64) (ReadyFrame, float64) {
+	s.frame.Seq, s.seq = s.seq, s.seq+1
+	if s.Timeout <= 0 {
+		return s.frame, 0
+	}
+	return s.frame, now + s.Timeout
+}
+
+// Answer reports whether the reply numbered seq answers the current signal;
+// the caller discards any other. An accepted reply's non-zero epoch is the
+// world view later signals are sent under.
+func (s *Signaler) Answer(seq, epoch uint64) bool {
+	ok := seq >= s.first && seq < s.seq
+	if ok && epoch != 0 {
+		s.epoch = epoch
+	}
+	return ok
 }
 
 // LiveWorker is one worker's training state, assembled by a live runtime and

@@ -47,10 +47,12 @@ func runPReduceSim(c *cluster.Cluster, ctrl *controller.Controller, observe func
 	// opOf[w] is the op w reduces in (0: none): an abort of an op w already
 	// left is ignored, and an op is in flight while a member is still in it.
 	opOf := make([]uint32, c.Cfg.N)
-	// seq numbers each worker's ready signals for the core; readyAt[w] is
-	// the virtual time of w's outstanding one, the start of its
-	// KSignalWait span (closed when its group dispatches).
-	seq := make([]uint64, c.Cfg.N)
+	// sig numbers each worker's ready signals for the core, as it does a live
+	// worker's (nothing is lost here, so nothing is re-sent, and a signal
+	// carries the controller's own epoch); readyAt[w] is the virtual time of
+	// w's outstanding one, the start of its KSignalWait span (closed when
+	// its group dispatches).
+	sig := make([]Signaler, c.Cfg.N)
 	readyAt := make([]float64, c.Cfg.N)
 
 	after := func() {}
@@ -253,8 +255,8 @@ func runPReduceSim(c *cluster.Cluster, ctrl *controller.Controller, observe func
 
 	signal = func(w *cluster.Worker) {
 		readyAt[w.ID] = c.Eng.Now()
-		seq[w.ID]++
-		serve(func() { core.Ready(w.ID, w.Iter, seq[w.ID], ctrl.Epoch(), c.Eng.Now()) })
+		f, _ := sig[w.ID].Start(w.Iter, c.Eng.Now())
+		serve(func() { core.Ready(w.ID, f.Iter, f.Seq, ctrl.Epoch(), c.Eng.Now()) })
 	}
 
 	onComputeDone := func(w *cluster.Worker) {

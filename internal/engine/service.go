@@ -67,8 +67,9 @@ type ServiceCore struct {
 	err error
 
 	// Reply bookkeeping. A signal (w, seq) is accepted when seq >= nextSeq[w]
-	// and answered exactly once; how seq is numbered is the adapter's
-	// business, as long as a worker's fresh signals count up.
+	// and answered exactly once: nextSeq is the control plane's one receive
+	// cursor. Workers number every transmission with a Signaler, so a
+	// re-send is always above the cursor and a duplicate or stale frame below.
 	waiting  []bool
 	waitSeq  []uint64
 	nextSeq  []uint64

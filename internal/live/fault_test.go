@@ -378,6 +378,75 @@ func TestRunWorkerCtrlLinkSevered(t *testing.T) {
 	}
 }
 
+// One lost control frame costs a delay, never a rank (§4). Each case loses
+// control frames between rank 2 and the controller rank of a three-rank
+// RunWorker world, where control frames share the data mesh: the first ready
+// frame, the first reply, the abort stream for 150 ms (the op-0 release
+// sentinel then goes out after the heal), and the ready stream for 150 ms.
+// Every rank must finish with no error inside the wall-clock bound: each
+// control stream's receiver reads what arrives next, so no receiver waits on
+// a frame that was lost.
+func TestRunWorkerControlFrameLoss(t *testing.T) {
+	const heal = 150 * time.Millisecond
+	cases := []struct {
+		name       string
+		links      map[[2]int]transport.LinkFault
+		sever      *[2]int // directed link cut at start, healed after heal
+		collective time.Duration
+	}{
+		{name: "ready-loss", links: map[[2]int]transport.LinkFault{{2, 0}: {DropFirst: 1}}, collective: 2 * time.Second},
+		{name: "reply-loss", links: map[[2]int]transport.LinkFault{{0, 2}: {DropFirst: 1}}, collective: 20 * time.Millisecond},
+		{name: "abort-loss", sever: &[2]int{0, 2}, collective: 100 * time.Millisecond},
+		{name: "ready-partition", sever: &[2]int{2, 0}, collective: 2 * time.Second},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 3
+			base := liveConfig(t, 67)
+			base.N, base.P, base.Iters = n, 2, 60
+			world, eps := faultyWorld(t, n, transport.FaultPlan{Seed: 67, LinkFaults: tc.links})
+			if tc.sever != nil {
+				eps[0].SeverLink(tc.sever[0], tc.sever[1])
+				time.AfterFunc(heal, func() { eps[0].HealLink(tc.sever[0], tc.sever[1]) })
+			}
+			errs := make([]error, n)
+			reports := make([]*Report, n)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				var wg sync.WaitGroup
+				for r := 0; r < n; r++ {
+					cfg := base
+					cfg.CtrlTimeout = 500 * time.Millisecond
+					if r == 2 {
+						cfg.CtrlTimeout = 40 * time.Millisecond
+					}
+					cfg.CollectiveTimeout = tc.collective
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						reports[r], errs[r] = RunWorker(cfg, world[r], r == 0)
+					}()
+				}
+				wg.Wait()
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("a lost control frame hung the run")
+			}
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+				if !reports[r].Completed[0] {
+					t.Fatalf("rank %d did not complete", r)
+				}
+			}
+		})
+	}
+}
+
 // runWorkersBounded runs one RunWorker per rank (rank 0 hosting the
 // controller) with a wall-clock bound, failing on an error from any rank the
 // fault plan did not kill (runWorkerWorld).

@@ -9,11 +9,13 @@
 // The training step itself is not defined here: workers execute
 // engine.RunPReduceWorker — the same step state machine the simulator
 // drives — over a transport endpoint (wall clock, real collectives) and an
-// engine.Control. This package owns only the substrate: the controller
-// service core (service.go), its one adapter — control frames under tags the
-// collectives never use (worker.go, wire.go) — the rank lifecycle (park,
-// bootstrap-join, train, drain, crash), and run assembly: Run drives every
-// rank of an in-process world, RunWorker one rank of a multi-process one.
+// engine.Control. The controller service core and the worker's side of the
+// control protocol live in engine too (ServiceCore, Signaler). This package
+// owns the wire adapter between them — the control-frame codec and the
+// transport calls, on stream tags the collectives never use (worker.go,
+// wire.go) — the rank lifecycle (park, bootstrap-join, train, drain, crash),
+// and run assembly: Run drives every rank of an in-process world, RunWorker
+// one rank of a multi-process one.
 //
 // The runtime is fault tolerant in the sense of §4: a worker crash is
 // detected by its group peers (the collective fails with a typed peer-down
@@ -86,12 +88,12 @@ type Config struct {
 	Elastic hetero.ElasticSchedule
 
 	// CtrlTimeout bounds a worker's wait for a group reply: on expiry the
-	// worker re-sends its ready signal (idempotent — the service recognizes
-	// retransmissions), and after ctrlResendLimit unanswered re-sends it
-	// takes the controller for unreachable and withdraws — so choose it well
-	// above a ninth of the longest wait a healthy run can see. Zero means
-	// wait forever: safe only while no reply can be lost (no lossy control
-	// link).
+	// worker re-sends its ready signal under a fresh sequence number (the
+	// service answers each number once and drops stale ones; engine.Signaler),
+	// and after eight unanswered re-sends it takes the controller for
+	// unreachable and withdraws — so choose it well above a ninth of the
+	// longest wait a healthy run can see. Zero means wait forever: safe only
+	// while no frame can be lost (no lossy control link).
 	CtrlTimeout time.Duration
 
 	// Tracer, when non-nil, records the run's timeline: worker iteration
@@ -269,7 +271,7 @@ func Run(cfg Config, world []transport.Transport) (*Report, error) {
 	svcDone := make(chan struct{})
 	go func() {
 		defer close(svcDone)
-		if svc, svcErr = runControllerService(cfg, ctrl, newWireSink(ctl[cfg.N], cfg.N)); svcErr != nil {
+		if svc, svcErr = runControllerService(cfg, ctrl, &wireSink{tr: ctl[cfg.N]}); svcErr != nil {
 			closeAll() // nobody will answer: fail every pending control receive
 		}
 	}()

@@ -6,29 +6,29 @@ import (
 
 	"partialreduce/internal/controller"
 	"partialreduce/internal/engine"
+	"partialreduce/internal/transport"
 )
 
 // The multi-process control plane's wire format, in one place. Control
 // messages travel over the same transport as the collectives, as float64
 // payloads under tags the collectives never use (their high bits never carry
-// the ctrl prefix), so the two planes cannot collide. Each stream has one
-// encoder and one decoder; a decoder trusts nothing — every integral slot
+// the ctrl prefix), so the two planes cannot collide. Each control stream is
+// one transport.Stream tag, read in arrival order; ready signals and replies
+// carry the worker's seq (engine.Signaler) in their payload. Each stream has
+// one encoder and one decoder; a decoder trusts nothing — every integral slot
 // must be a finite, in-range integer (ranks below N, group sizes at most N)
 // and every weight finite — because one malformed frame must cost an error,
 // not a panic or a poisoned model. Encoders refuse values a float64 slot
 // cannot carry exactly instead of rounding them.
 const (
-	ctrlReadyTag uint64 = 0xC0_000000_000000 // worker → host: readyMsg
-	ctrlReplyTag uint64 = 0xC1_000000_000000 // host → worker: directive
-	ctrlAbortTag uint64 = 0xC2_000000_000000 // host → worker: abort op
-	ctrlModelTag uint64 = 0xC3_000000_000000 // completed worker → host: final parameters
-	ctrlJoinTag  uint64 = 0xC4_000000_000000 // host → parked rank: joinMsg
+	ctrlReadyTag = transport.Stream | 0xC0<<48 // worker → host: readyMsg
+	ctrlReplyTag = transport.Stream | 0xC1<<48 // host → worker: seq + directive
+	ctrlAbortTag = transport.Stream | 0xC2<<48 // host → worker: [op, dead]
+	ctrlJoinTag  = transport.Stream | 0xC4<<48 // host → parked rank: [op, donor]
+	// ctrlModelTag carries one frame per completed worker → host: its final
+	// parameters. Not a stream: a second frame is a protocol violation.
+	ctrlModelTag uint64 = 0xC3 << 48
 )
-
-func readyTag(seq int) uint64 { return ctrlReadyTag | uint64(seq) }
-func replyTag(seq int) uint64 { return ctrlReplyTag | uint64(seq) }
-func abortTag(seq int) uint64 { return ctrlAbortTag | uint64(seq) }
-func joinTag(seq int) uint64  { return ctrlJoinTag | uint64(seq) }
 
 // maxExact is the largest integer a float64 slot carries without rounding.
 const maxExact = 1 << 53
@@ -69,7 +69,7 @@ func (f *fields) float(i int, what string) float64 {
 type readyKind int
 
 const (
-	evReady     readyKind = iota // [iter, epoch]
+	evReady     readyKind = iota // [iter, epoch, seq]
 	evFinished                   // [-1]: completed all iterations
 	evDeath                      // [-2, dead, op]: peer death inside op
 	evStuck                      // [-2, -1, op]: op timed out, nobody known dead
@@ -84,20 +84,19 @@ const (
 
 // readyMsg is one message of a worker's ready stream.
 type readyMsg struct {
-	kind  readyKind
-	iter  int    // evReady
-	epoch uint64 // evReady: the world-view version the signal was sent under
-	dead  int    // evDeath
-	op    uint32 // evDeath, evStuck
+	kind readyKind
+	engine.ReadyFrame
+	dead int    // evDeath
+	op   uint32 // evDeath, evStuck
 }
 
 func appendReady(dst []float64, m readyMsg) ([]float64, error) {
 	switch m.kind {
 	case evReady:
-		if m.iter < 0 || m.iter > maxExact || m.epoch > maxExact {
-			return dst, fmt.Errorf("live: ready signal iter %d epoch %d does not fit a float64 slot", m.iter, m.epoch)
+		if m.Iter < 0 || m.Iter > maxExact || m.Epoch > maxExact || m.Seq > maxExact {
+			return dst, fmt.Errorf("live: ready signal iter %d epoch %d seq %d does not fit a float64 slot", m.Iter, m.Epoch, m.Seq)
 		}
-		return append(dst, float64(m.iter), float64(m.epoch)), nil
+		return append(dst, float64(m.Iter), float64(m.Epoch), float64(m.Seq)), nil
 	case evFinished:
 		return append(dst, markFinished), nil
 	case evDeath:
@@ -125,22 +124,20 @@ func decodeReady(p []float64, n int) (readyMsg, error) {
 		m.kind = evFinished
 	case head == markJoinAbort:
 		m.kind = evJoinAbort
-	case head == markFailure:
-		want = 3
 	default:
-		want = 2
+		want = 3 // a ready signal or a failure report
 	}
 	if len(p) != want {
 		return readyMsg{}, fmt.Errorf("live: ready-stream frame %v: want %d slots", p, want)
 	}
-	switch want {
-	case 3:
+	switch {
+	case head == markFailure:
 		m.kind, m.op = evStuck, uint32(f.int(2, 0, math.MaxUint32, "op id"))
 		if dead := f.int(1, -1, float64(n-1), "dead rank"); dead >= 0 {
 			m.kind, m.dead = evDeath, dead
 		}
-	case 2:
-		m.iter, m.epoch = head, uint64(f.int(1, 0, maxExact, "epoch"))
+	case head >= 0:
+		m.Iter, m.Epoch, m.Seq = head, uint64(f.int(1, 0, maxExact, "epoch")), uint64(f.int(2, 0, maxExact, "seq"))
 	}
 	return m, f.err
 }
@@ -155,12 +152,12 @@ const (
 )
 
 // directiveLen is the reply frame length for a group of p members:
-// [mode, opID, iter, initWeight, epoch, aux, P, members..., weights...].
-// aux carries the joiner rank for modeBootstrap and is zero otherwise; only
-// modeGroup has members.
-func directiveLen(p int) int { return 7 + 2*p }
+// [mode, opID, iter, initWeight, epoch, aux, P, seq, members..., weights...].
+// seq is the answered signal's; aux carries the joiner rank for
+// modeBootstrap and is zero otherwise; only modeGroup has members.
+func directiveLen(p int) int { return 8 + 2*p }
 
-func appendDirective(dst []float64, d engine.Directive) ([]float64, error) {
+func appendDirective(dst []float64, seq uint64, d engine.Directive) ([]float64, error) {
 	g := d.Group
 	mode, aux, opID := modeGroup, 0, d.OpID
 	switch {
@@ -173,22 +170,23 @@ func appendDirective(dst []float64, d engine.Directive) ([]float64, error) {
 	case d.Bootstrap:
 		mode, g, aux, opID = modeBootstrap, controller.Group{}, d.BootstrapFor, d.BootstrapOp
 	}
-	if d.Epoch > maxExact || g.Iter < 0 || g.Iter > maxExact || len(g.Weights) != len(g.Members) {
-		return dst, fmt.Errorf("live: directive (epoch %d, iter %d, %d members, %d weights) does not fit the reply frame",
-			d.Epoch, g.Iter, len(g.Members), len(g.Weights))
+	if d.Epoch > maxExact || seq > maxExact || g.Iter < 0 || g.Iter > maxExact || len(g.Weights) != len(g.Members) {
+		return dst, fmt.Errorf("live: directive (seq %d, epoch %d, iter %d, %d members, %d weights) does not fit the reply frame",
+			seq, d.Epoch, g.Iter, len(g.Members), len(g.Weights))
 	}
 	dst = append(dst, float64(mode), float64(opID), float64(g.Iter), g.InitWeight,
-		float64(d.Epoch), float64(aux), float64(len(g.Members)))
+		float64(d.Epoch), float64(aux), float64(len(g.Members)), float64(seq))
 	for _, m := range g.Members {
 		dst = append(dst, float64(m))
 	}
 	return append(dst, g.Weights...), nil
 }
 
-func decodeDirective(p []float64, n int) (engine.Directive, error) {
+// decodeDirective returns a reply frame's seq and directive.
+func decodeDirective(p []float64, n int) (uint64, engine.Directive, error) {
 	var d engine.Directive
 	if len(p) < directiveLen(0) {
-		return d, fmt.Errorf("live: short reply frame (%d slots)", len(p))
+		return 0, d, fmt.Errorf("live: short reply frame (%d slots)", len(p))
 	}
 	f := fields{p: p}
 	mode := f.int(0, modeGroup, modeBootstrap, "reply mode")
@@ -198,11 +196,12 @@ func decodeDirective(p []float64, n int) (engine.Directive, error) {
 	d.Epoch = uint64(f.int(4, 0, maxExact, "epoch"))
 	aux := f.int(5, 0, float64(n-1), "joiner rank")
 	np := f.int(6, 0, float64(n), "group size")
+	seq := uint64(f.int(7, 0, maxExact, "seq"))
 	switch {
 	case f.err != nil:
-		return engine.Directive{}, f.err
+		return 0, engine.Directive{}, f.err
 	case len(p) != directiveLen(np) || (mode != modeGroup && np != 0):
-		return engine.Directive{}, fmt.Errorf("live: reply frame of %d slots for mode %d, P=%d", len(p), mode, np)
+		return 0, engine.Directive{}, fmt.Errorf("live: reply frame of %d slots for mode %d, P=%d", len(p), mode, np)
 	}
 	switch mode {
 	case modeGroup:
@@ -210,8 +209,8 @@ func decodeDirective(p []float64, n int) (engine.Directive, error) {
 		d.Group.Members = make([]int, np)
 		d.Group.Weights = make([]float64, np)
 		for i := range d.Group.Members {
-			d.Group.Members[i] = f.int(7+i, 0, float64(n-1), "member rank")
-			d.Group.Weights[i] = f.float(7+np+i, "member weight")
+			d.Group.Members[i] = f.int(8+i, 0, float64(n-1), "member rank")
+			d.Group.Weights[i] = f.float(8+np+i, "member weight")
 		}
 	case modeSkip:
 		d.Skip = true
@@ -223,9 +222,9 @@ func decodeDirective(p []float64, n int) (engine.Directive, error) {
 		d.Bootstrap, d.BootstrapFor, d.BootstrapOp = true, aux, op
 	}
 	if f.err != nil {
-		return engine.Directive{}, f.err
+		return 0, engine.Directive{}, f.err
 	}
-	return d, nil
+	return seq, d, nil
 }
 
 // Abort and join frames share one shape, [op, rank], rank -1 meaning none.

@@ -15,14 +15,19 @@ import (
 // below carry op ids of the size a join puts on the wire.
 const bootOpBase uint32 = 0x40000000
 
-// roundTrip encodes d as a reply frame and decodes it in an n-rank world.
+// roundTrip encodes d as a reply frame and decodes it in an n-rank world;
+// the frame's seq must come back too.
 func roundTrip(t *testing.T, d engine.Directive, n int) (engine.Directive, error) {
 	t.Helper()
-	p, err := appendDirective(nil, d)
+	p, err := appendDirective(nil, 41, d)
 	if err != nil {
 		t.Fatalf("encode %+v: %v", d, err)
 	}
-	return decodeDirective(p, n)
+	seq, got, err := decodeDirective(p, n)
+	if err == nil && seq != 41 {
+		t.Fatalf("reply seq %d, want 41", seq)
+	}
+	return got, err
 }
 
 func TestGroupCodec(t *testing.T) {
@@ -58,13 +63,13 @@ func TestGroupCodec(t *testing.T) {
 	if err != nil || !got.Bootstrap || got.BootstrapFor != 11 || got.BootstrapOp != bootOpBase+4 || got.Epoch != 9 {
 		t.Fatalf("bootstrap reply: %v %+v", err, got)
 	}
-	if _, err := decodeDirective([]float64{1}, n); err == nil {
+	if _, _, err := decodeDirective([]float64{1}, n); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	if _, err := decodeDirective([]float64{0, 1, 2, 0, 1, 0, 2, 0}, n); err == nil {
+	if _, _, err := decodeDirective([]float64{0, 1, 2, 0, 1, 0, 2, 0, 0}, n); err == nil {
 		t.Fatal("wrong length accepted")
 	}
-	if _, err := decodeDirective([]float64{9, 0, 0, 0, 0, 0, 0}, n); err == nil {
+	if _, _, err := decodeDirective([]float64{9, 0, 0, 0, 0, 0, 0, 0}, n); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -76,44 +81,50 @@ func TestControlCodecRejectsMalformed(t *testing.T) {
 	const n = 4
 	nan, inf := math.NaN(), math.Inf(1)
 	group := func(mut func(p []float64)) []float64 {
-		p := []float64{modeGroup, 7, 3, 0, 2, 0, 2, 0, 1, 0.5, 0.5}
+		p := []float64{modeGroup, 7, 3, 0, 2, 0, 2, 5, 0, 1, 0.5, 0.5}
 		mut(p)
 		return p
 	}
 	directives := map[string][]float64{
-		"NaN group size":       {0, 0, 0, 0, 0, 0, nan},
-		"Inf group size":       {0, 0, 0, 0, 0, 0, inf},
-		"negative group size":  {0, 0, 0, 0, 0, 0, -1},
+		"NaN group size":       {0, 0, 0, 0, 0, 0, nan, 0},
+		"Inf group size":       {0, 0, 0, 0, 0, 0, inf, 0},
+		"negative group size":  {0, 0, 0, 0, 0, 0, -1, 0},
 		"P > N":                group(func(p []float64) { p[6] = n + 1 }),
-		"member rank >= N":     group(func(p []float64) { p[8] = n }),
-		"negative member":      group(func(p []float64) { p[7] = -1 }),
-		"fractional member":    group(func(p []float64) { p[7] = 0.5 }),
-		"NaN weight":           group(func(p []float64) { p[9] = nan }),
+		"member rank >= N":     group(func(p []float64) { p[9] = n }),
+		"negative member":      group(func(p []float64) { p[8] = -1 }),
+		"fractional member":    group(func(p []float64) { p[8] = 0.5 }),
+		"NaN weight":           group(func(p []float64) { p[10] = nan }),
+		"negative seq":         group(func(p []float64) { p[7] = -1 }),
+		"fractional seq":       group(func(p []float64) { p[7] = 2.5 }),
+		"seq beyond 2^53":      group(func(p []float64) { p[7] = 1 << 54 }),
 		"Inf init weight":      group(func(p []float64) { p[3] = inf }),
 		"fractional op":        group(func(p []float64) { p[1] = 1.5 }),
 		"op beyond uint32":     group(func(p []float64) { p[1] = 1 << 32 }),
 		"epoch beyond 2^53":    group(func(p []float64) { p[4] = 1 << 54 }),
 		"negative iteration":   group(func(p []float64) { p[2] = -3 }),
-		"NaN mode":             {nan, 0, 0, 0, 0, 0, 0},
-		"skip with members":    {modeSkip, 0, 0, 0, 0, 0, 1, 0, 1},
-		"joiner rank >= N":     {modeBootstrap, float64(bootOpBase), 0, 0, 1, n, 0},
+		"NaN mode":             {nan, 0, 0, 0, 0, 0, 0, 0},
+		"skip with members":    {modeSkip, 0, 0, 0, 0, 0, 1, 0, 0, 1},
+		"joiner rank >= N":     {modeBootstrap, float64(bootOpBase), 0, 0, 1, n, 0, 0},
 		"truncated group":      group(func(p []float64) { p[6] = 3 }),
-		"fractional joiner":    {modeBootstrap, float64(bootOpBase), 0, 0, 1, 0.25, 0},
-		"negative epoch":       {modeSkip, 0, 0, 0, -1, 0, 0},
+		"fractional joiner":    {modeBootstrap, float64(bootOpBase), 0, 0, 1, 0.25, 0, 0},
+		"negative epoch":       {modeSkip, 0, 0, 0, -1, 0, 0, 0},
 		"negative group op id": group(func(p []float64) { p[1] = -1 }),
 	}
 	for name, p := range directives {
-		if d, err := decodeDirective(p, n); err == nil {
+		if _, d, err := decodeDirective(p, n); err == nil {
 			t.Errorf("directive %s accepted: %+v", name, d)
 		}
 	}
 	readies := map[string][]float64{
 		"empty":             {},
-		"NaN iteration":     {nan, 0},
-		"fractional iter":   {1.5, 0},
+		"NaN iteration":     {nan, 0, 0},
+		"fractional iter":   {1.5, 0, 0},
 		"missing epoch":     {4},
-		"NaN epoch":         {4, nan},
-		"epoch beyond 2^53": {4, 1 << 54},
+		"NaN epoch":         {4, nan, 0},
+		"epoch beyond 2^53": {4, 1 << 54, 0},
+		"missing seq":       {4, 0},
+		"negative seq":      {4, 0, -1},
+		"seq beyond 2^53":   {4, 0, 1 << 54},
 		"unknown marker":    {-4},
 		"dead rank >= N":    {markFailure, n, 1},
 		"short failure":     {markFailure, 1},
@@ -139,19 +150,26 @@ func TestControlCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
-// Epochs a float64 slot would round are refused at encode, on both streams.
+// Epochs and seqs a float64 slot would round are refused at encode, on both
+// streams.
 func TestControlCodecRefusesInexactEpoch(t *testing.T) {
 	const big = uint64(1)<<53 + 1
-	if _, err := appendReady(nil, readyMsg{kind: evReady, iter: 1, epoch: big}); err == nil {
+	if _, err := appendReady(nil, readyMsg{kind: evReady, ReadyFrame: engine.ReadyFrame{Iter: 1, Epoch: big}}); err == nil {
 		t.Error("ready signal with epoch 2^53+1 encoded")
 	}
-	if _, err := appendDirective(nil, engine.Directive{Skip: true, Epoch: big}); err == nil {
+	if _, err := appendReady(nil, readyMsg{kind: evReady, ReadyFrame: engine.ReadyFrame{Iter: 1, Seq: big}}); err == nil {
+		t.Error("ready signal with seq 2^53+1 encoded")
+	}
+	if _, err := appendDirective(nil, 0, engine.Directive{Skip: true, Epoch: big}); err == nil {
 		t.Error("directive with epoch 2^53+1 encoded")
 	}
-	if p, err := appendReady(nil, readyMsg{kind: evReady, iter: 1, epoch: 1 << 53}); err != nil {
-		t.Errorf("epoch 2^53 refused: %v", err)
-	} else if m, err := decodeReady(p, 2); err != nil || m.epoch != 1<<53 {
-		t.Errorf("epoch 2^53 round trip: %v %+v", err, m)
+	if _, err := appendDirective(nil, big, engine.Directive{Skip: true}); err == nil {
+		t.Error("directive with seq 2^53+1 encoded")
+	}
+	if p, err := appendReady(nil, readyMsg{kind: evReady, ReadyFrame: engine.ReadyFrame{Iter: 1, Epoch: 1 << 53, Seq: 1 << 53}}); err != nil {
+		t.Errorf("epoch and seq 2^53 refused: %v", err)
+	} else if m, err := decodeReady(p, 2); err != nil || m.Epoch != 1<<53 || m.Seq != 1<<53 {
+		t.Errorf("epoch and seq 2^53 round trip: %v %+v", err, m)
 	}
 }
 
@@ -173,18 +191,19 @@ func FuzzControlCodec(f *testing.F) {
 		}
 		f.Add(floatsToBytes(p), uint8(8))
 	}
-	seed(appendDirective(nil, engine.Directive{OpID: 3, Epoch: 2, Group: controller.Group{
+	seed(appendDirective(nil, 17, engine.Directive{OpID: 3, Epoch: 2, Group: controller.Group{
 		Members: []int{2, 0, 5}, Weights: []float64{0.5, 0.25, 0.25}, InitWeight: 0.1, Iter: 9}}))
-	seed(appendDirective(nil, engine.Directive{Bootstrap: true, BootstrapFor: 6, BootstrapOp: bootOpBase + 1, Epoch: 4}))
-	seed(appendDirective(nil, engine.Directive{Refresh: true, Epoch: 1 << 53}))
-	seed(appendReady(nil, readyMsg{kind: evReady, iter: 12, epoch: 3}))
+	seed(appendDirective(nil, 0, engine.Directive{Bootstrap: true, BootstrapFor: 6, BootstrapOp: bootOpBase + 1, Epoch: 4}))
+	seed(appendDirective(nil, 1<<53, engine.Directive{Refresh: true, Epoch: 1 << 53}))
+	seed(appendReady(nil, readyMsg{kind: evReady, ReadyFrame: engine.ReadyFrame{Iter: 12, Epoch: 3, Seq: 18}}))
+	seed([]float64{12, 3, -1}, nil) // a ready signal whose seq is out of range
 	seed(appendReady(nil, readyMsg{kind: evDeath, dead: 2, op: 77}))
 	seed(appendReady(nil, readyMsg{kind: evStuck, op: 78}))
 	seed(appendReady(nil, readyMsg{kind: evFinished}))
 	seed(encodeOpRank(5, -1), nil)
 	seed(encodeOpRank(bootOpBase+2, 1), nil)
 	seed(encodeOpRank(0, -1), nil) // the shutdown sentinel
-	seed([]float64{0, 0, 0, 0, 0, 0, math.NaN()}, nil)
+	seed([]float64{0, 0, 0, 0, 0, 0, math.NaN(), 0}, nil)
 
 	f.Fuzz(func(t *testing.T, data []byte, worldSize uint8) {
 		n := 2 + int(worldSize%31)
@@ -197,13 +216,13 @@ func FuzzControlCodec(f *testing.F) {
 				t.Fatalf("%s: %v does not survive re-encoding: %+v -> %+v (%v)", stream, p, a, b, err)
 			}
 		}
-		if d, err := decodeDirective(p, n); err == nil {
-			q, err := appendDirective(nil, d)
+		if seq, d, err := decodeDirective(p, n); err == nil {
+			q, err := appendDirective(nil, seq, d)
 			if err != nil {
 				t.Fatalf("accepted directive %+v does not encode: %v", d, err)
 			}
-			d2, err := decodeDirective(q, n)
-			same("reply", d, d2, err)
+			seq2, d2, err := decodeDirective(q, n)
+			same("reply", []any{seq, d}, []any{seq2, d2}, err)
 		}
 		if m, err := decodeReady(p, n); err == nil {
 			q, err := appendReady(nil, m)
@@ -223,7 +242,7 @@ func FuzzControlCodec(f *testing.F) {
 // A malformed reply frame reaches a worker as an error from Signal, naming
 // the bad field, not as a panic.
 func TestDecodeDirectiveNaNCountIsAnError(t *testing.T) {
-	_, err := decodeDirective([]float64{0, 0, 0, 0, 0, 0, math.NaN()}, 8)
+	_, _, err := decodeDirective([]float64{0, 0, 0, 0, 0, 0, math.NaN(), 0}, 8)
 	if err == nil || !strings.Contains(err.Error(), "group size") {
 		t.Fatalf("NaN group size: err = %v, want a group-size error", err)
 	}

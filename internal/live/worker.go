@@ -15,7 +15,7 @@ import (
 
 // The control plane, for every deployment: a rank reaches the controller
 // service through control frames (wire.go has the format) in the prototype's
-// spirit — a ready signal is two float64s, a group reply a couple dozen, a
+// spirit — a ready signal is three float64s, a group reply a couple dozen, a
 // few bytes against megabytes of model traffic. In a multi-process world each
 // rank runs RunWorker in its own process, rank 0 additionally hosts the
 // service, and the frames share the transport with the collectives; Run gives
@@ -28,11 +28,6 @@ import (
 // pushes abort notifications so group members blocked behind a corpse wake
 // up. A dead rank stays dead: re-admitting one needs a fresh transport mesh,
 // which the prototype's fixed mesh cannot provide.
-
-// ctrlResendLimit bounds how many times a worker re-sends a ready signal whose
-// reply timed out (CtrlTimeout) before concluding the controller is
-// unreachable and withdrawing from the cluster.
-const ctrlResendLimit = 8
 
 // RunWorker runs this process's share of a live P-Reduce world: the worker
 // loop for rank tr.Rank(), plus the controller service when host is true
@@ -60,7 +55,7 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 			return nil, err
 		}
 		completed = make(chan []bool, 1)
-		out := newWireSink(tr, cfg.N)
+		out := &wireSink{tr: tr}
 		go func() {
 			svc, err := runControllerService(cfg, ctrl, out)
 			if err != nil {
@@ -92,17 +87,10 @@ func RunWorker(cfg Config, tr transport.Transport, host bool) (*Report, error) {
 // the rank on lost, which the service feeds back to the core as Lost events;
 // any other send error is fatal to the service.
 type wireSink struct {
-	tr       transport.Transport
-	abortSeq []int // next abort-stream sequence number per worker
-	joinSeq  []int // next join-stream sequence number per rank
-	buf      []float64
-	lost     []int
-	err      error
-}
-
-// newWireSink sends from the host's endpoint tr to ranks [0, n).
-func newWireSink(tr transport.Transport, n int) *wireSink {
-	return &wireSink{tr: tr, abortSeq: make([]int, n), joinSeq: make([]int, n)}
+	tr   transport.Transport
+	buf  []float64
+	lost []int
+	err  error
 }
 
 // fail records the first error that ends the service.
@@ -112,38 +100,31 @@ func (s *wireSink) fail(err error) {
 	}
 }
 
-func (s *wireSink) send(w int, tag uint64, payload []float64) bool {
+func (s *wireSink) send(w int, tag uint64, payload []float64) {
 	err := s.tr.Send(w, tag, payload)
 	switch {
 	case err == nil:
-		return true
 	case transport.IsFailure(err):
 		s.lost = append(s.lost, w)
 	default:
 		s.fail(err)
 	}
-	return false
 }
 
 func (s *wireSink) Reply(w int, seq uint64, d engine.Directive) {
 	var err error
-	if s.buf, err = appendDirective(s.buf[:0], d); err != nil {
+	if s.buf, err = appendDirective(s.buf[:0], seq, d); err != nil {
 		s.fail(err)
 		return
 	}
-	s.send(w, replyTag(int(seq)), s.buf)
+	s.send(w, ctrlReplyTag, s.buf)
 }
 
-func (s *wireSink) Abort(w int, op uint32, dead int) {
-	if s.send(w, abortTag(s.abortSeq[w]), encodeOpRank(op, dead)) {
-		s.abortSeq[w]++
-	}
-}
+func (s *wireSink) Abort(w int, op uint32, dead int) { s.send(w, ctrlAbortTag, encodeOpRank(op, dead)) }
 
 // StartJoin doubles as the dismissal of a parked rank (donor -1, op 0).
 func (s *wireSink) StartJoin(j, donor int, op uint32) {
-	s.send(j, joinTag(s.joinSeq[j]), encodeOpRank(op, donor))
-	s.joinSeq[j]++
+	s.send(j, ctrlJoinTag, encodeOpRank(op, donor))
 }
 
 // runControllerService is the adapter of the controller service core: one
@@ -159,17 +140,15 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 	type event struct {
 		readyMsg
 		worker int
-		seq    int
 		lost   bool  // the receive loop saw the worker go down
 		err    error // the worker sent a frame that does not decode
 	}
 	events := make(chan event, 2*cfg.N) // a ready signal plus a report per worker
 	for w := 0; w < cfg.N; w++ {
-		w := w
 		go func() {
 			var buf [3]float64
-			for seq := 0; ; seq++ {
-				n, err := tr.RecvInto(w, readyTag(seq), buf[:])
+			for {
+				n, err := tr.RecvInto(w, ctrlReadyTag, buf[:])
 				switch {
 				case err == nil:
 				case transport.IsFailure(err):
@@ -182,7 +161,7 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 					return // transport closed, service shutting down
 				}
 				m, err := decodeReady(buf[:n], cfg.N)
-				events <- event{readyMsg: m, worker: w, seq: seq, err: err}
+				events <- event{readyMsg: m, worker: w, err: err}
 				if err != nil || m.kind == evFinished {
 					return
 				}
@@ -208,7 +187,7 @@ func runControllerService(cfg Config, ctrl *controller.Controller, out *wireSink
 			case ev.lost:
 				c.Lost(ev.worker)
 			case ev.kind == evReady:
-				c.Ready(ev.worker, ev.iter, uint64(ev.seq), ev.epoch, unixSeconds(time.Now()))
+				c.Ready(ev.worker, ev.Iter, ev.Seq, ev.Epoch, unixSeconds(time.Now()))
 			case ev.kind == evFinished:
 				c.Finished(ev.worker)
 			case ev.kind == evDeath:
@@ -266,85 +245,61 @@ func (s *wireSink) release(completed []bool, averaged <-chan struct{}) error {
 	return nil
 }
 
-// wireControl implements engine.Control over the control-tag message space
-// of the rank's control endpoint tr: ready signals and failure reports ride
-// readyTag(seq) messages to the controller rank, group replies come back on
-// replyTag(seq). The host's per-worker receive loop matches consecutive
-// sequence numbers, so every send below advances seq exactly as the host
-// expects.
+// wireControl implements engine.Control over the rank's control endpoint
+// tr: ready signals and reports go out on the ready stream to ctrlRank, and
+// answers come back on the reply stream. sig numbers the signals and decides
+// which answer is this signal's; the host reads whatever arrives next.
 type wireControl struct {
 	cfg      Config
 	tr       transport.Transport
 	ctrlRank int
 	id       int
-	seq      int
-	// epoch is the last world-view version the controller answered with,
-	// stamped into every outgoing signal (0 until the first answer:
-	// unversioned signals are always accepted).
-	epoch    uint64
+	sig      engine.Signaler // on the unixSeconds clock
 	sendBuf  []float64
 	replyBuf []float64
 }
 
-// send puts m on the ready stream under the current sequence number.
-func (c *wireControl) send(m readyMsg) error {
+// report puts m on the ready stream.
+func (c *wireControl) report(m readyMsg) error {
 	var err error
 	if c.sendBuf, err = appendReady(c.sendBuf[:0], m); err != nil {
 		return err
 	}
-	return c.tr.Send(c.ctrlRank, readyTag(c.seq), c.sendBuf)
-}
-
-// report sends m and advances the stream.
-func (c *wireControl) report(m readyMsg) error {
-	if err := c.send(m); err != nil {
-		return err
-	}
-	c.seq++
-	return nil
+	return c.tr.Send(c.ctrlRank, ctrlReadyTag, c.sendBuf)
 }
 
 func (c *wireControl) Signal(iter int) (engine.Directive, error) {
-	sig := readyMsg{kind: evReady, iter: iter, epoch: c.epoch}
-	if err := c.send(sig); err != nil {
-		return engine.Directive{}, err
-	}
-	var reply []float64
-	for resends := 0; ; {
-		n, err := c.tr.RecvIntoTimeout(c.ctrlRank, replyTag(c.seq), c.replyBuf, c.cfg.CtrlTimeout)
-		if err == nil {
-			reply = c.replyBuf[:n]
-			break
+	f, due := c.sig.Start(iter, unixSeconds(time.Now()))
+	for {
+		if err := c.report(readyMsg{kind: evReady, ReadyFrame: f}); err != nil {
+			return engine.Directive{}, err
+		}
+		// Read replies until this signal's answer (older answers are
+		// dropped) or its due time. Past it the reply was lost, or the host
+		// is slow or cut off: Expire re-sends, or after ctrlResendLimit
+		// misses withdraws — the rank loop then fails its endpoint on the
+		// way out, so the host and peers see it leave.
+		var err error
+		for n := 0; err == nil; {
+			wait := time.Duration(0) // no due time: wait forever
+			if due > 0 {
+				wait = max(time.Duration((due-unixSeconds(time.Now()))*1e9), 1)
+			}
+			if n, err = c.tr.RecvIntoTimeout(c.ctrlRank, ctrlReplyTag, c.replyBuf, wait); err == nil {
+				seq, d, derr := decodeDirective(c.replyBuf[:n], c.cfg.N)
+				if derr != nil || c.sig.Answer(seq, d.Epoch) {
+					return d, derr
+				}
+			}
 		}
 		if !transport.IsTimeout(err) {
 			return engine.Directive{}, err
 		}
-		// The reply is late (a partition, a congested host) or was
-		// lost: re-send the signal on the next sequence number — the host recognizes retransmissions — and wait
-		// there. After ctrlResendLimit misses the controller is
-		// unreachable (severed link, dead host): withdraw with an error —
-		// the rank loop fails its endpoint on the way out, so peers and
-		// the host detect the departure instead of everyone hanging.
-		resends++
-		if resends > ctrlResendLimit {
-			return engine.Directive{}, fmt.Errorf("live: worker %d: controller unreachable after %d signals: %w", c.id, resends, err)
-		}
-		c.seq++
-		if err := c.send(sig); err != nil {
-			return engine.Directive{}, err
+		var xerr error
+		if f, due, xerr = c.sig.Expire(unixSeconds(time.Now())); xerr != nil {
+			return engine.Directive{}, fmt.Errorf("live: worker %d: %w: %w", c.id, xerr, err)
 		}
 	}
-	c.seq++
-	d, err := decodeDirective(reply, c.cfg.N)
-	if err != nil {
-		return engine.Directive{}, err
-	}
-	if d.Epoch != 0 {
-		// Adopt the controller's world view from every answer (refresh
-		// replies exist precisely to deliver this).
-		c.epoch = d.Epoch
-	}
-	return d, nil
 }
 
 func (c *wireControl) ReportDeath(dead int, _ controller.Group, opID uint32) error {
@@ -355,7 +310,7 @@ func (c *wireControl) ReportStuck(_ controller.Group, opID uint32) error {
 	return c.report(readyMsg{kind: evStuck, op: opID})
 }
 
-func (c *wireControl) Finished() error { return c.send(readyMsg{kind: evFinished}) }
+func (c *wireControl) Finished() error { return c.report(readyMsg{kind: evFinished}) }
 
 // rankEnd is how one rank's lifecycle ended.
 type rankEnd struct {
@@ -390,15 +345,15 @@ func runRank(cfg Config, tr, ctl transport.Transport, ctrlRank int, base model.M
 		}
 	}()
 
-	// The host numbers abort notifications per worker; op 0 is the shutdown
-	// sentinel. Errors end the listener (the host is gone, the endpoint is
-	// closing, or we failed it ourselves — either way no more aborts).
+	// The abort stream, in arrival order; op 0 is the shutdown sentinel.
+	// Errors end the listener (the host is gone, the endpoint is closing, or
+	// we failed it ourselves — either way no more aborts).
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
 		var buf [2]float64
-		for seq := 0; ; seq++ {
-			n, err := ctl.RecvInto(ctrlRank, abortTag(seq), buf[:])
+		for {
+			n, err := ctl.RecvInto(ctrlRank, ctrlAbortTag, buf[:])
 			if err != nil {
 				return
 			}
@@ -411,21 +366,20 @@ func runRank(cfg Config, tr, ctl transport.Transport, ctrlRank int, base model.M
 	}()
 
 	w := newLiveWorker(cfg, id, tr, base, shard, init)
-	c := &wireControl{cfg: cfg, tr: ctl, ctrlRank: ctrlRank, id: id, replyBuf: make([]float64, directiveLen(cfg.N))}
+	c := &wireControl{cfg: cfg, tr: ctl, ctrlRank: ctrlRank, id: id,
+		sig: engine.Signaler{Timeout: cfg.CtrlTimeout.Seconds()}, replyBuf: make([]float64, directiveLen(cfg.N))}
 	end = rankEnd{w: w, released: released}
 
 	// A drained rank parks again — eligible for re-admission, dismissed when
 	// the run ends.
 	parked := id >= cfg.initialOr()
-	joinSeq := 0
 	for {
 		if parked {
 			var buf [2]float64
-			n, err := ctl.RecvInto(ctrlRank, joinTag(joinSeq), buf[:])
+			n, err := ctl.RecvInto(ctrlRank, ctrlJoinTag, buf[:])
 			if err != nil {
 				return end, err
 			}
-			joinSeq++
 			op, donor, err := decodeOpRank(buf[:n], cfg.N)
 			if err != nil {
 				return end, err

@@ -25,8 +25,8 @@ import (
 const (
 	frameHeaderSize = 16
 	// hbTag marks heartbeat frames. Collective tags are op<<24|phase<<16|step
-	// with a uint32 op, and control-plane tags use the 0xC0-0xC5 prefixes;
-	// neither can ever equal ^uint64(0).
+	// with a uint32 op, and control-plane tags the 0xC0-0xC4 prefixes (most
+	// with Stream); neither can ever equal ^uint64(0).
 	hbTag = ^uint64(0)
 	// DefaultMaxFrameElems bounds the element count the reader accepts
 	// (128 MiB of payload). The wire field is attacker/corruption-controlled:

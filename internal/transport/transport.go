@@ -27,7 +27,9 @@ import (
 // Sends are asynchronous (buffered); receives block until a message with the
 // requested source and tag arrives. A (from, tag) pair identifies at most
 // one outstanding message at a time, which the collectives guarantee by
-// deriving tags from (operation id, phase, step).
+// deriving tags from (operation id, phase, step) — unless the tag is a
+// stream's (it carries Stream): then the frames queue in arrival order and
+// each receive takes the oldest.
 type Transport interface {
 	// Rank returns this endpoint's id in [0, Size).
 	Rank() int
@@ -81,6 +83,11 @@ type Transport interface {
 	// Close releases the endpoint. Pending receives fail.
 	Close() error
 }
+
+// Stream marks a tag as a stream's: one tag for a whole sequence of frames,
+// the live control plane's shape. A sender's frames on a stream arrive in
+// the order it sent them, unless a fault drops or delays one.
+const Stream uint64 = 1 << 63
 
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("transport: closed")
@@ -201,6 +208,7 @@ var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan recvRe
 type mailbox struct {
 	mu      sync.Mutex
 	pending map[key][]float64
+	queued  map[key][][]float64 // a stream's frames, oldest first
 	waiters map[key]*waiter
 	down    map[int]bool
 	aborted map[uint64]int // op id -> dead rank that caused the abort
@@ -211,6 +219,7 @@ type mailbox struct {
 func newMailbox() *mailbox {
 	return &mailbox{
 		pending: make(map[key][]float64),
+		queued:  make(map[key][][]float64),
 		waiters: make(map[key]*waiter),
 		down:    make(map[int]bool),
 		aborted: make(map[uint64]int),
@@ -287,6 +296,10 @@ func (m *mailbox) deliver(msg message) error {
 		w.ch <- r
 		return nil
 	}
+	if msg.tag&Stream != 0 {
+		m.queued[k] = append(m.queued[k], msg.payload)
+		return nil
+	}
 	if _, dup := m.pending[k]; dup {
 		return fmt.Errorf("transport: duplicate message from %d tag %d", msg.from, msg.tag)
 	}
@@ -323,8 +336,13 @@ func (m *mailbox) receiveInto(from int, tag uint64, dst []float64, timeout time.
 		m.mu.Unlock()
 		return 0, err
 	}
-	if p, ok := m.pending[k]; ok {
+	p, ok := m.pending[k]
+	if tag&Stream != 0 && len(m.queued[k]) > 0 {
+		p, ok, m.queued[k] = m.queued[k][0], true, m.queued[k][1:]
+	} else if ok {
 		delete(m.pending, k)
+	}
+	if ok {
 		m.mu.Unlock()
 		r := fill(dst, p)
 		bufpool.PutFloat64(p)
@@ -374,12 +392,7 @@ func (m *mailbox) failPeer(peer int) {
 		return
 	}
 	m.down[peer] = true
-	for k, p := range m.pending {
-		if k.from == peer {
-			delete(m.pending, k)
-			bufpool.PutFloat64(p)
-		}
-	}
+	m.recycle(func(k key) bool { return k.from == peer })
 	for k, w := range m.waiters {
 		if k.from == peer {
 			delete(m.waiters, k)
@@ -399,12 +412,7 @@ func (m *mailbox) abortOp(op uint32, dead int) {
 		return
 	}
 	m.aborted[uint64(op)] = dead
-	for k, p := range m.pending {
-		if opOf(k.tag) == uint64(op) {
-			delete(m.pending, k)
-			bufpool.PutFloat64(p)
-		}
-	}
+	m.recycle(func(k key) bool { return opOf(k.tag) == uint64(op) })
 	for k, w := range m.waiters {
 		if opOf(k.tag) == uint64(op) {
 			delete(m.waiters, k)
@@ -419,13 +427,26 @@ func (m *mailbox) abortOp(op uint32, dead int) {
 func (m *mailbox) purgeOp(op uint32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return
+	if !m.closed {
+		m.recycle(func(k key) bool { return opOf(k.tag) == uint64(op) })
 	}
+}
+
+// recycle drops the buffered frames whose key matches (under m.mu) and
+// returns their buffers to the pool.
+func (m *mailbox) recycle(match func(key) bool) {
 	for k, p := range m.pending {
-		if opOf(k.tag) == uint64(op) {
+		if match(k) {
 			delete(m.pending, k)
 			bufpool.PutFloat64(p)
+		}
+	}
+	for k, q := range m.queued {
+		if match(k) {
+			delete(m.queued, k)
+			for _, p := range q {
+				bufpool.PutFloat64(p)
+			}
 		}
 	}
 }
@@ -441,10 +462,7 @@ func (m *mailbox) close() {
 		delete(m.waiters, k)
 		w.ch <- recvResult{err: ErrClosed}
 	}
-	for k, p := range m.pending {
-		delete(m.pending, k)
-		bufpool.PutFloat64(p)
-	}
+	m.recycle(func(key) bool { return true })
 }
 
 // FailPeerEverywhere declares dead crashed at every other endpoint of an

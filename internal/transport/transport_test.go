@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -103,6 +104,39 @@ func TestMemDuplicateTagRejected(t *testing.T) {
 	}
 	if err := eps[0].Send(1, 1, []float64{2}); err == nil {
 		t.Fatal("duplicate (from,tag) accepted while first is undelivered")
+	}
+}
+
+// Frames under a stream tag queue in arrival order, over Mem and TCP alike,
+// where a second frame under any other undelivered (from, tag) is refused
+// (TestMemDuplicateTagRejected, TestTCPDuplicateFrameFailsPeer). A failed
+// peer's queued frames go with it.
+func TestStreamTagQueuesInOrder(t *testing.T) {
+	const tag = Stream | 0xC0<<48
+	mem, tcp := NewMem(2), startTCPWorld(t, 2)
+	for _, eps := range [][2]Transport{{mem[0], mem[1]}, {tcp[0], tcp[1]}} {
+		for i := 1; i <= 3; i++ {
+			if err := eps[1].Send(0, tag, []float64{float64(i)}); err != nil {
+				t.Fatalf("%T: send %d: %v", eps[0], i, err)
+			}
+		}
+		for i := 1; i <= 3; i++ {
+			if got, err := recv(eps[0], 1, tag); err != nil || len(got) != 1 || got[0] != float64(i) {
+				t.Fatalf("%T: receive %d = %v, %v; want [%d]", eps[0], i, got, err, i)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := mem[1].Send(0, tag, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem[0].FailPeer(1)
+	if _, err := recv(mem[0], 1, tag); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("receive from a failed peer's stream: %v", err)
+	}
+	if box := mem[0].world[0]; len(box.pending)+len(box.queued) != 0 {
+		t.Fatalf("a failed peer's stream frames stayed buffered: %d pending, %d queued", len(box.pending), len(box.queued))
 	}
 }
 
