@@ -63,9 +63,10 @@ fmaguard:
 	done; echo "fmaguard: ok"
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
-# loopback-TCP Send/RecvInto round trips, full segmented ring in place and out
-# of place, the out-of-place ring over loopback TCP at its 32 Ki frame size,
-# the one-frame exchange over Mem and TCP at 108 elements, kernel dispatch,
+# loopback-TCP Send/RecvInto round trips, full segmented ring in place (4
+# ranks at 4 Ki, 8 at 32 Ki) and out of place, the out-of-place ring over
+# loopback TCP at its 32 Ki frame size, the one-frame exchange over Mem and
+# TCP at 108 elements, kernel dispatch,
 # the gradient with its views bound, the factored B = 1 local step) must not
 # touch the heap. The assertions skip themselves under -race
 # (whose instrumentation allocates), so ci runs them in a dedicated non-race
@@ -116,8 +117,10 @@ trace-smoke:
 # process (traced vs untraced all-reduce <3%, policy decision vs static
 # controller). BenchmarkLiveStep is bench/'s comm_mem and comm_tcp workloads
 # as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
-# frame size, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides):
-# select one cell and add -cpuprofile for the product's per-step profile.
+# segment, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides; the
+# in-process P = 4 and 5 and All-Reduce cells /mem-p4, /mem-p5, /mem-ar at
+# seg=transport|4Ki|32Ki): select one cell and add -cpuprofile for the
+# product's per-step profile.
 # BenchmarkReduceIntoSmall is ctrl_tcp's 108-element average over loopback
 # TCP at g = 3 and 8, one-frame exchange against the ring it replaces.
 # BenchmarkTCPRoundTrip is a loopback ping-pong at 3, 36 and 32 Ki elements
@@ -147,8 +150,10 @@ bench-smoke:
 
 # Paired comparison of the repository benchmark against another commit:
 # PAIRS alternating pairs per workload plus held-out seed 2002 in both orders,
-# both binaries run from one directory (scripts/pairs.sh). Not in ci (~13 min
-# per workload at 10 pairs). BASE=HEAD on a clean tree is the A/A noise floor.
+# both sides linked at five random code layouts and pair i run at layout
+# i mod 5, all binaries run from one directory (scripts/pairs.sh). Not in ci
+# (~13 min per workload at 10 pairs). BASE=HEAD on a clean tree is the A/A
+# noise floor.
 PAIRS ?= 10
 WORKLOADS ?= $(BENCH_WORKLOADS)
 pairs:

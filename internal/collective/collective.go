@@ -8,14 +8,15 @@
 //
 // Data plane (see DESIGN.md): there is one reduction, ReduceInto, and the sum,
 // mean and weighted-average entry points are its in-place wrappers. It is a
-// ring whose steps move their chunk in segments of the transport's FrameElems
-// (or an explicit Options.SegmentElems) elements, pipelined Gloo-style, or —
-// when 4(g−1)·n fits one segment and there is no retry budget — a one-frame
-// exchange with the same sums in the same order. Receives land via
-// RecvIntoTimeout in pooled or in-place buffers and the weighting, the sum
-// and the post-scale are one pass on the tensor.ScaleAddInto kernel, so a
-// steady-state operation performs zero heap allocations. Per-operation
-// counters (bytes, phase wall time, segments) accumulate into OpStats.
+// ring whose steps move their chunk in segments of the transport's
+// SegmentElems(g) (or an explicit Options.SegmentElems) elements, pipelined
+// Gloo-style, or — when 4(g−1)·n fits one frame and there is no retry
+// budget — a one-frame exchange with the same sums in the same order.
+// Receives land via RecvIntoTimeout in pooled or in-place buffers and the
+// weighting, the sum and the post-scale are one pass on the
+// tensor.ScaleAddInto kernel, so a steady-state operation performs zero heap
+// allocations. Per-operation counters (bytes, phase wall time, segments)
+// accumulate into OpStats.
 package collective
 
 import (
@@ -28,12 +29,13 @@ import (
 	"partialreduce/internal/transport"
 )
 
-// DefaultSegmentElems is the in-process transport's frame size, the segment
-// a ring over transport.Mem uses by default, in float64 elements (32 KiB):
-// small enough that the segment being reduced and the one in flight both sit
-// in L1/L2. Chosen by sweeping {1,2,4,8,16,64}Ki on a 4-rank in-process ring
-// over 1M elements (see BenchmarkRingSegmented). Other transports set their
-// own size (transport.Transport.FrameElems).
+// DefaultSegmentElems is the in-process transport's frame size, in float64
+// elements (32 KiB), and the segment of an in-process ring of fewer than 5
+// members: small enough that the segment being reduced and the one in
+// flight both sit in L1/L2. Chosen by sweeping {1,2,4,8,16,64}Ki on a 4-rank
+// in-process ring over 1M elements (see BenchmarkRingSegmented). Wider
+// in-process rings and other transports set their own size
+// (transport.Transport.SegmentElems).
 const DefaultSegmentElems = 4 * 1024
 
 // Tag layout: callers supply an operation id unique per collective instance
@@ -207,8 +209,8 @@ func (r *jitterRNG) float64() float64 {
 // Options tune a collective call. The zero value selects the defaults.
 type Options struct {
 	// SegmentElems is the pipeline segment size in elements: 0 selects the
-	// transport's FrameElems, negative is an error. A size no smaller than
-	// the tensor moves one segment per ring step.
+	// transport's SegmentElems(g), negative is an error. A size no smaller
+	// than the tensor moves one segment per ring step.
 	SegmentElems int
 	// Stats, when non-nil, accumulates the operation's data-plane counters.
 	Stats *OpStats
@@ -234,16 +236,19 @@ type Options struct {
 	TraceIter  int32
 }
 
-// segElems resolves the segment size of a ring collective over t: an
-// explicit SegmentElems wins, otherwise the transport's frame size.
-func (o Options) segElems(t transport.Transport) (int, error) {
+// segElems resolves a g-member ring's segment over t and the size the
+// one-frame exchange must fit: an explicit SegmentElems sets both, otherwise
+// the transport's SegmentElems(g) and its FrameElems. The exchange keeps the
+// frame: past one 4 Ki frame at g = 8 the ring wins (docs/perf-log.md,
+// "one-frame exchange").
+func (o Options) segElems(t transport.Transport, g int) (seg, frame int, err error) {
 	switch {
 	case o.SegmentElems < 0:
-		return 0, fmt.Errorf("collective: negative SegmentElems %d", o.SegmentElems)
+		return 0, 0, fmt.Errorf("collective: negative SegmentElems %d", o.SegmentElems)
 	case o.SegmentElems == 0:
-		return t.FrameElems(), nil
+		return t.SegmentElems(g), t.FrameElems(), nil
 	default:
-		return o.SegmentElems, nil
+		return o.SegmentElems, o.SegmentElems, nil
 	}
 }
 
@@ -403,8 +408,8 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 // ReduceInto is the all-reduce: it leaves post · Σ_i weight_i·src_i —
 // each member's own weight times its own src, summed over group — in every
 // member's dst. All members must call it with the same group, opID, vector
-// length, post, segment size (the default, the transport's FrameElems, is
-// the same at every endpoint of a world built with one set of options) and
+// length, post, segment size (the default, the transport's SegmentElems(g),
+// is the same at every endpoint of a world built with one set of options) and
 // attempt budget. A group of one computes post·(weight·src) locally. The
 // folded weighting and post-scale (see ring.step) round exactly as separate
 // Scale passes would, and the result is bit-identical for every
@@ -426,7 +431,8 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 // attempt budget is exhausted the op is aborted locally so straggler frames
 // are dropped on arrival, and the last timeout error is returned.
 func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []float64, weight, post float64, opt Options) error {
-	seg, err := opt.segElems(t)
+	g := len(group)
+	seg, frame, err := opt.segElems(t, g)
 	if err != nil {
 		return err
 	}
@@ -434,7 +440,6 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 	if len(dst) != n {
 		return fmt.Errorf("collective: ReduceInto dst length %d != src length %d", len(dst), n)
 	}
-	g := len(group)
 	if g <= 1 {
 		tensor.ScaleInto(dst, src, weight)
 		if post != 1 {
@@ -453,12 +458,12 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 	}
 
 	// One hop when everything a member sends — its whole input to each peer —
-	// fits a quarter segment; above that the ring's pipelined 1/g chunks win
+	// fits a quarter frame; above that the ring's pipelined 1/g chunks win
 	// (docs/perf-log.md, "one-frame exchange": the crossover sits near half a
-	// segment over loopback TCP, near a quarter in memory). Only without a
+	// frame over loopback TCP, near a quarter in memory). Only without a
 	// retry budget: a member whose peers all completed on the first attempt
 	// would retry alone, with nobody left to resend to it.
-	exchange := attempts == 1 && 4*(g-1)*n <= seg
+	exchange := attempts == 1 && 4*(g-1)*n <= frame
 	r := newRing(t, group, pos, opID, n, seg, stats)
 	r.deadline = opt.Timeout
 	r.dst, r.src, r.weight = dst, src, weight

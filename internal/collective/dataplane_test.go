@@ -276,16 +276,20 @@ func assertRingAllocFree(t *testing.T, world []transport.Transport, op func(tr t
 	}
 }
 
-// TestAllReduceSteadyStateAllocFree gates the in-place unit-weight ring.
+// TestAllReduceSteadyStateAllocFree gates the in-place unit-weight ring: 4
+// ranks at the 4 Ki in-process frame, and the live All-Reduce's 8-rank world
+// ring at its default geometry, two 32 Ki segments per ring step, whose
+// 256 KiB pooled segment buffers must recycle.
 func TestAllReduceSteadyStateAllocFree(t *testing.T) {
-	const n = 1 << 16
-	datas := [4][]float64{}
-	for r := range datas {
-		datas[r] = make([]float64, n)
+	for _, c := range []struct{ g, n int }{{4, 1 << 16}, {8, 8 * 2 * (32 << 10)}} {
+		datas := make([][]float64, c.g)
+		for r := range datas {
+			datas[r] = make([]float64, c.n)
+		}
+		assertRingAllocFree(t, asWorld(transport.NewMem(c.g)), func(tr transport.Transport, group []int, r int) error {
+			return AllReduceSumOpts(tr, group, 9, datas[r], Options{})
+		})
 	}
-	assertRingAllocFree(t, asWorld(transport.NewMem(4)), func(tr transport.Transport, group []int, r int) error {
-		return AllReduceSumOpts(tr, group, 9, datas[r], Options{})
-	})
 }
 
 // TestReduceIntoSteadyStateAllocFree gates the ring the live P-Reduce step

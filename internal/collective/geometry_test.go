@@ -110,56 +110,88 @@ func groupInputs(g, n int) [][]float64 {
 	return xs
 }
 
-// TestFrameElemsByTransport: the segment size comes from the transport. Mem
-// keeps the in-process size, TCP sends 32 Ki-element frames unless its
-// receivers accept fewer, and a Faulty endpoint reports what it wraps.
+// TestFrameElemsByTransport: the frame and the ring's segment come from the
+// transport. Mem keeps the in-process frame, and its rings of 5 or more
+// members move 32 Ki segments (at 4 the small frame still wins, at 5 the
+// large one: docs/perf-log.md, "wide in-process rings"); TCP sends 32 Ki
+// frames and segments at every group size unless its receivers accept
+// fewer; a Faulty endpoint reports what it wraps.
 func TestFrameElemsByTransport(t *testing.T) {
-	mem := transport.NewMem(2)
-	if got := mem[0].FrameElems(); got != DefaultSegmentElems {
-		t.Fatalf("Mem.FrameElems = %d, want DefaultSegmentElems %d", got, DefaultSegmentElems)
-	}
-	faulty, err := transport.NewFaultyWorld(asWorld(mem), transport.FaultPlan{})
+	mem := asWorld(transport.NewMem(2))
+	faultyMem, err := transport.NewFaultyWorld(mem, transport.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := faulty[1].FrameElems(); got != DefaultSegmentElems {
-		t.Fatalf("Faulty over Mem: FrameElems = %d, want %d", got, DefaultSegmentElems)
-	}
-	if got := tcpWorld(t, 2, transport.TCPOptions{})[0].FrameElems(); got != 32<<10 {
-		t.Fatalf("TCP.FrameElems = %d, want %d", got, 32<<10)
 	}
 	capped := tcpWorld(t, 2, transport.TCPOptions{MaxFrameElems: 1000})
-	ep, err := transport.NewFaultyEndpoint(capped[0], transport.FaultPlan{})
+	faultyTCP, err := transport.NewFaultyEndpoint(capped[0], transport.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ep.FrameElems(); got != 1000 {
-		t.Fatalf("Faulty over TCP with MaxFrameElems 1000: FrameElems = %d", got)
+	const ki4, ki32 = DefaultSegmentElems, 32 << 10
+	groups := []int{3, 4, 5, 8}
+	for _, c := range []struct {
+		name  string
+		ep    transport.Transport
+		frame int
+		segs  []int // SegmentElems(g) for each of groups
+	}{
+		{"Mem", mem[0], ki4, []int{ki4, ki4, ki32, ki32}},
+		{"Faulty over Mem", faultyMem[1], ki4, []int{ki4, ki4, ki32, ki32}},
+		{"TCP", tcpWorld(t, 2, transport.TCPOptions{})[0], ki32, []int{ki32, ki32, ki32, ki32}},
+		{"TCP with MaxFrameElems 1000", capped[1], 1000, []int{1000, 1000, 1000, 1000}},
+		{"Faulty over TCP with MaxFrameElems 1000", faultyTCP, 1000, []int{1000, 1000, 1000, 1000}},
+	} {
+		if got := c.ep.FrameElems(); got != c.frame {
+			t.Errorf("%s: FrameElems = %d, want %d", c.name, got, c.frame)
+		}
+		for i, g := range groups {
+			if got := c.ep.SegmentElems(g); got != c.segs[i] {
+				t.Errorf("%s: SegmentElems(%d) = %d, want %d", c.name, g, got, c.segs[i])
+			}
+		}
 	}
 }
 
-// TestDefaultGeometryFollowsTransport reduces the repository benchmark's
-// P = 3 group (266,244 elements, chunks of 88,748) with default Options over
-// Mem and over loopback TCP. Mem moves the parent's 22 segments per ring step
-// (4 steps per op: 88 per rank); TCP moves 3 of 32 Ki. Same inputs, different
-// geometry, identical bits.
+// TestDefaultGeometryFollowsTransport reduces with default Options over Mem
+// and over loopback TCP, and counts each rank's segments:
+//   - the repository benchmark's P = 3 group (266,244 elements, chunks of
+//     88,748): Mem moves 22 segments per ring step (4 steps per op: 88 per
+//     rank), TCP 3 of 32 Ki;
+//   - its 8-rank All-Reduce world ring (chunks of 33,281): 2 segments of
+//     32 Ki per ring step over both (14 steps);
+//   - 340 elements at g = 8 (the hetero model): Mem keeps the ring, one
+//     segment per step, since 4(g−1)·n exceeds its 4 Ki frame even though it
+//     fits the 32 Ki segment; TCP's 32 Ki frame takes the one-frame exchange.
+//
+// Same inputs, different geometry, identical bits; the bytes match too
+// wherever both sides run the ring.
 func TestDefaultGeometryFollowsTransport(t *testing.T) {
-	const g, n = 3, 266244
-	xs := groupInputs(g, n)
-	memDst, memStats := reduceEverywhere(t, asWorld(transport.NewMem(g)), xs)
-	tcpDst, tcpStats := reduceEverywhere(t, tcpWorld(t, g, transport.TCPOptions{}), xs)
-	for r := 0; r < g; r++ {
-		if got := memStats[r].Segments; got != 4*22 {
-			t.Fatalf("Mem rank %d: %d segments, want 88", r, got)
-		}
-		if got := tcpStats[r].Segments; got != 4*3 {
-			t.Fatalf("TCP rank %d: %d segments, want 12", r, got)
-		}
-		if memStats[r].BytesSent != tcpStats[r].BytesSent {
-			t.Fatalf("rank %d: %d bytes over Mem, %d over TCP", r, memStats[r].BytesSent, tcpStats[r].BytesSent)
-		}
-		if i := diffBits(tcpDst[r], memDst[r]); i >= 0 {
-			t.Fatalf("rank %d elem %d: TCP %x != Mem %x", r, i, tcpDst[r][i], memDst[r][i])
+	for _, c := range []struct {
+		g, n             int
+		memSegs, tcpSegs int64
+		tcpExchange      bool // TCP runs the one-frame exchange, Mem the ring
+	}{
+		{3, 266244, 4 * 22, 4 * 3, false},
+		{8, 266244, 14 * 2, 14 * 2, false},
+		{8, 340, 14, 7, true},
+	} {
+		g := c.g
+		xs := groupInputs(g, c.n)
+		memDst, memStats := reduceEverywhere(t, asWorld(transport.NewMem(g)), xs)
+		tcpDst, tcpStats := reduceEverywhere(t, tcpWorld(t, g, transport.TCPOptions{}), xs)
+		for r := 0; r < g; r++ {
+			if got := memStats[r].Segments; got != c.memSegs {
+				t.Fatalf("g=%d n=%d Mem rank %d: %d segments, want %d", g, c.n, r, got, c.memSegs)
+			}
+			if got := tcpStats[r].Segments; got != c.tcpSegs {
+				t.Fatalf("g=%d n=%d TCP rank %d: %d segments, want %d", g, c.n, r, got, c.tcpSegs)
+			}
+			if !c.tcpExchange && memStats[r].BytesSent != tcpStats[r].BytesSent {
+				t.Fatalf("g=%d n=%d rank %d: %d bytes over Mem, %d over TCP", g, c.n, r, memStats[r].BytesSent, tcpStats[r].BytesSent)
+			}
+			if i := diffBits(tcpDst[r], memDst[r]); i >= 0 {
+				t.Fatalf("g=%d n=%d rank %d elem %d: TCP %x != Mem %x", g, c.n, r, i, tcpDst[r][i], memDst[r][i])
+			}
 		}
 	}
 }

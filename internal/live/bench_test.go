@@ -20,14 +20,16 @@ import (
 //
 //	go test ./internal/live -run '^$' -bench 'LiveStep/tcp/seg=transport' -cpuprofile cpu.out
 //
-// One op is a whole run: 8 ranks, P = 3, a 266,244-parameter MLP (2.1 MB),
-// batch size 1, on 2 threads, over a fresh world built outside the timer —
-// 50 iterations per rank in process (mem), 30 over a loopback TCP mesh (tcp).
-// The figure to read is steps/s — mini-batches computed per wall second
-// across all ranks. seg=transport leaves Config.SegmentElems zero, so the
-// ring uses the transport's FrameElems (4 Ki on mem, 32 Ki on tcp): what
-// every shipped run uses. The 4Ki…64Ki cells override it for the
-// segment-geometry sweep.
+// One op is a whole run: 8 ranks, a 266,244-parameter MLP (2.1 MB), batch
+// size 1, on 2 threads, over a fresh world built outside the timer — 50
+// iterations per rank in process (mem), 30 over a loopback TCP mesh (tcp).
+// mem and tcp run P-Reduce at P = 3; mem-p4 and mem-p5 at P = 4 and 5, and
+// mem-ar the All-Reduce baseline (RunAllReduce), all in process. The figure
+// to read is steps/s — mini-batches computed per wall second across all
+// ranks. seg=transport leaves Config.SegmentElems zero, so the ring uses the
+// transport's SegmentElems(g) (4 Ki on mem below 5 members, 32 Ki on mem at
+// 5 or more and on tcp): what every shipped run uses. The 4Ki…64Ki cells
+// override it for the segment-geometry sweep.
 func BenchmarkLiveStep(b *testing.B) {
 	spec := model.Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
 	ds, err := data.GaussianMixture(data.MixtureConfig{
@@ -44,15 +46,21 @@ func BenchmarkLiveStep(b *testing.B) {
 		BatchSize: 1,
 		Optimizer: optim.Config{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4},
 	}
+	mem := func(n int) ([]transport.Transport, error) { return memWorld(n), nil }
 	for _, w := range []struct {
 		name  string
+		p     int // 0: the All-Reduce baseline
 		iters int
+		segKi []int
 		world func(n int) ([]transport.Transport, error)
 	}{
-		{"mem", 50, func(n int) ([]transport.Transport, error) { return memWorld(n), nil }},
-		{"tcp", 30, tcpLoopbackWorld},
+		{"mem", 3, 50, []int{0, 4, 16, 32, 64}, mem},
+		{"tcp", 3, 30, []int{0, 4, 16, 32, 64}, tcpLoopbackWorld},
+		{"mem-p4", 4, 50, []int{0, 4, 32}, mem},
+		{"mem-p5", 5, 50, []int{0, 4, 32}, mem},
+		{"mem-ar", 0, 50, []int{0, 4, 32}, mem},
 	} {
-		for _, segKi := range []int{0, 4, 16, 32, 64} {
+		for _, segKi := range w.segKi {
 			seg := "transport"
 			if segKi > 0 {
 				seg = fmt.Sprintf("%dKi", segKi)
@@ -61,10 +69,15 @@ func BenchmarkLiveStep(b *testing.B) {
 				defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
 				var steps atomic.Int64
 				cfg := cfg
+				cfg.P = w.p
 				cfg.Iters = w.iters
 				cfg.SegmentElems = segKi << 10
 				// The engine calls this once per computed mini-batch.
 				cfg.ComputeDelay = func(int, int) time.Duration { steps.Add(1); return 0 }
+				run := Run
+				if w.p == 0 {
+					run = RunAllReduce
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -74,7 +87,7 @@ func BenchmarkLiveStep(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					_, err = Run(cfg, world)
+					_, err = run(cfg, world)
 					b.StopTimer()
 					for _, t := range world {
 						t.Close()

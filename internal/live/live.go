@@ -69,9 +69,10 @@ type Config struct {
 	// emulate heterogeneity on real hardware (nil for full speed).
 	ComputeDelay func(worker, iter int) time.Duration
 	// SegmentElems overrides the collective pipeline segment size in
-	// float64 elements: 0 selects the transport's own frame size
-	// (transport.Transport.FrameElems: 4 Ki in process, 32 Ki over TCP);
-	// negative is rejected.
+	// float64 elements: 0 selects the transport's own segment for the group
+	// size (transport.Transport.SegmentElems: 4 Ki in process below 5
+	// members, 32 Ki in process at 5 or more and over TCP); negative is
+	// rejected.
 	SegmentElems int
 
 	// Initial is the number of founding members: ranks [Initial, N) park —

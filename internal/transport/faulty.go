@@ -397,6 +397,9 @@ func (f *Faulty) FailPeer(peer int) { f.inner.FailPeer(peer) }
 // FrameElems implements Transport: faults change no frame's size.
 func (f *Faulty) FrameElems() int { return f.inner.FrameElems() }
 
+// SegmentElems implements Transport: faults change no segment's size.
+func (f *Faulty) SegmentElems(g int) int { return f.inner.SegmentElems(g) }
+
 // AbortOp implements Transport.
 func (f *Faulty) AbortOp(op uint32) { f.inner.AbortOp(op) }
 

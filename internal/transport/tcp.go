@@ -481,6 +481,9 @@ const tcpReadBufBytes = 4 << 10
 // options).
 func (t *TCP) FrameElems() int { return min(tcpFrameElems, t.opts.MaxFrameElems) }
 
+// SegmentElems implements Transport: every ring moves whole frames.
+func (t *TCP) SegmentElems(int) int { return t.FrameElems() }
+
 // DownPeers returns the ranks this endpoint currently considers dead.
 func (t *TCP) DownPeers() []int {
 	t.mu.Lock()

@@ -76,10 +76,14 @@ type Transport interface {
 	// own pending and future operations fail with *PeerDownError.
 	FailSelf()
 	// FrameElems is the payload length, in float64 elements, at which this
-	// transport's fixed cost per frame stops mattering: the segment size a
-	// ring collective uses unless its caller sets one. It is positive and
-	// never more than the endpoint's receivers accept.
+	// transport's fixed cost per frame stops mattering: what a one-frame
+	// exchange must fit. It is positive and never more than the endpoint's
+	// receivers accept.
 	FrameElems() int
+	// SegmentElems is the segment a ring of g members moves unless its
+	// caller sets one: positive, never more than the receivers accept, and
+	// FrameElems unless the group size changes what a ring step should carry.
+	SegmentElems(g int) int
 	// Close releases the endpoint. Pending receives fail.
 	Close() error
 }
@@ -576,6 +580,25 @@ const memFrameElems = 4 << 10
 
 // FrameElems implements Transport.
 func (m *Mem) FrameElems() int { return memFrameElems }
+
+// memWideSegElems is the segment of an in-process ring of memWideRing or
+// more members: 32 Ki elements (256 KiB). A ring op makes 2(g−1)·⌈n/(g·seg)⌉
+// hand-offs, and among many ranks on few cores each one risks a scheduling
+// bubble: 8x fewer leave the host less idle. A smaller ring runs beside
+// ranks that compute, and there the 4 Ki frame's cache footprint wins
+// (docs/perf-log.md, "wide in-process rings").
+const (
+	memWideSegElems = 32 << 10
+	memWideRing     = 5
+)
+
+// SegmentElems implements Transport.
+func (m *Mem) SegmentElems(g int) int {
+	if g >= memWideRing {
+		return memWideSegElems
+	}
+	return memFrameElems
+}
 
 // Close implements Transport. It closes only this endpoint's mailbox.
 func (m *Mem) Close() error {
