@@ -119,10 +119,11 @@ trace-smoke:
 # as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
 # segment, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides; the
 # in-process P = 4 and 5 and All-Reduce cells /mem-p4, /mem-p5, /mem-ar at
-# seg=transport|4Ki|32Ki): select one cell and add -cpuprofile for the
-# product's per-step profile.
+# seg=transport|4Ki|32Ki, and ctrl_tcp's All-Reduce, /ctrl-ar): select one
+# cell and add -cpuprofile for the product's per-step profile.
 # BenchmarkReduceIntoSmall is ctrl_tcp's 108-element average over loopback
-# TCP at g = 3 and 8, one-frame exchange against the ring it replaces.
+# TCP and in process at g = 3, 4 and 8, the exchange against the ring it
+# replaces.
 # BenchmarkTCPRoundTrip is a loopback ping-pong at 3, 36 and 32 Ki elements
 # (a signal, a ctrl_tcp ring segment, a comm_tcp frame): the per-frame cost
 # of the read loop, profiled the same way.

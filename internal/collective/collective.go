@@ -11,7 +11,8 @@
 // ring whose steps move their chunk in segments of the transport's
 // SegmentElems(g) (or an explicit Options.SegmentElems) elements, pipelined
 // Gloo-style, or — when 4(g−1)·n fits one frame and there is no retry
-// budget — a one-frame exchange with the same sums in the same order.
+// budget — an exchange that gathers every input in ⌈log₂ g⌉ frames (Bruck)
+// and sums them locally in the ring's order.
 // Receives land via RecvIntoTimeout in pooled or in-place buffers and the
 // weighting, the sum and the post-scale are one pass on the
 // tensor.ScaleAddInto kernel, so a steady-state operation performs zero heap
@@ -78,7 +79,7 @@ type OpStats struct {
 	// (8 bytes per float64 element; frame headers excluded).
 	BytesSent int64
 	BytesRecv int64
-	// Segments counts pipeline segments sent (an exchange: one per peer).
+	// Segments counts pipeline segments sent (an exchange: one per round).
 	Segments int64
 	// ReduceScatter and AllGather are wall time spent in the two ring
 	// phases (an exchange: its local sum and its input exchange).
@@ -221,7 +222,7 @@ type Options struct {
 	// Retry governs what a ring collective does after a timeout: purge the
 	// failed attempt's frames, back off, and retry under a fresh tag epoch.
 	// The zero value disables retry (a timeout fails the op immediately); a
-	// budget above one attempt keeps small inputs off the one-frame exchange.
+	// budget above one attempt keeps small inputs off the exchange.
 	Retry RetryPolicy
 	// Tracer, when non-nil, records the collective's timeline: the whole
 	// operation as a KCollective span, the two ring phases as
@@ -236,9 +237,9 @@ type Options struct {
 	TraceIter  int32
 }
 
-// segElems resolves a g-member ring's segment over t and the size the
-// one-frame exchange must fit: an explicit SegmentElems sets both, otherwise
-// the transport's SegmentElems(g) and its FrameElems. The exchange keeps the
+// segElems resolves a g-member ring's segment over t and the frame the
+// exchange rule tests: an explicit SegmentElems sets both, otherwise the
+// transport's SegmentElems(g) and its FrameElems. The exchange keeps the
 // frame: past one 4 Ki frame at g = 8 the ring wins (docs/perf-log.md,
 // "one-frame exchange").
 func (o Options) segElems(t transport.Transport, g int) (seg, frame int, err error) {
@@ -413,9 +414,9 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 // attempt budget. A group of one computes post·(weight·src) locally. The
 // folded weighting and post-scale (see ring.step) round exactly as separate
 // Scale passes would, and the result is bit-identical for every
-// segment size: segmentation, and the one-frame exchange selected for
-// small inputs when there is no retry budget (see exchange), only change
-// message boundaries, never the per-element order of operations.
+// segment size: segmentation, and the exchange selected for small inputs
+// when there is no retry budget (see exchange), only change message
+// boundaries, never the per-element order of operations.
 //
 // dst is either src itself (in place) or a buffer that does not overlap it.
 // Out of place, src is never written: an operation that fails — peer down,
@@ -457,12 +458,12 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 		attempts = 1 // without deadlines there is nothing to retry from
 	}
 
-	// One hop when everything a member sends — its whole input to each peer —
-	// fits a quarter frame; above that the ring's pipelined 1/g chunks win
-	// (docs/perf-log.md, "one-frame exchange": the crossover sits near half a
-	// frame over loopback TCP, near a quarter in memory). Only without a
-	// retry budget: a member whose peers all completed on the first attempt
-	// would retry alone, with nobody left to resend to it.
+	// The exchange when g−1 whole inputs fit a quarter frame; above that the
+	// ring's pipelined 1/g chunks win (docs/perf-log.md, "one-frame
+	// exchange"; measured with one frame per peer, the bound is conservative
+	// for the rounds at g = 8: "bruck-exchange-cells"). Only without a retry
+	// budget: a member whose peers all completed on the first attempt would
+	// retry alone, with nobody left to resend to it.
 	exchange := attempts == 1 && 4*(g-1)*n <= frame
 	r := newRing(t, group, pos, opID, n, seg, stats)
 	r.deadline = opt.Timeout
@@ -593,39 +594,49 @@ func (r *ring) attempt(g, pos int, post float64, opt Options) error {
 	return nil
 }
 
-// exchange is the one-hop alternative to attempt for inputs so small that
-// each ring step would move a fraction of a frame: every member sends
-// weight·src whole to the other g−1 and receives theirs into r.in, one slot
-// per group position, then forms chunk c as the ring does — position c, plus
-// c+1, …, c+g−1 in turn, post on the last add — so the bits are the ring's.
-// dst is written only after every receive has succeeded.
+// exchange is the alternative to attempt for inputs so small that each ring
+// step would move a fraction of a frame: a Bruck allgather of weight·src
+// into r.in, whose slot j holds the input of group position pos−j. In round
+// d = 1, 2, 4, … < g a member sends its first min(d, g−d) slots, one frame,
+// to position pos+d and receives as many from pos−d into slots [d, …). A
+// frame leaves as soon as the slots it carries are held, so at g ≤ 3 every
+// frame goes before the first receive. ⌈log₂ g⌉ frames carry the g−1
+// inputs. Chunk c is then summed as the ring sums it — position c, plus c+1,
+// …, c+g−1 in turn, post on the last add — so the bits are the ring's. dst is
+// written only after every receive has succeeded.
 func (r *ring) exchange(group []int, pos int, post float64, opt Options) error {
 	g, n := len(group), len(r.src)
 	start := time.Now()
 	trStart := opt.Tracer.Now()
 	tg := tag(r.opID, phaseExchange, 0) // epoch 0: the exchange never retries
-	slot := func(q int) []float64 { return r.in[q*n : (q+1)*n] }
-	tensor.ScaleInto(slot(pos), r.src, r.weight)
-	for k := 1; k < g; k++ {
-		if err := r.t.Send(group[(pos+k)%g], tg, slot(pos)); err != nil {
-			return err
+	slots := func(j, cnt int) []float64 { return r.in[j*n : (j+cnt)*n] }
+	tensor.ScaleInto(slots(0, 1), r.src, r.weight)
+	for d := 1; d < g; d *= 2 {
+		// Slots [0, d) are filled, [0, d/2) were at the last receive: send
+		// every round whose slots came in with it.
+		for s := 1; s < g; s *= 2 {
+			cnt := min(s, g-s)
+			if cnt <= d/2 || cnt > d {
+				continue
+			}
+			if err := r.t.Send(group[(pos+s)%g], tg, slots(0, cnt)); err != nil {
+				return err
+			}
+			if r.stats != nil {
+				r.stats.BytesSent += int64(8 * cnt * n)
+				r.stats.Segments++
+			}
 		}
-		if r.stats != nil {
-			r.stats.BytesSent += int64(8 * n)
-			r.stats.Segments++
-		}
-	}
-	for k := 1; k < g; k++ {
-		q := (pos - k + g) % g
-		got, err := r.t.RecvIntoTimeout(group[q], tg, slot(q), r.deadline)
+		cnt := min(d, g-d)
+		got, err := r.t.RecvIntoTimeout(group[(pos-d+g)%g], tg, slots(d, cnt), r.deadline)
 		if err != nil {
 			return err
 		}
-		if got != n {
-			return fmt.Errorf("collective: exchange size mismatch %d != %d", n, got)
+		if got != cnt*n {
+			return fmt.Errorf("collective: exchange size mismatch %d != %d", cnt*n, got)
 		}
 		if r.stats != nil {
-			r.stats.BytesRecv += int64(8 * n)
+			r.stats.BytesRecv += int64(8 * cnt * n)
 		}
 	}
 	mid := time.Now()
@@ -635,15 +646,16 @@ func (r *ring) exchange(group []int, pos int, post float64, opt Options) error {
 	opt.Tracer.Span(trace.KAllGather, opt.TraceTrack, opt.TraceIter, trStart, int64(r.opID), 0)
 
 	trMid := opt.Tracer.Now()
+	at := func(q int) []float64 { return slots((pos-q+g)%g, 1) } // position q's input
 	for c := 0; c < g; c++ {
 		lo, hi := chunk(n, g, c)
-		acc := slot(c)[lo:hi]
+		acc := at(c)[lo:hi]
 		for k := 1; k < g; k++ {
 			p := 1.0
 			if k == g-1 {
 				p = post
 			}
-			tensor.ScaleAddInto(r.dst[lo:hi], slot((c + k) % g)[lo:hi], acc, 1, p)
+			tensor.ScaleAddInto(r.dst[lo:hi], at((c + k) % g)[lo:hi], acc, 1, p)
 			acc = r.dst[lo:hi]
 		}
 	}

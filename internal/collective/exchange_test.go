@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -31,14 +32,19 @@ func specialInputs(rng *rand.Rand, g, n int) [][]float64 {
 	return xs
 }
 
+// exchangeFrames is the number of frames a member of a g-member exchange
+// sends: one per Bruck round, ⌈log₂ g⌉.
+func exchangeFrames(g int) int64 { return int64(bits.Len(uint(g - 1))) }
+
 // TestExchangeMatchesRing is the exchange's determinism property. For every
 // group size 2…8 and every length on both sides of the rule — 0, 1, g−1, g,
 // the largest n whose 4(g−1)·n fits one default Mem frame, and one past it —
 // with unit and mixed weights, post 1 and 1/g, in place and out of place, on
-// inputs with NaN, ±0, ±Inf and subnormals: the default geometry (one-frame
+// inputs with NaN, ±0, ±Inf and subnormals: the default geometry (the
 // exchange up to the threshold) equals the serial reference and the ring at
-// 1-element segments bit for bit, the threshold is where the segment count
-// says the algorithm changes, and an out-of-place src is never written.
+// 1-element segments bit for bit, the threshold is where the frame count
+// says the algorithm changes (⌈log₂ g⌉ exchange frames; the ring sends
+// 2(g−1) or more), and an out-of-place src is never written.
 func TestExchangeMatchesRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	op := uint32(0)
@@ -87,7 +93,7 @@ func TestExchangeMatchesRing(t *testing.T) {
 							if i := diffBits(got[r], ring[r]); i >= 0 {
 								t.Fatalf("%s rank %d elem %d: %x, 1-element ring %x", name, r, i, got[r][i], ring[r][i])
 							}
-							if took := stats[r].Segments == int64(g-1); took != exchange {
+							if took := stats[r].Segments == exchangeFrames(g); took != exchange {
 								t.Fatalf("%s rank %d: %d segments, exchange expected %v", name, r, stats[r].Segments, exchange)
 							}
 						}
@@ -100,7 +106,7 @@ func TestExchangeMatchesRing(t *testing.T) {
 
 // TestExchangeOverTCP: the same property on loopback TCP meshes at the
 // ctrl_tcp model's size and with empty vectors, which the exchange still
-// sends as empty frames.
+// sends as empty frames: ⌈log₂ g⌉ frames per member carrying g−1 inputs.
 func TestExchangeOverTCP(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, g := range []int{3, 8} {
@@ -118,8 +124,8 @@ func TestExchangeOverTCP(t *testing.T) {
 				if err != nil {
 					t.Fatalf("g=%d n=%d rank %d: %v", g, n, r, err)
 				}
-				if stats[r].Segments != int64(g-1) || stats[r].BytesSent != int64(8*n*(g-1)) {
-					t.Fatalf("g=%d n=%d rank %d: %d frames, %d bytes sent; want one whole vector to each peer",
+				if stats[r].Segments != exchangeFrames(g) || stats[r].BytesSent != int64(8*n*(g-1)) {
+					t.Fatalf("g=%d n=%d rank %d: %d frames, %d bytes sent; want ⌈log₂ g⌉ frames carrying g−1 vectors",
 						g, n, r, stats[r].Segments, stats[r].BytesSent)
 				}
 				if i := diffBits(dst[r], want); i >= 0 {
@@ -159,7 +165,7 @@ func TestExchangeAbortsAfterBudget(t *testing.T) {
 		t.Fatalf("rank 0 elem %d: %x != %x", i, dst[0][i], want[i])
 	}
 	if s := stats[0]; s.Ops != 1 || s.Segments != 1 || s.Timeouts != 0 || s.Aborts != 0 {
-		t.Fatalf("rank 0 stats %+v, want one clean one-frame exchange", s)
+		t.Fatalf("rank 0 stats %+v, want one clean exchange", s)
 	}
 	if !transport.IsTimeout(errs[1]) {
 		t.Fatalf("rank 1 (inbound severed): want timeout, got %v", errs[1])
@@ -173,6 +179,53 @@ func TestExchangeAbortsAfterBudget(t *testing.T) {
 	for i, v := range dst[1] {
 		if !math.IsNaN(v) {
 			t.Fatalf("rank 1: aborted exchange wrote dst[%d] = %v", i, v)
+		}
+	}
+}
+
+// TestExchangeRelayedFailure: in an 8-member exchange most inputs reach a
+// member through relays, so one member's death must fail peers that never
+// talk to it. Rank 3's round-1 frame is lost on a cut link and it crashes
+// at its second send, after its first receive: its input reached nobody.
+// Ranks 4, 5 and 7 wait on it directly; ranks 0, 2 and 6 talk to it only
+// through relays that stopped, and time out. Every member returns a failure
+// within ⌈log₂ g⌉ receive deadlines, no src changed (out of place), and no
+// member wrote dst.
+func TestExchangeRelayedFailure(t *testing.T) {
+	const g, n, timeout = 8, 108, 100 * time.Millisecond
+	eps := faultyGroup(t, g, transport.FaultPlan{
+		Seed:            42,
+		CrashAfterSends: map[int]int{3: 1},
+		LinkFaults:      map[[2]int]transport.LinkFault{{3, 4}: {Sever: true}},
+	})
+	xs := specialInputs(rand.New(rand.NewSource(42)), g, n)
+	weights := make([]float64, g)
+	for r := range weights {
+		weights[r] = 1 / float64(g)
+	}
+	src, dst := cloneAll(xs), nanVectors(g, n)
+	begin := time.Now()
+	_, errs := reduceWorld(asWorld(eps), 5, dst, src, weights, 1, Options{Timeout: timeout})
+	bound := time.Duration(exchangeFrames(g))*timeout + 2*time.Second
+	if took := time.Since(begin); took > bound {
+		t.Fatalf("exchange took %v to fail, bound %v", took, bound)
+	}
+	for _, r := range []int{0, 2, 6} {
+		if !transport.IsTimeout(errs[r]) {
+			t.Fatalf("rank %d (relayed): want a timeout, got %v", r, errs[r])
+		}
+	}
+	for r, err := range errs {
+		if !transport.IsFailure(err) {
+			t.Fatalf("rank %d: want a peer-down or timeout failure, got %v", r, err)
+		}
+		if i := diffBits(src[r], xs[r]); i >= 0 {
+			t.Fatalf("rank %d: failed exchange wrote src[%d]", r, i)
+		}
+		for i, v := range dst[r] {
+			if !math.IsNaN(v) {
+				t.Fatalf("rank %d: failed exchange wrote dst[%d] = %v", r, i, v)
+			}
 		}
 	}
 }

@@ -161,7 +161,7 @@ func TestFrameElemsByTransport(t *testing.T) {
 //     32 Ki per ring step over both (14 steps);
 //   - 340 elements at g = 8 (the hetero model): Mem keeps the ring, one
 //     segment per step, since 4(g−1)·n exceeds its 4 Ki frame even though it
-//     fits the 32 Ki segment; TCP's 32 Ki frame takes the one-frame exchange.
+//     fits the 32 Ki segment; TCP's 32 Ki frame takes the exchange, 3 frames.
 //
 // Same inputs, different geometry, identical bits; the bytes match too
 // wherever both sides run the ring.
@@ -169,11 +169,11 @@ func TestDefaultGeometryFollowsTransport(t *testing.T) {
 	for _, c := range []struct {
 		g, n             int
 		memSegs, tcpSegs int64
-		tcpExchange      bool // TCP runs the one-frame exchange, Mem the ring
+		tcpExchange      bool // TCP runs the exchange, Mem the ring
 	}{
 		{3, 266244, 4 * 22, 4 * 3, false},
 		{8, 266244, 14 * 2, 14 * 2, false},
-		{8, 340, 14, 7, true},
+		{8, 340, 14, exchangeFrames(8), true},
 	} {
 		g := c.g
 		xs := groupInputs(g, c.n)

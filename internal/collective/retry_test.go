@@ -356,7 +356,7 @@ func TestAllReduceAbortsAfterBudget(t *testing.T) {
 }
 
 // TestTimeoutWithoutRetryFailsFast: a zero RetryPolicy means one attempt —
-// the first deadline expiry is final — on the one-frame exchange these 16
+// the first deadline expiry is final — on the exchange these 16
 // elements take by default and on the ring a 1-element segment forces.
 func TestTimeoutWithoutRetryFailsFast(t *testing.T) {
 	for _, geo := range []struct {

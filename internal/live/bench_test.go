@@ -24,42 +24,47 @@ import (
 // size 1, on 2 threads, over a fresh world built outside the timer — 50
 // iterations per rank in process (mem), 30 over a loopback TCP mesh (tcp).
 // mem and tcp run P-Reduce at P = 3; mem-p4 and mem-p5 at P = 4 and 5, and
-// mem-ar the All-Reduce baseline (RunAllReduce), all in process. The figure
+// mem-ar the All-Reduce baseline (RunAllReduce), all in process. ctrl-ar is
+// ctrl_tcp's All-Reduce: its 108-parameter model, 300 iterations per rank
+// over a loopback TCP mesh, each step one small-input exchange. The figure
 // to read is steps/s — mini-batches computed per wall second across all
 // ranks. seg=transport leaves Config.SegmentElems zero, so the ring uses the
 // transport's SegmentElems(g) (4 Ki on mem below 5 members, 32 Ki on mem at
 // 5 or more and on tcp): what every shipped run uses. The 4Ki…64Ki cells
 // override it for the segment-geometry sweep.
 func BenchmarkLiveStep(b *testing.B) {
-	spec := model.Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
-	ds, err := data.GaussianMixture(data.MixtureConfig{
-		Classes: spec.Classes, Dim: spec.Inputs, Examples: 2048 + 64, Separation: 4, Noise: 1, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, test := ds.Split(2048.0 / (2048 + 64))
-	cfg := Config{
-		N: 8, P: 3,
-		Spec: spec, Seed: 1,
-		Train: train, Test: test,
-		BatchSize: 1,
-		Optimizer: optim.Config{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4},
-	}
+	wide := model.Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
+	small := model.Spec{Inputs: 8, Hidden: []int{8}, Classes: 4}
 	mem := func(n int) ([]transport.Transport, error) { return memWorld(n), nil }
 	for _, w := range []struct {
 		name  string
+		spec  model.Spec
 		p     int // 0: the All-Reduce baseline
 		iters int
 		segKi []int
 		world func(n int) ([]transport.Transport, error)
 	}{
-		{"mem", 3, 50, []int{0, 4, 16, 32, 64}, mem},
-		{"tcp", 3, 30, []int{0, 4, 16, 32, 64}, tcpLoopbackWorld},
-		{"mem-p4", 4, 50, []int{0, 4, 32}, mem},
-		{"mem-p5", 5, 50, []int{0, 4, 32}, mem},
-		{"mem-ar", 0, 50, []int{0, 4, 32}, mem},
+		{"mem", wide, 3, 50, []int{0, 4, 16, 32, 64}, mem},
+		{"tcp", wide, 3, 30, []int{0, 4, 16, 32, 64}, tcpLoopbackWorld},
+		{"mem-p4", wide, 4, 50, []int{0, 4, 32}, mem},
+		{"mem-p5", wide, 5, 50, []int{0, 4, 32}, mem},
+		{"mem-ar", wide, 0, 50, []int{0, 4, 32}, mem},
+		{"ctrl-ar", small, 0, 300, []int{0}, tcpLoopbackWorld},
 	} {
+		ds, err := data.GaussianMixture(data.MixtureConfig{
+			Classes: w.spec.Classes, Dim: w.spec.Inputs, Examples: 2048 + 64, Separation: 4, Noise: 1, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		train, test := ds.Split(2048.0 / (2048 + 64))
+		cfg := Config{
+			N: 8, P: 3,
+			Spec: w.spec, Seed: 1,
+			Train: train, Test: test,
+			BatchSize: 1,
+			Optimizer: optim.Config{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4},
+		}
 		for _, segKi := range w.segKi {
 			seg := "transport"
 			if segKi > 0 {

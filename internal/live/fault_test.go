@@ -101,7 +101,7 @@ func TestLiveCrashViaFaultyTransport(t *testing.T) {
 }
 
 // TestLiveCrashSurvivorsOnRing: the same crash at 1-element segments, so the
-// collective the corpse dies in is a ring rather than the one-frame exchange
+// collective the corpse dies in is a ring rather than the exchange
 // the 276-parameter model takes by default.
 func TestLiveCrashSurvivorsOnRing(t *testing.T) {
 	cfg := liveConfig(t, 50)
@@ -283,7 +283,7 @@ func TestLivePartitionRecovery(t *testing.T) {
 // reply to cross the partitioned world, its rank would park for good and the
 // run would hang. The data plane does feel the cut (collectives with rank 3
 // time out and are dissolved) and nobody is condemned for it — on the
-// one-frame exchange the model takes by default and on the ring 1-element
+// exchange the model takes by default and on the ring 1-element
 // segments force.
 func TestRunControlOutOfBand(t *testing.T) {
 	for _, geo := range []struct {

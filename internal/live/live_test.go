@@ -299,7 +299,7 @@ func (b *recordingBuilder) Build(seed int64) model.Model {
 }
 
 // TestLiveAllReduceExchangeMatchesRing: the 276-parameter model's gradient
-// all-reduce takes the one-frame exchange at the default geometry and the
+// all-reduce takes the exchange at the default geometry and the
 // ring at 1-element segments; the two trainings end on the same accuracy and
 // the same parameters, bit for bit, on every replica.
 func TestLiveAllReduceExchangeMatchesRing(t *testing.T) {

@@ -76,8 +76,8 @@ type Transport interface {
 	// own pending and future operations fail with *PeerDownError.
 	FailSelf()
 	// FrameElems is the payload length, in float64 elements, at which this
-	// transport's fixed cost per frame stops mattering: what a one-frame
-	// exchange must fit. It is positive and never more than the endpoint's
+	// transport's fixed cost per frame stops mattering: what collective's
+	// exchange rule measures its inputs against. It is positive and never more than the endpoint's
 	// receivers accept.
 	FrameElems() int
 	// SegmentElems is the segment a ring of g members moves unless its
