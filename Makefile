@@ -64,7 +64,8 @@ fmaguard:
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
 # loopback-TCP Send/RecvInto round trips, full segmented ring in place (4
-# ranks at 4 Ki, 8 at 32 Ki) and out of place, the out-of-place ring over
+# ranks at 4 Ki; 8 at 32 Ki as the live All-Reduce runs it, AllReduceApply
+# with a real SGD range update) and out of place, the out-of-place ring over
 # loopback TCP at its 32 Ki frame size, the one-frame exchange over Mem and
 # TCP at 108 elements, kernel dispatch,
 # the gradient with its views bound, the factored B = 1 local step) must not

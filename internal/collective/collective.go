@@ -12,7 +12,9 @@
 // SegmentElems(g) (or an explicit Options.SegmentElems) elements, pipelined
 // Gloo-style, or — when 4(g−1)·n fits one frame and there is no retry
 // budget — an exchange that gathers every input in ⌈log₂ g⌉ frames (Bruck)
-// and sums them locally in the ring's order.
+// and sums them locally in the ring's order. AllReduceApply is the mean
+// with the weight update folded in: each member updates the chunk its ring
+// reduced and the all-gather circulates the parameters.
 // Receives land via RecvIntoTimeout in pooled or in-place buffers and the
 // weighting, the sum and the post-scale are one pass on the
 // tensor.ScaleAddInto kernel, so a steady-state operation performs zero heap
@@ -302,6 +304,8 @@ type ring struct {
 	in         []float64 // pooled: the segment a reduce step receives (exchange: all g inputs)
 	out        []float64 // pooled: the weight-scaled segment leaving at step 0 (nil when weight == 1)
 	stats      *OpStats
+	apply      func(lo, hi int) // AllReduceApply's update; the all-gather then moves params
+	params     []float64
 }
 
 // newRing computes the segment geometry every member agrees on (it depends
@@ -432,6 +436,30 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 // attempt budget is exhausted the op is aborted locally so straggler frames
 // are dropped on arrival, and the last timeout error is returned.
 func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []float64, weight, post float64, opt Options) error {
+	return reduce(t, group, opID, dst, src, weight, post, nil, nil, opt)
+}
+
+// AllReduceApply mean-reduces grad in place and calls apply(lo, hi), which
+// updates params[lo:hi] from grad[lo:hi], once per member where that mean is
+// final: on the ring, the chunk its reduce-scatter finished, after which the
+// all-gather circulates params instead of grad (the same bytes); on the
+// exchange and in a group of one, after the local sum, on [0, n). With the
+// same params on every member and a position-independent update, every
+// replica ends with the bits of AllReduceMeanOpts then the full update.
+// grad holds the mean only where apply ran. apply is not idempotent, so a
+// retry budget is refused before anything is sent.
+func AllReduceApply(t transport.Transport, group []int, opID uint32, grad, params []float64, apply func(lo, hi int), opt Options) error {
+	if len(params) != len(grad) {
+		return fmt.Errorf("collective: AllReduceApply params length %d != grad length %d", len(params), len(grad))
+	}
+	if opt.Timeout > 0 && opt.Retry.attempts() > 1 {
+		return fmt.Errorf("collective: AllReduceApply cannot retry: apply is not idempotent")
+	}
+	return reduce(t, group, opID, grad, grad, 1, 1/float64(len(group)), params, apply, opt)
+}
+
+// reduce is ReduceInto, plus AllReduceApply's update when apply is set.
+func reduce(t transport.Transport, group []int, opID uint32, dst, src []float64, weight, post float64, params []float64, apply func(lo, hi int), opt Options) error {
 	g := len(group)
 	seg, frame, err := opt.segElems(t, g)
 	if err != nil {
@@ -445,6 +473,9 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 		tensor.ScaleInto(dst, src, weight)
 		if post != 1 {
 			tensor.Vector(dst).Scale(post)
+		}
+		if apply != nil {
+			apply(0, n)
 		}
 		return nil
 	}
@@ -468,6 +499,7 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 	r := newRing(t, group, pos, opID, n, seg, stats)
 	r.deadline = opt.Timeout
 	r.dst, r.src, r.weight = dst, src, weight
+	r.apply, r.params = apply, params
 	if exchange {
 		r.in = bufpool.GetFloat64(g * n)
 	} else {
@@ -575,6 +607,12 @@ func (r *ring) attempt(g, pos int, post float64, opt Options) error {
 		r.stats.ReduceScatter += mid.Sub(start)
 	}
 	opt.Tracer.Span(trace.KReduceScatter, opt.TraceTrack, opt.TraceIter, trStart, int64(r.opID), 0)
+	if r.apply != nil {
+		// Neither phase is charged for the update.
+		r.apply(chunk(n, g, (pos+1)%g))
+		r.dst = r.params
+		mid = time.Now()
+	}
 
 	// All-gather: circulate the reduced chunks.
 	trMid := opt.Tracer.Now()
@@ -663,6 +701,9 @@ func (r *ring) exchange(group []int, pos int, post float64, opt Options) error {
 		r.stats.ReduceScatter += time.Since(mid)
 	}
 	opt.Tracer.Span(trace.KReduceScatter, opt.TraceTrack, opt.TraceIter, trMid, int64(r.opID), 0)
+	if r.apply != nil {
+		r.apply(0, n)
+	}
 	return nil
 }
 

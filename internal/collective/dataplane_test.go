@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"partialreduce/internal/transport"
 )
@@ -163,62 +164,79 @@ func TestQuickSegmentedBitIdentical(t *testing.T) {
 
 // TestAllReduceOpStats pins the OpStats accounting: a g-member ring moves
 // 2(g−1)/g·n elements per member in each direction, phases take nonzero
-// wall time, and the segment count matches the agreed geometry.
+// wall time, and the segment count matches the agreed geometry. The same
+// holds for AllReduceApply, whose update is charged to neither phase: the
+// phases and the update are disjoint parts of the call, so the phase times
+// sum to at most the call's wall time less the update's — on the ring and
+// on the exchange.
 func TestAllReduceOpStats(t *testing.T) {
 	const g, n, seg = 4, 1000, 64
-	world := transport.NewMem(g)
-	group := []int{0, 1, 2, 3}
-	stats := make([]OpStats, g)
-	datas := make([][]float64, g)
-	var wg sync.WaitGroup
-	errs := make([]error, g)
-	for r := 0; r < g; r++ {
-		r := r
-		datas[r] = make([]float64, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = AllReduceSumOpts(world[r], group, 5, datas[r],
-				Options{SegmentElems: seg, Stats: &stats[r]})
-		}()
-	}
-	wg.Wait()
-	for r, err := range errs {
+	const applyFor = 5 * time.Millisecond
+	world := asWorld(transport.NewMem(g))
+	for _, entry := range []string{"AllReduceSumOpts", "AllReduceApply", "AllReduceApply/exchange"} {
+		stats := make([]OpStats, g)
+		wall := make([]time.Duration, g)
+		applied := make([]time.Duration, g)
+		err := eachMember(world, func(r int, group []int) error {
+			o := Options{SegmentElems: seg, Stats: &stats[r]}
+			data := make([]float64, n)
+			start := time.Now()
+			defer func() { wall[r] = time.Since(start) }()
+			if entry == "AllReduceSumOpts" {
+				return AllReduceSumOpts(world[r], group, 5, data, o)
+			}
+			if entry == "AllReduceApply/exchange" {
+				o.SegmentElems = 0
+				data = data[:10]
+			}
+			return AllReduceApply(world[r], group, 6, data, make([]float64, len(data)), func(int, int) {
+				t0 := time.Now()
+				time.Sleep(applyFor)
+				applied[r] += time.Since(t0)
+			}, o)
+		})
 		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+			t.Fatalf("%s: %v", entry, err)
 		}
-	}
 
-	var total OpStats
-	for r := range stats {
-		s := stats[r]
-		if s.Ops != 1 {
-			t.Fatalf("rank %d: ops=%d", r, s.Ops)
+		var total OpStats
+		for r := range stats {
+			s := stats[r]
+			if s.Ops != 1 {
+				t.Fatalf("%s rank %d: ops=%d", entry, r, s.Ops)
+			}
+			if s.BytesSent != s.BytesRecv {
+				t.Fatalf("%s rank %d: sent %d != recv %d (symmetric ring)", entry, r, s.BytesSent, s.BytesRecv)
+			}
+			if s.ReduceScatter <= 0 || s.AllGather <= 0 {
+				t.Fatalf("%s rank %d: zero phase time %v/%v", entry, r, s.ReduceScatter, s.AllGather)
+			}
+			if phases := s.ReduceScatter + s.AllGather; phases > wall[r]-applied[r] {
+				t.Fatalf("%s rank %d: phases %v > wall %v − update %v: the update was charged to a phase",
+					entry, r, phases, wall[r], applied[r])
+			}
+			total.Merge(s)
+			if entry == "AllReduceApply/exchange" {
+				continue
+			}
+			// Each member ships every chunk except its final one in each phase:
+			// 2(g−1) chunks of n/g-ish elements — between 2(g−1)·floor(n/g) and
+			// 2(g−1)·ceil(n/g) elements, 8 bytes each.
+			lo := int64(8 * 2 * (g - 1) * (n / g))
+			hi := int64(8 * 2 * (g - 1) * ((n + g - 1) / g))
+			if s.BytesSent < lo || s.BytesSent > hi {
+				t.Fatalf("%s rank %d: bytes sent %d outside [%d,%d]", entry, r, s.BytesSent, lo, hi)
+			}
+			if s.Segments < 2*(g-1) {
+				t.Fatalf("%s rank %d: only %d segments for seg=%d", entry, r, s.Segments, seg)
+			}
 		}
-		if s.BytesSent != s.BytesRecv {
-			t.Fatalf("rank %d: sent %d != recv %d (symmetric ring)", r, s.BytesSent, s.BytesRecv)
+		if total.Ops != g {
+			t.Fatalf("%s: merged ops=%d", entry, total.Ops)
 		}
-		// Each member ships every chunk except its final one in each phase:
-		// 2(g−1) chunks of n/g-ish elements — between 2(g−1)·floor(n/g) and
-		// 2(g−1)·ceil(n/g) elements, 8 bytes each.
-		lo := int64(8 * 2 * (g - 1) * (n / g))
-		hi := int64(8 * 2 * (g - 1) * ((n + g - 1) / g))
-		if s.BytesSent < lo || s.BytesSent > hi {
-			t.Fatalf("rank %d: bytes sent %d outside [%d,%d]", r, s.BytesSent, lo, hi)
+		if got := total.String(); got == "" {
+			t.Fatal("empty stats string")
 		}
-		if s.Segments < 2*(g-1) {
-			t.Fatalf("rank %d: only %d segments for seg=%d", r, s.Segments, seg)
-		}
-		if s.ReduceScatter <= 0 || s.AllGather <= 0 {
-			t.Fatalf("rank %d: zero phase time %v/%v", r, s.ReduceScatter, s.AllGather)
-		}
-		total.Merge(s)
-	}
-	if total.Ops != g {
-		t.Fatalf("merged ops=%d", total.Ops)
-	}
-	if got := total.String(); got == "" {
-		t.Fatal("empty stats string")
 	}
 }
 
@@ -277,16 +295,21 @@ func assertRingAllocFree(t *testing.T, world []transport.Transport, op func(tr t
 }
 
 // TestAllReduceSteadyStateAllocFree gates the in-place unit-weight ring: 4
-// ranks at the 4 Ki in-process frame, and the live All-Reduce's 8-rank world
-// ring at its default geometry, two 32 Ki segments per ring step, whose
-// 256 KiB pooled segment buffers must recycle.
+// ranks at the 4 Ki in-process frame, and the live All-Reduce's step, an
+// 8-rank AllReduceApply with a real SGD range update at the world ring's
+// default geometry, two 32 Ki segments per ring step, whose 256 KiB pooled
+// segment buffers must recycle.
 func TestAllReduceSteadyStateAllocFree(t *testing.T) {
 	for _, c := range []struct{ g, n int }{{4, 1 << 16}, {8, 8 * 2 * (32 << 10)}} {
-		datas := make([][]float64, c.g)
+		datas, params := make([][]float64, c.g), make([][]float64, c.g)
 		for r := range datas {
-			datas[r] = make([]float64, c.n)
+			datas[r], params[r] = make([]float64, c.n), make([]float64, c.n)
 		}
+		updates := rangeUpdates(params, datas)
 		assertRingAllocFree(t, asWorld(transport.NewMem(c.g)), func(tr transport.Transport, group []int, r int) error {
+			if c.g == 8 {
+				return AllReduceApply(tr, group, 9, datas[r], params[r], updates[r], Options{})
+			}
 			return AllReduceSumOpts(tr, group, 9, datas[r], Options{})
 		})
 	}

@@ -13,7 +13,10 @@ import (
 // same training step RunAllReduceWorker executes live: compute → reduce →
 // apply on the step machine, with the gradient mean computed by the shared
 // aggregation rule; only the ring differs (priced and charged by the
-// cluster here, a real collective there).
+// cluster here, a real collective there). Live, each rank updates only the
+// chunk it reduced and the ring gathers the parameters; every worker here
+// updates all of them. The bits agree: the momentum element update does not
+// depend on its position, and every replica holds the same model.
 //
 // All-Reduce honors a crash schedule the only way a global collective can
 // (§4): the first fail-stop halts training — every subsequent round would

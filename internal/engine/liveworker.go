@@ -371,12 +371,20 @@ func localStep(m model.Model, opt *optim.SGD, grad *tensor.Vector, batch *data.B
 // full-world mean all-reduce — the synchronous barrier P-Reduce removes.
 // There is no ready/controller phase, so the step machine moves compute →
 // reduce directly. group must list every rank.
+//
+// The update is sharded (collective.AllReduceApply): a rank steps the
+// optimizer on the chunk its ring reduced and the all-gather spreads the
+// parameters. Every replica starts from the same model and the momentum
+// element update does not depend on its position, so the parameters are the
+// bits of SGD.Update over the whole mean, as RunAllReduceSim runs it. A
+// rank's velocity is current only on its chunk; nothing exports it.
 func RunAllReduceWorker(w *LiveWorker, group []int) (Outcome, error) {
 	id := w.Rank
 	m := w.Model
 	grad := tensor.NewVector(m.NumParams())
 	var batch *data.Batch
 	machine := NewMachine(1)
+	apply := func(lo, hi int) { w.Opt.UpdateRange(m.Params(), grad, lo, hi) }
 
 	for iter := 0; iter < w.Iters; iter++ {
 		machine.To(0, StateCompute)
@@ -388,11 +396,10 @@ func RunAllReduceWorker(w *LiveWorker, group []int) (Outcome, error) {
 		batch = w.Sampler.Sample(batch, w.BatchSize)
 		m.Gradient(grad, batch)
 		machine.To(0, StateReduce)
-		if err := collective.AllReduceMeanOpts(w.Trans, group, uint32(iter+1), grad, w.Copts); err != nil {
+		if err := collective.AllReduceApply(w.Trans, group, uint32(iter+1), grad, m.Params(), apply, w.Copts); err != nil {
 			return Outcome{Iter: iter}, err
 		}
-		machine.To(0, StateApply)
-		w.Opt.Update(m.Params(), grad, 1)
+		machine.To(0, StateApply) // the update ran inside the collective
 	}
 	machine.To(0, StateDone)
 	return Outcome{Iter: w.Iters, Groups: w.Iters}, nil

@@ -24,7 +24,8 @@ import (
 // size 1, on 2 threads, over a fresh world built outside the timer — 50
 // iterations per rank in process (mem), 30 over a loopback TCP mesh (tcp).
 // mem and tcp run P-Reduce at P = 3; mem-p4 and mem-p5 at P = 4 and 5, and
-// mem-ar the All-Reduce baseline (RunAllReduce), all in process. ctrl-ar is
+// mem-ar the All-Reduce baseline (RunAllReduce), all in process; tcp-ar is
+// comm_tcp's All-Reduce, the same model over the loopback mesh. ctrl-ar is
 // ctrl_tcp's All-Reduce: its 108-parameter model, 300 iterations per rank
 // over a loopback TCP mesh, each step one small-input exchange. The figure
 // to read is steps/s — mini-batches computed per wall second across all
@@ -49,6 +50,7 @@ func BenchmarkLiveStep(b *testing.B) {
 		{"mem-p4", wide, 4, 50, []int{0, 4, 32}, mem},
 		{"mem-p5", wide, 5, 50, []int{0, 4, 32}, mem},
 		{"mem-ar", wide, 0, 50, []int{0, 4, 32}, mem},
+		{"tcp-ar", wide, 0, 30, []int{0}, tcpLoopbackWorld},
 		{"ctrl-ar", small, 0, 300, []int{0}, tcpLoopbackWorld},
 	} {
 		ds, err := data.GaussianMixture(data.MixtureConfig{

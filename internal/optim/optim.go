@@ -106,6 +106,21 @@ func (o *SGD) Update(params, grad tensor.Vector, scale float64) {
 	o.step++
 }
 
+// UpdateRange is Update at scale 1 on params[lo:hi] alone, counted as one
+// step: the element update is position-independent, so the ranges of one
+// step, run by whoever holds them, leave the bits of one Update. Velocity
+// outside the updated ranges is not kept, so State exports it stale; a
+// caller that shards the update across replicas (the live All-Reduce's
+// collective.AllReduceApply) must not hand the velocity on.
+func (o *SGD) UpdateRange(params, grad tensor.Vector, lo, hi int) {
+	if len(params) != len(o.velocity) || len(grad) != len(o.velocity) {
+		panic(fmt.Sprintf("optim: size mismatch params=%d grad=%d velocity=%d",
+			len(params), len(grad), len(o.velocity)))
+	}
+	tensor.MomentumStep(params[lo:hi], o.velocity[lo:hi], grad[lo:hi], o.cfg.Momentum, o.cfg.WeightDecay, o.LR())
+	o.step++
+}
+
 // UpdateFactored is Update for a gradient that was never materialized: the
 // concatenation of the row-major outer products blocks, each element produced
 // where Update would have read it, so the step streams parameters and velocity
