@@ -66,8 +66,9 @@ fmaguard:
 # loopback-TCP Send/RecvInto round trips, full segmented ring in place (4
 # ranks at 4 Ki; 8 at 32 Ki as the live All-Reduce runs it, AllReduceApply
 # with a real SGD range update) and out of place, the out-of-place ring over
-# loopback TCP at its 32 Ki frame size, the one-frame exchange over Mem and
-# TCP at 108 elements, kernel dispatch,
+# loopback TCP at its 32 Ki frame size, the small-input exchange over Mem
+# and TCP at 108 elements and g = 3, 4 and 8 (the root's gather and
+# broadcast, and every other member's send and receive), kernel dispatch,
 # the gradient with its views bound, the factored B = 1 local step) must not
 # touch the heap. The assertions skip themselves under -race
 # (whose instrumentation allocates), so ci runs them in a dedicated non-race
@@ -120,11 +121,12 @@ trace-smoke:
 # as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
 # segment, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides; the
 # in-process P = 4 and 5 and All-Reduce cells /mem-p4, /mem-p5, /mem-ar at
-# seg=transport|4Ki|32Ki, and ctrl_tcp's All-Reduce, /ctrl-ar): select one
-# cell and add -cpuprofile for the product's per-step profile.
+# seg=transport|4Ki|32Ki, and ctrl_tcp's All-Reduce, /ctrl-ar, and its
+# P-Reduce, /ctrl: eight RunWorker ranks, rank 0 hosting the controller):
+# select one cell and add -cpuprofile for the product's per-step profile.
 # BenchmarkReduceIntoSmall is ctrl_tcp's 108-element average over loopback
 # TCP and in process at g = 3, 4 and 8, the exchange against the ring it
-# replaces.
+# replaces, plus both paths at the exchange rule's bound and twice it.
 # BenchmarkTCPRoundTrip is a loopback ping-pong at 3, 36 and 32 Ki elements
 # (a signal, a ctrl_tcp ring segment, a comm_tcp frame): the per-frame cost
 # of the read loop, profiled the same way.

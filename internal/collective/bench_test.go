@@ -105,36 +105,40 @@ func BenchmarkReduceInto(b *testing.B) {
 }
 
 // BenchmarkReduceIntoSmall is ctrl_tcp's regime: an average out of place
-// with weight 1/g by groups of 3, 4 and 8 (P = 3, P = 4, the 8-rank world).
-// n=108 is ctrl_tcp's model, over loopback TCP and in process, as the
-// default exchange (⌈log₂ g⌉ frames per member) and as the ring it replaces
-// (a segment of one chunk, the ring's geometry at the default frame size).
-// The other TCP cells bracket the rule at its 32 Ki frame: the largest n
-// the exchange takes and one more element, which the ring takes; and twice
-// that n, on the ring by default and on the exchange when a doubled segment
-// admits it — where the ring catches up.
+// with weight 1/g by groups of 3, 4 and 8 (P = 3, P = 4, the 8-rank world),
+// over loopback TCP and in process. n=108 is ctrl_tcp's model, as the
+// default exchange (a gather to position 0 and a broadcast back) and as the
+// ring it replaces (a segment of one chunk, the ring's geometry at the
+// default frame size). The other cells bracket the rule at the transport's
+// frame (32 Ki on TCP, 4 Ki in process): the largest n the exchange takes
+// and one more element, which the ring takes; and twice that n, on the ring
+// by default and on the exchange when a doubled segment admits it.
 func BenchmarkReduceIntoSmall(b *testing.B) {
-	const n, frame = 108, 32 << 10 // frame: TCP's FrameElems
+	const n = 108
 	type cell struct {
 		algo       string
 		elems, seg int
 	}
 	for _, wire := range []string{"tcp", "mem"} {
+		frame := 32 << 10 // TCP's FrameElems
+		if wire == "mem" {
+			frame = DefaultSegmentElems
+		}
 		for _, g := range []int{3, 4, 8} {
-			cells := []cell{{"exchange", n, 0}, {"ring", n, n/g + 1}}
-			if thr := frame / (4 * (g - 1)); wire == "tcp" {
-				cells = append(cells,
-					cell{"exchange", thr, 0}, cell{"ring", thr + 1, 0},
-					cell{"exchange", 2 * thr, 2 * frame}, cell{"ring", 2 * thr, 0})
+			thr := frame / (2 * (g - 1))
+			cells := []cell{
+				{"exchange", n, 0}, {"ring", n, n/g + 1},
+				{"exchange", thr, 0}, {"ring", thr + 1, 0},
+				{"exchange", 2 * thr, 2 * frame}, {"ring", 2 * thr, 0},
 			}
 			for _, c := range cells {
 				b.Run(fmt.Sprintf("%s/g=%d/n=%d/%s", wire, g, c.elems, c.algo), func(b *testing.B) {
 					world := asWorld(transport.NewMem(g))
 					if wire == "tcp" {
 						world = tcpWorld(b, g, transport.TCPOptions{})
-						if world[0].FrameElems() != frame {
-							b.Fatalf("TCP frame is %d elements, the cells assume %d", world[0].FrameElems(), frame)
-						}
+					}
+					if world[0].FrameElems() != frame {
+						b.Fatalf("%s frame is %d elements, the cells assume %d", wire, world[0].FrameElems(), frame)
 					}
 					benchReduce(b, world, c.elems, true, 1/float64(g), Options{SegmentElems: c.seg})
 				})

@@ -10,11 +10,12 @@
 // mean and weighted-average entry points are its in-place wrappers. It is a
 // ring whose steps move their chunk in segments of the transport's
 // SegmentElems(g) (or an explicit Options.SegmentElems) elements, pipelined
-// Gloo-style, or — when 4(g−1)·n fits one frame and there is no retry
-// budget — an exchange that gathers every input in ⌈log₂ g⌉ frames (Bruck)
-// and sums them locally in the ring's order. AllReduceApply is the mean
-// with the weight update folded in: each member updates the chunk its ring
-// reduced and the all-gather circulates the parameters.
+// Gloo-style, or — when 2(g−1)·n fits one frame and there is no retry
+// budget — an exchange that gathers every input to one member, sums them
+// there in the ring's order and broadcasts the result: 2(g−1) frames per op.
+// AllReduceApply is the mean with the weight update folded in: each member
+// updates the chunk its ring reduced and the all-gather circulates the
+// parameters.
 // Receives land via RecvIntoTimeout in pooled or in-place buffers and the
 // weighting, the sum and the post-scale are one pass on the
 // tensor.ScaleAddInto kernel, so a steady-state operation performs zero heap
@@ -81,10 +82,10 @@ type OpStats struct {
 	// (8 bytes per float64 element; frame headers excluded).
 	BytesSent int64
 	BytesRecv int64
-	// Segments counts pipeline segments sent (an exchange: one per round).
+	// Segments counts pipeline segments sent (an exchange: one per frame).
 	Segments int64
 	// ReduceScatter and AllGather are wall time spent in the two ring
-	// phases (an exchange: its local sum and its input exchange).
+	// phases (an exchange: its gather and sum, and its broadcast).
 	ReduceScatter time.Duration
 	AllGather     time.Duration
 	// Retries counts retried attempts after a receive deadline expired,
@@ -241,9 +242,9 @@ type Options struct {
 
 // segElems resolves a g-member ring's segment over t and the frame the
 // exchange rule tests: an explicit SegmentElems sets both, otherwise the
-// transport's SegmentElems(g) and its FrameElems. The exchange keeps the
-// frame: past one 4 Ki frame at g = 8 the ring wins (docs/perf-log.md,
-// "one-frame exchange").
+// transport's SegmentElems(g) and its FrameElems. The exchange rule bounds
+// the root's traffic by the frame, not the segment (docs/perf-log.md,
+// "gather-broadcast exchange").
 func (o Options) segElems(t transport.Transport, g int) (seg, frame int, err error) {
 	switch {
 	case o.SegmentElems < 0:
@@ -363,12 +364,8 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 				tensor.ScaleInto(payload, r.src[lo:hi], r.weight)
 			}
 		}
-		if err := r.t.Send(r.next, tag(r.opID, ph, base+sent), payload); err != nil {
+		if err := r.send(r.next, tag(r.opID, ph, base+sent), payload); err != nil {
 			return err
-		}
-		if r.stats != nil {
-			r.stats.BytesSent += int64(8 * (hi - lo))
-			r.stats.Segments++
 		}
 		sent++
 		return nil
@@ -388,24 +385,44 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 			continue
 		}
 		lo, hi := segLen(recvLo, recvHi, k) // …while segment k lands here
-		want := hi - lo
 		into := r.dst[lo:hi]
 		if reduce {
-			into = r.in[:want]
+			into = r.in[:hi-lo]
 		}
-		n, err := r.t.RecvIntoTimeout(r.prev, tag(r.opID, ph, base+k), into, r.deadline)
-		if err != nil {
+		if err := r.recv(r.prev, tag(r.opID, ph, base+k), into); err != nil {
 			return err
-		}
-		if n != want {
-			return fmt.Errorf("collective: chunk size mismatch %d != %d", want, n)
-		}
-		if r.stats != nil {
-			r.stats.BytesRecv += int64(8 * want)
 		}
 		if reduce {
 			tensor.ScaleAddInto(r.dst[lo:hi], r.src[lo:hi], into, r.weight, post)
 		}
+	}
+	return nil
+}
+
+// send sends payload to peer under tg: one segment, counted.
+func (r *ring) send(to int, tg uint64, payload []float64) error {
+	if err := r.t.Send(to, tg, payload); err != nil {
+		return err
+	}
+	if r.stats != nil {
+		r.stats.BytesSent += int64(8 * len(payload))
+		r.stats.Segments++
+	}
+	return nil
+}
+
+// recv fills into from peer under tg within the ring's deadline; a frame of
+// any other length is an error.
+func (r *ring) recv(from int, tg uint64, into []float64) error {
+	got, err := r.t.RecvIntoTimeout(from, tg, into, r.deadline)
+	if err != nil {
+		return err
+	}
+	if got != len(into) {
+		return fmt.Errorf("collective: frame size mismatch %d != %d", len(into), got)
+	}
+	if r.stats != nil {
+		r.stats.BytesRecv += int64(8 * got)
 	}
 	return nil
 }
@@ -443,9 +460,10 @@ func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []floa
 // updates params[lo:hi] from grad[lo:hi], once per member where that mean is
 // final: on the ring, the chunk its reduce-scatter finished, after which the
 // all-gather circulates params instead of grad (the same bytes); on the
-// exchange and in a group of one, after the local sum, on [0, n). With the
-// same params on every member and a position-independent update, every
-// replica ends with the bits of AllReduceMeanOpts then the full update.
+// exchange, once the whole mean is held (the root after its broadcast), and
+// in a group of one, on [0, n). With the same params on every member and a
+// position-independent update, every replica ends with the bits of
+// AllReduceMeanOpts then the full update.
 // grad holds the mean only where apply ran. apply is not idempotent, so a
 // retry budget is refused before anything is sent.
 func AllReduceApply(t transport.Transport, group []int, opID uint32, grad, params []float64, apply func(lo, hi int), opt Options) error {
@@ -489,19 +507,22 @@ func reduce(t transport.Transport, group []int, opID uint32, dst, src []float64,
 		attempts = 1 // without deadlines there is nothing to retry from
 	}
 
-	// The exchange when g−1 whole inputs fit a quarter frame; above that the
-	// ring's pipelined 1/g chunks win (docs/perf-log.md, "one-frame
-	// exchange"; measured with one frame per peer, the bound is conservative
-	// for the rounds at g = 8: "bruck-exchange-cells"). Only without a retry
-	// budget: a member whose peers all completed on the first attempt would
-	// retry alone, with nobody left to resend to it.
-	exchange := attempts == 1 && 4*(g-1)*n <= frame
+	// The exchange when the root's traffic, g−1 inputs in and g−1 results
+	// out, fits one frame: at that bound it beat the ring at g = 3, 4 and 8
+	// on both transports (docs/perf-log.md, "gather-broadcast exchange"). Only
+	// without a retry budget: a member whose peers all completed on the
+	// first attempt would retry alone, with nobody left to resend to it.
+	exchange := attempts == 1 && 2*(g-1)*n <= frame
 	r := newRing(t, group, pos, opID, n, seg, stats)
 	r.deadline = opt.Timeout
 	r.dst, r.src, r.weight = dst, src, weight
 	r.apply, r.params = apply, params
 	if exchange {
-		r.in = bufpool.GetFloat64(g * n)
+		size := n // a non-root member holds its scaled input, then the result
+		if pos == 0 {
+			size = g * n // the root holds every input
+		}
+		r.in = bufpool.GetFloat64(size)
 	} else {
 		r.in = bufpool.GetFloat64(min(r.seg, n/g+1))
 		if weight != 1 {
@@ -633,74 +654,75 @@ func (r *ring) attempt(g, pos int, post float64, opt Options) error {
 }
 
 // exchange is the alternative to attempt for inputs so small that each ring
-// step would move a fraction of a frame: a Bruck allgather of weight·src
-// into r.in, whose slot j holds the input of group position pos−j. In round
-// d = 1, 2, 4, … < g a member sends its first min(d, g−d) slots, one frame,
-// to position pos+d and receives as many from pos−d into slots [d, …). A
-// frame leaves as soon as the slots it carries are held, so at g ≤ 3 every
-// frame goes before the first receive. ⌈log₂ g⌉ frames carry the g−1
-// inputs. Chunk c is then summed as the ring sums it — position c, plus c+1,
-// …, c+g−1 in turn, post on the last add — so the bits are the ring's. dst is
-// written only after every receive has succeeded.
+// step would move a fraction of a frame: a gather to group position 0, the
+// root, and a broadcast back. Every other member sends weight·src to the root
+// as one frame and receives the n-element result as one frame; the root
+// receives the g−1 inputs into r.in, slot q holding position q's, and sends
+// dst to each member: 2(g−1) frames per op. Chunk c is summed as the ring
+// sums it — position c, plus c+1, …, c+g−1 in turn, post on the last add —
+// so the bits are the ring's. The gather and the sum are charged to
+// ReduceScatter (a non-root member: its send), the broadcast to AllGather (a
+// non-root member: its wait for the result). dst is written only after every
+// receive has succeeded.
 func (r *ring) exchange(group []int, pos int, post float64, opt Options) error {
 	g, n := len(group), len(r.src)
 	start := time.Now()
 	trStart := opt.Tracer.Now()
 	tg := tag(r.opID, phaseExchange, 0) // epoch 0: the exchange never retries
-	slots := func(j, cnt int) []float64 { return r.in[j*n : (j+cnt)*n] }
-	tensor.ScaleInto(slots(0, 1), r.src, r.weight)
-	for d := 1; d < g; d *= 2 {
-		// Slots [0, d) are filled, [0, d/2) were at the last receive: send
-		// every round whose slots came in with it.
-		for s := 1; s < g; s *= 2 {
-			cnt := min(s, g-s)
-			if cnt <= d/2 || cnt > d {
-				continue
-			}
-			if err := r.t.Send(group[(pos+s)%g], tg, slots(0, cnt)); err != nil {
+	slot := func(q int) []float64 { return r.in[q*n : (q+1)*n] }
+
+	if pos == 0 {
+		tensor.ScaleInto(slot(0), r.src, r.weight)
+		for q := 1; q < g; q++ {
+			if err := r.recv(group[q], tg, slot(q)); err != nil {
 				return err
 			}
-			if r.stats != nil {
-				r.stats.BytesSent += int64(8 * cnt * n)
-				r.stats.Segments++
+		}
+		for c := 0; c < g; c++ {
+			lo, hi := chunk(n, g, c)
+			acc := slot(c)[lo:hi]
+			for k := 1; k < g; k++ {
+				p := 1.0
+				if k == g-1 {
+					p = post
+				}
+				tensor.ScaleAddInto(r.dst[lo:hi], slot((c + k) % g)[lo:hi], acc, 1, p)
+				acc = r.dst[lo:hi]
 			}
 		}
-		cnt := min(d, g-d)
-		got, err := r.t.RecvIntoTimeout(group[(pos-d+g)%g], tg, slots(d, cnt), r.deadline)
-		if err != nil {
+	} else {
+		in := r.src
+		if r.weight != 1 {
+			in = slot(0)
+			tensor.ScaleInto(in, r.src, r.weight)
+		}
+		if err := r.send(group[0], tg, in); err != nil {
 			return err
-		}
-		if got != cnt*n {
-			return fmt.Errorf("collective: exchange size mismatch %d != %d", cnt*n, got)
-		}
-		if r.stats != nil {
-			r.stats.BytesRecv += int64(8 * cnt * n)
 		}
 	}
 	mid := time.Now()
 	if r.stats != nil {
-		r.stats.AllGather += mid.Sub(start)
+		r.stats.ReduceScatter += mid.Sub(start)
 	}
-	opt.Tracer.Span(trace.KAllGather, opt.TraceTrack, opt.TraceIter, trStart, int64(r.opID), 0)
+	opt.Tracer.Span(trace.KReduceScatter, opt.TraceTrack, opt.TraceIter, trStart, int64(r.opID), 0)
 
 	trMid := opt.Tracer.Now()
-	at := func(q int) []float64 { return slots((pos-q+g)%g, 1) } // position q's input
-	for c := 0; c < g; c++ {
-		lo, hi := chunk(n, g, c)
-		acc := at(c)[lo:hi]
-		for k := 1; k < g; k++ {
-			p := 1.0
-			if k == g-1 {
-				p = post
+	if pos == 0 {
+		for q := 1; q < g; q++ {
+			if err := r.send(group[q], tg, r.dst); err != nil {
+				return err
 			}
-			tensor.ScaleAddInto(r.dst[lo:hi], at((c + k) % g)[lo:hi], acc, 1, p)
-			acc = r.dst[lo:hi]
 		}
+	} else {
+		if err := r.recv(group[0], tg, slot(0)); err != nil {
+			return err
+		}
+		copy(r.dst, slot(0))
 	}
 	if r.stats != nil {
-		r.stats.ReduceScatter += time.Since(mid)
+		r.stats.AllGather += time.Since(mid)
 	}
-	opt.Tracer.Span(trace.KReduceScatter, opt.TraceTrack, opt.TraceIter, trMid, int64(r.opID), 0)
+	opt.Tracer.Span(trace.KAllGather, opt.TraceTrack, opt.TraceIter, trMid, int64(r.opID), 0)
 	if r.apply != nil {
 		r.apply(0, n)
 	}

@@ -168,7 +168,10 @@ func TestQuickSegmentedBitIdentical(t *testing.T) {
 // holds for AllReduceApply, whose update is charged to neither phase: the
 // phases and the update are disjoint parts of the call, so the phase times
 // sum to at most the call's wall time less the update's — on the ring and
-// on the exchange.
+// on the exchange. On the exchange ReduceScatter is the gather and the
+// root's sum, AllGather the broadcast; a non-root member has no sum, so its
+// ReduceScatter is its one send and its AllGather its wait for the result.
+// Its frames are the exchange's: g−1 at the root, 1 at every other member.
 func TestAllReduceOpStats(t *testing.T) {
 	const g, n, seg = 4, 1000, 64
 	const applyFor = 5 * time.Millisecond
@@ -217,6 +220,7 @@ func TestAllReduceOpStats(t *testing.T) {
 			}
 			total.Merge(s)
 			if entry == "AllReduceApply/exchange" {
+				checkExchangeFrames(t, entry, g, 10, r, s)
 				continue
 			}
 			// Each member ships every chunk except its final one in each phase:

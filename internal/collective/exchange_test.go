@@ -1,9 +1,9 @@
 package collective
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -32,25 +32,38 @@ func specialInputs(rng *rand.Rand, g, n int) [][]float64 {
 	return xs
 }
 
-// exchangeFrames is the number of frames a member of a g-member exchange
-// sends: one per Bruck round, ⌈log₂ g⌉.
-func exchangeFrames(g int) int64 { return int64(bits.Len(uint(g - 1))) }
+// checkExchangeFrames fails unless the member at group position pos of a
+// g-member exchange of n elements sent one frame of n elements to each peer
+// it talks to — the root (position 0) g−1, every other member 1 — and
+// received as many bytes as it sent.
+func checkExchangeFrames(t *testing.T, name string, g, n, pos int, s OpStats) {
+	t.Helper()
+	frames := int64(1)
+	if pos == 0 {
+		frames = int64(g - 1)
+	}
+	if s.Segments != frames || s.BytesSent != frames*int64(8*n) || s.BytesRecv != s.BytesSent {
+		t.Fatalf("%s rank %d: %d frames, %d bytes sent, %d received; want %d frames of %d elements each way",
+			name, pos, s.Segments, s.BytesSent, s.BytesRecv, frames, n)
+	}
+}
 
 // TestExchangeMatchesRing is the exchange's determinism property. For every
 // group size 2…8 and every length on both sides of the rule — 0, 1, g−1, g,
-// the largest n whose 4(g−1)·n fits one default Mem frame, and one past it —
+// the largest n whose 2(g−1)·n fits one default Mem frame, and one past it —
 // with unit and mixed weights, post 1 and 1/g, in place and out of place, on
 // inputs with NaN, ±0, ±Inf and subnormals: the default geometry (the
 // exchange up to the threshold) equals the serial reference and the ring at
 // 1-element segments bit for bit, the threshold is where the frame count
-// says the algorithm changes (⌈log₂ g⌉ exchange frames; the ring sends
-// 2(g−1) or more), and an out-of-place src is never written.
+// says the algorithm changes (the exchange's root sends g−1 frames and every
+// other member 1, each of n elements; the ring's members send 2(g−1) or
+// more, of at most n/g + 1), and an out-of-place src is never written.
 func TestExchangeMatchesRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	op := uint32(0)
 	for g := 2; g <= 8; g++ {
 		world := asWorld(transport.NewMem(g))
-		thr := DefaultSegmentElems / (4 * (g - 1))
+		thr := DefaultSegmentElems / (2 * (g - 1))
 		for _, n := range []int{0, 1, g - 1, g, thr, thr + 1} {
 			for _, unit := range []bool{true, false} {
 				weights := make([]float64, g)
@@ -85,7 +98,6 @@ func TestExchangeMatchesRing(t *testing.T) {
 						}
 						got, stats := run(0)
 						ring, _ := run(1)
-						exchange := n <= thr
 						for r := range got {
 							if i := diffBits(got[r], want); i >= 0 {
 								t.Fatalf("%s rank %d elem %d: %x, serial %x", name, r, i, got[r][i], want[i])
@@ -93,8 +105,10 @@ func TestExchangeMatchesRing(t *testing.T) {
 							if i := diffBits(got[r], ring[r]); i >= 0 {
 								t.Fatalf("%s rank %d elem %d: %x, 1-element ring %x", name, r, i, got[r][i], ring[r][i])
 							}
-							if took := stats[r].Segments == exchangeFrames(g); took != exchange {
-								t.Fatalf("%s rank %d: %d segments, exchange expected %v", name, r, stats[r].Segments, exchange)
+							if n <= thr {
+								checkExchangeFrames(t, name, g, n, r, stats[r])
+							} else if stats[r].Segments < int64(2*(g-1)) {
+								t.Fatalf("%s rank %d: %d segments, the ring expected", name, r, stats[r].Segments)
 							}
 						}
 					}
@@ -106,7 +120,7 @@ func TestExchangeMatchesRing(t *testing.T) {
 
 // TestExchangeOverTCP: the same property on loopback TCP meshes at the
 // ctrl_tcp model's size and with empty vectors, which the exchange still
-// sends as empty frames: ⌈log₂ g⌉ frames per member carrying g−1 inputs.
+// sends as empty frames: the root sends g−1, every other member 1.
 func TestExchangeOverTCP(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, g := range []int{3, 8} {
@@ -124,10 +138,7 @@ func TestExchangeOverTCP(t *testing.T) {
 				if err != nil {
 					t.Fatalf("g=%d n=%d rank %d: %v", g, n, r, err)
 				}
-				if stats[r].Segments != exchangeFrames(g) || stats[r].BytesSent != int64(8*n*(g-1)) {
-					t.Fatalf("g=%d n=%d rank %d: %d frames, %d bytes sent; want ⌈log₂ g⌉ frames carrying g−1 vectors",
-						g, n, r, stats[r].Segments, stats[r].BytesSent)
-				}
+				checkExchangeFrames(t, fmt.Sprintf("g=%d n=%d", g, n), g, n, r, stats[r])
 				if i := diffBits(dst[r], want); i >= 0 {
 					t.Fatalf("g=%d n=%d rank %d elem %d: %x != %x", g, n, r, i, dst[r][i], want[i])
 				}
@@ -138,10 +149,11 @@ func TestExchangeOverTCP(t *testing.T) {
 
 // TestExchangeAbortsAfterBudget is TestAllReduceAbortsAfterBudget's sever
 // with a budget of one attempt, which keeps 32 elements on the exchange, out
-// of place: rank 1's only inbound link is cut, so it times out and counts one
-// abort, with its src and dst exactly as they were. Rank 0's inbound link is
-// intact, so it completes with the exact sum — the partial completion the
-// ring's last all-gather step can also produce.
+// of place: rank 1's only inbound link is cut, so it times out waiting for the
+// root's broadcast and counts one abort, with its src and dst exactly as they
+// were. Rank 0, the root, got rank 1's input, so it completes with the exact
+// sum — the partial completion the ring's last all-gather step can also
+// produce.
 func TestExchangeAbortsAfterBudget(t *testing.T) {
 	const g, d = 2, 32
 	eps := faultyGroup(t, g, transport.FaultPlan{
@@ -183,50 +195,102 @@ func TestExchangeAbortsAfterBudget(t *testing.T) {
 	}
 }
 
-// TestExchangeRelayedFailure: in an 8-member exchange most inputs reach a
-// member through relays, so one member's death must fail peers that never
-// talk to it. Rank 3's round-1 frame is lost on a cut link and it crashes
-// at its second send, after its first receive: its input reached nobody.
-// Ranks 4, 5 and 7 wait on it directly; ranks 0, 2 and 6 talk to it only
-// through relays that stopped, and time out. Every member returns a failure
-// within ⌈log₂ g⌉ receive deadlines, no src changed (out of place), and no
-// member wrote dst.
+// TestExchangeRelayedFailure: in an 8-member exchange every input reaches
+// the other members through the root, so one member's death must fail
+// members that never talk to it, and the root's must fail them all. Out of
+// place, on inputs with specials, every member returns a failure within 2
+// receive deadlines (plus 2 s of scheduling slack), no src changed and no
+// member wrote dst:
+//   - a non-root member, rank 3, crashes at its first send, before its input
+//     leaves. The root sees it down and never broadcasts; the other members
+//     wait on the root alone, and time out.
+//   - the root crashes while it still waits on rank 7's input, lost on a cut
+//     link, so before its sum. The members waiting on it fail.
 func TestExchangeRelayedFailure(t *testing.T) {
 	const g, n, timeout = 8, 108, 100 * time.Millisecond
-	eps := faultyGroup(t, g, transport.FaultPlan{
-		Seed:            42,
-		CrashAfterSends: map[int]int{3: 1},
-		LinkFaults:      map[[2]int]transport.LinkFault{{3, 4}: {Sever: true}},
-	})
-	xs := specialInputs(rand.New(rand.NewSource(42)), g, n)
+	for _, c := range []struct {
+		name     string
+		plan     transport.FaultPlan
+		kill     int   // rank killed a quarter deadline in (-1: none)
+		timedOut []int // ranks that must fail by their deadline
+	}{
+		{"non-root", transport.FaultPlan{Seed: 42, CrashAfterSends: map[int]int{3: 0}}, -1, []int{1, 2, 4, 5, 6, 7}},
+		{"root", transport.FaultPlan{Seed: 43, LinkFaults: map[[2]int]transport.LinkFault{{7, 0}: {Sever: true}}}, 0, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eps := faultyGroup(t, g, c.plan)
+			xs := specialInputs(rand.New(rand.NewSource(42)), g, n)
+			weights := make([]float64, g)
+			for r := range weights {
+				weights[r] = 1 / float64(g)
+			}
+			src, dst := cloneAll(xs), nanVectors(g, n)
+			if c.kill >= 0 {
+				time.AfterFunc(timeout/4, func() { eps[c.kill].Kill(c.kill) })
+			}
+			begin := time.Now()
+			_, errs := reduceWorld(asWorld(eps), 5, dst, src, weights, 1, Options{Timeout: timeout})
+			if took, bound := time.Since(begin), 2*timeout+2*time.Second; took > bound {
+				t.Fatalf("exchange took %v to fail, bound %v", took, bound)
+			}
+			for _, r := range c.timedOut {
+				if !transport.IsTimeout(errs[r]) {
+					t.Fatalf("rank %d (relayed): want a timeout, got %v", r, errs[r])
+				}
+			}
+			for r, err := range errs {
+				if !transport.IsFailure(err) {
+					t.Fatalf("rank %d: want a peer-down or timeout failure, got %v", r, err)
+				}
+				if i := diffBits(src[r], xs[r]); i >= 0 {
+					t.Fatalf("rank %d: failed exchange wrote src[%d]", r, i)
+				}
+				for i, v := range dst[r] {
+					if !math.IsNaN(v) {
+						t.Fatalf("rank %d: failed exchange wrote dst[%d] = %v", r, i, v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestExchangeRootCutPartWay is the exchange's partial completion: the root
+// crashes at its third broadcast frame, so the members at positions 1 and 2
+// complete with the serial reference's bits and the rest see it down, with
+// dst untouched.
+func TestExchangeRootCutPartWay(t *testing.T) {
+	const g, n = 8, 108
+	eps := faultyGroup(t, g, transport.FaultPlan{Seed: 44, CrashAfterSends: map[int]int{0: 2}})
+	xs := specialInputs(rand.New(rand.NewSource(44)), g, n)
 	weights := make([]float64, g)
 	for r := range weights {
 		weights[r] = 1 / float64(g)
 	}
-	src, dst := cloneAll(xs), nanVectors(g, n)
-	begin := time.Now()
-	_, errs := reduceWorld(asWorld(eps), 5, dst, src, weights, 1, Options{Timeout: timeout})
-	bound := time.Duration(exchangeFrames(g))*timeout + 2*time.Second
-	if took := time.Since(begin); took > bound {
-		t.Fatalf("exchange took %v to fail, bound %v", took, bound)
-	}
-	for _, r := range []int{0, 2, 6} {
-		if !transport.IsTimeout(errs[r]) {
-			t.Fatalf("rank %d (relayed): want a timeout, got %v", r, errs[r])
+	want := serialReduce(xs, weights, 1)
+	dst := nanVectors(g, n)
+	_, errs := reduceWorld(asWorld(eps), 6, dst, cloneAll(xs), weights, 1, Options{Timeout: time.Second})
+	for r := 1; r < g; r++ {
+		if r <= 2 {
+			if errs[r] != nil {
+				t.Fatalf("rank %d (reached): %v", r, errs[r])
+			}
+			if i := diffBits(dst[r], want); i >= 0 {
+				t.Fatalf("rank %d elem %d: %x != %x", r, i, dst[r][i], want[i])
+			}
+			continue
 		}
-	}
-	for r, err := range errs {
-		if !transport.IsFailure(err) {
-			t.Fatalf("rank %d: want a peer-down or timeout failure, got %v", r, err)
-		}
-		if i := diffBits(src[r], xs[r]); i >= 0 {
-			t.Fatalf("rank %d: failed exchange wrote src[%d]", r, i)
+		if down := (*transport.PeerDownError)(nil); !errors.As(errs[r], &down) || down.Peer != 0 {
+			t.Fatalf("rank %d (not reached): want the root down, got %v", r, errs[r])
 		}
 		for i, v := range dst[r] {
 			if !math.IsNaN(v) {
 				t.Fatalf("rank %d: failed exchange wrote dst[%d] = %v", r, i, v)
 			}
 		}
+	}
+	if down := (*transport.PeerDownError)(nil); !errors.As(errs[0], &down) || down.Peer != 0 {
+		t.Fatalf("root: want its own crash, got %v", errs[0])
 	}
 }
 
@@ -278,10 +342,12 @@ func TestSmallReduceRetriesDroppedFrame(t *testing.T) {
 // TestExchangeSteadyStateAllocFree gates the exchange at the ctrl_tcp model's
 // size (108 elements) in both shapes the live runtime calls — the P-Reduce
 // average out of place with weight 1/g and the All-Reduce gradient mean in
-// place — over Mem and over loopback TCP, at g = 4 and 8.
+// place — over Mem and over loopback TCP, at g = 3 (ctrl_tcp's P-Reduce
+// groups), 4 and 8. Rank 0 is the root and the peers run the non-root path,
+// so both are gated.
 func TestExchangeSteadyStateAllocFree(t *testing.T) {
 	const n = 108
-	for _, g := range []int{4, 8} {
+	for _, g := range []int{3, 4, 8} {
 		for _, wire := range []string{"mem", "tcp"} {
 			t.Run(fmt.Sprintf("%s/g=%d", wire, g), func(t *testing.T) {
 				world := asWorld(transport.NewMem(g))

@@ -160,8 +160,9 @@ func TestFrameElemsByTransport(t *testing.T) {
 //   - its 8-rank All-Reduce world ring (chunks of 33,281): 2 segments of
 //     32 Ki per ring step over both (14 steps);
 //   - 340 elements at g = 8 (the hetero model): Mem keeps the ring, one
-//     segment per step, since 4(g−1)·n exceeds its 4 Ki frame even though it
-//     fits the 32 Ki segment; TCP's 32 Ki frame takes the exchange, 3 frames.
+//     segment per step, since 2(g−1)·n exceeds its 4 Ki frame even though it
+//     fits the 32 Ki segment; TCP's 32 Ki frame takes the exchange: the
+//     root sends 7 frames, every other member 1.
 //
 // Same inputs, different geometry, identical bits; the bytes match too
 // wherever both sides run the ring.
@@ -169,11 +170,11 @@ func TestDefaultGeometryFollowsTransport(t *testing.T) {
 	for _, c := range []struct {
 		g, n             int
 		memSegs, tcpSegs int64
-		tcpExchange      bool // TCP runs the exchange, Mem the ring
+		tcpExchange      bool // TCP runs the exchange (tcpSegs unused), Mem the ring
 	}{
 		{3, 266244, 4 * 22, 4 * 3, false},
 		{8, 266244, 14 * 2, 14 * 2, false},
-		{8, 340, 14, exchangeFrames(8), true},
+		{8, 340, 14, -1, true},
 	} {
 		g := c.g
 		xs := groupInputs(g, c.n)
@@ -183,7 +184,9 @@ func TestDefaultGeometryFollowsTransport(t *testing.T) {
 			if got := memStats[r].Segments; got != c.memSegs {
 				t.Fatalf("g=%d n=%d Mem rank %d: %d segments, want %d", g, c.n, r, got, c.memSegs)
 			}
-			if got := tcpStats[r].Segments; got != c.tcpSegs {
+			if c.tcpExchange {
+				checkExchangeFrames(t, fmt.Sprintf("g=%d n=%d TCP", g, c.n), g, c.n, r, tcpStats[r])
+			} else if got := tcpStats[r].Segments; got != c.tcpSegs {
 				t.Fatalf("g=%d n=%d TCP rank %d: %d segments, want %d", g, c.n, r, got, c.tcpSegs)
 			}
 			if !c.tcpExchange && memStats[r].BytesSent != tcpStats[r].BytesSent {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"sync"
@@ -27,7 +28,10 @@ import (
 // mem-ar the All-Reduce baseline (RunAllReduce), all in process; tcp-ar is
 // comm_tcp's All-Reduce, the same model over the loopback mesh. ctrl-ar is
 // ctrl_tcp's All-Reduce: its 108-parameter model, 300 iterations per rank
-// over a loopback TCP mesh, each step one small-input exchange. The figure
+// over a loopback TCP mesh, each step one small-input exchange. ctrl is
+// ctrl_tcp's P-Reduce at P = 3: the same model, 800 iterations, one
+// RunWorker per rank with rank 0 hosting the controller, so every ready
+// signal and reply crosses the mesh beside the groups' exchanges. The figure
 // to read is steps/s — mini-batches computed per wall second across all
 // ranks. seg=transport leaves Config.SegmentElems zero, so the ring uses the
 // transport's SegmentElems(g) (4 Ki on mem below 5 members, 32 Ki on mem at
@@ -40,18 +44,20 @@ func BenchmarkLiveStep(b *testing.B) {
 	for _, w := range []struct {
 		name  string
 		spec  model.Spec
-		p     int // 0: the All-Reduce baseline
+		p     int // 0: the All-Reduce baseline (run is RunAllReduce)
 		iters int
 		segKi []int
 		world func(n int) ([]transport.Transport, error)
+		run   func(Config, []transport.Transport) (*Report, error)
 	}{
-		{"mem", wide, 3, 50, []int{0, 4, 16, 32, 64}, mem},
-		{"tcp", wide, 3, 30, []int{0, 4, 16, 32, 64}, tcpLoopbackWorld},
-		{"mem-p4", wide, 4, 50, []int{0, 4, 32}, mem},
-		{"mem-p5", wide, 5, 50, []int{0, 4, 32}, mem},
-		{"mem-ar", wide, 0, 50, []int{0, 4, 32}, mem},
-		{"tcp-ar", wide, 0, 30, []int{0}, tcpLoopbackWorld},
-		{"ctrl-ar", small, 0, 300, []int{0}, tcpLoopbackWorld},
+		{"mem", wide, 3, 50, []int{0, 4, 16, 32, 64}, mem, Run},
+		{"tcp", wide, 3, 30, []int{0, 4, 16, 32, 64}, tcpLoopbackWorld, Run},
+		{"mem-p4", wide, 4, 50, []int{0, 4, 32}, mem, Run},
+		{"mem-p5", wide, 5, 50, []int{0, 4, 32}, mem, Run},
+		{"mem-ar", wide, 0, 50, []int{0, 4, 32}, mem, RunAllReduce},
+		{"tcp-ar", wide, 0, 30, []int{0}, tcpLoopbackWorld, RunAllReduce},
+		{"ctrl-ar", small, 0, 300, []int{0}, tcpLoopbackWorld, RunAllReduce},
+		{"ctrl", small, 3, 800, []int{0}, tcpLoopbackWorld, runWorkers},
 	} {
 		ds, err := data.GaussianMixture(data.MixtureConfig{
 			Classes: w.spec.Classes, Dim: w.spec.Inputs, Examples: 2048 + 64, Separation: 4, Noise: 1, Seed: 1,
@@ -81,10 +87,6 @@ func BenchmarkLiveStep(b *testing.B) {
 				cfg.SegmentElems = segKi << 10
 				// The engine calls this once per computed mini-batch.
 				cfg.ComputeDelay = func(int, int) time.Duration { steps.Add(1); return 0 }
-				run := Run
-				if w.p == 0 {
-					run = RunAllReduce
-				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -94,7 +96,7 @@ func BenchmarkLiveStep(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					_, err = run(cfg, world)
+					_, err = w.run(cfg, world)
 					b.StopTimer()
 					for _, t := range world {
 						t.Close()
@@ -108,6 +110,22 @@ func BenchmarkLiveStep(b *testing.B) {
 			})
 		}
 	}
+}
+
+// runWorkers is the multi-process deployment inside one process: one
+// RunWorker per rank, rank 0 hosting the controller.
+func runWorkers(cfg Config, world []transport.Transport) (*Report, error) {
+	errs := make([]error, len(world))
+	var wg sync.WaitGroup
+	for r := range world {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[r] = RunWorker(cfg, world[r], r == 0)
+		}()
+	}
+	wg.Wait()
+	return nil, errors.Join(errs...)
 }
 
 // tcpLoopbackWorld builds an n-rank TCP mesh on loopback ports the kernel

@@ -76,9 +76,9 @@ type Transport interface {
 	// own pending and future operations fail with *PeerDownError.
 	FailSelf()
 	// FrameElems is the payload length, in float64 elements, at which this
-	// transport's fixed cost per frame stops mattering: what collective's
-	// exchange rule measures its inputs against. It is positive and never more than the endpoint's
-	// receivers accept.
+	// transport's fixed cost per frame stops mattering: collective's exchange
+	// runs while its root's traffic, 2(g−1) inputs, fits one. It is positive
+	// and never more than the endpoint's receivers accept.
 	FrameElems() int
 	// SegmentElems is the segment a ring of g members moves unless its
 	// caller sets one: positive, never more than the receivers accept, and
