@@ -54,13 +54,20 @@ race:
 # amd64 (and than the AVX2 kernels, which never fuse). Each is cross-compiled
 # with -S, as is amd64 at GOAMD64=v3 (which has FMA; Go does not contract
 # there today), and any fused instruction fails the gate naming its line.
+# -S lists compiled Go only, so the hand-written assembly (*.s) is grepped for
+# the same mnemonics on its own: a kernel lane that fused would round once
+# where its Go loop rounds twice.
+FMA_RE := \sV?FN?M(ADD|SUB)[0-9]*[SDP]*\s
 fmaguard:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	for a in arm64 loong64 ppc64le riscv64 s390x amd64; do \
 		GOARCH=$$a GOAMD64=v3 $(GO) build -gcflags=-S ./... >"$$tmp" 2>&1 || { grep -v '^	' "$$tmp" | tail; exit 1; }; \
-		bad=$$(grep -E '\sV?FN?M(ADD|SUB)[0-9]*[SDP]*\s' "$$tmp" | grep -oE '[^ (]+\.go:[0-9]+' | sort -u); \
+		bad=$$(grep -E '$(FMA_RE)' "$$tmp" | grep -oE '[^ (]+\.go:[0-9]+' | sort -u); \
 		if [ -n "$$bad" ]; then echo "fmaguard: GOARCH=$$a fuses a multiply-add at:"; echo "$$bad"; exit 1; fi; \
-	done; echo "fmaguard: ok"
+	done; \
+	bad=$$(find . -name '*.s' ! -path './bench/*' ! -path './.bench_build/*' | xargs grep -nHE '$(FMA_RE)' || true); \
+	if [ -n "$$bad" ]; then echo "fmaguard: hand-written assembly fuses a multiply-add at:"; echo "$$bad"; exit 1; fi; \
+	echo "fmaguard: ok"
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
 # loopback-TCP Send/RecvInto round trips, full segmented ring in place (4
@@ -69,16 +76,17 @@ fmaguard:
 # loopback TCP at its 32 Ki frame size, the small-input exchange over Mem
 # and TCP at 108 elements and g = 3, 4 and 8 (the root's gather and
 # broadcast, and every other member's send and receive), kernel dispatch,
-# the gradient with its views bound, the factored B = 1 local step) must not
-# touch the heap. The assertions skip themselves under -race
-# (whose instrumentation allocates), so ci runs them in a dedicated non-race
-# pass.
+# the gradient with its views bound, the factored B = 1 local step, a
+# worker decoding the controller's reply) must not touch the heap. The
+# assertions skip themselves under -race (whose instrumentation allocates),
+# so ci runs them in a dedicated non-race pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
 	$(GO) test ./internal/transport/ -run 'TestRecvIntoSteadyStateAllocFree|TestTCPSendRecvSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree|TestReduceIntoTCPSteadyStateAllocFree|TestExchangeSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
 	$(GO) test ./internal/model/ -run 'TestGradientSteadyStateAllocFree|TestFactoredStepSteadyStateAllocFree' -count 1
+	$(GO) test ./internal/live/ -run TestDecodeDirectiveReusesGroupSlices -count 1
 
 # Flake gate: the quiet-run watchdog test finishes in ~10 ms, well inside its
 # own 5 ms evaluation cadence on a fast host, so it passes only because the

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"partialreduce/internal/controller"
 	"partialreduce/internal/engine"
@@ -182,8 +183,11 @@ func appendDirective(dst []float64, seq uint64, d engine.Directive) ([]float64, 
 	return append(dst, g.Weights...), nil
 }
 
-// decodeDirective returns a reply frame's seq and directive.
-func decodeDirective(p []float64, n int) (uint64, engine.Directive, error) {
+// decodeDirective returns a reply frame's seq and directive. A group's
+// members and weights are decoded into members and weights, grown if their
+// capacity is short, so the directive shares them until the caller reuses
+// them; nil slices decode into fresh ones.
+func decodeDirective(p []float64, n int, members []int, weights []float64) (uint64, engine.Directive, error) {
 	var d engine.Directive
 	if len(p) < directiveLen(0) {
 		return 0, d, fmt.Errorf("live: short reply frame (%d slots)", len(p))
@@ -206,8 +210,8 @@ func decodeDirective(p []float64, n int) (uint64, engine.Directive, error) {
 	switch mode {
 	case modeGroup:
 		d.OpID, d.Group.Iter, d.Group.InitWeight = op, iter, initWeight
-		d.Group.Members = make([]int, np)
-		d.Group.Weights = make([]float64, np)
+		d.Group.Members = slices.Grow(members[:0], np)[:np]
+		d.Group.Weights = slices.Grow(weights[:0], np)[:np]
 		for i := range d.Group.Members {
 			d.Group.Members[i] = f.int(8+i, 0, float64(n-1), "member rank")
 			d.Group.Weights[i] = f.float(8+np+i, "member weight")

@@ -23,7 +23,7 @@ func roundTrip(t *testing.T, d engine.Directive, n int) (engine.Directive, error
 	if err != nil {
 		t.Fatalf("encode %+v: %v", d, err)
 	}
-	seq, got, err := decodeDirective(p, n)
+	seq, got, err := decodeDirective(p, n, nil, nil)
 	if err == nil && seq != 41 {
 		t.Fatalf("reply seq %d, want 41", seq)
 	}
@@ -63,13 +63,13 @@ func TestGroupCodec(t *testing.T) {
 	if err != nil || !got.Bootstrap || got.BootstrapFor != 11 || got.BootstrapOp != bootOpBase+4 || got.Epoch != 9 {
 		t.Fatalf("bootstrap reply: %v %+v", err, got)
 	}
-	if _, _, err := decodeDirective([]float64{1}, n); err == nil {
+	if _, _, err := decodeDirective([]float64{1}, n, nil, nil); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	if _, _, err := decodeDirective([]float64{0, 1, 2, 0, 1, 0, 2, 0, 0}, n); err == nil {
+	if _, _, err := decodeDirective([]float64{0, 1, 2, 0, 1, 0, 2, 0, 0}, n, nil, nil); err == nil {
 		t.Fatal("wrong length accepted")
 	}
-	if _, _, err := decodeDirective([]float64{9, 0, 0, 0, 0, 0, 0, 0}, n); err == nil {
+	if _, _, err := decodeDirective([]float64{9, 0, 0, 0, 0, 0, 0, 0}, n, nil, nil); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestControlCodecRejectsMalformed(t *testing.T) {
 		"negative group op id": group(func(p []float64) { p[1] = -1 }),
 	}
 	for name, p := range directives {
-		if _, d, err := decodeDirective(p, n); err == nil {
+		if _, d, err := decodeDirective(p, n, nil, nil); err == nil {
 			t.Errorf("directive %s accepted: %+v", name, d)
 		}
 	}
@@ -216,12 +216,12 @@ func FuzzControlCodec(f *testing.F) {
 				t.Fatalf("%s: %v does not survive re-encoding: %+v -> %+v (%v)", stream, p, a, b, err)
 			}
 		}
-		if seq, d, err := decodeDirective(p, n); err == nil {
+		if seq, d, err := decodeDirective(p, n, nil, nil); err == nil {
 			q, err := appendDirective(nil, seq, d)
 			if err != nil {
 				t.Fatalf("accepted directive %+v does not encode: %v", d, err)
 			}
-			seq2, d2, err := decodeDirective(q, n)
+			seq2, d2, err := decodeDirective(q, n, nil, nil)
 			same("reply", []any{seq, d}, []any{seq2, d2}, err)
 		}
 		if m, err := decodeReady(p, n); err == nil {
@@ -242,8 +242,43 @@ func FuzzControlCodec(f *testing.F) {
 // A malformed reply frame reaches a worker as an error from Signal, naming
 // the bad field, not as a panic.
 func TestDecodeDirectiveNaNCountIsAnError(t *testing.T) {
-	_, _, err := decodeDirective([]float64{0, 0, 0, 0, 0, 0, math.NaN(), 0}, 8)
+	_, _, err := decodeDirective([]float64{0, 0, 0, 0, 0, 0, math.NaN(), 0}, 8, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "group size") {
 		t.Fatalf("NaN group size: err = %v, want a group-size error", err)
+	}
+}
+
+// TestDecodeDirectiveReusesGroupSlices pins the worker's steady state: a
+// group reply decodes into the slices the worker owns, so answering a signal
+// allocates nothing, whatever the group's size up to the whole world.
+func TestDecodeDirectiveReusesGroupSlices(t *testing.T) {
+	const n = 8
+	members, weights := make([]int, n), make([]float64, n)
+	var frames [][]float64
+	for _, g := range []controller.Group{
+		{Members: []int{5, 0, 2}, Weights: []float64{0.5, 0.25, 0.25}, Iter: 40},
+		{Members: []int{7, 6, 5, 4, 3, 2, 1, 0}, Weights: []float64{1, 1, 1, 1, 1, 1, 1, 1}, Iter: 41},
+	} {
+		p, err := appendDirective(nil, 9, engine.Directive{Group: g, OpID: 3, Epoch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, p)
+	}
+	frames = append(frames, []float64{modeSkip, 0, 0, 0, 1, 0, 0, 9})
+	for _, p := range frames {
+		var d engine.Directive
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if _, d, err = decodeDirective(p, n, members, weights); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("decoding a %d-slot reply allocates %.1f times", len(p), allocs)
+		}
+		if len(d.Group.Members) > 0 && &d.Group.Members[0] != &members[0] {
+			t.Fatalf("group of %d decoded into fresh slices", len(d.Group.Members))
+		}
 	}
 }

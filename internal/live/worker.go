@@ -257,6 +257,11 @@ type wireControl struct {
 	sig      engine.Signaler // on the unixSeconds clock
 	sendBuf  []float64
 	replyBuf []float64
+	// members and weights hold the group of the last reply, sized for the
+	// whole world: a Directive is read only until the next Signal, so every
+	// reply decodes into them.
+	members []int
+	weights []float64
 }
 
 // report puts m on the ready stream.
@@ -286,7 +291,7 @@ func (c *wireControl) Signal(iter int) (engine.Directive, error) {
 				wait = max(time.Duration((due-unixSeconds(time.Now()))*1e9), 1)
 			}
 			if n, err = c.tr.RecvIntoTimeout(c.ctrlRank, ctrlReplyTag, c.replyBuf, wait); err == nil {
-				seq, d, derr := decodeDirective(c.replyBuf[:n], c.cfg.N)
+				seq, d, derr := decodeDirective(c.replyBuf[:n], c.cfg.N, c.members, c.weights)
 				if derr != nil || c.sig.Answer(seq, d.Epoch) {
 					return d, derr
 				}
@@ -367,7 +372,8 @@ func runRank(cfg Config, tr, ctl transport.Transport, ctrlRank int, base model.M
 
 	w := newLiveWorker(cfg, id, tr, base, shard, init)
 	c := &wireControl{cfg: cfg, tr: ctl, ctrlRank: ctrlRank, id: id,
-		sig: engine.Signaler{Timeout: cfg.CtrlTimeout.Seconds()}, replyBuf: make([]float64, directiveLen(cfg.N))}
+		sig: engine.Signaler{Timeout: cfg.CtrlTimeout.Seconds()}, replyBuf: make([]float64, directiveLen(cfg.N)),
+		members: make([]int, cfg.N), weights: make([]float64, cfg.N)}
 	end = rankEnd{w: w, released: released}
 
 	// A drained rank parks again — eligible for re-admission, dismissed when

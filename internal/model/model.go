@@ -252,7 +252,7 @@ func (m *MLP) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 		for l, gw := range m.gws {
 			d, a := m.deltas[l+1], m.acts[l]
 			if i == 0 {
-				gw.SetOuter(1, d, a)
+				gw.SetOuter(d, a)
 				for j, v := range d {
 					m.gbs[l][j] = 0 + v
 				}

@@ -125,7 +125,7 @@ func (o *SGD) UpdateRange(params, grad tensor.Vector, lo, hi int) {
 // concatenation of the row-major outer products blocks, each element produced
 // where Update would have read it, so the step streams parameters and velocity
 // only, one call per block. The bits are those of Update on the
-// Matrix.SetOuter(1, X, Y) blocks: both run tensor's one element update.
+// Matrix.SetOuter(X, Y) blocks: both run tensor's one element update.
 func (o *SGD) UpdateFactored(params tensor.Vector, blocks []tensor.Outer, scale float64) {
 	n := 0
 	for _, f := range blocks {

@@ -22,6 +22,9 @@ func momentumAVX2(w, v, g []float64, mu, wd, lr float64)
 //go:noescape
 func momentumOuterAVX2(w, v, xs, y []float64, mu, wd, lr float64)
 
+//go:noescape
+func outerAVX2(dst, xs, y []float64)
+
 // mulVec16AVX2 sums len(dst) rows (a multiple of 16) of a, stride elements
 // apart, against x (a positive multiple of 4 long); see Matrix.MulVec.
 //

@@ -1,9 +1,11 @@
 #include "textflag.h"
 
-// AVX2 lanes of the element-wise kernels in kernels.go. Each loop takes four
-// float64 per iteration over len(x) &^ 3 elements and performs, per lane, the
-// Go loop's operations in its order (VMULPD/VADDPD/VSUBPD, no FMA). Go
-// assembler operand order: VSUBPD b, a, d computes d = a - b.
+// AVX2 lanes of the element-wise kernels in kernels.go and of Matrix.SetOuter
+// and Matrix.MulVec. Each loop takes four float64 per iteration over
+// len(x) &^ 3 elements (of each row, in the row kernels) and performs, per
+// lane, the Go loop's operations in its order (VMULPD/VADDPD/VSUBPD, never an
+// FMA: `make fmaguard` greps this file for one). Go assembler operand order:
+// VSUBPD b, a, d computes d = a - b.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -158,6 +160,43 @@ outer_loop:
 	DECQ    R9
 	JNZ     outer_row
 outer_done:
+	VZEROUPPER
+	RET
+
+// func outerAVX2(dst, xs, y []float64)
+// dst = 0 + xs[r]*y on row r of dst (rows len(y) apart), over the first
+// len(y) &^ 3 elements of each row: momentumOuterAVX2's row loop, storing g
+TEXT ·outerAVX2(SB), NOSPLIT, $0-72
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   xs_base+24(FP), R8
+	MOVQ   xs_len+32(FP), R9
+	MOVQ   y_base+48(FP), R10
+	MOVQ   y_len+56(FP), R11
+	VXORPD Y8, Y8, Y8
+	MOVQ   R11, R12
+	ANDQ   $3, R12
+	SHLQ   $3, R12                       // bytes in a row's tail, left to Go
+	SHRQ   $2, R11
+	JZ     set_done
+	TESTQ  R9, R9
+	JZ     set_done
+set_row:
+	VBROADCASTSD (R8), Y7
+	MOVQ         R10, DX
+	MOVQ         R11, CX
+set_loop:
+	VMULPD  (DX), Y7, Y4
+	VADDPD  Y4, Y8, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     set_loop
+	ADDQ    R12, DI
+	ADDQ    $8, R8
+	DECQ    R9
+	JNZ     set_row
+set_done:
 	VZEROUPPER
 	RET
 

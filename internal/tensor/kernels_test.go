@@ -192,16 +192,16 @@ func TestFusedKernelsMatchSeparatePasses(t *testing.T) {
 		if i := diffBits(out, want); i >= 0 {
 			t.Fatalf("ScaleInto a=%v: [%d] = %x, want %x", a, i, out[i], want[i])
 		}
+	}
 
-		u, v := draw()[:9], draw()[:13]
-		ref, got := NewMatrix(9, 13), NewMatrix(9, 13)
-		got.Data.Fill(math.NaN()) // SetOuter must overwrite, not accumulate
-		ref.Zero()
-		ref.AddOuter(a, u, v)
-		got.SetOuter(a, u, v)
-		if i := diffBits(got.Data, ref.Data); i >= 0 {
-			t.Fatalf("SetOuter a=%v: [%d] = %x, want %x", a, i, got.Data[i], ref.Data[i])
-		}
+	u, v := draw()[:9], draw()[:13]
+	ref, got := NewMatrix(9, 13), NewMatrix(9, 13)
+	got.Data.Fill(math.NaN()) // SetOuter must overwrite, not accumulate
+	ref.Zero()
+	ref.AddOuter(1, u, v)
+	got.SetOuter(u, v)
+	if i := diffBits(got.Data, ref.Data); i >= 0 {
+		t.Fatalf("SetOuter: [%d] = %x, want %x", i, got.Data[i], ref.Data[i])
 	}
 }
 

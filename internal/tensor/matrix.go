@@ -112,21 +112,32 @@ func (m *Matrix) AddOuter(a float64, x, y Vector) {
 	}
 }
 
-// SetOuter overwrites m with the rank-1 product a · x·yᵀ, bit-for-bit what
-// Zero followed by AddOuter leaves: each element is OuterElem(a·x[i], y[j]).
-func (m *Matrix) SetOuter(a float64, x, y Vector) {
+// SetOuter overwrites m with the outer product x·yᵀ, bit-for-bit what Zero
+// followed by AddOuter(1, x, y) leaves: each element is OuterElem(x[i], y[j]).
+// On AVX2 hosts (kernels.go) the assembly stores the first m.Cols &^ 3
+// elements of every row, the row loop included; the Go loop finishes each
+// row's tail.
+func (m *Matrix) SetOuter(x, y Vector) {
 	checkLen(len(x), m.Rows)
 	checkLen(len(y), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row, c := m.Row(i)[:len(y)], a*x[i]
-		for j, v := range y {
-			row[j] = OuterElem(c, v)
+	n, c := len(y), 0
+	if useAVX2 && n >= 4 {
+		c = n &^ 3
+		outerAVX2(m.Data[:len(x)*n], x, y)
+	}
+	if c == n {
+		return
+	}
+	for i, xi := range x {
+		row := m.Data[i*n+c : (i+1)*n]
+		for j, v := range y[c:] {
+			row[j] = OuterElem(xi, v)
 		}
 	}
 }
 
 // Outer is a rank-1 matrix kept as its two factors: element (i, j) is
-// OuterElem(X[i], Y[j]), what SetOuter(1, X, Y) would store there.
+// OuterElem(X[i], Y[j]), what SetOuter(X, Y) would store there.
 type Outer struct{ X, Y Vector }
 
 // OuterElem is one element of an outer product accumulated into a zeroed

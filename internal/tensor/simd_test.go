@@ -43,11 +43,12 @@ func simdDraw(rng *rand.Rand, n int, signs bool) []float64 {
 // the same operands, and requires the same bits: lengths 0–67 (the assembly
 // part, the tail and both together), slices starting at odd offsets, in
 // place and out of place, every a/post case of ScaleAddInto, and the
-// special values above as operands and as scalars. Then the block
-// MomentumStepOuter (0–5 rows of 0–67 elements) and MulVec (0–40 rows × 0–13,
-// 60 and 61 columns: whole 16-row blocks, their last columns, the rows after
-// them). A NaN must come out as a NaN; its payload is not compared. Without AVX2, and in every race build,
-// both runs take the Go loops.
+// special values above as operands and as scalars. Then the block kernels:
+// MomentumStepOuter and SetOuter (0–5 rows of 0–67 elements; SetOuter also
+// at 4096×60 and 4×4096, into a NaN-filled matrix) and MulVec (0–40 rows ×
+// 0–13, 60 and 61 columns: whole 16-row blocks, their last columns, the rows
+// after them). A NaN must come out as a NaN; its payload is not compared.
+// Without AVX2, and in every race build, both runs take the Go loops.
 func TestSIMDMatchesScalar(t *testing.T) {
 	if raceEnabled && useAVX2 {
 		t.Fatal("race build selected the assembly kernels")
@@ -126,6 +127,24 @@ func TestSIMDMatchesScalar(t *testing.T) {
 				in, s := draw(c, rows*n, rows*n, rows, n)
 				check(fmt.Sprintf("MomentumStepOuter %dx%d", rows, n), outer, in, s)
 			}
+		}
+	}
+	// SetOuter's destination comes in NaN-filled: a lane that accumulates
+	// instead of storing keeps the NaN. The first two shapes are the
+	// benchmark model's layers.
+	shapes := [][2]int{{4096, 60}, {4, 4096}}
+	for rows := 0; rows <= 5; rows++ {
+		for n := 0; n <= 67; n++ {
+			shapes = append(shapes, [2]int{rows, n})
+		}
+	}
+	for _, sh := range shapes {
+		rows, n := sh[0], sh[1]
+		setOuter := func(b [][]float64, _ []float64) { MatrixFrom(rows, n, b[0]).SetOuter(b[1], b[2]) }
+		for c := 0; c < 8; c++ {
+			in, s := draw(c, rows*n, rows, n)
+			Vector(in[0]).Fill(math.NaN())
+			check(fmt.Sprintf("SetOuter %dx%d", rows, n), setOuter, in, s)
 		}
 	}
 	for rows := 0; rows <= 40; rows++ {
