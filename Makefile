@@ -70,7 +70,8 @@ fmaguard:
 	echo "fmaguard: ok"
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
-# loopback-TCP Send/RecvInto round trips, full segmented ring in place (4
+# loopback-TCP Send/RecvInto round trips, a Mem Lend/RecvInto/Settle cycle,
+# the sync graph's work per controller Ready, full segmented ring in place (4
 # ranks at 4 Ki; 8 at 32 Ki as the live All-Reduce runs it, AllReduceApply
 # with a real SGD range update) and out of place, the out-of-place ring over
 # loopback TCP at its 32 Ki frame size, the small-input exchange over Mem
@@ -82,7 +83,8 @@ fmaguard:
 # so ci runs them in a dedicated non-race pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
-	$(GO) test ./internal/transport/ -run 'TestRecvIntoSteadyStateAllocFree|TestTCPSendRecvSteadyStateAllocFree' -count 1
+	$(GO) test ./internal/transport/ -run 'TestRecvIntoSteadyStateAllocFree|TestTCPSendRecvSteadyStateAllocFree|TestLendSettleSteadyStateAllocFree' -count 1
+	$(GO) test ./internal/controller/ -run TestSyncGraphReadyCycleAllocFree -count 1
 	$(GO) test ./internal/collective/ -run 'TestAllReduceSteadyStateAllocFree|TestReduceIntoSteadyStateAllocFree|TestReduceIntoTCPSteadyStateAllocFree|TestExchangeSteadyStateAllocFree' -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
 	$(GO) test ./internal/model/ -run 'TestGradientSteadyStateAllocFree|TestFactoredStepSteadyStateAllocFree' -count 1
@@ -163,7 +165,8 @@ bench-smoke:
 # Paired comparison of the repository benchmark against another commit:
 # PAIRS alternating pairs per workload plus held-out seed 2002 in both orders,
 # both sides linked at five random code layouts and pair i run at layout
-# i mod 5, all binaries run from one directory (scripts/pairs.sh). Not in ci
+# i mod 5 (a rerun against the same base commit draws the next five), all
+# binaries run from one directory (scripts/pairs.sh). Not in ci
 # (~13 min per workload at 10 pairs). BASE=HEAD on a clean tree is the A/A
 # noise floor.
 PAIRS ?= 10

@@ -18,6 +18,10 @@
 //     caller bug and corrupts the pool.
 //   - PutFloat64 accepts buffers of any origin; capacities that are not an
 //     exact size class are quietly dropped rather than poisoning one.
+//   - A payload lent through transport.Lend is never recycled: it is the
+//     sender's own slice, and a mailbox that drops or consumes it returns
+//     it to its lender, not to the pool. Put there, the pool would hand the
+//     sender's memory to a stranger.
 package bufpool
 
 import (

@@ -16,6 +16,8 @@
 // AllReduceApply is the mean with the weight update folded in: each member
 // updates the chunk its ring reduced and the all-gather circulates the
 // parameters.
+// A ring step lends its segment (transport.Transport.Lend) instead of having
+// it copied, and the operation settles its loans before it returns.
 // Receives land via RecvIntoTimeout in pooled or in-place buffers and the
 // weighting, the sum and the post-scale are one pass on the
 // tensor.ScaleAddInto kernel, so a steady-state operation performs zero heap
@@ -25,6 +27,7 @@ package collective
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"partialreduce/internal/bufpool"
@@ -307,7 +310,12 @@ type ring struct {
 	stats      *OpStats
 	apply      func(lo, hi int) // AllReduceApply's update; the all-gather then moves params
 	params     []float64
+	loans      *transport.Loans // the segments lent since the attempt began
 }
+
+// loansPool recycles the ring's loan lists, so a steady-state op allocates
+// none.
+var loansPool = sync.Pool{New: func() any { return new(transport.Loans) }}
 
 // newRing computes the segment geometry every member agrees on (it depends
 // only on n, g, and the segment size seg > 0, which all members share). The
@@ -342,6 +350,18 @@ func newRing(t transport.Transport, group []int, pos int, opID uint32, n, seg in
 // the last reduce-scatter step. A rank receives each chunk exactly once in
 // this phase, so src is read, never written. Later steps and all-gather send
 // from dst, and all-gather receives into dst in place.
+//
+// Every segment but the scaled step-0 one, whose staging buffer r.out the
+// next segment overwrites, is lent from src, dst or params rather than
+// copied, and no lent region is written again within the op before its
+// reader, the successor, has copied it out. The only region a rank sends
+// and later writes is a chunk it forwards in reduce-scatter (or lends from
+// src at step 0, in place) and receives back in all-gather. That chunk's
+// all-gather reaches a rank only once the chunk is fully reduced at the end
+// of its reduce-scatter chain, and the chain passes through the rank's
+// successor after the rank itself: the successor consumed each lent segment
+// before it could reduce and pass the same segment on. Writes after the op
+// wait for reduce's Settle.
 func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float64) error {
 	segLen := func(lo, hi, k int) (int, int) {
 		a := lo + k*r.seg
@@ -356,15 +376,15 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 	sent := 0
 	send := func() error {
 		lo, hi := segLen(sendLo, sendHi, sent)
-		payload := r.dst[lo:hi]
+		payload, lend := r.dst[lo:hi], true
 		if reduce && s == 0 {
 			payload = r.src[lo:hi]
 			if r.weight != 1 {
-				payload = r.out[:hi-lo]
+				payload, lend = r.out[:hi-lo], false
 				tensor.ScaleInto(payload, r.src[lo:hi], r.weight)
 			}
 		}
-		if err := r.send(r.next, tag(r.opID, ph, base+sent), payload); err != nil {
+		if err := r.send(r.next, tag(r.opID, ph, base+sent), payload, lend); err != nil {
 			return err
 		}
 		sent++
@@ -399,9 +419,16 @@ func (r *ring) step(phase, s int, sendLo, sendHi, recvLo, recvHi int, post float
 	return nil
 }
 
-// send sends payload to peer under tg: one segment, counted.
-func (r *ring) send(to int, tg uint64, payload []float64) error {
-	if err := r.t.Send(to, tg, payload); err != nil {
+// send sends payload to peer under tg, or lends it through r.loans: one
+// segment, counted.
+func (r *ring) send(to int, tg uint64, payload []float64, lend bool) error {
+	var err error
+	if lend {
+		err = r.t.Lend(to, tg, payload, r.loans)
+	} else {
+		err = r.t.Send(to, tg, payload)
+	}
+	if err != nil {
 		return err
 	}
 	if r.stats != nil {
@@ -449,9 +476,10 @@ func (r *ring) recv(from int, tg uint64, into []float64) error {
 // after a seeded-jitter exponential backoff; only an in-place caller, whose
 // failed attempt overwrote part of its input, pays for a pooled snapshot to
 // restore it from. Non-timeout failures (peer down, op aborted) are never
-// retried — they have their own recovery path in the runtime. When the
-// attempt budget is exhausted the op is aborted locally so straggler frames
-// are dropped on arrival, and the last timeout error is returned.
+// retried — they have their own recovery path in the runtime. An op that
+// fails for good — such a failure, or an exhausted attempt budget, which
+// returns the last timeout error — is aborted locally, so its straggler
+// frames, lent ones included, are dropped on arrival.
 func ReduceInto(t transport.Transport, group []int, opID uint32, dst, src []float64, weight, post float64, opt Options) error {
 	return reduce(t, group, opID, dst, src, weight, post, nil, nil, opt)
 }
@@ -517,6 +545,8 @@ func reduce(t transport.Transport, group []int, opID uint32, dst, src []float64,
 	r.deadline = opt.Timeout
 	r.dst, r.src, r.weight = dst, src, weight
 	r.apply, r.params = apply, params
+	r.loans = loansPool.Get().(*transport.Loans)
+	defer loansPool.Put(r.loans)
 	if exchange {
 		size := n // a non-root member holds its scaled input, then the result
 		if pos == 0 {
@@ -569,6 +599,7 @@ func reduce(t transport.Transport, group []int, opID uint32, dst, src []float64,
 			err = r.attempt(g, pos, post, opt)
 		}
 		if err == nil {
+			r.loans.Settle(opt.Timeout)
 			if a > 0 {
 				// Stale frames from failed epochs may still trickle in;
 				// marking the op aborted makes the mailbox drop them on
@@ -582,7 +613,11 @@ func reduce(t transport.Transport, group []int, opID uint32, dst, src []float64,
 			opt.Tracer.Span(trace.KCollective, opt.TraceTrack, opt.TraceIter, opStart, int64(opID), int64(g))
 			return nil
 		}
+		r.loans.Recall() // before a retry rewrites src, or the caller does
 		if !transport.IsTimeout(err) {
+			// The op is over here: drop what it left parked, loans
+			// included, and whatever still arrives for it.
+			t.AbortOp(opID)
 			return err
 		}
 		if stats != nil {
@@ -696,7 +731,7 @@ func (r *ring) exchange(group []int, pos int, post float64, opt Options) error {
 			in = slot(0)
 			tensor.ScaleInto(in, r.src, r.weight)
 		}
-		if err := r.send(group[0], tg, in); err != nil {
+		if err := r.send(group[0], tg, in, false); err != nil {
 			return err
 		}
 	}
@@ -709,7 +744,7 @@ func (r *ring) exchange(group []int, pos int, post float64, opt Options) error {
 	trMid := opt.Tracer.Now()
 	if pos == 0 {
 		for q := 1; q < g; q++ {
-			if err := r.send(group[q], tg, r.dst); err != nil {
+			if err := r.send(group[q], tg, r.dst, false); err != nil {
 				return err
 			}
 		}

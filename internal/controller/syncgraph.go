@@ -14,6 +14,7 @@ type SyncGraph struct {
 	next   int     // ring cursor
 	filled bool
 	parent []int // union-find scratch (roots)
+	ids    []int // component-label scratch (Components)
 }
 
 // NewSyncGraph returns a graph over n workers remembering window groups.
@@ -21,21 +22,20 @@ func NewSyncGraph(n, window int) *SyncGraph {
 	if n < 1 || window < 1 {
 		panic("controller: SyncGraph needs n >= 1 and window >= 1")
 	}
-	return &SyncGraph{n: n, window: window, groups: make([][]int, 0, window), parent: make([]int, n)}
+	return &SyncGraph{n: n, window: window, groups: make([][]int, 0, window), parent: make([]int, n), ids: make([]int, n)}
 }
 
-// Add records a formed group, evicting the oldest once the window is full.
+// Add records a copy of a formed group, evicting the oldest once the window
+// is full: the copy reuses the evicted group's slot.
 func (g *SyncGraph) Add(members []int) {
-	m := make([]int, len(members))
-	copy(m, members)
 	if len(g.groups) < g.window {
-		g.groups = append(g.groups, m)
+		g.groups = append(g.groups, append([]int(nil), members...))
 		if len(g.groups) == g.window {
 			g.filled = true
 		}
 		return
 	}
-	g.groups[g.next] = m
+	g.groups[g.next] = append(g.groups[g.next][:0], members...)
 	g.next = (g.next + 1) % g.window
 }
 
@@ -77,10 +77,11 @@ func root(parent []int, x int) int {
 }
 
 // Components labels each worker with a component id in [0, #components),
-// numbered in order of each component's lowest worker.
+// numbered in order of each component's lowest worker. The labels are the
+// graph's scratch, valid until its next Components or ConnectedAmong.
 func (g *SyncGraph) Components() []int {
 	parent := g.roots()
-	ids := make([]int, g.n)
+	ids := g.ids
 	for i := range ids {
 		ids[i] = -1
 	}

@@ -132,3 +132,32 @@ func TestQuickSyncGraphPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSyncGraphReadyCycleAllocFree gates the graph's share of a Ready cycle
+// once the window is full and disconnected, the state in which the group
+// filter runs: the connectivity check, the component labels it bridges by,
+// the group's record (which evicts the oldest) and the connectivity gauge.
+func TestSyncGraphReadyCycleAllocFree(t *testing.T) {
+	g := NewSyncGraph(8, 4)
+	groups := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {1, 2}, {5, 6}}
+	alive := make([]bool, 8)
+	for i := range alive {
+		alive[i] = true
+	}
+	k := 0
+	cycle := func() {
+		if g.Full() && g.ConnectedAmong(alive) {
+			t.Fatal("window of pairs within {0…3} and {4…7} is connected")
+		}
+		_ = g.Components()
+		g.Add(groups[k%len(groups)])
+		k++
+		_ = g.NumComponents()
+	}
+	for i := 0; i < 2*len(groups); i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Fatalf("a steady-state Ready cycle's graph work allocates %.1f times", allocs)
+	}
+}

@@ -48,20 +48,41 @@ func BenchmarkReadFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkSendRecvInto measures one pooled Send/RecvInto round trip over
-// the in-process transport.
+// BenchmarkSendRecvInto measures one Send/RecvInto round trip over the
+// in-process transport, whose receiver is not yet waiting: the send cells
+// copy each payload into a pooled buffer and out again, the lend cells park
+// a reference that RecvInto copies out once, then Settle. 4 Ki is the frame
+// of a ring of up to four members, 32 Ki the segment of a wider one.
 func BenchmarkSendRecvInto(b *testing.B) {
-	eps := NewMem(2)
-	payload := make([]float64, 4096)
-	dst := make([]float64, 4096)
-	b.SetBytes(int64(8 * len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := eps[0].Send(1, 7, payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eps[1].RecvInto(0, 7, dst); err != nil {
-			b.Fatal(err)
+	for _, n := range []int{memFrameElems, memWideSegElems} {
+		for _, lend := range []bool{false, true} {
+			name := fmt.Sprintf("send/elems=%d", n)
+			if lend {
+				name = fmt.Sprintf("lend/elems=%d", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				eps := NewMem(2)
+				payload := make([]float64, n)
+				dst := make([]float64, n)
+				var loans Loans
+				b.SetBytes(int64(8 * len(payload)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if lend {
+						err = eps[0].Lend(1, 7, payload, &loans)
+					} else {
+						err = eps[0].Send(1, 7, payload)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := eps[1].RecvInto(0, 7, dst); err != nil {
+						b.Fatal(err)
+					}
+					loans.Settle(0)
+				}
+			})
 		}
 	}
 }

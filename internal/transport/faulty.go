@@ -287,6 +287,13 @@ func (f *Faulty) Size() int { return f.inner.Size() }
 
 // Send implements Transport, applying the fault plan before forwarding.
 func (f *Faulty) Send(to int, tag uint64, payload []float64) error {
+	return f.Lend(to, tag, payload, nil)
+}
+
+// Lend implements Transport: the fault plan decides as it does for Send,
+// and a frame it lets through is lent by the inner endpoint (a nil loans
+// sends it). A dropped frame was never lent, so it leaves nothing to settle.
+func (f *Faulty) Lend(to int, tag uint64, payload []float64, loans *Loans) error {
 	if f.deadRank(f.rank) {
 		return &PeerDownError{Peer: f.rank}
 	}
@@ -332,7 +339,10 @@ func (f *Faulty) Send(to int, tag uint64, payload []float64) error {
 	if delay && plan.Delay > 0 {
 		time.Sleep(plan.Delay)
 	}
-	return f.inner.Send(to, tag, payload)
+	if loans == nil {
+		return f.inner.Send(to, tag, payload)
+	}
+	return f.inner.Lend(to, tag, payload, loans)
 }
 
 // SeverLink cuts the directed link from -> to: every message on it is lost

@@ -421,6 +421,12 @@ func (t *TCP) Send(to int, tag uint64, payload []float64) error {
 	return nil
 }
 
+// Lend implements Transport as Send: the kernel has copied the payload when
+// the write returns, so nothing is lent.
+func (t *TCP) Lend(to int, tag uint64, payload []float64, _ *Loans) error {
+	return t.Send(to, tag, payload)
+}
+
 // RecvInto implements Transport.
 func (t *TCP) RecvInto(from int, tag uint64, dst []float64) (int, error) {
 	return t.RecvIntoTimeout(from, tag, dst, 0)

@@ -38,6 +38,12 @@ type Transport interface {
 	// Send delivers payload to rank to with the given tag. The payload is
 	// copied before Send returns; the caller may reuse it.
 	Send(to int, tag uint64, payload []float64) error
+	// Lend is Send without the copy it can avoid: the payload stays the
+	// caller's, and the caller must not write it until loans.Settle or
+	// loans.Recall returns. A receive then finds what Send would have left
+	// it. A transport that must copy anyway (the kernel copies a TCP write;
+	// a Stream tag queues) lends nothing and leaves loans empty.
+	Lend(to int, tag uint64, payload []float64, loans *Loans) error
 	// RecvInto blocks until a message from rank from with the given tag
 	// arrives and copies its payload into dst, returning the element count.
 	// The transport's internal buffer is recycled instead of escaping to the
@@ -172,6 +178,25 @@ type message struct {
 	from    int
 	tag     uint64
 	payload []float64
+	loans   *Loans // non-nil: payload is lent, not pooled
+}
+
+// parked is one buffered frame: a pooled payload the mailbox owns, or, when
+// loans is set, a sender's own slice on loan until a receive copies it out.
+type parked struct {
+	buf   []float64
+	loans *Loans
+}
+
+// drop discards the frame: a pooled payload goes back to the pool, a lent
+// one back to its lender. A lent array must never reach the pool: the pool
+// would hand the sender's slice to a stranger.
+func (p parked) drop() {
+	if p.loans != nil {
+		p.loans.release()
+	} else {
+		bufpool.PutFloat64(p.buf)
+	}
 }
 
 type key struct {
@@ -206,12 +231,12 @@ type waiter struct {
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan recvResult, 1)} }}
 
 // mailbox matches incoming messages to waiting receivers, with per-peer
-// failure isolation and per-operation aborts. Pending payload buffers are
-// pool-owned (bufpool); they are recycled when a receive consumes them or a
-// failure path drops them.
+// failure isolation and per-operation aborts. Pending payloads are pool-owned
+// (bufpool) or lent (Lend); a receive that consumes one, or a failure path
+// that drops one, recycles the first and releases the second.
 type mailbox struct {
 	mu      sync.Mutex
-	pending map[key][]float64
+	pending map[key]parked
 	queued  map[key][][]float64 // a stream's frames, oldest first
 	waiters map[key]*waiter
 	down    map[int]bool
@@ -222,7 +247,7 @@ type mailbox struct {
 
 func newMailbox() *mailbox {
 	return &mailbox{
-		pending: make(map[key][]float64),
+		pending: make(map[key]parked),
 		queued:  make(map[key][][]float64),
 		waiters: make(map[key]*waiter),
 		down:    make(map[int]bool),
@@ -269,8 +294,9 @@ func (m *mailbox) deliverDirect(from int, tag uint64, payload []float64) (bool, 
 	return true, nil
 }
 
-// deliver takes ownership of msg.payload (a pooled buffer) unless it returns
-// an error, in which case the caller keeps it.
+// deliver takes ownership of msg.payload (a pooled buffer, or a loan it
+// records in msg.loans) unless it returns an error, in which case the caller
+// keeps it.
 func (m *mailbox) deliver(msg message) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -286,29 +312,48 @@ func (m *mailbox) deliver(msg message) error {
 		// the sender.
 		return &PeerDownError{Peer: msg.from}
 	}
+	p := parked{buf: msg.payload, loans: msg.loans}
 	if _, gone := m.aborted[opOf(msg.tag)]; gone {
 		// The frame belongs to an aborted collective: a straggler from a
-		// failed attempt. Drop it instead of parking it in pending forever.
-		bufpool.PutFloat64(msg.payload)
+		// failed attempt. Drop it instead of parking it in pending forever
+		// (a loan not yet recorded has nothing to release).
+		if p.loans == nil {
+			bufpool.PutFloat64(p.buf)
+		}
 		return nil
 	}
 	k := key{from: msg.from, tag: msg.tag}
 	if w, ok := m.waiters[k]; ok {
 		delete(m.waiters, k)
-		r := fill(w.dst, msg.payload)
-		bufpool.PutFloat64(msg.payload)
+		r := fill(w.dst, p.buf)
+		if p.loans == nil {
+			bufpool.PutFloat64(p.buf)
+		}
 		w.ch <- r
 		return nil
 	}
 	if msg.tag&Stream != 0 {
-		m.queued[k] = append(m.queued[k], msg.payload)
+		m.queued[k] = append(m.queued[k], p.buf)
 		return nil
 	}
 	if _, dup := m.pending[k]; dup {
 		return fmt.Errorf("transport: duplicate message from %d tag %d", msg.from, msg.tag)
 	}
-	m.pending[k] = msg.payload
+	if p.loans != nil {
+		p.loans.add(m, k)
+	}
+	m.pending[k] = p
 	return nil
+}
+
+// unlend turns a frame parked on loan under k into a pooled copy and
+// releases the loan: the receiver finds the same bits, and the lender gets
+// its slice back without waiting for it. Callers hold m.mu.
+func (m *mailbox) unlend(k key, p parked) {
+	cp := bufpool.GetFloat64(len(p.buf))
+	copy(cp, p.buf)
+	m.pending[k] = parked{buf: cp}
+	p.loans.release()
 }
 
 // checkReceivable reports (under m.mu) whether a receive from (from, tag)
@@ -342,14 +387,14 @@ func (m *mailbox) receiveInto(from int, tag uint64, dst []float64, timeout time.
 	}
 	p, ok := m.pending[k]
 	if tag&Stream != 0 && len(m.queued[k]) > 0 {
-		p, ok, m.queued[k] = m.queued[k][0], true, m.queued[k][1:]
+		p, ok, m.queued[k] = parked{buf: m.queued[k][0]}, true, m.queued[k][1:]
 	} else if ok {
 		delete(m.pending, k)
 	}
 	if ok {
 		m.mu.Unlock()
-		r := fill(dst, p)
-		bufpool.PutFloat64(p)
+		r := fill(dst, p.buf)
+		p.drop() // after the copy: a lender may write its slice once released
 		return r.n, r.err
 	}
 	w := waiterPool.Get().(*waiter)
@@ -405,6 +450,18 @@ func (m *mailbox) failPeer(peer int) {
 	}
 }
 
+// unlendFrom turns every frame from peer still parked on loan into a pooled
+// copy.
+func (m *mailbox) unlendFrom(peer int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k, p := range m.pending {
+		if k.from == peer && p.loans != nil {
+			m.unlend(k, p)
+		}
+	}
+}
+
 // abortOp fails pending and future receives belonging to collective op.
 func (m *mailbox) abortOp(op uint32, dead int) {
 	m.mu.Lock()
@@ -436,13 +493,13 @@ func (m *mailbox) purgeOp(op uint32) {
 	}
 }
 
-// recycle drops the buffered frames whose key matches (under m.mu) and
-// returns their buffers to the pool.
+// recycle drops the buffered frames whose key matches (under m.mu): pooled
+// buffers return to the pool, loans to their lenders.
 func (m *mailbox) recycle(match func(key) bool) {
 	for k, p := range m.pending {
 		if match(k) {
 			delete(m.pending, k)
-			bufpool.PutFloat64(p)
+			p.drop()
 		}
 	}
 	for k, q := range m.queued {
@@ -512,12 +569,23 @@ func (m *Mem) Size() int { return len(m.world) }
 // Send implements Transport. The payload is copied into a pooled buffer, so
 // steady-state traffic allocates nothing.
 func (m *Mem) Send(to int, tag uint64, payload []float64) error {
+	return m.Lend(to, tag, payload, nil)
+}
+
+// Lend implements Transport: a parked receiver is filled straight from
+// payload, as Send fills it; otherwise a reference to payload waits in the
+// receiver's mailbox, recorded in loans. A nil loans, or a Stream tag, copies
+// it into a pooled buffer instead.
+func (m *Mem) Lend(to int, tag uint64, payload []float64, loans *Loans) error {
 	if to < 0 || to >= len(m.world) {
 		return fmt.Errorf("transport: rank %d out of range", to)
 	}
 	box := m.world[to]
 	if handled, err := box.deliverDirect(m.rank, tag, payload); handled {
 		return err
+	}
+	if loans != nil && tag&Stream == 0 {
+		return box.deliver(message{from: m.rank, tag: tag, payload: payload, loans: loans})
 	}
 	cp := bufpool.GetFloat64(len(payload))
 	copy(cp, payload)
@@ -544,10 +612,13 @@ func (m *Mem) RecvIntoTimeout(from int, tag uint64, dst []float64, timeout time.
 // PurgeOp implements Transport.
 func (m *Mem) PurgeOp(op uint32) { m.world[m.rank].purgeOp(op) }
 
-// FailPeer implements Transport: this endpoint treats peer as crashed.
+// FailPeer implements Transport: this endpoint treats peer as crashed. What
+// it lent into peer's mailbox becomes pooled copies there, so no Settle here
+// waits on a receiver this endpoint has written off.
 func (m *Mem) FailPeer(peer int) {
 	if peer >= 0 && peer < len(m.world) {
 		m.world[m.rank].failPeer(peer)
+		m.world[peer].unlendFrom(m.rank)
 	}
 }
 

@@ -101,6 +101,9 @@ type (
 	LiveReport = live.Report
 	// Transport is a live message-passing endpoint.
 	Transport = transport.Transport
+	// Loans is the caller's list of payloads Transport.Lend has out, so an
+	// endpoint written outside this module can implement Lend.
+	Loans = transport.Loans
 )
 
 // Aggregation weightings and approximation rules.

@@ -14,10 +14,14 @@
 #
 # A binary has one code layout, and a change that only moves addresses can
 # read as a speed-up or a regression (Mytkowicz et al., ASPLOS 2009). So each
-# side is linked at K = 5 layouts, -ldflags=-randlayout=s for s = 1…K, and
+# side is linked at K = 5 layouts, -ldflags=-randlayout=o+s for s = 1…K, and
 # pair i runs both sides at s = i mod K + 1, so every seed is sampled. K is
 # fixed: a floor recorded at one K cannot vouch for a claim measured at
-# another, and at K = 1 the across-layout IQR is 0.
+# another, and at K = 1 the across-layout IQR is 0. The offset o is K times
+# the number of earlier run directories against the same base commit (each
+# records its resolved base in a file named base), so a rerun links fresh
+# layouts instead of repeating the last run's ten binaries; a first run
+# links at 1…K. The header prints the seeds.
 # The linker shuffles each binary's own function list with s: two sides with
 # different functions draw different layouts from one seed, so a pair is
 # seed-matched, not one layout. Per workload, pair i runs seed i on both
@@ -49,19 +53,23 @@ layouts=5
 HELDOUT=2002
 
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+commit=$(git rev-parse --verify "$BASE^{commit}")
+earlier=$(cat .bench_build/pairs-*/base 2>/dev/null | grep -cx "$commit" || true)
+offset=$((layouts * earlier))
 run=$(pwd)/.bench_build/pairs-$(date +%Y%m%d-%H%M%S)
 mkdir -p "$run/src"
-git archive "$BASE" | tar -x -C "$run/src"
+echo "$commit" >"$run/base"
+git archive "$commit" | tar -x -C "$run/src"
 
 # The build environment of bench/run.sh, plus the path- and VCS-free flags.
 out=$(pwd)/.bench_build
 export GOCACHE="$out/go-cache" GOPATH="$out/go-path" GOMODCACHE="$out/go-mod"
 export GOPROXY=off GOTOOLCHAIN=local GOWORK=off GOFLAGS="-trimpath -buildvcs=false"
-echo "pairs: building bench at $BASE and in the working tree, $layouts layouts each" >&2
+echo "pairs: building bench at $BASE ($commit) and in the working tree, $layouts layouts each, -randlayout seeds $((offset + 1))…$((offset + layouts))" >&2
 s=1
 while [ "$s" -le "$layouts" ]; do
-	(cd "$run/src/bench" && $GO build -ldflags="-randlayout=$s" -o "$run/bench-base-$s" .)
-	(cd bench && $GO build -ldflags="-randlayout=$s" -o "$run/bench-tree-$s" .)
+	(cd "$run/src/bench" && $GO build -ldflags="-randlayout=$((offset + s))" -o "$run/bench-base-$s" .)
+	(cd bench && $GO build -ldflags="-randlayout=$((offset + s))" -o "$run/bench-tree-$s" .)
 	if cmp -s "$run/bench-base-$s" "$run/bench-tree-$s"; then
 		echo "pairs: layout $s: the two binaries are identical (A/A)" >&2
 	fi
