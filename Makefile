@@ -7,7 +7,7 @@ GO ?= go
 
 # Packages whose tests exercise real goroutine concurrency and therefore run
 # under the race detector as part of tier-1.
-RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/policy/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ ./internal/trace/ ./internal/metrics/ .
+RACE_PKGS := ./internal/transport/ ./internal/collective/ ./internal/live/ ./internal/controller/ ./internal/engine/ ./internal/tensor/ ./internal/bufpool/ ./internal/analyze/ ./internal/health/ ./internal/trace/ ./internal/metrics/ .
 
 .PHONY: ci vet build test race fmaguard allocgate flakegate chaos trace-smoke ctrlguard callerless bench bench-smoke pairs fuzz sweepdiff loc clean
 
@@ -71,7 +71,8 @@ fmaguard:
 
 # Zero-allocation gate: the steady-state training step (pool Get/Put, Mem and
 # loopback-TCP Send/RecvInto round trips, a Mem Lend/RecvInto/Settle cycle,
-# the sync graph's work per controller Ready, full segmented ring in place (4
+# the sync graph's work per controller Ready and adaptive sizing's (a cadence
+# update per signal, a size per formation, re-decisions included), full segmented ring in place (4
 # ranks at 4 Ki; 8 at 32 Ki as the live All-Reduce runs it, AllReduceApply
 # with a real SGD range update) and out of place, the out-of-place ring over
 # loopback TCP at its 32 Ki frame size, the small-input exchange over Mem
@@ -111,7 +112,6 @@ flakegate:
 CHAOS_SEEDS ?= 4
 chaos:
 	PREDUCE_CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race ./internal/live/ -run TestChaosSoak -count 1
-	$(GO) test -race ./internal/policy/ -count 1
 
 # End-to-end observability smoke: a seeded simulator trace export and one
 # seeded three-rank straggler run that serves /metrics+pprof (scraped
@@ -125,9 +125,8 @@ trace-smoke:
 
 # Training-step microbenchmarks, printed for a human: nothing is written and
 # no absolute number is compared (an ns/op recorded on one machine says
-# nothing on another). The two gates here are relative, measured inside one
-# process (traced vs untraced all-reduce <3%, policy decision vs static
-# controller). BenchmarkLiveStep is bench/'s comm_mem and comm_tcp workloads
+# nothing on another). The one gate here is relative, measured inside one
+# process (traced vs untraced all-reduce <3%). BenchmarkLiveStep is bench/'s comm_mem and comm_tcp workloads
 # as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
 # segment, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides; the
 # in-process P = 4 and 5 and All-Reduce cells /mem-p4, /mem-p5, /mem-ar at
@@ -147,8 +146,6 @@ bench:
 		-run '^$$' -bench 'BenchmarkAllReduceSum$$|BenchmarkAllReduceSumTraced$$|BenchmarkReduceInto$$|BenchmarkReduceIntoSmall|BenchmarkRingSegmented|BenchmarkEncodeFrame|BenchmarkReadFrame|BenchmarkSendRecvInto|BenchmarkTCPRoundTrip|BenchmarkAddScaled|BenchmarkMulVec$$|BenchmarkMLPGradient$$|BenchmarkFactoredStep$$|BenchmarkSGDUpdate$$|BenchmarkLiveStep$$' \
 		-benchmem -benchtime $(BENCHTIME)
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
-	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)
-	PREDUCE_POLICYGATE=1 $(GO) test ./internal/policy/ -run TestPolicyDecideGate -count 1 -v
 
 # bench/ is a module of its own (see BENCHMARK.json), so the root build and
 # test sweep never notice when a change to internal/live or the public API

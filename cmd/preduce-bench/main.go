@@ -20,7 +20,6 @@ import (
 
 	"partialreduce/internal/experiments"
 	"partialreduce/internal/metrics"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/trace"
 )
 
@@ -35,17 +34,9 @@ func main() {
 		"instead of -exp, run one traced P-Reduce simulation (ResNet-34/CIFAR-10, production trace, CON P=4) and write its virtual-clock trace here (.json: Chrome trace-event, loadable in Perfetto; .jsonl: streaming event log)")
 	traceBuf := flag.Int("trace-buf", 0,
 		"trace event-ring capacity (0: default 65536; oldest events drop when full)")
-	policyName := flag.String("policy", "",
-		"group-formation policy retrofitted onto every P-Reduce run of a named strategy (CON/DYN/... P=<p>, and -trace); runs that pin an explicit controller config — ablations, fig4, geo's zone-affinity run — do not take it: static|adaptive-p|straggler-bias (empty: controller default)")
-	pMin := flag.Int("p-min", 0, "adaptive-p lower group-size bound (0: default 2)")
-	pMax := flag.Int("p-max", 0, "adaptive-p upper group-size bound (0: the strategy's configured P)")
-	policyWindow := flag.Int("policy-window", 0, "formations between adaptive-p decisions (0: default 8)")
 	flag.Parse()
 
-	opts := experiments.Options{
-		Seed: *seed, Quick: *quickFlag, Parallelism: *parallel,
-		Policy: policy.Spec{Name: *policyName, PMin: *pMin, PMax: *pMax, Window: *policyWindow},
-	}
+	opts := experiments.Options{Seed: *seed, Quick: *quickFlag, Parallelism: *parallel}
 
 	if *tracePath != "" {
 		if err := runTraced(*tracePath, *traceBuf, opts); err != nil {

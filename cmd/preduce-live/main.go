@@ -37,7 +37,6 @@ import (
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 	"partialreduce/internal/optim"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/telemetry"
 	"partialreduce/internal/trace"
 	"partialreduce/internal/transport"
@@ -77,10 +76,7 @@ func main() {
 	schedulePath := flag.String("schedule", "",
 		"JSON file, the same on every rank, of {Initial, Elastic, Partitions}: founding ranks (0: all), joins and drains triggered on dispatched groups, and partition windows in seconds after the mesh forms that drop every crossing frame, control frames included (so they need -ctrl-timeout and -collective-timeout); see README")
 	policyName := flag.String("policy", "",
-		"group-formation policy: static|adaptive-p|straggler-bias (empty: controller default)")
-	pMin := flag.Int("p-min", 0, "adaptive-p lower group-size bound (0: default 2)")
-	pMax := flag.Int("p-max", 0, "adaptive-p upper group-size bound (0: -p)")
-	policyWindow := flag.Int("policy-window", 0, "formations between adaptive-p decisions (0: default 8)")
+		"adaptive-p: re-decide the group size between 2 and -p from the workers' signal cadence (empty: fixed -p)")
 	scoreboard := flag.Duration("scoreboard", 0,
 		"rank 0: dump the live straggler scoreboard (per-worker blame/wait, ranked by recent blame) to stderr at this interval, and once on exit (0 disables; implies instruments)")
 	straggle := flag.String("straggle", "",
@@ -122,14 +118,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *policyName != "" {
-		// Fail fast: the controller re-validates the spec, but only after
-		// the whole mesh has formed — a typo'd -policy should not cost a
-		// mesh timeout on every rank.
-		spec := policy.Spec{Name: *policyName, PMin: *pMin, PMax: *pMax, Window: *policyWindow}
-		if err := spec.Validate(n, *p); err != nil {
-			fail(err)
-		}
+	// Fail fast: a typo'd -policy should not cost a mesh timeout on every
+	// rank.
+	if *policyName != "" && *policyName != "adaptive-p" {
+		fail(fmt.Errorf("unknown -policy %q (want adaptive-p or empty)", *policyName))
 	}
 
 	// Deterministic shared dataset: every process builds the same one.
@@ -227,6 +219,7 @@ func main() {
 		BatchSize:    16,
 		Optimizer:    optim.Config{LR: 0.03, Momentum: 0.9, WeightDecay: 1e-4},
 		Iters:        *iters,
+		AdaptiveP:    *policyName != "",
 		SegmentElems: *segmentSize,
 		Initial:      sched.Initial,
 		Elastic:      sched.Elastic,
@@ -252,9 +245,6 @@ func main() {
 	if *dynamic {
 		cfg.Weighting = preduce.Dynamic
 		cfg.Approx = preduce.ClosestIteration
-	}
-	if *policyName != "" {
-		cfg.Policy = policy.Spec{Name: *policyName, PMin: *pMin, PMax: *pMax, Window: *policyWindow}
 	}
 	if *straggle != "" {
 		sRank, sDelay, err := parseStraggle(*straggle, n)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"partialreduce/internal/metrics"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/tensor"
 	"partialreduce/internal/trace"
 )
@@ -25,10 +24,9 @@ type Config struct {
 	// [Initial, N) are capacity held for elastic scale-out joins. Zero
 	// selects N (a fixed-size world, the pre-elastic behavior).
 	Initial int
-	// Window is the sync-graph history length T. Zero selects the paper's
-	// minimum ⌈(N−1)/(P−1)⌉, below which disconnection cannot be
-	// distinguished from an under-filled window (§4).
-	Window int
+	// AdaptiveP re-decides the group size between 2 and P from the
+	// workers' signal cadence (adaptive.go) instead of keeping it at P.
+	AdaptiveP bool
 	// Weighting selects constant (1/P) or dynamic (EMA staleness) weights.
 	Weighting Weighting
 	// Approx selects how dynamic weighting fills missing relative-iteration
@@ -45,14 +43,24 @@ type Config struct {
 	ZoneAffinity bool
 }
 
-// emaDecay is the EMA decay of dynamic weighting; a policy decision may
-// override it for one group.
+// emaDecay is the EMA decay of dynamic weighting.
 const emaDecay = 0.6
 
 // MinWindow returns ⌈(n−1)/(p−1)⌉, the smallest history window that can
 // witness a connected sync-graph.
 func MinWindow(n, p int) int {
 	return (n - 2 + p - 1) / (p - 1) // ceil((n-1)/(p-1))
+}
+
+// minGroup is the smallest group the config can form. The sync-graph
+// history length T is MinWindow(N, minGroup()): the paper's minimum, below
+// which disconnection cannot be distinguished from an under-filled window
+// (§4), at every group size the controller may choose.
+func (c Config) minGroup() int {
+	if c.AdaptiveP {
+		return adaptPMin
+	}
+	return c.P
 }
 
 // Validate reports whether the configuration is usable.
@@ -66,11 +74,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("controller: need 0 <= Initial <= N, got Initial=%d N=%d", c.Initial, c.N)
 	case c.Initial != 0 && c.Initial < 2:
 		return fmt.Errorf("controller: need Initial >= 2 members at startup, got %d", c.Initial)
-	case c.Window < 0:
-		return fmt.Errorf("controller: negative window %d", c.Window)
-	case c.Window > 0 && c.Window < MinWindow(c.N, c.P):
-		return fmt.Errorf("controller: window %d below minimum %d for N=%d P=%d",
-			c.Window, MinWindow(c.N, c.P), c.N, c.P)
 	case c.ZoneAffinity && len(c.Zones) != c.N:
 		return fmt.Errorf("controller: zone affinity needs %d zone assignments, got %d", c.N, len(c.Zones))
 	case !c.ZoneAffinity && len(c.Zones) != 0 && len(c.Zones) != c.N:
@@ -178,38 +181,23 @@ type Controller struct {
 	together [][]int // together[i][j] = groups containing both i and j, i≠j
 	inGroup  []int   // inGroup[i] = groups containing i
 
-	// Iteration tracking, which formation policies read. lastIter[w] is
-	// worker w's latest known iteration (ready signals and group fast-forwards),
-	// maxIter the maximum across alive workers: a worker's staleness is
-	// their difference. lastTog[i][j] is the group sequence number at which i
-	// and j last synced together (-1: never), the
-	// iterations-since-last-contact matrix group-frozen avoidance bounds.
-	// lastNow is the latest Signal.Now accepted.
-	lastIter []int
-	maxIter  int
-	lastTog  [][]int
-	lastNow  float64
+	// lastTog[i][j] is the group sequence number at which i and j last
+	// synced together (-1: never), the groups-since-last-contact matrix
+	// group-frozen avoidance bounds.
+	lastTog [][]int
 
-	// Formation policy (optional), attached by SetPolicy. The pol* slices
-	// are Decide-call scratch, reused so the policy path stays
-	// allocation-free.
-	pol      policy.Policy
-	polQueue []policy.QueuedSignal
-	polSeen  []bool
-	polSig   []Signal
+	// adapt sizes groups under Config.AdaptiveP; nil keeps P fixed.
+	adapt *adaptive
 
 	// Tracer and instruments are pure wiring.
 	tracer *trace.Tracer
 	ins    *metrics.Instruments
 }
 
-// New returns a controller for cfg. A zero Window selects the default.
+// New returns a controller for cfg.
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Window == 0 {
-		cfg.Window = MinWindow(cfg.N, cfg.P)
 	}
 	if cfg.Initial == 0 {
 		cfg.Initial = cfg.N
@@ -217,7 +205,7 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{
 		cfg:        cfg,
 		queued:     make([]bool, cfg.N),
-		graph:      NewSyncGraph(cfg.N, cfg.Window),
+		graph:      NewSyncGraph(cfg.N, MinWindow(cfg.N, cfg.minGroup())),
 		inGroup:    make([]int, cfg.N),
 		alive:      make([]bool, cfg.N),
 		aliveN:     cfg.Initial,
@@ -234,7 +222,9 @@ func New(cfg Config) (*Controller, error) {
 	for i := range c.together {
 		c.together[i] = make([]int, cfg.N)
 	}
-	c.lastIter = make([]int, cfg.N)
+	if cfg.AdaptiveP {
+		c.adapt = newAdaptive(cfg.N, cfg.P)
+	}
 	c.lastTog = make([][]int, cfg.N)
 	for i := range c.lastTog {
 		c.lastTog[i] = make([]int, cfg.N)
@@ -252,24 +242,11 @@ func New(cfg Config) (*Controller, error) {
 func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer = t }
 
 // SetInstruments attaches live instruments for the two facts no trace
-// event carries: the sync-graph gauges and the latest policy decision.
+// event carries: the sync-graph gauges and the latest adaptive group size.
 // Everything else reaches them through the tracer's sink. Attaching
 // instruments enables the per-group connectivity gauge computation
 // (O(N²)), so leave them nil in tight parameter sweeps.
 func (c *Controller) SetInstruments(in *metrics.Instruments) { c.ins = in }
-
-// SetPolicy attaches a group-formation policy (internal/policy),
-// consulted once per formation attempt for the next group's size,
-// membership bias, and dynamic-weight decay. A nil p detaches (built-in
-// behavior). Safe to call on a live controller between formation events.
-func (c *Controller) SetPolicy(p policy.Policy) {
-	if p != nil && c.polQueue == nil {
-		c.polQueue = make([]policy.QueuedSignal, 0, c.cfg.N)
-		c.polSeen = make([]bool, c.cfg.N)
-		c.polSig = make([]Signal, 0, c.cfg.N)
-	}
-	c.pol = p
-}
 
 // Stats returns activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -310,138 +287,41 @@ func (c *Controller) Ready(s Signal) ([]Group, error) {
 	if c.queued[s.Worker] {
 		return nil, fmt.Errorf("controller: worker %d already has a queued signal", s.Worker)
 	}
-	if s.Now > c.lastNow {
-		c.lastNow = s.Now
-	}
-	if c.pol != nil {
-		c.pol.OnSignal(s.Worker, s.Iter, s.Now)
+	if c.adapt != nil {
+		c.adapt.onSignal(s.Worker, s.Now)
 	}
 	c.queue = append(c.queue, s)
 	c.queued[s.Worker] = true
-	if s.Iter > c.lastIter[s.Worker] {
-		c.lastIter[s.Worker] = s.Iter
-		if s.Iter > c.maxIter {
-			c.maxIter = s.Iter
-		}
-	}
 	c.tracer.Instant(trace.KReady, int32(s.Worker), int32(s.Iter), int64(len(c.queue)), 0)
 	return c.drainGroups(), nil
 }
 
-// drainGroups forms as many groups as the queue currently supports.
+// drainGroups forms as many groups as the queue currently supports. Under
+// AdaptiveP a size that differs from fixed P's is recorded as a
+// KPolicyDecision trace instant.
 func (c *Controller) drainGroups() []Group {
 	var groups []Group
 	for {
 		p := c.groupSize()
-		alpha := 0.0
-		if c.pol != nil {
-			p, alpha = c.consultPolicy(p)
+		if c.adapt != nil {
+			def := p
+			p = c.adapt.size(c.stats.GroupsFormed, c.refreshActiveMask(), c.activeMask)
+			if p != def {
+				c.tracer.Instant(trace.KPolicyDecision, trace.ControllerTrack, -1, int64(p), int64(def))
+			}
+			// A side call, not an event: the latest size, deviating or not.
+			c.ins.RecordPolicyDecision(p, p != def)
 		}
 		if p < 2 || len(c.queue) < p {
 			break
 		}
-		g, ok := c.formGroup(p, alpha)
+		g, ok := c.formGroup(p)
 		if !ok {
 			break
 		}
 		groups = append(groups, g)
 	}
 	return groups
-}
-
-// consultPolicy asks the attached policy for the next formation decision
-// and applies it: the group size (clamped to the live worker count), an
-// optional dynamic-weight decay override (0 keeps the default decay),
-// and an optional queue reorder (membership bias). A decision that
-// deviates from the default — what the controller would do with no
-// policy attached: def workers, FIFO order, default decay — is
-// recorded as a KPolicyDecision trace instant; the static policy never
-// deviates, which keeps its runs bit-identical to the policy-free
-// controller.
-func (c *Controller) consultPolicy(def int) (int, float64) {
-	q := c.polQueue[:0]
-	for _, s := range c.queue {
-		q = append(q, policy.QueuedSignal{
-			Worker:    s.Worker,
-			Iter:      s.Iter,
-			Staleness: c.maxIter - s.Iter,
-			Wait:      c.lastNow - s.Now,
-		})
-	}
-	c.polQueue = q
-	active := c.refreshActiveMask()
-	d := c.pol.Decide(policy.Inputs{
-		Now:          c.lastNow,
-		ConfigP:      c.cfg.P,
-		Alive:        active,
-		AliveMask:    c.activeMask,
-		GroupsFormed: c.stats.GroupsFormed,
-		Queue:        q,
-	})
-	p := d.P
-	if p > active {
-		p = active
-	}
-	alpha := d.Alpha
-	if alpha <= 0 || alpha >= 1 || alpha == emaDecay {
-		alpha = 0 // out-of-range or no-op override: keep the default decay
-	}
-	biased := c.applyBias(d.Bias, p)
-	deviated := p != def || alpha != 0 || biased
-	if deviated {
-		c.tracer.Instant(trace.KPolicyDecision, trace.ControllerTrack, -1, int64(p), int64(def))
-	}
-	effAlpha := alpha
-	if effAlpha == 0 {
-		effAlpha = emaDecay
-	}
-	// A side call, not an event: the latest p and α, deviating or not.
-	c.ins.RecordPolicyDecision(p, effAlpha, deviated)
-	return p, alpha
-}
-
-// applyBias reorders the signal queue so its first p entries follow the
-// policy's preferred order: order must be a permutation of the current
-// queue indices (invalid orders are ignored), the selected signals keep
-// the policy's order, and the rest keep FIFO order. It reports whether
-// the popped prefix actually changed.
-func (c *Controller) applyBias(order []int, p int) bool {
-	if order == nil || len(order) != len(c.queue) || p > len(c.queue) {
-		return false
-	}
-	seen := c.polSeen
-	for i := range seen {
-		seen[i] = false
-	}
-	changed := false
-	for i, idx := range order {
-		if idx < 0 || idx >= len(c.queue) || seen[idx] {
-			return false // not a permutation: ignore the bias
-		}
-		seen[idx] = true
-		if i < p && idx != i {
-			changed = true
-		}
-	}
-	if !changed {
-		return false
-	}
-	next := c.polSig[:0]
-	for i := range seen {
-		seen[i] = false
-	}
-	for _, idx := range order[:p] {
-		next = append(next, c.queue[idx])
-		seen[idx] = true // popped prefix: excluded from the FIFO tail below
-	}
-	for i, s := range c.queue {
-		if !seen[i] {
-			next = append(next, s)
-		}
-	}
-	c.polSig = next
-	c.queue = append(c.queue[:0], next...)
-	return true
 }
 
 // groupSize returns the effective group size: the configured P, shrunk to
@@ -456,11 +336,9 @@ func (c *Controller) groupSize() int {
 }
 
 // formGroup pops p signals (FIFO), applies group-frozen avoidance, records
-// the group, and generates its weights. alpha, when in (0,1), overrides
-// the default dynamic-weight decay for this one group (a policy
-// decision); 0 keeps the default decay. It returns ok=false when the
+// the group, and generates its weights. It returns ok=false when the
 // filter defers formation to wait for a bridging signal.
-func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
+func (c *Controller) formGroup(p int) (Group, bool) {
 	bridged := false
 
 	// Group-frozen avoidance (§4): with a full window and a disconnected
@@ -553,24 +431,11 @@ func (c *Controller) formGroup(p int, alpha float64) (Group, bool) {
 		// A side call, not an event: an O(N²) read of the contact matrix.
 		c.ins.SetSyncGauges(c.MaxContactAge(), c.graph.NumComponents())
 	}
-	for _, w := range members {
-		// §3.3.3: members fast-forward to the group maximum.
-		if maxIter > c.lastIter[w] {
-			c.lastIter[w] = maxIter
-		}
-	}
-	if maxIter > c.maxIter {
-		c.maxIter = maxIter
-	}
 
 	g := Group{Members: members, Iters: iters, Iter: maxIter, Bridged: bridged, Epoch: c.epoch}
 	switch c.cfg.Weighting {
 	case Dynamic:
-		a := emaDecay
-		if alpha > 0 {
-			a = alpha
-		}
-		g.Weights, g.InitWeight = DynamicWeights(iters, a, c.cfg.Approx)
+		g.Weights, g.InitWeight = DynamicWeights(iters, emaDecay, c.cfg.Approx)
 	default:
 		g.Weights = ConstantWeights(p)
 	}

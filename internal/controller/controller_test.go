@@ -31,8 +31,6 @@ func TestConfigValidate(t *testing.T) {
 		{N: 1, P: 2},
 		{N: 4, P: 1},
 		{N: 4, P: 5},
-		{N: 4, P: 2, Window: -1},
-		{N: 8, P: 2, Window: 2}, // below MinWindow(8,2)=7
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -100,10 +98,14 @@ func TestGroupIterFastForward(t *testing.T) {
 	}
 }
 
+// TestDefaultsResolved: the sync-graph window is sized for the smallest
+// group the config can form: P, or 2 under AdaptiveP.
 func TestDefaultsResolved(t *testing.T) {
-	c := mustNew(t, Config{N: 8, P: 3})
-	if c.cfg.Window != MinWindow(8, 3) {
-		t.Fatalf("window default: %d", c.cfg.Window)
+	if w := mustNew(t, Config{N: 8, P: 3}).graph.window; w != MinWindow(8, 3) {
+		t.Fatalf("window default: %d", w)
+	}
+	if w := mustNew(t, Config{N: 8, P: 4, AdaptiveP: true}).graph.window; w != 7 {
+		t.Fatalf("adaptive window %d, want MinWindow(8, 2) = 7", w)
 	}
 }
 

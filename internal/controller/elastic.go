@@ -61,7 +61,7 @@ func (c *Controller) ActiveCount() int {
 }
 
 // refreshActiveMask recomputes the member ∧ alive ∧ ¬draining scratch mask
-// (group-filter connectivity and policy Decide read it) and returns the
+// (group-filter connectivity and adaptive sizing read it) and returns the
 // active count.
 func (c *Controller) refreshActiveMask() int {
 	n := 0
@@ -75,12 +75,11 @@ func (c *Controller) refreshActiveMask() int {
 	return n
 }
 
-// Join admits rank w into the membership at time now (same clock as
-// Signal.Now). The caller is expected to have bootstrapped the rank's model
+// Join admits rank w into the membership. The caller is expected to have bootstrapped the rank's model
 // from a live peer already — a joined rank is immediately eligible for
 // grouping once it signals ready. Joining a current member is an error; a
 // decommissioned rank may Join again.
-func (c *Controller) Join(w int, now float64) error {
+func (c *Controller) Join(w int) error {
 	if w < 0 || w >= c.cfg.N {
 		return fmt.Errorf("controller: join: rank %d out of range [0,%d)", w, c.cfg.N)
 	}
@@ -91,13 +90,6 @@ func (c *Controller) Join(w int, now float64) error {
 	c.alive[w] = true
 	c.aliveN++
 	c.draining[w] = false
-	if now > c.lastNow {
-		c.lastNow = now
-	}
-	// A joiner's bootstrapped model starts at its donor's iteration, but
-	// until its first signal reports one, treat it as current so it does
-	// not read as infinitely stale.
-	c.lastIter[w] = c.maxIter
 	c.epoch++
 	c.stats.Joins++
 	c.tracer.Instant(trace.KWorkerJoin, int32(w), -1, int64(c.epoch), 0)
@@ -151,7 +143,6 @@ func (c *Controller) Decommission(w int) ([]Group, error) {
 		c.aliveN--
 	}
 	c.PurgeSignal(w)
-	c.refreshMaxIter()
 	c.epoch++
 	c.stats.Decommissions++
 	c.tracer.Instant(trace.KWorkerDecommission, int32(w), -1, int64(c.epoch), 0)

@@ -3,8 +3,6 @@ package controller
 import (
 	"errors"
 	"testing"
-
-	"partialreduce/internal/policy"
 )
 
 // A drain that lands while the queue is mid-formation must both finish the
@@ -54,7 +52,7 @@ func TestDrainDuringGroupFormation(t *testing.T) {
 func TestStaleEpochRejectedWithoutCondemning(t *testing.T) {
 	c := mustNew(t, Config{N: 6, P: 2, Initial: 4})
 	old := c.Epoch()
-	if err := c.Join(4, 1); err != nil { // membership change: epoch moves on
+	if err := c.Join(4); err != nil { // membership change: epoch moves on
 		t.Fatal(err)
 	}
 	if _, err := c.Ready(Signal{Worker: 1, Iter: 1, Epoch: old}); !errors.Is(err, ErrStaleEpoch) {
@@ -76,18 +74,13 @@ func TestStaleEpochRejectedWithoutCondemning(t *testing.T) {
 	}
 }
 
-// The adaptive-P policy must re-normalize when membership changes mid-run:
-// a straggler's cadence estimate drags P down to PMin while it is a member,
+// Adaptive sizing must re-normalize when membership changes mid-run: a
+// straggler's cadence estimate drags P down to 2 while it is a member,
 // and once the straggler drains out the dispersion is computed over the
 // remaining (homogeneous) members only, so P recovers to the configured size.
 func TestAdaptivePolicyRenormalizesOnMembershipChange(t *testing.T) {
 	const n, p = 6, 4
-	c := mustNew(t, Config{N: n, P: p, Window: MinWindow(n, 2)})
-	pol, err := policy.New(policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: p, Window: 4}, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetPolicy(pol)
+	c := mustNew(t, Config{N: n, P: p, AdaptiveP: true})
 
 	readyAt := func(w, iter int, now float64) []Group {
 		t.Helper()
@@ -100,7 +93,7 @@ func TestAdaptivePolicyRenormalizesOnMembershipChange(t *testing.T) {
 
 	// Phase 1: ranks 0..4 signal once per unit of time; rank 5 at half that
 	// cadence. Dispersion 2.0 clears the shrink threshold, so the decided P
-	// walks down to PMin while the straggler is a member.
+	// walks down to 2 while the straggler is a member.
 	minP := p
 	var sizes []int
 	for r := 1; r <= 16; r++ {
@@ -121,7 +114,7 @@ func TestAdaptivePolicyRenormalizesOnMembershipChange(t *testing.T) {
 		}
 	}
 	if minP != 2 {
-		t.Fatalf("straggler did not shrink groups to PMin: min size %d (sizes %v)", minP, sizes)
+		t.Fatalf("straggler did not shrink groups to 2: min size %d (sizes %v)", minP, sizes)
 	}
 
 	// Phase 2: the straggler drains out. Its stale cadence estimate must not

@@ -11,18 +11,6 @@ package controller
 // report.
 func (c *Controller) QueueDepth() int { return len(c.queue) }
 
-// refreshMaxIter recomputes maxIter over the alive workers — called on
-// liveness transitions so a dead frontrunner stops inflating everyone
-// else's staleness.
-func (c *Controller) refreshMaxIter() {
-	c.maxIter = 0
-	for w := 0; w < c.cfg.N; w++ {
-		if c.alive[w] && c.lastIter[w] > c.maxIter {
-			c.maxIter = c.lastIter[w]
-		}
-	}
-}
-
 // MaxContactAge returns the contact age of the most estranged alive
 // pair: the maximum over alive pairs (i,j) of groups formed since i and
 // j last synced. It returns -1 when some alive pair has never met (the

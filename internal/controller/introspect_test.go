@@ -25,7 +25,7 @@ func TestQueueDepth(t *testing.T) {
 }
 
 func TestMaxContactAge(t *testing.T) {
-	c := mustNew(t, Config{N: 4, P: 2, Window: 3})
+	c := mustNew(t, Config{N: 4, P: 2})
 
 	// Cold start: nobody has met anybody.
 	if got := c.MaxContactAge(); got != -1 {

@@ -29,7 +29,6 @@ func (c *Controller) ReportFailure(worker int) bool {
 	c.draining[worker] = false
 	c.stats.Failures++
 	c.PurgeSignal(worker)
-	c.refreshMaxIter()
 	c.epoch++
 	c.tracer.Instant(trace.KWorkerDead, int32(worker), -1, int64(c.epoch), 0)
 	return true
@@ -97,7 +96,6 @@ func (c *Controller) Rejoin(worker int) error {
 	c.alive[worker] = true
 	c.aliveN++
 	c.stats.Rejoins++
-	c.refreshMaxIter()
 	c.epoch++
 	c.tracer.Instant(trace.KWorkerRejoin, int32(worker), -1, int64(c.epoch), 0)
 	return nil

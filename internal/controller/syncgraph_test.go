@@ -137,7 +137,15 @@ func TestQuickSyncGraphPartition(t *testing.T) {
 // once the window is full and disconnected, the state in which the group
 // filter runs: the connectivity check, the component labels it bridges by,
 // the group's record (which evicts the oldest) and the connectivity gauge.
+// Its adaptive cell gates adaptive sizing's share: a cadence update per
+// signal and a size per formation, with clocks advancing and re-decisions
+// inside the measured loop.
 func TestSyncGraphReadyCycleAllocFree(t *testing.T) {
+	t.Run("graph", testGraphCycleAllocFree)
+	t.Run("adaptive", testAdaptiveCycleAllocFree)
+}
+
+func testGraphCycleAllocFree(t *testing.T) {
 	g := NewSyncGraph(8, 4)
 	groups := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {1, 2}, {5, 6}}
 	alive := make([]bool, 8)
@@ -159,5 +167,34 @@ func TestSyncGraphReadyCycleAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
 		t.Fatalf("a steady-state Ready cycle's graph work allocates %.1f times", allocs)
+	}
+}
+
+func testAdaptiveCycleAllocFree(t *testing.T) {
+	const n = 8
+	a := newAdaptive(n, 4)
+	active := allActive(n)
+	k := 0
+	cycle := func() {
+		// Worker 7 signals at half the others' cadence, so the dispersion
+		// sort has evidence to act on.
+		w := k % n
+		period := 1.0
+		if w == n-1 {
+			period = 2
+		}
+		a.onSignal(w, float64(k/n+1)*period)
+		_ = a.size(k, n, active)
+		k++
+	}
+	for i := 0; i < 2*n; i++ {
+		cycle()
+	}
+	before := a.lastAdapt
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Fatalf("a steady-state cycle's adaptive sizing allocates %.1f times", allocs)
+	}
+	if a.lastAdapt == before {
+		t.Fatal("no re-decision fell inside the measured loop")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/metrics"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/tensor"
 	"partialreduce/internal/trace"
 )
@@ -22,14 +21,9 @@ type PReduceConfig struct {
 	// cluster has a geo-distributed topology (cheap intra-DC collectives);
 	// group-frozen avoidance still bridges zones periodically.
 	ZoneAffinity bool
-	// Policy selects a group-formation policy (internal/policy): the zero
-	// value keeps the controller's built-in behavior, "adaptive-p" adapts
-	// the group size between the spec's bounds from observed worker
-	// cadence, "straggler-bias" pulls high-staleness workers into groups
-	// first. When adaptive bounds allow shrinking below P, the sync-graph
-	// window is sized for the smallest reachable group size (NewController)
-	// so frozen avoidance stays sound at every P the policy may choose.
-	Policy policy.Spec
+	// AdaptiveP re-decides the group size between 2 and P from observed
+	// worker cadence (controller.Config.AdaptiveP).
+	AdaptiveP bool
 }
 
 // PReduce is the paper's contribution, the partial-reduce training strategy
@@ -48,28 +42,16 @@ type PReduce struct {
 func NewPReduce(cfg PReduceConfig) *PReduce { return &PReduce{cfg: cfg} }
 
 // Name implements cluster.Strategy: "CON P=3", "DYN P=3", "ADP P=4"
-// (adaptive-p policy), "SBIAS P=4" (straggler-bias policy)...
+// (adaptive group size)...
 func (p *PReduce) Name() string {
 	tag := "CON"
-	if p.cfg.Weighting == controller.Dynamic {
+	switch {
+	case p.cfg.AdaptiveP:
+		tag = "ADP"
+	case p.cfg.Weighting == controller.Dynamic:
 		tag = "DYN"
 	}
-	switch p.cfg.Policy.Name {
-	case policy.NameAdaptiveP:
-		tag = "ADP"
-	case policy.NameStragglerBias:
-		tag = "SBIAS"
-	}
 	return fmt.Sprintf("%s P=%d", tag, p.cfg.P)
-}
-
-// WithPolicy returns a copy of the strategy with the given formation
-// policy spec — how the CLI's -policy/-p-min/-p-max/-policy-window flags
-// retrofit a policy onto the named P-Reduce strategies.
-func (p *PReduce) WithPolicy(spec policy.Spec) *PReduce {
-	cfg := p.cfg
-	cfg.Policy = spec
-	return NewPReduce(cfg)
 }
 
 func (p *PReduce) controllerConfig(c *cluster.Cluster) controller.Config {
@@ -80,6 +62,7 @@ func (p *PReduce) controllerConfig(c *cluster.Cluster) controller.Config {
 		Weighting:          p.cfg.Weighting,
 		Approx:             p.cfg.Approx,
 		DisableGroupFilter: p.cfg.DisableGroupFilter,
+		AdaptiveP:          p.cfg.AdaptiveP,
 	}
 	if p.cfg.ZoneAffinity {
 		cfg.ZoneAffinity = true
@@ -92,30 +75,16 @@ func (p *PReduce) controllerConfig(c *cluster.Cluster) controller.Config {
 	return cfg
 }
 
-// NewController builds a P-Reduce controller from cfg with formation policy
-// pol, wired to the tracer and instruments (either may be nil): the one
-// constructor the simulator and the live runtime share. An adaptive policy
-// may form groups as small as PMin, so a zero cfg.Window is sized for the
-// smallest reachable group, not the configured P: the sync-graph window must
-// witness connectivity at every size the policy may choose.
-func NewController(cfg controller.Config, pol policy.Spec, tr *trace.Tracer, ins *metrics.Instruments) (*controller.Controller, error) {
-	var p policy.Policy
-	if pol.Enabled() {
-		var err error
-		if p, err = policy.New(pol, cfg.N, cfg.P); err != nil {
-			return nil, err
-		}
-		if r := pol.Resolve(cfg.P); cfg.Window == 0 && r.Name == policy.NameAdaptiveP && r.PMin < cfg.P {
-			cfg.Window = controller.MinWindow(cfg.N, r.PMin)
-		}
-	}
+// NewController builds a P-Reduce controller from cfg, wired to the tracer
+// and instruments (either may be nil): the one constructor the simulator and
+// the live runtime share.
+func NewController(cfg controller.Config, tr *trace.Tracer, ins *metrics.Instruments) (*controller.Controller, error) {
 	ctrl, err := controller.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	ctrl.SetTracer(tr)
 	ctrl.SetInstruments(ins)
-	ctrl.SetPolicy(p)
 	return ctrl, nil
 }
 
@@ -145,7 +114,7 @@ func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 	// The cluster's virtual-clock tracer and instruments (nil when tracing is
 	// off) put ready/group-formed/staleness decisions on the same timeline as
 	// the worker spans.
-	ctrl, err := NewController(p.controllerConfig(c), p.cfg.Policy, c.Tracer, c.Ins)
+	ctrl, err := NewController(p.controllerConfig(c), c.Tracer, c.Ins)
 	if err != nil {
 		return RunInfo{}, err
 	}

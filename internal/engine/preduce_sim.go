@@ -22,7 +22,7 @@ func (s simSink) Abort(w int, op uint32, _ int)      { s.abort(w, op) }
 func (s simSink) StartJoin(j, donor int, _ uint32)   { s.startJoin(j, donor) }
 
 // runPReduceSim drives Algorithm 2 on the cluster's event engine,
-// with ctrl already wired (tracer, instruments, policy). The
+// with ctrl already wired (tracer, instruments). The
 // controller is served by the same core as the live runtime's
 // (ServiceCore): ready signals, crashes (§4), checkpoint rejoins, elastic
 // joins and drains, stuck ops and watchdog ticks are its events, and this

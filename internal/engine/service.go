@@ -157,7 +157,7 @@ func (c *ServiceCore) Ready(w, iter int, seq, epoch uint64, now float64) {
 		}
 		c.answer(w, d)
 	case len(c.pendingJoins) > 0 && c.eligible(w):
-		c.admit(w, now)
+		c.admit(w)
 	default:
 		groups, err := c.ctrl.Ready(controller.Signal{Worker: w, Iter: iter, Epoch: epoch, Now: now})
 		switch {
@@ -427,10 +427,10 @@ func (c *ServiceCore) retire(w int) bool {
 // iteration after serving. The joiner is admitted right now: the epoch bumps
 // here, and group formation deterministically waits for the joiner's first
 // signal instead of racing its bootstrap.
-func (c *ServiceCore) admit(donor int, now float64) {
+func (c *ServiceCore) admit(donor int) {
 	j := c.pendingJoins[0]
 	c.pendingJoins = c.pendingJoins[1:]
-	if err := c.ctrl.Join(j, now); err != nil {
+	if err := c.ctrl.Join(j); err != nil {
 		c.fail(fmt.Errorf("engine: join worker %d: %w", j, err))
 		c.answer(donor, Directive{Skip: true})
 		return

@@ -8,8 +8,8 @@ import (
 	"partialreduce/internal/model"
 )
 
-// AdaptiveRow is one cell of the adaptive-policy sweep: static DYN P=4
-// versus ADP P=4 (adaptive-p, bounds [2,4]) on the same seeds.
+// AdaptiveRow is one cell of the adaptive-p sweep: fixed-size DYN P=4
+// versus ADP P=4 (adaptive group size in [2,4]) on the same seeds.
 type AdaptiveRow struct {
 	Label        string // "HL=0", "HL=2", "HL=3", "production"
 	Seeds        []int64
@@ -21,7 +21,7 @@ type AdaptiveRow struct {
 
 // Speedup returns static/adaptive mean time-to-threshold over the seeds
 // where both sides converged (ok=false when no seed qualifies). A value
-// above 1 means the adaptive policy was faster.
+// above 1 means adaptive-p was faster.
 func (r *AdaptiveRow) Speedup() (float64, bool) {
 	var s, a float64
 	n := 0
@@ -46,13 +46,13 @@ type AdaptiveSweepResult struct {
 	Results []*metrics.Result
 }
 
-// RobustnessAdaptive compares static dynamic-weight P-Reduce ("DYN P=4")
-// against the adaptive-p formation policy ("ADP P=4", group-size bounds
-// [2,4]) on ResNet-34/CIFAR-10 with N=8, across heterogeneity levels and a
-// regime-switching production trace, over several seeds. The claim under
-// test: shrinking groups when the signal-cadence dispersion is high buys
-// time-to-threshold at HL>=2 without giving anything up in the
-// near-homogeneous cell. The whole sweep is a pure function of
+// RobustnessAdaptive compares fixed-size dynamic-weight P-Reduce ("DYN
+// P=4") against adaptive group size ("ADP P=4", groups of 2 to 4) on
+// ResNet-34/CIFAR-10 with N=8, across heterogeneity levels and a
+// regime-switching production trace, over several seeds. The claim
+// (TestAdaptiveSpeedupClaim): shrinking groups when the signal-cadence
+// dispersion is high reaches the threshold at least 1.10× sooner at HL=3
+// and on the production trace. The whole sweep is a pure function of
 // (opts, seeds).
 func RobustnessAdaptive(opts Options, seeds int) (*AdaptiveSweepResult, error) {
 	if seeds < 1 {

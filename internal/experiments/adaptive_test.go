@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"partialreduce/internal/cluster"
@@ -10,23 +9,21 @@ import (
 	"partialreduce/internal/engine"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/trace"
 )
 
 // runAdaptiveTraced runs one quick adaptive-p cell with tracing enabled.
 func runAdaptiveTraced(t *testing.T, seed int64) (*metrics.Result, *cluster.Cluster) {
 	t.Helper()
-	opts := Options{Seed: seed, Quick: true}
 	cell := Cell{
-		Workload: opts.workload(CIFAR10Workload(model.ResNet34)),
+		Workload: Options{Quick: true}.workload(CIFAR10Workload(model.ResNet34)),
 		N:        8, Env: EnvHL, HL: 2, Seed: seed,
 	}
-	run, err := runCell(opts, job{
+	run, err := runCell(job{
 		cell: cell, strategy: "ADP P=4",
 		preduce: &engine.PReduceConfig{
 			P: 4, Weighting: controller.Dynamic, Approx: controller.ClosestIteration,
-			Policy: policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: 4},
+			AdaptiveP: true,
 		},
 		tweak: func(cfg *cluster.Config) { cfg.TraceCap = 1 << 15 },
 	})
@@ -96,57 +93,23 @@ func TestAdaptiveDecisionsDeviate(t *testing.T) {
 	}
 }
 
-// TestStaticPolicyMatchesBaselineResult is the end-to-end half of the
-// metamorphic golden test: retrofitting the static policy via
-// Options.Policy (the -policy flag path) onto a DYN run reproduces the
-// policy-free result exactly. It then pins both sides of the retrofit rule
-// on whole experiments: Fig8 names its strategies, so static leaves it
-// unchanged while adaptive-p does not; AblationWeights pins explicit
-// controller configs, so even adaptive-p leaves it unchanged.
-func TestStaticPolicyMatchesBaselineResult(t *testing.T) {
-	cell := Cell{
-		Workload: Options{Quick: true}.workload(CIFAR10Workload(model.ResNet34)),
-		N:        8, Env: EnvHL, HL: 2, Seed: 2,
-	}
-	static := Options{Seed: 2, Quick: true, Policy: policy.Spec{Name: policy.NameStatic}}
-	adaptive := Options{Seed: 2, Quick: true, Policy: policy.Spec{Name: policy.NameAdaptiveP, PMin: 2}}
-	base, err := runCell(Options{Seed: 2, Quick: true}, job{cell: cell, strategy: "DYN P=4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, err := runCell(static, job{cell: cell, strategy: "DYN P=4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Result, with.Result) {
-		t.Fatalf("static policy changed the run result:\n  baseline: %+v\n  static:   %+v", base.Result, with.Result)
-	}
-
-	fig8 := func(o Options) *Fig8Result {
-		t.Helper()
-		res, err := Fig8(o)
+// TestAdaptiveSpeedupClaim is adaptive-p's claim, stated as an ordering:
+// on the quick sweep, at both master seeds, ADP P=4 reaches the accuracy
+// threshold at least 1.10× sooner than DYN P=4 on the shared-accelerator
+// HL=3 row and on the production trace. HL=0 and HL=2 are not claimed.
+func TestAdaptiveSpeedupClaim(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		res, err := RobustnessAdaptive(Options{Seed: seed, Quick: true}, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	named := fig8(Options{Seed: 2, Quick: true})
-	if got := fig8(static); !reflect.DeepEqual(named, got) {
-		t.Fatalf("static policy changed a named-strategy experiment:\n  baseline: %+v\n  static:   %+v", named, got)
-	}
-	if got := fig8(adaptive); reflect.DeepEqual(named, got) {
-		t.Fatal("adaptive-p left a named-strategy experiment unchanged: the retrofit did not reach it")
-	}
-
-	weights := func(o Options) *AblationWeightsResult {
-		t.Helper()
-		res, err := AblationWeights(o)
-		if err != nil {
-			t.Fatal(err)
+		for _, row := range res.Rows {
+			if row.Label != "HL=3" && row.Label != "production" {
+				continue
+			}
+			if sp, ok := row.Speedup(); !ok || sp < 1.10 {
+				t.Errorf("seed %d %s: adaptive speed-up %.3f (ok=%v), want >= 1.10", seed, row.Label, sp, ok)
+			}
 		}
-		return res
-	}
-	if pinned, got := weights(Options{Seed: 2, Quick: true}), weights(adaptive); !reflect.DeepEqual(pinned, got) {
-		t.Fatalf("-policy leaked into an explicit ablation config:\n  baseline: %+v\n  adaptive: %+v", pinned, got)
 	}
 }

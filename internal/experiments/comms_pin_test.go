@@ -37,7 +37,6 @@ func TestStrategyCommsPinned(t *testing.T) {
 		{"CON P=3", nil, metrics.CommStats{Ops: 120, BytesSent: 1920000000, BytesRecv: 1920000000, ReduceScatterS: f(0x40282cccccccccd7), AllGatherS: f(0x40282cccccccccd7)}},
 		{"DYN P=3", nil, metrics.CommStats{Ops: 120, BytesSent: 1920000000, BytesRecv: 1920000000, ReduceScatterS: f(0x40282cccccccccd7), AllGatherS: f(0x40282cccccccccd7)}},
 		{"ADP P=4", nil, metrics.CommStats{Ops: 121, BytesSent: 1800000000, BytesRecv: 1800000000, ReduceScatterS: f(0x402c7e76c8b4395f), AllGatherS: f(0x402c7e76c8b4395f)}},
-		{"SBIAS P=4", nil, metrics.CommStats{Ops: 120, BytesSent: 2880000000, BytesRecv: 2880000000, ReduceScatterS: f(0x403c3eb851eb8525), AllGatherS: f(0x403c3eb851eb8525)}},
 		{"CON P=3+partition", func(cfg *cluster.Config) {
 			cfg.Partitions = hetero.PartitionSchedule{{Ranks: []int{1, 2}, From: 0.5, Until: 2}}
 			cfg.Retry = cluster.RetryModel{MaxAttempts: 2, Timeout: 0.2, BaseDelay: 0.05}

@@ -49,7 +49,6 @@ func snapshotFields(s *metrics.InstrumentsSnapshot) map[string]string {
 		"Deferrals":        fmt.Sprint(s.Deferrals),
 		"Epoch":            fmt.Sprint(s.Epoch),
 		"PolicyP":          fmt.Sprint(s.PolicyP),
-		"PolicyAlpha":      f64(s.PolicyAlpha),
 		"PolicyDeviations": fmt.Sprint(s.PolicyDeviations),
 		"GroupWait":        hashF(s.GroupWait),
 		"Blame":            hashF(s.Blame),
@@ -115,7 +114,6 @@ func TestInstrumentsSnapshotPinned(t *testing.T) {
 			"GroupsFormed":     "80",
 			"Interventions":    "9",
 			"MaxContactAge":    "16",
-			"PolicyAlpha":      "0x0000000000000000",
 			"PolicyDeviations": "0",
 			"PolicyP":          "0",
 			"QueueDepthNow":    "0x405205269279937d",
@@ -141,7 +139,6 @@ func TestInstrumentsSnapshotPinned(t *testing.T) {
 			"GroupsFormed":     "200",
 			"Interventions":    "4",
 			"MaxContactAge":    "8",
-			"PolicyAlpha":      "0x0000000000000000",
 			"PolicyDeviations": "0",
 			"PolicyP":          "0",
 			"QueueDepthNow":    "0x405448285a537017",
@@ -167,7 +164,6 @@ func TestInstrumentsSnapshotPinned(t *testing.T) {
 			"GroupsFormed":     "60",
 			"Interventions":    "0",
 			"MaxContactAge":    "0",
-			"PolicyAlpha":      "0x0000000000000000",
 			"PolicyDeviations": "0",
 			"PolicyP":          "0",
 			"QueueDepthNow":    "0x403bde786518ce93",

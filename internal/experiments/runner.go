@@ -9,7 +9,6 @@ import (
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/engine"
-	"partialreduce/internal/policy"
 )
 
 // Options tune an experiment run.
@@ -20,15 +19,6 @@ type Options struct {
 	Quick bool
 	// Parallelism bounds concurrent cells; zero selects GOMAXPROCS.
 	Parallelism int
-	// Policy optionally retrofits a group-formation policy (see
-	// internal/policy) onto every P-Reduce run whose job names its strategy
-	// ("CON P=4", "DYN P=3", ...). Runs with an explicit engine.PReduceConfig
-	// (the ablations, fig4's unfiltered run, geo's zone-affinity run) pin
-	// their controller on purpose and do not take it; non-P-Reduce baselines
-	// are unaffected. The zero Spec is a no-op, and Spec{Name:
-	// policy.NameStatic} reproduces the policy-free controller byte for byte
-	// (the metamorphic baseline).
-	Policy policy.Spec
 }
 
 func (o Options) workers() int {
@@ -47,7 +37,7 @@ func (o Options) workload(w Workload) Workload {
 
 // StrategyFor builds the strategy named like Table 1's columns: "AR", "ER",
 // "AD", "PS BSP", "PS ASP", "PS HETE", "PS BK-<b>", "CON P=<p>",
-// "DYN P=<p>".
+// "DYN P=<p>", and "ADP P=<p>".
 func StrategyFor(name string) (cluster.Strategy, error) {
 	var p, b int
 	switch {
@@ -70,28 +60,24 @@ func StrategyFor(name string) (cluster.Strategy, error) {
 	case matchInt(name, "CON P=%d", &p):
 		return engine.NewPReduce(engine.PReduceConfig{P: p}), nil
 	case matchInt(name, "DYN P=%d", &p):
-		return dynamic(p, policy.Spec{}), nil
+		return dynamic(p, false), nil
 	case matchInt(name, "ADP P=%d", &p):
-		// The adaptive-p formation policy: the configured P is the upper
-		// bound, groups shrink toward PMin=2 when the signal-cadence
-		// dispersion says the cell is heterogeneous.
-		return dynamic(p, policy.Spec{Name: policy.NameAdaptiveP, PMin: 2, PMax: p}), nil
-	case matchInt(name, "SBIAS P=%d", &p):
-		// The straggler-bias formation policy: the highest-staleness queued
-		// workers are preferred into each group.
-		return dynamic(p, policy.Spec{Name: policy.NameStragglerBias}), nil
+		// Adaptive group size: the configured P is the upper bound, groups
+		// shrink toward 2 when the signal-cadence dispersion says the cell
+		// is heterogeneous.
+		return dynamic(p, true), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown strategy %q", name)
 }
 
-// dynamic is dynamic-weight P-Reduce under a formation policy. It uses the
-// closest-iteration approximation for missing EMA slots (§3.3.3's
+// dynamic is dynamic-weight P-Reduce, its group size fixed or adaptive. It
+// uses the closest-iteration approximation for missing EMA slots (§3.3.3's
 // alternative): the literal initial-model rule shifts weight mass onto x₁
 // when staleness is large, which measurably degrades convergence in our
 // reproduction (see the ablation in experiments tests and DESIGN.md).
-func dynamic(p int, pol policy.Spec) cluster.Strategy {
+func dynamic(p int, adaptive bool) cluster.Strategy {
 	return engine.NewPReduce(engine.PReduceConfig{
-		P: p, Weighting: controller.Dynamic, Approx: controller.ClosestIteration, Policy: pol,
+		P: p, Weighting: controller.Dynamic, Approx: controller.ClosestIteration, AdaptiveP: adaptive,
 	})
 }
 
@@ -137,7 +123,7 @@ func runAll(opts Options, jobs []job) error {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			run, err := runCell(opts, j)
+			run, err := runCell(j)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -155,9 +141,8 @@ func runAll(opts Options, jobs []job) error {
 }
 
 // runCell executes one simulation: the only place a cell becomes a cluster
-// and a strategy runs on it. opts.Policy is retrofitted here and nowhere
-// else, under the rule Options.Policy states.
-func runCell(opts Options, j job) (cellRun, error) {
+// and a strategy runs on it.
+func runCell(j job) (cellRun, error) {
 	var s cluster.Strategy
 	if j.preduce != nil {
 		s = engine.NewPReduce(*j.preduce)
@@ -165,9 +150,6 @@ func runCell(opts Options, j job) (cellRun, error) {
 		var err error
 		if s, err = StrategyFor(j.strategy); err != nil {
 			return cellRun{}, err
-		}
-		if pr, ok := s.(*engine.PReduce); ok && opts.Policy.Enabled() {
-			s = pr.WithPolicy(opts.Policy)
 		}
 	}
 	cfg, err := j.cell.Build()

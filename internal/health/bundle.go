@@ -108,7 +108,6 @@ type metricsPart struct {
 	Deferrals         int64             `json:"deferrals"`
 	Epoch             int64             `json:"epoch"`
 	PolicyP           int64             `json:"policy_p"`
-	PolicyAlpha       float64           `json:"policy_alpha"`
 	PolicyDeviations  int64             `json:"policy_deviations"`
 	Comms             metrics.CommStats `json:"comms"`
 }
@@ -165,7 +164,6 @@ func renderMetrics(snap *metrics.InstrumentsSnapshot) ([]byte, error) {
 		Deferrals:         snap.Deferrals,
 		Epoch:             snap.Epoch,
 		PolicyP:           snap.PolicyP,
-		PolicyAlpha:       snap.PolicyAlpha,
 		PolicyDeviations:  snap.PolicyDeviations,
 		Comms:             snap.Comms,
 	}

@@ -40,7 +40,6 @@ import (
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 	"partialreduce/internal/optim"
-	"partialreduce/internal/policy"
 	"partialreduce/internal/tensor"
 	"partialreduce/internal/trace"
 	"partialreduce/internal/transport"
@@ -58,11 +57,9 @@ type Config struct {
 	Optimizer optim.Config
 	Weighting controller.Weighting
 	Approx    controller.ApproxRule
-	// Policy selects a group-formation policy (see internal/policy). The
-	// zero Spec leaves the controller's static behavior untouched. The
-	// adaptive-p policy can shrink groups to Policy.PMin, so the controller
-	// window is sized for PMin to keep the frozen-avoidance guarantee.
-	Policy policy.Spec
+	// AdaptiveP re-decides the group size between 2 and P from observed
+	// worker cadence (controller.Config.AdaptiveP).
+	AdaptiveP bool
 	// Iters is the number of local iterations each worker performs.
 	Iters int
 	// ComputeDelay optionally injects artificial per-batch latency to
@@ -157,11 +154,6 @@ func (c Config) Validate() error {
 	if err := c.Retry.Validate(); err != nil {
 		return err
 	}
-	if c.Policy.Enabled() {
-		if err := c.Policy.Resolve(c.P).Validate(c.N, c.P); err != nil {
-			return err
-		}
-	}
 	if c.Initial != 0 && (c.Initial < 2 || c.Initial > c.N) {
 		return fmt.Errorf("live: Initial %d outside [2,%d]", c.Initial, c.N)
 	}
@@ -210,12 +202,12 @@ type Report struct {
 	Comms collective.OpStats
 }
 
-// newController builds the run's controller: config, policy, telemetry.
+// newController builds the run's controller: config and telemetry.
 func newController(cfg Config) (*controller.Controller, error) {
 	return engine.NewController(controller.Config{
 		N: cfg.N, P: cfg.P, Initial: cfg.Initial,
-		Weighting: cfg.Weighting, Approx: cfg.Approx,
-	}, cfg.Policy, cfg.Tracer, cfg.Instruments)
+		Weighting: cfg.Weighting, Approx: cfg.Approx, AdaptiveP: cfg.AdaptiveP,
+	}, cfg.Tracer, cfg.Instruments)
 }
 
 // fillController copies what the finished run's controller knows into the
@@ -367,8 +359,8 @@ func healthClock(cfg Config) (tick <-chan time.Time, now func() float64, stop fu
 	return ticker.C, now, ticker.Stop
 }
 
-// unixSeconds is the controller clock: what Signal.Now and Join are stamped
-// with (formation policies read queue waits from it).
+// unixSeconds is the controller clock: what Signal.Now is stamped with
+// (adaptive sizing reads worker cadence from it).
 func unixSeconds(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
 
 // newLiveWorker assembles rank id's engine worker: its endpoint, collective

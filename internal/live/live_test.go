@@ -14,8 +14,10 @@ import (
 	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
+	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 	"partialreduce/internal/optim"
+	"partialreduce/internal/trace"
 	"partialreduce/internal/transport"
 )
 
@@ -187,6 +189,41 @@ func TestLiveLargerGroups(t *testing.T) {
 	}
 	if rep.FinalAccuracy < 0.9 {
 		t.Fatalf("P=3 live accuracy %.3f", rep.FinalAccuracy)
+	}
+}
+
+// TestLiveAdaptiveP reaches adaptive sizing through Config: the controller
+// sizes groups adaptively (only then is a size recorded), every rank
+// completes, and every group it forms has 2 to P members. Which sizes occur
+// depends on the host's timing, so none is asserted.
+func TestLiveAdaptiveP(t *testing.T) {
+	cfg := liveConfig(t, 7)
+	cfg.N, cfg.P, cfg.AdaptiveP, cfg.Iters = 4, 3, true, 40
+	cfg.Tracer = trace.New(trace.NewWallClock(), 1<<14)
+	cfg.Instruments = metrics.NewInstruments(cfg.N)
+	rep, err := Run(cfg, memWorld(cfg.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, done := range rep.Completed {
+		if !done {
+			t.Errorf("rank %d did not complete", w)
+		}
+	}
+	groups := 0
+	for _, ev := range cfg.Tracer.Events() {
+		if ev.Kind == trace.KGroupFormed {
+			groups++
+			if ev.B < 2 || ev.B > 3 {
+				t.Fatalf("group %d formed with %d members, want 2..3", ev.A, ev.B)
+			}
+		}
+	}
+	if groups == 0 {
+		t.Fatal("no group-formed events traced")
+	}
+	if p := cfg.Instruments.Snapshot().PolicyP; p < 2 || p > 3 {
+		t.Fatalf("latest adaptive size %d, want 2..3: AdaptiveP did not reach the controller", p)
 	}
 }
 

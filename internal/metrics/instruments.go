@@ -195,9 +195,8 @@ type Instruments struct {
 
 	epoch int64 // membership epoch at the latest controller bump
 
-	policyP          int64   // group size at the latest policy decision (0: no policy)
-	policyAlpha      float64 // dynamic-weight decay in effect at that decision
-	policyDeviations int64   // decisions that deviated from the static default
+	policyP          int64 // group size at the latest adaptive-p decision (0: fixed P)
+	policyDeviations int64 // adaptive-p sizes that differed from fixed P's
 
 	// Online blame estimator, fed by each group's release (see Observe):
 	// per-worker cumulative arrived-but-waiting seconds, cumulative blame
@@ -321,18 +320,15 @@ func (in *Instruments) SetSyncGauges(maxAge, components int) {
 	in.mu.Unlock()
 }
 
-// RecordPolicyDecision records one formation-policy decision: p the
-// chosen group size, alpha the dynamic-weight decay in effect, deviated
-// whether the decision differs from the static default (what the
-// controller would do with no policy attached). A side call, not an event:
-// KPolicyDecision marks deviations only and carries no α. Nil-safe.
-func (in *Instruments) RecordPolicyDecision(p int, alpha float64, deviated bool) {
+// RecordPolicyDecision records one adaptive-p sizing decision: p the
+// chosen group size, deviated whether it differs from fixed P's. A side
+// call, not an event: KPolicyDecision marks deviations only. Nil-safe.
+func (in *Instruments) RecordPolicyDecision(p int, deviated bool) {
 	if in == nil {
 		return
 	}
 	in.mu.Lock()
 	in.policyP = int64(p)
-	in.policyAlpha = alpha
 	if deviated {
 		in.policyDeviations++
 	}
@@ -414,7 +410,6 @@ type InstrumentsSnapshot struct {
 	Deferrals        int64
 	Epoch            int64
 	PolicyP          int64
-	PolicyAlpha      float64
 	PolicyDeviations int64
 	GroupWait        []float64
 	Blame            []float64
@@ -503,7 +498,6 @@ func (in *Instruments) Snapshot() *InstrumentsSnapshot {
 		Epoch:          in.epoch,
 
 		PolicyP:          in.policyP,
-		PolicyAlpha:      in.policyAlpha,
 		PolicyDeviations: in.policyDeviations,
 
 		Comms: in.comms,

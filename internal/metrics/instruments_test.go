@@ -89,7 +89,7 @@ func TestSeriesRing(t *testing.T) {
 func TestInstrumentsNilSafe(t *testing.T) {
 	var in *Instruments
 	in.SetSyncGauges(2, 1)
-	in.RecordPolicyDecision(3, 0.5, true)
+	in.RecordPolicyDecision(3, true)
 	in.AddComms(CommStats{Ops: 1})
 	snap := in.Snapshot()
 	if snap == nil || snap.Staleness == nil || snap.Staleness.Count() != 0 {

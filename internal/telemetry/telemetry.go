@@ -151,9 +151,8 @@ func WriteMetrics(w io.Writer, snap *metrics.InstrumentsSnapshot) error {
 
 	gauge("preduce_epoch", "Current membership world-view epoch (bumps on join/drain/decommission/fail/rejoin).", float64(snap.Epoch))
 
-	gauge("preduce_policy_p", "Group size chosen at the latest formation-policy decision (0: no policy attached).", float64(snap.PolicyP))
-	gauge("preduce_policy_alpha", "Dynamic-weight decay in effect at the latest formation-policy decision.", snap.PolicyAlpha)
-	counter("preduce_policy_deviations_total", "Formation-policy decisions that deviated from the static default.", float64(snap.PolicyDeviations))
+	gauge("preduce_policy_p", "Group size chosen at the latest adaptive-p decision (0: fixed P).", float64(snap.PolicyP))
+	counter("preduce_policy_deviations_total", "Adaptive-p group sizes that differed from fixed P's.", float64(snap.PolicyDeviations))
 
 	cs := snap.Comms
 	counter("preduce_comm_ops_total", "Collective operations executed.", float64(cs.Ops))

@@ -126,8 +126,8 @@ const (
 	// and closing (A=first partitioned rank).
 	KPartition
 	KPartitionHeal
-	// KPolicyDecision marks a formation-policy decision that deviated
-	// from the static default (A=decided group size, B=default size).
+	// KPolicyDecision marks an adaptive-p group size that differs from
+	// fixed P's (A=decided group size, B=fixed-P size).
 	KPolicyDecision
 	// KWorkerJoin marks a rank admitted into the membership
 	// (Track=worker, A=new epoch).
