@@ -18,7 +18,7 @@ ci: vet build test race fmaguard allocgate flakegate chaos trace-smoke ctrlguard
 # runtime both feed; a second call site is a second service loop, free to
 # drift from the first.
 ctrlguard:
-	@bad=$$(grep -rnE '\bctrl\.(Ready|Drain|Decommission|AbortGroup|Fail|Join|Rejoin|PurgeSignal)\(' internal cmd \
+	@bad=$$(grep -rnE '\bctrl\.(Ready|Drain|Decommission|AbortGroup|Fail|Join|PurgeSignal)\(' internal cmd \
 		| grep -v '_test\.go:' | grep -v '^internal/engine/service\.go:' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "controller transitions called outside the service core:"; \
@@ -128,7 +128,8 @@ trace-smoke:
 # nothing on another). The one gate here is relative, measured inside one
 # process (traced vs untraced all-reduce <3%). BenchmarkLiveStep is bench/'s comm_mem and comm_tcp workloads
 # as a Go benchmark (/mem, /tcp, each at seg=transport — the transport's own
-# segment, what shipped runs use — and the 4Ki|16Ki|32Ki|64Ki overrides; the
+# segment, what shipped runs use — and at 4Ki|16Ki|32Ki|64Ki, whose endpoints
+# testutil.Segmented gives that segment and frame; the
 # in-process P = 4 and 5 and All-Reduce cells /mem-p4, /mem-p5, /mem-ar at
 # seg=transport|4Ki|32Ki, and ctrl_tcp's All-Reduce, /ctrl-ar, and its
 # P-Reduce, /ctrl: eight RunWorker ranks, rank 0 hosting the controller):

@@ -55,8 +55,6 @@ func main() {
 		"heartbeat interval for peer liveness probing (0 disables; crashes are still caught via broken connections)")
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 0,
 		"declare a peer dead after this long without traffic (default 10x -heartbeat)")
-	segmentSize := flag.Int("segment-size", 0,
-		"collective pipeline segment size in float64 elements (0: the transport's frame size, 32Ki over TCP)")
 	commStats := flag.Bool("comm-stats", false,
 		"print this rank's data-plane statistics (bytes, segments, per-phase time) on exit")
 	ctrlTimeout := flag.Duration("ctrl-timeout", 0,
@@ -108,9 +106,6 @@ func main() {
 	}
 	if *rank < 0 || *rank >= n {
 		fail(fmt.Errorf("need -rank in [0,%d)", n))
-	}
-	if *segmentSize < 0 {
-		fail(fmt.Errorf("need -segment-size >= 0"))
 	}
 	// Fail fast: every rank must agree on the schedule, and a bad one should
 	// not cost a mesh timeout before being rejected.
@@ -199,10 +194,7 @@ func main() {
 
 	var tr transport.Transport = tcp
 	if len(sched.Partitions) > 0 {
-		ftr, err := transport.NewFaultyEndpoint(tcp, transport.FaultPlan{
-			Seed:       *seed,
-			Partitions: sched.Partitions,
-		})
+		ftr, err := transport.NewFaultyEndpoint(tcp, transport.FaultPlan{Partitions: sched.Partitions})
 		if err != nil {
 			fail(err)
 		}
@@ -212,17 +204,16 @@ func main() {
 
 	cfg := live.Config{
 		N: n, P: *p,
-		Spec:         model.Spec{Inputs: 32, Hidden: []int{24}, Classes: 10},
-		Seed:         *seed,
-		Train:        train,
-		Test:         test,
-		BatchSize:    16,
-		Optimizer:    optim.Config{LR: 0.03, Momentum: 0.9, WeightDecay: 1e-4},
-		Iters:        *iters,
-		AdaptiveP:    *policyName != "",
-		SegmentElems: *segmentSize,
-		Initial:      sched.Initial,
-		Elastic:      sched.Elastic,
+		Spec:      model.Spec{Inputs: 32, Hidden: []int{24}, Classes: 10},
+		Seed:      *seed,
+		Train:     train,
+		Test:      test,
+		BatchSize: 16,
+		Optimizer: optim.Config{LR: 0.03, Momentum: 0.9, WeightDecay: 1e-4},
+		Iters:     *iters,
+		AdaptiveP: *policyName != "",
+		Initial:   sched.Initial,
+		Elastic:   sched.Elastic,
 
 		CtrlTimeout:       *ctrlTimeout,
 		CollectiveTimeout: *collTimeout,
@@ -235,12 +226,7 @@ func main() {
 		Recorder:      rec,
 	}
 	if *retryMax > 1 {
-		cfg.Retry = collective.RetryPolicy{
-			MaxAttempts: *retryMax,
-			BaseDelay:   *retryBase,
-			Multiplier:  2,
-			Jitter:      0.2,
-		}
+		cfg.Retry = collective.RetryPolicy{MaxAttempts: *retryMax, BaseDelay: *retryBase}
 	}
 	if *dynamic {
 		cfg.Weighting = preduce.Dynamic

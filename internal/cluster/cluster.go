@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"partialreduce/internal/data"
 	"partialreduce/internal/health"
@@ -135,11 +136,9 @@ type RetryModel struct {
 	// strategy via TimeoutOr).
 	Timeout float64
 	// BaseDelay is the backoff before the second attempt; each further
-	// attempt multiplies it by Multiplier (<= 0: 1), capped at MaxDelay
-	// (0: uncapped).
-	BaseDelay  float64
-	MaxDelay   float64
-	Multiplier float64
+	// attempt doubles it, capped at MaxDelay (0: uncapped).
+	BaseDelay float64
+	MaxDelay  float64
 }
 
 // Validate reports whether the model is usable.
@@ -149,8 +148,6 @@ func (r RetryModel) Validate() error {
 		return fmt.Errorf("cluster: negative retry attempts")
 	case r.Timeout < 0 || r.BaseDelay < 0 || r.MaxDelay < 0:
 		return fmt.Errorf("cluster: negative retry duration")
-	case r.Multiplier < 0:
-		return fmt.Errorf("cluster: negative retry multiplier")
 	}
 	return nil
 }
@@ -173,22 +170,9 @@ func (r RetryModel) TimeoutOr(def float64) float64 {
 
 // Backoff returns the delay before attempt k+1 (k >= 1 completed attempts).
 func (r RetryModel) Backoff(k int) float64 {
-	if r.BaseDelay <= 0 {
-		return 0
-	}
-	m := r.Multiplier
-	if m <= 0 {
-		m = 1
-	}
-	d := r.BaseDelay
-	for i := 1; i < k; i++ {
-		d *= m
-		if r.MaxDelay > 0 && d >= r.MaxDelay {
-			return r.MaxDelay
-		}
-	}
-	if r.MaxDelay > 0 && d > r.MaxDelay {
-		return r.MaxDelay
+	d := math.Ldexp(r.BaseDelay, max(k-1, 0))
+	if r.MaxDelay > 0 {
+		d = min(d, r.MaxDelay)
 	}
 	return d
 }
@@ -513,7 +497,7 @@ func (c *Cluster) EvalAverage() float64 {
 // Kill marks worker w fail-stopped. Idempotent.
 func (c *Cluster) Kill(w int) { c.Dead[w] = true }
 
-// Revive clears w's fail-stop mark after a checkpoint restart.
+// Revive clears the parked mark of w when an elastic join bootstraps it.
 func (c *Cluster) Revive(w int) { c.Dead[w] = false }
 
 // AliveCount returns the number of workers not currently dead.
@@ -528,13 +512,10 @@ func (c *Cluster) AliveCount() int {
 }
 
 // ScheduleCrashes arms the configured fail-stop schedule on the event
-// engine. For each event the worker is marked dead and onCrash fires; if the
-// event rejoins, the worker is revived at its RejoinAt and onRejoin fires
-// (the replica restarts from its crash-time parameters — the simulated
-// equivalent of restoring the checkpoint written at death). Strategies that
-// support faults call this once at the start of Run; strategies that never
-// call it simply ignore the schedule.
-func (c *Cluster) ScheduleCrashes(onCrash, onRejoin func(w int)) {
+// engine. For each event the worker is marked dead for good and onCrash
+// fires. Strategies that support faults call this once at the start of Run;
+// strategies that never call it simply ignore the schedule.
+func (c *Cluster) ScheduleCrashes(onCrash func(w int)) {
 	for _, e := range c.Cfg.Crashes {
 		e := e
 		c.Eng.At(e.At, func() {
@@ -543,21 +524,8 @@ func (c *Cluster) ScheduleCrashes(onCrash, onRejoin func(w int)) {
 			}
 			c.Kill(e.Worker)
 			c.Tracer.Instant(trace.KCrash, int32(e.Worker), int32(c.Workers[e.Worker].Iter), 0, 0)
-			if onCrash != nil {
-				onCrash(e.Worker)
-			}
+			onCrash(e.Worker)
 		})
-		if e.Rejoins() {
-			c.Eng.At(e.RejoinAt, func() {
-				if !c.Dead[e.Worker] {
-					return
-				}
-				c.Revive(e.Worker)
-				if onRejoin != nil {
-					onRejoin(e.Worker)
-				}
-			})
-		}
 	}
 }
 

@@ -140,7 +140,7 @@ func BenchmarkReduceIntoSmall(b *testing.B) {
 					if world[0].FrameElems() != frame {
 						b.Fatalf("%s frame is %d elements, the cells assume %d", wire, world[0].FrameElems(), frame)
 					}
-					benchReduce(b, world, c.elems, true, 1/float64(g), Options{SegmentElems: c.seg})
+					benchReduce(b, segmented(world, c.seg), c.elems, true, 1/float64(g), Options{})
 				})
 			}
 		}
@@ -151,7 +151,7 @@ func BenchmarkReduceIntoSmall(b *testing.B) {
 func BenchmarkRingSegmented(b *testing.B) {
 	for _, seg := range []int{4 << 10, 16 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("seg=%d", seg), func(b *testing.B) {
-			benchRing(b, 4, 1_000_000, Options{SegmentElems: seg})
+			benchReduce(b, segmented(transport.NewMem(4), seg), 1_000_000, false, 1, Options{})
 		})
 	}
 }

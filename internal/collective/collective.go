@@ -9,10 +9,10 @@
 // Data plane (see DESIGN.md): there is one reduction, ReduceInto, and the sum,
 // mean and weighted-average entry points are its in-place wrappers. It is a
 // ring whose steps move their chunk in segments of the transport's
-// SegmentElems(g) (or an explicit Options.SegmentElems) elements, pipelined
-// Gloo-style, or — when 2(g−1)·n fits one frame and there is no retry
-// budget — an exchange that gathers every input to one member, sums them
-// there in the ring's order and broadcasts the result: 2(g−1) frames per op.
+// SegmentElems(g) elements, pipelined Gloo-style, or — when 2(g−1)·n fits
+// one of its frames (FrameElems) and there is no retry budget — an exchange
+// that gathers every input to one member, sums them there in the ring's
+// order and broadcasts the result: 2(g−1) frames per op.
 // AllReduceApply is the mean with the weight update folded in: each member
 // updates the chunk its ring reduced and the all-gather circulates the
 // parameters.
@@ -27,6 +27,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -122,27 +123,24 @@ func (s OpStats) String() string {
 }
 
 // RetryPolicy bounds and paces collective retry after receive timeouts.
-// The zero value means "one attempt, no retry" — today's behavior. Backoff
-// is exponential with seeded jitter: attempt k (0-based) sleeps
-// min(MaxDelay, BaseDelay·Multiplier^k) scaled by a deterministic factor in
-// [1−Jitter, 1+Jitter] drawn from a stream seeded by (Seed, opID), so a run
-// with the same seed reproduces the identical retry trace.
+// The zero value means "one attempt, no retry". Backoff doubles, uncapped,
+// with seeded jitter: retry k (0-based) sleeps BaseDelay·2^k scaled by a
+// deterministic factor in [1−retryJitter, 1+retryJitter] drawn from a stream
+// seeded by (Seed, opID), so a run with the same seed reproduces the
+// identical retry trace.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget (clamped to [1, MaxEpochs]);
 	// 0 means 1.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry (0: no sleep).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff (0: uncapped).
-	MaxDelay time.Duration
-	// Multiplier grows the backoff per retry (<= 0 treated as 1: constant
-	// backoff).
-	Multiplier float64
-	// Jitter in [0, 1] spreads the backoff deterministically per seed.
-	Jitter float64
 	// Seed drives the jitter stream.
 	Seed int64
 }
+
+// retryJitter spreads each backoff by ±20 %, so members whose attempts timed
+// out together do not all resend at once.
+const retryJitter = 0.2
 
 // attempts returns the clamped attempt budget.
 func (p RetryPolicy) attempts() int {
@@ -161,14 +159,8 @@ func (p RetryPolicy) Validate() error {
 	if p.MaxAttempts < 0 {
 		return fmt.Errorf("collective: negative MaxAttempts")
 	}
-	if p.BaseDelay < 0 || p.MaxDelay < 0 {
+	if p.BaseDelay < 0 {
 		return fmt.Errorf("collective: negative retry delay")
-	}
-	if p.Multiplier < 0 {
-		return fmt.Errorf("collective: negative retry multiplier")
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		return fmt.Errorf("collective: retry jitter must be in [0,1]")
 	}
 	return nil
 }
@@ -176,25 +168,8 @@ func (p RetryPolicy) Validate() error {
 // backoff returns the pause before retry number k (0-based), jittered by the
 // op-specific stream rng.
 func (p RetryPolicy) backoff(k int, rng *jitterRNG) time.Duration {
-	d := float64(p.BaseDelay)
-	m := p.Multiplier
-	if m <= 0 {
-		m = 1
-	}
-	for i := 0; i < k; i++ {
-		d *= m
-		if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
-	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.Jitter > 0 {
-		d *= 1 - p.Jitter + float64(2*p.Jitter*rng.float64())
-	}
-	return time.Duration(d)
+	d := math.Ldexp(float64(p.BaseDelay), k)
+	return time.Duration(d * (1 - retryJitter + float64(2*retryJitter*rng.float64())))
 }
 
 // jitterRNG is a tiny deterministic SplitMix64 stream for backoff jitter.
@@ -215,10 +190,6 @@ func (r *jitterRNG) float64() float64 {
 
 // Options tune a collective call. The zero value selects the defaults.
 type Options struct {
-	// SegmentElems is the pipeline segment size in elements: 0 selects the
-	// transport's SegmentElems(g), negative is an error. A size no smaller
-	// than the tensor moves one segment per ring step.
-	SegmentElems int
 	// Stats, when non-nil, accumulates the operation's data-plane counters.
 	Stats *OpStats
 	// Timeout bounds every receive in the operation: one that exceeds it
@@ -241,22 +212,6 @@ type Options struct {
 	// worker rank) and TraceIter their iteration context (-1 when unknown).
 	TraceTrack int32
 	TraceIter  int32
-}
-
-// segElems resolves a g-member ring's segment over t and the frame the
-// exchange rule tests: an explicit SegmentElems sets both, otherwise the
-// transport's SegmentElems(g) and its FrameElems. The exchange rule bounds
-// the root's traffic by the frame, not the segment (docs/perf-log.md,
-// "gather-broadcast exchange").
-func (o Options) segElems(t transport.Transport, g int) (seg, frame int, err error) {
-	switch {
-	case o.SegmentElems < 0:
-		return 0, 0, fmt.Errorf("collective: negative SegmentElems %d", o.SegmentElems)
-	case o.SegmentElems == 0:
-		return t.SegmentElems(g), t.FrameElems(), nil
-	default:
-		return o.SegmentElems, o.SegmentElems, nil
-	}
 }
 
 // position returns the caller's index within group, or an error if absent.
@@ -457,14 +412,13 @@ func (r *ring) recv(from int, tg uint64, into []float64) error {
 // ReduceInto is the all-reduce: it leaves post · Σ_i weight_i·src_i —
 // each member's own weight times its own src, summed over group — in every
 // member's dst. All members must call it with the same group, opID, vector
-// length, post, segment size (the default, the transport's SegmentElems(g),
-// is the same at every endpoint of a world built with one set of options) and
-// attempt budget. A group of one computes post·(weight·src) locally. The
-// folded weighting and post-scale (see ring.step) round exactly as separate
-// Scale passes would, and the result is bit-identical for every
-// segment size: segmentation, and the exchange selected for small inputs
-// when there is no retry budget (see exchange), only change message
-// boundaries, never the per-element order of operations.
+// length, post and attempt budget, over endpoints of one world (whose
+// SegmentElems(g) and FrameElems agree). A group of one computes
+// post·(weight·src) locally. The folded weighting and post-scale (see
+// ring.step) round exactly as separate Scale passes would, and the result is
+// bit-identical for every segment size: segmentation, and the exchange
+// selected for small inputs when there is no retry budget (see exchange),
+// only change message boundaries, never the per-element order of operations.
 //
 // dst is either src itself (in place) or a buffer that does not overlap it.
 // Out of place, src is never written: an operation that fails — peer down,
@@ -507,10 +461,6 @@ func AllReduceApply(t transport.Transport, group []int, opID uint32, grad, param
 // reduce is ReduceInto, plus AllReduceApply's update when apply is set.
 func reduce(t transport.Transport, group []int, opID uint32, dst, src []float64, weight, post float64, params []float64, apply func(lo, hi int), opt Options) error {
 	g := len(group)
-	seg, frame, err := opt.segElems(t, g)
-	if err != nil {
-		return err
-	}
 	n := len(src)
 	if len(dst) != n {
 		return fmt.Errorf("collective: ReduceInto dst length %d != src length %d", len(dst), n)
@@ -540,8 +490,8 @@ func reduce(t transport.Transport, group []int, opID uint32, dst, src []float64,
 	// on both transports (docs/perf-log.md, "gather-broadcast exchange"). Only
 	// without a retry budget: a member whose peers all completed on the
 	// first attempt would retry alone, with nobody left to resend to it.
-	exchange := attempts == 1 && 2*(g-1)*n <= frame
-	r := newRing(t, group, pos, opID, n, seg, stats)
+	exchange := attempts == 1 && 2*(g-1)*n <= t.FrameElems()
+	r := newRing(t, group, pos, opID, n, t.SegmentElems(g), stats)
 	r.deadline = opt.Timeout
 	r.dst, r.src, r.weight = dst, src, weight
 	r.apply, r.params = apply, params

@@ -127,7 +127,7 @@ func TestQuickSegmentedBitIdentical(t *testing.T) {
 			}
 		}
 		run := func(opID uint32, dsts, srcs [][]float64, seg int) error {
-			_, errs := reduceWorld(world, opID, dsts, srcs, weights, post, Options{SegmentElems: seg})
+			_, errs := reduceWorld(segmented(world, seg), opID, dsts, srcs, weights, post, Options{})
 			return errors.Join(errs...)
 		}
 		if err := run(1, plain, plain, max(d, 1)); err != nil {
@@ -176,23 +176,25 @@ func TestAllReduceOpStats(t *testing.T) {
 	const g, n, seg = 4, 1000, 64
 	const applyFor = 5 * time.Millisecond
 	world := asWorld(transport.NewMem(g))
+	segWorld := segmented(world, seg)
 	for _, entry := range []string{"AllReduceSumOpts", "AllReduceApply", "AllReduceApply/exchange"} {
 		stats := make([]OpStats, g)
 		wall := make([]time.Duration, g)
 		applied := make([]time.Duration, g)
 		err := eachMember(world, func(r int, group []int) error {
-			o := Options{SegmentElems: seg, Stats: &stats[r]}
+			o := Options{Stats: &stats[r]}
+			ep := segWorld[r]
 			data := make([]float64, n)
 			start := time.Now()
 			defer func() { wall[r] = time.Since(start) }()
 			if entry == "AllReduceSumOpts" {
-				return AllReduceSumOpts(world[r], group, 5, data, o)
+				return AllReduceSumOpts(ep, group, 5, data, o)
 			}
 			if entry == "AllReduceApply/exchange" {
-				o.SegmentElems = 0
+				ep = world[r]
 				data = data[:10]
 			}
-			return AllReduceApply(world[r], group, 6, data, make([]float64, len(data)), func(int, int) {
+			return AllReduceApply(ep, group, 6, data, make([]float64, len(data)), func(int, int) {
 				t0 := time.Now()
 				time.Sleep(applyFor)
 				applied[r] += time.Since(t0)

@@ -85,7 +85,7 @@ func TestExchangeMatchesRing(t *testing.T) {
 								dst = nanVectors(g, n)
 							}
 							op++
-							stats, errs := reduceWorld(world, op, dst, src, weights, post, Options{SegmentElems: seg})
+							stats, errs := reduceWorld(segmented(world, seg), op, dst, src, weights, post, Options{})
 							for r, err := range errs {
 								if err != nil {
 									t.Fatalf("%s seg=%d rank %d: %v", name, seg, r, err)
@@ -157,7 +157,6 @@ func TestExchangeOverTCP(t *testing.T) {
 func TestExchangeAbortsAfterBudget(t *testing.T) {
 	const g, d = 2, 32
 	eps := faultyGroup(t, g, transport.FaultPlan{
-		Seed:       12,
 		LinkFaults: map[[2]int]transport.LinkFault{{0, 1}: {Sever: true}},
 	})
 	xs := make([][]float64, g)
@@ -214,8 +213,8 @@ func TestExchangeRelayedFailure(t *testing.T) {
 		kill     int   // rank killed a quarter deadline in (-1: none)
 		timedOut []int // ranks that must fail by their deadline
 	}{
-		{"non-root", transport.FaultPlan{Seed: 42, CrashAfterSends: map[int]int{3: 0}}, -1, []int{1, 2, 4, 5, 6, 7}},
-		{"root", transport.FaultPlan{Seed: 43, LinkFaults: map[[2]int]transport.LinkFault{{7, 0}: {Sever: true}}}, 0, nil},
+		{"non-root", transport.FaultPlan{CrashAfterSends: map[int]int{3: 0}}, -1, []int{1, 2, 4, 5, 6, 7}},
+		{"root", transport.FaultPlan{LinkFaults: map[[2]int]transport.LinkFault{{7, 0}: {Sever: true}}}, 0, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eps := faultyGroup(t, g, c.plan)
@@ -261,7 +260,7 @@ func TestExchangeRelayedFailure(t *testing.T) {
 // dst untouched.
 func TestExchangeRootCutPartWay(t *testing.T) {
 	const g, n = 8, 108
-	eps := faultyGroup(t, g, transport.FaultPlan{Seed: 44, CrashAfterSends: map[int]int{0: 2}})
+	eps := faultyGroup(t, g, transport.FaultPlan{CrashAfterSends: map[int]int{0: 2}})
 	xs := specialInputs(rand.New(rand.NewSource(44)), g, n)
 	weights := make([]float64, g)
 	for r := range weights {
@@ -308,7 +307,6 @@ func TestSmallReduceRetriesDroppedFrame(t *testing.T) {
 	want := serialReduce(xs, weights, 1)
 	for _, inPlace := range []bool{false, true} {
 		eps := faultyGroup(t, g, transport.FaultPlan{
-			Seed:       23,
 			LinkFaults: map[[2]int]transport.LinkFault{{0, 1}: {DropFirst: 1}},
 		})
 		src := cloneAll(xs)

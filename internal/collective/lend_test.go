@@ -106,7 +106,7 @@ func TestLentRingBitIdentical(t *testing.T) {
 				dsts[r] = make([]float64, c.n)
 			}
 		}
-		_, errs := reduceWorld(sentFirstWorld(transport.NewMem(c.g)), 7, dsts, srcs, weights, post, Options{SegmentElems: c.seg})
+		_, errs := reduceWorld(segmented(sentFirstWorld(transport.NewMem(c.g)), c.seg), 7, dsts, srcs, weights, post, Options{})
 		for r := range errs {
 			if errs[r] != nil {
 				t.Fatalf("%+v rank %d: %v", c, r, errs[r])

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"partialreduce/internal/hetero"
+	"partialreduce/internal/testutil"
 	"partialreduce/internal/transport"
 )
 
@@ -26,34 +27,41 @@ func faultyGroup(t *testing.T, n int, plan transport.FaultPlan) []*transport.Fau
 	return eps
 }
 
+// segmented wraps each endpoint in testutil.Segmented, so its rings move
+// seg-element segments and its exchange takes only inputs that fit seg; seg
+// 0 keeps the transport's own sizes.
+func segmented[T transport.Transport](eps []T, seg int) []transport.Transport {
+	world := make([]transport.Transport, len(eps))
+	for i, ep := range eps {
+		world[i] = ep
+		if seg > 0 {
+			world[i] = testutil.Segmented{Transport: ep, Elems: seg}
+		}
+	}
+	return world
+}
+
 func TestRetryPolicyValidate(t *testing.T) {
 	bad := []RetryPolicy{
 		{MaxAttempts: -1},
 		{BaseDelay: -time.Second},
-		{MaxDelay: -time.Second},
-		{Multiplier: -2},
-		{Jitter: -0.1},
-		{Jitter: 1.5},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad policy %d accepted: %+v", i, p)
 		}
 	}
-	good := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2, Jitter: 0.2, Seed: 1}
+	good := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good policy rejected: %v", err)
 	}
 }
 
-// TestRetryBackoffDeterministic: the backoff schedule is exponential, capped
-// at MaxDelay, and — because the jitter stream is seeded by (Seed, opID) —
-// identical across runs with the same seed and distinct across op ids.
+// TestRetryBackoffDeterministic: the backoff doubles per retry, uncapped,
+// and — because the jitter stream is seeded by (Seed, opID) — is identical
+// across runs with the same seed and distinct across op ids.
 func TestRetryBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{
-		MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond,
-		Multiplier: 2, Jitter: 0.25, Seed: 42,
-	}
+	p := RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, Seed: 42}
 	seq := func(opID uint32) []time.Duration {
 		rng := newJitterRNG(p.Seed, opID)
 		out := make([]time.Duration, 6)
@@ -67,13 +75,10 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 		if a[k] != b[k] {
 			t.Fatalf("same (seed,op) gave different backoff at %d: %v vs %v", k, a[k], b[k])
 		}
-		// Base 10ms doubling, capped at 60ms, jittered by at most ±25%.
+		// Base 10ms doubling, jittered by at most ±20%.
 		nominal := 10 * time.Millisecond << k
-		if nominal > 60*time.Millisecond {
-			nominal = 60 * time.Millisecond
-		}
-		lo := time.Duration(float64(nominal) * 0.749)
-		hi := time.Duration(float64(nominal) * 1.251)
+		lo := time.Duration(float64(nominal) * 0.799)
+		hi := time.Duration(float64(nominal) * 1.201)
 		if a[k] < lo || a[k] > hi {
 			t.Fatalf("backoff %d = %v outside jitter band [%v,%v]", k, a[k], lo, hi)
 		}
@@ -89,15 +94,6 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("distinct op ids produced identical jitter streams")
 	}
-
-	// Jitter-free policy: the schedule is the pure exponential.
-	noJ := RetryPolicy{BaseDelay: 5 * time.Millisecond, Multiplier: 3, MaxDelay: 100 * time.Millisecond}
-	want := []time.Duration{5, 15, 45, 100, 100}
-	for k, w := range want {
-		if got := noJ.backoff(k, nil); got != w*time.Millisecond {
-			t.Fatalf("backoff %d = %v, want %v", k, got, w*time.Millisecond)
-		}
-	}
 }
 
 // TestAllReduceRetriesThroughPartition: a timed partition makes the first
@@ -107,7 +103,6 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 func TestAllReduceRetriesThroughPartition(t *testing.T) {
 	const n, d = 2, 64
 	eps := faultyGroup(t, n, transport.FaultPlan{
-		Seed:       11,
 		Partitions: hetero.PartitionSchedule{{Ranks: []int{1}, From: 0, Until: 0.400}},
 	})
 	group := []int{0, 1}
@@ -130,11 +125,8 @@ func TestAllReduceRetriesThroughPartition(t *testing.T) {
 			defer wg.Done()
 			errs[r] = AllReduceSumOpts(eps[r], group, 1, datas[r], Options{
 				Timeout: 200 * time.Millisecond,
-				Retry: RetryPolicy{
-					MaxAttempts: 8, BaseDelay: 50 * time.Millisecond,
-					MaxDelay: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.2, Seed: 11,
-				},
-				Stats: &stats[r],
+				Retry:   RetryPolicy{MaxAttempts: 8, BaseDelay: 50 * time.Millisecond, Seed: 11},
+				Stats:   &stats[r],
 			})
 		}()
 	}
@@ -182,7 +174,8 @@ func nanVectors(g, n int) [][]float64 {
 func TestReduceIntoAbortLeavesSourceIntact(t *testing.T) {
 	const g, n, seg, op = 3, 3000, 100, 7
 	// 10 segments per ring step: send 16 dies in the middle of step 1.
-	eps := faultyGroup(t, g, transport.FaultPlan{Seed: 21, CrashAfterSends: map[int]int{2: 15}})
+	eps := faultyGroup(t, g, transport.FaultPlan{CrashAfterSends: map[int]int{2: 15}})
+	world := segmented(eps, seg)
 	group := []int{0, 1, 2}
 	weights := []float64{0.5, 0.25, 0.25}
 	xs := make([][]float64, g)
@@ -200,7 +193,7 @@ func TestReduceIntoAbortLeavesSourceIntact(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[r] = ReduceInto(eps[r], group, op, dst[r], src[r], weights[r], 1, Options{SegmentElems: seg})
+			errs[r] = ReduceInto(world[r], group, op, dst[r], src[r], weights[r], 1, Options{})
 			if r == 0 { // what the controller does on a death report: abort at the survivors
 				eps[0].AbortOp(op)
 				eps[1].AbortOp(op)
@@ -253,9 +246,9 @@ func TestReduceIntoRetryTakesNoSnapshot(t *testing.T) {
 	retry := func(dsts, srcs [][]float64) uint64 {
 		t.Helper()
 		eps := faultyGroup(t, g, transport.FaultPlan{
-			Seed:       22,
 			LinkFaults: map[[2]int]transport.LinkFault{{0, 1}: {DropFirst: 1}},
 		})
+		world := segmented(eps, seg)
 		stats := make([]OpStats, g)
 		errs := make([]error, g)
 		var before, after runtime.MemStats
@@ -266,11 +259,10 @@ func TestReduceIntoRetryTakesNoSnapshot(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[r] = ReduceInto(eps[r], group, 1, dsts[r], srcs[r], weights[r], 0.5, Options{
-					SegmentElems: seg,
-					Timeout:      100 * time.Millisecond,
-					Retry:        RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, Seed: 22},
-					Stats:        &stats[r],
+				errs[r] = ReduceInto(world[r], group, 1, dsts[r], srcs[r], weights[r], 0.5, Options{
+					Timeout: 100 * time.Millisecond,
+					Retry:   RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, Seed: 22},
+					Stats:   &stats[r],
 				})
 			}()
 		}
@@ -312,7 +304,6 @@ func TestReduceIntoRetryTakesNoSnapshot(t *testing.T) {
 func TestAllReduceAbortsAfterBudget(t *testing.T) {
 	const n, d = 2, 32
 	eps := faultyGroup(t, n, transport.FaultPlan{
-		Seed:       12,
 		LinkFaults: map[[2]int]transport.LinkFault{{0, 1}: {Sever: true}},
 	})
 	group := []int{0, 1}
@@ -365,23 +356,22 @@ func TestTimeoutWithoutRetryFailsFast(t *testing.T) {
 	}{{"exchange", 0}, {"ring", 1}} {
 		t.Run(geo.name, func(t *testing.T) {
 			eps := faultyGroup(t, 2, transport.FaultPlan{
-				Seed:       13,
 				LinkFaults: map[[2]int]transport.LinkFault{{1, 0}: {Sever: true}},
 			})
+			world := segmented(eps, geo.seg)
 			var stats OpStats
 			errCh := make(chan error, 1)
 			go func() {
 				data := make([]float64, 16)
-				errCh <- AllReduceSumOpts(eps[0], []int{0, 1}, 3, data, Options{
-					SegmentElems: geo.seg,
-					Timeout:      100 * time.Millisecond,
-					Stats:        &stats,
+				errCh <- AllReduceSumOpts(world[0], []int{0, 1}, 3, data, Options{
+					Timeout: 100 * time.Millisecond,
+					Stats:   &stats,
 				})
 			}()
 			// The peer side also runs (it may fail too); we only assert rank 0.
 			go func() {
 				data := make([]float64, 16)
-				AllReduceSumOpts(eps[1], []int{0, 1}, 3, data, Options{SegmentElems: geo.seg, Timeout: 100 * time.Millisecond})
+				AllReduceSumOpts(world[1], []int{0, 1}, 3, data, Options{Timeout: 100 * time.Millisecond})
 			}()
 			select {
 			case err := <-errCh:

@@ -7,10 +7,11 @@ import (
 )
 
 // replayScript is a seeded random controller workload: ready signals with
-// advancing iterations and clocks, interleaved failures and rejoins. The
-// same seed always produces the same op sequence.
+// advancing iterations and clocks, interleaved with failures that leave at
+// least two workers alive. The same seed always produces the same op
+// sequence.
 type replayOp struct {
-	kind   int // 0: ready, 1: fail, 2: rejoin
+	kind   int // 0: ready, 1: fail
 	worker int
 	iter   int
 	now    float64
@@ -25,21 +26,12 @@ func replayScript(seed int64, n, steps int) []replayOp {
 	var ops []replayOp
 	for len(ops) < steps {
 		now += 0.05 + rng.Float64()
-		switch r := rng.Intn(20); {
-		case r == 0 && deadN < n-2:
+		if rng.Intn(20) == 0 && deadN < n-2 {
 			w := rng.Intn(n)
 			if !dead[w] {
 				dead[w] = true
 				deadN++
 				ops = append(ops, replayOp{kind: 1, worker: w, now: now})
-				continue
-			}
-		case r == 1 && deadN > 0:
-			w := rng.Intn(n)
-			if dead[w] {
-				dead[w] = false
-				deadN--
-				ops = append(ops, replayOp{kind: 2, worker: w, now: now})
 				continue
 			}
 		}
@@ -66,8 +58,6 @@ func runScript(c *Controller, ops []replayOp) []Group {
 			}
 		case 1:
 			out = append(out, c.Fail(op.worker)...)
-		case 2:
-			_ = c.Rejoin(op.worker)
 		}
 	}
 	return out

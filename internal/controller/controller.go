@@ -138,9 +138,7 @@ type Group struct {
 type Stats struct {
 	GroupsFormed  int
 	Interventions int // groups rewritten by frozen avoidance
-	FrozenChecks  int // times the filter inspected a full, disconnected graph
 	Failures      int // workers declared dead (ReportFailure)
-	Rejoins       int // workers re-admitted after a failure
 	GroupsAborted int // groups torn down because a member died mid-collective
 	Joins         int // ranks admitted by elastic scale-out
 	Drains        int // ranks that entered graceful drain
@@ -159,7 +157,7 @@ type Controller struct {
 	stats  Stats
 
 	// Liveness: alive[w] reports worker w is believed up. The controller
-	// is told (ReportFailure, Rejoin); detecting silence is the job of the
+	// is told (ReportFailure); detecting silence is the job of the
 	// runtime that owns the clock and the connections.
 	alive  []bool
 	aliveN int
@@ -168,7 +166,7 @@ type Controller struct {
 	// world view (ranks >= cfg.Initial start outside it and Join later);
 	// draining[w] marks a member finishing its in-flight group before a
 	// graceful hand-off. epoch is the world-view version, bumped by every
-	// membership change (Join/Drain/Decommission/Fail/Rejoin) and stamped
+	// membership change (Join/Drain/Decommission/Fail) and stamped
 	// into formed groups so stale views are rejected deterministically.
 	// activeMask is Decide/filter scratch: member ∧ alive ∧ ¬draining.
 	member     []bool
@@ -273,7 +271,7 @@ func (c *Controller) Ready(s Signal) ([]Group, error) {
 		return nil, fmt.Errorf("controller: worker %d: %w", s.Worker, ErrNotMember)
 	}
 	if !c.alive[s.Worker] {
-		return nil, fmt.Errorf("controller: worker %d is marked dead (rejoin first)", s.Worker)
+		return nil, fmt.Errorf("controller: worker %d is marked dead", s.Worker)
 	}
 	if c.draining[s.Worker] {
 		return nil, fmt.Errorf("controller: worker %d: %w", s.Worker, ErrDraining)
@@ -352,7 +350,6 @@ func (c *Controller) formGroup(p int) (Group, bool) {
 	// bridged to.
 	c.refreshActiveMask()
 	if !c.cfg.DisableGroupFilter && c.graph.Full() && !c.graph.ConnectedAmong(c.activeMask) {
-		c.stats.FrozenChecks++
 		comp := c.graph.Components()
 		if sameComponent(c.queue[:p], comp) {
 			home := comp[c.queue[0].Worker]

@@ -417,35 +417,6 @@ func candidates(free []bool) []int {
 // starved — its signal simply has not been grouped yet).
 func freeCount(free []bool, w int) bool { return !free[w] }
 
-// TestRejoinEdgeCases: re-admitting a worker that never failed is an error
-// (a tracking bug in the caller), as is an out-of-range id; a real rejoin
-// works and is visible in liveness.
-func TestRejoinEdgeCases(t *testing.T) {
-	c := mustNew(t, Config{N: 3, P: 2})
-	if err := c.Rejoin(1); err == nil {
-		t.Fatal("rejoin of an alive worker accepted")
-	}
-	if err := c.Rejoin(-1); err == nil {
-		t.Fatal("rejoin of rank -1 accepted")
-	}
-	if err := c.Rejoin(3); err == nil {
-		t.Fatal("rejoin beyond N accepted")
-	}
-	c.Fail(1)
-	if c.IsAlive(1) || c.ActiveCount() != 2 {
-		t.Fatal("fail not recorded")
-	}
-	if err := c.Rejoin(1); err != nil {
-		t.Fatal(err)
-	}
-	if !c.IsAlive(1) || c.ActiveCount() != 3 {
-		t.Fatal("rejoin not recorded")
-	}
-	if err := c.Rejoin(1); err == nil {
-		t.Fatal("double rejoin accepted")
-	}
-}
-
 // TestPurgeSignalMidGroup: purging removes exactly the queued signal — a
 // worker whose signal was already consumed by group formation has nothing to
 // purge, and purging must not break subsequent grouping.

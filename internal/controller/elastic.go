@@ -35,7 +35,7 @@ var (
 )
 
 // Epoch returns the current world-view version. It starts at 1 and bumps
-// on every membership change (Join, Drain, Decommission, Fail, Rejoin).
+// on every membership change (Join, Drain, Decommission, Fail).
 func (c *Controller) Epoch() uint64 { return c.epoch }
 
 // IsMember reports whether rank w belongs to the current world view.

@@ -1,17 +1,13 @@
 package controller
 
-import (
-	"fmt"
-
-	"partialreduce/internal/trace"
-)
+import "partialreduce/internal/trace"
 
 // Liveness tracking and failure recovery. The paper's §4 observes that the
 // central controller is the natural place for fault tolerance: because model
 // data never flows through it, excluding a failed worker is a pure metadata
 // operation — purge its queued signal, stop grouping it, and keep the
 // sync-graph connectivity judgement to the survivors. These methods implement
-// that, plus checkpoint-rejoin re-admission. Deciding that a silent worker is
+// that; a dead worker never comes back. Deciding that a silent worker is
 // dead is not done here: each runtime owns that detector (DESIGN.md, "Fault
 // tolerance", lists the three) and reports its verdict through ReportFailure.
 
@@ -78,27 +74,6 @@ func (c *Controller) AbortGroup(g Group, dead int) []Group {
 	c.tracer.Instant(trace.KGroupAborted, trace.ControllerTrack, int32(g.Iter), int64(c.stats.GroupsFormed), int64(dead))
 	c.ReportFailure(dead)
 	return c.drainGroups()
-}
-
-// Rejoin re-admits worker after a checkpoint-based restart: it becomes
-// eligible for grouping again the next time it signals ready. Re-admitting
-// an alive worker is an error (it indicates a tracking bug in the caller).
-func (c *Controller) Rejoin(worker int) error {
-	if worker < 0 || worker >= c.cfg.N {
-		return fmt.Errorf("controller: worker %d out of range [0,%d)", worker, c.cfg.N)
-	}
-	if !c.member[worker] {
-		return fmt.Errorf("controller: rejoin: worker %d: %w (Join instead)", worker, ErrNotMember)
-	}
-	if c.alive[worker] {
-		return fmt.Errorf("controller: worker %d is not dead", worker)
-	}
-	c.alive[worker] = true
-	c.aliveN++
-	c.stats.Rejoins++
-	c.epoch++
-	c.tracer.Instant(trace.KWorkerRejoin, int32(worker), -1, int64(c.epoch), 0)
-	return nil
 }
 
 // IsAlive reports whether worker is currently believed up.

@@ -11,6 +11,7 @@ import (
 	"partialreduce/internal/model"
 	"partialreduce/internal/optim"
 	"partialreduce/internal/tensor"
+	"partialreduce/internal/testutil"
 	"partialreduce/internal/transport"
 )
 
@@ -56,7 +57,7 @@ func TestAbortedGroupLeavesModelUntouched(t *testing.T) {
 	}
 	mems := transport.NewMem(2)
 	eps, err := transport.NewFaultyWorld([]transport.Transport{mems[0], mems[1]},
-		transport.FaultPlan{Seed: 3, CrashAfterSends: map[int]int{1: 8}})
+		transport.FaultPlan{CrashAfterSends: map[int]int{1: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,16 +68,16 @@ func TestAbortedGroupLeavesModelUntouched(t *testing.T) {
 	peerDone := make(chan error, 1)
 	x := m.Params().Clone()
 	go func() {
-		peerDone <- collective.ReduceInto(eps[1], group.Members, op, make([]float64, len(x)), x, 0.5, 1,
-			collective.Options{SegmentElems: seg})
+		peerDone <- collective.ReduceInto(testutil.Segmented{Transport: eps[1], Elems: seg}, group.Members, op,
+			make([]float64, len(x)), x, 0.5, 1, collective.Options{})
 	}()
 
 	var stats collective.OpStats
 	optCfg := optim.Config{LR: 0.05, Momentum: 0.9}
 	ctl := &abortControl{m: m, group: group, op: op}
 	out, err := engine.RunPReduceWorker(&engine.LiveWorker{
-		Trans:     eps[0],
-		Copts:     collective.Options{SegmentElems: seg, Stats: &stats},
+		Trans:     testutil.Segmented{Transport: eps[0], Elems: seg},
+		Copts:     collective.Options{Stats: &stats},
 		Model:     m,
 		Opt:       optim.NewSGD(optCfg, m.NumParams()),
 		Sampler:   data.NewSampler(ds, 3),

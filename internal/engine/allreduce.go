@@ -27,7 +27,7 @@ func RunAllReduceSim(c *cluster.Cluster) (*metrics.Result, error) {
 	weights := UniformWeights(n)
 	grads := make([]tensor.Vector, n)
 	machine := NewMachine(n)
-	c.ScheduleCrashes(func(w int) { machine.Kill(w); c.Eng.Stop() }, nil)
+	c.ScheduleCrashes(func(w int) { machine.Kill(w); c.Eng.Stop() })
 
 	var round func()
 	round = func() {

@@ -48,8 +48,7 @@ const (
 	StateApply
 	// StateDone: all iterations completed; terminal.
 	StateDone
-	// StateDead: fail-stopped. A checkpoint rejoin transitions back to
-	// StateCompute.
+	// StateDead: fail-stopped; terminal, as §4's exclusion is.
 	StateDead
 	// StateJoining: an elastic scale-out rank bootstrapping the freshest
 	// checkpointed model from a live donor before its first compute.
@@ -97,7 +96,6 @@ func (s StepState) String() string {
 //	apply   → done                         (iterations exhausted/fast-forwarded)
 //	apply   → dead                         (fail-stop between steps)
 //	apply   → draining                     (drain lands after the group applies)
-//	dead    → compute                      (checkpoint rejoin)
 //	idle    → joining                      (elastic rank starts bootstrapping)
 //	joining → compute                      (bootstrap complete: first local step)
 //	joining → dead                         (donor lost / bootstrap fail-stop)
@@ -114,7 +112,7 @@ var legalSteps = [...][]StepState{
 	StateReduce:   {StateApply, StateReady, StateDead},
 	StateApply:    {StateCompute, StateDone, StateDead, StateDraining},
 	StateDone:     {StateJoining},
-	StateDead:     {StateCompute},
+	StateDead:     nil,
 	StateJoining:  {StateCompute, StateDead},
 	StateDraining: {StateDone, StateDead},
 }

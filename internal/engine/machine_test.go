@@ -34,9 +34,9 @@ func TestMachineAbortRollback(t *testing.T) {
 	m.To(0, StateApply)
 }
 
-// TestMachineKillAndRejoin: Kill moves to dead from anywhere (a fail-stop is
-// an external event), and a checkpoint rejoin resumes at compute.
-func TestMachineKillAndRejoin(t *testing.T) {
+// TestMachineKill: Kill moves to dead from anywhere (a fail-stop is an
+// external event).
+func TestMachineKill(t *testing.T) {
 	for _, path := range [][]StepState{
 		{StateCompute},
 		{StateCompute, StateReady},
@@ -51,7 +51,6 @@ func TestMachineKillAndRejoin(t *testing.T) {
 		if got := m.State(0); got != StateDead {
 			t.Fatalf("killed worker in %v after %v", got, path)
 		}
-		m.To(0, StateCompute) // rejoin
 	}
 }
 
@@ -70,6 +69,7 @@ func TestMachineIllegalTransitionPanics(t *testing.T) {
 		{"reduce to done", []StepState{StateCompute, StateReady, StateReduce}, StateDone},
 		{"done is terminal", []StepState{StateCompute, StateReady, StateDone}, StateCompute},
 		{"dead to reduce", []StepState{StateCompute, StateDead}, StateReduce},
+		{"dead is terminal", []StepState{StateCompute, StateDead}, StateCompute},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

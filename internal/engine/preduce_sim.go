@@ -24,9 +24,9 @@ func (s simSink) StartJoin(j, donor int, _ uint32)   { s.startJoin(j, donor) }
 // runPReduceSim drives Algorithm 2 on the cluster's event engine,
 // with ctrl already wired (tracer, instruments). The
 // controller is served by the same core as the live runtime's
-// (ServiceCore): ready signals, crashes (§4), checkpoint rejoins, elastic
-// joins and drains, stuck ops and watchdog ticks are its events, and this
-// driver models only the data plane — compute, the group collective with
+// (ServiceCore): ready signals, crashes (§4), elastic joins and drains,
+// stuck ops and watchdog ticks are its events, and this driver models only
+// the data plane — compute, the group collective with
 // its partition retries, the average, and the bootstrap transfer. observe,
 // when set, wraps the sim sink and is called after every core event: how the
 // invariant tests watch the service a seeded run drives.
@@ -285,11 +285,6 @@ func runPReduceSim(c *cluster.Cluster, ctrl *controller.Controller, observe func
 		machine.Kill(dead)
 		opOf[dead] = 0
 		serve(func() { core.Lost(dead) })
-	}, func(w int) {
-		// Checkpoint restart: the replica resumes from its crash-time
-		// parameters and iteration count (the state the checkpoint froze).
-		serve(func() { core.rejoin(w) })
-		startCompute(c.Workers[w])
 	})
 
 	// The watchdog ticks on the virtual clock, evaluated by the core inside

@@ -244,17 +244,6 @@ func (c *ServiceCore) done(op uint32, updates int) {
 	c.release()
 }
 
-// rejoin re-admits dead member w after the simulator's checkpoint restart:
-// it is served again from its next signal.
-func (c *ServiceCore) rejoin(w int) {
-	if err := c.ctrl.Rejoin(w); err != nil {
-		c.fail(fmt.Errorf("engine: rejoin worker %d: %w", w, err))
-	} else {
-		c.active++
-	}
-	c.release()
-}
-
 // Active is the number of workers believed alive and not yet finished: the
 // live host serves until it reaches zero.
 func (c *ServiceCore) Active() int { return c.active }

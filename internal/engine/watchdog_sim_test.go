@@ -45,7 +45,7 @@ func watchdogSimRun(t *testing.T, seed int64, dir string) *health.Recorder {
 			Ranks: []int{1}, From: 3, Until: 6,
 		}},
 		Retry: cluster.RetryModel{
-			MaxAttempts: 3, Timeout: 0.2, BaseDelay: 0.05, MaxDelay: 0.1, Multiplier: 2,
+			MaxAttempts: 3, Timeout: 0.2, BaseDelay: 0.05, MaxDelay: 0.1,
 		},
 		TraceCap:  4096,
 		Threshold: 0.999, EvalEvery: 1000, MaxUpdates: 120,

@@ -58,7 +58,6 @@ func RobustnessPartition(opts Options, durations []float64) (*PartitionSweepResu
 				Timeout:     2 * batch,
 				BaseDelay:   0.25 * batch,
 				MaxDelay:    batch,
-				Multiplier:  2,
 			}
 		}
 		jobs = append(jobs, job{cell: cell, strategy: "DYN P=3",

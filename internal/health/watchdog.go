@@ -48,8 +48,8 @@ const (
 	// SLO.QueueDepth — workers are signaling but groups are not forming.
 	RQueueStall
 	// REpochChurn fires when the membership epoch advances by at least
-	// SLO.EpochChurn between consecutive evaluations — fail/rejoin or
-	// join/drain thrash.
+	// SLO.EpochChurn between consecutive evaluations — failure, join or
+	// drain thrash.
 	REpochChurn
 	// RHeartbeatSilence fires when no new group has formed for
 	// SLO.Silence seconds while at least two workers are still active —

@@ -8,19 +8,15 @@ import (
 )
 
 // CrashEvent is one scheduled fail-stop in a simulated run: worker dies at
-// virtual time At; if RejoinAt > At the worker restarts from its checkpoint
-// (its crash-time model state) at that time. Crashes are part of the workload
-// description, not the strategy: the same schedule replayed against P-Reduce
-// and All-Reduce exposes the paper's §4 asymmetry — partial reduce excludes
-// the corpse and keeps training, a global collective cannot.
+// virtual time At and never comes back (§4's exclusion, as in the live
+// runtime). Crashes are part of the workload description, not the strategy:
+// the same schedule replayed against P-Reduce and All-Reduce exposes the
+// paper's §4 asymmetry — partial reduce excludes the corpse and keeps
+// training, a global collective cannot.
 type CrashEvent struct {
-	Worker   int
-	At       sim.Time
-	RejoinAt sim.Time // 0 (or <= At) means the worker never comes back
+	Worker int
+	At     sim.Time
 }
-
-// Rejoins reports whether the event schedules a checkpoint restart.
-func (e CrashEvent) Rejoins() bool { return e.RejoinAt > e.At }
 
 // CrashSchedule is a deterministic fail-stop schedule. It is data, so the
 // same schedule value always produces the same simulated faults regardless
@@ -29,11 +25,9 @@ type CrashSchedule []CrashEvent
 
 // Validate checks the schedule against a cluster of n workers: events must
 // name valid workers at non-negative times, a worker may crash at most once,
-// and at least minAlive workers must survive (rejoining workers count as
-// survivors, since they come back).
+// and at least minAlive workers must survive.
 func (s CrashSchedule) Validate(n, minAlive int) error {
 	seen := make(map[int]bool, len(s))
-	permanent := 0
 	for _, e := range s {
 		if e.Worker < 0 || e.Worker >= n {
 			return fmt.Errorf("hetero: crash worker %d outside [0,%d)", e.Worker, n)
@@ -45,13 +39,10 @@ func (s CrashSchedule) Validate(n, minAlive int) error {
 			return fmt.Errorf("hetero: worker %d crashes twice", e.Worker)
 		}
 		seen[e.Worker] = true
-		if !e.Rejoins() {
-			permanent++
-		}
 	}
-	if n-permanent < minAlive {
+	if n-len(s) < minAlive {
 		return fmt.Errorf("hetero: schedule leaves %d workers alive, need >= %d",
-			n-permanent, minAlive)
+			n-len(s), minAlive)
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 // world (with the same injected ComputeDelay stragglers) demonstrates the
 // heterogeneity tolerance live, not just in simulation. Config.P is ignored.
 func RunAllReduce(cfg Config, world []transport.Transport) (*Report, error) {
-	if cfg.N < 2 || cfg.Spec == nil || cfg.Train == nil || cfg.Test == nil || cfg.BatchSize < 1 || cfg.Iters < 1 || cfg.SegmentElems < 0 {
+	if cfg.N < 2 || cfg.Spec == nil || cfg.Train == nil || cfg.Test == nil || cfg.BatchSize < 1 || cfg.Iters < 1 {
 		return nil, fmt.Errorf("live: invalid all-reduce config")
 	}
 	if err := cfg.Optimizer.Validate(); err != nil {

@@ -33,10 +33,11 @@ import (
 // RunWorker per rank with rank 0 hosting the controller, so every ready
 // signal and reply crosses the mesh beside the groups' exchanges. The figure
 // to read is steps/s — mini-batches computed per wall second across all
-// ranks. seg=transport leaves Config.SegmentElems zero, so the ring uses the
+// ranks. seg=transport runs the world as built, so the ring uses the
 // transport's SegmentElems(g) (4 Ki on mem below 5 members, 32 Ki on mem at
-// 5 or more and on tcp): what every shipped run uses. The 4Ki…64Ki cells
-// override it for the segment-geometry sweep.
+// 5 or more and on tcp): what every shipped run uses. The 4Ki…64Ki cells wrap
+// each endpoint in testutil.Segmented, which sets the segment and the frame,
+// for the segment-geometry sweep.
 func BenchmarkLiveStep(b *testing.B) {
 	wide := model.Spec{Inputs: 60, Hidden: []int{4096}, Classes: 4}
 	small := model.Spec{Inputs: 8, Hidden: []int{8}, Classes: 4}
@@ -84,7 +85,6 @@ func BenchmarkLiveStep(b *testing.B) {
 				cfg := cfg
 				cfg.P = w.p
 				cfg.Iters = w.iters
-				cfg.SegmentElems = segKi << 10
 				// The engine calls this once per computed mini-batch.
 				cfg.ComputeDelay = func(int, int) time.Duration { steps.Add(1); return 0 }
 				b.ReportAllocs()
@@ -95,6 +95,7 @@ func BenchmarkLiveStep(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					world = segmented(world, segKi<<10)
 					b.StartTimer()
 					_, err = w.run(cfg, world)
 					b.StopTimer()

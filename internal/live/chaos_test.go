@@ -54,10 +54,7 @@ func TestChaosSoak(t *testing.T) {
 			cfg.Elastic = hetero.ScaleSchedule(4, 6, 4, 8, 6)
 			cfg.CtrlTimeout = 100 * time.Millisecond
 			cfg.CollectiveTimeout = 150 * time.Millisecond
-			cfg.Retry = collective.RetryPolicy{
-				MaxAttempts: 4, BaseDelay: 20 * time.Millisecond,
-				MaxDelay: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.2, Seed: seed,
-			}
+			cfg.Retry = collective.RetryPolicy{MaxAttempts: 4, BaseDelay: 20 * time.Millisecond, Seed: seed}
 			cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
 
 			// Rank 1 fail-stops mid-run (its endpoint dies on a seeded send,
@@ -66,7 +63,6 @@ func TestChaosSoak(t *testing.T) {
 			// runs on a clock, so a cut-off worker is never mistaken for a dead
 			// one.
 			world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
-				Seed:            seed,
 				CrashAfterSends: map[int]int{1: 2 * (20 + 3*int(seed%5))},
 				Partitions: hetero.PartitionSchedule{{
 					Ranks: []int{2, 3},

@@ -65,7 +65,7 @@ func faultyWorld(t *testing.T, n int, plan transport.FaultPlan) ([]transport.Tra
 // TestCoreLostWhileGroupedCountsTheAbort's.
 func crashSurvivors(t *testing.T, run entry, cfg Config, crashed int) {
 	t.Helper()
-	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: cfg.Seed, CrashAfterSends: map[int]int{crashed: 40}})
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{CrashAfterSends: map[int]int{crashed: 40}})
 	rep := run(t, cfg, world)
 	if rep.FinalAccuracy < 0.9 {
 		t.Fatalf("accuracy %.3f after crash, want >= 0.9", rep.FinalAccuracy)
@@ -104,9 +104,10 @@ func TestLiveCrashViaFaultyTransport(t *testing.T) {
 // collective the corpse dies in is a ring rather than the exchange
 // the 276-parameter model takes by default.
 func TestLiveCrashSurvivorsOnRing(t *testing.T) {
-	cfg := liveConfig(t, 50)
-	cfg.SegmentElems = 1
-	crashSurvivors(t, runBounded, cfg, 3)
+	onRing := func(t *testing.T, cfg Config, world []transport.Transport) *Report {
+		return runBounded(t, cfg, segmented(world, 1))
+	}
+	crashSurvivors(t, onRing, liveConfig(t, 50), 3)
 }
 
 // With one RunWorker per rank the control frames share the data world, the
@@ -123,7 +124,7 @@ func TestRunRankZeroCrash(t *testing.T) { crashSurvivors(t, runBounded, liveConf
 // with each other and finish.
 func TestLiveTwoCrashes(t *testing.T) {
 	cfg := liveConfig(t, 51)
-	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 51, CrashAfterSends: map[int]int{1: 16, 3: 28}})
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{CrashAfterSends: map[int]int{1: 16, 3: 28}})
 
 	rep, err := Run(cfg, world)
 	if err != nil {
@@ -145,7 +146,7 @@ func TestLiveTwoCrashes(t *testing.T) {
 func TestLiveCrashShrinksGroupSize(t *testing.T) {
 	cfg := liveConfig(t, 52)
 	cfg.N, cfg.P = 4, 3
-	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 52, CrashAfterSends: map[int]int{0: 48}})
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{CrashAfterSends: map[int]int{0: 48}})
 
 	rep, err := Run(cfg, world)
 	if err != nil {
@@ -170,7 +171,7 @@ func TestLiveCrashDynamicWeighting(t *testing.T) {
 	cfg := liveConfig(t, 54)
 	cfg.Weighting = controller.Dynamic
 	cfg.Iters = 80
-	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 54, CrashAfterSends: map[int]int{1: 30}})
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{CrashAfterSends: map[int]int{1: 30}})
 
 	rep, err := Run(cfg, world)
 	if err != nil {
@@ -191,7 +192,7 @@ func TestLiveCrashDynamicWeighting(t *testing.T) {
 // hang.
 func TestLiveAllReduceCrashFails(t *testing.T) {
 	cfg := liveConfig(t, 50)
-	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{Seed: 50, CrashAfterSends: map[int]int{3: 60}})
+	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{CrashAfterSends: map[int]int{3: 60}})
 
 	done := make(chan struct{})
 	var rep *Report
@@ -227,7 +228,7 @@ func TestTimeoutConfigValidate(t *testing.T) {
 		t.Fatal("negative CollectiveTimeout accepted")
 	}
 	cfg = liveConfig(t, 63)
-	cfg.Retry.Jitter = 2
+	cfg.Retry.BaseDelay = -time.Second
 	if cfg.Validate() == nil {
 		t.Fatal("invalid retry policy accepted")
 	}
@@ -240,15 +241,11 @@ func TestTimeoutConfigValidate(t *testing.T) {
 func TestLivePartitionRecovery(t *testing.T) {
 	cfg := liveConfig(t, 64)
 	cfg.CollectiveTimeout = 100 * time.Millisecond
-	cfg.Retry = collective.RetryPolicy{
-		MaxAttempts: 3, BaseDelay: 20 * time.Millisecond,
-		MaxDelay: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.2,
-	}
+	cfg.Retry = collective.RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Millisecond}
 	// Slow the batches down so the run reliably spans the partition window
 	// (an unthrottled in-memory run finishes in milliseconds).
 	cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
 	world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
-		Seed: 64,
 		Partitions: hetero.PartitionSchedule{{
 			Ranks: []int{2, 3},
 			From:  0.030,
@@ -292,15 +289,13 @@ func TestRunControlOutOfBand(t *testing.T) {
 	}{{"exchange", 0}, {"ring", 1}} {
 		t.Run(geo.name, func(t *testing.T) {
 			cfg := liveConfig(t, 69)
-			cfg.SegmentElems = geo.seg
 			cfg.CollectiveTimeout = 50 * time.Millisecond
 			cfg.ComputeDelay = func(worker, iter int) time.Duration { return 2 * time.Millisecond }
 			world, _ := faultyWorld(t, cfg.N, transport.FaultPlan{
-				Seed:       69,
 				Partitions: hetero.PartitionSchedule{{Ranks: []int{3}, From: 0, Until: 0.150}},
 			})
 
-			rep := runBounded(t, cfg, world)
+			rep := runBounded(t, cfg, segmented(world, geo.seg))
 			for id := 0; id < cfg.N; id++ {
 				if !rep.Completed[id] || rep.WorkerIters[id] < cfg.Iters {
 					t.Fatalf("worker %d: completed=%v iters=%d/%d", id, rep.Completed[id], rep.WorkerIters[id], cfg.Iters)
@@ -325,7 +320,7 @@ func TestRunWorkerCtrlLinkSevered(t *testing.T) {
 	baseCfg := liveConfig(t, 66)
 	baseCfg.N, baseCfg.P = n, 2
 
-	world, eps := faultyWorld(t, n, transport.FaultPlan{Seed: 66})
+	world, eps := faultyWorld(t, n, transport.FaultPlan{})
 	// Cut the control-plane link between rank 2 and the controller (rank 0)
 	// in both directions before anyone starts.
 	eps[0].SeverLink(2, 0)
@@ -404,7 +399,7 @@ func TestRunWorkerControlFrameLoss(t *testing.T) {
 			const n = 3
 			base := liveConfig(t, 67)
 			base.N, base.P, base.Iters = n, 2, 60
-			world, eps := faultyWorld(t, n, transport.FaultPlan{Seed: 67, LinkFaults: tc.links})
+			world, eps := faultyWorld(t, n, transport.FaultPlan{LinkFaults: tc.links})
 			if tc.sever != nil {
 				eps[0].SeverLink(tc.sever[0], tc.sever[1])
 				time.AfterFunc(heal, func() { eps[0].HealLink(tc.sever[0], tc.sever[1]) })

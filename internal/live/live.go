@@ -65,12 +65,6 @@ type Config struct {
 	// ComputeDelay optionally injects artificial per-batch latency to
 	// emulate heterogeneity on real hardware (nil for full speed).
 	ComputeDelay func(worker, iter int) time.Duration
-	// SegmentElems overrides the collective pipeline segment size in
-	// float64 elements: 0 selects the transport's own segment for the group
-	// size (transport.Transport.SegmentElems: 4 Ki in process below 5
-	// members, 32 Ki in process at 5 or more and over TCP); negative is
-	// rejected.
-	SegmentElems int
 
 	// Initial is the number of founding members: ranks [Initial, N) park —
 	// no worker goroutine, no controller membership — until an Elastic join
@@ -144,8 +138,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: batch size must be positive")
 	case c.Iters < 1:
 		return fmt.Errorf("live: need at least one iteration")
-	case c.SegmentElems < 0:
-		return fmt.Errorf("live: negative SegmentElems %d", c.SegmentElems)
 	case c.CtrlTimeout < 0 || c.CollectiveTimeout < 0:
 		return fmt.Errorf("live: negative timeout")
 	case c.Instruments != nil && c.Tracer == nil:
@@ -377,13 +369,12 @@ func newLiveWorker(cfg Config, id int, tr transport.Transport, base model.Model,
 		Rank:  id,
 		Trans: tr,
 		Copts: collective.Options{
-			SegmentElems: cfg.SegmentElems,
-			Stats:        new(collective.OpStats),
-			Timeout:      cfg.CollectiveTimeout,
-			Retry:        pol,
-			Tracer:       cfg.Tracer,
-			TraceTrack:   int32(id),
-			TraceIter:    -1,
+			Stats:      new(collective.OpStats),
+			Timeout:    cfg.CollectiveTimeout,
+			Retry:      pol,
+			Tracer:     cfg.Tracer,
+			TraceTrack: int32(id),
+			TraceIter:  -1,
 		},
 		Tracer:       cfg.Tracer,
 		Instruments:  cfg.Instruments,

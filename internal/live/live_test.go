@@ -11,12 +11,12 @@ import (
 	"testing"
 	"time"
 
-	"partialreduce/internal/collective"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/data"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
 	"partialreduce/internal/optim"
+	"partialreduce/internal/testutil"
 	"partialreduce/internal/trace"
 	"partialreduce/internal/transport"
 )
@@ -52,6 +52,20 @@ func memWorld(n int) []transport.Transport {
 	return world
 }
 
+// segmented wraps each endpoint in testutil.Segmented, so its rings move
+// seg-element segments and its exchange takes only inputs that fit seg; seg
+// 0 keeps the transport's own sizes.
+func segmented(world []transport.Transport, seg int) []transport.Transport {
+	out := make([]transport.Transport, len(world))
+	for i, ep := range world {
+		out[i] = ep
+		if seg > 0 {
+			out[i] = testutil.Segmented{Transport: ep, Elems: seg}
+		}
+	}
+	return out
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := liveConfig(t, 1)
 	if err := good.Validate(); err != nil {
@@ -71,23 +85,6 @@ func TestConfigValidate(t *testing.T) {
 		mutate(&cfg)
 		if cfg.Validate() == nil {
 			t.Errorf("mutation %d accepted", i)
-		}
-	}
-}
-
-// TestNegativeSegmentRejected: a negative segment size (once the
-// "unsegmented" sentinel) is an error at both boundaries that take one.
-func TestNegativeSegmentRejected(t *testing.T) {
-	cfg := liveConfig(t, 1)
-	cfg.SegmentElems = -1
-	world := memWorld(2)
-	for boundary, err := range map[string]error{
-		"live.Config.Validate": cfg.Validate(),
-		"collective.AllReduceSumOpts": collective.AllReduceSumOpts(world[0], []int{0, 1}, 1,
-			[]float64{1}, collective.Options{SegmentElems: -1}),
-	} {
-		if err == nil {
-			t.Errorf("%s accepted SegmentElems -1", boundary)
 		}
 	}
 }
@@ -343,10 +340,9 @@ func TestLiveAllReduceExchangeMatchesRing(t *testing.T) {
 	final := func(seg int) (float64, []model.Model, int64) {
 		cfg := liveConfig(t, 36)
 		cfg.Iters = 60
-		cfg.SegmentElems = seg
 		rb := &recordingBuilder{Builder: cfg.Spec}
 		cfg.Spec = rb
-		rep, err := RunAllReduce(cfg, memWorld(cfg.N))
+		rep, err := RunAllReduce(cfg, segmented(memWorld(cfg.N), seg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,9 +377,8 @@ func TestLiveAllReduceValidation(t *testing.T) {
 		t.Fatal("world mismatch accepted")
 	}
 	for name, mutate := range map[string]func(*Config){
-		"zero iters":       func(c *Config) { c.Iters = 0 },
-		"nil spec":         func(c *Config) { c.Spec = nil },
-		"negative segment": func(c *Config) { c.SegmentElems = -1 },
+		"zero iters": func(c *Config) { c.Iters = 0 },
+		"nil spec":   func(c *Config) { c.Spec = nil },
 	} {
 		bad := cfg
 		mutate(&bad)

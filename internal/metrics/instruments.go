@@ -300,7 +300,7 @@ func (in *Instruments) Observe(ev trace.Event) {
 		if known && ev.Dur > 0 {
 			in.barrierWait[w] += ev.Dur
 		}
-	case trace.KWorkerJoin, trace.KWorkerDrain, trace.KWorkerDecommission, trace.KWorkerDead, trace.KWorkerRejoin:
+	case trace.KWorkerJoin, trace.KWorkerDrain, trace.KWorkerDecommission, trace.KWorkerDead:
 		in.epoch = ev.A
 	}
 }

@@ -170,7 +170,7 @@ func TestObserveEpoch(t *testing.T) {
 	if got := in.Snapshot().Epoch; got != 1 {
 		t.Fatalf("fresh epoch %d, want 1", got)
 	}
-	for i, k := range []trace.Kind{trace.KWorkerJoin, trace.KWorkerDrain, trace.KWorkerDecommission, trace.KWorkerDead, trace.KWorkerRejoin} {
+	for i, k := range []trace.Kind{trace.KWorkerJoin, trace.KWorkerDrain, trace.KWorkerDecommission, trace.KWorkerDead} {
 		in.Observe(trace.Event{Kind: k, Track: 1, A: int64(i + 2)})
 		if got := in.Snapshot().Epoch; got != int64(i+2) {
 			t.Fatalf("after %v: epoch %d, want %d", k, got, i+2)

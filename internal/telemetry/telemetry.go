@@ -149,7 +149,7 @@ func WriteMetrics(w io.Writer, snap *metrics.InstrumentsSnapshot) error {
 	counter("preduce_group_interventions_total", "Groups rewritten by frozen avoidance.", float64(snap.Interventions))
 	counter("preduce_group_deferrals_total", "Group formations deferred awaiting a bridging signal.", float64(snap.Deferrals))
 
-	gauge("preduce_epoch", "Current membership world-view epoch (bumps on join/drain/decommission/fail/rejoin).", float64(snap.Epoch))
+	gauge("preduce_epoch", "Current membership world-view epoch (bumps on join/drain/decommission/fail).", float64(snap.Epoch))
 
 	gauge("preduce_policy_p", "Group size chosen at the latest adaptive-p decision (0: fixed P).", float64(snap.PolicyP))
 	counter("preduce_policy_deviations_total", "Adaptive-p group sizes that differed from fixed P's.", float64(snap.PolicyDeviations))

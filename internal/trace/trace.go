@@ -101,10 +101,8 @@ const (
 	// KRelease marks the controller releasing a stranded worker to
 	// proceed solo (Track=worker).
 	KRelease
-	// KWorkerDead / KWorkerRejoin mark liveness transitions
-	// (Track=worker, A=new epoch).
+	// KWorkerDead marks a worker declared dead (Track=worker, A=new epoch).
 	KWorkerDead
-	KWorkerRejoin
 	// KRetry marks a collective attempt re-run after a timeout (A=opID,
 	// B=attempt number).
 	KRetry
@@ -171,7 +169,6 @@ var kindNames = [kindCount]string{
 	KGroupAborted:       "group-aborted",
 	KRelease:            "solo-release",
 	KWorkerDead:         "worker-dead",
-	KWorkerRejoin:       "worker-rejoin",
 	KRetry:              "retry",
 	KTimeout:            "timeout",
 	KAbort:              "abort",

@@ -12,62 +12,38 @@ import (
 
 // LinkFault is a fault spec for one directed link (from, to). It models the
 // partial failures real heterogeneous clusters mostly suffer: one-directional
-// loss, delay spikes, and severed links that stall a collective forever
-// rather than killing an endpoint.
+// loss, and severed links that stall a collective forever rather than killing
+// an endpoint.
 type LinkFault struct {
-	// Drop is the per-message drop probability on this link.
-	Drop float64
-	// DropFirst deterministically drops the first K messages on this link
-	// (after that, probabilistic faults apply). Deterministic loss is what
-	// retry tests pin down.
+	// DropFirst drops the first K messages on this link. Deterministic loss
+	// is what retry tests pin down.
 	DropFirst int
-	// DelayRate is the per-message probability of delaying by Delay.
-	DelayRate float64
-	// Delay is the injected latency for delayed messages on this link.
-	Delay time.Duration
 	// Sever silently loses every message on this link until healed — the
 	// one-directional cable cut. Receivers need deadlines, not luck.
 	Sever bool
 }
 
-// FaultPlan is a seeded, deterministic fault schedule for a Faulty world.
-// Decisions are drawn from one RNG stream per directed (from, to) pair, so a
-// run whose per-direction message sequences are deterministic (as every
-// collective schedule is) sees identical faults on every execution with the
-// same seed.
+// FaultPlan is a deterministic fault schedule for a Faulty world: which ranks
+// crash after how many sends, which links lose what, and when the network
+// partitions. It draws nothing at random, so a run whose per-direction message
+// sequences are deterministic (as every collective schedule is) sees the same
+// faults on every execution.
 type FaultPlan struct {
-	// Seed drives every per-direction decision stream.
-	Seed int64
-	// DropRate is the per-message probability of silently losing a message.
-	// Dropped messages are gone — callers relying on them need abort/timeout
-	// recovery, exactly like a real lossy fabric.
-	DropRate float64
-	// DelayRate is the per-message probability of delaying a message by
-	// Delay before it is handed to the inner transport.
-	DelayRate float64
-	// Delay is the injected latency for delayed messages.
-	Delay time.Duration
 	// CrashAfterSends maps rank -> number of successful Send calls after
 	// which that rank crashes: its endpoint dies and every peer sees it as
 	// down (*PeerDownError).
 	CrashAfterSends map[int]int
-	// LinkFaults maps a directed (from, to) pair to a link-level fault spec,
-	// layered on top of the global rates. Healable via Heal/HealLink.
+	// LinkFaults maps a directed (from, to) pair to a link-level fault spec.
+	// Healable via HealLink.
 	LinkFaults map[[2]int]LinkFault
 	// Partitions are timed network partitions, in seconds since world
 	// creation: a frame with exactly one endpoint inside an active
-	// partition's Ranks is silently dropped. Healable via Heal.
+	// partition's Ranks is silently dropped.
 	Partitions hetero.PartitionSchedule
 }
 
 // Validate reports whether the plan is usable in a world of n endpoints.
 func (p FaultPlan) Validate(n int) error {
-	if p.DropRate < 0 || p.DropRate > 1 || p.DelayRate < 0 || p.DelayRate > 1 {
-		return fmt.Errorf("transport: fault rates must be in [0,1]")
-	}
-	if p.Delay < 0 {
-		return fmt.Errorf("transport: negative fault delay")
-	}
 	for link, lf := range p.LinkFaults {
 		if link[0] < 0 || link[1] < 0 || link[0] >= n || link[1] >= n {
 			return fmt.Errorf("transport: link fault (%d,%d) outside world of %d", link[0], link[1], n)
@@ -75,11 +51,8 @@ func (p FaultPlan) Validate(n int) error {
 		if link[0] == link[1] {
 			return fmt.Errorf("transport: link fault (%d,%d) is a self-link", link[0], link[1])
 		}
-		if lf.Drop < 0 || lf.Drop > 1 || lf.DelayRate < 0 || lf.DelayRate > 1 {
-			return fmt.Errorf("transport: link (%d,%d) fault rates must be in [0,1]", link[0], link[1])
-		}
-		if lf.Delay < 0 || lf.DropFirst < 0 {
-			return fmt.Errorf("transport: link (%d,%d) has negative delay or drop count", link[0], link[1])
+		if lf.DropFirst < 0 {
+			return fmt.Errorf("transport: link (%d,%d) has a negative drop count", link[0], link[1])
 		}
 	}
 	for r, c := range p.CrashAfterSends {
@@ -93,12 +66,11 @@ func (p FaultPlan) Validate(n int) error {
 	return p.Partitions.Validate(n)
 }
 
-// linkState is the mutable per-directed-link fault state: the spec, the sent
-// counter (for DropFirst), and the link's own decision stream.
+// linkState is the mutable per-directed-link fault state: the spec and the
+// sent counter (for DropFirst).
 type linkState struct {
 	fault LinkFault
 	sent  int
-	rng   *splitmix
 }
 
 // faultyWorld is the state shared by all endpoints of one Faulty world.
@@ -109,7 +81,6 @@ type faultyWorld struct {
 	dead  []bool
 	start time.Time
 	links map[[2]int]*linkState
-	parts hetero.PartitionSchedule
 	// partFired tracks which timed partitions have had their open (1) and
 	// close (2) trace instants emitted; the windows are evaluated lazily,
 	// so the events fire on the first message decision that observes the
@@ -125,81 +96,67 @@ type faultyWorld struct {
 
 // refreshFaulted recomputes the fast-path flag. Callers hold w.mu.
 func (w *faultyWorld) refreshFaulted() {
-	w.faulted.Store(len(w.links) > 0 || len(w.parts) > 0)
+	w.faulted.Store(len(w.links) > 0 || len(w.plan.Partitions) > 0)
 }
 
-// linkDecision applies partition and link-level faults for one message on the
-// directed link from -> to at elapsed time now.
-func (w *faultyWorld) linkDecision(from, to int, now time.Duration) (drop bool, delay time.Duration) {
+// linkDecision reports whether partition and link-level faults drop one
+// message on the directed link from -> to at elapsed time now.
+func (w *faultyWorld) linkDecision(from, to int, now time.Duration) (drop bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	t := now.Seconds()
-	for i := range w.parts {
-		part := w.parts[i]
+	for i, part := range w.plan.Partitions {
 		active := part.Active(t)
-		if i < len(w.partFired) {
-			// Lazily emit the window transitions the first time a message
-			// decision observes them.
-			if active && w.partFired[i] == 0 {
-				w.partFired[i] = 1
-				w.tracer.Instant(trace.KPartition, trace.ControllerTrack, -1, int64(part.Ranks[0]), int64(len(part.Ranks)))
-			} else if !active && w.partFired[i] == 1 && t >= part.From {
-				w.partFired[i] = 2
-				w.tracer.Instant(trace.KPartitionHeal, trace.ControllerTrack, -1, int64(part.Ranks[0]), int64(len(part.Ranks)))
-			}
+		// Lazily emit the window transitions the first time a message
+		// decision observes them.
+		if active && w.partFired[i] == 0 {
+			w.partFired[i] = 1
+			w.tracer.Instant(trace.KPartition, trace.ControllerTrack, -1, int64(part.Ranks[0]), int64(len(part.Ranks)))
+		} else if !active && w.partFired[i] == 1 && t >= part.From {
+			w.partFired[i] = 2
+			w.tracer.Instant(trace.KPartitionHeal, trace.ControllerTrack, -1, int64(part.Ranks[0]), int64(len(part.Ranks)))
 		}
 		if active && part.Splits([]int{from, to}) {
 			w.tracer.Instant(trace.KLinkDrop, int32(from), -1, int64(from), int64(to))
-			return true, 0
+			return true
 		}
 	}
 	ls, ok := w.links[[2]int{from, to}]
 	if !ok {
-		return false, 0
+		return false
 	}
 	ls.sent++
-	if ls.fault.Sever || ls.sent <= ls.fault.DropFirst ||
-		(ls.fault.Drop > 0 && ls.rng.float64() < ls.fault.Drop) {
+	if ls.fault.Sever || ls.sent <= ls.fault.DropFirst {
 		w.tracer.Instant(trace.KLinkDrop, int32(from), -1, int64(from), int64(to))
-		return true, 0
+		return true
 	}
-	if ls.fault.DelayRate > 0 && ls.rng.float64() < ls.fault.DelayRate {
-		return false, ls.fault.Delay
-	}
-	return false, 0
+	return false
 }
 
-// Faulty wraps a Transport endpoint and injects crashes, drops, and delays
-// according to a shared FaultPlan. With a zero plan it is a transparent
-// pass-through (the property the collective tests pin down).
+// Faulty wraps a Transport endpoint and injects crashes and drops according
+// to a shared FaultPlan. With a zero plan it is a transparent pass-through
+// (the property the collective tests pin down).
 type Faulty struct {
 	inner Transport
 	world *faultyWorld
 	rank  int
-
-	mu      sync.Mutex
-	streams []*splitmix // decision stream per destination rank
-	sends   int
+	sends atomic.Int64
 }
 
 // newFaultyWorld builds the shared world state for n ranks, copying the
-// plan's link and partition specs into mutable (healable) state.
+// plan's link specs into mutable (healable) state.
 func newFaultyWorld(inner []Transport, plan FaultPlan, n int) *faultyWorld {
 	w := &faultyWorld{
-		plan:  plan,
-		inner: inner,
-		dead:  make([]bool, n),
-		start: time.Now(),
-		links: make(map[[2]int]*linkState, len(plan.LinkFaults)),
+		plan:      plan,
+		inner:     inner,
+		dead:      make([]bool, n),
+		start:     time.Now(),
+		links:     make(map[[2]int]*linkState, len(plan.LinkFaults)),
+		partFired: make([]uint8, len(plan.Partitions)),
 	}
 	for link, lf := range plan.LinkFaults {
-		w.links[link] = &linkState{
-			fault: lf,
-			rng:   newSplitmix(plan.Seed, 0x11CC+int64(link[0])*int64(n+1)+int64(link[1])),
-		}
+		w.links[link] = &linkState{fault: lf}
 	}
-	w.parts = append(w.parts, plan.Partitions...)
-	w.partFired = make([]uint8, len(w.parts))
 	w.refreshFaulted()
 	return w
 }
@@ -218,11 +175,7 @@ func NewFaultyWorld(inner []Transport, plan FaultPlan) ([]*Faulty, error) {
 	w := newFaultyWorld(inner, plan, n)
 	eps := make([]*Faulty, n)
 	for i := range eps {
-		streams := make([]*splitmix, n)
-		for j := range streams {
-			streams[j] = newSplitmix(plan.Seed, int64(i)*int64(n)+int64(j))
-		}
-		eps[i] = &Faulty{inner: inner[i], world: w, rank: i, streams: streams}
+		eps[i] = &Faulty{inner: inner[i], world: w, rank: i}
 	}
 	return eps, nil
 }
@@ -240,12 +193,7 @@ func NewFaultyEndpoint(inner Transport, plan FaultPlan) (*Faulty, error) {
 	}
 	world := make([]Transport, n)
 	world[inner.Rank()] = inner
-	w := newFaultyWorld(world, plan, n)
-	streams := make([]*splitmix, n)
-	for j := range streams {
-		streams[j] = newSplitmix(plan.Seed, int64(inner.Rank())*int64(n)+int64(j))
-	}
-	return &Faulty{inner: inner, world: w, rank: inner.Rank(), streams: streams}, nil
+	return &Faulty{inner: inner, world: newFaultyWorld(world, plan, n), rank: inner.Rank()}, nil
 }
 
 // SetTracer attaches a trace recorder to the whole Faulty world (shared by
@@ -300,44 +248,12 @@ func (f *Faulty) Lend(to int, tag uint64, payload []float64, loans *Loans) error
 	if to >= 0 && to < f.Size() && f.deadRank(to) {
 		return &PeerDownError{Peer: to}
 	}
-	plan := f.world.plan
-
-	f.mu.Lock()
-	f.sends++
-	crashNow := false
-	if limit, ok := plan.CrashAfterSends[f.rank]; ok && f.sends > limit {
-		crashNow = true
-	}
-	var drop, delay bool
-	if !crashNow && to >= 0 && to < len(f.streams) {
-		s := f.streams[to]
-		if plan.DropRate > 0 && s.float64() < plan.DropRate {
-			drop = true
-		}
-		if plan.DelayRate > 0 && s.float64() < plan.DelayRate {
-			delay = true
-		}
-	}
-	f.mu.Unlock()
-
-	if crashNow {
+	if limit, ok := f.world.plan.CrashAfterSends[f.rank]; ok && f.sends.Add(1) > int64(limit) {
 		f.Kill(f.rank)
 		return &PeerDownError{Peer: f.rank}
 	}
-	if drop {
-		return nil // lost on the wire
-	}
-	if f.world.faulted.Load() {
-		linkDrop, linkDelay := f.world.linkDecision(f.rank, to, time.Since(f.world.start))
-		if linkDrop {
-			return nil // lost on the wire (sever, partition, or link drop)
-		}
-		if linkDelay > 0 {
-			time.Sleep(linkDelay)
-		}
-	}
-	if delay && plan.Delay > 0 {
-		time.Sleep(plan.Delay)
+	if f.world.faulted.Load() && f.world.linkDecision(f.rank, to, time.Since(f.world.start)) {
+		return nil // lost on the wire (sever, partition, or DropFirst)
 	}
 	if loans == nil {
 		return f.inner.Send(to, tag, payload)
@@ -346,14 +262,14 @@ func (f *Faulty) Lend(to int, tag uint64, payload []float64, loans *Loans) error
 }
 
 // SeverLink cuts the directed link from -> to: every message on it is lost
-// until HealLink or Heal. Safe to call from any goroutine mid-run.
+// until HealLink. Safe to call from any goroutine mid-run.
 func (f *Faulty) SeverLink(from, to int) {
 	w := f.world
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ls, ok := w.links[[2]int{from, to}]
 	if !ok {
-		ls = &linkState{rng: newSplitmix(w.plan.Seed, 0x11CC+int64(from)*int64(len(w.dead)+1)+int64(to))}
+		ls = &linkState{}
 		w.links[[2]int{from, to}] = ls
 	}
 	ls.fault.Sever = true
@@ -368,19 +284,6 @@ func (f *Faulty) HealLink(from, to int) {
 	defer w.mu.Unlock()
 	delete(w.links, [2]int{from, to})
 	w.tracer.Instant(trace.KLinkHeal, trace.ControllerTrack, -1, int64(from), int64(to))
-	w.refreshFaulted()
-}
-
-// Heal clears every link fault and partition in the world. Messages flow
-// normally afterwards (global drop/delay rates and crash schedules remain).
-func (f *Faulty) Heal() {
-	w := f.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.links = make(map[[2]int]*linkState)
-	w.parts = nil
-	w.partFired = nil
-	w.tracer.Instant(trace.KLinkHeal, trace.ControllerTrack, -1, -1, -1)
 	w.refreshFaulted()
 }
 
@@ -418,24 +321,3 @@ func (f *Faulty) FailSelf() { f.Kill(f.rank) }
 
 // Close implements Transport.
 func (f *Faulty) Close() error { return f.inner.Close() }
-
-// splitmix is a tiny deterministic RNG (SplitMix64), independent per stream;
-// it avoids dragging math/rand state-sharing concerns into fault decisions.
-type splitmix struct{ state uint64 }
-
-func newSplitmix(seed, id int64) *splitmix {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 0x2545F4914F6CDD1D
-	return &splitmix{state: z}
-}
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}

@@ -167,13 +167,13 @@ func TestLenderFailingPeerCopiesLoan(t *testing.T) {
 	}
 }
 
-// TestFaultyDropLeavesNothingToSettle: a frame the fault plan drops, by its
-// world-wide rate or by a link fault, was never lent, so Settle has nothing
-// to wait for and nothing arrives.
+// TestFaultyDropLeavesNothingToSettle: a frame the fault plan drops, on a
+// severed link or inside a link's DropFirst budget, was never lent, so Settle
+// has nothing to wait for and nothing arrives.
 func TestFaultyDropLeavesNothingToSettle(t *testing.T) {
 	for name, plan := range map[string]FaultPlan{
-		"rate": {DropRate: 1},
-		"link": {LinkFaults: map[[2]int]LinkFault{{0, 1}: {DropFirst: 1}}},
+		"sever": {LinkFaults: map[[2]int]LinkFault{{0, 1}: {Sever: true}}},
+		"link":  {LinkFaults: map[[2]int]LinkFault{{0, 1}: {DropFirst: 1}}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mem := NewMem(2)

@@ -86,9 +86,9 @@ type Transport interface {
 	// runs while its root's traffic, 2(g−1) inputs, fits one. It is positive
 	// and never more than the endpoint's receivers accept.
 	FrameElems() int
-	// SegmentElems is the segment a ring of g members moves unless its
-	// caller sets one: positive, never more than the receivers accept, and
-	// FrameElems unless the group size changes what a ring step should carry.
+	// SegmentElems is the segment a ring of g members moves: positive, never
+	// more than the receivers accept, and FrameElems unless the group size
+	// changes what a ring step should carry.
 	SegmentElems(g int) int
 	// Close releases the endpoint. Pending receives fail.
 	Close() error
@@ -96,7 +96,7 @@ type Transport interface {
 
 // Stream marks a tag as a stream's: one tag for a whole sequence of frames,
 // the live control plane's shape. A sender's frames on a stream arrive in
-// the order it sent them, unless a fault drops or delays one.
+// the order it sent them, unless a fault drops one.
 const Stream uint64 = 1 << 63
 
 // ErrClosed is returned by operations on a closed transport.

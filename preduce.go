@@ -88,8 +88,8 @@ type (
 	HeteroModel = hetero.Model
 	// NetworkParams is the α–β communication cost model.
 	NetworkParams = netmodel.Params
-	// CrashEvent is one scheduled fail-stop (worker, time, optional rejoin)
-	// in a simulated run.
+	// CrashEvent is one scheduled fail-stop (worker, time) in a simulated
+	// run; the worker never comes back, as in the live runtime.
 	CrashEvent = hetero.CrashEvent
 	// CrashSchedule is a deterministic fail-stop schedule for
 	// SimConfig.Crashes; P-Reduce absorbs the losses, All-Reduce halts (§4).

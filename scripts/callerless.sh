@@ -10,9 +10,11 @@
 # entry that no longer matches a callerless name.
 #
 # A second pass does the same for configuration: every exported field of an
-# exported *Config, *Options, Spec or SLO struct under internal/ (listed as
-# Type.Field) that no non-test file outside the declaring package names as a
-# field — a selector that is not a call (x.Field) or a literal key (Field:).
+# exported *Config, *Options, *Plan, *Policy, *Model, *Fault, Spec or SLO
+# struct under internal/ (the option structs, and the fault plans and retry
+# shapes a run is handed; listed as Type.Field) that no non-test file outside
+# the declaring package names as a field — a selector that is not a call
+# (x.Field) or a literal key (Field:).
 # Such a field has no product setter: whatever reads it only ever sees the
 # zero value or what a test put there. (Package, not file: code next to the
 # declaration that reads a field, or refuses it, does not make it settable.)
@@ -55,7 +57,7 @@ done < "$TMP/decls"
 # restricted to the files outside dir.
 find internal -name '*.go' ! -name '*_test.go' -print | while read -r f; do
     awk -v dir="$(dirname "$f")" '
-        /^type ([A-Z][A-Za-z0-9_]*)?(Config|Options) struct \{/ || /^type (Spec|SLO) struct \{/ { t = $2; next }
+        /^type ([A-Z][A-Za-z0-9_]*)?(Config|Options|Plan|Policy|Model|Fault) struct \{/ || /^type (Spec|SLO) struct \{/ { t = $2; next }
         t != "" && /^}/ { t = "" }
         t != "" && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)* /) {
             n = split(substr($0, 2, RLENGTH - 2), names, /, /)
