@@ -206,7 +206,7 @@ func renderBundle(w io.Writer, path string, top int) error {
 			rs.Rule, rs.Enabled, rs.Firing, rs.Value, rs.Threshold, rs.Fires)
 	}
 
-	fmt.Fprintln(w, "\nstraggler scoreboard:")
+	fmt.Fprintln(w)
 	indent(w, strings.TrimRight(string(parts[health.PartScoreboard]), "\n"))
 	if cfg := strings.TrimSpace(string(parts[health.PartConfig])); cfg != "" && cfg != "{}" {
 		fmt.Fprintln(w, "\nrun config:")

@@ -87,7 +87,7 @@ func TestRunRefusesVersion1Bundle(t *testing.T) {
 	}
 	var out bytes.Buffer
 	err = run([]string{path}, &out)
-	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 3") {
 		t.Fatalf("version-1 bundle: err = %v, want the version refusal; output:\n%s", err, out.String())
 	}
 }

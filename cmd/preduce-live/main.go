@@ -138,8 +138,8 @@ func main() {
 		ringCap = 8192
 	}
 	tr2 := trace.New(trace.NewWallClock(), ringCap)
-	// Stamp the recording rank into every event, so merged multi-rank
-	// timelines self-identify without the .r<rank> file-name convention.
+	// Stamp the recording rank into every event: the analyzer reads a
+	// trace's rank from these stamps, not from its file name.
 	tr2.SetOrigin(int32(*rank))
 	ins := metrics.NewInstruments(n)
 
@@ -267,7 +267,7 @@ func main() {
 				case <-stop:
 					return
 				case <-tick.C:
-					_ = telemetry.WriteScoreboard(os.Stderr, ins.Snapshot())
+					_ = metrics.WriteScoreboard(os.Stderr, ins.Snapshot())
 				}
 			}
 		}()
@@ -317,7 +317,7 @@ func main() {
 		fail(err)
 	}
 	if *scoreboard > 0 && *rank == 0 {
-		_ = telemetry.WriteScoreboard(os.Stderr, ins.Snapshot())
+		_ = metrics.WriteScoreboard(os.Stderr, ins.Snapshot())
 	}
 	fmt.Fprintf(os.Stderr, "rank %d: done in %s\n", *rank, time.Since(start).Round(time.Millisecond))
 	flushTrace()

@@ -88,22 +88,6 @@ func TestVoteOffsetSingle(t *testing.T) {
 	}
 }
 
-func TestRankFromPath(t *testing.T) {
-	cases := map[string]int{
-		"run.r0.jsonl":       0,
-		"run.r12.jsonl":      12,
-		"/tmp/a/run.r3.json": 3,
-		"run.jsonl":          -1,
-		"r4.jsonl":           -1,
-		"run.r-1.jsonl":      -1,
-	}
-	for path, want := range cases {
-		if got := RankFromPath(path); got != want {
-			t.Errorf("RankFromPath(%q) = %d, want %d", path, got, want)
-		}
-	}
-}
-
 func TestParseJSONLRoundTrip(t *testing.T) {
 	events := []trace.Event{
 		{TS: 1.25, Dur: 0.5, Kind: trace.KCompute, Track: 2, Iter: 7, Origin: 2, A: 1, B: 2},

@@ -222,7 +222,7 @@ func Merge(tracks []RankTrace) (*Merged, error) {
 	host := -1
 	for _, t := range sorted {
 		if t.Rank < 0 {
-			return nil, fmt.Errorf("analyze: trace %q has no rank (stamp events with SetOrigin or use .r<rank> file names)", t.Path)
+			return nil, fmt.Errorf("analyze: trace %q has no rank (stamp its events with SetOrigin)", t.Path)
 		}
 		if seen[t.Rank] {
 			return nil, fmt.Errorf("analyze: duplicate rank %d", t.Rank)

@@ -22,9 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 
 	"partialreduce/internal/health"
@@ -32,8 +29,8 @@ import (
 )
 
 // RankTrace is one recording process's event stream: Rank identifies the
-// process (-1 when unknown — a simulator trace, or a legacy file with no
-// rank stamps), Events its parsed events in file order.
+// process (-1 when its events carry no rank stamp — a simulator trace),
+// Events its parsed events in file order.
 type RankTrace struct {
 	Rank   int
 	Path   string
@@ -94,25 +91,6 @@ func ParseJSONL(r io.Reader) ([]trace.Event, error) {
 	return events, nil
 }
 
-// rankSuffix matches the ".r<rank>" infix cmd/preduce-live inserts before
-// the trace extension — the legacy rank carrier, used only when the
-// events themselves are unstamped.
-var rankSuffix = regexp.MustCompile(`\.r(\d+)\.[^.]+$`)
-
-// RankFromPath extracts the rank from a ".r<rank>.<ext>" file name, or
-// -1 when the name carries none.
-func RankFromPath(path string) int {
-	m := rankSuffix.FindStringSubmatch(filepath.Base(path))
-	if m == nil {
-		return -1
-	}
-	r, err := strconv.Atoi(m[1])
-	if err != nil {
-		return -1
-	}
-	return r
-}
-
 // ReadTraceFile parses one JSONL trace file into a RankTrace.
 func ReadTraceFile(path string) (RankTrace, error) {
 	f, err := os.Open(path)
@@ -145,11 +123,10 @@ func ReadBundle(dir string) (*health.Manifest, map[string][]byte, RankTrace, err
 }
 
 // rankTrace names the process that recorded events read from path: the
-// events' rank stamps when present (the file name is only the fallback
-// carrier), else a ".r<rank>" infix in the file name, else -1
-// (single-trace mode).
+// rank its events are stamped with, -1 when they are unstamped (a
+// simulator trace: single-trace mode).
 func rankTrace(path string, events []trace.Event) RankTrace {
-	rank := RankFromPath(path)
+	rank := -1
 	for _, ev := range events {
 		if ev.Origin >= 0 {
 			rank = int(ev.Origin)

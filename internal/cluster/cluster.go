@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"partialreduce/internal/data"
-	"partialreduce/internal/health"
 	"partialreduce/internal/hetero"
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/model"
@@ -236,16 +235,6 @@ type Cluster struct {
 	// folded from Tracer's events; nil otherwise. Strategies that use the
 	// controller attach it there.
 	Ins *metrics.Instruments
-
-	// Health, when set alongside Recorder, arms the watchdog: strategies
-	// that run the controller (P-Reduce) evaluate it every HealthEvery
-	// virtual seconds over Ins snapshots plus controller introspection,
-	// and capture a postmortem bundle through Recorder on each newly
-	// firing rule. Both are optional wiring, set after New by the host
-	// (CLI flags, tests); nil leaves monitoring off.
-	Health      *health.Watchdog
-	Recorder    *health.Recorder
-	HealthEvery float64 // watchdog cadence in virtual seconds (<= 0: 1.0)
 
 	// EvalOverride, when set, replaces the averaged-replica evaluation:
 	// parameter-server strategies evaluate the server's global model, and

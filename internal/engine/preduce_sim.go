@@ -24,8 +24,8 @@ func (s simSink) StartJoin(j, donor int, _ uint32)   { s.startJoin(j, donor) }
 // runPReduceSim drives Algorithm 2 on the cluster's event engine,
 // with ctrl already wired (tracer, instruments). The
 // controller is served by the same core as the live runtime's
-// (ServiceCore): ready signals, crashes (§4), elastic joins and drains,
-// stuck ops and watchdog ticks are its events, and this driver models only
+// (ServiceCore): ready signals, crashes (§4), elastic joins and drains and
+// stuck ops are its events, and this driver models only
 // the data plane — compute, the group collective with
 // its partition retries, the average, and the bootstrap transfer. observe,
 // when set, wraps the sim sink and is called after every core event: how the
@@ -113,9 +113,9 @@ func runPReduceSim(c *cluster.Cluster, ctrl *controller.Controller, observe func
 	}
 
 	// count records a robustness event in the run's comm stats and mirrors
-	// it into the live instruments (when attached), so the watchdog's
-	// retry-storm rule sees the same counters in sim and live: the side
-	// call the live runtime makes with its OpStats deltas.
+	// it into the instruments (when attached), so a traced run's counters
+	// match the live runtime's: the side call it makes with its OpStats
+	// deltas.
 	count := func(cs metrics.CommStats) {
 		c.Track.AddComms(cs)
 		c.Ins.AddComms(cs)
@@ -245,7 +245,6 @@ func runPReduceSim(c *cluster.Cluster, ctrl *controller.Controller, observe func
 	var out Sink = simSink{reply: reply, abort: abort, startJoin: serveBootstrap}
 	core = NewServiceCore(ServiceConfig{
 		N: c.Cfg.N, Elastic: c.Cfg.Elastic,
-		Watchdog: c.Health, Recorder: c.Recorder, Instruments: c.Ins,
 	}, ctrl, nil)
 	core.byUpdates = true
 	if observe != nil {
@@ -286,26 +285,6 @@ func runPReduceSim(c *cluster.Cluster, ctrl *controller.Controller, observe func
 		opOf[dead] = 0
 		serve(func() { core.Lost(dead) })
 	})
-
-	// The watchdog ticks on the virtual clock, evaluated by the core inside
-	// the event loop, so a same-seed replay fires the same rules at the same
-	// virtual times and captures byte-identical bundles. The tick
-	// reschedules itself only while other events remain pending — a
-	// recurring event must not keep the queue alive after the run drains.
-	if c.Health != nil {
-		every := c.HealthEvery
-		if every <= 0 {
-			every = 1.0
-		}
-		var tick func()
-		tick = func() {
-			serve(func() { core.Tick(c.Eng.Now()) })
-			if c.Eng.Pending() > 0 {
-				c.Eng.After(every, tick)
-			}
-		}
-		c.Eng.After(every, tick)
-	}
 
 	for _, w := range c.Workers {
 		c.Eng.At(0, func() { startCompute(w) })

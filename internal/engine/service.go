@@ -22,7 +22,7 @@ import (
 //
 // The core owns the liveness bookkeeping (who waits for a reply, who is
 // inside a dispatched collective, who finished), the elastic schedule
-// cursor, and the watchdog evaluation; who is a member and who is dead it
+// cursor, and the live runtime's watchdog evaluation; who is a member and who is dead it
 // reads from the controller. The adapter owns only the failure detector (the
 // live receive loops, the simulator's crash schedule), which reports through
 // Lost. The controller lives and dies with the process that hosts it: there

@@ -487,6 +487,55 @@ func TestCoreExitEvaluatesWatchdog(t *testing.T) {
 	}
 }
 
+// The watchdog as the live runtime drives it: Ticks on the health clock,
+// evaluated by the core over the run's instruments. A retry storm captures
+// exactly one bundle however long it persists; once the rule has cleared
+// (four clean ticks), a second storm captures a second. Both bundles are
+// intact and name the rule.
+func TestCoreWatchdogFiresOncePerAnomaly(t *testing.T) {
+	ins := metrics.NewInstruments(4)
+	tr := trace.New(trace.FuncClock(func() float64 { return 0 }), 64)
+	tr.SetSink(ins.Observe)
+	cfg := coreConfig(4, 2)
+	cfg.Watchdog = health.New(health.SLO{RetryStorm: 2})
+	cfg.Instruments = ins
+	rec := health.NewRecorder(t.TempDir(), tr, ins, []byte(`{"test":"core-watchdog"}`))
+	cfg.Recorder = rec
+	h := newCoreHarness(t, cfg)
+	tick := func(n int, retries int64) {
+		for i := 0; i < n; i++ {
+			ins.AddComms(metrics.CommStats{Retries: retries})
+			h.c.Tick(h.now)
+			h.after()
+		}
+	}
+	bundles := func(want int) {
+		t.Helper()
+		if got := len(rec.Written()); got != want {
+			t.Fatalf("%d bundles %v, want %d; watchdog %+v", got, rec.Written(), want, cfg.Watchdog.State())
+		}
+	}
+
+	tick(1, 0) // primes the retry baseline
+	tick(10, 3)
+	bundles(1)
+	tick(3, 0)
+	tick(10, 3) // three clean ticks do not clear the rule
+	bundles(1)
+	tick(4, 0)
+	tick(2, 3)
+	bundles(2)
+	for _, path := range rec.Written() {
+		man, _, err := health.ReadBundle(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(man.Rules) != 1 || man.Rules[0] != "retry-storm" {
+			t.Fatalf("%s: rules %v, want [retry-storm]", path, man.Rules)
+		}
+	}
+}
+
 type nopSink struct{}
 
 func (nopSink) Reply(int, uint64, Directive) {}

@@ -39,8 +39,6 @@ func snapshotFields(s *metrics.InstrumentsSnapshot) map[string]string {
 	return map[string]string{
 		"Staleness": fmt.Sprintf("count=%d sum=%d max=%d overflow=%d buckets=%s",
 			s.Staleness.Count(), s.Staleness.Sum(), s.Staleness.Max(), overflow, hashI(buckets)),
-		"QueueDepthTS":     hashF(s.QueueDepthTS),
-		"QueueDepthV":      hashF(s.QueueDepthV),
 		"BarrierWait":      hashF(s.BarrierWait),
 		"MaxContactAge":    fmt.Sprint(s.MaxContactAge),
 		"SyncComponents":   fmt.Sprint(s.SyncComponents),
@@ -57,7 +55,6 @@ func snapshotFields(s *metrics.InstrumentsSnapshot) map[string]string {
 		"GroupCount":       hashI(s.GroupCount),
 		"Comms": fmt.Sprintf("%d %d %d %d %d %d %d %s %s", c.Ops, c.BytesSent, c.BytesRecv, c.Segments,
 			c.Retries, c.Timeouts, c.Aborts, f64(c.ReduceScatterS), f64(c.AllGatherS)),
-		"QueueDepthNow":    f64(s.QueueDepthNow),
 		"QueueDepthSample": f64(s.QueueDepthSample),
 	}
 }
@@ -116,10 +113,7 @@ func TestInstrumentsSnapshotPinned(t *testing.T) {
 			"MaxContactAge":    "16",
 			"PolicyDeviations": "0",
 			"PolicyP":          "0",
-			"QueueDepthNow":    "0x405205269279937d",
 			"QueueDepthSample": "0x4010000000000000",
-			"QueueDepthTS":     "n=320 fnv=0xba60d8cea8ecd099",
-			"QueueDepthV":      "n=320 fnv=0xd0b455eb40468368",
 			"Staleness":        "count=320 sum=144 max=3 overflow=0 buckets=n=64 fnv=0x53c2c9b5771b844b",
 			"SyncComponents":   "1",
 		}},
@@ -141,10 +135,7 @@ func TestInstrumentsSnapshotPinned(t *testing.T) {
 			"MaxContactAge":    "8",
 			"PolicyDeviations": "0",
 			"PolicyP":          "0",
-			"QueueDepthNow":    "0x405448285a537017",
 			"QueueDepthSample": "0x4010000000000000",
-			"QueueDepthTS":     "n=800 fnv=0x921d50965a1b12ed",
-			"QueueDepthV":      "n=800 fnv=0xa9375f60471a4c33",
 			"Staleness":        "count=800 sum=373 max=2 overflow=0 buckets=n=64 fnv=0xbb5207ef69998006",
 			"SyncComponents":   "7",
 		}},
@@ -166,10 +157,7 @@ func TestInstrumentsSnapshotPinned(t *testing.T) {
 			"MaxContactAge":    "0",
 			"PolicyDeviations": "0",
 			"PolicyP":          "0",
-			"QueueDepthNow":    "0x403bde786518ce93",
 			"QueueDepthSample": "0x4010000000000000",
-			"QueueDepthTS":     "n=240 fnv=0x44c73e18cd5476d1",
-			"QueueDepthV":      "n=240 fnv=0x94a376c0684dc085",
 			"Staleness":        "count=240 sum=79 max=3 overflow=0 buckets=n=64 fnv=0x2a003761b7d8ce3",
 			"SyncComponents":   "5",
 		}},

@@ -2,20 +2,22 @@ package health
 
 // Postmortem bundle format: one directory of deterministic parts, indexed
 // by a manifest that carries each part's size and CRC32. Parts are
-// rendered in a fixed order with hand-ordered JSON, so a deterministic input
-// (a same-seed simulator replay) produces byte-identical part files.
+// rendered in a fixed order by deterministic writers, so the same capture
+// inputs produce byte-identical part files.
 //
 // Files, manifest first:
 //
 //	manifest.json   version, reason, firing rules, part index with CRC32s
 //	watchdog.json   the breaches that triggered capture + full rule state
-//	metrics.json    the full instruments snapshot (buckets, per-worker ledgers)
-//	scoreboard.csv  the straggler scoreboard, recent-blame descending
+//	metrics.prom    the instruments snapshot, as /metrics renders it
+//	scoreboard.txt  the straggler scoreboard, as -scoreboard prints it
 //	trace.jsonl     the flight-recorder ring, trace.WriteJSONL format
 //	config.json     host-supplied run config (verbatim; "{}" when absent)
 //
-// Version 2 dropped version 1's controller.bin, a controller snapshot no
-// reader decoded; ReadBundle refuses a version-1 bundle by its version.
+// Version 2 dropped version 1's controller.bin and version 3 replaced
+// version 2's metrics.json and scoreboard.csv with the renderings above:
+// none of the dropped schemas had a reader. ReadBundle refuses an older
+// bundle by its version.
 
 import (
 	"bytes"
@@ -24,21 +26,20 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"partialreduce/internal/metrics"
 	"partialreduce/internal/trace"
 )
 
 // BundleVersion is the manifest schema version this package writes.
-const BundleVersion = 2
+const BundleVersion = 3
 
 // Part names, in manifest order (the manifest itself first).
 const (
 	PartManifest   = "manifest.json"
 	PartWatchdog   = "watchdog.json"
-	PartMetrics    = "metrics.json"
-	PartScoreboard = "scoreboard.csv"
+	PartMetrics    = "metrics.prom"
+	PartScoreboard = "scoreboard.txt"
 	PartTrace      = "trace.jsonl"
 	PartConfig     = "config.json"
 )
@@ -81,37 +82,6 @@ type BreachEntry struct {
 	Seq       uint64  `json:"seq"`
 }
 
-// metricsPart is the metrics.json schema: the full instruments snapshot
-// flattened to exported scalars and slices. It deliberately does not
-// reuse telemetry's Prometheus rendering — the bundle is a data
-// artifact, not a scrape.
-type metricsPart struct {
-	StalenessBuckets  []int64           `json:"staleness_buckets"`
-	StalenessOverflow int64             `json:"staleness_overflow"`
-	StalenessCount    int64             `json:"staleness_count"`
-	StalenessSum      int64             `json:"staleness_sum"`
-	StalenessMax      int64             `json:"staleness_max"`
-	StalenessP50      int64             `json:"staleness_p50"`
-	StalenessP95      int64             `json:"staleness_p95"`
-	QueueDepthTS      []float64         `json:"queue_depth_ts"`
-	QueueDepthV       []float64         `json:"queue_depth_v"`
-	BarrierWait       []float64         `json:"barrier_wait"`
-	GroupWait         []float64         `json:"group_wait"`
-	Blame             []float64         `json:"blame"`
-	BlameEWMA         []float64         `json:"blame_ewma"`
-	CriticalN         []int64           `json:"critical_n"`
-	GroupCount        []int64           `json:"group_count"`
-	MaxContactAge     int64             `json:"max_contact_age"`
-	SyncComponents    int64             `json:"sync_components"`
-	GroupsFormed      int64             `json:"groups_formed"`
-	Interventions     int64             `json:"interventions"`
-	Deferrals         int64             `json:"deferrals"`
-	Epoch             int64             `json:"epoch"`
-	PolicyP           int64             `json:"policy_p"`
-	PolicyDeviations  int64             `json:"policy_deviations"`
-	Comms             metrics.CommStats `json:"comms"`
-}
-
 // Bundle is the in-memory form of one postmortem capture, ready to be
 // written by WriteBundle.
 type Bundle struct {
@@ -123,51 +93,6 @@ type Bundle struct {
 	Events   []trace.Event
 	Dropped  uint64 // events the ring overwrote before Events[0]
 	Config   []byte // run config JSON, verbatim; nil renders as "{}"
-}
-
-// renderScoreboard renders the straggler scoreboard CSV: one row per
-// worker in metrics.InstrumentsSnapshot.Scoreboard order, with fixed
-// 6-decimal floats for byte determinism.
-func renderScoreboard(snap *metrics.InstrumentsSnapshot) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("rank,recent_s,blame_s,waited_s,critical,groups\n")
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
-	for _, r := range snap.Scoreboard() {
-		fmt.Fprintf(&buf, "%d,%s,%s,%s,%d,%d\n", r.Rank, f(r.Recent), f(r.Blame), f(r.Waited), r.Critical, r.Groups)
-	}
-	return buf.Bytes()
-}
-
-// renderMetrics renders metrics.json from the snapshot.
-func renderMetrics(snap *metrics.InstrumentsSnapshot) ([]byte, error) {
-	counts, overflow := snap.Staleness.Buckets()
-	mp := metricsPart{
-		StalenessBuckets:  counts,
-		StalenessOverflow: overflow,
-		StalenessCount:    snap.Staleness.Count(),
-		StalenessSum:      snap.Staleness.Sum(),
-		StalenessMax:      snap.Staleness.Max(),
-		StalenessP50:      snap.Staleness.Quantile(0.5),
-		StalenessP95:      snap.Staleness.Quantile(0.95),
-		QueueDepthTS:      snap.QueueDepthTS,
-		QueueDepthV:       snap.QueueDepthV,
-		BarrierWait:       snap.BarrierWait,
-		GroupWait:         snap.GroupWait,
-		Blame:             snap.Blame,
-		BlameEWMA:         snap.BlameEWMA,
-		CriticalN:         snap.CriticalN,
-		GroupCount:        snap.GroupCount,
-		MaxContactAge:     snap.MaxContactAge,
-		SyncComponents:    snap.SyncComponents,
-		GroupsFormed:      snap.GroupsFormed,
-		Interventions:     snap.Interventions,
-		Deferrals:         snap.Deferrals,
-		Epoch:             snap.Epoch,
-		PolicyP:           snap.PolicyP,
-		PolicyDeviations:  snap.PolicyDeviations,
-		Comms:             snap.Comms,
-	}
-	return json.Marshal(mp)
 }
 
 // parts renders every non-manifest part in partOrder.
@@ -186,11 +111,13 @@ func (b *Bundle) parts() (names []string, blobs [][]byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mp, err := renderMetrics(snap)
-	if err != nil {
+	var prom, board, tb bytes.Buffer
+	if err := metrics.WritePrometheus(&prom, snap); err != nil {
 		return nil, nil, err
 	}
-	var tb bytes.Buffer
+	if err := metrics.WriteScoreboard(&board, snap); err != nil {
+		return nil, nil, err
+	}
 	if err := trace.WriteJSONL(&tb, b.Events, b.Dropped); err != nil {
 		return nil, nil, err
 	}
@@ -198,7 +125,7 @@ func (b *Bundle) parts() (names []string, blobs [][]byte, err error) {
 	if len(cfg) == 0 {
 		cfg = []byte("{}")
 	}
-	return partOrder, [][]byte{wd, mp, renderScoreboard(snap), tb.Bytes(), cfg}, nil
+	return partOrder, [][]byte{wd, prom.Bytes(), board.Bytes(), tb.Bytes(), cfg}, nil
 }
 
 // WriteBundle writes b into the existing directory dir: the manifest and

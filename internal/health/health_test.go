@@ -268,14 +268,18 @@ func TestBundleWriteValidateDeterministic(t *testing.T) {
 	if string(parts[PartConfig]) != `{"n":3,"p":2}` {
 		t.Fatalf("config part mangled: %q", parts[PartConfig])
 	}
-	if !strings.HasPrefix(string(parts[PartScoreboard]), "rank,recent_s,blame_s,waited_s,critical,groups\n1,") {
+	if board := strings.Split(string(parts[PartScoreboard]), "\n"); len(board) < 3 || !strings.HasPrefix(strings.TrimSpace(board[2]), "1 ") {
 		t.Fatalf("scoreboard should rank worker 1 first:\n%s", parts[PartScoreboard])
 	}
 	if lines := strings.Count(string(parts[PartTrace]), "\n"); lines != 2 {
 		t.Fatalf("trace part holds %d events, want 2", lines)
 	}
-	if !strings.Contains(string(parts[PartMetrics]), `"epoch":4`) {
-		t.Fatal("metrics part missing epoch")
+	var prom bytes.Buffer
+	if err := metrics.WritePrometheus(&prom, b.Snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(parts[PartMetrics], prom.Bytes()) || !strings.Contains(prom.String(), "\npreduce_epoch 4\n") {
+		t.Fatalf("metrics part is not the snapshot's exposition:\n%s", parts[PartMetrics])
 	}
 	if !strings.Contains(string(parts[PartWatchdog]), `"rule":"blame-spike"`) {
 		t.Fatal("watchdog part missing breach")
@@ -301,43 +305,30 @@ func TestBundleWriteValidateDeterministic(t *testing.T) {
 	}
 }
 
-// writeV1Bundle writes b into dir the way bundle format version 1 did: the
-// current parts plus a trailing controller.bin, under a version-1 manifest.
-func writeV1Bundle(dir string, b *Bundle) error {
-	names, blobs, err := b.parts()
-	if err != nil {
-		return err
-	}
-	names = append(names[:len(names):len(names)], "controller.bin")
-	blobs = append(blobs, []byte{0xde, 0xad, 0xbe, 0xef})
-	man := &Manifest{Version: 1, Reason: b.Reason, At: b.At}
-	for i, name := range names {
-		man.Parts = append(man.Parts, PartInfo{Name: name, Size: int64(len(blobs[i])), CRC32: crc32.ChecksumIEEE(blobs[i])})
+// TestValidateRefusesVersion2: an intact version-2 bundle (its snapshot as
+// metrics.json and its scoreboard as scoreboard.csv) is refused by its
+// version, not by its part names, and the error names both versions.
+func TestValidateRefusesVersion2(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{PartWatchdog, "metrics.json", "scoreboard.csv", PartTrace, PartConfig}
+	man := &Manifest{Version: 2, Reason: "blame-spike"}
+	for _, name := range names {
+		blob := []byte("{}")
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man.Parts = append(man.Parts, PartInfo{Name: name, Size: int64(len(blob)), CRC32: crc32.ChecksumIEEE(blob)})
 	}
 	manJSON, err := json.Marshal(man)
 	if err != nil {
-		return err
-	}
-	names, blobs = append(names, PartManifest), append(blobs, manJSON)
-	for i, name := range names {
-		if err := os.WriteFile(filepath.Join(dir, name), blobs[i], 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestValidateRefusesVersion1: an intact version-1 bundle (six parts, the
-// last a controller snapshot) is refused by its version, not by its part
-// count or its extra file, and the error names both versions.
-func TestValidateRefusesVersion1(t *testing.T) {
-	dir := t.TempDir()
-	if err := writeV1Bundle(dir, buildBundle()); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadBundle(dir)
-	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
-		t.Fatalf("version-1 bundle: err = %v, want the version refusal", err)
+	if err := os.WriteFile(filepath.Join(dir, PartManifest), manJSON, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = ReadBundle(dir)
+	if err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Fatalf("version-2 bundle: err = %v, want the version refusal", err)
 	}
 }
 

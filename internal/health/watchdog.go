@@ -11,9 +11,8 @@
 // dashboard, the evidence is gone. The watchdog closes that gap: it
 // detects the anomaly itself and snapshots the black box while the
 // anomaly is still in the ring. The engine is pure state machine — no
-// clocks, no goroutines, no I/O — so the simulator drives it with the
-// virtual clock (byte-reproducible firings under seed replay) and the
-// live runtime drives it with the wall clock through the same Eval.
+// clocks, no goroutines, no I/O: the live runtime's service core calls
+// Eval on its health clock, and a test can drive it eval by eval.
 package health
 
 import (
@@ -77,15 +76,6 @@ func (r Rule) String() string {
 		return ruleNames[r]
 	}
 	return "rule-?"
-}
-
-// Rules returns every rule in evaluation order.
-func Rules() []Rule {
-	out := make([]Rule, ruleCount)
-	for i := range out {
-		out[i] = Rule(i)
-	}
-	return out
 }
 
 // SLO holds the declarative thresholds, one per rule. A zero (or
@@ -162,9 +152,7 @@ func (s State) Ready() bool { return s.Evals > 0 }
 // performs no I/O: the host calls Eval on its own cadence with its own
 // clock reading, and Eval returns the rules that newly fired this
 // evaluation (empty almost always). All methods are safe for concurrent
-// use; determinism requires only that Eval calls arrive in a
-// deterministic order with deterministic inputs, which the simulator's
-// event loop guarantees.
+// use; the same Eval calls with the same inputs fire the same rules.
 type Watchdog struct {
 	mu  sync.Mutex
 	slo SLO

@@ -5,8 +5,8 @@ package metrics
 // flight — the telemetry endpoint renders them as Prometheus text — and
 // are fed by the run's tracer (Observe is its sink), plus three side
 // calls for facts no event carries. All methods on Instruments are safe for
-// concurrent use; Histogram and Series on their own are not (wrap them
-// or confine them to one goroutine).
+// concurrent use; a Histogram on its own is not (wrap it or confine it
+// to one goroutine).
 
 import (
 	"math"
@@ -63,14 +63,6 @@ func (h *Histogram) Max() int64 { return h.max }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Mean returns the average observation (0 before any).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Quantile returns the smallest value v such that at least q of the
 // observations are <= v. Overflow observations resolve to Max. q is
 // clamped to [0, 1].
@@ -109,81 +101,17 @@ func (h *Histogram) clone() *Histogram {
 	return &Histogram{counts: counts, overflow: h.overflow, count: h.count, sum: h.sum, max: h.max}
 }
 
-// Series is a capped time series: it retains the most recent cap points
-// in a ring.
-type Series struct {
-	t, v    []float64
-	next    int
-	wrapped bool
-}
-
-// DefaultSeriesCap bounds a series created with cap <= 0.
-const DefaultSeriesCap = 4096
-
-// NewSeries returns a series retaining the most recent cap points.
-func NewSeries(cap int) *Series {
-	if cap <= 0 {
-		cap = DefaultSeriesCap
-	}
-	return &Series{t: make([]float64, cap), v: make([]float64, cap)}
-}
-
-// Append records point (t, v), evicting the oldest when full.
-func (s *Series) Append(t, v float64) {
-	s.t[s.next] = t
-	s.v[s.next] = v
-	s.next++
-	if s.next == len(s.t) {
-		s.next = 0
-		s.wrapped = true
-	}
-}
-
-// Len returns the number of retained points.
-func (s *Series) Len() int {
-	if s.wrapped {
-		return len(s.t)
-	}
-	return s.next
-}
-
-// Last returns the most recent point, or ok=false on an empty series.
-func (s *Series) Last() (t, v float64, ok bool) {
-	if s.next == 0 && !s.wrapped {
-		return 0, 0, false
-	}
-	i := s.next - 1
-	if i < 0 {
-		i = len(s.t) - 1
-	}
-	return s.t[i], s.v[i], true
-}
-
-// Points returns copies of the retained (t, v) pairs, oldest first.
-func (s *Series) Points() (ts, vs []float64) {
-	n := s.Len()
-	ts = make([]float64, 0, n)
-	vs = make([]float64, 0, n)
-	if s.wrapped {
-		ts = append(ts, s.t[s.next:]...)
-		vs = append(vs, s.v[s.next:]...)
-	}
-	ts = append(ts, s.t[:s.next]...)
-	vs = append(vs, s.v[:s.next]...)
-	return ts, vs
-}
-
 // Instruments is the thread-safe bundle of live instruments one run
 // maintains: the staleness histogram (per group member, at formation),
 // per-worker barrier-wait totals (time spent waiting for the controller
-// and for group peers instead of computing), the ready-queue-depth time
-// series, the sync-graph connectivity gauges (the quantity group-frozen
-// avoidance bounds), and a running CommStats total.
+// and for group peers instead of computing), the ready-queue depth at the
+// latest ready signal, the sync-graph connectivity gauges (the quantity
+// group-frozen avoidance bounds), and a running CommStats total.
 type Instruments struct {
 	mu sync.Mutex
 
 	staleness   *Histogram
-	queueDepth  *Series
+	queueDepth  float64   // ready-queue depth at the latest KReady
 	barrierWait []float64 // per-worker cumulative seconds
 
 	maxContactAge  int64 // groups since the most-estranged alive pair last met (-1: some pair never met)
@@ -236,7 +164,6 @@ const blameEWMADecay = 0.9
 func NewInstruments(n int) *Instruments {
 	in := &Instruments{
 		staleness:   NewHistogram(64),
-		queueDepth:  NewSeries(0),
 		barrierWait: make([]float64, n),
 		epoch:       1,
 		groupWait:   make([]float64, n),
@@ -254,7 +181,7 @@ func NewInstruments(n int) *Instruments {
 
 // Observe folds one trace event into the instruments — a tracer's sink
 // (trace.Tracer.SetSink), so /metrics, the watchdog and the scoreboard read
-// the trace's stamps. KReady adds a queue-depth sample, KDeferred a
+// the trace's stamps. KReady sets the queue depth, KDeferred a
 // deferral, KGroupFormed a group, KBridged an intervention, KSignalWait its
 // worker's barrier wait; membership kinds set the epoch (A). KStaleness
 // feeds the histogram and collects its group (B = seq): once complete, the
@@ -268,7 +195,7 @@ func (in *Instruments) Observe(ev trace.Event) {
 	known := w >= 0 && w < len(in.barrierWait)
 	switch ev.Kind {
 	case trace.KReady:
-		in.queueDepth.Append(ev.TS, float64(ev.A))
+		in.queueDepth = float64(ev.A)
 		if known {
 			in.readyTS[w], in.readyIter[w] = ev.TS, ev.Iter+1
 		}
@@ -400,8 +327,6 @@ func (in *Instruments) AddComms(s CommStats) {
 // render without holding the run's locks.
 type InstrumentsSnapshot struct {
 	Staleness        *Histogram
-	QueueDepthTS     []float64
-	QueueDepthV      []float64
 	BarrierWait      []float64
 	MaxContactAge    int64
 	SyncComponents   int64
@@ -417,8 +342,7 @@ type InstrumentsSnapshot struct {
 	CriticalN        []int64
 	GroupCount       []int64
 	Comms            CommStats
-	QueueDepthNow    float64
-	QueueDepthSample float64
+	QueueDepthSample float64 // ready-queue depth at the latest ready signal
 }
 
 // ScoreRow is one worker's line of the straggler scoreboard.
@@ -469,7 +393,6 @@ func (in *Instruments) Snapshot() *InstrumentsSnapshot {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	ts, vs := in.queueDepth.Points()
 	copyF := func(src []float64) []float64 {
 		out := make([]float64, len(src))
 		copy(out, src)
@@ -480,10 +403,8 @@ func (in *Instruments) Snapshot() *InstrumentsSnapshot {
 		copy(out, src)
 		return out
 	}
-	snap := &InstrumentsSnapshot{
+	return &InstrumentsSnapshot{
 		Staleness:      in.staleness.clone(),
-		QueueDepthTS:   ts,
-		QueueDepthV:    vs,
 		BarrierWait:    copyF(in.barrierWait),
 		GroupWait:      copyF(in.groupWait),
 		Blame:          copyF(in.blame),
@@ -500,10 +421,7 @@ func (in *Instruments) Snapshot() *InstrumentsSnapshot {
 		PolicyP:          in.policyP,
 		PolicyDeviations: in.policyDeviations,
 
-		Comms: in.comms,
+		Comms:            in.comms,
+		QueueDepthSample: in.queueDepth,
 	}
-	if t, v, ok := in.queueDepth.Last(); ok {
-		snap.QueueDepthNow, snap.QueueDepthSample = t, v
-	}
-	return snap
 }

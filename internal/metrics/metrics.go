@@ -156,11 +156,3 @@ func (t *Tracker) Result() *Result {
 	r := t.res // copy
 	return &r
 }
-
-// Speedup returns base.RunTime / r.RunTime, the figure-11 metric.
-func Speedup(base, r *Result) float64 {
-	if r.RunTime == 0 {
-		return 0
-	}
-	return base.RunTime / r.RunTime
-}

@@ -72,17 +72,6 @@ func TestPerUpdateZeroUpdates(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	base := &Result{RunTime: 100}
-	fast := &Result{RunTime: 50}
-	if got := Speedup(base, fast); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("speedup %v", got)
-	}
-	if Speedup(base, &Result{}) != 0 {
-		t.Fatal("zero run time should give 0 speedup")
-	}
-}
-
 func TestResultString(t *testing.T) {
 	r := &Result{Strategy: "CON P=3", RunTime: 423, Updates: 3030, FinalAccuracy: 0.91, Converged: true}
 	s := r.String()

@@ -45,9 +45,6 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // At schedules fn at absolute virtual time t. Scheduling in the past panics:
 // it always indicates a broken strategy state machine.
 func (e *Engine) At(t Time, fn func()) {

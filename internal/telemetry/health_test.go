@@ -212,8 +212,9 @@ func lintPromText(t *testing.T, out string) []promSample {
 }
 
 // TestPromTextLint: the full exposition (metrics + watchdog series)
-// passes the format lint, and every counter is monotone non-decreasing
-// across two successive snapshots with activity in between.
+// passes the format lint, every counter is monotone non-decreasing
+// across two successive snapshots with activity in between, and a
+// bundle's metrics.prom passes the lint too.
 func TestPromTextLint(t *testing.T) {
 	ins := sampleInstruments()
 	wd := health.New(health.SLO{QueueDepth: 3, StalenessP95: 100})
@@ -221,7 +222,7 @@ func TestPromTextLint(t *testing.T) {
 
 	render := func() string {
 		var buf bytes.Buffer
-		if err := WriteMetrics(&buf, ins.Snapshot()); err != nil {
+		if err := metrics.WritePrometheus(&buf, ins.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteWatchdog(&buf, wd.State()); err != nil {
@@ -263,5 +264,20 @@ func TestPromTextLint(t *testing.T) {
 	// Sanity: the lint saw real content (histogram + counters + watchdog).
 	if len(second) < 30 {
 		t.Fatalf("lint parsed only %d samples, exposition suspiciously small", len(second))
+	}
+
+	// A postmortem bundle's metrics.prom is the same exposition and passes
+	// the same lint.
+	rec := health.NewRecorder(t.TempDir(), trace.New(trace.FuncClock(func() float64 { return 2 }), 8), ins, nil)
+	path, err := rec.Capture("blame-spike", 2.0, nil, wd.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parts, err := health.ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lintPromText(t, string(parts[health.PartMetrics])); len(got) < 25 {
+		t.Fatalf("lint parsed only %d samples of the bundle's %s", len(got), health.PartMetrics)
 	}
 }

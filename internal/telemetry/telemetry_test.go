@@ -51,7 +51,7 @@ func sampleInstruments() *metrics.Instruments {
 
 func TestWriteMetricsRendersEverything(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, sampleInstruments().Snapshot()); err != nil {
+	if err := metrics.WritePrometheus(&buf, sampleInstruments().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -108,10 +108,10 @@ func TestWriteMetricsRendersEverything(t *testing.T) {
 func TestWriteMetricsDeterministic(t *testing.T) {
 	in := sampleInstruments()
 	var a, b bytes.Buffer
-	if err := WriteMetrics(&a, in.Snapshot()); err != nil {
+	if err := metrics.WritePrometheus(&a, in.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMetrics(&b, in.Snapshot()); err != nil {
+	if err := metrics.WritePrometheus(&b, in.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -121,7 +121,7 @@ func TestWriteMetricsDeterministic(t *testing.T) {
 
 func TestWriteScoreboard(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteScoreboard(&buf, sampleInstruments().Snapshot()); err != nil {
+	if err := metrics.WriteScoreboard(&buf, sampleInstruments().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -138,7 +138,7 @@ func TestWriteScoreboard(t *testing.T) {
 		t.Fatalf("top scoreboard rank = %v, want 2:\n%s", fields, out)
 	}
 	var again bytes.Buffer
-	if err := WriteScoreboard(&again, sampleInstruments().Snapshot()); err != nil {
+	if err := metrics.WriteScoreboard(&again, sampleInstruments().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if out != again.String() {
@@ -148,7 +148,7 @@ func TestWriteScoreboard(t *testing.T) {
 	// Empty snapshot degrades gracefully.
 	buf.Reset()
 	var nilIns *metrics.Instruments
-	if err := WriteScoreboard(&buf, nilIns.Snapshot()); err != nil {
+	if err := metrics.WriteScoreboard(&buf, nilIns.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no per-worker blame data") {
@@ -157,7 +157,7 @@ func TestWriteScoreboard(t *testing.T) {
 }
 
 func TestWriteMetricsStopsOnWriteError(t *testing.T) {
-	if err := WriteMetrics(failWriter{}, sampleInstruments().Snapshot()); err == nil {
+	if err := metrics.WritePrometheus(failWriter{}, sampleInstruments().Snapshot()); err == nil {
 		t.Fatal("write error swallowed")
 	}
 }

@@ -145,37 +145,6 @@ type Outer struct{ X, Y Vector }
 // a −0 product becomes +0.
 func OuterElem(x, y float64) float64 { return 0 + float64(x*y) }
 
-// Mul writes a·b into dst (dst = a×b). Shapes must agree and dst must not
-// alias a or b.
-func Mul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: Mul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for k, av := range ar {
-			if av == 0 {
-				continue
-			}
-			dr.Axpy(av, b.Row(k))
-		}
-	}
-}
-
-// Transpose returns a new matrix holding mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {

@@ -172,19 +172,6 @@ func WeightedAverage(dst Vector, weights []float64, vs []Vector) {
 	}
 }
 
-// Mean writes the element-wise mean of vs into dst. It panics if vs is empty
-// or lengths differ.
-func Mean(dst Vector, vs []Vector) {
-	if len(vs) == 0 {
-		panic("tensor: Mean of no vectors")
-	}
-	dst.Zero()
-	for _, v := range vs {
-		dst.Add(v)
-	}
-	dst.Scale(1 / float64(len(vs)))
-}
-
 func checkLen(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("tensor: length mismatch %d != %d", a, b))

@@ -2,12 +2,17 @@
 # callerless: the "no product caller, no code" gate (make callerless; in ci).
 #
 # Lists every exported func or method declared in a non-test file under
-# internal/ whose name appears in no non-test .go file of the root module or
-# of bench/ other than in its own declaration. Such a name is reachable only
+# internal/ that no non-test .go file of the root module or of bench/
+# references other than in its own declaration. Such a name is reachable only
 # from tests: delete it with the tests that exercise it, or give it a line in
-# scripts/callerless.allow ("Name — reason"; methods as Type.Method) saying
-# why tests alone justify it. Exits 1 on any unlisted name and on any allow
-# entry that no longer matches a callerless name.
+# scripts/callerless.allow ("Name — reason"; funcs as pkg.Func, methods as
+# Type.Method) saying why tests alone justify it. Exits 1 on any unlisted name
+# and on any allow entry that no longer matches a callerless name.
+#
+# A package-level func is referenced by pkg.Name outside its package and by
+# Name( inside it; a method by its bare name anywhere. internal/testutil is
+# not scanned: it is the tests' own harness, so its exported funcs have test
+# callers only, by design.
 #
 # A second pass does the same for configuration: every exported field of an
 # exported *Config, *Options, *Plan, *Policy, *Model, *Fault, Spec or SLO
@@ -19,10 +24,10 @@
 # zero value or what a test put there. (Package, not file: code next to the
 # declaration that reads a field, or refuses it, does not make it settable.)
 #
-# The scan is grep, not a type checker: a name counts as referenced when the
-# bare identifier occurs as a word on any non-comment line (a field: in field
-# position), so two types that share a method or field name hide each other.
-# That errs towards keeping code; what it does print is certainly unreached.
+# The scan is grep, not a type checker: a reference is a word match on any
+# non-comment line (a field: in field position), so two types that share a
+# method or field name hide each other. That errs towards keeping code; what
+# it does print is certainly unreached.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,27 +35,37 @@ ALLOW=scripts/callerless.allow
 TMP=$(mktemp -d "${TMPDIR:-/tmp}/callerless.XXXXXX")
 trap 'rm -rf "$TMP"' EXIT
 
-# Reference corpus: every product line that is not a comment, with the
-# "func (recv) Name" head of each declaration cut off so a declaration does
-# not count as a reference to itself.
+# Reference corpus: every product line that is not a comment, prefixed with
+# its file's directory and a tab, with the "func (recv) Name" head of each
+# declaration cut off so a declaration does not count as a reference to
+# itself.
 find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print |
-    xargs cat |
-    grep -v '^[[:space:]]*//' |
-    sed -E 's/^func (\([^)]*\) )?[A-Za-z0-9_]+//' > "$TMP/corpus"
+    xargs awk '
+        FNR == 1 { d = FILENAME; sub(/\/[^\/]*$/, "", d); sub(/^\.\//, "", d) }
+        !/^[[:space:]]*\/\// { sub(/^func (\([^)]*\) )?[A-Za-z0-9_]+/, ""); print d "\t" $0 }
+    ' > "$TMP/corpus"
 
-# Declarations: "Type.Method" or "Func", exported names only.
-find internal -name '*.go' ! -name '*_test.go' -print |
-    xargs grep -hE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*[(\[]' |
-    sed -E -e 's/^func \(([A-Za-z0-9_]+ )?\*?([A-Za-z0-9_]+)[^)]*\) ([A-Za-z0-9_]+).*/\2.\3/' \
-        -e 's/^func ([A-Za-z0-9_]+).*/\1/' |
+# Declarations: "dir Type.Method" or "dir Func", exported names only.
+find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/testutil/*' -print |
+    xargs grep -HE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*[(\[]' |
+    sed -E -e 's#^(.*)/[^/]*:func \(([A-Za-z0-9_]+ )?\*?([A-Za-z0-9_]+)[^)]*\) ([A-Za-z0-9_]+).*#\1 \3.\4#' \
+        -e 's#^(.*)/[^/]*:func ([A-Za-z0-9_]+).*#\1 \2#' |
     sort -u > "$TMP/decls"
 
-: > "$TMP/callerless"
-while read -r decl; do
-    if ! grep -qw -- "${decl##*.}" "$TMP/corpus"; then
-        echo "$decl" >> "$TMP/callerless"
-    fi
-done < "$TMP/decls"
+# inside dir / outside dir: the corpus lines of dir's files / of every
+# other file.
+inside() { awk -F '\t' -v d="$1" '$1 == d' "$TMP/corpus"; }
+outside() { awk -F '\t' -v d="$1" '$1 != d' "$TMP/corpus"; }
+
+while read -r dir decl; do
+    case $decl in
+    *.*) grep -qw -- "${decl##*.}" "$TMP/corpus" || echo "$decl" ;;
+    *) pkg=${dir##*/}
+        outside "$dir" | grep -qE "(^|[^A-Za-z0-9_.])$pkg\.$decl([^A-Za-z0-9_]|\$)" ||
+            inside "$dir" | grep -qE "(^|[^A-Za-z0-9_.])$decl\(" ||
+            echo "$pkg.$decl" ;;
+    esac
+done < "$TMP/decls" > "$TMP/callerless"
 
 # Fields: "dir Type.Field" for each exported field (one per name of a
 # multi-name line; embedded types are skipped), then the same corpus rule
@@ -66,11 +81,9 @@ find internal -name '*.go' ! -name '*_test.go' -print | while read -r f; do
 done | sort -u > "$TMP/fields"
 while read -r dir decl; do
     field=${decl##*.}
-    if ! find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path "./$dir/*" -print |
-        xargs grep -hv '^[[:space:]]*//' |
-        grep -cE "\\.$field([^A-Za-z0-9_(]|\$)|(^|[^A-Za-z0-9_.])$field:" > /dev/null; then
+    outside "$dir" |
+        grep -qE "\\.$field([^A-Za-z0-9_(]|\$)|(^|[^A-Za-z0-9_.])$field:" ||
         echo "$decl" >> "$TMP/callerless"
-    fi
 done < "$TMP/fields"
 sort -u -o "$TMP/callerless" "$TMP/callerless"
 
