@@ -26,9 +26,10 @@ ctrlguard:
 	fi; echo "ctrlguard: ok"
 
 # No product caller, no code: an exported func or method under internal/ that
-# only tests reach, or a config field that only tests set, is deleted with
-# those tests or justified, one line each, in scripts/callerless.allow (the
-# script's header states the rule and its limits).
+# only tests reach, or a config field that only tests set or that no product
+# code reads, is deleted with those tests or justified, one line each, in
+# scripts/callerless.allow (the script's header states the rule and its
+# limits).
 callerless:
 	@sh scripts/callerless.sh && echo "callerless: ok"
 

@@ -35,21 +35,42 @@ func BenchmarkControllerReady(b *testing.B) {
 	}
 }
 
-// Dynamic weighting adds the EMA computation per group.
+// Dynamic weighting adds the EMA computation per group. DynamicWeights
+// walks every relative-iteration slot up to the group's iteration gap, so
+// its cost follows the gap. fast-forward moves each member to the group's
+// Iter after aggregating, as the engine does (§3.3.3), so the gap stays at
+// the spread of one round. unbounded-gap never does, so the gap grows with
+// b.N: the worst case, not a rate any run reaches.
 func BenchmarkControllerReadyDynamic(b *testing.B) {
-	c, err := New(Config{N: 64, P: 8, Weighting: Dynamic, Approx: ClosestIteration})
-	if err != nil {
-		b.Fatal(err)
-	}
-	iters := make([]int, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := i % 64
-		iters[w] += 1 + w%3 // staggered iteration numbers exercise the EMA path
-		if _, err := c.Ready(Signal{Worker: w, Iter: iters[w]}); err != nil {
-			b.Fatal(err)
+	for _, ff := range []bool{true, false} {
+		name := "fast-forward"
+		if !ff {
+			name = "unbounded-gap"
 		}
+		b.Run(name, func(b *testing.B) {
+			c, err := New(Config{N: 64, P: 8, Weighting: Dynamic, Approx: ClosestIteration})
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters := make([]int, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := i % 64
+				iters[w] += 1 + w%3 // staggered iteration numbers exercise the EMA path
+				gs, err := c.Ready(Signal{Worker: w, Iter: iters[w]})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, g := range gs {
+					for _, m := range g.Members {
+						if ff {
+							iters[m] = g.Iter // the members' models are the latest
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,18 +1,19 @@
 // Package controller implements the paper's P-Reduce controller (Fig. 6): a
 // signal queue collecting ready messages in FIFO order, a group filter that
 // pops P signals and applies group-frozen avoidance over a sync-graph of
-// recent groups, a weight generator producing constant or staleness-aware
-// dynamic aggregation weights, a group history database, and the group
-// broadcaster (the Group values returned to the runtime). The controller
-// never touches model parameters or gradients — its messages are a few
-// bytes, exactly as §4 requires.
+// recent groups and the pairwise contact ages, a weight generator producing
+// constant or staleness-aware dynamic aggregation weights, and the group
+// broadcaster (the Group values returned to the runtime). It keeps no
+// history beyond what formation reads: E[W_k] is folded from a run's group
+// log, not from controller state. The controller never touches model
+// parameters or gradients — its messages are a few bytes, exactly as §4
+// requires.
 package controller
 
 import (
 	"fmt"
 
 	"partialreduce/internal/metrics"
-	"partialreduce/internal/tensor"
 	"partialreduce/internal/trace"
 )
 
@@ -174,11 +175,6 @@ type Controller struct {
 	epoch      uint64
 	activeMask []bool
 
-	// Group history database: co-occurrence counts sufficient to rebuild
-	// the empirical E[W_k] exactly.
-	together [][]int // together[i][j] = groups containing both i and j, i≠j
-	inGroup  []int   // inGroup[i] = groups containing i
-
 	// lastTog[i][j] is the group sequence number at which i and j last
 	// synced together (-1: never), the groups-since-last-contact matrix
 	// group-frozen avoidance bounds.
@@ -204,7 +200,6 @@ func New(cfg Config) (*Controller, error) {
 		cfg:        cfg,
 		queued:     make([]bool, cfg.N),
 		graph:      NewSyncGraph(cfg.N, MinWindow(cfg.N, cfg.minGroup())),
-		inGroup:    make([]int, cfg.N),
 		alive:      make([]bool, cfg.N),
 		aliveN:     cfg.Initial,
 		member:     make([]bool, cfg.N),
@@ -215,10 +210,6 @@ func New(cfg Config) (*Controller, error) {
 	for i := 0; i < cfg.Initial; i++ {
 		c.alive[i] = true
 		c.member[i] = true
-	}
-	c.together = make([][]int, cfg.N)
-	for i := range c.together {
-		c.together[i] = make([]int, cfg.N)
 	}
 	if cfg.AdaptiveP {
 		c.adapt = newAdaptive(cfg.N, cfg.P)
@@ -395,17 +386,12 @@ func (c *Controller) formGroup(p int) (Group, bool) {
 	}
 	c.queue = append(c.queue[:0], c.queue[p:]...)
 
-	// History database update.
+	// Sync-graph window and contact ages.
 	c.graph.Add(members)
 	c.stats.GroupsFormed++
 	groupSeq := c.stats.GroupsFormed
-	for _, w := range members {
-		c.inGroup[w]++
-	}
 	for i := 0; i < p; i++ {
 		for j := i + 1; j < p; j++ {
-			c.together[members[i]][members[j]]++
-			c.together[members[j]][members[i]]++
 			c.lastTog[members[i]][members[j]] = groupSeq
 			c.lastTog[members[j]][members[i]] = groupSeq
 		}
@@ -478,29 +464,4 @@ func sameComponent(signals []Signal, comp []int) bool {
 		}
 	}
 	return true
-}
-
-// MeanW returns the empirical average synchronization matrix E[W_k] over all
-// groups formed so far (Eq. 4 averaged over k): off-diagonal (i,j) entries
-// are count(i,j grouped)/(K·P); diagonals add 1/P per membership and 1 per
-// non-membership. It returns nil before any group has formed.
-func (c *Controller) MeanW() *tensor.Matrix {
-	k := c.stats.GroupsFormed
-	if k == 0 {
-		return nil
-	}
-	n, p := c.cfg.N, float64(c.cfg.P)
-	kf := float64(k)
-	m := tensor.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				in := float64(c.inGroup[i])
-				m.Set(i, i, (in/p+(kf-in))/kf)
-				continue
-			}
-			m.Set(i, j, float64(c.together[i][j])/(p*kf))
-		}
-	}
-	return m
 }

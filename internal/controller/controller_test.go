@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -204,54 +203,6 @@ func TestFrozenDeferral(t *testing.T) {
 	span := (g.Members[0] < 2) != (g.Members[1] < 2)
 	if !span {
 		t.Fatalf("bridge group %v does not span components", g.Members)
-	}
-}
-
-func TestMeanWProperties(t *testing.T) {
-	c := mustNew(t, Config{N: 4, P: 2})
-	if c.MeanW() != nil {
-		t.Fatal("MeanW before any group should be nil")
-	}
-	for round := 0; round < 50; round++ {
-		for w := 0; w < 4; w++ {
-			ready(t, c, (w+round)%4, round) // rotate arrivals to vary pairs
-		}
-	}
-	m := c.MeanW()
-	n := 4
-	// Doubly stochastic: symmetric with unit row sums.
-	if !m.IsSymmetric(1e-12) {
-		t.Fatalf("E[W] not symmetric:\n%v", m)
-	}
-	for i := 0; i < n; i++ {
-		var row float64
-		for j := 0; j < n; j++ {
-			if m.At(i, j) < 0 {
-				t.Fatalf("negative entry at (%d,%d)", i, j)
-			}
-			row += m.At(i, j)
-		}
-		if math.Abs(row-1) > 1e-12 {
-			t.Fatalf("row %d sums to %v", i, row)
-		}
-	}
-}
-
-func TestMeanWAllReduceLimit(t *testing.T) {
-	// P=N: every group is global, so E[W] must be the rank-one 1/N matrix.
-	c := mustNew(t, Config{N: 4, P: 4})
-	for round := 0; round < 5; round++ {
-		for w := 0; w < 4; w++ {
-			ready(t, c, w, round)
-		}
-	}
-	m := c.MeanW()
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if math.Abs(m.At(i, j)-0.25) > 1e-12 {
-				t.Fatalf("E[W](%d,%d)=%v want 0.25", i, j, m.At(i, j))
-			}
-		}
 	}
 }
 

@@ -155,8 +155,7 @@ func ConstantWeights(p int) []float64 {
 }
 
 // sortedDescending returns a copy of iters sorted descending — the order the
-// paper's controller collects iteration numbers in (§3.3.3). Exported logic
-// keeps group metadata deterministic for the history DB.
+// paper's controller collects iteration numbers in (§3.3.3).
 func sortedDescending(iters []int) []int {
 	out := make([]int, len(iters))
 	copy(out, iters)

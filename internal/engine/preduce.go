@@ -6,7 +6,6 @@ import (
 	"partialreduce/internal/cluster"
 	"partialreduce/internal/controller"
 	"partialreduce/internal/metrics"
-	"partialreduce/internal/tensor"
 	"partialreduce/internal/trace"
 )
 
@@ -94,22 +93,20 @@ func (p *PReduce) Run(c *cluster.Cluster) (*metrics.Result, error) {
 	return info.Result, err
 }
 
-// RunInfo carries a run's result plus the controller-side observables the
-// analysis experiments need.
+// RunInfo carries a run's result plus the controller's activity counters.
+// The group log itself (E[W_k]'s input) is the cluster's trace: the
+// controller records one staleness event per member of each formed group.
 type RunInfo struct {
 	Result *metrics.Result
 	// Stats are the controller's activity counters (groups formed,
 	// frozen-avoidance interventions, membership changes).
 	Stats controller.Stats
-	// MeanW is the empirical average synchronization matrix E[W_k] over the
-	// run's groups (§3.2's Assumption 2 object); nil if no group formed.
-	MeanW *tensor.Matrix
 }
 
 // RunDetailed runs training on the shared step engine — runPReduceSim, with
 // the controller served by the same core as the live runtime's, driven here
 // by the virtual clock — and returns the result together with the
-// controller's statistics and the empirical E[W_k].
+// controller's statistics.
 func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 	// The cluster's virtual-clock tracer and instruments (nil when tracing is
 	// off) put ready/group-formed/staleness decisions on the same timeline as
@@ -122,5 +119,5 @@ func (p *PReduce) RunDetailed(c *cluster.Cluster) (RunInfo, error) {
 	if err != nil {
 		return RunInfo{}, err
 	}
-	return RunInfo{Result: res, Stats: ctrl.Stats(), MeanW: ctrl.MeanW()}, nil
+	return RunInfo{Result: res, Stats: ctrl.Stats()}, nil
 }

@@ -11,12 +11,10 @@ import (
 // AdaptiveRow is one cell of the adaptive-p sweep: fixed-size DYN P=4
 // versus ADP P=4 (adaptive group size in [2,4]) on the same seeds.
 type AdaptiveRow struct {
-	Label        string // "HL=0", "HL=2", "HL=3", "production"
-	Seeds        []int64
-	StaticTime   []float64 // virtual seconds to threshold; 0 when missed
-	AdaptiveTime []float64
-	StaticFail   int
-	AdaptiveFail int
+	Label    string // "HL=0", "HL=2", "HL=3", "production"
+	Seeds    []int64
+	Static   []*metrics.Result // DYN P=4, aligned with Seeds
+	Adaptive []*metrics.Result // ADP P=4, aligned with Seeds
 }
 
 // Speedup returns static/adaptive mean time-to-threshold over the seeds
@@ -26,9 +24,10 @@ func (r *AdaptiveRow) Speedup() (float64, bool) {
 	var s, a float64
 	n := 0
 	for i := range r.Seeds {
-		if r.StaticTime[i] > 0 && r.AdaptiveTime[i] > 0 {
-			s += r.StaticTime[i]
-			a += r.AdaptiveTime[i]
+		st, ad := timeToThreshold(r.Static[i]), timeToThreshold(r.Adaptive[i])
+		if st > 0 && ad > 0 {
+			s += st
+			a += ad
 			n++
 		}
 	}
@@ -38,12 +37,11 @@ func (r *AdaptiveRow) Speedup() (float64, bool) {
 	return s / a, true
 }
 
-// AdaptiveSweepResult is the full static-vs-adaptive comparison, plus every
-// raw run result for CSV export (Workload is rewritten to
-// "<name>/<row>/seed<k>" so summary rows stay unique).
+// AdaptiveSweepResult is the full static-vs-adaptive comparison. Each run's
+// Workload is rewritten to "<name>/<row>/seed<k>" so its CSV summary row
+// stays unique.
 type AdaptiveSweepResult struct {
-	Rows    []AdaptiveRow
-	Results []*metrics.Result
+	Rows []AdaptiveRow
 }
 
 // RobustnessAdaptive compares fixed-size dynamic-weight P-Reduce ("DYN
@@ -70,71 +68,69 @@ func RobustnessAdaptive(opts Options, seeds int) (*AdaptiveSweepResult, error) {
 		{"production", EnvProduction, 0},
 	}
 
-	out := &AdaptiveSweepResult{}
-	type pair struct{ static, adaptive *metrics.Result }
-	results := make([][]pair, len(rows))
+	out := &AdaptiveSweepResult{Rows: make([]AdaptiveRow, len(rows))}
 	var jobs []job
 	for ri, row := range rows {
-		results[ri] = make([]pair, seeds)
-		r := AdaptiveRow{Label: row.label}
+		r := &out.Rows[ri]
+		r.Label = row.label
+		r.Static, r.Adaptive = make([]*metrics.Result, seeds), make([]*metrics.Result, seeds)
 		for i := 0; i < seeds; i++ {
 			seed := opts.Seed + int64(i)
 			r.Seeds = append(r.Seeds, seed)
 			cell := Cell{Workload: w, N: 8, Env: row.env, HL: row.hl, Seed: seed}
+			tag := func(res *metrics.Result) *metrics.Result {
+				res.Workload = fmt.Sprintf("%s/%s/seed%d", res.Workload, row.label, seed)
+				return res
+			}
 			jobs = append(jobs,
-				job{cell: cell, strategy: "DYN P=4", store: func(res cellRun) { results[ri][i].static = res.Result }},
-				job{cell: cell, strategy: "ADP P=4", store: func(res cellRun) { results[ri][i].adaptive = res.Result }},
+				job{cell: cell, strategy: "DYN P=4", store: func(res cellRun) { r.Static[i] = tag(res.Result) }},
+				job{cell: cell, strategy: "ADP P=4", store: func(res cellRun) { r.Adaptive[i] = tag(res.Result) }},
 			)
 		}
-		out.Rows = append(out.Rows, r)
 	}
 	if err := runAll(opts, jobs); err != nil {
 		return nil, err
-	}
-	for ri := range rows {
-		r := &out.Rows[ri]
-		for i, p := range results[ri] {
-			for _, res := range []*metrics.Result{p.static, p.adaptive} {
-				// Uniquify the CSV key: one summary row per (strategy,
-				// row, seed).
-				res.Workload = fmt.Sprintf("%s/%s/seed%d", res.Workload, r.Label, r.Seeds[i])
-				out.Results = append(out.Results, res)
-			}
-			r.StaticTime = append(r.StaticTime, timeToThreshold(p.static))
-			r.AdaptiveTime = append(r.AdaptiveTime, timeToThreshold(p.adaptive))
-			if !p.static.Converged {
-				r.StaticFail++
-			}
-			if !p.adaptive.Converged {
-				r.AdaptiveFail++
-			}
-		}
 	}
 	return out, nil
 }
 
 // Exports offers one summary row per (strategy, row, seed) run.
-func (r *AdaptiveSweepResult) Exports() []Export { return []Export{{Results: r.Results}} }
+func (r *AdaptiveSweepResult) Exports() []Export {
+	var rs []*metrics.Result
+	for _, row := range r.Rows {
+		for i := range row.Seeds {
+			rs = append(rs, row.Static[i], row.Adaptive[i])
+		}
+	}
+	return []Export{{Results: rs}}
+}
 
 // Format renders the sweep as a per-row table with the mean speedup band.
 func (r *AdaptiveSweepResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "adaptive-p vs static P-Reduce (ResNet-34/CIFAR-10, N=8, DYN P=4 vs ADP P=4 [2,4]):\n")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "  %-10s", row.Label)
-		for i := range row.Seeds {
-			st, ad := row.StaticTime[i], row.AdaptiveTime[i]
+		staticFail, adaptiveFail := 0, 0
+		for i, seed := range row.Seeds {
+			st, ad := timeToThreshold(row.Static[i]), timeToThreshold(row.Adaptive[i])
 			switch {
 			case st == 0 || ad == 0:
-				fmt.Fprintf(w, "  seed %d: n/a", row.Seeds[i])
+				fmt.Fprintf(w, "  seed %d: n/a", seed)
 			default:
-				fmt.Fprintf(w, "  seed %d: %.0fs/%.0fs", row.Seeds[i], st, ad)
+				fmt.Fprintf(w, "  seed %d: %.0fs/%.0fs", seed, st, ad)
+			}
+			if !row.Static[i].Converged {
+				staticFail++
+			}
+			if !row.Adaptive[i].Converged {
+				adaptiveFail++
 			}
 		}
 		if sp, ok := row.Speedup(); ok {
 			fmt.Fprintf(w, "  mean speedup %.2fx", sp)
 		}
-		if row.StaticFail > 0 || row.AdaptiveFail > 0 {
-			fmt.Fprintf(w, "  (missed: static %d, adaptive %d)", row.StaticFail, row.AdaptiveFail)
+		if staticFail > 0 || adaptiveFail > 0 {
+			fmt.Fprintf(w, "  (missed: static %d, adaptive %d)", staticFail, adaptiveFail)
 		}
 		fmt.Fprintf(w, "\n")
 	}

@@ -12,6 +12,7 @@ import (
 	"partialreduce/internal/model"
 	"partialreduce/internal/spectral"
 	"partialreduce/internal/tensor"
+	"partialreduce/internal/trace"
 )
 
 // --- Figure 4: spectral gap under homogeneous vs heterogeneous timing ----
@@ -34,7 +35,8 @@ type Fig4Result struct {
 // empirically, a simulated constant P-Reduce run (N=3, P=2) under the same
 // fixed worker speeds must produce a group history whose E[W_k] has a ρ
 // approaching the analytic value. The group filter is disabled so the
-// measured distribution is the natural one.
+// measured distribution is the natural one. E[W_k] is folded from each run's
+// traced group log (groupLogMeanW).
 func Fig4(opts Options) (*Fig4Result, error) {
 	groups := [][]int{{0, 1}, {1, 2}, {0, 2}}
 	scenarios := []struct {
@@ -47,7 +49,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	}
 	w := opts.workload(CIFAR10Workload(model.ResNet34))
 	out := &Fig4Result{Rows: make([]Fig4Row, len(scenarios))}
-	meanW := make([]*tensor.Matrix, len(scenarios))
+	tracers := make([]*trace.Tracer, len(scenarios))
 	var jobs []job
 	for i, sc := range scenarios {
 		m, err := spectral.MeanW(spectral.GroupDist{N: 3, Groups: groups, Probs: sc.probs})
@@ -73,16 +75,20 @@ func Fig4(opts Options) (*Fig4Result, error) {
 				}
 				cfg.Threshold = 0.999 // run to the update budget; we want group counts
 				cfg.MaxUpdates = 4000
+				// A run records about 60k events, 92 % of the default ring:
+				// sized here so the whole group log always fits.
+				cfg.TraceCap = 1 << 17
 			},
-			store: func(r cellRun) { meanW[i] = r.MeanW },
+			store: func(r cellRun) { tracers[i] = r.Cluster.Tracer },
 		})
 	}
 	if err := runAll(opts, jobs); err != nil {
 		return nil, err
 	}
-	for i, m := range meanW {
-		if m == nil {
-			return nil, fmt.Errorf("experiments: no groups formed in fig4 run")
+	for i, tr := range tracers {
+		m, err := groupLogMeanW(3, tr)
+		if err != nil {
+			return nil, err
 		}
 		rho, err := spectral.Rho(m)
 		if err != nil {
@@ -105,6 +111,36 @@ func (j *jitteredFixed) ComputeTime(worker int, now float64) float64 {
 }
 
 func (j *jitteredFixed) Name() string { return "fixed+jitter" }
+
+// groupLogMeanW folds a traced P-Reduce run's group log into the empirical
+// E[W_k] over n workers. Each formed group, read off its members' staleness
+// records (Track = member, B = group sequence), occurs with probability 1/K
+// among the run's K groups; spectral.MeanW weighs it 1/|S| (Eq. 4), so
+// groups of any size fold to a doubly stochastic matrix. A ring that dropped
+// events has lost groups, so it is refused.
+func groupLogMeanW(n int, tr *trace.Tracer) (*tensor.Matrix, error) {
+	if d := tr.Dropped(); d > 0 {
+		return nil, fmt.Errorf("experiments: trace ring dropped %d events, so its group log is incomplete", d)
+	}
+	var groups [][]int
+	for _, ev := range tr.Events() {
+		if ev.Kind != trace.KStaleness {
+			continue
+		}
+		for int64(len(groups)) < ev.B {
+			groups = append(groups, nil)
+		}
+		groups[ev.B-1] = append(groups[ev.B-1], int(ev.Track))
+	}
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("experiments: no group formed in the traced run")
+	}
+	probs := make([]float64, len(groups))
+	for i := range probs {
+		probs[i] = 1 / float64(len(groups))
+	}
+	return spectral.MeanW(spectral.GroupDist{N: n, Groups: groups, Probs: probs})
+}
 
 // Format renders the Fig. 4 comparison.
 func (f *Fig4Result) Format(w io.Writer) {
@@ -457,6 +493,7 @@ func AblationGroupFilter(opts Options) (*AblationGroupFilterResult, error) {
 	type arm struct {
 		worst                   float64
 		interventions, bridging int
+		tr                      *trace.Tracer
 	}
 	measure := func(disable bool, a *arm) job {
 		return job{
@@ -470,6 +507,7 @@ func AblationGroupFilter(opts Options) (*AblationGroupFilterResult, error) {
 				}
 				cfg.Threshold = 0.999
 				cfg.MaxUpdates = 2000
+				cfg.TraceCap = 1 << 16 // a run records about 31k events
 			},
 			store: func(r cellRun) {
 				a.worst = 1.0
@@ -479,22 +517,27 @@ func AblationGroupFilter(opts Options) (*AblationGroupFilterResult, error) {
 					}
 				}
 				a.interventions = r.Stats.Interventions
-				// Bridging groups join {0,1} with {2,3}: read them off E[W].
-				if m := r.MeanW; m != nil {
-					for i := 0; i < 2; i++ {
-						for j := 2; j < 4; j++ {
-							if m.At(i, j) > 0 {
-								a.bridging++
-							}
-						}
-					}
-				}
+				a.tr = r.Cluster.Tracer
 			},
 		}
 	}
 	var with, without arm
 	if err := runAll(opts, []job{measure(false, &with), measure(true, &without)}); err != nil {
 		return nil, err
+	}
+	for _, a := range []*arm{&with, &without} {
+		m, err := groupLogMeanW(4, a.tr)
+		if err != nil {
+			return nil, err
+		}
+		// Bridging groups join {0,1} with {2,3}: read them off E[W].
+		for i := 0; i < 2; i++ {
+			for j := 2; j < 4; j++ {
+				if m.At(i, j) > 0 {
+					a.bridging++
+				}
+			}
+		}
 	}
 	return &AblationGroupFilterResult{
 		WithFilter: with.worst, Interventions: with.interventions, BridgingWith: with.bridging,

@@ -17,14 +17,8 @@ import (
 // Comms — is a pure function of (opts.Seed, durations): running it twice
 // yields byte-identical summary CSVs.
 type PartitionSweepResult struct {
-	Durations []float64 // partition length in batch-compute multiples
-	Converged []bool
-	Accuracy  []float64
-	Time      []float64 // virtual seconds to threshold (0 if missed)
-	Retries   []int64
-	Timeouts  []int64
-	Aborts    []int64
-	Results   []*metrics.Result // aligned with Durations, for CSV export
+	Durations []float64         // partition length in batch-compute multiples
+	Results   []*metrics.Result // aligned with Durations
 }
 
 // RobustnessPartition sweeps partition lengths on the headline heterogeneous
@@ -66,14 +60,6 @@ func RobustnessPartition(opts Options, durations []float64) (*PartitionSweepResu
 	if err := runAll(opts, jobs); err != nil {
 		return nil, err
 	}
-	for _, r := range out.Results {
-		out.Converged = append(out.Converged, r.Converged)
-		out.Accuracy = append(out.Accuracy, r.FinalAccuracy)
-		out.Time = append(out.Time, timeToThreshold(r))
-		out.Retries = append(out.Retries, r.Comms.Retries)
-		out.Timeouts = append(out.Timeouts, r.Comms.Timeouts)
-		out.Aborts = append(out.Aborts, r.Comms.Aborts)
-	}
 	return out, nil
 }
 
@@ -85,13 +71,13 @@ func (r *PartitionSweepResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "partition sweep (ranks {6,7} cut, ResNet-34/CIFAR-10, HL=3, N=8):\n")
 	fmt.Fprintf(w, "  %-10s %-12s %-8s %-10s %-8s %-9s %s\n",
 		"len(batch)", "DYN P=3", "acc", "time(s)", "retries", "timeouts", "aborts")
-	for i := range r.Durations {
+	for i, res := range r.Results {
 		state := "missed"
-		if r.Converged[i] {
+		if res.Converged {
 			state = "converged"
 		}
 		fmt.Fprintf(w, "  %-10.1f %-12s %-8.3f %-10.0f %-8d %-9d %d\n",
-			r.Durations[i], state, r.Accuracy[i], r.Time[i],
-			r.Retries[i], r.Timeouts[i], r.Aborts[i])
+			r.Durations[i], state, res.FinalAccuracy, timeToThreshold(res),
+			res.Comms.Retries, res.Comms.Timeouts, res.Comms.Aborts)
 	}
 }

@@ -19,15 +19,15 @@ func TestRobustnessPartitionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Retries[0] != 0 || res.Timeouts[0] != 0 || res.Aborts[0] != 0 {
+	if c := res.Results[0].Comms; c.Retries != 0 || c.Timeouts != 0 || c.Aborts != 0 {
 		t.Fatalf("no-partition cell recorded retry traffic: retries=%d timeouts=%d aborts=%d",
-			res.Retries[0], res.Timeouts[0], res.Aborts[0])
+			c.Retries, c.Timeouts, c.Aborts)
 	}
-	if res.Timeouts[1] == 0 || res.Retries[1] == 0 {
-		t.Fatalf("partition never bit: retries=%d timeouts=%d", res.Retries[1], res.Timeouts[1])
+	if c := res.Results[1].Comms; c.Timeouts == 0 || c.Retries == 0 {
+		t.Fatalf("partition never bit: retries=%d timeouts=%d", c.Retries, c.Timeouts)
 	}
-	for i := range res.Durations {
-		if !res.Converged[i] {
+	for i, r := range res.Results {
+		if !r.Converged {
 			t.Fatalf("DYN P=3 missed the threshold at duration %v", res.Durations[i])
 		}
 	}

@@ -10,8 +10,9 @@
 // between surviving ranks continues. Every endpoint can declare a peer dead,
 // abort or purge one collective operation, bound a receive by a deadline,
 // and fail itself — the primitives the live runtime's recovery path is built
-// from — and the Faulty wrapper injects deterministic crashes, drops, and
-// delays for tests and experiments.
+// from — and the Faulty wrapper injects a deterministic fault plan (crashes,
+// dropped first frames, severed links, timed partitions) for tests and
+// experiments.
 package transport
 
 import (

@@ -19,10 +19,12 @@
 # struct under internal/ (the option structs, and the fault plans and retry
 # shapes a run is handed; listed as Type.Field) that no non-test file outside
 # the declaring package names as a field — a selector that is not a call
-# (x.Field) or a literal key (Field:).
-# Such a field has no product setter: whatever reads it only ever sees the
-# zero value or what a test put there. (Package, not file: code next to the
+# (x.Field) or a literal key (Field:) — or that no non-test file anywhere
+# reads: a selector (x.Field) that is not an assignment target (x.Field = ).
+# The first has no product setter: whatever reads it only ever sees the zero
+# value or what a test put there. (Package, not file: code next to the
 # declaration that reads a field, or refuses it, does not make it settable.)
+# The second is set but never read: the run does the same without it.
 #
 # The scan is grep, not a type checker: a reference is a word match on any
 # non-comment line (a field: in field position), so two types that share a
@@ -81,8 +83,9 @@ find internal -name '*.go' ! -name '*_test.go' -print | while read -r f; do
 done | sort -u > "$TMP/fields"
 while read -r dir decl; do
     field=${decl##*.}
-    outside "$dir" |
-        grep -qE "\\.$field([^A-Za-z0-9_(]|\$)|(^|[^A-Za-z0-9_.])$field:" ||
+    { outside "$dir" |
+        grep -qE "\\.$field([^A-Za-z0-9_(]|\$)|(^|[^A-Za-z0-9_.])$field:" &&
+        grep -qE "\\.$field([^A-Za-z0-9_ ]|\$| +([^=]|==))" "$TMP/corpus"; } ||
         echo "$decl" >> "$TMP/callerless"
 done < "$TMP/fields"
 sort -u -o "$TMP/callerless" "$TMP/callerless"
@@ -93,7 +96,7 @@ stale=$(comm -13 "$TMP/callerless" "$TMP/allowed")
 
 status=0
 if [ -n "$unlisted" ]; then
-    echo "callerless: exported under internal/, referenced (a config field: set) by no product code (delete, or list in $ALLOW):"
+    echo "callerless: exported under internal/, referenced (a config field: set and read) by no product code (delete, or list in $ALLOW):"
     echo "$unlisted" | sed 's/^/  /'
     status=1
 fi
